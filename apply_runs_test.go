@@ -1,0 +1,501 @@
+package egwalker
+
+// Differential tests for the run-level Doc boundary: Apply, Events /
+// EventsSince / EventsSinceSummary, Save and Load move whole runs; the
+// per-unit loops they replaced live on below as the reference, and every
+// delivery pattern must give the two identical patches, text,
+// fingerprints, buffers and bytes.
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"egwalker/internal/causal"
+	"egwalker/internal/colenc"
+	"egwalker/internal/oplog"
+)
+
+// refApply is Apply as it was before runs — every event copied through
+// the delivery buffer, one ID lookup, one lookup per parent and one
+// single-op append per event — with the rejected-event fix: the
+// offender is dropped, what was admitted before it is merged, what
+// follows it stays buffered.
+func refApply(d *Doc, events []Event) ([]Patch, error) {
+	d.pending = append(d.pending, events...)
+	emitFrom := causal.LV(d.log.Len())
+	var admitErr error
+sweeps:
+	for {
+		progress := false
+		var rest []Event
+		for i, ev := range d.pending {
+			if d.log.Graph.HasID(causal.RawID(ev.ID)) {
+				progress = true // duplicate: drop
+				continue
+			}
+			parents := make([]causal.LV, 0, len(ev.Parents))
+			ok := true
+			for _, p := range ev.Parents {
+				lv, known := d.log.Graph.LVOf(causal.RawID(p))
+				if !known {
+					ok = false
+					break
+				}
+				parents = append(parents, lv)
+			}
+			if !ok {
+				rest = append(rest, ev)
+				continue
+			}
+			op := oplog.Op{Kind: oplog.Delete, Pos: ev.Pos}
+			if ev.Insert {
+				op = oplog.Op{Kind: oplog.Insert, Pos: ev.Pos, Content: ev.Content}
+			}
+			if _, err := d.log.AddRemote(ev.ID.Agent, ev.ID.Seq, parents, []oplog.Op{op}); err != nil {
+				admitErr = err
+				d.pending = append(rest, d.pending[i+1:]...)
+				break sweeps
+			}
+			progress = true
+		}
+		d.pending = rest
+		if !progress || len(rest) == 0 {
+			break
+		}
+	}
+	patches, err := d.emit(emitFrom)
+	if admitErr != nil {
+		return patches, admitErr
+	}
+	return patches, err
+}
+
+// refEventsIn is the per-unit export: one IDOf and one ParentsOf (a
+// binary search each) and one parents slice per event.
+func refEventsIn(d *Doc, spans ...causal.Span) []Event {
+	var out []Event
+	for _, sp := range spans {
+		d.log.EachOp(sp, func(lv causal.LV, op oplog.Op) bool {
+			ev := Event{ID: EventID(d.log.Graph.IDOf(lv)), Insert: op.Kind == oplog.Insert, Pos: op.Pos}
+			if ev.Insert {
+				ev.Content = op.Content
+			}
+			for _, p := range d.log.Graph.ParentsOf(lv) {
+				ev.Parents = append(ev.Parents, EventID(d.log.Graph.IDOf(p)))
+			}
+			out = append(out, ev)
+			return true
+		})
+	}
+	return out
+}
+
+func refWire(events []Event) []colenc.Event {
+	out := make([]colenc.Event, len(events))
+	for i, ev := range events {
+		out[i] = colenc.Event{ID: colenc.ID(ev.ID), Insert: ev.Insert, Pos: ev.Pos, Content: ev.Content}
+		for _, p := range ev.Parents {
+			out[i].Parents = append(out[i].Parents, colenc.ID(p))
+		}
+	}
+	return out
+}
+
+// randomSession has three replicas type words, forward-delete, backspace
+// and merge each other at random, and returns one that has merged
+// everything, with the versions some replica was at along the way.
+func randomSession(t *testing.T, rng *rand.Rand, steps int) (*Doc, []*Doc) {
+	t.Helper()
+	docs := []*Doc{NewDoc("ann"), NewDoc("bob"), NewDoc("cy")}
+	var stages []*Doc
+	words := []string{"run ", "length ", "é", "漢字", "x", "🙂 ok ", "graph"}
+	for s := 0; s < steps; s++ {
+		d := docs[rng.Intn(len(docs))]
+		var err error
+		switch k := rng.Intn(10); {
+		case k < 5 || d.Len() == 0:
+			err = d.Insert(rng.Intn(d.Len()+1), words[rng.Intn(len(words))])
+		case k < 6:
+			pos := rng.Intn(d.Len())
+			err = d.Delete(pos, 1+rng.Intn(min(4, d.Len()-pos)))
+		case k < 8: // backspace a few
+			pos := rng.Intn(d.Len())
+			for n := 1 + rng.Intn(4); n > 0 && pos >= 0 && err == nil; n-- {
+				err = d.Delete(pos, 1)
+				pos--
+			}
+		default:
+			if src := docs[rng.Intn(len(docs))]; src != d {
+				err = d.Merge(src)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(8) == 0 {
+			f, err := d.Fork("stage")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stages = append(stages, f)
+		}
+	}
+	for _, src := range docs[1:] {
+		if err := docs[0].Merge(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return docs[0], stages
+}
+
+// cut splits events into consecutive batches at random points.
+func cut(rng *rand.Rand, events []Event) [][]Event {
+	var out [][]Event
+	for len(events) > 0 {
+		n := 1 + rng.Intn(len(events))
+		if rng.Intn(2) == 0 {
+			n = 1 + rng.Intn(min(len(events), 12))
+		}
+		out = append(out, events[:n])
+		events = events[n:]
+	}
+	return out
+}
+
+func TestApplyMatchesPerUnitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for round := 0; round < 40; round++ {
+		final, _ := randomSession(t, rng, 30+rng.Intn(80))
+		all := final.Events()
+		if len(all) == 0 {
+			continue
+		}
+		shuffled := append([]Event(nil), all...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		reversed := append([]Event(nil), all...)
+		for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+			reversed[i], reversed[j] = reversed[j], reversed[i]
+		}
+		var dups []Event
+		for _, ev := range all {
+			dups = append(dups, ev)
+			if rng.Intn(3) == 0 {
+				dups = append(dups, all[rng.Intn(len(all))])
+			}
+			if rng.Intn(5) == 0 {
+				dups = append(dups, ev)
+			}
+		}
+		// Runs that straddle what is already known: some stretches first,
+		// cut mid-run, then everything.
+		var straddle [][]Event
+		for i := 0; i < 3; i++ {
+			a := rng.Intn(len(all))
+			straddle = append(straddle, all[a:a+1+rng.Intn(len(all)-a)])
+		}
+		straddle = append(straddle, cut(rng, all)...)
+		// A rejected event in the middle of a batch, then the history again.
+		poison := Event{ID: EventID{Agent: "mallory", Seq: -1}, Insert: true, Content: 'x'}
+		at := rng.Intn(len(all) + 1)
+		poisoned := append(append(append([]Event(nil), all[:at]...), poison), all[at:]...)
+
+		deliveries := map[string][][]Event{
+			"causal":   cut(rng, all),
+			"whole":    {all},
+			"shuffled": cut(rng, shuffled),
+			"reversed": cut(rng, reversed),
+			"dups":     cut(rng, dups),
+			"straddle": straddle,
+			"poisoned": append(cut(rng, poisoned), all),
+		}
+		for name, batches := range deliveries {
+			got, want := NewDoc("got"), NewDoc("want")
+			for _, batch := range batches {
+				applyBoth(t, got, want, batch)
+			}
+			if t.Failed() {
+				t.Fatalf("round %d, delivery %s", round, name)
+			}
+			if got.Text() != final.Text() || got.PendingEvents() != 0 || got.NumEvents() != len(all) {
+				t.Fatalf("round %d %s: ended with %d events, %d pending, text %q; want %d, 0, %q", round, name,
+					got.NumEvents(), got.PendingEvents(), got.Text(), len(all), final.Text())
+			}
+		}
+	}
+}
+
+// applyBoth gives batch to got through Apply and to want through the
+// per-unit reference and holds them to the same outcome: error or not,
+// patches, text, fingerprint, buffer, and the log itself — the same
+// events in the same order in the same spans.
+func applyBoth(t *testing.T, got, want *Doc, batch []Event) {
+	t.Helper()
+	input := slices.Clone(batch)
+	gotPatches, gotErr := got.Apply(batch)
+	wantPatches, wantErr := refApply(want, batch)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Errorf("Apply error %v, reference %v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(gotPatches, wantPatches) {
+		t.Errorf("patches differ\n got %v\nwant %v", gotPatches, wantPatches)
+	}
+	if got.Text() != want.Text() || got.Fingerprint() != want.Fingerprint() ||
+		got.PendingEvents() != want.PendingEvents() || got.NumEvents() != want.NumEvents() {
+		t.Errorf("state differs: %d/%d events, %d/%d pending, text %q / %q",
+			got.NumEvents(), want.NumEvents(), got.PendingEvents(), want.PendingEvents(), got.Text(), want.Text())
+	}
+	if !reflect.DeepEqual(got.Events(), want.Events()) || got.log.SpanCount() != want.log.SpanCount() {
+		t.Errorf("logs differ (%d vs %d spans)", got.log.SpanCount(), want.log.SpanCount())
+	}
+	if !reflect.DeepEqual(batch, input) {
+		t.Errorf("Apply modified its argument")
+	}
+}
+
+// FuzzApplyDelivery lets the fuzzer write both the editing session and
+// the delivery: which stretch of the history arrives next, in which
+// order, how often again, and where a rejected event sits. Apply and the
+// per-unit reference must agree after every batch, and once the whole
+// history has arrived both must hold the session's text.
+func FuzzApplyDelivery(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("typing a few words, then more"), []byte{0, 9, 1, 3, 2, 8, 0, 40})
+	f.Add([]byte{0, 3, 1, 7, 9, 2, 4, 4, 1, 8, 8, 0, 6, 3, 3, 5, 2, 2, 7, 1}, []byte{3, 0, 2, 30, 4, 1, 1, 200, 0, 5})
+	f.Add(bytes.Repeat([]byte{1, 5, 2, 6, 0, 9, 3, 1, 7, 4}, 12), bytes.Repeat([]byte{4, 7, 1, 90, 2, 13, 3, 3}, 6))
+	f.Fuzz(func(t *testing.T, session, delivery []byte) {
+		if len(session) > 600 {
+			session = session[:600]
+		}
+		if len(delivery) > 200 {
+			delivery = delivery[:200]
+		}
+		docs := []*Doc{NewDoc("ann"), NewDoc("bob"), NewDoc("cy")}
+		for i := 0; i+2 < len(session); i += 3 {
+			d, arg := docs[int(session[i])%3], int(session[i+2])
+			var err error
+			switch k := session[i+1] % 8; {
+			case k < 4 || d.Len() == 0:
+				err = d.Insert(arg%(d.Len()+1), []string{"a", "run ", "é漢", "🙂 long word "}[k%4])
+			case k == 4:
+				pos := arg % d.Len()
+				err = d.Delete(pos, 1+arg%min(3, d.Len()-pos))
+			case k < 7: // backspace
+				pos := arg % d.Len()
+				for n := 1 + arg%3; n > 0 && pos >= 0 && err == nil; n-- {
+					err = d.Delete(pos, 1)
+					pos--
+				}
+			default:
+				if src := docs[arg%3]; src != d {
+					err = d.Merge(src)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, src := range docs[1:] {
+			if err := docs[0].Merge(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all := docs[0].Events()
+		if len(all) == 0 {
+			return
+		}
+
+		got, want := NewDoc("got"), NewDoc("want")
+		next := 0 // how much of the history has been sent in order
+		for i := 0; i+1 < len(delivery); i += 2 {
+			n := 1 + int(delivery[i+1])%len(all)
+			var batch []Event
+			switch delivery[i] % 6 {
+			case 0: // the next stretch, in order
+				batch = all[next:min(next+n, len(all))]
+				next += len(batch)
+			case 1: // a stretch from anywhere: known, new or straddling
+				a := int(delivery[i+1]) * 7 % len(all)
+				batch = all[a:min(a+n, len(all))]
+			case 2: // a stretch ahead of its parents, backwards
+				a := min(next+n, len(all)-1)
+				for j := min(a+n, len(all)) - 1; j >= a; j-- {
+					batch = append(batch, all[j])
+				}
+			case 3: // every other event of the next stretch
+				for j := next; j < min(next+n, len(all)); j += 2 {
+					batch = append(batch, all[j])
+				}
+			case 4: // a rejected event inside the next stretch
+				batch = append(batch, all[next:min(next+n/2, len(all))]...)
+				batch = append(batch, Event{ID: EventID{Agent: "ann", Seq: -1 - n}, Content: 'x', Insert: n%2 == 0})
+				batch = append(batch, all[min(next+n/2, len(all)):min(next+n, len(all))]...)
+			default: // the stretch twice over
+				batch = append(batch, all[next:min(next+n, len(all))]...)
+				batch = append(batch, batch...)
+			}
+			applyBoth(t, got, want, batch)
+		}
+		applyBoth(t, got, want, all)
+		if got.Text() != docs[0].Text() || got.PendingEvents() != 0 || got.NumEvents() != len(all) {
+			t.Fatalf("ended with %d events, %d pending, text %q; want %d, 0, %q",
+				got.NumEvents(), got.PendingEvents(), got.Text(), len(all), docs[0].Text())
+		}
+	})
+}
+
+// TestApplyAfterRejectedEvent: a rejected event used to leave the log
+// advanced past the text and itself in the buffer, failing every later
+// Apply.
+func TestApplyAfterRejectedEvent(t *testing.T) {
+	src := NewDoc("ann")
+	if err := src.Insert(0, "hi"); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Insert(2, "!"); err != nil {
+		t.Fatal(err)
+	}
+	evs := src.Events()
+	poison := Event{ID: EventID{Agent: "ann", Seq: -1}, Insert: true, Content: 'x'}
+	batch := []Event{evs[0], evs[1], poison, evs[2]}
+
+	d := NewDoc("bob")
+	patches, err := d.Apply(batch)
+	if err == nil {
+		t.Fatal("negative sequence number accepted")
+	}
+	if d.NumEvents() != 2 || d.Text() != "hi" {
+		t.Fatalf("after the rejected event: %d events, text %q; want 2, %q", d.NumEvents(), d.Text(), "hi")
+	}
+	if want := []Patch{{Insert: true, Pos: 0, N: 2, Content: "hi"}}; !reflect.DeepEqual(patches, want) {
+		t.Fatalf("patches %v, want %v", patches, want)
+	}
+	if d.PendingEvents() != 1 {
+		t.Fatalf("%d events buffered, want 1 (the one after the rejected event)", d.PendingEvents())
+	}
+	// The buffer is not poisoned: the next Apply succeeds and drains it.
+	if _, err := d.Apply(nil); err != nil {
+		t.Fatalf("Apply after a rejected event: %v", err)
+	}
+	if d.Text() != "hi!" || d.PendingEvents() != 0 || d.NumEvents() != 3 {
+		t.Fatalf("after the next Apply: %d events, %d pending, text %q", d.NumEvents(), d.PendingEvents(), d.Text())
+	}
+	if d.Fingerprint() != src.Fingerprint() {
+		t.Fatal("replicas differ")
+	}
+}
+
+func TestEventsMatchPerUnitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for round := 0; round < 25; round++ {
+		final, stages := randomSession(t, rng, 40+rng.Intn(80))
+		full := causal.Span{End: causal.LV(final.log.Len())}
+		all := final.Events()
+		if want := refEventsIn(final, full); !reflect.DeepEqual(all, want) && len(want) > 0 {
+			t.Fatalf("round %d: Events differs from the per-unit export", round)
+		}
+		for si, st := range stages {
+			got, err := final.EventsSince(st.Version())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := final.resolveVersion(st.Version())
+			if err != nil {
+				t.Fatal(err)
+			}
+			only, _ := final.log.Graph.Diff(final.log.Frontier(), f)
+			if want := refEventsIn(final, only...); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d stage %d: EventsSince differs from the per-unit export (%d vs %d events)", round, si, len(got), len(want))
+			}
+			// The summary diff sends exactly what the stage lacks.
+			missing, err := final.EventsSinceSummary(st.Summary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(missing) != final.NumEvents()-st.NumEvents() {
+				t.Fatalf("round %d stage %d: summary diff has %d events, want %d", round, si, len(missing), final.NumEvents()-st.NumEvents())
+			}
+			idx := map[EventID]Event{}
+			for _, ev := range all {
+				idx[ev.ID] = ev
+			}
+			for _, ev := range missing {
+				if st.Knows(ev.ID) || !reflect.DeepEqual(ev, idx[ev.ID]) {
+					t.Fatalf("round %d stage %d: summary diff event %v wrong or already held", round, si, ev.ID)
+				}
+			}
+			if _, err := st.Apply(missing); err != nil || st.Fingerprint() != final.Fingerprint() || st.PendingEvents() != 0 {
+				t.Fatalf("round %d stage %d: stage did not converge on the summary diff: %v", round, si, err)
+			}
+		}
+
+		// Save writes the bytes the per-unit encoder writes for the
+		// per-unit export; Load rebuilds the same log.
+		for _, cached := range []bool{false, true} {
+			var buf bytes.Buffer
+			if err := final.Save(&buf, SaveOptions{CacheFinalDoc: cached}); err != nil {
+				t.Fatal(err)
+			}
+			var want []byte
+			var err error
+			if cached {
+				want, err = colenc.EncodeRunsDoc(colenc.Runs(refWire(refEventsIn(final, full))), final.Text(), colenc.Options{})
+			} else {
+				want, err = colenc.Encode(refWire(refEventsIn(final, full)), colenc.Options{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("round %d: Save (cached %v) wrote %d bytes, the per-unit path %d", round, cached, buf.Len(), len(want))
+			}
+			loaded, err := Load(bytes.NewReader(buf.Bytes()), "loader")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(loaded.Events(), all) || loaded.log.SpanCount() != final.log.SpanCount() ||
+				loaded.Text() != final.Text() || loaded.Fingerprint() != final.Fingerprint() {
+				t.Fatalf("round %d: loaded document differs", round)
+			}
+		}
+		// The batch codec at the public edge.
+		data, err := MarshalEventsCompact(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := colenc.Encode(refWire(all), colenc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("round %d: MarshalEventsCompact differs from the per-unit path", round)
+		}
+		back, err := UnmarshalEventsAuto(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, all) && len(all) > 0 {
+			t.Fatalf("round %d: compact round trip changed the events", round)
+		}
+	}
+}
+
+// TestExportedParentsDoNotAlias: default parents are cut from one shared
+// array; each event owns exactly its element.
+func TestExportedParentsDoNotAlias(t *testing.T) {
+	d := NewDoc("a")
+	if err := d.Insert(0, "abcd"); err != nil {
+		t.Fatal(err)
+	}
+	evs := d.Events()
+	_ = append(evs[1].Parents, EventID{"x", 9})
+	evs[1].Parents[0].Seq = 77
+	if evs[2].Parents[0] != (EventID{"a", 1}) || evs[1].ID != (EventID{"a", 1}) || evs[0].ID != (EventID{"a", 0}) {
+		t.Fatalf("parents alias: %+v", evs)
+	}
+	if again := d.Events(); again[1].Parents[0] != (EventID{"a", 0}) {
+		t.Fatal("an exported event's parents alias the document")
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -353,4 +354,118 @@ func BenchmarkDocRealtimeApply(b *testing.B) {
 			}
 		}
 	}
+}
+
+// --- Runs across the Doc boundary -----------------------------------------
+//
+// Apply, Save, Load and EventsSince on a linear history (S1: every event
+// critical, so the walker has nothing to do and the boundary is all there
+// is) and a concurrent one (C1). ns/event and allocs/event are the rows
+// to compare across a change to the boundary; the bench/ program times
+// the same calls end to end.
+
+// boundaryDocs runs fn on one document per history.
+func boundaryDocs(b *testing.B, fn func(b *testing.B, d *Doc)) {
+	traces := loadBenchTraces(b)
+	for _, name := range []string{"S1", "C1"} {
+		l := traces[name]
+		b.Run(name, func(b *testing.B) {
+			rp, err := core.ReplayRope(l)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fn(b, &Doc{log: l, text: rp, agent: "bench"})
+		})
+	}
+}
+
+// perEvent times loop, which handles events events per iteration, and
+// reports time and allocations per event next to the per-op columns.
+func perEvent(b *testing.B, events int, loop func()) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loop()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
+}
+
+// BenchmarkDocApply merges a whole history into a fresh replica in
+// arrival batches of 4096 events.
+func BenchmarkDocApply(b *testing.B) {
+	boundaryDocs(b, func(b *testing.B, d *Doc) {
+		var batches [][]Event
+		for evs := d.Events(); len(evs) > 0; evs = evs[min(4096, len(evs)):] {
+			batches = append(batches, evs[:min(4096, len(evs))])
+		}
+		perEvent(b, d.NumEvents(), func() {
+			dst := NewDoc("dst")
+			for _, batch := range batches {
+				if _, err := dst.Apply(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if dst.Len() != d.Len() {
+				b.Fatal("merged document differs")
+			}
+		})
+	})
+}
+
+func BenchmarkDocSave(b *testing.B) {
+	boundaryDocs(b, func(b *testing.B, d *Doc) {
+		var buf bytes.Buffer
+		perEvent(b, d.NumEvents(), func() {
+			buf.Reset()
+			if err := d.Save(&buf, SaveOptions{CacheFinalDoc: true}); err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.ReportMetric(float64(buf.Len())/float64(d.NumEvents()), "bytes/event")
+	})
+}
+
+func BenchmarkDocLoad(b *testing.B) {
+	boundaryDocs(b, func(b *testing.B, d *Doc) {
+		var buf bytes.Buffer
+		if err := d.Save(&buf, SaveOptions{CacheFinalDoc: true}); err != nil {
+			b.Fatal(err)
+		}
+		perEvent(b, d.NumEvents(), func() {
+			got, err := Load(bytes.NewReader(buf.Bytes()), "loader")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got.NumEvents() != d.NumEvents() {
+				b.Fatal("loaded document differs")
+			}
+		})
+	})
+}
+
+// BenchmarkDocEventsSince exports the later half of the history: what a
+// peer that fell behind is sent.
+func BenchmarkDocEventsSince(b *testing.B) {
+	boundaryDocs(b, func(b *testing.B, d *Doc) {
+		half := d.log.Graph.FrontierOf([]causal.LV{causal.LV(d.NumEvents() / 2)})
+		var since Version
+		for _, lv := range half {
+			since = append(since, EventID(d.log.Graph.IDOf(lv)))
+		}
+		evs, err := d.EventsSince(since)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perEvent(b, len(evs), func() {
+			if _, err := d.EventsSince(since); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
 }

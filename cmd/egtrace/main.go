@@ -20,8 +20,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 
+	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
 	"egwalker/internal/core"
 	"egwalker/internal/encoding"
@@ -74,7 +77,8 @@ func run(cmd string) error {
 			if err != nil {
 				return err
 			}
-			data, err := colenc.EncodeDoc(colenc.EventsFromLog(l), text, colenc.Options{})
+			runs := colenc.LogRuns(l, causal.Span{End: causal.LV(l.Len())})
+			data, err := colenc.EncodeRunsDoc(runs, text, colenc.Options{})
 			if err != nil {
 				return err
 			}
@@ -122,11 +126,11 @@ func load() (string, *oplog.Log, error) {
 		case colenc.Sniff(data):
 			// Compact columnar files (what Doc.Save writes by default;
 			// see docs/FORMAT.md).
-			dec, err := colenc.Decode(data)
+			dec, err := colenc.DecodeRuns(data, math.MaxInt32)
 			if err != nil {
 				return "", nil, err
 			}
-			l, err := colenc.BuildLog(dec.Events)
+			l, err := colenc.BuildLogRuns(slices.Values(dec.Runs))
 			if err != nil {
 				return "", nil, err
 			}

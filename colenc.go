@@ -1,15 +1,20 @@
 package egwalker
 
 import (
-	"fmt"
+	"iter"
+	"slices"
 
 	"egwalker/internal/colenc"
 	"egwalker/internal/oplog"
 )
 
-// This file bridges the public event types to internal/colenc, the
-// compact columnar batch codec (docs/FORMAT.md). Two encodings of an
-// event batch coexist:
+// This file is the public edge of internal/colenc, the compact columnar
+// batch codec (docs/FORMAT.md). The codec's currency is the run; the
+// public API's is the single-character Event. MarshalEventsCompact
+// groups a batch into runs on its way in (runsOf) and
+// UnmarshalEventsAuto writes the events out on the way back
+// (eventsFromRuns): one step each way, with no per-event copy in the
+// codec's own types in between. Two encodings of an event batch coexist:
 //
 //   - the legacy per-event codec (MarshalEvents/UnmarshalEvents in
 //     delta.go) — simple, byte-stable, and what every pre-colenc file,
@@ -25,7 +30,36 @@ import (
 // children within the batch), as Doc.Events and Doc.EventsSince
 // produce. Decode with UnmarshalEventsAuto.
 func MarshalEventsCompact(events []Event) ([]byte, error) {
-	return colenc.Encode(eventsToWire(events), colenc.Options{})
+	return colenc.EncodeRuns(runsOf(events), colenc.Options{})
+}
+
+// runsOf groups a batch held event by event into the codec's runs (the
+// internal package cannot name the root package's types, so this side
+// does the grouping). A run's Parents and Content are valid until the
+// next one is produced.
+func runsOf(events []Event) iter.Seq[colenc.Run] {
+	return func(yield func(colenc.Run) bool) {
+		var parents []colenc.ID
+		var content []rune
+		for i := 0; i < len(events); {
+			op, j := runAt(events, i)
+			parents = parents[:0]
+			for _, p := range events[i].Parents {
+				parents = append(parents, colenc.ID(p))
+			}
+			if op.Kind == oplog.Insert {
+				content = content[:0]
+				for _, ev := range events[i:j] {
+					content = append(content, ev.Content)
+				}
+				op.Content = content
+			}
+			if !yield(colenc.Run{ID: colenc.ID(events[i].ID), Parents: parents, Run: op}) {
+				return
+			}
+			i = j
+		}
+	}
 }
 
 // maxAutoDecodeEvents caps the event count UnmarshalEventsAuto accepts
@@ -44,65 +78,11 @@ const maxAutoDecodeEvents = 1 << 24
 // MarshalEventsCompact produces, up to maxAutoDecodeEvents.
 func UnmarshalEventsAuto(data []byte) ([]Event, error) {
 	if colenc.Sniff(data) {
-		dec, err := colenc.DecodeLimit(data, maxAutoDecodeEvents)
+		dec, err := colenc.DecodeRuns(data, maxAutoDecodeEvents)
 		if err != nil {
 			return nil, err
 		}
-		return eventsFromWire(dec.Events), nil
+		return eventsFromRuns(dec.NumEvents, slices.Values(dec.Runs)), nil
 	}
 	return UnmarshalEvents(data)
-}
-
-// eventsToWire converts public events to colenc's mirror type (the
-// internal package cannot import the root package's types).
-func eventsToWire(events []Event) []colenc.Event {
-	out := make([]colenc.Event, len(events))
-	for i, ev := range events {
-		var ps []colenc.ID
-		if len(ev.Parents) > 0 {
-			ps = make([]colenc.ID, len(ev.Parents))
-			for j, p := range ev.Parents {
-				ps[j] = colenc.ID{Agent: p.Agent, Seq: p.Seq}
-			}
-		}
-		out[i] = colenc.Event{
-			ID:      colenc.ID{Agent: ev.ID.Agent, Seq: ev.ID.Seq},
-			Parents: ps,
-			Insert:  ev.Insert,
-			Pos:     ev.Pos,
-			Content: ev.Content,
-		}
-	}
-	return out
-}
-
-func eventsFromWire(evs []colenc.Event) []Event {
-	out := make([]Event, len(evs))
-	for i, ev := range evs {
-		var ps []EventID
-		if len(ev.Parents) > 0 {
-			ps = make([]EventID, len(ev.Parents))
-			for j, p := range ev.Parents {
-				ps[j] = EventID{Agent: p.Agent, Seq: p.Seq}
-			}
-		}
-		out[i] = Event{
-			ID:      EventID{Agent: ev.ID.Agent, Seq: ev.ID.Seq},
-			Parents: ps,
-			Insert:  ev.Insert,
-			Pos:     ev.Pos,
-			Content: ev.Content,
-		}
-	}
-	return out
-}
-
-// logFromWire rebuilds an operation log from a full-document columnar
-// batch (colenc.BuildLog with this package's error prefix).
-func logFromWire(evs []colenc.Event) (*oplog.Log, error) {
-	l, err := colenc.BuildLog(evs)
-	if err != nil {
-		return nil, fmt.Errorf("egwalker: load: %w", err)
-	}
-	return l, nil
 }

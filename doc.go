@@ -108,8 +108,14 @@
 //
 // # Performance: span-wise replay
 //
-// The replay pipeline is run-length encoded end-to-end (paper §3.8).
-// The event graph and operation log already store runs — typed text,
+// The replay pipeline is run-length encoded end-to-end (paper §3.8),
+// and so are the ways in and out of a Doc: Apply groups the events it is
+// handed into runs and appends each to the history whole, Save and Load
+// stream runs between the history and the file's columns, and Events /
+// EventsSince expand runs into single-character Events only as they
+// fill the slice they return (docs/ARCHITECTURE.md, "Runs across the
+// Doc boundary").
+// The event graph and operation log store runs — typed text,
 // held-down delete, held-down backspace — as single spans; the internal
 // state (internal/itemtree) keeps each run as one B-tree record that is
 // split only when a concurrent operation lands inside it, and the

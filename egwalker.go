@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"iter"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -196,34 +199,59 @@ func (d *Doc) Version() Version {
 	return v
 }
 
-// eventAt exports the event at lv in wire form.
-func (d *Doc) eventAt(lv causal.LV, op oplog.Op) Event {
-	id := d.log.Graph.IDOf(lv)
-	ev := Event{
-		ID:     EventID{Agent: id.Agent, Seq: id.Seq},
-		Insert: op.Kind == oplog.Insert,
-		Pos:    op.Pos,
+// eventsFromRuns writes out the n events that runs cover in wire form,
+// one Event each: the one place the run-length history is expanded for
+// the per-event API. The parents slice of an event whose sole parent is
+// its predecessor in the batch is cut, capacity capped, from one array
+// shared by all of them.
+func eventsFromRuns(n int, runs iter.Seq[colenc.Run]) []Event {
+	out := make([]Event, 0, n)
+	ids := make([]EventID, n) // ids[i] is out[i].ID
+	for r := range runs {
+		for k := 0; k < r.Len; k++ {
+			i := len(out)
+			ev := Event{
+				ID:     EventID{Agent: r.ID.Agent, Seq: r.ID.Seq + k},
+				Insert: r.Kind == oplog.Insert,
+				Pos:    r.Pos + k*int(r.Dir),
+			}
+			if ev.Insert {
+				ev.Content = r.Content[k]
+			}
+			switch {
+			case k > 0 || (i > 0 && len(r.Parents) == 1 && EventID(r.Parents[0]) == ids[i-1]):
+				ev.Parents = ids[i-1 : i : i]
+			case len(r.Parents) > 0:
+				ev.Parents = make([]EventID, len(r.Parents))
+				for j, p := range r.Parents {
+					ev.Parents[j] = EventID(p)
+				}
+			}
+			ids[i] = ev.ID
+			out = append(out, ev)
+		}
 	}
-	if ev.Insert {
-		ev.Content = op.Content
+	return out
+}
+
+// eventsIn exports the events of spans (ascending, disjoint) in wire
+// form.
+func (d *Doc) eventsIn(spans []causal.Span) []Event {
+	n := 0
+	for _, sp := range spans {
+		n += sp.Len()
 	}
-	for _, p := range d.log.Graph.ParentsOf(lv) {
-		pid := d.log.Graph.IDOf(p)
-		ev.Parents = append(ev.Parents, EventID{Agent: pid.Agent, Seq: pid.Seq})
+	if n == 0 {
+		return nil
 	}
-	return ev
+	return eventsFromRuns(n, colenc.LogRuns(d.log, spans...))
 }
 
 // Events returns the document's entire event history in a valid causal
 // order (parents before children).
 func (d *Doc) Events() []Event {
-	out := make([]Event, 0, d.log.Len())
-	d.log.EachOp(causal.Span{Start: 0, End: causal.LV(d.log.Len())},
-		func(lv causal.LV, op oplog.Op) bool {
-			out = append(out, d.eventAt(lv, op))
-			return true
-		})
-	return out
+	n := d.log.Len()
+	return eventsFromRuns(n, colenc.LogRuns(d.log, causal.Span{End: causal.LV(n)}))
 }
 
 // EventsSince returns the events this replica has that are not within
@@ -235,14 +263,7 @@ func (d *Doc) EventsSince(v Version) ([]Event, error) {
 		return nil, err
 	}
 	only, _ := d.log.Graph.Diff(d.log.Frontier(), f)
-	var out []Event
-	for _, sp := range only {
-		d.log.EachOp(sp, func(lv causal.LV, op oplog.Op) bool {
-			out = append(out, d.eventAt(lv, op))
-			return true
-		})
-	}
-	return out, nil
+	return d.eventsIn(only), nil
 }
 
 // resolveVersion maps wire IDs to LVs. Every referenced event must be
@@ -264,54 +285,132 @@ func (d *Doc) resolveVersion(v Version) (causal.Frontier, error) {
 // are skipped; events whose parents are missing are buffered and merged
 // automatically once the parents arrive.
 //
-// If a malformed event (one whose position is invalid in its parent
-// version) is encountered, Apply returns an error; the document text is
-// left at the last consistent state and the offending history should be
-// discarded (a well-behaved peer never produces such events, so this
-// indicates corruption or a hostile peer).
+// If an event is rejected (a negative sequence number), it is dropped
+// and Apply returns an error after merging what it admitted before it —
+// the patches for those come back with the error — while the events
+// after it stay buffered for the next call. If a malformed event (one
+// whose position is invalid in its parent version) is encountered,
+// Apply returns an error; the document text is left at the last
+// consistent state and the offending history should be discarded (a
+// well-behaved peer never produces either, so this indicates corruption
+// or a hostile peer).
 func (d *Doc) Apply(events []Event) ([]Patch, error) {
-	d.pending = append(d.pending, events...)
 	emitFrom := causal.LV(d.log.Len())
+	admitErr := d.admit(events)
+	patches, err := d.emit(emitFrom)
+	if admitErr != nil {
+		return patches, admitErr
+	}
+	return patches, err
+}
 
-	// Repeatedly sweep the buffer, admitting events whose parents are
-	// all present (simple causal-order delivery).
-	for {
-		progress := false
-		rest := d.pending[:0]
-		for _, ev := range d.pending {
-			if d.log.Graph.HasID(causal.RawID{Agent: ev.ID.Agent, Seq: ev.ID.Seq}) {
-				progress = true // duplicate: drop
-				continue
-			}
-			parents := make([]causal.LV, 0, len(ev.Parents))
-			ok := true
-			for _, p := range ev.Parents {
-				lv, known := d.log.Graph.LVOf(causal.RawID{Agent: p.Agent, Seq: p.Seq})
-				if !known {
-					ok = false
-					break
-				}
-				parents = append(parents, lv)
-			}
-			if !ok {
-				rest = append(rest, ev)
-				continue
-			}
-			op := oplog.Op{Kind: oplog.Delete, Pos: ev.Pos}
-			if ev.Insert {
-				op = oplog.Op{Kind: oplog.Insert, Pos: ev.Pos, Content: ev.Content}
-			}
-			if _, err := d.log.AddRemote(ev.ID.Agent, ev.ID.Seq, parents, []oplog.Op{op}); err != nil {
-				return nil, err
-			}
-			progress = true
-		}
-		d.pending = append([]Event(nil), rest...)
-		if !progress || len(d.pending) == 0 {
+// runAt returns the run of operations that starts at events[i], content
+// left out, and the index j it ends before: events[i:j] are one agent's
+// consecutive sequence numbers, each after the first the sole child of
+// its predecessor, and their operations one run-length pattern.
+func runAt(events []Event, i int) (op oplog.Run, j int) {
+	op = oplog.Unit(events[i].Insert, events[i].Pos)
+	for j = i + 1; j < len(events); j++ {
+		ev, prev := &events[j], &events[j-1]
+		if ev.ID.Agent != prev.ID.Agent || ev.ID.Seq != prev.ID.Seq+1 ||
+			len(ev.Parents) != 1 || ev.Parents[0] != prev.ID ||
+			op.Extend(oplog.Unit(ev.Insert, ev.Pos)) == 0 {
 			break
 		}
 	}
+	return op, j
+}
 
+// admit moves into the log every event of the causal delivery buffer —
+// what earlier calls left waiting, then events — whose parents are all
+// present, sweeping the buffer until a sweep admits nothing. Events is
+// neither modified nor kept: only those that must wait are copied.
+func (d *Doc) admit(events []Event) error {
+	waiting, progress, err := d.sweep(d.pending, nil)
+	if err == nil {
+		var more bool
+		waiting, more, err = d.sweep(events, waiting)
+		progress = progress || more
+	} else {
+		waiting = append(waiting, events...)
+	}
+	for err == nil && progress && len(waiting) > 0 {
+		waiting, progress, err = d.sweep(waiting, nil)
+	}
+	d.pending = waiting
+	return err
+}
+
+// sweep goes through buf once, in order and a run at a time (runAt): a
+// stretch of a run the graph already holds is dropped, a new stretch
+// whose first event's parents are all present is appended to the log
+// whole, and one that must wait is appended to waiting, which is
+// returned. Each costs one lookup of the run's IDs and one of its
+// parents however long it is. progress reports whether any event left
+// the buffer. An event the log rejects is dropped and ends the sweep
+// with the error; the events after it go to waiting unexamined.
+func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) {
+	g := d.log.Graph
+	// Scratch for one run's parents and characters; the log copies both.
+	var pbuf [4]causal.LV
+	var cbuf [128]rune
+	parents, content := pbuf[:0], cbuf[:0]
+	for i := 0; i < len(buf); {
+		op, j := runAt(buf, i)
+		agent := buf[i].ID.Agent
+		var prev causal.LV // of buf[k-1], when the graph holds it
+		for k := i; k < j; {
+			seq := buf[k].ID.Seq
+			lv, known, n := g.SeqRun(agent, seq, j-k)
+			if known {
+				progress = true // duplicates: drop
+				prev = lv + causal.LV(n) - 1
+				k += n
+				continue
+			}
+			// buf[k:k+n] are new. The first of them hangs on the run's
+			// own parents when it leads the run, else on its predecessor,
+			// which the graph holds (stretches alternate).
+			parents = parents[:0]
+			ready := true
+			if k > i {
+				parents = append(parents, prev)
+			} else {
+				for _, p := range buf[i].Parents {
+					plv, has := g.LVOf(causal.RawID(p))
+					if ready = has; !ready {
+						break
+					}
+					parents = append(parents, plv)
+				}
+			}
+			if !ready {
+				waiting = append(waiting, buf[k:k+n]...)
+				k += n
+				continue
+			}
+			r := oplog.Run{Kind: op.Kind, Pos: op.Pos + (k-i)*int(op.Dir), Dir: op.Dir, Len: n}
+			if op.Kind == oplog.Insert {
+				content = content[:0]
+				for _, ev := range buf[k : k+n] {
+					content = append(content, ev.Content)
+				}
+				r.Content = content
+			}
+			if _, err := d.log.AddRun(agent, seq, parents, r); err != nil {
+				return append(waiting, buf[k+1:]...), true, err
+			}
+			progress = true
+			k += n
+		}
+		i = j
+	}
+	return waiting, progress, nil
+}
+
+// emit transforms the events admitted since emitFrom and applies them
+// to the text, returning the patches.
+func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
 	if emitFrom == causal.LV(d.log.Len()) {
 		return nil, nil // nothing admitted
 	}
@@ -423,7 +522,6 @@ func (d *Doc) TextAt(v Version) (string, error) {
 	sub := oplog.New()
 	lvMap := make(map[causal.LV]causal.LV)
 	var addErr error
-	var ops []oplog.Op
 	for _, sp := range inV {
 		// Copy run-at-a-time so the sub-log keeps the run-length encoding
 		// (and its replay stays on the span-wise path). Runs are clipped
@@ -445,16 +543,8 @@ func (d *Doc) TextAt(v Version) (string, error) {
 					parents = append(parents, np)
 				}
 				n := lvs.Len()
-				ops = ops[:0]
-				for i := 0; i < n; i++ {
-					op := oplog.Op{Kind: kind, Pos: pos + i*int(dir)}
-					if kind == oplog.Insert {
-						op.Content = content[i]
-					}
-					ops = append(ops, op)
-				}
 				id := d.log.Graph.IDOf(lvs.Start)
-				nsp, err := sub.AddRemote(id.Agent, id.Seq, parents, ops)
+				nsp, err := sub.AddRun(id.Agent, id.Seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: n, Content: content})
 				if err != nil {
 					addErr = err
 					return false
@@ -510,14 +600,14 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 			Compress:           opts.Compress,
 		}, d.text.String(), deleted)
 	}
-	evs := eventsToWire(d.Events())
+	runs := colenc.LogRuns(d.log, causal.Span{End: causal.LV(d.log.Len())})
 	co := colenc.Options{Compress: opts.Compress}
 	var data []byte
 	var err error
 	if opts.CacheFinalDoc {
-		data, err = colenc.EncodeDoc(evs, d.text.String(), co)
+		data, err = colenc.EncodeRunsDoc(runs, d.text.String(), co)
 	} else {
-		data, err = colenc.Encode(evs, co)
+		data, err = colenc.EncodeRuns(runs, co)
 	}
 	if err != nil {
 		return err
@@ -537,13 +627,13 @@ func Load(r io.Reader, agent string) (*Doc, error) {
 		return nil, err
 	}
 	if colenc.Sniff(data) {
-		dec, err := colenc.Decode(data)
+		dec, err := colenc.DecodeRuns(data, math.MaxInt32)
 		if err != nil {
 			return nil, err
 		}
-		l, err := logFromWire(dec.Events)
+		l, err := colenc.BuildLogRuns(slices.Values(dec.Runs))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("egwalker: load: %w", err)
 		}
 		d := &Doc{log: l, agent: agent}
 		if dec.HasDoc {

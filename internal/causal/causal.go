@@ -141,7 +141,16 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 	if insIdx > 0 && spans[insIdx-1].seqEnd > seq {
 		return 0, fmt.Errorf("causal: duplicate events %s/%d..%d", agent, seq, seq+count)
 	}
-	red := g.Dominators(parents)
+	// red is the reduced parent set. At most one parent is its own
+	// dominator set and needs no search; the graph's copy of it (own) is
+	// made only if an entry will store it, so a caller's scratch slice
+	// never escapes through Add.
+	red := parents
+	var own []LV
+	if len(parents) > 1 {
+		own = g.Dominators(parents)
+		red = own
+	}
 
 	// Try to extend the previous entry: same agent, consecutive seq, and
 	// the sole parent is the immediately preceding event.
@@ -159,11 +168,14 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 		}
 	}
 
+	if len(parents) <= 1 {
+		own = append(own, parents...)
+	}
 	g.entries = append(g.entries, entry{
 		span:     Span{start, start + LV(count)},
 		agent:    aid,
 		seqStart: seq,
-		parents:  red,
+		parents:  own,
 	})
 	g.byAgent[aid] = append(g.byAgent[aid], agentSpan{})
 	copy(g.byAgent[aid][insIdx+1:], g.byAgent[aid][insIdx:])
@@ -178,6 +190,8 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 
 // advanceFrontier updates the graph frontier after adding the run
 // [start, start+count) whose first event has the given (reduced) parents.
+// The run's last event is the newest LV of the graph, so its place in the
+// ascending frontier is the end.
 func (g *Graph) advanceFrontier(start LV, count int, parents []LV) {
 	out := g.frontier[:0]
 	for _, f := range g.frontier {
@@ -186,7 +200,6 @@ func (g *Graph) advanceFrontier(start LV, count int, parents []LV) {
 		}
 	}
 	g.frontier = append(out, start+LV(count)-1)
-	sort.Slice(g.frontier, func(i, j int) bool { return g.frontier[i] < g.frontier[j] })
 }
 
 func containsLV(s []LV, v LV) bool {
@@ -247,6 +260,28 @@ func (g *Graph) HasID(id RawID) bool {
 	return ok
 }
 
+// SeqRun reports whether the event (agent, seq) is known, and for how
+// many consecutive sequence numbers from seq on (n, at most max) the
+// answer stays the same. When known, lv is the LV of (agent, seq) and the
+// n events hold consecutive LVs. It lets a caller holding a run of one
+// agent's events split it into known and unknown stretches with one
+// lookup per stretch.
+func (g *Graph) SeqRun(agent string, seq, max int) (lv LV, known bool, n int) {
+	aid, ok := g.agentIdx[agent]
+	if !ok {
+		return 0, false, max
+	}
+	spans := g.byAgent[aid]
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].seqEnd > seq })
+	if i == len(spans) {
+		return 0, false, max
+	}
+	if sp := spans[i]; sp.seqStart <= seq {
+		return sp.lvStart + LV(seq-sp.seqStart), true, min(max, sp.seqEnd-seq)
+	}
+	return 0, false, min(max, spans[i].seqStart-seq)
+}
+
 // SeqEnd returns the next unused sequence number for agent (0 if the agent
 // has generated no events).
 func (g *Graph) SeqEnd(agent string) int {
@@ -268,6 +303,32 @@ func (g *Graph) EachEntry(fn func(span Span, agent string, seqStart int, parents
 	for i := range g.entries {
 		e := &g.entries[i]
 		if !fn(e.span, g.agents[e.agent], e.seqStart, e.parents) {
+			return
+		}
+	}
+}
+
+// EachEntryIn is EachEntry restricted to the events of sp: fn sees every
+// entry that overlaps sp, clipped to it. An entry clipped at its start
+// begins mid-run, so its first event's sole parent is its predecessor;
+// that one-element parents slice is valid only during the call.
+func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart int, parents []LV) bool) {
+	if sp.Len() <= 0 {
+		return
+	}
+	i := sort.Search(len(g.entries), func(i int) bool { return g.entries[i].span.End > sp.Start })
+	var prev [1]LV
+	for ; i < len(g.entries) && g.entries[i].span.Start < sp.End; i++ {
+		e := &g.entries[i]
+		span, seq, parents := e.span, e.seqStart, e.parents
+		if span.Start < sp.Start {
+			seq += int(sp.Start - span.Start)
+			span.Start = sp.Start
+			prev[0] = sp.Start - 1
+			parents = prev[:]
+		}
+		span.End = min(span.End, sp.End)
+		if !fn(span, g.agents[e.agent], seq, parents) {
 			return
 		}
 	}

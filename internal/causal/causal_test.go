@@ -527,3 +527,94 @@ func TestDominatorsMatchBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestAddDoesNotKeepCallerParents: an entry's stored parents must be the
+// graph's own copy — callers reuse one scratch slice across Adds.
+func TestAddDoesNotKeepCallerParents(t *testing.T) {
+	g := New()
+	mustAdd(t, g, "a", 0, 4, nil)
+	scratch := []LV{1}
+	lv := mustAdd(t, g, "b", 0, 2, scratch)
+	scratch[0] = 3
+	mustAdd(t, g, "c", 0, 1, scratch)
+	if got := g.ParentsOf(lv); !reflect.DeepEqual(got, []LV{1}) {
+		t.Fatalf("ParentsOf(b/0) = %v after the caller reused its slice, want [1]", got)
+	}
+	if got, want := []LV(g.Frontier()), []LV{5, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("frontier %v, want %v", got, want)
+	}
+}
+
+func TestSeqRun(t *testing.T) {
+	g := New()
+	mustAdd(t, g, "a", 0, 3, nil)     // a/0..2 -> lv 0..2
+	mustAdd(t, g, "b", 0, 2, []LV{2}) // lv 3..4
+	mustAdd(t, g, "a", 5, 2, []LV{4}) // a/5..6 -> lv 5..6 (a/3..4 missing)
+	mustAdd(t, g, "a", 3, 2, []LV{2}) // a/3..4 -> lv 7..8 (abuts both neighbours)
+	cases := []struct {
+		agent    string
+		seq, max int
+		lv       LV
+		known    bool
+		n        int
+	}{
+		{"a", 0, 10, 0, true, 3},   // stops where the LVs stop being consecutive
+		{"a", 1, 1, 1, true, 1},    // clipped by max
+		{"a", 3, 10, 7, true, 2},   // the late-arriving middle
+		{"a", 5, 10, 5, true, 2},   // up to the agent's end
+		{"a", 7, 10, 0, false, 10}, // past the end: unknown as far as asked
+		{"b", 1, 4, 4, true, 1},
+		{"c", 0, 4, 0, false, 4}, // agent never seen
+	}
+	for _, c := range cases {
+		lv, known, n := g.SeqRun(c.agent, c.seq, c.max)
+		if known != c.known || n != c.n || (known && lv != c.lv) {
+			t.Errorf("SeqRun(%s, %d, %d) = (%d, %v, %d), want (%d, %v, %d)", c.agent, c.seq, c.max, lv, known, n, c.lv, c.known, c.n)
+		}
+	}
+	// An unknown stretch ends where a known one begins.
+	h := New()
+	mustAdd(t, h, "a", 4, 2, nil)
+	if _, known, n := h.SeqRun("a", 1, 10); known || n != 3 {
+		t.Errorf("SeqRun before a known stretch = (known %v, n %d), want (false, 3)", known, n)
+	}
+}
+
+func TestEachEntryIn(t *testing.T) {
+	g := fig4(t)
+	type seen struct {
+		span    Span
+		agent   string
+		seq     int
+		parents []LV
+	}
+	collect := func(sp Span) []seen {
+		var out []seen
+		g.EachEntryIn(sp, func(span Span, agent string, seqStart int, parents []LV) bool {
+			out = append(out, seen{span, agent, seqStart, append([]LV(nil), parents...)})
+			return true
+		})
+		return out
+	}
+	if got := collect(Span{3, 3}); got != nil {
+		t.Errorf("empty span visited %v", got)
+	}
+	// Whole graph: exactly EachEntry.
+	var all []seen
+	g.EachEntry(func(span Span, agent string, seqStart int, parents []LV) bool {
+		all = append(all, seen{span, agent, seqStart, append([]LV(nil), parents...)})
+		return true
+	})
+	if got := collect(Span{0, LV(g.Len())}); !reflect.DeepEqual(got, all) {
+		t.Errorf("full span: %v, want %v", got, all)
+	}
+	// Clipped at both ends: B's entry from its second event, A's second
+	// entry cut after two.
+	want := []seen{
+		{Span{3, 4}, "B", 1, []LV{2}},
+		{Span{4, 6}, "A", 2, []LV{1}},
+	}
+	if got := collect(Span{3, 6}); !reflect.DeepEqual(got, want) {
+		t.Errorf("clipped span: %v, want %v", got, want)
+	}
+}

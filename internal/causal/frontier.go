@@ -1,6 +1,6 @@
 package causal
 
-import "sort"
+import "slices"
 
 // Frontier is a version of the event graph: the minimal set of LVs that
 // dominate every event in the version (paper §2.3). A frontier is kept
@@ -36,7 +36,7 @@ func (f Frontier) Contains(lv LV) bool { return containsLV(f, lv) }
 
 // sortLVs sorts ascending in place and removes duplicates.
 func sortLVs(s []LV) []LV {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:0]
 	for i, v := range s {
 		if i == 0 || v != s[i-1] {

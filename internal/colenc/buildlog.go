@@ -2,80 +2,86 @@ package colenc
 
 import (
 	"fmt"
+	"iter"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
 )
 
+// LogRuns walks the events of spans (ascending, disjoint LV ranges of l)
+// as runs: every graph entry within them, cut wherever the operation
+// pattern changes. It is how a log leaves for a frame (EncodeRuns) or
+// for the per-event API without a stop at one struct per event. A run's
+// Parents are valid until the next run is produced; its Content is the
+// log's own and must not be modified.
+func LogRuns(l *oplog.Log, spans ...causal.Span) iter.Seq[Run] {
+	return func(yield func(Run) bool) {
+		g := l.Graph
+		var parents []ID
+		more := true
+		each := func(entry causal.Span, agent string, seqStart int, ps []causal.LV) bool {
+			parents = parents[:0]
+			for _, p := range ps {
+				parents = append(parents, ID(g.IDOf(p)))
+			}
+			l.EachRun(entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+				r := Run{
+					ID:      ID{Agent: agent, Seq: seqStart + int(lvs.Start-entry.Start)},
+					Parents: parents,
+					Run:     oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content},
+				}
+				if lvs.Start > entry.Start {
+					parents = append(parents[:0], ID{Agent: agent, Seq: r.ID.Seq - 1})
+					r.Parents = parents
+				}
+				more = yield(r)
+				return more
+			})
+			return more
+		}
+		for _, sp := range spans {
+			if g.EachEntryIn(sp, each); !more {
+				return
+			}
+		}
+	}
+}
+
 // EventsFromLog exports a log's entire history as a batch in causal
 // (LV) order — the inverse of BuildLog, for tools that work at the
 // oplog level (the root package exports the same walk as Doc.Events).
 func EventsFromLog(l *oplog.Log) []Event {
-	g := l.Graph
-	out := make([]Event, 0, l.Len())
-	l.EachOp(causal.Span{Start: 0, End: causal.LV(l.Len())},
-		func(lv causal.LV, op oplog.Op) bool {
-			id := g.IDOf(lv)
-			ev := Event{
-				ID:     ID{Agent: id.Agent, Seq: id.Seq},
-				Insert: op.Kind == oplog.Insert,
-				Pos:    op.Pos,
-			}
-			if ev.Insert {
-				ev.Content = op.Content
-			}
-			for _, p := range g.ParentsOf(lv) {
-				pid := g.IDOf(p)
-				ev.Parents = append(ev.Parents, ID{Agent: pid.Agent, Seq: pid.Seq})
-			}
-			out = append(out, ev)
-			return true
-		})
-	return out
+	return expand(l.Len(), LogRuns(l, causal.Span{End: causal.LV(l.Len())}))
 }
 
-// BuildLog rebuilds an operation log from a full-document batch: every
-// parent must reference an earlier event in the batch (a whole history
-// in causal order), as Decode produces for files written by the
-// root package's Save. Malformed input — unknown parents,
-// non-contiguous sequence numbers, duplicate events — returns a clean
-// error via the graph's own validation.
+// BuildLog rebuilds an operation log from a full-document batch held
+// event by event; see BuildLogRuns.
 func BuildLog(evs []Event) (*oplog.Log, error) {
+	return BuildLogRuns(Runs(evs))
+}
+
+// BuildLogRuns rebuilds an operation log from a full-document batch:
+// every parent must reference an earlier event in the batch (a whole
+// history in causal order), as DecodeRuns produces for files written by
+// the root package's Save. Each run is one append to the log. Malformed
+// input — unknown parents, non-contiguous sequence numbers, duplicate
+// events — returns a clean error via the graph's own validation.
+func BuildLogRuns(runs iter.Seq[Run]) (*oplog.Log, error) {
 	l := oplog.New()
-	for i := 0; i < len(evs); {
-		first := evs[i]
-		// Extend the AddRemote batch while the events stay linear: same
-		// agent, contiguous seqs, each parented on its predecessor.
-		j := i + 1
-		for j < len(evs) &&
-			evs[j].ID.Agent == first.ID.Agent &&
-			evs[j].ID.Seq == first.ID.Seq+(j-i) &&
-			len(evs[j].Parents) == 1 &&
-			evs[j].Parents[0] == evs[j-1].ID {
-			j++
-		}
-		ps := make([]causal.LV, len(first.Parents))
-		for k, p := range first.Parents {
-			lv, ok := l.Graph.LVOf(causal.RawID{Agent: p.Agent, Seq: p.Seq})
+	var ps []causal.LV
+	for r := range runs {
+		ps = ps[:0]
+		for _, p := range r.Parents {
+			lv, ok := l.Graph.LVOf(causal.RawID(p))
 			if !ok {
 				return nil, fmt.Errorf("colenc: event %s/%d references unknown parent %s/%d",
-					first.ID.Agent, first.ID.Seq, p.Agent, p.Seq)
+					r.ID.Agent, r.ID.Seq, p.Agent, p.Seq)
 			}
-			ps[k] = lv
+			ps = append(ps, lv)
 		}
-		ops := make([]oplog.Op, j-i)
-		for k := i; k < j; k++ {
-			op := oplog.Op{Kind: oplog.Delete, Pos: evs[k].Pos}
-			if evs[k].Insert {
-				op.Kind = oplog.Insert
-				op.Content = evs[k].Content
-			}
-			ops[k-i] = op
-		}
-		if _, err := l.AddRemote(first.ID.Agent, first.ID.Seq, ps, ops); err != nil {
+		if _, err := l.AddRun(r.ID.Agent, r.ID.Seq, ps, r.Run); err != nil {
 			return nil, fmt.Errorf("colenc: rebuild: %w", err)
 		}
-		i = j
 	}
 	return l, nil
 }

@@ -22,6 +22,13 @@
 //     string (optionally DEFLATE-compressed);
 //   - doc column (optional): the cached final document text.
 //
+// The columns are runs, and so is everything this package hands over: a
+// Run is the stretch of a batch that is one run in all of them at once,
+// EncodeRuns and DecodeRuns are the codec, and the log is read and built
+// in runs (LogRuns, BuildLogRuns). Encode, Decode, BuildLog and
+// EventsFromLog are the same codec behind one compress or expand step,
+// for callers that hold a batch event by event.
+//
 // docs/FORMAT.md is the byte-level specification; testdata/colenc/ at
 // the repo root holds golden files that must decode by hand from the
 // spec alone.
@@ -35,8 +42,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"math"
+	"slices"
+	"sort"
 	"unicode/utf8"
+
+	"egwalker/internal/oplog"
 )
 
 // Magic identifies a colenc frame. The byte sequence never collides
@@ -91,6 +103,19 @@ type Event struct {
 	Content rune // inserts only
 }
 
+// Run is a stretch of a batch that is one run in every column: Len
+// events by one agent with consecutive sequence numbers from ID.Seq, each
+// after the first the sole child of its predecessor, together carrying
+// one run of operations. Parents are the first event's.
+type Run struct {
+	ID      ID
+	Parents []ID
+	oplog.Run
+}
+
+// last returns the ID of the run's final event.
+func (r *Run) last() ID { return ID{Agent: r.ID.Agent, Seq: r.ID.Seq + r.Len - 1} }
+
 // Options control encoding.
 type Options struct {
 	// Compress applies DEFLATE to the content column. (The paper uses
@@ -100,9 +125,20 @@ type Options struct {
 	Compress bool
 }
 
-// Decoded is the result of decoding a frame.
+// Decoded is the result of decoding a frame event by event.
 type Decoded struct {
 	Events []Event
+	// Doc is the cached final document text, if the frame embeds one.
+	Doc string
+	// HasDoc reports whether the doc column was present.
+	HasDoc bool
+}
+
+// DecodedRuns is the result of decoding a frame.
+type DecodedRuns struct {
+	Runs []Run
+	// NumEvents is the number of events the runs cover.
+	NumEvents int
 	// Doc is the cached final document text, if the frame embeds one.
 	Doc string
 	// HasDoc reports whether the doc column was present.
@@ -130,158 +166,232 @@ func putUvarint(buf []byte, v uint64) []byte {
 // Encode serialises a causally ordered batch (parents precede children
 // within the batch, as Doc.Events / Doc.EventsSince produce).
 func Encode(events []Event, opts Options) ([]byte, error) {
-	return encode(events, "", false, opts)
+	return encodeRuns(Runs(events), "", false, opts)
 }
 
-// EncodeDoc is Encode plus the optional cached-document column: doc
-// must be the document text at the batch's final version. Decoders get
-// it back verbatim and can skip replay entirely.
-func EncodeDoc(events []Event, doc string, opts Options) ([]byte, error) {
-	return encode(events, doc, true, opts)
+// EncodeRuns serialises a causally ordered batch given as runs. The
+// bytes depend only on the events the runs cover, not on where one run
+// ends and the next begins: adjacent runs that continue each other in a
+// column are one run there. A run's Parents and Content are not kept
+// past its turn.
+func EncodeRuns(runs iter.Seq[Run], opts Options) ([]byte, error) {
+	return encodeRuns(runs, "", false, opts)
 }
 
-func encode(events []Event, doc string, withDoc bool, opts Options) ([]byte, error) {
-	n := len(events)
+// EncodeRunsDoc is EncodeRuns plus the optional cached-document column:
+// doc must be the document text at the batch's final version. Decoders
+// get it back verbatim and can skip replay entirely.
+func EncodeRunsDoc(runs iter.Seq[Run], doc string, opts Options) ([]byte, error) {
+	return encodeRuns(runs, doc, true, opts)
+}
 
-	// Agents column: name table + (agent, seqStart, len) runs.
-	var agents []byte
-	agentIdx := map[string]int{}
-	var names []string
-	intern := func(a string) (int, error) {
-		if i, ok := agentIdx[a]; ok {
-			return i, nil
-		}
-		if len(a) > maxAgentName {
-			return 0, fmt.Errorf("colenc: agent name too long (%d bytes)", len(a))
-		}
-		agentIdx[a] = len(names)
-		names = append(names, a)
-		return len(names) - 1, nil
-	}
-	type agentRun struct{ agent, seq, n int }
-	var aruns []agentRun
-	for _, ev := range events {
-		ai, err := intern(ev.ID.Agent)
-		if err != nil {
-			return nil, err
-		}
-		if ev.ID.Seq < 0 {
-			return nil, fmt.Errorf("colenc: negative seq in event %s/%d", ev.ID.Agent, ev.ID.Seq)
-		}
-		if k := len(aruns); k > 0 && aruns[k-1].agent == ai && aruns[k-1].seq+aruns[k-1].n == ev.ID.Seq {
-			aruns[k-1].n++
-		} else {
-			aruns = append(aruns, agentRun{ai, ev.ID.Seq, 1})
-		}
-		// Parent names must enter the table too (external parents are
-		// encoded as table references).
-		for _, p := range ev.Parents {
-			if _, err := intern(p.Agent); err != nil {
-				return nil, err
+// Runs groups a batch held event by event into its runs. Each run's
+// Content is valid until the next one is produced.
+func Runs(events []Event) iter.Seq[Run] {
+	return func(yield func(Run) bool) {
+		var content []rune
+		for i := 0; i < len(events); {
+			first := &events[i]
+			r := Run{ID: first.ID, Parents: first.Parents, Run: oplog.Unit(first.Insert, first.Pos)}
+			// Extend while the events stay one agent's consecutive seqs,
+			// each parented on its predecessor, and the ops one pattern.
+			j := i + 1
+			for ; j < len(events); j++ {
+				ev, prev := &events[j], &events[j-1]
+				if ev.ID.Agent != prev.ID.Agent || ev.ID.Seq != prev.ID.Seq+1 ||
+					len(ev.Parents) != 1 || ev.Parents[0] != prev.ID ||
+					r.Extend(oplog.Unit(ev.Insert, ev.Pos)) == 0 {
+					break
+				}
 			}
+			if first.Insert {
+				content = content[:0]
+				for _, ev := range events[i:j] {
+					content = append(content, ev.Content)
+				}
+				r.Content = content
+			}
+			if !yield(r) {
+				return
+			}
+			i = j
 		}
 	}
-	agents = putUvarint(agents, uint64(len(names)))
-	for _, name := range names {
-		agents = putUvarint(agents, uint64(len(name)))
-		agents = append(agents, name...)
-	}
-	agents = putUvarint(agents, uint64(len(aruns)))
-	for _, r := range aruns {
-		agents = putUvarint(agents, uint64(r.agent))
-		agents = putUvarint(agents, uint64(r.seq))
-		agents = putUvarint(agents, uint64(r.n))
-	}
+}
 
-	// Ops column: (tag, len, startPos) runs; content column: the
-	// inserted runes of every insert run, concatenated.
-	var ops, content []byte
-	for i := 0; i < n; {
-		ev := events[i]
-		if ev.Pos < 0 {
-			return nil, fmt.Errorf("colenc: negative position in event %s/%d", ev.ID.Agent, ev.ID.Seq)
+// agentRun is one entry of the agents column: n events by names[agent]
+// with sequence numbers from seq, the first of them event number start
+// of the batch.
+type agentRun struct{ agent, seq, n, start int }
+
+// encoder accumulates the columns of a frame run by run.
+type encoder struct {
+	n        int // events so far
+	names    []string
+	agentIdx map[string]int
+	aruns    []agentRun
+	last     ID        // of event n-1
+	op       oplog.Run // ops-column run not yet written (Len 0: none)
+	excs     int       // parents-column entries
+	excAt    int       // event index of the latest
+
+	ops, parents, content []byte
+}
+
+func (e *encoder) intern(a string) (int, error) {
+	if i, ok := e.agentIdx[a]; ok {
+		return i, nil
+	}
+	if len(a) > maxAgentName {
+		return 0, fmt.Errorf("colenc: agent name too long (%d bytes)", len(a))
+	}
+	e.agentIdx[a] = len(e.names)
+	e.names = append(e.names, a)
+	return len(e.names) - 1, nil
+}
+
+// backref returns how far before event e.n the nearest event with ID
+// (agent index ai, seq) sits, if within maxBackrefScan.
+func (e *encoder) backref(ai, seq int) (int, bool) {
+	for k := len(e.aruns) - 1; k >= 0; k-- {
+		ar := &e.aruns[k]
+		if e.n-(ar.start+ar.n-1) > maxBackrefScan {
+			break
 		}
-		j := i + 1
-		if ev.Insert {
-			if !utf8.ValidRune(ev.Content) {
-				return nil, fmt.Errorf("colenc: invalid rune %#x in event %s/%d", ev.Content, ev.ID.Agent, ev.ID.Seq)
-			}
-			for j < n && events[j].Insert && events[j].Pos == ev.Pos+(j-i) && utf8.ValidRune(events[j].Content) {
-				j++
-			}
-			ops = putUvarint(ops, tagInsert)
-			ops = putUvarint(ops, uint64(j-i))
-			ops = putUvarint(ops, uint64(ev.Pos))
-			for k := i; k < j; k++ {
-				content = utf8.AppendRune(content, events[k].Content)
-			}
-		} else {
-			// Prefer the longer of the two delete-run shapes starting
-			// here; a lone delete encodes as a forward run of one.
-			back, fwd := i+1, i+1
-			for back < n && !events[back].Insert && events[back].Pos == ev.Pos-(back-i) {
-				back++
-			}
-			for fwd < n && !events[fwd].Insert && events[fwd].Pos == ev.Pos {
-				fwd++
-			}
-			tag := uint64(tagDeleteFwd)
-			j = fwd
-			if back > fwd {
-				tag = tagDeleteBack
-				j = back
-			}
-			ops = putUvarint(ops, tag)
-			ops = putUvarint(ops, uint64(j-i))
-			ops = putUvarint(ops, uint64(ev.Pos))
+		if ar.agent == ai && seq >= ar.seq && seq < ar.seq+ar.n {
+			back := e.n - (ar.start + seq - ar.seq)
+			return back, back <= maxBackrefScan
 		}
-		i = j
+	}
+	return 0, false
+}
+
+func (e *encoder) add(r Run) error {
+	if r.Len < 1 || (r.Kind == oplog.Insert && len(r.Content) != r.Len) {
+		return fmt.Errorf("colenc: run %s/%d of %d events with %d characters", r.ID.Agent, r.ID.Seq, r.Len, len(r.Content))
+	}
+	// Agents column: name table + (agent, seqStart, len) runs. Parent
+	// names enter the table too (external parents are encoded as table
+	// references).
+	ai, err := e.intern(r.ID.Agent)
+	if err != nil {
+		return err
+	}
+	if r.ID.Seq < 0 {
+		return fmt.Errorf("colenc: negative seq in event %s/%d", r.ID.Agent, r.ID.Seq)
+	}
+	for _, p := range r.Parents {
+		if _, err := e.intern(p.Agent); err != nil {
+			return err
+		}
 	}
 
 	// Parents column: only events whose parents are not simply the
-	// previous event in the batch. Event 0 has no previous event, so it
-	// always appears. Entry indexes are delta-encoded (they are
-	// strictly increasing).
-	var parents []byte
-	nExc := 0
-	prevIdx := 0
-	for i, ev := range events {
-		if i > 0 && len(ev.Parents) == 1 && ev.Parents[0] == events[i-1].ID {
-			continue
+	// previous event in the batch — which, inside a run, every event
+	// but the first is. Event 0 has no previous event, so it always
+	// appears. Entry indexes are delta-encoded (they are strictly
+	// increasing).
+	if !(e.n > 0 && len(r.Parents) == 1 && r.Parents[0] == e.last) {
+		if len(r.Parents) > maxParents {
+			return fmt.Errorf("colenc: event %s/%d has %d parents", r.ID.Agent, r.ID.Seq, len(r.Parents))
 		}
-		if len(ev.Parents) > maxParents {
-			return nil, fmt.Errorf("colenc: event %s/%d has %d parents", ev.ID.Agent, ev.ID.Seq, len(ev.Parents))
-		}
-		if nExc == 0 {
-			parents = putUvarint(parents, uint64(i))
-		} else {
-			parents = putUvarint(parents, uint64(i-prevIdx))
-		}
-		prevIdx = i
-		nExc++
-		parents = putUvarint(parents, uint64(len(ev.Parents)))
-		for _, p := range ev.Parents {
+		e.parents = putUvarint(e.parents, uint64(e.n-e.excAt))
+		e.excAt = e.n
+		e.excs++
+		e.parents = putUvarint(e.parents, uint64(len(r.Parents)))
+		for _, p := range r.Parents {
 			// In-batch parents compress to a back-reference; the scan is
 			// bounded because in real graphs a non-linear parent is
 			// almost always recent. Fall back to the (agent, seq) form
 			// beyond the window — both decode identically.
-			enc := false
-			for back := 1; back <= i && back <= maxBackrefScan; back++ {
-				if events[i-back].ID == p {
-					parents = putUvarint(parents, uint64(back)<<1)
-					enc = true
-					break
-				}
-			}
-			if !enc {
-				parents = putUvarint(parents, uint64(agentIdx[p.Agent])<<1|1)
-				parents = putUvarint(parents, uint64(p.Seq))
+			pi := e.agentIdx[p.Agent]
+			if back, ok := e.backref(pi, p.Seq); ok {
+				e.parents = putUvarint(e.parents, uint64(back)<<1)
+			} else {
+				e.parents = putUvarint(e.parents, uint64(pi)<<1|1)
+				e.parents = putUvarint(e.parents, uint64(p.Seq))
 			}
 		}
 	}
-	var parentsHdr []byte
-	parentsHdr = putUvarint(parentsHdr, uint64(nExc))
-	parents = append(parentsHdr, parents...)
+
+	if k := len(e.aruns); k > 0 && e.aruns[k-1].agent == ai && e.aruns[k-1].seq+e.aruns[k-1].n == r.ID.Seq {
+		e.aruns[k-1].n += r.Len
+	} else {
+		e.aruns = append(e.aruns, agentRun{ai, r.ID.Seq, r.Len, e.n})
+	}
+
+	// Ops column: (tag, len, startPos) runs; content column: the
+	// inserted runes of every insert run, concatenated.
+	if r.Pos < 0 || (r.Dir < 0 && r.Pos < r.Len-1) {
+		seq := r.ID.Seq
+		if r.Pos >= 0 {
+			seq += r.Pos + 1
+		}
+		return fmt.Errorf("colenc: negative position in event %s/%d", r.ID.Agent, seq)
+	}
+	for k, c := range r.Content {
+		if !utf8.ValidRune(c) {
+			return fmt.Errorf("colenc: invalid rune %#x in event %s/%d", c, r.ID.Agent, r.ID.Seq+k)
+		}
+		e.content = utf8.AppendRune(e.content, c)
+	}
+	took := 0
+	if e.op.Len > 0 {
+		took = e.op.Extend(r.Run)
+	}
+	if took < r.Len {
+		e.flushOp()
+		e.op = r.Run.From(took)
+		e.op.Content = nil // already in the content column; r's is the caller's
+	}
+
+	e.n += r.Len
+	e.last = r.last()
+	return nil
+}
+
+// flushOp writes the pending ops-column run, if any. A lone delete
+// encodes as a forward run of one.
+func (e *encoder) flushOp() {
+	if e.op.Len == 0 {
+		return
+	}
+	tag := uint64(tagInsert)
+	if e.op.Kind == oplog.Delete {
+		tag = tagDeleteFwd
+		if e.op.Dir < 0 {
+			tag = tagDeleteBack
+		}
+	}
+	e.ops = putUvarint(e.ops, tag)
+	e.ops = putUvarint(e.ops, uint64(e.op.Len))
+	e.ops = putUvarint(e.ops, uint64(e.op.Pos))
+	e.op.Len = 0
+}
+
+func encodeRuns(runs iter.Seq[Run], doc string, withDoc bool, opts Options) ([]byte, error) {
+	e := encoder{agentIdx: map[string]int{}}
+	for r := range runs {
+		if err := e.add(r); err != nil {
+			return nil, err
+		}
+	}
+	e.flushOp()
+
+	var agents []byte
+	agents = putUvarint(agents, uint64(len(e.names)))
+	for _, name := range e.names {
+		agents = putUvarint(agents, uint64(len(name)))
+		agents = append(agents, name...)
+	}
+	agents = putUvarint(agents, uint64(len(e.aruns)))
+	for _, r := range e.aruns {
+		agents = putUvarint(agents, uint64(r.agent))
+		agents = putUvarint(agents, uint64(r.seq))
+		agents = putUvarint(agents, uint64(r.n))
+	}
+	parents := append(putUvarint(nil, uint64(e.excs)), e.parents...)
+	content := e.content
 
 	flags := byte(0)
 	if withDoc {
@@ -311,28 +421,29 @@ func encode(events []Event, doc string, withDoc bool, opts Options) ([]byte, err
 		content = zbuf.Bytes()
 	}
 
-	// Assemble body: count, then each column length-prefixed.
-	var body []byte
-	body = putUvarint(body, uint64(n))
-	for _, col := range [][]byte{agents, ops, parents, content} {
-		body = putUvarint(body, uint64(len(col)))
-		body = append(body, col...)
-	}
+	// Assemble the frame: header, then count and each column
+	// length-prefixed.
+	cols := [][]byte{agents, e.ops, parents, content}
 	if withDoc {
-		body = putUvarint(body, uint64(len(doc)))
-		body = append(body, doc...)
+		cols = append(cols, []byte(doc))
 	}
-
-	out := make([]byte, 0, len(Magic)+5+len(body))
-	out = append(out, Magic[:]...)
-	out = append(out, flags)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(body, crcTable))
-	out = append(out, crc[:]...)
-	return append(out, body...), nil
+	size := len(Magic) + 5 + binary.MaxVarintLen64
+	for _, col := range cols {
+		size += binary.MaxVarintLen64 + len(col)
+	}
+	out := make([]byte, len(Magic)+5, size)
+	copy(out, Magic[:])
+	out[4] = flags
+	out = putUvarint(out, uint64(e.n))
+	for _, col := range cols {
+		out = putUvarint(out, uint64(len(col)))
+		out = append(out, col...)
+	}
+	binary.LittleEndian.PutUint32(out[5:9], crc32.Checksum(out[9:], crcTable))
+	return out, nil
 }
 
-// maxBackrefScan bounds the linear search for the in-batch form of a
+// maxBackrefScan bounds the search for the in-batch form of a
 // non-linear parent. Concurrency in editing histories is shallow; a
 // parent further back still encodes, just in (agent, seq) form.
 const maxBackrefScan = 64
@@ -397,6 +508,43 @@ func Decode(data []byte) (*Decoded, error) {
 // frames declaring more events are rejected before any proportional
 // work happens.
 func DecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
+	dec, err := DecodeRuns(data, maxEvents)
+	if err != nil {
+		return nil, err
+	}
+	return &Decoded{Events: expand(dec.NumEvents, slices.Values(dec.Runs)), Doc: dec.Doc, HasDoc: dec.HasDoc}, nil
+}
+
+// expand writes out the n events that runs cover, one Event each. The
+// parents slice of an event whose sole parent is its predecessor in the
+// batch is cut, capacity capped, from one array shared by all of them.
+func expand(n int, runs iter.Seq[Run]) []Event {
+	events := make([]Event, 0, n)
+	ids := make([]ID, n) // ids[i] is events[i].ID
+	for r := range runs {
+		for k := 0; k < r.Len; k++ {
+			i := len(events)
+			ev := Event{ID: ID{Agent: r.ID.Agent, Seq: r.ID.Seq + k}, Insert: r.Kind == oplog.Insert, Pos: r.Pos + k*int(r.Dir)}
+			if ev.Insert {
+				ev.Content = r.Content[k]
+			}
+			switch {
+			case k > 0 || (i > 0 && len(r.Parents) == 1 && r.Parents[0] == ids[i-1]):
+				ev.Parents = ids[i-1 : i : i]
+			case len(r.Parents) > 0:
+				ev.Parents = slices.Clone(r.Parents)
+			}
+			ids[i] = ev.ID
+			events = append(events, ev)
+		}
+	}
+	return events
+}
+
+// DecodeRuns parses a colenc frame into its runs, with Decode's
+// validation and DecodeLimit's bound on the event count. The runs'
+// Content slices share one array.
+func DecodeRuns(data []byte, maxEvents int) (*DecodedRuns, error) {
 	r, flags, err := openFrame(data)
 	if err != nil {
 		return nil, err
@@ -439,14 +587,13 @@ func DecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	var doc string
-	hasDoc := flags&FlagCachedDoc != 0
-	if hasDoc {
+	dec := &DecodedRuns{NumEvents: n, HasDoc: flags&FlagCachedDoc != 0}
+	if dec.HasDoc {
 		docCol, err := readCol()
 		if err != nil {
 			return nil, err
 		}
-		doc = string(docCol.buf)
+		dec.Doc = string(docCol.buf)
 	}
 	if !r.done() {
 		return nil, fmt.Errorf("colenc: %d trailing bytes after last column", len(body)-r.off)
@@ -456,17 +603,15 @@ func DecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	events, err := decodeOps(opsCol, contentCol, n, flags&FlagCompressed != 0)
+	content, err := decodeContent(contentCol.buf, flags&FlagCompressed != 0)
 	if err != nil {
 		return nil, err
 	}
-	for i := range events {
-		events[i].ID = ids.at(i)
-	}
-	if err := decodeParents(parentsCol, events, ids); err != nil {
+	dec.Runs, err = decodeRuns(ids, opsCol, parentsCol, content, n)
+	if err != nil {
 		return nil, err
 	}
-	return &Decoded{Events: events, Doc: doc, HasDoc: hasDoc}, nil
+	return dec, nil
 }
 
 // maxRunLen is the allocation-defense multiplier: one run (≥ 3 encoded
@@ -476,23 +621,17 @@ func DecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
 // writers produce (egwalker.MaxEventsPerBlock).
 const maxRunLen = 1 << 16
 
-// agentTable resolves event index → ID without materialising n IDs up
-// front.
+// agentTable is the decoded agents column.
 type agentTable struct {
 	names []string
-	runs  []struct{ agent, seq, n int }
-	// cursor state for sequential at() calls
-	run, off int
+	runs  []agentRun
 }
 
-func (t *agentTable) at(i int) ID {
-	// at is called with i strictly increasing from 0.
-	for t.off+t.runs[t.run].n <= i {
-		t.off += t.runs[t.run].n
-		t.run++
-	}
-	r := t.runs[t.run]
-	return ID{Agent: t.names[r.agent], Seq: r.seq + (i - t.off)}
+// idAt resolves event index i to its ID.
+func (t *agentTable) idAt(i int) ID {
+	k := sort.Search(len(t.runs), func(k int) bool { return t.runs[k].start+t.runs[k].n > i })
+	r := t.runs[k]
+	return ID{Agent: t.names[r.agent], Seq: r.seq + (i - r.start)}
 }
 
 func decodeAgents(r *reader, n int) (*agentTable, error) {
@@ -539,7 +678,7 @@ func decodeAgents(r *reader, n int) (*agentTable, error) {
 		if seq+ln > math.MaxInt32 {
 			return nil, fmt.Errorf("colenc: agent seq overflow")
 		}
-		t.runs = append(t.runs, struct{ agent, seq, n int }{ai, seq, ln})
+		t.runs = append(t.runs, agentRun{ai, seq, ln, total})
 		total += ln
 	}
 	if total != n {
@@ -551,159 +690,188 @@ func decodeAgents(r *reader, n int) (*agentTable, error) {
 	return t, nil
 }
 
-func decodeOps(r, content *reader, n int, compressed bool) ([]Event, error) {
+// maxDecompressed bounds the inflated content column against
+// decompression bombs; it matches the frame/delta payload cap.
+const maxDecompressed = 16 << 20
+
+// decodeContent returns the content column's characters.
+func decodeContent(buf []byte, compressed bool) ([]rune, error) {
 	if compressed {
-		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(content.buf)), maxDecompressed))
+		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(buf)), maxDecompressed))
 		if err != nil {
 			return nil, fmt.Errorf("colenc: decompress content: %w", err)
 		}
 		if len(raw) >= maxDecompressed {
 			return nil, fmt.Errorf("colenc: decompressed content exceeds %d bytes", maxDecompressed)
 		}
-		content = &reader{buf: raw}
+		buf = raw
 	}
-	// Grow lazily: a run-length format legitimately describes many
-	// events in few bytes, so trust the count only as runs materialise.
-	events := make([]Event, 0, minInt(n, 4096))
-	for len(events) < n {
-		tag, err := r.uvarint()
-		if err != nil {
-			return nil, err
+	content := make([]rune, 0, utf8.RuneCount(buf))
+	for off := 0; off < len(buf); {
+		if b := buf[off]; b < utf8.RuneSelf {
+			content = append(content, rune(b))
+			off++
+			continue
 		}
-		runLen, err := r.count(n-len(events), "op run length")
-		if err != nil {
-			return nil, err
+		ru, size := utf8.DecodeRune(buf[off:])
+		if ru == utf8.RuneError && size == 1 {
+			return nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
 		}
-		if runLen == 0 {
-			return nil, fmt.Errorf("colenc: empty op run")
-		}
-		pos, err := r.count(math.MaxInt32, "op position")
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case tagInsert:
-			if pos+runLen > math.MaxInt32 {
-				return nil, fmt.Errorf("colenc: insert run position overflow")
-			}
-			for i := 0; i < runLen; i++ {
-				ru, size := utf8.DecodeRune(content.buf[content.off:])
-				if size == 0 {
-					return nil, fmt.Errorf("colenc: content column exhausted")
-				}
-				if ru == utf8.RuneError && size == 1 {
-					return nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
-				}
-				content.off += size
-				events = append(events, Event{Insert: true, Pos: pos + i, Content: ru})
-			}
-		case tagDeleteBack:
-			if runLen-1 > pos {
-				return nil, fmt.Errorf("colenc: backspace run of %d underflows position %d", runLen, pos)
-			}
-			for i := 0; i < runLen; i++ {
-				events = append(events, Event{Pos: pos - i})
-			}
-		case tagDeleteFwd:
-			for i := 0; i < runLen; i++ {
-				events = append(events, Event{Pos: pos})
-			}
-		default:
-			return nil, fmt.Errorf("colenc: bad op tag %d", tag)
-		}
+		content = append(content, ru)
+		off += size
 	}
-	if !r.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in ops column")
-	}
-	if !content.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in content column")
-	}
-	return events, nil
+	return content, nil
 }
 
-// maxDecompressed bounds the inflated content column against
-// decompression bombs; it matches the frame/delta payload cap.
-const maxDecompressed = 16 << 20
-
-func decodeParents(r *reader, events []Event, ids *agentTable) error {
-	n := len(events)
-	nExc, err := r.count(n, "parent entry count")
+// decodeRuns walks the agents, ops and parents columns in step and cuts
+// a run wherever any of them does: at the end of an agent run, at the
+// end of an op run, and before an event with an explicit parents entry.
+// Events between explicit entries take the default parent list: the
+// immediately preceding event.
+func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([]Run, error) {
+	nExc, err := parents.count(n, "parent entry count")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n > 0 && nExc == 0 {
-		return fmt.Errorf("colenc: missing parents entry for event 0")
+		return nil, fmt.Errorf("colenc: missing parents entry for event 0")
 	}
-	// Events between explicit entries take the default parent list: the
-	// immediately preceding event. Entry indexes are strictly
-	// increasing, so one sweep interleaves defaults and entries. IDs
-	// are already in place (decode order: agents, ops, IDs, parents).
-	fillDefaults := func(from, to int) {
-		for i := from; i < to; i++ {
-			events[i].Parents = []ID{events[i-1].ID}
-		}
-	}
-	next := 0 // next event index without parents yet
-	idx := 0
-	for e := 0; e < nExc; e++ {
-		step, err := r.count(n, "parent entry index")
+	excAt := n // event index of the next parents entry; n: none left
+	if nExc > 0 {
+		step, err := parents.count(n, "parent entry index")
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if e == 0 {
-			if step != 0 {
-				return fmt.Errorf("colenc: first parents entry at %d, want 0", step)
-			}
-			idx = 0
-		} else {
-			if step == 0 {
-				return fmt.Errorf("colenc: non-increasing parents entry index")
-			}
-			idx += step
+		if step != 0 {
+			return nil, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
 		}
-		if idx >= n {
-			return fmt.Errorf("colenc: parents entry index %d out of range", idx)
-		}
-		fillDefaults(next, idx)
-		next = idx + 1
-		nPar, err := r.count(maxParents, "parent count")
-		if err != nil {
-			return err
-		}
-		for p := 0; p < nPar; p++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if v&1 == 0 {
-				back := v >> 1
-				if back == 0 || back > uint64(idx) {
-					return fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, idx)
-				}
-				events[idx].Parents = append(events[idx].Parents, events[idx-int(back)].ID)
-			} else {
-				ai := v >> 1
-				if ai >= uint64(len(ids.names)) {
-					return fmt.Errorf("colenc: parent agent index %d out of range", ai)
-				}
-				seq, err := r.count(math.MaxInt32, "parent seq")
-				if err != nil {
-					return err
-				}
-				events[idx].Parents = append(events[idx].Parents, ID{Agent: ids.names[ai], Seq: seq})
-			}
-		}
+		excAt = 0
 	}
-	if !r.done() {
-		return fmt.Errorf("colenc: trailing bytes in parents column")
-	}
-	fillDefaults(next, n)
-	return nil
-}
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+	// Grow lazily: a run-length format legitimately describes many
+	// events in few bytes, so trust the count only as runs materialise.
+	var runs []Run
+	var (
+		ar            = -1 // current agent run
+		arEnd         = 0  // event index it ends at
+		op            oplog.Run
+		opAt, opEnd   = 0, 0 // event indexes the current op run covers
+		used          = 0    // characters of content consumed
+		last          ID     // of event i-1
+		entriesParsed = 0
+	)
+	for i := 0; i < n; {
+		if i == arEnd {
+			ar++
+			arEnd += ids.runs[ar].n
+		}
+		if i == opEnd {
+			tag, err := ops.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			runLen, err := ops.count(n-i, "op run length")
+			if err != nil {
+				return nil, err
+			}
+			if runLen == 0 {
+				return nil, fmt.Errorf("colenc: empty op run")
+			}
+			pos, err := ops.count(math.MaxInt32, "op position")
+			if err != nil {
+				return nil, err
+			}
+			op = oplog.Run{Kind: oplog.Delete, Pos: pos}
+			switch tag {
+			case tagInsert:
+				if pos+runLen > math.MaxInt32 {
+					return nil, fmt.Errorf("colenc: insert run position overflow")
+				}
+				if runLen > len(content)-used {
+					return nil, fmt.Errorf("colenc: content column exhausted")
+				}
+				op.Kind, op.Dir = oplog.Insert, 1
+			case tagDeleteBack:
+				if runLen-1 > pos {
+					return nil, fmt.Errorf("colenc: backspace run of %d underflows position %d", runLen, pos)
+				}
+				op.Dir = -1
+			case tagDeleteFwd:
+			default:
+				return nil, fmt.Errorf("colenc: bad op tag %d", tag)
+			}
+			opAt, opEnd = i, i+runLen
+		}
+
+		a := ids.runs[ar]
+		run := Run{ID: ID{Agent: ids.names[a.agent], Seq: a.seq + (i - a.start)}}
+		if i == excAt {
+			nPar, err := parents.count(maxParents, "parent count")
+			if err != nil {
+				return nil, err
+			}
+			for p := 0; p < nPar; p++ {
+				v, err := parents.uvarint()
+				if err != nil {
+					return nil, err
+				}
+				if v&1 == 0 {
+					back := v >> 1
+					if back == 0 || back > uint64(i) {
+						return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, i)
+					}
+					run.Parents = append(run.Parents, ids.idAt(i-int(back)))
+				} else {
+					ai := v >> 1
+					if ai >= uint64(len(ids.names)) {
+						return nil, fmt.Errorf("colenc: parent agent index %d out of range", ai)
+					}
+					seq, err := parents.count(math.MaxInt32, "parent seq")
+					if err != nil {
+						return nil, err
+					}
+					run.Parents = append(run.Parents, ID{Agent: ids.names[ai], Seq: seq})
+				}
+			}
+			excAt = n
+			if entriesParsed++; entriesParsed < nExc {
+				step, err := parents.count(n, "parent entry index")
+				if err != nil {
+					return nil, err
+				}
+				if step == 0 {
+					return nil, fmt.Errorf("colenc: non-increasing parents entry index")
+				}
+				if excAt = i + step; excAt >= n {
+					return nil, fmt.Errorf("colenc: parents entry index %d out of range", excAt)
+				}
+			}
+		} else {
+			run.Parents = []ID{last}
+		}
+
+		end := min(arEnd, opEnd, excAt)
+		run.Run = op
+		run.Pos += (i - opAt) * int(op.Dir)
+		run.Len = end - i
+		if op.Kind == oplog.Insert {
+			run.Content = content[used : used+run.Len : used+run.Len]
+			used += run.Len
+		} else if run.Len == 1 {
+			run.Dir = 0
+		}
+		runs = append(runs, run)
+		last = run.last()
+		i = end
 	}
-	return b
+	if !ops.done() {
+		return nil, fmt.Errorf("colenc: trailing bytes in ops column")
+	}
+	if used != len(content) {
+		return nil, fmt.Errorf("colenc: trailing bytes in content column")
+	}
+	if !parents.done() {
+		return nil, fmt.Errorf("colenc: trailing bytes in parents column")
+	}
+	return runs, nil
 }

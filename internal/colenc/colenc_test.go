@@ -127,7 +127,7 @@ func TestDistantInBatchParent(t *testing.T) {
 
 func TestCachedDoc(t *testing.T) {
 	evs := typed("a", "final text")
-	data, err := EncodeDoc(evs, "final text", Options{})
+	data, err := EncodeRunsDoc(Runs(evs), "final text", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

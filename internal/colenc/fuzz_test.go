@@ -1,7 +1,9 @@
 package colenc
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -9,7 +11,10 @@ import (
 // never panic and must reject malformed input with a clean error. On
 // input it accepts, decode → re-encode → decode must be a fixed point:
 // the decoded events are by construction valid, so re-encoding cannot
-// fail, and the second decode must reproduce them exactly. Run with
+// fail, and the second decode must reproduce them exactly. Every input
+// also goes through the per-unit reference codec (ref_test.go): the run
+// decoder must accept exactly the frames it accepts and expand to its
+// events, and the run encoder must write its bytes. Run with
 // `go test -fuzz FuzzColencRoundTrip ./internal/colenc` for deep
 // exploration; plain `go test` exercises the committed corpus.
 func FuzzColencRoundTrip(f *testing.F) {
@@ -36,7 +41,7 @@ func FuzzColencRoundTrip(f *testing.F) {
 		if data, err := Encode(evs, Options{Compress: true}); err == nil {
 			f.Add(data)
 		}
-		if data, err := EncodeDoc(evs, "cached doc text", Options{}); err == nil {
+		if data, err := EncodeRunsDoc(Runs(evs), "cached doc text", Options{}); err == nil {
 			f.Add(data)
 		}
 	}
@@ -48,17 +53,47 @@ func FuzzColencRoundTrip(f *testing.F) {
 		// The limit bounds the fuzzer's memory: run-length frames can
 		// legitimately describe far more events than they have bytes.
 		dec, err := DecodeLimit(data, 1<<16)
+		ref, refErr := refDecodeLimit(data, 1<<16)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("run decoder: %v; per-unit decoder: %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
+		if len(dec.Events) != len(ref.Events) || dec.HasDoc != ref.HasDoc || dec.Doc != ref.Doc {
+			t.Fatalf("run decoder: %d events, doc %v; per-unit decoder: %d events, doc %v", len(dec.Events), dec.HasDoc, len(ref.Events), ref.HasDoc)
+		}
+		for i := range ref.Events {
+			if !reflect.DeepEqual(dec.Events[i], ref.Events[i]) {
+				t.Fatalf("event %d: run decoder %+v, per-unit decoder %+v", i, dec.Events[i], ref.Events[i])
+			}
+		}
+		runs, err := DecodeRuns(data, 1<<16)
+		if err != nil {
+			t.Fatalf("DecodeRuns after Decode accepted: %v", err)
+		}
+		fromRuns, err := encodeRuns(slices.Values(runs.Runs), runs.Doc, runs.HasDoc, Options{})
+		if err != nil {
+			t.Fatalf("re-encode of decoded runs failed: %v", err)
+		}
+		refBytes, err := refEncode(ref.Events, ref.Doc, ref.HasDoc, Options{})
+		if err != nil {
+			t.Fatalf("per-unit re-encode failed: %v", err)
+		}
+		if !bytes.Equal(fromRuns, refBytes) {
+			t.Fatalf("EncodeRuns wrote %d bytes, the per-unit encoder %d", len(fromRuns), len(refBytes))
+		}
 		var re []byte
 		if dec.HasDoc {
-			re, err = EncodeDoc(dec.Events, dec.Doc, Options{})
+			re, err = EncodeRunsDoc(Runs(dec.Events), dec.Doc, Options{})
 		} else {
 			re, err = Encode(dec.Events, Options{})
 		}
 		if err != nil {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
+		}
+		if !bytes.Equal(re, refBytes) {
+			t.Fatalf("Encode wrote %d bytes, the per-unit encoder %d", len(re), len(refBytes))
 		}
 		dec2, err := DecodeLimit(re, 1<<16)
 		if err != nil {

@@ -81,7 +81,7 @@ func TestInspectMultiAgentRuns(t *testing.T) {
 }
 
 func TestInspectDocColumn(t *testing.T) {
-	data, err := EncodeDoc(typed("a", "final text"), "final text", Options{})
+	data, err := EncodeRunsDoc(Runs(typed("a", "final text")), "final text", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,28 @@ func (l *Log) Len() int { return l.Graph.Len() }
 // Frontier returns the current version of the log.
 func (l *Log) Frontier() causal.Frontier { return l.Graph.Frontier() }
 
+// Run is a run of operations as the log stores them: Len operations of
+// one kind whose positions step by Dir from Pos — +1 for inserts (typing
+// forwards), 0 for forward deletes (each deletes at the same index), -1
+// for backspaces. A lone delete has Dir 0. Content holds an insert run's
+// Len characters.
+type Run struct {
+	Kind    Kind
+	Pos     int
+	Dir     int8
+	Len     int
+	Content []rune
+}
+
+// Unit returns the run that is the single operation at pos, an insert's
+// character left out.
+func Unit(insert bool, pos int) Run {
+	if insert {
+		return Run{Kind: Insert, Pos: pos, Dir: 1, Len: 1}
+	}
+	return Run{Kind: Delete, Pos: pos, Len: 1}
+}
+
 // Add appends ops as a batch of events by agent with the given parents.
 // The agent's sequence numbers are assigned automatically. It returns the
 // LV span covering the new events.
@@ -94,52 +116,116 @@ func (l *Log) AddRemote(agent string, seq int, parents []causal.LV, ops []Op) (c
 	if err != nil {
 		return causal.Span{}, err
 	}
+	var c [1]rune
 	for i, op := range ops {
-		l.appendOp(start+causal.LV(i), op)
+		r := Unit(op.Kind == Insert, op.Pos)
+		if op.Kind == Insert {
+			c[0] = op.Content
+			r.Content = c[:]
+		}
+		l.appendRun(start+causal.LV(i), r)
 	}
 	return causal.Span{Start: start, End: start + causal.LV(len(ops))}, nil
 }
 
-// appendOp pushes a single op, merging it into the last span when it
-// continues that span's run-length pattern.
-func (l *Log) appendOp(lv causal.LV, op Op) {
-	if n := len(l.spans); n > 0 {
-		s := &l.spans[n-1]
-		if s.lvs.End == lv && s.kind == op.Kind {
-			i := s.lvs.Len()
-			switch op.Kind {
-			case Insert:
-				if op.Pos == s.pos+i { // continue typing forwards
-					s.lvs.End++
-					s.content = append(s.content, op.Content)
-					return
-				}
-			case Delete:
-				if i == 1 && (op.Pos == s.pos || op.Pos == s.pos-1) {
-					// Second delete fixes the direction of the run.
-					if op.Pos == s.pos {
-						s.dir = 0
-					} else {
-						s.dir = -1
-					}
-					s.lvs.End++
-					return
-				}
-				if i > 1 && op.Pos == s.posAt(i) {
-					s.lvs.End++
-					return
-				}
+// AddRun appends r as events (agent, seq), (agent, seq+1), ... with the
+// given parents for the first; later events are each parented on their
+// predecessor. It costs one graph append and one span append however
+// long the run is, and builds the same log as AddRemote with the run's
+// operations one by one. r.Content is copied.
+func (l *Log) AddRun(agent string, seq int, parents []causal.LV, r Run) (causal.Span, error) {
+	if r.Len < 1 || (r.Kind == Insert && len(r.Content) != r.Len) {
+		return causal.Span{}, fmt.Errorf("oplog: run of %d ops with %d characters", r.Len, len(r.Content))
+	}
+	start, err := l.Graph.Add(agent, seq, r.Len, parents)
+	if err != nil {
+		return causal.Span{}, err
+	}
+	l.appendRun(start, r)
+	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
+}
+
+// Extend grows r by the leading operations of next that continue its
+// pattern — the same kind, at the positions r's direction predicts — and
+// returns how many it took. A lone delete takes its direction from the
+// operation that follows it, and a run in another direction still gives
+// up its first operation when that one sits where r expects its next.
+// Extending runs greedily this way partitions a sequence of operations
+// the same way whatever runs it arrives in. Content is left alone.
+func (r *Run) Extend(next Run) int {
+	if r.Kind != next.Kind {
+		return 0
+	}
+	take := next.Len
+	if r.Kind == Insert {
+		if next.Pos != r.Pos+r.Len {
+			return 0
+		}
+	} else {
+		dir := r.Dir
+		if r.Len == 1 {
+			switch next.Pos {
+			case r.Pos:
+				dir = 0
+			case r.Pos - 1:
+				dir = -1
+			default:
+				return 0
 			}
+		} else if next.Pos != r.Pos+r.Len*int(r.Dir) {
+			return 0
+		}
+		if next.Len > 1 && next.Dir != dir {
+			take = 1
+		}
+		r.Dir = dir
+	}
+	r.Len += take
+	return take
+}
+
+// From returns r without its first k operations.
+func (r Run) From(k int) Run {
+	r.Pos += k * int(r.Dir)
+	r.Len -= k
+	if r.Kind == Insert {
+		r.Content = r.Content[k:]
+	} else if r.Len == 1 {
+		r.Dir = 0
+	}
+	return r
+}
+
+// appendRun pushes the run r starting at lv, first extending the last
+// span by as much of it as continues that span's pattern: the spans are
+// those that pushing the operations one at a time would build.
+func (l *Log) appendRun(lv causal.LV, r Run) {
+	if n := len(l.spans); n > 0 && l.spans[n-1].lvs.End == lv {
+		s := &l.spans[n-1]
+		head := Run{Kind: s.kind, Pos: s.pos, Dir: s.dir, Len: s.lvs.Len()}
+		if took := head.Extend(r); took > 0 {
+			s.dir = head.Dir
+			s.lvs.End += causal.LV(took)
+			if r.Kind == Insert {
+				s.content = append(s.content, r.Content...)
+			}
+			if took == r.Len {
+				return
+			}
+			lv += causal.LV(took)
+			r = r.From(took)
 		}
 	}
 	s := span{
-		lvs:  causal.Span{Start: lv, End: lv + 1},
-		kind: op.Kind,
-		pos:  op.Pos,
+		lvs:  causal.Span{Start: lv, End: lv + causal.LV(r.Len)},
+		kind: r.Kind,
+		pos:  r.Pos,
 	}
-	if op.Kind == Insert {
+	if r.Kind == Insert {
 		s.dir = 1
-		s.content = []rune{op.Content}
+		s.content = append([]rune(nil), r.Content...)
+	} else if r.Len > 1 {
+		s.dir = r.Dir
 	}
 	l.spans = append(l.spans, s)
 }
@@ -148,21 +234,13 @@ func (l *Log) appendOp(lv causal.LV, op Op) {
 // insert events at consecutive positions).
 func (l *Log) AddInsert(agent string, parents []causal.LV, pos int, text string) (causal.Span, error) {
 	runes := []rune(text)
-	ops := make([]Op, len(runes))
-	for i, r := range runes {
-		ops[i] = Op{Kind: Insert, Pos: pos + i, Content: r}
-	}
-	return l.Add(agent, parents, ops)
+	return l.AddRun(agent, l.Graph.SeqEnd(agent), parents, Run{Kind: Insert, Pos: pos, Dir: 1, Len: len(runes), Content: runes})
 }
 
 // AddDelete appends a forward deletion of count characters starting at pos
 // (a run of delete events all at index pos).
 func (l *Log) AddDelete(agent string, parents []causal.LV, pos, count int) (causal.Span, error) {
-	ops := make([]Op, count)
-	for i := range ops {
-		ops[i] = Op{Kind: Delete, Pos: pos}
-	}
-	return l.Add(agent, parents, ops)
+	return l.AddRun(agent, l.Graph.SeqEnd(agent), parents, Run{Kind: Delete, Pos: pos, Len: count})
 }
 
 // spanIdxFor locates the storage span containing lv by binary search.

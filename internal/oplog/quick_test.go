@@ -117,3 +117,173 @@ func TestQuickEachRunCoversAll(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refAppendOp is the per-op append the log had before runs were appended
+// whole, kept as the reference: pushing a log's ops through it one at a
+// time defines the spans AddRun must build from any cut of those ops
+// into runs.
+func refAppendOp(spans []span, lv causal.LV, op Op) []span {
+	if n := len(spans); n > 0 {
+		s := &spans[n-1]
+		if s.lvs.End == lv && s.kind == op.Kind {
+			i := s.lvs.Len()
+			switch op.Kind {
+			case Insert:
+				if op.Pos == s.pos+i {
+					s.lvs.End++
+					s.content = append(s.content, op.Content)
+					return spans
+				}
+			case Delete:
+				if i == 1 && (op.Pos == s.pos || op.Pos == s.pos-1) {
+					if op.Pos == s.pos {
+						s.dir = 0
+					} else {
+						s.dir = -1
+					}
+					s.lvs.End++
+					return spans
+				}
+				if i > 1 && op.Pos == s.posAt(i) {
+					s.lvs.End++
+					return spans
+				}
+			}
+		}
+	}
+	s := span{lvs: causal.Span{Start: lv, End: lv + 1}, kind: op.Kind, pos: op.Pos}
+	if op.Kind == Insert {
+		s.dir = 1
+		s.content = []rune{op.Content}
+	}
+	return append(spans, s)
+}
+
+// TestQuickAddRunMatchesPerOp: a random op sequence, rich in runs that
+// change direction and runs that continue across an author change, cut
+// into runs at random and appended with AddRun, builds exactly the spans
+// that pushing the ops one at a time builds.
+func TestQuickAddRunMatchesPerOp(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		// Runs in the generator's sense: a pattern held for a few ops.
+		var ops []Op
+		pos := 40
+		for len(ops) < 120 {
+			n := 1 + rng.Intn(5)
+			switch rng.Intn(4) {
+			case 0: // typing, sometimes continuing where the last run stopped
+				if rng.Intn(2) == 0 {
+					pos = rng.Intn(80)
+				}
+				for i := 0; i < n; i++ {
+					ops = append(ops, Op{Kind: Insert, Pos: pos, Content: rune('a' + rng.Intn(26))})
+					pos++
+				}
+			case 1: // forward delete
+				if rng.Intn(2) == 0 {
+					pos = 5 + rng.Intn(80)
+				}
+				for i := 0; i < n; i++ {
+					ops = append(ops, Op{Kind: Delete, Pos: pos})
+				}
+			case 2: // backspace
+				if rng.Intn(2) == 0 {
+					pos = 5 + rng.Intn(80)
+				}
+				for i := 0; i < n && pos > 0; i++ {
+					ops = append(ops, Op{Kind: Delete, Pos: pos})
+					pos--
+				}
+			default: // a delete one below or at the last position
+				pos -= rng.Intn(2)
+				if pos < 0 {
+					pos = 0
+				}
+				ops = append(ops, Op{Kind: Delete, Pos: pos})
+			}
+		}
+
+		var want []span
+		for i, op := range ops {
+			want = refAppendOp(want, causal.LV(i), op)
+		}
+
+		// Cut the ops into runs: first the maximal ones (Extend op by op),
+		// then each split again at random, so that runs arrive that could
+		// have been longer.
+		l := New()
+		agents := []string{"a", "b"}
+		seqs := map[string]int{}
+		var frontier []causal.LV
+		for i := 0; i < len(ops); {
+			r := Run{Kind: ops[i].Kind, Pos: ops[i].Pos, Len: 1}
+			if r.Kind == Insert {
+				r.Dir = 1
+			}
+			j := i + 1
+			for j < len(ops) && rng.Intn(6) > 0 {
+				next := Run{Kind: ops[j].Kind, Pos: ops[j].Pos, Len: 1}
+				if r.Extend(next) == 0 {
+					break
+				}
+				j++
+			}
+			if r.Kind == Insert {
+				for _, op := range ops[i:j] {
+					r.Content = append(r.Content, op.Content)
+				}
+			}
+			agent := agents[rng.Intn(2)]
+			sp, err := l.AddRun(agent, seqs[agent], frontier, r)
+			if err != nil || sp.Start != causal.LV(i) || sp.Len() != j-i {
+				return false
+			}
+			seqs[agent] += j - i
+			frontier = []causal.LV{sp.End - 1}
+			i = j
+		}
+		if len(l.spans) != len(want) {
+			t.Logf("seed %d: %d spans, want %d", seed, len(l.spans), len(want))
+			return false
+		}
+		for i := range want {
+			g, w := l.spans[i], want[i]
+			if g.lvs != w.lvs || g.kind != w.kind || g.pos != w.pos || g.dir != w.dir || string(g.content) != string(w.content) {
+				t.Logf("seed %d: span %d = %+v, want %+v", seed, i, g, w)
+				return false
+			}
+		}
+		for i, op := range ops {
+			if got := l.OpAt(causal.LV(i)); got != op {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAddRunRejectsBadRuns(t *testing.T) {
+	l := New()
+	if _, err := l.AddRun("a", 0, nil, Run{Kind: Delete, Pos: 0}); err == nil {
+		t.Error("empty run accepted")
+	}
+	if _, err := l.AddRun("a", 0, nil, Run{Kind: Insert, Dir: 1, Len: 2, Content: []rune("x")}); err == nil {
+		t.Error("insert run with the wrong content length accepted")
+	}
+	if l.Len() != 0 || l.SpanCount() != 0 {
+		t.Errorf("rejected runs left %d events, %d spans", l.Len(), l.SpanCount())
+	}
+	// The log copies content: the caller's buffer is free to change.
+	buf := []rune("hey")
+	if _, err := l.AddRun("a", 0, nil, Run{Kind: Insert, Dir: 1, Len: 3, Content: buf}); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'X'
+	if got := l.InsertedContent(); got != "hey" {
+		t.Errorf("log content %q after the caller changed its buffer, want %q", got, "hey")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"egwalker/internal/causal"
-	"egwalker/internal/oplog"
 )
 
 // SeqRange is a half-open range [Start, End) of one agent's sequence
@@ -148,7 +147,7 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	var out []Event
+	var missing []causal.Span
 	d.log.Graph.EachEntry(func(span causal.Span, agent string, seqStart int, parents []causal.LV) bool {
 		ranges := s[agent]
 		lo, hi := seqStart, seqStart+span.Len()
@@ -164,17 +163,13 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 			if i < len(ranges) && ranges[i].Start < hi {
 				uncEnd = ranges[i].Start
 			}
-			sub := causal.Span{
+			missing = append(missing, causal.Span{
 				Start: span.Start + causal.LV(lo-seqStart),
 				End:   span.Start + causal.LV(uncEnd-seqStart),
-			}
-			d.log.EachOp(sub, func(lv causal.LV, op oplog.Op) bool {
-				out = append(out, d.eventAt(lv, op))
-				return true
 			})
 			lo = uncEnd
 		}
 		return true
 	})
-	return out, nil
+	return d.eventsIn(missing), nil
 }
