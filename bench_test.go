@@ -15,6 +15,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -468,4 +469,62 @@ func BenchmarkDocEventsSince(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkDocApplySmallConcurrent applies five remote keystrokes,
+// concurrent with five local ones, to a loaded document of 1k, 10k and
+// 100k events. Only Apply is timed. What it costs must not depend on how
+// much history lies before the concurrency: the 100k row stays within 3x
+// of the 1k row.
+func BenchmarkDocApplySmallConcurrent(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			src := NewDoc("a")
+			for src.NumEvents() < n {
+				if err := src.Insert(src.Len(), strings.Repeat("lorem ipsum ", 10)[:100]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var file bytes.Buffer
+			if err := src.Save(&file, SaveOptions{CacheFinalDoc: true}); err != nil {
+				b.Fatal(err)
+			}
+			var d *Doc
+			seq := 0
+			remote := make([]Event, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if i%64 == 0 {
+					// Start again from the loaded document now and then, so
+					// the history stays n events long.
+					var err error
+					if d, err = Load(bytes.NewReader(file.Bytes()), "b"); err != nil {
+						b.Fatal(err)
+					}
+					seq = 0
+				}
+				// A keystroke that merges the last round's two heads, so each
+				// round's concurrency starts from a critical version.
+				if err := d.Insert(d.Len(), " "); err != nil {
+					b.Fatal(err)
+				}
+				parents := d.Version()
+				if err := d.Insert(d.Len(), "local"); err != nil {
+					b.Fatal(err)
+				}
+				for k := range remote {
+					id := EventID{Agent: "r", Seq: seq}
+					remote[k] = Event{ID: id, Parents: parents, Insert: true, Pos: k, Content: 'r'}
+					parents = Version{id}
+					seq++
+				}
+				b.StartTimer()
+				if _, err := d.Apply(remote); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

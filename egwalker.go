@@ -519,45 +519,46 @@ func (d *Doc) TextAt(v Version) (string, error) {
 		return "", err
 	}
 	_, inV := d.log.Graph.Diff(causal.Root, f)
+	// The sub-log receives the events of inV in order, so an event's LV
+	// there is its rank in inV: the length of the spans before its own
+	// (before[i] for inV[i]) plus its offset into it.
+	before := make([]causal.LV, len(inV))
+	for i := 1; i < len(inV); i++ {
+		before[i] = before[i-1] + causal.LV(inV[i-1].Len())
+	}
 	sub := oplog.New()
-	lvMap := make(map[causal.LV]causal.LV)
 	var addErr error
+	var parents []causal.LV
 	for _, sp := range inV {
 		// Copy run-at-a-time so the sub-log keeps the run-length encoding
 		// (and its replay stays on the span-wise path). Runs are clipped
 		// to graph entries: within one entry the events are by one agent
 		// with consecutive seqs, each parented on its predecessor.
-		for at := sp.Start; at < sp.End; {
-			entry := d.log.Graph.EntrySpanAt(at)
-			if entry.End > sp.End {
-				entry.End = sp.End
+		d.log.Graph.EachEntryIn(sp, func(entry causal.Span, agent string, seq int, ps []causal.LV) bool {
+			parents = parents[:0]
+			for _, p := range ps {
+				i := sort.Search(len(inV), func(i int) bool { return inV[i].End > p })
+				if i == len(inV) || p < inV[i].Start {
+					addErr = fmt.Errorf("egwalker: internal: parent %d outside version", p)
+					return false
+				}
+				parents = append(parents, before[i]+p-inV[i].Start)
 			}
 			d.log.EachRun(entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
-				parents := make([]causal.LV, 0, 2)
-				for _, p := range d.log.Graph.ParentsOf(lvs.Start) {
-					np, ok := lvMap[p]
-					if !ok {
-						addErr = fmt.Errorf("egwalker: internal: parent %d outside version", p)
-						return false
-					}
-					parents = append(parents, np)
-				}
-				n := lvs.Len()
-				id := d.log.Graph.IDOf(lvs.Start)
-				nsp, err := sub.AddRun(id.Agent, id.Seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: n, Content: content})
+				r := oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content}
+				nsp, err := sub.AddRun(agent, seq+int(lvs.Start-entry.Start), parents, r)
 				if err != nil {
 					addErr = err
 					return false
 				}
-				for i := 0; i < n; i++ {
-					lvMap[lvs.Start+causal.LV(i)] = nsp.Start + causal.LV(i)
-				}
+				// The entry's next run hangs on the last event of this one.
+				parents = append(parents[:0], nsp.End-1)
 				return true
 			})
-			if addErr != nil {
-				return "", addErr
-			}
-			at = entry.End
+			return addErr == nil
+		})
+		if addErr != nil {
+			return "", addErr
 		}
 	}
 	return core.ReplayText(sub)

@@ -47,8 +47,13 @@ func (s Span) Contains(lv LV) bool { return lv >= s.Start && lv < s.End }
 // parents are the parents of the event at start; every later event in the
 // entry has exactly one parent, its predecessor.
 type entry struct {
-	span     Span
-	agent    int // index into Graph.agents
+	span  Span
+	agent int32 // index into Graph.agents
+	// heads is the size of the frontier of the graph's prefix that ends
+	// with this entry, recorded when the entry is added (extending the
+	// entry moves its head along and leaves the count as it is). A version
+	// inside the entry can be critical only if heads is 1 (critical.go).
+	heads    int32
 	seqStart int
 	parents  []LV // sorted ascending; empty for root events
 }
@@ -67,10 +72,6 @@ type Graph struct {
 	agentIdx map[string]int
 	byAgent  [][]agentSpan // per agent, sorted by seqStart
 	frontier []LV          // events with no children, sorted ascending
-	// critCache memoises CriticalBoundaries. It is valid only while its
-	// length equals Len(): any append grows the graph and so invalidates
-	// it implicitly, with no hook needed on the append paths.
-	critCache []bool
 }
 
 // New returns an empty event graph.
@@ -156,7 +157,7 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 	// the sole parent is the immediately preceding event.
 	if n := len(g.entries); n > 0 {
 		last := &g.entries[n-1]
-		if last.agent == aid &&
+		if last.agent == int32(aid) &&
 			last.seqStart+last.span.Len() == seq &&
 			len(red) == 1 && red[0] == last.span.End-1 {
 			last.span.End += LV(count)
@@ -171,9 +172,11 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 	if len(parents) <= 1 {
 		own = append(own, parents...)
 	}
+	g.advanceFrontier(start, count, red)
 	g.entries = append(g.entries, entry{
 		span:     Span{start, start + LV(count)},
-		agent:    aid,
+		agent:    int32(aid),
+		heads:    int32(len(g.frontier)),
 		seqStart: seq,
 		parents:  own,
 	})
@@ -184,7 +187,6 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 		seqEnd:   seq + count,
 		lvStart:  start,
 	}
-	g.advanceFrontier(start, count, red)
 	return start, nil
 }
 
@@ -211,10 +213,16 @@ func containsLV(s []LV, v LV) bool {
 	return false
 }
 
+// entryIdx returns the index of the first entry that ends after lv: the
+// entry containing lv when 0 <= lv < Len, len(entries) when lv >= Len.
+func (g *Graph) entryIdx(lv LV) int {
+	return sort.Search(len(g.entries), func(i int) bool { return g.entries[i].span.End > lv })
+}
+
 // entryFor returns the entry containing lv.
 func (g *Graph) entryFor(lv LV) *entry {
-	i := sort.Search(len(g.entries), func(i int) bool { return g.entries[i].span.End > lv })
-	if i == len(g.entries) || !g.entries[i].span.Contains(lv) {
+	i := g.entryIdx(lv)
+	if i == len(g.entries) || lv < 0 {
 		panic(fmt.Sprintf("causal: LV %d out of range (len %d)", lv, g.Len()))
 	}
 	return &g.entries[i]
@@ -316,7 +324,7 @@ func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart i
 	if sp.Len() <= 0 {
 		return
 	}
-	i := sort.Search(len(g.entries), func(i int) bool { return g.entries[i].span.End > sp.Start })
+	i := g.entryIdx(sp.Start)
 	var prev [1]LV
 	for ; i < len(g.entries) && g.entries[i].span.Start < sp.End; i++ {
 		e := &g.entries[i]

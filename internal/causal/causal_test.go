@@ -3,6 +3,7 @@ package causal
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -308,40 +309,49 @@ func TestLatestCriticalBefore(t *testing.T) {
 // --- randomized property tests -------------------------------------------
 
 // randomGraph builds a random graph with n events and returns it along
-// with an explicit parents table for brute-force checking.
+// with an explicit parents table for brute-force checking. Runs are up to
+// 3, 12 or 40 events long (chosen per graph), and parents are picked
+// anywhere, so entries hang off the middle of other entries.
 func randomGraph(rng *rand.Rand, n int) (*Graph, [][]LV) {
-	g := New()
-	parents := make([][]LV, 0, n)
-	agents := []string{"a", "b", "c", "d"}
-	seqs := map[string]int{}
-	for g.Len() < n {
-		agent := agents[rng.Intn(len(agents))]
-		count := 1 + rng.Intn(3)
-		if g.Len()+count > n {
-			count = n - g.Len()
-		}
+	b := newGraphBuilder()
+	maxRun := []int{3, 12, 40}[rng.Intn(3)]
+	for b.g.Len() < n {
 		var ps []LV
-		if g.Len() > 0 {
+		if b.g.Len() > 0 {
 			switch rng.Intn(4) {
 			case 0: // extend current frontier (merge everything)
-				ps = append(ps, g.Frontier()...)
+				ps = append(ps, b.g.Frontier()...)
 			case 1, 2: // pick one random existing event
-				ps = []LV{LV(rng.Intn(g.Len()))}
+				ps = []LV{LV(rng.Intn(b.g.Len()))}
 			case 3: // pick two random events
-				ps = []LV{LV(rng.Intn(g.Len())), LV(rng.Intn(g.Len()))}
+				ps = []LV{LV(rng.Intn(b.g.Len())), LV(rng.Intn(b.g.Len()))}
 			}
 		}
-		start, err := g.Add(agent, seqs[agent], count, ps)
-		if err != nil {
-			panic(err)
-		}
-		seqs[agent] += count
-		parents = append(parents, append([]LV(nil), g.ParentsOf(start)...))
-		for i := 1; i < count; i++ {
-			parents = append(parents, []LV{start + LV(i) - 1})
-		}
+		b.add(rng.Intn(4), min(1+rng.Intn(maxRun), n-b.g.Len()), ps)
 	}
-	return g, parents
+	return b.g, b.parents
+}
+
+// graphBuilder adds runs to a graph and keeps the per-event parents table
+// the brute-force oracle walks.
+type graphBuilder struct {
+	g       *Graph
+	parents [][]LV
+	seqs    [4]int
+}
+
+func newGraphBuilder() *graphBuilder { return &graphBuilder{g: New()} }
+
+func (b *graphBuilder) add(agent, count int, ps []LV) {
+	start, err := b.g.Add(string(rune('a'+agent)), b.seqs[agent], count, ps)
+	if err != nil {
+		panic(err)
+	}
+	b.seqs[agent] += count
+	b.parents = append(b.parents, append([]LV(nil), b.g.ParentsOf(start)...))
+	for i := 1; i < count; i++ {
+		b.parents = append(b.parents, []LV{start + LV(i) - 1})
+	}
 }
 
 // closure computes the transitive closure (event set) of a version by
@@ -386,6 +396,16 @@ func setsEqual(a, b map[LV]bool) bool {
 	return true
 }
 
+func minus(a, b map[LV]bool) map[LV]bool {
+	out := map[LV]bool{}
+	for lv := range a {
+		if !b[lv] {
+			out[lv] = true
+		}
+	}
+	return out
+}
+
 func randomFrontier(rng *rand.Rand, g *Graph) Frontier {
 	k := 1 + rng.Intn(3)
 	lvs := make([]LV, k)
@@ -395,64 +415,251 @@ func randomFrontier(rng *rand.Rand, g *Graph) Frontier {
 	return Frontier(g.Dominators(lvs))
 }
 
-func TestDiffMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+// checkSpanShape fails unless spans are non-empty, ascending, disjoint
+// and coalesced (no two abut).
+func checkSpanShape(t *testing.T, what string, spans []Span) {
+	t.Helper()
+	for i, sp := range spans {
+		if sp.Len() <= 0 {
+			t.Fatalf("%s: empty span %v in %v", what, sp, spans)
+		}
+		if i > 0 && spans[i-1].End >= sp.Start {
+			t.Fatalf("%s: spans %v and %v overlap, abut or descend in %v", what, spans[i-1], sp, spans)
+		}
+	}
+}
+
+// checkAlgebra holds Diff, Dominators, VersionContains and
+// CommonAncestorVersion on versions a and b (and the raw set lvs) to the
+// brute-force closure and to the per-event reference traversals.
+func checkAlgebra(t *testing.T, g *Graph, parents [][]LV, a, b Frontier, lvs []LV) {
+	t.Helper()
+	ca, cb := closure(parents, a), closure(parents, b)
+
+	onlyA, onlyB := g.Diff(a, b)
+	checkSpanShape(t, "Diff onlyA", onlyA)
+	checkSpanShape(t, "Diff onlyB", onlyB)
+	if !setsEqual(spansToSet(onlyA), minus(ca, cb)) || !setsEqual(spansToSet(onlyB), minus(cb, ca)) {
+		t.Fatalf("Diff(%v, %v) = %v, %v: not the closures' difference", a, b, onlyA, onlyB)
+	}
+	if refA, refB := refDiff(g, a, b); !reflect.DeepEqual(onlyA, refA) || !reflect.DeepEqual(onlyB, refB) {
+		t.Fatalf("Diff(%v, %v) = %v, %v; per-event reference %v, %v", a, b, onlyA, onlyB, refA, refB)
+	}
+
+	// Brute force: keep lv unless it is a proper ancestor of another input.
+	dom := g.Dominators(lvs)
+	want := map[LV]bool{}
+	for _, lv := range lvs {
+		dominated := false
+		for _, other := range lvs {
+			if other != lv && closure(parents, Frontier{other})[lv] {
+				dominated = true
+			}
+		}
+		if !dominated {
+			want[lv] = true
+		}
+	}
+	if !slices.IsSorted(dom) || len(dom) != len(want) || !setsEqual(spansToSet(singletons(dom)), want) {
+		t.Fatalf("Dominators(%v) = %v, want the set %v ascending", lvs, dom, want)
+	}
+	if ref := refDominators(g, append([]LV(nil), lvs...)); !slices.Equal(dom, ref) {
+		t.Fatalf("Dominators(%v) = %v; per-event reference %v", lvs, dom, ref)
+	}
+
+	for lv := LV(0); lv < LV(g.Len()); lv++ {
+		got := g.VersionContains(a, lv)
+		if got != ca[lv] || got != refVersionContains(g, a, lv) {
+			t.Fatalf("VersionContains(%v, %d) = %v, closure says %v", a, lv, got, ca[lv])
+		}
+	}
+
+	common := g.CommonAncestorVersion(a, b)
+	both := map[LV]bool{}
+	for lv := range ca {
+		if cb[lv] {
+			both[lv] = true
+		}
+	}
+	if !setsEqual(closure(parents, common), both) {
+		t.Fatalf("CommonAncestorVersion(%v, %v) = %v: closure is not the intersection", a, b, common)
+	}
+	if ref := refCommonAncestorVersion(g, a, b); !common.Eq(ref) {
+		t.Fatalf("CommonAncestorVersion(%v, %v) = %v; per-event reference %v", a, b, common, ref)
+	}
+}
+
+func singletons(lvs []LV) []Span {
+	out := make([]Span, len(lvs))
+	for i, lv := range lvs {
+		out[i] = Span{lv, lv + 1}
+	}
+	return out
+}
+
+// algebraOnRandomGraphs runs checkAlgebra on 200 random graphs of
+// minEvents to minEvents+spread-1 events.
+func algebraOnRandomGraphs(t *testing.T, seed int64, minEvents, spread int) {
+	rng := rand.New(rand.NewSource(seed))
 	for iter := 0; iter < 200; iter++ {
-		g, parents := randomGraph(rng, 30+rng.Intn(40))
-		a := randomFrontier(rng, g)
-		b := randomFrontier(rng, g)
+		g, parents := randomGraph(rng, minEvents+rng.Intn(spread))
+		a, b := randomFrontier(rng, g), randomFrontier(rng, g)
+		lvs := make([]LV, 1+rng.Intn(4))
+		for i := range lvs {
+			lvs[i] = LV(rng.Intn(g.Len()))
+		}
+		checkAlgebra(t, g, parents, a, b, lvs)
+	}
+}
+
+func TestDiffMatchesBruteForce(t *testing.T)            { algebraOnRandomGraphs(t, 42, 30, 40) }
+func TestVersionContainsMatchesBruteForce(t *testing.T) { algebraOnRandomGraphs(t, 7, 20, 30) }
+func TestCommonAncestorMatchesBruteForce(t *testing.T)  { algebraOnRandomGraphs(t, 99, 20, 30) }
+func TestDominatorsMatchBruteForce(t *testing.T)        { algebraOnRandomGraphs(t, 555, 20, 20) }
+
+// TestGraphAlgebraOnLongRuns: the four traversals on graphs whose entries
+// are long and whose versions sit in the middle of entries, against the
+// closure oracle and the per-event reference, output shape included.
+func TestGraphAlgebraOnLongRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	for iter := 0; iter < 150; iter++ {
+		g, parents := randomGraph(rng, 60+rng.Intn(240))
+		a, b := randomFrontier(rng, g), randomFrontier(rng, g)
+		lvs := make([]LV, 1+rng.Intn(5))
+		for i := range lvs {
+			lvs[i] = LV(rng.Intn(g.Len()))
+		}
+		checkAlgebra(t, g, parents, a, b, lvs)
+		// A version against itself plus one more head, and against the root.
+		checkAlgebra(t, g, parents, a, Frontier(g.Dominators(append(a.Clone(), lvs[0]))), a)
+		checkAlgebra(t, g, parents, Root, b, nil)
+	}
+}
+
+// FuzzGraphAlgebra builds a graph and two versions from the input bytes
+// and holds the traversals to the same oracle as the test above.
+func FuzzGraphAlgebra(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 39, 0, 1, 20, 1, 5, 2, 30, 3, 10, 30, 0, 5, 0, 2, 7, 60, 3, 50})
+	f.Add([]byte{1, 1, 0, 2, 1, 1, 0, 3, 1, 1, 0, 0, 1, 0, 9, 9, 4, 4, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		i := 0
+		next := func() int {
+			if i >= len(data) {
+				return 0
+			}
+			i++
+			return int(data[i-1])
+		}
+		// Leave the last few bytes for the versions.
+		b := newGraphBuilder()
+		for i+8 < len(data) && b.g.Len() < 600 {
+			agent, count := next()%4, 1+next()%40
+			var ps []LV
+			if n := b.g.Len(); n > 0 {
+				switch mode := next() % 4; mode {
+				case 0:
+					ps = b.g.Frontier()
+				default:
+					for k := 0; k < mode && k < 2; k++ {
+						ps = append(ps, LV((next()<<8|next())%n))
+					}
+				}
+			}
+			b.add(agent, count, ps)
+		}
+		g := b.g
+		if g.Len() == 0 {
+			return
+		}
+		pick := func() []LV {
+			lvs := make([]LV, 1+next()%3)
+			for k := range lvs {
+				lvs[k] = LV((next()<<8 | next()) % g.Len())
+			}
+			return lvs
+		}
+		la, lb := pick(), pick()
+		checkAlgebra(t, g, b.parents, Frontier(g.Dominators(la)), Frontier(g.Dominators(lb)), append(la, lb...))
+		if got, want := g.CriticalBoundaries(), refCriticalBoundaries(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("CriticalBoundaries = %v, per-event reference %v", got, want)
+		}
+	})
+}
+
+// TestDiffCostIsPerEntry: what a traversal costs is counted in entries,
+// not events. Two heads on two long entries, first 1 000 then 10 000
+// events apart: the allocation count of Diff is small and the same, where
+// a per-event walk would grow its heap and its result event by event.
+func TestDiffCostIsPerEntry(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := New()
+		mustAdd(t, g, "a", 0, 10, nil)
+		mustAdd(t, g, "a", 10, n, []LV{9})
+		mustAdd(t, g, "b", 0, n, []LV{9})
+		a, b := Frontier{LV(10 + n - 1)}, Frontier{LV(10 + 2*n - 1)}
 		onlyA, onlyB := g.Diff(a, b)
-		ca, cb := closure(parents, a), closure(parents, b)
-		wantA, wantB := map[LV]bool{}, map[LV]bool{}
-		for lv := range ca {
-			if !cb[lv] {
-				wantA[lv] = true
+		if want := []Span{{10, LV(10 + n)}}; !reflect.DeepEqual(onlyA, want) {
+			t.Fatalf("onlyA = %v, want %v", onlyA, want)
+		}
+		if want := []Span{{LV(10 + n), LV(10 + 2*n)}}; !reflect.DeepEqual(onlyB, want) {
+			t.Fatalf("onlyB = %v, want %v", onlyB, want)
+		}
+		return testing.AllocsPerRun(100, func() {
+			g.Diff(a, b)
+			if !g.VersionContains(b, 3) || g.VersionContains(b, 12) {
+				t.Fatal("VersionContains wrong")
 			}
-		}
-		for lv := range cb {
-			if !ca[lv] {
-				wantB[lv] = true
+			if d := g.Dominators([]LV{a[0], b[0], 5}); len(d) != 2 {
+				t.Fatalf("Dominators = %v", d)
 			}
-		}
-		if !setsEqual(spansToSet(onlyA), wantA) {
-			t.Fatalf("iter %d: Diff onlyA mismatch: a=%v b=%v got %v", iter, a, b, onlyA)
-		}
-		if !setsEqual(spansToSet(onlyB), wantB) {
-			t.Fatalf("iter %d: Diff onlyB mismatch: a=%v b=%v got %v", iter, a, b, onlyB)
-		}
+		})
+	}
+	near, far := allocs(1000), allocs(10000)
+	// One result slice per side of Diff, one for Dominators.
+	if near != far || near > 3 {
+		t.Fatalf("allocations per run: %v with heads 1 000 events apart, %v at 10 000; want equal and at most 3", near, far)
 	}
 }
 
-func TestVersionContainsMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestCriticalSince: the runs CriticalSince reports from any bound are
+// CriticalBoundaries from the latest critical version at or before the
+// bound onwards, coalesced.
+func TestCriticalSince(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 200; iter++ {
-		g, parents := randomGraph(rng, 20+rng.Intn(30))
-		f := randomFrontier(rng, g)
-		c := closure(parents, f)
-		for lv := LV(0); lv < LV(g.Len()); lv++ {
-			if got := g.VersionContains(f, lv); got != c[lv] {
-				t.Fatalf("iter %d: VersionContains(%v, %d) = %v, want %v", iter, f, lv, got, c[lv])
-			}
+		g, _ := randomGraph(rng, 20+rng.Intn(200))
+		if iter%3 == 0 {
+			// A linear tail, so that there are critical runs to find.
+			tip := g.Frontier()
+			g.Add("z", 0, 1+rng.Intn(30), tip)
 		}
-	}
-}
-
-func TestCommonAncestorMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 200; iter++ {
-		g, parents := randomGraph(rng, 20+rng.Intn(30))
-		a := randomFrontier(rng, g)
-		b := randomFrontier(rng, g)
-		got := g.CommonAncestorVersion(a, b)
-		ca, cb := closure(parents, a), closure(parents, b)
-		want := map[LV]bool{}
-		for lv := range ca {
-			if cb[lv] {
-				want[lv] = true
-			}
+		bounds := g.CriticalBoundaries()
+		if want := refCriticalBoundaries(g); !reflect.DeepEqual(bounds, want) {
+			t.Fatalf("iter %d: CriticalBoundaries = %v, per-event reference %v", iter, bounds, want)
 		}
-		if !setsEqual(closure(parents, got), want) {
-			t.Fatalf("iter %d: common ancestor %v: closure mismatch (a=%v b=%v)", iter, got, a, b)
+		for bound := LV(-1); bound < LV(g.Len()); bound++ {
+			from := LV(0)
+			if c, ok := LatestCriticalBefore(bounds, bound); ok && bound >= 0 {
+				from = c
+			}
+			var want []Span
+			for lv := from; lv < LV(g.Len()); lv++ {
+				if bounds[lv] {
+					want = pushDesc(want, lv, lv+1)
+					if n := len(want); n > 1 && want[n-2].End == lv {
+						want[n-2].End, want = lv+1, want[:n-1]
+					}
+				}
+			}
+			var buf [2]Span
+			got := g.CriticalSince(bound, buf[:0])
+			if len(got) == 0 {
+				got = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d: CriticalSince(%d) = %v, want %v", iter, bound, got, want)
+			}
 		}
 	}
 }
@@ -487,43 +694,6 @@ func TestCriticalBoundariesMatchBruteForce(t *testing.T) {
 			if got[i] != want {
 				t.Fatalf("iter %d: boundary %d = %v, want %v", iter, i, got[i], want)
 			}
-		}
-	}
-}
-
-func TestDominatorsMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
-	for iter := 0; iter < 200; iter++ {
-		g, parents := randomGraph(rng, 20+rng.Intn(20))
-		k := 1 + rng.Intn(4)
-		lvs := make([]LV, k)
-		for i := range lvs {
-			lvs[i] = LV(rng.Intn(g.Len()))
-		}
-		got := g.Dominators(lvs)
-		// Brute force: keep lv unless it is an ancestor of another input.
-		want := map[LV]bool{}
-		for _, lv := range lvs {
-			dominated := false
-			for _, other := range lvs {
-				if other == lv {
-					continue
-				}
-				if closure(parents, Frontier{other})[lv] && !closure(parents, Frontier{lv})[other] {
-					dominated = true
-				}
-				// equal LVs dedupe; ancestor relation is antisymmetric here
-			}
-			if !dominated {
-				want[lv] = true
-			}
-		}
-		gotSet := map[LV]bool{}
-		for _, lv := range got {
-			gotSet[lv] = true
-		}
-		if !setsEqual(gotSet, want) {
-			t.Fatalf("iter %d: Dominators(%v) = %v, want %v", iter, lvs, got, want)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package causal
 
+import "slices"
+
 // Critical versions (paper §3.5): a version V is critical in graph G iff
 // it partitions G into Events(V) and the rest such that every event in
 // Events(V) happened before every event outside it. Critical versions let
@@ -11,89 +13,68 @@ package causal
 //  1. the frontier of the prefix [0, i] is exactly {i}, and
 //  2. no event j > i has a parent < i.
 //
-// (1) is computed with a forward scan tracking the running frontier size;
-// (2) with a backward scan over the minimum parent of each suffix. Both
-// scans run per run-length entry, so the cost is O(#entries), not
-// O(#events).
+// (1) depends on the prefix alone, so Add records it once: entry.heads is
+// the size of that frontier, the same for every event of the entry. (2)
+// is a running minimum over the entries after i. Inside an entry each
+// event's parent is its predecessor, so the critical versions of an entry
+// are a prefix of it: those not above the lowest parent of any later
+// entry. Walking the entries from the last one backwards with that
+// minimum yields the critical versions as descending runs, and the walk
+// can stop anywhere: finding the latest critical version before an event
+// costs the entries after that version, never the history before it.
+
+// criticalRunsDesc calls fn with the run of critical versions inside each
+// entry that has any, from the last entry backwards, until fn returns
+// false or no earlier version can be critical.
+func (g *Graph) criticalRunsDesc(fn func(Span) bool) {
+	minAfter := LV(g.Len()) // lowest parent of the entries already visited
+	for i := len(g.entries) - 1; i >= 0 && minAfter >= 0; i-- {
+		e := &g.entries[i]
+		if end := min(e.span.End, minAfter+1); e.heads == 1 && end > e.span.Start {
+			if !fn(Span{e.span.Start, end}) {
+				return
+			}
+		}
+		if len(e.parents) == 0 {
+			return // a root event: concurrent with everything before it
+		}
+		minAfter = min(minAfter, e.parents[0])
+	}
+}
 
 // CriticalBoundaries returns, for each event index i in storage order,
 // whether the version {i} is critical with respect to the whole graph.
 // The final event's boundary is critical iff the graph's frontier is a
-// single event.
-//
-// The result is cached on the graph: appending events changes Len, which
-// invalidates the cache, so repeated calls between appends (every
-// TransformRange, every stats pass) are free. Callers must not modify
-// the returned slice.
+// single event. The slice is built on each call, in O(#entries) plus the
+// n bytes of the result.
 func (g *Graph) CriticalBoundaries() []bool {
-	n := g.Len()
-	if g.critCache != nil && len(g.critCache) == n {
-		return g.critCache
-	}
-	g.critCache = g.computeCriticalBoundaries()
-	return g.critCache
+	out := make([]bool, g.Len())
+	g.criticalRunsDesc(func(sp Span) bool {
+		for lv := sp.Start; lv < sp.End; lv++ {
+			out[lv] = true
+		}
+		return true
+	})
+	return out
 }
 
-func (g *Graph) computeCriticalBoundaries() []bool {
-	n := g.Len()
-	out := make([]bool, n)
-	if n == 0 {
-		return out
-	}
-
-	// Forward scan: frontier size after each event. Within an entry the
-	// size is constant (each event replaces its predecessor); it changes
-	// only at entry starts.
-	inFrontier := make([]bool, n)
-	size := 0
-	sizeOne := make([]bool, n)
-	for ei := range g.entries {
-		e := &g.entries[ei]
-		removed := 0
-		for _, p := range e.parents {
-			if inFrontier[p] {
-				inFrontier[p] = false
-				removed++
-			}
+// CriticalSince returns the critical versions from the latest one at or
+// before bound onwards, as ascending coalesced runs: the first run starts
+// at that version. If no version at or before bound is critical, every
+// run the graph has is returned (all of them after bound). The cost is
+// the entries after the version found. The result is built in buf.
+func (g *Graph) CriticalSince(bound LV, buf []Span) []Span {
+	desc := buf[:0]
+	g.criticalRunsDesc(func(sp Span) bool {
+		found := sp.Start <= bound
+		if found {
+			sp.Start = min(bound, sp.End-1)
 		}
-		size += 1 - removed
-		inFrontier[e.span.End-1] = true
-		// Events inside the entry shift the frontier element forward
-		// without changing its size.
-		ok := size == 1
-		for lv := e.span.Start; lv < e.span.End; lv++ {
-			sizeOne[lv] = ok
-		}
-	}
-
-	// Backward scan: minimum parent LV among all events after index i.
-	// A root event (no parents) in the suffix blocks criticality for all
-	// earlier boundaries, encoded as minimum -1.
-	minAfter := LV(n) // +inf sentinel: no events after
-	for ei := len(g.entries) - 1; ei >= 0; ei-- {
-		e := &g.entries[ei]
-		// Boundary after the last event of this entry: all later events'
-		// parents must be >= that index.
-		for lv := e.span.End - 1; lv > e.span.Start; lv-- {
-			out[lv] = sizeOne[lv] && minAfter >= lv
-			// The event at lv has parent lv-1 (inside an entry), which
-			// becomes part of "after" for earlier boundaries.
-			if lv-1 < minAfter {
-				minAfter = lv - 1
-			}
-		}
-		out[e.span.Start] = sizeOne[e.span.Start] && minAfter >= e.span.Start
-		if len(e.parents) == 0 {
-			minAfter = -1
-		} else {
-			for _, p := range e.parents {
-				if p < minAfter {
-					minAfter = p
-				}
-			}
-		}
-	}
-	return out
+		desc = pushDesc(desc, sp.Start, sp.End)
+		return !found
+	})
+	slices.Reverse(desc)
+	return desc
 }
 
 // CriticalVersions returns the LVs whose singleton versions are critical,
@@ -108,16 +89,4 @@ func (g *Graph) CriticalVersions() []LV {
 		}
 	}
 	return out
-}
-
-// LatestCriticalBefore returns the greatest LV c <= bound such that {c} is
-// critical, given the precomputed boundaries slice. ok is false if no such
-// boundary exists (replay must start from the root).
-func LatestCriticalBefore(boundaries []bool, bound LV) (LV, bool) {
-	for i := bound; i >= 0; i-- {
-		if boundaries[i] {
-			return i, true
-		}
-	}
-	return 0, false
 }

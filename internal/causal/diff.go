@@ -1,5 +1,7 @@
 package causal
 
+import "slices"
+
 // This file implements the version-set algebra the Eg-walker tracker
 // depends on: Diff (the retreat/advance set computation from §3.2),
 // Dominators (transitive reduction of version sets), and ancestry queries.
@@ -17,136 +19,146 @@ const (
 	flagShared = flagA | flagB
 )
 
-// lvHeap is a max-heap of (LV, flag) entries. Duplicate LVs are allowed;
-// they are merged when popped.
-type lvHeap struct {
-	lvs   []LV
-	flags []flag
+// heapEnt is one pending visit of a traversal: walk down from lv, on
+// behalf of the sides in f.
+type heapEnt struct {
+	lv LV
+	f  flag
 }
 
-func (h *lvHeap) len() int { return len(h.lvs) }
+// lvHeap is a max-heap of pending visits. Duplicate LVs are allowed; they
+// are merged when popped. The traversals start it on a stack array and
+// push and pop return the slice the way append does, so a walk that never
+// holds more than a few branches at once (one or two heads on each side)
+// does not touch the allocator.
+type lvHeap []heapEnt
 
-func (h *lvHeap) push(lv LV, f flag) {
-	h.lvs = append(h.lvs, lv)
-	h.flags = append(h.flags, f)
-	i := len(h.lvs) - 1
+func (h lvHeap) push(lv LV, f flag) lvHeap {
+	h = append(h, heapEnt{lv, f})
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.lvs[p] >= h.lvs[i] {
+		if h[p].lv >= h[i].lv {
 			break
 		}
-		h.lvs[p], h.lvs[i] = h.lvs[i], h.lvs[p]
-		h.flags[p], h.flags[i] = h.flags[i], h.flags[p]
+		h[p], h[i] = h[i], h[p]
 		i = p
 	}
+	return h
 }
 
-func (h *lvHeap) pop() (LV, flag) {
-	lv, f := h.lvs[0], h.flags[0]
-	n := len(h.lvs) - 1
-	h.lvs[0], h.flags[0] = h.lvs[n], h.flags[n]
-	h.lvs, h.flags = h.lvs[:n], h.flags[:n]
+// drop removes the greatest entry, h[0].
+func (h lvHeap) drop() lvHeap {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < n && h.lvs[l] > h.lvs[big] {
+		if l < n && h[l].lv > h[big].lv {
 			big = l
 		}
-		if r < n && h.lvs[r] > h.lvs[big] {
+		if r < n && h[r].lv > h[big].lv {
 			big = r
 		}
 		if big == i {
 			break
 		}
-		h.lvs[i], h.lvs[big] = h.lvs[big], h.lvs[i]
-		h.flags[i], h.flags[big] = h.flags[big], h.flags[i]
+		h[i], h[big] = h[big], h[i]
 		i = big
 	}
-	return lv, f
+	return h
 }
 
-// popMerged pops the max LV, merging the flags of all entries for it.
-func (h *lvHeap) popMerged() (LV, flag) {
-	lv, f := h.pop()
-	for h.len() > 0 && h.lvs[0] == lv {
-		_, f2 := h.pop()
-		f |= f2
+// Every traversal below steps entry by entry, not event by event: it
+// pops the highest pending LV, looks up the entry holding it once, and —
+// since the events of an entry form a chain — consumes every other
+// pending LV that falls inside the same entry on the way down to the
+// entry's first event. Only that first event's stored parents are pushed.
+// A walk therefore costs one heap operation and one entry lookup per
+// entry it touches, however many events the entries cover.
+
+// pushDesc adds [start, end), if not empty, to spans, which are kept
+// descending; a span that abuts the previous one extends it.
+func pushDesc(spans []Span, start, end LV) []Span {
+	if start >= end {
+		return spans
 	}
-	return lv, f
+	if n := len(spans); n > 0 && spans[n-1].Start == end {
+		spans[n-1].Start = start
+		return spans
+	}
+	return append(spans, Span{start, end})
+}
+
+// ascending returns a fresh copy of the descending spans in ascending
+// order, nil if there are none.
+func ascending(desc []Span) []Span {
+	if len(desc) == 0 {
+		return nil
+	}
+	out := make([]Span, len(desc))
+	for i, sp := range desc {
+		out[len(desc)-1-i] = sp
+	}
+	return out
 }
 
 // Diff computes the symmetric difference of the event sets (transitive
 // closures) of versions a and b: onlyA are events in Events(a) but not
-// Events(b); onlyB the reverse. Both results are returned as disjoint
-// spans sorted ascending.
+// Events(b); onlyB the reverse. Both results are returned as disjoint,
+// coalesced spans sorted ascending.
 //
 // This is the computation the Eg-walker walk performs before applying
 // each event: events in onlyA are retreated and events in onlyB advanced
 // when moving the prepare version from a to b (§3.2).
 func (g *Graph) Diff(a, b Frontier) (onlyA, onlyB []Span) {
-	var h lvHeap
-	numNotShared := 0
-	pushRaw := func(lv LV, f flag) {
-		h.push(lv, f)
-		if f != flagShared {
-			numNotShared++
-		}
-	}
+	var hbuf [8]heapEnt
+	h := lvHeap(hbuf[:0])
 	for _, lv := range a {
-		pushRaw(lv, flagA)
+		h = h.push(lv, flagA)
 	}
 	for _, lv := range b {
-		pushRaw(lv, flagB)
+		h = h.push(lv, flagB)
 	}
-	var revA, revB []LV // collected descending
-	for h.len() > 0 && numNotShared > 0 {
-		lv, f := h.pop()
+	// The walk ends when everything still pending was reached from both
+	// sides: all that remains is shared history.
+	numNotShared := len(a) + len(b)
+	// desc[flagA] and desc[flagB] collect the two results, descending.
+	var bufA, bufB [4]Span
+	desc := [flagShared][]Span{flagA: bufA[:0], flagB: bufB[:0]}
+	for numNotShared > 0 {
+		lv, f := h[0].lv, h[0].f
+		h = h.drop()
 		if f != flagShared {
 			numNotShared--
 		}
-		for h.len() > 0 && h.lvs[0] == lv {
-			_, f2 := h.pop()
+		e := g.entryFor(lv)
+		// [.., end) is the stretch of the entry reached with the sides in f
+		// alone; a pending LV inside the entry that brings the other side
+		// closes it, and what lies below is shared.
+		end := lv + 1
+		for len(h) > 0 && h[0].lv >= e.span.Start {
+			lv2, f2 := h[0].lv, h[0].f
+			h = h.drop()
 			if f2 != flagShared {
 				numNotShared--
 			}
-			f |= f2
+			if f != flagShared && f2 != f {
+				desc[f] = pushDesc(desc[f], lv2+1, end)
+				f = flagShared
+			}
 		}
-		switch f {
-		case flagA:
-			revA = append(revA, lv)
-		case flagB:
-			revB = append(revB, lv)
+		if f != flagShared {
+			desc[f] = pushDesc(desc[f], e.span.Start, end)
+			numNotShared += len(e.parents)
 		}
-		for _, p := range g.ParentsOf(lv) {
-			pushRaw(p, f)
+		for _, p := range e.parents {
+			h = h.push(p, f)
 		}
 	}
-	return spansFromDescending(revA), spansFromDescending(revB)
-}
-
-// spansFromDescending run-length encodes a strictly descending LV list
-// into ascending disjoint spans.
-func spansFromDescending(lvs []LV) []Span {
-	if len(lvs) == 0 {
-		return nil
-	}
-	var rev []Span
-	start, end := lvs[0], lvs[0]+1
-	for _, lv := range lvs[1:] {
-		if lv == start-1 {
-			start = lv
-			continue
-		}
-		rev = append(rev, Span{start, end})
-		start, end = lv, lv+1
-	}
-	rev = append(rev, Span{start, end})
-	// rev is descending by construction; reverse to ascending.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return ascending(desc[flagA]), ascending(desc[flagB])
 }
 
 // Dominators reduces a set of events to its minimal dominating subset:
@@ -165,26 +177,34 @@ func (g *Graph) Dominators(lvs []LV) []LV {
 			minInput = lv
 		}
 	}
-	var h lvHeap
-	inputsLeft := 0
+	var hbuf [8]heapEnt
+	h := lvHeap(hbuf[:0])
 	// flagA marks "is an input", flagB marks "reached as an ancestor of
 	// something already popped" (i.e. shadowed).
 	for _, lv := range lvs {
-		h.push(lv, flagA)
-		inputsLeft++
+		h = h.push(lv, flagA)
 	}
-	var out []LV
-	for h.len() > 0 && inputsLeft > 0 {
-		lv, f := h.pop()
+	inputsLeft := len(lvs)
+	out := make([]LV, 0, len(lvs)) // collected descending
+	for inputsLeft > 0 {
+		lv, f := h[0].lv, h[0].f
+		h = h.drop()
 		if f&flagA != 0 {
 			inputsLeft--
 		}
-		for h.len() > 0 && h.lvs[0] == lv {
-			_, f2 := h.pop()
+		e := g.entryFor(lv)
+		// Everything else pending inside the entry is lv again or one of
+		// its ancestors: a duplicate adds its flags, an ancestor is
+		// shadowed.
+		for len(h) > 0 && h[0].lv >= e.span.Start {
+			lv2, f2 := h[0].lv, h[0].f
+			h = h.drop()
 			if f2&flagA != 0 {
 				inputsLeft--
 			}
-			f |= f2
+			if lv2 == lv {
+				f |= f2
+			}
 		}
 		if f == flagA { // input, not shadowed by any descendant
 			out = append(out, lv)
@@ -192,38 +212,47 @@ func (g *Graph) Dominators(lvs []LV) []LV {
 		if inputsLeft == 0 {
 			break
 		}
-		for _, p := range g.ParentsOf(lv) {
+		for _, p := range e.parents {
 			if p >= minInput {
-				h.push(p, flagB)
+				h = h.push(p, flagB)
 			}
 		}
 	}
-	return sortLVs(out)
+	slices.Reverse(out)
+	return out
 }
 
 // VersionContains reports whether the event at target is within the
 // version denoted by frontier (i.e. target is in Events(frontier)).
 func (g *Graph) VersionContains(frontier Frontier, target LV) bool {
-	var h lvHeap
+	var hbuf [8]heapEnt
+	h := lvHeap(hbuf[:0])
 	for _, lv := range frontier {
 		if lv == target {
 			return true
 		}
 		if lv > target {
-			h.push(lv, flagA)
+			h = h.push(lv, flagA)
 		}
 	}
-	for h.len() > 0 {
-		lv, _ := h.popMerged()
-		if lv == target {
+	// Every pending LV is above target, so the entry holding one either
+	// reaches down to target or lies wholly above it.
+	for len(h) > 0 {
+		lv := h[0].lv
+		h = h.drop()
+		e := g.entryFor(lv)
+		if e.span.Start <= target {
 			return true
 		}
-		for _, p := range g.ParentsOf(lv) {
+		for len(h) > 0 && h[0].lv >= e.span.Start {
+			h = h.drop()
+		}
+		for _, p := range e.parents {
 			if p == target {
 				return true
 			}
 			if p > target {
-				h.push(p, flagA)
+				h = h.push(p, flagA)
 			}
 		}
 	}
@@ -235,7 +264,10 @@ func (g *Graph) HappenedBefore(a, b LV) bool {
 	if a >= b {
 		return false
 	}
-	return g.VersionContains(g.ParentsOf(b), a)
+	// Either a is further up b's own entry, or it is reached through the
+	// entry's parents.
+	e := g.entryFor(b)
+	return a >= e.span.Start || g.VersionContains(e.parents, a)
 }
 
 // Concurrent reports whether events a and b are concurrent (a ∥ b).
@@ -247,43 +279,47 @@ func (g *Graph) Concurrent(a, b LV) bool {
 // both a and b: the version whose event set is Events(a) ∩ Events(b).
 // It is returned as a frontier.
 func (g *Graph) CommonAncestorVersion(a, b Frontier) Frontier {
-	// Events(a) ∩ Events(b) = Events(a) − onlyA. The frontier of that set
-	// is found by walking both versions and keeping the maximal shared
-	// events.
-	var h lvHeap
-	numNotShared := 0
-	push := func(lv LV, f flag) {
-		h.push(lv, f)
-		if f != flagShared {
-			numNotShared++
-		}
-	}
+	// Walk both versions down and keep the highest events reached from
+	// both sides; their dominators are the frontier of the intersection.
+	var hbuf [8]heapEnt
+	h := lvHeap(hbuf[:0])
 	for _, lv := range a {
-		push(lv, flagA)
+		h = h.push(lv, flagA)
 	}
 	for _, lv := range b {
-		push(lv, flagB)
+		h = h.push(lv, flagB)
 	}
+	numNotShared := len(a) + len(b)
 	var shared []LV
-	for h.len() > 0 && numNotShared > 0 {
-		lv, f := h.pop()
+	for numNotShared > 0 {
+		lv, f := h[0].lv, h[0].f
+		h = h.drop()
 		if f != flagShared {
 			numNotShared--
 		}
-		for h.len() > 0 && h.lvs[0] == lv {
-			_, f2 := h.pop()
+		e := g.entryFor(lv)
+		// The first point of the entry, going down, that both sides have
+		// reached is shared, and so is everything below it: what else is
+		// pending inside the entry is dropped, and the walk does not go
+		// on to the entry's parents.
+		for len(h) > 0 && h[0].lv >= e.span.Start {
+			lv2, f2 := h[0].lv, h[0].f
+			h = h.drop()
 			if f2 != flagShared {
 				numNotShared--
 			}
-			f |= f2
+			if f != flagShared {
+				lv, f = lv2, f|f2
+			}
 		}
 		if f == flagShared {
 			shared = append(shared, lv)
-			continue // ancestors of a shared event are shared; no need to expand
+			continue
 		}
-		for _, p := range g.ParentsOf(lv) {
-			push(p, f)
+		for _, p := range e.parents {
+			h = h.push(p, f)
 		}
+		numNotShared += len(e.parents)
 	}
 	return Frontier(g.Dominators(shared))
 }

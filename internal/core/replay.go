@@ -14,9 +14,10 @@ import (
 //     all. Sequentially edited documents are almost entirely such runs,
 //     and each operation run is emitted as one span.
 //   - Each remaining section (between two adjacent critical versions) is
-//     replayed through a fresh Tracker seeded with a placeholder at the
-//     section's base version; the tracker is discarded at the section's
-//     end (the next critical version).
+//     replayed through a Tracker seeded with a placeholder at the
+//     section's base version; its state is discarded at the section's end
+//     (the next critical version), and the emptied tracker serves the
+//     next section.
 //
 // For incremental merges, only events from the latest critical version
 // before the first new event are replayed (partial replay).
@@ -30,13 +31,8 @@ import (
 // sectionTracker is what the planner needs from an internal state: both
 // Tracker and unitTracker implement it.
 type sectionTracker interface {
+	reset(base causal.Frontier, baseUnits int)
 	ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error
-}
-
-// fastPath reports whether the event at lv can be emitted untransformed:
-// both its own version and its parent version are critical (§3.5).
-func fastPath(boundaries []bool, lv causal.LV) bool {
-	return boundaries[lv] && (lv == 0 || boundaries[lv-1])
 }
 
 // emitFastRuns emits the events in [start, end) untransformed, one span
@@ -78,28 +74,28 @@ func transformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op
 	if emitFrom >= n {
 		return nil
 	}
-	boundaries := g.CriticalBoundaries()
-
 	// Start replay at the latest critical version before the first event
 	// we must emit; everything before it cannot affect the transforms.
+	// crit holds the runs of critical versions from that one on — the
+	// planner never looks at the graph before it.
+	var critBuf [8]causal.Span
+	crit := g.CriticalSince(emitFrom-1, critBuf[:0])
 	var i causal.LV
-	if emitFrom > 0 {
-		if c, ok := causal.LatestCriticalBefore(boundaries, emitFrom-1); ok {
-			i = c + 1
-		}
+	if len(crit) > 0 && crit[0].Start < emitFrom {
+		i = crit[0].Start + 1
 	}
-	for i < n {
-		if fastPath(boundaries, i) {
-			// Maximal run of fast-path events: emit untransformed.
-			j := i + 1
-			for j < n && boundaries[j] {
-				j++
-			}
-			s := i
-			if s < emitFrom {
-				s = emitFrom
-			}
-			if s < j {
+	// Here and after every step below, i is 0 or follows a critical
+	// version, so the event at i can be emitted untransformed (§3.5: its
+	// own version and its parent version both critical) iff i is critical.
+	var tr sectionTracker
+	for k := 0; i < n; {
+		for k < len(crit) && crit[k].End <= i {
+			k++
+		}
+		if k < len(crit) && crit[k].Start <= i {
+			// The rest of the critical run is fast-path events.
+			j := crit[k].End
+			if s := max(i, emitFrom); s < j {
 				if unitRef {
 					emitFastUnits(l, s, j, emit)
 				} else {
@@ -111,22 +107,20 @@ func transformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op
 		}
 		// Concurrent section [i, j): ends just after the next critical
 		// version (or at the end of the graph).
-		j := i + 1
-		for j < n && !boundaries[j-1] {
-			j++
+		j := n
+		if k < len(crit) {
+			j = crit[k].Start + 1
 		}
-		var base causal.Frontier
-		baseUnits := -1
-		if i == 0 {
-			base = causal.Root
-			baseUnits = 0 // document is empty at the root version
-		} else {
-			base = causal.Frontier{i - 1}
+		base, baseUnits := causal.Root, 0 // the document is empty at the root version
+		if i > 0 {
+			base, baseUnits = causal.Frontier{i - 1}, -1
 		}
-		var tr sectionTracker
-		if unitRef {
+		switch {
+		case tr != nil:
+			tr.reset(base, baseUnits)
+		case unitRef:
 			tr = newUnitTracker(l, base, baseUnits)
-		} else {
+		default:
 			tr = NewTracker(l, base, baseUnits)
 		}
 		if err := tr.ApplyRange(causal.Span{Start: i, End: j}, emitFrom, emit); err != nil {

@@ -94,18 +94,23 @@ type Tracker struct {
 // base. baseUnits is the document length at the base version, or -1 if
 // unknown (an "infinite" placeholder is used; see §3.6).
 func NewTracker(l *oplog.Log, base causal.Frontier, baseUnits int) *Tracker {
-	t := &Tracker{
-		log:  l,
-		tree: itemtree.New(),
-		cur:  base.Clone(),
-	}
+	t := &Tracker{log: l, tree: itemtree.New()}
+	t.reset(base, baseUnits)
+	return t
+}
+
+// reset discards the internal state and seeds the tracker at base, as
+// NewTracker does, keeping the storage of the tree and of the indexes: a
+// replay that crosses many critical versions reuses one tracker for all
+// of its sections.
+func (t *Tracker) reset(base causal.Frontier, baseUnits int) {
+	t.tree.Reset()
+	t.delRuns = t.delRuns[:0]
+	t.cur = append(t.cur[:0], base...)
 	if baseUnits < 0 {
 		baseUnits = infinitePlaceholder
 	}
-	if baseUnits > 0 {
-		t.tree.InitPlaceholder(baseUnits)
-	}
-	return t
+	t.tree.InitPlaceholder(baseUnits)
 }
 
 // ApplyRange replays the events in span (storage order) run by run. For
@@ -114,32 +119,26 @@ func NewTracker(l *oplog.Log, base causal.Frontier, baseUnits int) *Tracker {
 // operation. emit may be nil to replay purely for internal state (the
 // catch-up phase of partial replay).
 func (t *Tracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	g := t.log.Graph
-	lv := span.Start
-	for lv < span.End {
-		run := g.EntrySpanAt(lv)
-		if run.End > span.End {
-			run.End = span.End
+	var err error
+	t.log.Graph.EachEntryIn(span, func(run causal.Span, _ string, _ int, parents []causal.LV) bool {
+		if err = t.moveTo(parents); err != nil {
+			return false
 		}
-		if err := t.moveTo(g.ParentsOf(lv)); err != nil {
-			return err
-		}
-		var applyErr error
 		t.log.EachRun(run, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 			if kind == oplog.Insert {
-				applyErr = t.applyInsertRun(lvs, pos, content, emitFrom, emit)
+				err = t.applyInsertRun(lvs, pos, content, emitFrom, emit)
 			} else {
-				applyErr = t.applyDeleteRun(lvs, pos, dir, emitFrom, emit)
+				err = t.applyDeleteRun(lvs, pos, dir, emitFrom, emit)
 			}
-			return applyErr == nil
+			return err == nil
 		})
-		if applyErr != nil {
-			return applyErr
+		if err != nil {
+			return false
 		}
 		t.cur = append(t.cur[:0], run.End-1)
-		lv = run.End
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // moveTo retreats and advances events so the prepare version equals
@@ -413,6 +412,12 @@ func (t *Tracker) recordDelRun(lvs causal.Span, target itemtree.ID, step int8) {
 // predecessor as origin-left, so a whole run always orders atomically —
 // exactly as the per-unit scan would decide.
 func integrate(l *oplog.Log, tree *itemtree.Tree, newLV causal.LV, c itemtree.Cursor, oleft, oright itemtree.ID) (itemtree.Cursor, error) {
+	if c.Valid() && c.UnitID() == oright || !c.Valid() && oright == itemtree.OriginEnd {
+		// The unit at the insertion point is the right origin itself: no
+		// concurrent items to order against (the common case), and no
+		// position to look up.
+		return c, nil
+	}
 	leftRaw, err := tree.RawPosOf(oleft)
 	if err != nil {
 		return c, err
@@ -423,10 +428,6 @@ func integrate(l *oplog.Log, tree *itemtree.Tree, newLV causal.LV, c itemtree.Cu
 	}
 	scan := c
 	scanRaw := tree.RawPos(scan)
-	if scanRaw == rightRaw {
-		// No concurrent items at the insertion point (the common case).
-		return c, nil
-	}
 	dest := scan
 	scanning := false
 	for {

@@ -38,49 +38,45 @@ func newUnitTracker(l *oplog.Log, base causal.Frontier, baseUnits int) *unitTrac
 		log:        l,
 		tree:       itemtree.New(),
 		delTargets: make(map[causal.LV]itemtree.ID),
-		cur:        base.Clone(),
 	}
+	t.reset(base, baseUnits)
+	return t
+}
+
+// reset discards the internal state and seeds the tracker at base.
+func (t *unitTracker) reset(base causal.Frontier, baseUnits int) {
+	t.tree.Reset()
+	clear(t.delTargets)
+	t.cur = base.Clone()
 	if baseUnits < 0 {
 		baseUnits = infinitePlaceholder
 	}
-	if baseUnits > 0 {
-		t.tree.InitPlaceholder(baseUnits)
-	}
-	return t
+	t.tree.InitPlaceholder(baseUnits)
 }
 
 // ApplyRange replays the events in span (storage order), emitting one
 // transformed operation per event at lv >= emitFrom.
 func (t *unitTracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	g := t.log.Graph
-	lv := span.Start
-	for lv < span.End {
-		run := g.EntrySpanAt(lv)
-		if run.End > span.End {
-			run.End = span.End
+	var err error
+	t.log.Graph.EachEntryIn(span, func(run causal.Span, _ string, _ int, parents []causal.LV) bool {
+		if err = t.moveTo(parents); err != nil {
+			return false
 		}
-		if err := t.moveTo(g.ParentsOf(lv)); err != nil {
-			return err
-		}
-		var applyErr error
 		t.log.EachOp(run, func(opLV causal.LV, op oplog.Op) bool {
 			e := emit
 			if opLV < emitFrom {
 				e = nil
 			}
-			if err := t.applyOne(opLV, op, e); err != nil {
-				applyErr = err
-				return false
-			}
-			return true
+			err = t.applyOne(opLV, op, e)
+			return err == nil
 		})
-		if applyErr != nil {
-			return applyErr
+		if err != nil {
+			return false
 		}
 		t.cur = causal.Frontier{run.End - 1}
-		lv = run.End
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // moveTo retreats and advances events so the prepare version equals

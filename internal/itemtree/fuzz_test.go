@@ -5,8 +5,7 @@ package itemtree
 // mutation, split, and ID lookup the tracker performs is exercised here
 // in isolation, and the tree must agree with the model unit for unit
 // (IDs, states, aggregate counts) while Check() holds all structural
-// invariants (piece lengths, byID and realStarts/phStarts indexes,
-// subtree aggregates).
+// invariants (piece lengths, the ID index, subtree aggregates).
 
 import (
 	"testing"

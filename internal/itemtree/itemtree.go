@@ -14,15 +14,23 @@
 //
 // This makes both index mappings O(log n): finding the record for a
 // prepare-version index, and mapping a record back to its effect-version
-// index (the transformed operation's index). A side index maps record IDs
-// to their leaves so retreat/advance can find records in O(log n) — the
-// paper's "second B-tree".
+// index (the transformed operation's index).
+//
+// One ID index — the paper's "second B-tree" — lets retreat/advance find
+// a record by the ID of any unit it covers: a slice of (piece start, leaf)
+// pairs sorted by start, placeholder pieces before real ones. The piece
+// holding a unit is the one with the greatest start at or below the unit,
+// found by binary search; its leaf is then scanned for the item. Real
+// runs are applied in ascending LV order, so the slice grows by appends;
+// only a split, which creates a piece start inside an existing run,
+// inserts in the middle. An entry is written when its piece is created
+// and rewritten when a leaf split moves the piece to a new leaf — an edit
+// touches the entries of the pieces it makes or moves and no others.
 package itemtree
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ID identifies a record. Non-negative IDs are the LV of the insert event
@@ -127,39 +135,87 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.children == nil }
 
-// recompute refreshes a leaf's aggregates from its items and returns the
-// deltas relative to the previous values.
-func (n *node) recompute() (draw, dcur, dend int) {
-	raw, cur, end := 0, 0, 0
+// recompute sets a leaf's aggregates from its items.
+func (n *node) recompute() {
+	n.raw, n.cur, n.end = 0, 0, 0
 	for i := range n.items {
 		it := &n.items[i]
-		raw += it.Len
-		cur += it.curUnits()
-		end += it.endUnits()
+		n.raw += it.Len
+		n.cur += it.curUnits()
+		n.end += it.endUnits()
 	}
-	draw, dcur, dend = raw-n.raw, cur-n.cur, end-n.end
-	n.raw, n.cur, n.end = raw, cur, end
-	return
 }
 
 // Tree is the internal-state sequence. The zero value is not usable; call
 // New.
 type Tree struct {
-	root *node
-	byID map[ID]*node // piece-start IDs (real and placeholder) -> leaf
-	// phStarts / realStarts locate the piece containing an interior unit
-	// ID: the predecessor start in the sorted list names the piece. Real
-	// runs are applied in ascending LV order, so realStarts grows by
-	// appends except when a split registers an interior start.
-	phStarts   []int // sorted start units of placeholder pieces
-	realStarts []ID  // sorted start IDs of real pieces
-	phLen      int   // total units of the initial placeholder
+	root  *node
+	index []indexEntry // the ID index: every piece start, sorted by key
+}
+
+// indexEntry locates one piece: the key of its first unit and the leaf
+// that holds it.
+type indexEntry struct {
+	key  int64
+	leaf *node
+}
+
+// phKeyBase puts placeholder units below every real ID in key order.
+const phKeyBase = math.MinInt64 / 2
+
+// keyOf maps a unit ID to its index key. Keys ascend in document order
+// within a run for both kinds: a real unit's key is its ID, a placeholder
+// unit's is its unit number offset by phKeyBase. IDs that name no unit
+// (-1, the origin sentinels) get keys no piece covers.
+func keyOf(id ID) int64 {
+	if IsPlaceholder(id) {
+		return phKeyBase + int64(PlaceholderUnit(id))
+	}
+	return id
 }
 
 // New returns an empty sequence.
 func New() *Tree {
-	leaf := &node{}
-	return &Tree{root: leaf, byID: make(map[ID]*node)}
+	return &Tree{root: &node{}}
+}
+
+// Reset empties the tree for reuse, keeping the index's storage and one
+// leaf's.
+func (t *Tree) Reset() {
+	leaf := t.Start().leaf
+	*leaf = node{items: leaf.items[:0]}
+	t.root = leaf
+	t.index = t.index[:0]
+}
+
+// Clone returns a deep copy of the tree: the nodes copied as they are and
+// the ID index pointed at the new leaves, in O(n log n) however the IDs
+// are ordered in the document.
+func (t *Tree) Clone() *Tree {
+	c := &Tree{index: append([]indexEntry(nil), t.index...)}
+	var last *node // the leaf copied before the current one
+	var copyNode func(n, parent *node) *node
+	copyNode = func(n, parent *node) *node {
+		m := &node{parent: parent, raw: n.raw, cur: n.cur, end: n.end}
+		if n.isLeaf() {
+			m.items = append(make([]Item, 0, maxItems+2), n.items...)
+			for i := range m.items {
+				c.index[c.indexFind(keyOf(m.items[i].ID))].leaf = m
+			}
+			if last != nil {
+				last.next = m
+			}
+			last = m
+			return m
+		}
+		m.children = make([]*node, len(n.children), maxKids+1)
+		for i, k := range n.children {
+			m.children[i] = copyNode(k, m)
+		}
+		return m
+	}
+	c.root = copyNode(t.root, nil)
+	return c
 }
 
 // InitPlaceholder installs a single placeholder piece covering units
@@ -171,18 +227,13 @@ func (t *Tree) InitPlaceholder(units int) {
 	if units <= 0 {
 		return
 	}
-	t.phLen = units
-	leaf := t.root
-	leaf.items = append(leaf.items, Item{
+	t.InsertAt(t.End(), Item{
 		ID:          PlaceholderID(0),
 		Len:         units,
 		CurState:    StateInserted,
 		OriginLeft:  OriginStart,
 		OriginRight: OriginEnd,
 	})
-	leaf.recompute()
-	t.byID[PlaceholderID(0)] = leaf
-	t.phStarts = append(t.phStarts, 0)
 }
 
 // RawLen returns the total number of units including invisible ones.
@@ -254,12 +305,7 @@ func (t *Tree) Start() Cursor {
 	for !n.isLeaf() {
 		n = n.children[0]
 	}
-	c := Cursor{leaf: n, idx: 0}
-	if len(n.items) == 0 {
-		// Empty tree: single empty leaf.
-		return c
-	}
-	return c
+	return Cursor{leaf: n}
 }
 
 func (t *Tree) rightmostLeaf() *node {
@@ -383,41 +429,57 @@ func (t *Tree) FindRaw(pos int) (Cursor, error) {
 	panic("itemtree: aggregate/item mismatch in FindRaw")
 }
 
-// CursorFor returns a cursor at the unit with the given ID. The unit may
-// be interior to a multi-unit piece; the piece-start side indexes resolve
-// it without splitting.
-func (t *Tree) CursorFor(id ID) (Cursor, error) {
-	lookup := id
-	off := 0
-	if IsPlaceholder(id) {
-		u := PlaceholderUnit(id)
-		i := sort.SearchInts(t.phStarts, u+1) - 1
-		if i < 0 {
-			return Cursor{}, fmt.Errorf("itemtree: no placeholder piece for unit %d", u)
+// indexFind returns the position of the last index entry whose key is at
+// most key, -1 if there is none.
+func (t *Tree) indexFind(key int64) int {
+	lo, hi := 0, len(t.index)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.index[mid].key <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		start := t.phStarts[i]
-		lookup = PlaceholderID(start)
-		off = u - start
-	} else if _, ok := t.byID[id]; !ok {
-		// Interior unit of a real run: the containing piece is the one
-		// with the greatest start <= id.
-		i := sort.Search(len(t.realStarts), func(i int) bool { return t.realStarts[i] > id }) - 1
-		if i < 0 {
-			return Cursor{}, fmt.Errorf("itemtree: unknown item ID %d", id)
-		}
-		lookup = t.realStarts[i]
-		off = int(id - lookup)
 	}
-	leaf, ok := t.byID[lookup]
-	if !ok {
+	return lo - 1
+}
+
+// indexAdd records that the piece starting at unit id lives in leaf.
+func (t *Tree) indexAdd(id ID, leaf *node) {
+	key := keyOf(id)
+	n := len(t.index)
+	if n == 0 || t.index[n-1].key < key {
+		t.index = append(t.index, indexEntry{key, leaf})
+		return
+	}
+	i := t.indexFind(key)
+	if i >= 0 && t.index[i].key == key {
+		t.index[i].leaf = leaf
+		return
+	}
+	t.index = append(t.index, indexEntry{})
+	copy(t.index[i+2:], t.index[i+1:])
+	t.index[i+1] = indexEntry{key, leaf}
+}
+
+// CursorFor returns a cursor at the unit with the given ID. The unit may
+// be interior to a multi-unit piece; the ID index resolves it without
+// splitting.
+func (t *Tree) CursorFor(id ID) (Cursor, error) {
+	key := keyOf(id)
+	i := t.indexFind(key)
+	if i < 0 || (key >= 0) != (t.index[i].key >= 0) {
 		return Cursor{}, fmt.Errorf("itemtree: unknown item ID %d", id)
 	}
-	for i := range leaf.items {
-		if leaf.items[i].ID == lookup {
-			if off >= leaf.items[i].Len {
-				return Cursor{}, fmt.Errorf("itemtree: unknown unit ID %d (offset %d beyond piece of len %d)", id, off, leaf.items[i].Len)
+	e := t.index[i]
+	off := int(key - e.key)
+	start := AdvanceID(id, -off)
+	for j := range e.leaf.items {
+		if it := &e.leaf.items[j]; it.ID == start {
+			if off >= it.Len {
+				return Cursor{}, fmt.Errorf("itemtree: unknown unit ID %d (offset %d beyond piece of len %d)", id, off, it.Len)
 			}
-			return Cursor{leaf: leaf, idx: i, off: off}, nil
+			return Cursor{leaf: e.leaf, idx: j, off: off}, nil
 		}
 	}
 	return Cursor{}, fmt.Errorf("itemtree: stale ID index for %d", id)
@@ -446,8 +508,8 @@ func (t *Tree) RawPos(c Cursor) int {
 	for i := 0; i < c.idx; i++ {
 		pos += c.leaf.items[i].Len
 	}
-	pos += prefixBefore(c.leaf, func(n *node) int { return n.raw })
-	return pos
+	raw, _ := prefixBefore(c.leaf)
+	return pos + raw
 }
 
 // CountEndBefore returns the number of effect-visible units strictly
@@ -457,42 +519,44 @@ func (t *Tree) CountEndBefore(c Cursor) int {
 	pos := 0
 	if c.Valid() && c.leaf.items[c.idx].endVisible() {
 		pos += c.off
-	} else if !c.Valid() {
-		pos += 0 // past-the-end: handled by leaf prefix below
 	}
 	for i := 0; i < c.idx; i++ {
 		pos += c.leaf.items[i].endUnits()
 	}
-	pos += prefixBefore(c.leaf, func(n *node) int { return n.end })
-	return pos
+	_, end := prefixBefore(c.leaf)
+	return pos + end
 }
 
-// prefixBefore sums metric(n) over all subtrees strictly left of leaf.
-func prefixBefore(leaf *node, metric func(*node) int) int {
-	sum := 0
+// prefixBefore sums the raw and end sizes of all subtrees strictly left
+// of leaf.
+func prefixBefore(leaf *node) (raw, end int) {
 	for n := leaf; n.parent != nil; n = n.parent {
 		for _, sib := range n.parent.children {
 			if sib == n {
 				break
 			}
-			sum += metric(sib)
+			raw += sib.raw
+			end += sib.end
 		}
 	}
-	return sum
+	return raw, end
 }
 
 // MutateRange applies fn to an item covering exactly the n units starting
 // at the cursor, splitting the containing piece on demand so no other
-// unit is affected. The range must not extend past the cursor's item.
-// It returns a cursor to the (possibly new) item covering the range.
+// unit is affected. The range must not extend past the cursor's item, and
+// fn must leave the item's ID and Len alone. It returns a cursor to the
+// (possibly new) item covering the range.
 func (t *Tree) MutateRange(c Cursor, n int, fn func(*Item)) Cursor {
 	if n < 1 || c.off+n > c.leaf.items[c.idx].Len {
 		panic(fmt.Sprintf("itemtree: MutateRange of %d units at offset %d in piece of len %d",
 			n, c.off, c.leaf.items[c.idx].Len))
 	}
 	c = t.isolate(c, n)
-	fn(&c.leaf.items[c.idx])
-	t.bubble(c.leaf)
+	it := &c.leaf.items[c.idx]
+	cur, end := it.curUnits(), it.endUnits()
+	fn(it)
+	c.leaf.addSizes(0, it.curUnits()-cur, it.endUnits()-end)
 	return c
 }
 
@@ -515,73 +579,34 @@ func splitTail(it Item, off int) Item {
 }
 
 // isolate splits the cursor's piece so units [off, off+n) form their own
-// item, and returns a cursor to it.
+// item, and returns a cursor to it. The split changes no subtree size.
 func (t *Tree) isolate(c Cursor, n int) Cursor {
 	leaf, idx, off := c.leaf, c.idx, c.off
 	it := leaf.items[idx]
 	if off == 0 && n == it.Len {
 		return c
 	}
-	pieces := make([]Item, 0, 3)
-	mid := it
 	if off > 0 {
-		head := it
-		head.Len = off
-		pieces = append(pieces, head)
-		mid = splitTail(it, off)
+		// A head stays behind; the range starts a piece of its own.
+		leaf.items[idx].Len = off
+		idx++
+		t.openSlot(leaf, idx, splitTail(it, off))
 	}
-	mid.Len = n
-	pieces = append(pieces, mid)
+	leaf.items[idx].Len = n
 	if off+n < it.Len {
-		pieces = append(pieces, splitTail(it, off+n))
+		t.openSlot(leaf, idx+1, splitTail(it, off+n))
 	}
-	t.replacePieces(leaf, idx, pieces)
-	// Find the mid piece again (a leaf split may have moved it).
-	cur, err := t.CursorFor(mid.ID)
-	if err != nil {
-		panic(err)
-	}
-	return cur
+	leaf, idx = t.splitIfFull(leaf, idx)
+	return Cursor{leaf: leaf, idx: idx}
 }
 
-// replacePieces replaces leaf.items[idx] with pieces covering the same
-// units, registering the new piece starts (pieces beyond the first) in
-// the side indexes.
-func (t *Tree) replacePieces(leaf *node, idx int, pieces []Item) {
-	for _, p := range pieces[1:] {
-		t.registerStart(p.ID)
-	}
-	rest := append([]Item{}, leaf.items[idx+1:]...)
-	leaf.items = append(leaf.items[:idx], append(pieces, rest...)...)
-	t.finishLeaf(leaf)
-}
-
-// registerStart records a new piece-start ID in the side index for its
-// kind. Real starts are almost always appended in ascending order (runs
-// are applied in ascending LV order); splits insert interior starts.
-func (t *Tree) registerStart(id ID) {
-	if IsPlaceholder(id) {
-		u := PlaceholderUnit(id)
-		i := sort.SearchInts(t.phStarts, u)
-		if i < len(t.phStarts) && t.phStarts[i] == u {
-			return
-		}
-		t.phStarts = append(t.phStarts, 0)
-		copy(t.phStarts[i+1:], t.phStarts[i:])
-		t.phStarts[i] = u
-		return
-	}
-	if n := len(t.realStarts); n == 0 || t.realStarts[n-1] < id {
-		t.realStarts = append(t.realStarts, id)
-		return
-	}
-	i := sort.Search(len(t.realStarts), func(i int) bool { return t.realStarts[i] >= id })
-	if i < len(t.realStarts) && t.realStarts[i] == id {
-		return
-	}
-	t.realStarts = append(t.realStarts, 0)
-	copy(t.realStarts[i+1:], t.realStarts[i:])
-	t.realStarts[i] = id
+// openSlot makes item the new leaf.items[idx], moving the items from idx
+// on up by one in place, and enters its start in the ID index.
+func (t *Tree) openSlot(leaf *node, idx int, item Item) {
+	leaf.items = append(leaf.items, Item{})
+	copy(leaf.items[idx+1:], leaf.items[idx:])
+	leaf.items[idx] = item
+	t.indexAdd(item.ID, leaf)
 }
 
 // InsertAt inserts item at the boundary cursor c (before the unit the
@@ -591,75 +616,60 @@ func (t *Tree) InsertAt(c Cursor, item Item) Cursor {
 	if item.Len < 1 {
 		panic("itemtree: inserting empty item")
 	}
-	leaf := c.leaf
-	if !c.Valid() {
+	leaf, idx := c.leaf, c.idx
+	switch {
+	case !c.Valid():
 		// Past-the-end: append to the rightmost leaf.
 		leaf = t.rightmostLeaf()
-		leaf.items = append(leaf.items, item)
-		t.registerStart(item.ID)
-		t.finishLeaf(leaf)
-	} else if c.off == 0 {
-		leaf.items = append(leaf.items, Item{})
-		copy(leaf.items[c.idx+1:], leaf.items[c.idx:])
-		leaf.items[c.idx] = item
-		t.registerStart(item.ID)
-		t.finishLeaf(leaf)
-	} else {
+		idx = len(leaf.items)
+	case c.off > 0:
 		// Split the piece at off, then insert between the halves.
-		old := leaf.items[c.idx]
-		head := old
-		head.Len = c.off
-		t.replacePieces(leaf, c.idx, []Item{head, item, splitTail(old, c.off)})
+		old := leaf.items[idx]
+		leaf.items[idx].Len = c.off
+		idx++
+		t.openSlot(leaf, idx, splitTail(old, c.off))
 	}
-	cur, err := t.CursorFor(item.ID)
-	if err != nil {
-		panic(err)
-	}
-	return cur
+	t.openSlot(leaf, idx, item)
+	leaf.addSizes(item.Len, item.curUnits(), item.endUnits())
+	leaf, idx = t.splitIfFull(leaf, idx)
+	return Cursor{leaf: leaf, idx: idx}
 }
 
-// finishLeaf refreshes a structurally modified leaf: ID index entries,
-// aggregate propagation, and overflow splitting.
-func (t *Tree) finishLeaf(leaf *node) {
-	t.reindexLeaf(leaf)
-	t.bubble(leaf)
-	t.splitLeafIfNeeded(leaf)
-}
-
-// reindexLeaf refreshes the byID entries for every item in the leaf.
-func (t *Tree) reindexLeaf(leaf *node) {
-	for i := range leaf.items {
-		t.byID[leaf.items[i].ID] = leaf
-	}
-}
-
-// bubble recomputes the leaf's aggregates and propagates the deltas to
-// the root.
-func (t *Tree) bubble(leaf *node) {
-	draw, dcur, dend := leaf.recompute()
-	for n := leaf.parent; n != nil; n = n.parent {
+// addSizes adds the deltas to the sizes of n and of all its ancestors.
+func (n *node) addSizes(draw, dcur, dend int) {
+	for ; n != nil; n = n.parent {
 		n.raw += draw
 		n.cur += dcur
 		n.end += dend
 	}
 }
 
-// splitLeafIfNeeded splits an overfull leaf and rebalances ancestors.
-func (t *Tree) splitLeafIfNeeded(leaf *node) {
+// splitIfFull splits an overfull leaf in two, rebalances its ancestors
+// and moves the ID index entries of the items that changed leaf. It
+// returns where the item at leaf.items[idx] is afterwards.
+func (t *Tree) splitIfFull(leaf *node, idx int) (*node, int) {
 	if len(leaf.items) <= maxItems {
-		return
+		return leaf, idx
 	}
 	half := len(leaf.items) / 2
 	right := &node{
-		items: append([]Item(nil), leaf.items[half:]...),
+		items: append(make([]Item, 0, maxItems+2), leaf.items[half:]...),
 		next:  leaf.next,
 	}
 	leaf.items = leaf.items[:half]
 	leaf.next = right
 	right.recompute()
-	leaf.recompute()
-	t.reindexLeaf(right)
+	leaf.raw -= right.raw
+	leaf.cur -= right.cur
+	leaf.end -= right.end
+	for i := range right.items {
+		t.index[t.indexFind(keyOf(right.items[i].ID))].leaf = right
+	}
 	t.insertSibling(leaf, right)
+	if idx >= half {
+		return right, idx - half
+	}
+	return leaf, idx
 }
 
 // insertSibling links newRight immediately after n under n's parent,
@@ -728,9 +738,11 @@ func (t *Tree) Each(fn func(Item) bool) {
 	}
 }
 
-// Check validates all internal invariants, for tests.
+// Check validates all internal invariants, for tests: item lengths,
+// subtree sizes, parent links, and the ID index — strictly ascending, and
+// holding the start of every piece exactly once, with the piece's leaf.
 func (t *Tree) Check() error {
-	// Aggregates.
+	pieces := 0
 	var check func(n *node) (raw, cur, end int, err error)
 	check = func(n *node) (int, int, int, error) {
 		if n.isLeaf() {
@@ -743,14 +755,12 @@ func (t *Tree) Check() error {
 				raw += it.Len
 				cur += it.curUnits()
 				end += it.endUnits()
-				if t.byID[it.ID] != n {
-					return 0, 0, 0, fmt.Errorf("byID[%d] stale", it.ID)
-				}
-				if !IsPlaceholder(it.ID) {
-					j := sort.Search(len(t.realStarts), func(j int) bool { return t.realStarts[j] >= it.ID })
-					if j == len(t.realStarts) || t.realStarts[j] != it.ID {
-						return 0, 0, 0, fmt.Errorf("real piece start %d missing from realStarts", it.ID)
-					}
+				pieces++
+				key := keyOf(it.ID)
+				if j := t.indexFind(key); j < 0 || t.index[j].key != key {
+					return 0, 0, 0, fmt.Errorf("piece start %d missing from the ID index", it.ID)
+				} else if t.index[j].leaf != n {
+					return 0, 0, 0, fmt.Errorf("ID index entry for piece %d points at another leaf", it.ID)
 				}
 			}
 			if raw != n.raw || cur != n.cur || end != n.end {
@@ -780,18 +790,15 @@ func (t *Tree) Check() error {
 	if _, _, _, err := check(t.root); err != nil {
 		return err
 	}
-	if !sort.IntsAreSorted(t.phStarts) {
-		return fmt.Errorf("phStarts unsorted: %v", t.phStarts)
-	}
-	for i := 1; i < len(t.realStarts); i++ {
-		if t.realStarts[i-1] >= t.realStarts[i] {
-			return fmt.Errorf("realStarts not strictly ascending: %v", t.realStarts)
+	for i := 1; i < len(t.index); i++ {
+		if t.index[i-1].key >= t.index[i].key {
+			return fmt.Errorf("ID index not strictly ascending at %d", i)
 		}
 	}
-	for _, id := range t.realStarts {
-		if _, ok := t.byID[id]; !ok {
-			return fmt.Errorf("realStarts entry %d has no byID leaf", id)
-		}
+	// Every piece was found under its own key and the keys are distinct,
+	// so equal counts mean the index holds nothing else.
+	if pieces != len(t.index) {
+		return fmt.Errorf("ID index has %d entries for %d pieces", len(t.index), pieces)
 	}
 	return nil
 }

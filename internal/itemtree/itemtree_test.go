@@ -2,6 +2,7 @@ package itemtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -230,8 +231,14 @@ func (m model) rawPosOf(id ID) int {
 // the same random operation sequence and compares every observable.
 func TestDifferentialAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
+	tr := New()
 	for trial := 0; trial < 30; trial++ {
-		tr := New()
+		// Every other trial runs on the previous trial's tree, reset.
+		if trial%2 == 0 {
+			tr = New()
+		} else {
+			tr.Reset()
+		}
 		var m model
 		phUnits := rng.Intn(40)
 		if phUnits > 0 {
@@ -316,10 +323,18 @@ func TestDifferentialAgainstModel(t *testing.T) {
 				}
 				tr.MutateUnit(c, func(it *Item) { it.CurState += delta })
 				m[raw].curState += delta
-			default: // verify global invariants
-				if err := tr.Check(); err != nil {
-					t.Fatalf("trial %d step %d: %v", trial, step, err)
+			default: // look up a random unit by ID
+				if len(m) == 0 {
+					continue
 				}
+				raw := rng.Intn(len(m))
+				if got, err := tr.RawPosOf(m[raw].id); err != nil || got != raw {
+					t.Fatalf("trial %d step %d: RawPosOf(%d) = %d, %v; want %d", trial, step, m[raw].id, got, err, raw)
+				}
+			}
+			// Structure, sizes and the ID index after every operation.
+			if err := tr.Check(); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			if tr.CurLen() != m.curLen() || tr.EndLen() != m.endLen() || tr.RawLen() != len(m) {
 				t.Fatalf("trial %d step %d: lens (%d,%d,%d) vs model (%d,%d,%d)",
@@ -338,6 +353,28 @@ func TestDifferentialAgainstModel(t *testing.T) {
 		}
 		if err := tr.Check(); err != nil {
 			t.Fatal(err)
+		}
+		// A clone holds the same items under its own nodes and index:
+		// growing it leaves the original as it was.
+		cl := tr.Clone()
+		if err := cl.Check(); err != nil {
+			t.Fatalf("trial %d: clone: %v", trial, err)
+		}
+		var orig, copied []Item
+		tr.Each(func(it Item) bool { orig = append(orig, it); return true })
+		cl.Each(func(it Item) bool { copied = append(copied, it); return true })
+		if !slices.Equal(orig, copied) {
+			t.Fatalf("trial %d: clone holds %d items, not the original's %d", trial, len(copied), len(orig))
+		}
+		for k := 0; k < 40; k++ {
+			c, _ := cl.FindRaw(rng.Intn(cl.RawLen() + 1))
+			cl.InsertAt(c, Item{ID: nextID + ID(k), Len: 1, CurState: StateInserted})
+		}
+		if err := cl.Check(); err != nil {
+			t.Fatalf("trial %d: clone after inserts: %v", trial, err)
+		}
+		if err := tr.Check(); err != nil || tr.RawLen() != len(m) {
+			t.Fatalf("trial %d: original changed with its clone: %v", trial, err)
 		}
 	}
 }
@@ -421,5 +458,43 @@ func BenchmarkTreeRandomInsert(b *testing.B) {
 			b.Fatal(err)
 		}
 		tr.InsertAt(c, Item{ID: ID(i), Len: 1, CurState: StateInserted, OriginLeft: l, OriginRight: r})
+	}
+}
+
+// BenchmarkTreeSplitHeavy is the tracker's workload inside a concurrent
+// section: runs inserted into the middle of a placeholder, then partly
+// retreated and advanced again, so nearly every operation splits a piece
+// and finds it again by ID.
+func BenchmarkTreeSplitHeavy(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(5))
+	shift := func(it *Item) { it.CurState-- }
+	unshift := func(it *Item) { it.CurState++ }
+	var tr *Tree
+	var runs []ID
+	nextID := ID(0)
+	for i := 0; i < b.N; i++ {
+		if i%2000 == 0 {
+			tr = New()
+			tr.InitPlaceholder(1 << 30)
+			runs, nextID = runs[:0], 0
+		}
+		// Insert a run of 8 somewhere in the first stretch of the document.
+		c, l, r, err := tr.FindInsert(rng.Intn(10000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.InsertAt(c, Item{ID: nextID, Len: 8, CurState: StateInserted, OriginLeft: l, OriginRight: r})
+		runs = append(runs, nextID)
+		nextID += 8
+		// Retreat two units inside an earlier run, then advance them.
+		id := runs[rng.Intn(len(runs))] + 3
+		for _, fn := range []func(*Item){shift, unshift} {
+			c, err := tr.CursorFor(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr.MutateRange(c, min(2, c.Item().Len-c.Offset()), fn)
+		}
 	}
 }

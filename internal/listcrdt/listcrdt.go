@@ -91,12 +91,7 @@ func (d *Doc) Text() string {
 // costs a CRDT-simulation system (§2.5).
 func (d *Doc) Clone() *Doc {
 	c := New()
-	end := c.tree.End()
-	d.tree.Each(func(it itemtree.Item) bool {
-		end = c.tree.InsertAt(end, it)
-		end.NextItem() // move past the appended item to keep appending
-		return true
-	})
+	c.tree = d.tree.Clone()
 	for k, v := range d.agents {
 		c.agents[k] = v
 	}
