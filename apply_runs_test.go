@@ -22,8 +22,11 @@ import (
 // the delivery buffer, one ID lookup, one lookup per parent and one
 // single-op append per event — with the rejected-event fix: the
 // offender is dropped, what was admitted before it is merged, what
-// follows it stays buffered.
+// follows it stays buffered. It is also Apply as it was before sections
+// were kept between calls: every call plans its replay from a zero
+// walker, the rebuilding replica every continuing one is held to.
 func refApply(d *Doc, events []Event) ([]Patch, error) {
+	d.walker = nil
 	d.pending = append(d.pending, events...)
 	emitFrom := causal.LV(d.log.Len())
 	var admitErr error
@@ -230,8 +233,8 @@ func TestApplyMatchesPerUnitReference(t *testing.T) {
 // applyBoth gives batch to got through Apply and to want through the
 // per-unit reference and holds them to the same outcome: error or not,
 // patches, text, fingerprint, buffer, and the log itself — the same
-// events in the same order in the same spans.
-func applyBoth(t *testing.T, got, want *Doc, batch []Event) {
+// events in the same order in the same spans. It returns the two errors.
+func applyBoth(t *testing.T, got, want *Doc, batch []Event) (gotErr, wantErr error) {
 	t.Helper()
 	input := slices.Clone(batch)
 	gotPatches, gotErr := got.Apply(batch)
@@ -253,18 +256,23 @@ func applyBoth(t *testing.T, got, want *Doc, batch []Event) {
 	if !reflect.DeepEqual(batch, input) {
 		t.Errorf("Apply modified its argument")
 	}
+	return gotErr, wantErr
 }
 
 // FuzzApplyDelivery lets the fuzzer write both the editing session and
 // the delivery: which stretch of the history arrives next, in which
-// order, how often again, and where a rejected event sits. Apply and the
-// per-unit reference must agree after every batch, and once the whole
-// history has arrived both must hold the session's text.
+// order, how often again, where a rejected event sits, and what the
+// receiving replica types in between. Apply — which keeps the section a
+// call ends inside for the next call — and the reference — per unit, and
+// planning every call from a zero walker — must agree after every batch,
+// and once the whole history has arrived both must hold what the
+// session's replicas hold after merging the receiver's own edits.
 func FuzzApplyDelivery(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("typing a few words, then more"), []byte{0, 9, 1, 3, 2, 8, 0, 40})
 	f.Add([]byte{0, 3, 1, 7, 9, 2, 4, 4, 1, 8, 8, 0, 6, 3, 3, 5, 2, 2, 7, 1}, []byte{3, 0, 2, 30, 4, 1, 1, 200, 0, 5})
 	f.Add(bytes.Repeat([]byte{1, 5, 2, 6, 0, 9, 3, 1, 7, 4}, 12), bytes.Repeat([]byte{4, 7, 1, 90, 2, 13, 3, 3}, 6))
+	f.Add(bytes.Repeat([]byte{0, 1, 9, 1, 2, 4, 2, 5, 7, 0, 7, 1, 1, 0, 3}, 10), bytes.Repeat([]byte{0, 6, 6, 11, 0, 9, 7, 5, 3, 4, 6, 2, 0, 14}, 8))
 	f.Fuzz(func(t *testing.T, session, delivery []byte) {
 		if len(session) > 600 {
 			session = session[:600]
@@ -307,12 +315,28 @@ func FuzzApplyDelivery(f *testing.F) {
 			return
 		}
 
-		got, want := NewDoc("got"), NewDoc("want")
+		got, want := NewDoc("me"), NewDoc("me")
 		next := 0 // how much of the history has been sent in order
 		for i := 0; i+1 < len(delivery); i += 2 {
 			n := 1 + int(delivery[i+1])%len(all)
 			var batch []Event
-			switch delivery[i] % 6 {
+			switch delivery[i] % 8 {
+			case 6: // the receiver types
+				pos, word := n%(got.Len()+1), []string{"k", "me ", "é漢"}[n%3]
+				if got.Insert(pos, word) != nil || want.Insert(pos, word) != nil {
+					t.Fatal("local insert failed")
+				}
+				continue
+			case 7: // the receiver deletes
+				if got.Len() == 0 {
+					continue
+				}
+				pos := n % got.Len()
+				count := 1 + n%min(3, got.Len()-pos)
+				if got.Delete(pos, count) != nil || want.Delete(pos, count) != nil {
+					t.Fatal("local delete failed")
+				}
+				continue
 			case 0: // the next stretch, in order
 				batch = all[next:min(next+n, len(all))]
 				next += len(batch)
@@ -339,9 +363,12 @@ func FuzzApplyDelivery(f *testing.F) {
 			applyBoth(t, got, want, batch)
 		}
 		applyBoth(t, got, want, all)
-		if got.Text() != docs[0].Text() || got.PendingEvents() != 0 || got.NumEvents() != len(all) {
+		if err := docs[0].Merge(got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Text() != docs[0].Text() || got.PendingEvents() != 0 || got.NumEvents() != docs[0].NumEvents() {
 			t.Fatalf("ended with %d events, %d pending, text %q; want %d, 0, %q",
-				got.NumEvents(), got.PendingEvents(), got.Text(), len(all), docs[0].Text())
+				got.NumEvents(), got.PendingEvents(), got.Text(), docs[0].NumEvents(), docs[0].Text())
 		}
 	})
 }
@@ -497,5 +524,62 @@ func TestExportedParentsDoNotAlias(t *testing.T) {
 	}
 	if again := d.Events(); again[1].Parents[0] != (EventID{"a", 0}) {
 		t.Fatal("an exported event's parents alias the document")
+	}
+}
+
+// mirror applies patches to text the way an editor following a Doc would.
+func mirror(t *testing.T, text string, patches []Patch) string {
+	t.Helper()
+	rs := []rune(text)
+	for _, p := range patches {
+		if p.Pos < 0 || p.Pos > len(rs) || (!p.Insert && p.Pos+p.N > len(rs)) {
+			t.Fatalf("patch %+v does not fit a text of %d runes", p, len(rs))
+		}
+		if p.Insert {
+			rs = slices.Insert(rs, p.Pos, []rune(p.Content)...)
+		} else {
+			rs = slices.Delete(rs, p.Pos, p.Pos+p.N)
+		}
+	}
+	return string(rs)
+}
+
+// TestApplyReturnsAppliedPatchesWithTransformError: a malformed event —
+// its position invalid in its parent version — fails the merge part-way,
+// after the operations before it were applied to the text. Apply used to
+// return no patches with the error, so an editor mirroring patches fell
+// behind Text() without knowing. The patches that were applied come back
+// with the error, on the transforming path and on the linear one.
+func TestApplyReturnsAppliedPatchesWithTransformError(t *testing.T) {
+	ann := func(seq int) EventID { return EventID{Agent: "ann", Seq: seq} }
+	hi := []Event{
+		{ID: ann(0), Insert: true, Pos: 0, Content: 'h'},
+		{ID: ann(1), Parents: []EventID{ann(0)}, Insert: true, Pos: 1, Content: 'i'},
+	}
+	cases := map[string][]Event{
+		// cy types concurrently with ann, then mallory inserts at 99 in a
+		// version that is two runes long.
+		"concurrent": append(slices.Clone(hi),
+			Event{ID: EventID{Agent: "cy", Seq: 0}, Insert: true, Pos: 0, Content: 'c'},
+			Event{ID: EventID{Agent: "mallory", Seq: 0}, Parents: []EventID{ann(1)}, Insert: true, Pos: 99, Content: 'x'}),
+		// The same on a single branch: the linear fast path.
+		"linear": append(slices.Clone(hi),
+			Event{ID: ann(2), Parents: []EventID{ann(1)}, Insert: true, Pos: 99, Content: 'x'}),
+	}
+	for name, batch := range cases {
+		d := NewDoc("bob")
+		patches, err := d.Apply(batch)
+		if err == nil {
+			t.Fatalf("%s: malformed event accepted", name)
+		}
+		if d.Text() == "" {
+			t.Fatalf("%s: nothing was applied before the malformed event; the test wants a part-way failure", name)
+		}
+		if got := mirror(t, "", patches); got != d.Text() {
+			t.Errorf("%s: patches returned with the error give %q, Text() is %q", name, got, d.Text())
+		}
+		if st := d.ReplayStats(); st.RetainedItems != 0 {
+			t.Errorf("%s: a failed merge kept its section (%d items)", name, st.RetainedItems)
+		}
 	}
 }

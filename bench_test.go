@@ -528,3 +528,51 @@ func BenchmarkDocApplySmallConcurrent(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDocApplyOpenBubble merges the next 64-event block of an offline
+// branch into a replica that has merged 1k, 10k and 100k events of it
+// already, all of them concurrent with a word of its own: one open bubble.
+// Only Apply is timed. What a block costs must not depend on how much of
+// the bubble is there: the 100k row stays within 3x of the 1k row. (With
+// no section kept between calls it was the bubble that was paid for, 60x
+// from row to row.)
+func BenchmarkDocApplyOpenBubble(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			// The bubble grows as blocks are merged; start again from a copy
+			// every few blocks so that it stays about n events. A copy has no
+			// section kept, so its first block, which rebuilds one, is not
+			// timed.
+			const cycle = 8
+			src, next := openBubbleDoc(b, n)
+			var blocks [cycle][]Event
+			for i := range blocks {
+				blocks[i] = next()
+			}
+			var file bytes.Buffer
+			if err := src.Save(&file, SaveOptions{CacheFinalDoc: true}); err != nil {
+				b.Fatal(err)
+			}
+			var d *Doc
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % (cycle - 1)
+				if k == 0 {
+					b.StopTimer()
+					var err error
+					if d, err = Load(bytes.NewReader(file.Bytes()), "me"); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := d.Apply(blocks[0]); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := d.Apply(blocks[k+1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

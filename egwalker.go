@@ -65,6 +65,13 @@ type Doc struct {
 	// pending buffers remote events whose parents have not arrived yet
 	// (causal delivery buffer).
 	pending []Event
+	// walker carries the replay planner's state from one Apply to the
+	// next: the internal state of the concurrent section the last merge
+	// ended inside, so that the next merge into it costs its new events
+	// (core/replay.go). Nil until a merge needs it: Load, Fork and TextAt
+	// build documents without one, and a document only ever extended
+	// linearly never has one.
+	walker *core.Walker
 }
 
 // NewDoc returns an empty document for a replica identified by agent.
@@ -290,16 +297,20 @@ func (d *Doc) resolveVersion(v Version) (causal.Frontier, error) {
 // the patches for those come back with the error — while the events
 // after it stay buffered for the next call. If a malformed event (one
 // whose position is invalid in its parent version) is encountered,
-// Apply returns an error; the document text is left at the last
-// consistent state and the offending history should be discarded (a
-// well-behaved peer never produces either, so this indicates corruption
-// or a hostile peer).
+// Apply returns an error together with the patches it had applied before
+// it; the document text is left at that state, the last consistent one,
+// and the offending history should be discarded (a well-behaved peer
+// never produces either, so this indicates corruption or a hostile
+// peer).
 func (d *Doc) Apply(events []Event) ([]Patch, error) {
 	emitFrom := causal.LV(d.log.Len())
 	admitErr := d.admit(events)
 	patches, err := d.emit(emitFrom)
 	if admitErr != nil {
-		return patches, admitErr
+		err = admitErr
+	}
+	if err != nil {
+		d.walker.Drop()
 	}
 	return patches, err
 }
@@ -409,45 +420,50 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 }
 
 // emit transforms the events admitted since emitFrom and applies them
-// to the text, returning the patches.
+// to the text, returning the patches. If it fails part-way, the patches
+// are the ones that were applied.
 func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
-	if emitFrom == causal.LV(d.log.Len()) {
+	end := causal.LV(d.log.Len())
+	if emitFrom == end {
 		return nil, nil // nothing admitted
 	}
-
+	var patches []Patch
+	var applyErr error
 	// Fast path for real-time collaboration: if the document had a
 	// single head and the admitted events linearly extend it, no
 	// transformation is needed and no graph scan is required; whole
-	// operation runs are applied to the rope in one go.
+	// operation runs are applied to the rope in one go. The frontier is
+	// critical then, so a section kept from earlier merges has closed.
 	if d.linearExtension(emitFrom) {
-		var patches []Patch
-		var applyErr error
-		d.log.EachRun(causal.Span{Start: emitFrom, End: causal.LV(d.log.Len())},
+		d.walker.Drop()
+		d.log.EachRun(causal.Span{Start: emitFrom, End: end},
 			func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 				n := lvs.Len()
 				if kind == oplog.Insert {
-					patches = append(patches, Patch{Insert: true, Pos: pos, N: n, Content: string(content)})
-					applyErr = d.text.InsertRunes(pos, content)
+					if applyErr = d.text.InsertRunes(pos, content); applyErr == nil {
+						patches = append(patches, Patch{Insert: true, Pos: pos, N: n, Content: string(content)})
+					}
 				} else {
 					if dir < 0 {
 						pos -= n - 1 // backspace run: the range ends at pos
 					}
-					patches = append(patches, Patch{Pos: pos, N: n})
-					applyErr = d.text.Delete(pos, n)
+					if applyErr = d.text.Delete(pos, n); applyErr == nil {
+						patches = append(patches, Patch{Pos: pos, N: n})
+					}
 				}
 				return applyErr == nil
 			})
-		if applyErr != nil {
-			return nil, applyErr
-		}
-		return patches, nil
+		return patches, applyErr
 	}
-
 	// Transform and apply the newly admitted events, span at a time.
-	var patches []Patch
-	var applyErr error
-	err := core.TransformRange(d.log, emitFrom, func(_ causal.LV, op core.XOp) {
+	if d.walker == nil {
+		d.walker = new(core.Walker)
+	}
+	err := d.walker.TransformRange(d.log, emitFrom, func(_ causal.LV, op core.XOp) {
 		if applyErr != nil {
+			return
+		}
+		if applyErr = core.ApplyXOp(d.text, op); applyErr != nil {
 			return
 		}
 		p := Patch{Insert: op.Kind == oplog.Insert, Pos: op.Pos, N: op.N}
@@ -455,15 +471,11 @@ func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
 			p.Content = string(op.Content)
 		}
 		patches = append(patches, p)
-		applyErr = core.ApplyXOp(d.text, op)
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = applyErr
 	}
-	if applyErr != nil {
-		return nil, applyErr
-	}
-	return patches, nil
+	return patches, err
 }
 
 // linearExtension reports whether the events in [from, Len) form a

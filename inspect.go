@@ -7,7 +7,35 @@ import (
 // This file exposes cheap structural inspection of compact columnar
 // batches (internal/colenc) for holders of encoded blocks — the store
 // journals uploaded frames verbatim and must learn each block's event
-// IDs and causal dependencies without paying for a full decode.
+// IDs and causal dependencies without paying for a full decode — and of
+// what a document's merges cost it.
+
+// ReplayStats counts what a document's Apply calls did with concurrent
+// sections of the event graph (the stretches between two critical
+// versions, which need the Eg-walker internal state). A merge that ends
+// inside a section keeps the section's state for the next one to
+// continue; SectionsContinued against SectionsRebuilt says how often
+// that worked, EventsReplayedSilently against EventsReplayed how much of
+// the replay only rebuilt state the document once had.
+type ReplayStats struct {
+	SectionsContinued uint64 // sections picked up where the last Apply left them
+	SectionsRebuilt   uint64 // sections replayed from their base
+	// EventsReplayed is the number of events put through an internal
+	// state; EventsReplayedSilently those of them that were in the text
+	// already and were replayed for the state alone.
+	EventsReplayed         uint64
+	EventsReplayedSilently uint64
+	// GraphEntriesVisited is the number of run-length entries of the
+	// event graph walked in search of critical versions.
+	GraphEntriesVisited uint64
+	// RetainedItems is the size, in records, of the internal state the
+	// document holds for the next Apply; 0 when it holds none.
+	RetainedItems int
+}
+
+// ReplayStats returns the document's replay counters. They start at zero
+// in a new, loaded or forked document.
+func (d *Doc) ReplayStats() ReplayStats { return ReplayStats(d.walker.Stats()) }
 
 // IDRun is a contiguous range of event IDs by one agent: Seq, Seq+1,
 // …, Seq+Len-1.

@@ -624,7 +624,9 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 
 // TestCriticalSince: the runs CriticalSince reports from any bound are
 // CriticalBoundaries from the latest critical version at or before the
-// bound onwards, coalesced.
+// bound onwards, coalesced; the runs CriticalFrom reports are
+// CriticalBoundaries from an event onwards, found without looking at the
+// entries before it.
 func TestCriticalSince(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 200; iter++ {
@@ -653,12 +655,58 @@ func TestCriticalSince(t *testing.T) {
 				}
 			}
 			var buf [2]Span
-			got := g.CriticalSince(bound, buf[:0])
+			got, _ := g.CriticalSince(bound, buf[:0])
 			if len(got) == 0 {
 				got = nil
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("iter %d: CriticalSince(%d) = %v, want %v", iter, bound, got, want)
+			}
+		}
+		// The bounded walk: from any event on, the critical versions are
+		// the per-event reference's, the lowest parent is the lowest parent
+		// of any event from there on (an event inside an entry hangs on
+		// its predecessor, which is at or after from-1), and no entry that
+		// ends at or before from is visited.
+		for from := LV(0); from <= LV(g.Len()); from++ {
+			var want []Span
+			for lv := from; lv < LV(g.Len()); lv++ {
+				if bounds[lv] {
+					if n := len(want); n > 0 && want[n-1].End == lv {
+						want[n-1].End = lv + 1
+					} else {
+						want = append(want, Span{lv, lv + 1})
+					}
+				}
+			}
+			wantMin := max(from-1, -1)
+			for lv := from; lv < LV(g.Len()); lv++ {
+				ps := g.ParentsOf(lv)
+				if len(ps) == 0 {
+					wantMin = -1
+				}
+				for _, p := range ps {
+					wantMin = min(wantMin, p)
+				}
+			}
+			var buf [2]Span
+			got, minParent, visited := g.CriticalFrom(from, buf[:0])
+			if len(got) == 0 {
+				got = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d: CriticalFrom(%d) = %v, want %v", iter, from, got, want)
+			}
+			if m := min(minParent, max(from-1, -1)); m != wantMin {
+				t.Fatalf("iter %d: CriticalFrom(%d) lowest parent %d (%d capped at from-1), want %d", iter, from, minParent, m, wantMin)
+			}
+			overlapping := 0
+			g.EachEntryIn(Span{from, LV(g.Len())}, func(Span, string, int, []LV) bool {
+				overlapping++
+				return true
+			})
+			if visited > overlapping {
+				t.Fatalf("iter %d: CriticalFrom(%d) visited %d entries, only %d reach past it", iter, from, visited, overlapping)
 			}
 		}
 	}

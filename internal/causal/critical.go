@@ -23,23 +23,32 @@ import "slices"
 // can stop anywhere: finding the latest critical version before an event
 // costs the entries after that version, never the history before it.
 
-// criticalRunsDesc calls fn with the run of critical versions inside each
-// entry that has any, from the last entry backwards, until fn returns
-// false or no earlier version can be critical.
-func (g *Graph) criticalRunsDesc(fn func(Span) bool) {
-	minAfter := LV(g.Len()) // lowest parent of the entries already visited
-	for i := len(g.entries) - 1; i >= 0 && minAfter >= 0; i-- {
+// criticalRunsDesc calls fn with the run of critical versions at or after
+// from inside each entry that has any, from the last entry backwards,
+// until fn returns false, the entry holding from has been visited, or no
+// earlier version can be critical. It returns the lowest parent of the
+// entries it walked that start at or after from (-1 if one of them is a
+// root event, Len if there was none) — the versions before from that
+// those entries leave critical are the ones not above it — and the number
+// of entries it visited.
+func (g *Graph) criticalRunsDesc(from LV, fn func(Span) bool) (minAfter LV, visited int) {
+	minAfter = LV(g.Len()) // lowest parent of the entries already visited
+	for i := len(g.entries) - 1; i >= 0 && g.entries[i].span.End > from; i-- {
 		e := &g.entries[i]
-		if end := min(e.span.End, minAfter+1); e.heads == 1 && end > e.span.Start {
-			if !fn(Span{e.span.Start, end}) {
-				return
-			}
+		visited++
+		start, end := max(e.span.Start, from), min(e.span.End, minAfter+1)
+		if e.heads == 1 && end > start && !fn(Span{start, end}) {
+			break
+		}
+		if e.span.Start < from {
+			break // its parents belong to an event before from
 		}
 		if len(e.parents) == 0 {
-			return // a root event: concurrent with everything before it
+			return -1, visited // a root event: concurrent with everything before it
 		}
 		minAfter = min(minAfter, e.parents[0])
 	}
+	return minAfter, visited
 }
 
 // CriticalBoundaries returns, for each event index i in storage order,
@@ -49,7 +58,7 @@ func (g *Graph) criticalRunsDesc(fn func(Span) bool) {
 // n bytes of the result.
 func (g *Graph) CriticalBoundaries() []bool {
 	out := make([]bool, g.Len())
-	g.criticalRunsDesc(func(sp Span) bool {
+	g.criticalRunsDesc(0, func(sp Span) bool {
 		for lv := sp.Start; lv < sp.End; lv++ {
 			out[lv] = true
 		}
@@ -62,10 +71,11 @@ func (g *Graph) CriticalBoundaries() []bool {
 // before bound onwards, as ascending coalesced runs: the first run starts
 // at that version. If no version at or before bound is critical, every
 // run the graph has is returned (all of them after bound). The cost is
-// the entries after the version found. The result is built in buf.
-func (g *Graph) CriticalSince(bound LV, buf []Span) []Span {
+// the entries after the version found, whose number is visited. The result
+// is built in buf.
+func (g *Graph) CriticalSince(bound LV, buf []Span) (runs []Span, visited int) {
 	desc := buf[:0]
-	g.criticalRunsDesc(func(sp Span) bool {
+	_, visited = g.criticalRunsDesc(0, func(sp Span) bool {
 		found := sp.Start <= bound
 		if found {
 			sp.Start = min(bound, sp.End-1)
@@ -74,7 +84,26 @@ func (g *Graph) CriticalSince(bound LV, buf []Span) []Span {
 		return !found
 	})
 	slices.Reverse(desc)
-	return desc
+	return desc, visited
+}
+
+// CriticalFrom returns the critical versions at or after from, as
+// ascending coalesced runs built in buf, and the lowest parent of the
+// entries that start at or after from (-1 if one of them is a root event,
+// Len if there are none). The cost is the entries from the one holding
+// from onwards, whose number is visited. A version that is not critical
+// never becomes critical again, and one that is stays so until an event
+// arrives with a parent below it: a caller that knew the critical versions
+// before from when the graph ended there learns what they are now from
+// minParent alone.
+func (g *Graph) CriticalFrom(from LV, buf []Span) (runs []Span, minParent LV, visited int) {
+	desc := buf[:0]
+	minParent, visited = g.criticalRunsDesc(from, func(sp Span) bool {
+		desc = pushDesc(desc, sp.Start, sp.End)
+		return true
+	})
+	slices.Reverse(desc)
+	return desc, minParent, visited
 }
 
 // CriticalVersions returns the LVs whose singleton versions are critical,

@@ -114,6 +114,25 @@ func ascending(desc []Span) []Span {
 // each event: events in onlyA are retreated and events in onlyB advanced
 // when moving the prepare version from a to b (§3.2).
 func (g *Graph) Diff(a, b Frontier) (onlyA, onlyB []Span) {
+	var bufA, bufB [4]Span
+	descA, descB := g.diffDesc(a, b, bufA[:0], bufB[:0])
+	return ascending(descA), ascending(descB)
+}
+
+// DiffInto is Diff with the results built in bufA and bufB, which are
+// overwritten from their start and grown as append grows them: a caller
+// that diffs in a loop and is done with one result before it asks for
+// the next hands the same two buffers back each time.
+func (g *Graph) DiffInto(a, b Frontier, bufA, bufB []Span) (onlyA, onlyB []Span) {
+	onlyA, onlyB = g.diffDesc(a, b, bufA, bufB)
+	slices.Reverse(onlyA)
+	slices.Reverse(onlyB)
+	return onlyA, onlyB
+}
+
+// diffDesc is the walk behind Diff: the two results descending, built in
+// bufA and bufB.
+func (g *Graph) diffDesc(a, b Frontier, bufA, bufB []Span) (descA, descB []Span) {
 	var hbuf [8]heapEnt
 	h := lvHeap(hbuf[:0])
 	for _, lv := range a {
@@ -126,7 +145,6 @@ func (g *Graph) Diff(a, b Frontier) (onlyA, onlyB []Span) {
 	// sides: all that remains is shared history.
 	numNotShared := len(a) + len(b)
 	// desc[flagA] and desc[flagB] collect the two results, descending.
-	var bufA, bufB [4]Span
 	desc := [flagShared][]Span{flagA: bufA[:0], flagB: bufB[:0]}
 	for numNotShared > 0 {
 		lv, f := h[0].lv, h[0].f
@@ -158,7 +176,7 @@ func (g *Graph) Diff(a, b Frontier) (onlyA, onlyB []Span) {
 			h = h.push(p, f)
 		}
 	}
-	return ascending(desc[flagA]), ascending(desc[flagB])
+	return desc[flagA], desc[flagB]
 }
 
 // Dominators reduces a set of events to its minimal dominating subset:

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -346,9 +348,13 @@ func TestMultiReplicaConvergence(t *testing.T) {
 }
 
 // TestIncrementalMatchesFull: applying events chunk by chunk with
-// TransformRange produces the same document as one full replay.
+// TransformRange produces the same document as one full replay — and a
+// Walker that keeps the section a chunk ends inside emits, chunk for
+// chunk, the operations that planning each chunk from scratch emits:
+// the same spans, not only the same units.
 func TestIncrementalMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var continued uint64
 	for trial := 0; trial < 10; trial++ {
 		l := buildRandomLog(t, rng, 250)
 		want := replayOrFail(t, l)
@@ -357,6 +363,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		// incrementally in random chunk sizes.
 		inc := oplog.New()
 		r := rope.New()
+		var kept Walker
 		next := causal.LV(0)
 		n := causal.LV(l.Len())
 		for next < n {
@@ -376,7 +383,10 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			// Parents referenced above are LVs in l; they are valid in inc
 			// only because inc's storage order mirrors l's exactly.
 			var applyErr error
-			if err := TransformRange(inc, next, func(_ causal.LV, op XOp) {
+			var scratch, cont []string
+			var fresh Walker
+			if err := fresh.TransformRange(inc, next, func(lv causal.LV, op XOp) {
+				scratch = append(scratch, fmt.Sprint(lv, op))
 				if applyErr == nil {
 					applyErr = ApplyXOp(r, op)
 				}
@@ -386,11 +396,23 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			if applyErr != nil {
 				t.Fatal(applyErr)
 			}
+			if err := kept.TransformRange(inc, next, func(lv causal.LV, op XOp) {
+				cont = append(cont, fmt.Sprint(lv, op))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cont, scratch) {
+				t.Fatalf("trial %d, events [%d,%d): the kept section emitted\n%v\nplanning from scratch\n%v", trial, next, end, cont, scratch)
+			}
 			next = end
 		}
 		if got := r.String(); got != want {
 			t.Fatalf("trial %d: incremental %q != full %q", trial, got, want)
 		}
+		continued += kept.Stats().SectionsContinued
+	}
+	if continued < 50 {
+		t.Fatalf("only %d sections were continued", continued)
 	}
 }
 
@@ -411,13 +433,6 @@ func TestTransformRangeNoNewEvents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestDeepBranchMerge: two long branches diverge from a common base and

@@ -19,8 +19,26 @@ import (
 //     (the next critical version), and the emptied tracker serves the
 //     next section.
 //
-// For incremental merges, only events from the latest critical version
-// before the first new event are replayed (partial replay).
+// The paper lets the internal state go at a critical version; it does not
+// ask for it to go any earlier. A call that ends inside a section — the
+// graph's frontier is not critical — leaves the section's tracker in its
+// Walker, and the next call made with that Walker picks the section up
+// where it was left: the events in between (local edits, already in the
+// caller's document) are replayed without emitting, the new ones are
+// transformed, and what a merge into an open bubble costs is its new
+// events, not the bubble. A Walker with nothing kept plans from the
+// latest critical version before the first event to emit (partial
+// replay); that is the only difference, the loop is the same one.
+//
+// The kept state is let go
+//
+//   - when a call ends at a critical version (§3.5), or its caller found
+//     the frontier critical without asking the planner (Drop);
+//   - when a new event has a parent below the section's base: the base is
+//     no longer critical, and the section has to be planned again from
+//     the critical version before it;
+//   - when a call fails: the tracker stopped half-way through an event;
+//   - when the tracker holds more than maxRetainedItems pieces.
 //
 // Every Transform* entry point has a *UnitRef twin that drives the
 // per-unit reference state (unitref.go) through the same planner,
@@ -33,12 +51,71 @@ import (
 type sectionTracker interface {
 	reset(base causal.Frontier, baseUnits int)
 	ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error
+	items() int
 }
 
-// emitFastRuns emits the events in [start, end) untransformed, one span
+// maxRetainedItems is the most pieces a tracker may hold and still be kept
+// for the next call. A piece costs about 130 bytes — a 48-byte item in a
+// leaf half full, its 16-byte index entry, its share of the delete index —
+// so what a document carries between merges stays under about 8 MB, and
+// about what the events of the bubble cost the document itself (typed
+// text makes a piece every five or six events). A bubble that outgrows
+// the budget, some hundred thousand events of typing, is planned from its
+// base on every call, as every bubble was when nothing was kept. It is a
+// constant because no caller knows better.
+const maxRetainedItems = 1 << 16
+
+// WalkerStats counts what the calls made with one Walker did.
+// egwalker.ReplayStats is this struct under its public name.
+type WalkerStats struct {
+	SectionsContinued      uint64 // sections entered with the state an earlier call left
+	SectionsRebuilt        uint64 // sections entered with an empty state seeded at their base
+	EventsReplayed         uint64 // events replayed through a state, emitted or not
+	EventsReplayedSilently uint64 // those before emitFrom: replayed for the state alone
+	GraphEntriesVisited    uint64 // graph entries visited looking for critical versions
+	RetainedItems          int    // pieces in the state kept for the next call, 0 when none is
+}
+
+// Walker is the planner's state between calls: the tracker of the
+// concurrent section the last call ended inside, if it ended inside one.
+// The zero value holds nothing and is ready to use. A Walker serves one
+// log, whose events it must be shown in order: each call's emitFrom is at
+// or after the end of the log at the call before.
+type Walker struct {
+	tr sectionTracker
+	// open says tr holds the events [start, through) of a section that
+	// was still open when the last call returned; start-1 is its base.
+	open           bool
+	start, through causal.LV
+	unitRef        bool // the per-unit reference state and emission
+	stats          WalkerStats
+}
+
+// Stats returns the Walker's counters: all zero for a nil Walker, which
+// has done nothing yet.
+func (w *Walker) Stats() WalkerStats {
+	if w == nil {
+		return WalkerStats{}
+	}
+	st := w.stats
+	if w.open {
+		st.RetainedItems = w.tr.items()
+	}
+	return st
+}
+
+// Drop lets go of the section kept for the next call, if there is one (a
+// nil Walker keeps none).
+func (w *Walker) Drop() {
+	if w != nil {
+		w.tr, w.open = nil, false
+	}
+}
+
+// emitFastRuns emits the events of span untransformed, one span operation
 // per operation run.
-func emitFastRuns(l *oplog.Log, start, end causal.LV, emit func(lv causal.LV, op XOp)) {
-	l.EachRun(causal.Span{Start: start, End: end}, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+func emitFastRuns(l *oplog.Log, span causal.Span, emit func(lv causal.LV, op XOp)) {
+	l.EachRun(span, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 		if kind == oplog.Insert {
 			emit(lvs.Start, XOp{Kind: oplog.Insert, Pos: pos, N: lvs.Len(), Content: content})
 			return true
@@ -55,8 +132,8 @@ func emitFastRuns(l *oplog.Log, start, end causal.LV, emit func(lv causal.LV, op
 }
 
 // emitFastUnits is emitFastRuns for the per-unit reference mode.
-func emitFastUnits(l *oplog.Log, start, end causal.LV, emit func(lv causal.LV, op XOp)) {
-	l.EachOp(causal.Span{Start: start, End: end}, func(lv causal.LV, op oplog.Op) bool {
+func emitFastUnits(l *oplog.Log, span causal.Span, emit func(lv causal.LV, op XOp)) {
+	l.EachOp(span, func(lv causal.LV, op oplog.Op) bool {
 		x := XOp{Kind: op.Kind, Pos: op.Pos, N: 1}
 		if op.Kind == oplog.Insert {
 			x.Content = []rune{op.Content}
@@ -66,87 +143,120 @@ func emitFastUnits(l *oplog.Log, start, end causal.LV, emit func(lv causal.LV, o
 	})
 }
 
-// transformRange is the shared planner; unitRef selects the per-unit
-// reference state and emission.
-func transformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op XOp), unitRef bool) error {
+// TransformRange replays the graph as needed to transform the events in
+// [emitFrom, log.Len()), calling emit for each transformed span
+// operation in storage order. The caller's document must reflect exactly
+// the events [0, emitFrom). On an error the operations emitted before it
+// stand.
+func (w *Walker) TransformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
 	g := l.Graph
 	n := causal.LV(g.Len())
 	if emitFrom >= n {
 		return nil
 	}
-	// Start replay at the latest critical version before the first event
-	// we must emit; everything before it cannot affect the transforms.
-	// crit holds the runs of critical versions from that one on — the
-	// planner never looks at the graph before it.
+	// crit holds the runs of critical versions from the planner's starting
+	// point i on; it never looks at the graph before that. With a section
+	// kept, i is where its tracker stopped, as long as the base still is
+	// critical: no version inside the section was critical then, so none
+	// is now, and only the entries added since can have a parent below
+	// the base.
 	var critBuf [8]causal.Span
-	crit := g.CriticalSince(emitFrom-1, critBuf[:0])
+	var crit []causal.Span
 	var i causal.LV
-	if len(crit) > 0 && crit[0].Start < emitFrom {
-		i = crit[0].Start + 1
+	var visited int
+	if w.open {
+		var minParent causal.LV
+		crit, minParent, visited = g.CriticalFrom(w.through, critBuf[:0])
+		w.stats.GraphEntriesVisited += uint64(visited)
+		if i = w.through; minParent < w.start-1 || emitFrom < i {
+			w.Drop()
+		}
+	}
+	if !w.open {
+		// Start at the latest critical version before the first event to
+		// emit; everything before it cannot affect the transforms.
+		crit, visited = g.CriticalSince(emitFrom-1, critBuf[:0])
+		w.stats.GraphEntriesVisited += uint64(visited)
+		if i = 0; len(crit) > 0 && crit[0].Start < emitFrom {
+			i = crit[0].Start + 1
+		}
 	}
 	// Here and after every step below, i is 0 or follows a critical
-	// version, so the event at i can be emitted untransformed (§3.5: its
-	// own version and its parent version both critical) iff i is critical.
-	var tr sectionTracker
+	// version — unless w.open, when it continues a section — so the event
+	// at i can be emitted untransformed (§3.5: its own version and its
+	// parent version both critical) iff i is critical.
 	for k := 0; i < n; {
 		for k < len(crit) && crit[k].End <= i {
 			k++
 		}
-		if k < len(crit) && crit[k].Start <= i {
+		if !w.open && k < len(crit) && crit[k].Start <= i {
 			// The rest of the critical run is fast-path events.
 			j := crit[k].End
-			if s := max(i, emitFrom); s < j {
-				if unitRef {
-					emitFastUnits(l, s, j, emit)
+			if fast := (causal.Span{Start: max(i, emitFrom), End: j}); fast.Len() > 0 {
+				if w.unitRef {
+					emitFastUnits(l, fast, emit)
 				} else {
-					emitFastRuns(l, s, j, emit)
+					emitFastRuns(l, fast, emit)
 				}
 			}
 			i = j
 			continue
 		}
 		// Concurrent section [i, j): ends just after the next critical
-		// version (or at the end of the graph).
+		// version (or at the end of the graph, and then stays open).
 		j := n
 		if k < len(crit) {
 			j = crit[k].Start + 1
 		}
-		base, baseUnits := causal.Root, 0 // the document is empty at the root version
-		if i > 0 {
-			base, baseUnits = causal.Frontier{i - 1}, -1
+		if w.open {
+			w.stats.SectionsContinued++
+		} else {
+			base, baseUnits := causal.Root, 0 // the document is empty at the root version
+			if i > 0 {
+				base, baseUnits = causal.Frontier{i - 1}, -1
+			}
+			switch {
+			case w.tr != nil:
+				w.tr.reset(base, baseUnits)
+			case w.unitRef:
+				w.tr = newUnitTracker(l, base, baseUnits)
+			default:
+				w.tr = NewTracker(l, base, baseUnits)
+			}
+			w.start = i
+			w.stats.SectionsRebuilt++
 		}
-		switch {
-		case tr != nil:
-			tr.reset(base, baseUnits)
-		case unitRef:
-			tr = newUnitTracker(l, base, baseUnits)
-		default:
-			tr = NewTracker(l, base, baseUnits)
+		w.open = k == len(crit)
+		w.stats.EventsReplayed += uint64(j - i)
+		if silent := min(j, emitFrom) - i; silent > 0 {
+			w.stats.EventsReplayedSilently += uint64(silent)
 		}
-		if err := tr.ApplyRange(causal.Span{Start: i, End: j}, emitFrom, emit); err != nil {
+		if err := w.tr.ApplyRange(causal.Span{Start: i, End: j}, emitFrom, emit); err != nil {
+			w.Drop()
 			return err
 		}
 		i = j
 	}
+	if w.through = n; !w.open || w.tr.items() > maxRetainedItems {
+		w.Drop()
+	}
 	return nil
 }
 
-// TransformRange replays the graph as needed to transform the events in
-// [emitFrom, log.Len()), calling emit for each transformed span
-// operation in storage order. The caller's document must reflect exactly
-// the events [0, emitFrom).
+// TransformRange is Walker.TransformRange planned from scratch: only
+// events from the latest critical version before emitFrom are replayed.
 //
 // TransformRange(l, 0, emit) transforms the entire graph; applying the
 // emitted operations in order to an empty document yields replay(G).
 func TransformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	return transformRange(l, emitFrom, emit, false)
+	return new(Walker).TransformRange(l, emitFrom, emit)
 }
 
 // TransformRangeUnitRef is TransformRange through the per-unit reference
 // state: one single-unit operation per event (the differential oracle
 // and the "before" configuration of the core benchmarks).
 func TransformRangeUnitRef(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	return transformRange(l, emitFrom, emit, true)
+	return (&Walker{unitRef: true}).TransformRange(l, emitFrom, emit)
 }
 
 // TransformAll transforms every event in the graph.

@@ -83,6 +83,13 @@ type Tracker struct {
 	cur causal.Frontier
 	// runBuf is scratch for shiftSpan's run collection.
 	runBuf []moveRun
+	// diffA and diffB are scratch for moveTo's two diff results.
+	diffA, diffB []causal.Span
+	// end is where the last ApplyRange stopped, -1 after a reset. seam is
+	// the start of the current ApplyRange when it is end and falls inside
+	// a graph entry, -1 otherwise: the one place where this call may have
+	// to go on with an insert run the last one applied the head of.
+	end, seam causal.LV
 	// onIDOp, if set, is called for each applied event with its ID-space
 	// form: the CRDT origins for inserts, or the deleted unit for
 	// deletes. Used to convert position-based event logs into ID-based
@@ -107,11 +114,15 @@ func (t *Tracker) reset(base causal.Frontier, baseUnits int) {
 	t.tree.Reset()
 	t.delRuns = t.delRuns[:0]
 	t.cur = append(t.cur[:0], base...)
+	t.end = -1
 	if baseUnits < 0 {
 		baseUnits = infinitePlaceholder
 	}
 	t.tree.InitPlaceholder(baseUnits)
 }
+
+// items is the number of pieces the internal state is held in.
+func (t *Tracker) items() int { return t.tree.Items() }
 
 // ApplyRange replays the events in span (storage order) run by run. For
 // each maximal run of events at lv >= emitFrom whose transformed
@@ -119,6 +130,11 @@ func (t *Tracker) reset(base causal.Frontier, baseUnits int) {
 // operation. emit may be nil to replay purely for internal state (the
 // catch-up phase of partial replay).
 func (t *Tracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
+	t.seam = -1
+	if span.Start == t.end && span.Start > 0 && t.log.Graph.EntrySpanAt(span.Start-1).End > span.Start {
+		t.seam = span.Start
+	}
+	t.end = span.End
 	var err error
 	t.log.Graph.EachEntryIn(span, func(run causal.Span, _ string, _ int, parents []causal.LV) bool {
 		if err = t.moveTo(parents); err != nil {
@@ -147,7 +163,8 @@ func (t *Tracker) moveTo(parents causal.Frontier) error {
 	if t.cur.Eq(parents) {
 		return nil
 	}
-	onlyCur, onlyNew := t.log.Graph.Diff(t.cur, parents)
+	onlyCur, onlyNew := t.log.Graph.DiffInto(t.cur, parents, t.diffA, t.diffB)
+	t.diffA, t.diffB = onlyCur, onlyNew
 	// Retreat in reverse topological (descending LV) order so deletes of
 	// a unit retreat before the insertion that created it.
 	for i := len(onlyCur) - 1; i >= 0; i-- {
@@ -279,18 +296,21 @@ func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, content []rune, emitF
 	if err != nil {
 		return fmt.Errorf("core: apply insert %d: %w", lvs.Start, err)
 	}
-	dest, err := integrate(t.log, t.tree, lvs.Start, c, oleft, oright)
-	if err != nil {
-		return err
-	}
 	n := lvs.Len()
-	ic := t.tree.InsertAt(dest, itemtree.Item{
-		ID:          itemtree.ID(lvs.Start),
-		Len:         n,
-		CurState:    itemtree.StateInserted,
-		OriginLeft:  oleft,
-		OriginRight: oright,
-	})
+	ic, resumed := t.resumeInsertRun(lvs.Start, oleft, n)
+	if !resumed {
+		dest, err := integrate(t.log, t.tree, lvs.Start, c, oleft, oright)
+		if err != nil {
+			return err
+		}
+		ic = t.tree.InsertAt(dest, itemtree.Item{
+			ID:          itemtree.ID(lvs.Start),
+			Len:         n,
+			CurState:    itemtree.StateInserted,
+			OriginLeft:  oleft,
+			OriginRight: oright,
+		})
+	}
 	if t.onIDOp != nil {
 		ol := oleft
 		for i := 0; i < n; i++ {
@@ -311,6 +331,29 @@ func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, content []rune, emitF
 		})
 	}
 	return nil
+}
+
+// resumeInsertRun adds the n units of the insert run starting at lv to the
+// record of the units before them, if they are the rest of a run whose
+// head the ApplyRange before this one applied: lv is the seam, and the run
+// is typed on from the unit of the event before it (oleft), which nothing
+// has touched since. One replay of the run, uncut, would have made it one
+// record, and a deletion is emitted a record at a time: this way the spans
+// a merge emits do not depend on where the calls before it happened to
+// end. (A delete run cut by a seam does stay two records; both are
+// deleted, and nothing is emitted for those again.)
+func (t *Tracker) resumeInsertRun(lv causal.LV, oleft itemtree.ID, n int) (itemtree.Cursor, bool) {
+	if lv != t.seam || oleft != itemtree.ID(lv-1) {
+		return itemtree.Cursor{}, false
+	}
+	c, err := t.tree.CursorFor(oleft)
+	if err != nil {
+		return itemtree.Cursor{}, false
+	}
+	if it := c.Item(); c.Offset() != it.Len-1 || it.CurState != itemtree.StateInserted || it.EverDeleted {
+		return itemtree.Cursor{}, false
+	}
+	return t.tree.Extend(c, n), true
 }
 
 // applyDeleteRun applies a run of deletions whose parents equal the

@@ -54,6 +54,8 @@ func (t *unitTracker) reset(base causal.Frontier, baseUnits int) {
 	t.tree.InitPlaceholder(baseUnits)
 }
 
+func (t *unitTracker) items() int { return t.tree.Items() }
+
 // ApplyRange replays the events in span (storage order), emitting one
 // transformed operation per event at lv >= emitFrom.
 func (t *unitTracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {

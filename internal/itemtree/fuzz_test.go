@@ -2,7 +2,7 @@ package itemtree
 
 // FuzzItemSplit drives real-item and placeholder splitting from a fuzzed
 // byte script against a flat per-unit model: every insert, range
-// mutation, split, and ID lookup the tracker performs is exercised here
+// mutation, split, growth and ID lookup the tracker performs is exercised here
 // in isolation, and the tree must agree with the model unit for unit
 // (IDs, states, aggregate counts) while Check() holds all structural
 // invariants (piece lengths, the ID index, subtree aggregates).
@@ -43,9 +43,10 @@ func FuzzItemSplit(f *testing.F) {
 			}
 		}
 		nextID := ID(0)
+		tail := ID(-1) // the unit before nextID, when there is one
 
 		for i < len(script) {
-			switch next(&i) % 4 {
+			switch next(&i) % 5 {
 			case 0, 1: // insert a real run at a raw boundary
 				pos := 0
 				if len(model) > 0 {
@@ -71,7 +72,12 @@ func FuzzItemSplit(f *testing.F) {
 					ins[k] = modelUnit{id: nextID + ID(k), curState: state, everDeleted: state > 0}
 				}
 				model = append(model[:pos], append(ins, model[pos:]...)...)
-				nextID += ID(n) + ID(next(&i)%3) // leave occasional ID gaps, like delete events do
+				nextID += ID(n)
+				tail = nextID - 1
+				if gap := next(&i) % 3; gap > 0 { // leave occasional ID gaps, like delete events do
+					nextID += ID(gap)
+					tail = -1
+				}
 			case 2: // mutate a unit range (split-on-demand path)
 				if len(model) == 0 {
 					continue
@@ -99,6 +105,28 @@ func FuzzItemSplit(f *testing.F) {
 						model[k].everDeleted = true
 					}
 				}
+			case 4: // grow the piece the newest unit ends by a few units
+				if tail < 0 {
+					continue
+				}
+				c, err := tr.CursorFor(tail)
+				if err != nil {
+					t.Fatalf("CursorFor(%d): %v", tail, err)
+				}
+				pos, n := tr.RawPos(c), 1+next(&i)%8
+				if c.Offset() != c.Item().Len-1 {
+					t.Fatalf("unit %d, the newest, does not end its piece", tail)
+				}
+				if got := tr.Extend(c, n); got.UnitID() != nextID || tr.RawPos(got) != pos+1 {
+					t.Fatalf("Extend returned a cursor at unit %d, raw %d; want %d, %d", got.UnitID(), tr.RawPos(got), nextID, pos+1)
+				}
+				ins := make([]modelUnit, n)
+				for k := range ins {
+					ins[k] = modelUnit{id: nextID + ID(k), curState: model[pos].curState, everDeleted: model[pos].everDeleted}
+				}
+				model = append(model[:pos+1], append(ins, model[pos+1:]...)...)
+				nextID += ID(n)
+				tail = nextID - 1
 			case 3: // random ID lookup must land on the right unit
 				if len(model) == 0 {
 					continue

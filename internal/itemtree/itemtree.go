@@ -236,6 +236,9 @@ func (t *Tree) InitPlaceholder(units int) {
 	})
 }
 
+// Items returns the number of pieces the sequence is held in.
+func (t *Tree) Items() int { return len(t.index) }
+
 // RawLen returns the total number of units including invisible ones.
 func (t *Tree) RawLen() int { return t.root.raw }
 
@@ -633,6 +636,18 @@ func (t *Tree) InsertAt(c Cursor, item Item) Cursor {
 	leaf.addSizes(item.Len, item.curUnits(), item.endUnits())
 	leaf, idx = t.splitIfFull(leaf, idx)
 	return Cursor{leaf: leaf, idx: idx}
+}
+
+// Extend grows the piece under the cursor by n units at its end: units
+// in the piece's state whose IDs follow its last one, none of which may
+// exist yet. It returns a cursor to the first of them.
+func (t *Tree) Extend(c Cursor, n int) Cursor {
+	it := &c.leaf.items[c.idx]
+	c.off = it.Len
+	cur, end := it.curUnits(), it.endUnits()
+	it.Len += n
+	c.leaf.addSizes(n, it.curUnits()-cur, it.endUnits()-end)
+	return c
 }
 
 // addSizes adds the deltas to the sizes of n and of all its ancestors.

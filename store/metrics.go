@@ -29,6 +29,14 @@ import (
 //   - Resumes / FullSnapshots: how connections joined — incremental
 //     catch-up vs. full history — with ResumeEvents / SnapshotEvents
 //     counting the events each path shipped.
+//   - SectionsContinued / SectionsRebuilt: how merges into materialized
+//     documents met the concurrent sections of their event graphs — with
+//     the Eg-walker state the merge before had kept, or by replaying the
+//     section from its base (egwalker.ReplayStats). SilentReplayEvents
+//     counts the events replayed only to rebuild state, the wasted work;
+//     against EventsApplied it is the replay amplification.
+//     RetainedTrackerItems is the live total of state records
+//     materialized documents hold for their next merge.
 type Metrics struct {
 	ApplyNs       metrics.Histogram
 	FsyncNs       metrics.Histogram
@@ -88,6 +96,11 @@ type Metrics struct {
 	ReplicaEventsIn  metrics.Counter
 	ReplicaExchanges metrics.Counter
 	ReplicaEventsOut metrics.Counter
+
+	SectionsContinued    metrics.Counter
+	SectionsRebuilt      metrics.Counter
+	SilentReplayEvents   metrics.Counter
+	RetainedTrackerItems metrics.Gauge
 
 	// Self-healing storage: ScrubPasses counts completed scrub sweeps
 	// over the whole root and ScrubBytes the bytes they re-verified;
@@ -164,6 +177,11 @@ type MetricsSnapshot struct {
 	ReplicaExchanges int64 `json:"replica_exchanges"`
 	ReplicaEventsOut int64 `json:"replica_events_out"`
 
+	SectionsContinued    int64 `json:"sections_continued"`
+	SectionsRebuilt      int64 `json:"sections_rebuilt"`
+	SilentReplayEvents   int64 `json:"silent_replay_events"`
+	RetainedTrackerItems int64 `json:"retained_tracker_items"`
+
 	ScrubPasses    int64 `json:"scrub_passes"`
 	ScrubBytes     int64 `json:"scrub_bytes"`
 	CorruptBlocks  int64 `json:"corrupt_blocks"`
@@ -219,6 +237,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ReplicaEventsIn:  m.ReplicaEventsIn.Load(),
 		ReplicaExchanges: m.ReplicaExchanges.Load(),
 		ReplicaEventsOut: m.ReplicaEventsOut.Load(),
+
+		SectionsContinued:    m.SectionsContinued.Load(),
+		SectionsRebuilt:      m.SectionsRebuilt.Load(),
+		SilentReplayEvents:   m.SilentReplayEvents.Load(),
+		RetainedTrackerItems: m.RetainedTrackerItems.Load(),
 
 		ScrubPasses:    m.ScrubPasses.Load(),
 		ScrubBytes:     m.ScrubBytes.Load(),

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"egwalker"
 )
 
 // TestServerMetricsObserveTraffic: real traffic moves every live-path
@@ -72,5 +74,74 @@ func TestServerMetricsObserveTraffic(t *testing.T) {
 	}
 	if back.ColdOpens != m.ColdOpens {
 		t.Fatalf("JSON round-trip lost data: %+v", back)
+	}
+}
+
+// TestServerMetricsCountReplaySections: the replay counters of hosted
+// documents reach /metrics — a section opened, continued by the next
+// batch, given up when the document is dematerialized, and met again,
+// block by block, when the WAL is replayed to materialize it.
+func TestServerMetricsCountReplaySections(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
+	base := egwalker.NewDoc("base")
+	if err := base.Insert(0, "shared. "); err != nil {
+		t.Fatal(err)
+	}
+	var branches [2][]egwalker.Event
+	for i, name := range []string{"ann", "bob"} {
+		d, err := base.Fork(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 6; k++ {
+			if err := d.Insert(k%2*d.Len(), name+" "); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if branches[i], err = d.EventsSince(base.Version()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ann, bob := branches[0], branches[1]
+	err := srv.With("bubble", func(ds *DocStore) error {
+		for _, batch := range [][]egwalker.Event{base.Events(), ann, bob[:10], bob[10:]} {
+			if _, err := ds.Apply(batch); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := srv.MetricsSnapshot()
+	// bob's first batch opens a section at the base, replaying ann's branch
+	// for the state alone; his second continues it.
+	if m.SectionsRebuilt != 1 || m.SectionsContinued != 1 || m.SilentReplayEvents != int64(len(ann)) || m.RetainedTrackerItems == 0 {
+		t.Fatalf("after the merges: rebuilt %d, continued %d, silent %d, retained %d; want 1, 1, %d, > 0",
+			m.SectionsRebuilt, m.SectionsContinued, m.SilentReplayEvents, m.RetainedTrackerItems, len(ann))
+	}
+	retained := m.RetainedTrackerItems
+	err = srv.With("bubble", func(ds *DocStore) error {
+		if err := ds.Dematerialize(); err != nil {
+			return err
+		}
+		if got := srv.MetricsSnapshot().RetainedTrackerItems; got != 0 {
+			t.Errorf("retained_tracker_items = %d after dematerializing", got)
+		}
+		return ds.Materialize()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The journal holds the four batches; replaying them is the same story.
+	m = srv.MetricsSnapshot()
+	if m.SectionsRebuilt != 2 || m.SectionsContinued != 2 || m.RetainedTrackerItems != retained {
+		t.Fatalf("after materializing again: rebuilt %d, continued %d, retained %d; want 2, 2, %d",
+			m.SectionsRebuilt, m.SectionsContinued, m.RetainedTrackerItems, retained)
+	}
+	srv.Close()
+	if got := srv.MetricsSnapshot().RetainedTrackerItems; got != 0 {
+		t.Fatalf("retained_tracker_items = %d after Close", got)
 	}
 }

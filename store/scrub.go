@@ -280,9 +280,7 @@ func (s *DocStore) quarantineLocked(reason error) {
 		s.known = nil
 		s.persisted = doc.Version()
 		s.salvage = info
-		if s.opts.onMaterialize != nil {
-			s.opts.onMaterialize(time.Since(start))
-		}
+		s.materializedLocked(start)
 	} else {
 		// Materialized: memory still holds everything the store
 		// admitted; only the disk under it is lying. Nothing is lost
@@ -323,9 +321,7 @@ func (s *DocStore) recoverQuarantined(reason error) error {
 	s.salvage = info
 	s.qerr = reason
 	s.blockServable = false
-	if s.opts.onMaterialize != nil {
-		s.opts.onMaterialize(time.Since(start))
-	}
+	s.materializedLocked(start)
 	if s.opts.onQuarantine != nil {
 		s.opts.onQuarantine(reason)
 	}

@@ -292,6 +292,12 @@ func (s *Server) acquire(docID string) (*entry, error) {
 		e.mat.Store(false)
 		s.metrics.MaterializedDocs.Add(-1)
 	}
+	docOpts.onReplay = func(continued, rebuilt, silent uint64, retained int) {
+		s.metrics.SectionsContinued.Add(int64(continued))
+		s.metrics.SectionsRebuilt.Add(int64(rebuilt))
+		s.metrics.SilentReplayEvents.Add(int64(silent))
+		s.metrics.RetainedTrackerItems.Add(int64(retained))
+	}
 	// Both hooks fire under the DocStore's mutex; quarantine
 	// bookkeeping needs the server lock, so it hops to a goroutine
 	// (Close holds s.mu while closing stores — taking s.mu here would

@@ -63,11 +63,17 @@ type Options struct {
 	// materialization took; Close fires onDematerialize when it
 	// releases a materialized document. onQuarantine fires once per
 	// healthy->quarantined transition; onDegrade fires once when a
-	// write error first poisons the store read-only.
+	// write error first poisons the store read-only. onReplay receives
+	// how the in-memory document's replay counters
+	// (egwalker.ReplayStats) moved since it last fired: the sections its
+	// merges continued and rebuilt, the events they replayed without
+	// emitting, and the change in the number of items it keeps for its
+	// next merge (negative when a kept section, or the document, goes).
 	onMaterialize   func(d time.Duration)
 	onDematerialize func()
 	onQuarantine    func(reason error)
 	onDegrade       func(err error)
+	onReplay        func(continued, rebuilt, silent uint64, retained int)
 }
 
 func (o Options) withDefaults() Options {
@@ -122,6 +128,8 @@ type DocStore struct {
 	doc       *egwalker.Doc
 	known     *idSet // journal-only mode: the IDs the WAL+snapshot hold
 	numEvents int    // journal-only mode: distinct events on disk
+	// replay is what the onReplay hook has been told of doc's counters.
+	replay egwalker.ReplayStats
 
 	lock       *os.File // inter-process flock on the doc directory
 	active     File     // nil while quarantined at open time
@@ -328,9 +336,7 @@ func (s *DocStore) recoverMaterialized() error {
 		s.sealedSinceSnap = 0
 	}
 	s.blockServable = s.snapSeq == 0 || snapshotServable(s.fs, filepath.Join(s.dir, snapName(s.snapSeq)))
-	if s.opts.onMaterialize != nil {
-		s.opts.onMaterialize(time.Since(start))
-	}
+	s.materializedLocked(start)
 	return nil
 }
 
@@ -648,10 +654,50 @@ func (s *DocStore) materializeLocked() error {
 	s.doc = doc
 	s.persisted = doc.Version()
 	s.known = nil
+	s.materializedLocked(start)
+	return nil
+}
+
+// materializedLocked fires the hooks for a document just installed in
+// s.doc, which took since start to build.
+func (s *DocStore) materializedLocked(start time.Time) {
 	if s.opts.onMaterialize != nil {
 		s.opts.onMaterialize(time.Since(start))
 	}
-	return nil
+	s.noteReplayLocked()
+}
+
+// dematerializedLocked fires the hooks for the in-memory document having
+// been let go: s.doc is nil, or the store closed.
+func (s *DocStore) dematerializedLocked() {
+	if s.opts.onDematerialize != nil {
+		s.opts.onDematerialize()
+	}
+	s.noteReplayLocked()
+}
+
+// noteReplayLocked tells the onReplay hook how the replay counters of the
+// document in memory have moved since it was last told: after every merge,
+// and when a document is installed or let go.
+func (s *DocStore) noteReplayLocked() {
+	if s.opts.onReplay == nil {
+		return
+	}
+	prev := s.replay
+	var now egwalker.ReplayStats
+	if s.doc != nil && !s.closed {
+		now = s.doc.ReplayStats()
+	} else {
+		// The document is gone, its counters with it (the next one starts
+		// at zero); only what it kept for its next merge is taken back.
+		prev = egwalker.ReplayStats{RetainedItems: prev.RetainedItems}
+	}
+	s.replay = now
+	if now == prev {
+		return
+	}
+	s.opts.onReplay(now.SectionsContinued-prev.SectionsContinued, now.SectionsRebuilt-prev.SectionsRebuilt,
+		now.EventsReplayedSilently-prev.EventsReplayedSilently, now.RetainedItems-prev.RetainedItems)
 }
 
 // Dematerialize releases the in-memory document, dropping the store
@@ -689,9 +735,7 @@ func (s *DocStore) Dematerialize() error {
 	s.numEvents = len(evs)
 	s.doc = nil
 	s.persisted = nil
-	if s.opts.onDematerialize != nil {
-		s.opts.onDematerialize()
-	}
+	s.dematerializedLocked()
 	return nil
 }
 
@@ -1037,6 +1081,7 @@ func (s *DocStore) setWerrLocked(err error) {
 // snapshots per policy. Called with s.mu held after every mutation, so
 // the WAL is always a complete journal of the admitted history.
 func (s *DocStore) commitLocked() error {
+	s.noteReplayLocked()
 	evs, err := s.doc.EventsSince(s.persisted)
 	if err != nil {
 		return err
@@ -1282,10 +1327,10 @@ func (s *DocStore) Close() error {
 		}
 	}
 	unlockDir(s.lock)
-	if s.doc != nil && s.opts.onDematerialize != nil {
+	if s.doc != nil {
 		// Closing a materialized store releases its document; keep the
 		// server's materialized-population accounting exact.
-		s.opts.onDematerialize()
+		s.dematerializedLocked()
 	}
 	return err
 }
