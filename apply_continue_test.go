@@ -455,12 +455,15 @@ func TestSectionDroppedPastItemBudget(t *testing.T) {
 // has been merged already — 1 000, 10 000 or 100 000 events, all in one
 // open bubble with a local edit. Counted, not timed: events put through
 // the tracker, graph entries the planner visited, records the tracker
-// grew by, and allocations.
+// grew by, binary searches for an entry of the graph or a span of the
+// log, and allocations.
 func TestOpenBubbleApplyCostIsPerBlock(t *testing.T) {
 	type cost struct {
 		stats  ReplayStats
 		grown  int
 		allocs uint64
+		// searches of the graph and of the log
+		graph, log uint64
 	}
 	measure := func(events int) cost {
 		d, next := openBubbleDoc(t, events)
@@ -469,6 +472,7 @@ func TestOpenBubbleApplyCostIsPerBlock(t *testing.T) {
 		}
 		block := next()
 		before := d.ReplayStats()
+		graph, log := d.log.Graph.Searches(), d.log.Searches()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		_, err := d.Apply(block)
@@ -477,7 +481,8 @@ func TestOpenBubbleApplyCostIsPerBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := d.ReplayStats()
-		c := cost{stats: statsSince(before, after), grown: after.RetainedItems - before.RetainedItems, allocs: m1.Mallocs - m0.Mallocs}
+		c := cost{stats: statsSince(before, after), grown: after.RetainedItems - before.RetainedItems, allocs: m1.Mallocs - m0.Mallocs,
+			graph: d.log.Graph.Searches() - graph, log: d.log.Searches() - log}
 		c.stats.RetainedItems = 0 // grown says it
 		return c
 	}
@@ -485,8 +490,23 @@ func TestOpenBubbleApplyCostIsPerBlock(t *testing.T) {
 	if small.stats.SectionsContinued != 1 || small.stats.SectionsRebuilt != 0 || small.stats.EventsReplayed != 64+2 || small.stats.GraphEntriesVisited > 64 {
 		t.Fatalf("at 1k: %+v; want the section continued by the block and the 2 local events", small.stats)
 	}
+	// The block is a dozen entries of the graph, each hanging on one or two
+	// others, and the walk from the local edit to the block's first event
+	// passes the bubble's shared history on its way down to the local
+	// edit's other parent. That walk used to look up the entry of every
+	// event it popped — 429 binary searches for this block at 1k events,
+	// 4 145 at 10k, 41 197 at 100k — and now searches for the heads it
+	// starts from and follows the entries' links; the runs of the log it
+	// moves over it finds from where it last was (18 searches before).
+	t.Logf("at 1k: %d graph searches, %d log searches for %d graph entries", small.graph, small.log, small.stats.GraphEntriesVisited)
+	if small.graph > 64 || small.log > 2 {
+		t.Errorf("at 1k the block cost %d searches of the graph and %d of the log; want at most 64 and 2", small.graph, small.log)
+	}
 	for _, n := range []int{10_000, 100_000} {
 		c := measure(n)
+		if c.graph != small.graph || c.log != small.log {
+			t.Errorf("at %d events: %d searches of the graph and %d of the log; at 1k %d and %d", n, c.graph, c.log, small.graph, small.log)
+		}
 		if c.stats != small.stats || c.grown != small.grown {
 			t.Errorf("at %d events: %+v and %d records grown; at 1k %+v and %d", n, c.stats, c.grown, small.stats, small.grown)
 		}

@@ -72,6 +72,9 @@ type Doc struct {
 	// build documents without one, and a document only ever extended
 	// linearly never has one.
 	walker *core.Walker
+	// emitted is where the last linear Apply stopped reading the log: the
+	// next one starts there without a search.
+	emitted oplog.Cursor
 }
 
 // NewDoc returns an empty document for a replica identified by agent.
@@ -105,10 +108,11 @@ func (d *Doc) Insert(pos int, text string) error {
 	if pos < 0 || pos > d.text.Len() {
 		return fmt.Errorf("egwalker: insert at %d out of range [0,%d]", pos, d.text.Len())
 	}
-	if _, err := d.log.AddInsert(d.agent, d.log.Frontier(), pos, text); err != nil {
+	runes := []rune(text)
+	if _, err := d.log.AppendRun(d.agent, oplog.Run{Kind: oplog.Insert, Pos: pos, Dir: 1, Len: len(runes), Content: runes}); err != nil {
 		return err
 	}
-	return d.text.Insert(pos, text)
+	return d.text.InsertRunes(pos, runes)
 }
 
 // Delete removes count runes starting at rune position pos as a local
@@ -120,7 +124,7 @@ func (d *Doc) Delete(pos, count int) error {
 	if pos < 0 || count < 0 || pos+count > d.text.Len() {
 		return fmt.Errorf("egwalker: delete [%d,%d) out of range [0,%d]", pos, pos+count, d.text.Len())
 	}
-	if _, err := d.log.AddDelete(d.agent, d.log.Frontier(), pos, count); err != nil {
+	if _, err := d.log.AppendRun(d.agent, oplog.Run{Kind: oplog.Delete, Pos: pos, Len: count}); err != nil {
 		return err
 	}
 	return d.text.Delete(pos, count)
@@ -366,6 +370,7 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 	var pbuf [4]causal.LV
 	var cbuf [128]rune
 	parents, content := pbuf[:0], cbuf[:0]
+	reserved := false // the log has room for the characters of buf
 	for i := 0; i < len(buf); {
 		op, j := runAt(buf, i)
 		agent := buf[i].ID.Agent
@@ -402,6 +407,16 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 			}
 			r := oplog.Run{Kind: op.Kind, Pos: op.Pos + (k-i)*int(op.Dir), Dir: op.Dir, Len: n}
 			if op.Kind == oplog.Insert {
+				if !reserved {
+					// Once, before the first characters go in, for all that
+					// may follow: the log's arena moves once per sweep, not
+					// at every step of its growth. Every event left in buf
+					// may be an insert; counting the ones that are would be
+					// a pass over buf from cold memory, a tenth of what a
+					// linear merge costs.
+					d.log.Reserve(0, len(buf)-k)
+					reserved = true
+				}
 				content = content[:0]
 				for _, ev := range buf[k : k+n] {
 					content = append(content, ev.Content)
@@ -436,7 +451,7 @@ func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
 	// critical then, so a section kept from earlier merges has closed.
 	if d.linearExtension(emitFrom) {
 		d.walker.Drop()
-		d.log.EachRun(causal.Span{Start: emitFrom, End: end},
+		d.log.EachRunFrom(&d.emitted, causal.Span{Start: emitFrom, End: end},
 			func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 				n := lvs.Len()
 				if kind == oplog.Insert {

@@ -37,6 +37,38 @@ type ReplayStats struct {
 // in a new, loaded or forked document.
 func (d *Doc) ReplayStats() ReplayStats { return ReplayStats(d.walker.Stats()) }
 
+// MemStats sizes a document in memory. The history is a handful of flat
+// arrays (docs/ARCHITECTURE.md, "How the log is laid out in memory"), so
+// everything but TextBytes is read off their lengths and capacities;
+// TextBytes walks the rope, one node per hundred characters or so.
+type MemStats struct {
+	Events       int // events in the history
+	OpSpans      int // run-length records the operations are stored in
+	GraphEntries int // run-length records the event graph is stored in
+	// LogBytes is the heap the history holds: the two kinds of record,
+	// the inserted characters, the stored parents and the per-agent
+	// indexes. LogBytes / Events is what an event costs a replica that
+	// has the document open.
+	LogBytes int
+	// TextBytes is the heap the current text holds.
+	TextBytes int
+	// RetainedItems is ReplayStats().RetainedItems: the records of
+	// internal state kept for the next Apply, about 130 bytes each.
+	RetainedItems int
+}
+
+// MemStats reports what the document holds in memory.
+func (d *Doc) MemStats() MemStats {
+	return MemStats{
+		Events:        d.log.Len(),
+		OpSpans:       d.log.SpanCount(),
+		GraphEntries:  d.log.Graph.Entries(),
+		LogBytes:      d.log.Bytes(),
+		TextBytes:     d.text.Bytes(),
+		RetainedItems: d.walker.Stats().RetainedItems,
+	}
+}
+
 // IDRun is a contiguous range of event IDs by one agent: Seq, Seq+1,
 // …, Seq+Len-1.
 type IDRun struct {

@@ -14,7 +14,9 @@ package causal
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"unsafe"
 )
 
 // LV is a local version: the dense index of an event in this replica's
@@ -42,36 +44,56 @@ func (s Span) Len() int { return int(s.End - s.Start) }
 // Contains reports whether lv falls within the span.
 func (s Span) Contains(lv LV) bool { return lv >= s.Start && lv < s.End }
 
-// entry is one run-length encoded chunk of the graph: events
-// [start, end) by one agent with consecutive seqs beginning at seqStart.
-// parents are the parents of the event at start; every later event in the
-// entry has exactly one parent, its predecessor.
+// entry is one run-length encoded chunk of the graph: a run of events by
+// one agent with consecutive seqs beginning at seqStart, every event but
+// the first the sole child of its predecessor. It is a fixed-size record
+// with no pointer in it: the run ends where the next entry starts (at
+// Graph.n for the last one), and the parents of its first event are a
+// stretch of Graph.parents that ends where the next entry's begins.
+// Sequence numbers arrive from peers and stay int; LVs, which count this
+// replica's own events, are held to 32 bits by Add.
 type entry struct {
-	span  Span
-	agent int32 // index into Graph.agents
+	seqStart int
+	start    uint32 // LV of the first event
+	agent    uint32 // index into Graph.agents
 	// heads is the size of the frontier of the graph's prefix that ends
 	// with this entry, recorded when the entry is added (extending the
 	// entry moves its head along and leaves the count as it is). A version
 	// inside the entry can be critical only if heads is 1 (critical.go).
-	heads    int32
-	seqStart int
-	parents  []LV // sorted ascending; empty for root events
+	heads   uint32
+	parents uint32 // index in Graph.parents of the first stored parent
 }
 
-// agentSpan maps a run of one agent's seqs to LVs for ID→LV lookup.
-type agentSpan struct {
-	seqStart, seqEnd int // half-open
-	lvStart          LV
+// maxIndex is the largest value an entry's 32-bit fields hold: a graph
+// takes at most that many events and stored parents.
+const maxIndex = math.MaxUint32
+
+// room returns an error if the graph, holding have of what, cannot take
+// add more without passing maxIndex.
+func room(what string, have, add int) error {
+	if uint64(have)+uint64(add) > maxIndex {
+		return fmt.Errorf("causal: %d more %s would pass the graph's limit of %d", add, what, uint64(maxIndex))
+	}
+	return nil
 }
 
 // Graph is a replica's copy of the event graph. The zero value is not
 // usable; call New.
 type Graph struct {
-	entries  []entry
-	agents   []string
-	agentIdx map[string]int
-	byAgent  [][]agentSpan // per agent, sorted by seqStart
-	frontier []LV          // events with no children, sorted ascending
+	entries []entry
+	n       LV // number of events: where the last entry ends
+	// parents holds the stored parents of every entry back to back, each
+	// entry's sorted ascending, and parentEnts the index of the entry
+	// that holds each: a traversal hops from an entry to its parents'
+	// entries without a search. Both are append-only, so a slice of
+	// parents handed out stays valid whatever is added later.
+	parents    []LV
+	parentEnts []uint32
+	agents     []string
+	agentIdx   map[string]int
+	byAgent    [][]uint32 // per agent, the indexes of its entries sorted by seqStart
+	frontier   []LV       // events with no children, sorted ascending
+	searches   uint64     // binary searches for the entry holding an LV
 }
 
 // New returns an empty event graph.
@@ -80,15 +102,10 @@ func New() *Graph {
 }
 
 // Len returns the total number of events in the graph.
-func (g *Graph) Len() int {
-	if len(g.entries) == 0 {
-		return 0
-	}
-	return int(g.entries[len(g.entries)-1].span.End)
-}
+func (g *Graph) Len() int { return int(g.n) }
 
 // NextLV returns the LV that the next added event will receive.
-func (g *Graph) NextLV() LV { return LV(g.Len()) }
+func (g *Graph) NextLV() LV { return g.n }
 
 // Frontier returns the current version of the graph: the set of events
 // with no children, sorted ascending. The returned slice is a copy.
@@ -111,97 +128,173 @@ func (g *Graph) agentID(agent string) int {
 // Agents returns the interned agent names in first-seen order.
 func (g *Graph) Agents() []string { return append([]string(nil), g.agents...) }
 
+// end returns the LV entry i ends before.
+func (g *Graph) end(i int) LV {
+	if i+1 < len(g.entries) {
+		return LV(g.entries[i+1].start)
+	}
+	return g.n
+}
+
+// seqEnd returns the sequence number entry i ends before.
+func (g *Graph) seqEnd(i int) int {
+	e := &g.entries[i]
+	return e.seqStart + int(g.end(i)) - int(e.start)
+}
+
+// parentRange returns the stretch of g.parents (and g.parentEnts) that
+// holds the parents of entry i's first event.
+func (g *Graph) parentRange(i int) (lo, hi int) {
+	if i+1 < len(g.entries) {
+		return int(g.entries[i].parents), int(g.entries[i+1].parents)
+	}
+	return int(g.entries[i].parents), len(g.parents)
+}
+
+// storedParents returns the parents of entry i's first event: nil for a
+// root event, else a slice of the arena capped at its own length.
+func (g *Graph) storedParents(i int) []LV {
+	lo, hi := g.parentRange(i)
+	if lo == hi {
+		return nil
+	}
+	return g.parents[lo:hi:hi]
+}
+
+// seqSlot returns the place, in agent aid's entries sorted by seq, of the
+// first one that ends after seq: the entry holding (aid, seq) if there is
+// one, else the place an entry starting at seq goes.
+func (g *Graph) seqSlot(aid, seq int) int {
+	idxs := g.byAgent[aid]
+	lo, hi := 0, len(idxs)
+	if hi > 0 && g.seqEnd(int(idxs[hi-1])) <= seq {
+		return hi // the agent's events arrive in order, mostly
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.seqEnd(int(idxs[mid])) > seq {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// place validates a run of count events by agent from seq on and returns
+// the agent's index and the run's place among the agent's entries.
+// Out-of-order arrival of an agent's seq ranges is allowed (it occurs when
+// a graph is re-serialised in a different topological order); overlap
+// with events already present is not.
+func (g *Graph) place(agent string, seq, count int) (aid, slot int, err error) {
+	if count < 1 {
+		return 0, 0, fmt.Errorf("causal: Add count %d < 1", count)
+	}
+	if seq < 0 || seq > math.MaxInt-count {
+		return 0, 0, fmt.Errorf("causal: Add seq %d out of range", seq)
+	}
+	if err := room("events", int(g.n), count); err != nil {
+		return 0, 0, err
+	}
+	aid = g.agentID(agent)
+	slot = g.seqSlot(aid, seq)
+	if idxs := g.byAgent[aid]; slot < len(idxs) && g.entries[idxs[slot]].seqStart < seq+count {
+		return 0, 0, fmt.Errorf("causal: duplicate events %s/%d..%d", agent, seq, seq+count)
+	}
+	return aid, slot, nil
+}
+
 // Add appends count events by agent starting at sequence number seq, with
 // the given parents (LVs of already-present events), and returns the LV of
 // the first new event. Parents are defensively reduced to their dominators
 // so the graph stays transitively reduced. Within the run, each event's
-// parent is its predecessor.
+// parent is its predecessor. Parents is not kept.
 //
-// Add returns an error if count < 1, if any parent is out of range, or if
-// (agent, seq) overlaps events already present.
+// Add returns an error if count < 1, if any parent is out of range, if
+// (agent, seq) overlaps events already present, or if the graph would
+// outgrow its 32-bit indexes.
 func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
-	if count < 1 {
-		return 0, fmt.Errorf("causal: Add count %d < 1", count)
-	}
-	if seq < 0 {
-		return 0, fmt.Errorf("causal: Add seq %d < 0", seq)
-	}
-	start := g.NextLV()
 	for _, p := range parents {
-		if p < 0 || p >= start {
-			return 0, fmt.Errorf("causal: parent %d out of range [0,%d)", p, start)
+		if p < 0 || p >= g.n {
+			return 0, fmt.Errorf("causal: parent %d out of range [0,%d)", p, g.n)
 		}
 	}
-	aid := g.agentID(agent)
-	spans := g.byAgent[aid]
-	// Locate the insertion point in the agent's seq-sorted span list and
-	// reject overlaps. Out-of-order arrival of an agent's seq ranges is
-	// allowed (it occurs when a graph is re-serialised in a different
-	// topological order).
-	insIdx := sort.Search(len(spans), func(i int) bool { return spans[i].seqStart >= seq+count })
-	if insIdx > 0 && spans[insIdx-1].seqEnd > seq {
-		return 0, fmt.Errorf("causal: duplicate events %s/%d..%d", agent, seq, seq+count)
+	aid, slot, err := g.place(agent, seq, count)
+	if err != nil {
+		return 0, err
 	}
-	// red is the reduced parent set. At most one parent is its own
-	// dominator set and needs no search; the graph's copy of it (own) is
-	// made only if an entry will store it, so a caller's scratch slice
-	// never escapes through Add.
-	red := parents
-	var own []LV
+	// A single parent is its own dominator set and needs no search.
+	var buf [4]LV
 	if len(parents) > 1 {
-		own = g.Dominators(parents)
-		red = own
+		parents = g.DominatorsInto(parents, buf[:0])
 	}
-
-	// Try to extend the previous entry: same agent, consecutive seq, and
-	// the sole parent is the immediately preceding event.
-	if n := len(g.entries); n > 0 {
-		last := &g.entries[n-1]
-		if last.agent == int32(aid) &&
-			last.seqStart+last.span.Len() == seq &&
-			len(red) == 1 && red[0] == last.span.End-1 {
-			last.span.End += LV(count)
-			// The extended entry is the agent's span immediately before
-			// the insertion point.
-			g.byAgent[aid][insIdx-1].seqEnd += count
-			g.advanceFrontier(start, count, red)
-			return start, nil
-		}
+	if err := room("parents", len(g.parents), len(parents)); err != nil {
+		return 0, err
 	}
-
-	if len(parents) <= 1 {
-		own = append(own, parents...)
-	}
-	g.advanceFrontier(start, count, red)
-	g.entries = append(g.entries, entry{
-		span:     Span{start, start + LV(count)},
-		agent:    int32(aid),
-		heads:    int32(len(g.frontier)),
-		seqStart: seq,
-		parents:  own,
-	})
-	g.byAgent[aid] = append(g.byAgent[aid], agentSpan{})
-	copy(g.byAgent[aid][insIdx+1:], g.byAgent[aid][insIdx:])
-	g.byAgent[aid][insIdx] = agentSpan{
-		seqStart: seq,
-		seqEnd:   seq + count,
-		lvStart:  start,
-	}
-	return start, nil
+	return g.push(aid, slot, seq, count, parents), nil
 }
 
-// advanceFrontier updates the graph frontier after adding the run
-// [start, start+count) whose first event has the given (reduced) parents.
-// The run's last event is the newest LV of the graph, so its place in the
+// Append is Add with the graph's frontier as the parents: how a replica
+// adds events of its own. The frontier is reduced already and is read in
+// place, so nothing is searched for dominators and nothing is copied.
+func (g *Graph) Append(agent string, seq, count int) (LV, error) {
+	aid, slot, err := g.place(agent, seq, count)
+	if err != nil {
+		return 0, err
+	}
+	if err := room("parents", len(g.parents), len(g.frontier)); err != nil {
+		return 0, err
+	}
+	return g.push(aid, slot, seq, count, g.frontier), nil
+}
+
+// push appends a validated run whose first event has the reduced parent
+// set red, which may be the frontier itself, and returns its first LV.
+func (g *Graph) push(aid, slot, seq, count int, red []LV) LV {
+	start := g.n
+	g.n += LV(count)
+	// The run extends the last entry if it continues it: same agent,
+	// consecutive seq, and the sole parent is the immediately preceding
+	// event — the greatest of the frontier, whose place the run's last
+	// event takes. The entry's end and its seqs' are implied by g.n.
+	if n := len(g.entries); n > 0 && len(red) == 1 && red[0] == start-1 {
+		last := &g.entries[n-1]
+		if last.agent == uint32(aid) && last.seqStart+int(start)-int(last.start) == seq {
+			g.frontier[len(g.frontier)-1] = g.n - 1
+			return start
+		}
+	}
+	// The parents go into the arena before the frontier moves: red may be
+	// the frontier.
+	off := len(g.parents)
+	for _, p := range red {
+		g.parentEnts = append(g.parentEnts, uint32(g.entryIdx(p)))
+	}
+	g.parents = append(g.parents, red...)
+	g.advanceFrontier(g.n-1, g.parents[off:])
+	g.byAgent[aid] = slices.Insert(g.byAgent[aid], slot, uint32(len(g.entries)))
+	g.entries = append(g.entries, entry{
+		seqStart: seq,
+		start:    uint32(start),
+		agent:    uint32(aid),
+		heads:    uint32(len(g.frontier)),
+		parents:  uint32(off),
+	})
+	return start
+}
+
+// advanceFrontier updates the graph frontier after adding a run that ends
+// at last and whose first event has the given (reduced) parents. The
+// run's last event is the newest LV of the graph, so its place in the
 // ascending frontier is the end.
-func (g *Graph) advanceFrontier(start LV, count int, parents []LV) {
+func (g *Graph) advanceFrontier(last LV, parents []LV) {
 	out := g.frontier[:0]
 	for _, f := range g.frontier {
 		if !containsLV(parents, f) {
 			out = append(out, f)
 		}
 	}
-	g.frontier = append(out, start+LV(count)-1)
+	g.frontier = append(out, last)
 }
 
 func containsLV(s []LV, v LV) bool {
@@ -213,53 +306,118 @@ func containsLV(s []LV, v LV) bool {
 	return false
 }
 
-// entryIdx returns the index of the first entry that ends after lv: the
-// entry containing lv when 0 <= lv < Len, len(entries) when lv >= Len.
-func (g *Graph) entryIdx(lv LV) int {
-	return sort.Search(len(g.entries), func(i int) bool { return g.entries[i].span.End > lv })
+// AgentEntries says how many entries an agent is about to get.
+type AgentEntries struct {
+	Agent   string
+	Entries int
 }
 
-// entryFor returns the entry containing lv.
-func (g *Graph) entryFor(lv LV) *entry {
-	i := g.entryIdx(lv)
-	if i == len(g.entries) || lv < 0 {
+// Reserve makes room for entries more entries storing parents more
+// parents between them, so that adding them allocates nothing: a caller
+// that knows what it is about to add (a loader that has decoded it) sizes
+// the graph before filling it and leaves no slack behind. perAgent splits
+// the entries by agent, in the order the agents will first be seen. Room
+// already there is kept; room that is missing is added the way append
+// adds it.
+func (g *Graph) Reserve(entries, parents int, perAgent []AgentEntries) {
+	g.entries = slices.Grow(g.entries, entries)
+	g.parents = slices.Grow(g.parents, parents)
+	g.parentEnts = slices.Grow(g.parentEnts, parents)
+	g.agents = slices.Grow(g.agents, len(perAgent))
+	g.byAgent = slices.Grow(g.byAgent, len(perAgent))
+	for _, a := range perAgent {
+		aid := g.agentID(a.Agent)
+		g.byAgent[aid] = slices.Grow(g.byAgent[aid], a.Entries)
+	}
+}
+
+// Entries returns the number of run-length entries the graph is stored
+// in.
+func (g *Graph) Entries() int { return len(g.entries) }
+
+// Bytes returns the heap the graph holds, from the capacities of its
+// arrays: the entries, the two parent arenas, the per-agent indexes, the
+// agent names and an estimate of their map.
+func (g *Graph) Bytes() int {
+	const mapEntry = 48 // a string key, an int and their share of a bucket
+	b := cap(g.entries)*int(unsafe.Sizeof(entry{})) +
+		cap(g.parents)*int(unsafe.Sizeof(LV(0))) + cap(g.parentEnts)*4 +
+		cap(g.frontier)*int(unsafe.Sizeof(LV(0))) +
+		cap(g.agents)*int(unsafe.Sizeof("")) + cap(g.byAgent)*int(unsafe.Sizeof([]uint32(nil))) +
+		len(g.agents)*mapEntry
+	for aid, idxs := range g.byAgent {
+		b += cap(idxs)*4 + len(g.agents[aid])
+	}
+	return b
+}
+
+// Searches returns the number of binary searches the graph has made for
+// the entry holding an LV. A traversal searches once for each head it
+// starts from and follows the entries' parent links from there; tests
+// hold it to that.
+func (g *Graph) Searches() uint64 { return g.searches }
+
+// entryIdx returns the index of the entry containing lv when
+// 0 <= lv < Len, len(entries) when lv >= Len.
+func (g *Graph) entryIdx(lv LV) int {
+	g.searches++
+	es := g.entries
+	if lv >= g.n {
+		return len(es)
+	}
+	if lv < 0 {
+		return 0
+	}
+	// es[lo].start <= lv < es[hi].start throughout, taking es[len(es)]
+	// to start at g.n; recent events are asked for most.
+	lo, hi := 0, len(es)
+	if LV(es[hi-1].start) <= lv {
+		return hi - 1
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if LV(es[mid].start) <= lv {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// entryOf returns the index of the entry containing lv, which must be an
+// event of the graph.
+func (g *Graph) entryOf(lv LV) int {
+	if lv < 0 || lv >= g.n {
 		panic(fmt.Sprintf("causal: LV %d out of range (len %d)", lv, g.Len()))
 	}
-	return &g.entries[i]
+	return g.entryIdx(lv)
 }
 
 // ParentsOf returns the parents of the event at lv, sorted ascending.
 // The result aliases internal storage for entry starts; callers must not
 // modify it.
 func (g *Graph) ParentsOf(lv LV) []LV {
-	e := g.entryFor(lv)
-	if lv == e.span.Start {
-		return e.parents
+	i := g.entryOf(lv)
+	if lv == LV(g.entries[i].start) {
+		return g.storedParents(i)
 	}
 	return []LV{lv - 1}
 }
 
-// IDOf returns the wire ID of the event at lv.
-func (g *Graph) IDOf(lv LV) RawID {
-	e := g.entryFor(lv)
-	return RawID{
-		Agent: g.agents[e.agent],
-		Seq:   e.seqStart + int(lv-e.span.Start),
-	}
+// idIn returns the wire ID of the event at lv, which entry i holds.
+func (g *Graph) idIn(i int, lv LV) RawID {
+	e := &g.entries[i]
+	return RawID{Agent: g.agents[e.agent], Seq: e.seqStart + int(lv) - int(e.start)}
 }
+
+// IDOf returns the wire ID of the event at lv.
+func (g *Graph) IDOf(lv LV) RawID { return g.idIn(g.entryOf(lv), lv) }
 
 // LVOf maps a wire ID to its LV, reporting whether the event is known.
 func (g *Graph) LVOf(id RawID) (LV, bool) {
-	aid, ok := g.agentIdx[id.Agent]
-	if !ok {
-		return 0, false
-	}
-	spans := g.byAgent[aid]
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].seqEnd > id.Seq })
-	if i == len(spans) || spans[i].seqStart > id.Seq {
-		return 0, false
-	}
-	return spans[i].lvStart + LV(id.Seq-spans[i].seqStart), true
+	lv, known, _ := g.SeqRun(id.Agent, id.Seq, 1)
+	return lv, known
 }
 
 // HasID reports whether the event with the given wire ID is in the graph.
@@ -279,41 +437,34 @@ func (g *Graph) SeqRun(agent string, seq, max int) (lv LV, known bool, n int) {
 	if !ok {
 		return 0, false, max
 	}
-	spans := g.byAgent[aid]
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].seqEnd > seq })
-	if i == len(spans) {
+	idxs := g.byAgent[aid]
+	slot := g.seqSlot(aid, seq)
+	if slot == len(idxs) {
 		return 0, false, max
 	}
-	if sp := spans[i]; sp.seqStart <= seq {
-		return sp.lvStart + LV(seq-sp.seqStart), true, min(max, sp.seqEnd-seq)
+	i := int(idxs[slot])
+	if e := &g.entries[i]; e.seqStart <= seq {
+		return LV(e.start) + LV(seq-e.seqStart), true, min(max, g.seqEnd(i)-seq)
 	}
-	return 0, false, min(max, spans[i].seqStart-seq)
+	return 0, false, min(max, g.entries[i].seqStart-seq)
 }
 
 // SeqEnd returns the next unused sequence number for agent (0 if the agent
 // has generated no events).
 func (g *Graph) SeqEnd(agent string) int {
 	aid, ok := g.agentIdx[agent]
-	if !ok {
+	if !ok || len(g.byAgent[aid]) == 0 {
 		return 0
 	}
-	spans := g.byAgent[aid]
-	if len(spans) == 0 {
-		return 0
-	}
-	return spans[len(spans)-1].seqEnd
+	idxs := g.byAgent[aid]
+	return g.seqEnd(int(idxs[len(idxs)-1]))
 }
 
 // EachEntry calls fn for each run-length entry in storage order. fn
 // receives the span, the agent name, the starting seq, and the parents of
 // the span's first event. Iteration stops if fn returns false.
 func (g *Graph) EachEntry(fn func(span Span, agent string, seqStart int, parents []LV) bool) {
-	for i := range g.entries {
-		e := &g.entries[i]
-		if !fn(e.span, g.agents[e.agent], e.seqStart, e.parents) {
-			return
-		}
-	}
+	g.EachEntryIn(Span{0, g.n}, fn)
 }
 
 // EachEntryIn is EachEntry restricted to the events of sp: fn sees every
@@ -324,19 +475,42 @@ func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart i
 	if sp.Len() <= 0 {
 		return
 	}
-	i := g.entryIdx(sp.Start)
 	var prev [1]LV
-	for ; i < len(g.entries) && g.entries[i].span.Start < sp.End; i++ {
+	for i := g.entryIdx(sp.Start); i < len(g.entries) && LV(g.entries[i].start) < sp.End; i++ {
 		e := &g.entries[i]
-		span, seq, parents := e.span, e.seqStart, e.parents
+		span, parents := Span{LV(e.start), min(g.end(i), sp.End)}, g.storedParents(i)
 		if span.Start < sp.Start {
-			seq += int(sp.Start - span.Start)
 			span.Start = sp.Start
 			prev[0] = sp.Start - 1
 			parents = prev[:]
 		}
-		span.End = min(span.End, sp.End)
-		if !fn(span, g.agents[e.agent], seq, parents) {
+		if !fn(span, g.agents[e.agent], e.seqStart+int(span.Start)-int(e.start), parents) {
+			return
+		}
+	}
+}
+
+// EachEntryIDsIn is EachEntryIn in wire form, for a caller that sends the
+// entries somewhere: fn gets the ID of the clipped entry's first event
+// and the IDs of that event's parents, which the graph reads off the
+// entries the stored parents link to, without a search. The parents slice
+// is valid only during the call.
+func (g *Graph) EachEntryIDsIn(sp Span, fn func(span Span, id RawID, parents []RawID) bool) {
+	if sp.Len() <= 0 {
+		return
+	}
+	ids := make([]RawID, 0, 2)
+	for i := g.entryIdx(sp.Start); i < len(g.entries) && LV(g.entries[i].start) < sp.End; i++ {
+		span := Span{max(LV(g.entries[i].start), sp.Start), min(g.end(i), sp.End)}
+		ids = ids[:0]
+		if span.Start > LV(g.entries[i].start) {
+			ids = append(ids, g.idIn(i, span.Start-1))
+		} else {
+			for k, hi := g.parentRange(i); k < hi; k++ {
+				ids = append(ids, g.idIn(int(g.parentEnts[k]), g.parents[k]))
+			}
+		}
+		if !fn(span, g.idIn(i, span.Start), ids) {
 			return
 		}
 	}
@@ -344,19 +518,19 @@ func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart i
 
 // EachAgentRun calls fn for each maximal run [seqStart, seqEnd) of
 // consecutive sequence numbers the graph holds for each agent, agents
-// in first-seen order and runs ascending. Adjacent storage spans that
-// abut in seq space are coalesced, so the runs are the minimal
-// run-length description of the per-agent event sets — the basis of a
-// version summary. The per-agent index is maintained incrementally by
-// Add, so this walk costs O(spans), never O(events). Iteration stops
-// if fn returns false.
+// in first-seen order and runs ascending. Adjacent entries that abut in
+// seq space are coalesced, so the runs are the minimal run-length
+// description of the per-agent event sets — the basis of a version
+// summary. The per-agent index is maintained incrementally by Add, so
+// this walk costs O(entries), never O(events). Iteration stops if fn
+// returns false.
 func (g *Graph) EachAgentRun(fn func(agent string, seqStart, seqEnd int) bool) {
-	for aid, spans := range g.byAgent {
-		for i := 0; i < len(spans); {
-			start, end := spans[i].seqStart, spans[i].seqEnd
+	for aid, idxs := range g.byAgent {
+		for i := 0; i < len(idxs); {
+			start, end := g.entries[idxs[i]].seqStart, g.seqEnd(int(idxs[i]))
 			i++
-			for i < len(spans) && spans[i].seqStart == end {
-				end = spans[i].seqEnd
+			for i < len(idxs) && g.entries[idxs[i]].seqStart == end {
+				end = g.seqEnd(int(idxs[i]))
 				i++
 			}
 			if !fn(g.agents[aid], start, end) {
@@ -370,6 +544,5 @@ func (g *Graph) EachAgentRun(fn func(agent string, seqStart, seqEnd int) bool) {
 // in [lv, end) after the first has its predecessor as sole parent and all
 // belong to one storage entry. Used by replay to batch linear runs.
 func (g *Graph) EntrySpanAt(lv LV) Span {
-	e := g.entryFor(lv)
-	return Span{lv, e.span.End}
+	return Span{lv, g.end(g.entryOf(lv))}
 }

@@ -46,8 +46,8 @@ func TestAddAndLen(t *testing.T) {
 	if g.Len() != 5 {
 		t.Fatalf("len = %d, want 5", g.Len())
 	}
-	if len(g.entries) != 1 {
-		t.Fatalf("linear run not merged: %d entries", len(g.entries))
+	if g.Entries() != 1 {
+		t.Fatalf("linear run not merged: %d entries", g.Entries())
 	}
 }
 
@@ -619,6 +619,61 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 	// One result slice per side of Diff, one for Dominators.
 	if near != far || near > 3 {
 		t.Fatalf("allocations per run: %v with heads 1 000 events apart, %v at 10 000; want equal and at most 3", near, far)
+	}
+
+	// And in entries, not in searches for them: two authors taking turns,
+	// each turn hanging on the other's last but three, make a lattice in
+	// which a walk between the two heads touches every entry on the way.
+	// It searches for the entries of the heads it is given — one lookup
+	// each — and hops from entry to entry along the stored links, where
+	// every hop used to be a binary search.
+	searches := func(turns int) (diff, dom, contains uint64) {
+		g := New()
+		var tips [2]LV
+		mustAdd(t, g, "a", 0, 5, nil)
+		tips[0] = 4
+		tips[1] = mustAdd(t, g, "b", 0, 5, []LV{2}) + 4
+		var history [2][]LV // each author's tips, oldest first
+		for i := 0; i < turns; i++ {
+			me, other := i%2, 1-i%2
+			ps := []LV{tips[me]}
+			if h := history[other]; len(h) >= 3 {
+				ps = append(ps, h[len(h)-3])
+			}
+			history[me] = append(history[me], tips[me])
+			tips[me] = mustAdd(t, g, string(rune('a'+me)), g.SeqEnd(string(rune('a'+me))), 5, ps) + 4
+		}
+		if g.Entries() < turns {
+			t.Fatalf("%d entries after %d turns", g.Entries(), turns)
+		}
+		a, b := Frontier{tips[0]}, Frontier{4}
+		before := g.Searches()
+		onlyA, onlyB := g.Diff(a, b)
+		diff = g.Searches() - before
+		walked := 0
+		for _, sp := range onlyA {
+			walked += sp.Len()
+		}
+		if len(onlyB) != 0 || walked < 5*(turns-3) {
+			t.Fatalf("Diff from the tip to the base: %d events, %d spans the other way", walked, len(onlyB))
+		}
+		before = g.Searches()
+		if d := g.Dominators([]LV{tips[0], tips[1], 7, 3}); len(d) != 2 {
+			t.Fatalf("Dominators = %v", d)
+		}
+		dom = g.Searches() - before
+		before = g.Searches()
+		if !g.VersionContains(a, 1) || !g.HappenedBefore(6, tips[1]) {
+			t.Fatal("ancestry wrong")
+		}
+		contains = g.Searches() - before
+		return diff, dom, contains
+	}
+	for _, turns := range []int{40, 400} {
+		diff, dom, contains := searches(turns)
+		if diff != 2 || dom != 4 || contains != 2 {
+			t.Errorf("%d turns: %d entry searches in Diff of two heads, %d in Dominators of four events, %d in two ancestry queries; want 2, 4 and 2", turns, diff, dom, contains)
+		}
 	}
 }
 

@@ -32,21 +32,24 @@ import "slices"
 // those entries leave critical are the ones not above it — and the number
 // of entries it visited.
 func (g *Graph) criticalRunsDesc(from LV, fn func(Span) bool) (minAfter LV, visited int) {
-	minAfter = LV(g.Len()) // lowest parent of the entries already visited
-	for i := len(g.entries) - 1; i >= 0 && g.entries[i].span.End > from; i-- {
+	minAfter = g.n // lowest parent of the entries already visited
+	for i, entEnd := len(g.entries)-1, g.n; i >= 0 && entEnd > from; i-- {
 		e := &g.entries[i]
 		visited++
-		start, end := max(e.span.Start, from), min(e.span.End, minAfter+1)
+		entStart := LV(e.start)
+		start, end := max(entStart, from), min(entEnd, minAfter+1)
 		if e.heads == 1 && end > start && !fn(Span{start, end}) {
 			break
 		}
-		if e.span.Start < from {
+		if entStart < from {
 			break // its parents belong to an event before from
 		}
-		if len(e.parents) == 0 {
+		parents := g.storedParents(i)
+		if len(parents) == 0 {
 			return -1, visited // a root event: concurrent with everything before it
 		}
-		minAfter = min(minAfter, e.parents[0])
+		minAfter = min(minAfter, parents[0])
+		entEnd = entStart
 	}
 	return minAfter, visited
 }

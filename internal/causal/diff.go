@@ -19,11 +19,12 @@ const (
 	flagShared = flagA | flagB
 )
 
-// heapEnt is one pending visit of a traversal: walk down from lv, on
-// behalf of the sides in f.
+// heapEnt is one pending visit of a traversal: walk down from lv, which
+// entry ent holds, on behalf of the sides in f.
 type heapEnt struct {
-	lv LV
-	f  flag
+	lv  LV
+	ent uint32
+	f   flag
 }
 
 // lvHeap is a max-heap of pending visits. Duplicate LVs are allowed; they
@@ -33,8 +34,8 @@ type heapEnt struct {
 // does not touch the allocator.
 type lvHeap []heapEnt
 
-func (h lvHeap) push(lv LV, f flag) lvHeap {
-	h = append(h, heapEnt{lv, f})
+func (h lvHeap) push(lv LV, ent uint32, f flag) lvHeap {
+	h = append(h, heapEnt{lv, ent, f})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -72,12 +73,33 @@ func (h lvHeap) drop() lvHeap {
 }
 
 // Every traversal below steps entry by entry, not event by event: it
-// pops the highest pending LV, looks up the entry holding it once, and —
-// since the events of an entry form a chain — consumes every other
-// pending LV that falls inside the same entry on the way down to the
-// entry's first event. Only that first event's stored parents are pushed.
-// A walk therefore costs one heap operation and one entry lookup per
-// entry it touches, however many events the entries cover.
+// pops the highest pending LV and — since the events of an entry form a
+// chain — consumes every other pending LV that falls inside the same
+// entry on the way down to the entry's first event. Only that first
+// event's stored parents are pushed, each with the index of its own entry,
+// which the graph stored beside it. A walk therefore costs one heap
+// operation per entry it touches, however many events the entries cover,
+// and one search (pushHeads) per version it starts from, however many
+// entries it touches.
+
+// pushHeads adds a visit on behalf of f for each of lvs, all events of
+// the graph, finding the entry of each by search.
+func (g *Graph) pushHeads(h lvHeap, lvs []LV, f flag) lvHeap {
+	for _, lv := range lvs {
+		h = h.push(lv, uint32(g.entryOf(lv)), f)
+	}
+	return h
+}
+
+// pushParents adds a visit on behalf of f for each stored parent of
+// entry i and returns how many there were.
+func (g *Graph) pushParents(h lvHeap, i uint32, f flag) (lvHeap, int) {
+	lo, hi := g.parentRange(int(i))
+	for k := lo; k < hi; k++ {
+		h = h.push(g.parents[k], g.parentEnts[k], f)
+	}
+	return h, hi - lo
+}
 
 // pushDesc adds [start, end), if not empty, to spans, which are kept
 // descending; a span that abuts the previous one extends it.
@@ -134,30 +156,24 @@ func (g *Graph) DiffInto(a, b Frontier, bufA, bufB []Span) (onlyA, onlyB []Span)
 // bufA and bufB.
 func (g *Graph) diffDesc(a, b Frontier, bufA, bufB []Span) (descA, descB []Span) {
 	var hbuf [8]heapEnt
-	h := lvHeap(hbuf[:0])
-	for _, lv := range a {
-		h = h.push(lv, flagA)
-	}
-	for _, lv := range b {
-		h = h.push(lv, flagB)
-	}
+	h := g.pushHeads(g.pushHeads(hbuf[:0], a, flagA), b, flagB)
 	// The walk ends when everything still pending was reached from both
 	// sides: all that remains is shared history.
 	numNotShared := len(a) + len(b)
 	// desc[flagA] and desc[flagB] collect the two results, descending.
 	desc := [flagShared][]Span{flagA: bufA[:0], flagB: bufB[:0]}
 	for numNotShared > 0 {
-		lv, f := h[0].lv, h[0].f
+		lv, ent, f := h[0].lv, h[0].ent, h[0].f
 		h = h.drop()
 		if f != flagShared {
 			numNotShared--
 		}
-		e := g.entryFor(lv)
+		start := LV(g.entries[ent].start)
 		// [.., end) is the stretch of the entry reached with the sides in f
 		// alone; a pending LV inside the entry that brings the other side
 		// closes it, and what lies below is shared.
 		end := lv + 1
-		for len(h) > 0 && h[0].lv >= e.span.Start {
+		for len(h) > 0 && h[0].lv >= start {
 			lv2, f2 := h[0].lv, h[0].f
 			h = h.drop()
 			if f2 != flagShared {
@@ -168,12 +184,10 @@ func (g *Graph) diffDesc(a, b Frontier, bufA, bufB []Span) (descA, descB []Span)
 				f = flagShared
 			}
 		}
-		if f != flagShared {
-			desc[f] = pushDesc(desc[f], e.span.Start, end)
-			numNotShared += len(e.parents)
-		}
-		for _, p := range e.parents {
-			h = h.push(p, f)
+		var pushed int
+		if h, pushed = g.pushParents(h, ent, f); f != flagShared {
+			desc[f] = pushDesc(desc[f], start, end)
+			numNotShared += pushed
 		}
 	}
 	return desc[flagA], desc[flagB]
@@ -183,38 +197,37 @@ func (g *Graph) diffDesc(a, b Frontier, bufA, bufB []Span) (descA, descB []Span)
 // any event that is an ancestor of another element is dropped, as are
 // duplicates. The result is sorted ascending. Dominators(nil) is nil.
 func (g *Graph) Dominators(lvs []LV) []LV {
-	switch len(lvs) {
-	case 0:
+	if len(lvs) == 0 {
 		return nil
-	case 1:
-		return []LV{lvs[0]}
 	}
-	minInput := lvs[0]
-	for _, lv := range lvs[1:] {
-		if lv < minInput {
-			minInput = lv
-		}
+	return g.DominatorsInto(lvs, make([]LV, 0, len(lvs)))
+}
+
+// DominatorsInto is Dominators with the result built in buf, which is
+// overwritten from its start, grown as append grows it, and must not
+// overlap lvs: a caller that only reads the result, or copies it, keeps
+// buf on its stack.
+func (g *Graph) DominatorsInto(lvs, buf []LV) []LV {
+	out := buf[:0] // collected descending
+	if len(lvs) < 2 {
+		return append(out, lvs...)
 	}
-	var hbuf [8]heapEnt
-	h := lvHeap(hbuf[:0])
+	minInput := slices.Min(lvs)
 	// flagA marks "is an input", flagB marks "reached as an ancestor of
 	// something already popped" (i.e. shadowed).
-	for _, lv := range lvs {
-		h = h.push(lv, flagA)
-	}
+	var hbuf [8]heapEnt
+	h := g.pushHeads(hbuf[:0], lvs, flagA)
 	inputsLeft := len(lvs)
-	out := make([]LV, 0, len(lvs)) // collected descending
 	for inputsLeft > 0 {
-		lv, f := h[0].lv, h[0].f
+		lv, ent, f := h[0].lv, h[0].ent, h[0].f
 		h = h.drop()
 		if f&flagA != 0 {
 			inputsLeft--
 		}
-		e := g.entryFor(lv)
 		// Everything else pending inside the entry is lv again or one of
 		// its ancestors: a duplicate adds its flags, an ancestor is
 		// shadowed.
-		for len(h) > 0 && h[0].lv >= e.span.Start {
+		for start := LV(g.entries[ent].start); len(h) > 0 && h[0].lv >= start; {
 			lv2, f2 := h[0].lv, h[0].f
 			h = h.drop()
 			if f2&flagA != 0 {
@@ -230,9 +243,10 @@ func (g *Graph) Dominators(lvs []LV) []LV {
 		if inputsLeft == 0 {
 			break
 		}
-		for _, p := range e.parents {
-			if p >= minInput {
-				h = h.push(p, flagB)
+		lo, hi := g.parentRange(int(ent))
+		for k := lo; k < hi; k++ {
+			if p := g.parents[k]; p >= minInput {
+				h = h.push(p, g.parentEnts[k], flagB)
 			}
 		}
 	}
@@ -250,27 +264,34 @@ func (g *Graph) VersionContains(frontier Frontier, target LV) bool {
 			return true
 		}
 		if lv > target {
-			h = h.push(lv, flagA)
+			h = h.push(lv, uint32(g.entryOf(lv)), flagA)
 		}
 	}
-	// Every pending LV is above target, so the entry holding one either
-	// reaches down to target or lies wholly above it.
+	return g.reaches(h, target)
+}
+
+// reaches reports whether target is an ancestor of a visit pending in h.
+// Every pending LV is above target, so the entry holding one either
+// reaches down to target or lies wholly above it.
+func (g *Graph) reaches(h lvHeap, target LV) bool {
 	for len(h) > 0 {
-		lv := h[0].lv
+		ent := h[0].ent
 		h = h.drop()
-		e := g.entryFor(lv)
-		if e.span.Start <= target {
+		start := LV(g.entries[ent].start)
+		if start <= target {
 			return true
 		}
-		for len(h) > 0 && h[0].lv >= e.span.Start {
+		for len(h) > 0 && h[0].lv >= start {
 			h = h.drop()
 		}
-		for _, p := range e.parents {
+		lo, hi := g.parentRange(int(ent))
+		for k := lo; k < hi; k++ {
+			p := g.parents[k]
 			if p == target {
 				return true
 			}
 			if p > target {
-				h = h.push(p, flagA)
+				h = h.push(p, g.parentEnts[k], flagA)
 			}
 		}
 	}
@@ -283,9 +304,14 @@ func (g *Graph) HappenedBefore(a, b LV) bool {
 		return false
 	}
 	// Either a is further up b's own entry, or it is reached through the
-	// entry's parents.
-	e := g.entryFor(b)
-	return a >= e.span.Start || g.VersionContains(e.parents, a)
+	// entry: a visit of the entry's first event, which is above a.
+	ent := uint32(g.entryOf(b))
+	start := LV(g.entries[ent].start)
+	if a >= start {
+		return true
+	}
+	var hbuf [8]heapEnt
+	return g.reaches(lvHeap(hbuf[:0]).push(start, ent, flagA), a)
 }
 
 // Concurrent reports whether events a and b are concurrent (a ∥ b).
@@ -300,27 +326,20 @@ func (g *Graph) CommonAncestorVersion(a, b Frontier) Frontier {
 	// Walk both versions down and keep the highest events reached from
 	// both sides; their dominators are the frontier of the intersection.
 	var hbuf [8]heapEnt
-	h := lvHeap(hbuf[:0])
-	for _, lv := range a {
-		h = h.push(lv, flagA)
-	}
-	for _, lv := range b {
-		h = h.push(lv, flagB)
-	}
+	h := g.pushHeads(g.pushHeads(hbuf[:0], a, flagA), b, flagB)
 	numNotShared := len(a) + len(b)
 	var shared []LV
 	for numNotShared > 0 {
-		lv, f := h[0].lv, h[0].f
+		lv, ent, f := h[0].lv, h[0].ent, h[0].f
 		h = h.drop()
 		if f != flagShared {
 			numNotShared--
 		}
-		e := g.entryFor(lv)
 		// The first point of the entry, going down, that both sides have
 		// reached is shared, and so is everything below it: what else is
 		// pending inside the entry is dropped, and the walk does not go
 		// on to the entry's parents.
-		for len(h) > 0 && h[0].lv >= e.span.Start {
+		for start := LV(g.entries[ent].start); len(h) > 0 && h[0].lv >= start; {
 			lv2, f2 := h[0].lv, h[0].f
 			h = h.drop()
 			if f2 != flagShared {
@@ -334,10 +353,9 @@ func (g *Graph) CommonAncestorVersion(a, b Frontier) Frontier {
 			shared = append(shared, lv)
 			continue
 		}
-		for _, p := range e.parents {
-			h = h.push(p, f)
-		}
-		numNotShared += len(e.parents)
+		var pushed int
+		h, pushed = g.pushParents(h, ent, f)
+		numNotShared += pushed
 	}
 	return Frontier(g.Dominators(shared))
 }

@@ -10,7 +10,7 @@ func refDiff(g *Graph, a, b Frontier) (onlyA, onlyB []Span) {
 	var h lvHeap
 	numNotShared := 0
 	pushRaw := func(lv LV, f flag) {
-		h = h.push(lv, f)
+		h = h.push(lv, 0, f)
 		if f != flagShared {
 			numNotShared++
 		}
@@ -89,7 +89,7 @@ func refDominators(g *Graph, lvs []LV) []LV {
 	inputsLeft := 0
 	// flagA marks "is an input", flagB "shadowed by something popped".
 	for _, lv := range lvs {
-		h = h.push(lv, flagA)
+		h = h.push(lv, 0, flagA)
 		inputsLeft++
 	}
 	var out []LV
@@ -115,7 +115,7 @@ func refDominators(g *Graph, lvs []LV) []LV {
 		}
 		for _, p := range g.ParentsOf(lv) {
 			if p >= minInput {
-				h = h.push(p, flagB)
+				h = h.push(p, 0, flagB)
 			}
 		}
 	}
@@ -129,7 +129,7 @@ func refVersionContains(g *Graph, frontier Frontier, target LV) bool {
 			return true
 		}
 		if lv > target {
-			h = h.push(lv, flagA)
+			h = h.push(lv, 0, flagA)
 		}
 	}
 	for len(h) > 0 {
@@ -143,7 +143,7 @@ func refVersionContains(g *Graph, frontier Frontier, target LV) bool {
 				return true
 			}
 			if p > target {
-				h = h.push(p, flagA)
+				h = h.push(p, 0, flagA)
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func refCommonAncestorVersion(g *Graph, a, b Frontier) Frontier {
 	var h lvHeap
 	numNotShared := 0
 	push := func(lv LV, f flag) {
-		h = h.push(lv, f)
+		h = h.push(lv, 0, f)
 		if f != flagShared {
 			numNotShared++
 		}

@@ -1,0 +1,527 @@
+package causal
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"testing"
+	"unsafe"
+)
+
+// The graph as it was stored before its layout went flat — an entry with
+// its own span and its own parents slice, a per-agent index that repeats
+// each entry's seqs and first LV — kept as the model the flat graph is
+// held to. refGraph.add is the Add of that layout, down to the order of
+// its checks; dominators are taken from the per-event reference.
+
+type refEntry struct {
+	span     Span
+	agent    int
+	heads    int
+	seqStart int
+	parents  []LV
+}
+
+type refAgentSpan struct {
+	seqStart, seqEnd int
+	lvStart          LV
+}
+
+type refGraph struct {
+	entries  []refEntry
+	agents   []string
+	agentIdx map[string]int
+	byAgent  [][]refAgentSpan
+	frontier []LV
+}
+
+func newRefGraph() *refGraph { return &refGraph{agentIdx: map[string]int{}} }
+
+func (g *refGraph) len() int {
+	if len(g.entries) == 0 {
+		return 0
+	}
+	return int(g.entries[len(g.entries)-1].span.End)
+}
+
+// add mirrors Add; reduce is the dominator function (the flat graph under
+// test supplies the per-event reference over itself).
+func (g *refGraph) add(agent string, seq, count int, parents []LV, reduce func([]LV) []LV) (LV, error) {
+	if count < 1 || seq < 0 {
+		return 0, fmt.Errorf("bad run")
+	}
+	start := LV(g.len())
+	for _, p := range parents {
+		if p < 0 || p >= start {
+			return 0, fmt.Errorf("parent out of range")
+		}
+	}
+	aid, ok := g.agentIdx[agent]
+	if !ok {
+		aid = len(g.agents)
+		g.agents = append(g.agents, agent)
+		g.agentIdx[agent] = aid
+		g.byAgent = append(g.byAgent, nil)
+	}
+	spans := g.byAgent[aid]
+	insIdx := sort.Search(len(spans), func(i int) bool { return spans[i].seqStart >= seq+count })
+	if insIdx > 0 && spans[insIdx-1].seqEnd > seq {
+		return 0, fmt.Errorf("duplicate")
+	}
+	red := append([]LV(nil), parents...)
+	if len(parents) > 1 {
+		red = reduce(parents)
+	}
+	advance := func() {
+		out := g.frontier[:0]
+		for _, f := range g.frontier {
+			if !containsLV(red, f) {
+				out = append(out, f)
+			}
+		}
+		g.frontier = append(out, start+LV(count)-1)
+	}
+	if n := len(g.entries); n > 0 {
+		last := &g.entries[n-1]
+		if last.agent == aid && last.seqStart+last.span.Len() == seq && len(red) == 1 && red[0] == last.span.End-1 {
+			last.span.End += LV(count)
+			g.byAgent[aid][insIdx-1].seqEnd += count
+			advance()
+			return start, nil
+		}
+	}
+	advance()
+	g.entries = append(g.entries, refEntry{Span{start, start + LV(count)}, aid, len(g.frontier), seq, red})
+	g.byAgent[aid] = slices.Insert(g.byAgent[aid], insIdx, refAgentSpan{seq, seq + count, start})
+	return start, nil
+}
+
+func (g *refGraph) entryFor(lv LV) *refEntry {
+	i := sort.Search(len(g.entries), func(i int) bool { return g.entries[i].span.End > lv })
+	return &g.entries[i]
+}
+
+func (g *refGraph) parentsOf(lv LV) []LV {
+	if e := g.entryFor(lv); lv == e.span.Start {
+		return e.parents
+	}
+	return []LV{lv - 1}
+}
+
+func (g *refGraph) idOf(lv LV) RawID {
+	e := g.entryFor(lv)
+	return RawID{g.agents[e.agent], e.seqStart + int(lv-e.span.Start)}
+}
+
+func (g *refGraph) seqRun(agent string, seq, max int) (LV, bool, int) {
+	aid, ok := g.agentIdx[agent]
+	if !ok {
+		return 0, false, max
+	}
+	spans := g.byAgent[aid]
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].seqEnd > seq })
+	if i == len(spans) {
+		return 0, false, max
+	}
+	if sp := spans[i]; sp.seqStart <= seq {
+		return sp.lvStart + LV(seq-sp.seqStart), true, min(max, sp.seqEnd-seq)
+	}
+	return 0, false, min(max, spans[i].seqStart-seq)
+}
+
+func (g *refGraph) seqEnd(agent string) int {
+	aid, ok := g.agentIdx[agent]
+	if !ok || len(g.byAgent[aid]) == 0 {
+		return 0
+	}
+	return g.byAgent[aid][len(g.byAgent[aid])-1].seqEnd
+}
+
+// seenEntry is what EachEntry and EachEntryIn report for one entry.
+type seenEntry struct {
+	span     Span
+	agent    string
+	seqStart int
+	parents  []LV
+}
+
+func (g *refGraph) eachEntryIn(sp Span) []seenEntry {
+	var out []seenEntry
+	if sp.Len() <= 0 {
+		return nil
+	}
+	for _, e := range g.entries {
+		if e.span.End <= sp.Start || e.span.Start >= sp.End {
+			continue
+		}
+		s := seenEntry{e.span, g.agents[e.agent], e.seqStart, slices.Clone(e.parents)}
+		if s.span.Start < sp.Start {
+			s.seqStart += int(sp.Start - s.span.Start)
+			s.span.Start = sp.Start
+			s.parents = []LV{sp.Start - 1}
+		}
+		s.span.End = min(s.span.End, sp.End)
+		out = append(out, s)
+	}
+	return out
+}
+
+type agentRun struct {
+	agent      string
+	start, end int
+}
+
+func (g *refGraph) eachAgentRun() []agentRun {
+	var out []agentRun
+	for aid, spans := range g.byAgent {
+		for i := 0; i < len(spans); {
+			start, end := spans[i].seqStart, spans[i].seqEnd
+			for i++; i < len(spans) && spans[i].seqStart == end; i++ {
+				end = spans[i].seqEnd
+			}
+			out = append(out, agentRun{g.agents[aid], start, end})
+		}
+	}
+	return out
+}
+
+func collectEntries(each func(fn func(Span, string, int, []LV) bool)) []seenEntry {
+	var out []seenEntry
+	each(func(sp Span, agent string, seq int, ps []LV) bool {
+		out = append(out, seenEntry{sp, agent, seq, slices.Clone(ps)})
+		return true
+	})
+	return out
+}
+
+// sameEntries compares two entry lists, a nil parents slice equal to an
+// empty one.
+func sameEntries(a, b []seenEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y seenEntry) bool {
+		return x.span == y.span && x.agent == y.agent && x.seqStart == y.seqStart && slices.Equal(x.parents, y.parents)
+	})
+}
+
+// TestFlatGraphMatchesRef holds the flat graph to the pointerful model
+// after every Add of a random history: seq ranges that arrive out of
+// order, runs that extend the last entry across calls, adds with several
+// parents some of them dominated or repeated, adds the graph must reject —
+// on every accessor.
+func TestFlatGraphMatchesRef(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, ref := New(), newRefGraph()
+		reduce := func(lvs []LV) []LV { return refDominators(g, lvs) }
+		agents := []string{"ann", "bob", "cy", "dee"}
+		// Each agent's seqs are handed out in blocks, and the blocks of
+		// an agent are added in a shuffled order: out-of-order arrival.
+		type block struct {
+			agent      string
+			seq, count int
+		}
+		var blocks []block
+		for _, a := range agents {
+			for seq := 0; seq < 60; {
+				n := 1 + rng.Intn(9)
+				blocks = append(blocks, block{a, seq, n})
+				seq += n
+			}
+		}
+		// Mostly in order (so that entries get extended), sometimes not.
+		for i := range blocks {
+			if rng.Intn(5) == 0 {
+				j := rng.Intn(len(blocks))
+				blocks[i], blocks[j] = blocks[j], blocks[i]
+			}
+		}
+		lastOf := map[string]LV{}
+		for step, b := range blocks {
+			n := g.Len()
+			var ps []LV
+			switch k := rng.Intn(6); {
+			case n == 0:
+			case k == 0: // the whole frontier
+				ps = g.Frontier()
+			case k <= 2: // the agent's own last event: the entry may extend
+				if lv, ok := lastOf[b.agent]; ok {
+					ps = []LV{lv}
+				} else {
+					ps = []LV{LV(rng.Intn(n))}
+				}
+			case k == 3: // the graph's last event
+				ps = []LV{LV(n - 1)}
+			default: // a few at random: dominated ones and repeats among them
+				for i := 1 + rng.Intn(4); i > 0; i-- {
+					ps = append(ps, LV(rng.Intn(n)))
+				}
+				if rng.Intn(2) == 0 {
+					ps = append(ps, ps[0])
+				}
+			}
+			// Now and then a run the graph must reject, as the model does.
+			if rng.Intn(12) == 0 && n > 0 {
+				id := g.IDOf(LV(rng.Intn(n)))
+				_, err := g.Add(id.Agent, id.Seq, 1+rng.Intn(3), ps)
+				_, refErr := ref.add(id.Agent, id.Seq, 1, ps, reduce)
+				if err == nil || refErr == nil {
+					t.Fatalf("seed %d step %d: duplicate %v accepted (%v, model %v)", seed, step, id, err, refErr)
+				}
+			}
+			psCopy := slices.Clone(ps)
+			want, refErr := ref.add(b.agent, b.seq, b.count, ps, reduce)
+			got, err := g.Add(b.agent, b.seq, b.count, ps)
+			if err != nil || refErr != nil || got != want {
+				t.Fatalf("seed %d step %d: Add = %d, %v; model %d, %v", seed, step, got, err, want, refErr)
+			}
+			if !slices.Equal(ps, psCopy) {
+				t.Fatalf("seed %d step %d: Add changed its parents argument", seed, step)
+			}
+			lastOf[b.agent] = got + LV(b.count) - 1
+			compareWithRef(t, fmt.Sprintf("seed %d step %d", seed, step), g, ref, rng)
+		}
+	}
+}
+
+// compareWithRef checks every accessor of g against the model.
+func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.Rand) {
+	t.Helper()
+	n := LV(g.Len())
+	if int(n) != ref.len() || g.Entries() != len(ref.entries) {
+		t.Fatalf("%s: %d events in %d entries, model %d in %d", at, n, g.Entries(), ref.len(), len(ref.entries))
+	}
+	if !slices.Equal(g.Frontier(), Frontier(ref.frontier)) {
+		t.Fatalf("%s: frontier %v, model %v", at, g.Frontier(), ref.frontier)
+	}
+	for i, e := range ref.entries {
+		if got := int(g.entries[i].heads); got != e.heads {
+			t.Fatalf("%s: entry %d heads %d, model %d", at, i, got, e.heads)
+		}
+	}
+	for lv := LV(0); lv < n; lv++ {
+		if got, want := g.ParentsOf(lv), ref.parentsOf(lv); !slices.Equal(got, want) {
+			t.Fatalf("%s: ParentsOf(%d) = %v, model %v", at, lv, got, want)
+		}
+		id := ref.idOf(lv)
+		if got := g.IDOf(lv); got != id {
+			t.Fatalf("%s: IDOf(%d) = %v, model %v", at, lv, got, id)
+		}
+		if got, ok := g.LVOf(id); !ok || got != lv {
+			t.Fatalf("%s: LVOf(%v) = %d, %v, want %d", at, id, got, ok, lv)
+		}
+		if got, want := g.EntrySpanAt(lv), (Span{lv, ref.entryFor(lv).span.End}); got != want {
+			t.Fatalf("%s: EntrySpanAt(%d) = %v, model %v", at, lv, got, want)
+		}
+	}
+	for _, a := range append(ref.agents, "nobody") {
+		if got, want := g.SeqEnd(a), ref.seqEnd(a); got != want {
+			t.Fatalf("%s: SeqEnd(%s) = %d, model %d", at, a, got, want)
+		}
+		for seq := 0; seq < 64; seq++ {
+			for _, max := range []int{1, 3, 100} {
+				lv, known, k := g.SeqRun(a, seq, max)
+				rlv, rknown, rk := ref.seqRun(a, seq, max)
+				if lv != rlv || known != rknown || k != rk {
+					t.Fatalf("%s: SeqRun(%s, %d, %d) = %d %v %d, model %d %v %d", at, a, seq, max, lv, known, k, rlv, rknown, rk)
+				}
+			}
+			if g.HasID(RawID{a, seq}) != func() bool { _, ok, _ := ref.seqRun(a, seq, 1); return ok }() {
+				t.Fatalf("%s: HasID(%s/%d) disagrees with the model", at, a, seq)
+			}
+		}
+	}
+	if got, want := collectEntries(g.EachEntry), ref.eachEntryIn(Span{0, n}); !sameEntries(got, want) {
+		t.Fatalf("%s: EachEntry = %v, model %v", at, got, want)
+	}
+	// Clipped at every offset on small graphs, at random ones on larger.
+	clip := func(sp Span) {
+		got := collectEntries(func(fn func(Span, string, int, []LV) bool) { g.EachEntryIn(sp, fn) })
+		want := ref.eachEntryIn(sp)
+		if !sameEntries(got, want) {
+			t.Fatalf("%s: EachEntryIn(%v) = %v, model %v", at, sp, got, want)
+		}
+		// The same in wire form, read off the parent links.
+		k := 0
+		g.EachEntryIDsIn(sp, func(span Span, id RawID, parents []RawID) bool {
+			w := want[k]
+			var wantParents []RawID
+			for _, p := range w.parents {
+				wantParents = append(wantParents, ref.idOf(p))
+			}
+			if span != w.span || id != (RawID{w.agent, w.seqStart}) || !slices.Equal(parents, wantParents) {
+				t.Fatalf("%s: EachEntryIDsIn(%v) entry %d = %v %v %v, model %v %v", at, sp, k, span, id, parents, w, wantParents)
+			}
+			k++
+			return true
+		})
+		if k != len(want) {
+			t.Fatalf("%s: EachEntryIDsIn(%v) saw %d entries, model %d", at, sp, k, len(want))
+		}
+	}
+	if n <= 40 {
+		for lo := LV(0); lo <= n; lo++ {
+			for hi := lo; hi <= n+1; hi++ {
+				clip(Span{lo, hi})
+			}
+		}
+	} else {
+		for i := 0; i < 30; i++ {
+			lo := LV(rng.Intn(int(n)))
+			clip(Span{lo, lo + LV(rng.Intn(int(n-lo)+2))})
+		}
+	}
+	var runs []agentRun
+	g.EachAgentRun(func(a string, s, e int) bool { runs = append(runs, agentRun{a, s, e}); return true })
+	if want := ref.eachAgentRun(); !slices.Equal(runs, want) {
+		t.Fatalf("%s: EachAgentRun = %v, model %v", at, runs, want)
+	}
+	// CriticalFrom against the per-event scan over the model's parents.
+	bounds := refCriticalBoundaries(g)
+	for _, from := range []LV{0, LV(rng.Intn(int(n) + 1)), n} {
+		var want []Span
+		for lv := from; lv < n; lv++ {
+			if bounds[lv] {
+				if k := len(want); k > 0 && want[k-1].End == lv {
+					want[k-1].End++
+				} else {
+					want = append(want, Span{lv, lv + 1})
+				}
+			}
+		}
+		got, _, _ := g.CriticalFrom(from, nil)
+		if len(got) == 0 {
+			got = nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: CriticalFrom(%d) = %v, want %v", at, from, got, want)
+		}
+	}
+	// The links the traversals hop along: each stored parent's entry.
+	for i := range g.entries {
+		lo, hi := g.parentRange(i)
+		for k := lo; k < hi; k++ {
+			pe := int(g.parentEnts[k])
+			if p := g.parents[k]; p < LV(g.entries[pe].start) || p >= g.end(pe) {
+				t.Fatalf("%s: entry %d parent %d linked to entry %d, which is [%d,%d)", at, i, p, pe, g.entries[pe].start, g.end(pe))
+			}
+		}
+	}
+}
+
+// TestAppendMatchesAdd: Append is Add with the frontier as parents, for a
+// frontier of one head and of several, without copying it.
+func TestAppendMatchesAdd(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(60)
+		a, _ := randomGraph(rand.New(rand.NewSource(seed)), n)
+		b, _ := randomGraph(rand.New(rand.NewSource(seed)), n)
+		for i := 0; i < 5; i++ {
+			n := 1 + rng.Intn(6)
+			seq := a.SeqEnd("me")
+			la, errA := a.Add("me", seq, n, a.Frontier())
+			lb, errB := b.Append("me", seq, n)
+			if errA != nil || errB != nil || la != lb {
+				t.Fatalf("seed %d: Add = %d, %v; Append = %d, %v", seed, la, errA, lb, errB)
+			}
+			if !reflect.DeepEqual(collectEntries(a.EachEntry), collectEntries(b.EachEntry)) || !a.Frontier().Eq(b.Frontier()) {
+				t.Fatalf("seed %d: Append built %v, Add %v", seed, collectEntries(b.EachEntry), collectEntries(a.EachEntry))
+			}
+			// Something concurrent, so that the next frontier has two heads.
+			if a.Len() > 3 {
+				p := []LV{LV(rng.Intn(a.Len() - 2))}
+				mustAdd(t, a, "other", a.SeqEnd("other"), 2, p)
+				mustAdd(t, b, "other", b.SeqEnd("other"), 2, p)
+			}
+		}
+		if _, err := b.Append("me", 0, 1); err == nil {
+			t.Fatal("Append accepted a duplicate")
+		}
+	}
+}
+
+// TestParentsSliceSurvivesRegrowth: a parents slice handed out by
+// ParentsOf reads the same after the arena has moved, and appending to it
+// does not write into the arena.
+func TestParentsSliceSurvivesRegrowth(t *testing.T) {
+	g := New()
+	mustAdd(t, g, "a", 0, 2, nil)
+	mustAdd(t, g, "b", 0, 2, nil)
+	mustAdd(t, g, "c", 0, 1, []LV{1, 3})
+	mustAdd(t, g, "d", 0, 1, []LV{4})
+	held := g.ParentsOf(4)
+	base := unsafe.SliceData(g.parents)
+	for i := 0; i < 500; i++ {
+		mustAdd(t, g, "e", i, 1, []LV{LV(i % 4), 5})
+	}
+	if unsafe.SliceData(g.parents) == base {
+		t.Fatal("the arena never moved")
+	}
+	if !slices.Equal(held, []LV{1, 3}) {
+		t.Fatalf("held slice reads %v after regrowth", held)
+	}
+	_ = append(held, 99)
+	if got := g.ParentsOf(5); !slices.Equal(got, []LV{4}) {
+		t.Fatalf("appending to a handed-out slice changed entry 'd''s parents to %v", got)
+	}
+}
+
+// TestGraphLimits: entries count LVs and parents in 32 bits. A run of
+// 2^32 events is one entry, so the bound is one call away: past it Add
+// and Append return an error and leave the graph as it was, where an
+// unchecked narrowing would wrap an entry's start.
+func TestGraphLimits(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot pass the limit")
+	}
+	var huge int = math.MaxUint32 - 5
+	g := New()
+	mustAdd(t, g, "a", 0, huge, nil)
+	tip := []LV{LV(huge - 1)}
+	if _, err := g.Add("b", 0, 6, tip); err == nil {
+		t.Fatal("a run ending past 2^32 events was accepted")
+	}
+	if _, err := g.Append("b", 0, 6); err == nil {
+		t.Fatal("a local run ending past 2^32 events was accepted")
+	}
+	if _, err := g.Add("b", math.MaxInt-2, 5, tip); err == nil {
+		t.Fatal("a run whose seqs overflow was accepted")
+	}
+	if g.Len() != huge || g.Entries() != 1 {
+		t.Fatalf("rejected runs left %d events in %d entries", g.Len(), g.Entries())
+	}
+	lv := mustAdd(t, g, "b", 7, 5, tip)
+	if lv != LV(huge) || g.Len() != math.MaxUint32 {
+		t.Fatalf("run at %d, %d events", lv, g.Len())
+	}
+	if id := g.IDOf(LV(g.Len() - 1)); id != (RawID{"b", 11}) {
+		t.Fatalf("last event is %v", id)
+	}
+	if got, ok := g.LVOf(RawID{"a", huge - 1}); !ok || got != LV(huge-1) {
+		t.Fatalf("LVOf(a/%d) = %d, %v", huge-1, got, ok)
+	}
+	if !g.HappenedBefore(3, LV(g.Len()-1)) || !reflect.DeepEqual(g.ParentsOf(lv), tip) {
+		t.Fatal("ancestry across the huge entry is wrong")
+	}
+	if _, err := g.Add("c", 0, 1, nil); err == nil {
+		t.Fatal("event 2^32 was accepted")
+	}
+	// The same guard holds the parents arena to 32-bit offsets; 2^32
+	// stored parents are out of a test's reach, the arithmetic is not.
+	if room("parents", math.MaxUint32-3, 3) != nil || room("parents", math.MaxUint32-3, 4) == nil || room("parents", math.MaxUint32, 1) == nil {
+		t.Fatal("room is off by one")
+	}
+}
+
+// TestEntryRecordSize: a field added to the record shows here first.
+func TestEntryRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 24 && strconv.IntSize == 64 {
+		t.Fatalf("an entry record is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(heapEnt{}); got != 16 && strconv.IntSize == 64 {
+		t.Fatalf("a pending visit is %d bytes, want 16", got)
+	}
+}

@@ -751,6 +751,18 @@ func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([
 	// Grow lazily: a run-length format legitimately describes many
 	// events in few bytes, so trust the count only as runs materialise.
 	var runs []Run
+	// Every run's Parents is cut, capacity capped, from one arena, which
+	// is chunked rather than moved when it fills up — the runs before
+	// keep the chunks they point into. A chunk is as large as the runs
+	// decoded so far are many, never as a count the frame claims: a frame
+	// of one run allocates one parent, a frame of thousands a dozen
+	// chunks.
+	var arena []ID
+	parentsRoom := func(n int) {
+		if cap(arena)-len(arena) < n {
+			arena = make([]ID, 0, max(n, min(len(runs), 4096)))
+		}
+	}
 	var (
 		ar            = -1 // current agent run
 		arEnd         = 0  // event index it ends at
@@ -810,6 +822,8 @@ func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([
 			if err != nil {
 				return nil, err
 			}
+			parentsRoom(nPar)
+			from := len(arena)
 			for p := 0; p < nPar; p++ {
 				v, err := parents.uvarint()
 				if err != nil {
@@ -820,7 +834,7 @@ func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([
 					if back == 0 || back > uint64(i) {
 						return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, i)
 					}
-					run.Parents = append(run.Parents, ids.idAt(i-int(back)))
+					arena = append(arena, ids.idAt(i-int(back)))
 				} else {
 					ai := v >> 1
 					if ai >= uint64(len(ids.names)) {
@@ -830,8 +844,11 @@ func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([
 					if err != nil {
 						return nil, err
 					}
-					run.Parents = append(run.Parents, ID{Agent: ids.names[ai], Seq: seq})
+					arena = append(arena, ID{Agent: ids.names[ai], Seq: seq})
 				}
+			}
+			if nPar > 0 {
+				run.Parents = arena[from:len(arena):len(arena)]
 			}
 			excAt = n
 			if entriesParsed++; entriesParsed < nExc {
@@ -847,7 +864,9 @@ func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([
 				}
 			}
 		} else {
-			run.Parents = []ID{last}
+			parentsRoom(1)
+			arena = append(arena, last)
+			run.Parents = arena[len(arena)-1 : len(arena) : len(arena)]
 		}
 
 		end := min(arEnd, opEnd, excAt)

@@ -2,7 +2,11 @@ package colenc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -44,6 +48,13 @@ func FuzzColencRoundTrip(f *testing.F) {
 		if data, err := EncodeRunsDoc(Runs(evs), "cached doc text", Options{}); err == nil {
 			f.Add(data)
 		}
+	}
+	// A frame of 11 events whose header claims 2^31 and one that claims
+	// the most its size allows (a delete run may be that long): what the
+	// decoder reserves must come from the runs it has decoded.
+	if data, err := Encode(typed("alice", "hello world"), Options{}); err == nil {
+		f.Add(claim(data, 1<<31))
+		f.Add(claim(data, uint64(len(data)-9)<<16))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("EGC2"))
@@ -111,4 +122,41 @@ func FuzzColencRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed doc column")
 		}
 	})
+}
+
+// claim returns frame with the event count in its header replaced and the
+// checksum redone.
+func claim(frame []byte, count uint64) []byte {
+	_, n := binary.Uvarint(frame[9:])
+	out := append([]byte(nil), frame[:9]...)
+	out = binary.AppendUvarint(out, count)
+	out = append(out, frame[9+n:]...)
+	binary.LittleEndian.PutUint32(out[5:9], crc32.Checksum(out[9:], crcTable))
+	return out
+}
+
+// TestDecodeRunsHugeClaim: a small frame that claims 2^31 events, or the
+// most DecodeRuns lets a frame of its size claim, is rejected before
+// anything is sized by the claim.
+func TestDecodeRunsHugeClaim(t *testing.T) {
+	data, err := Encode(typed("alice", "hello world"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []uint64{1 << 31, uint64(len(data)-9) << 16, 12} {
+		frame := claim(data, count)
+		if len(frame) >= 100 {
+			t.Fatalf("frame is %d bytes", len(frame))
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := DecodeRuns(frame, math.MaxInt32)
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("a frame of 11 events claiming %d decoded", count)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<10 {
+			t.Errorf("rejecting a claim of %d events allocated %d bytes; want under 64 KB", count, got)
+		}
+	}
 }

@@ -230,6 +230,17 @@ func TestLogRunsRoundTrip(t *testing.T) {
 		if got := EventsFromLog(l2); !reflect.DeepEqual(got, all) {
 			t.Fatal("rebuilt log exports different events")
 		}
+		// Sizing the log before filling it numbers the agents as filling
+		// it would: in the order they first appear.
+		var firstSeen []string
+		for _, ev := range all {
+			if !slices.Contains(firstSeen, ev.ID.Agent) {
+				firstSeen = append(firstSeen, ev.ID.Agent)
+			}
+		}
+		if got := l2.Graph.Agents(); !slices.Equal(got, firstSeen) {
+			t.Fatalf("rebuilt log numbers its agents %v, first seen in the order %v", got, firstSeen)
+		}
 		// Two clipped spans: the events of each, in order.
 		a, b := rng.Intn(l.Len()+1), rng.Intn(l.Len()+1)
 		if a > b {

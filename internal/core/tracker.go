@@ -85,6 +85,10 @@ type Tracker struct {
 	runBuf []moveRun
 	// diffA and diffB are scratch for moveTo's two diff results.
 	diffA, diffB []causal.Span
+	// at is where ApplyRange's walk of the log's runs stopped: the next
+	// entry's runs are found there without a search. moved is where the
+	// last retreat or advance stopped: the next one is a few runs away.
+	at, moved oplog.Cursor
 	// end is where the last ApplyRange stopped, -1 after a reset. seam is
 	// the start of the current ApplyRange when it is end and falls inside
 	// a graph entry, -1 otherwise: the one place where this call may have
@@ -140,7 +144,7 @@ func (t *Tracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv 
 		if err = t.moveTo(parents); err != nil {
 			return false
 		}
-		t.log.EachRun(run, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+		t.log.EachRunFrom(&t.at, run, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 			if kind == oplog.Insert {
 				err = t.applyInsertRun(lvs, pos, content, emitFrom, emit)
 			} else {
@@ -187,7 +191,7 @@ func (t *Tracker) moveTo(parents causal.Frontier) error {
 // reverse is set (retreats) and ascending otherwise (advances).
 func (t *Tracker) shiftSpan(sp causal.Span, delta int32, reverse bool) error {
 	runs := t.runBuf[:0]
-	t.log.EachRun(sp, func(lvs causal.Span, kind oplog.Kind, _ int, _ int8, _ []rune) bool {
+	t.log.EachRunFrom(&t.moved, sp, func(lvs causal.Span, kind oplog.Kind, _ int, _ int8, _ []rune) bool {
 		runs = append(runs, moveRun{lvs: lvs, kind: kind})
 		return true
 	})

@@ -11,7 +11,8 @@ package oplog
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"unsafe"
 
 	"egwalker/internal/causal"
 )
@@ -40,21 +41,29 @@ type Op struct {
 	Content rune // only for Insert
 }
 
-// span is a run-length encoded run of operations covering consecutive LVs.
+// span is a run-length encoded run of operations covering consecutive
+// LVs: a fixed-size record with no pointer in it. It covers the LVs from
+// start to where the next span starts (the end of the log for the last
+// one).
 //
-// For an insert span, op i has position pos+i and content content[i]
-// (humans type forwards; a non-conforming insert starts a new span).
-// For a delete span, op i has position pos+i*dir where dir is +0 for
-// forward deletes (repeatedly deleting at the same index consumes a run)
+// For an insert span, op i has position pos+i and its character is
+// Log.content[content+i] (humans type forwards; a non-conforming insert
+// starts a new span). For a delete span, op i has position pos+i*dir
+// where dir is +0 for forward deletes (repeatedly deleting at the same
+// index consumes a run)
 // ... see posAt for the exact rules.
+//
+// Positions arrive from peers and stay int. LVs and content offsets count
+// this replica's own events — a character is an event — and the graph
+// holds those to 32 bits.
 type span struct {
-	lvs  causal.Span
-	kind Kind
-	pos  int
+	pos     int
+	start   uint32 // LV of the first op
+	content uint32 // inserts only: where the span's characters start in Log.content
+	kind    Kind
 	// dir is the per-op position delta: inserts +1; forward deletes 0;
 	// backspace deletes -1.
-	dir     int8
-	content []rune // inserts only; len == lvs.Len()
+	dir int8
 }
 
 func (s *span) posAt(i int) int { return s.pos + i*int(s.dir) }
@@ -63,6 +72,11 @@ func (s *span) posAt(i int) int { return s.pos + i*int(s.dir) }
 type Log struct {
 	Graph *causal.Graph
 	spans []span
+	// content holds the characters of every insert span back to back, in
+	// LV order. It is append-only: a slice of it handed out stays valid,
+	// and unchanged, whatever is added later.
+	content  []rune
+	searches uint64 // binary searches for the span holding an LV
 }
 
 // New returns an empty log with a fresh graph.
@@ -75,6 +89,14 @@ func (l *Log) Len() int { return l.Graph.Len() }
 
 // Frontier returns the current version of the log.
 func (l *Log) Frontier() causal.Frontier { return l.Graph.Frontier() }
+
+// end returns the LV span i ends before.
+func (l *Log) end(i int) causal.LV {
+	if i+1 < len(l.spans) {
+		return causal.LV(l.spans[i+1].start)
+	}
+	return causal.LV(l.Graph.Len())
+}
 
 // Run is a run of operations as the log stores them: Len operations of
 // one kind whose positions step by Dir from Pos — +1 for inserts (typing
@@ -134,8 +156,8 @@ func (l *Log) AddRemote(agent string, seq int, parents []causal.LV, ops []Op) (c
 // long the run is, and builds the same log as AddRemote with the run's
 // operations one by one. r.Content is copied.
 func (l *Log) AddRun(agent string, seq int, parents []causal.LV, r Run) (causal.Span, error) {
-	if r.Len < 1 || (r.Kind == Insert && len(r.Content) != r.Len) {
-		return causal.Span{}, fmt.Errorf("oplog: run of %d ops with %d characters", r.Len, len(r.Content))
+	if err := r.check(); err != nil {
+		return causal.Span{}, err
 	}
 	start, err := l.Graph.Add(agent, seq, r.Len, parents)
 	if err != nil {
@@ -143,6 +165,28 @@ func (l *Log) AddRun(agent string, seq int, parents []causal.LV, r Run) (causal.
 	}
 	l.appendRun(start, r)
 	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
+}
+
+// AppendRun is AddRun for a replica's own edit: r becomes the agent's
+// next events, on top of everything the log holds (causal.Graph.Append).
+func (l *Log) AppendRun(agent string, r Run) (causal.Span, error) {
+	if err := r.check(); err != nil {
+		return causal.Span{}, err
+	}
+	start, err := l.Graph.Append(agent, l.Graph.SeqEnd(agent), r.Len)
+	if err != nil {
+		return causal.Span{}, err
+	}
+	l.appendRun(start, r)
+	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
+}
+
+// check rejects a run that is empty or whose content is not its length.
+func (r *Run) check() error {
+	if r.Len < 1 || (r.Kind == Insert && len(r.Content) != r.Len) {
+		return fmt.Errorf("oplog: run of %d ops with %d characters", r.Len, len(r.Content))
+	}
+	return nil
 }
 
 // Extend grows r by the leading operations of next that continue its
@@ -196,38 +240,45 @@ func (r Run) From(k int) Run {
 	return r
 }
 
-// appendRun pushes the run r starting at lv, first extending the last
-// span by as much of it as continues that span's pattern: the spans are
-// those that pushing the operations one at a time would build.
+// appendRun pushes the run r starting at lv, the end of the log so far,
+// first extending the last span by as much of it as continues that span's
+// pattern: the spans are those that pushing the operations one at a time
+// would build. The last span's characters end the arena, so an insert
+// that extends it appends to both.
 func (l *Log) appendRun(lv causal.LV, r Run) {
-	if n := len(l.spans); n > 0 && l.spans[n-1].lvs.End == lv {
+	if n := len(l.spans); n > 0 {
 		s := &l.spans[n-1]
-		head := Run{Kind: s.kind, Pos: s.pos, Dir: s.dir, Len: s.lvs.Len()}
+		head := Run{Kind: s.kind, Pos: s.pos, Dir: s.dir, Len: int(lv) - int(s.start)}
 		if took := head.Extend(r); took > 0 {
 			s.dir = head.Dir
-			s.lvs.End += causal.LV(took)
-			if r.Kind == Insert {
-				s.content = append(s.content, r.Content...)
-			}
 			if took == r.Len {
+				l.content = append(l.content, r.Content...)
 				return
 			}
 			lv += causal.LV(took)
-			r = r.From(took)
+			r = r.From(took) // a delete run: an insert is taken whole or not at all
 		}
 	}
-	s := span{
-		lvs:  causal.Span{Start: lv, End: lv + causal.LV(r.Len)},
-		kind: r.Kind,
-		pos:  r.Pos,
-	}
+	s := span{pos: r.Pos, start: uint32(lv), content: uint32(len(l.content)), kind: r.Kind}
 	if r.Kind == Insert {
 		s.dir = 1
-		s.content = append([]rune(nil), r.Content...)
+		l.content = append(l.content, r.Content...)
 	} else if r.Len > 1 {
 		s.dir = r.Dir
 	}
 	l.spans = append(l.spans, s)
+}
+
+// Reserve makes room for spans more spans and chars more inserted
+// characters, so that appending them allocates nothing (the graph's side
+// is causal.Graph.Reserve). A loader reserves what it has counted and
+// leaves no slack; a merge reserves the characters of the batch it was
+// handed, so that the arena moves at most once, where appending run by
+// run would move it at every step of its growth and leave each old copy
+// behind as garbage.
+func (l *Log) Reserve(spans, chars int) {
+	l.spans = slices.Grow(l.spans, spans)
+	l.content = slices.Grow(l.content, chars)
 }
 
 // AddInsert appends an insertion of text at pos (a run of single-character
@@ -245,30 +296,72 @@ func (l *Log) AddDelete(agent string, parents []causal.LV, pos, count int) (caus
 
 // spanIdxFor locates the storage span containing lv by binary search.
 func (l *Log) spanIdxFor(lv causal.LV) int {
-	lo, hi := 0, len(l.spans)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.spans[mid].lvs.End > lv {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == len(l.spans) || !l.spans[lo].lvs.Contains(lv) {
+	if lv < 0 || int(lv) >= l.Len() {
 		panic(fmt.Sprintf("oplog: LV %d out of range", lv))
 	}
+	l.searches++
+	return l.spanIdxIn(0, len(l.spans), lv)
+}
+
+// spanIdxIn locates the storage span containing lv, which is an event of
+// the log, between spans lo and hi: spans[lo] starts at or before lv and
+// spans[hi] after it, taking spans[len(spans)] to start at the end of the
+// log.
+func (l *Log) spanIdxIn(lo, hi int, lv causal.LV) int {
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if causal.LV(l.spans[mid].start) <= lv {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
 	return lo
+}
+
+// Cursor is a place in a log that a caller keeps between walks of its
+// runs: a walk finds its first span by looking outwards from where the
+// last walk with the same Cursor stopped, in steps that double, so that
+// what it costs grows with the logarithm of the distance between the two
+// and not of the log — nothing at all when it goes on where the last one
+// stopped. The zero Cursor is valid for any log; a Cursor serves one log.
+type Cursor struct{ span int }
+
+// seek returns the index of the span holding lv, an event of the log,
+// looking outwards from where c points.
+func (l *Log) seek(c *Cursor, lv causal.LV) int {
+	if lv < 0 || int(lv) >= l.Len() {
+		panic(fmt.Sprintf("oplog: LV %d out of range", lv))
+	}
+	n := len(l.spans)
+	at := min(c.span, n-1)
+	if causal.LV(l.spans[at].start) <= lv {
+		lo, hi := at, at+1
+		for step := 1; hi < n && causal.LV(l.spans[hi].start) <= lv; step *= 2 {
+			lo, hi = hi, min(hi+step, n)
+		}
+		return l.spanIdxIn(lo, hi, lv)
+	}
+	lo, hi := at-1, at
+	for step := 1; causal.LV(l.spans[lo].start) > lv; step *= 2 {
+		lo, hi = max(lo-step, 0), lo
+	}
+	return l.spanIdxIn(lo, hi, lv)
+}
+
+// opIn returns the operation i places into span s.
+func (l *Log) opIn(s *span, i int) Op {
+	op := Op{Kind: s.kind, Pos: s.posAt(i)}
+	if s.kind == Insert {
+		op.Content = l.content[int(s.content)+i]
+	}
+	return op
 }
 
 // OpAt returns the operation attached to the event at lv.
 func (l *Log) OpAt(lv causal.LV) Op {
 	s := &l.spans[l.spanIdxFor(lv)]
-	i := int(lv - s.lvs.Start)
-	op := Op{Kind: s.kind, Pos: s.posAt(i)}
-	if s.kind == Insert {
-		op.Content = s.content[i]
-	}
-	return op
+	return l.opIn(s, int(lv)-int(s.start))
 }
 
 // EachOp calls fn for every op in the LV range [sp.Start, sp.End) in
@@ -279,20 +372,9 @@ func (l *Log) EachOp(sp causal.Span, fn func(lv causal.LV, op Op) bool) {
 	}
 	for idx := l.spanIdxFor(sp.Start); idx < len(l.spans); idx++ {
 		s := &l.spans[idx]
-		start, end := s.lvs.Start, s.lvs.End
-		if start < sp.Start {
-			start = sp.Start
-		}
-		if end > sp.End {
-			end = sp.End
-		}
-		for lv := start; lv < end; lv++ {
-			i := int(lv - s.lvs.Start)
-			op := Op{Kind: s.kind, Pos: s.posAt(i)}
-			if s.kind == Insert {
-				op.Content = s.content[i]
-			}
-			if !fn(lv, op) {
+		end := min(l.end(idx), sp.End)
+		for lv := max(causal.LV(s.start), sp.Start); lv < end; lv++ {
+			if !fn(lv, l.opIn(s, int(lv)-int(s.start))) {
 				return
 			}
 		}
@@ -305,48 +387,56 @@ func (l *Log) EachOp(sp causal.Span, fn func(lv causal.LV, op Op) bool) {
 // EachRun calls fn for every maximal run of ops within [sp.Start, sp.End)
 // that share one storage span (same kind and position pattern). fn gets
 // the LV range, the kind, the position of the first op, the per-op
-// position delta, and (for inserts) the content runes. Used by the
-// encoder.
+// position delta, and (for inserts) the content runes, a slice of the
+// log's arena that must not be modified. Used by the encoder.
 func (l *Log) EachRun(sp causal.Span, fn func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool) {
+	var c Cursor
+	if sp.Len() > 0 {
+		c.span = l.spanIdxFor(sp.Start)
+	}
+	l.EachRunFrom(&c, sp, fn)
+}
+
+// EachRunFrom is EachRun for a caller that walks the log forwards in
+// pieces: it looks for sp.Start where c points and leaves c at the span
+// it stopped in.
+func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool) {
 	if sp.Len() <= 0 {
 		return
 	}
-	for idx := l.spanIdxFor(sp.Start); idx < len(l.spans); idx++ {
+	idx := l.seek(c, sp.Start)
+	for ; idx < len(l.spans); idx++ {
 		s := &l.spans[idx]
-		start, end := s.lvs.Start, s.lvs.End
-		if start < sp.Start {
-			start = sp.Start
-		}
-		if end > sp.End {
-			end = sp.End
-		}
-		off := int(start - s.lvs.Start)
+		start, end := max(causal.LV(s.start), sp.Start), min(l.end(idx), sp.End)
+		off := int(start) - int(s.start)
 		var content []rune
 		if s.kind == Insert {
-			content = s.content[off : off+int(end-start)]
+			from, to := int(s.content)+off, int(s.content)+int(end)-int(s.start)
+			content = l.content[from:to:to]
 		}
-		if !fn(causal.Span{Start: start, End: end}, s.kind, s.posAt(off), s.dir, content) {
-			return
-		}
-		if end == sp.End {
-			return
+		if !fn(causal.Span{Start: start, End: end}, s.kind, s.posAt(off), s.dir, content) || end == sp.End {
+			break
 		}
 	}
+	c.span = idx
 }
 
 // InsertedContent concatenates the content of every insert operation in
 // storage order. Used by the size benchmarks (the "raw concatenated text"
 // lower bound in Fig 11).
-func (l *Log) InsertedContent() string {
-	var b strings.Builder
-	for i := range l.spans {
-		if l.spans[i].kind == Insert {
-			b.WriteString(string(l.spans[i].content))
-		}
-	}
-	return b.String()
-}
+func (l *Log) InsertedContent() string { return string(l.content) }
 
 // SpanCount returns the number of run-length storage spans (for tests and
 // stats).
 func (l *Log) SpanCount() int { return len(l.spans) }
+
+// Bytes returns the heap the log holds, the graph's included, from the
+// capacities of its arrays.
+func (l *Log) Bytes() int {
+	return cap(l.spans)*int(unsafe.Sizeof(span{})) + cap(l.content)*int(unsafe.Sizeof(rune(0))) + l.Graph.Bytes()
+}
+
+// Searches returns the number of binary searches the log has made for the
+// span holding an LV; a forward walk through a Cursor makes none after
+// its first.
+func (l *Log) Searches() uint64 { return l.searches }

@@ -118,47 +118,6 @@ func TestQuickEachRunCoversAll(t *testing.T) {
 	}
 }
 
-// refAppendOp is the per-op append the log had before runs were appended
-// whole, kept as the reference: pushing a log's ops through it one at a
-// time defines the spans AddRun must build from any cut of those ops
-// into runs.
-func refAppendOp(spans []span, lv causal.LV, op Op) []span {
-	if n := len(spans); n > 0 {
-		s := &spans[n-1]
-		if s.lvs.End == lv && s.kind == op.Kind {
-			i := s.lvs.Len()
-			switch op.Kind {
-			case Insert:
-				if op.Pos == s.pos+i {
-					s.lvs.End++
-					s.content = append(s.content, op.Content)
-					return spans
-				}
-			case Delete:
-				if i == 1 && (op.Pos == s.pos || op.Pos == s.pos-1) {
-					if op.Pos == s.pos {
-						s.dir = 0
-					} else {
-						s.dir = -1
-					}
-					s.lvs.End++
-					return spans
-				}
-				if i > 1 && op.Pos == s.posAt(i) {
-					s.lvs.End++
-					return spans
-				}
-			}
-		}
-	}
-	s := span{lvs: causal.Span{Start: lv, End: lv + 1}, kind: op.Kind, pos: op.Pos}
-	if op.Kind == Insert {
-		s.dir = 1
-		s.content = []rune{op.Content}
-	}
-	return append(spans, s)
-}
-
 // TestQuickAddRunMatchesPerOp: a random op sequence, rich in runs that
 // change direction and runs that continue across an author change, cut
 // into runs at random and appended with AddRun, builds exactly the spans
@@ -204,7 +163,7 @@ func TestQuickAddRunMatchesPerOp(t *testing.T) {
 			}
 		}
 
-		var want []span
+		var want []refSpan
 		for i, op := range ops {
 			want = refAppendOp(want, causal.LV(i), op)
 		}
@@ -243,16 +202,9 @@ func TestQuickAddRunMatchesPerOp(t *testing.T) {
 			frontier = []causal.LV{sp.End - 1}
 			i = j
 		}
-		if len(l.spans) != len(want) {
-			t.Logf("seed %d: %d spans, want %d", seed, len(l.spans), len(want))
+		if err := sameSpans(l, want); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for i := range want {
-			g, w := l.spans[i], want[i]
-			if g.lvs != w.lvs || g.kind != w.kind || g.pos != w.pos || g.dir != w.dir || string(g.content) != string(w.content) {
-				t.Logf("seed %d: span %d = %+v, want %+v", seed, i, g, w)
-				return false
-			}
 		}
 		for i, op := range ops {
 			if got := l.OpAt(causal.LV(i)); got != op {

@@ -13,6 +13,7 @@ package rope
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 const (
@@ -55,6 +56,24 @@ func (r *Rope) Len() int {
 		return 0
 	}
 	return r.root.length
+}
+
+// Bytes returns the heap the rope holds, from the capacities of its
+// chunks and child lists: a walk of its nodes, one per hundred characters
+// or so.
+func (r *Rope) Bytes() int {
+	var walk func(n *node) int
+	walk = func(n *node) int {
+		b := int(unsafe.Sizeof(node{})) + cap(n.runes)*int(unsafe.Sizeof(rune(0))) + cap(n.children)*int(unsafe.Sizeof(n))
+		for _, c := range n.children {
+			b += walk(c)
+		}
+		return b
+	}
+	if r.root == nil {
+		return 0
+	}
+	return walk(r.root)
 }
 
 // Insert inserts s at rune position pos.

@@ -124,6 +124,13 @@ type Metrics struct {
 	// full in-memory egwalker.Doc — the LRU's real population;
 	// OpenDocs counts every open document, journal-only ones included.
 	MaterializedDocs metrics.Gauge
+	// MaterializedLogBytes is the history those documents hold in
+	// memory (egwalker.MemStats.LogBytes, summed): what the hot set
+	// costs in RAM besides the texts, and the number to size
+	// MaxOpenDocs from. A document's share is measured when it is
+	// materialized and again at each snapshot, and taken back whole
+	// when it is let go.
+	MaterializedLogBytes metrics.Gauge
 	// QuarantinedDocs tracks how many documents are currently
 	// quarantined (serving a salvaged prefix read-only, awaiting
 	// repair).
@@ -190,10 +197,11 @@ type MetricsSnapshot struct {
 	RepairFailures int64 `json:"repair_failures"`
 	WALWriteErrors int64 `json:"wal_write_errors"`
 
-	OpenDocs         int64 `json:"open_docs"`
-	Subscribers      int64 `json:"subscribers"`
-	MaterializedDocs int64 `json:"materialized_docs"`
-	QuarantinedDocs  int64 `json:"quarantined_docs"`
+	OpenDocs             int64 `json:"open_docs"`
+	Subscribers          int64 `json:"subscribers"`
+	MaterializedDocs     int64 `json:"materialized_docs"`
+	MaterializedLogBytes int64 `json:"materialized_log_bytes"`
+	QuarantinedDocs      int64 `json:"quarantined_docs"`
 }
 
 // Snapshot captures all metrics. Concurrent updates may land on either
@@ -251,10 +259,11 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RepairFailures: m.RepairFailures.Load(),
 		WALWriteErrors: m.WALWriteErrors.Load(),
 
-		OpenDocs:         m.OpenDocs.Load(),
-		Subscribers:      m.Subscribers.Load(),
-		MaterializedDocs: m.MaterializedDocs.Load(),
-		QuarantinedDocs:  m.QuarantinedDocs.Load(),
+		OpenDocs:             m.OpenDocs.Load(),
+		Subscribers:          m.Subscribers.Load(),
+		MaterializedDocs:     m.MaterializedDocs.Load(),
+		MaterializedLogBytes: m.MaterializedLogBytes.Load(),
+		QuarantinedDocs:      m.QuarantinedDocs.Load(),
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -143,5 +144,93 @@ func TestServerMetricsCountReplaySections(t *testing.T) {
 	srv.Close()
 	if got := srv.MetricsSnapshot().RetainedTrackerItems; got != 0 {
 		t.Fatalf("retained_tracker_items = %d after Close", got)
+	}
+}
+
+// TestDematerializeReleasesLogBytes: materialized_log_bytes is the history
+// the server's materialized documents hold in memory — up by a document's
+// MemStats().LogBytes when it materializes, refreshed at a snapshot, back
+// to where it was when the document is let go — and the heap follows it:
+// dematerializing gives back about that much, and the text.
+func TestDematerializeReleasesLogBytes(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
+	// Two authors typing at once, so that the history is a few thousand
+	// entries and spans, not a few long runs.
+	ann, bob := egwalker.NewDoc("ann"), egwalker.NewDoc("bob")
+	for i := 0; ann.NumEvents() < 30_000; i++ {
+		for _, d := range []*egwalker.Doc{ann, bob} {
+			if err := d.Insert((i*7919)%(d.Len()+1), "some words "); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%3 == 2 {
+			if err := ann.Merge(bob); err != nil {
+				t.Fatal(err)
+			}
+			if err := bob.Merge(ann); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ann.Merge(bob); err != nil {
+		t.Fatal(err)
+	}
+	// One head at the end: the server's replica keeps no Eg-walker state
+	// from the merge, so history and text are all it holds.
+	if err := ann.Insert(0, "."); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int(m.HeapAlloc)
+	}
+	if got := srv.MetricsSnapshot().MaterializedLogBytes; got != 0 {
+		t.Fatalf("materialized_log_bytes = %d on an empty server", got)
+	}
+	err := srv.With("big", func(ds *DocStore) error {
+		if _, err := ds.Apply(ann.Events()); err != nil {
+			return err
+		}
+		// The gauge holds what the document weighed when it was installed
+		// (nothing yet); a snapshot brings it up to date.
+		if err := ds.Snapshot(); err != nil {
+			return err
+		}
+		ms := ds.Doc().MemStats()
+		if got := srv.MetricsSnapshot().MaterializedLogBytes; got != int64(ms.LogBytes) || got < 100_000 {
+			t.Errorf("materialized_log_bytes = %d after the snapshot, the document's history holds %d", got, ms.LogBytes)
+		}
+		before := heap()
+		if err := ds.Dematerialize(); err != nil {
+			return err
+		}
+		freed := before - heap()
+		if got := srv.MetricsSnapshot().MaterializedLogBytes; got != 0 {
+			t.Errorf("materialized_log_bytes = %d after dematerializing", got)
+		}
+		// The journal-only store keeps an ID set in the document's place,
+		// a few bytes per run; the rest of history and text comes back.
+		if want := ms.LogBytes + ms.TextBytes; freed < want*7/10 || freed > want*13/10 {
+			t.Errorf("dematerializing freed %d B of heap; the document held %d B of history and %d B of text", freed, ms.LogBytes, ms.TextBytes)
+		}
+		// Materialized again from the snapshot: sized by Load, no slack.
+		if err := ds.Materialize(); err != nil {
+			return err
+		}
+		again := ds.Doc().MemStats().LogBytes
+		if got := srv.MetricsSnapshot().MaterializedLogBytes; got != int64(again) || again > ms.LogBytes {
+			t.Errorf("materialized_log_bytes = %d after materializing again, the document's history holds %d (%d before)", got, again, ms.LogBytes)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if got := srv.MetricsSnapshot().MaterializedLogBytes; got != 0 {
+		t.Fatalf("materialized_log_bytes = %d after Close", got)
 	}
 }

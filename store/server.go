@@ -298,6 +298,9 @@ func (s *Server) acquire(docID string) (*entry, error) {
 		s.metrics.SilentReplayEvents.Add(int64(silent))
 		s.metrics.RetainedTrackerItems.Add(int64(retained))
 	}
+	docOpts.onLogBytes = func(delta int) {
+		s.metrics.MaterializedLogBytes.Add(int64(delta))
+	}
 	// Both hooks fire under the DocStore's mutex; quarantine
 	// bookkeeping needs the server lock, so it hops to a goroutine
 	// (Close holds s.mu while closing stores — taking s.mu here would

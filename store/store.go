@@ -69,11 +69,16 @@ type Options struct {
 	// merges continued and rebuilt, the events they replayed without
 	// emitting, and the change in the number of items it keeps for its
 	// next merge (negative when a kept section, or the document, goes).
+	// onLogBytes receives the change in the bytes of history the
+	// in-memory document holds (egwalker.MemStats.LogBytes) since it last
+	// fired: all of them when the document is installed, what it grew by
+	// when a snapshot is written, all of them back when it is let go.
 	onMaterialize   func(d time.Duration)
 	onDematerialize func()
 	onQuarantine    func(reason error)
 	onDegrade       func(err error)
 	onReplay        func(continued, rebuilt, silent uint64, retained int)
+	onLogBytes      func(delta int)
 }
 
 func (o Options) withDefaults() Options {
@@ -128,8 +133,10 @@ type DocStore struct {
 	doc       *egwalker.Doc
 	known     *idSet // journal-only mode: the IDs the WAL+snapshot hold
 	numEvents int    // journal-only mode: distinct events on disk
-	// replay is what the onReplay hook has been told of doc's counters.
-	replay egwalker.ReplayStats
+	// replay is what the onReplay hook has been told of doc's counters,
+	// logBytes what the onLogBytes hook has been told doc's history holds.
+	replay   egwalker.ReplayStats
+	logBytes int
 
 	lock       *os.File // inter-process flock on the doc directory
 	active     File     // nil while quarantined at open time
@@ -665,6 +672,7 @@ func (s *DocStore) materializedLocked(start time.Time) {
 		s.opts.onMaterialize(time.Since(start))
 	}
 	s.noteReplayLocked()
+	s.noteLogBytesLocked()
 }
 
 // dematerializedLocked fires the hooks for the in-memory document having
@@ -674,6 +682,27 @@ func (s *DocStore) dematerializedLocked() {
 		s.opts.onDematerialize()
 	}
 	s.noteReplayLocked()
+	s.noteLogBytesLocked()
+}
+
+// noteLogBytesLocked tells the onLogBytes hook how the bytes of history
+// held by the document in memory have moved since it was last told: when
+// a document is installed or let go, and when a snapshot is written (the
+// one other moment the store walks the whole document anyway — sizing it
+// walks the text — so between snapshots the hook lags the document's
+// growth).
+func (s *DocStore) noteLogBytesLocked() {
+	if s.opts.onLogBytes == nil {
+		return
+	}
+	now := 0
+	if s.doc != nil && !s.closed {
+		now = s.doc.MemStats().LogBytes
+	}
+	if now != s.logBytes {
+		s.opts.onLogBytes(now - s.logBytes)
+		s.logBytes = now
+	}
 }
 
 // noteReplayLocked tells the onReplay hook how the replay counters of the
@@ -1246,6 +1275,7 @@ func (s *DocStore) snapshotLocked() error {
 	s.eventsSinceSnap = 0
 	s.sealedSinceSnap = 0
 	s.blockServable = snapshotServable(s.fs, final)
+	s.noteLogBytesLocked()
 	return nil
 }
 

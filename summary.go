@@ -163,10 +163,14 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 			if i < len(ranges) && ranges[i].Start < hi {
 				uncEnd = ranges[i].Start
 			}
-			missing = append(missing, causal.Span{
-				Start: span.Start + causal.LV(lo-seqStart),
-				End:   span.Start + causal.LV(uncEnd-seqStart),
-			})
+			// Entry follows entry: a stretch the peer lacks that goes on
+			// where the last one stopped is the same stretch.
+			from, to := span.Start+causal.LV(lo-seqStart), span.Start+causal.LV(uncEnd-seqStart)
+			if n := len(missing); n > 0 && missing[n-1].End == from {
+				missing[n-1].End = to
+			} else {
+				missing = append(missing, causal.Span{Start: from, End: to})
+			}
 			lo = uncEnd
 		}
 		return true
