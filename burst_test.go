@@ -1,0 +1,129 @@
+package egwalker
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// The regime a live server spends its time in: frames of 1–20 events,
+// one or two runs each, where what a decode allocates is what it costs.
+
+// burstFrames types a two-author session in keystroke-sized bursts and
+// returns each burst as the compact frame a client would upload, with
+// its events. Every few bursts the authors sync, so frames carry
+// external parents and the odd two-parent merge event.
+func burstFrames(tb testing.TB, n int) (frames [][]byte, events [][]Event) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	docs := []*Doc{NewDoc("alice"), NewDoc("bob")}
+	for len(frames) < n {
+		w := len(frames) % 2
+		d := docs[w]
+		before := d.Version()
+		burst := 1 + rng.Intn(20)
+		switch {
+		case d.Len() > burst && rng.Intn(4) == 0:
+			if err := d.Delete(rng.Intn(d.Len()-burst), burst); err != nil {
+				tb.Fatal(err)
+			}
+		default:
+			text := make([]rune, burst)
+			for i := range text {
+				text[i] = rune('a' + rng.Intn(26))
+			}
+			if err := d.Insert(rng.Intn(d.Len()+1), string(text)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		evs, err := d.EventsSince(before)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frame, err := MarshalEventsCompact(evs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames, events = append(frames, frame), append(events, evs)
+		if rng.Intn(3) == 0 {
+			other := docs[1-w]
+			missing, err := d.EventsSince(d.KnownSubset(other.Version()))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := other.Apply(missing); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return frames, events
+}
+
+// TestBurstDecodeAllocs holds UnmarshalEventsAuto to what its result
+// costs: the events, the ID array their default parents are cut from,
+// and the first event's explicit parents (15 objects before the decoder
+// was reused).
+func TestBurstDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool does not pool under the race detector")
+	}
+	frames, events := burstFrames(t, 64)
+	for i, frame := range frames { // warm the pooled decoder and its name table
+		got, err := UnmarshalEventsAuto(frame)
+		if err != nil || !reflect.DeepEqual(got, events[i]) {
+			t.Fatalf("frame %d: %v, decoded %v want %v", i, err, got, events[i])
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(frames)*4, func() {
+		if _, err := UnmarshalEventsAuto(frames[i%len(frames)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 3 {
+		t.Fatalf("UnmarshalEventsAuto of a burst frame: %.1f objects, want at most 3", allocs)
+	}
+}
+
+// TestUnmarshalResultIsOwned: nothing UnmarshalEventsAuto returns points
+// into the pooled decoder. A result held across later decodes keeps its
+// value, and scribbling over it changes no later decode.
+func TestUnmarshalResultIsOwned(t *testing.T) {
+	frames, events := burstFrames(t, 32)
+	for round := 0; round < 3; round++ {
+		for i := range frames {
+			held, err := UnmarshalEventsAuto(frames[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 1; j <= 3; j++ { // the same pooled decoder, other frames
+				k := (i + j) % len(frames)
+				got, err := UnmarshalEventsAuto(frames[k])
+				if err != nil || !reflect.DeepEqual(got, events[k]) {
+					t.Fatalf("frame %d after frame %d: %v, decoded %v want %v", k, i, err, got, events[k])
+				}
+			}
+			if !reflect.DeepEqual(held, events[i]) {
+				t.Fatalf("frame %d changed while later frames decoded: %v want %v", i, held, events[i])
+			}
+			for e := range held {
+				for p := range held[e].Parents {
+					held[e].Parents[p] = EventID{Agent: "scribble", Seq: -1}
+				}
+				held[e] = Event{ID: EventID{Agent: "scribble", Seq: -2}}
+			}
+		}
+	}
+}
+
+func BenchmarkBurstDecode(b *testing.B) {
+	frames, _ := burstFrames(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalEventsAuto(frames[i%len(frames)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

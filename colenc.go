@@ -63,26 +63,27 @@ func runsOf(events []Event) iter.Seq[colenc.Run] {
 }
 
 // maxAutoDecodeEvents caps the event count UnmarshalEventsAuto accepts
-// from a columnar payload. Run-length encoding means a small payload
-// can describe many events (a held backspace over a huge document is a
-// handful of bytes), so the bound cannot be payload-proportional; this
-// value covers every full-scale trace with an order of magnitude to
-// spare while keeping a hostile frame's decode allocation in the same
-// ballpark as the legacy codec's worst case.
-const maxAutoDecodeEvents = 1 << 24
+// from a columnar payload (see colenc.MaxBatchEvents for the reasoning).
+const maxAutoDecodeEvents = colenc.MaxBatchEvents
 
 // UnmarshalEventsAuto decodes an event batch in either encoding,
 // sniffing the columnar magic. Use it wherever the writer may be
 // either generation: WAL segments, delta files, and network frames all
 // interleave the two formats freely. It accepts any batch
 // MarshalEventsCompact produces, up to maxAutoDecodeEvents.
+//
+// A columnar payload is decoded through a pooled colenc.Decoder, so the
+// events and the ID array their default parents are cut from are the only
+// memory a small batch costs; nothing returned points into the decoder.
 func UnmarshalEventsAuto(data []byte) ([]Event, error) {
-	if colenc.Sniff(data) {
-		dec, err := colenc.DecodeRuns(data, maxAutoDecodeEvents)
-		if err != nil {
-			return nil, err
-		}
-		return eventsFromRuns(dec.NumEvents, slices.Values(dec.Runs)), nil
+	if !colenc.Sniff(data) {
+		return UnmarshalEvents(data)
 	}
-	return UnmarshalEvents(data)
+	d := colenc.GetDecoder()
+	defer d.Put()
+	dec, err := d.DecodeRuns(data, maxAutoDecodeEvents)
+	if err != nil {
+		return nil, err
+	}
+	return eventsFromRuns(dec.NumEvents, slices.Values(dec.Runs)), nil
 }

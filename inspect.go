@@ -99,14 +99,16 @@ func IsCompactBatch(data []byte) bool { return colenc.Sniff(data) }
 // InspectBatch validates a compact batch's envelope (magic, flags,
 // checksum, column framing) and decodes only its ID and dependency
 // structure, skipping positions and content. It costs a fraction of
-// UnmarshalEventsAuto and allocates per ID run, not per event.
+// UnmarshalEventsAuto and allocates only the BatchInfo it returns.
 //
 // Only compact batches inspect; legacy payloads return an error
 // (decode those with UnmarshalEvents — they are small by construction).
 // InspectBatch succeeding does not guarantee a full decode would: the
 // op and content columns are checksummed but not parsed here.
 func InspectBatch(data []byte) (*BatchInfo, error) {
-	bi, err := colenc.Inspect(data)
+	d := colenc.GetDecoder()
+	defer d.Put()
+	bi, err := d.Inspect(data)
 	if err != nil {
 		return nil, err
 	}

@@ -41,11 +41,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"iter"
 	"math"
 	"slices"
-	"sort"
 	"unicode/utf8"
 
 	"egwalker/internal/oplog"
@@ -448,48 +446,6 @@ func encodeRuns(runs iter.Seq[Run], doc string, withDoc bool, opts Options) ([]b
 // parent further back still encodes, just in (agent, seq) form.
 const maxBackrefScan = 64
 
-// reader consumes varints and byte runs from a slice, tracking errors.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) ReadByte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-// count reads a uvarint that must fit in an int and be ≤ limit.
-func (r *reader) count(limit int, what string) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("colenc: %s %d exceeds limit %d", what, v, limit)
-	}
-	return int(v), nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > len(r.buf)-r.off {
-		return nil, io.ErrUnexpectedEOF
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) done() bool { return r.off == len(r.buf) }
-
 // Decode parses a colenc frame. It validates everything — magic,
 // unknown flags, checksum, column framing, run totals, reference
 // ranges — and returns a clean error on any malformed input; it never
@@ -545,352 +501,5 @@ func expand(n int, runs iter.Seq[Run]) []Event {
 // validation and DecodeLimit's bound on the event count. The runs'
 // Content slices share one array.
 func DecodeRuns(data []byte, maxEvents int) (*DecodedRuns, error) {
-	r, flags, err := openFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	body := r.buf
-	// One run (a few bytes) may cover up to maxRunLen events, so the
-	// body length times that factor bounds any honest count.
-	limit := maxEvents
-	if cap := len(body) * maxRunLen; cap < limit {
-		limit = cap
-	}
-	n, err := r.count(limit, "event count")
-	if err != nil {
-		return nil, err
-	}
-	readCol := func() (*reader, error) {
-		ln, err := r.count(len(body), "column length")
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(ln)
-		if err != nil {
-			return nil, err
-		}
-		return &reader{buf: b}, nil
-	}
-	agentsCol, err := readCol()
-	if err != nil {
-		return nil, err
-	}
-	opsCol, err := readCol()
-	if err != nil {
-		return nil, err
-	}
-	parentsCol, err := readCol()
-	if err != nil {
-		return nil, err
-	}
-	contentCol, err := readCol()
-	if err != nil {
-		return nil, err
-	}
-	dec := &DecodedRuns{NumEvents: n, HasDoc: flags&FlagCachedDoc != 0}
-	if dec.HasDoc {
-		docCol, err := readCol()
-		if err != nil {
-			return nil, err
-		}
-		dec.Doc = string(docCol.buf)
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("colenc: %d trailing bytes after last column", len(body)-r.off)
-	}
-
-	ids, err := decodeAgents(agentsCol, n)
-	if err != nil {
-		return nil, err
-	}
-	content, err := decodeContent(contentCol.buf, flags&FlagCompressed != 0)
-	if err != nil {
-		return nil, err
-	}
-	dec.Runs, err = decodeRuns(ids, opsCol, parentsCol, content, n)
-	if err != nil {
-		return nil, err
-	}
-	return dec, nil
-}
-
-// maxRunLen is the allocation-defense multiplier: one run (≥ 3 encoded
-// bytes) may legitimately cover many events, but letting the event
-// count exceed body-bytes × maxRunLen would allow a tiny frame to
-// declare an absurd count. 2^16 matches the largest batch bounded
-// writers produce (egwalker.MaxEventsPerBlock).
-const maxRunLen = 1 << 16
-
-// agentTable is the decoded agents column.
-type agentTable struct {
-	names []string
-	runs  []agentRun
-}
-
-// idAt resolves event index i to its ID.
-func (t *agentTable) idAt(i int) ID {
-	k := sort.Search(len(t.runs), func(k int) bool { return t.runs[k].start+t.runs[k].n > i })
-	r := t.runs[k]
-	return ID{Agent: t.names[r.agent], Seq: r.seq + (i - r.start)}
-}
-
-func decodeAgents(r *reader, n int) (*agentTable, error) {
-	nNames, err := r.count(len(r.buf), "agent name count")
-	if err != nil {
-		return nil, err
-	}
-	t := &agentTable{names: make([]string, 0, nNames)}
-	for i := 0; i < nNames; i++ {
-		ln, err := r.count(maxAgentName, "agent name length")
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(ln)
-		if err != nil {
-			return nil, err
-		}
-		t.names = append(t.names, string(b))
-	}
-	nRuns, err := r.count(len(r.buf)+1, "agent run count")
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for i := 0; i < nRuns; i++ {
-		ai, err := r.count(math.MaxInt32, "agent index")
-		if err != nil {
-			return nil, err
-		}
-		if ai >= len(t.names) {
-			return nil, fmt.Errorf("colenc: agent index %d out of range (%d names)", ai, len(t.names))
-		}
-		seq, err := r.count(math.MaxInt32, "agent seq")
-		if err != nil {
-			return nil, err
-		}
-		ln, err := r.count(n-total, "agent run length")
-		if err != nil {
-			return nil, err
-		}
-		if ln == 0 {
-			return nil, fmt.Errorf("colenc: empty agent run")
-		}
-		if seq+ln > math.MaxInt32 {
-			return nil, fmt.Errorf("colenc: agent seq overflow")
-		}
-		t.runs = append(t.runs, agentRun{ai, seq, ln, total})
-		total += ln
-	}
-	if total != n {
-		return nil, fmt.Errorf("colenc: agent runs cover %d events, want %d", total, n)
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in agents column")
-	}
-	return t, nil
-}
-
-// maxDecompressed bounds the inflated content column against
-// decompression bombs; it matches the frame/delta payload cap.
-const maxDecompressed = 16 << 20
-
-// decodeContent returns the content column's characters.
-func decodeContent(buf []byte, compressed bool) ([]rune, error) {
-	if compressed {
-		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(buf)), maxDecompressed))
-		if err != nil {
-			return nil, fmt.Errorf("colenc: decompress content: %w", err)
-		}
-		if len(raw) >= maxDecompressed {
-			return nil, fmt.Errorf("colenc: decompressed content exceeds %d bytes", maxDecompressed)
-		}
-		buf = raw
-	}
-	content := make([]rune, 0, utf8.RuneCount(buf))
-	for off := 0; off < len(buf); {
-		if b := buf[off]; b < utf8.RuneSelf {
-			content = append(content, rune(b))
-			off++
-			continue
-		}
-		ru, size := utf8.DecodeRune(buf[off:])
-		if ru == utf8.RuneError && size == 1 {
-			return nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
-		}
-		content = append(content, ru)
-		off += size
-	}
-	return content, nil
-}
-
-// decodeRuns walks the agents, ops and parents columns in step and cuts
-// a run wherever any of them does: at the end of an agent run, at the
-// end of an op run, and before an event with an explicit parents entry.
-// Events between explicit entries take the default parent list: the
-// immediately preceding event.
-func decodeRuns(ids *agentTable, ops, parents *reader, content []rune, n int) ([]Run, error) {
-	nExc, err := parents.count(n, "parent entry count")
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 && nExc == 0 {
-		return nil, fmt.Errorf("colenc: missing parents entry for event 0")
-	}
-	excAt := n // event index of the next parents entry; n: none left
-	if nExc > 0 {
-		step, err := parents.count(n, "parent entry index")
-		if err != nil {
-			return nil, err
-		}
-		if step != 0 {
-			return nil, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
-		}
-		excAt = 0
-	}
-
-	// Grow lazily: a run-length format legitimately describes many
-	// events in few bytes, so trust the count only as runs materialise.
-	var runs []Run
-	// Every run's Parents is cut, capacity capped, from one arena, which
-	// is chunked rather than moved when it fills up — the runs before
-	// keep the chunks they point into. A chunk is as large as the runs
-	// decoded so far are many, never as a count the frame claims: a frame
-	// of one run allocates one parent, a frame of thousands a dozen
-	// chunks.
-	var arena []ID
-	parentsRoom := func(n int) {
-		if cap(arena)-len(arena) < n {
-			arena = make([]ID, 0, max(n, min(len(runs), 4096)))
-		}
-	}
-	var (
-		ar            = -1 // current agent run
-		arEnd         = 0  // event index it ends at
-		op            oplog.Run
-		opAt, opEnd   = 0, 0 // event indexes the current op run covers
-		used          = 0    // characters of content consumed
-		last          ID     // of event i-1
-		entriesParsed = 0
-	)
-	for i := 0; i < n; {
-		if i == arEnd {
-			ar++
-			arEnd += ids.runs[ar].n
-		}
-		if i == opEnd {
-			tag, err := ops.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			runLen, err := ops.count(n-i, "op run length")
-			if err != nil {
-				return nil, err
-			}
-			if runLen == 0 {
-				return nil, fmt.Errorf("colenc: empty op run")
-			}
-			pos, err := ops.count(math.MaxInt32, "op position")
-			if err != nil {
-				return nil, err
-			}
-			op = oplog.Run{Kind: oplog.Delete, Pos: pos}
-			switch tag {
-			case tagInsert:
-				if pos+runLen > math.MaxInt32 {
-					return nil, fmt.Errorf("colenc: insert run position overflow")
-				}
-				if runLen > len(content)-used {
-					return nil, fmt.Errorf("colenc: content column exhausted")
-				}
-				op.Kind, op.Dir = oplog.Insert, 1
-			case tagDeleteBack:
-				if runLen-1 > pos {
-					return nil, fmt.Errorf("colenc: backspace run of %d underflows position %d", runLen, pos)
-				}
-				op.Dir = -1
-			case tagDeleteFwd:
-			default:
-				return nil, fmt.Errorf("colenc: bad op tag %d", tag)
-			}
-			opAt, opEnd = i, i+runLen
-		}
-
-		a := ids.runs[ar]
-		run := Run{ID: ID{Agent: ids.names[a.agent], Seq: a.seq + (i - a.start)}}
-		if i == excAt {
-			nPar, err := parents.count(maxParents, "parent count")
-			if err != nil {
-				return nil, err
-			}
-			parentsRoom(nPar)
-			from := len(arena)
-			for p := 0; p < nPar; p++ {
-				v, err := parents.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if v&1 == 0 {
-					back := v >> 1
-					if back == 0 || back > uint64(i) {
-						return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, i)
-					}
-					arena = append(arena, ids.idAt(i-int(back)))
-				} else {
-					ai := v >> 1
-					if ai >= uint64(len(ids.names)) {
-						return nil, fmt.Errorf("colenc: parent agent index %d out of range", ai)
-					}
-					seq, err := parents.count(math.MaxInt32, "parent seq")
-					if err != nil {
-						return nil, err
-					}
-					arena = append(arena, ID{Agent: ids.names[ai], Seq: seq})
-				}
-			}
-			if nPar > 0 {
-				run.Parents = arena[from:len(arena):len(arena)]
-			}
-			excAt = n
-			if entriesParsed++; entriesParsed < nExc {
-				step, err := parents.count(n, "parent entry index")
-				if err != nil {
-					return nil, err
-				}
-				if step == 0 {
-					return nil, fmt.Errorf("colenc: non-increasing parents entry index")
-				}
-				if excAt = i + step; excAt >= n {
-					return nil, fmt.Errorf("colenc: parents entry index %d out of range", excAt)
-				}
-			}
-		} else {
-			parentsRoom(1)
-			arena = append(arena, last)
-			run.Parents = arena[len(arena)-1 : len(arena) : len(arena)]
-		}
-
-		end := min(arEnd, opEnd, excAt)
-		run.Run = op
-		run.Pos += (i - opAt) * int(op.Dir)
-		run.Len = end - i
-		if op.Kind == oplog.Insert {
-			run.Content = content[used : used+run.Len : used+run.Len]
-			used += run.Len
-		} else if run.Len == 1 {
-			run.Dir = 0
-		}
-		runs = append(runs, run)
-		last = run.last()
-		i = end
-	}
-	if !ops.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in ops column")
-	}
-	if used != len(content) {
-		return nil, fmt.Errorf("colenc: trailing bytes in content column")
-	}
-	if !parents.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in parents column")
-	}
-	return runs, nil
+	return new(Decoder).DecodeRuns(data, maxEvents)
 }

@@ -1,0 +1,538 @@
+package colenc
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"slices"
+	"sort"
+	"sync"
+	"unicode/utf8"
+
+	"egwalker/internal/oplog"
+)
+
+// MaxBatchEvents caps the event count accepted from a frame that arrives
+// as a batch: a network frame, a WAL block. Run-length encoding means a
+// small payload can describe many events (a held backspace over a huge
+// document is a handful of bytes), so the bound cannot be payload-
+// proportional; this value covers every full-scale trace with an order of
+// magnitude to spare while keeping a hostile frame's decode allocation in
+// the same ballpark as the legacy codec's worst case.
+const MaxBatchEvents = 1 << 24
+
+// reader consumes varints and byte runs from a slice. Readers are held by
+// value: one per column, none on the heap.
+type reader struct {
+	buf []byte
+	off int
+}
+
+var errVarintOverflow = errors.New("colenc: varint overflows a 64-bit integer")
+
+func (r *reader) uvarint() (uint64, error) {
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		r.off++
+		return uint64(r.buf[r.off-1]), nil
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, errVarintOverflow
+	}
+	r.off += n
+	return v, nil
+}
+
+// count reads a uvarint that must fit in an int and be ≤ limit.
+func (r *reader) count(limit int, what string) (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64(limit) {
+		return 0, fmt.Errorf("colenc: %s %d exceeds limit %d", what, v, limit)
+	}
+	return int(v), nil
+}
+
+func (r *reader) bytes(n int) ([]byte, error) {
+	if n < 0 || n > len(r.buf)-r.off {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := r.buf[r.off : r.off+n]
+	r.off += n
+	return b, nil
+}
+
+func (r *reader) done() bool { return r.off == len(r.buf) }
+
+// openFrame validates magic, flags, and checksum, returning a reader
+// over the body.
+func openFrame(data []byte) (reader, byte, error) {
+	if !Sniff(data) {
+		return reader{}, 0, ErrBadMagic
+	}
+	if len(data) < len(Magic)+5 {
+		return reader{}, 0, fmt.Errorf("colenc: truncated header: %w", io.ErrUnexpectedEOF)
+	}
+	flags := data[4]
+	if flags&^byte(knownFlags) != 0 {
+		return reader{}, 0, fmt.Errorf("colenc: unsupported flags %#x", flags)
+	}
+	wantCRC := binary.LittleEndian.Uint32(data[5:9])
+	body := data[9:]
+	if crc32.Checksum(body, crcTable) != wantCRC {
+		return reader{}, 0, ErrChecksum
+	}
+	return reader{buf: body}, flags, nil
+}
+
+// maxRunLen is the allocation-defense multiplier: one run (≥ 3 encoded
+// bytes) may legitimately cover many events, but letting the event
+// count exceed body-bytes × maxRunLen would allow a tiny frame to
+// declare an absurd count. 2^16 matches the largest batch bounded
+// writers produce (egwalker.MaxEventsPerBlock).
+const maxRunLen = 1 << 16
+
+// frame is a frame taken apart: envelope checked, columns cut, nothing
+// inside a column read yet.
+type frame struct {
+	flags                         byte
+	n                             int // declared event count
+	agents, ops, parents, content reader
+	doc                           []byte // cached-document column, with FlagCachedDoc
+}
+
+// splitFrame is the preamble of every decode: magic, flags, checksum,
+// the event count against maxEvents, and the column framing.
+func splitFrame(data []byte, maxEvents int) (frame, error) {
+	r, flags, err := openFrame(data)
+	if err != nil {
+		return frame{}, err
+	}
+	body := r.buf
+	// One run (a few bytes) may cover up to maxRunLen events, so the
+	// body length times that factor bounds any honest count.
+	limit := maxEvents
+	if cap := len(body) * maxRunLen; cap < limit {
+		limit = cap
+	}
+	f := frame{flags: flags}
+	if f.n, err = r.count(limit, "event count"); err != nil {
+		return frame{}, err
+	}
+	col := func() (b []byte) { // the next length-prefixed column; err is sticky
+		var ln int
+		if err == nil {
+			ln, err = r.count(len(body), "column length")
+		}
+		if err == nil {
+			b, err = r.bytes(ln)
+		}
+		return b
+	}
+	f.agents.buf, f.ops.buf, f.parents.buf, f.content.buf = col(), col(), col(), col()
+	if flags&FlagCachedDoc != 0 {
+		f.doc = col()
+	}
+	if err != nil {
+		return frame{}, err
+	}
+	if !r.done() {
+		return frame{}, fmt.Errorf("colenc: %d trailing bytes after last column", len(body)-r.off)
+	}
+	return f, nil
+}
+
+// Decoder decodes frames one after another and keeps, between them, the
+// memory a decode would otherwise allocate: the agent table, the runs,
+// the arena their Parents are cut from and the content, and the agent
+// names it has seen (the same few recur in every frame of a document), so
+// a small frame decodes with no allocation at all. What a call returns
+// is valid until the next call on the same Decoder; a caller that keeps
+// anything copies it out (agent names excepted: strings are immutable).
+// The zero Decoder is ready for use; the package-level DecodeRuns and
+// Inspect decode through one, once.
+//
+// Between frames a Decoder holds at most keepElems elements of each
+// array (4× that of content) and maxInterned names of at most
+// maxInternName bytes — under 64 KiB in all: what a large frame grew is
+// dropped before the next one, not pinned.
+type Decoder struct {
+	table    agentTable
+	interned map[string]string // agent names seen in earlier frames
+	runs     []Run
+	parents  []ID // the latest chunk of the parents arena
+	content  []rune
+	idRuns   []IDRun
+
+	out  DecodedRuns
+	info BlockInfo
+}
+
+const (
+	keepElems     = 256
+	maxInterned   = 256
+	maxInternName = 64
+)
+
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
+// GetDecoder borrows a Decoder from a process-wide pool; Put returns it.
+func GetDecoder() *Decoder { return decoders.Get().(*Decoder) }
+
+// Put hands a borrowed Decoder back. Nothing decoded through it may be
+// in use any more.
+func (d *Decoder) Put() {
+	d.reset()
+	decoders.Put(d)
+}
+
+// kept is s emptied for the next frame, or nil if it grew past max.
+func kept[T any](s []T, max int) []T {
+	if cap(s) > max {
+		return nil
+	}
+	return s[:0]
+}
+
+// reset drops what the previous frame returned and any array it grew
+// past its cap.
+func (d *Decoder) reset() {
+	d.out, d.info = DecodedRuns{}, BlockInfo{}
+	d.table.names, d.table.runs = kept(d.table.names, keepElems), kept(d.table.runs, keepElems)
+	d.runs, d.parents = kept(d.runs, keepElems), kept(d.parents, keepElems)
+	d.content, d.idRuns = kept(d.content, 4*keepElems), kept(d.idRuns, keepElems)
+}
+
+// DecodeRuns is the package-level DecodeRuns on this Decoder's memory.
+func (d *Decoder) DecodeRuns(data []byte, maxEvents int) (*DecodedRuns, error) {
+	d.reset()
+	f, err := splitFrame(data, maxEvents)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.decodeAgents(&f.agents, f.n); err != nil {
+		return nil, err
+	}
+	content, err := d.decodeContent(f.content.buf, f.flags&FlagCompressed != 0)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := d.decodeRuns(&f.ops, &f.parents, content, f.n)
+	if err != nil {
+		return nil, err
+	}
+	d.out = DecodedRuns{Runs: runs, NumEvents: f.n, HasDoc: f.flags&FlagCachedDoc != 0}
+	if d.out.HasDoc {
+		d.out.Doc = string(f.doc)
+	}
+	return &d.out, nil
+}
+
+// agentTable is the decoded agents column.
+type agentTable struct {
+	names []string
+	runs  []agentRun
+}
+
+// idAt resolves event index i to its ID.
+func (t *agentTable) idAt(i int) ID {
+	k := sort.Search(len(t.runs), func(k int) bool { return t.runs[k].start+t.runs[k].n > i })
+	r := t.runs[k]
+	return ID{Agent: t.names[r.agent], Seq: r.seq + (i - r.start)}
+}
+
+// name returns b as a string: the one handed out before, if the Decoder
+// has seen the name.
+func (d *Decoder) name(b []byte) string {
+	if s, ok := d.interned[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(s) <= maxInternName {
+		if d.interned == nil {
+			d.interned = make(map[string]string)
+		} else if len(d.interned) >= maxInterned {
+			clear(d.interned)
+		}
+		d.interned[s] = s
+	}
+	return s
+}
+
+// decodeAgents reads the agents column into d.table.
+func (d *Decoder) decodeAgents(r *reader, n int) error {
+	t := &d.table
+	nNames, err := r.count(len(r.buf), "agent name count")
+	if err != nil {
+		return err
+	}
+	t.names = slices.Grow(t.names, nNames)
+	for i := 0; i < nNames; i++ {
+		ln, err := r.count(maxAgentName, "agent name length")
+		if err != nil {
+			return err
+		}
+		b, err := r.bytes(ln)
+		if err != nil {
+			return err
+		}
+		t.names = append(t.names, d.name(b))
+	}
+	nRuns, err := r.count(len(r.buf)+1, "agent run count")
+	if err != nil {
+		return err
+	}
+	total := 0
+	for i := 0; i < nRuns; i++ {
+		ai, err := r.count(math.MaxInt32, "agent index")
+		if err != nil {
+			return err
+		}
+		if ai >= len(t.names) {
+			return fmt.Errorf("colenc: agent index %d out of range (%d names)", ai, len(t.names))
+		}
+		seq, err := r.count(math.MaxInt32, "agent seq")
+		if err != nil {
+			return err
+		}
+		ln, err := r.count(n-total, "agent run length")
+		if err != nil {
+			return err
+		}
+		if ln == 0 {
+			return fmt.Errorf("colenc: empty agent run")
+		}
+		if seq+ln > math.MaxInt32 {
+			return fmt.Errorf("colenc: agent seq overflow")
+		}
+		t.runs = append(t.runs, agentRun{ai, seq, ln, total})
+		total += ln
+	}
+	if total != n {
+		return fmt.Errorf("colenc: agent runs cover %d events, want %d", total, n)
+	}
+	if !r.done() {
+		return fmt.Errorf("colenc: trailing bytes in agents column")
+	}
+	return nil
+}
+
+// maxDecompressed bounds the inflated content column against
+// decompression bombs; it matches the frame/delta payload cap.
+const maxDecompressed = 16 << 20
+
+// decodeContent returns the content column's characters.
+func (d *Decoder) decodeContent(buf []byte, compressed bool) ([]rune, error) {
+	if compressed {
+		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(buf)), maxDecompressed))
+		if err != nil {
+			return nil, fmt.Errorf("colenc: decompress content: %w", err)
+		}
+		if len(raw) >= maxDecompressed {
+			return nil, fmt.Errorf("colenc: decompressed content exceeds %d bytes", maxDecompressed)
+		}
+		buf = raw
+	}
+	content := d.content
+	if cap(content) < len(buf) { // a character is at least a byte: count only when it matters
+		content = make([]rune, 0, utf8.RuneCount(buf))
+	}
+	for off := 0; off < len(buf); {
+		if b := buf[off]; b < utf8.RuneSelf {
+			content = append(content, rune(b))
+			off++
+			continue
+		}
+		ru, size := utf8.DecodeRune(buf[off:])
+		if ru == utf8.RuneError && size == 1 {
+			return nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
+		}
+		content = append(content, ru)
+		off += size
+	}
+	d.content = content
+	return content, nil
+}
+
+// decodeRuns walks the agents, ops and parents columns in step and cuts
+// a run wherever any of them does: at the end of an agent run, at the
+// end of an op run, and before an event with an explicit parents entry.
+// Events between explicit entries take the default parent list: the
+// immediately preceding event.
+func (d *Decoder) decodeRuns(ops, parents *reader, content []rune, n int) ([]Run, error) {
+	ids := &d.table
+	nExc, err := parents.count(n, "parent entry count")
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 && nExc == 0 {
+		return nil, fmt.Errorf("colenc: missing parents entry for event 0")
+	}
+	excAt := n // event index of the next parents entry; n: none left
+	if nExc > 0 {
+		step, err := parents.count(n, "parent entry index")
+		if err != nil {
+			return nil, err
+		}
+		if step != 0 {
+			return nil, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
+		}
+		excAt = 0
+	}
+
+	// Grow lazily: a run-length format legitimately describes many
+	// events in few bytes, so trust the count only as runs materialise.
+	runs := d.runs
+	// Every run's Parents is cut, capacity capped, from one arena, which
+	// is chunked rather than moved when it fills up — the runs before
+	// keep the chunks they point into. A chunk is twice the one before
+	// (from 8 up to 4096), never as large as a count the frame claims,
+	// and the latest one is where the next frame starts.
+	arena := d.parents
+	parentsRoom := func(n int) {
+		if cap(arena)-len(arena) < n {
+			arena = make([]ID, 0, max(n, min(max(2*cap(arena), 8), 4096)))
+		}
+	}
+	var (
+		ar            = -1 // current agent run
+		arEnd         = 0  // event index it ends at
+		op            oplog.Run
+		opAt, opEnd   = 0, 0 // event indexes the current op run covers
+		used          = 0    // characters of content consumed
+		last          ID     // of event i-1
+		entriesParsed = 0
+	)
+	for i := 0; i < n; {
+		if i == arEnd {
+			ar++
+			arEnd += ids.runs[ar].n
+		}
+		if i == opEnd {
+			tag, err := ops.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			runLen, err := ops.count(n-i, "op run length")
+			if err != nil {
+				return nil, err
+			}
+			if runLen == 0 {
+				return nil, fmt.Errorf("colenc: empty op run")
+			}
+			pos, err := ops.count(math.MaxInt32, "op position")
+			if err != nil {
+				return nil, err
+			}
+			op = oplog.Run{Kind: oplog.Delete, Pos: pos}
+			switch tag {
+			case tagInsert:
+				if pos+runLen > math.MaxInt32 {
+					return nil, fmt.Errorf("colenc: insert run position overflow")
+				}
+				if runLen > len(content)-used {
+					return nil, fmt.Errorf("colenc: content column exhausted")
+				}
+				op.Kind, op.Dir = oplog.Insert, 1
+			case tagDeleteBack:
+				if runLen-1 > pos {
+					return nil, fmt.Errorf("colenc: backspace run of %d underflows position %d", runLen, pos)
+				}
+				op.Dir = -1
+			case tagDeleteFwd:
+			default:
+				return nil, fmt.Errorf("colenc: bad op tag %d", tag)
+			}
+			opAt, opEnd = i, i+runLen
+		}
+
+		a := ids.runs[ar]
+		run := Run{ID: ID{Agent: ids.names[a.agent], Seq: a.seq + (i - a.start)}}
+		if i == excAt {
+			nPar, err := parents.count(maxParents, "parent count")
+			if err != nil {
+				return nil, err
+			}
+			parentsRoom(nPar)
+			from := len(arena)
+			for p := 0; p < nPar; p++ {
+				v, err := parents.uvarint()
+				if err != nil {
+					return nil, err
+				}
+				if v&1 == 0 {
+					back := v >> 1
+					if back == 0 || back > uint64(i) {
+						return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, i)
+					}
+					arena = append(arena, ids.idAt(i-int(back)))
+				} else {
+					ai := v >> 1
+					if ai >= uint64(len(ids.names)) {
+						return nil, fmt.Errorf("colenc: parent agent index %d out of range", ai)
+					}
+					seq, err := parents.count(math.MaxInt32, "parent seq")
+					if err != nil {
+						return nil, err
+					}
+					arena = append(arena, ID{Agent: ids.names[ai], Seq: seq})
+				}
+			}
+			if nPar > 0 {
+				run.Parents = arena[from:len(arena):len(arena)]
+			}
+			excAt = n
+			if entriesParsed++; entriesParsed < nExc {
+				step, err := parents.count(n, "parent entry index")
+				if err != nil {
+					return nil, err
+				}
+				if step == 0 {
+					return nil, fmt.Errorf("colenc: non-increasing parents entry index")
+				}
+				if excAt = i + step; excAt >= n {
+					return nil, fmt.Errorf("colenc: parents entry index %d out of range", excAt)
+				}
+			}
+		} else {
+			parentsRoom(1)
+			arena = append(arena, last)
+			run.Parents = arena[len(arena)-1 : len(arena) : len(arena)]
+		}
+
+		end := min(arEnd, opEnd, excAt)
+		run.Run = op
+		run.Pos += (i - opAt) * int(op.Dir)
+		run.Len = end - i
+		if op.Kind == oplog.Insert {
+			run.Content = content[used : used+run.Len : used+run.Len]
+			used += run.Len
+		} else if run.Len == 1 {
+			run.Dir = 0
+		}
+		runs = append(runs, run)
+		last = run.last()
+		i = end
+	}
+	d.runs, d.parents = runs, arena
+	if !ops.done() {
+		return nil, fmt.Errorf("colenc: trailing bytes in ops column")
+	}
+	if used != len(content) {
+		return nil, fmt.Errorf("colenc: trailing bytes in content column")
+	}
+	if !parents.done() {
+		return nil, fmt.Errorf("colenc: trailing bytes in parents column")
+	}
+	return runs, nil
+}

@@ -124,6 +124,89 @@ func FuzzColencRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzInspect holds Inspect to the full decoder, both on one reused
+// Decoder: Inspect may accept a frame DecodeRuns rejects (it does not
+// parse the ops and content columns), never the reverse, and where both
+// accept they describe the same batch — the same event IDs in the same
+// order; Inspect's external parents in order among the decoded parents;
+// and every decoded parent that is not an event of the frame among
+// Inspect's external parents (such a parent has no other encoding).
+func FuzzInspect(f *testing.F) {
+	for _, frame := range testFrames(f) {
+		f.Add(frame)
+	}
+	for _, frame := range burstFrames(f, 4) {
+		f.Add(frame)
+	}
+	f.Add([]byte("EGC2"))
+	d := new(Decoder)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, ierr := d.Inspect(data)
+		var runs []IDRun
+		var ext []ID
+		if ierr == nil {
+			runs, ext = slices.Clone(info.Runs), slices.Clone(info.ExternalParents)
+			if fresh, err := Inspect(data); err != nil || !sameInfo(fresh, info) {
+				t.Fatalf("reused Inspect %+v, fresh Inspect %+v (%v)", info, fresh, err)
+			}
+		}
+		numEvents, hasDoc := 0, false
+		if ierr == nil {
+			numEvents, hasDoc = info.NumEvents, info.HasDoc
+		}
+		dec, derr := d.DecodeRuns(data, 1<<16)
+		if derr != nil {
+			return
+		}
+		if ierr != nil {
+			t.Fatalf("DecodeRuns accepted a frame Inspect rejects: %v", ierr)
+		}
+		if dec.NumEvents != numEvents || dec.HasDoc != hasDoc {
+			t.Fatalf("Inspect: %d events, doc %v; DecodeRuns: %d events, doc %v", numEvents, hasDoc, dec.NumEvents, dec.HasDoc)
+		}
+		// The same IDs in the same order, however either side cuts them.
+		coalesce := func(in []IDRun) []IDRun {
+			var out []IDRun
+			for _, r := range in {
+				if k := len(out) - 1; k >= 0 && out[k].Agent == r.Agent && out[k].Seq+out[k].Len == r.Seq {
+					out[k].Len += r.Len
+				} else {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
+		var decoded []IDRun
+		for _, r := range dec.Runs {
+			decoded = append(decoded, IDRun{Agent: r.ID.Agent, Seq: r.ID.Seq, Len: r.Len})
+		}
+		if !reflect.DeepEqual(coalesce(runs), coalesce(decoded)) {
+			t.Fatalf("Inspect runs %+v, DecodeRuns runs %+v", coalesce(runs), coalesce(decoded))
+		}
+		inFrame := func(p ID) bool {
+			for _, r := range runs {
+				if r.Agent == p.Agent && p.Seq >= r.Seq && p.Seq < r.Seq+r.Len {
+					return true
+				}
+			}
+			return false
+		}
+		next := 0
+		for _, r := range dec.Runs {
+			for _, p := range r.Parents {
+				if next < len(ext) && ext[next] == p {
+					next++
+				} else if !inFrame(p) {
+					t.Fatalf("parent %+v of %+v is outside the frame and not among Inspect's external parents %+v (matched %d)", p, r.ID, ext, next)
+				}
+			}
+		}
+		if next != len(ext) {
+			t.Fatalf("Inspect's external parents %+v are not, in order, among the decoded parents (matched %d)", ext, next)
+		}
+	})
+}
+
 // claim returns frame with the event count in its header replaced and the
 // checksum redone.
 func claim(frame []byte, count uint64) []byte {

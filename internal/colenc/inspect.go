@@ -1,11 +1,9 @@
 package colenc
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
+	"slices"
 )
 
 // IDRun is a contiguous range of event IDs by one agent: Seq, Seq+1,
@@ -47,153 +45,98 @@ type BlockInfo struct {
 // Inspect succeeding does not guarantee Decode would: the ops and
 // content columns are covered by the checksum but not parsed here.
 func Inspect(data []byte) (*BlockInfo, error) {
-	r, flags, err := openFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	body := r.buf
-
-	limit := math.MaxInt32
-	if cap := len(body) * maxRunLen; cap < limit {
-		limit = cap
-	}
-	n, err := r.count(limit, "event count")
-	if err != nil {
-		return nil, err
-	}
-	readCol := func() (*reader, error) {
-		ln, err := r.count(len(body), "column length")
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.bytes(ln)
-		if err != nil {
-			return nil, err
-		}
-		return &reader{buf: b}, nil
-	}
-	agentsCol, err := readCol()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readCol(); err != nil { // ops: framing only
-		return nil, err
-	}
-	parentsCol, err := readCol()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readCol(); err != nil { // content: framing only
-		return nil, err
-	}
-	hasDoc := flags&FlagCachedDoc != 0
-	if hasDoc {
-		if _, err := readCol(); err != nil {
-			return nil, err
-		}
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("colenc: %d trailing bytes after last column", len(body)-r.off)
-	}
-
-	ids, err := decodeAgents(agentsCol, n)
-	if err != nil {
-		return nil, err
-	}
-	info := &BlockInfo{NumEvents: n, HasDoc: hasDoc}
-	info.Runs = make([]IDRun, len(ids.runs))
-	for i, run := range ids.runs {
-		info.Runs[i] = IDRun{Agent: ids.names[run.agent], Seq: run.seq, Len: run.n}
-	}
-	if err := inspectParents(parentsCol, n, ids, info); err != nil {
-		return nil, err
-	}
-	return info, nil
+	return new(Decoder).Inspect(data)
 }
 
-// openFrame validates magic, flags, and checksum, returning a reader
-// over the body. Shared preamble of Decode-style entry points.
-func openFrame(data []byte) (*reader, byte, error) {
-	if !Sniff(data) {
-		return nil, 0, ErrBadMagic
+// Inspect is the package-level Inspect on this Decoder's memory: it
+// shares the agent table with DecodeRuns, and like a DecodeRuns result
+// the BlockInfo is valid until the next call on d.
+func (d *Decoder) Inspect(data []byte) (*BlockInfo, error) {
+	d.reset()
+	f, err := splitFrame(data, math.MaxInt32)
+	if err != nil {
+		return nil, err
 	}
-	if len(data) < len(Magic)+5 {
-		return nil, 0, fmt.Errorf("colenc: truncated header: %w", io.ErrUnexpectedEOF)
+	if err := d.decodeAgents(&f.agents, f.n); err != nil {
+		return nil, err
 	}
-	flags := data[4]
-	if flags&^byte(knownFlags) != 0 {
-		return nil, 0, fmt.Errorf("colenc: unsupported flags %#x", flags)
+	runs := slices.Grow(d.idRuns, len(d.table.runs))
+	for _, run := range d.table.runs {
+		runs = append(runs, IDRun{Agent: d.table.names[run.agent], Seq: run.seq, Len: run.n})
 	}
-	wantCRC := binary.LittleEndian.Uint32(data[5:9])
-	body := data[9:]
-	if crc32.Checksum(body, crcTable) != wantCRC {
-		return nil, 0, ErrChecksum
+	d.idRuns = runs
+	ext, err := inspectParents(&f.parents, f.n, &d.table, d.parents)
+	if err != nil {
+		return nil, err
 	}
-	return &reader{buf: body}, flags, nil
+	d.parents = ext
+	d.info = BlockInfo{NumEvents: f.n, Runs: runs, ExternalParents: ext, HasDoc: f.flags&FlagCachedDoc != 0}
+	return &d.info, nil
 }
 
 // inspectParents walks the parents column with the same validation as
-// decodeParents but materialises only the external-form parents.
+// decodeRuns but materialises only the external-form parents, appended to
+// ext.
 // Default entries and back-references resolve to in-frame events and
 // are skipped — a caller that already accepts the frame's own Runs
 // learns nothing from them.
-func inspectParents(r *reader, n int, ids *agentTable, info *BlockInfo) error {
+func inspectParents(r *reader, n int, ids *agentTable, ext []ID) ([]ID, error) {
 	nExc, err := r.count(n, "parent entry count")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n > 0 && nExc == 0 {
-		return fmt.Errorf("colenc: missing parents entry for event 0")
+		return nil, fmt.Errorf("colenc: missing parents entry for event 0")
 	}
 	idx := 0
 	for e := 0; e < nExc; e++ {
 		step, err := r.count(n, "parent entry index")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if e == 0 {
 			if step != 0 {
-				return fmt.Errorf("colenc: first parents entry at %d, want 0", step)
+				return nil, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
 			}
 			idx = 0
 		} else {
 			if step == 0 {
-				return fmt.Errorf("colenc: non-increasing parents entry index")
+				return nil, fmt.Errorf("colenc: non-increasing parents entry index")
 			}
 			idx += step
 		}
 		if idx >= n {
-			return fmt.Errorf("colenc: parents entry index %d out of range", idx)
+			return nil, fmt.Errorf("colenc: parents entry index %d out of range", idx)
 		}
 		nPar, err := r.count(maxParents, "parent count")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for p := 0; p < nPar; p++ {
 			v, err := r.uvarint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if v&1 == 0 {
 				back := v >> 1
 				if back == 0 || back > uint64(idx) {
-					return fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, idx)
+					return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, idx)
 				}
 			} else {
 				ai := v >> 1
 				if ai >= uint64(len(ids.names)) {
-					return fmt.Errorf("colenc: parent agent index %d out of range", ai)
+					return nil, fmt.Errorf("colenc: parent agent index %d out of range", ai)
 				}
 				seq, err := r.count(math.MaxInt32, "parent seq")
 				if err != nil {
-					return err
+					return nil, err
 				}
-				info.ExternalParents = append(info.ExternalParents, ID{Agent: ids.names[ai], Seq: seq})
+				ext = append(ext, ID{Agent: ids.names[ai], Seq: seq})
 			}
 		}
 	}
 	if !r.done() {
-		return fmt.Errorf("colenc: trailing bytes in parents column")
+		return nil, fmt.Errorf("colenc: trailing bytes in parents column")
 	}
-	return nil
+	return ext, nil
 }

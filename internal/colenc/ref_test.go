@@ -265,10 +265,11 @@ func refDecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
 		return nil, fmt.Errorf("colenc: %d trailing bytes after last column", len(body)-r.off)
 	}
 
-	ids, err := decodeAgents(agentsCol, n)
-	if err != nil {
+	var d Decoder
+	if err := d.decodeAgents(agentsCol, n); err != nil {
 		return nil, err
 	}
+	ids := &d.table
 	events, err := refDecodeOps(opsCol, contentCol, n, flags&FlagCompressed != 0)
 	if err != nil {
 		return nil, err

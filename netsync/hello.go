@@ -256,7 +256,7 @@ const (
 // protocol, not errors.
 type Frame struct {
 	Kind    int
-	Events  []egwalker.Event        // FrameEvents
+	Events  []egwalker.Event        // FrameEvents (RecvFrame only)
 	Raw     []byte                  // FrameEvents: the undecoded batch, for re-forwarding
 	Version egwalker.Version        // FrameVersion
 	Addrs   []string                // FrameRedirect
@@ -266,17 +266,29 @@ type Frame struct {
 // RecvFrame blocks for the next frame of any kind. Like Recv it must be
 // called from a single goroutine.
 func (p *PeerConn) RecvFrame() (Frame, error) {
+	f, err := p.RecvFrameRaw()
+	if err == nil && f.Kind == FrameEvents {
+		f.Events, err = Unmarshal(f.Raw)
+	}
+	if err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// RecvFrameRaw is RecvFrame for a relay: an events frame comes back with
+// only Raw set — the payload as it arrived, not decoded and not yet
+// validated — so a host that journals and forwards encoded batches
+// decodes one only where it needs the events (store.Server validates the
+// payload before it stores or forwards a byte of it).
+func (p *PeerConn) RecvFrameRaw() (Frame, error) {
 	typ, payload, err := readFrame(p.br)
 	if err != nil {
 		return Frame{}, err
 	}
 	switch typ {
 	case msgEvents:
-		events, err := Unmarshal(payload)
-		if err != nil {
-			return Frame{}, err
-		}
-		return Frame{Kind: FrameEvents, Events: events, Raw: payload}, nil
+		return Frame{Kind: FrameEvents, Raw: payload}, nil
 	case msgDone:
 		return Frame{Kind: FrameDone}, nil
 	case msgHello:

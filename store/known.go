@@ -1,9 +1,13 @@
 package store
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sort"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 )
 
 // idSet tracks which event IDs a journal-only DocStore holds, as
@@ -21,35 +25,41 @@ type seqRun struct{ start, end int } // [start, end)
 func newIDSet() *idSet { return &idSet{runs: make(map[string][]seqRun)} }
 
 // addRun inserts [seq, seq+n) for agent, merging with adjacent or
-// overlapping runs.
+// overlapping runs, in place: only a run that lands between two others
+// it touches neither of can grow the agent's slice.
 func (s *idSet) addRun(agent string, seq, n int) {
 	if n <= 0 {
 		return
 	}
 	runs := s.runs[agent]
 	nr := seqRun{start: seq, end: seq + n}
+	// The agent typing on: the run extends (or sits inside) the last one.
+	if k := len(runs) - 1; k >= 0 && runs[k].start <= nr.start && nr.start <= runs[k].end {
+		if nr.end > runs[k].end {
+			runs[k].end = nr.end
+		}
+		return
+	}
 	// First run starting after the new run's start.
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].start > nr.start })
 	// Merge backward into a predecessor that reaches nr.start.
 	if i > 0 && runs[i-1].end >= nr.start {
 		i--
-		if runs[i].start < nr.start {
-			nr.start = runs[i].start
-		}
-		if runs[i].end > nr.end {
-			nr.end = runs[i].end
-		}
+		nr.start = runs[i].start
+		nr.end = max(nr.end, runs[i].end)
 	}
 	// Swallow successors the new run reaches.
 	j := i
 	for j < len(runs) && runs[j].start <= nr.end {
-		if runs[j].end > nr.end {
-			nr.end = runs[j].end
-		}
+		nr.end = max(nr.end, runs[j].end)
 		j++
 	}
-	runs = append(runs[:i], append([]seqRun{nr}, runs[j:]...)...)
-	s.runs[agent] = runs
+	if i == j {
+		s.runs[agent] = slices.Insert(runs, i, nr)
+		return
+	}
+	runs[i] = nr
+	s.runs[agent] = slices.Delete(runs, i+1, j)
 }
 
 // countNew reports how many IDs in [seq, seq+n) for agent are NOT yet
@@ -75,17 +85,17 @@ func (s *idSet) countNew(agent string, seq, n int) int {
 	return n - covered
 }
 
-// has reports whether the set contains id.
-func (s *idSet) has(id egwalker.EventID) bool {
-	runs := s.runs[id.Agent]
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].end > id.Seq })
-	return i < len(runs) && runs[i].start <= id.Seq
+// has reports whether the set contains agent's event seq.
+func (s *idSet) has(agent string, seq int) bool {
+	runs := s.runs[agent]
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].end > seq })
+	return i < len(runs) && runs[i].start <= seq
 }
 
-// addBatch adds every ID run of an inspected batch.
-func (s *idSet) addBatch(info *egwalker.BatchInfo) {
-	for _, r := range info.Runs {
-		s.addRun(r.Agent, r.Seq, r.Len)
+// addRuns adds every event of a decoded frame.
+func (s *idSet) addRuns(runs []colenc.Run) {
+	for i := range runs {
+		s.addRun(runs[i].ID.Agent, runs[i].ID.Seq, runs[i].Len)
 	}
 }
 
@@ -94,6 +104,128 @@ func (s *idSet) addEvents(events []egwalker.Event) {
 	for _, ev := range events {
 		s.addRun(ev.ID.Agent, ev.ID.Seq, 1)
 	}
+}
+
+// errCausalGap reports a batch whose parents the set does not hold;
+// IngestBatch responds by materializing, since only Doc.Apply can buffer
+// a causal gap.
+var errCausalGap = errors.New("store: batch references events the journal does not hold")
+
+// errRepeatedID is admit declining a frame that names an event twice: no
+// encoder produces one, so the per-event check decides instead.
+var errRepeatedID = errors.New("store: frame repeats an event ID")
+
+// admitPayload is the one admission check of the store, behind both the
+// open-time scan of the WAL and a live IngestBatch. A compact payload is
+// decoded into dec — validated in full: every column, every limit — and
+// checked a run at a time (idSet.admit); its runs come back, valid until
+// dec is used again, for the caller to add once the payload is safely
+// stored. A batch with no compact payload, and the frame no encoder
+// produces that names an event twice, is checked event by event
+// (idSet.admitEvents) and comes back with runs nil. Nothing is added to
+// known either way.
+func (known *idSet) admitPayload(b *batch, dec *colenc.Decoder) (fresh int, runs []colenc.Run, err error) {
+	if colenc.Sniff(b.raw) {
+		d, err := dec.DecodeRuns(b.raw, colenc.MaxBatchEvents)
+		if err != nil {
+			return 0, nil, err
+		}
+		b.n = d.NumEvents
+		if fresh, err = known.admit(d.Runs); !errors.Is(err, errRepeatedID) {
+			return fresh, d.Runs, err
+		}
+	}
+	events, err := b.Events()
+	if err != nil {
+		return 0, nil, err
+	}
+	fresh, err = known.admitEvents(events)
+	return fresh, nil, err
+}
+
+// admit is the admission check for a frame of events, a run at a time:
+// every event must be held already or have all its parents held or
+// earlier in the frame. It returns how many of the events are new to the
+// set, and changes nothing — the caller adds the runs once the frame is
+// safely appended (addRuns). Within a run each event's parent is the one
+// before it, so only a run's first event has parents to look up; the
+// verdict and the count are those of admitEvents on the same events.
+func (s *idSet) admit(runs []colenc.Run) (fresh int, err error) {
+	var seen frameSeen
+	for i := range runs {
+		r := &runs[i]
+		agent, seq := r.ID.Agent, r.ID.Seq
+		n := s.countNew(agent, seq, r.Len)
+		if n == 0 {
+			continue // held already, every event of it
+		}
+		if seen.overlaps(agent, seq, r.Len) {
+			return 0, errRepeatedID
+		}
+		if !s.has(agent, seq) {
+			for _, p := range r.Parents {
+				if !s.has(p.Agent, p.Seq) && !seen.overlaps(p.Agent, p.Seq, 1) {
+					return 0, fmt.Errorf("%w: %s/%d needs %s/%d", errCausalGap, agent, seq, p.Agent, p.Seq)
+				}
+			}
+		}
+		fresh += n
+		seen.add(agent, seq, r.Len)
+	}
+	return fresh, nil
+}
+
+// frameSeen is the runs of the frame admit is part-way through that
+// brought new events. A frame is a run or two, so they sit in a fixed
+// array; a frame of more spills into a set.
+type frameSeen struct {
+	n     int
+	first [8]colenc.IDRun
+	rest  *idSet
+}
+
+func (f *frameSeen) add(agent string, seq, n int) {
+	if f.n < len(f.first) {
+		f.first[f.n] = colenc.IDRun{Agent: agent, Seq: seq, Len: n}
+		f.n++
+		return
+	}
+	if f.rest == nil {
+		f.rest = newIDSet()
+	}
+	f.rest.addRun(agent, seq, n)
+}
+
+// overlaps reports whether any of agent's events [seq, seq+n) is in f.
+func (f *frameSeen) overlaps(agent string, seq, n int) bool {
+	for _, r := range f.first[:f.n] {
+		if r.Agent == agent && seq < r.Seq+r.Len && r.Seq < seq+n {
+			return true
+		}
+	}
+	return f.rest != nil && f.rest.countNew(agent, seq, n) < n
+}
+
+// admitEvents is the admission check an event at a time: the form for
+// batches that arrive decoded or in the legacy encoding, and the
+// reference admit is held to. Like admit it changes nothing.
+func (s *idSet) admitEvents(events []egwalker.Event) (fresh int, err error) {
+	var batch map[egwalker.EventID]bool
+	for _, ev := range events {
+		if batch == nil {
+			batch = make(map[egwalker.EventID]bool, len(events))
+		}
+		if !s.has(ev.ID.Agent, ev.ID.Seq) && !batch[ev.ID] {
+			for _, p := range ev.Parents {
+				if !s.has(p.Agent, p.Seq) && !batch[p] {
+					return 0, fmt.Errorf("%w: %s/%d needs %s/%d", errCausalGap, ev.ID.Agent, ev.ID.Seq, p.Agent, p.Seq)
+				}
+			}
+			fresh++
+		}
+		batch[ev.ID] = true
+	}
+	return fresh, nil
 }
 
 // summary exports the set as a version summary — the run structures

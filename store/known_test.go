@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,11 +24,54 @@ func TestIDSetRunMerging(t *testing.T) {
 		t.Fatalf("runs after covered add = %+v", got)
 	}
 	s.addRun("b", 2, 1)
-	if !s.has(egwalker.EventID{Agent: "b", Seq: 2}) || s.has(egwalker.EventID{Agent: "b", Seq: 1}) {
+	if !s.has("b", 2) || s.has("b", 1) {
 		t.Fatal("has() wrong for agent b")
 	}
-	if s.has(egwalker.EventID{Agent: "a", Seq: 15}) || !s.has(egwalker.EventID{Agent: "a", Seq: 14}) {
+	if s.has("a", 15) || !s.has("a", 14) {
 		t.Fatal("has() wrong at run boundary")
+	}
+}
+
+// TestIDSetAddRunInPlace: an agent typing on extends its last run, which
+// is every live ingest; that, a covered add and a merge of neighbours
+// must not allocate (addRun used to rebuild the agent's slice on every
+// call).
+func TestIDSetAddRunInPlace(t *testing.T) {
+	s := newIDSet()
+	s.addRun("a", 0, 5)
+	next := 5
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.addRun("a", next, 3)
+		next += 3
+	}); allocs != 0 {
+		t.Fatalf("extending an agent's last run: %.1f allocations, want 0", allocs)
+	}
+	if got := s.runs["a"]; len(got) != 1 || got[0] != (seqRun{0, next}) {
+		t.Fatalf("runs = %+v, want one [0,%d)", got, next)
+	}
+	s.addRun("a", next+10, 5)
+	s.addRun("a", next+20, 5)
+	s.addRun("a", next+30, 5) // [0,next) [next+10,+15) [next+20,+25) [next+30,+35)
+	if allocs := testing.AllocsPerRun(1, func() {
+		s.addRun("a", 2, 2)         // covered
+		s.addRun("a", next+12, 8)   // merges the middle two; one run follows them
+		s.addRun("a", next-1, 11)   // and those into the first
+		s.addRun("a", next+34, 100) // extends the last
+	}); allocs != 0 {
+		t.Fatalf("covered add, merges and extension: %.1f allocations, want 0", allocs)
+	}
+	want := []seqRun{{0, next + 25}, {next + 30, next + 134}}
+	if got := s.runs["a"]; !slices.Equal(got, want) {
+		t.Fatalf("runs = %+v, want %+v", got, want)
+	}
+	// An insert between two runs may grow the slice, and must keep order.
+	s.addRun("b", 10, 2)
+	s.addRun("b", 20, 2)
+	s.addRun("b", 0, 2)
+	s.addRun("b", 15, 2)
+	want = []seqRun{{0, 2}, {10, 12}, {15, 17}, {20, 22}}
+	if got := s.runs["b"]; !slices.Equal(got, want) {
+		t.Fatalf("runs = %+v, want %+v", got, want)
 	}
 }
 

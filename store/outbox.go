@@ -19,11 +19,11 @@ import (
 // OutboxBytes gauge, which makes the bound observable for free).
 //
 // When a push would overrun either budget, the queue first coalesces:
-// adjacent frames whose decoded events are attached are merged and
-// re-marshalled as one batch. For a slow-but-alive peer this is a real
-// reprieve, not just bookkeeping — merging N small batches amortizes
-// per-frame headers, and run-length encoding compresses adjacent edits
-// from the same agents (a compact-encoded merge of hundreds of
+// the queued frames — encoded batches, as they were uploaded — are
+// decoded, merged and re-marshalled as one batch. For a slow-but-alive
+// peer this is a real reprieve, not just bookkeeping — merging N small
+// batches amortizes per-frame headers, and run-length encoding
+// compresses adjacent edits from the same agents (a compact-encoded merge of hundreds of
 // single-keystroke batches is often ~10x smaller than their sum). Only
 // if the queue is still over budget after coalescing is the peer
 // severed; it reconnects with a resume hello and catches up
@@ -40,8 +40,8 @@ type outbox struct {
 	mu   sync.Mutex
 	cond sync.Cond
 
-	frames []obFrame
-	bytes  int64 // sum of len(raw) over frames
+	frames [][]byte // queued payloads, each an event batch in an encoding the peer decodes
+	bytes  int64    // sum of their lengths
 	closed bool
 
 	// compact records whether the peer decodes the compact columnar
@@ -53,14 +53,6 @@ type outbox struct {
 	globalCap  int64
 	global     *metrics.Gauge   // server-wide queued-bytes ledger (OutboxBytes)
 	coalesced  *metrics.Counter // frames eliminated by merging (CoalescedFrames)
-}
-
-// obFrame is one queued frame: the marshalled payload and, when the
-// payload is a self-contained single-chunk batch, its decoded events —
-// the handle coalescing needs to merge adjacent frames.
-type obFrame struct {
-	raw    []byte
-	events []egwalker.Event
 }
 
 func newOutbox(peerBudget, globalCap int64, global *metrics.Gauge, coalesced *metrics.Counter, compact bool) *outbox {
@@ -75,42 +67,37 @@ func newOutbox(peerBudget, globalCap int64, global *metrics.Gauge, coalesced *me
 	return o
 }
 
-// push queues frames for the writer, attaching events (which must
-// correspond to the single frame in raws) when len(raws) == 1 so the
-// frame stays coalescible. It reports false when the peer is over
-// budget even after coalescing — the caller must sever it. A closed
-// outbox absorbs pushes silently (the peer is already on its way out).
+// push queues frames for the writer and returns how many were queued
+// before them (the OutboxDepth sample, taken under the lock push holds
+// anyway). It reports false when the peer is over budget even after
+// coalescing — the caller must sever it. A closed outbox absorbs pushes
+// silently (the peer is already on its way out).
 //
 // An empty queue always accepts, whatever the budgets say: a frame
 // larger than the per-peer budget must still make progress, and a peer
 // with nothing queued is by definition not slow.
-func (o *outbox) push(raws [][]byte, events []egwalker.Event) bool {
+func (o *outbox) push(raws [][]byte) (depth int, ok bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
-		return true
+		return 0, true
 	}
+	depth = len(o.frames)
 	var add int64
 	for _, r := range raws {
 		add += int64(len(r))
 	}
-	if len(o.frames) > 0 && o.overLocked(add) {
+	if depth > 0 && o.overLocked(add) {
 		o.coalesceLocked()
 		if o.overLocked(add) {
-			return false
+			return depth, false
 		}
 	}
-	for i, r := range raws {
-		f := obFrame{raw: r}
-		if i == 0 && len(raws) == 1 {
-			f.events = events
-		}
-		o.frames = append(o.frames, f)
-	}
+	o.frames = append(o.frames, raws...)
 	o.bytes += add
 	o.global.Add(add)
 	o.cond.Signal()
-	return true
+	return depth, true
 }
 
 // overLocked reports whether accepting add more bytes would overrun
@@ -125,72 +112,58 @@ func (o *outbox) overLocked(add int64) bool {
 	return false
 }
 
-// coalesceLocked merges maximal runs of adjacent frames that carry
-// their decoded events, re-marshalling each run as one batch in the
-// peer's best encoding, and keeps the merge only when it is actually
-// smaller (a merge that grows — rare, but possible across chunking
-// boundaries — is discarded).
+// coalesceLocked merges the queue into one batch: every frame is decoded
+// (here, under pressure, and nowhere else on the fan-out path), the
+// events are re-marshalled in the peer's best encoding, and the merge is
+// kept only when it is actually smaller (a merge that grows — rare, but
+// possible across chunking boundaries — is discarded).
 func (o *outbox) coalesceLocked() {
 	if len(o.frames) < 2 {
 		return
 	}
-	out := make([]obFrame, 0, len(o.frames))
-	for i := 0; i < len(o.frames); {
-		if o.frames[i].events == nil {
-			out = append(out, o.frames[i])
-			i++
-			continue
+	var evs []egwalker.Event
+	for _, raw := range o.frames {
+		batch, err := egwalker.UnmarshalEventsAuto(raw)
+		if err != nil {
+			return // not a frame this server validated; leave the queue be
 		}
-		j := i + 1
-		for j < len(o.frames) && o.frames[j].events != nil {
-			j++
-		}
-		if j-i < 2 {
-			out = append(out, o.frames[i])
-			i = j
-			continue
-		}
-		var evs []egwalker.Event
-		var oldBytes int64
-		for k := i; k < j; k++ {
-			evs = append(evs, o.frames[k].events...)
-			oldBytes += int64(len(o.frames[k].raw))
-		}
-		var chunks [][]byte
-		var err error
-		if o.compact {
-			chunks, err = netsync.MarshalChunksCompact(evs)
-		} else {
-			chunks, err = netsync.MarshalChunks(evs)
-		}
-		var newBytes int64
-		for _, c := range chunks {
-			newBytes += int64(len(c))
-		}
-		if err != nil || newBytes >= oldBytes {
-			out = append(out, o.frames[i:j]...)
-		} else {
-			for _, c := range chunks {
-				f := obFrame{raw: c}
-				if len(chunks) == 1 {
-					f.events = evs
-				}
-				out = append(out, f)
-			}
-			o.coalesced.Add(int64(j - i - len(chunks)))
-			o.bytes += newBytes - oldBytes
-			o.global.Add(newBytes - oldBytes)
-		}
-		i = j
+		evs = append(evs, batch...)
 	}
-	o.frames = out
+	marshal := netsync.MarshalChunks
+	if o.compact {
+		marshal = netsync.MarshalChunksCompact
+	}
+	chunks, err := marshal(evs)
+	var newBytes int64
+	for _, c := range chunks {
+		newBytes += int64(len(c))
+	}
+	if err != nil || newBytes >= o.bytes {
+		return
+	}
+	o.coalesced.Add(int64(len(o.frames) - len(chunks)))
+	o.global.Add(newBytes - o.bytes)
+	o.bytes = newBytes
+	clear(o.frames)
+	o.frames = append(o.frames[:0], chunks...)
 }
+
+// maxKeptQueue is the longest queue array drain recycles; a longer one
+// (a slow peer's backlog) is left to the collector.
+const maxKeptQueue = 256
 
 // drain blocks until frames are queued (returning them all, emptying
 // the queue) or the outbox is closed with nothing left (returning
 // ok=false — the writer's signal to exit). A graceful close hands the
-// writer whatever is still queued before reporting closed.
-func (o *outbox) drain() ([][]byte, bool) {
+// writer whatever is still queued before reporting closed. sent is the
+// slice the previous drain returned, done with: the queue continues in
+// its array, so a writer and its outbox swap two arrays between them
+// instead of allocating one per wake.
+func (o *outbox) drain(sent [][]byte) ([][]byte, bool) {
+	if cap(sent) > maxKeptQueue {
+		sent = nil
+	}
+	clear(sent)
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for len(o.frames) == 0 && !o.closed {
@@ -199,13 +172,10 @@ func (o *outbox) drain() ([][]byte, bool) {
 	if len(o.frames) == 0 {
 		return nil, false
 	}
-	raws := make([][]byte, len(o.frames))
-	for i, f := range o.frames {
-		raws[i] = f.raw
-	}
+	raws := o.frames
+	o.frames = sent[:0]
 	o.global.Add(-o.bytes)
 	o.bytes = 0
-	o.frames = nil
 	return raws, true
 }
 
@@ -228,9 +198,9 @@ func (o *outbox) close(drop bool) {
 	o.mu.Unlock()
 }
 
-// depth reports how many frames are queued (the periodic OutboxDepth
-// sample; an idle-but-full outbox is visible here even though no send
-// is touching it).
+// depth reports how many frames are queued (the flusher's periodic
+// OutboxDepth sample: an idle-but-full outbox is visible here even
+// though no push is touching it).
 func (o *outbox) depth() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 )
 
 // singleEventFrames types n single-character inserts and returns each
-// edit as its own marshalled legacy frame with its decoded event
-// attached — the shape fan-out pushes for a live typing stream.
+// edit as its own marshalled legacy frame, with its event — the shape
+// fan-out pushes for a live typing stream.
 func singleEventFrames(t *testing.T, n int) (raws [][]byte, events [][]egwalker.Event) {
 	t.Helper()
 	doc := egwalker.NewDoc("ob-w")
@@ -40,6 +41,11 @@ func singleEventFrames(t *testing.T, n int) (raws [][]byte, events [][]egwalker.
 	return raws, events
 }
 
+func pushOK(o *outbox, raws [][]byte) bool {
+	_, ok := o.push(raws)
+	return ok
+}
+
 // TestOutboxEmptyQueueAccepts: an empty queue accepts even a frame far
 // over every budget — oversized batches must make progress, and a peer
 // with nothing queued is by definition not slow.
@@ -48,7 +54,7 @@ func TestOutboxEmptyQueueAccepts(t *testing.T) {
 	var coalesced metrics.Counter
 	o := newOutbox(16, 16, &global, &coalesced, false)
 	big := make([]byte, 4096)
-	if !o.push([][]byte{big}, nil) {
+	if !pushOK(o, [][]byte{big}) {
 		t.Fatal("empty outbox rejected an oversized frame")
 	}
 	if got := o.queuedBytes(); got != 4096 {
@@ -58,8 +64,8 @@ func TestOutboxEmptyQueueAccepts(t *testing.T) {
 		t.Fatalf("global ledger = %d, want 4096", got)
 	}
 	// But the next push finds the queue over budget with nothing to
-	// coalesce (no events attached), so the peer must be severed.
-	if o.push([][]byte{make([]byte, 8)}, nil) {
+	// coalesce (these bytes are no event batch), so the peer must be severed.
+	if pushOK(o, [][]byte{make([]byte, 8)}) {
 		t.Fatal("over-budget uncoalescible outbox accepted another frame")
 	}
 	o.close(true)
@@ -74,7 +80,7 @@ func TestOutboxEmptyQueueAccepts(t *testing.T) {
 // counted, and the drained bytes still decode to every queued event.
 func TestOutboxCoalesceReprieve(t *testing.T) {
 	const n = 300
-	raws, events := singleEventFrames(t, n)
+	raws, _ := singleEventFrames(t, n)
 	var global metrics.Gauge
 	var coalesced metrics.Counter
 	// ~10 bytes per single-event legacy frame: 300 frames (~3 KB) blow
@@ -82,7 +88,7 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 	// smaller, so every push must be accepted.
 	o := newOutbox(2048, 0, &global, &coalesced, true)
 	for i := range raws {
-		if !o.push([][]byte{raws[i]}, events[i]) {
+		if !pushOK(o, [][]byte{raws[i]}) {
 			t.Fatalf("push %d rejected: coalescing should have freed the budget", i)
 		}
 	}
@@ -96,7 +102,7 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 		t.Fatalf("ledger %d != queued %d", global.Load(), o.queuedBytes())
 	}
 
-	drained, ok := o.drain()
+	drained, ok := o.drain(nil)
 	if !ok {
 		t.Fatal("drain reported closed")
 	}
@@ -116,6 +122,112 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 	}
 }
 
+// TestOutboxCoalescesUndecodedFrames: frames are queued as the encoded
+// payloads they arrived as, with no events attached, and still coalesce —
+// compact uploads pushed past the per-peer budget are decoded there and
+// then, merged and re-marshalled, and what the writer drains decodes to
+// exactly the pushed events, each once, in order.
+func TestOutboxCoalescesUndecodedFrames(t *testing.T) {
+	frames, _ := burstUploads(t, 300)
+	var want []egwalker.Event
+	total := 0
+	for _, f := range frames {
+		evs, err := egwalker.UnmarshalEventsAuto(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, evs...)
+		total += len(f)
+	}
+	var global metrics.Gauge
+	var coalesced metrics.Counter
+	budget := int64(total * 3 / 5)
+	o := newOutbox(budget, 0, &global, &coalesced, true)
+	for i, f := range frames {
+		before := o.depth()
+		depth, ok := o.push([][]byte{f})
+		if !ok {
+			t.Fatalf("push %d rejected: coalescing should have freed the budget", i)
+		}
+		if depth != before {
+			t.Fatalf("push %d reports depth %d, the queue held %d", i, depth, before)
+		}
+	}
+	if coalesced.Load() == 0 {
+		t.Fatal("no frames coalesced despite budget pressure")
+	}
+	if got := o.queuedBytes(); got > budget || got != global.Load() {
+		t.Fatalf("queued %d bytes (ledger %d), budget %d", got, global.Load(), budget)
+	}
+	drained, ok := o.drain(nil)
+	if !ok || len(drained) >= len(frames) {
+		t.Fatalf("drained %d frames of %d pushed, ok=%v", len(drained), len(frames), ok)
+	}
+	var got []egwalker.Event
+	for _, raw := range drained {
+		if !egwalker.IsCompactBatch(raw) {
+			t.Fatal("a compact peer's merged frame is not compact")
+		}
+		evs, err := egwalker.UnmarshalEventsAuto(raw)
+		if err != nil {
+			t.Fatalf("coalesced frame does not decode: %v", err)
+		}
+		got = append(got, evs...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("drained frames decode to %d events, want the %d pushed, once each, in order", len(got), len(want))
+	}
+
+	o.close(true)
+	if got := global.Load(); got != 0 {
+		t.Fatalf("ledger after close(drop) = %d, want 0", got)
+	}
+}
+
+// TestOutboxDrainRecyclesArray: the writer hands the slice it has sent
+// back to drain; the queue continues in that array with the payloads it
+// pointed at let go, so an outbox and its writer swap two arrays between
+// them. An array grown by a backlog (over maxKeptQueue) is not kept.
+func TestOutboxDrainRecyclesArray(t *testing.T) {
+	var global metrics.Gauge
+	var coalesced metrics.Counter
+	o := newOutbox(0, 0, &global, &coalesced, true)
+	frame := func(n int) [][]byte { return [][]byte{make([]byte, n)} }
+	o.push(frame(1))
+	o.push(frame(2))
+	first, _ := o.drain(nil)
+	o.push(frame(3))
+	second, ok := o.drain(first)
+	if !ok || len(second) != 1 || len(second[0]) != 3 {
+		t.Fatalf("second drain: %d frames, ok=%v", len(second), ok)
+	}
+	for _, raw := range first[:cap(first)] {
+		if raw != nil {
+			t.Fatal("a sent payload is still referenced from the recycled array")
+		}
+	}
+	o.push(frame(4))
+	if &o.frames[0] != &first[:1][0] {
+		t.Fatal("the queue did not continue in the array the writer handed back")
+	}
+	one := frame(5)
+	if allocs := testing.AllocsPerRun(100, func() {
+		o.push(one)
+		second, _ = o.drain(second)
+	}); allocs != 0 {
+		t.Fatalf("push and drain of one frame: %.1f allocations, want 0", allocs)
+	}
+	o.push(one)
+	o.drain(make([][]byte, 0, maxKeptQueue+1))
+	if cap(o.frames) > maxKeptQueue {
+		t.Fatalf("a %d-slot array was kept as the queue, cap %d", cap(o.frames), maxKeptQueue)
+	}
+	o.close(true)
+	if got := global.Load(); got != 0 {
+		t.Fatalf("ledger after close(drop) = %d, want 0", got)
+	}
+}
+
 // TestOutboxGlobalCapShared: the server-wide cap is one ledger across
 // outboxes — a second peer's push is refused when the first peer's
 // backlog holds the global budget, and accepted again once it drains.
@@ -124,19 +236,19 @@ func TestOutboxGlobalCapShared(t *testing.T) {
 	var coalesced metrics.Counter
 	a := newOutbox(0, 1024, &global, &coalesced, false)
 	b := newOutbox(0, 1024, &global, &coalesced, false)
-	if !a.push([][]byte{make([]byte, 900)}, nil) {
+	if !pushOK(a, [][]byte{make([]byte, 900)}) {
 		t.Fatal("first push rejected")
 	}
-	if !b.push([][]byte{make([]byte, 64)}, nil) {
+	if !pushOK(b, [][]byte{make([]byte, 64)}) {
 		t.Fatal("b's first frame rejected (empty queue must accept)")
 	}
-	if b.push([][]byte{make([]byte, 200)}, nil) {
+	if pushOK(b, [][]byte{make([]byte, 200)}) {
 		t.Fatal("b accepted a frame past the shared global cap")
 	}
-	if _, ok := a.drain(); !ok {
+	if _, ok := a.drain(nil); !ok {
 		t.Fatal("a.drain reported closed")
 	}
-	if !b.push([][]byte{make([]byte, 200)}, nil) {
+	if !pushOK(b, [][]byte{make([]byte, 200)}) {
 		t.Fatal("b rejected after the cap was freed")
 	}
 	a.close(true)
@@ -153,13 +265,13 @@ func TestOutboxGracefulCloseHandsOffBacklog(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
 	o := newOutbox(0, 0, &global, &coalesced, false)
-	o.push([][]byte{make([]byte, 10), make([]byte, 20)}, nil)
+	pushOK(o, [][]byte{make([]byte, 10), make([]byte, 20)})
 	o.close(false)
-	raws, ok := o.drain()
+	raws, ok := o.drain(nil)
 	if !ok || len(raws) != 2 {
 		t.Fatalf("graceful close: drain = %d frames, ok=%v; want 2, true", len(raws), ok)
 	}
-	if _, ok := o.drain(); ok {
+	if _, ok := o.drain(nil); ok {
 		t.Fatal("second drain after close should report closed")
 	}
 	if got := global.Load(); got != 0 {

@@ -475,7 +475,7 @@ func (s *Server) Append(docID string, events []egwalker.Event) error {
 		return err
 	}
 	defer s.release(e)
-	return e.ingest(events, nil, -1, false)
+	return e.ingest(&batch{events: events}, -1, false)
 }
 
 // IngestReplica merges a batch received over a cluster replication
@@ -489,11 +489,15 @@ func (s *Server) IngestReplica(docID string, events []egwalker.Event, raw []byte
 		return err
 	}
 	defer s.release(e)
-	if err := e.ingest(events, raw, -1, true); err != nil {
+	return e.ingestReplica(&batch{raw: raw, events: events})
+}
+
+func (e *entry) ingestReplica(b *batch) error {
+	if err := e.ingest(b, -1, true); err != nil {
 		return err
 	}
 	e.m.ReplicaBatchesIn.Inc()
-	e.m.ReplicaEventsIn.Add(int64(len(events)))
+	e.m.ReplicaEventsIn.Add(int64(b.n))
 	return nil
 }
 
@@ -542,50 +546,58 @@ func (s *Server) DocIDs() ([]string, error) {
 // sender, building per-capability payloads: a peer gets the uploader's
 // raw bytes verbatim only when it can decode them — compact-encoded
 // uploads are re-marshalled (lazily, once per batch) for peers that
-// never advertised the compact encoding. raw may be nil (API appends).
-// replica marks a batch arriving over a server-to-server replication
-// link: it still fans out to local subscribers, but never fires the
-// OnIngest tap — the origin node already pushed it to every replica,
-// and re-forwarding replicated batches would echo them around the
-// cluster forever.
-func (e *entry) ingest(events []egwalker.Event, raw []byte, fromPeer int, replica bool) error {
+// never advertised the compact encoding. The batch travels encoded: its
+// events are decoded, once, only if the document is materialized, the
+// replication tap is set or such a peer is subscribed (b.raw is nil for
+// API appends, which arrive decoded). replica marks a batch arriving
+// over a server-to-server replication link: it still fans out to local
+// subscribers, but never fires the OnIngest tap — the origin node
+// already pushed it to every replica, and re-forwarding replicated
+// batches would echo them around the cluster forever.
+func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fresh, err := e.ds.IngestBatch(events, raw)
+	fresh, err := e.ds.ingestBatch(b)
 	if err != nil {
 		return err
 	}
 	if fresh > 0 && !replica && e.onIngest != nil {
-		e.onIngest(e.id, events, raw)
+		events, err := b.Events()
+		if err != nil {
+			return err
+		}
+		e.onIngest(e.id, events, b.raw)
 	}
 	// ApplyNs from call entry, so per-document lock contention (many
 	// writers on one hot document) shows up in the latency it causes.
 	e.m.ApplyNs.Observe(time.Since(start).Nanoseconds())
-	e.m.EventsApplied.Add(int64(len(events)))
+	e.m.EventsApplied.Add(int64(b.n))
 	e.m.BatchesApplied.Inc()
-	e.m.FanoutBatchEvents.Observe(int64(len(events)))
-	return e.fanoutLocked(events, raw, fromPeer)
+	e.m.FanoutBatchEvents.Observe(int64(b.n))
+	return e.fanoutLocked(b, fromPeer)
 }
 
 // fanoutLocked forwards a batch to every subscriber except fromPeer
 // (-1: all). Called with e.mu held; also used by RepairDoc to push a
 // repair's fetched diff to live subscribers.
-func (e *entry) fanoutLocked(events []egwalker.Event, raw []byte, fromPeer int) error {
+func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 	// Verbatim forwarding is the zero-copy default; only a compact
 	// payload headed for a legacy peer needs the re-marshal (a legacy
 	// payload is the common decodable-by-everyone denominator).
-	rawCompact := raw != nil && egwalker.IsCompactBatch(raw)
+	rawCompact := b.raw != nil && egwalker.IsCompactBatch(b.raw)
 	var verbatim [][]byte
-	if raw != nil {
-		verbatim = [][]byte{raw}
+	if b.raw != nil {
+		verbatim = [][]byte{b.raw}
 	}
 	var legacyChunks [][]byte
 	legacyPayloads := func() ([][]byte, error) {
 		if legacyChunks == nil {
-			var err error
-			legacyChunks, err = netsync.MarshalChunks(events)
+			events, err := b.Events()
 			if err != nil {
+				return nil, err
+			}
+			if legacyChunks, err = netsync.MarshalChunks(events); err != nil {
 				return nil, err
 			}
 		}
@@ -597,7 +609,6 @@ func (e *entry) fanoutLocked(events []egwalker.Event, raw []byte, fromPeer int) 
 			continue
 		}
 		raws := verbatim
-		evs := events
 		if raws == nil || (rawCompact && !p.compact) {
 			var err error
 			raws, err = legacyPayloads()
@@ -605,8 +616,9 @@ func (e *entry) fanoutLocked(events []egwalker.Event, raw []byte, fromPeer int) 
 				return err
 			}
 		}
-		e.m.OutboxDepth.Observe(int64(p.ob.depth()))
-		if !p.ob.push(raws, evs) {
+		depth, ok := p.ob.push(raws)
+		e.m.OutboxDepth.Observe(int64(depth))
+		if !ok {
 			// Slow peer: over its byte budget even after coalescing, so
 			// it would silently miss these events forever (the live
 			// protocol has no anti-entropy). Sever it instead; the
@@ -825,9 +837,10 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 
 	writeErr := make(chan error, 1)
 	go func() {
+		var raws [][]byte
 		for {
-			raws, ok := plan.outbox.drain()
-			if !ok {
+			var ok bool
+			if raws, ok = plan.outbox.drain(raws); !ok {
 				// Outbox closed and empty: normal teardown, or the peer
 				// was dropped as too slow (ingest). Sever the connection
 				// so a Recv blocked on an idle diverged client unblocks
@@ -858,18 +871,27 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 			return err
 		default:
 		}
-		events, raw, done, err := pc.Recv()
+		// Uploads stay encoded: the payload is validated where it is
+		// admitted (DocStore.ingestBatch) and decoded only if something
+		// on the way needs its events.
+		f, err := pc.RecvFrameRaw()
 		if err != nil {
 			if err == io.EOF {
 				return nil
 			}
 			return err
 		}
-		if done {
+		switch f.Kind {
+		case netsync.FrameEvents:
+			if err := e.ingest(&batch{raw: f.Raw}, plan.id, false); err != nil {
+				return err
+			}
+		case netsync.FrameDone:
 			return nil
-		}
-		if err := e.ingest(events, raw, plan.id, false); err != nil {
-			return err
+		default:
+			// (e.id, not h.DocID: a use of h here would keep the hello — its
+			// summary, its payload — alive for as long as the peer stays.)
+			return fmt.Errorf("store: %q: unexpected frame kind %d from a client", e.id, f.Kind)
 		}
 	}
 }
@@ -923,7 +945,7 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 		return err
 	}
 	for {
-		f, err := pc.RecvFrame()
+		f, err := pc.RecvFrameRaw()
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -932,11 +954,9 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 		}
 		switch f.Kind {
 		case netsync.FrameEvents:
-			if err := e.ingest(f.Events, f.Raw, -1, true); err != nil {
+			if err := e.ingestReplica(&batch{raw: f.Raw}); err != nil {
 				return err
 			}
-			e.m.ReplicaBatchesIn.Inc()
-			e.m.ReplicaEventsIn.Add(int64(len(f.Events)))
 		case netsync.FrameVersion:
 			if err := e.replicaExchange(pc, f.Version, nil, h.Compact); err != nil {
 				return err
@@ -1119,7 +1139,7 @@ func (s *Server) RepairDoc(docID string, fetch func(egwalker.VersionSummary) ([]
 		return info, err
 	}
 	if len(extra) > 0 {
-		if ferr := e.fanoutLocked(extra, nil, -1); ferr != nil {
+		if ferr := e.fanoutLocked(&batch{events: extra}, -1); ferr != nil {
 			s.logf("store: fanning out repair diff for %q: %v", docID, ferr)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 )
 
 // ErrLocked reports a document directory already open by another
@@ -406,12 +407,12 @@ func snapshotServable(fs FS, path string) bool {
 }
 
 // recoverJournal brings the store up journal-only: it reads the newest
-// snapshot's ID runs and walks every later WAL block's causal
-// structure — egwalker.InspectBatch for compact payloads, a full (but
-// proportional) decode for legacy ones — without ever constructing the
-// document. Any obstacle it cannot vouch for (a legacy-format
-// snapshot, a causal gap, damage beyond a torn tail) aborts with an
-// error; the caller falls back to materialized recovery.
+// snapshot's ID runs (egwalker.InspectBatch) and puts every later WAL
+// block through the admission check it passed when it was uploaded
+// (scanBlockPayload) — without ever constructing the document. Any
+// obstacle it cannot vouch for (a legacy-format snapshot, a causal gap,
+// damage beyond a torn tail) aborts with an error; the caller falls back
+// to materialized recovery.
 func (s *DocStore) recoverJournal() error {
 	snaps, segs, err := s.scanDirSeqs()
 	if err != nil {
@@ -419,6 +420,8 @@ func (s *DocStore) recoverJournal() error {
 	}
 	known := newIDSet()
 	s.blockServable = true
+	dec := colenc.GetDecoder()
+	defer dec.Put()
 
 	if len(snaps) > 0 {
 		seq := snaps[len(snaps)-1]
@@ -437,7 +440,7 @@ func (s *DocStore) recoverJournal() error {
 			known.addRun(r.Agent, r.Seq, r.Len)
 		}
 		for _, p := range info.ExternalParents {
-			if !known.has(p) {
+			if !known.has(p.Agent, p.Seq) {
 				return fmt.Errorf("store: snapshot %s references unknown parent %s/%d", snapName(seq), p.Agent, p.Seq)
 			}
 		}
@@ -468,7 +471,7 @@ func (s *DocStore) recoverJournal() error {
 		}
 		segEvents := 0
 		w, err := walkSegmentBlocks(data, func(payload []byte) error {
-			fresh, err := scanBlockPayload(payload, known)
+			fresh, err := scanBlockPayload(payload, known, dec)
 			segEvents += fresh
 			return err
 		})
@@ -507,47 +510,21 @@ func (s *DocStore) recoverJournal() error {
 	return nil
 }
 
-// scanBlockPayload folds one WAL block's IDs into known, verifying
-// every causal reference lands on an already-known event (or an
-// earlier event of the same batch). Returns how many of the block's
+// scanBlockPayload folds one WAL block's IDs into known once the
+// admission check a live upload goes through (admitPayload) has passed
+// it: every causal reference lands on an already-known event or an
+// earlier event of the same block. Returns how many of the block's
 // events were not already known.
-func scanBlockPayload(payload []byte, known *idSet) (int, error) {
-	if egwalker.IsCompactBatch(payload) {
-		info, err := egwalker.InspectBatch(payload)
-		if err != nil {
-			return 0, err
-		}
-		fresh := 0
-		for _, r := range info.Runs {
-			fresh += known.countNew(r.Agent, r.Seq, r.Len)
-			known.addRun(r.Agent, r.Seq, r.Len)
-		}
-		// External-form parents may still point in-batch (beyond the
-		// encoder's back-reference window), so the batch's own runs are
-		// added before the check.
-		for _, p := range info.ExternalParents {
-			if !known.has(p) {
-				return fresh, fmt.Errorf("store: block references unknown parent %s/%d", p.Agent, p.Seq)
-			}
-		}
-		return fresh, nil
-	}
-	evs, err := egwalker.UnmarshalEvents(payload)
+func scanBlockPayload(payload []byte, known *idSet, dec *colenc.Decoder) (int, error) {
+	b := batch{raw: payload}
+	fresh, runs, err := known.admitPayload(&b, dec)
 	if err != nil {
 		return 0, err
 	}
-	fresh := 0
-	for _, ev := range evs {
-		if known.has(ev.ID) {
-			continue
-		}
-		for _, p := range ev.Parents {
-			if !known.has(p) {
-				return fresh, fmt.Errorf("store: block references unknown parent %s/%d", p.Agent, p.Seq)
-			}
-		}
-		known.addRun(ev.ID.Agent, ev.ID.Seq, 1)
-		fresh++
+	if runs != nil {
+		known.addRuns(runs)
+	} else {
+		known.addEvents(b.events)
 	}
 	return fresh, nil
 }
@@ -991,37 +968,67 @@ func (s *DocStore) Apply(events []egwalker.Event) ([]egwalker.Patch, error) {
 	return patches, nil
 }
 
-// errCausalGap reports an uploaded batch whose parents the journal
-// does not hold; IngestBatch responds by materializing, since only
-// Doc.Apply can buffer a causal gap.
-var errCausalGap = errors.New("store: batch references events the journal does not hold")
+// batch is an uploaded batch on its way through the store and the server:
+// the payload as it arrived, if it arrived encoded, and its events from
+// the moment something needs them — Doc.Apply on a materialized
+// document, the replication tap, a re-marshal for a legacy subscriber —
+// decoded once.
+type batch struct {
+	raw    []byte
+	events []egwalker.Event // nil until decoded, unless the batch arrived decoded
+	n      int              // event count, once known
+}
+
+// Events returns the batch's events, decoding (and so validating) the
+// payload on first use.
+func (b *batch) Events() ([]egwalker.Event, error) {
+	if b.events == nil && b.raw != nil {
+		events, err := egwalker.UnmarshalEventsAuto(b.raw)
+		if err != nil {
+			return nil, err
+		}
+		b.events = events
+	}
+	b.n = len(b.events)
+	return b.events, nil
+}
 
 // IngestBatch merges an uploaded batch and journals it — the hosted
 // server's upload path. When the store is journal-only and the batch's
 // causal references check out against the known-ID set, the uploader's
 // raw encoded payload (if provided) is appended to the WAL verbatim:
-// no document, no decode beyond what the wire already did, no
-// re-encode. Otherwise it behaves exactly like Apply. Returns how
-// many of the batch's events were new to this store.
+// no document, no []Event, no re-encode — a compact payload is validated
+// in full and admitted a run at a time straight off its columns, and
+// events may then be nil. Otherwise it behaves exactly like Apply (raw
+// is decoded if events is nil). Returns how many of the batch's events
+// were new to this store.
 //
 // The journal-only path validates causal structure but not positions;
 // a structurally valid but semantically impossible event surfaces as
 // an error at materialization time instead of at upload time — the
 // price of never building the document on the hot path.
 func (s *DocStore) IngestBatch(events []egwalker.Event, raw []byte) (int, error) {
+	return s.ingestBatch(&batch{raw: raw, events: events})
+}
+
+func (s *DocStore) ingestBatch(b *batch) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writable(); err != nil {
 		return 0, err
 	}
 	if s.doc == nil {
-		n, err := s.journalAppendLocked(events, raw)
+		n, err := s.journalAppendLocked(b)
 		if err == nil || !errors.Is(err, errCausalGap) {
 			return n, err
 		}
 		if err := s.materializeLocked(); err != nil {
 			return 0, err
 		}
+	}
+	events, err := b.Events()
+	if err != nil {
+		return 0, err
 	}
 	before := s.doc.NumEvents()
 	if _, err := s.doc.Apply(events); err != nil {
@@ -1037,35 +1044,26 @@ func (s *DocStore) IngestBatch(events []egwalker.Event, raw []byte) (int, error)
 // must be a duplicate or have all parents in the known set (or earlier
 // in the batch — uploads arrive in causal order). Fully duplicate
 // batches journal nothing. The raw payload is preferred verbatim; a
-// nil or uncappable raw is re-encoded from the decoded events.
-func (s *DocStore) journalAppendLocked(events []egwalker.Event, raw []byte) (int, error) {
-	fresh := 0
-	var batch map[egwalker.EventID]bool
-	for _, ev := range events {
-		if batch == nil {
-			batch = make(map[egwalker.EventID]bool, len(events))
-		}
-		if !s.known.has(ev.ID) && !batch[ev.ID] {
-			for _, p := range ev.Parents {
-				if !s.known.has(p) && !batch[p] {
-					return 0, fmt.Errorf("%w: %s/%d needs %s/%d", errCausalGap, ev.ID.Agent, ev.ID.Seq, p.Agent, p.Seq)
-				}
-			}
-			fresh++
-		}
-		batch[ev.ID] = true
-	}
-	if fresh == 0 {
-		return 0, nil
+// nil or uncappable raw is re-encoded from the decoded events. The known
+// set learns the batch only after the append succeeded.
+func (s *DocStore) journalAppendLocked(b *batch) (int, error) {
+	dec := colenc.GetDecoder()
+	defer dec.Put()
+	fresh, runs, err := s.known.admitPayload(b, dec)
+	if err != nil || fresh == 0 {
+		return 0, err
 	}
 	var blocks [][]byte
-	if raw != nil {
-		if block, err := egwalker.WrapDeltaPayload(raw); err == nil {
+	if b.raw != nil {
+		if block, err := egwalker.WrapDeltaPayload(b.raw); err == nil {
 			blocks = [][]byte{block}
 		}
 	}
 	if blocks == nil {
-		var err error
+		events, err := b.Events()
+		if err != nil {
+			return 0, err
+		}
 		if len(events) >= compactWALThreshold {
 			blocks, err = egwalker.DeltaBlocksCompact(events)
 		} else {
@@ -1078,7 +1076,11 @@ func (s *DocStore) journalAppendLocked(events []egwalker.Event, raw []byte) (int
 	if err := s.appendBlocksLocked(blocks); err != nil {
 		return 0, err
 	}
-	s.known.addEvents(events)
+	if runs != nil {
+		s.known.addRuns(runs)
+	} else {
+		s.known.addEvents(b.events)
+	}
 	s.numEvents += fresh
 	return fresh, s.afterAppendLocked(fresh)
 }
