@@ -20,9 +20,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"slices"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
@@ -126,15 +124,11 @@ func load() (string, *oplog.Log, error) {
 		case colenc.Sniff(data):
 			// Compact columnar files (what Doc.Save writes by default;
 			// see docs/FORMAT.md).
-			dec, err := colenc.DecodeRuns(data, math.MaxInt32)
+			doc, err := colenc.LoadDocument(data)
 			if err != nil {
 				return "", nil, err
 			}
-			l, err := colenc.BuildLogRuns(slices.Values(dec.Runs))
-			if err != nil {
-				return "", nil, err
-			}
-			return *input, l, nil
+			return *input, doc.Log, nil
 		case bytes.HasPrefix(data, []byte("EGW1")):
 			dec, err := encoding.Decode(data)
 			if err != nil {

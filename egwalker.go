@@ -7,8 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"iter"
-	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -654,41 +652,29 @@ func Load(r io.Reader, agent string) (*Doc, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := &Doc{agent: agent}
+	var text string
+	var cached bool
 	if colenc.Sniff(data) {
-		dec, err := colenc.DecodeRuns(data, math.MaxInt32)
+		doc, err := colenc.LoadDocument(data)
 		if err != nil {
 			return nil, err
 		}
-		l, err := colenc.BuildLogRuns(slices.Values(dec.Runs))
-		if err != nil {
-			return nil, fmt.Errorf("egwalker: load: %w", err)
-		}
-		d := &Doc{log: l, agent: agent}
-		if dec.HasDoc {
-			d.text = rope.NewFromString(dec.Doc)
-			return d, nil
-		}
-		rp, err := core.ReplayRope(l)
+		d.log, text, cached = doc.Log, doc.Text, doc.HasText
+	} else {
+		dec, err := encoding.Decode(data)
 		if err != nil {
 			return nil, err
 		}
-		d.text = rp
+		d.log, text, cached = dec.Log, dec.Doc, dec.HasDoc
+	}
+	if cached {
+		d.text = rope.NewFromString(text)
 		return d, nil
 	}
-	dec, err := encoding.Decode(data)
-	if err != nil {
+	if d.text, err = core.ReplayRope(d.log); err != nil {
 		return nil, err
 	}
-	d := &Doc{log: dec.Log, agent: agent}
-	if dec.HasDoc {
-		d.text = rope.NewFromString(dec.Doc)
-		return d, nil
-	}
-	rp, err := core.ReplayRope(dec.Log)
-	if err != nil {
-		return nil, err
-	}
-	d.text = rp
 	return d, nil
 }
 

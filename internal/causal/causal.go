@@ -181,27 +181,50 @@ func (g *Graph) seqSlot(aid, seq int) int {
 	return lo
 }
 
-// place validates a run of count events by agent from seq on and returns
-// the agent's index and the run's place among the agent's entries.
-// Out-of-order arrival of an agent's seq ranges is allowed (it occurs when
-// a graph is re-serialised in a different topological order); overlap
-// with events already present is not.
-func (g *Graph) place(agent string, seq, count int) (aid, slot int, err error) {
+// admits validates a run of count events from seq on, by whichever agent,
+// against what the graph can take.
+func (g *Graph) admits(seq, count int) error {
 	if count < 1 {
-		return 0, 0, fmt.Errorf("causal: Add count %d < 1", count)
+		return fmt.Errorf("causal: Add count %d < 1", count)
 	}
 	if seq < 0 || seq > math.MaxInt-count {
-		return 0, 0, fmt.Errorf("causal: Add seq %d out of range", seq)
+		return fmt.Errorf("causal: Add seq %d out of range", seq)
 	}
-	if err := room("events", int(g.n), count); err != nil {
+	return room("events", int(g.n), count)
+}
+
+// slotFor returns the place of a run of count events from seq on among
+// agent aid's entries. Out-of-order arrival of an agent's seq ranges is
+// allowed (it occurs when a graph is re-serialised in a different
+// topological order); overlap with events already present is not.
+func (g *Graph) slotFor(aid, seq, count int) (int, error) {
+	slot := g.seqSlot(aid, seq)
+	if idxs := g.byAgent[aid]; slot < len(idxs) && g.entries[idxs[slot]].seqStart < seq+count {
+		return 0, fmt.Errorf("causal: duplicate events %s/%d..%d", g.agents[aid], seq, seq+count)
+	}
+	return slot, nil
+}
+
+// place validates a run of count events by agent from seq on and returns
+// the agent's number and the run's place among the agent's entries. A run
+// that is refused for its shape leaves the agent unnumbered.
+func (g *Graph) place(agent string, seq, count int) (aid, slot int, err error) {
+	if err := g.admits(seq, count); err != nil {
 		return 0, 0, err
 	}
 	aid = g.agentID(agent)
-	slot = g.seqSlot(aid, seq)
-	if idxs := g.byAgent[aid]; slot < len(idxs) && g.entries[idxs[slot]].seqStart < seq+count {
-		return 0, 0, fmt.Errorf("causal: duplicate events %s/%d..%d", agent, seq, seq+count)
+	slot, err = g.slotFor(aid, seq, count)
+	return aid, slot, err
+}
+
+// inRange returns an error if one of parents is not an event of the graph.
+func (g *Graph) inRange(parents []LV) error {
+	for _, p := range parents {
+		if p < 0 || p >= g.n {
+			return fmt.Errorf("causal: parent %d out of range [0,%d)", p, g.n)
+		}
 	}
-	return aid, slot, nil
+	return nil
 }
 
 // Add appends count events by agent starting at sequence number seq, with
@@ -214,15 +237,40 @@ func (g *Graph) place(agent string, seq, count int) (aid, slot int, err error) {
 // (agent, seq) overlaps events already present, or if the graph would
 // outgrow its 32-bit indexes.
 func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
-	for _, p := range parents {
-		if p < 0 || p >= g.n {
-			return 0, fmt.Errorf("causal: parent %d out of range [0,%d)", p, g.n)
-		}
+	if err := g.inRange(parents); err != nil {
+		return 0, err
 	}
 	aid, slot, err := g.place(agent, seq, count)
 	if err != nil {
 		return 0, err
 	}
+	return g.pushReduced(aid, slot, seq, count, parents)
+}
+
+// AddNum is Add for a caller that holds the agent's number — a loader
+// that has asked AgentNum once for each of a file's agents — and so costs
+// no look-up of the name. Every check Add makes, it makes, and it refuses
+// a number the graph has not given out.
+func (g *Graph) AddNum(aid, seq, count int, parents []LV) (LV, error) {
+	if aid < 0 || aid >= len(g.byAgent) {
+		return 0, fmt.Errorf("causal: Add agent number %d out of range [0,%d)", aid, len(g.byAgent))
+	}
+	if err := g.inRange(parents); err != nil {
+		return 0, err
+	}
+	if err := g.admits(seq, count); err != nil {
+		return 0, err
+	}
+	slot, err := g.slotFor(aid, seq, count)
+	if err != nil {
+		return 0, err
+	}
+	return g.pushReduced(aid, slot, seq, count, parents)
+}
+
+// pushReduced appends a placed run whose first event has the given
+// parents, reduced here to their dominators.
+func (g *Graph) pushReduced(aid, slot, seq, count int, parents []LV) (LV, error) {
 	// A single parent is its own dominator set and needs no search.
 	var buf [4]LV
 	if len(parents) > 1 {
@@ -316,9 +364,10 @@ type AgentEntries struct {
 // parents between them, so that adding them allocates nothing: a caller
 // that knows what it is about to add (a loader that has decoded it) sizes
 // the graph before filling it and leaves no slack behind. perAgent splits
-// the entries by agent, in the order the agents will first be seen. Room
-// already there is kept; room that is missing is added the way append
-// adds it.
+// the entries by agent, in the order the agents will first be seen, and
+// numbers those the graph has not met: AgentNum says what number a name
+// got. An agent named twice gets the larger of its two rooms. Room already
+// there is kept; room that is missing is added the way append adds it.
 func (g *Graph) Reserve(entries, parents int, perAgent []AgentEntries) {
 	g.entries = slices.Grow(g.entries, entries)
 	g.parents = slices.Grow(g.parents, parents)
@@ -437,6 +486,11 @@ func (g *Graph) SeqRun(agent string, seq, max int) (lv LV, known bool, n int) {
 	if !ok {
 		return 0, false, max
 	}
+	return g.seqRun(aid, seq, max)
+}
+
+// seqRun is SeqRun for the agent numbered aid.
+func (g *Graph) seqRun(aid, seq, max int) (lv LV, known bool, n int) {
 	idxs := g.byAgent[aid]
 	slot := g.seqSlot(aid, seq)
 	if slot == len(idxs) {
@@ -447,6 +501,24 @@ func (g *Graph) SeqRun(agent string, seq, max int) (lv LV, known bool, n int) {
 		return LV(e.start) + LV(seq-e.seqStart), true, min(max, g.seqEnd(i)-seq)
 	}
 	return 0, false, min(max, g.entries[i].seqStart-seq)
+}
+
+// AgentNum returns the number the graph knows agent by, for AddNum and
+// LVOfNum: agents are numbered as they are first met, by Add or by
+// Reserve. It reports false for an agent the graph has not met.
+func (g *Graph) AgentNum(agent string) (int, bool) {
+	aid, ok := g.agentIdx[agent]
+	return aid, ok
+}
+
+// LVOfNum is LVOf for a caller that holds the agent's number (AgentNum);
+// no event is known under a number the graph has not given out.
+func (g *Graph) LVOfNum(aid, seq int) (LV, bool) {
+	if aid < 0 || aid >= len(g.byAgent) {
+		return 0, false
+	}
+	lv, known, _ := g.seqRun(aid, seq, 1)
+	return lv, known
 }
 
 // SeqEnd returns the next unused sequence number for agent (0 if the agent

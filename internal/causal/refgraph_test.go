@@ -443,6 +443,94 @@ func TestAppendMatchesAdd(t *testing.T) {
 	}
 }
 
+// TestAddNumMatchesAdd: a graph rebuilt the loader's way — sized by
+// Reserve, which numbers the agents, then filled entry by entry through
+// AddNum — is the graph Add built, in arrays that never grew; LVOfNum finds
+// what LVOf finds; and AddNum refuses what Add refuses.
+func TestAddNumMatchesAdd(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, _ := randomGraph(rng, 40+rng.Intn(80))
+		var perAgent []AgentEntries
+		num := map[string]int{}
+		stored := 0
+		a.EachEntry(func(_ Span, agent string, _ int, parents []LV) bool {
+			if _, ok := num[agent]; !ok {
+				num[agent] = len(perAgent)
+				perAgent = append(perAgent, AgentEntries{Agent: agent})
+			}
+			perAgent[num[agent]].Entries++
+			stored += len(parents)
+			return true
+		})
+		b := New()
+		b.Reserve(a.Entries(), stored, perAgent)
+		// The numbers are the graph's to give: asked for, not assumed.
+		for agent, at := range num {
+			n, ok := b.AgentNum(agent)
+			if !ok || n != at {
+				t.Fatalf("seed %d: AgentNum(%s) = %d, %v after Reserve listed it at %d", seed, agent, n, ok, at)
+			}
+		}
+		if n, ok := b.AgentNum("nobody"); ok {
+			t.Fatalf("seed %d: AgentNum knows an agent Reserve was not told of, as %d", seed, n)
+		}
+		for _, aid := range []int{-1, len(perAgent)} {
+			if _, err := b.AddNum(aid, 0, 1, nil); err == nil {
+				t.Fatalf("seed %d: AddNum took agent number %d of %d", seed, aid, len(perAgent))
+			}
+			if lv, ok := b.LVOfNum(aid, 0); ok {
+				t.Fatalf("seed %d: LVOfNum(%d, 0) = %d of %d agents", seed, aid, lv, len(perAgent))
+			}
+		}
+		entries, parents := unsafe.SliceData(b.entries), unsafe.SliceData(b.parents)
+		a.EachEntry(func(sp Span, agent string, seq int, ps []LV) bool {
+			// With a parent of a parent, now and then: reduced away.
+			if len(ps) > 0 && rng.Intn(3) == 0 {
+				ps = append(slices.Clone(ps), a.ParentsOf(ps[0])...)
+			}
+			lv, err := b.AddNum(num[agent], seq, sp.Len(), ps)
+			if err != nil || lv != sp.Start {
+				t.Fatalf("seed %d: AddNum(%s/%d x%d) = %d, %v; want %d", seed, agent, seq, sp.Len(), lv, err, sp.Start)
+			}
+			return true
+		})
+		if !reflect.DeepEqual(collectEntries(a.EachEntry), collectEntries(b.EachEntry)) || !a.Frontier().Eq(b.Frontier()) || !slices.Equal(a.Agents(), b.Agents()) {
+			t.Fatalf("seed %d: AddNum built %v, Add %v", seed, collectEntries(b.EachEntry), collectEntries(a.EachEntry))
+		}
+		if unsafe.SliceData(b.entries) != entries || unsafe.SliceData(b.parents) != parents || b.Bytes() > a.Bytes() {
+			t.Fatalf("seed %d: the reserved arrays moved, or hold %d B against the %d B of the graph that grew", seed, b.Bytes(), a.Bytes())
+		}
+		for lv := LV(0); lv < LV(a.Len()); lv++ {
+			id := a.IDOf(lv)
+			if got, ok := b.LVOfNum(num[id.Agent], id.Seq); !ok || got != lv {
+				t.Fatalf("seed %d: LVOfNum(%v) = %d, %v; want %d", seed, id, got, ok, lv)
+			}
+		}
+		id := a.IDOf(LV(rng.Intn(a.Len())))
+		if _, ok := b.LVOfNum(num[id.Agent], a.SeqEnd(id.Agent)); ok {
+			t.Fatalf("seed %d: LVOfNum found an event past the agent's last", seed)
+		}
+		for _, bad := range []struct {
+			seq, count int
+			parents    []LV
+		}{
+			{id.Seq, 1, nil},                              // an event the graph holds
+			{a.SeqEnd(id.Agent), 0, nil},                  // no events
+			{-1, 1, nil},                                  // no such sequence number
+			{a.SeqEnd(id.Agent), 1, []LV{LV(a.Len())}},    // a parent that is not there
+			{a.SeqEnd(id.Agent), math.MaxUint32, []LV{0}}, // more events than LVs
+		} {
+			if _, err := b.AddNum(num[id.Agent], bad.seq, bad.count, bad.parents); err == nil {
+				t.Fatalf("seed %d: AddNum(%s/%d x%d on %v) accepted", seed, id.Agent, bad.seq, bad.count, bad.parents)
+			}
+		}
+		if b.Len() != a.Len() || b.Entries() != a.Entries() {
+			t.Fatalf("seed %d: a refused run changed the graph", seed)
+		}
+	}
+}
+
 // TestParentsSliceSurvivesRegrowth: a parents slice handed out by
 // ParentsOf reads the same after the arena has moved, and appending to it
 // does not write into the arena.

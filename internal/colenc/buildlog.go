@@ -57,25 +57,20 @@ func EventsFromLog(l *oplog.Log) []Event {
 }
 
 // BuildLog rebuilds an operation log from a full-document batch held
-// event by event; see BuildLogRuns. Grouping the events into runs is most
-// of the work, so the log is not sized first: it grows by appends.
+// event by event: every parent must reference an earlier event in the
+// batch (a whole history in causal order). Grouping the events into runs
+// is most of the work, so the log is not sized first: it grows by appends,
+// each run one. Malformed input — unknown parents, non-contiguous sequence
+// numbers, duplicate events — returns a clean error via the graph's own
+// validation. A whole-document frame goes straight from its columns to a
+// log through LoadDocument instead.
 func BuildLog(evs []Event) (*oplog.Log, error) {
 	return buildLog(oplog.New(), Runs(evs))
 }
 
-// BuildLogRuns rebuilds an operation log from a full-document batch:
-// every parent must reference an earlier event in the batch (a whole
-// history in causal order), as DecodeRuns produces for files written by
-// the root package's Save. Runs is walked twice: once to size the log
-// (reserve), once to fill it, each run one append. Malformed input —
-// unknown parents, non-contiguous sequence numbers, duplicate events —
-// returns a clean error via the graph's own validation.
-func BuildLogRuns(runs iter.Seq[Run]) (*oplog.Log, error) {
-	l := oplog.New()
-	reserve(l, runs)
-	return buildLog(l, runs)
-}
-
+// buildLog is BuildLog into the empty log l for a batch held as runs. (It
+// takes the log so that it stays small enough to inline into BuildLog,
+// where the loop over Runs then needs no call per run.)
 func buildLog(l *oplog.Log, runs iter.Seq[Run]) (*oplog.Log, error) {
 	var ps []causal.LV
 	for r := range runs {
@@ -93,48 +88,4 @@ func buildLog(l *oplog.Log, runs iter.Seq[Run]) (*oplog.Log, error) {
 		}
 	}
 	return l, nil
-}
-
-// reserve sizes the empty log l for the runs it is about to be built
-// from, so that building it allocates each of its arrays once and leaves
-// no slack in them. It counts what the runs will store the way the log
-// and the graph will decide it — a run that continues the operation
-// pattern of the one before extends its span, a run whose sole parent is
-// the event before it by the same agent extends its entry — from the runs
-// alone: every count is bounded by the number of runs and characters that
-// are already in memory. (A run with several parents that reduce to that
-// one is counted as an entry and stored as none: room for one entry too
-// many.)
-func reserve(l *oplog.Log, runs iter.Seq[Run]) {
-	var spans, chars, entries, parents int
-	var perAgent []causal.AgentEntries // in first-seen order, as the graph will number them
-	agentIdx := make(map[string]int)
-	var head oplog.Run // the span the log would be extending
-	var last ID        // the event before r
-	for r := range runs {
-		took := 0
-		if spans > 0 {
-			took = head.Extend(r.Run)
-		}
-		if took < r.Len {
-			spans++
-			head = r.Run.From(took)
-		}
-		if r.Kind == oplog.Insert {
-			chars += r.Len
-		}
-		if entries == 0 || len(r.Parents) != 1 || r.Parents[0] != last || r.ID != (ID{Agent: last.Agent, Seq: last.Seq + 1}) {
-			entries++
-			parents += len(r.Parents)
-			i, ok := agentIdx[r.ID.Agent]
-			if !ok {
-				i, agentIdx[r.ID.Agent] = len(perAgent), len(perAgent)
-				perAgent = append(perAgent, causal.AgentEntries{Agent: r.ID.Agent})
-			}
-			perAgent[i].Entries++
-		}
-		last = r.last()
-	}
-	l.Reserve(spans, chars)
-	l.Graph.Reserve(entries, parents, perAgent)
 }

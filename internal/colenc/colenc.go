@@ -24,10 +24,11 @@
 //
 // The columns are runs, and so is everything this package hands over: a
 // Run is the stretch of a batch that is one run in all of them at once,
-// EncodeRuns and DecodeRuns are the codec, and the log is read and built
-// in runs (LogRuns, BuildLogRuns). Encode, Decode, BuildLog and
-// EventsFromLog are the same codec behind one compress or expand step,
-// for callers that hold a batch event by event.
+// EncodeRuns and DecodeRuns are the codec, and a log leaves for a frame in
+// runs (LogRuns). A frame that holds a whole document comes back without
+// them: LoadDocument fills a log's arrays straight from the columns.
+// Encode, Decode, BuildLog and EventsFromLog are the run codec behind one
+// compress or expand step, for callers that hold a batch event by event.
 //
 // docs/FORMAT.md is the byte-level specification; testdata/colenc/ at
 // the repo root holds golden files that must decode by hand from the

@@ -51,11 +51,18 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// count reads a uvarint that must fit in an int and be ≤ limit.
+// count reads a uvarint that must fit in an int and be ≤ limit. Most are
+// one byte: that case is read here, without the call.
 func (r *reader) count(limit int, what string) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+	var v uint64
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		v = uint64(r.buf[r.off])
+		r.off++
+	} else {
+		var err error
+		if v, err = r.uvarint(); err != nil {
+			return 0, err
+		}
 	}
 	if v > uint64(limit) {
 		return 0, fmt.Errorf("colenc: %s %d exceeds limit %d", what, v, limit)
@@ -269,8 +276,9 @@ func (d *Decoder) name(b []byte) string {
 	return s
 }
 
-// decodeAgents reads the agents column into d.table.
-func (d *Decoder) decodeAgents(r *reader, n int) error {
+// decodeNames reads the name table that opens the agents column into
+// d.table.names, leaving r at the runs.
+func (d *Decoder) decodeNames(r *reader) error {
 	t := &d.table
 	nNames, err := r.count(len(r.buf), "agent name count")
 	if err != nil {
@@ -288,68 +296,108 @@ func (d *Decoder) decodeAgents(r *reader, n int) error {
 		}
 		t.names = append(t.names, d.name(b))
 	}
-	nRuns, err := r.count(len(r.buf)+1, "agent run count")
+	return nil
+}
+
+// agentsColumn steps through the runs of an agents column, after its name
+// table.
+type agentsColumn struct {
+	r     *reader
+	n     int // events the runs must cover
+	names int // size of the name table
+	left  int // runs not yet read
+	at    int // events the runs read so far cover
+}
+
+// agentRuns opens the runs of the agents column r, whose name table has
+// been read and holds names names, in a frame of n events.
+func agentRuns(r *reader, names, n int) (agentsColumn, error) {
+	left, err := r.count(len(r.buf)+1, "agent run count")
+	return agentsColumn{r: r, n: n, names: names, left: left}, err
+}
+
+// next reads the column's next run.
+func (c *agentsColumn) next() (agentRun, error) {
+	ai, err := c.r.count(math.MaxInt32, "agent index")
 	if err != nil {
-		return err
+		return agentRun{}, err
 	}
-	total := 0
-	for i := 0; i < nRuns; i++ {
-		ai, err := r.count(math.MaxInt32, "agent index")
-		if err != nil {
-			return err
-		}
-		if ai >= len(t.names) {
-			return fmt.Errorf("colenc: agent index %d out of range (%d names)", ai, len(t.names))
-		}
-		seq, err := r.count(math.MaxInt32, "agent seq")
-		if err != nil {
-			return err
-		}
-		ln, err := r.count(n-total, "agent run length")
-		if err != nil {
-			return err
-		}
-		if ln == 0 {
-			return fmt.Errorf("colenc: empty agent run")
-		}
-		if seq+ln > math.MaxInt32 {
-			return fmt.Errorf("colenc: agent seq overflow")
-		}
-		t.runs = append(t.runs, agentRun{ai, seq, ln, total})
-		total += ln
+	if ai >= c.names {
+		return agentRun{}, fmt.Errorf("colenc: agent index %d out of range (%d names)", ai, c.names)
 	}
-	if total != n {
-		return fmt.Errorf("colenc: agent runs cover %d events, want %d", total, n)
+	seq, err := c.r.count(math.MaxInt32, "agent seq")
+	if err != nil {
+		return agentRun{}, err
 	}
-	if !r.done() {
+	ln, err := c.r.count(c.n-c.at, "agent run length")
+	if err != nil {
+		return agentRun{}, err
+	}
+	if ln == 0 {
+		return agentRun{}, fmt.Errorf("colenc: empty agent run")
+	}
+	if seq+ln > math.MaxInt32 {
+		return agentRun{}, fmt.Errorf("colenc: agent seq overflow")
+	}
+	run := agentRun{ai, seq, ln, c.at}
+	c.at += ln
+	c.left--
+	return run, nil
+}
+
+// end checks the column once its runs are read — as many of them as
+// cover n events: a run past those could only be empty or too long.
+func (c *agentsColumn) end() error {
+	if c.left > 0 || c.at != c.n {
+		return fmt.Errorf("colenc: agent runs cover %d events, want %d", c.at, c.n)
+	}
+	if !c.r.done() {
 		return fmt.Errorf("colenc: trailing bytes in agents column")
 	}
 	return nil
+}
+
+// decodeAgents reads the agents column into d.table.
+func (d *Decoder) decodeAgents(r *reader, n int) error {
+	if err := d.decodeNames(r); err != nil {
+		return err
+	}
+	t := &d.table
+	c, err := agentRuns(r, len(t.names), n)
+	if err != nil {
+		return err
+	}
+	for c.left > 0 {
+		run, err := c.next()
+		if err != nil {
+			return err
+		}
+		t.runs = append(t.runs, run)
+	}
+	return c.end()
 }
 
 // maxDecompressed bounds the inflated content column against
 // decompression bombs; it matches the frame/delta payload cap.
 const maxDecompressed = 16 << 20
 
-// decodeContent returns the content column's characters.
-func (d *Decoder) decodeContent(buf []byte, compressed bool) ([]rune, error) {
-	if compressed {
-		raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(buf)), maxDecompressed))
-		if err != nil {
-			return nil, fmt.Errorf("colenc: decompress content: %w", err)
-		}
-		if len(raw) >= maxDecompressed {
-			return nil, fmt.Errorf("colenc: decompressed content exceeds %d bytes", maxDecompressed)
-		}
-		buf = raw
+// inflate returns what a compressed content column inflates to.
+func inflate(buf []byte) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(buf)), maxDecompressed))
+	if err != nil {
+		return nil, fmt.Errorf("colenc: decompress content: %w", err)
 	}
-	content := d.content
-	if cap(content) < len(buf) { // a character is at least a byte: count only when it matters
-		content = make([]rune, 0, utf8.RuneCount(buf))
+	if len(raw) >= maxDecompressed {
+		return nil, fmt.Errorf("colenc: decompressed content exceeds %d bytes", maxDecompressed)
 	}
+	return raw, nil
+}
+
+// appendRunes appends the characters of a content column's UTF-8 to dst.
+func appendRunes(dst []rune, buf []byte) ([]rune, error) {
 	for off := 0; off < len(buf); {
 		if b := buf[off]; b < utf8.RuneSelf {
-			content = append(content, rune(b))
+			dst = append(dst, rune(b))
 			off++
 			continue
 		}
@@ -357,37 +405,172 @@ func (d *Decoder) decodeContent(buf []byte, compressed bool) ([]rune, error) {
 		if ru == utf8.RuneError && size == 1 {
 			return nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
 		}
-		content = append(content, ru)
+		dst = append(dst, ru)
 		off += size
+	}
+	return dst, nil
+}
+
+// decodeContent returns the content column's characters.
+func (d *Decoder) decodeContent(buf []byte, compressed bool) ([]rune, error) {
+	var err error
+	if compressed {
+		if buf, err = inflate(buf); err != nil {
+			return nil, err
+		}
+	}
+	content := d.content
+	if cap(content) < len(buf) { // a character is at least a byte: count only when it matters
+		content = make([]rune, 0, utf8.RuneCount(buf))
+	}
+	if content, err = appendRunes(content, buf); err != nil {
+		return nil, err
 	}
 	d.content = content
 	return content, nil
 }
 
+// opRun reads the next run of an ops column into op — its characters left
+// out — of at most left events, chars being how many characters the
+// content column has for it. A lone delete gets no direction, whatever its
+// tag.
+func (r *reader) opRun(op *oplog.Run, left, chars int) error {
+	tag, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	runLen, err := r.count(left, "op run length")
+	if err != nil {
+		return err
+	}
+	if runLen == 0 {
+		return fmt.Errorf("colenc: empty op run")
+	}
+	pos, err := r.count(math.MaxInt32, "op position")
+	if err != nil {
+		return err
+	}
+	*op = oplog.Run{Kind: oplog.Delete, Pos: pos, Len: runLen}
+	switch tag {
+	case tagInsert:
+		if pos+runLen > math.MaxInt32 {
+			return fmt.Errorf("colenc: insert run position overflow")
+		}
+		if runLen > chars {
+			return fmt.Errorf("colenc: content column exhausted")
+		}
+		op.Kind, op.Dir = oplog.Insert, 1
+	case tagDeleteBack:
+		if runLen-1 > pos {
+			return fmt.Errorf("colenc: backspace run of %d underflows position %d", runLen, pos)
+		}
+		if runLen > 1 {
+			op.Dir = -1
+		}
+	case tagDeleteFwd:
+	default:
+		return fmt.Errorf("colenc: bad op tag %d", tag)
+	}
+	return nil
+}
+
+// parentsColumn steps through the entries of a parents column: the events
+// whose parents are written out. Every other event has the default parent
+// list, the event immediately before it.
+type parentsColumn struct {
+	r     *reader
+	n     int // events in the frame
+	names int // size of the agents column's name table
+	left  int // entries not yet finished
+	at    int // event index of the entry the column stands at; n: none left
+}
+
+// parentEntries opens the parents column r of a frame of n events whose
+// name table holds names names, at the entry for event 0.
+func parentEntries(r *reader, names, n int) (parentsColumn, error) {
+	c := parentsColumn{r: r, n: n, names: names, at: n}
+	var err error
+	if c.left, err = r.count(n, "parent entry count"); err != nil {
+		return c, err
+	}
+	if n > 0 {
+		if c.left == 0 {
+			return c, fmt.Errorf("colenc: missing parents entry for event 0")
+		}
+		step, err := r.count(n, "parent entry index")
+		if err != nil {
+			return c, err
+		}
+		if step != 0 {
+			return c, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
+		}
+		c.at = 0
+	}
+	return c, nil
+}
+
+// count reads how many parent references the entry at c.at holds.
+func (c *parentsColumn) count() (int, error) { return c.r.count(maxParents, "parent count") }
+
+// ref reads one parent reference of the entry at c.at: the event back
+// events before it when back > 0, else the event seq of the agent at
+// index agent of the name table.
+func (c *parentsColumn) ref() (back, agent, seq int, err error) {
+	v, err := c.r.uvarint()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if v&1 == 0 {
+		b := v >> 1
+		if b == 0 || b > uint64(c.at) {
+			return 0, 0, 0, fmt.Errorf("colenc: bad parent back-reference %d at event %d", b, c.at)
+		}
+		return int(b), 0, 0, nil
+	}
+	ai := v >> 1
+	if ai >= uint64(c.names) {
+		return 0, 0, 0, fmt.Errorf("colenc: parent agent index %d out of range", ai)
+	}
+	seq, err = c.r.count(math.MaxInt32, "parent seq")
+	return 0, int(ai), seq, err
+}
+
+// next moves from the entry at c.at, its references read, to the one
+// after it.
+func (c *parentsColumn) next() error {
+	i := c.at
+	c.at = c.n
+	if c.left--; c.left > 0 {
+		step, err := c.r.count(c.n, "parent entry index")
+		if err != nil {
+			return err
+		}
+		if step == 0 {
+			return fmt.Errorf("colenc: non-increasing parents entry index")
+		}
+		if c.at = i + step; c.at >= c.n {
+			return fmt.Errorf("colenc: parents entry index %d out of range", c.at)
+		}
+	}
+	return nil
+}
+
+// end checks the column once its entries are read.
+func (c *parentsColumn) end() error {
+	if !c.r.done() {
+		return fmt.Errorf("colenc: trailing bytes in parents column")
+	}
+	return nil
+}
+
 // decodeRuns walks the agents, ops and parents columns in step and cuts
 // a run wherever any of them does: at the end of an agent run, at the
 // end of an op run, and before an event with an explicit parents entry.
-// Events between explicit entries take the default parent list: the
-// immediately preceding event.
 func (d *Decoder) decodeRuns(ops, parents *reader, content []rune, n int) ([]Run, error) {
 	ids := &d.table
-	nExc, err := parents.count(n, "parent entry count")
+	pc, err := parentEntries(parents, len(ids.names), n)
 	if err != nil {
 		return nil, err
-	}
-	if n > 0 && nExc == 0 {
-		return nil, fmt.Errorf("colenc: missing parents entry for event 0")
-	}
-	excAt := n // event index of the next parents entry; n: none left
-	if nExc > 0 {
-		step, err := parents.count(n, "parent entry index")
-		if err != nil {
-			return nil, err
-		}
-		if step != 0 {
-			return nil, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
-		}
-		excAt = 0
 	}
 
 	// Grow lazily: a run-length format legitimately describes many
@@ -405,13 +588,12 @@ func (d *Decoder) decodeRuns(ops, parents *reader, content []rune, n int) ([]Run
 		}
 	}
 	var (
-		ar            = -1 // current agent run
-		arEnd         = 0  // event index it ends at
-		op            oplog.Run
-		opAt, opEnd   = 0, 0 // event indexes the current op run covers
-		used          = 0    // characters of content consumed
-		last          ID     // of event i-1
-		entriesParsed = 0
+		ar          = -1 // current agent run
+		arEnd       = 0  // event index it ends at
+		op          oplog.Run
+		opAt, opEnd = 0, 0 // event indexes the current op run covers
+		used        = 0    // characters of content consumed
+		last        ID     // of event i-1
 	)
 	for i := 0; i < n; {
 		if i == arEnd {
@@ -419,90 +601,37 @@ func (d *Decoder) decodeRuns(ops, parents *reader, content []rune, n int) ([]Run
 			arEnd += ids.runs[ar].n
 		}
 		if i == opEnd {
-			tag, err := ops.uvarint()
-			if err != nil {
+			if err := ops.opRun(&op, n-i, len(content)-used); err != nil {
 				return nil, err
 			}
-			runLen, err := ops.count(n-i, "op run length")
-			if err != nil {
-				return nil, err
-			}
-			if runLen == 0 {
-				return nil, fmt.Errorf("colenc: empty op run")
-			}
-			pos, err := ops.count(math.MaxInt32, "op position")
-			if err != nil {
-				return nil, err
-			}
-			op = oplog.Run{Kind: oplog.Delete, Pos: pos}
-			switch tag {
-			case tagInsert:
-				if pos+runLen > math.MaxInt32 {
-					return nil, fmt.Errorf("colenc: insert run position overflow")
-				}
-				if runLen > len(content)-used {
-					return nil, fmt.Errorf("colenc: content column exhausted")
-				}
-				op.Kind, op.Dir = oplog.Insert, 1
-			case tagDeleteBack:
-				if runLen-1 > pos {
-					return nil, fmt.Errorf("colenc: backspace run of %d underflows position %d", runLen, pos)
-				}
-				op.Dir = -1
-			case tagDeleteFwd:
-			default:
-				return nil, fmt.Errorf("colenc: bad op tag %d", tag)
-			}
-			opAt, opEnd = i, i+runLen
+			opAt, opEnd = i, i+op.Len
 		}
 
 		a := ids.runs[ar]
 		run := Run{ID: ID{Agent: ids.names[a.agent], Seq: a.seq + (i - a.start)}}
-		if i == excAt {
-			nPar, err := parents.count(maxParents, "parent count")
+		if i == pc.at {
+			nPar, err := pc.count()
 			if err != nil {
 				return nil, err
 			}
 			parentsRoom(nPar)
 			from := len(arena)
 			for p := 0; p < nPar; p++ {
-				v, err := parents.uvarint()
+				back, ai, seq, err := pc.ref()
 				if err != nil {
 					return nil, err
 				}
-				if v&1 == 0 {
-					back := v >> 1
-					if back == 0 || back > uint64(i) {
-						return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, i)
-					}
-					arena = append(arena, ids.idAt(i-int(back)))
+				if back > 0 {
+					arena = append(arena, ids.idAt(i-back))
 				} else {
-					ai := v >> 1
-					if ai >= uint64(len(ids.names)) {
-						return nil, fmt.Errorf("colenc: parent agent index %d out of range", ai)
-					}
-					seq, err := parents.count(math.MaxInt32, "parent seq")
-					if err != nil {
-						return nil, err
-					}
 					arena = append(arena, ID{Agent: ids.names[ai], Seq: seq})
 				}
 			}
 			if nPar > 0 {
 				run.Parents = arena[from:len(arena):len(arena)]
 			}
-			excAt = n
-			if entriesParsed++; entriesParsed < nExc {
-				step, err := parents.count(n, "parent entry index")
-				if err != nil {
-					return nil, err
-				}
-				if step == 0 {
-					return nil, fmt.Errorf("colenc: non-increasing parents entry index")
-				}
-				if excAt = i + step; excAt >= n {
-					return nil, fmt.Errorf("colenc: parents entry index %d out of range", excAt)
-				}
+			if err := pc.next(); err != nil {
+				return nil, err
 			}
 		} else {
 			parentsRoom(1)
@@ -510,7 +639,7 @@ func (d *Decoder) decodeRuns(ops, parents *reader, content []rune, n int) ([]Run
 			run.Parents = arena[len(arena)-1 : len(arena) : len(arena)]
 		}
 
-		end := min(arEnd, opEnd, excAt)
+		end := min(arEnd, opEnd, pc.at)
 		run.Run = op
 		run.Pos += (i - opAt) * int(op.Dir)
 		run.Len = end - i
@@ -531,8 +660,5 @@ func (d *Decoder) decodeRuns(ops, parents *reader, content []rune, n int) ([]Run
 	if used != len(content) {
 		return nil, fmt.Errorf("colenc: trailing bytes in content column")
 	}
-	if !parents.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in parents column")
-	}
-	return runs, nil
+	return runs, pc.end()
 }

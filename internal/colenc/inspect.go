@@ -1,7 +1,6 @@
 package colenc
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -81,62 +80,27 @@ func (d *Decoder) Inspect(data []byte) (*BlockInfo, error) {
 // are skipped — a caller that already accepts the frame's own Runs
 // learns nothing from them.
 func inspectParents(r *reader, n int, ids *agentTable, ext []ID) ([]ID, error) {
-	nExc, err := r.count(n, "parent entry count")
+	pc, err := parentEntries(r, len(ids.names), n)
 	if err != nil {
 		return nil, err
 	}
-	if n > 0 && nExc == 0 {
-		return nil, fmt.Errorf("colenc: missing parents entry for event 0")
-	}
-	idx := 0
-	for e := 0; e < nExc; e++ {
-		step, err := r.count(n, "parent entry index")
-		if err != nil {
-			return nil, err
-		}
-		if e == 0 {
-			if step != 0 {
-				return nil, fmt.Errorf("colenc: first parents entry at %d, want 0", step)
-			}
-			idx = 0
-		} else {
-			if step == 0 {
-				return nil, fmt.Errorf("colenc: non-increasing parents entry index")
-			}
-			idx += step
-		}
-		if idx >= n {
-			return nil, fmt.Errorf("colenc: parents entry index %d out of range", idx)
-		}
-		nPar, err := r.count(maxParents, "parent count")
+	for pc.left > 0 {
+		nPar, err := pc.count()
 		if err != nil {
 			return nil, err
 		}
 		for p := 0; p < nPar; p++ {
-			v, err := r.uvarint()
+			back, ai, seq, err := pc.ref()
 			if err != nil {
 				return nil, err
 			}
-			if v&1 == 0 {
-				back := v >> 1
-				if back == 0 || back > uint64(idx) {
-					return nil, fmt.Errorf("colenc: bad parent back-reference %d at event %d", back, idx)
-				}
-			} else {
-				ai := v >> 1
-				if ai >= uint64(len(ids.names)) {
-					return nil, fmt.Errorf("colenc: parent agent index %d out of range", ai)
-				}
-				seq, err := r.count(math.MaxInt32, "parent seq")
-				if err != nil {
-					return nil, err
-				}
+			if back == 0 {
 				ext = append(ext, ID{Agent: ids.names[ai], Seq: seq})
 			}
 		}
+		if err := pc.next(); err != nil {
+			return nil, err
+		}
 	}
-	if !r.done() {
-		return nil, fmt.Errorf("colenc: trailing bytes in parents column")
-	}
-	return ext, nil
+	return ext, pc.end()
 }

@@ -13,9 +13,18 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"math"
 	"unicode/utf8"
+
+	"egwalker/internal/oplog"
 )
+
+// BuildLogRuns is how a whole-document frame became a log before
+// LoadDocument: the runs DecodeRuns had cut, each parent looked up by ID
+// and each run appended. LoadDocument must accept what DecodeRuns followed
+// by this accepts, and build the same log.
+func BuildLogRuns(runs iter.Seq[Run]) (*oplog.Log, error) { return buildLog(oplog.New(), runs) }
 
 func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, error) {
 	n := len(events)

@@ -25,6 +25,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
@@ -256,6 +257,9 @@ func Decode(data []byte) (*Decoded, error) {
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if !utf8.ValidString(doc) {
+		return nil, fmt.Errorf("encoding: invalid UTF-8 in doc column")
 	}
 
 	if flags&flagCompressed != 0 {

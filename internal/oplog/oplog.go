@@ -240,38 +240,58 @@ func (r Run) From(k int) Run {
 	return r
 }
 
-// appendRun pushes the run r starting at lv, the end of the log so far,
-// first extending the last span by as much of it as continues that span's
-// pattern: the spans are those that pushing the operations one at a time
-// would build. The last span's characters end the arena, so an insert
-// that extends it appends to both.
+// appendRun pushes the run r starting at lv, the end of the log so far.
+// The last span's characters end the arena, so an insert that extends it
+// appends to both.
 func (l *Log) appendRun(lv causal.LV, r Run) {
+	l.PushRun(lv, r, len(l.content))
+	l.content = append(l.content, r.Content...)
+}
+
+// PushRun appends the run r at lv, where the runs pushed so far end, as
+// AddRun would less the graph's side and the characters: those of an
+// insert are the arena's from at on, or about to be (r.Content is not
+// read). It first extends the last span by as much of r as continues that
+// span's pattern: the spans are those that pushing the operations one at a
+// time would build.
+func (l *Log) PushRun(lv causal.LV, r Run, at int) {
 	if n := len(l.spans); n > 0 {
 		s := &l.spans[n-1]
 		head := Run{Kind: s.kind, Pos: s.pos, Dir: s.dir, Len: int(lv) - int(s.start)}
 		if took := head.Extend(r); took > 0 {
 			s.dir = head.Dir
 			if took == r.Len {
-				l.content = append(l.content, r.Content...)
 				return
 			}
 			lv += causal.LV(took)
 			r = r.From(took) // a delete run: an insert is taken whole or not at all
 		}
 	}
-	s := span{pos: r.Pos, start: uint32(lv), content: uint32(len(l.content)), kind: r.Kind}
+	s := span{pos: r.Pos, start: uint32(lv), content: uint32(at), kind: r.Kind}
 	if r.Kind == Insert {
 		s.dir = 1
-		l.content = append(l.content, r.Content...)
 	} else if r.Len > 1 {
 		s.dir = r.Dir
 	}
 	l.spans = append(l.spans, s)
 }
 
+// Adopt makes content — every character a saved history inserts, in LV
+// order — the arena of the empty log l, as it stands and without a copy.
+// The history's runs follow through PushRun and its events go into
+// l.Graph, both the caller's to do: the log is whole again once the two
+// cover the same LVs and the runs account for every character. It is how
+// a loader fills a log from a file's content column, decoded once.
+func (l *Log) Adopt(content []rune) {
+	if len(l.spans) > 0 || len(l.content) > 0 {
+		panic("oplog: Adopt on a log that is not empty")
+	}
+	l.content = content
+}
+
 // Reserve makes room for spans more spans and chars more inserted
 // characters, so that appending them allocates nothing (the graph's side
-// is causal.Graph.Reserve). A loader reserves what it has counted and
+// is causal.Graph.Reserve). A loader reserves the spans it has counted and
 // leaves no slack; a merge reserves the characters of the batch it was
 // handed, so that the arena moves at most once, where appending run by
 // run would move it at every step of its growth and leave each old copy

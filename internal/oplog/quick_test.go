@@ -239,3 +239,67 @@ func TestAddRunRejectsBadRuns(t *testing.T) {
 		t.Errorf("log content %q after the caller changed its buffer, want %q", got, "hey")
 	}
 }
+
+// TestAdoptPushRunBuildsTheSameLog: a log filled the loader's way — the
+// characters adopted whole, the saved log's runs pushed however they were
+// cut, the events added to the graph apart — has the spans and the
+// operations of the log that grew by AddRun.
+func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		grown := New()
+		docLen := 0
+		for grown.Len() < 80 {
+			var r Run
+			switch n := 1 + rng.Intn(6); {
+			case docLen < 8 || rng.Intn(3) > 0:
+				r = Run{Kind: Insert, Pos: rng.Intn(docLen + 1), Dir: 1, Len: n, Content: []rune("abcdef")[:n]}
+				docLen += n
+			case rng.Intn(2) == 0:
+				r = Run{Kind: Delete, Pos: rng.Intn(docLen - n + 1), Len: n}
+				docLen -= n
+			default:
+				r = Run{Kind: Delete, Pos: n - 1 + rng.Intn(docLen-n+1), Len: n}
+				if n > 1 {
+					r.Dir = -1
+				}
+				docLen -= n
+			}
+			if _, err := grown.AppendRun("a", r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		filled := New()
+		filled.Adopt([]rune(grown.InsertedContent()))
+		filled.Reserve(grown.SpanCount(), 0)
+		used := 0
+		// The saved runs, some cut in two: the spans must not depend on it.
+		grown.EachRun(causal.Span{End: causal.LV(grown.Len())}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool {
+			r := Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()}
+			if cut := rng.Intn(r.Len + 1); cut > 0 && cut < r.Len && kind == Delete {
+				head := r
+				head.Len = cut
+				if cut == 1 {
+					head.Dir = 0
+				}
+				filled.PushRun(lvs.Start, head, used)
+				lvs.Start += causal.LV(cut)
+				r = r.From(cut)
+			}
+			filled.PushRun(lvs.Start, r, used)
+			used += len(content)
+			return true
+		})
+		if _, err := filled.Graph.Add("a", 0, grown.Len(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if filled.SpanCount() != grown.SpanCount() || filled.Bytes() > grown.Bytes() {
+			t.Fatalf("round %d: filled log has %d spans in %d B, grown log %d in %d B", round, filled.SpanCount(), filled.Bytes(), grown.SpanCount(), grown.Bytes())
+		}
+		for lv := causal.LV(0); int(lv) < grown.Len(); lv++ {
+			if got, want := filled.OpAt(lv), grown.OpAt(lv); got != want {
+				t.Fatalf("round %d: op %d is %+v in the filled log, %+v in the grown one", round, lv, got, want)
+			}
+		}
+	}
+}

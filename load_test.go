@@ -1,0 +1,381 @@
+package egwalker
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"unicode/utf8"
+
+	"egwalker/internal/causal"
+	"egwalker/internal/colenc"
+	"egwalker/internal/core"
+	"egwalker/internal/oplog"
+	"egwalker/internal/rope"
+)
+
+// refLoad is how Load read a columnar file before it had a loader of its
+// own (colenc.LoadDocument), kept as the differential reference: the frame
+// decoded into runs, every parent an ID looked up in the graph built so
+// far, every run one AddRun. Load must accept exactly what it accepts and
+// build the same document. The cached text is held to the same rule, from
+// counts made the long way round.
+func refLoad(data []byte, agent string) (*Doc, error) {
+	dec, err := colenc.DecodeRuns(data, math.MaxInt32)
+	if err != nil {
+		return nil, err
+	}
+	l := oplog.New()
+	inserts, deletes := 0, 0
+	var ps []causal.LV
+	for _, r := range dec.Runs {
+		ps = ps[:0]
+		for _, p := range r.Parents {
+			lv, ok := l.Graph.LVOf(causal.RawID(p))
+			if !ok {
+				return nil, fmt.Errorf("event %s/%d references unknown parent %s/%d", r.ID.Agent, r.ID.Seq, p.Agent, p.Seq)
+			}
+			ps = append(ps, lv)
+		}
+		if _, err := l.AddRun(r.ID.Agent, r.ID.Seq, ps, r.Run); err != nil {
+			return nil, err
+		}
+		if r.Kind == oplog.Insert {
+			inserts += r.Len
+		} else {
+			deletes += r.Len
+		}
+	}
+	d := &Doc{log: l, agent: agent}
+	if !dec.HasDoc {
+		if d.text, err = core.ReplayRope(l); err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+	if n := utf8.RuneCountInString(dec.Doc); !utf8.ValidString(dec.Doc) || n > inserts || n < inserts-deletes {
+		return nil, fmt.Errorf("cached text of %d characters, valid %v, for %d inserts and %d deletes", n, utf8.ValidString(dec.Doc), inserts, deletes)
+	}
+	d.text = rope.NewFromString(dec.Doc)
+	return d, nil
+}
+
+// reframed returns the columnar frame with edit applied to its columns
+// (agents, ops, parents, content and, if the frame has one, doc) and the
+// lengths and checksum redone.
+func reframed(t testing.TB, frame []byte, edit func(cols [][]byte)) []byte {
+	t.Helper()
+	_, k := binary.Uvarint(frame[9:])
+	head, body := frame[:9+k], frame[9+k:]
+	var cols [][]byte
+	for len(body) > 0 {
+		ln, k := binary.Uvarint(body)
+		if k <= 0 || int(ln) > len(body)-k {
+			t.Fatalf("reframed: column %d of the frame is cut short", len(cols))
+		}
+		cols = append(cols, bytes.Clone(body[k:k+int(ln)]))
+		body = body[k+int(ln):]
+	}
+	edit(cols)
+	out := bytes.Clone(head)
+	for _, col := range cols {
+		out = binary.AppendUvarint(out, uint64(len(col)))
+		out = append(out, col...)
+	}
+	binary.LittleEndian.PutUint32(out[5:9], crc32.Checksum(out[9:], crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
+// TestLoadRejectsBadCachedText: the cached text is checked like every
+// other column. Load used to hand it to the rope as it came: invalid UTF-8
+// read back as U+FFFD where the characters were, and a text of any length
+// was the document whatever the history said.
+func TestLoadRejectsBadCachedText(t *testing.T) {
+	d := NewDoc("a")
+	if err := d.Insert(0, "hello!"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(5, 1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	withText := func(text string) []byte {
+		return reframed(t, buf.Bytes(), func(cols [][]byte) {
+			if len(cols) != 5 || string(cols[4]) != "hello" {
+				t.Fatalf("the frame has %d columns, the last %q", len(cols), cols[len(cols)-1])
+			}
+			cols[4] = []byte(text)
+		})
+	}
+	// Six inserts and a delete: five characters, or six if the delete was
+	// of a character some concurrent delete removed too.
+	for _, text := range []string{"hello", "hello!", "héllo"} {
+		got, err := Load(bytes.NewReader(withText(text)), "r")
+		if err != nil {
+			t.Fatalf("cached text %q: %v", text, err)
+		}
+		if got.Text() != text {
+			t.Fatalf("cached text %q loaded as %q", text, got.Text())
+		}
+	}
+	for _, text := range []string{"\xff\xfello", "hell", "", "hello!!", "hello world"} {
+		if got, err := Load(bytes.NewReader(withText(text)), "r"); err == nil {
+			t.Errorf("cached text %q for a history of six inserts and a delete loaded, as %q", text, got.Text())
+		}
+	}
+	// The legacy format ends in its cached text and has no checksum; its
+	// reader checks the text for UTF-8 too (not for length).
+	var legacy bytes.Buffer
+	if err := d.Save(&legacy, SaveOptions{Legacy: true, CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	file, ok := bytes.CutSuffix(legacy.Bytes(), []byte("hello"))
+	if !ok {
+		t.Fatalf("the legacy file does not end in its text: %q", legacy.Bytes())
+	}
+	if got, err := Load(bytes.NewReader(append(bytes.Clone(file), "hell\xc3"...)), "r"); err == nil {
+		t.Errorf("a legacy file with a cached text cut inside a character loaded, as %q", got.Text())
+	}
+	if got, err := Load(bytes.NewReader(append(bytes.Clone(file), "jello"...)), "r"); err != nil || got.Text() != "jello" {
+		t.Errorf("a legacy file with another cached text: %v, %v", got, err)
+	}
+}
+
+// loadSeeds are whole-document files — sound, odd and broken — that Load
+// and refLoad must agree on: FuzzLoad starts from them.
+func loadSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	var seeds [][]byte
+	golden, err := filepath.Glob("testdata/colenc/*")
+	if err != nil || len(golden) == 0 {
+		t.Fatalf("golden files: %v, %v", golden, err)
+	}
+	for _, name := range golden {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	seeds = append(seeds, claimFrame(t, 1<<31), claimFrame(t, 90<<16))
+
+	var lattice bytes.Buffer
+	if err := latticeDoc(t, 300).Save(&lattice, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	seeds = append(seeds, lattice.Bytes())
+
+	id := func(agent string, seq int) colenc.ID { return colenc.ID{Agent: agent, Seq: seq} }
+	encode := func(doc *string, batches ...[]colenc.Event) {
+		var evs []colenc.Event
+		for _, b := range batches {
+			evs = append(evs, b...)
+		}
+		var data []byte
+		var err error
+		if doc != nil {
+			data, err = colenc.EncodeRunsDoc(colenc.Runs(evs), *doc, colenc.Options{})
+		} else {
+			data, err = colenc.Encode(evs, colenc.Options{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	// Three roots, an agent whose later sequence numbers come first, and a
+	// merge of them all 70 and more events on: two of its parents are past
+	// the back-reference window and written as (agent, seq).
+	odd := [][]colenc.Event{
+		typedBy("a", 10, 5), typedBy("a", 0, 5), typedBy("b", 0, 3),
+		typedBy("c", 0, 70, id("b", 2)),
+		typedBy("d", 0, 4, id("a", 14), id("a", 4), id("c", 69)),
+	}
+	encode(nil, odd...)
+	text := "abcd" + string(bytes.Repeat([]byte("x"), 83))
+	encode(&text, odd...)
+	// An event named twice; a parent that comes later in the file; a
+	// parent that is not in it; a name that is only ever a parent's.
+	encode(nil, typedBy("a", 0, 3), typedBy("b", 0, 2, id("a", 2)), typedBy("a", 1, 1, id("b", 1)))
+	encode(nil, typedBy("a", 0, 2), typedBy("b", 0, 1, id("a", 2)), typedBy("a", 2, 1, id("a", 1)))
+	encode(nil, typedBy("a", 0, 2), typedBy("b", 0, 1, id("a", 7)))
+	encode(nil, typedBy("a", 0, 2), typedBy("b", 0, 1, id("z", 0)))
+	for _, seed := range twiceNamedSeeds(t) {
+		seeds = append(seeds, seed.data)
+	}
+	// Two inserts and a delete: texts the history can end in, and cannot.
+	del := colenc.Event{ID: id("a", 2), Parents: []colenc.ID{id("a", 1)}, Pos: 0}
+	for _, text := range []string{"", "b", "ab", "abc", "a\xffb"} {
+		encode(&text, typedBy("a", 0, 2), []colenc.Event{del})
+	}
+	return seeds
+}
+
+// typedBy is n characters typed by agent from seq on at the front of the
+// text, the first on top of parents.
+func typedBy(agent string, seq, n int, parents ...colenc.ID) []colenc.Event {
+	evs := make([]colenc.Event, n)
+	for k := range evs {
+		evs[k] = colenc.Event{ID: colenc.ID{Agent: agent, Seq: seq + k}, Parents: parents, Insert: true, Pos: k, Content: rune('a' + k%26)}
+		parents = []colenc.ID{evs[k].ID}
+	}
+	return evs
+}
+
+// twiceNamedSeeds are files whose name table holds the name "a" twice —
+// written with a second agent "b", then renamed in the table. Both indexes
+// are the one agent: the reference, which resolves every name as a string,
+// has always read them so.
+func twiceNamedSeeds(t testing.TB) []struct {
+	what  string
+	data  []byte
+	loads bool
+} {
+	t.Helper()
+	id := func(agent string, seq int) colenc.ID { return colenc.ID{Agent: agent, Seq: seq} }
+	twice := func(batches ...[]colenc.Event) []byte {
+		var evs []colenc.Event
+		for _, b := range batches {
+			evs = append(evs, b...)
+		}
+		data, err := colenc.Encode(evs, colenc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reframed(t, data, func(cols [][]byte) {
+			// The name table: a count, then each name behind its length.
+			names, renamed := cols[0], 0
+			for i, at := 0, 1; i < int(names[0]); i, at = i+1, at+1+int(names[at]) {
+				if names[at] == 1 && names[at+1] == 'b' {
+					names[at+1] = 'a'
+					renamed++
+				}
+			}
+			if renamed != 1 {
+				t.Fatalf("renamed %d names of the table % x", renamed, names)
+			}
+		})
+	}
+	return []struct {
+		what  string
+		data  []byte
+		loads bool
+	}{
+		{"both indexes own events", twice(typedBy("a", 0, 1), typedBy("b", 1, 1, id("a", 0))), true},
+		{"both own events, and an (agent, seq) parent goes through the second",
+			twice(typedBy("a", 0, 3), typedBy("b", 10, 70, id("a", 2)), typedBy("c", 0, 1, id("b", 10), id("b", 79))), true},
+		{"the second index is only ever a parent's", twice(typedBy("a", 0, 2), typedBy("c", 0, 1, id("b", 0))), true},
+		{"the second index names events of the first again", twice(typedBy("a", 0, 3), typedBy("b", 2, 2, id("a", 2))), false},
+		{"a parent through the second index that no event is", twice(typedBy("a", 0, 2), typedBy("c", 0, 1, id("b", 5))), false},
+	}
+}
+
+// TestLoadAgentNamedTwice: a name table may hold a name twice, and the
+// graph knows agents by name. Load numbered agents by table index on its
+// own and the graph by name: two indexes with events under one name ran
+// off the end of the graph's per-agent index, and a parent written through
+// an index without events of its own was not found.
+func TestLoadAgentNamedTwice(t *testing.T) {
+	for _, seed := range twiceNamedSeeds(t) {
+		got, err := Load(bytes.NewReader(seed.data), "r")
+		want, refErr := refLoad(seed.data, "r")
+		if (err == nil) != seed.loads || (refErr == nil) != seed.loads {
+			t.Errorf("%s: Load: %v; reference: %v; loads: %v", seed.what, err, refErr, seed.loads)
+			continue
+		}
+		if seed.loads {
+			sameLoaded(t, got, want)
+		}
+	}
+}
+
+// sameLoaded fails the test unless Load's document and the reference's are
+// the same document in the same arrays.
+func sameLoaded(t *testing.T, got, want *Doc) {
+	t.Helper()
+	g, w := got.MemStats(), want.MemStats()
+	if g.Events != w.Events || g.OpSpans != w.OpSpans || g.GraphEntries != w.GraphEntries {
+		t.Fatalf("Load: %d events in %d spans and %d entries; reference: %d in %d and %d", g.Events, g.OpSpans, g.GraphEntries, w.Events, w.OpSpans, w.GraphEntries)
+	}
+	if got.Text() != want.Text() {
+		t.Fatalf("Load: text %q; reference: %q", got.Text(), want.Text())
+	}
+	if !reflect.DeepEqual(got.Version(), want.Version()) {
+		t.Fatalf("Load: version %v; reference: %v", got.Version(), want.Version())
+	}
+	if !reflect.DeepEqual(got.log.Graph.Agents(), want.log.Graph.Agents()) {
+		t.Fatalf("Load numbers the agents %v; reference: %v", got.log.Graph.Agents(), want.log.Graph.Agents())
+	}
+	var gb, wb bytes.Buffer
+	if err := got.Save(&gb, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Save(&wb, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatalf("Load's document saves as %x; the reference's as %x", gb.Bytes(), wb.Bytes())
+	}
+	// A few bytes can describe a run of 2^31 deletes: one Event each is
+	// for histories of a size the input could have spelled out.
+	if g.Events <= 1<<16 {
+		if ge, we := got.Events(), want.Events(); !reflect.DeepEqual(ge, we) {
+			t.Fatalf("Load: events %v; reference: %v", ge, we)
+		}
+	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes. A columnar file must load or fail
+// as the reference says, into the same document; anything else must only
+// not panic.
+func FuzzLoad(f *testing.F) {
+	for _, seed := range loadSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// As it came, for not panicking; then, since a checksum that holds is
+		// one mutation in 2^32, with the checksum made to hold, so that the
+		// columns are read.
+		Load(bytes.NewReader(data), "fuzz")
+		if !colenc.Sniff(data) || len(data) < 9 {
+			return
+		}
+		data = bytes.Clone(data)
+		binary.LittleEndian.PutUint32(data[5:9], crc32.Checksum(data[9:], crc32.MakeTable(crc32.Castagnoli)))
+		got, err := Load(bytes.NewReader(data), "fuzz")
+		want, refErr := refLoad(data, "fuzz")
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Load: %v; reference: %v", err, refErr)
+		}
+		if err == nil {
+			sameLoaded(t, got, want)
+		}
+	})
+}
+
+// TestLoadSeedsCoverBothOutcomes: the seeds FuzzLoad starts from are of
+// both kinds, and the sound ones include what they were written to hold.
+func TestLoadSeedsCoverBothOutcomes(t *testing.T) {
+	loaded, refused, external := 0, 0, 0
+	for _, seed := range loadSeeds(t) {
+		if _, err := Load(bytes.NewReader(seed), "r"); err != nil {
+			refused++
+			continue
+		}
+		loaded++
+		if info, err := colenc.Inspect(seed); err == nil && len(info.ExternalParents) > 0 {
+			external++
+		}
+	}
+	if loaded < 8 || refused < 8 || external < 2 {
+		t.Fatalf("%d seeds load (%d with (agent, seq) parents), %d are refused", loaded, external, refused)
+	}
+}
