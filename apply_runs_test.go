@@ -428,7 +428,7 @@ func TestEventsMatchPerUnitReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := final.resolveVersion(st.Version())
+			f, err := final.resolveVersion(st.Version(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

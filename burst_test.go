@@ -1,9 +1,11 @@
 package egwalker
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unicode/utf8"
 )
 
 // The regime a live server spends its time in: frames of 1–20 events,
@@ -83,6 +85,71 @@ func TestBurstDecodeAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Fatalf("UnmarshalEventsAuto of a burst frame: %.1f objects, want at most 3", allocs)
+	}
+}
+
+// TestEditBurstAllocs holds the keystroke path of a loaded document to
+// what it returns. One burst — the Version a client uploads against, the
+// burst's Insert or Delete, EventsSince that version — allocates the
+// Version, the events, the ID array their default parents are cut from and
+// the first event's explicit parents: 4 objects. The rope's insert writes
+// into the leaf it lands in, and the version's resolution, its dominators
+// and the diff live on the stack; with a rope that copied its leaf on every
+// insert and a heap copy of every intermediate it was 12.
+func TestEditBurstAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector the graph's traversals keep their heaps on the heap")
+	}
+	var file bytes.Buffer
+	if err := latticeDoc(t, 3_000).Save(&file, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Load(bytes.NewReader(file.Bytes()), "typist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	words := make([]string, 64) // made up front: the burst allocates nothing of its own
+	for i := range words {
+		w := make([]rune, 1+rng.Intn(20))
+		for j := range w {
+			w[j] = rune('a' + rng.Intn(26))
+		}
+		if i%8 == 0 {
+			w[0] = 'é'
+		}
+		words[i] = string(w)
+	}
+	cursor, i := d.Len()/2, 0
+	burst := func() {
+		v := d.Version()
+		if n := 1 + i%10; i%4 == 3 && cursor >= n {
+			err = d.Delete(cursor-n, n) // backspace
+			cursor -= n
+		} else {
+			w := words[i%len(words)]
+			err = d.Insert(cursor, w)
+			cursor += utf8.RuneCountInString(w)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			cursor = rng.Intn(d.Len() + 1)
+		}
+		i++
+		evs, err := d.EventsSince(v)
+		if err != nil || len(evs) == 0 {
+			t.Fatalf("EventsSince after a burst: %d events, %v", len(evs), err)
+		}
+	}
+	for range 200 {
+		burst()
+	}
+	allocs := testing.AllocsPerRun(1000, burst)
+	t.Logf("a burst: %.0f objects", allocs)
+	if allocs > 4 {
+		t.Errorf("a burst allocated %.0f objects; want at most 4 (the Version, the events, their ID array, the first event's parents)", allocs)
 	}
 }
 

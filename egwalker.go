@@ -106,7 +106,13 @@ func (d *Doc) Insert(pos int, text string) error {
 	if pos < 0 || pos > d.text.Len() {
 		return fmt.Errorf("egwalker: insert at %d out of range [0,%d]", pos, d.text.Len())
 	}
-	runes := []rune(text)
+	// The log and the rope copy the characters: a keystroke's stay on the
+	// stack.
+	var buf [64]rune
+	runes := buf[:0]
+	for _, c := range text {
+		runes = append(runes, c)
+	}
 	if _, err := d.log.AppendRun(d.agent, oplog.Run{Kind: oplog.Insert, Pos: pos, Dir: 1, Len: len(runes), Content: runes}); err != nil {
 		return err
 	}
@@ -199,7 +205,7 @@ func (d *Doc) Fingerprint() uint64 {
 
 // Version returns the document's current version.
 func (d *Doc) Version() Version {
-	f := d.log.Frontier()
+	f := d.log.Graph.Heads()
 	v := make(Version, len(f))
 	for i, lv := range f {
 		id := d.log.Graph.IDOf(lv)
@@ -208,43 +214,52 @@ func (d *Doc) Version() Version {
 	return v
 }
 
-// eventsFromRuns writes out the n events that runs cover in wire form,
-// one Event each: the one place the run-length history is expanded for
-// the per-event API. The parents slice of an event whose sole parent is
-// its predecessor in the batch is cut, capacity capped, from one array
-// shared by all of them.
+// eventsFromRuns writes out the n events that runs cover in wire form
+// (appendRun).
 func eventsFromRuns(n int, runs iter.Seq[colenc.Run]) []Event {
-	out := make([]Event, 0, n)
-	ids := make([]EventID, n) // ids[i] is out[i].ID
+	out, ids := make([]Event, 0, n), make([]EventID, n)
 	for r := range runs {
-		for k := 0; k < r.Len; k++ {
-			i := len(out)
-			ev := Event{
-				ID:     EventID{Agent: r.ID.Agent, Seq: r.ID.Seq + k},
-				Insert: r.Kind == oplog.Insert,
-				Pos:    r.Pos + k*int(r.Dir),
-			}
-			if ev.Insert {
-				ev.Content = r.Content[k]
-			}
-			switch {
-			case k > 0 || (i > 0 && len(r.Parents) == 1 && EventID(r.Parents[0]) == ids[i-1]):
-				ev.Parents = ids[i-1 : i : i]
-			case len(r.Parents) > 0:
-				ev.Parents = make([]EventID, len(r.Parents))
-				for j, p := range r.Parents {
-					ev.Parents[j] = EventID(p)
-				}
-			}
-			ids[i] = ev.ID
-			out = append(out, ev)
+		out = appendRun(out, ids, r.ID.Agent, r.ID.Seq, r.Parents, r.Run)
+	}
+	return out
+}
+
+// appendRun appends to out the events of the run r in wire form, one
+// Event each, the first of them (agent, seq) with the given parents: the
+// one place the run-length history is expanded for the per-event API.
+// ids[i] is out[i].ID, and the parents slice of an event whose sole parent
+// is its predecessor in out is cut from it, capacity capped. parents is
+// read, not kept.
+func appendRun(out []Event, ids []EventID, agent string, seq int, parents []colenc.ID, r oplog.Run) []Event {
+	for k := 0; k < r.Len; k++ {
+		i := len(out)
+		ev := Event{
+			ID:     EventID{Agent: agent, Seq: seq + k},
+			Insert: r.Kind == oplog.Insert,
+			Pos:    r.Pos + k*int(r.Dir),
 		}
+		if ev.Insert {
+			ev.Content = r.Content[k]
+		}
+		switch {
+		case k > 0 || (i > 0 && len(parents) == 1 && EventID(parents[0]) == ids[i-1]):
+			ev.Parents = ids[i-1 : i : i]
+		case len(parents) > 0:
+			ev.Parents = make([]EventID, len(parents))
+			for j, p := range parents {
+				ev.Parents[j] = EventID(p)
+			}
+		}
+		ids[i] = ev.ID
+		out = append(out, ev)
 	}
 	return out
 }
 
 // eventsIn exports the events of spans (ascending, disjoint) in wire
-// form.
+// form. It walks the log as colenc.LogRuns does, but with each entry's
+// parents in buffers on its stack: a run handed to a callback would take
+// them to the heap. What it allocates is what it returns.
 func (d *Doc) eventsIn(spans []causal.Span) []Event {
 	n := 0
 	for _, sp := range spans {
@@ -253,7 +268,31 @@ func (d *Doc) eventsIn(spans []causal.Span) []Event {
 	if n == 0 {
 		return nil
 	}
-	return eventsFromRuns(n, colenc.LogRuns(d.log, spans...))
+	out, ids := make([]Event, 0, n), make([]EventID, n)
+	var raw [4]causal.RawID
+	var buf [4]colenc.ID
+	var at oplog.Cursor // entry follows entry: one search for the first run
+	for _, sp := range spans {
+		for w := d.log.Graph.EntryIDsIn(sp); ; {
+			entry, first, ps, ok := w.Next(raw[:0])
+			if !ok {
+				break
+			}
+			parents := buf[:0]
+			for _, p := range ps {
+				parents = append(parents, colenc.ID(p))
+			}
+			d.log.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+				seq := first.Seq + int(lvs.Start-entry.Start)
+				if lvs.Start > entry.Start {
+					parents = append(parents[:0], colenc.ID{Agent: first.Agent, Seq: seq - 1})
+				}
+				out = appendRun(out, ids, first.Agent, seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content})
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // Events returns the document's entire event history in a valid causal
@@ -267,26 +306,30 @@ func (d *Doc) Events() []Event {
 // the given version, in a valid causal order. Pass the other replica's
 // Version() to compute what to send it.
 func (d *Doc) EventsSince(v Version) ([]Event, error) {
-	f, err := d.resolveVersion(v)
+	// A version is a head or two: what is not returned stays on the stack.
+	var lvs, doms [4]causal.LV
+	var only, other [8]causal.Span
+	f, err := d.resolveVersion(v, lvs[:0], doms[:0])
 	if err != nil {
 		return nil, err
 	}
-	only, _ := d.log.Graph.Diff(d.log.Frontier(), f)
-	return d.eventsIn(only), nil
+	spans, _ := d.log.Graph.DiffInto(d.log.Graph.Heads(), f, only[:0], other[:0])
+	return d.eventsIn(spans), nil
 }
 
-// resolveVersion maps wire IDs to LVs. Every referenced event must be
-// known locally.
-func (d *Doc) resolveVersion(v Version) (causal.Frontier, error) {
-	f := make([]causal.LV, 0, len(v))
+// resolveVersion maps wire IDs to LVs, in lvs, and reduces them to their
+// dominators, in buf; both are overwritten from their start. Every
+// referenced event must be known locally.
+func (d *Doc) resolveVersion(v Version, lvs, buf []causal.LV) (causal.Frontier, error) {
+	lvs = lvs[:0]
 	for _, id := range v {
 		lv, ok := d.log.Graph.LVOf(causal.RawID{Agent: id.Agent, Seq: id.Seq})
 		if !ok {
 			return nil, fmt.Errorf("egwalker: unknown event %v in version", id)
 		}
-		f = append(f, lv)
+		lvs = append(lvs, lv)
 	}
-	return causal.Frontier(d.log.Graph.Dominators(f)), nil
+	return causal.Frontier(d.log.Graph.DominatorsInto(lvs, buf)), nil
 }
 
 // Apply merges remote events into the document, returning the patches
@@ -498,7 +541,7 @@ func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
 func (d *Doc) linearExtension(from causal.LV) bool {
 	g := d.log.Graph
 	end := causal.LV(d.log.Len())
-	f := g.Frontier()
+	f := g.Heads()
 	if len(f) != 1 || f[0] != end-1 {
 		return false
 	}
@@ -539,7 +582,7 @@ func (d *Doc) Merge(other *Doc) error {
 // TextAt reconstructs the document text at a historical version by
 // replaying the subset of the event graph visible at that version.
 func (d *Doc) TextAt(v Version) (string, error) {
-	f, err := d.resolveVersion(v)
+	f, err := d.resolveVersion(v, nil, nil)
 	if err != nil {
 		return "", err
 	}
@@ -648,7 +691,7 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 // future local edits. If the file embeds the final text, loading costs
 // no replay at all (the paper's "cached load").
 func Load(r io.Reader, agent string) (*Doc, error) {
-	data, err := io.ReadAll(r)
+	data, err := readFile(r)
 	if err != nil {
 		return nil, err
 	}
@@ -676,6 +719,29 @@ func Load(r io.Reader, agent string) (*Doc, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// readFile reads r to its end. A reader that reports what it holds —
+// interface{ Len() int }, as *bytes.Reader, *bytes.Buffer and
+// *strings.Reader do — is read into one buffer of that size and a byte
+// more, the byte that shows it ended there, instead of io.ReadAll's
+// doubling one; if it holds more after all, the rest is read as
+// io.ReadAll would.
+func readFile(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, max(sized.Len(), 0)+1)
+	n, err := io.ReadFull(r, data)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return data[:n], nil
+	case err != nil:
+		return nil, err
+	}
+	rest, err := io.ReadAll(r)
+	return append(data, rest...), err
 }
 
 // String summarises the document for debugging.

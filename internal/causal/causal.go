@@ -113,6 +113,12 @@ func (g *Graph) Frontier() Frontier {
 	return Frontier(append([]LV(nil), g.frontier...))
 }
 
+// Heads is Frontier without the copy: the graph's own frontier, capacity
+// capped, valid until the next event is added. It must not be written.
+func (g *Graph) Heads() Frontier {
+	return Frontier(g.frontier[:len(g.frontier):len(g.frontier)])
+}
+
 // AgentID interns an agent name and returns its index.
 func (g *Graph) agentID(agent string) int {
 	if idx, ok := g.agentIdx[agent]; ok {
@@ -562,30 +568,46 @@ func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart i
 	}
 }
 
-// EachEntryIDsIn is EachEntryIn in wire form, for a caller that sends the
-// entries somewhere: fn gets the ID of the clipped entry's first event
-// and the IDs of that event's parents, which the graph reads off the
-// entries the stored parents link to, without a search. The parents slice
-// is valid only during the call.
-func (g *Graph) EachEntryIDsIn(sp Span, fn func(span Span, id RawID, parents []RawID) bool) {
-	if sp.Len() <= 0 {
-		return
+// EntryIDs is EachEntryIn in wire form, for a caller that sends the
+// entries somewhere, and read one Next at a time: each entry clipped to
+// the span, the ID of its first event and the IDs of that event's
+// parents, which the graph reads off the entries the stored parents link
+// to, without a search. Next appends the parents to the caller's buffer,
+// so a walk whose caller keeps that buffer on its stack allocates nothing.
+type EntryIDs struct {
+	g  *Graph
+	sp Span
+	i  int // the entry Next reads
+}
+
+// EntryIDsIn starts a walk of the entries that overlap sp.
+func (g *Graph) EntryIDsIn(sp Span) EntryIDs {
+	w := EntryIDs{g: g, sp: sp, i: len(g.entries)}
+	if sp.Len() > 0 {
+		w.i = g.entryIdx(sp.Start)
 	}
-	ids := make([]RawID, 0, 2)
-	for i := g.entryIdx(sp.Start); i < len(g.entries) && LV(g.entries[i].start) < sp.End; i++ {
-		span := Span{max(LV(g.entries[i].start), sp.Start), min(g.end(i), sp.End)}
-		ids = ids[:0]
-		if span.Start > LV(g.entries[i].start) {
-			ids = append(ids, g.idIn(i, span.Start-1))
-		} else {
-			for k, hi := g.parentRange(i); k < hi; k++ {
-				ids = append(ids, g.idIn(int(g.parentEnts[k]), g.parents[k]))
-			}
-		}
-		if !fn(span, g.idIn(i, span.Start), ids) {
-			return
+	return w
+}
+
+// Next returns the walk's next entry, clipped to the span, the ID of its
+// first event and that event's parents, appended to buf[:0]; ok is false
+// once the span is done.
+func (w *EntryIDs) Next(buf []RawID) (span Span, id RawID, parents []RawID, ok bool) {
+	g, i := w.g, w.i
+	if i >= len(g.entries) || LV(g.entries[i].start) >= w.sp.End {
+		return Span{}, RawID{}, nil, false
+	}
+	w.i++
+	span = Span{max(LV(g.entries[i].start), w.sp.Start), min(g.end(i), w.sp.End)}
+	parents = buf[:0]
+	if span.Start > LV(g.entries[i].start) {
+		parents = append(parents, g.idIn(i, span.Start-1))
+	} else {
+		for k, hi := g.parentRange(i); k < hi; k++ {
+			parents = append(parents, g.idIn(int(g.parentEnts[k]), g.parents[k]))
 		}
 	}
+	return span, g.idIn(i, span.Start), parents, true
 }
 
 // EachAgentRun calls fn for each maximal run [seqStart, seqEnd) of

@@ -16,34 +16,33 @@ import (
 // log's own and must not be modified.
 func LogRuns(l *oplog.Log, spans ...causal.Span) iter.Seq[Run] {
 	return func(yield func(Run) bool) {
-		g := l.Graph
+		var ids []causal.RawID
 		var parents []ID
 		var at oplog.Cursor // entry follows entry: one search for the first run
 		more := true
-		each := func(entry causal.Span, first causal.RawID, ps []causal.RawID) bool {
-			agent, seqStart := first.Agent, first.Seq
-			parents = parents[:0]
-			for _, p := range ps {
-				parents = append(parents, ID(p))
-			}
-			l.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
-				r := Run{
-					ID:      ID{Agent: agent, Seq: seqStart + int(lvs.Start-entry.Start)},
-					Parents: parents,
-					Run:     oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content},
-				}
-				if lvs.Start > entry.Start {
-					parents = append(parents[:0], ID{Agent: agent, Seq: r.ID.Seq - 1})
-					r.Parents = parents
-				}
-				more = yield(r)
-				return more
-			})
-			return more
-		}
 		for _, sp := range spans {
-			if g.EachEntryIDsIn(sp, each); !more {
-				return
+			for w := l.Graph.EntryIDsIn(sp); more; {
+				entry, first, ps, ok := w.Next(ids)
+				if !ok {
+					break
+				}
+				ids, parents = ps, parents[:0]
+				for _, p := range ps {
+					parents = append(parents, ID(p))
+				}
+				l.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+					r := Run{
+						ID:      ID{Agent: first.Agent, Seq: first.Seq + int(lvs.Start-entry.Start)},
+						Parents: parents,
+						Run:     oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content},
+					}
+					if lvs.Start > entry.Start {
+						parents = append(parents[:0], ID{Agent: first.Agent, Seq: r.ID.Seq - 1})
+						r.Parents = parents
+					}
+					more = yield(r)
+					return more
+				})
 			}
 		}
 	}

@@ -8,11 +8,22 @@
 // Positions are in runes (Unicode scalar values), matching the paper's
 // definition of an insertion event carrying exactly one Unicode scalar
 // value.
+//
+// A leaf is edited in place: an insert that fits shifts runes within the
+// leaf's own array, and a leaf that must grow is reallocated with about a
+// quarter of headroom, never past maxLeaf, so that typing at one place
+// copies its leaf once every few dozen keystrokes rather than on every
+// one. A leaf that deletes leave far below its capacity merges into a
+// neighbour or shrinks. The rope never keeps a slice it is handed: what
+// InsertRunes is given is copied, and may be a caller's scratch or an
+// array that must not be written.
 package rope
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -41,14 +52,49 @@ type Rope struct {
 // New returns an empty rope.
 func New() *Rope { return &Rope{} }
 
-// NewFromString returns a rope initialised with s.
+// NewFromString returns a rope initialised with s. Its leaves are the
+// sizes a split of the whole text into the fewest chunks of at most
+// maxLeaf runes gives, each decoded from s straight into an array of
+// exactly that size.
 func NewFromString(s string) *Rope {
-	r := New()
-	if err := r.Insert(0, s); err != nil {
-		panic(err) // cannot happen: 0 is always in range
+	total := utf8.RuneCountInString(s)
+	if total == 0 {
+		return New()
 	}
-	return r
+	leaves := make([]*node, chunks(total))
+	off := 0 // into s
+	for i := range leaves {
+		rs := make([]rune, chunkLen(total, len(leaves), i))
+		for j := range rs {
+			if c := s[off]; c < utf8.RuneSelf {
+				rs[j] = rune(c)
+				off++
+				continue
+			}
+			c, w := utf8.DecodeRuneInString(s[off:])
+			rs[j] = c
+			off += w
+		}
+		leaves[i] = &node{length: len(rs), runes: rs}
+	}
+	return &Rope{root: buildParent(leaves)}
 }
+
+// chunks is how many leaves total runes fill when none holds more than
+// maxLeaf; chunkLen is the size of the i-th of them, the sizes differing
+// by one at most.
+func chunks(total int) int { return (total + maxLeaf - 1) / maxLeaf }
+
+func chunkLen(total, n, i int) int {
+	if i < total%n {
+		return total/n + 1
+	}
+	return total / n
+}
+
+// roomFor is the capacity a leaf that must grow to n runes is given: a
+// quarter more, never past maxLeaf.
+func roomFor(n int) int { return min(maxLeaf, n+n/4) }
 
 // Len returns the length of the text in runes.
 func (r *Rope) Len() int {
@@ -62,18 +108,18 @@ func (r *Rope) Len() int {
 // chunks and child lists: a walk of its nodes, one per hundred characters
 // or so.
 func (r *Rope) Bytes() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		b := int(unsafe.Sizeof(node{})) + cap(n.runes)*int(unsafe.Sizeof(rune(0))) + cap(n.children)*int(unsafe.Sizeof(n))
-		for _, c := range n.children {
-			b += walk(c)
-		}
-		return b
-	}
 	if r.root == nil {
 		return 0
 	}
-	return walk(r.root)
+	return r.root.bytes()
+}
+
+func (n *node) bytes() int {
+	b := int(unsafe.Sizeof(node{})) + cap(n.runes)*int(unsafe.Sizeof(rune(0))) + cap(n.children)*int(unsafe.Sizeof(n))
+	for _, c := range n.children {
+		b += c.bytes()
+	}
+	return b
 }
 
 // Insert inserts s at rune position pos.
@@ -84,7 +130,7 @@ func (r *Rope) Insert(pos int, s string) error {
 	return r.InsertRunes(pos, []rune(s))
 }
 
-// InsertRunes inserts rs at rune position pos.
+// InsertRunes inserts rs at rune position pos. rs is copied, never kept.
 func (r *Rope) InsertRunes(pos int, rs []rune) error {
 	if pos < 0 || pos > r.Len() {
 		return fmt.Errorf("rope: insert at %d out of range [0,%d]", pos, r.Len())
@@ -95,7 +141,8 @@ func (r *Rope) InsertRunes(pos int, rs []rune) error {
 	if r.root == nil {
 		r.root = &node{}
 	}
-	if extra := insert(r.root, pos, rs); len(extra) > 0 {
+	var buf [2]*node
+	if extra := insert(r.root, pos, rs, buf[:0]); len(extra) > 0 {
 		// Root split: grow a new root over the old root and the new
 		// siblings; buildParent groups them if there are many.
 		r.root = buildParent(append([]*node{r.root}, extra...))
@@ -108,11 +155,7 @@ func buildParent(kids []*node) *node {
 	for len(kids) > maxChild {
 		var next []*node
 		for i := 0; i < len(kids); i += maxChild {
-			j := i + maxChild
-			if j > len(kids) {
-				j = len(kids)
-			}
-			next = append(next, newInternal(kids[i:j]))
+			next = append(next, newInternal(kids[i:min(i+maxChild, len(kids))]))
 		}
 		kids = next
 	}
@@ -130,85 +173,105 @@ func newInternal(kids []*node) *node {
 	return n
 }
 
-// insert adds rs at pos within n and returns any new right siblings
-// produced by splits.
-func insert(n *node, pos int, rs []rune) []*node {
+// insert adds rs at pos within n and appends any new right siblings
+// produced by splits to extra, which it returns.
+func insert(n *node, pos int, rs []rune, extra []*node) []*node {
 	n.length += len(rs)
 	if n.isLeaf() {
-		return leafInsert(n, pos, rs)
+		return leafInsert(n, pos, rs, extra)
 	}
 	for i, c := range n.children {
 		// Prefer inserting at the end of a child over the start of the
 		// next (pos <= c.length), which keeps appends cheap.
 		if pos <= c.length {
-			extra := insert(c, pos, rs)
-			if len(extra) > 0 {
-				n.children = append(n.children[:i+1], append(extra, n.children[i+1:]...)...)
+			if split := insert(c, pos, rs, extra); len(split) > len(extra) {
+				n.children = slices.Insert(n.children, i+1, split[len(extra):]...)
 			}
-			return splitInternal(n)
+			return splitInternal(n, extra)
 		}
 		pos -= c.length
 	}
 	panic("rope: insert position beyond subtree")
 }
 
-// leafInsert splices rs into the leaf, splitting into extra leaves if the
-// chunk overflows.
-func leafInsert(n *node, pos int, rs []rune) []*node {
-	combined := make([]rune, 0, len(n.runes)+len(rs))
-	combined = append(combined, n.runes[:pos]...)
-	combined = append(combined, rs...)
-	combined = append(combined, n.runes[pos:]...)
-	if len(combined) <= maxLeaf {
-		n.runes = combined
-		return nil
+// leafInsert splices rs into the leaf: in place when the leaf's array has
+// room, into a new array with headroom when it does not, and into as few
+// balanced chunks as hold the result when it overflows maxLeaf — the chunk
+// the insert ends in keeps headroom, since typing goes on there, and the
+// rest are exact. New leaves after n are appended to extra.
+func leafInsert(n *node, pos int, rs []rune, extra []*node) []*node {
+	old := n.runes
+	total := len(old) + len(rs)
+	if total <= cap(old) {
+		n.runes = old[:total]
+		copy(n.runes[pos+len(rs):], old[pos:])
+		copy(n.runes[pos:], rs)
+		return extra
 	}
-	// Chop into even chunks; keep the first in n.
-	chunks := chop(combined)
-	n.runes = chunks[0]
-	n.length = len(chunks[0])
-	extra := make([]*node, 0, len(chunks)-1)
-	for _, c := range chunks[1:] {
-		extra = append(extra, &node{length: len(c), runes: c})
+	if total <= maxLeaf {
+		n.runes = make([]rune, total, roomFor(total))
+		splice(n.runes, 0, old[:pos], rs, old[pos:])
+		return extra
+	}
+	k := chunks(total)
+	end := pos + len(rs)
+	for i, off := 0, 0; i < k; i++ {
+		size := chunkLen(total, k, i)
+		room := size
+		if off < end && end <= off+size {
+			room = roomFor(size)
+		}
+		chunk := make([]rune, size, room)
+		splice(chunk, off, old[:pos], rs, old[pos:])
+		if i == 0 {
+			n.runes, n.length = chunk, size
+		} else {
+			extra = append(extra, &node{length: size, runes: chunk})
+		}
+		off += size
 	}
 	return extra
 }
 
-// chop splits rs into chunks of at most maxLeaf runes, balanced so no
-// chunk is pathologically small.
-func chop(rs []rune) [][]rune {
-	nChunks := (len(rs) + maxLeaf - 1) / maxLeaf
-	base := len(rs) / nChunks
-	rem := len(rs) % nChunks
-	out := make([][]rune, 0, nChunks)
-	off := 0
-	for i := 0; i < nChunks; i++ {
-		size := base
-		if i < rem {
-			size++
+// splice fills dst with the runes at [off, off+len(dst)) of a, b and c
+// concatenated.
+func splice(dst []rune, off int, a, b, c []rune) {
+	for _, part := range [3][]rune{a, b, c} {
+		if len(dst) == 0 {
+			return
 		}
-		chunk := make([]rune, size)
-		copy(chunk, rs[off:off+size])
-		out = append(out, chunk)
-		off += size
+		if off >= len(part) {
+			off -= len(part)
+			continue
+		}
+		w := copy(dst, part[off:])
+		dst, off = dst[w:], 0
 	}
-	return out
 }
 
-// splitInternal splits n if it has too many children, returning new right
-// siblings.
-func splitInternal(n *node) []*node {
+// splitInternal splits n if it has too many children, appending the new
+// right siblings to extra: as many as keep every node within maxChild.
+func splitInternal(n *node, extra []*node) []*node {
 	if len(n.children) <= maxChild {
-		return nil
+		return extra
 	}
-	half := len(n.children) / 2
-	right := newInternal(n.children[half:])
-	n.children = n.children[:half]
+	kids := n.children
+	k := (len(kids) + maxChild - 1) / maxChild
+	// The smaller groups first: n keeps its array, grown for the children
+	// that are leaving, so it keeps the fewest.
+	first := chunkLen(len(kids), k, k-1)
+	for i, off := 1, first; i < k; i++ {
+		size := chunkLen(len(kids), k, k-1-i)
+		extra = append(extra, newInternal(kids[off:off+size]))
+		off += size
+	}
+	clear(kids[first:])
+	n.children = kids[:first]
 	n.length = 0
 	for _, c := range n.children {
 		n.length += c.length
 	}
-	return []*node{right}
+	return extra
 }
 
 // Delete removes count runes starting at pos.
@@ -220,35 +283,45 @@ func (r *Rope) Delete(pos, count int) error {
 		return nil
 	}
 	remove(r.root, pos, count)
-	if r.root != nil && r.root.length == 0 {
+	if r.root.length == 0 {
 		r.root = nil
+		return nil
 	}
 	// Collapse single-child chains at the root to keep height tight.
-	for r.root != nil && !r.root.isLeaf() && len(r.root.children) == 1 {
+	for !r.root.isLeaf() && len(r.root.children) == 1 {
 		r.root = r.root.children[0]
+	}
+	if r.root.isLeaf() && sparse(r.root) {
+		shrink(r.root)
 	}
 	return nil
 }
 
-// remove deletes [pos, pos+count) from the subtree. Underfull nodes are
-// not rebalanced (deletes never increase height), but empty children are
-// pruned.
+// remove deletes [pos, pos+count) from the subtree. Empty children are
+// pruned, and a leaf the delete leaves sparse merges into a neighbour or
+// shrinks; underfull internal nodes are not rebalanced (deletes never
+// increase height).
 func remove(n *node, pos, count int) {
 	n.length -= count
 	if n.isLeaf() {
 		n.runes = append(n.runes[:pos], n.runes[pos+count:]...)
 		return
 	}
+	// Only the first and the last child the range reaches can keep some of
+	// their runes: at most two leaves to tidy.
+	var sparseAt [2]int
+	ns := 0
 	kept := n.children[:0]
 	for _, c := range n.children {
 		if count > 0 && pos < c.length {
-			take := c.length - pos
-			if take > count {
-				take = count
-			}
+			take := min(c.length-pos, count)
 			remove(c, pos, take)
 			count -= take
 			pos = 0 // remaining deletion continues at the next child's start
+			if c.length > 0 && c.isLeaf() && sparse(c) {
+				sparseAt[ns] = len(kept)
+				ns++
+			}
 		} else if count > 0 {
 			pos -= c.length
 		}
@@ -256,84 +329,82 @@ func remove(n *node, pos, count int) {
 			kept = append(kept, c)
 		}
 	}
+	clear(n.children[len(kept):])
 	n.children = kept
+	// The later first: a merge removes the right one of a pair, so the
+	// earlier index still holds.
+	for k := ns - 1; k >= 0; k-- {
+		if i := sparseAt[k]; sparse(n.children[i]) {
+			n.children = tidy(n.children, i)
+		}
+	}
+}
+
+// sparse reports whether a leaf holds less than two thirds of what its
+// array could: more room than growing gives it (roomFor), by enough that a
+// leaf shrunk to roomFor is not sparse again a few deletes later.
+func sparse(leaf *node) bool { return 3*len(leaf.runes) < 2*cap(leaf.runes) }
+
+// tidy deals with kids[i], a sparse leaf: it moves into a neighbouring
+// leaf that has room for both, or else its runes move to an array of the
+// size roomFor gives. It returns kids, one shorter after a merge.
+func tidy(kids []*node, i int) []*node {
+	leaf := kids[i]
+	for _, j := range [2]int{i + 1, i - 1} {
+		if j < 0 || j >= len(kids) || !kids[j].isLeaf() || kids[j].length+leaf.length > maxLeaf {
+			continue
+		}
+		left, right := kids[min(i, j)], kids[max(i, j)]
+		merge(left, right)
+		copy(kids[max(i, j):], kids[max(i, j)+1:])
+		kids[len(kids)-1] = nil
+		return kids[:len(kids)-1]
+	}
+	shrink(leaf)
+	return kids
+}
+
+// merge moves the runes of right to the end of left, in the array of
+// either when one has room for both.
+func merge(left, right *node) {
+	a, b := left.runes, right.runes
+	switch total := len(a) + len(b); {
+	case total <= cap(a):
+		left.runes = append(a, b...)
+	case total <= cap(b):
+		left.runes = b[:total]
+		copy(left.runes[len(a):], b)
+		copy(left.runes, a)
+	default:
+		left.runes = make([]rune, total, roomFor(total))
+		splice(left.runes, 0, a, b, nil)
+	}
+	left.length += right.length
+	right.runes, right.length = nil, 0
+}
+
+// shrink moves a leaf's runes to an array of the size roomFor gives.
+func shrink(leaf *node) {
+	leaf.runes = append(make([]rune, 0, roomFor(len(leaf.runes))), leaf.runes...)
 }
 
 // String returns the full text.
 func (r *Rope) String() string {
 	var b strings.Builder
-	b.Grow(r.Len())
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.isLeaf() {
-			b.WriteString(string(n.runes))
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+	if r.root != nil {
+		b.Grow(r.root.length)
+		r.root.writeTo(&b)
 	}
-	walk(r.root)
 	return b.String()
 }
 
-// Slice returns the text in rune range [start, end).
-func (r *Rope) Slice(start, end int) (string, error) {
-	if start < 0 || end < start || end > r.Len() {
-		return "", fmt.Errorf("rope: slice [%d,%d) out of range [0,%d]", start, end, r.Len())
+func (n *node) writeTo(b *strings.Builder) {
+	for _, c := range n.runes {
+		b.WriteRune(c)
 	}
-	var b strings.Builder
-	b.Grow(end - start)
-	slice(r.root, start, end, &b)
-	return b.String(), nil
-}
-
-func slice(n *node, start, end int, b *strings.Builder) {
-	if n == nil || start >= end {
-		return
-	}
-	if n.isLeaf() {
-		b.WriteString(string(n.runes[start:end]))
-		return
-	}
-	off := 0
 	for _, c := range n.children {
-		lo, hi := start-off, end-off
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > c.length {
-			hi = c.length
-		}
-		if lo < hi {
-			slice(c, lo, hi, b)
-		}
-		off += c.length
-		if off >= end {
-			return
-		}
+		c.writeTo(b)
 	}
-}
-
-// CharAt returns the rune at position pos.
-func (r *Rope) CharAt(pos int) (rune, error) {
-	if pos < 0 || pos >= r.Len() {
-		return 0, fmt.Errorf("rope: index %d out of range [0,%d)", pos, r.Len())
-	}
-	n := r.root
-	for !n.isLeaf() {
-		for _, c := range n.children {
-			if pos < c.length {
-				n = c
-				break
-			}
-			pos -= c.length
-		}
-	}
-	return n.runes[pos], nil
 }
 
 // depth returns tree height, for tests.

@@ -2,6 +2,7 @@ package rope
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,10 +95,6 @@ func TestUnicode(t *testing.T) {
 	if got := r.String(); got != "日üé本語" {
 		t.Fatalf("got %q", got)
 	}
-	c, err := r.CharAt(2)
-	if err != nil || c != 'é' {
-		t.Fatalf("CharAt(2) = %q, %v", c, err)
-	}
 }
 
 func TestLargeSequentialInsert(t *testing.T) {
@@ -115,25 +112,6 @@ func TestLargeSequentialInsert(t *testing.T) {
 	}
 	if d := r.depth(); d > 8 {
 		t.Errorf("tree depth %d too large for 5000 runes", d)
-	}
-}
-
-func TestSlice(t *testing.T) {
-	text := "the quick brown fox jumps over the lazy dog"
-	r := NewFromString(text)
-	for start := 0; start <= len(text); start += 5 {
-		for end := start; end <= len(text); end += 7 {
-			got, err := r.Slice(start, end)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != text[start:end] {
-				t.Fatalf("Slice(%d,%d) = %q, want %q", start, end, got, text[start:end])
-			}
-		}
-	}
-	if _, err := r.Slice(2, 1); err == nil {
-		t.Error("invalid slice accepted")
 	}
 }
 
@@ -191,6 +169,165 @@ func TestQuickInsertDelete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkRope holds r to the text of model and to the tree's invariants:
+// every node's cached length is the sum below it, every leaf is non-empty
+// and holds at most maxLeaf runes in an array of at most maxLeaf, and an
+// empty rope has no tree.
+func checkRope(t *testing.T, r *Rope, model []rune) {
+	t.Helper()
+	if got := r.String(); got != string(model) || r.Len() != len(model) {
+		t.Fatalf("rope holds %q (len %d), want %q (len %d)", got, r.Len(), string(model), len(model))
+	}
+	if (r.root == nil) != (len(model) == 0) {
+		t.Fatalf("root %v for a text of %d runes", r.root, len(model))
+	}
+	var walk func(n *node) int
+	walk = func(n *node) int {
+		if n.isLeaf() {
+			if len(n.runes) == 0 || len(n.runes) > maxLeaf || cap(n.runes) > maxLeaf || n.length != len(n.runes) {
+				t.Fatalf("leaf of %d runes (cap %d) caches length %d", len(n.runes), cap(n.runes), n.length)
+			}
+			return n.length
+		}
+		if len(n.children) == 0 || n.runes != nil {
+			t.Fatalf("internal node with %d children and %d runes", len(n.children), len(n.runes))
+		}
+		sum := 0
+		for _, c := range n.children {
+			sum += walk(c)
+		}
+		if sum != n.length {
+			t.Fatalf("internal node caches length %d, its children hold %d", n.length, sum)
+		}
+		return sum
+	}
+	if r.root != nil {
+		walk(r.root)
+	}
+}
+
+// fuzzAlphabet has runes of every UTF-8 length.
+var fuzzAlphabet = []rune("abcdefgh éü日本語𝄞😀")
+
+// FuzzRope runs a byte script against the rope and a []rune model. Each
+// op is a byte and its operands the bytes after it (zero past the end):
+//
+//	op%5 0, 1: insert at a position of two bytes; op&4 picks a run of
+//	           1..8 runes or a long one of up to 311, which overflows a leaf
+//	op%5 2:    delete a run at a position of two bytes, of a length of
+//	           op>>3 and one more byte
+//	op%5 3:    delete one rune, or with op&8 everything
+//	op%5 4:    start over from NewFromString: the model's text, or with
+//	           op&8 a fresh one of up to 4 650 runes
+//
+// After each op the rope must hold the model's text and its invariants
+// (checkRope), and after each InsertRunes the slice it was given is
+// scribbled over: the rope must not have kept it. Scripts are cut at 512
+// bytes, since each op is checked against the whole text.
+func FuzzRope(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 4, 0, 0})
+	f.Fuzz(runScript)
+}
+
+// runScript is FuzzRope's body.
+func runScript(t *testing.T, script []byte) {
+	script = script[:min(len(script), 512)]
+	arg := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	text := func(n, seed int) []rune {
+		rs := make([]rune, n)
+		for i := range rs {
+			rs[i] = fuzzAlphabet[(seed+7*i)%len(fuzzAlphabet)]
+		}
+		return rs
+	}
+	r := New()
+	var model []rune
+	for len(script) > 0 {
+		op := arg()
+		switch op % 5 {
+		case 0, 1:
+			pos := (arg()<<8 | arg()) % (len(model) + 1)
+			n := 1 + (op>>3)%8
+			if op&4 != 0 {
+				n = 1 + (op>>3)*10
+			}
+			ins := text(n, pos)
+			if err := r.InsertRunes(pos, ins); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model[:pos], append(append([]rune(nil), ins...), model[pos:]...)...)
+			for i := range ins {
+				ins[i] = 'X'
+			}
+		case 2:
+			if len(model) == 0 {
+				continue
+			}
+			pos := (arg()<<8 | arg()) % len(model)
+			n := 1 + ((op>>3)<<8|arg())%(len(model)-pos)
+			if err := r.Delete(pos, n); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model[:pos], model[pos+n:]...)
+		case 3:
+			if len(model) == 0 {
+				continue
+			}
+			pos, n := (arg()<<8|arg())%len(model), 1
+			if op&8 != 0 {
+				pos, n = 0, len(model)
+			}
+			if err := r.Delete(pos, n); err != nil {
+				t.Fatal(err)
+			}
+			model = append(model[:pos], model[pos+n:]...)
+		case 4:
+			if op&8 != 0 {
+				model = text((op>>4)*293+arg(), arg())
+			}
+			r = NewFromString(string(model))
+		}
+		checkRope(t, r, model)
+	}
+}
+
+// TestRopeTypingAllocs: typing writes into the leaf the cursor is in, so
+// 2 000 keystrokes at a moving cursor in a 3 500-rune text allocate a new
+// leaf array every few dozen keystrokes, not one per keystroke. The
+// rope that copied its leaf on every insert allocated 835 872 B (2 247
+// objects) here.
+func TestRopeTypingAllocs(t *testing.T) {
+	r := NewFromString(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 78))
+	rng := rand.New(rand.NewSource(3))
+	cursor := r.Len() / 3
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 2000; i++ {
+		if i%200 == 199 {
+			cursor = rng.Intn(r.Len() + 1)
+		}
+		key := [1]rune{rune('a' + i%26)}
+		if err := r.InsertRunes(cursor, key[:]); err != nil {
+			t.Fatal(err)
+		}
+		cursor++
+	}
+	runtime.ReadMemStats(&m1)
+	bytes, objects := m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
+	t.Logf("2000 keystrokes: %d B in %d objects", bytes, objects)
+	if bytes > 835_872/4 {
+		t.Errorf("2000 keystrokes allocated %d B; want at most a quarter of 835 872", bytes)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -89,6 +90,30 @@ func reframed(t testing.TB, frame []byte, edit func(cols [][]byte)) []byte {
 	}
 	binary.LittleEndian.PutUint32(out[5:9], crc32.Checksum(out[9:], crc32.MakeTable(crc32.Castagnoli)))
 	return out
+}
+
+// shortLen is a reader that reports holding less than it does.
+type shortLen struct{ *bytes.Reader }
+
+func (r shortLen) Len() int { return r.Reader.Len() / 2 }
+
+// TestLoadReadsPastLen: Load reads a reader that reports its length into
+// a buffer of that size, and reads on when the reader holds more.
+func TestLoadReadsPastLen(t *testing.T) {
+	d := NewDoc("a")
+	if err := d.Insert(0, "hello, world"); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := d.Save(&file, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []io.Reader{bytes.NewReader(file.Bytes()), shortLen{bytes.NewReader(file.Bytes())}} {
+		got, err := Load(r, "b")
+		if err != nil || got.Text() != d.Text() || got.NumEvents() != d.NumEvents() {
+			t.Fatalf("Load from a %T: %v, text %q", r, err, got.Text())
+		}
+	}
 }
 
 // TestLoadRejectsBadCachedText: the cached text is checked like every
