@@ -8,9 +8,11 @@ package egwalker
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"egwalker/internal/causal"
@@ -273,6 +275,11 @@ func FuzzApplyDelivery(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 7, 9, 2, 4, 4, 1, 8, 8, 0, 6, 3, 3, 5, 2, 2, 7, 1}, []byte{3, 0, 2, 30, 4, 1, 1, 200, 0, 5})
 	f.Add(bytes.Repeat([]byte{1, 5, 2, 6, 0, 9, 3, 1, 7, 4}, 12), bytes.Repeat([]byte{4, 7, 1, 90, 2, 13, 3, 3}, 6))
 	f.Add(bytes.Repeat([]byte{0, 1, 9, 1, 2, 4, 2, 5, 7, 0, 7, 1, 1, 0, 3}, 10), bytes.Repeat([]byte{0, 6, 6, 11, 0, 9, 7, 5, 3, 4, 6, 2, 0, 14}, 8))
+	// Names that are equal but share no bytes, and agents met mid-batch.
+	f.Add([]byte("two authors trade words, merge, trade more"), []byte{8, 5, 9, 3, 0, 7, 9, 2, 8, 40})
+	f.Add([]byte{0, 3, 1, 1, 0, 9, 2, 7, 4, 0, 5, 2, 1, 2, 6, 2, 0, 3, 0, 7, 8, 1, 1, 1}, []byte{9, 0, 9, 4, 6, 2, 9, 1, 0, 50})
+	f.Add(bytes.Repeat([]byte{2, 0, 5, 0, 7, 1, 1, 2, 9, 2, 3, 0}, 8), []byte{1, 6, 8, 3, 2, 4, 8, 9, 9, 5, 7, 2, 0, 30})
+	f.Add(bytes.Repeat([]byte{1, 5, 2, 6, 0, 9, 3, 1, 7, 4}, 12), bytes.Repeat([]byte{8, 3, 9, 2, 6, 1, 0, 4, 3, 2}, 6))
 	f.Fuzz(func(t *testing.T, session, delivery []byte) {
 		if len(session) > 600 {
 			session = session[:600]
@@ -320,7 +327,7 @@ func FuzzApplyDelivery(f *testing.F) {
 		for i := 0; i+1 < len(delivery); i += 2 {
 			n := 1 + int(delivery[i+1])%len(all)
 			var batch []Event
-			switch delivery[i] % 8 {
+			switch delivery[i] % 10 {
 			case 6: // the receiver types
 				pos, word := n%(got.Len()+1), []string{"k", "me ", "é漢"}[n%3]
 				if got.Insert(pos, word) != nil || want.Insert(pos, word) != nil {
@@ -356,6 +363,32 @@ func FuzzApplyDelivery(f *testing.F) {
 				batch = append(batch, all[next:min(next+n/2, len(all))]...)
 				batch = append(batch, Event{ID: EventID{Agent: "ann", Seq: -1 - n}, Content: 'x', Insert: n%2 == 0})
 				batch = append(batch, all[min(next+n/2, len(all)):min(next+n, len(all))]...)
+			case 8: // the next stretch, its names copies that share no bytes
+				for _, ev := range all[next:min(next+n, len(all))] {
+					ev.ID.Agent = strings.Clone(ev.ID.Agent)
+					ev.Parents = slices.Clone(ev.Parents)
+					for j := range ev.Parents {
+						ev.Parents[j].Agent = strings.Clone(ev.Parents[j].Agent)
+					}
+					batch = append(batch, ev)
+				}
+				next += len(batch)
+			case 9: // the next stretch, then an agent the receiver has never met
+				batch = append(batch, all[next:min(next+n, len(all))]...)
+				next += len(batch)
+				var parents []EventID
+				if next > 0 {
+					parents = []EventID{all[next-1].ID}
+				}
+				// A run typed forwards, then one at the front, then the first
+				// event again: the agent's first run goes in by name, its
+				// second by number, and the repeat is known by number.
+				agent := fmt.Sprintf("new%d", i)
+				for seq, pos := range []int{0, 1, 0} {
+					batch = append(batch, Event{ID: EventID{Agent: agent, Seq: seq}, Parents: parents, Insert: true, Pos: pos, Content: 'n'})
+					parents = []EventID{{Agent: agent, Seq: seq}}
+				}
+				batch = append(batch, batch[len(batch)-3])
 			default: // the stretch twice over
 				batch = append(batch, all[next:min(next+n, len(all))]...)
 				batch = append(batch, batch...)
@@ -432,7 +465,11 @@ func TestEventsMatchPerUnitReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			only, _ := final.log.Graph.Diff(final.log.Frontier(), f)
+			var lvs causal.Frontier
+			for _, r := range f {
+				lvs = append(lvs, r.LV)
+			}
+			only, _ := final.log.Graph.Diff(final.log.Frontier(), lvs)
 			if want := refEventsIn(final, only...); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d stage %d: EventsSince differs from the per-unit export (%d vs %d events)", round, si, len(got), len(want))
 			}

@@ -273,8 +273,8 @@ func (d *Doc) eventsIn(spans []causal.Span) []Event {
 	var buf [4]colenc.ID
 	var at oplog.Cursor // entry follows entry: one search for the first run
 	for _, sp := range spans {
-		for w := d.log.Graph.EntryIDsIn(sp); ; {
-			entry, first, ps, ok := w.Next(raw[:0])
+		for w := d.log.Graph.EntriesIn(sp); ; {
+			entry, first, ps, ok := w.NextIDs(raw[:0])
 			if !ok {
 				break
 			}
@@ -307,29 +307,30 @@ func (d *Doc) Events() []Event {
 // Version() to compute what to send it.
 func (d *Doc) EventsSince(v Version) ([]Event, error) {
 	// A version is a head or two: what is not returned stays on the stack.
-	var lvs, doms [4]causal.LV
+	var refs, doms, heads [4]causal.Ref
 	var only, other [8]causal.Span
-	f, err := d.resolveVersion(v, lvs[:0], doms[:0])
+	f, err := d.resolveVersion(v, refs[:0], doms[:0])
 	if err != nil {
 		return nil, err
 	}
-	spans, _ := d.log.Graph.DiffInto(d.log.Graph.Heads(), f, only[:0], other[:0])
+	spans, _ := d.log.Graph.DiffInto(d.log.Graph.Refs(d.log.Graph.Heads(), heads[:0]), f, only[:0], other[:0])
 	return d.eventsIn(spans), nil
 }
 
-// resolveVersion maps wire IDs to LVs, in lvs, and reduces them to their
+// resolveVersion looks wire IDs up, in refs, and reduces them to their
 // dominators, in buf; both are overwritten from their start. Every
 // referenced event must be known locally.
-func (d *Doc) resolveVersion(v Version, lvs, buf []causal.LV) (causal.Frontier, error) {
-	lvs = lvs[:0]
+func (d *Doc) resolveVersion(v Version, refs, buf []causal.Ref) ([]causal.Ref, error) {
+	g := d.log.Graph
+	refs = refs[:0]
 	for _, id := range v {
-		lv, ok := d.log.Graph.LVOf(causal.RawID{Agent: id.Agent, Seq: id.Seq})
+		at, ok, _ := g.SeqRun(g.AgentNum(id.Agent), id.Seq, 1)
 		if !ok {
 			return nil, fmt.Errorf("egwalker: unknown event %v in version", id)
 		}
-		lvs = append(lvs, lv)
+		refs = append(refs, at)
 	}
-	return causal.Frontier(d.log.Graph.DominatorsInto(lvs, buf)), nil
+	return g.DominatorsInto(refs, buf), nil
 }
 
 // Apply merges remote events into the document, returning the patches
@@ -363,18 +364,43 @@ func (d *Doc) Apply(events []Event) ([]Patch, error) {
 // runAt returns the run of operations that starts at events[i], content
 // left out, and the index j it ends before: events[i:j] are one agent's
 // consecutive sequence numbers, each after the first the sole child of
-// its predecessor, and their operations one run-length pattern.
+// its predecessor, and their operations one run-length pattern. Seqs are
+// compared before names.
 func runAt(events []Event, i int) (op oplog.Run, j int) {
 	op = oplog.Unit(events[i].Insert, events[i].Pos)
 	for j = i + 1; j < len(events); j++ {
 		ev, prev := &events[j], &events[j-1]
-		if ev.ID.Agent != prev.ID.Agent || ev.ID.Seq != prev.ID.Seq+1 ||
-			len(ev.Parents) != 1 || ev.Parents[0] != prev.ID ||
+		if ev.ID.Seq != prev.ID.Seq+1 || len(ev.Parents) != 1 || ev.Parents[0].Seq != prev.ID.Seq ||
+			ev.ID.Agent != prev.ID.Agent || ev.Parents[0].Agent != prev.ID.Agent ||
 			op.Extend(oplog.Unit(ev.Insert, ev.Pos)) == 0 {
 			break
 		}
 	}
 	return op, j
+}
+
+// agentNums is a sweep's memo of the graph's numbers for the last few
+// names it looked up, a compare being cheaper than a hash. A name the
+// graph has not met is not kept: its first run numbers it.
+type agentNums struct {
+	names [4]string
+	nums  [4]int
+	n     int // names filled in so far; the next goes in at n % 4
+}
+
+// num returns the graph's number for name, -1 if the graph has not met it.
+func (a *agentNums) num(g *causal.Graph, name string) int {
+	for i := range min(a.n, len(a.names)) {
+		if a.names[i] == name {
+			return a.nums[i]
+		}
+	}
+	aid := g.AgentNum(name)
+	if aid >= 0 {
+		a.names[a.n%len(a.names)], a.nums[a.n%len(a.names)] = name, aid
+		a.n++
+	}
+	return aid
 }
 
 // admit moves into the log every event of the causal delivery buffer —
@@ -402,26 +428,30 @@ func (d *Doc) admit(events []Event) error {
 // whose first event's parents are all present is appended to the log
 // whole, and one that must wait is appended to waiting, which is
 // returned. Each costs one lookup of the run's IDs and one of its
-// parents however long it is. progress reports whether any event left
-// the buffer. An event the log rejects is dropped and ends the sweep
-// with the error; the events after it go to waiting unexamined.
+// parents however long it is, by the agents' numbers, and the parents go
+// to the graph with the entries the lookups found. progress reports
+// whether any event left the buffer. An event the log rejects is dropped
+// and ends the sweep with the error; the events after it go to waiting
+// unexamined.
 func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) {
 	g := d.log.Graph
 	// Scratch for one run's parents and characters; the log copies both.
-	var pbuf [4]causal.LV
+	var pbuf [4]causal.Ref
 	var cbuf [128]rune
 	parents, content := pbuf[:0], cbuf[:0]
+	var agents agentNums
 	reserved := false // the log has room for the characters of buf
 	for i := 0; i < len(buf); {
 		op, j := runAt(buf, i)
 		agent := buf[i].ID.Agent
-		var prev causal.LV // of buf[k-1], when the graph holds it
+		aid := agents.num(g, agent)
+		var prev causal.Ref // of buf[k-1], when the graph holds it
 		for k := i; k < j; {
 			seq := buf[k].ID.Seq
-			lv, known, n := g.SeqRun(agent, seq, j-k)
+			at, known, n := g.SeqRun(aid, seq, j-k)
 			if known {
 				progress = true // duplicates: drop
-				prev = lv + causal.LV(n) - 1
+				prev = causal.Ref{LV: at.LV + causal.LV(n) - 1, Ent: at.Ent}
 				k += n
 				continue
 			}
@@ -434,11 +464,11 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 				parents = append(parents, prev)
 			} else {
 				for _, p := range buf[i].Parents {
-					plv, has := g.LVOf(causal.RawID(p))
+					pat, has, _ := g.SeqRun(agents.num(g, p.Agent), p.Seq, 1)
 					if ready = has; !ready {
 						break
 					}
-					parents = append(parents, plv)
+					parents = append(parents, pat)
 				}
 			}
 			if !ready {
@@ -464,7 +494,7 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 				}
 				r.Content = content
 			}
-			if _, err := d.log.AddRun(agent, seq, parents, r); err != nil {
+			if _, err := d.log.AddRunNum(agent, aid, seq, parents, r); err != nil {
 				return append(waiting, buf[k+1:]...), true, err
 			}
 			progress = true
@@ -541,23 +571,19 @@ func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
 func (d *Doc) linearExtension(from causal.LV) bool {
 	g := d.log.Graph
 	end := causal.LV(d.log.Len())
-	f := g.Heads()
-	if len(f) != 1 || f[0] != end-1 {
+	if f := g.Heads(); len(f) != 1 || f[0] != end-1 {
 		return false
 	}
-	for lv := from; lv < end; {
-		parents := g.ParentsOf(lv)
-		if lv == 0 {
-			if len(parents) != 0 {
-				return false
-			}
-		} else if len(parents) != 1 || parents[0] != lv-1 {
+	var buf [4]causal.Ref
+	for w := g.EntriesIn(causal.Span{Start: from, End: end}); ; {
+		run, _, parents, ok := w.NextRefs(buf[:0])
+		if !ok {
+			return true
+		}
+		if run.Start == 0 && len(parents) != 0 || run.Start > 0 && (len(parents) != 1 || parents[0].LV != run.Start-1) {
 			return false
 		}
-		run := g.EntrySpanAt(lv)
-		lv = run.End
 	}
-	return true
 }
 
 // Merge pulls everything other has that d lacks. Both documents are
@@ -586,7 +612,7 @@ func (d *Doc) TextAt(v Version) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, inV := d.log.Graph.Diff(causal.Root, f)
+	_, inV := d.log.Graph.DiffInto(nil, f, nil, nil)
 	// The sub-log receives the events of inV in order, so an event's LV
 	// there is its rank in inV: the length of the spans before its own
 	// (before[i] for inV[i]) plus its offset into it.

@@ -44,6 +44,16 @@ func (s Span) Len() int { return int(s.End - s.Start) }
 // Contains reports whether lv falls within the span.
 func (s Span) Contains(lv LV) bool { return lv >= s.Start && lv < s.End }
 
+// Ref is an event and the index of the graph entry that holds it, as
+// SeqRun and Entries.NextRefs find it: handed back to AddNum,
+// DominatorsInto or DiffInto, it spares them the search. Each Ref they
+// store or walk from is checked — its entry must hold its LV — and one
+// that does not fit is refused.
+type Ref struct {
+	LV  LV
+	Ent uint32
+}
+
 // entry is one run-length encoded chunk of the graph: a run of events by
 // one agent with consecutive seqs beginning at seqStart, every event but
 // the first the sole child of its predecessor. It is a fixed-size record
@@ -103,9 +113,6 @@ func New() *Graph {
 
 // Len returns the total number of events in the graph.
 func (g *Graph) Len() int { return int(g.n) }
-
-// NextLV returns the LV that the next added event will receive.
-func (g *Graph) NextLV() LV { return g.n }
 
 // Frontier returns the current version of the graph: the set of events
 // with no children, sorted ascending. The returned slice is a copy.
@@ -237,7 +244,8 @@ func (g *Graph) inRange(parents []LV) error {
 // the given parents (LVs of already-present events), and returns the LV of
 // the first new event. Parents are defensively reduced to their dominators
 // so the graph stays transitively reduced. Within the run, each event's
-// parent is its predecessor. Parents is not kept.
+// parent is its predecessor. Parents is not kept; each is searched for
+// (AddNum takes them found).
 //
 // Add returns an error if count < 1, if any parent is out of range, if
 // (agent, seq) overlaps events already present, or if the graph would
@@ -246,26 +254,29 @@ func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 	if err := g.inRange(parents); err != nil {
 		return 0, err
 	}
-	aid, slot, err := g.place(agent, seq, count)
-	if err != nil {
-		return 0, err
-	}
-	return g.pushReduced(aid, slot, seq, count, parents)
+	var buf [4]Ref
+	return g.AddNum(agent, g.AgentNum(agent), seq, count, g.Refs(parents, buf[:0]))
 }
 
-// AddNum is Add for a caller that holds the agent's number — a loader
-// that has asked AgentNum once for each of a file's agents — and so costs
-// no look-up of the name. Every check Add makes, it makes, and it refuses
-// a number the graph has not given out.
-func (g *Graph) AddNum(aid, seq, count int, parents []LV) (LV, error) {
-	if aid < 0 || aid >= len(g.byAgent) {
-		return 0, fmt.Errorf("causal: Add agent number %d out of range [0,%d)", aid, len(g.byAgent))
+// AddNum is Add for a caller that holds the agent's number (AgentNum) and
+// the parents as Refs — a merge or a loader that looked them up — and so
+// costs no look-up of the name and no search. aid is -1 for an agent the
+// graph has not met, which the run numbers if it is admitted. Every check
+// Add makes, it makes, and it refuses a number the graph has not given out.
+func (g *Graph) AddNum(agent string, aid, seq, count int, parents []Ref) (LV, error) {
+	if aid < -1 || aid >= len(g.byAgent) {
+		return 0, fmt.Errorf("causal: Add agent number %d out of range [-1,%d)", aid, len(g.byAgent))
 	}
-	if err := g.inRange(parents); err != nil {
-		return 0, err
+	for _, p := range parents {
+		if !g.holds(p) {
+			return 0, fmt.Errorf("causal: parent %d is not an event of entry %d", p.LV, p.Ent)
+		}
 	}
 	if err := g.admits(seq, count); err != nil {
 		return 0, err
+	}
+	if aid < 0 {
+		aid = g.agentID(agent)
 	}
 	slot, err := g.slotFor(aid, seq, count)
 	if err != nil {
@@ -276,9 +287,9 @@ func (g *Graph) AddNum(aid, seq, count int, parents []LV) (LV, error) {
 
 // pushReduced appends a placed run whose first event has the given
 // parents, reduced here to their dominators.
-func (g *Graph) pushReduced(aid, slot, seq, count int, parents []LV) (LV, error) {
-	// A single parent is its own dominator set and needs no search.
-	var buf [4]LV
+func (g *Graph) pushReduced(aid, slot, seq, count int, parents []Ref) (LV, error) {
+	// A single parent is its own dominator set.
+	var buf [4]Ref
 	if len(parents) > 1 {
 		parents = g.DominatorsInto(parents, buf[:0])
 	}
@@ -289,8 +300,8 @@ func (g *Graph) pushReduced(aid, slot, seq, count int, parents []LV) (LV, error)
 }
 
 // Append is Add with the graph's frontier as the parents: how a replica
-// adds events of its own. The frontier is reduced already and is read in
-// place, so nothing is searched for dominators and nothing is copied.
+// adds events of its own. The frontier is reduced already, so nothing is
+// searched for dominators.
 func (g *Graph) Append(agent string, seq, count int) (LV, error) {
 	aid, slot, err := g.place(agent, seq, count)
 	if err != nil {
@@ -299,32 +310,35 @@ func (g *Graph) Append(agent string, seq, count int) (LV, error) {
 	if err := room("parents", len(g.parents), len(g.frontier)); err != nil {
 		return 0, err
 	}
-	return g.push(aid, slot, seq, count, g.frontier), nil
+	// Typing alone hangs every run on the newest event, in the last entry.
+	if last := g.n - 1; len(g.frontier) == 1 && g.frontier[0] == last {
+		return g.push(aid, slot, seq, count, []Ref{{last, uint32(len(g.entries) - 1)}}), nil
+	}
+	var buf [4]Ref
+	return g.push(aid, slot, seq, count, g.Refs(g.frontier, buf[:0])), nil
 }
 
 // push appends a validated run whose first event has the reduced parent
-// set red, which may be the frontier itself, and returns its first LV.
-func (g *Graph) push(aid, slot, seq, count int, red []LV) LV {
+// set red and returns its first LV.
+func (g *Graph) push(aid, slot, seq, count int, red []Ref) LV {
 	start := g.n
 	g.n += LV(count)
 	// The run extends the last entry if it continues it: same agent,
 	// consecutive seq, and the sole parent is the immediately preceding
 	// event — the greatest of the frontier, whose place the run's last
 	// event takes. The entry's end and its seqs' are implied by g.n.
-	if n := len(g.entries); n > 0 && len(red) == 1 && red[0] == start-1 {
+	if n := len(g.entries); n > 0 && len(red) == 1 && red[0].LV == start-1 {
 		last := &g.entries[n-1]
 		if last.agent == uint32(aid) && last.seqStart+int(start)-int(last.start) == seq {
 			g.frontier[len(g.frontier)-1] = g.n - 1
 			return start
 		}
 	}
-	// The parents go into the arena before the frontier moves: red may be
-	// the frontier.
 	off := len(g.parents)
 	for _, p := range red {
-		g.parentEnts = append(g.parentEnts, uint32(g.entryIdx(p)))
+		g.parents = append(g.parents, p.LV)
+		g.parentEnts = append(g.parentEnts, p.Ent)
 	}
-	g.parents = append(g.parents, red...)
 	g.advanceFrontier(g.n-1, g.parents[off:])
 	g.byAgent[aid] = slices.Insert(g.byAgent[aid], slot, uint32(len(g.entries)))
 	g.entries = append(g.entries, entry{
@@ -449,6 +463,29 @@ func (g *Graph) entryOf(lv LV) int {
 	return g.entryIdx(lv)
 }
 
+// holds reports whether r's entry holds r's LV.
+func (g *Graph) holds(r Ref) bool {
+	i := int(r.Ent)
+	return i < len(g.entries) && LV(g.entries[i].start) <= r.LV && r.LV < g.end(i)
+}
+
+// RefOf returns the Ref of lv, by search; false if lv is not an event.
+func (g *Graph) RefOf(lv LV) (Ref, bool) {
+	if lv < 0 || lv >= g.n {
+		return Ref{}, false
+	}
+	return Ref{lv, uint32(g.entryIdx(lv))}, true
+}
+
+// Refs appends to buf[:0] the Refs of lvs, events of the graph, by search.
+func (g *Graph) Refs(lvs []LV, buf []Ref) []Ref {
+	out := buf[:0]
+	for _, lv := range lvs {
+		out = append(out, Ref{lv, uint32(g.entryOf(lv))})
+	}
+	return out
+}
+
 // ParentsOf returns the parents of the event at lv, sorted ascending.
 // The result aliases internal storage for entry starts; callers must not
 // modify it.
@@ -471,8 +508,8 @@ func (g *Graph) IDOf(lv LV) RawID { return g.idIn(g.entryOf(lv), lv) }
 
 // LVOf maps a wire ID to its LV, reporting whether the event is known.
 func (g *Graph) LVOf(id RawID) (LV, bool) {
-	lv, known, _ := g.SeqRun(id.Agent, id.Seq, 1)
-	return lv, known
+	at, known, _ := g.SeqRun(g.AgentNum(id.Agent), id.Seq, 1)
+	return at.LV, known
 }
 
 // HasID reports whether the event with the given wire ID is in the graph.
@@ -481,50 +518,36 @@ func (g *Graph) HasID(id RawID) bool {
 	return ok
 }
 
-// SeqRun reports whether the event (agent, seq) is known, and for how
-// many consecutive sequence numbers from seq on (n, at most max) the
-// answer stays the same. When known, lv is the LV of (agent, seq) and the
-// n events hold consecutive LVs. It lets a caller holding a run of one
-// agent's events split it into known and unknown stretches with one
-// lookup per stretch.
-func (g *Graph) SeqRun(agent string, seq, max int) (lv LV, known bool, n int) {
-	aid, ok := g.agentIdx[agent]
-	if !ok {
-		return 0, false, max
+// SeqRun reports whether the event (aid, seq) is known, the agent by its
+// number (AgentNum; none is known under -1), and for how many consecutive
+// sequence numbers from seq on (n, at most max) the answer stays the same.
+// When known, at is its Ref and the n events are at's entry's LVs from at
+// on. A caller holding a run of one agent's events splits it into known
+// and unknown stretches with one lookup per stretch.
+func (g *Graph) SeqRun(aid, seq, max int) (at Ref, known bool, n int) {
+	if aid < 0 || aid >= len(g.byAgent) {
+		return Ref{}, false, max
 	}
-	return g.seqRun(aid, seq, max)
-}
-
-// seqRun is SeqRun for the agent numbered aid.
-func (g *Graph) seqRun(aid, seq, max int) (lv LV, known bool, n int) {
 	idxs := g.byAgent[aid]
 	slot := g.seqSlot(aid, seq)
 	if slot == len(idxs) {
-		return 0, false, max
+		return Ref{}, false, max
 	}
 	i := int(idxs[slot])
 	if e := &g.entries[i]; e.seqStart <= seq {
-		return LV(e.start) + LV(seq-e.seqStart), true, min(max, g.seqEnd(i)-seq)
+		return Ref{LV(e.start) + LV(seq-e.seqStart), uint32(i)}, true, min(max, g.seqEnd(i)-seq)
 	}
-	return 0, false, min(max, g.entries[i].seqStart-seq)
+	return Ref{}, false, min(max, g.entries[i].seqStart-seq)
 }
 
 // AgentNum returns the number the graph knows agent by, for AddNum and
-// LVOfNum: agents are numbered as they are first met, by Add or by
-// Reserve. It reports false for an agent the graph has not met.
-func (g *Graph) AgentNum(agent string) (int, bool) {
-	aid, ok := g.agentIdx[agent]
-	return aid, ok
-}
-
-// LVOfNum is LVOf for a caller that holds the agent's number (AgentNum);
-// no event is known under a number the graph has not given out.
-func (g *Graph) LVOfNum(aid, seq int) (LV, bool) {
-	if aid < 0 || aid >= len(g.byAgent) {
-		return 0, false
+// SeqRun — agents are numbered as they are first met, by Add or by
+// Reserve — or -1 for an agent the graph has not met.
+func (g *Graph) AgentNum(agent string) int {
+	if aid, ok := g.agentIdx[agent]; ok {
+		return aid
 	}
-	lv, known, _ := g.seqRun(aid, seq, 1)
-	return lv, known
+	return -1
 }
 
 // SeqEnd returns the next unused sequence number for agent (0 if the agent
@@ -550,16 +573,15 @@ func (g *Graph) EachEntry(fn func(span Span, agent string, seqStart int, parents
 // begins mid-run, so its first event's sole parent is its predecessor;
 // that one-element parents slice is valid only during the call.
 func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart int, parents []LV) bool) {
-	if sp.Len() <= 0 {
-		return
-	}
 	var prev [1]LV
-	for i := g.entryIdx(sp.Start); i < len(g.entries) && LV(g.entries[i].start) < sp.End; i++ {
-		e := &g.entries[i]
-		span, parents := Span{LV(e.start), min(g.end(i), sp.End)}, g.storedParents(i)
-		if span.Start < sp.Start {
-			span.Start = sp.Start
-			prev[0] = sp.Start - 1
+	for w := g.EntriesIn(sp); ; {
+		i, span, ok := w.next()
+		if !ok {
+			return
+		}
+		e, parents := &g.entries[i], g.storedParents(i)
+		if span.Start > LV(e.start) {
+			prev[0] = span.Start - 1
 			parents = prev[:]
 		}
 		if !fn(span, g.agents[e.agent], e.seqStart+int(span.Start)-int(e.start), parents) {
@@ -568,37 +590,49 @@ func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart i
 	}
 }
 
-// EntryIDs is EachEntryIn in wire form, for a caller that sends the
-// entries somewhere, and read one Next at a time: each entry clipped to
-// the span, the ID of its first event and the IDs of that event's
-// parents, which the graph reads off the entries the stored parents link
-// to, without a search. Next appends the parents to the caller's buffer,
-// so a walk whose caller keeps that buffer on its stack allocates nothing.
-type EntryIDs struct {
+// Entries is EachEntryIn read one entry at a time: each entry that
+// overlaps a span, clipped to it, and its first event's parents, read off
+// the links stored beside them without a search — as wire IDs (NextIDs),
+// for a caller that sends them somewhere, or as Refs (NextRefs), for one
+// that hands them back to the graph. Both append the parents to the
+// caller's buffer, so a walk whose caller keeps that buffer allocates
+// nothing.
+type Entries struct {
 	g  *Graph
 	sp Span
-	i  int // the entry Next reads
+	i  int // the entry the walk reads next
 }
 
-// EntryIDsIn starts a walk of the entries that overlap sp.
-func (g *Graph) EntryIDsIn(sp Span) EntryIDs {
-	w := EntryIDs{g: g, sp: sp, i: len(g.entries)}
+// EntriesIn starts a walk of the entries that overlap sp, with its one
+// search.
+func (g *Graph) EntriesIn(sp Span) Entries {
+	w := Entries{g: g, sp: sp, i: len(g.entries)}
 	if sp.Len() > 0 {
 		w.i = g.entryIdx(sp.Start)
 	}
 	return w
 }
 
-// Next returns the walk's next entry, clipped to the span, the ID of its
-// first event and that event's parents, appended to buf[:0]; ok is false
-// once the span is done.
-func (w *EntryIDs) Next(buf []RawID) (span Span, id RawID, parents []RawID, ok bool) {
+// next moves past the walk's next entry and returns its index and its
+// span, clipped; ok is false once the span is done.
+func (w *Entries) next() (i int, span Span, ok bool) {
 	g, i := w.g, w.i
 	if i >= len(g.entries) || LV(g.entries[i].start) >= w.sp.End {
-		return Span{}, RawID{}, nil, false
+		return 0, Span{}, false
 	}
 	w.i++
-	span = Span{max(LV(g.entries[i].start), w.sp.Start), min(g.end(i), w.sp.End)}
+	return i, Span{max(LV(g.entries[i].start), w.sp.Start), min(g.end(i), w.sp.End)}, true
+}
+
+// NextIDs returns the walk's next entry, clipped to the span, the ID of its
+// first event and that event's parents, appended to buf[:0]; ok is false
+// once the span is done.
+func (w *Entries) NextIDs(buf []RawID) (span Span, id RawID, parents []RawID, ok bool) {
+	i, span, ok := w.next()
+	if !ok {
+		return Span{}, RawID{}, nil, false
+	}
+	g := w.g
 	parents = buf[:0]
 	if span.Start > LV(g.entries[i].start) {
 		parents = append(parents, g.idIn(i, span.Start-1))
@@ -608,6 +642,27 @@ func (w *EntryIDs) Next(buf []RawID) (span Span, id RawID, parents []RawID, ok b
 		}
 	}
 	return span, g.idIn(i, span.Start), parents, true
+}
+
+// NextRefs returns the walk's next entry, clipped to the span, the Ref of
+// its last event and its first event's parents, appended to buf[:0]; ok
+// is false once the span is done. An entry clipped at its start is the
+// only one whose parent is in the entry itself.
+func (w *Entries) NextRefs(buf []Ref) (span Span, last Ref, parents []Ref, ok bool) {
+	i, span, ok := w.next()
+	if !ok {
+		return Span{}, Ref{}, nil, false
+	}
+	g := w.g
+	parents = buf[:0]
+	if span.Start > LV(g.entries[i].start) {
+		parents = append(parents, Ref{span.Start - 1, uint32(i)})
+	} else {
+		for k, hi := g.parentRange(i); k < hi; k++ {
+			parents = append(parents, Ref{g.parents[k], g.parentEnts[k]})
+		}
+	}
+	return span, Ref{span.End - 1, uint32(i)}, parents, true
 }
 
 // EachAgentRun calls fn for each maximal run [seqStart, seqEnd) of

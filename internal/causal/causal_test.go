@@ -667,12 +667,65 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 			t.Fatal("ancestry wrong")
 		}
 		contains = g.Searches() - before
+		// Handed the entries, found by number as a merge finds them, the
+		// same walks make no search at all.
+		ref := func(lv LV) Ref {
+			id := g.IDOf(lv)
+			r, ok, _ := g.SeqRun(g.AgentNum(id.Agent), id.Seq, 1)
+			if !ok || r.LV != lv {
+				t.Fatalf("SeqRun(%v) = %v, %v; want %d", id, r, ok, lv)
+			}
+			return r
+		}
+		refsA, refsB := []Ref{ref(a[0])}, []Ref{ref(b[0])}
+		four := []Ref{ref(tips[0]), ref(tips[1]), ref(7), ref(3)}
+		before = g.Searches()
+		gotA, gotB := g.DiffInto(refsA, refsB, nil, nil)
+		doms := g.DominatorsInto(four, nil)
+		if n := g.Searches() - before; n != 0 {
+			t.Errorf("%d turns: DiffInto and DominatorsInto handed Refs made %d searches", turns, n)
+		}
+		if !reflect.DeepEqual(gotA, onlyA) || len(gotB) != 0 || len(doms) != 2 || doms[0] != ref(doms[0].LV) || doms[1] != ref(doms[1].LV) {
+			t.Errorf("%d turns: DiffInto = %v %v, Diff %v; DominatorsInto = %v", turns, gotA, gotB, onlyA, doms)
+		}
 		return diff, dom, contains
 	}
 	for _, turns := range []int{40, 400} {
 		diff, dom, contains := searches(turns)
 		if diff != 2 || dom != 4 || contains != 2 {
 			t.Errorf("%d turns: %d entry searches in Diff of two heads, %d in Dominators of four events, %d in two ancestry queries; want 2, 4 and 2", turns, diff, dom, contains)
+		}
+	}
+}
+
+// TestRefsAreChecked: a Ref whose entry does not hold its LV is refused by
+// every walk that takes Refs — an error from AddNum, a panic from the
+// queries, as an LV out of range is — and never followed.
+func TestRefsAreChecked(t *testing.T) {
+	g := fig4(t)
+	good, ok := g.RefOf(LV(g.Len() - 1))
+	if !ok || good.Ent == 0 {
+		t.Fatalf("RefOf(last) = %v, %v", good, ok)
+	}
+	if _, ok := g.RefOf(LV(g.Len())); ok {
+		t.Fatal("RefOf found an event past the end")
+	}
+	for _, bad := range []Ref{{good.LV, 0}, {good.LV, good.Ent + 1}, {-1, 0}, {LV(g.Len()), good.Ent}} {
+		if _, err := g.AddNum("A", 0, g.SeqEnd("A"), 1, []Ref{good, bad}); err == nil {
+			t.Errorf("AddNum took parent %v", bad)
+		}
+		for name, call := range map[string]func(){
+			"DiffInto":       func() { g.DiffInto([]Ref{good}, []Ref{bad}, nil, nil) },
+			"DominatorsInto": func() { g.DominatorsInto([]Ref{bad, good}, nil) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s followed %v", name, bad)
+					}
+				}()
+				call()
+			}()
 		}
 	}
 }
@@ -840,15 +893,18 @@ func TestSeqRun(t *testing.T) {
 		{"c", 0, 4, 0, false, 4}, // agent never seen
 	}
 	for _, c := range cases {
-		lv, known, n := g.SeqRun(c.agent, c.seq, c.max)
-		if known != c.known || n != c.n || (known && lv != c.lv) {
-			t.Errorf("SeqRun(%s, %d, %d) = (%d, %v, %d), want (%d, %v, %d)", c.agent, c.seq, c.max, lv, known, n, c.lv, c.known, c.n)
+		at, known, n := g.SeqRun(g.AgentNum(c.agent), c.seq, c.max)
+		if known != c.known || n != c.n || (known && (at.LV != c.lv || !g.holds(at))) {
+			t.Errorf("SeqRun(%s, %d, %d) = (%v, %v, %d), want (%d, %v, %d)", c.agent, c.seq, c.max, at, known, n, c.lv, c.known, c.n)
 		}
+	}
+	if g.AgentNum("c") != -1 {
+		t.Errorf("AgentNum(c) = %d for an agent never seen, want -1", g.AgentNum("c"))
 	}
 	// An unknown stretch ends where a known one begins.
 	h := New()
 	mustAdd(t, h, "a", 4, 2, nil)
-	if _, known, n := h.SeqRun("a", 1, 10); known || n != 3 {
+	if _, known, n := h.SeqRun(h.AgentNum("a"), 1, 10); known || n != 3 {
 		t.Errorf("SeqRun before a known stretch = (known %v, n %d), want (false, 3)", known, n)
 	}
 }

@@ -1,6 +1,9 @@
 package causal
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the version-set algebra the Eg-walker tracker
 // depends on: Diff (the retreat/advance set computation from §3.2),
@@ -79,14 +82,16 @@ func (h lvHeap) drop() lvHeap {
 // event's stored parents are pushed, each with the index of its own entry,
 // which the graph stored beside it. A walk therefore costs one heap
 // operation per entry it touches, however many events the entries cover,
-// and one search (pushHeads) per version it starts from, however many
-// entries it touches.
+// and no search: the versions it starts from come as Refs, and the forms
+// that take LVs search once for each head (Refs).
 
-// pushHeads adds a visit on behalf of f for each of lvs, all events of
-// the graph, finding the entry of each by search.
-func (g *Graph) pushHeads(h lvHeap, lvs []LV, f flag) lvHeap {
-	for _, lv := range lvs {
-		h = h.push(lv, uint32(g.entryOf(lv)), f)
+// pushHeads adds a visit on behalf of f for each of heads.
+func (g *Graph) pushHeads(h lvHeap, heads []Ref, f flag) lvHeap {
+	for _, r := range heads {
+		if !g.holds(r) {
+			panic(fmt.Sprintf("causal: LV %d is not in entry %d", r.LV, r.Ent))
+		}
+		h = h.push(r.LV, r.Ent, f)
 	}
 	return h
 }
@@ -136,16 +141,18 @@ func ascending(desc []Span) []Span {
 // each event: events in onlyA are retreated and events in onlyB advanced
 // when moving the prepare version from a to b (§3.2).
 func (g *Graph) Diff(a, b Frontier) (onlyA, onlyB []Span) {
+	var refA, refB [4]Ref
 	var bufA, bufB [4]Span
-	descA, descB := g.diffDesc(a, b, bufA[:0], bufB[:0])
+	descA, descB := g.diffDesc(g.Refs(a, refA[:0]), g.Refs(b, refB[:0]), bufA[:0], bufB[:0])
 	return ascending(descA), ascending(descB)
 }
 
-// DiffInto is Diff with the results built in bufA and bufB, which are
-// overwritten from their start and grown as append grows them: a caller
-// that diffs in a loop and is done with one result before it asks for
-// the next hands the same two buffers back each time.
-func (g *Graph) DiffInto(a, b Frontier, bufA, bufB []Span) (onlyA, onlyB []Span) {
+// DiffInto is Diff for a caller that holds the heads of both versions as
+// Refs, and so costs no search, with the results built in bufA and bufB,
+// which are overwritten from their start and grown as append grows them:
+// a caller that diffs in a loop and is done with one result before it
+// asks for the next hands the same two buffers back each time.
+func (g *Graph) DiffInto(a, b []Ref, bufA, bufB []Span) (onlyA, onlyB []Span) {
 	onlyA, onlyB = g.diffDesc(a, b, bufA, bufB)
 	slices.Reverse(onlyA)
 	slices.Reverse(onlyB)
@@ -154,7 +161,7 @@ func (g *Graph) DiffInto(a, b Frontier, bufA, bufB []Span) (onlyA, onlyB []Span)
 
 // diffDesc is the walk behind Diff: the two results descending, built in
 // bufA and bufB.
-func (g *Graph) diffDesc(a, b Frontier, bufA, bufB []Span) (descA, descB []Span) {
+func (g *Graph) diffDesc(a, b []Ref, bufA, bufB []Span) (descA, descB []Span) {
 	var hbuf [8]heapEnt
 	h := g.pushHeads(g.pushHeads(hbuf[:0], a, flagA), b, flagB)
 	// The walk ends when everything still pending was reached from both
@@ -200,24 +207,34 @@ func (g *Graph) Dominators(lvs []LV) []LV {
 	if len(lvs) == 0 {
 		return nil
 	}
-	return g.DominatorsInto(lvs, make([]LV, 0, len(lvs)))
+	var in, doms [4]Ref
+	red := g.DominatorsInto(g.Refs(lvs, in[:0]), doms[:0])
+	out := make([]LV, len(red))
+	for i, r := range red {
+		out[i] = r.LV
+	}
+	return out
 }
 
-// DominatorsInto is Dominators with the result built in buf, which is
+// DominatorsInto is Dominators for a caller that holds the events as
+// Refs, and so costs no search, with the result built in buf, which is
 // overwritten from its start, grown as append grows it, and must not
-// overlap lvs: a caller that only reads the result, or copies it, keeps
+// overlap refs: a caller that only reads the result, or copies it, keeps
 // buf on its stack.
-func (g *Graph) DominatorsInto(lvs, buf []LV) []LV {
+func (g *Graph) DominatorsInto(refs, buf []Ref) []Ref {
 	out := buf[:0] // collected descending
-	if len(lvs) < 2 {
-		return append(out, lvs...)
+	if len(refs) < 2 {
+		return append(out, refs...)
 	}
-	minInput := slices.Min(lvs)
+	minInput := refs[0].LV
+	for _, r := range refs[1:] {
+		minInput = min(minInput, r.LV)
+	}
 	// flagA marks "is an input", flagB marks "reached as an ancestor of
 	// something already popped" (i.e. shadowed).
 	var hbuf [8]heapEnt
-	h := g.pushHeads(hbuf[:0], lvs, flagA)
-	inputsLeft := len(lvs)
+	h := g.pushHeads(hbuf[:0], refs, flagA)
+	inputsLeft := len(refs)
 	for inputsLeft > 0 {
 		lv, ent, f := h[0].lv, h[0].ent, h[0].f
 		h = h.drop()
@@ -238,7 +255,7 @@ func (g *Graph) DominatorsInto(lvs, buf []LV) []LV {
 			}
 		}
 		if f == flagA { // input, not shadowed by any descendant
-			out = append(out, lv)
+			out = append(out, Ref{lv, ent})
 		}
 		if inputsLeft == 0 {
 			break
@@ -325,8 +342,9 @@ func (g *Graph) Concurrent(a, b LV) bool {
 func (g *Graph) CommonAncestorVersion(a, b Frontier) Frontier {
 	// Walk both versions down and keep the highest events reached from
 	// both sides; their dominators are the frontier of the intersection.
+	var refA, refB [4]Ref
 	var hbuf [8]heapEnt
-	h := g.pushHeads(g.pushHeads(hbuf[:0], a, flagA), b, flagB)
+	h := g.pushHeads(g.pushHeads(hbuf[:0], g.Refs(a, refA[:0]), flagA), g.Refs(b, refB[:0]), flagB)
 	numNotShared := len(a) + len(b)
 	var shared []LV
 	for numNotShared > 0 {

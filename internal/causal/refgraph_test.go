@@ -322,10 +322,10 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 		}
 		for seq := 0; seq < 64; seq++ {
 			for _, max := range []int{1, 3, 100} {
-				lv, known, k := g.SeqRun(a, seq, max)
+				r, known, k := g.SeqRun(g.AgentNum(a), seq, max)
 				rlv, rknown, rk := ref.seqRun(a, seq, max)
-				if lv != rlv || known != rknown || k != rk {
-					t.Fatalf("%s: SeqRun(%s, %d, %d) = %d %v %d, model %d %v %d", at, a, seq, max, lv, known, k, rlv, rknown, rk)
+				if r.LV != rlv || known != rknown || k != rk || known && !g.holds(r) {
+					t.Fatalf("%s: SeqRun(%s, %d, %d) = %v %v %d, model %d %v %d", at, a, seq, max, r, known, k, rlv, rknown, rk)
 				}
 			}
 			if g.HasID(RawID{a, seq}) != func() bool { _, ok, _ := ref.seqRun(a, seq, 1); return ok }() {
@@ -343,29 +343,44 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 		if !sameEntries(got, want) {
 			t.Fatalf("%s: EachEntryIn(%v) = %v, model %v", at, sp, got, want)
 		}
-		// The same in wire form, read off the parent links.
+		// The same one entry at a time, in wire form and as Refs, read off
+		// the parent links.
 		k := 0
 		var buf []RawID
-		for ids := g.EntryIDsIn(sp); ; k++ {
-			span, id, parents, ok := ids.Next(buf)
+		var refBuf []Ref
+		for ids, refs := g.EntriesIn(sp), g.EntriesIn(sp); ; k++ {
+			span, id, parents, ok := ids.NextIDs(buf)
+			rspan, last, rparents, rok := refs.NextRefs(refBuf)
+			if ok != rok {
+				t.Fatalf("%s: EntriesIn(%v) entry %d: NextIDs ok %v, NextRefs ok %v", at, sp, k, ok, rok)
+			}
 			if !ok {
 				break
 			}
 			if k == len(want) {
-				t.Fatalf("%s: EntryIDsIn(%v) has more entries than the model's %d", at, sp, k)
+				t.Fatalf("%s: EntriesIn(%v) has more entries than the model's %d", at, sp, k)
 			}
-			w := want[k]
+			e := want[k]
 			var wantParents []RawID
-			for _, p := range w.parents {
+			for _, p := range e.parents {
 				wantParents = append(wantParents, ref.idOf(p))
 			}
-			if span != w.span || id != (RawID{w.agent, w.seqStart}) || !slices.Equal(parents, wantParents) {
-				t.Fatalf("%s: EntryIDsIn(%v) entry %d = %v %v %v, model %v %v", at, sp, k, span, id, parents, w, wantParents)
+			if span != e.span || id != (RawID{e.agent, e.seqStart}) || !slices.Equal(parents, wantParents) {
+				t.Fatalf("%s: NextIDs(%v) entry %d = %v %v %v, model %v %v", at, sp, k, span, id, parents, e, wantParents)
 			}
-			buf = parents // overwritten by the next entry
+			lvs := make([]LV, len(rparents))
+			for j, r := range rparents {
+				if lvs[j] = r.LV; !g.holds(r) {
+					t.Fatalf("%s: NextRefs(%v) entry %d: parent %v is not its entry's", at, sp, k, r)
+				}
+			}
+			if rspan != e.span || last.LV != e.span.End-1 || !g.holds(last) || !slices.Equal(lvs, e.parents) {
+				t.Fatalf("%s: NextRefs(%v) entry %d = %v %v %v, model %v", at, sp, k, rspan, last, rparents, e)
+			}
+			buf, refBuf = parents, rparents // overwritten by the next entry
 		}
 		if k != len(want) {
-			t.Fatalf("%s: EntryIDsIn(%v) saw %d entries, model %d", at, sp, k, len(want))
+			t.Fatalf("%s: EntriesIn(%v) saw %d entries, model %d", at, sp, k, len(want))
 		}
 	}
 	if n <= 40 {
@@ -452,8 +467,9 @@ func TestAppendMatchesAdd(t *testing.T) {
 
 // TestAddNumMatchesAdd: a graph rebuilt the loader's way — sized by
 // Reserve, which numbers the agents, then filled entry by entry through
-// AddNum — is the graph Add built, in arrays that never grew; LVOfNum finds
-// what LVOf finds; and AddNum refuses what Add refuses.
+// AddNum, its parents looked up by number through SeqRun — is the graph
+// Add built, in arrays that never grew; SeqRun finds what LVOf finds; and
+// AddNum refuses what Add refuses, and a parent whose entry is not its own.
 func TestAddNumMatchesAdd(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -474,21 +490,31 @@ func TestAddNumMatchesAdd(t *testing.T) {
 		b.Reserve(a.Entries(), stored, perAgent)
 		// The numbers are the graph's to give: asked for, not assumed.
 		for agent, at := range num {
-			n, ok := b.AgentNum(agent)
-			if !ok || n != at {
-				t.Fatalf("seed %d: AgentNum(%s) = %d, %v after Reserve listed it at %d", seed, agent, n, ok, at)
+			if n := b.AgentNum(agent); n != at {
+				t.Fatalf("seed %d: AgentNum(%s) = %d after Reserve listed it at %d", seed, agent, n, at)
 			}
 		}
-		if n, ok := b.AgentNum("nobody"); ok {
+		if n := b.AgentNum("nobody"); n != -1 {
 			t.Fatalf("seed %d: AgentNum knows an agent Reserve was not told of, as %d", seed, n)
 		}
-		for _, aid := range []int{-1, len(perAgent)} {
-			if _, err := b.AddNum(aid, 0, 1, nil); err == nil {
+		for _, aid := range []int{-2, len(perAgent)} {
+			if _, err := b.AddNum("nobody", aid, 0, 1, nil); err == nil {
 				t.Fatalf("seed %d: AddNum took agent number %d of %d", seed, aid, len(perAgent))
 			}
-			if lv, ok := b.LVOfNum(aid, 0); ok {
-				t.Fatalf("seed %d: LVOfNum(%d, 0) = %d of %d agents", seed, aid, lv, len(perAgent))
+		}
+		for _, aid := range []int{-1, len(perAgent)} {
+			if r, ok, _ := b.SeqRun(aid, 0, 1); ok {
+				t.Fatalf("seed %d: SeqRun(%d, 0) = %v of %d agents", seed, aid, r, len(perAgent))
 			}
+		}
+		// lookup finds a's event lv in b by number, as a loader does.
+		lookup := func(lv LV) Ref {
+			id := a.IDOf(lv)
+			r, ok, _ := b.SeqRun(num[id.Agent], id.Seq, 1)
+			if !ok || r.LV != lv || !b.holds(r) {
+				t.Fatalf("seed %d: SeqRun(%v) = %v, %v; want %d", seed, id, r, ok, lv)
+			}
+			return r
 		}
 		entries, parents := unsafe.SliceData(b.entries), unsafe.SliceData(b.parents)
 		a.EachEntry(func(sp Span, agent string, seq int, ps []LV) bool {
@@ -496,7 +522,11 @@ func TestAddNumMatchesAdd(t *testing.T) {
 			if len(ps) > 0 && rng.Intn(3) == 0 {
 				ps = append(slices.Clone(ps), a.ParentsOf(ps[0])...)
 			}
-			lv, err := b.AddNum(num[agent], seq, sp.Len(), ps)
+			var refs []Ref
+			for _, p := range ps {
+				refs = append(refs, lookup(p))
+			}
+			lv, err := b.AddNum(agent, num[agent], seq, sp.Len(), refs)
 			if err != nil || lv != sp.Start {
 				t.Fatalf("seed %d: AddNum(%s/%d x%d) = %d, %v; want %d", seed, agent, seq, sp.Len(), lv, err, sp.Start)
 			}
@@ -509,32 +539,48 @@ func TestAddNumMatchesAdd(t *testing.T) {
 			t.Fatalf("seed %d: the reserved arrays moved, or hold %d B against the %d B of the graph that grew", seed, b.Bytes(), a.Bytes())
 		}
 		for lv := LV(0); lv < LV(a.Len()); lv++ {
-			id := a.IDOf(lv)
-			if got, ok := b.LVOfNum(num[id.Agent], id.Seq); !ok || got != lv {
-				t.Fatalf("seed %d: LVOfNum(%v) = %d, %v; want %d", seed, id, got, ok, lv)
-			}
+			lookup(lv)
 		}
 		id := a.IDOf(LV(rng.Intn(a.Len())))
-		if _, ok := b.LVOfNum(num[id.Agent], a.SeqEnd(id.Agent)); ok {
-			t.Fatalf("seed %d: LVOfNum found an event past the agent's last", seed)
+		if _, ok, _ := b.SeqRun(num[id.Agent], a.SeqEnd(id.Agent), 1); ok {
+			t.Fatalf("seed %d: SeqRun found an event past the agent's last", seed)
+		}
+		last := lookup(LV(a.Len() - 1))
+		if last.Ent == 0 {
+			t.Fatalf("seed %d: a graph of one entry", seed)
 		}
 		for _, bad := range []struct {
 			seq, count int
-			parents    []LV
+			parents    []Ref
 		}{
-			{id.Seq, 1, nil},                              // an event the graph holds
-			{a.SeqEnd(id.Agent), 0, nil},                  // no events
-			{-1, 1, nil},                                  // no such sequence number
-			{a.SeqEnd(id.Agent), 1, []LV{LV(a.Len())}},    // a parent that is not there
-			{a.SeqEnd(id.Agent), math.MaxUint32, []LV{0}}, // more events than LVs
+			{id.Seq, 1, nil},             // an event the graph holds
+			{a.SeqEnd(id.Agent), 0, nil}, // no events
+			{-1, 1, nil},                 // no such sequence number
+			{a.SeqEnd(id.Agent), 1, []Ref{{LV(a.Len()), 0}}},        // a parent that is not there
+			{a.SeqEnd(id.Agent), 1, []Ref{{-1, 0}}},                 // nor there
+			{a.SeqEnd(id.Agent), 1, []Ref{{last.LV, last.Ent + 1}}}, // an entry past the last
+			{a.SeqEnd(id.Agent), 1, []Ref{{0, last.Ent}}},           // an entry that does not hold it
+			{a.SeqEnd(id.Agent), math.MaxUint32, []Ref{{0, 0}}},     // more events than LVs
 		} {
-			if _, err := b.AddNum(num[id.Agent], bad.seq, bad.count, bad.parents); err == nil {
+			if _, err := b.AddNum(id.Agent, num[id.Agent], bad.seq, bad.count, bad.parents); err == nil {
 				t.Fatalf("seed %d: AddNum(%s/%d x%d on %v) accepted", seed, id.Agent, bad.seq, bad.count, bad.parents)
 			}
 		}
 		if b.Len() != a.Len() || b.Entries() != a.Entries() {
 			t.Fatalf("seed %d: a refused run changed the graph", seed)
 		}
+	}
+	// Under -1 an agent the graph has not met is numbered by its first run,
+	// and only if that run is admitted.
+	g := New()
+	if _, err := g.AddNum("new", -1, -1, 1, nil); err == nil || g.AgentNum("new") != -1 {
+		t.Fatalf("a refused run by a new agent: %v, and the agent numbered %d", err, g.AgentNum("new"))
+	}
+	if lv, err := g.AddNum("new", -1, 0, 2, nil); err != nil || lv != 0 || g.AgentNum("new") != 0 {
+		t.Fatalf("a new agent's first run: %d, %v, numbered %d", lv, err, g.AgentNum("new"))
+	}
+	if lv, err := g.AddNum("new", -1, 2, 1, []Ref{{1, 0}}); err != nil || lv != 2 || g.Entries() != 1 {
+		t.Fatalf("-1 for an agent the graph has met: %d, %v, %d entries", lv, err, g.Entries())
 	}
 }
 

@@ -21,8 +21,8 @@ func LogRuns(l *oplog.Log, spans ...causal.Span) iter.Seq[Run] {
 		var at oplog.Cursor // entry follows entry: one search for the first run
 		more := true
 		for _, sp := range spans {
-			for w := l.Graph.EntryIDsIn(sp); more; {
-				entry, first, ps, ok := w.Next(ids)
+			for w := l.Graph.EntriesIn(sp); more; {
+				entry, first, ps, ok := w.NextIDs(ids)
 				if !ok {
 					break
 				}

@@ -246,15 +246,13 @@ func loadGraph(g *causal.Graph, names []string, f *frame) error {
 	// indexes are the one agent. It takes over at's array, done with.
 	num := at
 	for i, name := range names {
-		n, ok := g.AgentNum(name)
-		if !ok {
-			n = -1
-		}
-		num[i] = n
+		num[i] = g.AgentNum(name)
 	}
 
-	var buf [4]causal.LV
-	lvs := buf[:0]
+	// An (agent, seq) parent is looked up with its entry; a back-reference,
+	// an LV, is searched for.
+	var buf [4]causal.Ref
+	refs := buf[:0]
 	if err := w.start(f, len(names)); err != nil {
 		return err
 	}
@@ -263,20 +261,23 @@ func loadGraph(g *causal.Graph, names []string, f *frame) error {
 		if err != nil {
 			return err
 		}
-		lvs = lvs[:0]
+		refs = refs[:0]
 		for _, ref := range s.parents {
-			lv, ok := causal.LV(s.at-ref.back), true
-			if ref.back == 0 {
-				if ok = num[ref.agent] >= 0; ok {
-					lv, ok = g.LVOfNum(num[ref.agent], ref.seq)
+			if ref.back > 0 {
+				r, ok := g.RefOf(causal.LV(s.at - ref.back))
+				if !ok {
+					return fmt.Errorf("colenc: load: event %d has no event %d before it", s.at, ref.back)
 				}
+				refs = append(refs, r)
+				continue
 			}
+			r, ok, _ := g.SeqRun(num[ref.agent], ref.seq, 1)
 			if !ok {
 				return fmt.Errorf("colenc: event %s/%d references unknown parent %s/%d", names[s.agent], s.seq, names[ref.agent], ref.seq)
 			}
-			lvs = append(lvs, lv)
+			refs = append(refs, r)
 		}
-		if _, err := g.AddNum(num[s.agent], s.seq, s.n, lvs); err != nil {
+		if _, err := g.AddNum(names[s.agent], num[s.agent], s.seq, s.n, refs); err != nil {
 			return fmt.Errorf("colenc: load: %w", err)
 		}
 	}

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"egwalker/internal/causal"
@@ -78,11 +79,14 @@ type Tracker struct {
 	// LV order, so the index grows by appends (often merging into the
 	// last entry).
 	delRuns []delRun
-	// cur is the prepare version. Its backing array is reused across
-	// moves to keep the hot loop allocation-free.
-	cur causal.Frontier
-	// runBuf is scratch for shiftSpan's run collection.
-	runBuf []moveRun
+	// cur is the prepare version, its heads with their graph entries. Its
+	// backing array is reused across moves to keep the hot loop
+	// allocation-free.
+	cur []causal.Ref
+	// parents is scratch for the parents of the entry being applied; runBuf
+	// for shiftSpan's run collection.
+	parents []causal.Ref
+	runBuf  []moveRun
 	// diffA and diffB are scratch for moveTo's two diff results.
 	diffA, diffB []causal.Span
 	// at is where ApplyRange's walk of the log's runs stopped: the next
@@ -117,7 +121,7 @@ func NewTracker(l *oplog.Log, base causal.Frontier, baseUnits int) *Tracker {
 func (t *Tracker) reset(base causal.Frontier, baseUnits int) {
 	t.tree.Reset()
 	t.delRuns = t.delRuns[:0]
-	t.cur = append(t.cur[:0], base...)
+	t.cur = t.log.Graph.Refs(base, t.cur[:0])
 	t.end = -1
 	if baseUnits < 0 {
 		baseUnits = infinitePlaceholder
@@ -135,14 +139,21 @@ func (t *Tracker) items() int { return t.tree.Items() }
 // catch-up phase of partial replay).
 func (t *Tracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
 	t.seam = -1
-	if span.Start == t.end && span.Start > 0 && t.log.Graph.EntrySpanAt(span.Start-1).End > span.Start {
-		t.seam = span.Start
-	}
+	after := t.end == span.Start
 	t.end = span.End
 	var err error
-	t.log.Graph.EachEntryIn(span, func(run causal.Span, _ string, _ int, parents []causal.LV) bool {
+	for w := t.log.Graph.EntriesIn(span); ; {
+		run, last, parents, ok := w.NextRefs(t.parents[:0])
+		if !ok {
+			return nil
+		}
+		t.parents = parents
+		// Only an entry clipped at span's start has its parent in itself.
+		if after && len(parents) == 1 && parents[0].Ent == last.Ent {
+			t.seam = run.Start
+		}
 		if err = t.moveTo(parents); err != nil {
-			return false
+			return err
 		}
 		t.log.EachRunFrom(&t.at, run, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 			if kind == oplog.Insert {
@@ -153,18 +164,16 @@ func (t *Tracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv 
 			return err == nil
 		})
 		if err != nil {
-			return false
+			return err
 		}
-		t.cur = append(t.cur[:0], run.End-1)
-		return true
-	})
-	return err
+		t.cur = append(t.cur[:0], last)
+	}
 }
 
 // moveTo retreats and advances events so the prepare version equals
 // parents (§3.2), shifting whole runs per B-tree operation.
-func (t *Tracker) moveTo(parents causal.Frontier) error {
-	if t.cur.Eq(parents) {
+func (t *Tracker) moveTo(parents []causal.Ref) error {
+	if slices.Equal(t.cur, parents) {
 		return nil
 	}
 	onlyCur, onlyNew := t.log.Graph.DiffInto(t.cur, parents, t.diffA, t.diffB)
@@ -534,10 +543,3 @@ func insertsBefore(l *oplog.Log, newLV causal.LV, otherID itemtree.ID) bool {
 	}
 	return a.Seq < b.Seq
 }
-
-// PrepareVersion returns the tracker's current prepare version (tests).
-func (t *Tracker) PrepareVersion() causal.Frontier { return t.cur.Clone() }
-
-// EndLen returns the length of the effect-version document relative to
-// the base (tests).
-func (t *Tracker) EndLen() int { return t.tree.EndLen() }

@@ -167,6 +167,22 @@ func (l *Log) AddRun(agent string, seq int, parents []causal.LV, r Run) (causal.
 	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
 }
 
+// AddRunNum is AddRun for a caller that holds the agent's number, or -1
+// for an agent the graph has not met, and each parent's entry
+// (causal.Graph.AddNum): a merge that has looked them up already, and
+// asks the graph for neither again.
+func (l *Log) AddRunNum(agent string, aid, seq int, parents []causal.Ref, r Run) (causal.Span, error) {
+	if err := r.check(); err != nil {
+		return causal.Span{}, err
+	}
+	start, err := l.Graph.AddNum(agent, aid, seq, r.Len, parents)
+	if err != nil {
+		return causal.Span{}, err
+	}
+	l.appendRun(start, r)
+	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
+}
+
 // AppendRun is AddRun for a replica's own edit: r becomes the agent's
 // next events, on top of everything the log holds (causal.Graph.Append).
 func (l *Log) AppendRun(agent string, r Run) (causal.Span, error) {

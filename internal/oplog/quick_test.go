@@ -120,8 +120,8 @@ func TestQuickEachRunCoversAll(t *testing.T) {
 
 // TestQuickAddRunMatchesPerOp: a random op sequence, rich in runs that
 // change direction and runs that continue across an author change, cut
-// into runs at random and appended with AddRun, builds exactly the spans
-// that pushing the ops one at a time builds.
+// into runs at random and appended with AddRun or AddRunNum, builds
+// exactly the spans that pushing the ops one at a time builds.
 func TestQuickAddRunMatchesPerOp(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -194,7 +194,14 @@ func TestQuickAddRunMatchesPerOp(t *testing.T) {
 				}
 			}
 			agent := agents[rng.Intn(2)]
-			sp, err := l.AddRun(agent, seqs[agent], frontier, r)
+			var sp causal.Span
+			var err error
+			if aid := l.Graph.AgentNum(agent); aid >= 0 && rng.Intn(2) == 0 {
+				// By number, the parent handed in with its entry.
+				sp, err = l.AddRunNum(agent, aid, seqs[agent], l.Graph.Refs(frontier, nil), r)
+			} else {
+				sp, err = l.AddRun(agent, seqs[agent], frontier, r)
+			}
 			if err != nil || sp.Start != causal.LV(i) || sp.Len() != j-i {
 				return false
 			}

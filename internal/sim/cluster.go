@@ -266,6 +266,9 @@ type clusterClient struct {
 
 	mu  sync.Mutex
 	doc *egwalker.Doc
+	// readers counts the goroutines applying what this client's
+	// connections receive: the oracle reads doc only once they are done.
+	readers sync.WaitGroup
 
 	reconnects int
 }
@@ -294,7 +297,9 @@ func (cc *clusterClient) connect() (*cluster.Conn, error) {
 	}
 	// Reader: apply whatever the cluster fans out for as long as this
 	// connection lives.
+	cc.readers.Add(1)
 	go func() {
+		defer cc.readers.Done()
 		for {
 			f, err := conn.Peer.RecvFrame()
 			if err != nil {
@@ -502,12 +507,18 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	// read it was never accepted by anyone, and only the client that
 	// authored it can re-supply it. The connections then stay open so
 	// the fan-out brings each client the rest of the union.
+	resync := make([]*cluster.Conn, 0, len(clients))
+	defer func() {
+		for _, conn := range resync {
+			conn.Close()
+		}
+	}()
 	for i, cc := range clients {
 		conn, err := cc.connectRetry()
 		if err != nil {
 			return ClusterResult{}, fmt.Errorf("sim: client %d resync: %w", i, err)
 		}
-		defer conn.Close()
+		resync = append(resync, conn)
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
@@ -554,6 +565,15 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			return ClusterResult{}, err
 		}
 		reconnects += cc.reconnects
+	}
+	// The oracle reads the replicas unlocked: first close the connections
+	// and wait until no reader is still applying a frame.
+	for _, conn := range resync {
+		conn.Close()
+	}
+	resync = resync[:0]
+	for _, cc := range clients {
+		cc.readers.Wait()
 	}
 	docs := []*egwalker.Doc{ref}
 	for _, cc := range clients {
