@@ -236,7 +236,7 @@ func BenchmarkFig11Encode(b *testing.B) {
 		}
 		b.ReportMetric(float64(size), "bytes")
 		b.ReportMetric(float64(cachedSize), "cached-bytes")
-		b.ReportMetric(float64(len(l.InsertedContent())), "inserted-bytes")
+		b.ReportMetric(float64(len(string(l.Content()))), "inserted-bytes")
 	})
 }
 

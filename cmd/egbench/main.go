@@ -301,7 +301,7 @@ func fig11(ws []workload) error {
 		cached := encodedSize(w.log, encoding.Options{CacheFinalDoc: true}, text, nil)
 		fmt.Printf("%-4s %12s %12s %14s %12s\n", w.spec.Name,
 			bench.FmtBytes(uint64(plain)), bench.FmtBytes(uint64(cached)),
-			bench.FmtBytes(uint64(len(w.log.InsertedContent()))),
+			bench.FmtBytes(uint64(len(string(w.log.Content())))),
 			bench.FmtBytes(uint64(len(text))))
 	}
 	fmt.Println("(inserted text is the lower bound shown shaded in the paper's figure.)")

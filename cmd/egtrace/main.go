@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
 	"egwalker/internal/core"
 	"egwalker/internal/encoding"
@@ -71,12 +70,11 @@ func run(cmd string) error {
 			out = f
 		}
 		if *binary {
-			text, err := core.ReplayText(l)
+			text, err := core.ReplayRope(l)
 			if err != nil {
 				return err
 			}
-			runs := colenc.LogRuns(l, causal.Span{End: causal.LV(l.Len())})
-			data, err := colenc.EncodeRunsDoc(runs, text, colenc.Options{})
+			data, err := colenc.SaveDocument(l, text, colenc.Options{})
 			if err != nil {
 				return err
 			}

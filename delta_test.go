@@ -2,10 +2,16 @@ package egwalker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+
+	"egwalker/internal/colenc"
 )
 
 func buildDivergedDocs(t *testing.T) (*Doc, *Doc) {
@@ -159,4 +165,111 @@ func TestReadDeltaTornAndCorrupt(t *testing.T) {
 			t.Fatalf("flip at %d: corrupt block decoded to %d events", at, len(evs))
 		}
 	}
+}
+
+// readDeltaSeeds are delta blocks in both encodings — a whole merged
+// history, the part of it one side lacked (parents outside the batch) and
+// an empty batch — with copies cut short and copies with a bit flipped.
+func readDeltaSeeds(tb testing.TB) [][]byte {
+	a := NewDoc("alice")
+	if err := a.Insert(0, "shared base, é 🙂"); err != nil {
+		tb.Fatal(err)
+	}
+	b, err := a.Fork("bob")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := b.Version()
+	if err := a.Insert(0, "A: "); err != nil {
+		tb.Fatal(err)
+	}
+	if err := b.Delete(3, 4); err != nil {
+		tb.Fatal(err)
+	}
+	if err := a.Merge(b); err != nil {
+		tb.Fatal(err)
+	}
+	tail, err := a.EventsSince(base)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var blocks [][]byte
+	for _, evs := range [][]Event{a.Events(), tail, nil} {
+		legacy, err := DeltaBlock(evs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		compact, err := DeltaBlockCompact(evs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var written bytes.Buffer
+		if err := WriteDelta(&written, evs); err != nil {
+			tb.Fatal(err)
+		}
+		blocks = append(blocks, legacy, compact, written.Bytes())
+	}
+	seeds := slices.Clone(blocks)
+	for _, block := range blocks {
+		for _, cut := range []int{1, len(block) / 3, 2 * len(block) / 3, len(block) - 1} {
+			seeds = append(seeds, block[:cut])
+		}
+		for _, at := range []int{len(block) / 2, len(block) - 1} {
+			flipped := bytes.Clone(block)
+			flipped[at] ^= 0x10
+			seeds = append(seeds, flipped)
+		}
+	}
+	return seeds
+}
+
+// resealed is a copy of block with the checksums redone — the block's and,
+// in a columnar payload, the frame's — so that a mutation reaches the
+// decoders instead of stopping at ErrCorruptDelta.
+func resealed(block []byte) []byte {
+	n, k := binary.Uvarint(block)
+	if k <= 0 || len(block) < k+4 || uint64(len(block)-k-4) < n {
+		return block
+	}
+	out := bytes.Clone(block)
+	payload := out[k+4 : k+4+int(n)]
+	if colenc.Sniff(payload) && len(payload) >= 9 {
+		binary.LittleEndian.PutUint32(payload[5:9], crc32.Checksum(payload[9:], crcTable))
+	}
+	binary.LittleEndian.PutUint32(out[k:k+4], crc32.Checksum(payload, crcTable))
+	return out
+}
+
+// FuzzReadDelta feeds ReadDelta arbitrary bytes, as they come and with the
+// checksums redone. It must never panic, and a block it accepts must hold
+// events that the writer of the block's encoding takes again, into a block
+// that reads back as the same events.
+func FuzzReadDelta(f *testing.F) {
+	for _, seed := range readDeltaSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ReadDelta(bytes.NewReader(data))
+		block := resealed(data)
+		evs, err := ReadDelta(bytes.NewReader(block))
+		if err != nil {
+			return
+		}
+		_, k := binary.Uvarint(block)
+		write := DeltaBlock
+		if colenc.Sniff(block[k+4:]) {
+			write = DeltaBlockCompact
+		}
+		again, err := write(evs)
+		if err != nil {
+			t.Fatalf("ReadDelta accepted %d events its writer refuses: %v", len(evs), err)
+		}
+		back, err := ReadDelta(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("a block written from accepted events does not read: %v", err)
+		}
+		if len(back) != len(evs) || len(evs) > 0 && !reflect.DeepEqual(back, evs) {
+			t.Fatalf("%d events read back as %d different ones", len(evs), len(back))
+		}
+	})
 }

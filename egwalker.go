@@ -695,15 +695,11 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 			Compress:           opts.Compress,
 		}, d.text.String(), deleted)
 	}
-	runs := colenc.LogRuns(d.log, causal.Span{End: causal.LV(d.log.Len())})
-	co := colenc.Options{Compress: opts.Compress}
-	var data []byte
-	var err error
+	var text *rope.Rope
 	if opts.CacheFinalDoc {
-		data, err = colenc.EncodeRunsDoc(runs, d.text.String(), co)
-	} else {
-		data, err = colenc.EncodeRuns(runs, co)
+		text = d.text
 	}
+	data, err := colenc.SaveDocument(d.log, text, colenc.Options{Compress: opts.Compress})
 	if err != nil {
 		return err
 	}
@@ -722,23 +718,23 @@ func Load(r io.Reader, agent string) (*Doc, error) {
 		return nil, err
 	}
 	d := &Doc{agent: agent}
-	var text string
-	var cached bool
 	if colenc.Sniff(data) {
 		doc, err := colenc.LoadDocument(data)
 		if err != nil {
 			return nil, err
 		}
-		d.log, text, cached = doc.Log, doc.Text, doc.HasText
+		d.log, d.text = doc.Log, doc.Text
 	} else {
 		dec, err := encoding.Decode(data)
 		if err != nil {
 			return nil, err
 		}
-		d.log, text, cached = dec.Log, dec.Doc, dec.HasDoc
+		d.log = dec.Log
+		if dec.HasDoc {
+			d.text = rope.NewFromString(dec.Doc)
+		}
 	}
-	if cached {
-		d.text = rope.NewFromString(text)
+	if d.text != nil {
 		return d, nil
 	}
 	if d.text, err = core.ReplayRope(d.log); err != nil {

@@ -73,11 +73,98 @@ func runScript(t *testing.T, script []byte) []*egwalker.Doc {
 	return docs
 }
 
+// saveSeeds are scripts for the shapes of a history where a writer that
+// takes its columns straight from the log could part from the run-by-run
+// reference, each with what shows, in the first replica's events, that the
+// script reaches its shape.
+var saveSeeds = []struct {
+	name    string
+	script  []byte
+	reached func(evs []egwalker.Event) bool
+}{
+	{"a parent more than 64 events back", farParentScript(), func(evs []egwalker.Event) bool {
+		at := map[egwalker.EventID]int{}
+		for i, ev := range evs {
+			for _, p := range ev.Parents {
+				if i-at[p] > 64 {
+					return true
+				}
+			}
+			at[ev.ID] = i
+		}
+		return false
+	}},
+	{"three interleaved agents", interleavedScript(), func(evs []egwalker.Event) bool {
+		agents, switches := map[string]bool{}, 0
+		for i, ev := range evs {
+			agents[ev.ID.Agent] = true
+			if i > 0 && ev.ID.Agent != evs[i-1].ID.Agent {
+				switches++
+			}
+		}
+		return len(agents) == 3 && switches >= 6
+	}},
+	{"a backspace run across an entry boundary", script(
+		ins(0, 0, 0), ins(0, 1, 1), ins(0, 2, 2), ins(0, 3, 3), ins(0, 4, 4), ins(0, 5, 5),
+		del(0, 5), del(0, 4), merge(1, 0), del(1, 3), del(1, 2),
+	), func(evs []egwalker.Event) bool {
+		for i := 1; i < len(evs); i++ {
+			ev, prev := evs[i], evs[i-1]
+			if !ev.Insert && !prev.Insert && ev.Pos == prev.Pos-1 && ev.ID.Agent != prev.ID.Agent {
+				return true
+			}
+		}
+		return false
+	}},
+	{"the empty document", []byte{}, func(evs []egwalker.Event) bool { return len(evs) == 0 }},
+}
+
+// Steps of a runScript script: replica doc inserts alphabet[char] at pos,
+// deletes at pos, or merges replica src.
+func ins(doc, pos, char int) []byte { return []byte{byte(doc), 0, byte(pos), byte(char)} }
+func del(doc, pos int) []byte       { return []byte{byte(doc), 2, byte(pos)} }
+func merge(doc, src int) []byte     { return []byte{byte(doc), 3, byte(src)} }
+func script(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
+
+// farParentScript: the first replica types a character, the second 70,
+// and the first, having merged them, one more on top of both.
+func farParentScript() []byte {
+	steps := [][]byte{ins(0, 0, 0)}
+	for k := range 70 {
+		steps = append(steps, ins(1, k, k))
+	}
+	return script(append(steps, merge(0, 1), ins(0, 1, 25))...)
+}
+
+// interleavedScript: five rounds in which each replica types two characters
+// and merges the next.
+func interleavedScript() []byte {
+	var steps [][]byte
+	for r := range 5 {
+		for d := range 3 {
+			steps = append(steps, ins(d, 0, r+d), ins(d, 0, r), merge(d, (d+1)%3))
+		}
+	}
+	return script(steps...)
+}
+
+// TestSaveSeedsReachTheirCases: each of saveSeeds builds the history it is
+// there for.
+func TestSaveSeedsReachTheirCases(t *testing.T) {
+	for _, s := range saveSeeds {
+		if evs := runScript(t, s.script)[0].Events(); !s.reached(evs) {
+			t.Errorf("seed %q: its %d events do not show it", s.name, len(evs))
+		}
+	}
+}
+
 func FuzzDocSaveLoadRoundTrip(f *testing.F) {
-	f.Add([]byte{})
 	f.Add([]byte("hello fuzzer"))
 	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 3, 0, 2, 2, 5, 1, 3, 2, 0, 3, 1})
 	f.Add(bytes.Repeat([]byte{0, 0, 3, 7, 1, 2, 9, 4, 2, 3, 1, 0}, 40))
+	for _, s := range saveSeeds {
+		f.Add(s.script)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
@@ -88,6 +175,11 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 			if d.Text() != a.Text() || d.Fingerprint() != a.Fingerprint() {
 				t.Fatalf("replica %d did not converge: %q vs %q", i+1, d.Text(), a.Text())
 			}
+		}
+		// Save writes what the run-by-run reference writes, on every
+		// replica: the same events, merged in different orders.
+		for _, d := range docs {
+			egwalker.SaveMatchesReference(t, d)
 		}
 		// Round-trip through every persistence mode — both the compact
 		// columnar format (the default) and the legacy one.
@@ -119,6 +211,7 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 			if loaded.Fingerprint() != a.Fingerprint() {
 				t.Fatalf("save/load %+v changed fingerprint", opts)
 			}
+			egwalker.SaveMatchesReference(t, loaded)
 			// A second generation must be byte-stable: saving the loaded
 			// doc with the same options yields a decodable, equivalent file.
 			var buf2 bytes.Buffer

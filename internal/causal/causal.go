@@ -506,6 +506,13 @@ func (g *Graph) idIn(i int, lv LV) RawID {
 // IDOf returns the wire ID of the event at lv.
 func (g *Graph) IDOf(lv LV) RawID { return g.idIn(g.entryOf(lv), lv) }
 
+// NumOf is IDOf of a Ref, read off its entry: the number of the event's
+// agent (AgentNum) and its sequence number. r must be an event of the graph.
+func (g *Graph) NumOf(r Ref) (aid, seq int) {
+	e := &g.entries[r.Ent]
+	return int(e.agent), e.seqStart + int(r.LV) - int(e.start)
+}
+
 // LVOf maps a wire ID to its LV, reporting whether the event is known.
 func (g *Graph) LVOf(id RawID) (LV, bool) {
 	at, known, _ := g.SeqRun(g.AgentNum(id.Agent), id.Seq, 1)

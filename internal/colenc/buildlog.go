@@ -10,8 +10,9 @@ import (
 
 // LogRuns walks the events of spans (ascending, disjoint LV ranges of l)
 // as runs: every graph entry within them, cut wherever the operation
-// pattern changes. It is how a log leaves for a frame (EncodeRuns) or
-// for the per-event API without a stop at one struct per event. A run's
+// pattern changes. It is how a log leaves for the per-event API without a
+// stop at one struct per event; through EncodeRuns, it is the reference
+// SaveDocument's bytes are held to. A run's
 // Parents are valid until the next run is produced; its Content is the
 // log's own and must not be modified.
 func LogRuns(l *oplog.Log, spans ...causal.Span) iter.Seq[Run] {

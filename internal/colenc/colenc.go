@@ -24,9 +24,10 @@
 //
 // The columns are runs, and so is everything this package hands over: a
 // Run is the stretch of a batch that is one run in all of them at once,
-// EncodeRuns and DecodeRuns are the codec, and a log leaves for a frame in
-// runs (LogRuns). A frame that holds a whole document comes back without
-// them: LoadDocument fills a log's arrays straight from the columns.
+// EncodeRuns and DecodeRuns are the codec, and a part of a log leaves in
+// runs (LogRuns). A whole document goes and comes back without them:
+// SaveDocument writes the columns straight from a log's arrays and
+// LoadDocument fills a log's arrays straight from the columns.
 // Encode, Decode, BuildLog and EventsFromLog are the run codec behind one
 // compress or expand step, for callers that hold a batch event by event.
 //
@@ -44,7 +45,9 @@ import (
 	"hash/crc32"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 	"unicode/utf8"
 
 	"egwalker/internal/oplog"
@@ -156,12 +159,6 @@ const (
 	tagDeleteFwd  = 2 // forward delete: every position identical
 )
 
-func putUvarint(buf []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(buf, tmp[:n]...)
-}
-
 // Encode serialises a causally ordered batch (parents precede children
 // within the batch, as Doc.Events / Doc.EventsSince produce).
 func Encode(events []Event, opts Options) ([]byte, error) {
@@ -223,7 +220,8 @@ func Runs(events []Event) iter.Seq[Run] {
 // of the batch.
 type agentRun struct{ agent, seq, n, start int }
 
-// encoder accumulates the columns of a frame run by run.
+// encoder accumulates the columns of a frame: run by run for a batch
+// (add), entry by entry and span by span for a whole log (SaveDocument).
 type encoder struct {
 	n        int // events so far
 	names    []string
@@ -234,7 +232,17 @@ type encoder struct {
 	excs     int       // parents-column entries
 	excAt    int       // event index of the latest
 
-	ops, parents, content []byte
+	agents, ops, parents, content []byte
+}
+
+// encoders keep SaveDocument's columns between documents.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// reset empties e for another frame and keeps its arrays.
+func (e *encoder) reset() {
+	clear(e.names)
+	*e = encoder{names: e.names[:0], aruns: e.aruns[:0], agents: e.agents[:0], ops: e.ops[:0],
+		parents: e.parents[:0], content: e.content[:0]}
 }
 
 func (e *encoder) intern(a string) (int, error) {
@@ -288,16 +296,12 @@ func (e *encoder) add(r Run) error {
 	// Parents column: only events whose parents are not simply the
 	// previous event in the batch — which, inside a run, every event
 	// but the first is. Event 0 has no previous event, so it always
-	// appears. Entry indexes are delta-encoded (they are strictly
-	// increasing).
+	// appears.
 	if !(e.n > 0 && len(r.Parents) == 1 && r.Parents[0] == e.last) {
 		if len(r.Parents) > maxParents {
 			return fmt.Errorf("colenc: event %s/%d has %d parents", r.ID.Agent, r.ID.Seq, len(r.Parents))
 		}
-		e.parents = putUvarint(e.parents, uint64(e.n-e.excAt))
-		e.excAt = e.n
-		e.excs++
-		e.parents = putUvarint(e.parents, uint64(len(r.Parents)))
+		e.openParents(len(r.Parents))
 		for _, p := range r.Parents {
 			// In-batch parents compress to a back-reference; the scan is
 			// bounded because in real graphs a non-linear parent is
@@ -305,34 +309,18 @@ func (e *encoder) add(r Run) error {
 			// beyond the window — both decode identically.
 			pi := e.agentIdx[p.Agent]
 			if back, ok := e.backref(pi, p.Seq); ok {
-				e.parents = putUvarint(e.parents, uint64(back)<<1)
+				e.parents = binary.AppendUvarint(e.parents, uint64(back)<<1)
 			} else {
-				e.parents = putUvarint(e.parents, uint64(pi)<<1|1)
-				e.parents = putUvarint(e.parents, uint64(p.Seq))
+				e.parents = binary.AppendUvarint(binary.AppendUvarint(e.parents, uint64(pi)<<1|1), uint64(p.Seq))
 			}
 		}
 	}
-
-	if k := len(e.aruns); k > 0 && e.aruns[k-1].agent == ai && e.aruns[k-1].seq+e.aruns[k-1].n == r.ID.Seq {
-		e.aruns[k-1].n += r.Len
-	} else {
-		e.aruns = append(e.aruns, agentRun{ai, r.ID.Seq, r.Len, e.n})
+	e.pushAgent(ai, r.ID.Seq, r.Len)
+	if k, ok := negativeAt(&r.Run); ok {
+		return fmt.Errorf("colenc: negative position in event %s/%d", r.ID.Agent, r.ID.Seq+k)
 	}
-
-	// Ops column: (tag, len, startPos) runs; content column: the
-	// inserted runes of every insert run, concatenated.
-	if r.Pos < 0 || (r.Dir < 0 && r.Pos < r.Len-1) {
-		seq := r.ID.Seq
-		if r.Pos >= 0 {
-			seq += r.Pos + 1
-		}
-		return fmt.Errorf("colenc: negative position in event %s/%d", r.ID.Agent, seq)
-	}
-	for k, c := range r.Content {
-		if !utf8.ValidRune(c) {
-			return fmt.Errorf("colenc: invalid rune %#x in event %s/%d", c, r.ID.Agent, r.ID.Seq+k)
-		}
-		e.content = utf8.AppendRune(e.content, c)
+	if k := e.pushContent(r.Content); k >= 0 {
+		return fmt.Errorf("colenc: invalid rune %#x in event %s/%d", r.Content[k], r.ID.Agent, r.ID.Seq+k)
 	}
 	took := 0
 	if e.op.Len > 0 {
@@ -343,10 +331,51 @@ func (e *encoder) add(r Run) error {
 		e.op = r.Run.From(took)
 		e.op.Content = nil // already in the content column; r's is the caller's
 	}
-
 	e.n += r.Len
 	e.last = r.last()
 	return nil
+}
+
+// openParents starts the parents-column entry of event e.n, of count
+// parents, which follow: each a back-reference or an (agent index, seq).
+// Entry indexes are delta-encoded (they are strictly increasing).
+func (e *encoder) openParents(count int) {
+	e.parents = binary.AppendUvarint(binary.AppendUvarint(e.parents, uint64(e.n-e.excAt)), uint64(count))
+	e.excAt = e.n
+	e.excs++
+}
+
+// pushAgent adds to the agents column n events from event e.n on, by the
+// agent at index ai with sequence numbers from seq.
+func (e *encoder) pushAgent(ai, seq, n int) {
+	if k := len(e.aruns); k > 0 && e.aruns[k-1].agent == ai && e.aruns[k-1].seq+e.aruns[k-1].n == seq {
+		e.aruns[k-1].n += n
+	} else {
+		e.aruns = append(e.aruns, agentRun{ai, seq, n, e.n})
+	}
+}
+
+// negativeAt returns the offset in r of its first operation at a negative
+// position, if it has one.
+func negativeAt(r *oplog.Run) (int, bool) {
+	if r.Pos < 0 {
+		return 0, true
+	}
+	return r.Pos + 1, r.Dir < 0 && r.Pos < r.Len-1
+}
+
+// pushContent appends rs to the content column in UTF-8 and returns -1, or
+// the index of the first that is not a valid rune.
+func (e *encoder) pushContent(rs []rune) int {
+	b := e.content
+	for k, c := range rs {
+		if uint32(c) >= utf8.RuneSelf && !utf8.ValidRune(c) {
+			return k // the frame is refused: what the column holds does not matter
+		}
+		b = utf8.AppendRune(b, c)
+	}
+	e.content = b
+	return -1
 }
 
 // flushOp writes the pending ops-column run, if any. A lone delete
@@ -362,9 +391,8 @@ func (e *encoder) flushOp() {
 			tag = tagDeleteBack
 		}
 	}
-	e.ops = putUvarint(e.ops, tag)
-	e.ops = putUvarint(e.ops, uint64(e.op.Len))
-	e.ops = putUvarint(e.ops, uint64(e.op.Pos))
+	e.ops = binary.AppendUvarint(binary.AppendUvarint(e.ops, tag), uint64(e.op.Len))
+	e.ops = binary.AppendUvarint(e.ops, uint64(e.op.Pos))
 	e.op.Len = 0
 }
 
@@ -375,36 +403,35 @@ func encodeRuns(runs iter.Seq[Run], doc string, withDoc bool, opts Options) ([]b
 			return nil, err
 		}
 	}
-	e.flushOp()
+	if !withDoc {
+		return e.frame(opts, -1, nil)
+	}
+	return e.frame(opts, len(doc), func(out []byte) []byte { return append(out, doc...) })
+}
 
-	var agents []byte
-	agents = putUvarint(agents, uint64(len(e.names)))
+// frame allocates the frame of the columns e holds and a doc column of doc
+// bytes (-1: none) that appendDoc writes, at its exact size, and writes it.
+func (e *encoder) frame(opts Options, doc int, appendDoc func([]byte) []byte) ([]byte, error) {
+	e.flushOp()
+	agents := binary.AppendUvarint(e.agents, uint64(len(e.names)))
 	for _, name := range e.names {
-		agents = putUvarint(agents, uint64(len(name)))
-		agents = append(agents, name...)
+		agents = append(binary.AppendUvarint(agents, uint64(len(name))), name...)
 	}
-	agents = putUvarint(agents, uint64(len(e.aruns)))
+	agents = binary.AppendUvarint(agents, uint64(len(e.aruns)))
 	for _, r := range e.aruns {
-		agents = putUvarint(agents, uint64(r.agent))
-		agents = putUvarint(agents, uint64(r.seq))
-		agents = putUvarint(agents, uint64(r.n))
+		agents = binary.AppendUvarint(binary.AppendUvarint(agents, uint64(r.agent)), uint64(r.seq))
+		agents = binary.AppendUvarint(agents, uint64(r.n))
 	}
-	parents := append(putUvarint(nil, uint64(e.excs)), e.parents...)
+	e.agents = agents
 	content := e.content
 
 	flags := byte(0)
-	if withDoc {
-		flags |= FlagCachedDoc
-	}
 	// The decoder bounds inflation at maxDecompressed (decompression-
 	// bomb defense), so content at or past that size must be written
 	// uncompressed — otherwise Encode would produce a frame its own
 	// Decode rejects, turning e.g. a store snapshot of a huge document
 	// into an unreadable file. Compression is best-effort.
-	if opts.Compress && len(content) >= maxDecompressed {
-		opts.Compress = false
-	}
-	if opts.Compress {
+	if opts.Compress && len(content) < maxDecompressed {
 		flags |= FlagCompressed
 		var zbuf bytes.Buffer
 		zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
@@ -420,27 +447,33 @@ func encodeRuns(runs iter.Seq[Run], doc string, withDoc bool, opts Options) ([]b
 		content = zbuf.Bytes()
 	}
 
-	// Assemble the frame: header, then count and each column
-	// length-prefixed.
-	cols := [][]byte{agents, e.ops, parents, content}
-	if withDoc {
-		cols = append(cols, []byte(doc))
-	}
-	size := len(Magic) + 5 + binary.MaxVarintLen64
-	for _, col := range cols {
-		size += binary.MaxVarintLen64 + len(col)
+	// Header, then count and each column length-prefixed.
+	parents := uvarintLen(uint64(e.excs)) + len(e.parents)
+	size := len(Magic) + 5 + uvarintLen(uint64(e.n)) + uvarintLen(uint64(len(agents))) + len(agents) +
+		uvarintLen(uint64(len(e.ops))) + len(e.ops) + uvarintLen(uint64(parents)) + parents +
+		uvarintLen(uint64(len(content))) + len(content)
+	if doc >= 0 {
+		flags |= FlagCachedDoc
+		size += uvarintLen(uint64(doc)) + doc
 	}
 	out := make([]byte, len(Magic)+5, size)
 	copy(out, Magic[:])
 	out[4] = flags
-	out = putUvarint(out, uint64(e.n))
-	for _, col := range cols {
-		out = putUvarint(out, uint64(len(col)))
-		out = append(out, col...)
+	out = binary.AppendUvarint(out, uint64(e.n))
+	out = append(binary.AppendUvarint(out, uint64(len(agents))), agents...)
+	out = append(binary.AppendUvarint(out, uint64(len(e.ops))), e.ops...)
+	out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(parents)), uint64(e.excs))
+	out = append(out, e.parents...)
+	out = append(binary.AppendUvarint(out, uint64(len(content))), content...)
+	if doc >= 0 {
+		out = appendDoc(binary.AppendUvarint(out, uint64(doc)))
 	}
 	binary.LittleEndian.PutUint32(out[5:9], crc32.Checksum(out[9:], crcTable))
 	return out, nil
 }
+
+// uvarintLen is how many bytes the uvarint of v takes.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // maxBackrefScan bounds the search for the in-batch form of a
 // non-linear parent. Concurrency in editing histories is shallow; a

@@ -8,15 +8,16 @@ import (
 
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
+	"egwalker/internal/rope"
 )
 
 // Document is a whole-document frame, loaded.
 type Document struct {
 	Log *oplog.Log
-	// Text is the cached final text, if the frame embeds one (HasText):
-	// valid UTF-8, of a length the history allows.
-	Text    string
-	HasText bool
+	// Text is the cached final text, nil if the frame embeds none: valid
+	// UTF-8, of a length the history allows, decoded from the frame's
+	// bytes into the rope's leaves.
+	Text *rope.Rope
 }
 
 // LoadDocument decodes a whole-document frame — an entire history in
@@ -60,15 +61,15 @@ func LoadDocument(data []byte) (Document, error) {
 	if err := loadGraph(l.Graph, d.table.names, &f); err != nil {
 		return Document{}, err
 	}
-	doc := Document{Log: l, HasText: f.flags&FlagCachedDoc != 0}
-	if doc.HasText {
+	doc := Document{Log: l}
+	if f.flags&FlagCachedDoc != 0 {
 		if !utf8.Valid(f.doc) {
 			return Document{}, fmt.Errorf("colenc: invalid UTF-8 in doc column")
 		}
 		if chars, deletes := utf8.RuneCount(f.doc), f.n-inserts; chars > inserts || chars < inserts-deletes {
 			return Document{}, fmt.Errorf("colenc: doc column holds %d characters, the history inserts %d and deletes %d", chars, inserts, deletes)
 		}
-		doc.Text = string(f.doc)
+		doc.Text = rope.NewFromUTF8(f.doc)
 	}
 	return doc, nil
 }

@@ -67,16 +67,16 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 			}
 		}
 	}
-	agents = putUvarint(agents, uint64(len(names)))
+	agents = binary.AppendUvarint(agents, uint64(len(names)))
 	for _, name := range names {
-		agents = putUvarint(agents, uint64(len(name)))
+		agents = binary.AppendUvarint(agents, uint64(len(name)))
 		agents = append(agents, name...)
 	}
-	agents = putUvarint(agents, uint64(len(aruns)))
+	agents = binary.AppendUvarint(agents, uint64(len(aruns)))
 	for _, r := range aruns {
-		agents = putUvarint(agents, uint64(r.agent))
-		agents = putUvarint(agents, uint64(r.seq))
-		agents = putUvarint(agents, uint64(r.n))
+		agents = binary.AppendUvarint(agents, uint64(r.agent))
+		agents = binary.AppendUvarint(agents, uint64(r.seq))
+		agents = binary.AppendUvarint(agents, uint64(r.n))
 	}
 
 	// Ops column: (tag, len, startPos) runs; content column: the
@@ -95,9 +95,9 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 			for j < n && events[j].Insert && events[j].Pos == ev.Pos+(j-i) && utf8.ValidRune(events[j].Content) {
 				j++
 			}
-			ops = putUvarint(ops, tagInsert)
-			ops = putUvarint(ops, uint64(j-i))
-			ops = putUvarint(ops, uint64(ev.Pos))
+			ops = binary.AppendUvarint(ops, tagInsert)
+			ops = binary.AppendUvarint(ops, uint64(j-i))
+			ops = binary.AppendUvarint(ops, uint64(ev.Pos))
 			for k := i; k < j; k++ {
 				content = utf8.AppendRune(content, events[k].Content)
 			}
@@ -117,9 +117,9 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 				tag = tagDeleteBack
 				j = back
 			}
-			ops = putUvarint(ops, tag)
-			ops = putUvarint(ops, uint64(j-i))
-			ops = putUvarint(ops, uint64(ev.Pos))
+			ops = binary.AppendUvarint(ops, tag)
+			ops = binary.AppendUvarint(ops, uint64(j-i))
+			ops = binary.AppendUvarint(ops, uint64(ev.Pos))
 		}
 		i = j
 	}
@@ -139,13 +139,13 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 			return nil, fmt.Errorf("colenc: event %s/%d has %d parents", ev.ID.Agent, ev.ID.Seq, len(ev.Parents))
 		}
 		if nExc == 0 {
-			parents = putUvarint(parents, uint64(i))
+			parents = binary.AppendUvarint(parents, uint64(i))
 		} else {
-			parents = putUvarint(parents, uint64(i-prevIdx))
+			parents = binary.AppendUvarint(parents, uint64(i-prevIdx))
 		}
 		prevIdx = i
 		nExc++
-		parents = putUvarint(parents, uint64(len(ev.Parents)))
+		parents = binary.AppendUvarint(parents, uint64(len(ev.Parents)))
 		for _, p := range ev.Parents {
 			// In-batch parents compress to a back-reference; the scan is
 			// bounded because in real graphs a non-linear parent is
@@ -154,19 +154,19 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 			enc := false
 			for back := 1; back <= i && back <= maxBackrefScan; back++ {
 				if events[i-back].ID == p {
-					parents = putUvarint(parents, uint64(back)<<1)
+					parents = binary.AppendUvarint(parents, uint64(back)<<1)
 					enc = true
 					break
 				}
 			}
 			if !enc {
-				parents = putUvarint(parents, uint64(agentIdx[p.Agent])<<1|1)
-				parents = putUvarint(parents, uint64(p.Seq))
+				parents = binary.AppendUvarint(parents, uint64(agentIdx[p.Agent])<<1|1)
+				parents = binary.AppendUvarint(parents, uint64(p.Seq))
 			}
 		}
 	}
 	var parentsHdr []byte
-	parentsHdr = putUvarint(parentsHdr, uint64(nExc))
+	parentsHdr = binary.AppendUvarint(parentsHdr, uint64(nExc))
 	parents = append(parentsHdr, parents...)
 
 	flags := byte(0)
@@ -199,13 +199,13 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 
 	// Assemble body: count, then each column length-prefixed.
 	var body []byte
-	body = putUvarint(body, uint64(n))
+	body = binary.AppendUvarint(body, uint64(n))
 	for _, col := range [][]byte{agents, ops, parents, content} {
-		body = putUvarint(body, uint64(len(col)))
+		body = binary.AppendUvarint(body, uint64(len(col)))
 		body = append(body, col...)
 	}
 	if withDoc {
-		body = putUvarint(body, uint64(len(doc)))
+		body = binary.AppendUvarint(body, uint64(len(doc)))
 		body = append(body, doc...)
 	}
 

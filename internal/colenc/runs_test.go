@@ -10,6 +10,7 @@ import (
 
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
+	"egwalker/internal/rope"
 )
 
 // randomBatch builds a batch with every shape the columns distinguish:
@@ -201,20 +202,7 @@ func TestEncodeRejectsBackspaceBelowZero(t *testing.T) {
 func TestLogRunsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 50; i++ {
-		evs := randomBatch(rng, 1+rng.Intn(120))
-		// Make the batch self-contained: BuildLog needs every parent.
-		have := map[ID]bool{}
-		for k := range evs {
-			ps := evs[k].Parents[:0:0]
-			for _, p := range evs[k].Parents {
-				if have[p] {
-					ps = append(ps, p)
-				}
-			}
-			evs[k].Parents = ps
-			have[evs[k].ID] = true
-		}
-		l, err := BuildLog(evs)
+		l, err := BuildLog(wholeBatch(rng, 1+rng.Intn(120)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,6 +244,55 @@ func TestLogRunsRoundTrip(t *testing.T) {
 		}
 		if len(got) != b-a {
 			t.Fatalf("span [%d,%d) gave %d events", a, b, len(got))
+		}
+	}
+}
+
+// wholeBatch is randomBatch made a whole history, as BuildLog needs it:
+// the parents outside the batch dropped.
+func wholeBatch(rng *rand.Rand, n int) []Event {
+	evs := randomBatch(rng, n)
+	have := map[ID]bool{}
+	for k := range evs {
+		ps := evs[k].Parents[:0:0]
+		for _, p := range evs[k].Parents {
+			if have[p] {
+				ps = append(ps, p)
+			}
+		}
+		evs[k].Parents = ps
+		have[evs[k].ID] = true
+	}
+	return evs
+}
+
+// TestSaveDocumentMatchesEncodeRuns: a log written straight from its arrays
+// is the frame its runs encode to, with a text and without, compressed and
+// not — on histories of every shape randomBatch makes, parents far back
+// and roots mid-batch among them.
+func TestSaveDocumentMatchesEncodeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	text := rope.NewFromString("the döc 🙂")
+	for i := 0; i < 200; i++ {
+		l, err := BuildLog(wholeBatch(rng, rng.Intn(300)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := causal.Span{End: causal.LV(l.Len())}
+		for _, opts := range []Options{{}, {Compress: true}} {
+			want, err := EncodeRuns(LogRuns(l, full), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := SaveDocument(l, nil, opts); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%+v: SaveDocument of %d events (%v) differs from EncodeRuns of its runs", opts, l.Len(), err)
+			}
+			if want, err = EncodeRunsDoc(LogRuns(l, full), text.String(), opts); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := SaveDocument(l, text, opts); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%+v: SaveDocument of %d events and a text (%v) differs from EncodeRunsDoc of its runs", opts, l.Len(), err)
+			}
 		}
 	}
 }

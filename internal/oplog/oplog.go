@@ -457,10 +457,11 @@ func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, ki
 	c.span = idx
 }
 
-// InsertedContent concatenates the content of every insert operation in
-// storage order. Used by the size benchmarks (the "raw concatenated text"
-// lower bound in Fig 11).
-func (l *Log) InsertedContent() string { return string(l.content) }
+// Content returns the characters of every insert span back to back, in LV
+// order — the log's arena, capacity capped, which must not be written: the
+// content column of a saved file and the size benchmarks' "raw
+// concatenated text" lower bound (Fig 11).
+func (l *Log) Content() []rune { return l.content[:len(l.content):len(l.content)] }
 
 // SpanCount returns the number of run-length storage spans (for tests and
 // stats).

@@ -165,8 +165,8 @@ func TestInsertedContent(t *testing.T) {
 	if _, err := l.AddInsert("b", []causal.LV{2}, 1, "ya"); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.InsertedContent(); got != "hiya" {
-		t.Fatalf("InsertedContent = %q", got)
+	if got := string(l.Content()); got != "hiya" {
+		t.Fatalf("Content = %q", got)
 	}
 }
 

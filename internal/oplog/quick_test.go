@@ -2,6 +2,7 @@ package oplog
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,7 +243,7 @@ func TestAddRunRejectsBadRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = 'X'
-	if got := l.InsertedContent(); got != "hey" {
+	if got := string(l.Content()); got != "hey" {
 		t.Errorf("log content %q after the caller changed its buffer, want %q", got, "hey")
 	}
 }
@@ -277,7 +278,7 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 			}
 		}
 		filled := New()
-		filled.Adopt([]rune(grown.InsertedContent()))
+		filled.Adopt(slices.Clone(grown.Content()))
 		filled.Reserve(grown.SpanCount(), 0)
 		used := 0
 		// The saved runs, some cut in two: the spans must not depend on it.

@@ -22,7 +22,6 @@ package rope
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"unicode/utf8"
 	"unsafe"
 )
@@ -79,6 +78,9 @@ func NewFromString(s string) *Rope {
 	}
 	return &Rope{root: buildParent(leaves)}
 }
+
+// NewFromUTF8 is NewFromString of bytes, read in place and not kept.
+func NewFromUTF8(b []byte) *Rope { return NewFromString(unsafe.String(unsafe.SliceData(b), len(b))) }
 
 // chunks is how many leaves total runes fill when none holds more than
 // maxLeaf; chunkLen is the size of the i-th of them, the sizes differing
@@ -388,23 +390,46 @@ func shrink(leaf *node) {
 	leaf.runes = append(make([]rune, 0, roomFor(len(leaf.runes))), leaf.runes...)
 }
 
-// String returns the full text.
+// String returns the full text: one allocation, of its exact size.
 func (r *Rope) String() string {
-	var b strings.Builder
-	if r.root != nil {
-		b.Grow(r.root.length)
-		r.root.writeTo(&b)
-	}
-	return b.String()
+	b := r.AppendUTF8(make([]byte, 0, r.UTF8Len()))
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-func (n *node) writeTo(b *strings.Builder) {
+// UTF8Len returns the length of the text in UTF-8: what AppendUTF8 appends.
+func (r *Rope) UTF8Len() int { return r.root.utf8Len() }
+
+// AppendUTF8 appends the text to dst in UTF-8, leaf after leaf, a rune that
+// is not valid as U+FFFD: into a buffer UTF8Len sized, no string between.
+func (r *Rope) AppendUTF8(dst []byte) []byte { return r.root.appendUTF8(dst) }
+
+func (n *node) utf8Len() int {
+	if n == nil {
+		return 0
+	}
+	size := len(n.runes)
 	for _, c := range n.runes {
-		b.WriteRune(c)
+		if uint32(c) >= utf8.RuneSelf {
+			size += len(string(c)) - 1
+		}
 	}
 	for _, c := range n.children {
-		c.writeTo(b)
+		size += c.utf8Len()
 	}
+	return size
+}
+
+func (n *node) appendUTF8(dst []byte) []byte {
+	if n == nil {
+		return dst
+	}
+	for _, c := range n.runes {
+		dst = utf8.AppendRune(dst, c)
+	}
+	for _, c := range n.children {
+		dst = c.appendUTF8(dst)
+	}
+	return dst
 }
 
 // depth returns tree height, for tests.

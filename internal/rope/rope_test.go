@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestEmpty(t *testing.T) {
@@ -97,6 +98,31 @@ func TestUnicode(t *testing.T) {
 	}
 }
 
+// TestAppendUTF8: the text's UTF-8, leaf after leaf, is what converting
+// its runes gives — a rune that is not valid becomes U+FFFD — and UTF8Len
+// is its length; NewFromUTF8 reads it back.
+func TestAppendUTF8(t *testing.T) {
+	rs := []rune("ab日é🙂")
+	for len(rs) < 3*maxLeaf {
+		rs = append(rs, rs...)
+	}
+	rs = append(rs, 0xD800, -1, utf8.MaxRune+1)
+	r := New()
+	if err := r.InsertRunes(0, rs); err != nil {
+		t.Fatal(err)
+	}
+	want := string(rs)
+	if got := r.AppendUTF8([]byte("<")); string(got) != "<"+want {
+		t.Fatalf("AppendUTF8 wrote %d bytes, want %d", len(got)-1, len(want))
+	}
+	if r.UTF8Len() != len(want) || r.String() != want {
+		t.Fatalf("UTF8Len %d, String of %d bytes; want %d", r.UTF8Len(), len(r.String()), len(want))
+	}
+	if back := NewFromUTF8([]byte(want[:len(want)-9])); back.String() != want[:len(want)-9] {
+		t.Fatal("NewFromUTF8 does not read back the text")
+	}
+}
+
 func TestLargeSequentialInsert(t *testing.T) {
 	r := New()
 	var want strings.Builder
@@ -178,8 +204,8 @@ func TestQuickInsertDelete(t *testing.T) {
 // empty rope has no tree.
 func checkRope(t *testing.T, r *Rope, model []rune) {
 	t.Helper()
-	if got := r.String(); got != string(model) || r.Len() != len(model) {
-		t.Fatalf("rope holds %q (len %d), want %q (len %d)", got, r.Len(), string(model), len(model))
+	if got := r.String(); got != string(model) || r.Len() != len(model) || r.UTF8Len() != len(got) {
+		t.Fatalf("rope holds %q (len %d, %d bytes), want %q (len %d)", got, r.Len(), r.UTF8Len(), string(model), len(model))
 	}
 	if (r.root == nil) != (len(model) == 0) {
 		t.Fatalf("root %v for a text of %d runes", r.root, len(model))

@@ -42,13 +42,13 @@ type OSFS struct{}
 func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (OSFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
-func (OSFS) ReadDir(name string) ([]os.DirEntry, error)  { return os.ReadDir(name) }
-func (OSFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
-func (OSFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(name string) error                    { return os.Remove(name) }
-func (OSFS) RemoveAll(path string) error                 { return os.RemoveAll(path) }
-func (OSFS) Truncate(name string, size int64) error      { return os.Truncate(name, size) }
+func (OSFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (OSFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
+func (OSFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
+func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(name string) error                     { return os.Remove(name) }
+func (OSFS) RemoveAll(path string) error                  { return os.RemoveAll(path) }
+func (OSFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
 func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 // FaultFS wraps an FS and injects failures on demand. All methods are
@@ -185,12 +185,12 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	return data, nil
 }
 
-func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error)  { return f.inner.ReadDir(name) }
-func (f *FaultFS) Stat(name string) (os.FileInfo, error)       { return f.inner.Stat(name) }
-func (f *FaultFS) Rename(oldpath, newpath string) error        { return f.inner.Rename(oldpath, newpath) }
-func (f *FaultFS) Remove(name string) error                    { return f.inner.Remove(name) }
-func (f *FaultFS) RemoveAll(path string) error                 { return f.inner.RemoveAll(path) }
-func (f *FaultFS) Truncate(name string, size int64) error      { return f.inner.Truncate(name, size) }
+func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error)   { return f.inner.ReadDir(name) }
+func (f *FaultFS) Stat(name string) (os.FileInfo, error)        { return f.inner.Stat(name) }
+func (f *FaultFS) Rename(oldpath, newpath string) error         { return f.inner.Rename(oldpath, newpath) }
+func (f *FaultFS) Remove(name string) error                     { return f.inner.Remove(name) }
+func (f *FaultFS) RemoveAll(path string) error                  { return f.inner.RemoveAll(path) }
+func (f *FaultFS) Truncate(name string, size int64) error       { return f.inner.Truncate(name, size) }
 func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error { return f.inner.MkdirAll(path, perm) }
 
 // faultFile applies the injector's write/sync faults to one open file.
