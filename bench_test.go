@@ -471,6 +471,57 @@ func BenchmarkDocEventsSince(b *testing.B) {
 	})
 }
 
+// BenchmarkDocKeystrokes types into a fork of each history the way the
+// bench/ program's typist does: a word inserted, or a few backspaces a key
+// at a time, and after each burst EventsSince the version before it —
+// what a client does before it uploads the burst.
+func BenchmarkDocKeystrokes(b *testing.B) {
+	boundaryDocs(b, func(b *testing.B, src *Doc) {
+		d, err := src.Fork("typist")
+		if err != nil {
+			b.Fatal(err)
+		}
+		type burst struct {
+			word string
+			back int
+		}
+		var script []burst
+		events := 0
+		for i, w := range strings.Fields(strings.Repeat("the quick brown fox jumps over the lazy dog ", 4)) {
+			script = append(script, burst{word: w + " "})
+			events += len(w) + 1
+			if i%2 == 1 {
+				script = append(script, burst{back: 1 + i%4})
+				events += 1 + i%4
+			}
+		}
+		round := 0
+		perEvent(b, events, func() {
+			// Somewhere new each round, with room to backspace into.
+			cursor := 64 + round*7919%(d.Len()-63)
+			round++
+			for _, k := range script {
+				v := d.Version()
+				if k.word != "" {
+					err = d.Insert(cursor, k.word)
+					cursor += len(k.word)
+				}
+				for range k.back {
+					if cursor--; err == nil {
+						err = d.Delete(cursor, 1)
+					}
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.EventsSince(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+}
+
 // BenchmarkDocApplySmallConcurrent applies five remote keystrokes,
 // concurrent with five local ones, to a loaded document of 1k, 10k and
 // 100k events. Only Apply is timed. What it costs must not depend on how

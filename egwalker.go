@@ -60,6 +60,9 @@ type Doc struct {
 	log   *oplog.Log
 	text  *rope.Rope
 	agent string
+	// aid is the graph's number for agent, plus one: 0, as in a Doc built as
+	// a literal, until the first local edit asks the graph (localAgent).
+	aid int
 	// pending buffers remote events whose parents have not arrived yet
 	// (causal delivery buffer).
 	pending []Event
@@ -113,10 +116,19 @@ func (d *Doc) Insert(pos int, text string) error {
 	for _, c := range text {
 		runes = append(runes, c)
 	}
-	if _, err := d.log.AppendRun(d.agent, oplog.Run{Kind: oplog.Insert, Pos: pos, Dir: 1, Len: len(runes), Content: runes}); err != nil {
+	if _, err := d.log.AppendRun(d.localAgent(), oplog.Run{Kind: oplog.Insert, Pos: pos, Dir: 1, Len: len(runes), Content: runes}); err != nil {
 		return err
 	}
 	return d.text.InsertRunes(pos, runes)
+}
+
+// localAgent returns the graph's number for the replica's agent, asking the
+// graph at the first local edit only: a Doc's log is its own for life.
+func (d *Doc) localAgent() int {
+	if d.aid == 0 {
+		d.aid = d.log.Graph.NumberAgent(d.agent) + 1
+	}
+	return d.aid - 1
 }
 
 // Delete removes count runes starting at rune position pos as a local
@@ -128,7 +140,7 @@ func (d *Doc) Delete(pos, count int) error {
 	if pos < 0 || count < 0 || pos+count > d.text.Len() {
 		return fmt.Errorf("egwalker: delete [%d,%d) out of range [0,%d]", pos, pos+count, d.text.Len())
 	}
-	if _, err := d.log.AppendRun(d.agent, oplog.Run{Kind: oplog.Delete, Pos: pos, Len: count}); err != nil {
+	if _, err := d.log.AppendRun(d.localAgent(), oplog.Run{Kind: oplog.Delete, Pos: pos, Len: count}); err != nil {
 		return err
 	}
 	return d.text.Delete(pos, count)
@@ -214,46 +226,61 @@ func (d *Doc) Version() Version {
 	return v
 }
 
-// eventsFromRuns writes out the n events that runs cover in wire form
-// (appendRun).
+// eventsFromRuns writes out the n events that runs cover in wire form.
 func eventsFromRuns(n int, runs iter.Seq[colenc.Run]) []Event {
-	out, ids := make([]Event, 0, n), make([]EventID, n)
+	w := newWireEvents(n)
 	for r := range runs {
-		out = appendRun(out, ids, r.ID.Agent, r.ID.Seq, r.Parents, r.Run)
+		w.run(r.ID.Agent, r.ID.Seq, r.Parents, r.Run)
 	}
-	return out
+	return w.events
 }
 
-// appendRun appends to out the events of the run r in wire form, one
-// Event each, the first of them (agent, seq) with the given parents: the
-// one place the run-length history is expanded for the per-event API.
-// ids[i] is out[i].ID, and the parents slice of an event whose sole parent
-// is its predecessor in out is cut from it, capacity capped. parents is
-// read, not kept.
-func appendRun(out []Event, ids []EventID, agent string, seq int, parents []colenc.ID, r oplog.Run) []Event {
-	for k := 0; k < r.Len; k++ {
-		i := len(out)
-		ev := Event{
-			ID:     EventID{Agent: agent, Seq: seq + k},
-			Insert: r.Kind == oplog.Insert,
-			Pos:    r.Pos + k*int(r.Dir),
-		}
-		if ev.Insert {
+// spareIDs is the room an export's ID array keeps past its n IDs for the
+// parents of runs' first events: a burst is a run or two on a head or two.
+const spareIDs = 4
+
+// wireEvents is an export in wire form, written by index into arrays of its
+// exact size: ids[i] is events[i].ID, and every parents slice is cut from
+// ids, capacity capped — a run's first event's from the spare tail while it
+// lasts — so an export of a burst is two objects.
+type wireEvents struct {
+	events []Event // the events written so far
+	ids    []EventID
+}
+
+func newWireEvents(n int) wireEvents {
+	return wireEvents{events: make([]Event, 0, n), ids: make([]EventID, n, n+spareIDs)}
+}
+
+// run writes out the events of the run r, the first of them (agent, seq)
+// with the given parents: the one place the run-length history is expanded
+// for the per-event API. parents is read, not kept.
+func (w *wireEvents) run(agent string, seq int, parents []colenc.ID, r oplog.Run) {
+	i := len(w.events)
+	w.events = w.events[:i+r.Len]
+	var first []EventID
+	switch k, np := len(w.ids), len(parents); {
+	case np == 1 && i > 0 && EventID(parents[0]) == w.ids[i-1]:
+		first = w.ids[i-1 : i : i] // written below with the ID it holds
+	case np > 0 && k+np <= cap(w.ids):
+		w.ids = w.ids[:k+np]
+		first = w.ids[k : k+np : k+np]
+	case np > 0:
+		first = make([]EventID, np)
+	}
+	for j, p := range parents {
+		first[j] = EventID(p)
+	}
+	insert := r.Kind == oplog.Insert
+	for k := range r.Len {
+		ev := &w.events[i+k]
+		ev.ID, ev.Insert, ev.Pos, ev.Parents = EventID{Agent: agent, Seq: seq + k}, insert, r.Pos+k*int(r.Dir), first
+		if insert {
 			ev.Content = r.Content[k]
 		}
-		switch {
-		case k > 0 || (i > 0 && len(parents) == 1 && EventID(parents[0]) == ids[i-1]):
-			ev.Parents = ids[i-1 : i : i]
-		case len(parents) > 0:
-			ev.Parents = make([]EventID, len(parents))
-			for j, p := range parents {
-				ev.Parents[j] = EventID(p)
-			}
-		}
-		ids[i] = ev.ID
-		out = append(out, ev)
+		w.ids[i+k] = ev.ID
+		first = w.ids[i+k : i+k+1 : i+k+1] // the next event's sole parent
 	}
-	return out
 }
 
 // eventsIn exports the events of spans (ascending, disjoint) in wire
@@ -268,13 +295,13 @@ func (d *Doc) eventsIn(spans []causal.Span) []Event {
 	if n == 0 {
 		return nil
 	}
-	out, ids := make([]Event, 0, n), make([]EventID, n)
+	w := newWireEvents(n)
 	var raw [4]causal.RawID
 	var buf [4]colenc.ID
-	var at oplog.Cursor // entry follows entry: one search for the first run
+	at := d.log.Last() // entry follows entry: one search, from the newest run
 	for _, sp := range spans {
-		for w := d.log.Graph.EntriesIn(sp); ; {
-			entry, first, ps, ok := w.NextIDs(raw[:0])
+		for it := d.log.Graph.EntriesIn(sp); ; {
+			entry, first, ps, ok := it.NextIDs(raw[:0])
 			if !ok {
 				break
 			}
@@ -287,19 +314,21 @@ func (d *Doc) eventsIn(spans []causal.Span) []Event {
 				if lvs.Start > entry.Start {
 					parents = append(parents[:0], colenc.ID{Agent: first.Agent, Seq: seq - 1})
 				}
-				out = appendRun(out, ids, first.Agent, seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content})
+				w.run(first.Agent, seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content})
 				return true
 			})
 		}
 	}
-	return out
+	return w.events
 }
 
 // Events returns the document's entire event history in a valid causal
 // order (parents before children).
 func (d *Doc) Events() []Event {
-	n := d.log.Len()
-	return eventsFromRuns(n, colenc.LogRuns(d.log, causal.Span{End: causal.LV(n)}))
+	if d.log.Len() == 0 {
+		return []Event{}
+	}
+	return d.eventsIn([]causal.Span{{End: causal.LV(d.log.Len())}})
 }
 
 // EventsSince returns the events this replica has that are not within

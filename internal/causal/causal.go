@@ -126,8 +126,9 @@ func (g *Graph) Heads() Frontier {
 	return Frontier(g.frontier[:len(g.frontier):len(g.frontier)])
 }
 
-// AgentID interns an agent name and returns its index.
-func (g *Graph) agentID(agent string) int {
+// NumberAgent is AgentNum for an agent about to add events: one the graph
+// has not met is numbered. A replica's own edits go in by that number.
+func (g *Graph) NumberAgent(agent string) int {
 	if idx, ok := g.agentIdx[agent]; ok {
 		return idx
 	}
@@ -218,18 +219,6 @@ func (g *Graph) slotFor(aid, seq, count int) (int, error) {
 	return slot, nil
 }
 
-// place validates a run of count events by agent from seq on and returns
-// the agent's number and the run's place among the agent's entries. A run
-// that is refused for its shape leaves the agent unnumbered.
-func (g *Graph) place(agent string, seq, count int) (aid, slot int, err error) {
-	if err := g.admits(seq, count); err != nil {
-		return 0, 0, err
-	}
-	aid = g.agentID(agent)
-	slot, err = g.slotFor(aid, seq, count)
-	return aid, slot, err
-}
-
 // inRange returns an error if one of parents is not an event of the graph.
 func (g *Graph) inRange(parents []LV) error {
 	for _, p := range parents {
@@ -276,7 +265,7 @@ func (g *Graph) AddNum(agent string, aid, seq, count int, parents []Ref) (LV, er
 		return 0, err
 	}
 	if aid < 0 {
-		aid = g.agentID(agent)
+		aid = g.NumberAgent(agent)
 	}
 	slot, err := g.slotFor(aid, seq, count)
 	if err != nil {
@@ -299,12 +288,16 @@ func (g *Graph) pushReduced(aid, slot, seq, count int, parents []Ref) (LV, error
 	return g.push(aid, slot, seq, count, parents), nil
 }
 
-// Append is Add with the graph's frontier as the parents: how a replica
-// adds events of its own. The frontier is reduced already, so nothing is
-// searched for dominators.
-func (g *Graph) Append(agent string, seq, count int) (LV, error) {
-	aid, slot, err := g.place(agent, seq, count)
-	if err != nil {
+// Append adds count events as agent aid's next (NumberAgent), with the
+// frontier as the parents: how a replica adds events of its own. The seq
+// is read off the agent's last entry and the run goes after it, and the
+// frontier is reduced already: nothing is looked up or searched for.
+func (g *Graph) Append(aid, count int) (LV, error) {
+	if aid < 0 || aid >= len(g.byAgent) {
+		return 0, fmt.Errorf("causal: Append agent number %d out of range [0,%d)", aid, len(g.byAgent))
+	}
+	seq, slot := g.nextSeq(aid), len(g.byAgent[aid])
+	if err := g.admits(seq, count); err != nil {
 		return 0, err
 	}
 	if err := room("parents", len(g.parents), len(g.frontier)); err != nil {
@@ -395,7 +388,7 @@ func (g *Graph) Reserve(entries, parents int, perAgent []AgentEntries) {
 	g.agents = slices.Grow(g.agents, len(perAgent))
 	g.byAgent = slices.Grow(g.byAgent, len(perAgent))
 	for _, a := range perAgent {
-		aid := g.agentID(a.Agent)
+		aid := g.NumberAgent(a.Agent)
 		g.byAgent[aid] = slices.Grow(g.byAgent[aid], a.Entries)
 	}
 }
@@ -559,9 +552,12 @@ func (g *Graph) AgentNum(agent string) int {
 
 // SeqEnd returns the next unused sequence number for agent (0 if the agent
 // has generated no events).
-func (g *Graph) SeqEnd(agent string) int {
-	aid, ok := g.agentIdx[agent]
-	if !ok || len(g.byAgent[aid]) == 0 {
+func (g *Graph) SeqEnd(agent string) int { return g.nextSeq(g.AgentNum(agent)) }
+
+// nextSeq is SeqEnd by the agent's number (-1 for one not met): where the
+// agent's last entry ends.
+func (g *Graph) nextSeq(aid int) int {
+	if aid < 0 || len(g.byAgent[aid]) == 0 {
 		return 0
 	}
 	idxs := g.byAgent[aid]

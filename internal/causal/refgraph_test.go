@@ -433,19 +433,28 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 	}
 }
 
-// TestAppendMatchesAdd: Append is Add with the frontier as parents, for a
-// frontier of one head and of several, without copying it.
+// TestAppendMatchesAdd: Append is Add with the frontier as parents and the
+// agent's next seq, for a frontier of one head and of several, without
+// copying it; the agent's events may have come in through Add before.
 func TestAppendMatchesAdd(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 30 + rng.Intn(60)
 		a, _ := randomGraph(rand.New(rand.NewSource(seed)), n)
 		b, _ := randomGraph(rand.New(rand.NewSource(seed)), n)
+		if seed%2 == 1 {
+			mustAdd(t, a, "me", 0, 3, a.Frontier())
+			mustAdd(t, b, "me", 0, 3, b.Frontier())
+		}
+		me := b.NumberAgent("me")
+		if again := b.NumberAgent("me"); again != me || b.AgentNum("me") != me {
+			t.Fatalf("seed %d: NumberAgent gave %d, then %d; AgentNum says %d", seed, me, again, b.AgentNum("me"))
+		}
 		for i := 0; i < 5; i++ {
 			n := 1 + rng.Intn(6)
 			seq := a.SeqEnd("me")
 			la, errA := a.Add("me", seq, n, a.Frontier())
-			lb, errB := b.Append("me", seq, n)
+			lb, errB := b.Append(me, n)
 			if errA != nil || errB != nil || la != lb {
 				t.Fatalf("seed %d: Add = %d, %v; Append = %d, %v", seed, la, errA, lb, errB)
 			}
@@ -459,8 +468,10 @@ func TestAppendMatchesAdd(t *testing.T) {
 				mustAdd(t, b, "other", b.SeqEnd("other"), 2, p)
 			}
 		}
-		if _, err := b.Append("me", 0, 1); err == nil {
-			t.Fatal("Append accepted a duplicate")
+		for _, aid := range []int{-1, len(b.Agents())} {
+			if _, err := b.Append(aid, 1); err == nil {
+				t.Fatalf("Append took agent number %d of %d", aid, len(b.Agents()))
+			}
 		}
 	}
 }
@@ -625,7 +636,7 @@ func TestGraphLimits(t *testing.T) {
 	if _, err := g.Add("b", 0, 6, tip); err == nil {
 		t.Fatal("a run ending past 2^32 events was accepted")
 	}
-	if _, err := g.Append("b", 0, 6); err == nil {
+	if _, err := g.Append(g.NumberAgent("b"), 6); err == nil {
 		t.Fatal("a local run ending past 2^32 events was accepted")
 	}
 	if _, err := g.Add("b", math.MaxInt-2, 5, tip); err == nil {

@@ -183,13 +183,13 @@ func (l *Log) AddRunNum(agent string, aid, seq int, parents []causal.Ref, r Run)
 	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
 }
 
-// AppendRun is AddRun for a replica's own edit: r becomes the agent's
-// next events, on top of everything the log holds (causal.Graph.Append).
-func (l *Log) AppendRun(agent string, r Run) (causal.Span, error) {
+// AppendRun is AddRun for a replica's own edit: r becomes the next events
+// of agent aid, on top of everything the log holds (causal.Graph.Append).
+func (l *Log) AppendRun(aid int, r Run) (causal.Span, error) {
 	if err := r.check(); err != nil {
 		return causal.Span{}, err
 	}
-	start, err := l.Graph.Append(agent, l.Graph.SeqEnd(agent), r.Len)
+	start, err := l.Graph.Append(aid, r.Len)
 	if err != nil {
 		return causal.Span{}, err
 	}
@@ -362,6 +362,10 @@ func (l *Log) spanIdxIn(lo, hi int, lv causal.LV) int {
 // and not of the log — nothing at all when it goes on where the last one
 // stopped. The zero Cursor is valid for any log; a Cursor serves one log.
 type Cursor struct{ span int }
+
+// Last returns a Cursor at the log's last span, where a walk of its newest
+// events starts.
+func (l *Log) Last() Cursor { return Cursor{span: len(l.spans)} }
 
 // seek returns the index of the span holding lv, an event of the log,
 // looking outwards from where c points.

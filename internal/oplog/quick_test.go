@@ -273,7 +273,7 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 				}
 				docLen -= n
 			}
-			if _, err := grown.AppendRun("a", r); err != nil {
+			if _, err := grown.AppendRun(grown.Graph.NumberAgent("a"), r); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -330,7 +330,7 @@ func TestLimits(t *testing.T) {
 	if _, err := l.AddRun("b", 0, tip, Run{Kind: Insert, Pos: 0, Dir: 1, Len: 11, Content: []rune("hello world")}); err == nil {
 		t.Fatal("a run ending past 2^32 events was accepted")
 	}
-	if _, err := l.AppendRun("b", Run{Kind: Insert, Pos: 0, Dir: 1, Len: 11, Content: []rune("hello world")}); err == nil {
+	if _, err := l.AppendRun(l.Graph.NumberAgent("b"), Run{Kind: Insert, Pos: 0, Dir: 1, Len: 11, Content: []rune("hello world")}); err == nil {
 		t.Fatal("a local run ending past 2^32 events was accepted")
 	}
 	if l.Len() != huge || l.SpanCount() != 1 || len(l.content) != 0 {

@@ -299,9 +299,10 @@ func (r *Rope) Delete(pos, count int) error {
 	return nil
 }
 
-// remove deletes [pos, pos+count) from the subtree. Empty children are
-// pruned, and a leaf the delete leaves sparse merges into a neighbour or
-// shrinks; underfull internal nodes are not rebalanced (deletes never
+// remove deletes [pos, pos+count) from the subtree, visiting only the
+// children the range reaches: a backspace walks one path. Children it
+// empties are pruned, and a leaf it leaves sparse merges into a neighbour
+// or shrinks; underfull internal nodes are not rebalanced (deletes never
 // increase height).
 func remove(n *node, pos, count int) {
 	n.length -= count
@@ -309,37 +310,43 @@ func remove(n *node, pos, count int) {
 		n.runes = append(n.runes[:pos], n.runes[pos+count:]...)
 		return
 	}
-	// Only the first and the last child the range reaches can keep some of
-	// their runes: at most two leaves to tidy.
-	var sparseAt [2]int
-	ns := 0
-	kept := n.children[:0]
-	for _, c := range n.children {
-		if count > 0 && pos < c.length {
-			take := min(c.length-pos, count)
-			remove(c, pos, take)
-			count -= take
-			pos = 0 // remaining deletion continues at the next child's start
-			if c.length > 0 && c.isLeaf() && sparse(c) {
-				sparseAt[ns] = len(kept)
-				ns++
-			}
-		} else if count > 0 {
-			pos -= c.length
-		}
-		if c.length > 0 {
-			kept = append(kept, c)
-		}
+	kids := n.children
+	i := 0 // the first child the range reaches
+	for pos >= kids[i].length {
+		pos -= kids[i].length
+		i++
 	}
-	clear(n.children[len(kept):])
-	n.children = kept
+	j := i // the range reaches kids[i:j]
+	for ; count > 0; j++ {
+		take := min(kids[j].length-pos, count)
+		remove(kids[j], pos, take)
+		count, pos = count-take, 0 // the rest starts at the next child's start
+	}
+	// Only the first and the last child reached can keep some of their
+	// runes, so the ones emptied are kids[lo:hi] and at most two leaves are
+	// left to tidy.
+	lo, hi := i, j
+	if kids[i].length > 0 {
+		lo++
+	}
+	if kids[j-1].length > 0 {
+		hi--
+	}
+	if lo < hi {
+		kids = slices.Delete(kids, lo, hi)
+		j -= hi - lo
+	}
 	// The later first: a merge removes the right one of a pair, so the
-	// earlier index still holds.
-	for k := ns - 1; k >= 0; k-- {
-		if i := sparseAt[k]; sparse(n.children[i]) {
-			n.children = tidy(n.children, i)
-		}
+	// earlier index still holds. The first is tidied only if its own delete
+	// left it sparse.
+	first := j > i && sparse(kids[i])
+	if j-1 > i && sparse(kids[j-1]) {
+		kids = tidy(kids, j-1)
 	}
+	if first && sparse(kids[i]) {
+		kids = tidy(kids, i)
+	}
+	n.children = kids
 }
 
 // sparse reports whether a leaf holds less than two thirds of what its

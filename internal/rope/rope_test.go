@@ -357,6 +357,35 @@ func TestRopeTypingAllocs(t *testing.T) {
 	}
 }
 
+// TestRopeBackspaceAllocs: a backspace walks one path of the tree and
+// deletes in place, so 2 000 of them at a moving cursor in a 3 500-rune
+// text allocate only where a leaf they leave sparse is tidied — moved to a
+// smaller array, or merged into a neighbour that has no room — and never
+// a child list: 86 objects (28 912 B), the leaves the walk over every child
+// tidied too.
+func TestRopeBackspaceAllocs(t *testing.T) {
+	r := NewFromString(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 78))
+	rng := rand.New(rand.NewSource(3))
+	cursor := r.Len() / 3
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 2000; i++ {
+		if i%200 == 199 || cursor == 0 {
+			cursor = 1 + rng.Intn(r.Len())
+		}
+		if err := r.Delete(cursor-1, 1); err != nil {
+			t.Fatal(err)
+		}
+		cursor--
+	}
+	runtime.ReadMemStats(&m1)
+	bytes, objects := m1.TotalAlloc-m0.TotalAlloc, m1.Mallocs-m0.Mallocs
+	t.Logf("2000 backspaces: %d B in %d objects", bytes, objects)
+	if objects > 86 {
+		t.Errorf("2000 backspaces allocated %d objects; want at most the 86 of the leaves they tidy", objects)
+	}
+}
+
 func BenchmarkAppend(b *testing.B) {
 	r := New()
 	b.ReportAllocs()
@@ -374,6 +403,27 @@ func BenchmarkRandomInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := r.Insert(rng.Intn(r.Len()+1), "y"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBackspace backspaces a word a key at a time and types it again,
+// at random places in a 100k-rune text.
+func BenchmarkBackspace(b *testing.B) {
+	r := NewFromString(strings.Repeat("hello world ", 8_334))
+	rng := rand.New(rand.NewSource(2))
+	word := []rune("backspac")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end := len(word) + rng.Intn(r.Len()-len(word)+1)
+		for pos := end - 1; pos >= end-len(word); pos-- {
+			if err := r.Delete(pos, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := r.InsertRunes(end-len(word), word); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,10 +3,103 @@ package netsync
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"reflect"
 	"testing"
 
 	"egwalker"
 )
+
+// frameConn is a PeerConn that reads in and writes to out.
+func frameConn(in []byte, out *bytes.Buffer) *PeerConn {
+	return NewPeerConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(in), out})
+}
+
+// resend writes f again through the Send* method of its kind.
+func resend(p *PeerConn, f Frame) error {
+	switch f.Kind {
+	case FrameEvents:
+		return p.SendRaw(f.Raw)
+	case FrameDone:
+		return p.SendDone()
+	case FrameVersion:
+		return p.SendVersion(f.Version)
+	case FrameRedirect:
+		return p.SendRedirect(f.Addrs)
+	default:
+		return p.SendSummary(f.Summary)
+	}
+}
+
+// FuzzRecvFrame: after the hello every frame of a replica link or a
+// redirect-aware client comes from the peer unchecked, so RecvFrame and
+// RecvFrameRaw must never panic on hostile bytes; RecvFrame accepts
+// nothing RecvFrameRaw refuses; and a frame either accepts, sent again
+// through its own Send* and read back, is equal.
+func FuzzRecvFrame(f *testing.F) {
+	d := egwalker.NewDoc("seed")
+	if err := d.Insert(0, "seed corpus"); err != nil {
+		f.Fatal(err)
+	}
+	if err := d.Delete(2, 4); err != nil {
+		f.Fatal(err)
+	}
+	batch, err := egwalker.MarshalEventsCompact(d.Events())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, send := range []func(p *PeerConn) error{
+		func(p *PeerConn) error { return p.SendRedirect([]string{"127.0.0.1:4222", "node-b:4232"}) },
+		func(p *PeerConn) error { return p.SendVersion(d.Version()) },
+		func(p *PeerConn) error { return p.SendSummary(d.Summary()) },
+		func(p *PeerConn) error { return p.SendRaw(batch) },
+	} {
+		var out bytes.Buffer
+		if err := send(frameConn(nil, &out)); err != nil {
+			f.Fatal(err)
+		}
+		frame := out.Bytes()
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+		f.Add(frame[:5+(len(frame)-5)/2])
+		for _, at := range []int{4, 5, len(frame) / 2, len(frame) - 1} {
+			flipped := bytes.Clone(frame)
+			flipped[at] ^= 0x04
+			f.Add(flipped)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw, rawErr := frameConn(data, nil).RecvFrameRaw()
+		full, err := frameConn(data, nil).RecvFrame()
+		if err == nil && rawErr != nil {
+			t.Fatalf("RecvFrame accepted a frame RecvFrameRaw refused: %v", rawErr)
+		}
+		for _, got := range []struct {
+			f   Frame
+			err error
+			raw bool
+		}{{raw, rawErr, true}, {full, err, false}} {
+			if got.err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := resend(frameConn(nil, &out), got.f); err != nil {
+				t.Fatalf("re-sending an accepted frame of kind %d: %v", got.f.Kind, err)
+			}
+			back := frameConn(out.Bytes(), nil)
+			recv := back.RecvFrame
+			if got.raw {
+				recv = back.RecvFrameRaw
+			}
+			if again, err := recv(); err != nil || !reflect.DeepEqual(again, got.f) {
+				t.Fatalf("frame of kind %d read back as %+v, %v; want %+v", got.f.Kind, again, err, got.f)
+			}
+		}
+	})
+}
 
 // FuzzUnmarshal: Unmarshal must never panic, and events it accepts must
 // be safely appliable (Apply may buffer or error, never crash).
