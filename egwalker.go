@@ -618,15 +618,12 @@ func (d *Doc) linearExtension(from causal.LV) bool {
 // Merge pulls everything other has that d lacks. Both documents are
 // unchanged except d gaining events.
 func (d *Doc) Merge(other *Doc) error {
-	// Compute what d is missing: ask other for events since d's version,
-	// restricted to events other actually knows.
-	known := Version{}
-	for _, id := range d.Version() {
-		if other.log.Graph.HasID(causal.RawID{Agent: id.Agent, Seq: id.Seq}) {
-			known = append(known, id)
-		}
+	// What other holds past d's version is exactly what d lacks when other
+	// knows that version; when it does not, d's summary says what d has.
+	evs, err := other.EventsSince(d.Version())
+	if err != nil {
+		evs, err = other.EventsSinceSummary(d.Summary())
 	}
-	evs, err := other.EventsSince(known)
 	if err != nil {
 		return err
 	}
@@ -642,34 +639,33 @@ func (d *Doc) TextAt(v Version) (string, error) {
 		return "", err
 	}
 	_, inV := d.log.Graph.DiffInto(nil, f, nil, nil)
-	// The sub-log receives the events of inV in order, so an event's LV
-	// there is its rank in inV: the length of the spans before its own
-	// (before[i] for inV[i]) plus its offset into it.
-	before := make([]causal.LV, len(inV))
-	for i := 1; i < len(inV); i++ {
-		before[i] = before[i-1] + causal.LV(inV[i-1].Len())
-	}
 	sub := oplog.New()
-	var addErr error
+	var ids []causal.RawID
 	var parents []causal.LV
 	for _, sp := range inV {
 		// Copy run-at-a-time so the sub-log keeps the run-length encoding
 		// (and its replay stays on the span-wise path). Runs are clipped
 		// to graph entries: within one entry the events are by one agent
-		// with consecutive seqs, each parented on its predecessor.
-		d.log.Graph.EachEntryIn(sp, func(entry causal.Span, agent string, seq int, ps []causal.LV) bool {
-			parents = parents[:0]
-			for _, p := range ps {
-				i := sort.Search(len(inV), func(i int) bool { return inV[i].End > p })
-				if i == len(inV) || p < inV[i].Start {
-					addErr = fmt.Errorf("egwalker: internal: parent %d outside version", p)
-					return false
-				}
-				parents = append(parents, before[i]+p-inV[i].Start)
+		// with consecutive seqs, each parented on its predecessor. The
+		// sub-log holds every event of the version before the entry, so
+		// the entry's parents are found there by ID.
+		for w := d.log.Graph.EntriesIn(sp); ; {
+			entry, id, ps, ok := w.NextIDs(ids)
+			if !ok {
+				break
 			}
+			ids, parents = ps, parents[:0]
+			for _, p := range ps {
+				lv, ok := sub.Graph.LVOf(p)
+				if !ok {
+					return "", fmt.Errorf("egwalker: internal: parent %v outside version", p)
+				}
+				parents = append(parents, lv)
+			}
+			var addErr error
 			d.log.EachRun(entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
 				r := oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content}
-				nsp, err := sub.AddRun(agent, seq+int(lvs.Start-entry.Start), parents, r)
+				nsp, err := sub.AddRun(id.Agent, id.Seq+int(lvs.Start-entry.Start), parents, r)
 				if err != nil {
 					addErr = err
 					return false
@@ -678,10 +674,9 @@ func (d *Doc) TextAt(v Version) (string, error) {
 				parents = append(parents[:0], nsp.End-1)
 				return true
 			})
-			return addErr == nil
-		})
-		if addErr != nil {
-			return "", addErr
+			if addErr != nil {
+				return "", addErr
+			}
 		}
 	}
 	return core.ReplayText(sub)

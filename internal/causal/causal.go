@@ -564,42 +564,15 @@ func (g *Graph) nextSeq(aid int) int {
 	return g.seqEnd(int(idxs[len(idxs)-1]))
 }
 
-// EachEntry calls fn for each run-length entry in storage order. fn
-// receives the span, the agent name, the starting seq, and the parents of
-// the span's first event. Iteration stops if fn returns false.
-func (g *Graph) EachEntry(fn func(span Span, agent string, seqStart int, parents []LV) bool) {
-	g.EachEntryIn(Span{0, g.n}, fn)
-}
-
-// EachEntryIn is EachEntry restricted to the events of sp: fn sees every
-// entry that overlaps sp, clipped to it. An entry clipped at its start
-// begins mid-run, so its first event's sole parent is its predecessor;
-// that one-element parents slice is valid only during the call.
-func (g *Graph) EachEntryIn(sp Span, fn func(span Span, agent string, seqStart int, parents []LV) bool) {
-	var prev [1]LV
-	for w := g.EntriesIn(sp); ; {
-		i, span, ok := w.next()
-		if !ok {
-			return
-		}
-		e, parents := &g.entries[i], g.storedParents(i)
-		if span.Start > LV(e.start) {
-			prev[0] = span.Start - 1
-			parents = prev[:]
-		}
-		if !fn(span, g.agents[e.agent], e.seqStart+int(span.Start)-int(e.start), parents) {
-			return
-		}
-	}
-}
-
-// Entries is EachEntryIn read one entry at a time: each entry that
-// overlaps a span, clipped to it, and its first event's parents, read off
-// the links stored beside them without a search — as wire IDs (NextIDs),
-// for a caller that sends them somewhere, or as Refs (NextRefs), for one
-// that hands them back to the graph. Both append the parents to the
-// caller's buffer, so a walk whose caller keeps that buffer allocates
-// nothing.
+// Entries is a walk of the run-length entries in storage order, one at a
+// time: each entry that overlaps a span, clipped to it, and its first
+// event's parents, read off the links stored beside them without a
+// search — as wire IDs (NextIDs), for a caller that sends them somewhere,
+// or as Refs (NextRefs), for one that hands them back to the graph or
+// reads their LVs. An entry clipped at its start begins mid-run, so its
+// first event's sole parent is its predecessor. Both append the parents
+// to the caller's buffer, so a walk whose caller keeps that buffer
+// allocates nothing.
 type Entries struct {
 	g  *Graph
 	sp Span
@@ -694,7 +667,7 @@ func (g *Graph) EachAgentRun(fn func(agent string, seqStart, seqEnd int) bool) {
 
 // EntrySpanAt returns the maximal run starting at lv such that every event
 // in [lv, end) after the first has its predecessor as sole parent and all
-// belong to one storage entry. Used by replay to batch linear runs.
+// belong to one storage entry. The OT baseline batches linear runs by it.
 func (g *Graph) EntrySpanAt(lv LV) Span {
 	return Span{lv, g.end(g.entryOf(lv))}
 }

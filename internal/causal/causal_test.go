@@ -177,80 +177,6 @@ func TestDiffIdentical(t *testing.T) {
 	}
 }
 
-func TestVersionContains(t *testing.T) {
-	g := fig4(t)
-	cases := []struct {
-		f      Frontier
-		target LV
-		want   bool
-	}{
-		{Frontier{7}, 0, true},
-		{Frontier{7}, 6, true},
-		{Frontier{3}, 4, false},
-		{Frontier{3}, 1, true},
-		{Frontier{6}, 2, false},
-		{Frontier{3, 6}, 2, true},
-		{Frontier{}, 0, false},
-	}
-	for _, c := range cases {
-		if got := g.VersionContains(c.f, c.target); got != c.want {
-			t.Errorf("VersionContains(%v, %d) = %v, want %v", c.f, c.target, got, c.want)
-		}
-	}
-}
-
-func TestConcurrency(t *testing.T) {
-	g := fig4(t)
-	if !g.Concurrent(3, 4) {
-		t.Error("e4 and e5 should be concurrent")
-	}
-	if g.Concurrent(1, 7) {
-		t.Error("e2 and e8 should not be concurrent")
-	}
-	if !g.HappenedBefore(1, 7) {
-		t.Error("e2 → e8 expected")
-	}
-	if g.HappenedBefore(7, 1) {
-		t.Error("e8 → e2 unexpected")
-	}
-}
-
-func TestCommonAncestorVersion(t *testing.T) {
-	g := fig4(t)
-	got := g.CommonAncestorVersion(Frontier{3}, Frontier{6})
-	if !got.Eq(Frontier{1}) {
-		t.Errorf("common ancestor of {3},{6} = %v, want {1}", got)
-	}
-	got = g.CommonAncestorVersion(Frontier{7}, Frontier{6})
-	if !got.Eq(Frontier{6}) {
-		t.Errorf("common ancestor of {7},{6} = %v, want {6}", got)
-	}
-	got = g.CommonAncestorVersion(Frontier{0}, Frontier{2})
-	if !got.Eq(Frontier{0}) {
-		t.Errorf("common ancestor of {0},{2} = %v, want {0}", got)
-	}
-}
-
-func TestAdvanceFrontier(t *testing.T) {
-	g := fig4(t)
-	f := g.Advance(Frontier{}, Span{0, 2})
-	if !f.Eq(Frontier{1}) {
-		t.Fatalf("advance to %v, want {1}", f)
-	}
-	f = g.Advance(f, Span{2, 4})
-	if !f.Eq(Frontier{3}) {
-		t.Fatalf("advance to %v, want {3}", f)
-	}
-	f = g.Advance(f, Span{4, 7})
-	if !f.Eq(Frontier{3, 6}) {
-		t.Fatalf("advance to %v, want {3 6}", f)
-	}
-	f = g.Advance(f, Span{7, 8})
-	if !f.Eq(Frontier{7}) {
-		t.Fatalf("advance to %v, want {7}", f)
-	}
-}
-
 func TestCriticalBoundariesLinear(t *testing.T) {
 	g := New()
 	mustAdd(t, g, "a", 0, 5, nil)
@@ -271,9 +197,6 @@ func TestCriticalBoundariesFig4(t *testing.T) {
 	want := []bool{true, true, false, false, false, false, false, true}
 	if !reflect.DeepEqual(b, want) {
 		t.Errorf("boundaries = %v, want %v", b, want)
-	}
-	if cv := g.CriticalVersions(); !reflect.DeepEqual(cv, []LV{0, 1, 7}) {
-		t.Errorf("critical versions = %v", cv)
 	}
 }
 
@@ -412,7 +335,7 @@ func randomFrontier(rng *rand.Rand, g *Graph) Frontier {
 	for i := range lvs {
 		lvs[i] = LV(rng.Intn(g.Len()))
 	}
-	return Frontier(g.Dominators(lvs))
+	return g.FrontierOf(lvs)
 }
 
 // checkSpanShape fails unless spans are non-empty, ascending, disjoint
@@ -429,9 +352,10 @@ func checkSpanShape(t *testing.T, what string, spans []Span) {
 	}
 }
 
-// checkAlgebra holds Diff, Dominators, VersionContains and
-// CommonAncestorVersion on versions a and b (and the raw set lvs) to the
-// brute-force closure and to the per-event reference traversals.
+// checkAlgebra holds Diff and the dominators on versions a and b (and
+// the raw set lvs) to the brute-force closure and to the per-event
+// reference traversals, in both forms: LVs in (Diff, FrontierOf), and
+// Refs in, as a merge hands them (DiffInto, DominatorsInto).
 func checkAlgebra(t *testing.T, g *Graph, parents [][]LV, a, b Frontier, lvs []LV) {
 	t.Helper()
 	ca, cb := closure(parents, a), closure(parents, b)
@@ -445,9 +369,12 @@ func checkAlgebra(t *testing.T, g *Graph, parents [][]LV, a, b Frontier, lvs []L
 	if refA, refB := refDiff(g, a, b); !reflect.DeepEqual(onlyA, refA) || !reflect.DeepEqual(onlyB, refB) {
 		t.Fatalf("Diff(%v, %v) = %v, %v; per-event reference %v, %v", a, b, onlyA, onlyB, refA, refB)
 	}
+	if gotA, gotB := g.DiffInto(g.Refs(a, nil), g.Refs(b, nil), nil, nil); !reflect.DeepEqual(gotA, onlyA) || !reflect.DeepEqual(gotB, onlyB) {
+		t.Fatalf("DiffInto(%v, %v) = %v, %v; Diff %v, %v", a, b, gotA, gotB, onlyA, onlyB)
+	}
 
 	// Brute force: keep lv unless it is a proper ancestor of another input.
-	dom := g.Dominators(lvs)
+	dom := []LV(g.FrontierOf(lvs))
 	want := map[LV]bool{}
 	for _, lv := range lvs {
 		dominated := false
@@ -461,31 +388,20 @@ func checkAlgebra(t *testing.T, g *Graph, parents [][]LV, a, b Frontier, lvs []L
 		}
 	}
 	if !slices.IsSorted(dom) || len(dom) != len(want) || !setsEqual(spansToSet(singletons(dom)), want) {
-		t.Fatalf("Dominators(%v) = %v, want the set %v ascending", lvs, dom, want)
+		t.Fatalf("FrontierOf(%v) = %v, want the set %v ascending", lvs, dom, want)
 	}
 	if ref := refDominators(g, append([]LV(nil), lvs...)); !slices.Equal(dom, ref) {
-		t.Fatalf("Dominators(%v) = %v; per-event reference %v", lvs, dom, ref)
+		t.Fatalf("FrontierOf(%v) = %v; per-event reference %v", lvs, dom, ref)
 	}
-
-	for lv := LV(0); lv < LV(g.Len()); lv++ {
-		got := g.VersionContains(a, lv)
-		if got != ca[lv] || got != refVersionContains(g, a, lv) {
-			t.Fatalf("VersionContains(%v, %d) = %v, closure says %v", a, lv, got, ca[lv])
+	red := g.DominatorsInto(g.Refs(lvs, nil), nil)
+	got := make([]LV, len(red))
+	for i, r := range red {
+		if got[i] = r.LV; !g.holds(r) {
+			t.Fatalf("DominatorsInto(%v) = %v: %v is not its entry's", lvs, red, r)
 		}
 	}
-
-	common := g.CommonAncestorVersion(a, b)
-	both := map[LV]bool{}
-	for lv := range ca {
-		if cb[lv] {
-			both[lv] = true
-		}
-	}
-	if !setsEqual(closure(parents, common), both) {
-		t.Fatalf("CommonAncestorVersion(%v, %v) = %v: closure is not the intersection", a, b, common)
-	}
-	if ref := refCommonAncestorVersion(g, a, b); !common.Eq(ref) {
-		t.Fatalf("CommonAncestorVersion(%v, %v) = %v; per-event reference %v", a, b, common, ref)
+	if !slices.Equal(got, dom) {
+		t.Fatalf("DominatorsInto(%v) = %v; FrontierOf %v", lvs, got, dom)
 	}
 }
 
@@ -512,12 +428,12 @@ func algebraOnRandomGraphs(t *testing.T, seed int64, minEvents, spread int) {
 	}
 }
 
-func TestDiffMatchesBruteForce(t *testing.T)            { algebraOnRandomGraphs(t, 42, 30, 40) }
-func TestVersionContainsMatchesBruteForce(t *testing.T) { algebraOnRandomGraphs(t, 7, 20, 30) }
-func TestCommonAncestorMatchesBruteForce(t *testing.T)  { algebraOnRandomGraphs(t, 99, 20, 30) }
-func TestDominatorsMatchBruteForce(t *testing.T)        { algebraOnRandomGraphs(t, 555, 20, 20) }
+func TestDiffMatchesBruteForce(t *testing.T)           { algebraOnRandomGraphs(t, 42, 30, 40) }
+func TestGraphAlgebraMatchesBruteForce(t *testing.T)   { algebraOnRandomGraphs(t, 7, 20, 30) }
+func TestCommonAncestorMatchesBruteForce(t *testing.T) { algebraOnRandomGraphs(t, 99, 20, 30) }
+func TestDominatorsMatchBruteForce(t *testing.T)       { algebraOnRandomGraphs(t, 555, 20, 20) }
 
-// TestGraphAlgebraOnLongRuns: the four traversals on graphs whose entries
+// TestGraphAlgebraOnLongRuns: Diff and the dominators on graphs whose entries
 // are long and whose versions sit in the middle of entries, against the
 // closure oracle and the per-event reference, output shape included.
 func TestGraphAlgebraOnLongRuns(t *testing.T) {
@@ -531,7 +447,7 @@ func TestGraphAlgebraOnLongRuns(t *testing.T) {
 		}
 		checkAlgebra(t, g, parents, a, b, lvs)
 		// A version against itself plus one more head, and against the root.
-		checkAlgebra(t, g, parents, a, Frontier(g.Dominators(append(a.Clone(), lvs[0]))), a)
+		checkAlgebra(t, g, parents, a, g.FrontierOf(append(a.Clone(), lvs[0])), a)
 		checkAlgebra(t, g, parents, Root, b, nil)
 	}
 }
@@ -580,7 +496,7 @@ func FuzzGraphAlgebra(f *testing.F) {
 			return lvs
 		}
 		la, lb := pick(), pick()
-		checkAlgebra(t, g, b.parents, Frontier(g.Dominators(la)), Frontier(g.Dominators(lb)), append(la, lb...))
+		checkAlgebra(t, g, b.parents, g.FrontierOf(la), g.FrontierOf(lb), append(la, lb...))
 		if got, want := g.CriticalBoundaries(), refCriticalBoundaries(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("CriticalBoundaries = %v, per-event reference %v", got, want)
 		}
@@ -607,16 +523,13 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 		}
 		return testing.AllocsPerRun(100, func() {
 			g.Diff(a, b)
-			if !g.VersionContains(b, 3) || g.VersionContains(b, 12) {
-				t.Fatal("VersionContains wrong")
-			}
-			if d := g.Dominators([]LV{a[0], b[0], 5}); len(d) != 2 {
-				t.Fatalf("Dominators = %v", d)
+			if d := g.FrontierOf([]LV{a[0], b[0], 5}); len(d) != 2 {
+				t.Fatalf("FrontierOf = %v", d)
 			}
 		})
 	}
 	near, far := allocs(1000), allocs(10000)
-	// One result slice per side of Diff, one for Dominators.
+	// One result slice per side of Diff, one for FrontierOf.
 	if near != far || near > 3 {
 		t.Fatalf("allocations per run: %v with heads 1 000 events apart, %v at 10 000; want equal and at most 3", near, far)
 	}
@@ -627,7 +540,7 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 	// It searches for the entries of the heads it is given — one lookup
 	// each — and hops from entry to entry along the stored links, where
 	// every hop used to be a binary search.
-	searches := func(turns int) (diff, dom, contains uint64) {
+	searches := func(turns int) (diff, dom uint64) {
 		g := New()
 		var tips [2]LV
 		mustAdd(t, g, "a", 0, 5, nil)
@@ -658,15 +571,10 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 			t.Fatalf("Diff from the tip to the base: %d events, %d spans the other way", walked, len(onlyB))
 		}
 		before = g.Searches()
-		if d := g.Dominators([]LV{tips[0], tips[1], 7, 3}); len(d) != 2 {
-			t.Fatalf("Dominators = %v", d)
+		if d := g.FrontierOf([]LV{tips[0], tips[1], 7, 3}); len(d) != 2 {
+			t.Fatalf("FrontierOf = %v", d)
 		}
 		dom = g.Searches() - before
-		before = g.Searches()
-		if !g.VersionContains(a, 1) || !g.HappenedBefore(6, tips[1]) {
-			t.Fatal("ancestry wrong")
-		}
-		contains = g.Searches() - before
 		// Handed the entries, found by number as a merge finds them, the
 		// same walks make no search at all.
 		ref := func(lv LV) Ref {
@@ -688,12 +596,12 @@ func TestDiffCostIsPerEntry(t *testing.T) {
 		if !reflect.DeepEqual(gotA, onlyA) || len(gotB) != 0 || len(doms) != 2 || doms[0] != ref(doms[0].LV) || doms[1] != ref(doms[1].LV) {
 			t.Errorf("%d turns: DiffInto = %v %v, Diff %v; DominatorsInto = %v", turns, gotA, gotB, onlyA, doms)
 		}
-		return diff, dom, contains
+		return diff, dom
 	}
 	for _, turns := range []int{40, 400} {
-		diff, dom, contains := searches(turns)
-		if diff != 2 || dom != 4 || contains != 2 {
-			t.Errorf("%d turns: %d entry searches in Diff of two heads, %d in Dominators of four events, %d in two ancestry queries; want 2, 4 and 2", turns, diff, dom, contains)
+		diff, dom := searches(turns)
+		if diff != 2 || dom != 4 {
+			t.Errorf("%d turns: %d entry searches in Diff of two heads, %d in FrontierOf of four events; want 2 and 4", turns, diff, dom)
 		}
 	}
 }
@@ -809,10 +717,11 @@ func TestCriticalSince(t *testing.T) {
 				t.Fatalf("iter %d: CriticalFrom(%d) lowest parent %d (%d capped at from-1), want %d", iter, from, minParent, m, wantMin)
 			}
 			overlapping := 0
-			g.EachEntryIn(Span{from, LV(g.Len())}, func(Span, string, int, []LV) bool {
-				overlapping++
-				return true
-			})
+			for w := g.EntriesIn(Span{from, LV(g.Len())}); ; overlapping++ {
+				if _, _, _, ok := w.NextRefs(nil); !ok {
+					break
+				}
+			}
 			if visited > overlapping {
 				t.Fatalf("iter %d: CriticalFrom(%d) visited %d entries, only %d reach past it", iter, from, visited, overlapping)
 			}
@@ -909,39 +818,58 @@ func TestSeqRun(t *testing.T) {
 	}
 }
 
-func TestEachEntryIn(t *testing.T) {
+// TestEntriesIn: the entry walk on Figure 4, whole and clipped mid-entry
+// at both ends, read as wire IDs (NextIDs) and as Refs (NextRefs).
+func TestEntriesIn(t *testing.T) {
 	g := fig4(t)
 	type seen struct {
 		span    Span
-		agent   string
-		seq     int
-		parents []LV
+		id      RawID
+		parents []RawID
+		last    LV
+		refs    []LV
 	}
 	collect := func(sp Span) []seen {
 		var out []seen
-		g.EachEntryIn(sp, func(span Span, agent string, seqStart int, parents []LV) bool {
-			out = append(out, seen{span, agent, seqStart, append([]LV(nil), parents...)})
-			return true
-		})
-		return out
+		for ids, refs := g.EntriesIn(sp), g.EntriesIn(sp); ; {
+			span, id, parents, ok := ids.NextIDs(nil)
+			rspan, last, rparents, rok := refs.NextRefs(nil)
+			if ok != rok || rspan != span {
+				t.Fatalf("EntriesIn(%v): NextIDs gave %v %v, NextRefs %v %v", sp, span, ok, rspan, rok)
+			}
+			if !ok {
+				return out
+			}
+			s := seen{span: span, id: id, parents: parents, last: last.LV}
+			for _, r := range rparents {
+				if !g.holds(r) {
+					t.Fatalf("EntriesIn(%v): parent %v is not its entry's", sp, r)
+				}
+				s.refs = append(s.refs, r.LV)
+			}
+			if !g.holds(last) {
+				t.Fatalf("EntriesIn(%v): last %v is not its entry's", sp, last)
+			}
+			out = append(out, s)
+		}
 	}
 	if got := collect(Span{3, 3}); got != nil {
 		t.Errorf("empty span visited %v", got)
 	}
-	// Whole graph: exactly EachEntry.
-	var all []seen
-	g.EachEntry(func(span Span, agent string, seqStart int, parents []LV) bool {
-		all = append(all, seen{span, agent, seqStart, append([]LV(nil), parents...)})
-		return true
-	})
-	if got := collect(Span{0, LV(g.Len())}); !reflect.DeepEqual(got, all) {
-		t.Errorf("full span: %v, want %v", got, all)
-	}
-	// Clipped at both ends: B's entry from its second event, A's second
-	// entry cut after two.
 	want := []seen{
-		{Span{3, 4}, "B", 1, []LV{2}},
-		{Span{4, 6}, "A", 2, []LV{1}},
+		{Span{0, 2}, RawID{"A", 0}, nil, 1, nil},
+		{Span{2, 4}, RawID{"B", 0}, []RawID{{"A", 1}}, 3, []LV{1}},
+		{Span{4, 7}, RawID{"A", 2}, []RawID{{"A", 1}}, 6, []LV{1}},
+		{Span{7, 8}, RawID{"B", 2}, []RawID{{"B", 1}, {"A", 4}}, 7, []LV{3, 6}},
+	}
+	if got := collect(Span{0, LV(g.Len())}); !reflect.DeepEqual(got, want) {
+		t.Errorf("full span: %v, want %v", got, want)
+	}
+	// Clipped at both ends: B's entry from its second event, whose parent
+	// is its predecessor in the entry, A's second entry cut after two.
+	want = []seen{
+		{Span{3, 4}, RawID{"B", 1}, []RawID{{"B", 0}}, 3, []LV{2}},
+		{Span{4, 6}, RawID{"A", 2}, []RawID{{"A", 1}}, 5, []LV{1}},
 	}
 	if got := collect(Span{3, 6}); !reflect.DeepEqual(got, want) {
 		t.Errorf("clipped span: %v, want %v", got, want)

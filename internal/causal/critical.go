@@ -108,17 +108,3 @@ func (g *Graph) CriticalFrom(from LV, buf []Span) (runs []Span, minParent LV, vi
 	slices.Reverse(desc)
 	return desc, minParent, visited
 }
-
-// CriticalVersions returns the LVs whose singleton versions are critical,
-// ascending. Equivalent to collecting the true indices of
-// CriticalBoundaries.
-func (g *Graph) CriticalVersions() []LV {
-	b := g.CriticalBoundaries()
-	var out []LV
-	for i, ok := range b {
-		if ok {
-			out = append(out, LV(i))
-		}
-	}
-	return out
-}

@@ -6,12 +6,12 @@ import (
 )
 
 // This file implements the version-set algebra the Eg-walker tracker
-// depends on: Diff (the retreat/advance set computation from §3.2),
-// Dominators (transitive reduction of version sets), and ancestry queries.
-// All of them use a bounded max-heap traversal over the DAG: because LVs
-// are assigned in topological order, walking LVs in descending order
-// visits descendants before ancestors, so traversals can stop as soon as
-// the remaining work is known to be shared/irrelevant.
+// depends on: Diff (the retreat/advance set computation from §3.2) and
+// DominatorsInto (transitive reduction of version sets). Both use a
+// bounded max-heap traversal over the DAG: because LVs are assigned in
+// topological order, walking LVs in descending order visits descendants
+// before ancestors, so traversals can stop as soon as the remaining work
+// is known to be shared/irrelevant.
 
 // flag tags a heap entry with which side(s) of a traversal reached it.
 type flag uint8
@@ -83,7 +83,7 @@ func (h lvHeap) drop() lvHeap {
 // which the graph stored beside it. A walk therefore costs one heap
 // operation per entry it touches, however many events the entries cover,
 // and no search: the versions it starts from come as Refs, and the forms
-// that take LVs search once for each head (Refs).
+// that take LVs (Diff, FrontierOf) search once for each head (Refs).
 
 // pushHeads adds a visit on behalf of f for each of heads.
 func (g *Graph) pushHeads(h lvHeap, heads []Ref, f flag) lvHeap {
@@ -200,27 +200,12 @@ func (g *Graph) diffDesc(a, b []Ref, bufA, bufB []Span) (descA, descB []Span) {
 	return desc[flagA], desc[flagB]
 }
 
-// Dominators reduces a set of events to its minimal dominating subset:
-// any event that is an ancestor of another element is dropped, as are
-// duplicates. The result is sorted ascending. Dominators(nil) is nil.
-func (g *Graph) Dominators(lvs []LV) []LV {
-	if len(lvs) == 0 {
-		return nil
-	}
-	var in, doms [4]Ref
-	red := g.DominatorsInto(g.Refs(lvs, in[:0]), doms[:0])
-	out := make([]LV, len(red))
-	for i, r := range red {
-		out[i] = r.LV
-	}
-	return out
-}
-
-// DominatorsInto is Dominators for a caller that holds the events as
-// Refs, and so costs no search, with the result built in buf, which is
-// overwritten from its start, grown as append grows it, and must not
-// overlap refs: a caller that only reads the result, or copies it, keeps
-// buf on its stack.
+// DominatorsInto reduces a set of events, held as Refs, to its minimal
+// dominating subset: any event that is an ancestor of another element is
+// dropped, as are duplicates. The result is sorted ascending and built in
+// buf, which is overwritten from its start, grown as append grows it, and
+// must not overlap refs: a caller that only reads the result, or copies
+// it, keeps buf on its stack. FrontierOf is the form that takes LVs.
 func (g *Graph) DominatorsInto(refs, buf []Ref) []Ref {
 	out := buf[:0] // collected descending
 	if len(refs) < 2 {
@@ -269,111 +254,4 @@ func (g *Graph) DominatorsInto(refs, buf []Ref) []Ref {
 	}
 	slices.Reverse(out)
 	return out
-}
-
-// VersionContains reports whether the event at target is within the
-// version denoted by frontier (i.e. target is in Events(frontier)).
-func (g *Graph) VersionContains(frontier Frontier, target LV) bool {
-	var hbuf [8]heapEnt
-	h := lvHeap(hbuf[:0])
-	for _, lv := range frontier {
-		if lv == target {
-			return true
-		}
-		if lv > target {
-			h = h.push(lv, uint32(g.entryOf(lv)), flagA)
-		}
-	}
-	return g.reaches(h, target)
-}
-
-// reaches reports whether target is an ancestor of a visit pending in h.
-// Every pending LV is above target, so the entry holding one either
-// reaches down to target or lies wholly above it.
-func (g *Graph) reaches(h lvHeap, target LV) bool {
-	for len(h) > 0 {
-		ent := h[0].ent
-		h = h.drop()
-		start := LV(g.entries[ent].start)
-		if start <= target {
-			return true
-		}
-		for len(h) > 0 && h[0].lv >= start {
-			h = h.drop()
-		}
-		lo, hi := g.parentRange(int(ent))
-		for k := lo; k < hi; k++ {
-			p := g.parents[k]
-			if p == target {
-				return true
-			}
-			if p > target {
-				h = h.push(p, g.parentEnts[k], flagA)
-			}
-		}
-	}
-	return false
-}
-
-// HappenedBefore reports whether event a happened before event b (a → b).
-func (g *Graph) HappenedBefore(a, b LV) bool {
-	if a >= b {
-		return false
-	}
-	// Either a is further up b's own entry, or it is reached through the
-	// entry: a visit of the entry's first event, which is above a.
-	ent := uint32(g.entryOf(b))
-	start := LV(g.entries[ent].start)
-	if a >= start {
-		return true
-	}
-	var hbuf [8]heapEnt
-	return g.reaches(lvHeap(hbuf[:0]).push(start, ent, flagA), a)
-}
-
-// Concurrent reports whether events a and b are concurrent (a ∥ b).
-func (g *Graph) Concurrent(a, b LV) bool {
-	return a != b && !g.HappenedBefore(a, b) && !g.HappenedBefore(b, a)
-}
-
-// CommonAncestorVersion returns the greatest version that happened before
-// both a and b: the version whose event set is Events(a) ∩ Events(b).
-// It is returned as a frontier.
-func (g *Graph) CommonAncestorVersion(a, b Frontier) Frontier {
-	// Walk both versions down and keep the highest events reached from
-	// both sides; their dominators are the frontier of the intersection.
-	var refA, refB [4]Ref
-	var hbuf [8]heapEnt
-	h := g.pushHeads(g.pushHeads(hbuf[:0], g.Refs(a, refA[:0]), flagA), g.Refs(b, refB[:0]), flagB)
-	numNotShared := len(a) + len(b)
-	var shared []LV
-	for numNotShared > 0 {
-		lv, ent, f := h[0].lv, h[0].ent, h[0].f
-		h = h.drop()
-		if f != flagShared {
-			numNotShared--
-		}
-		// The first point of the entry, going down, that both sides have
-		// reached is shared, and so is everything below it: what else is
-		// pending inside the entry is dropped, and the walk does not go
-		// on to the entry's parents.
-		for start := LV(g.entries[ent].start); len(h) > 0 && h[0].lv >= start; {
-			lv2, f2 := h[0].lv, h[0].f
-			h = h.drop()
-			if f2 != flagShared {
-				numNotShared--
-			}
-			if f != flagShared {
-				lv, f = lv2, f|f2
-			}
-		}
-		if f == flagShared {
-			shared = append(shared, lv)
-			continue
-		}
-		var pushed int
-		h, pushed = g.pushParents(h, ent, f)
-		numNotShared += pushed
-	}
-	return Frontier(g.Dominators(shared))
 }

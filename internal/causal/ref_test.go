@@ -1,10 +1,12 @@
 package causal
 
-// The per-event traversals Diff, Dominators, VersionContains and
-// CommonAncestorVersion had before they learned to step entry by entry:
-// one heap pop, one entry lookup and one ParentsOf per event. They are
-// kept as the differential reference for the run-length versions — same
-// answers, element for element — next to the brute-force closure oracle.
+import "slices"
+
+// The per-event traversals Diff and the dominators had before they
+// learned to step entry by entry: one heap pop, one entry lookup and one
+// ParentsOf per event. They are kept as the differential reference for
+// the run-length versions — same answers, element for element — next to
+// the brute-force closure oracle.
 
 func refDiff(g *Graph, a, b Frontier) (onlyA, onlyB []Span) {
 	var h lvHeap
@@ -72,6 +74,18 @@ func spansFromDescending(lvs []LV) []Span {
 	return rev
 }
 
+// sortLVs sorts ascending in place and removes duplicates.
+func sortLVs(s []LV) []LV {
+	slices.Sort(s)
+	out := s[:0]
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func refDominators(g *Graph, lvs []LV) []LV {
 	switch len(lvs) {
 	case 0:
@@ -120,75 +134,6 @@ func refDominators(g *Graph, lvs []LV) []LV {
 		}
 	}
 	return sortLVs(out)
-}
-
-func refVersionContains(g *Graph, frontier Frontier, target LV) bool {
-	var h lvHeap
-	for _, lv := range frontier {
-		if lv == target {
-			return true
-		}
-		if lv > target {
-			h = h.push(lv, 0, flagA)
-		}
-	}
-	for len(h) > 0 {
-		lv := h[0].lv
-		h = h.drop()
-		for len(h) > 0 && h[0].lv == lv {
-			h = h.drop()
-		}
-		for _, p := range g.ParentsOf(lv) {
-			if p == target {
-				return true
-			}
-			if p > target {
-				h = h.push(p, 0, flagA)
-			}
-		}
-	}
-	return false
-}
-
-func refCommonAncestorVersion(g *Graph, a, b Frontier) Frontier {
-	var h lvHeap
-	numNotShared := 0
-	push := func(lv LV, f flag) {
-		h = h.push(lv, 0, f)
-		if f != flagShared {
-			numNotShared++
-		}
-	}
-	for _, lv := range a {
-		push(lv, flagA)
-	}
-	for _, lv := range b {
-		push(lv, flagB)
-	}
-	var shared []LV
-	for len(h) > 0 && numNotShared > 0 {
-		lv, f := h[0].lv, h[0].f
-		h = h.drop()
-		if f != flagShared {
-			numNotShared--
-		}
-		for len(h) > 0 && h[0].lv == lv {
-			f2 := h[0].f
-			h = h.drop()
-			if f2 != flagShared {
-				numNotShared--
-			}
-			f |= f2
-		}
-		if f == flagShared {
-			shared = append(shared, lv)
-			continue // ancestors of a shared event are shared
-		}
-		for _, p := range g.ParentsOf(lv) {
-			push(p, f)
-		}
-	}
-	return Frontier(refDominators(g, shared))
 }
 
 // refCriticalBoundaries is the whole-graph computation CriticalBoundaries

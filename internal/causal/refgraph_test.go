@@ -141,7 +141,8 @@ func (g *refGraph) seqEnd(agent string) int {
 	return g.byAgent[aid][len(g.byAgent[aid])-1].seqEnd
 }
 
-// seenEntry is what EachEntry and EachEntryIn report for one entry.
+// seenEntry is one entry of a walk: its span, clipped, the agent and seq
+// of its first event and that event's parents.
 type seenEntry struct {
 	span     Span
 	agent    string
@@ -189,13 +190,22 @@ func (g *refGraph) eachAgentRun() []agentRun {
 	return out
 }
 
-func collectEntries(each func(fn func(Span, string, int, []LV) bool)) []seenEntry {
+// entriesOf reads every entry of g through NextRefs, the agent and seq
+// off the entry's last event.
+func entriesOf(g *Graph) []seenEntry {
 	var out []seenEntry
-	each(func(sp Span, agent string, seq int, ps []LV) bool {
-		out = append(out, seenEntry{sp, agent, seq, slices.Clone(ps)})
-		return true
-	})
-	return out
+	for w := g.EntriesIn(Span{0, LV(g.Len())}); ; {
+		span, last, ps, ok := w.NextRefs(nil)
+		if !ok {
+			return out
+		}
+		aid, seq := g.NumOf(last)
+		e := seenEntry{span, g.agents[aid], seq - span.Len() + 1, nil}
+		for _, p := range ps {
+			e.parents = append(e.parents, p.LV)
+		}
+		out = append(out, e)
+	}
 }
 
 // sameEntries compares two entry lists, a nil parents slice equal to an
@@ -333,18 +343,14 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 			}
 		}
 	}
-	if got, want := collectEntries(g.EachEntry), ref.eachEntryIn(Span{0, n}); !sameEntries(got, want) {
-		t.Fatalf("%s: EachEntry = %v, model %v", at, got, want)
+	if got, want := entriesOf(g), ref.eachEntryIn(Span{0, n}); !sameEntries(got, want) {
+		t.Fatalf("%s: entries %v, model %v", at, got, want)
 	}
-	// Clipped at every offset on small graphs, at random ones on larger.
+	// The walk, whole and clipped at every offset on small graphs, at
+	// random ones on larger: one entry at a time, in wire form and as
+	// Refs, read off the parent links.
 	clip := func(sp Span) {
-		got := collectEntries(func(fn func(Span, string, int, []LV) bool) { g.EachEntryIn(sp, fn) })
 		want := ref.eachEntryIn(sp)
-		if !sameEntries(got, want) {
-			t.Fatalf("%s: EachEntryIn(%v) = %v, model %v", at, sp, got, want)
-		}
-		// The same one entry at a time, in wire form and as Refs, read off
-		// the parent links.
 		k := 0
 		var buf []RawID
 		var refBuf []Ref
@@ -383,6 +389,7 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 			t.Fatalf("%s: EntriesIn(%v) saw %d entries, model %d", at, sp, k, len(want))
 		}
 	}
+	clip(Span{0, n})
 	if n <= 40 {
 		for lo := LV(0); lo <= n; lo++ {
 			for hi := lo; hi <= n+1; hi++ {
@@ -458,8 +465,8 @@ func TestAppendMatchesAdd(t *testing.T) {
 			if errA != nil || errB != nil || la != lb {
 				t.Fatalf("seed %d: Add = %d, %v; Append = %d, %v", seed, la, errA, lb, errB)
 			}
-			if !reflect.DeepEqual(collectEntries(a.EachEntry), collectEntries(b.EachEntry)) || !a.Frontier().Eq(b.Frontier()) {
-				t.Fatalf("seed %d: Append built %v, Add %v", seed, collectEntries(b.EachEntry), collectEntries(a.EachEntry))
+			if !sameEntries(entriesOf(a), entriesOf(b)) || !a.Frontier().Eq(b.Frontier()) {
+				t.Fatalf("seed %d: Append built %v, Add %v", seed, entriesOf(b), entriesOf(a))
 			}
 			// Something concurrent, so that the next frontier has two heads.
 			if a.Len() > 3 {
@@ -488,15 +495,15 @@ func TestAddNumMatchesAdd(t *testing.T) {
 		var perAgent []AgentEntries
 		num := map[string]int{}
 		stored := 0
-		a.EachEntry(func(_ Span, agent string, _ int, parents []LV) bool {
-			if _, ok := num[agent]; !ok {
-				num[agent] = len(perAgent)
-				perAgent = append(perAgent, AgentEntries{Agent: agent})
+		entries := entriesOf(a)
+		for _, e := range entries {
+			if _, ok := num[e.agent]; !ok {
+				num[e.agent] = len(perAgent)
+				perAgent = append(perAgent, AgentEntries{Agent: e.agent})
 			}
-			perAgent[num[agent]].Entries++
-			stored += len(parents)
-			return true
-		})
+			perAgent[num[e.agent]].Entries++
+			stored += len(e.parents)
+		}
 		b := New()
 		b.Reserve(a.Entries(), stored, perAgent)
 		// The numbers are the graph's to give: asked for, not assumed.
@@ -527,8 +534,9 @@ func TestAddNumMatchesAdd(t *testing.T) {
 			}
 			return r
 		}
-		entries, parents := unsafe.SliceData(b.entries), unsafe.SliceData(b.parents)
-		a.EachEntry(func(sp Span, agent string, seq int, ps []LV) bool {
+		entryArr, parentArr := unsafe.SliceData(b.entries), unsafe.SliceData(b.parents)
+		for _, e := range entries {
+			ps := e.parents
 			// With a parent of a parent, now and then: reduced away.
 			if len(ps) > 0 && rng.Intn(3) == 0 {
 				ps = append(slices.Clone(ps), a.ParentsOf(ps[0])...)
@@ -537,16 +545,15 @@ func TestAddNumMatchesAdd(t *testing.T) {
 			for _, p := range ps {
 				refs = append(refs, lookup(p))
 			}
-			lv, err := b.AddNum(agent, num[agent], seq, sp.Len(), refs)
-			if err != nil || lv != sp.Start {
-				t.Fatalf("seed %d: AddNum(%s/%d x%d) = %d, %v; want %d", seed, agent, seq, sp.Len(), lv, err, sp.Start)
+			lv, err := b.AddNum(e.agent, num[e.agent], e.seqStart, e.span.Len(), refs)
+			if err != nil || lv != e.span.Start {
+				t.Fatalf("seed %d: AddNum(%s/%d x%d) = %d, %v; want %d", seed, e.agent, e.seqStart, e.span.Len(), lv, err, e.span.Start)
 			}
-			return true
-		})
-		if !reflect.DeepEqual(collectEntries(a.EachEntry), collectEntries(b.EachEntry)) || !a.Frontier().Eq(b.Frontier()) || !slices.Equal(a.Agents(), b.Agents()) {
-			t.Fatalf("seed %d: AddNum built %v, Add %v", seed, collectEntries(b.EachEntry), collectEntries(a.EachEntry))
 		}
-		if unsafe.SliceData(b.entries) != entries || unsafe.SliceData(b.parents) != parents || b.Bytes() > a.Bytes() {
+		if !sameEntries(entriesOf(a), entriesOf(b)) || !a.Frontier().Eq(b.Frontier()) || !slices.Equal(a.Agents(), b.Agents()) {
+			t.Fatalf("seed %d: AddNum built %v, Add %v", seed, entriesOf(b), entriesOf(a))
+		}
+		if unsafe.SliceData(b.entries) != entryArr || unsafe.SliceData(b.parents) != parentArr || b.Bytes() > a.Bytes() {
 			t.Fatalf("seed %d: the reserved arrays moved, or hold %d B against the %d B of the graph that grew", seed, b.Bytes(), a.Bytes())
 		}
 		for lv := LV(0); lv < LV(a.Len()); lv++ {
@@ -655,7 +662,7 @@ func TestGraphLimits(t *testing.T) {
 	if got, ok := g.LVOf(RawID{"a", huge - 1}); !ok || got != LV(huge-1) {
 		t.Fatalf("LVOf(a/%d) = %d, %v", huge-1, got, ok)
 	}
-	if !g.HappenedBefore(3, LV(g.Len()-1)) || !reflect.DeepEqual(g.ParentsOf(lv), tip) {
+	if before, after := g.Diff(Frontier{3}, Frontier{LV(g.Len() - 1)}); before != nil || len(after) == 0 || !reflect.DeepEqual(g.ParentsOf(lv), tip) {
 		t.Fatal("ancestry across the huge entry is wrong")
 	}
 	if _, err := g.Add("c", 0, 1, nil); err == nil {

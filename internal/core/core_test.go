@@ -428,7 +428,7 @@ func TestEmptyLog(t *testing.T) {
 func TestTransformRangeNoNewEvents(t *testing.T) {
 	l := oplog.New()
 	mustInsert(t, l, "a", nil, 0, "x")
-	if err := TransformRange(l, 1, func(causal.LV, XOp) {
+	if err := new(Walker).TransformRange(l, 1, func(causal.LV, XOp) {
 		t.Fatal("unexpected emit")
 	}); err != nil {
 		t.Fatal(err)

@@ -137,7 +137,8 @@ func TestDifferentialRuns(t *testing.T) {
 }
 
 // TestDifferentialIncremental verifies that span-wise TransformRange in
-// random chunk sizes matches the per-unit reference's full replay.
+// random chunk sizes, each planned by a fresh Walker, matches the per-unit
+// reference's full replay.
 func TestDifferentialIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 8; trial++ {
@@ -161,7 +162,7 @@ func TestDifferentialIncremental(t *testing.T) {
 				return true
 			})
 			var applyErr error
-			if err := TransformRange(inc, next, func(_ causal.LV, op XOp) {
+			if err := new(Walker).TransformRange(inc, next, func(_ causal.LV, op XOp) {
 				if applyErr == nil {
 					applyErr = ApplyXOp(r, op)
 				}

@@ -243,31 +243,17 @@ func (w *Walker) TransformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv c
 	return nil
 }
 
-// TransformRange is Walker.TransformRange planned from scratch: only
-// events from the latest critical version before emitFrom are replayed.
-//
-// TransformRange(l, 0, emit) transforms the entire graph; applying the
-// emitted operations in order to an empty document yields replay(G).
-func TransformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	return new(Walker).TransformRange(l, emitFrom, emit)
+// TransformAll transforms every event in the graph; applying the emitted
+// operations in order to an empty document yields replay(G).
+func TransformAll(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
+	return new(Walker).TransformRange(l, 0, emit)
 }
 
-// TransformRangeUnitRef is TransformRange through the per-unit reference
+// TransformAllUnitRef is TransformAll through the per-unit reference
 // state: one single-unit operation per event (the differential oracle
 // and the "before" configuration of the core benchmarks).
-func TransformRangeUnitRef(l *oplog.Log, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	return (&Walker{unitRef: true}).TransformRange(l, emitFrom, emit)
-}
-
-// TransformAll transforms every event in the graph.
-func TransformAll(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
-	return TransformRange(l, 0, emit)
-}
-
-// TransformAllUnitRef transforms every event through the per-unit
-// reference state.
 func TransformAllUnitRef(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
-	return TransformRangeUnitRef(l, 0, emit)
+	return (&Walker{unitRef: true}).TransformRange(l, 0, emit)
 }
 
 // TransformAllNoOpt replays the entire graph through a single tracker

@@ -5,7 +5,7 @@ package core
 // character, exactly as the algorithm is described in paper §3.2–§3.4
 // before the run-length optimisation of §3.8. The production Tracker
 // (tracker.go) applies whole runs at a time; this implementation is kept
-// as the differential oracle — TransformRangeUnitRef must emit a stream
+// as the differential oracle — TransformAllUnitRef must emit a stream
 // that expands to the same per-unit operations and produces a
 // byte-identical document — and as the "before" configuration of the
 // core benchmarks (cmd/egbench core).
@@ -59,11 +59,22 @@ func (t *unitTracker) items() int { return t.tree.Items() }
 // ApplyRange replays the events in span (storage order), emitting one
 // transformed operation per event at lv >= emitFrom.
 func (t *unitTracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
-	var err error
-	t.log.Graph.EachEntryIn(span, func(run causal.Span, _ string, _ int, parents []causal.LV) bool {
-		if err = t.moveTo(parents); err != nil {
-			return false
+	var rbuf [4]causal.Ref
+	var pbuf [4]causal.LV
+	refs, parents := rbuf[:0], causal.Frontier(pbuf[:0])
+	for w := t.log.Graph.EntriesIn(span); ; {
+		run, _, ps, ok := w.NextRefs(refs)
+		if !ok {
+			return nil
 		}
+		refs, parents = ps, parents[:0]
+		for _, p := range ps {
+			parents = append(parents, p.LV)
+		}
+		if err := t.moveTo(parents); err != nil {
+			return err
+		}
+		var err error
 		t.log.EachOp(run, func(opLV causal.LV, op oplog.Op) bool {
 			e := emit
 			if opLV < emitFrom {
@@ -73,12 +84,10 @@ func (t *unitTracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func
 			return err == nil
 		})
 		if err != nil {
-			return false
+			return err
 		}
 		t.cur = causal.Frontier{run.End - 1}
-		return true
-	})
-	return err
+	}
 }
 
 // moveTo retreats and advances events so the prepare version equals

@@ -116,27 +116,43 @@ func Encode(w io.Writer, l *oplog.Log, opts Options, finalDoc string, deleted ma
 		return true
 	})
 
-	// Column 3: parents. Only entries that break the linear chain.
+	// Column 3: parents, only for entries that break the linear chain.
+	// Column 4: agents, a name table and then (agent, seqStart, len) runs;
+	// an agent's index in the table is its number in the graph.
 	var parents []byte
 	nParents := 0
-	l.Graph.EachEntry(func(span causal.Span, agent string, seqStart int, ps []causal.LV) bool {
-		linear := len(ps) == 1 && ps[0] == span.Start-1
-		if linear {
-			return true
+	type agentRun struct {
+		agent, seq, n int
+	}
+	var runs []agentRun
+	var refs []causal.Ref
+	for w := l.Graph.EntriesIn(full); ; {
+		span, last, ps, ok := w.NextRefs(refs)
+		if !ok {
+			break
+		}
+		refs = ps
+		ai, seq := l.Graph.NumOf(last)
+		seqStart := seq - span.Len() + 1
+		if k := len(runs); k > 0 && runs[k-1].agent == ai && runs[k-1].seq+runs[k-1].n == seqStart {
+			runs[k-1].n += span.Len()
+		} else {
+			runs = append(runs, agentRun{ai, seqStart, span.Len()})
+		}
+		if len(ps) == 1 && ps[0].LV == span.Start-1 {
+			continue
 		}
 		nParents++
 		parents = putUvarint(parents, uint64(span.Start))
 		parents = putUvarint(parents, uint64(len(ps)))
 		for _, p := range ps {
-			parents = putUvarint(parents, uint64(p))
+			parents = putUvarint(parents, uint64(p.LV))
 		}
-		return true
-	})
+	}
 	var parentsHdr []byte
 	parentsHdr = putUvarint(parentsHdr, uint64(nParents))
 	parents = append(parentsHdr, parents...)
 
-	// Column 4: agents. Name table, then (agent, seqStart, len) runs.
 	var agents []byte
 	names := l.Graph.Agents()
 	agents = putUvarint(agents, uint64(len(names)))
@@ -144,23 +160,6 @@ func Encode(w io.Writer, l *oplog.Log, opts Options, finalDoc string, deleted ma
 		agents = putUvarint(agents, uint64(len(n)))
 		agents = append(agents, n...)
 	}
-	nameIdx := make(map[string]int, len(names))
-	for i, n := range names {
-		nameIdx[n] = i
-	}
-	type agentRun struct {
-		agent, seq, n int
-	}
-	var runs []agentRun
-	l.Graph.EachEntry(func(span causal.Span, agent string, seqStart int, ps []causal.LV) bool {
-		ai := nameIdx[agent]
-		if k := len(runs); k > 0 && runs[k-1].agent == ai && runs[k-1].seq+runs[k-1].n == seqStart {
-			runs[k-1].n += span.Len()
-		} else {
-			runs = append(runs, agentRun{ai, seqStart, span.Len()})
-		}
-		return true
-	})
 	agents = putUvarint(agents, uint64(len(runs)))
 	for _, r := range runs {
 		agents = putUvarint(agents, uint64(r.agent))

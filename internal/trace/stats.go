@@ -56,20 +56,24 @@ func Measure(name string, l *oplog.Log) (Stats, error) {
 	inFrontier := make(map[causal.LV]bool)
 	size := 0
 	var sumConc float64
-	l.Graph.EachEntry(func(span causal.Span, agent string, seqStart int, parents []causal.LV) bool {
-		runs++
+	var parents []causal.Ref
+	for w := l.Graph.EntriesIn(causal.Span{Start: 0, End: causal.LV(l.Len())}); ; runs++ {
+		span, last, ps, ok := w.NextRefs(parents)
+		if !ok {
+			break
+		}
+		parents = ps
 		removed := 0
-		for _, p := range parents {
-			if inFrontier[p] {
-				delete(inFrontier, p)
+		for _, p := range ps {
+			if inFrontier[p.LV] {
+				delete(inFrontier, p.LV)
 				removed++
 			}
 		}
 		size += 1 - removed
-		inFrontier[span.End-1] = true
+		inFrontier[last.LV] = true
 		sumConc += float64(size-1) * float64(span.Len())
-		return true
-	})
+	}
 	st.GraphRuns = runs
 	st.AvgConcurrency = sumConc / float64(l.Len())
 

@@ -330,7 +330,7 @@ func genConcurrent(s Spec) (*oplog.Log, error) {
 				if !ok {
 					return nil, fmt.Errorf("trace: undelivered op %d", st.op.ID)
 				}
-				u.frontier = causal.Frontier(l.Graph.Dominators(append(u.frontier.Clone(), lv)))
+				u.frontier = l.Graph.FrontierOf(append(u.frontier.Clone(), lv))
 			}
 			u.delivered++
 		}
@@ -525,7 +525,7 @@ func genAsync(s Spec) (*oplog.Log, error) {
 		for _, h := range heads {
 			merged = append(merged, h...)
 		}
-		mainFrontier = causal.Frontier(l.Graph.Dominators(merged))
+		mainFrontier = l.Graph.FrontierOf(merged)
 	}
 	return l, nil
 }

@@ -148,9 +148,18 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 		return nil, err
 	}
 	var missing []causal.Span
-	d.log.Graph.EachEntry(func(span causal.Span, agent string, seqStart int, parents []causal.LV) bool {
-		ranges := s[agent]
-		lo, hi := seqStart, seqStart+span.Len()
+	// The walk reads each entry's parents too; unused here, they stay in
+	// a buffer on the stack.
+	var pbuf [4]causal.RawID
+	parents := pbuf[:0]
+	for w := d.log.Graph.EntriesIn(causal.Span{Start: 0, End: causal.LV(d.log.Len())}); ; {
+		span, id, ps, ok := w.NextIDs(parents)
+		if !ok {
+			break
+		}
+		parents = ps
+		ranges := s[id.Agent]
+		lo, hi := id.Seq, id.Seq+span.Len()
 		i := sort.Search(len(ranges), func(i int) bool { return ranges[i].End > lo })
 		for lo < hi {
 			if i < len(ranges) && ranges[i].Start <= lo {
@@ -165,7 +174,7 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 			}
 			// Entry follows entry: a stretch the peer lacks that goes on
 			// where the last one stopped is the same stretch.
-			from, to := span.Start+causal.LV(lo-seqStart), span.Start+causal.LV(uncEnd-seqStart)
+			from, to := span.Start+causal.LV(lo-id.Seq), span.Start+causal.LV(uncEnd-id.Seq)
 			if n := len(missing); n > 0 && missing[n-1].End == from {
 				missing[n-1].End = to
 			} else {
@@ -173,7 +182,6 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 			}
 			lo = uncEnd
 		}
-		return true
-	})
+	}
 	return d.eventsIn(missing), nil
 }
