@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
@@ -30,7 +31,7 @@ import (
 func refApply(d *Doc, events []Event) ([]Patch, error) {
 	d.walker = nil
 	d.pending = append(d.pending, events...)
-	emitFrom := causal.LV(d.log.Len())
+	emitFrom, chars := causal.LV(d.log.Len()), len(d.log.Content())
 	var admitErr error
 sweeps:
 	for {
@@ -71,7 +72,7 @@ sweeps:
 			break
 		}
 	}
-	patches, err := d.emit(emitFrom)
+	patches, err := d.emit(emitFrom, chars, true)
 	if admitErr != nil {
 		return patches, admitErr
 	}
@@ -235,12 +236,25 @@ func TestApplyMatchesPerUnitReference(t *testing.T) {
 // applyBoth gives batch to got through Apply and to want through the
 // per-unit reference and holds them to the same outcome: error or not,
 // patches, text, fingerprint, buffer, and the log itself — the same
-// events in the same order in the same spans. It returns the two errors.
+// events in the same order in the same spans. Both sides' patches come
+// from the same emit, so got's are also checked on their own: mirrored
+// onto got's text from before the call, as an editor would, they must
+// give its text after, and an insert's Content must hold its N runes.
+// It returns the two errors.
 func applyBoth(t *testing.T, got, want *Doc, batch []Event) (gotErr, wantErr error) {
 	t.Helper()
 	input := slices.Clone(batch)
+	editor := got.Text()
 	gotPatches, gotErr := got.Apply(batch)
 	wantPatches, wantErr := refApply(want, batch)
+	for _, p := range gotPatches {
+		if p.Insert && utf8.RuneCountInString(p.Content) != p.N {
+			t.Errorf("insert patch %+v: Content holds %d runes", p, utf8.RuneCountInString(p.Content))
+		}
+	}
+	if editor = mirror(t, editor, gotPatches); editor != got.Text() {
+		t.Errorf("patches mirrored give %q, Text() is %q", editor, got.Text())
+	}
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Errorf("Apply error %v, reference %v", gotErr, wantErr)
 	}

@@ -9,6 +9,7 @@ import (
 	"iter"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
@@ -42,7 +43,8 @@ type Event struct {
 // from merging remote events: apply patches in order to mirror the
 // Doc's text in an external editor buffer. A patch covers a whole run
 // of consecutive units: an insert places Content at rune position Pos;
-// a delete removes the N runes at [Pos, Pos+N).
+// a delete removes the N runes at [Pos, Pos+N). One Apply's patches share
+// one string: keeping one keeps all the text that Apply inserted alive.
 type Patch struct {
 	Insert  bool
 	Pos     int
@@ -377,10 +379,13 @@ func (d *Doc) resolveVersion(v Version, refs, buf []causal.Ref) ([]causal.Ref, e
 // and the offending history should be discarded (a well-behaved peer
 // never produces either, so this indicates corruption or a hostile
 // peer).
-func (d *Doc) Apply(events []Event) ([]Patch, error) {
-	emitFrom := causal.LV(d.log.Len())
+func (d *Doc) Apply(events []Event) ([]Patch, error) { return d.merge(events, true) }
+
+// merge is Apply, building the patches only if build is set.
+func (d *Doc) merge(events []Event, build bool) ([]Patch, error) {
+	emitFrom, chars := causal.LV(d.log.Len()), len(d.log.Content())
 	admitErr := d.admit(events)
-	patches, err := d.emit(emitFrom)
+	patches, err := d.emit(emitFrom, chars, build)
 	if admitErr != nil {
 		err = admitErr
 	}
@@ -388,6 +393,49 @@ func (d *Doc) Apply(events []Event) ([]Patch, error) {
 		d.walker.Drop()
 	}
 	return patches, err
+}
+
+// patches is a merge's output, nil if none is wanted: the patches, and one
+// string grown once whose substrings are the inserts' Contents.
+type patches struct {
+	list []Patch
+	runs int // the patches to make room for, when known
+	text strings.Builder
+}
+
+// open readies o for runs patches whose inserts' characters are chars (an
+// invalid rune becomes U+FFFD) and returns it, or nil if build is not set.
+func (o *patches) open(build bool, chars []rune, runs int) *patches {
+	if !build {
+		return nil
+	}
+	n, b := 0, [utf8.UTFMax]byte{}
+	for _, c := range chars {
+		n += len(utf8.AppendRune(b[:0], c))
+	}
+	o.text.Grow(n)
+	o.runs = runs
+	return o
+}
+
+// apply applies op to text and, unless o is nil, appends its patch.
+func (o *patches) apply(text *rope.Rope, op core.XOp) error {
+	if err := core.ApplyXOp(text, op); err != nil || o == nil {
+		return err
+	}
+	if o.list == nil {
+		o.list = make([]Patch, 0, o.runs)
+	}
+	p := Patch{Insert: op.Kind == oplog.Insert, Pos: op.Pos, N: op.N}
+	if p.Insert {
+		from := o.text.Len()
+		for _, c := range op.Content {
+			o.text.WriteRune(c)
+		}
+		p.Content = o.text.String()[from:] // within the room open made: never moved or written again
+	}
+	o.list = append(o.list, p)
+	return nil
 }
 
 // runAt returns the run of operations that starts at events[i], content
@@ -456,12 +504,12 @@ func (d *Doc) admit(events []Event) error {
 // stretch of a run the graph already holds is dropped, a new stretch
 // whose first event's parents are all present is appended to the log
 // whole, and one that must wait is appended to waiting, which is
-// returned. Each costs one lookup of the run's IDs and one of its
-// parents however long it is, by the agents' numbers, and the parents go
-// to the graph with the entries the lookups found. progress reports
-// whether any event left the buffer. An event the log rejects is dropped
-// and ends the sweep with the error; the events after it go to waiting
-// unexamined.
+// returned. Each costs one lookup of the run's IDs, by the agent's number,
+// however long it is; its parents go to the graph as Refs, with no lookup
+// for the last event met that the graph holds (the parent of nearly every
+// stretch) and one for any other. progress reports whether any event left
+// the buffer. An event the log rejects is dropped and ends the sweep with
+// the error; the events after it go to waiting unexamined.
 func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) {
 	g := d.log.Graph
 	// Scratch for one run's parents and characters; the log copies both.
@@ -469,36 +517,35 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 	var cbuf [128]rune
 	parents, content := pbuf[:0], cbuf[:0]
 	var agents agentNums
-	reserved := false // the log has room for the characters of buf
+	last, lastAt, held := EventID{}, causal.Ref{}, false // the last event met that the graph holds
+	reserved := false                                    // the log has room for the characters of buf
 	for i := 0; i < len(buf); {
 		op, j := runAt(buf, i)
 		agent := buf[i].ID.Agent
 		aid := agents.num(g, agent)
-		var prev causal.Ref // of buf[k-1], when the graph holds it
 		for k := i; k < j; {
 			seq := buf[k].ID.Seq
 			at, known, n := g.SeqRun(aid, seq, j-k)
 			if known {
 				progress = true // duplicates: drop
-				prev = causal.Ref{LV: at.LV + causal.LV(n) - 1, Ent: at.Ent}
+				last, lastAt, held = buf[k+n-1].ID, causal.Ref{LV: at.LV + causal.LV(n) - 1, Ent: at.Ent}, true
 				k += n
 				continue
 			}
-			// buf[k:k+n] are new. The first of them hangs on the run's
-			// own parents when it leads the run, else on its predecessor,
-			// which the graph holds (stretches alternate).
+			// buf[k:k+n] are new. The first hangs on its predecessor, the last
+			// event met (stretches alternate), or leads the run.
 			parents = parents[:0]
 			ready := true
-			if k > i {
-				parents = append(parents, prev)
-			} else {
-				for _, p := range buf[i].Parents {
-					pat, has, _ := g.SeqRun(agents.num(g, p.Agent), p.Seq, 1)
-					if ready = has; !ready {
-						break
-					}
-					parents = append(parents, pat)
+			for _, p := range buf[k].Parents {
+				if held && p.Seq == last.Seq && p.Agent == last.Agent {
+					parents = append(parents, lastAt)
+					continue
 				}
+				pat, has, _ := g.SeqRun(agents.num(g, p.Agent), p.Seq, 1)
+				if ready = has; !ready {
+					break
+				}
+				parents = append(parents, pat)
 			}
 			if !ready {
 				waiting = append(waiting, buf[k:k+n]...)
@@ -526,6 +573,7 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 			if _, err := d.log.AddRunNum(agent, aid, seq, parents, r); err != nil {
 				return append(waiting, buf[k+1:]...), true, err
 			}
+			last, lastAt, held = buf[k+n-1].ID, causal.Ref{LV: causal.LV(g.Len() - 1), Ent: uint32(g.Entries() - 1)}, true // the newest event, in the last entry
 			progress = true
 			k += n
 		}
@@ -534,15 +582,14 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 	return waiting, progress, nil
 }
 
-// emit transforms the events admitted since emitFrom and applies them
-// to the text, returning the patches. If it fails part-way, the patches
-// are the ones that were applied.
-func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
+// emit transforms the events admitted since emitFrom (their characters
+// the log's from chars on), applies them to the text and, if build is set,
+// returns the patches. If it fails part-way, they are the ones applied.
+func (d *Doc) emit(emitFrom causal.LV, chars int, build bool) ([]Patch, error) {
 	end := causal.LV(d.log.Len())
 	if emitFrom == end {
 		return nil, nil // nothing admitted
 	}
-	var patches []Patch
 	var applyErr error
 	// Fast path for real-time collaboration: if the document had a
 	// single head and the admitted events linearly extend it, no
@@ -551,46 +598,33 @@ func (d *Doc) emit(emitFrom causal.LV) ([]Patch, error) {
 	// critical then, so a section kept from earlier merges has closed.
 	if d.linearExtension(emitFrom) {
 		d.walker.Drop()
+		var sink patches
+		out := sink.open(build, d.log.Content()[chars:], d.log.RunsFrom(&d.emitted, emitFrom))
 		d.log.EachRunFrom(&d.emitted, causal.Span{Start: emitFrom, End: end},
 			func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
-				n := lvs.Len()
-				if kind == oplog.Insert {
-					if applyErr = d.text.InsertRunes(pos, content); applyErr == nil {
-						patches = append(patches, Patch{Insert: true, Pos: pos, N: n, Content: string(content)})
-					}
-				} else {
-					if dir < 0 {
-						pos -= n - 1 // backspace run: the range ends at pos
-					}
-					if applyErr = d.text.Delete(pos, n); applyErr == nil {
-						patches = append(patches, Patch{Pos: pos, N: n})
-					}
+				if dir < 0 {
+					pos -= lvs.Len() - 1 // backspace run: the range ends at pos
 				}
+				applyErr = out.apply(d.text, core.XOp{Kind: kind, Pos: pos, N: lvs.Len(), Content: content})
 				return applyErr == nil
 			})
-		return patches, applyErr
+		return sink.list, applyErr
 	}
-	// Transform and apply the newly admitted events, span at a time.
+	// Transform and apply the new events span at a time (this sink escapes).
 	if d.walker == nil {
 		d.walker = new(core.Walker)
 	}
+	var sink patches
+	out := sink.open(build, d.log.Content()[chars:], 0)
 	err := d.walker.TransformRange(d.log, emitFrom, func(_ causal.LV, op core.XOp) {
-		if applyErr != nil {
-			return
+		if applyErr == nil {
+			applyErr = out.apply(d.text, op)
 		}
-		if applyErr = core.ApplyXOp(d.text, op); applyErr != nil {
-			return
-		}
-		p := Patch{Insert: op.Kind == oplog.Insert, Pos: op.Pos, N: op.N}
-		if p.Insert {
-			p.Content = string(op.Content)
-		}
-		patches = append(patches, p)
 	})
 	if err == nil {
 		err = applyErr
 	}
-	return patches, err
+	return sink.list, err
 }
 
 // linearExtension reports whether the events in [from, Len) form a
@@ -627,7 +661,7 @@ func (d *Doc) Merge(other *Doc) error {
 	if err != nil {
 		return err
 	}
-	_, err = d.Apply(evs)
+	_, err = d.merge(evs, false)
 	return err
 }
 

@@ -461,6 +461,12 @@ func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, ki
 	c.span = idx
 }
 
+// RunsFrom counts the runs EachRunFrom yields from lv on, leaving c at the first.
+func (l *Log) RunsFrom(c *Cursor, lv causal.LV) int {
+	c.span = l.seek(c, lv)
+	return len(l.spans) - c.span
+}
+
 // Content returns the characters of every insert span back to back, in LV
 // order — the log's arena, capacity capped, which must not be written: the
 // content column of a saved file and the size benchmarks' "raw

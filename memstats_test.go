@@ -6,8 +6,10 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
+	"unicode/utf8"
 )
 
 // latticeDoc returns a document of about events events typed by two
@@ -395,5 +397,146 @@ func TestApplyMovesContentOnce(t *testing.T) {
 	// the arena growing by append it was 157 KB.
 	if alloc > 135<<10 {
 		t.Errorf("the batch allocated %d B; want under 135 KB", alloc)
+	}
+}
+
+// allocsPerMerge returns the objects one call of merge allocates, each
+// call into a replica of its own that fresh made beforehand. The first
+// replica, merged into during the warm-up call, is returned for its state.
+func allocsPerMerge(t *testing.T, fresh func() *Doc, merge func(d *Doc) error) (float64, *Doc) {
+	t.Helper()
+	const runs = 10
+	docs := make([]*Doc, runs+1)
+	for i := range docs {
+		docs[i] = fresh()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := merge(docs[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	return allocs, docs[0]
+}
+
+// TestApplyPatchAllocs: the text one Apply inserts is one string, every
+// insert patch's Content a substring of it, and on the linear path the
+// patches are one slice of their exact length — so what building the
+// patches allocates, counted as what Apply allocates past the same merge
+// with no sink (Merge's), does not grow with how many patches there are.
+// When each patch's Content was a string of its own and the slice grew by
+// append, the 1 000-run batch allocated over a thousand objects more than
+// the 10-run one. A character that is not a valid rune comes out as
+// string([]rune) writes it, U+FFFD.
+func TestApplyPatchAllocs(t *testing.T) {
+	var perBatch []float64
+	for _, runs := range []int{10, 1000} {
+		src := NewDoc("src")
+		for range runs {
+			// Each word goes in before the last one: a run of its own.
+			if err := src.Insert(0, "wörd "); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evs := src.Events()
+		fresh := func() *Doc { return NewDoc("dst") }
+		var patches []Patch
+		apply, got := allocsPerMerge(t, fresh, func(d *Doc) (err error) {
+			patches, err = d.Apply(evs)
+			return err
+		})
+		merge, _ := allocsPerMerge(t, fresh, func(d *Doc) error {
+			_, err := d.merge(evs, false)
+			return err
+		})
+		if len(patches) != runs || got.Text() != src.Text() {
+			t.Fatalf("%d runs: %d patches, text %q", runs, len(patches), got.Text())
+		}
+		t.Logf("%d insert runs: Apply %.0f objects, with no sink %.0f: the patches %.0f", runs, apply, merge, apply-merge)
+		perBatch = append(perBatch, apply-merge)
+	}
+	if perBatch[0] != perBatch[1] {
+		t.Errorf("the patches of 10 runs took %.0f objects, of 1 000 runs %.0f; want the same", perBatch[0], perBatch[1])
+	}
+
+	chars := []rune{'a', -1, 0xD800, 'é', utf8.MaxRune + 1, '漢'}
+	want := string(chars)
+	run := make([]Event, len(chars))
+	for i, c := range chars {
+		run[i] = Event{ID: EventID{Agent: "x", Seq: i}, Insert: true, Pos: i, Content: c}
+		if i > 0 {
+			run[i].Parents = []EventID{{Agent: "x", Seq: i - 1}}
+		}
+	}
+	for _, local := range []string{"", "concurrent "} { // the linear path, the transforming one
+		d := NewDoc("dst")
+		if err := d.Insert(0, local); err != nil {
+			t.Fatal(err)
+		}
+		patches, err := d.Apply(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(patches) != 1 || patches[0].Content != want || patches[0].N != len(chars) {
+			t.Errorf("local text %q: patches %+v; want one insert of %q", local, patches, want)
+		}
+	}
+}
+
+// TestMergeBuildsNoPatches: Merge throws its patches away, so it builds
+// none. It merges what Apply of the same events merges — same text, log
+// and version — with fewer objects, on a linear history and on one that
+// must be transformed.
+func TestMergeBuildsNoPatches(t *testing.T) {
+	base := latticeDoc(t, 1_000)
+	for _, concurrent := range []bool{false, true} {
+		src, err := base.Fork("src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for range 200 {
+			if err := src.Insert(rng.Intn(src.Len()+1), "typed "); err != nil {
+				t.Fatal(err)
+			}
+			if src.Len() > 10 && rng.Intn(3) == 0 {
+				if err := src.Delete(rng.Intn(src.Len()-3), 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fresh := func() *Doc {
+			d, err := base.Fork("dst")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if concurrent {
+				if err := d.Insert(d.Len()/2, "offline"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return d
+		}
+		merge, merged := allocsPerMerge(t, fresh, func(d *Doc) error { return d.Merge(src) })
+		// Merge as it was: the events it asks for, through Apply.
+		apply, applied := allocsPerMerge(t, fresh, func(d *Doc) error {
+			evs, err := src.EventsSince(d.Version())
+			if err != nil {
+				evs, err = src.EventsSinceSummary(d.Summary())
+			}
+			if err == nil {
+				_, err = d.Apply(evs)
+			}
+			return err
+		})
+		t.Logf("concurrent %v: Merge %.0f objects, Apply %.0f", concurrent, merge, apply)
+		if merge >= apply {
+			t.Errorf("concurrent %v: Merge allocated %.0f objects, Apply %.0f; want fewer", concurrent, merge, apply)
+		}
+		if merged.Text() != applied.Text() || !reflect.DeepEqual(merged.Version(), applied.Version()) ||
+			!reflect.DeepEqual(merged.Events(), applied.Events()) {
+			t.Errorf("concurrent %v: Merge and Apply left different documents", concurrent)
+		}
 	}
 }

@@ -256,3 +256,81 @@ func TestIngestBatchJournalOnly(t *testing.T) {
 		t.Fatalf("text after gap ingest = %q, want %q", got, want)
 	}
 }
+
+// TestDematerializeKnowsWhatTheDocHeld: the known-ID set Dematerialize
+// builds from the document's summary holds every event the document did,
+// from several agents in runs that interleave: a re-upload of them is a
+// duplicate, a batch past them is admitted, both without materializing,
+// and the event count is the document's.
+func TestDematerializeKnowsWhatTheDocHeld(t *testing.T) {
+	ds := mustOpen(t, t.TempDir(), "demat", Options{})
+	defer ds.Close()
+	ann, bob := egwalker.NewDoc("ann"), egwalker.NewDoc("bob")
+	for i := range 6 {
+		if err := ann.Insert(ann.Len(), "ann "); err != nil {
+			t.Fatal(err)
+		}
+		if err := bob.Insert(0, "bob "); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := ann.Merge(bob); err != nil {
+				t.Fatal(err)
+			}
+			if err := bob.Merge(ann); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	held := ann.Events()
+	if _, err := ds.Apply(held); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Insert(0, "local "); err != nil {
+		t.Fatal(err)
+	}
+	want := ds.Doc().NumEvents()
+	if err := ds.Dematerialize(); err != nil {
+		t.Fatal(err)
+	}
+	if ds.Materialized() {
+		t.Fatal("Dematerialize left the doc in memory")
+	}
+	if n := ds.NumEvents(); n != want {
+		t.Fatalf("NumEvents after Dematerialize = %d, the document held %d", n, want)
+	}
+
+	raw, err := egwalker.MarshalEventsCompact(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err := ds.IngestBatch(held, raw); err != nil || fresh != 0 {
+		t.Fatalf("re-upload of held events: %d fresh, %v; want 0, nil", fresh, err)
+	}
+	before := ann.Version()
+	if err := ann.Insert(0, "more"); err != nil {
+		t.Fatal(err)
+	}
+	next, err := ann.EventsSince(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = egwalker.MarshalEventsCompact(next); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err := ds.IngestBatch(next, raw); err != nil || fresh != len(next) {
+		t.Fatalf("new batch: %d fresh, %v; want %d, nil", fresh, err, len(next))
+	}
+	if ds.Materialized() {
+		t.Fatal("ingesting after Dematerialize materialized the document")
+	}
+	if n := ds.NumEvents(); n != want+len(next) {
+		t.Fatalf("NumEvents = %d, want %d", n, want+len(next))
+	}
+	if err := ds.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.Doc().NumEvents(); got != want+len(next) {
+		t.Fatalf("materialized document holds %d events, want %d", got, want+len(next))
+	}
+}

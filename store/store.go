@@ -707,10 +707,11 @@ func (s *DocStore) noteReplayLocked() {
 }
 
 // Dematerialize releases the in-memory document, dropping the store
-// back to journal-only mode: the known-ID set is rebuilt from the doc
-// and the doc freed. It refuses (keeping the doc) when in-memory
-// state would be lost — events buffered for missing parents live
-// nowhere else — or when a sticky write error means disk lags the doc.
+// back to journal-only mode: the known-ID set is rebuilt from the doc's
+// summary, a run per agent range, and the doc freed. It refuses
+// (keeping the doc) when in-memory state would be lost — events
+// buffered for missing parents live nowhere else — or when a sticky
+// write error means disk lags the doc.
 func (s *DocStore) Dematerialize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -735,10 +736,13 @@ func (s *DocStore) Dematerialize() error {
 		return err
 	}
 	known := newIDSet()
-	evs := s.doc.Events()
-	known.addEvents(evs)
+	for agent, ranges := range s.doc.Summary() {
+		for _, r := range ranges {
+			known.addRun(agent, r.Start, r.End-r.Start)
+		}
+	}
 	s.known = known
-	s.numEvents = len(evs)
+	s.numEvents = s.doc.NumEvents()
 	s.doc = nil
 	s.persisted = nil
 	s.dematerializedLocked()
