@@ -23,7 +23,7 @@ import (
 	"egwalker"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/colenc fixtures")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files: testdata/colenc fixtures and api/*.txt")
 
 // goldenBatch builds the deterministic event list the batch fixtures
 // encode: two agents typing concurrently, a merge, backspaces, and a

@@ -70,14 +70,10 @@
 // (SaveOptions.Legacy, or anything written before the columnar
 // format) still load via magic sniffing.
 //
-// SaveSince writes just the events newer than a version as a
-// self-delimiting, checksummed delta block, so a saved file can be
-// extended incrementally (ReadDelta/ApplyDelta on the other side)
-// instead of rewritten.
-//
 // Package store builds the durable layer on those primitives: each
-// document gets an append-only, segmented write-ahead log of delta
-// blocks (CRC-protected, torn tails truncated on reopen), periodic
+// document gets an append-only, segmented write-ahead log of
+// CRC-protected blocks, each one event batch (store alone writes and
+// reads the block format; torn tails are truncated on reopen), periodic
 // snapshots via Doc.Save with the final text cached, and compaction
 // that folds sealed segments into a fresh snapshot — steady state on
 // disk is one snapshot plus the active WAL tail. store.Server hosts

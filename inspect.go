@@ -1,14 +1,7 @@
 package egwalker
 
-import (
-	"egwalker/internal/colenc"
-)
-
-// This file exposes cheap structural inspection of compact columnar
-// batches (internal/colenc) for holders of encoded blocks — the store
-// journals uploaded frames verbatim and must learn each block's event
-// IDs and causal dependencies without paying for a full decode — and of
-// what a document's merges cost it.
+// This file reports what a document's merges cost it and what it holds
+// in memory.
 
 // ReplayStats counts what a document's Apply calls did with concurrent
 // sections of the event graph (the stretches between two critical
@@ -67,61 +60,4 @@ func (d *Doc) MemStats() MemStats {
 		TextBytes:     d.text.Bytes(),
 		RetainedItems: d.walker.Stats().RetainedItems,
 	}
-}
-
-// IDRun is a contiguous range of event IDs by one agent: Seq, Seq+1,
-// …, Seq+Len-1.
-type IDRun struct {
-	Agent string
-	Seq   int
-	Len   int
-}
-
-// BatchInfo summarises a compact batch's causal structure: the event
-// IDs it contributes (as runs, in batch order) and the parents it
-// references in external (agent, seq) form.
-type BatchInfo struct {
-	// Events is the batch's event count.
-	Events int
-	// Runs are the batch's event IDs in batch order.
-	Runs []IDRun
-	// ExternalParents are parents encoded by (agent, seq) reference.
-	// Most point outside the batch, but an in-batch parent beyond the
-	// encoder's back-reference window takes this form too — check
-	// membership against Runs as well as prior history.
-	ExternalParents []EventID
-}
-
-// IsCompactBatch reports whether data begins with the compact columnar
-// magic (as opposed to the legacy MarshalEvents encoding).
-func IsCompactBatch(data []byte) bool { return colenc.Sniff(data) }
-
-// InspectBatch validates a compact batch's envelope (magic, flags,
-// checksum, column framing) and decodes only its ID and dependency
-// structure, skipping positions and content. It costs a fraction of
-// UnmarshalEventsAuto and allocates only the BatchInfo it returns.
-//
-// Only compact batches inspect; legacy payloads return an error
-// (decode those with UnmarshalEvents — they are small by construction).
-// InspectBatch succeeding does not guarantee a full decode would: the
-// op and content columns are checksummed but not parsed here.
-func InspectBatch(data []byte) (*BatchInfo, error) {
-	d := colenc.GetDecoder()
-	defer d.Put()
-	bi, err := d.Inspect(data)
-	if err != nil {
-		return nil, err
-	}
-	info := &BatchInfo{Events: bi.NumEvents}
-	info.Runs = make([]IDRun, len(bi.Runs))
-	for i, r := range bi.Runs {
-		info.Runs[i] = IDRun{Agent: r.Agent, Seq: r.Seq, Len: r.Len}
-	}
-	if len(bi.ExternalParents) > 0 {
-		info.ExternalParents = make([]EventID, len(bi.ExternalParents))
-		for i, p := range bi.ExternalParents {
-			info.ExternalParents[i] = EventID{Agent: p.Agent, Seq: p.Seq}
-		}
-	}
-	return info, nil
 }

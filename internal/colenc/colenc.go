@@ -6,8 +6,9 @@
 // log's internal structure and is only usable for full documents),
 // colenc serialises the wire form: an arbitrary causally ordered batch
 // of events. The same frame therefore serves every byte path in the
-// system — full document files (Doc.Save), store snapshots, write-ahead
-// -log delta blocks, and netsync snapshot/catch-up frames.
+// system — full document files (Doc.Save), store snapshots, the
+// payloads of write-ahead-log blocks, and netsync snapshot/catch-up
+// frames.
 //
 // The format is column-oriented and run-length encoded, exploiting the
 // shape of real editing histories:

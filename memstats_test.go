@@ -428,7 +428,7 @@ func allocsPerMerge(t *testing.T, fresh func() *Doc, merge func(d *Doc) error) (
 // When each patch's Content was a string of its own and the slice grew by
 // append, the 1 000-run batch allocated over a thousand objects more than
 // the 10-run one. A character that is not a valid rune comes out as
-// string([]rune) writes it, U+FFFD.
+// string([]rune) writes it, U+FFFD, and takes no more objects.
 func TestApplyPatchAllocs(t *testing.T) {
 	var perBatch []float64
 	for _, runs := range []int{10, 1000} {
@@ -470,16 +470,30 @@ func TestApplyPatchAllocs(t *testing.T) {
 		}
 	}
 	for _, local := range []string{"", "concurrent "} { // the linear path, the transforming one
-		d := NewDoc("dst")
-		if err := d.Insert(0, local); err != nil {
-			t.Fatal(err)
+		fresh := func() *Doc {
+			d := NewDoc("dst")
+			if err := d.Insert(0, local); err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
-		patches, err := d.Apply(run)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var patches []Patch
+		apply, _ := allocsPerMerge(t, fresh, func(d *Doc) (err error) {
+			patches, err = d.Apply(run)
+			return err
+		})
+		merge, _ := allocsPerMerge(t, fresh, func(d *Doc) error {
+			_, err := d.merge(run, false)
+			return err
+		})
 		if len(patches) != 1 || patches[0].Content != want || patches[0].N != len(chars) {
 			t.Errorf("local text %q: patches %+v; want one insert of %q", local, patches, want)
+		}
+		// The string is sized for U+FFFD where a rune is invalid: room
+		// for fewer bytes would grow it a second time.
+		t.Logf("local text %q: the patches of a run with invalid runes %.0f objects", local, apply-merge)
+		if apply-merge != 2 {
+			t.Errorf("local text %q: the patches of a run with invalid runes took %.0f objects; want 2", local, apply-merge)
 		}
 	}
 }

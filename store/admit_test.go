@@ -457,7 +457,7 @@ func TestHostileUploadJournalOnly(t *testing.T) {
 				}
 
 				frame := corruptColumn(t, "mallory", content)
-				if _, err := egwalker.InspectBatch(frame); err != nil {
+				if _, err := colenc.Inspect(frame); err != nil {
 					t.Fatalf("the frame must pass Inspect to test anything: %v", err)
 				}
 				if _, err := egwalker.UnmarshalEventsAuto(frame); err == nil {

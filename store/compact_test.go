@@ -86,7 +86,7 @@ func TestCompactSnapshotJoin(t *testing.T) {
 }
 
 // TestCompactWALBlocksRecover: a large group commit journals columnar
-// delta blocks (visible as the columnar magic inside the segment), and
+// WAL blocks (visible as the columnar magic inside the segment), and
 // a cold reopen replays them identically.
 func TestCompactWALBlocksRecover(t *testing.T) {
 	dir := t.TempDir()

@@ -2,11 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 )
 
 // validSegment builds a well-formed segment from a few edits — the
@@ -30,19 +35,100 @@ func validSegment(tb testing.TB) []byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := egwalker.WriteDelta(&buf, evs); err != nil {
+		blocks, err := encodeBlocks(evs, false)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		buf.Write(bytes.Join(blocks, nil))
 		last = d.Version()
 	}
 	return buf.Bytes()
+}
+
+// blockSeeds are segments of one or two blocks in both encodings — a
+// whole merged history, the part of it one side lacked (parents outside
+// the batch) and an empty batch — with copies cut short and copies with
+// a bit flipped.
+func blockSeeds(tb testing.TB) [][]byte {
+	a := egwalker.NewDoc("alice")
+	if err := a.Insert(0, "shared base, é 🙂"); err != nil {
+		tb.Fatal(err)
+	}
+	b, err := a.Fork("bob")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := b.Version()
+	if err := a.Insert(0, "A: "); err != nil {
+		tb.Fatal(err)
+	}
+	if err := b.Delete(3, 4); err != nil {
+		tb.Fatal(err)
+	}
+	if err := a.Merge(b); err != nil {
+		tb.Fatal(err)
+	}
+	tail, err := a.EventsSince(base)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	block := func(evs []egwalker.Event, compact bool) []byte {
+		blocks, err := encodeBlocks(evs, compact)
+		if err != nil || len(blocks) != 1 {
+			tb.Fatalf("%d blocks: %v", len(blocks), err)
+		}
+		return blocks[0]
+	}
+	var bodies [][]byte
+	for _, evs := range [][]egwalker.Event{a.Events(), tail, nil} {
+		legacy, compact := block(evs, false), block(evs, true)
+		bodies = append(bodies, legacy, compact, slices.Concat(legacy, compact))
+	}
+	header := []byte{'E', 'G', 'W', 'S', segVersion}
+	var seeds [][]byte
+	for _, body := range bodies {
+		seeds = append(seeds, slices.Concat(header, body))
+	}
+	for _, body := range bodies {
+		for _, cut := range []int{1, len(body) / 3, 2 * len(body) / 3, len(body) - 1} {
+			seeds = append(seeds, slices.Concat(header, body[:cut]))
+		}
+		for _, at := range []int{len(body) / 2, len(body) - 1} {
+			flipped := slices.Concat(header, body)
+			flipped[len(header)+at] ^= 0x10
+			seeds = append(seeds, flipped)
+		}
+	}
+	return seeds
+}
+
+// resealed is a copy of a segment with the checksums of its blocks redone
+// — the block's and, in a columnar payload, the frame's — so that a
+// mutation reaches the decoders instead of stopping at a checksum.
+func resealed(data []byte) []byte {
+	out := bytes.Clone(data)
+	for off := segHeaderLen; off < len(out); {
+		n, k := binary.Uvarint(out[off:])
+		if k <= 0 || len(out)-off-k < 4 || uint64(len(out)-off-k-4) < n {
+			break
+		}
+		payload := out[off+k+4 : off+k+4+int(n)]
+		if colenc.Sniff(payload) && len(payload) >= 9 {
+			binary.LittleEndian.PutUint32(payload[5:9], crc32.Checksum(payload[9:], blockCRCTable))
+		}
+		binary.LittleEndian.PutUint32(out[off+k:], crc32.Checksum(payload, blockCRCTable))
+		off += k + 4 + int(n)
+	}
+	return out
 }
 
 // FuzzSegmentReplay: replaySegment must never panic on arbitrary
 // bytes, must accept what it reports as valid (applying the recovered
 // batches to a fresh doc), and truncating a segment at its reported
 // validLen must replay to the same state (the torn-tail repair is a
-// fixed point).
+// fixed point). With the checksums redone, every batch replay accepts
+// must encode again through encodeBlocks, in its block's encoding, into
+// blocks that replay as the same events.
 func FuzzSegmentReplay(f *testing.F) {
 	good := validSegment(f)
 	f.Add(good)
@@ -50,6 +136,9 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add([]byte{})                               // empty file
 	f.Add([]byte{'E', 'G', 'W', 'S', segVersion}) // header only
 	f.Add([]byte("not a segment at all"))
+	for _, seed := range blockSeeds(f) {
+		f.Add(seed)
+	}
 
 	replayTo := func(t *testing.T, path string) (string, int64, bool) {
 		res, err := replaySegment(OSFS{}, path)
@@ -68,7 +157,37 @@ func FuzzSegmentReplay(f *testing.F) {
 		return doc.Text(), res.validLen, true
 	}
 
+	reencodes := func(t *testing.T, data []byte) {
+		res, err := replaySegmentData(data)
+		if err != nil {
+			return
+		}
+		var compact []bool
+		walkSegmentBlocks(data, func(payload []byte) error {
+			compact = append(compact, colenc.Sniff(payload))
+			return nil
+		})
+		for i, evs := range res.batches {
+			blocks, err := encodeBlocks(evs, compact[i])
+			if err != nil {
+				t.Fatalf("replay accepted %d events the writer refuses: %v", len(evs), err)
+			}
+			again, err := replaySegmentData(slices.Concat(data[:segHeaderLen], bytes.Join(blocks, nil)))
+			if err != nil {
+				t.Fatalf("blocks written from accepted events are not a segment: %v", err)
+			}
+			if again.tail != nil {
+				t.Fatalf("blocks written from accepted events do not replay: %v", again.tail)
+			}
+			back := slices.Concat(again.batches...)
+			if len(back) != len(evs) || len(evs) > 0 && !reflect.DeepEqual(back, evs) {
+				t.Fatalf("%d events replay as %d different ones", len(evs), len(back))
+			}
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		reencodes(t, resealed(data))
 		dir := t.TempDir()
 		path := filepath.Join(dir, "wal-00000001.seg")
 		if err := os.WriteFile(path, data, 0o666); err != nil {

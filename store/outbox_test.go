@@ -9,6 +9,7 @@ import (
 
 	"egwalker"
 	"egwalker/internal/bufconn"
+	"egwalker/internal/colenc"
 	"egwalker/internal/metrics"
 	"egwalker/netsync"
 )
@@ -165,7 +166,7 @@ func TestOutboxCoalescesUndecodedFrames(t *testing.T) {
 	}
 	var got []egwalker.Event
 	for _, raw := range drained {
-		if !egwalker.IsCompactBatch(raw) {
+		if !colenc.Sniff(raw) {
 			t.Fatal("a compact peer's merged frame is not compact")
 		}
 		evs, err := egwalker.UnmarshalEventsAuto(raw)

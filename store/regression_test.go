@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 	"egwalker/netsync"
 )
 
@@ -61,7 +62,7 @@ func TestCompactUploadFansOutPerCapability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy subscriber: %v", err)
 	}
-	if egwalker.IsCompactBatch(lraw) {
+	if colenc.Sniff(lraw) {
 		t.Fatal("legacy subscriber received a compact-encoded frame")
 	}
 	ldoc := egwalker.NewDoc("l")
@@ -76,7 +77,7 @@ func TestCompactUploadFansOutPerCapability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compact subscriber: %v", err)
 	}
-	if !egwalker.IsCompactBatch(craw) {
+	if !colenc.Sniff(craw) {
 		t.Fatal("compact subscriber did not receive the uploader's bytes verbatim")
 	}
 	cdoc := egwalker.NewDoc("c")

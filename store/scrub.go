@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 )
 
 // ErrQuarantined reports a document whose on-disk history is damaged:
@@ -156,8 +157,10 @@ func (s *DocStore) Scrub(lim *ScrubLimiter) (ScrubReport, error) {
 			rep.Snapshots++
 			rep.Bytes += int64(len(data))
 			var err error
-			if egwalker.IsCompactBatch(data) {
-				_, err = egwalker.InspectBatch(data)
+			if colenc.Sniff(data) {
+				dec := colenc.GetDecoder()
+				_, err = dec.Inspect(data)
+				dec.Put()
 			} else {
 				_, err = egwalker.Load(bytes.NewReader(data), s.agent)
 			}

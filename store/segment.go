@@ -3,8 +3,10 @@
 // document gets a directory holding
 //
 //   - an append-only, segmented write-ahead log: wal-<seq>.seg files of
-//     CRC-protected delta blocks (egwalker.WriteDelta — the same §3.8
-//     batch encoding used on the network), rotated at a size threshold;
+//     CRC-protected blocks, each one event batch in the §3.8 batch
+//     encoding used on the network, rotated at a size threshold. This
+//     package is the block format's only writer (sealBlock) and only
+//     reader (walkSegmentBlocks);
 //   - snapshots: snap-<seq>.egw files written with Doc.Save
 //     (CacheFinalDoc), where <seq> is the first WAL segment NOT covered
 //     by the snapshot;
@@ -35,7 +37,14 @@ import (
 )
 
 // Segment file layout: a 5-byte header (magic + format version), then
-// zero or more delta blocks appended over time.
+// zero or more blocks appended over time. A block is one checksummed
+// event batch:
+//
+//	uvarint payload length | uint32le CRC32-C of payload | payload
+//
+// The payload is a batch in either encoding, egwalker.MarshalEvents or
+// egwalker.MarshalEventsCompact (colenc.Sniff tells them apart), so the
+// two interleave freely within a segment.
 var segMagic = [4]byte{'E', 'G', 'W', 'S'}
 
 const (
@@ -47,6 +56,75 @@ const (
 // magic or unknown version) — unlike a torn tail, this is never safe to
 // repair by truncation.
 var errBadSegment = errors.New("store: not a WAL segment")
+
+// errCorruptBlock reports a block whose checksum does not match its
+// payload, or whose length prefix no writer produces: the bytes were
+// damaged after being written.
+var errCorruptBlock = errors.New("store: corrupt WAL block")
+
+// errBlockTooLarge reports a batch that encodes past maxBlockPayload.
+var errBlockTooLarge = errors.New("store: WAL block too large")
+
+// maxBlockPayload bounds one block's payload: 16 MiB of encoded events
+// is ~1M events. It equals netsync's frame-payload cap, so a journaled
+// block can be forwarded as one frame and a frame journaled as one
+// block.
+const maxBlockPayload = 16 << 20
+
+var blockCRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+// sealBlock wraps an encoded batch payload in the block envelope. An
+// uploaded frame whose structure was validated is journaled through it
+// verbatim, without re-encoding.
+func sealBlock(payload []byte) ([]byte, error) {
+	if len(payload) > maxBlockPayload {
+		return nil, fmt.Errorf("%w (%d bytes, cap %d)", errBlockTooLarge, len(payload), maxBlockPayload)
+	}
+	block := make([]byte, 0, binary.MaxVarintLen64+4+len(payload))
+	block = binary.AppendUvarint(block, uint64(len(payload)))
+	block = binary.LittleEndian.AppendUint32(block, crc32.Checksum(payload, blockCRCTable))
+	return append(block, payload...), nil
+}
+
+// encodeBlocks encodes a batch as one or more blocks, columnar when
+// compact. It splits first by egwalker.MaxEventsPerBlock and then — for
+// pathological batches whose events are individually huge (maximal
+// agent names, hundreds of external parents) — by halving until every
+// block fits maxBlockPayload, so a legal batch always encodes. Encoding
+// is pure: nothing has been written anywhere when it fails, which tells
+// a rejected batch apart from a torn write.
+func encodeBlocks(events []egwalker.Event, compact bool) ([][]byte, error) {
+	marshal := egwalker.MarshalEvents
+	if compact {
+		marshal = egwalker.MarshalEventsCompact
+	}
+	var blocks [][]byte
+	var emit func(evs []egwalker.Event) error
+	emit = func(evs []egwalker.Event) error {
+		payload, err := marshal(evs)
+		if err != nil {
+			return err
+		}
+		block, err := sealBlock(payload)
+		if errors.Is(err, errBlockTooLarge) && len(evs) > 1 {
+			if err := emit(evs[:len(evs)/2]); err != nil {
+				return err
+			}
+			return emit(evs[len(evs)/2:])
+		}
+		if err != nil {
+			return err
+		}
+		blocks = append(blocks, block)
+		return nil
+	}
+	for _, chunk := range egwalker.ChunkEvents(events) {
+		if err := emit(chunk); err != nil {
+			return nil, err
+		}
+	}
+	return blocks, nil
+}
 
 // writeSegmentHeader starts a fresh segment file.
 func writeSegmentHeader(f File) error {
@@ -63,15 +141,14 @@ type replayResult struct {
 	validLen int64
 	// tail is non-nil when parsing stopped before the end of the file:
 	// the reason the remaining bytes are unusable. A torn tail (crash
-	// mid-append) surfaces io.ErrUnexpectedEOF or
-	// egwalker.ErrCorruptDelta here.
+	// mid-append) surfaces io.ErrUnexpectedEOF or errCorruptBlock here.
 	tail error
 }
 
-// replaySegment scans a segment file's delta blocks. It returns an
-// error only for damage that truncation cannot repair (unreadable file,
-// bad magic); per-block damage is reported via replayResult.tail so the
-// caller can decide whether truncating is appropriate.
+// replaySegment scans a segment file's blocks. It returns an error only
+// for damage that truncation cannot repair (unreadable file, bad magic);
+// per-block damage is reported via replayResult.tail so the caller can
+// decide whether truncating is appropriate.
 func replaySegment(fs FS, path string) (*replayResult, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
@@ -80,33 +157,27 @@ func replaySegment(fs FS, path string) (*replayResult, error) {
 	return replaySegmentData(data)
 }
 
-// replaySegmentData is replaySegment over an already-read byte image.
+// replaySegmentData is replaySegment over an already-read byte image. A
+// checksummed payload that does not decode ends the replay as envelope
+// damage does, through tail.
 func replaySegmentData(data []byte) (*replayResult, error) {
-	if len(data) < segHeaderLen {
-		// Crashing between file creation and header write leaves a short
-		// file; treat as an empty segment with a torn tail.
-		return &replayResult{validLen: 0, tail: fmt.Errorf("store: segment header cut short: %w", io.ErrUnexpectedEOF)}, nil
-	}
-	if string(data[:4]) != string(segMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", errBadSegment, data[:4])
-	}
-	if data[4] != segVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", errBadSegment, data[4])
-	}
-	res := &replayResult{validLen: segHeaderLen}
-	rd := &countingReader{data: data, off: segHeaderLen}
-	for {
-		evs, err := egwalker.ReadDelta(rd)
-		if err == io.EOF {
-			return res, nil
-		}
+	var batches [][]egwalker.Event
+	w, err := walkSegmentBlocks(data, func(payload []byte) error {
+		evs, err := egwalker.UnmarshalEventsAuto(payload)
 		if err != nil {
-			res.tail = err
-			return res, nil
+			return fmt.Errorf("store: block does not decode: %w", err)
 		}
-		res.batches = append(res.batches, evs)
-		res.validLen = int64(rd.off)
+		batches = append(batches, evs)
+		return nil
+	})
+	if w == nil {
+		return nil, err
 	}
+	res := &replayResult{batches: batches, validLen: w.validLen, tail: w.tail}
+	if err != nil {
+		res.tail = err
+	}
+	return res, nil
 }
 
 // blockWalk is what walking a segment's raw blocks yields — the
@@ -120,17 +191,20 @@ type blockWalk struct {
 	tail error
 }
 
-// walkSegmentBlocks walks a segment byte image's delta-block
-// envelopes, verifying each checksum and handing fn the raw payload —
-// the exact batch bytes a writer journaled, without decoding them.
-// This is the zero-materialization scan: block-serving and journal-
-// only recovery read WAL segments through it. The payload slice
-// aliases data and is only valid during the call. A non-nil error from
-// fn aborts the walk and is returned verbatim; envelope damage is
-// reported via blockWalk.tail instead, so callers share replay's
-// torn-tail policy.
+// walkSegmentBlocks walks a segment byte image's block envelopes,
+// verifying each checksum and handing fn the raw payload — the exact
+// batch bytes a writer journaled, without decoding them. Replay decodes
+// each payload it is handed; block-serving and journal-only recovery
+// read WAL segments through it without materializing anything. The
+// payload slice aliases data and is only valid during the call. The
+// walk is nil only when data is not a segment at all. A non-nil error
+// from fn stops the walk and is returned verbatim, with validLen at the
+// start of the block fn refused; envelope damage is reported via
+// blockWalk.tail instead, so callers share replay's torn-tail policy.
 func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, error) {
 	if len(data) < segHeaderLen {
+		// Crashing between file creation and header write leaves a short
+		// file: an empty segment with a torn tail.
 		return &blockWalk{validLen: 0, tail: fmt.Errorf("store: segment header cut short: %w", io.ErrUnexpectedEOF)}, nil
 	}
 	if string(data[:4]) != string(segMagic[:]) {
@@ -146,11 +220,11 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 		n, width := uint64(0), 0
 		for shift := uint(0); ; shift += 7 {
 			if off+width >= len(data) {
-				w.tail = fmt.Errorf("store: torn delta length: %w", io.ErrUnexpectedEOF)
+				w.tail = fmt.Errorf("store: torn block length: %w", io.ErrUnexpectedEOF)
 				return w, nil
 			}
 			if shift >= 64 {
-				w.tail = fmt.Errorf("store: delta length overflow: %w", egwalker.ErrCorruptDelta)
+				w.tail = fmt.Errorf("store: block length overflow: %w", errCorruptBlock)
 				return w, nil
 			}
 			b := data[off+width]
@@ -160,57 +234,30 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 				break
 			}
 		}
-		if n > egwalker.MaxDeltaPayload {
-			w.tail = fmt.Errorf("store: delta block claims %d bytes: %w", n, egwalker.ErrCorruptDelta)
+		if n > maxBlockPayload {
+			// No writer produces blocks past the cap (sealBlock
+			// enforces it), so this is a damaged prefix.
+			w.tail = fmt.Errorf("store: block claims %d bytes: %w", n, errCorruptBlock)
 			return w, nil
 		}
 		blockEnd := off + width + 4 + int(n)
 		if blockEnd > len(data) {
-			w.tail = fmt.Errorf("store: torn delta block: %w", io.ErrUnexpectedEOF)
+			w.tail = fmt.Errorf("store: torn block: %w", io.ErrUnexpectedEOF)
 			return w, nil
 		}
 		crcOff := off + width
 		payload := data[crcOff+4 : blockEnd]
 		if crc32.Checksum(payload, blockCRCTable) != binary.LittleEndian.Uint32(data[crcOff:crcOff+4]) {
-			w.tail = egwalker.ErrCorruptDelta
+			w.tail = fmt.Errorf("store: block checksum mismatch: %w", errCorruptBlock)
 			return w, nil
 		}
 		if err := fn(payload); err != nil {
-			return nil, err
+			return w, err
 		}
 		off = blockEnd
 		w.validLen = int64(off)
 	}
 	return w, nil
-}
-
-// blockCRCTable mirrors the delta-block checksum polynomial
-// (CRC32-C, see egwalker's delta encoding).
-var blockCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// countingReader tracks the offset so replay knows where the last good
-// block ended.
-type countingReader struct {
-	data []byte
-	off  int
-}
-
-func (r *countingReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *countingReader) ReadByte() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
 }
 
 // tornTail reports whether a replay stopped for damage of the kind a
@@ -220,7 +267,7 @@ func (r *countingReader) ReadByte() (byte, error) {
 // impossible but checksummed block is not classified torn: it means a
 // writer bug, and recovery refuses to silently discard it.
 func tornTail(err error) bool {
-	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, egwalker.ErrCorruptDelta)
+	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errCorruptBlock)
 }
 
 // --- document ID <-> directory names --------------------------------------

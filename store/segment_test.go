@@ -1,0 +1,135 @@
+package store
+
+import (
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"slices"
+	"testing"
+
+	"egwalker"
+)
+
+// TestReplayDamageVerdicts holds replaySegmentData to what the reader it
+// replaced (a stream reader of one block at a time, decoding as it went)
+// gave for each kind of damage: the same batches, the same validLen and
+// the same torn-tail verdict. The wants were recorded from that reader.
+// A checksummed payload that does not decode must also come back through
+// tail, as that reader's error did, not as replay's own error.
+func TestReplayDamageVerdicts(t *testing.T) {
+	d := egwalker.NewDoc("alice")
+	if err := d.Insert(0, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	first := d.Events()
+	v := d.Version()
+	if err := d.Insert(5, " world"); err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.EventsSince(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]egwalker.Event{first, second}
+	legacy, err := egwalker.MarshalEvents(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := egwalker.MarshalEventsCompact(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(payload []byte) []byte {
+		b, err := sealBlock(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	header := []byte{'E', 'G', 'W', 'S', segVersion}
+	seg := func(blocks ...[]byte) []byte { return slices.Concat(append([][]byte{header}, blocks...)...) }
+	b0, b1 := seal(legacy), seal(compact)
+	flipped := slices.Clone(b1)
+	flipped[len(flipped)-3] ^= 0x20
+	damagedFrame := slices.Clone(compact)
+	damagedFrame[len(damagedFrame)/2] ^= 0x20
+	overLen := binary.AppendUvarint(nil, maxBlockPayload+1)
+	overLen = append(overLen, 0, 0, 0, 0)
+
+	for _, c := range []struct {
+		name string
+		data []byte
+		// notSegment: replay refuses the file as a whole.
+		notSegment bool
+		// batches is how many of the two batches come back, validLen
+		// where the good part ends, torn whether tornTail(tail).
+		batches  int
+		validLen int64
+		torn     bool
+		// undecodable: a checksummed payload does not decode.
+		undecodable bool
+	}{
+		{name: "whole segment", data: seg(b0, b1), batches: 2, validLen: 100},
+		{name: "header only", data: seg(), validLen: 5},
+		{name: "header cut short", data: header[:3], torn: true},
+		{name: "bad magic", data: append([]byte("EGWX\x01"), b0...), notSegment: true},
+		{name: "bad version", data: append([]byte("EGWS\x02"), b0...), notSegment: true},
+		{name: "torn length prefix", data: seg(b0, []byte{0x80}), batches: 1, validLen: 56, torn: true},
+		{name: "length overflow", data: seg(b0, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}), batches: 1, validLen: 56, torn: true},
+		{name: "oversized length claim", data: seg(b0, overLen), batches: 1, validLen: 56, torn: true},
+		{name: "crc mismatch", data: seg(b0, flipped), batches: 1, validLen: 56, torn: true},
+		{name: "block cut short", data: seg(b0, b1[:len(b1)-2]), batches: 1, validLen: 56, torn: true},
+		{name: "checksum cut short", data: seg(b0, b1[:2]), batches: 1, validLen: 56, torn: true},
+		{name: "payload with a bad op kind", data: seg(b0, seal([]byte("\x01\x01a\x01\x00\x00\x00\x07\x00")), b1), batches: 1, validLen: 56, undecodable: true},
+		{name: "payload that ends between fields", data: seg(b0, seal([]byte("\x01\x01a\x01\x00")), b1), batches: 1, validLen: 56, torn: true, undecodable: true},
+		{name: "payload that ends inside a field", data: seg(b0, seal([]byte("\x01\x01a\x01\x00\x80")), b1), batches: 1, validLen: 56, torn: true, undecodable: true},
+		{name: "empty payload", data: seg(b0, seal(nil), b1), batches: 1, validLen: 56, torn: true, undecodable: true},
+		{name: "columnar payload with a damaged frame", data: seg(b0, seal(damagedFrame), b1), batches: 1, validLen: 56, undecodable: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := replaySegmentData(c.data)
+			if c.notSegment {
+				if err == nil {
+					t.Fatalf("replayed a file that is not a segment: %+v", res)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("replay error %v, want the damage in tail", err)
+			}
+			if len(res.batches) != c.batches || c.batches > 0 && !reflect.DeepEqual(res.batches, batches[:c.batches]) {
+				t.Errorf("%d batches %v, want the first %d", len(res.batches), res.batches, c.batches)
+			}
+			if res.validLen != c.validLen {
+				t.Errorf("validLen %d, want %d", res.validLen, c.validLen)
+			}
+			if tornTail(res.tail) != c.torn {
+				t.Errorf("tornTail(%v) = %v, want %v", res.tail, !c.torn, c.torn)
+			}
+			if c.undecodable && res.tail == nil {
+				t.Error("an undecodable payload left no tail")
+			}
+		})
+	}
+
+	// A block cut anywhere is torn, never corrupt or whole; a bit flipped
+	// anywhere in it is caught.
+	whole := seg(b0)
+	for cut := segHeaderLen + 1; cut < len(whole); cut++ {
+		res, err := replaySegmentData(whole[:cut])
+		if err != nil || len(res.batches) != 0 || res.validLen != segHeaderLen || !errors.Is(res.tail, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d: %v, %d batches, validLen %d, tail %v; want a torn block", cut, err, len(res.batches), res.validLen, res.tail)
+		}
+	}
+	for at := segHeaderLen; at < len(whole); at++ {
+		for bit := range 8 {
+			flipped := slices.Clone(whole)
+			flipped[at] ^= 1 << bit
+			res, err := replaySegmentData(flipped)
+			if err == nil && res.tail == nil {
+				t.Fatalf("bit %d of byte %d flipped: replays as %v", bit, at, res.batches)
+			}
+		}
+	}
+}

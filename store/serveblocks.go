@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"egwalker"
+	"egwalker/internal/colenc"
 )
 
 // BlockCut pins a consistent on-disk view of a document for
@@ -70,7 +70,7 @@ func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) 
 		if err != nil {
 			return sent, err
 		}
-		if !egwalker.IsCompactBatch(data) || int64(len(data)) > egwalker.MaxDeltaPayload {
+		if !colenc.Sniff(data) || len(data) > maxBlockPayload {
 			return sent, fmt.Errorf("store: snapshot %s not servable as a frame", snapName(cut.snapSeq))
 		}
 		if err := send(data); err != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 	"egwalker/netsync"
 )
 
@@ -585,7 +586,7 @@ func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 	// Verbatim forwarding is the zero-copy default; only a compact
 	// payload headed for a legacy peer needs the re-marshal (a legacy
 	// payload is the common decodable-by-everyone denominator).
-	rawCompact := b.raw != nil && egwalker.IsCompactBatch(b.raw)
+	rawCompact := b.raw != nil && colenc.Sniff(b.raw)
 	var verbatim [][]byte
 	if b.raw != nil {
 		verbatim = [][]byte{b.raw}

@@ -22,7 +22,7 @@ import (
 // whose close has not finished).
 var ErrLocked = errors.New("store: document directory is locked by another store")
 
-// compactWALThreshold is the batch size from which journaled delta
+// compactWALThreshold is the batch size from which journaled WAL
 // blocks switch to the compact columnar payload: below it the columnar
 // header outweighs its run-length savings, above it runs dominate.
 const compactWALThreshold = 8
@@ -393,7 +393,7 @@ func (s *DocStore) openActive(segs []uint64, lastRemoved bool) error {
 // and within the frame payload cap.
 func snapshotServable(fs FS, path string) bool {
 	fi, err := fs.Stat(path)
-	if err != nil || fi.Size() > egwalker.MaxDeltaPayload {
+	if err != nil || fi.Size() > maxBlockPayload {
 		return false
 	}
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
@@ -403,11 +403,11 @@ func snapshotServable(fs FS, path string) bool {
 	var magic [4]byte
 	_, rerr := io.ReadFull(f, magic[:])
 	f.Close()
-	return rerr == nil && egwalker.IsCompactBatch(magic[:])
+	return rerr == nil && colenc.Sniff(magic[:])
 }
 
 // recoverJournal brings the store up journal-only: it reads the newest
-// snapshot's ID runs (egwalker.InspectBatch) and puts every later WAL
+// snapshot's ID runs ((*colenc.Decoder).Inspect) and puts every later WAL
 // block through the admission check it passed when it was uploaded
 // (scanBlockPayload) — without ever constructing the document. Any
 // obstacle it cannot vouch for (a legacy-format snapshot, a causal gap,
@@ -429,10 +429,10 @@ func (s *DocStore) recoverJournal() error {
 		if err != nil {
 			return err
 		}
-		if !egwalker.IsCompactBatch(data) {
+		if !colenc.Sniff(data) {
 			return fmt.Errorf("store: snapshot %s is not a compact frame", snapName(seq))
 		}
-		info, err := egwalker.InspectBatch(data)
+		info, err := dec.Inspect(data)
 		if err != nil {
 			return fmt.Errorf("store: snapshot %s: %w", snapName(seq), err)
 		}
@@ -444,10 +444,10 @@ func (s *DocStore) recoverJournal() error {
 				return fmt.Errorf("store: snapshot %s references unknown parent %s/%d", snapName(seq), p.Agent, p.Seq)
 			}
 		}
-		s.numEvents = info.Events
+		s.numEvents = info.NumEvents
 		s.snapSeq = seq
 		s.recovery.SnapshotSeq = seq
-		if int64(len(data)) > egwalker.MaxDeltaPayload {
+		if len(data) > maxBlockPayload {
 			s.blockServable = false
 		}
 	}
@@ -1059,7 +1059,7 @@ func (s *DocStore) journalAppendLocked(b *batch) (int, error) {
 	}
 	var blocks [][]byte
 	if b.raw != nil {
-		if block, err := egwalker.WrapDeltaPayload(b.raw); err == nil {
+		if block, err := sealBlock(b.raw); err == nil {
 			blocks = [][]byte{block}
 		}
 	}
@@ -1068,11 +1068,7 @@ func (s *DocStore) journalAppendLocked(b *batch) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if len(events) >= compactWALThreshold {
-			blocks, err = egwalker.DeltaBlocksCompact(events)
-		} else {
-			blocks, err = egwalker.DeltaBlocks(events)
-		}
+		blocks, err = encodeBlocks(events, len(events) >= compactWALThreshold)
 		if err != nil {
 			return 0, fmt.Errorf("store: encoding WAL batch: %w", err)
 		}
@@ -1112,7 +1108,7 @@ func (s *DocStore) setWerrLocked(err error) {
 }
 
 // commitLocked journals everything the doc knows beyond the persisted
-// version as delta blocks on the active segment, then rotates and
+// version as blocks on the active segment, then rotates and
 // snapshots per policy. Called with s.mu held after every mutation, so
 // the WAL is always a complete journal of the admitted history.
 func (s *DocStore) commitLocked() error {
@@ -1125,19 +1121,12 @@ func (s *DocStore) commitLocked() error {
 		return nil
 	}
 	// Encode first: a batch the codec rejects writes no bytes and does
-	// not poison the store. DeltaBlocks splits by count and, for
-	// pathological event sizes, by bytes, so a legal batch always
-	// encodes. Batches worth run-length-encoding go out as compact
-	// columnar blocks (ReadDelta sniffs per payload, so legacy and
-	// compact blocks interleave freely within a segment); tiny
-	// group commits stay on the legacy codec, whose fixed overhead is
-	// a few bytes rather than the columnar header's ~20.
-	var blocks [][]byte
-	if len(evs) >= compactWALThreshold {
-		blocks, err = egwalker.DeltaBlocksCompact(evs)
-	} else {
-		blocks, err = egwalker.DeltaBlocks(evs)
-	}
+	// not poison the store. Batches worth run-length-encoding go out as
+	// compact columnar blocks (replay sniffs each payload, so legacy and
+	// compact blocks interleave freely within a segment); tiny group
+	// commits stay on the legacy codec, whose fixed overhead is a few
+	// bytes rather than the columnar header's ~20.
+	blocks, err := encodeBlocks(evs, len(evs) >= compactWALThreshold)
 	if err != nil {
 		return fmt.Errorf("store: encoding WAL batch: %w", err)
 	}
@@ -1148,7 +1137,7 @@ func (s *DocStore) commitLocked() error {
 	return s.afterAppendLocked(len(evs))
 }
 
-// appendBlocksLocked writes encoded delta blocks to the active
+// appendBlocksLocked writes encoded blocks to the active
 // segment, poisoning the store on a partial write.
 func (s *DocStore) appendBlocksLocked(blocks [][]byte) error {
 	for _, block := range blocks {

@@ -324,9 +324,9 @@ func TestRemoteApplyJournaled(t *testing.T) {
 	}
 }
 
-func TestSaveSinceDeltaAgainstStore(t *testing.T) {
-	// The WAL frames are egwalker delta blocks: SaveSince output appended
-	// to a segment by hand must replay.
+func TestHandAppendedBlockReplays(t *testing.T) {
+	// A block written from another replica's events and appended to a
+	// segment by hand must replay.
 	root := t.TempDir()
 	ds := mustOpen(t, root, "delta", Options{})
 	if err := ds.Insert(0, "base"); err != nil {
@@ -340,8 +340,12 @@ func TestSaveSinceDeltaAgainstStore(t *testing.T) {
 	if err := other.Insert(other.Len(), " + sideline edits"); err != nil {
 		t.Fatal(err)
 	}
-	var block bytes.Buffer
-	if err := other.SaveSince(&block, base); err != nil {
+	evs, err := other.EventsSince(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := encodeBlocks(evs, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(ds.dir, segName(ds.activeSeq))
@@ -350,7 +354,7 @@ func TestSaveSinceDeltaAgainstStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(block.Bytes()); err != nil {
+	if _, err := f.Write(bytes.Join(blocks, nil)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -358,7 +362,7 @@ func TestSaveSinceDeltaAgainstStore(t *testing.T) {
 	re := mustOpen(t, root, "delta", Options{})
 	defer re.Close()
 	if got, want := re.Text(), other.Text(); got != want {
-		t.Fatalf("hand-appended delta block not replayed: %q, want %q", got, want)
+		t.Fatalf("hand-appended block not replayed: %q, want %q", got, want)
 	}
 }
 
