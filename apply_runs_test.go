@@ -171,6 +171,77 @@ func cut(rng *rand.Rand, events []Event) [][]Event {
 	return out
 }
 
+// refRunAt is runAt as it was before names were compared by identity and
+// insert runs extended in place: names compared by value, every event
+// offered to oplog.Run.Extend.
+func refRunAt(events []Event, i int) (op oplog.Run, j int) {
+	op = oplog.Unit(events[i].Insert, events[i].Pos)
+	for j = i + 1; j < len(events); j++ {
+		ev, prev := &events[j], &events[j-1]
+		if ev.ID.Seq != prev.ID.Seq+1 || len(ev.Parents) != 1 || ev.Parents[0].Seq != prev.ID.Seq ||
+			ev.ID.Agent != prev.ID.Agent || ev.Parents[0].Agent != prev.ID.Agent ||
+			op.Extend(oplog.Unit(ev.Insert, ev.Pos)) == 0 {
+			break
+		}
+	}
+	return op, j
+}
+
+// TestRunAtSplitsAsByValue: runAt splits a batch into the runs refRunAt
+// does, whether the names of its events share their bytes, as a decoded
+// batch's do, or are equal copies (strings.Clone), and however the
+// sequence numbers, parents, kinds and positions break the runs.
+func TestRunAtSplitsAsByValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	names := []string{"ann", "bob", "an", "annx"}
+	for round := 0; round < 2000; round++ {
+		evs := make([]Event, 1+rng.Intn(24))
+		for k := range evs {
+			ev := Event{ID: EventID{Agent: names[rng.Intn(2)], Seq: rng.Intn(3)}, Insert: rng.Intn(3) > 0, Pos: rng.Intn(4), Content: 'x'}
+			if k > 0 && rng.Intn(5) > 0 {
+				// Mostly the next event of the same writer, one step along.
+				prev := evs[k-1]
+				dir := []int{-1, 0, 1}[rng.Intn(3)]
+				if ev.Insert {
+					dir = 1
+				}
+				ev.ID = EventID{Agent: prev.ID.Agent, Seq: prev.ID.Seq + 1}
+				ev.Pos = max(0, prev.Pos+dir)
+				if rng.Intn(10) == 0 {
+					ev.ID.Agent = names[rng.Intn(len(names))]
+				}
+			}
+			if k > 0 {
+				ev.Parents = []EventID{evs[k-1].ID}
+				switch rng.Intn(12) {
+				case 0:
+					ev.Parents[0].Agent = names[rng.Intn(len(names))]
+				case 1:
+					ev.Parents = append(ev.Parents, EventID{Agent: "cy"})
+				}
+			}
+			evs[k] = ev
+		}
+		copied := slices.Clone(evs)
+		for k := range copied {
+			copied[k].ID.Agent = strings.Clone(copied[k].ID.Agent)
+			copied[k].Parents = slices.Clone(copied[k].Parents)
+			for p := range copied[k].Parents {
+				copied[k].Parents[p].Agent = strings.Clone(copied[k].Parents[p].Agent)
+			}
+		}
+		for i := 0; i < len(evs); {
+			want, wantJ := refRunAt(evs, i)
+			for _, b := range [][]Event{evs, copied} {
+				if got, j := runAt(b, i); !reflect.DeepEqual(got, want) || j != wantJ {
+					t.Fatalf("round %d, events %+v from %d: run %+v to %d, want %+v to %d", round, b, i, got, j, want, wantJ)
+				}
+			}
+			i = wantJ
+		}
+	}
+}
+
 func TestApplyMatchesPerUnitReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 40; round++ {

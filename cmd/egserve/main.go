@@ -39,7 +39,10 @@
 // group-commit batch sizes, outbox depths, sever/eviction/resume
 // counters) as JSON on GET /metrics, plus a GET /healthz readiness
 // probe (200 when the process is serving and its WAL directory is
-// writable, 503 otherwise); -metrics-every additionally logs
+// writable, 503 otherwise), and the runtime's profiles under
+// /debug/pprof/ (net/http/pprof: go tool pprof
+// http://HOST:4223/debug/pprof/profile). Bind it to an address only
+// operators can reach. -metrics-every additionally logs
 // the same JSON on an interval. cmd/egload drives this server under
 // configurable workload mixes and folds the endpoint's snapshot into
 // its BENCH_server.json report.
@@ -60,6 +63,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -83,7 +87,7 @@ var (
 	scrubRate   = flag.Int64("scrub-rate", 0, "scrub read budget in bytes/second (0: default 8 MiB/s, negative: unlimited)")
 	outboxPeer  = flag.Int64("outbox-bytes", 0, "queued fan-out bytes one slow subscriber may buffer before coalesce-then-sever (0: default 1 MiB)")
 	outboxTotal = flag.Int64("outbox-total", 0, "queued fan-out bytes across all subscribers — the RSS backstop (0: default 256 MiB)")
-	metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (JSON snapshot), /healthz and /fingerprint?doc=ID on this address (empty: off)")
+	metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (JSON snapshot), /healthz, /fingerprint?doc=ID and /debug/pprof/ on this address, not a public one (empty: off)")
 	metricsLog  = flag.Duration("metrics-every", 0, "log a metrics JSON snapshot on this interval (0: off)")
 
 	clusterPeers = flag.String("cluster", "", "comma-separated full cluster membership (empty: single-node)")
@@ -167,55 +171,12 @@ func main() {
 	log.Printf("listening on %s (data: %s, flush: %v, lru: %d)", ln.Addr(), *dataDir, *flush, *maxOpen)
 
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(srv.MetricsSnapshot()); err != nil {
-				log.Printf("metrics: %v", err)
-			}
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			if err := srv.Healthz(); err != nil {
-				log.Printf("healthz: %v", err)
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			// Quarantined documents degrade the probe without failing
-			// it: the node still serves everything else (and the
-			// salvaged prefixes), so load balancers should keep it, but
-			// operators and the chaos harness can see the damage.
-			if n := srv.QuarantinedCount(); n > 0 {
-				fmt.Fprintf(w, "degraded (quarantined_docs=%d)\n", n)
-				return
-			}
-			fmt.Fprintln(w, "ok")
-		})
-		mux.HandleFunc("/fingerprint", func(w http.ResponseWriter, r *http.Request) {
-			docID := r.URL.Query().Get("doc")
-			if docID == "" {
-				http.Error(w, "missing ?doc=ID", http.StatusBadRequest)
-				return
-			}
-			var fp uint64
-			err := srv.With(docID, func(ds *store.DocStore) error {
-				var err error
-				fp, err = ds.Fingerprint()
-				return err
-			})
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-			fmt.Fprintf(w, "%#x\n", fp)
-		})
 		mln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("metrics on http://%s/metrics", mln.Addr())
-		go http.Serve(mln, mux)
+		go http.Serve(mln, metricsMux(srv))
 	}
 	if *metricsLog > 0 {
 		go func() {
@@ -280,4 +241,61 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("all documents synced")
+}
+
+// metricsMux serves the -metrics-addr endpoints: the metrics snapshot,
+// the readiness probe, a document's fingerprint and, under /debug/pprof/,
+// the runtime's profiles. The profiles show what the process is doing
+// and the fingerprints what it holds, so the address must not be one the
+// public can reach.
+func metricsMux(srv *store.Server) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(srv.MetricsSnapshot()); err != nil {
+			log.Printf("metrics: %v", err)
+		}
+	})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		if err := srv.Healthz(); err != nil {
+			log.Printf("healthz: %v", err)
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		// Quarantined documents degrade the probe without failing
+		// it: the node still serves everything else (and the
+		// salvaged prefixes), so load balancers should keep it, but
+		// operators and the chaos harness can see the damage.
+		if n := srv.QuarantinedCount(); n > 0 {
+			fmt.Fprintf(w, "degraded (quarantined_docs=%d)\n", n)
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/fingerprint", func(w http.ResponseWriter, r *http.Request) {
+		docID := r.URL.Query().Get("doc")
+		if docID == "" {
+			http.Error(w, "missing ?doc=ID", http.StatusBadRequest)
+			return
+		}
+		var fp uint64
+		err := srv.With(docID, func(ds *store.DocStore) error {
+			var err error
+			fp, err = ds.Fingerprint()
+			return err
+		})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintf(w, "%#x\n", fp)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

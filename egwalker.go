@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
@@ -70,10 +71,11 @@ type Doc struct {
 	pending []Event
 	// walker carries the replay planner's state from one Apply to the
 	// next: the internal state of the concurrent section the last merge
-	// ended inside, so that the next merge into it costs its new events
-	// (core/replay.go). Nil until a merge needs it: Load, Fork and TextAt
-	// build documents without one, and a document only ever extended
-	// linearly never has one.
+	// ended inside, so that the next merge into it costs its new events,
+	// or else an emptied tracker for the next section (core/replay.go).
+	// Nil until a merge needs it: Load, Fork and TextAt build documents
+	// without one, and a document only ever extended linearly never has
+	// one.
 	walker *core.Walker
 	// emitted is where the last linear Apply stopped reading the log: the
 	// next one starts there without a search.
@@ -442,18 +444,31 @@ func (o *patches) apply(text *rope.Rope, op core.XOp) error {
 // left out, and the index j it ends before: events[i:j] are one agent's
 // consecutive sequence numbers, each after the first the sole child of
 // its predecessor, and their operations one run-length pattern. Seqs are
-// compared before names.
+// compared before names, and an insert run is extended in place.
 func runAt(events []Event, i int) (op oplog.Run, j int) {
 	op = oplog.Unit(events[i].Insert, events[i].Pos)
 	for j = i + 1; j < len(events); j++ {
 		ev, prev := &events[j], &events[j-1]
 		if ev.ID.Seq != prev.ID.Seq+1 || len(ev.Parents) != 1 || ev.Parents[0].Seq != prev.ID.Seq ||
-			ev.ID.Agent != prev.ID.Agent || ev.Parents[0].Agent != prev.ID.Agent ||
-			op.Extend(oplog.Unit(ev.Insert, ev.Pos)) == 0 {
+			!sameName(ev.ID.Agent, prev.ID.Agent) || !sameName(ev.Parents[0].Agent, prev.ID.Agent) {
+			break
+		}
+		if op.Kind == oplog.Insert {
+			if !ev.Insert || ev.Pos != op.Pos+op.Len {
+				break
+			}
+			op.Len++
+		} else if ev.Insert || op.Extend(oplog.Unit(false, ev.Pos)) == 0 {
 			break
 		}
 	}
 	return op, j
+}
+
+// sameName reports whether a == b, without a call when they share their
+// bytes, as the names of one decoded batch do.
+func sameName(a, b string) bool {
+	return len(a) == len(b) && (unsafe.StringData(a) == unsafe.StringData(b) || a == b)
 }
 
 // agentNums is a sweep's memo of the graph's numbers for the last few

@@ -416,6 +416,72 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
+// TestWalkerKeepsEmptiedTracker: a section that closes lets its state go
+// but not its tracker, which the next call's section reuses, emptied; a
+// tracker that a large section grew past maxKeptBytes is let go with it.
+func TestWalkerKeepsEmptiedTracker(t *testing.T) {
+	l := oplog.New()
+	head, length := causal.Frontier{mustInsert(t, l, "x", nil, 0, "ab").End - 1}, 2
+	// bubble adds n keystrokes of "p" at the front of the text and, at the
+	// same time, n of "q" at its end, and an event of "x" that merges
+	// them: a section from head to a critical version.
+	bubble := func(n int) {
+		ends := make(causal.Frontier, 2)
+		for k, agent := range []string{"p", "q"} {
+			at := head
+			for i := range n {
+				at = causal.Frontier{mustInsert(t, l, agent, at, k*(length+i), agent).End - 1}
+			}
+			ends[k] = at[0]
+		}
+		head, length = causal.Frontier{mustInsert(t, l, "x", ends, 0, "m").End - 1}, length+2*n+1
+	}
+	var w Walker
+	transform := func(from causal.LV) {
+		t.Helper()
+		var got, want []string
+		if err := w.TransformRange(l, from, func(lv causal.LV, op XOp) { got = append(got, fmt.Sprint(lv, op)) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Walker).TransformRange(l, from, func(lv causal.LV, op XOp) { want = append(want, fmt.Sprint(lv, op)) }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("from %d the kept tracker emitted\n%v\na new one\n%v", from, got, want)
+		}
+		if st := w.Stats(); st.RetainedItems != 0 {
+			t.Fatalf("from %d: %d items retained after a section that closed", from, st.RetainedItems)
+		}
+	}
+	var kept sectionTracker
+	for i := range 5 {
+		from := causal.LV(l.Len())
+		bubble(3)
+		transform(from)
+		if w.tr == nil || i > 0 && w.tr != kept {
+			t.Fatalf("call %d: tracker %p, was %p; want the emptied one kept", i, w.tr, kept)
+		}
+		kept = w.tr
+	}
+	if st := w.Stats(); st.SectionsRebuilt != 5 {
+		t.Fatalf("%+v; want 5 sections replayed", st)
+	}
+	// Every keystroke of "p" is a piece of its own: the ID index alone
+	// outgrows the budget.
+	from := causal.LV(l.Len())
+	bubble(maxKeptBytes / 16)
+	transform(from)
+	if w.tr != nil {
+		t.Fatal("a tracker grown past the budget was kept")
+	}
+	from = causal.LV(l.Len())
+	bubble(3)
+	transform(from)
+	if w.tr == nil {
+		t.Fatal("the small section after it kept no tracker")
+	}
+}
+
 // TestEmptyLog replays an empty log.
 func TestEmptyLog(t *testing.T) {
 	l := oplog.New()

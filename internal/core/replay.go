@@ -17,7 +17,7 @@ import (
 //     replayed through a Tracker seeded with a placeholder at the
 //     section's base version; its state is discarded at the section's end
 //     (the next critical version), and the emptied tracker serves the
-//     next section.
+//     next section, in this call or a later one.
 //
 // The paper lets the internal state go at a critical version; it does not
 // ask for it to go any earlier. A call that ends inside a section — the
@@ -40,6 +40,11 @@ import (
 //   - when a call fails: the tracker stopped half-way through an event;
 //   - when the tracker holds more than maxRetainedItems pieces.
 //
+// What is let go is the state, not the storage: the emptied tracker stays
+// in the Walker for the next section, so that a server applying a small
+// bubble per call builds its tracker once, unless what the emptied
+// tracker still holds has outgrown maxKeptBytes.
+//
 // Every Transform* entry point has a *UnitRef twin that drives the
 // per-unit reference state (unitref.go) through the same planner,
 // emitting one single-unit XOp per event. The two configurations must
@@ -50,6 +55,8 @@ import (
 // Tracker and unitTracker implement it.
 type sectionTracker interface {
 	reset(base causal.Frontier, baseUnits int)
+	// clear lets the state go and reports whether the tracker may be kept.
+	clear() bool
 	ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error
 	items() int
 }
@@ -65,6 +72,15 @@ type sectionTracker interface {
 // constant because no caller knows better.
 const maxRetainedItems = 1 << 16
 
+// maxKeptBytes is the most storage an emptied tracker may hold — the
+// tree's one leaf and ID index, the delete index and the scratch arrays,
+// at the capacity the largest section since it was built left them — and
+// still be kept for the next section. 32 KB is a bubble of some hundreds
+// of pieces: what keystrokes typed at once by a few writers make between
+// two merges. A tracker grown past it by a larger bubble is let go with
+// its state, or a document would hold the largest bubble it ever merged.
+const maxKeptBytes = 32 << 10
+
 // WalkerStats counts what the calls made with one Walker did.
 // egwalker.ReplayStats is this struct under its public name.
 type WalkerStats struct {
@@ -77,17 +93,20 @@ type WalkerStats struct {
 }
 
 // Walker is the planner's state between calls: the tracker of the
-// concurrent section the last call ended inside, if it ended inside one.
-// The zero value holds nothing and is ready to use. A Walker serves one
-// log, whose events it must be shown in order: each call's emitFrom is at
-// or after the end of the log at the call before.
+// concurrent section the last call ended inside, if it ended inside one,
+// or else the emptied tracker of the last section, if it was small enough
+// to keep. The zero value holds nothing and is ready to use. A Walker
+// serves one log, whose events it must be shown in order: each call's
+// emitFrom is at or after the end of the log at the call before.
 type Walker struct {
 	tr sectionTracker
 	// open says tr holds the events [start, through) of a section that
 	// was still open when the last call returned; start-1 is its base.
+	// Otherwise tr is nil or empty.
 	open           bool
-	start, through causal.LV
 	unitRef        bool // the per-unit reference state and emission
+	start, through causal.LV
+	base           [1]causal.LV // a section's base, handed to tr without an allocation
 	stats          WalkerStats
 }
 
@@ -105,10 +124,14 @@ func (w *Walker) Stats() WalkerStats {
 }
 
 // Drop lets go of the section kept for the next call, if there is one (a
-// nil Walker keeps none).
+// nil Walker keeps none). The emptied tracker stays for the next section
+// unless its storage has outgrown maxKeptBytes.
 func (w *Walker) Drop() {
-	if w != nil {
-		w.tr, w.open = nil, false
+	if w == nil {
+		return
+	}
+	if w.open = false; w.tr != nil && !w.tr.clear() {
+		w.tr = nil
 	}
 }
 
@@ -213,7 +236,8 @@ func (w *Walker) TransformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv c
 		} else {
 			base, baseUnits := causal.Root, 0 // the document is empty at the root version
 			if i > 0 {
-				base, baseUnits = causal.Frontier{i - 1}, -1
+				w.base[0] = i - 1
+				base, baseUnits = w.base[:], -1
 			}
 			switch {
 			case w.tr != nil:

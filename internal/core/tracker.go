@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/itemtree"
@@ -119,14 +120,25 @@ func NewTracker(l *oplog.Log, base causal.Frontier, baseUnits int) *Tracker {
 // replay that crosses many critical versions reuses one tracker for all
 // of its sections.
 func (t *Tracker) reset(base causal.Frontier, baseUnits int) {
-	t.tree.Reset()
-	t.delRuns = t.delRuns[:0]
-	t.cur = t.log.Graph.Refs(base, t.cur[:0])
+	t.clear()
+	t.cur = t.log.Graph.Refs(base, t.cur)
 	t.end = -1
 	if baseUnits < 0 {
 		baseUnits = infinitePlaceholder
 	}
 	t.tree.InitPlaceholder(baseUnits)
+}
+
+// clear lets the internal state go, keeping the tree's one leaf and ID
+// index and the other arrays, emptied, and reports whether what it keeps
+// is within maxKeptBytes.
+func (t *Tracker) clear() bool {
+	t.tree.Reset()
+	t.delRuns, t.cur, t.parents, t.runBuf = t.delRuns[:0], t.cur[:0], t.parents[:0], t.runBuf[:0]
+	t.diffA, t.diffB = t.diffA[:0], t.diffB[:0]
+	return t.tree.Bytes()+cap(t.delRuns)*int(unsafe.Sizeof(delRun{}))+cap(t.runBuf)*int(unsafe.Sizeof(moveRun{}))+
+		(cap(t.cur)+cap(t.parents))*int(unsafe.Sizeof(causal.Ref{}))+
+		(cap(t.diffA)+cap(t.diffB))*int(unsafe.Sizeof(causal.Span{})) <= maxKeptBytes
 }
 
 // items is the number of pieces the internal state is held in.

@@ -54,6 +54,9 @@ func (t *unitTracker) reset(base causal.Frontier, baseUnits int) {
 	t.tree.InitPlaceholder(baseUnits)
 }
 
+// clear keeps nothing: the reference builds a new state after every drop.
+func (t *unitTracker) clear() bool { return false }
+
 func (t *unitTracker) items() int { return t.tree.Items() }
 
 // ApplyRange replays the events in span (storage order), emitting one

@@ -31,6 +31,7 @@ package itemtree
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ID identifies a record. Non-negative IDs are the LV of the insert event
@@ -180,12 +181,28 @@ func New() *Tree {
 }
 
 // Reset empties the tree for reuse, keeping the index's storage and one
-// leaf's.
+// leaf's. The index is cleared first: the leaves it pointed at go.
 func (t *Tree) Reset() {
 	leaf := t.Start().leaf
 	*leaf = node{items: leaf.items[:0]}
 	t.root = leaf
+	clear(t.index)
 	t.index = t.index[:0]
+}
+
+// Bytes returns the heap the tree holds: its nodes with their arrays and
+// the ID index, in use or not.
+func (t *Tree) Bytes() int {
+	b := cap(t.index) * int(unsafe.Sizeof(indexEntry{}))
+	var walk func(n *node)
+	walk = func(n *node) {
+		b += int(unsafe.Sizeof(node{})) + cap(n.items)*int(unsafe.Sizeof(Item{})) + cap(n.children)*int(unsafe.Sizeof(n))
+		for _, k := range n.children {
+			walk(k)
+		}
+	}
+	walk(t.root)
+	return b
 }
 
 // Clone returns a deep copy of the tree: the nodes copied as they are and

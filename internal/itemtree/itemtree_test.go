@@ -238,6 +238,12 @@ func TestDifferentialAgainstModel(t *testing.T) {
 			tr = New()
 		} else {
 			tr.Reset()
+			// The index Reset keeps points at none of the leaves it let go.
+			for i, e := range tr.index[:cap(tr.index)] {
+				if e.leaf != nil {
+					t.Fatalf("trial %d: after Reset index slot %d of %d still points at a leaf", trial, i, cap(tr.index))
+				}
+			}
 		}
 		var m model
 		phUnits := rng.Intn(40)
