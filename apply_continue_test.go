@@ -59,7 +59,7 @@ func (p *pair) delete(pos, n int) {
 // missing is what src would send dst: Merge's question, not applied.
 func missing(t *testing.T, src, dst *Doc) []Event {
 	t.Helper()
-	evs, err := src.EventsSince(src.KnownSubset(dst.Version()))
+	evs, err := src.EventsSinceSummary(dst.Summary())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func burstFrames(tb testing.TB, n int) (frames [][]byte, events [][]Event) {
 		frames, events = append(frames, frame), append(events, evs)
 		if rng.Intn(3) == 0 {
 			other := docs[1-w]
-			missing, err := d.EventsSince(d.KnownSubset(other.Version()))
+			missing, err := d.EventsSinceSummary(other.Summary())
 			if err != nil {
 				tb.Fatal(err)
 			}

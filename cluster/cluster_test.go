@@ -302,8 +302,8 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 	// Redirect-aware client pointed only at a non-owner: first frame
 	// must be a redirect naming the owner first; following it must
 	// yield the document.
-	dialer := &Dialer{Addrs: []string{nonOwner.addr}, Compact: true}
-	c, err := dialer.Connect(docID, nil, false)
+	dialer := &Dialer{Addrs: []string{nonOwner.addr}}
+	c, err := dialer.Connect(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 		t.Fatalf("redirect addrs %v, want owner %q first", f.Addrs, ownerAddr)
 	}
 
-	c2, first, err := dialer.ConnectServing(docID, nil, false)
+	c2, first, err := dialer.ConnectServing(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,22 +330,22 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 	got := egwalker.NewDoc("redirected-reader")
 	applyFrames(t, got, c2.Peer, first, text)
 
-	// Legacy client (no redirect capability) pointed at the same
+	// A client without the redirect capability pointed at the same
 	// non-owner: the node must proxy it to the owner transparently.
 	raw, err := net.Dial("tcp", nonOwner.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	legacy := egwalker.NewDoc("legacy-reader")
-	cl, err := netsync.NewClientForDoc(legacy, raw, docID)
+	proxied := egwalker.NewDoc("proxied-reader")
+	cl, err := netsync.Dial(proxied, raw, docID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for legacy.Text() != text {
+	for proxied.Text() != text {
 		if time.Now().After(deadline) {
-			t.Fatalf("proxied legacy client stuck at %q, want %q", legacy.Text(), text)
+			t.Fatalf("proxied client stuck at %q, want %q", proxied.Text(), text)
 		}
 		if _, err := cl.Receive(); err != nil {
 			t.Fatalf("proxied receive: %v", err)
@@ -394,7 +394,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	for _, tn := range nodes {
 		addrs = append(addrs, tn.addr)
 	}
-	dialer := &Dialer{Addrs: addrs, Compact: true}
+	dialer := &Dialer{Addrs: addrs}
 
 	primary := byAddr(nodes, nodes[0].node.Ring().Primary(docID))
 
@@ -405,7 +405,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	connect := func() *Conn {
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			c, _, err := dialer.ConnectServing(docID, writer.Version(), true)
+			c, _, err := dialer.ConnectServing(docID, writer.Summary())
 			if err == nil {
 				if err := c.Peer.SendEvents(writer.Events()); err == nil {
 					return c
@@ -480,7 +480,7 @@ func TestFailoverKillPrimary(t *testing.T) {
 	// A redirected reader completes a fresh session against the
 	// healed cluster.
 	reader := egwalker.NewDoc("reader")
-	rc, first, err := dialer.ConnectServing(docID, nil, false)
+	rc, first, err := dialer.ConnectServing(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

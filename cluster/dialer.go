@@ -22,8 +22,6 @@ type Dialer struct {
 	Addrs []string
 	// Dial opens one connection. Defaults to TCP with a 5s timeout.
 	Dial func(addr string) (net.Conn, error)
-	// Compact advertises the compact-encoding capability in the hello.
-	Compact bool
 	// HandshakeTimeout bounds the hello write in Connect and, in
 	// ConnectServing, each hop's wait for the first frame — so a node
 	// that accepts the dial but never serves (wedged, half-partitioned)
@@ -52,12 +50,12 @@ type Conn struct {
 	Addr string
 }
 
-// Connect dials for docID and writes the doc hello (resuming at v
-// when resume is set), trying preferred addresses first — typically a
-// prior RedirectError's Addrs — then the seed list. It returns as soon
-// as a hello is written; whether the node serves, redirects, or
-// proxies shows up in the subsequent frames.
-func (d *Dialer) Connect(docID string, v egwalker.Version, resume bool, preferred ...string) (*Conn, error) {
+// Connect dials for docID and writes the doc hello (resuming at
+// summary when it is non-empty), trying preferred addresses first —
+// typically a prior RedirectError's Addrs — then the seed list. It
+// returns as soon as a hello is written; whether the node serves,
+// redirects, or proxies shows up in the subsequent frames.
+func (d *Dialer) Connect(docID string, summary egwalker.VersionSummary, preferred ...string) (*Conn, error) {
 	dial := d.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) {
@@ -90,10 +88,9 @@ func (d *Dialer) Connect(docID string, v egwalker.Version, resume bool, preferre
 		pc := netsync.NewPeerConn(c)
 		err = pc.SendHello(netsync.Hello{
 			DocID:    docID,
-			Version:  v,
-			Resume:   resume,
-			Compact:  d.Compact,
+			Compact:  true,
 			Redirect: true,
+			Summary:  summary,
 		})
 		if err != nil {
 			c.Close()
@@ -115,11 +112,11 @@ func (d *Dialer) Connect(docID string, v egwalker.Version, resume bool, preferre
 // so it reads one frame and either follows the redirect it names or
 // hands back the serving connection together with that first frame —
 // which the caller must process before calling RecvFrame again.
-func (d *Dialer) ConnectServing(docID string, v egwalker.Version, resume bool) (*Conn, netsync.Frame, error) {
+func (d *Dialer) ConnectServing(docID string, summary egwalker.VersionSummary) (*Conn, netsync.Frame, error) {
 	var preferred []string
 	var lastErr error
 	for hop := 0; hop < 8; hop++ {
-		c, err := d.Connect(docID, v, resume, preferred...)
+		c, err := d.Connect(docID, summary, preferred...)
 		if err != nil {
 			if lastErr == nil {
 				lastErr = err

@@ -32,7 +32,7 @@ func TestConnectServingStalledListener(t *testing.T) {
 
 	d := &Dialer{Addrs: []string{ln.Addr().String()}, HandshakeTimeout: 200 * time.Millisecond}
 	start := time.Now()
-	_, _, err = d.ConnectServing("doc", nil, false)
+	_, _, err = d.ConnectServing("doc", nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("ConnectServing succeeded against a mute listener")

@@ -230,7 +230,7 @@ func remoteAddr(conn net.Conn) string {
 	return "?"
 }
 
-// proxy serves a legacy (redirect-unaware) client for a document this
+// proxy serves a redirect-unaware client for a document this
 // node does not own: replay the client's hello verbatim to the owning
 // node and pipe bytes both ways. Tries each candidate in order,
 // feeding dial outcomes back into the health table; if every remote

@@ -218,16 +218,6 @@ func (l *link) summary() (egwalker.VersionSummary, error) {
 	return s, err
 }
 
-func (l *link) diff(theirs egwalker.Version) ([]egwalker.Event, error) {
-	var events []egwalker.Event
-	err := l.n.srv.With(l.docID, func(ds *store.DocStore) error {
-		var err error
-		events, err = ds.EventsSinceKnown(theirs)
-		return err
-	})
-	return events, err
-}
-
 func (l *link) diffSummary(theirs egwalker.VersionSummary) ([]egwalker.Event, error) {
 	var events []egwalker.Event
 	err := l.n.srv.With(l.docID, func(ds *store.DocStore) error {
@@ -295,12 +285,10 @@ func (l *link) run(done <-chan struct{}) {
 // session drives one live connection: hello with our run-length
 // version summary (the remote answers with its own summary plus our
 // exact gap), then pushes, periodic exchanges, and a reader ingesting
-// whatever the remote sends. Summaries, not frontiers: a frontier
-// exchange between a healed node and a peer that advanced without it
-// re-sends the lagging side's whole covered history (the peer cannot
-// anchor a diff on heads it never saw); the summary exchange ships
-// only the true gap, and between converged replicas a journal-only
-// document answers without even materializing.
+// whatever the remote sends. The exchange ships only the true gap,
+// even between a healed node and a peer that advanced without it, and
+// between converged replicas a journal-only document answers without
+// even materializing.
 func (l *link) session(conn net.Conn, done <-chan struct{}) error {
 	pc := netsync.NewPeerConn(conn)
 	s, err := l.summary()
@@ -376,11 +364,9 @@ func (l *link) session(conn net.Conn, done <-chan struct{}) error {
 	}
 }
 
-// readLoop ingests what the remote sends: summary or version frames
-// (its side of an exchange — answer by pushing its gap; the summary
-// form is exact, the version form is the legacy known-subset superset)
-// and event batches (our gap, journaled as replica data so it is
-// never re-forwarded).
+// readLoop ingests what the remote sends: summary frames (its side of
+// an exchange — answer by pushing its exact gap) and event batches (our
+// gap, journaled as replica data so it is never re-forwarded).
 func (l *link) readLoop(pc *netsync.PeerConn, conn net.Conn, armed bool) error {
 	for {
 		f, err := pc.RecvFrame()
@@ -399,16 +385,6 @@ func (l *link) readLoop(pc *netsync.PeerConn, conn net.Conn, armed bool) error {
 		switch f.Kind {
 		case netsync.FrameSummary:
 			diff, err := l.diffSummary(f.Summary)
-			if err != nil {
-				return err
-			}
-			if len(diff) > 0 {
-				if err := pc.SendEventsCompact(diff); err != nil {
-					return err
-				}
-			}
-		case netsync.FrameVersion:
-			diff, err := l.diff(f.Version)
 			if err != nil {
 				return err
 			}

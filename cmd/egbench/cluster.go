@@ -227,10 +227,10 @@ type benchWriter struct {
 
 func (w *benchWriter) connect() (*cluster.Conn, error) {
 	w.mu.Lock()
-	v := w.doc.Version()
+	summary := w.doc.Summary()
 	history := w.doc.Events()
 	w.mu.Unlock()
-	conn, first, err := w.dialer.ConnectServing(w.docID, v, true)
+	conn, first, err := w.dialer.ConnectServing(w.docID, summary)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +351,7 @@ func (r *benchReader) run(lat *latTracker, stop <-chan struct{}) {
 			return
 		default:
 		}
-		conn, first, err := r.dialer.ConnectServing(r.docID, doc.Version(), true)
+		conn, first, err := r.dialer.ConnectServing(r.docID, doc.Summary())
 		if err != nil {
 			time.Sleep(50 * time.Millisecond)
 			continue
@@ -410,13 +410,13 @@ func runClusterThroughput(n int, root string) (clusterRunResult, error) {
 	writers := make([]*benchWriter, 0, *clDocs**clWriters)
 	for d := 0; d < *clDocs; d++ {
 		docID := fmt.Sprintf("bench-cluster/doc-%02d", d)
-		readers[d] = &benchReader{docID: docID, dialer: &cluster.Dialer{Addrs: addrs, Compact: true}}
+		readers[d] = &benchReader{docID: docID, dialer: &cluster.Dialer{Addrs: addrs}}
 		readerWG.Add(1)
 		go func(r *benchReader) { defer readerWG.Done(); r.run(lat, stopR) }(readers[d])
 		for i := 0; i < *clWriters; i++ {
 			writers = append(writers, &benchWriter{
 				docID:  docID,
-				dialer: &cluster.Dialer{Addrs: addrs, Compact: true},
+				dialer: &cluster.Dialer{Addrs: addrs},
 				rng:    rand.New(rand.NewSource(int64(d*100 + i))),
 				doc:    egwalker.NewDoc(fmt.Sprintf("bw-%d-%d", d, i)),
 			})
@@ -518,13 +518,13 @@ func runClusterKill(root string) (*killResult, error) {
 	writers := make([]*benchWriter, 0, *clDocs**clWriters)
 	for d := 0; d < *clDocs; d++ {
 		docIDs[d] = fmt.Sprintf("bench-kill/doc-%02d", d)
-		readers[d] = &benchReader{docID: docIDs[d], dialer: &cluster.Dialer{Addrs: addrs, Compact: true}}
+		readers[d] = &benchReader{docID: docIDs[d], dialer: &cluster.Dialer{Addrs: addrs}}
 		readerWG.Add(1)
 		go func(r *benchReader) { defer readerWG.Done(); r.run(lat, stopR) }(readers[d])
 		for i := 0; i < *clWriters; i++ {
 			writers = append(writers, &benchWriter{
 				docID:  docIDs[d],
-				dialer: &cluster.Dialer{Addrs: addrs, Compact: true},
+				dialer: &cluster.Dialer{Addrs: addrs},
 				rng:    rand.New(rand.NewSource(int64(d*100 + i))),
 				doc:    egwalker.NewDoc(fmt.Sprintf("bk-%d-%d", d, i)),
 			})

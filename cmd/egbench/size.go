@@ -55,30 +55,21 @@ type sizeTraceResult struct {
 
 // handshakeResult measures one post-failover reconnect at one history
 // length: a client holding the full history plus a small offline tail
-// reconnects to a replica that never saw the tail, so the client's
-// frontier names events the server lacks. The legacy frontier hello
-// collapses to the empty known subset and the server re-sends the
-// whole covered history; the summary hello intersects exactly and the
-// server sends nothing the client already holds. The anti-entropy
-// columns measure the per-round frame each exchange style puts on a
-// replica link between converged peers. Hello and frame sizes are true
-// wire bytes (frame headers included); both stay O(distinct agent
-// runs) for summaries — flat as the history grows — while the legacy
-// resend grows with the history.
+// reconnects to a replica that never saw the tail. The summary hello
+// intersects exactly and the server sends nothing the client already
+// holds. The anti-entropy column measures the per-round summary frame
+// on a replica link between converged peers. Hello and frame sizes are
+// true wire bytes (frame headers included); both stay O(distinct agent
+// runs) — flat as the history grows.
 type handshakeResult struct {
 	Events      int `json:"events"`
 	Agents      int `json:"agents"`
 	OfflineTail int `json:"offline_tail_events"`
 
-	FrontierHelloBytes int `json:"frontier_hello_bytes"`
-	LegacyResendBytes  int `json:"legacy_resend_bytes"`
-	LegacyTotalBytes   int `json:"legacy_total_bytes"`
-
 	SummaryHelloBytes  int `json:"summary_hello_bytes"`
 	SummaryResendBytes int `json:"summary_resend_bytes"`
 	SummaryTotalBytes  int `json:"summary_total_bytes"`
 
-	AntiEntropyVersionFrameBytes int `json:"anti_entropy_version_frame_bytes"`
 	AntiEntropySummaryFrameBytes int `json:"anti_entropy_summary_frame_bytes"`
 }
 
@@ -265,17 +256,16 @@ func wireBytes(send func(pc *netsync.PeerConn) error) (int, error) {
 
 func runHandshake(report *sizeReport) error {
 	const docID = "bench/handshake"
-	fmt.Printf("\n== handshake: post-failover reconnect, frontier vs summary (%d agents, %d-event offline tail) ==\n",
+	fmt.Printf("\n== handshake: post-failover summary reconnect (%d agents, %d-event offline tail) ==\n",
 		handshakeAgents, handshakeTail)
-	fmt.Printf("%8s %12s %12s %12s %12s %10s %10s\n",
-		"events", "front-hello", "resend", "sum-hello", "sum-resend", "ae-ver", "ae-sum")
+	fmt.Printf("%8s %12s %12s %10s\n", "events", "sum-hello", "sum-resend", "ae-sum")
 	for _, n := range handshakeSizes {
 		server, err := buildHandshakeDoc(n, handshakeAgents)
 		if err != nil {
 			return fmt.Errorf("handshake %d: %w", n, err)
 		}
 		// The client holds everything the server does plus an offline
-		// tail the server never saw: its frontier is unresolvable there.
+		// tail the server never saw, so the server owes it nothing.
 		client, err := server.Fork("client")
 		if err != nil {
 			return fmt.Errorf("handshake %d: %w", n, err)
@@ -287,21 +277,6 @@ func runHandshake(report *sizeReport) error {
 		}
 
 		hr := handshakeResult{Events: n, Agents: handshakeAgents, OfflineTail: handshakeTail}
-		hr.FrontierHelloBytes, err = wireBytes(func(pc *netsync.PeerConn) error {
-			return pc.SendHello(netsync.Hello{DocID: docID, Resume: true, Version: client.Version(), Compact: true})
-		})
-		if err != nil {
-			return err
-		}
-		// Legacy answer: the client's one frontier head is unknown, the
-		// known subset collapses to nothing, and the server re-sends its
-		// entire history — events the client already holds.
-		hr.LegacyResendBytes, err = wireBytes(func(pc *netsync.PeerConn) error {
-			return pc.SendEventsCompact(server.Events())
-		})
-		if err != nil {
-			return err
-		}
 		sum := client.Summary()
 		hr.SummaryHelloBytes, err = wireBytes(func(pc *netsync.PeerConn) error {
 			return pc.SendHello(netsync.Hello{DocID: docID, Summary: sum, Compact: true})
@@ -322,17 +297,10 @@ func runHandshake(report *sizeReport) error {
 		if err != nil {
 			return err
 		}
-		hr.LegacyTotalBytes = hr.FrontierHelloBytes + hr.LegacyResendBytes
 		hr.SummaryTotalBytes = hr.SummaryHelloBytes + hr.SummaryResendBytes
 
 		// Anti-entropy frames between converged replicas: what one
 		// periodic exchange round costs on a replica link.
-		hr.AntiEntropyVersionFrameBytes, err = wireBytes(func(pc *netsync.PeerConn) error {
-			return pc.SendVersion(server.Version())
-		})
-		if err != nil {
-			return err
-		}
 		hr.AntiEntropySummaryFrameBytes, err = wireBytes(func(pc *netsync.PeerConn) error {
 			return pc.SendSummary(server.Summary())
 		})
@@ -340,10 +308,8 @@ func runHandshake(report *sizeReport) error {
 			return err
 		}
 		report.Handshake = append(report.Handshake, hr)
-		fmt.Printf("%8d %12d %12d %12d %12d %10d %10d\n",
-			hr.Events, hr.FrontierHelloBytes, hr.LegacyResendBytes,
-			hr.SummaryHelloBytes, hr.SummaryResendBytes,
-			hr.AntiEntropyVersionFrameBytes, hr.AntiEntropySummaryFrameBytes)
+		fmt.Printf("%8d %12d %12d %10d\n",
+			hr.Events, hr.SummaryHelloBytes, hr.SummaryResendBytes, hr.AntiEntropySummaryFrameBytes)
 	}
 	return nil
 }

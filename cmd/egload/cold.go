@@ -1,11 +1,10 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,11 +13,6 @@ import (
 	"egwalker/internal/loadgen"
 	"egwalker/internal/metrics"
 	"egwalker/netsync"
-)
-
-var (
-	coldDocs  = flag.Int("cold-docs", 10000, "documents populated by the colddocs mix")
-	coldJoins = flag.Int("cold-joins", 500, "cold compact joins sampled by the colddocs mix")
 )
 
 // coldAgg accumulates join measurements across workers.
@@ -35,11 +29,11 @@ type coldAgg struct {
 // catch-up latency. The server's block_serves / lazy_materializations
 // metrics (embedded via -metrics-url) tell whether the joins were
 // served off disk or forced materializations.
-func runColdDocs() (loadgen.Result, error) {
-	n := *coldDocs
+func (c *config) runColdDocs(stderr io.Writer) (loadgen.Result, error) {
+	n := c.coldDocs
 	docIDs := make([]string, n)
 	for i := range docIDs {
-		docIDs[i] = fmt.Sprintf("%s/colddocs/doc-%05d", *docPrefix, i)
+		docIDs[i] = fmt.Sprintf("%s/colddocs/doc-%05d", c.docPrefix, i)
 	}
 
 	// One deterministic history, uploaded as one compact batch per
@@ -67,7 +61,7 @@ func runColdDocs() (loadgen.Result, error) {
 				if i >= n {
 					return
 				}
-				if err := populateCold(docIDs[i], events); err != nil {
+				if err := populateCold(c.addr, docIDs[i], events); err != nil {
 					popErrs.Add(1)
 					firstErr.CompareAndSwap(nil, err)
 				}
@@ -80,12 +74,9 @@ func runColdDocs() (loadgen.Result, error) {
 	}
 	populateSec := time.Since(popStart).Seconds()
 
-	joins := *coldJoins
-	if joins > n {
-		joins = n
-	}
+	joins := min(c.coldJoins, n)
 	agg := &coldAgg{}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(c.seed))
 	targets := rng.Perm(n)[:joins]
 	joinStart := time.Now()
 	var idx atomic.Int64
@@ -98,7 +89,7 @@ func runColdDocs() (loadgen.Result, error) {
 				if i >= len(targets) {
 					return
 				}
-				if err := coldJoin(docIDs[targets[i]], perDoc, agg); err != nil {
+				if err := coldJoin(c.addr, docIDs[targets[i]], perDoc, agg); err != nil {
 					agg.joinErrors.Add(1)
 					firstErr.CompareAndSwap(nil, err)
 				}
@@ -108,7 +99,7 @@ func runColdDocs() (loadgen.Result, error) {
 	wg.Wait()
 	elapsed := time.Since(joinStart)
 	if e := agg.joinErrors.Load(); e > 0 {
-		fmt.Fprintf(os.Stderr, "egload: colddocs: %d/%d joins failed (first: %v)\n", e, joins, firstErr.Load())
+		fmt.Fprintf(stderr, "egload: colddocs: %d/%d joins failed (first: %v)\n", e, joins, firstErr.Load())
 	}
 
 	return loadgen.Result{
@@ -128,17 +119,17 @@ func runColdDocs() (loadgen.Result, error) {
 }
 
 // populateCold seeds one document with the shared history over a
-// short-lived compact connection, then hangs up — the write-mostly
-// pattern: after this, nothing touches the document until a cold join.
-func populateCold(docID string, events []egwalker.Event) error {
-	conn, err := net.DialTimeout("tcp", *addr, 5*time.Second)
+// short-lived connection, then hangs up — the write-mostly pattern:
+// after this, nothing touches the document until a cold join.
+func populateCold(addr, docID string, events []egwalker.Event) error {
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	pc := netsync.NewPeerConn(conn)
-	if err := pc.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		return err
 	}
 	// The first inbound frame is the (empty) catch-up; drain it so the
@@ -152,19 +143,19 @@ func populateCold(docID string, events []egwalker.Event) error {
 	return pc.SendDone()
 }
 
-// coldJoin joins one document cold with a compact hello and reads until
-// the full history arrived (the population gives every document the
-// same event count, so completion is detectable client-side).
-func coldJoin(docID string, wantEvents int, agg *coldAgg) error {
+// coldJoin joins one document cold (a hello with no summary) and reads
+// until the full history arrived (the population gives every document
+// the same event count, so completion is detectable client-side).
+func coldJoin(addr, docID string, wantEvents int, agg *coldAgg) error {
 	start := time.Now()
-	conn, err := net.DialTimeout("tcp", *addr, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	pc := netsync.NewPeerConn(conn)
-	if err := pc.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		return err
 	}
 	doc := egwalker.NewDoc("cold-join")

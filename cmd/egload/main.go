@@ -33,10 +33,10 @@
 //     calibrated statistics (internal/trace.TypistFromSpec) instead of
 //     the default mix.
 //   - resume: steady single-writer traffic plus one churn client per
-//     document that repeatedly disconnects and reconnects presenting
-//     its version (netsync resume hello), measuring catch-up latency
-//     and how many events each catch-up shipped versus the full
-//     history a snapshot join would have sent.
+//     document that repeatedly disconnects and reconnects with a hello
+//     carrying its version summary, measuring catch-up latency and how
+//     many events each catch-up shipped versus the full history a
+//     snapshot join would have sent.
 //   - hotdoc: writers are assigned to documents by a Zipf draw, so a
 //     few documents absorb most of the fleet — per-document lock and
 //     outbox contention under skew.
@@ -91,23 +91,74 @@ import (
 	"egwalker/internal/sched"
 )
 
-var (
-	addr         = flag.String("addr", "127.0.0.1:4222", "egserve TCP address")
-	docs         = flag.Int("docs", 4, "documents per mix")
-	writers      = flag.Int("writers", 2, "writers per document (burst/trace/hotdoc mixes)")
-	writersTotal = flag.Int("writers-total", 0, "total writer fleet size (overrides docs*writers when > 0)")
-	rate         = flag.Float64("rate", 100, "target events/second per writer (open loop; ignored when -schedule is set)")
-	duration     = flag.Duration("duration", 10*time.Second, "run time per mix (ignored when -schedule is set)")
-	schedFlag    = flag.String("schedule", "", "aggregate rate schedule, e.g. ramp:500:5000:500 (see internal/sched; overrides -rate/-duration)")
-	slotDur      = flag.Duration("slot", time.Second, "wall-clock length of one schedule slot")
-	conns        = flag.Int("conns", 0, "subscriber connections multiplexed over the documents (0: one full reader per doc)")
-	slo          = flag.Duration("slo", 250*time.Millisecond, "fan-out p99 SLO for knee detection on scheduled runs")
-	mixFlag      = flag.String("mix", "seq,burst,resume", "comma-separated workload mixes (seq,burst,trace,resume,hotdoc)")
-	out          = flag.String("out", "BENCH_server.json", "report path")
-	metricsURL   = flag.String("metrics-url", "", "egserve metrics endpoint to embed in the report")
-	seed         = flag.Int64("seed", 1, "base RNG seed (edit streams are deterministic per seed)")
-	docPrefix    = flag.String("doc-prefix", "", "document ID prefix (default load-<pid>-<unix>, so each run gets fresh docs)")
-)
+// config is one invocation's flags.
+type config struct {
+	addr         string
+	docs         int
+	writers      int
+	writersTotal int
+	rate         float64
+	duration     time.Duration
+	schedule     string
+	slot         time.Duration
+	conns        int
+	slo          time.Duration
+	mix          string
+	out          string
+	metricsURL   string
+	seed         int64
+	docPrefix    string
+	cluster      string
+	coldDocs     int
+	coldJoins    int
+
+	// dialer is non-nil when -cluster is set; it rotates initial dials
+	// across the seed list and follows redirect frames to each
+	// document's serving replica.
+	dialer *cluster.Dialer
+}
+
+func parseFlags(args []string, stderr io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("egload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:4222", "egserve TCP address")
+	fs.IntVar(&c.docs, "docs", 4, "documents per mix")
+	fs.IntVar(&c.writers, "writers", 2, "writers per document (burst/trace/hotdoc mixes)")
+	fs.IntVar(&c.writersTotal, "writers-total", 0, "total writer fleet size (overrides docs*writers when > 0)")
+	fs.Float64Var(&c.rate, "rate", 100, "target events/second per writer (open loop; ignored when -schedule is set)")
+	fs.DurationVar(&c.duration, "duration", 10*time.Second, "run time per mix (ignored when -schedule is set)")
+	fs.StringVar(&c.schedule, "schedule", "", "aggregate rate schedule, e.g. ramp:500:5000:500 (see internal/sched; overrides -rate/-duration)")
+	fs.DurationVar(&c.slot, "slot", time.Second, "wall-clock length of one schedule slot")
+	fs.IntVar(&c.conns, "conns", 0, "subscriber connections multiplexed over the documents (0: one full reader per doc)")
+	fs.DurationVar(&c.slo, "slo", 250*time.Millisecond, "fan-out p99 SLO for knee detection on scheduled runs")
+	fs.StringVar(&c.mix, "mix", "seq,burst,resume", "comma-separated workload mixes (seq,burst,trace,resume,hotdoc)")
+	fs.StringVar(&c.out, "out", "BENCH_server.json", "report path")
+	fs.StringVar(&c.metricsURL, "metrics-url", "", "egserve metrics endpoint to embed in the report")
+	fs.Int64Var(&c.seed, "seed", 1, "base RNG seed (edit streams are deterministic per seed)")
+	fs.StringVar(&c.docPrefix, "doc-prefix", "", "document ID prefix (default load-<pid>-<unix>, so each run gets fresh docs)")
+	fs.StringVar(&c.cluster, "cluster", "", "comma-separated egserve cluster seed addresses (spread connections, follow redirect frames; overrides -addr)")
+	fs.IntVar(&c.coldDocs, "cold-docs", 10000, "documents populated by the colddocs mix")
+	fs.IntVar(&c.coldJoins, "cold-joins", 500, "cold compact joins sampled by the colddocs mix")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if c.docPrefix == "" {
+		c.docPrefix = fmt.Sprintf("load-%d-%d", os.Getpid(), time.Now().Unix())
+	}
+	if c.cluster != "" {
+		seeds := strings.Split(c.cluster, ",")
+		for i := range seeds {
+			seeds[i] = strings.TrimSpace(seeds[i])
+		}
+		c.dialer = &cluster.Dialer{Addrs: seeds}
+		// Remaining direct-dial paths (colddocs population and joins)
+		// target the first seed; a non-owner proxies them to the
+		// serving replica.
+		c.addr = seeds[0]
+	}
+	return c, nil
+}
 
 // report is the BENCH_server.json schema. The schema string is bumped
 // on breaking changes so trajectory tooling can tell runs apart.
@@ -134,50 +185,48 @@ type runConfig struct {
 }
 
 func main() {
-	flag.Parse()
-	if *docPrefix == "" {
-		*docPrefix = fmt.Sprintf("load-%d-%d", os.Getpid(), time.Now().Unix())
-	}
-	if *clusterFlag != "" {
-		seeds := strings.Split(*clusterFlag, ",")
-		for i := range seeds {
-			seeds[i] = strings.TrimSpace(seeds[i])
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		if err == flag.ErrHelp {
+			os.Exit(0)
 		}
-		clusterDialer = &cluster.Dialer{Addrs: seeds}
-		// Remaining direct-dial paths (colddocs population and joins)
-		// target the first seed; a non-owner proxies them to the
-		// serving replica.
-		*addr = seeds[0]
+		fmt.Fprintln(os.Stderr, "egload:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs every mix and writes the report, logging
+// progress to stderr.
+func run(args []string, stderr io.Writer) error {
+	c, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
 	}
 	var schedule *sched.Schedule
-	if *schedFlag != "" {
-		s, err := sched.Parse(*schedFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "egload:", err)
-			os.Exit(2)
+	if c.schedule != "" {
+		if schedule, err = sched.Parse(c.schedule); err != nil {
+			return err
 		}
-		schedule = s
 	}
-	names := strings.Split(*mixFlag, ",")
+	names := strings.Split(c.mix, ",")
 	rep := report{
 		Schema:      "egload/v1",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Addr:        *addr,
+		Addr:        c.addr,
 		Config: runConfig{
-			Docs:         *docs,
-			Writers:      *writers,
-			WritersTotal: *writersTotal,
-			RateEPS:      *rate,
-			DurationSec:  duration.Seconds(),
-			Seed:         *seed,
-			Conns:        *conns,
+			Docs:         c.docs,
+			Writers:      c.writers,
+			WritersTotal: c.writersTotal,
+			RateEPS:      c.rate,
+			DurationSec:  c.duration.Seconds(),
+			Seed:         c.seed,
+			Conns:        c.conns,
 		},
 	}
 	if schedule != nil {
 		rep.Config.Schedule = schedule.Spec()
-		rep.Config.SlotSec = slotDur.Seconds()
-		rep.Config.SLONs = slo.Nanoseconds()
-		rep.Config.DurationSec = (time.Duration(schedule.NumSlots()) * *slotDur).Seconds()
+		rep.Config.SlotSec = c.slot.Seconds()
+		rep.Config.SLONs = c.slo.Nanoseconds()
+		rep.Config.DurationSec = (time.Duration(schedule.NumSlots()) * c.slot).Seconds()
 	}
 	for i, name := range names {
 		name = strings.TrimSpace(name)
@@ -185,81 +234,78 @@ func main() {
 			continue
 		}
 		if name == "colddocs" {
-			fmt.Fprintf(os.Stderr, "egload: mix %q (%d/%d): %d docs, %d joins...\n", name, i+1, len(names), *coldDocs, *coldJoins)
-			res, err := runColdDocs()
+			fmt.Fprintf(stderr, "egload: mix %q (%d/%d): %d docs, %d joins...\n", name, i+1, len(names), c.coldDocs, c.coldJoins)
+			res, err := c.runColdDocs(stderr)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "egload:", err)
-				os.Exit(1)
+				return err
 			}
-			c := res.Cold
-			fmt.Fprintf(os.Stderr, "egload: mix %q: populated %d docs in %.1fs, %d cold joins, first-frame p50=%s p99=%s\n",
-				name, c.Docs, c.PopulateSec, c.Joins,
-				time.Duration(c.FirstFrameNs.P50), time.Duration(c.FirstFrameNs.P99))
+			cold := res.Cold
+			fmt.Fprintf(stderr, "egload: mix %q: populated %d docs in %.1fs, %d cold joins, first-frame p50=%s p99=%s\n",
+				name, cold.Docs, cold.PopulateSec, cold.Joins,
+				time.Duration(cold.FirstFrameNs.P50), time.Duration(cold.FirstFrameNs.P99))
 			rep.Mixes = append(rep.Mixes, res)
 			continue
 		}
-		spec, err := loadgen.MixByName(name, *writers, *seed)
+		spec, err := loadgen.MixByName(name, c.writers, c.seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "egload:", err)
-			os.Exit(2)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "egload: mix %q (%d/%d)...\n", name, i+1, len(names))
+		fmt.Fprintf(stderr, "egload: mix %q (%d/%d)...\n", name, i+1, len(names))
 		res, err := loadgen.Run(loadgen.Config{
-			Dial:         connectDoc,
+			Dial:         c.connectDoc,
 			Mix:          spec,
-			Docs:         *docs,
-			DocPrefix:    *docPrefix,
-			WritersTotal: *writersTotal,
-			Conns:        *conns,
-			Rate:         *rate,
-			Duration:     *duration,
+			Docs:         c.docs,
+			DocPrefix:    c.docPrefix,
+			WritersTotal: c.writersTotal,
+			Conns:        c.conns,
+			Rate:         c.rate,
+			Duration:     c.duration,
 			Schedule:     schedule,
-			SlotDur:      *slotDur,
-			SLO:          *slo,
-			Seed:         *seed,
+			SlotDur:      c.slot,
+			SLO:          c.slo,
+			Seed:         c.seed,
 			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "egload: "+format+"\n", args...)
+				fmt.Fprintf(stderr, "egload: "+format+"\n", args...)
 			},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "egload:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "egload: mix %q: sent %d ev (%.0f ev/s), delivered %d, fanout p50=%s p99=%s\n",
+		fmt.Fprintf(stderr, "egload: mix %q: sent %d ev (%.0f ev/s), delivered %d, fanout p50=%s p99=%s\n",
 			name, res.EventsSent, res.SendEPS, res.EventsDelivered,
 			time.Duration(res.FanoutNs.P50), time.Duration(res.FanoutNs.P99))
 		if res.Knee != nil {
 			if res.Knee.Found {
-				fmt.Fprintf(os.Stderr, "egload: mix %q: knee at slot %d (target %.0f ev/s, %s)\n",
+				fmt.Fprintf(stderr, "egload: mix %q: knee at slot %d (target %.0f ev/s, %s)\n",
 					name, res.Knee.Slot, res.Knee.TargetEPS, res.Knee.Reason)
 			} else {
-				fmt.Fprintf(os.Stderr, "egload: mix %q: no knee found within the schedule\n", name)
+				fmt.Fprintf(stderr, "egload: mix %q: no knee found within the schedule\n", name)
 			}
 		}
 		rep.Mixes = append(rep.Mixes, res)
 	}
-	if *metricsURL != "" {
-		if m, err := fetchMetrics(*metricsURL); err != nil {
-			fmt.Fprintf(os.Stderr, "egload: fetching server metrics: %v\n", err)
+	if c.metricsURL != "" {
+		if m, err := fetchMetrics(c.metricsURL); err != nil {
+			fmt.Fprintf(stderr, "egload: fetching server metrics: %v\n", err)
 		} else {
 			rep.ServerMetrics = m
 		}
 	}
-	f, err := os.Create(*out)
+	f, err := os.Create(c.out)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "egload:", err)
-		os.Exit(1)
+		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err == nil {
-		err = f.Close()
+	if err := enc.Encode(rep); err != nil {
+		f.Close()
+		return err
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "egload:", err)
-		os.Exit(1)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "egload: wrote %s (%d mixes)\n", *out, len(rep.Mixes))
+	fmt.Fprintf(stderr, "egload: wrote %s (%d mixes)\n", c.out, len(rep.Mixes))
+	return nil
 }
 
 func fetchMetrics(url string) (json.RawMessage, error) {

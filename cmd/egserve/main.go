@@ -1,9 +1,8 @@
 // Command egserve hosts durable collaborative documents over TCP: the
 // paper's relay server (§2.1) with the store subsystem underneath.
 // One process serves any number of documents from one data directory;
-// clients name the document they want with a doc-ID hello frame
-// (netsync.WriteDocHello / netsync.NewClientForDoc) and then speak the
-// ordinary relay protocol. Every batch a client uploads is journaled
+// clients name the document they want with the doc hello
+// (netsync.Dial) and then speak the ordinary relay protocol. Every batch a client uploads is journaled
 // to the document's write-ahead log before fan-out; fsyncs are batched
 // on -flush, snapshots and compaction run in the background, and a
 // restart recovers every document from snapshot + WAL tail.
@@ -19,7 +18,7 @@
 // a byte-budgeted outbox. A peer past -outbox-bytes first has its
 // queue coalesced (adjacent frames merged into one batch, which the
 // compact encoding shrinks dramatically); only if it is still over
-// budget is it severed, and it reconnects with a resume hello that
+// budget is it severed, and it reconnects with a summary hello that
 // replays exactly what it missed. -outbox-total caps the queued bytes
 // across all subscribers of all documents, which bounds server RSS no
 // matter how many peers go slow at once. The conn_count, outbox_bytes,
@@ -51,7 +50,7 @@
 //
 //	conn, _ := net.Dial("tcp", "localhost:4222")
 //	doc := egwalker.NewDoc("alice")
-//	c, _ := netsync.NewClientForDoc(doc, conn, "notes/todo")
+//	c, _ := netsync.Dial(doc, conn, "notes/todo")
 //	// c.Receive() delivers the hosted history + live edits;
 //	// c.Push(doc.EventsSince(...)) uploads local ones.
 package main

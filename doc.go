@@ -66,7 +66,7 @@
 // maps the packages involved. The same frame serves event batches
 // everywhere: MarshalEventsCompact/UnmarshalEventsAuto encode and
 // sniff-decode it, store snapshots and large WAL group commits use it
-// on disk, and netsync negotiates it per connection. Legacy files
+// on disk, and netsync sends every catch-up in it. Legacy files
 // (SaveOptions.Legacy, or anything written before the columnar
 // format) still load via magic sniffing.
 //
@@ -79,19 +79,19 @@
 // disk is one snapshot plus the active WAL tail. store.Server hosts
 // many documents behind string IDs with an LRU of materialized Docs
 // and batched fsyncs, and cmd/egserve exposes it over TCP: clients
-// join a hosted document with netsync.NewClientForDoc(doc, conn, id)
-// and then push/receive events exactly as against a netsync.Relay.
+// join a hosted document with netsync.Dial(doc, conn, id) and then
+// push/receive events exactly as against a netsync.Relay.
 // Crash recovery is exercised by randomized kill-point tests and by
 // internal/sim's crash-restart fault mode.
 //
 // # Observability and load
 //
-// A reconnecting client resumes incrementally: it presents its current
-// Version in the doc hello (netsync.NewResumingClientForDoc) and
-// receives only the events after it — EventsSince catch-up instead of
-// the full history — so reconnecting after a blip, or after being
-// severed for falling behind, costs the missing tail rather than the
-// whole document. store.Server instruments its live path with
+// A reconnecting client resumes incrementally: netsync.Dial presents
+// the doc's version summary (Doc.Summary) in the hello and the client
+// receives only the events it lacks — EventsSinceSummary catch-up
+// instead of the full history — so reconnecting after a blip, or after
+// being severed for falling behind, costs the missing tail rather than
+// the whole document. store.Server instruments its live path with
 // lock-free metrics (internal/metrics): apply and fsync latency
 // histograms, group-commit batch sizes, outbox depths, and
 // sever/eviction/resume counters, served as JSON by cmd/egserve's

@@ -175,23 +175,6 @@ func (d *Doc) Knows(id EventID) bool {
 	return d.log.Graph.HasID(causal.RawID{Agent: id.Agent, Seq: id.Seq})
 }
 
-// KnownSubset returns the subset of v whose events are in this
-// document's history. A remote replica's version may reference events
-// this replica has never seen (edits that travelled a different path);
-// those cannot anchor a graph diff, so callers computing what to send
-// — netsync.Sync, a server answering an incremental-resume hello —
-// first narrow the version to what is known here. Any extra events
-// sent as a result are deduplicated by Apply on the other side.
-func (d *Doc) KnownSubset(v Version) Version {
-	known := v[:0:0]
-	for _, id := range v {
-		if d.Knows(id) {
-			known = append(known, id)
-		}
-	}
-	return known
-}
-
 // Fingerprint returns a cheap digest of the replica's state: its
 // version (canonically ordered) and its text. Two replicas with equal
 // fingerprints have, with overwhelming probability, seen the same

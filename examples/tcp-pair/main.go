@@ -55,8 +55,11 @@ func main() {
 			log.Fatal(err)
 		}
 		d := egwalker.NewDoc(agent)
-		c := netsync.NewClient(d, conn)
-		if _, err := c.Receive(); err != nil { // initial snapshot
+		c, err := netsync.Dial(d, conn, "shopping")
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := c.Receive(); err != nil { // initial catch-up
 			log.Fatal(err)
 		}
 		fmt.Printf("%s joined with %q\n", agent, d.Text())

@@ -40,28 +40,24 @@ import (
 	"egwalker/netsync"
 )
 
-// DialFunc opens one serving connection for a document. The catch-up
-// arrives as the connection's first inbound frame unless the dialer
-// already consumed it (cluster dialers must, to tell a serve from a
-// redirect), in which case it is handed back in first with haveFirst
-// true and the caller processes it before reading the connection.
-type DialFunc func(docID string, v egwalker.Version, resume bool) (conn net.Conn, pc *netsync.PeerConn, first []egwalker.Event, haveFirst bool, err error)
+// DialFunc opens one serving connection for a document, resuming at
+// summary (nil: a cold join). The catch-up arrives as the connection's
+// first inbound frame unless the dialer already consumed it (cluster
+// dialers must, to tell a serve from a redirect), in which case it is
+// handed back in first with haveFirst true and the caller processes it
+// before reading the connection.
+type DialFunc func(docID string, summary egwalker.VersionSummary) (conn net.Conn, pc *netsync.PeerConn, first []egwalker.Event, haveFirst bool, err error)
 
 // Dialer adapts a bare transport dial (TCP, bufconn, ...) into a
 // DialFunc speaking the single-node doc-hello handshake.
 func Dialer(dial func() (net.Conn, error)) DialFunc {
-	return func(docID string, v egwalker.Version, resume bool) (net.Conn, *netsync.PeerConn, []egwalker.Event, bool, error) {
+	return func(docID string, summary egwalker.VersionSummary) (net.Conn, *netsync.PeerConn, []egwalker.Event, bool, error) {
 		conn, err := dial()
 		if err != nil {
 			return nil, nil, nil, false, err
 		}
 		pc := netsync.NewPeerConn(conn)
-		if resume {
-			err = pc.SendDocHelloResume(docID, v)
-		} else {
-			err = pc.SendDocHello(docID)
-		}
-		if err != nil {
+		if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: summary}); err != nil {
 			conn.Close()
 			return nil, nil, nil, false, err
 		}
@@ -482,8 +478,8 @@ func (r *loadReader) absorb(evs []egwalker.Event, lat *tracker) error {
 	return err
 }
 
-// churner models a flaky client: it repeatedly connects with a resume
-// hello presenting its current version, measures the catch-up, lingers
+// churner models a flaky client: it repeatedly connects with a hello
+// carrying its current version summary, measures the catch-up, lingers
 // briefly on the live feed, and drops the connection.
 func churner(dial DialFunc, docID string, agent string, res *resumeAgg, stop <-chan struct{}) {
 	doc := egwalker.NewDoc(agent)
@@ -494,7 +490,7 @@ func churner(dial DialFunc, docID string, agent string, res *resumeAgg, stop <-c
 		default:
 		}
 		start := time.Now()
-		conn, pc, first, haveFirst, err := dial(docID, doc.Version(), true)
+		conn, pc, first, haveFirst, err := dial(docID, doc.Summary())
 		if err != nil {
 			res.dialErrors.Add(1)
 			time.Sleep(100 * time.Millisecond)
@@ -621,7 +617,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 	for i, di := range readerDoc {
-		conn, pc, first, haveFirst, err := cfg.Dial(docIDs[di], nil, false)
+		conn, pc, first, haveFirst, err := cfg.Dial(docIDs[di], nil)
 		if err != nil {
 			closeAll()
 			return Result{}, fmt.Errorf("dialing subscriber %d for %s: %w", i, docIDs[di], err)
@@ -667,7 +663,7 @@ func Run(cfg Config) (Result, error) {
 		if zipf != nil {
 			di = int(zipf.Uint64())
 		}
-		conn, pc, first, haveFirst, err := cfg.Dial(docIDs[di], nil, false)
+		conn, pc, first, haveFirst, err := cfg.Dial(docIDs[di], nil)
 		if err != nil {
 			close(stop)
 			closeAll()

@@ -275,10 +275,10 @@ type clusterClient struct {
 
 func (cc *clusterClient) connect() (*cluster.Conn, error) {
 	cc.mu.Lock()
-	v := cc.doc.Version()
+	summary := cc.doc.Summary()
 	history := cc.doc.Events()
 	cc.mu.Unlock()
-	conn, first, err := cc.dialer.ConnectServing(cc.docID, v, true)
+	conn, first, err := cc.dialer.ConnectServing(cc.docID, summary)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +430,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		clients[i] = &clusterClient{
 			id:     i,
 			docID:  docID,
-			dialer: &cluster.Dialer{Addrs: addrs, Compact: true},
+			dialer: &cluster.Dialer{Addrs: addrs},
 			script: newScript(cfg.Script, rand.New(rand.NewSource(rng.Int63()))),
 			doc:    egwalker.NewDoc(fmt.Sprintf("client%d", i)),
 		}

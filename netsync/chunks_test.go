@@ -73,7 +73,7 @@ func buildBatchOfSize(t *testing.T, size int) []egwalker.Event {
 
 func roundTripChunks(t *testing.T, events []egwalker.Event) [][]byte {
 	t.Helper()
-	chunks, err := MarshalChunks(events)
+	chunks, err := marshalChunksWith(events, maxFrame, Marshal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +139,17 @@ func TestMarshalChunksOversizedSingleEvent(t *testing.T) {
 		Insert:  true,
 		Content: 'a',
 	}
-	if _, err := marshalChunksLimit([]egwalker.Event{ev}, 16); err == nil {
+	if _, err := marshalChunksWith([]egwalker.Event{ev}, 16, Marshal); err == nil {
 		t.Fatal("oversized single event accepted")
 	}
 	// A batch of several such events fails the same way once split down
 	// to single events — cleanly, not looping.
 	batch := []egwalker.Event{ev, {ID: egwalker.EventID{Agent: ev.ID.Agent, Seq: 2}, Insert: true, Pos: 1, Content: 'b'}}
-	if _, err := marshalChunksLimit(batch, 16); err == nil {
+	if _, err := marshalChunksWith(batch, 16, Marshal); err == nil {
 		t.Fatal("batch of oversized events accepted")
 	}
 	// Sanity: the same batch under a workable limit splits fine.
-	chunks, err := marshalChunksLimit(batch, 1024)
+	chunks, err := marshalChunksWith(batch, 1024, Marshal)
 	if err != nil || len(chunks) == 0 {
 		t.Fatalf("workable limit failed: %v", err)
 	}

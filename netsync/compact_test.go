@@ -3,48 +3,43 @@ package netsync
 import (
 	"bufio"
 	"bytes"
-	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"egwalker"
 	"egwalker/internal/colenc"
 )
 
-// TestDocHelloV2RoundTrip: every flag combination of the v2 hello
-// reads back exactly, and legacy hellos report compact=false.
+// TestDocHelloV2RoundTrip: of every generation and flag combination of
+// the doc hello, only the v2 compact hello reads back; the rest are
+// refused with an error naming what was sent.
 func TestDocHelloV2RoundTrip(t *testing.T) {
 	v := egwalker.Version{{Agent: "a", Seq: 41}, {Agent: "b", Seq: 7}}
 	cases := []struct {
-		name            string
-		write           func(w io.Writer) error
-		wantV           egwalker.Version
-		resume, compact bool
+		name  string
+		frame []byte
+		want  string // refusal; "" for accepted
 	}{
-		{"v2 plain", func(w io.Writer) error { return WriteDocHelloV2(w, "d", nil, false, false) }, nil, false, false},
-		{"v2 compact", func(w io.Writer) error { return WriteDocHelloV2(w, "d", nil, false, true) }, nil, false, true},
-		{"v2 resume", func(w io.Writer) error { return WriteDocHelloV2(w, "d", v, true, false) }, v, true, false},
-		{"v2 resume compact", func(w io.Writer) error { return WriteDocHelloV2(w, "d", v, true, true) }, v, true, true},
-		{"legacy plain", func(w io.Writer) error { return WriteDocHello(w, "d") }, nil, false, false},
-		{"legacy resume", func(w io.Writer) error { return WriteDocHelloResume(w, "d", v) }, v, true, false},
+		{"v2 plain", v2Frame(0, "d", nil), "without the compact bit"},
+		{"v2 compact", v2Frame(capCompact, "d", nil), ""},
+		{"v2 resume", v2Frame(helloResume, "d", frontierBytes(v)), "frontier-resume"},
+		{"v2 resume compact", v2Frame(capCompact|helloResume, "d", frontierBytes(v)), "frontier-resume"},
+		{"legacy plain", v1Frame("d", nil), "v1 doc hello"},
+		{"legacy resume", v1Frame("d", v), "v1 doc hello"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := tc.write(&buf); err != nil {
-				t.Fatal(err)
+			h, err := ReadHello(bytes.NewReader(tc.frame))
+			if tc.want == "" {
+				if err != nil || h.DocID != "d" || !h.Compact {
+					t.Fatalf("got %+v, %v; want the compact hello for d", h, err)
+				}
+				return
 			}
-			docID, gotV, resume, compact, err := ReadDocHelloAny(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if docID != "d" || resume != tc.resume || compact != tc.compact {
-				t.Fatalf("got (%q, resume=%v, compact=%v), want (d, %v, %v)",
-					docID, resume, compact, tc.resume, tc.compact)
-			}
-			if tc.resume && !reflect.DeepEqual(gotV, tc.wantV) {
-				t.Fatalf("version: got %v, want %v", gotV, tc.wantV)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
@@ -53,15 +48,7 @@ func TestDocHelloV2RoundTrip(t *testing.T) {
 // TestDocHelloV2UnknownFlagsRejected: a hello with flag bits this
 // reader does not know must fail loudly, not be half-understood.
 func TestDocHelloV2UnknownFlagsRejected(t *testing.T) {
-	var payload []byte
-	payload = putUvarint(payload, 0x40)
-	payload = putUvarint(payload, 1)
-	payload = append(payload, 'd')
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgDocHello2, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, _, err := ReadDocHelloAny(&buf); err == nil {
+	if _, err := ReadHello(bytes.NewReader(v2Frame(capCompact|0x40, "d", nil))); err == nil {
 		t.Fatal("unknown hello flags accepted")
 	}
 }
@@ -94,8 +81,8 @@ func TestCompactChunkedFramesAreColumnar(t *testing.T) {
 	}
 }
 
-// TestSyncCompactConverges: two current-generation peers negotiate the
-// compact encoding through the capability byte and still converge.
+// TestSyncCompactConverges: two peers exchange summaries, send each
+// other their gaps in compact frames, and converge.
 func TestSyncCompactConverges(t *testing.T) {
 	a, b := egwalker.NewDoc("a"), egwalker.NewDoc("b")
 	if err := a.Insert(0, "left side"); err != nil {
@@ -118,10 +105,10 @@ func TestSyncCompactConverges(t *testing.T) {
 	}
 }
 
-// TestSyncLegacyPeerGetsLegacyFrames: a peer whose hello carries no
-// capability byte (a pre-colenc build) must receive legacy-encoded
-// event frames — never columnar ones it could not parse.
-func TestSyncLegacyPeerGetsLegacyFrames(t *testing.T) {
+// TestSyncRefusesHelloWithoutSummary: a peer that opens Sync with the
+// retired frontier hello — a version and a capability byte, no summary —
+// is refused by name, and is sent no events.
+func TestSyncRefusesHelloWithoutSummary(t *testing.T) {
 	doc := egwalker.NewDoc("modern")
 	if err := doc.Insert(0, "history the old peer is missing"); err != nil {
 		t.Fatal(err)
@@ -129,59 +116,24 @@ func TestSyncLegacyPeerGetsLegacyFrames(t *testing.T) {
 	modern, old := net.Pipe()
 	syncErr := make(chan error, 1)
 	go func() { syncErr <- Sync(doc, modern) }()
-
-	// Drive the old side by hand: hello without the capability byte,
-	// then an empty batch and DONE. Writes go through a buffer like the
-	// real protocol's do (a raw zero-length pipe write would block).
-	writeDone := make(chan error, 1)
 	go func() {
+		// Writes go through a buffer like the real protocol's do.
 		bw := bufio.NewWriter(old)
-		err := writeFrame(bw, msgHello, marshalVersion(nil))
-		if err == nil {
-			var empty []byte
-			empty, err = egwalker.MarshalEvents(nil)
-			if err == nil {
-				err = writeFrame(bw, msgEvents, empty)
-			}
+		if writeFrame(bw, msgHello, append(frontierBytes(nil), capCompact)) == nil {
+			bw.Flush()
 		}
-		if err == nil {
-			err = writeFrame(bw, msgDone, nil)
-		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		writeDone <- err
 	}()
 
-	sawEvents := false
-	for {
-		typ, payload, err := readFrame(old)
-		if err != nil {
-			t.Fatalf("old peer read: %v", err)
-		}
-		if typ == msgHello {
-			continue
-		}
-		if typ == msgDone {
-			break
-		}
-		if typ != msgEvents {
-			t.Fatalf("unexpected frame %#x", typ)
-		}
-		if colenc.Sniff(payload) {
-			t.Fatal("legacy peer received a columnar frame")
-		}
-		if len(payload) > 2 { // non-empty batch
-			sawEvents = true
-		}
+	typ, _, err := readFrame(old)
+	if err != nil || typ != msgSummary {
+		t.Fatalf("first frame from Sync: type %#x, %v; want its summary", typ, err)
 	}
-	if err := <-writeDone; err != nil {
-		t.Fatal(err)
+	err = <-syncErr
+	if err == nil || !strings.Contains(err.Error(), "frontier Sync hello") {
+		t.Fatalf("Sync err = %v, want a refusal naming the frontier hello", err)
 	}
-	if err := <-syncErr; err != nil {
-		t.Fatal(err)
-	}
-	if !sawEvents {
-		t.Fatal("modern side sent no events to the legacy peer")
+	modern.Close()
+	if typ, _, err := readFrame(old); err == nil {
+		t.Fatalf("refused peer was sent a frame of type %#x", typ)
 	}
 }

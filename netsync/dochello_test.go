@@ -3,6 +3,7 @@ package netsync
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,116 +13,88 @@ import (
 func TestDocHelloRoundTrip(t *testing.T) {
 	for _, id := range []string{"a", "notes/alpha", strings.Repeat("x", maxDocID)} {
 		var buf bytes.Buffer
-		if err := WriteDocHello(&buf, id); err != nil {
-			t.Fatalf("WriteDocHello(%q): %v", id, err)
+		if err := WriteHello(&buf, Hello{DocID: id, Compact: true}); err != nil {
+			t.Fatalf("WriteHello(%q): %v", id, err)
 		}
-		got, err := ReadDocHello(&buf)
-		if err != nil || got != id {
-			t.Fatalf("ReadDocHello = %q, %v; want %q", got, err, id)
+		got, err := ReadHello(&buf)
+		if err != nil || got.DocID != id || got.Summary != nil {
+			t.Fatalf("ReadHello = %+v, %v; want %q, no summary", got, err, id)
 		}
 	}
 }
 
-// TestDocHelloResumeRoundTrip: a hello carrying a resume version
-// round-trips the version exactly, and both hello forms stay mutually
-// compatible — an old reader ignores a new writer's version, and a new
-// reader treats an old writer's hello as a full-snapshot request.
+// TestDocHelloResumeRoundTrip: Dial's hello carries the doc's version
+// summary exactly — a reconnecting replica's whole event set, gaps
+// included, and an empty summary for a fresh doc (a cold join).
 func TestDocHelloResumeRoundTrip(t *testing.T) {
-	ver := egwalker.Version{
-		{Agent: "alice", Seq: 41},
-		{Agent: "bob-with-a-long-name", Seq: 0},
-	}
-	var buf bytes.Buffer
-	if err := WriteDocHelloResume(&buf, "notes/alpha", ver); err != nil {
+	doc := egwalker.NewDoc("alice")
+	if err := doc.Insert(0, "history"); err != nil {
 		t.Fatal(err)
 	}
-	docID, got, resume, err := ReadDocHelloVersion(&buf)
-	if err != nil || docID != "notes/alpha" || !resume {
-		t.Fatalf("ReadDocHelloVersion = %q, resume=%v, %v", docID, resume, err)
-	}
-	if len(got) != len(ver) || got[0] != ver[0] || got[1] != ver[1] {
-		t.Fatalf("version round-trip: %v, want %v", got, ver)
-	}
-
-	// Empty version is still a resume request ("send everything", but
-	// explicitly incremental-capable).
-	buf.Reset()
-	if err := WriteDocHelloResume(&buf, "d", nil); err != nil {
+	other := egwalker.NewDoc("bob")
+	if err := other.Insert(0, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, got, resume, err := ReadDocHelloVersion(&buf); err != nil || !resume || len(got) != 0 {
-		t.Fatalf("empty resume: %v, resume=%v, %v", got, resume, err)
-	}
-
-	// Forward compat: a pre-resume reader sees only the doc ID.
-	buf.Reset()
-	if err := WriteDocHelloResume(&buf, "notes/alpha", ver); err != nil {
+	if _, err := doc.Apply(other.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if id, err := ReadDocHello(&buf); err != nil || id != "notes/alpha" {
-		t.Fatalf("old reader on resume hello: %q, %v", id, err)
-	}
-
-	// Backward compat: a pre-resume writer's hello reads as
-	// full-snapshot (no version).
-	buf.Reset()
-	if err := WriteDocHello(&buf, "plain"); err != nil {
-		t.Fatal(err)
-	}
-	id, got, resume, err := ReadDocHelloVersion(&buf)
-	if err != nil || id != "plain" || resume || got != nil {
-		t.Fatalf("plain hello: %q, %v, resume=%v, %v", id, got, resume, err)
+	for _, d := range []*egwalker.Doc{doc, egwalker.NewDoc("fresh")} {
+		var buf bytes.Buffer
+		if _, err := Dial(d, &buf, "notes/alpha"); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadHello(&buf)
+		if err != nil || h.DocID != "notes/alpha" || !h.Compact {
+			t.Fatalf("Dial's hello read back as %+v, %v", h, err)
+		}
+		want := d.Summary()
+		if len(want) == 0 {
+			if len(h.Summary) != 0 {
+				t.Fatalf("fresh doc's hello carries summary %v", h.Summary)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(map[string][]egwalker.SeqRange(h.Summary), map[string][]egwalker.SeqRange(want)) {
+			t.Fatalf("hello summary %v, want %v", h.Summary, want)
+		}
 	}
 }
 
 // TestDocHelloResumeRejectsGarbageVersion: trailing bytes that do not
-// decode as a version must fail the hello, not be silently dropped —
-// and a hostile head count must fail at the truncation checks without
-// a proportional allocation (this is the unauthenticated first frame
-// of a server connection).
+// decode as a version summary must fail the hello, not be silently
+// dropped — and a hostile agent count must fail at the truncation
+// checks without a proportional allocation (this is the
+// unauthenticated first frame of a server connection).
 func TestDocHelloResumeRejectsGarbageVersion(t *testing.T) {
-	for _, headCount := range []uint64{1 << 50, 4 << 20} {
-		payload := binary.AppendUvarint(nil, 3)
-		payload = append(payload, "doc"...)
-		payload = binary.AppendUvarint(payload, headCount)
+	for _, agentCount := range []uint64{1 << 50, 4 << 20} {
+		tail := binary.AppendUvarint(nil, agentCount)
 		// Enough padding that a count-trusting decoder would allocate
 		// millions of entries before hitting the end.
-		payload = append(payload, make([]byte, 4096)...)
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, msgDocHello, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := ReadDocHelloVersion(&buf); err == nil {
-			t.Fatalf("hostile head count %d accepted", headCount)
+		tail = append(tail, make([]byte, 4096)...)
+		if _, err := ReadHello(bytes.NewReader(v2Frame(capCompact|helloSummary, "doc", tail))); err == nil {
+			t.Fatalf("hostile agent count %d accepted", agentCount)
 		}
 	}
 }
 
 func TestDocHelloRejectsBadIDs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteDocHello(&buf, ""); err == nil {
+	if err := WriteHello(&buf, Hello{DocID: "", Compact: true}); err == nil {
 		t.Error("empty doc ID accepted")
 	}
-	if err := WriteDocHello(&buf, strings.Repeat("x", maxDocID+1)); err == nil {
+	if err := WriteHello(&buf, Hello{DocID: strings.Repeat("x", maxDocID+1), Compact: true}); err == nil {
 		t.Error("oversized doc ID accepted")
 	}
 	// A hello frame whose uvarint claims a huge ID length must be
 	// rejected by the length check, not trusted.
-	payload := binary.AppendUvarint(nil, 1<<40)
+	payload := binary.AppendUvarint(nil, capCompact)
+	payload = binary.AppendUvarint(payload, 1<<40)
 	payload = append(payload, "short"...)
-	buf.Reset()
-	if err := writeFrame(&buf, msgDocHello, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDocHello(&buf); err == nil {
+	if _, err := ReadHello(bytes.NewReader(rawFrame(msgDocHello2, payload))); err == nil {
 		t.Error("hostile doc-ID length accepted")
 	}
 	// Wrong first frame type.
-	buf.Reset()
-	if err := writeFrame(&buf, msgEvents, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDocHello(&buf); err == nil {
+	if _, err := ReadHello(bytes.NewReader(rawFrame(msgEvents, nil))); err == nil {
 		t.Error("non-hello first frame accepted")
 	}
 }

@@ -25,8 +25,6 @@ func resend(p *PeerConn, f Frame) error {
 		return p.SendRaw(f.Raw)
 	case FrameDone:
 		return p.SendDone()
-	case FrameVersion:
-		return p.SendVersion(f.Version)
 	case FrameRedirect:
 		return p.SendRedirect(f.Addrs)
 	default:
@@ -37,8 +35,9 @@ func resend(p *PeerConn, f Frame) error {
 // FuzzRecvFrame: after the hello every frame of a replica link or a
 // redirect-aware client comes from the peer unchecked, so RecvFrame and
 // RecvFrameRaw must never panic on hostile bytes; RecvFrame accepts
-// nothing RecvFrameRaw refuses; and a frame either accepts, sent again
-// through its own Send* and read back, is equal.
+// nothing RecvFrameRaw refuses; neither accepts the retired version
+// frame; and a frame either accepts, sent again through its own Send*
+// and read back, is equal.
 func FuzzRecvFrame(f *testing.F) {
 	d := egwalker.NewDoc("seed")
 	if err := d.Insert(0, "seed corpus"); err != nil {
@@ -53,7 +52,15 @@ func FuzzRecvFrame(f *testing.F) {
 	}
 	for _, send := range []func(p *PeerConn) error{
 		func(p *PeerConn) error { return p.SendRedirect([]string{"127.0.0.1:4222", "node-b:4232"}) },
-		func(p *PeerConn) error { return p.SendVersion(d.Version()) },
+		// The retired version frame: nothing sends it, RecvFrame refuses it.
+		func(p *PeerConn) error {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			if err := writeFrame(p.bw, msgHello, frontierBytes(d.Version())); err != nil {
+				return err
+			}
+			return p.bw.Flush()
+		},
 		func(p *PeerConn) error { return p.SendSummary(d.Summary()) },
 		func(p *PeerConn) error { return p.SendRaw(batch) },
 	} {
@@ -76,6 +83,9 @@ func FuzzRecvFrame(f *testing.F) {
 		full, err := frameConn(data, nil).RecvFrame()
 		if err == nil && rawErr != nil {
 			t.Fatalf("RecvFrame accepted a frame RecvFrameRaw refused: %v", rawErr)
+		}
+		if rawErr == nil && data[4] == msgHello {
+			t.Fatalf("RecvFrameRaw accepted the retired version frame as kind %d", raw.Kind)
 		}
 		for _, got := range []struct {
 			f   Frame
@@ -131,9 +141,11 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzReadHello: the doc hello is the unauthenticated first frame of
 // every server connection, so ReadHello must never panic on hostile
-// bytes, and any hello it accepts must survive a Forward → ReadHello
-// round trip with the same parse (the cluster proxy path replays
-// accepted hellos verbatim to the owning node).
+// bytes; it must accept nothing but a v2 hello with the compact bit set
+// and the retired resume bit clear; and any hello it accepts must
+// survive a Forward → ReadHello round trip with the same parse (the
+// cluster proxy path replays accepted hellos verbatim to the owning
+// node).
 func FuzzReadHello(f *testing.F) {
 	seed := func(h Hello) []byte {
 		var buf bytes.Buffer
@@ -142,45 +154,41 @@ func FuzzReadHello(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	ver := egwalker.Version{{Agent: "alice", Seq: 41}, {Agent: "bob", Seq: 3}}
 	sum := egwalker.VersionSummary{
 		"alice": {{Start: 0, End: 42}},
 		"bob":   {{Start: 0, End: 2}, {Start: 3, End: 4}},
 	}
-	f.Add(seed(Hello{DocID: "plain"}))
-	f.Add(seed(Hello{DocID: "notes/alpha", Resume: true, Version: ver}))
-	f.Add(seed(Hello{DocID: "v2", Compact: true, Redirect: true, Resume: true, Version: ver}))
-	f.Add(seed(Hello{DocID: "replica", Replica: true, Resume: true}))
+	f.Add(seed(Hello{DocID: "plain", Compact: true}))
+	// The refused generations, as raw bytes: v1 alone, v1 with a
+	// trailing version, v2 with the resume bit and a version, v2 without
+	// the compact bit.
+	for _, r := range refusedHellos() {
+		f.Add(r.frame)
+	}
 	f.Add(seed(Hello{DocID: "sum", Compact: true, Summary: sum}))
-	f.Add(seed(Hello{DocID: "sum/replica", Replica: true, Summary: sum}))
+	f.Add(seed(Hello{DocID: "sum/replica", Compact: true, Replica: true, Summary: sum}))
+	f.Add(seed(Hello{DocID: "redirect", Compact: true, Redirect: true, Summary: sum}))
 	// Truncated v2 hello.
 	full := seed(Hello{DocID: "cut", Compact: true})
 	f.Add(full[:len(full)-2])
 	// Unknown frame type, unknown flag bits, hostile doc-ID length, and
 	// a length header past the frame cap.
 	f.Add([]byte{0, 0, 0, 1, 0x7f, 0x00})
-	badFlags := binary.AppendUvarint(nil, uint64(knownHelloFlags)<<1)
-	badFlags = binary.AppendUvarint(badFlags, 1)
-	badFlags = append(badFlags, 'd')
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, msgDocHello2, badFlags); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), frame.Bytes()...))
-	frame.Reset()
-	if err := writeFrame(&frame, msgDocHello, binary.AppendUvarint(nil, 1<<40)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), frame.Bytes()...))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, msgDocHello})
+	f.Add(v2Frame(capCompact|helloSummary<<1, "d", nil))
+	f.Add(rawFrame(msgDocHello, binary.AppendUvarint(nil, 1<<40)))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, msgDocHello2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadHello(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if h.DocID == "" || len(h.DocID) > maxDocID {
-			t.Fatalf("accepted hello with bad doc ID length %d", len(h.DocID))
+		flags, n := binary.Uvarint(data[5:])
+		if data[4] != msgDocHello2 || n <= 0 || flags&capCompact == 0 || flags&helloResume != 0 {
+			t.Fatalf("accepted a hello that is not the v2 compact hello: type %#x, flags %#x", data[4], flags)
+		}
+		if h.DocID == "" || len(h.DocID) > maxDocID || !h.Compact {
+			t.Fatalf("accepted hello %+v", h)
 		}
 		var fwd bytes.Buffer
 		if err := h.Forward(&fwd); err != nil {
@@ -190,8 +198,7 @@ func FuzzReadHello(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read forwarded hello: %v", err)
 		}
-		if h2.DocID != h.DocID || h2.Resume != h.Resume || h2.Compact != h.Compact ||
-			h2.Redirect != h.Redirect || h2.Replica != h.Replica || len(h2.Version) != len(h.Version) ||
+		if h2.DocID != h.DocID || h2.Compact != h.Compact || h2.Redirect != h.Redirect || h2.Replica != h.Replica ||
 			(h2.Summary == nil) != (h.Summary == nil) || len(h2.Summary) != len(h.Summary) {
 			t.Fatalf("forward round-trip drift: %+v vs %+v", h, h2)
 		}

@@ -1,6 +1,7 @@
 package netsync
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -9,39 +10,34 @@ import (
 
 // Hello is a parsed doc hello: the first frame of every connection to a
 // multi-document host, naming the document and what the peer can do.
-// Cluster routers parse it once (ReadHello), decide where the document
-// lives, and either serve it (store.Server.ServeHello), answer with a
-// redirect frame, or forward the hello verbatim to the owning node
-// (Forward) and proxy the rest of the stream.
+// There is one hello: the v2 frame with the compact bit set, carrying a
+// version summary when the peer resumes. ReadHello refuses everything
+// else by name. Cluster routers parse it once (ReadHello), decide where
+// the document lives, and either serve it (store.Server.ServeHello),
+// answer with a redirect frame, or forward the hello verbatim to the
+// owning node (Forward) and proxy the rest of the stream.
 type Hello struct {
-	DocID   string
-	Version egwalker.Version
-	// Resume reports whether Version was presented (an empty presented
-	// version still counts: "send everything, incrementally").
-	Resume bool
+	DocID string
 	// Compact: the peer decodes the compact columnar event encoding.
+	// Every hello a host accepts sets it; WriteHello refuses one that
+	// does not.
 	Compact bool
 	// Redirect: the peer understands redirect frames — a non-owner node
-	// may answer with one instead of serving or proxying. Like the
-	// compact capability it is version-negotiated: only v2 hellos can
-	// carry it, and a node never sends a redirect frame to a peer that
-	// did not advertise it.
+	// may answer with one instead of serving or proxying. A node never
+	// sends a redirect frame to a peer that did not advertise it.
 	Redirect bool
 	// Replica marks a server-to-server replication link: the host
-	// answers with its own version (so the dialing node can push what
+	// answers with its own summary (so the dialing node can push what
 	// the host is missing) and does not subscribe the connection to
 	// live fan-out — replica links receive data only through the
 	// anti-entropy exchange and the origin node's pushes.
 	Replica bool
 	// Summary, when non-nil, is the peer's run-length version summary:
-	// its complete event set as per-agent seq ranges. Unlike a frontier
-	// version, a summary intersects exactly with the host's own, so
-	// the host answers with the true diff even when it is missing some
-	// of the peer's events (a fail-over to a slightly-behind replica)
-	// — no known-subset fallback, no re-sent history. Non-nil but
-	// empty means a cold peer asking for everything. Negotiated like
-	// the other v2 capabilities: only v2 hellos carry it, and a host
-	// answers with summary frames only to peers that sent one.
+	// its complete event set as per-agent seq ranges. It intersects
+	// exactly with the host's own, so the host answers with the true
+	// diff even when it is missing some of the peer's events (a
+	// fail-over to a slightly-behind replica). Nil or empty means a cold
+	// peer asking for everything.
 	Summary egwalker.VersionSummary
 
 	// typ/payload preserve the exact frame received, so a proxy can
@@ -50,7 +46,9 @@ type Hello struct {
 	payload []byte
 }
 
-// ReadHello reads either generation of doc hello into parsed form.
+// ReadHello reads a doc hello into parsed form. It refuses, with an
+// error naming what was sent, the retired v1 frame, a v2 frame with the
+// retired frontier-resume flag, and a v2 frame without the compact bit.
 func ReadHello(r io.Reader) (Hello, error) {
 	typ, payload, err := readFrame(r)
 	if err != nil {
@@ -60,22 +58,25 @@ func ReadHello(r io.Reader) (Hello, error) {
 }
 
 func parseHello(typ byte, payload []byte) (Hello, error) {
-	h := Hello{typ: typ, payload: payload}
-	br := &byteReader{buf: payload}
-	var flags uint64
-	var err error
 	switch typ {
-	case msgDocHello:
 	case msgDocHello2:
-		flags, err = br.uvarint()
-		if err != nil {
-			return Hello{}, err
-		}
-		if flags&^uint64(knownHelloFlags) != 0 {
-			return Hello{}, fmt.Errorf("netsync: unknown doc hello flags %#x", flags)
-		}
+	case msgDocHello:
+		return Hello{}, errors.New("netsync: refused a v1 doc hello (frame type 0x04); send the v2 hello with the compact bit")
 	default:
 		return Hello{}, fmt.Errorf("netsync: expected doc hello, got frame type %#x", typ)
+	}
+	br := &byteReader{buf: payload}
+	flags, err := br.uvarint()
+	if err != nil {
+		return Hello{}, err
+	}
+	switch {
+	case flags&helloResume != 0:
+		return Hello{}, errors.New("netsync: refused a frontier-resume doc hello (v2 resume flag); resume with a version summary")
+	case flags&^uint64(knownHelloFlags) != 0:
+		return Hello{}, fmt.Errorf("netsync: unknown doc hello flags %#x", flags)
+	case flags&capCompact == 0:
+		return Hello{}, errors.New("netsync: refused a v2 doc hello without the compact bit")
 	}
 	n, err := br.uvarint()
 	if err != nil {
@@ -88,58 +89,33 @@ func parseHello(typ byte, payload []byte) (Hello, error) {
 	if err != nil {
 		return Hello{}, err
 	}
-	h.DocID = string(b)
-	h.Compact = flags&capCompact != 0
-	h.Redirect = flags&helloRedirect != 0
-	h.Replica = flags&helloReplica != 0
-	if typ == msgDocHello2 {
-		rest := payload[br.off:]
-		if flags&helloResume != 0 {
-			h.Version, rest, err = unmarshalVersionRest(rest)
-			if err != nil {
-				return Hello{}, fmt.Errorf("netsync: bad resume version in doc hello: %w", err)
-			}
-			h.Resume = true
+	h := Hello{
+		DocID:    string(b),
+		Compact:  true,
+		Redirect: flags&helloRedirect != 0,
+		Replica:  flags&helloReplica != 0,
+		typ:      typ,
+		payload:  payload,
+	}
+	if flags&helloSummary != 0 {
+		h.Summary, _, err = unmarshalSummaryRest(payload[br.off:])
+		if err != nil {
+			return Hello{}, fmt.Errorf("netsync: bad version summary in doc hello: %w", err)
 		}
-		if flags&helloSummary != 0 {
-			h.Summary, _, err = unmarshalSummaryRest(rest)
-			if err != nil {
-				return Hello{}, fmt.Errorf("netsync: bad version summary in doc hello: %w", err)
-			}
-		}
-		return h, nil
 	}
-	if br.off == len(payload) {
-		return h, nil // pre-resume hello: full snapshot
-	}
-	h.Version, _, err = unmarshalVersionRest(payload[br.off:])
-	if err != nil {
-		return Hello{}, fmt.Errorf("netsync: bad resume version in doc hello: %w", err)
-	}
-	h.Resume = true
 	return h, nil
 }
 
-// WriteHello sends h. A hello with no v2 capability (compact, redirect,
-// replica) is emitted in the legacy frame, so plain clients stay
-// wire-compatible with hosts predating the v2 hello.
+// WriteHello sends h as a v2 doc hello. h must advertise the compact
+// encoding: no host accepts a hello without it.
 func WriteHello(w io.Writer, h Hello) error {
 	if len(h.DocID) == 0 || len(h.DocID) > maxDocID {
 		return fmt.Errorf("netsync: bad doc ID length %d", len(h.DocID))
 	}
-	if !h.Compact && !h.Redirect && !h.Replica && h.Summary == nil {
-		if h.Resume {
-			return WriteDocHelloResume(w, h.DocID, h.Version)
-		}
-		return WriteDocHello(w, h.DocID)
+	if !h.Compact {
+		return errors.New("netsync: a doc hello must advertise the compact encoding")
 	}
-	flags := uint64(0)
-	if h.Compact {
-		flags |= capCompact
-	}
-	if h.Resume {
-		flags |= helloResume
-	}
+	flags := uint64(capCompact)
 	if h.Redirect {
 		flags |= helloRedirect
 	}
@@ -153,9 +129,6 @@ func WriteHello(w io.Writer, h Hello) error {
 	payload = putUvarint(payload, flags)
 	payload = putUvarint(payload, uint64(len(h.DocID)))
 	payload = append(payload, h.DocID...)
-	if h.Resume {
-		payload = append(payload, marshalVersion(h.Version)...)
-	}
 	if h.Summary != nil {
 		payload = append(payload, MarshalVersionSummary(h.Summary)...)
 	}
@@ -163,8 +136,9 @@ func WriteHello(w io.Writer, h Hello) error {
 }
 
 // Forward re-emits the hello exactly as it arrived — the proxy path: a
-// non-owner node that must serve a legacy client replays the client's
-// hello to the owning node and then pipes bytes both ways.
+// non-owner node that must serve a client that cannot follow redirects
+// replays the client's hello to the owning node and then pipes bytes
+// both ways.
 func (h Hello) Forward(w io.Writer) error {
 	if h.typ == 0 {
 		// Hello was built locally, not parsed off the wire.
@@ -244,21 +218,19 @@ func unmarshalRedirect(payload []byte) ([]string, error) {
 const (
 	FrameEvents = iota
 	FrameDone
-	FrameVersion
 	FrameRedirect
 	FrameSummary
 )
 
 // Frame is one received protocol frame in decoded form. Replica links
 // and redirect-aware clients use RecvFrame where plain clients use
-// Recv: the extra kinds (a version hello during an anti-entropy
-// exchange, a redirect answer to a doc hello) are part of their
-// protocol, not errors.
+// Recv: the extra kinds (a summary during an anti-entropy exchange, a
+// redirect answer to a doc hello) are part of their protocol, not
+// errors.
 type Frame struct {
 	Kind    int
 	Events  []egwalker.Event        // FrameEvents (RecvFrame only)
 	Raw     []byte                  // FrameEvents: the undecoded batch, for re-forwarding
-	Version egwalker.Version        // FrameVersion
 	Addrs   []string                // FrameRedirect
 	Summary egwalker.VersionSummary // FrameSummary
 }
@@ -291,12 +263,6 @@ func (p *PeerConn) RecvFrameRaw() (Frame, error) {
 		return Frame{Kind: FrameEvents, Raw: payload}, nil
 	case msgDone:
 		return Frame{Kind: FrameDone}, nil
-	case msgHello:
-		v, _, err := unmarshalVersionRest(payload)
-		if err != nil {
-			return Frame{}, err
-		}
-		return Frame{Kind: FrameVersion, Version: v}, nil
 	case msgRedirect:
 		addrs, err := unmarshalRedirect(payload)
 		if err != nil {
@@ -339,25 +305,11 @@ func (p *PeerConn) SendRedirect(addrs []string) error {
 	return p.bw.Flush()
 }
 
-// SendVersion sends a bare version frame — the anti-entropy exchange on
-// a replica link: each side tells the other what it has, each side
-// pushes what the other is missing (netsync.Sync's handshake, embedded
-// in a persistent relay stream).
-func (p *PeerConn) SendVersion(v egwalker.Version) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := writeFrame(p.bw, msgHello, marshalVersion(v)); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendSummary sends a version-summary frame — the anti-entropy
-// exchange upgraded from frontiers to summaries, so the answering
-// side computes an exact diff even when it is behind the sender. Send
-// only to peers that negotiated the summary capability (a summary
-// hello, or an earlier summary frame on the same link); peers
-// predating it reject the unknown frame type.
+// SendSummary sends a version-summary frame — one side of an
+// anti-entropy exchange on a replica link: each side tells the other
+// its exact event set and pushes what the other is missing, so the
+// answering side computes an exact diff even when it is behind the
+// sender.
 func (p *PeerConn) SendSummary(s egwalker.VersionSummary) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -9,19 +9,77 @@ import (
 	"egwalker"
 )
 
-// TestReadHelloBothGenerations: ReadHello parses both hello frame
-// generations into the same struct, round-tripping every capability
-// combination through WriteHello.
+// frontierBytes encodes v as the retired hellos carried it: a head count,
+// then each head's length-prefixed agent and seq. Nothing writes it any
+// more; the tests build refused frames from it.
+func frontierBytes(v egwalker.Version) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(v)))
+	for _, id := range v {
+		b = binary.AppendUvarint(b, uint64(len(id.Agent)))
+		b = append(b, id.Agent...)
+		b = binary.AppendUvarint(b, uint64(id.Seq))
+	}
+	return b
+}
+
+// rawFrame is one frame's bytes: length header, type, payload.
+func rawFrame(typ byte, payload []byte) []byte {
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, typ, payload); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// v2Frame is a v2 doc hello with the given flags, doc ID and tail.
+func v2Frame(flags uint64, docID string, tail []byte) []byte {
+	payload := binary.AppendUvarint(nil, flags)
+	payload = binary.AppendUvarint(payload, uint64(len(docID)))
+	payload = append(payload, docID...)
+	return rawFrame(msgDocHello2, append(payload, tail...))
+}
+
+// v1Frame is the retired v1 doc hello, with a trailing frontier when v is
+// non-nil.
+func v1Frame(docID string, v egwalker.Version) []byte {
+	payload := binary.AppendUvarint(nil, uint64(len(docID)))
+	payload = append(payload, docID...)
+	if v != nil {
+		payload = append(payload, frontierBytes(v)...)
+	}
+	return rawFrame(msgDocHello, payload)
+}
+
+// refusedHello is a hello frame of a deleted generation and the words
+// ReadHello's refusal must contain.
+type refusedHello struct {
+	name, want string
+	frame      []byte
+}
+
+func refusedHellos() []refusedHello {
+	v := egwalker.Version{{Agent: "alice", Seq: 41}, {Agent: "bob", Seq: 3}}
+	return []refusedHello{
+		{"v1", "v1 doc hello", v1Frame("d", nil)},
+		{"v1 with version", "v1 doc hello", v1Frame("d", v)},
+		{"v2 resume with version", "frontier-resume", v2Frame(capCompact|helloResume, "d", frontierBytes(v))},
+		{"v2 without compact", "without the compact bit", v2Frame(0, "d", nil)},
+	}
+}
+
+// TestReadHelloBothGenerations: ReadHello parses the v2 compact hello
+// into the same struct WriteHello wrote, for every capability
+// combination, and refuses the v1 generation — alone or carrying a
+// resume version — with an error naming it.
 func TestReadHelloBothGenerations(t *testing.T) {
-	ver := egwalker.Version{{Agent: "alice", Seq: 7}}
+	sum := egwalker.VersionSummary{"alice": {{Start: 0, End: 8}}}
 	cases := []Hello{
-		{DocID: "plain"},
-		{DocID: "resume", Resume: true, Version: ver},
-		{DocID: "empty-resume", Resume: true},
-		{DocID: "compact", Compact: true},
-		{DocID: "redir", Redirect: true},
-		{DocID: "replica", Replica: true, Resume: true, Version: ver},
-		{DocID: "all", Compact: true, Redirect: true, Replica: true, Resume: true, Version: ver},
+		{DocID: "cold", Compact: true},
+		{DocID: "resume", Compact: true, Summary: sum},
+		{DocID: "empty-resume", Compact: true, Summary: egwalker.VersionSummary{}},
+		{DocID: "redir", Compact: true, Redirect: true},
+		{DocID: "replica", Compact: true, Replica: true, Summary: sum},
+		{DocID: "all", Compact: true, Redirect: true, Replica: true, Summary: sum},
 	}
 	for _, want := range cases {
 		var buf bytes.Buffer
@@ -32,25 +90,38 @@ func TestReadHelloBothGenerations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ReadHello(%+v): %v", want, err)
 		}
-		if got.DocID != want.DocID || got.Resume != want.Resume ||
-			got.Compact != want.Compact || got.Redirect != want.Redirect ||
-			got.Replica != want.Replica || len(got.Version) != len(want.Version) {
+		if got.DocID != want.DocID || !got.Compact || got.Redirect != want.Redirect ||
+			got.Replica != want.Replica || (got.Summary == nil) != (want.Summary == nil) ||
+			len(got.Summary) != len(want.Summary) {
 			t.Fatalf("round-trip: got %+v, want %+v", got, want)
 		}
-		for i := range want.Version {
-			if got.Version[i] != want.Version[i] {
-				t.Fatalf("version round-trip: got %v, want %v", got.Version, want.Version)
-			}
+	}
+	for _, r := range refusedHellos()[:2] {
+		_, err := ReadHello(bytes.NewReader(r.frame))
+		if err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Fatalf("%s: err = %v, want one naming %q", r.name, err, r.want)
 		}
+	}
+}
+
+// TestWriteHelloRequiresCompact: WriteHello writes only what ReadHello
+// accepts, so a hello without the compact bit never reaches the wire.
+func TestWriteHelloRequiresCompact(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteHello(&buf, Hello{DocID: "d"}); err == nil {
+		t.Fatal("WriteHello wrote a hello without the compact bit")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused hello left %d bytes on the wire", buf.Len())
 	}
 }
 
 // TestReadHelloForwardVerbatim: a parsed hello re-emitted by Forward is
 // byte-identical to the frame that arrived — the proxy path must not
-// re-encode (drift there would break version negotiation downstream).
+// re-encode (drift there would change what the owning node is asked).
 func TestReadHelloForwardVerbatim(t *testing.T) {
 	for _, h := range []Hello{
-		{DocID: "legacy", Resume: true, Version: egwalker.Version{{Agent: "a", Seq: 1}}},
+		{DocID: "resume", Compact: true, Summary: egwalker.VersionSummary{"a": {{Start: 0, End: 2}}}},
 		{DocID: "v2", Compact: true, Redirect: true},
 	} {
 		var orig bytes.Buffer
@@ -73,15 +144,14 @@ func TestReadHelloForwardVerbatim(t *testing.T) {
 }
 
 // TestReadHelloTruncated: a hello cut off at any byte must error (short
-// header, short payload, payload cut mid-doc-ID or mid-version), never
+// header, short payload, payload cut mid-doc-ID or mid-summary), never
 // panic or succeed.
 func TestReadHelloTruncated(t *testing.T) {
 	var full bytes.Buffer
 	h := Hello{
 		DocID:   "notes/alpha",
 		Compact: true,
-		Resume:  true,
-		Version: egwalker.Version{{Agent: "alice", Seq: 41}, {Agent: "bob", Seq: 3}},
+		Summary: egwalker.VersionSummary{"alice": {{Start: 0, End: 42}}, "bob": {{Start: 0, End: 4}}},
 	}
 	if err := WriteHello(&full, h); err != nil {
 		t.Fatal(err)
@@ -113,15 +183,12 @@ func TestReadHelloOversized(t *testing.T) {
 		t.Fatalf("over-cap hello frame: err = %v, want oversized-frame error", err)
 	}
 	for _, idLen := range []uint64{0, maxDocID + 1, 1 << 40} {
-		payload := binary.AppendUvarint(nil, 0) // flags
+		payload := binary.AppendUvarint(nil, capCompact) // flags
 		payload = binary.AppendUvarint(payload, idLen)
 		payload = append(payload, make([]byte, 64)...)
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, msgDocHello2, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadHello(&buf); err == nil {
-			t.Fatalf("doc ID length %d accepted", idLen)
+		_, err := ReadHello(bytes.NewReader(rawFrame(msgDocHello2, payload)))
+		if err == nil || !strings.Contains(err.Error(), "bad doc ID length") {
+			t.Fatalf("doc ID length %d: err = %v, want bad-doc-ID-length error", idLen, err)
 		}
 	}
 }
@@ -131,49 +198,38 @@ func TestReadHelloOversized(t *testing.T) {
 // — unknown flags may change the meaning of the rest of the payload,
 // so ignoring them is not an option.
 func TestReadHelloUnknownVersion(t *testing.T) {
-	for _, typ := range []byte{msgEvents, msgDone, msgHello, msgRedirect, 0x00, 0x7f} {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadHello(&buf)
+	for _, typ := range []byte{msgEvents, msgDone, msgHello, msgRedirect, msgSummary, 0x00, 0x7f} {
+		_, err := ReadHello(bytes.NewReader(rawFrame(typ, []byte("x"))))
 		if err == nil || !strings.Contains(err.Error(), "expected doc hello") {
 			t.Fatalf("frame type %#x: err = %v, want expected-doc-hello error", typ, err)
 		}
 	}
-	payload := binary.AppendUvarint(nil, uint64(knownHelloFlags)<<1) // one bit past every known flag
-	payload = binary.AppendUvarint(payload, 3)
-	payload = append(payload, "doc"...)
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgDocHello2, payload); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadHello(&buf)
+	// One bit past every known flag, beside the compact bit.
+	_, err := ReadHello(bytes.NewReader(v2Frame(capCompact|helloSummary<<1, "doc", nil)))
 	if err == nil || !strings.Contains(err.Error(), "unknown doc hello flags") {
 		t.Fatalf("unknown flag bits: err = %v, want unknown-flags error", err)
 	}
 }
 
-// TestReadHelloGarbageResumeVersion: both hello generations reject a
-// resume version that does not decode, including hostile head counts
-// that must fail the truncation checks without allocating.
+// TestReadHelloGarbageResumeVersion: a resume version in either retired
+// generation is refused by name before a byte of it is decoded —
+// hostile head counts included — and a summary resume whose summary
+// does not decode fails the hello without a proportional allocation.
 func TestReadHelloGarbageResumeVersion(t *testing.T) {
-	for _, typ := range []byte{msgDocHello, msgDocHello2} {
-		var payload []byte
-		if typ == msgDocHello2 {
-			payload = binary.AppendUvarint(payload, helloResume)
-		}
-		payload = binary.AppendUvarint(payload, 3)
-		payload = append(payload, "doc"...)
-		payload = binary.AppendUvarint(payload, 1<<50) // version head count
-		payload = append(payload, make([]byte, 1024)...)
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, payload); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadHello(&buf)
-		if err == nil || !strings.Contains(err.Error(), "bad resume version") {
-			t.Fatalf("frame type %#x: err = %v, want bad-resume-version error", typ, err)
+	hostile := binary.AppendUvarint(nil, 1<<50) // head or agent count
+	hostile = append(hostile, make([]byte, 1024)...)
+	cases := []struct {
+		frame []byte
+		want  string
+	}{
+		{rawFrame(msgDocHello, append(binary.AppendUvarint(nil, 3), append([]byte("doc"), hostile...)...)), "v1 doc hello"},
+		{v2Frame(capCompact|helloResume, "doc", hostile), "frontier-resume"},
+		{v2Frame(capCompact|helloSummary, "doc", hostile), "bad version summary"},
+	}
+	for _, tc := range cases {
+		_, err := ReadHello(bytes.NewReader(tc.frame))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("err = %v, want one naming %q", err, tc.want)
 		}
 	}
 }

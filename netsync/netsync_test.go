@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"net"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -112,29 +114,28 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 }
 
+// TestQuickVersionRoundTrip: random version summaries — any agents, any
+// seq sets, so any gaps — survive the wire encoding exactly.
 func TestQuickVersionRoundTrip(t *testing.T) {
-	f := func(agents []string, seqs []uint16) bool {
-		var v egwalker.Version
-		for i := range agents {
-			seq := 0
-			if i < len(seqs) {
-				seq = int(seqs[i])
+	f := func(agents []string, seqs [][]uint16) bool {
+		s := egwalker.VersionSummary{}
+		for i, agent := range agents {
+			if i >= len(seqs) || len(seqs[i]) == 0 || s[agent] != nil {
+				continue
 			}
-			v = append(v, egwalker.EventID{Agent: agents[i], Seq: seq})
-		}
-		got, err := unmarshalVersion(marshalVersion(v))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(v) {
-			return false
-		}
-		for i := range v {
-			if got[i] != v[i] {
-				return false
+			qs := slices.Sorted(slices.Values(seqs[i]))
+			var ranges []egwalker.SeqRange
+			for _, q := range slices.Compact(qs) {
+				if n := len(ranges); n > 0 && ranges[n-1].End == int(q) {
+					ranges[n-1].End++
+				} else {
+					ranges = append(ranges, egwalker.SeqRange{Start: int(q), End: int(q) + 1})
+				}
 			}
+			s[agent] = ranges
 		}
-		return true
+		got, err := UnmarshalVersionSummary(MarshalVersionSummary(s))
+		return err == nil && reflect.DeepEqual(got, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -233,8 +234,11 @@ func TestRelayFanout(t *testing.T) {
 		server, client := pipePair()
 		go func() { _ = relay.Serve(server) }()
 		d := egwalker.NewDoc(agent)
-		c := NewClient(d, client)
-		// First inbound batch is the full history snapshot.
+		c, err := Dial(d, client, "relay-doc")
+		if err != nil {
+			t.Fatalf("%s: dial: %v", agent, err)
+		}
+		// First inbound batch is the catch-up: here the whole history.
 		if _, err := c.Receive(); err != nil {
 			t.Fatalf("%s: snapshot: %v", agent, err)
 		}

@@ -34,6 +34,16 @@ func connect(t *testing.T, r *netsync.Relay) (io.ReadWriteCloser, *sync.WaitGrou
 	return cEnd, &wg
 }
 
+// dial opens a client for the relay's document over end.
+func dial(t *testing.T, d *egwalker.Doc, end io.ReadWriter) *netsync.Client {
+	t.Helper()
+	c, err := netsync.Dial(d, end, "relay-doc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // drainUntil applies inbound batches until the doc holds want events or
 // a deadline passes. The doc must not be touched concurrently.
 func drainUntil(t *testing.T, c *netsync.Client, d *egwalker.Doc, want int) {
@@ -95,7 +105,7 @@ func TestRelayMultiClient(t *testing.T) {
 	for i := range peers {
 		end, wg := connect(t, relay)
 		doc := egwalker.NewDoc(fmt.Sprintf("c%d", i))
-		peers[i] = &peer{doc: doc, client: netsync.NewClient(doc, end), serveWG: wg}
+		peers[i] = &peer{doc: doc, client: dial(t, doc, end), serveWG: wg}
 		if _, err := peers[i].client.Receive(); err != nil {
 			t.Fatalf("client %d snapshot: %v", i, err)
 		}
@@ -161,7 +171,7 @@ func TestRelayDisconnectReconnect(t *testing.T) {
 	// A stable client that stays for the whole session.
 	stableEnd, stableWG := connect(t, relay)
 	stable := egwalker.NewDoc("stable")
-	stableClient := netsync.NewClient(stable, stableEnd)
+	stableClient := dial(t, stable, stableEnd)
 	if _, err := stableClient.Receive(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +180,7 @@ func TestRelayDisconnectReconnect(t *testing.T) {
 	// (no DONE frame — the link just dies).
 	flaky := egwalker.NewDoc("flaky")
 	flakyEnd, flakyWG := connect(t, relay)
-	flakyClient := netsync.NewClient(flaky, flakyEnd)
+	flakyClient := dial(t, flaky, flakyEnd)
 	if _, err := flakyClient.Receive(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +203,14 @@ func TestRelayDisconnectReconnect(t *testing.T) {
 	}
 
 	// The flaky client edits offline, then reconnects with the same doc:
-	// a fresh snapshot plus a push of everything the relay lacked.
+	// the events its summary lacks, plus a push of everything the relay
+	// lacked.
 	if err := flaky.Insert(flaky.Len(), offlineEdit); err != nil {
 		t.Fatal(err)
 	}
 	flakyEnd2, flakyWG2 := connect(t, relay)
-	flakyClient = netsync.NewClient(flaky, flakyEnd2)
-	if _, err := flakyClient.Receive(); err != nil { // snapshot
+	flakyClient = dial(t, flaky, flakyEnd2)
+	if _, err := flakyClient.Receive(); err != nil { // catch-up
 		t.Fatal(err)
 	}
 	missing, err := flaky.EventsSince(intersectKnown(flaky, offlineVersion))
@@ -251,7 +262,7 @@ func TestRelayChurn(t *testing.T) {
 
 	pusherEnd, pusherWG := connect(t, relay)
 	pusher := egwalker.NewDoc("pusher")
-	pusherClient := netsync.NewClient(pusher, pusherEnd)
+	pusherClient := dial(t, pusher, pusherEnd)
 	if _, err := pusherClient.Receive(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +281,11 @@ func TestRelayChurn(t *testing.T) {
 				}
 				end, serveWG := connect(t, relay)
 				doc := egwalker.NewDoc(fmt.Sprintf("churn-%d-%d", w, i))
-				c := netsync.NewClient(doc, end)
+				c, err := netsync.Dial(doc, end, "relay-doc")
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				if _, err := c.Receive(); err != nil {
 					t.Error(err)
 					return

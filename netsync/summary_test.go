@@ -1,9 +1,12 @@
 package netsync
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"egwalker"
@@ -84,23 +87,32 @@ func TestUnmarshalVersionSummaryRejects(t *testing.T) {
 	}
 }
 
-// TestVersionDecodeRejectsHugeSeq pins the hostile-uvarint bounds on the
-// legacy version decoder: a 2^63 seq used to wrap negative through
-// int(seq), poisoning every later comparison against it.
+// TestVersionDecodeRejectsHugeSeq pins the hostile-uvarint bounds where
+// an unauthenticated peer reaches the summary decoder — the doc hello
+// and the Sync hello: a 2^63 seq once wrapped negative through
+// int(seq), poisoning every later comparison against it, and an agent
+// name over the cap must not be read.
 func TestVersionDecodeRejectsHugeSeq(t *testing.T) {
-	var data []byte
-	data = binary.AppendUvarint(data, 1)
-	data = binary.AppendUvarint(data, 1)
-	data = append(data, 'a')
-	data = binary.AppendUvarint(data, 1<<63)
-	if v, _, err := unmarshalVersionRest(data); err == nil {
-		t.Fatalf("accepted seq 2^63 as %v", v)
-	}
-	data = nil
-	data = binary.AppendUvarint(data, 1)
-	data = binary.AppendUvarint(data, maxAgentName+1)
-	if v, _, err := unmarshalVersionRest(data); err == nil {
-		t.Fatalf("accepted agent name over cap as %v", v)
+	hugeSeq := binary.AppendUvarint([]byte{1, 1, 'a', 1}, 1<<63)
+	hugeSeq = binary.AppendUvarint(hugeSeq, 1)
+	longName := binary.AppendUvarint([]byte{1}, maxAgentName+1)
+	for _, tail := range [][]byte{hugeSeq, longName} {
+		if h, err := ReadHello(bytes.NewReader(v2Frame(capCompact|helloSummary, "d", tail))); err == nil {
+			t.Fatalf("doc hello accepted summary %x as %v", tail, h.Summary)
+		}
+		a, b := net.Pipe()
+		go func() {
+			bw := bufio.NewWriter(b)
+			if writeFrame(bw, msgSummary, tail) == nil {
+				bw.Flush()
+			}
+			readFrame(b) // the other side's summary
+			b.Close()
+		}()
+		if err := Sync(egwalker.NewDoc("x"), a); err == nil || !strings.Contains(err.Error(), "bad version summary") {
+			t.Fatalf("Sync on summary %x: err = %v, want a bad-summary refusal", tail, err)
+		}
+		a.Close()
 	}
 }
 
@@ -110,11 +122,10 @@ func TestHelloSummaryRoundTrip(t *testing.T) {
 		"bob":   {{Start: 0, End: 2}, {Start: 5, End: 9}},
 	}
 	cases := []Hello{
-		{DocID: "d", Summary: sum},
 		{DocID: "d", Summary: sum, Compact: true},
 		{DocID: "d", Summary: sum, Compact: true, Replica: true},
-		{DocID: "d", Summary: egwalker.VersionSummary{}, Compact: true}, // cold join, summary-capable
-		{DocID: "d", Summary: sum, Resume: true, Version: egwalker.Version{{Agent: "alice", Seq: 99}}},
+		{DocID: "d", Summary: sum, Compact: true, Redirect: true},
+		{DocID: "d", Summary: egwalker.VersionSummary{}, Compact: true}, // cold join
 	}
 	for i, h := range cases {
 		var buf bytes.Buffer
@@ -126,7 +137,7 @@ func TestHelloSummaryRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if got.DocID != h.DocID || got.Compact != h.Compact || got.Replica != h.Replica ||
-			got.Resume != h.Resume || !reflect.DeepEqual(got.Version, h.Version) {
+			got.Redirect != h.Redirect {
 			t.Fatalf("case %d: %+v -> %+v", i, h, got)
 		}
 		if got.Summary == nil || !reflect.DeepEqual(map[string][]egwalker.SeqRange(got.Summary), map[string][]egwalker.SeqRange(h.Summary)) {

@@ -2,6 +2,7 @@ package netsync
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -14,31 +15,29 @@ import (
 // Sync concurrently (each end of the connection runs the same
 // symmetric protocol):
 //
-//  1. exchange HELLO frames carrying each side's version;
-//  2. send the events the peer is missing (empty batches allowed);
+//  1. exchange summary frames carrying each side's version summary;
+//  2. send the events the peer is missing, in compact frames (empty
+//     batches allowed);
 //  3. exchange DONE frames.
 //
-// On return, the local document contains the union of both histories.
-// Duplicate and already-known events are ignored, so Sync is idempotent
-// and safe to run repeatedly (e.g. on a timer, or after reconnecting).
+// A summary names the peer's exact event set, so the diff is exact even
+// when the peer holds events this side has never seen. A peer that
+// opens with anything else — the retired frontier hello included — is
+// refused. On return, the local document contains the union of both
+// histories. Duplicate and already-known events are ignored, so Sync is
+// idempotent and safe to run repeatedly (e.g. on a timer, or after
+// reconnecting).
 func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
 
 	// Writes run in a goroutine so the protocol works over unbuffered
-	// transports (both sides write their HELLO before either reads).
+	// transports (both sides write their summary before either reads).
 	// The two send stages are sequenced through channels, so the writer
-	// is never used concurrently. The capability byte appended after
-	// the version advertises the compact columnar encoding and the
-	// summary handshake, and the summary itself follows the byte; peers
-	// predating either ignore trailing hello bytes, and absent the bits
-	// we use the legacy paths — so mixed-generation pairs still
-	// converge.
+	// is never used concurrently.
 	helloErr := make(chan error, 1)
 	go func() {
-		hello := append(marshalVersion(doc.Version()), capCompact|capSummary)
-		hello = append(hello, MarshalVersionSummary(doc.Summary())...)
-		err := writeFrame(bw, msgHello, hello)
+		err := writeFrame(bw, msgSummary, MarshalVersionSummary(doc.Summary()))
 		if err == nil {
 			err = bw.Flush()
 		}
@@ -52,38 +51,24 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 	if err := <-helloErr; err != nil {
 		return err
 	}
-	if typ != msgHello {
-		return fmt.Errorf("netsync: expected hello, got frame type %#x", typ)
+	switch typ {
+	case msgSummary:
+	case msgHello:
+		return errors.New("netsync: refused a frontier Sync hello (frame type 0x01) with no version summary")
+	default:
+		return fmt.Errorf("netsync: expected a summary hello, got frame type %#x", typ)
 	}
-	theirVersion, rest, err := unmarshalVersionRest(payload)
+	theirs, err := UnmarshalVersionSummary(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("netsync: bad version summary in hello: %w", err)
 	}
-	peerCompact := len(rest) > 0 && rest[0]&capCompact != 0
-	peerSummary := len(rest) > 0 && rest[0]&capSummary != 0
-
-	// Send what they are missing. A summary-capable peer told us its
-	// exact event set, so the diff is exact even when it holds events
-	// we have never seen. A legacy frontier may reference events we
-	// don't know; those can't anchor a graph diff, so fall back to the
-	// subset of their version we do know (extra events we send are
-	// deduplicated on their side).
-	var missing []egwalker.Event
-	if peerSummary {
-		theirSummary, _, serr := unmarshalSummaryRest(rest[1:])
-		if serr != nil {
-			return fmt.Errorf("netsync: bad version summary in hello: %w", serr)
-		}
-		missing, err = doc.EventsSinceSummary(theirSummary)
-	} else {
-		missing, err = doc.EventsSince(doc.KnownSubset(theirVersion))
-	}
+	missing, err := doc.EventsSinceSummary(theirs)
 	if err != nil {
 		return err
 	}
 	sendErr := make(chan error, 1)
 	go func() {
-		err := writeEventsChunked(bw, missing, peerCompact)
+		err := writeEventsChunked(bw, missing, true)
 		if err == nil {
 			err = writeFrame(bw, msgDone, nil)
 		}
@@ -117,9 +102,10 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 	}
 }
 
-// Relay is a star-topology hub for live collaboration: peers connect,
-// receive the full current history, and thereafter every batch of
-// events a peer uploads is stored and fanned out to all other peers.
+// Relay is a star-topology hub for live collaboration: peers connect
+// with the doc hello (Dial), receive the history their summary lacks,
+// and thereafter every batch of events a peer uploads is stored and
+// fanned out to all other peers.
 // The relay itself is just another replica — it holds a Doc and
 // forwards events; it performs no transformation (the paper's "relay
 // server could store and forward messages", §2.1).
@@ -143,18 +129,26 @@ func (r *Relay) Doc() *egwalker.Doc {
 }
 
 // Serve handles one peer connection; it returns when the peer
-// disconnects. Run it in its own goroutine per peer.
+// disconnects. The peer opens with the doc hello (its document ID is
+// not checked: a relay holds one document), and Serve answers with the
+// events its summary lacks, in compact frames. Run it in its own
+// goroutine per peer.
 func (r *Relay) Serve(conn io.ReadWriter) error {
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
+	h, err := ReadHello(br)
+	if err != nil {
+		return err
+	}
 
-	// Register the peer and snapshot the current history.
+	// Register the peer and take its catch-up under one lock, so it
+	// misses no batch fanned out in between.
 	r.mu.Lock()
 	id := r.next
 	r.next++
 	outbox := make(chan []byte, 256)
 	r.peers[id] = outbox
-	snapshot := r.doc.Events()
+	catchup, err := r.doc.EventsSinceSummary(h.Summary)
 	r.mu.Unlock()
 	// Deregister before closing the outbox: fanout (under mu) may still
 	// hold a reference, and a send on a closed channel would panic.
@@ -165,7 +159,10 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 		close(outbox)
 	}()
 
-	if err := writeEventsChunked(bw, snapshot, false); err != nil {
+	if err != nil {
+		return err
+	}
+	if err := writeEventsChunked(bw, catchup, true); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -237,7 +234,7 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 // PeerConn is the frame-level view of one replication connection. It
 // is the building block external hosts use to speak the relay protocol
 // without reimplementing framing: store.Server serves many documents by
-// reading a doc-ID hello and then driving a PeerConn per connection.
+// reading the doc hello and then driving a PeerConn per connection.
 // Send methods are safe for concurrent use with each other; Recv must
 // be called from a single goroutine.
 type PeerConn struct {
@@ -251,43 +248,6 @@ func NewPeerConn(conn io.ReadWriter) *PeerConn {
 	return &PeerConn{bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
 }
 
-// SendDocHello names the document this connection is about. Call once,
-// before any other frame, when talking to a multiplexing host.
-func (p *PeerConn) SendDocHello(docID string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := WriteDocHello(p.bw, docID); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendDocHelloResume names the document and presents the client's
-// current version, asking the host for an incremental catch-up (only
-// the events after the version) instead of the full history.
-func (p *PeerConn) SendDocHelloResume(docID string, v egwalker.Version) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := WriteDocHelloResume(p.bw, docID, v); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendDocHelloV2 sends the v2 doc-ID hello: compact advertises the
-// columnar encoding (the host may then answer with compact frames, and
-// a cold join streams the document's encoded blocks); resume presents
-// v for an incremental catch-up. Hosts predating the v2 hello reject
-// the connection.
-func (p *PeerConn) SendDocHelloV2(docID string, v egwalker.Version, resume, compact bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := WriteDocHelloV2(p.bw, docID, v, resume, compact); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
 // SendEvents uploads a batch, splitting it into multiple frames if it
 // exceeds the frame cap.
 func (p *PeerConn) SendEvents(events []egwalker.Event) error {
@@ -299,10 +259,8 @@ func (p *PeerConn) SendEvents(events []egwalker.Event) error {
 	return p.bw.Flush()
 }
 
-// SendEventsCompact is SendEvents with the compact columnar encoding.
-// Use it only when the peer advertised capCompact in its hello (a
-// multi-document host does, for the snapshot/catch-up it answers a v2
-// hello with).
+// SendEventsCompact is SendEvents with the compact columnar encoding,
+// which every peer that sent or accepted the doc hello decodes.
 func (p *PeerConn) SendEventsCompact(events []egwalker.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -372,84 +330,28 @@ func (p *PeerConn) Recv() (events []egwalker.Event, raw []byte, done bool, err e
 	case FrameRedirect:
 		return nil, nil, false, &RedirectError{Addrs: f.Addrs}
 	default:
-		return nil, nil, false, fmt.Errorf("netsync: unexpected version frame")
+		return nil, nil, false, errors.New("netsync: unexpected summary frame")
 	}
 }
 
-// Client is the peer side of a Relay connection: it applies inbound
-// batches to the local document and uploads local edits.
+// Client is the peer side of a Relay or store.Server connection: it
+// applies inbound batches to the local document and uploads local
+// edits.
 type Client struct {
 	doc *egwalker.Doc
 	pc  *PeerConn
 }
 
-// NewClient wraps a connection to a Relay.
-func NewClient(doc *egwalker.Doc, conn io.ReadWriter) *Client {
-	return &Client{doc: doc, pc: NewPeerConn(conn)}
-}
-
-// NewClientForDoc wraps a connection to a multi-document host
-// (store.Server): it first sends the doc-ID hello naming which hosted
-// document to join, then behaves exactly like a Relay client.
-func NewClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
+// Dial starts a client connection to a host (a Relay, store.Server or
+// cluster node) for the hosted document docID: it sends the doc hello
+// carrying doc's version summary, so the host answers with exactly the
+// events doc lacks — everything for an empty doc, nothing it already
+// holds for a reconnecting replica, even when the host is missing some
+// of doc's events (a fail-over to a slightly-behind replica). The
+// catch-up and the live stream arrive through Receive.
+func Dial(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
 	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHello(docID); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewResumingClientForDoc is NewClientForDoc for a reconnecting
-// replica: the hello presents doc's current version, so the host sends
-// only the events this replica is missing — not the full history. Use
-// it whenever the local doc may already hold part of the hosted
-// document (a reconnect after a network blip, a sever for falling
-// behind, or a process restart from a saved file).
-func NewResumingClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHelloResume(docID, doc.Version()); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCompactResumingClientForDoc is NewResumingClientForDoc over the
-// v2 hello: it additionally advertises the compact columnar encoding,
-// so the host's snapshot/catch-up arrives in a fraction of the bytes.
-// Hosts predating the v2 hello reject the connection — use the legacy
-// constructor against them.
-func NewCompactResumingClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHelloV2(docID, doc.Version(), true, true); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewSummaryResumingClientForDoc is the reconnect constructor that
-// survives fail-over: the v2 hello carries the doc's run-length
-// version summary (plus the compact capability), so the host answers
-// with the exact diff even when it is missing some of this replica's
-// events — where a frontier-resume hello against such a host degrades
-// to a full-history resend. Hosts predating the summary flag reject
-// the hello; use NewCompactResumingClientForDoc against them.
-func NewSummaryResumingClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendHello(Hello{DocID: docID, Summary: doc.Summary(), Compact: true}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCompactClientForDoc is NewClientForDoc over the v2 hello: a cold
-// join (no resume version) that advertises the compact columnar
-// encoding. Against a store.Server this is the cheapest possible join
-// — the host streams the document's encoded blocks verbatim off disk,
-// without materializing the document. Hosts predating the v2 hello
-// reject the connection — use the legacy constructor against them.
-func NewCompactClientForDoc(doc *egwalker.Doc, conn io.ReadWriter, docID string) (*Client, error) {
-	c := &Client{doc: doc, pc: NewPeerConn(conn)}
-	if err := c.pc.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := c.pc.SendHello(Hello{DocID: docID, Compact: true, Summary: doc.Summary()}); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -8,20 +8,24 @@
 // (agent, seq) event IDs; parents inside the subset compress to
 // relative indexes, and runs of events by one agent share one ID entry.
 // The batch codec itself lives in the root package (MarshalEvents /
-// UnmarshalEvents) so the durable store's write-ahead log and the
-// network share one encoding; Marshal/Unmarshal here are aliases.
+// MarshalEventsCompact / UnmarshalEventsAuto) so the durable store's
+// write-ahead log and the network share one encoding; Marshal/Unmarshal
+// here are aliases.
 //
-// Two modes are provided:
+// Every exchange starts with a version summary — each side's exact
+// event set as per-agent seq ranges — so the other side answers with
+// the true diff, in compact frames:
 //
-//   - Sync: one-shot anti-entropy — two replicas exchange versions and
+//   - Sync: one-shot anti-entropy — two replicas exchange summaries and
 //     the events the other is missing, then confirm convergence.
 //   - Relay: a hub that fans events out to connected peers for live
 //     collaboration (examples/tcp-pair shows both).
 //
-// A connection may optionally begin with a doc-ID hello frame
-// (WriteDocHello/ReadDocHello) so that one listener can multiplex many
-// documents: the client names the document it wants, the server routes
-// the rest of the stream to that document's relay (see store.Server).
+// A connection to a host begins with the doc hello (Hello, WriteHello,
+// ReadHello): the v2 frame with the compact bit set, naming the
+// document and carrying the client's summary when it resumes, so one
+// listener can multiplex many documents (see store.Server). Dial sends
+// it and returns the Client that speaks the rest of the stream.
 package netsync
 
 import (
@@ -33,46 +37,40 @@ import (
 )
 
 // Message types.
+// Frame types 0x01 (the frontier Sync hello) and 0x04 (the v1 doc
+// hello) are retired: Sync names the first when a peer sends it, and
+// ReadHello the second.
 const (
-	msgHello     = 0x01 // payload: version (list of event IDs), optional capability byte
+	msgHello     = 0x01 // retired: version (list of event IDs), capability byte
 	msgEvents    = 0x02 // payload: encoded event subset (legacy or columnar, sniffed)
 	msgDone      = 0x03 // payload: empty
-	msgDocHello  = 0x04 // payload: uvarint-length-prefixed document ID, optional resume version
-	msgDocHello2 = 0x05 // payload: uvarint flags, doc ID, optional resume version
+	msgDocHello  = 0x04 // retired: uvarint-length-prefixed document ID, resume version
+	msgDocHello2 = 0x05 // payload: uvarint flags, doc ID, optional version summary
 	msgRedirect  = 0x06 // payload: uvarint count, then length-prefixed node addresses
-	msgSummary   = 0x07 // payload: version summary (anti-entropy exchange)
+	msgSummary   = 0x07 // payload: version summary (Sync hello, anti-entropy exchange)
 )
 
-// Flag bits in a v2 doc hello (msgDocHello2) and in the capability
-// byte appended to a Sync hello. A peer that sets capCompact
-// understands the compact columnar event encoding (docs/FORMAT.md);
-// the other side may then answer snapshot/catch-up frames in it.
+// Flag bits in a v2 doc hello (msgDocHello2). Every accepted hello sets
+// capCompact: the peer decodes the compact columnar event encoding
+// (docs/FORMAT.md), and the host answers catch-up frames in it.
 const (
 	capCompact  = 1 << 0
-	helloResume = 1 << 1 // v2 doc hello only: a resume version follows the doc ID
+	helloResume = 1 << 1 // retired: a frontier version followed the doc ID; refused
 	// helloRedirect advertises that the client understands redirect
 	// frames: a cluster node that does not own the named document may
-	// answer msgRedirect instead of serving or proxying. Negotiated
-	// exactly like the compact capability — never sent unsolicited.
+	// answer msgRedirect instead of serving or proxying — never
+	// unsolicited.
 	helloRedirect = 1 << 2
 	// helloReplica marks a server-to-server replication link (see
 	// Hello.Replica).
 	helloReplica = 1 << 3
-	// helloSummary: a run-length version summary follows (after the
-	// resume version, when both are present). A summary describes the
-	// peer's complete event set, so the host can answer with an exact
-	// diff instead of the lossy known-subset a bare frontier forces
-	// when the host is missing one of its heads (see Hello.Summary).
+	// helloSummary: a run-length version summary follows the doc ID. A
+	// summary describes the peer's complete event set, so the host
+	// answers with an exact diff (see Hello.Summary).
 	helloSummary = 1 << 4
 
-	knownHelloFlags = capCompact | helloResume | helloRedirect | helloReplica | helloSummary
+	knownHelloFlags = capCompact | helloRedirect | helloReplica | helloSummary
 )
-
-// capSummary is the summary bit in the capability byte of a symmetric
-// Sync hello: the sender understands summaries, and one follows the
-// capability byte. Shares its value with helloSummary deliberately —
-// it is the same negotiated capability on both handshakes.
-const capSummary = helloSummary
 
 // maxFrame bounds a single frame's payload. The cap is checked before
 // any allocation, so a corrupt or hostile peer advertising a huge
@@ -83,8 +81,8 @@ const maxFrame = 16 << 20
 // maxDocID bounds the document ID in a doc-hello frame.
 const maxDocID = 4096
 
-// maxAgentName bounds an agent name in a decoded version or summary,
-// and maxSeq bounds a decoded sequence number. Both arrive in the
+// maxAgentName bounds an agent name in a decoded summary, and maxSeq
+// bounds a decoded sequence number. Both arrive in the
 // unauthenticated first frame of a connection, and both were once
 // cast to int unchecked — a 2^63 seq uvarint decoded to a *negative*
 // EventID.Seq, poisoning every downstream comparison and map keyed on
@@ -163,31 +161,22 @@ func writeEventsChunked(w io.Writer, events []egwalker.Event, compact bool) erro
 	return nil
 }
 
-// MarshalChunks encodes a batch as one or more frame-sized payloads:
-// split by event count first, then — for pathological event sizes
-// (maximal agent names, very wide frontiers) — by halving until each
-// payload fits under the frame cap. Multi-document hosts use it to
-// build fan-out payloads that any peer connection can carry. A single
-// event whose encoding alone exceeds the cap is an error (nothing can
-// carry it), never an over-cap chunk or an unbounded split.
-func MarshalChunks(events []egwalker.Event) ([][]byte, error) {
-	return marshalChunksLimit(events, maxFrame)
-}
-
-// MarshalChunksCompact is MarshalChunks with the compact columnar
-// encoding (docs/FORMAT.md). Send the result only to peers that
-// advertised capCompact in their hello.
+// MarshalChunksCompact encodes a batch in the compact columnar encoding
+// (docs/FORMAT.md) as one or more frame-sized payloads: split by event
+// count first, then — for pathological event sizes (maximal agent
+// names, very wide frontiers) — by halving until each payload fits
+// under the frame cap. Multi-document hosts use it to build payloads
+// any subscriber decodes. A single event whose encoding alone exceeds
+// the cap is an error (nothing can carry it), never an over-cap chunk
+// or an unbounded split.
 func MarshalChunksCompact(events []egwalker.Event) ([][]byte, error) {
 	return marshalChunksWith(events, maxFrame, egwalker.MarshalEventsCompact)
 }
 
-// marshalChunksLimit is MarshalChunks with the frame cap as a
-// parameter so tests can exercise the splitting and failure paths
-// without building multi-mebibyte batches.
-func marshalChunksLimit(events []egwalker.Event, limit int) ([][]byte, error) {
-	return marshalChunksWith(events, limit, Marshal)
-}
-
+// marshalChunksWith is the splitter behind MarshalChunksCompact and
+// writeEventsChunked; the frame cap is a parameter so tests can
+// exercise the splitting and failure paths without building
+// multi-mebibyte batches.
 func marshalChunksWith(events []egwalker.Event, limit int, marshal func([]egwalker.Event) ([]byte, error)) ([][]byte, error) {
 	var out [][]byte
 	var emit func(evs []egwalker.Event) error
@@ -214,99 +203,6 @@ func marshalChunksWith(events []egwalker.Event, limit int, marshal func([]egwalk
 		}
 	}
 	return out, nil
-}
-
-// WriteDocHello sends the frame that names which document the rest of
-// the connection is about. A client talking to a multi-document host
-// (store.Server) sends it once, immediately after connecting, before
-// any other frame. A hello without a version asks for the full current
-// history; WriteDocHelloResume asks for an incremental catch-up
-// instead.
-func WriteDocHello(w io.Writer, docID string) error {
-	return writeDocHello(w, docID, nil, false)
-}
-
-// WriteDocHelloResume sends a doc hello carrying the client's current
-// version: the incremental-resume handshake. Instead of the full
-// history, the host replies with only the events the client is missing
-// (its EventsSince relative to the presented version), which is what
-// makes reconnection cheap for a briefly disconnected or severed peer.
-// The version is appended to the hello payload; hosts predating resume
-// ignore the trailing bytes and fall back to the full snapshot, so the
-// frame is wire-compatible in both directions.
-func WriteDocHelloResume(w io.Writer, docID string, v egwalker.Version) error {
-	return writeDocHello(w, docID, v, true)
-}
-
-func writeDocHello(w io.Writer, docID string, v egwalker.Version, resume bool) error {
-	if len(docID) == 0 || len(docID) > maxDocID {
-		return fmt.Errorf("netsync: bad doc ID length %d", len(docID))
-	}
-	var payload []byte
-	payload = putUvarint(payload, uint64(len(docID)))
-	payload = append(payload, docID...)
-	if resume {
-		payload = append(payload, marshalVersion(v)...)
-	}
-	return writeFrame(w, msgDocHello, payload)
-}
-
-// WriteDocHelloV2 sends the second-generation doc hello: a flags field
-// first, then the doc ID and (with resume) the client's version. The
-// compact flag advertises that this client decodes the compact
-// columnar event encoding, letting the host answer the snapshot or
-// catch-up with far fewer bytes. Hosts predating the v2 hello reject
-// the unknown frame type — a client that must interoperate with them
-// sends the legacy hello (WriteDocHello / WriteDocHelloResume)
-// instead.
-func WriteDocHelloV2(w io.Writer, docID string, v egwalker.Version, resume, compact bool) error {
-	if len(docID) == 0 || len(docID) > maxDocID {
-		return fmt.Errorf("netsync: bad doc ID length %d", len(docID))
-	}
-	flags := uint64(0)
-	if compact {
-		flags |= capCompact
-	}
-	if resume {
-		flags |= helloResume
-	}
-	var payload []byte
-	payload = putUvarint(payload, flags)
-	payload = putUvarint(payload, uint64(len(docID)))
-	payload = append(payload, docID...)
-	if resume {
-		payload = append(payload, marshalVersion(v)...)
-	}
-	return writeFrame(w, msgDocHello2, payload)
-}
-
-// ReadDocHello reads the doc-ID hello frame a multiplexing listener
-// expects as the first frame of every connection, discarding any
-// resume version.
-func ReadDocHello(r io.Reader) (string, error) {
-	docID, _, _, err := ReadDocHelloVersion(r)
-	return docID, err
-}
-
-// ReadDocHelloVersion reads the doc-ID hello frame, returning the
-// resume version when the client presented one (resume reports
-// whether it did — an empty version from a fresh replica still counts
-// as a resume request, it just means "send everything").
-func ReadDocHelloVersion(r io.Reader) (docID string, v egwalker.Version, resume bool, err error) {
-	docID, v, resume, _, err = ReadDocHelloAny(r)
-	return docID, v, resume, err
-}
-
-// ReadDocHelloAny reads either generation of doc hello. compact
-// reports whether the client advertised the compact columnar event
-// encoding (always false for legacy hellos). See ReadHello for the
-// parsed form carrying the full capability set.
-func ReadDocHelloAny(r io.Reader) (docID string, v egwalker.Version, resume, compact bool, err error) {
-	h, err := ReadHello(r)
-	if err != nil {
-		return "", nil, false, false, err
-	}
-	return h.DocID, h.Version, h.Resume, h.Compact, nil
 }
 
 // --- varint helpers -------------------------------------------------------
@@ -359,69 +255,4 @@ func Marshal(events []egwalker.Event) ([]byte, error) {
 // knowledge of which encoding a frame carries).
 func Unmarshal(data []byte) ([]egwalker.Event, error) {
 	return egwalker.UnmarshalEventsAuto(data)
-}
-
-// marshalVersion encodes a Version for HELLO frames.
-func marshalVersion(v egwalker.Version) []byte {
-	var buf []byte
-	buf = putUvarint(buf, uint64(len(v)))
-	for _, id := range v {
-		buf = putUvarint(buf, uint64(len(id.Agent)))
-		buf = append(buf, id.Agent...)
-		buf = putUvarint(buf, uint64(id.Seq))
-	}
-	return buf
-}
-
-func unmarshalVersion(data []byte) (egwalker.Version, error) {
-	v, _, err := unmarshalVersionRest(data)
-	return v, err
-}
-
-// unmarshalVersionRest decodes a version and returns any bytes that
-// follow it. Trailing bytes are how the symmetric Sync hello carries
-// its capability byte: writers predating it produced none, and readers
-// predating it ignored them, so the extension is wire-compatible in
-// both directions.
-func unmarshalVersionRest(data []byte) (egwalker.Version, []byte, error) {
-	r := &byteReader{buf: data}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("netsync: version larger than payload")
-	}
-	// Grow lazily with a modest initial capacity: this parses the
-	// unauthenticated first frame of a server connection, so a hostile
-	// head count must not translate into a giant allocation. Each entry
-	// consumes at least two payload bytes, so a lie fails fast at the
-	// truncation checks below instead.
-	initCap := n
-	if initCap > 1024 {
-		initCap = 1024
-	}
-	v := make(egwalker.Version, 0, initCap)
-	for i := uint64(0); i < n; i++ {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ln > maxAgentName {
-			return nil, nil, fmt.Errorf("netsync: agent name length %d over cap %d", ln, maxAgentName)
-		}
-		b, err := r.bytes(int(ln))
-		if err != nil {
-			return nil, nil, err
-		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		if seq > maxSeq {
-			return nil, nil, fmt.Errorf("netsync: seq %d over cap %d", seq, uint64(maxSeq))
-		}
-		v = append(v, egwalker.EventID{Agent: string(b), Seq: int(seq)})
-	}
-	return v, data[r.off:], nil
 }

@@ -219,7 +219,7 @@ func session(t testing.TB, rng *rand.Rand, uploads int) [][]egwalker.Event {
 		sent[w] = append(sent[w], d.Version())
 		if rng.Intn(2) == 0 {
 			o := docs[rng.Intn(len(docs))]
-			missing, err := d.EventsSince(d.KnownSubset(o.Version()))
+			missing, err := d.EventsSinceSummary(o.Summary())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -513,7 +513,7 @@ func burstUploads(tb testing.TB, n int) (frames [][]byte, events int) {
 	for len(frames) < n {
 		w := len(frames) % 2
 		d, o := docs[w], docs[1-w]
-		missing, err := o.EventsSince(o.KnownSubset(d.Version()))
+		missing, err := o.EventsSinceSummary(d.Summary())
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func coldCompactJoin(t *testing.T, srv *Server, docID string, want int) *egwalke
 	serveOne(t, srv, ss)
 	defer cs.Close()
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	doc := egwalker.NewDoc("cold-joiner")

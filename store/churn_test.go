@@ -61,7 +61,7 @@ func TestServerEvictionVsPinnedChurn(t *testing.T) {
 					}()
 					pc := netsync.NewPeerConn(cs)
 					doc := egwalker.NewDoc(fmt.Sprintf("sub-%d-%d", g, i))
-					if err := pc.SendDocHello(id); err != nil {
+					if err := pc.SendHello(netsync.Hello{DocID: id, Compact: true}); err != nil {
 						errCh <- fmt.Errorf("g%d hello(%s): %w", g, id, err)
 						cs.Close()
 						return

@@ -26,16 +26,15 @@ func (c countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// join connects a fresh client to the server's doc using mkClient and
-// returns how many wire bytes the full catch-up cost.
-func join(t *testing.T, srv *Server, docID string, want int,
-	mkClient func(*egwalker.Doc, net.Conn) (*netsync.Client, error)) (int64, *egwalker.Doc) {
+// join connects a fresh client to the server's doc and returns how many
+// wire bytes the full catch-up cost.
+func join(t *testing.T, srv *Server, docID string, want int) (int64, *egwalker.Doc) {
 	t.Helper()
 	var bytesRead int64
 	cs, ss := net.Pipe()
 	serveOne(t, srv, ss)
 	doc := egwalker.NewDoc("joiner")
-	c, err := mkClient(doc, countingConn{cs, &bytesRead})
+	c, err := netsync.Dial(doc, countingConn{cs, &bytesRead}, docID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +47,8 @@ func join(t *testing.T, srv *Server, docID string, want int,
 	return atomic.LoadInt64(&bytesRead), doc
 }
 
-// TestCompactSnapshotJoin: a client advertising the compact encoding
-// downloads the same history in well under half the bytes, and the
+// TestCompactSnapshotJoin: a joining client downloads the history in
+// well under half the bytes of its legacy batch encoding, and the
 // document it builds is identical.
 func TestCompactSnapshotJoin(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
@@ -64,24 +63,20 @@ func TestCompactSnapshotJoin(t *testing.T) {
 	if err := srv.Append(docID, seed.Events()); err != nil {
 		t.Fatal(err)
 	}
+	legacy, err := egwalker.MarshalEvents(seed.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyBytes := int64(len(legacy))
 
-	legacyBytes, legacyDoc := join(t, srv, docID, 500,
-		func(d *egwalker.Doc, c net.Conn) (*netsync.Client, error) {
-			return netsync.NewResumingClientForDoc(d, c, docID)
-		})
-	compactBytes, compactDoc := join(t, srv, docID, 500,
-		func(d *egwalker.Doc, c net.Conn) (*netsync.Client, error) {
-			return netsync.NewCompactResumingClientForDoc(d, c, docID)
-		})
-
-	if legacyDoc.Text() != seed.Text() || compactDoc.Text() != seed.Text() {
-		t.Fatalf("joined docs diverge: legacy %q compact %q seed %q",
-			legacyDoc.Text(), compactDoc.Text(), seed.Text())
+	compactBytes, compactDoc := join(t, srv, docID, 500)
+	if compactDoc.Text() != seed.Text() {
+		t.Fatalf("joined doc diverges: %q, seed %q", compactDoc.Text(), seed.Text())
 	}
 	if compactBytes*2 > legacyBytes {
-		t.Fatalf("compact join cost %d bytes, legacy %d — expected <= half", compactBytes, legacyBytes)
+		t.Fatalf("compact join cost %d bytes, legacy encoding %d — expected <= half", compactBytes, legacyBytes)
 	}
-	t.Logf("join bytes: legacy=%d compact=%d (%.1f%%)",
+	t.Logf("join bytes: legacy encoding=%d compact join=%d (%.1f%%)",
 		legacyBytes, compactBytes, 100*float64(compactBytes)/float64(legacyBytes))
 }
 

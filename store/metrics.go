@@ -76,13 +76,11 @@ type Metrics struct {
 	// Zero-materialization serve path: BlockServes counts catch-ups
 	// streamed as verbatim encoded blocks (no document built);
 	// LazyMaterializations counts documents that had to be built on
-	// demand (a Text query, a legacy catch-up, a resume diff, a
-	// compaction); ResumeFallbacks counts resume handshakes that lost
-	// information — a summary hello that degraded to a full catch-up
-	// (diff failed), or a legacy frontier hello whose version named
-	// events this server lacks, forcing a known-subset resend of
-	// history the client already had. SummaryResumes counts resume
-	// hellos answered with an exact summary diff.
+	// demand (a Text query, a decoded catch-up, a resume diff, a
+	// compaction); ResumeFallbacks counts summary hellos whose diff
+	// could not be built and degraded to a full catch-up.
+	// SummaryResumes counts resume hellos answered with an exact
+	// summary diff.
 	BlockServes          metrics.Counter
 	BlockServeEvents     metrics.Counter
 	LazyMaterializations metrics.Counter
@@ -90,7 +88,7 @@ type Metrics struct {
 	SummaryResumes       metrics.Counter
 
 	// Cluster replication: batches/events ingested over server-to-server
-	// replica links, anti-entropy version exchanges answered, and events
+	// replica links, anti-entropy summary exchanges answered, and events
 	// shipped out as exchange catch-ups.
 	ReplicaBatchesIn metrics.Counter
 	ReplicaEventsIn  metrics.Counter

@@ -26,7 +26,7 @@ import (
 // compresses adjacent edits from the same agents (a compact-encoded merge of hundreds of
 // single-keystroke batches is often ~10x smaller than their sum). Only
 // if the queue is still over budget after coalescing is the peer
-// severed; it reconnects with a resume hello and catches up
+// severed; it reconnects with a summary hello and catches up
 // incrementally, which costs far less than the backlog it was never
 // going to drain.
 //
@@ -44,24 +44,18 @@ type outbox struct {
 	bytes  int64    // sum of their lengths
 	closed bool
 
-	// compact records whether the peer decodes the compact columnar
-	// encoding; coalesced batches are re-marshalled in the densest
-	// encoding the peer accepts.
-	compact bool
-
 	peerBudget int64
 	globalCap  int64
 	global     *metrics.Gauge   // server-wide queued-bytes ledger (OutboxBytes)
 	coalesced  *metrics.Counter // frames eliminated by merging (CoalescedFrames)
 }
 
-func newOutbox(peerBudget, globalCap int64, global *metrics.Gauge, coalesced *metrics.Counter, compact bool) *outbox {
+func newOutbox(peerBudget, globalCap int64, global *metrics.Gauge, coalesced *metrics.Counter) *outbox {
 	o := &outbox{
 		peerBudget: peerBudget,
 		globalCap:  globalCap,
 		global:     global,
 		coalesced:  coalesced,
-		compact:    compact,
 	}
 	o.cond.L = &o.mu
 	return o
@@ -114,7 +108,7 @@ func (o *outbox) overLocked(add int64) bool {
 
 // coalesceLocked merges the queue into one batch: every frame is decoded
 // (here, under pressure, and nowhere else on the fan-out path), the
-// events are re-marshalled in the peer's best encoding, and the merge is
+// events are re-marshalled compact, and the merge is
 // kept only when it is actually smaller (a merge that grows — rare, but
 // possible across chunking boundaries — is discarded).
 func (o *outbox) coalesceLocked() {
@@ -129,11 +123,7 @@ func (o *outbox) coalesceLocked() {
 		}
 		evs = append(evs, batch...)
 	}
-	marshal := netsync.MarshalChunks
-	if o.compact {
-		marshal = netsync.MarshalChunksCompact
-	}
-	chunks, err := marshal(evs)
+	chunks, err := netsync.MarshalChunksCompact(evs)
 	var newBytes int64
 	for _, c := range chunks {
 		newBytes += int64(len(c))

@@ -29,14 +29,11 @@ func singleEventFrames(t *testing.T, n int) (raws [][]byte, events [][]egwalker.
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks, err := netsync.MarshalChunks(evs)
+		raw, err := egwalker.MarshalEvents(evs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(chunks) != 1 {
-			t.Fatalf("single event marshalled to %d chunks", len(chunks))
-		}
-		raws = append(raws, chunks[0])
+		raws = append(raws, raw)
 		events = append(events, evs)
 	}
 	return raws, events
@@ -53,7 +50,7 @@ func pushOK(o *outbox, raws [][]byte) bool {
 func TestOutboxEmptyQueueAccepts(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	o := newOutbox(16, 16, &global, &coalesced, false)
+	o := newOutbox(16, 16, &global, &coalesced)
 	big := make([]byte, 4096)
 	if !pushOK(o, [][]byte{big}) {
 		t.Fatal("empty outbox rejected an oversized frame")
@@ -87,7 +84,7 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 	// ~10 bytes per single-event legacy frame: 300 frames (~3 KB) blow
 	// a 2 KB budget around frame 200; the coalesced batch is far
 	// smaller, so every push must be accepted.
-	o := newOutbox(2048, 0, &global, &coalesced, true)
+	o := newOutbox(2048, 0, &global, &coalesced)
 	for i := range raws {
 		if !pushOK(o, [][]byte{raws[i]}) {
 			t.Fatalf("push %d rejected: coalescing should have freed the budget", i)
@@ -143,7 +140,7 @@ func TestOutboxCoalescesUndecodedFrames(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
 	budget := int64(total * 3 / 5)
-	o := newOutbox(budget, 0, &global, &coalesced, true)
+	o := newOutbox(budget, 0, &global, &coalesced)
 	for i, f := range frames {
 		before := o.depth()
 		depth, ok := o.push([][]byte{f})
@@ -167,7 +164,7 @@ func TestOutboxCoalescesUndecodedFrames(t *testing.T) {
 	var got []egwalker.Event
 	for _, raw := range drained {
 		if !colenc.Sniff(raw) {
-			t.Fatal("a compact peer's merged frame is not compact")
+			t.Fatal("a merged frame is not compact")
 		}
 		evs, err := egwalker.UnmarshalEventsAuto(raw)
 		if err != nil {
@@ -192,7 +189,7 @@ func TestOutboxCoalescesUndecodedFrames(t *testing.T) {
 func TestOutboxDrainRecyclesArray(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	o := newOutbox(0, 0, &global, &coalesced, true)
+	o := newOutbox(0, 0, &global, &coalesced)
 	frame := func(n int) [][]byte { return [][]byte{make([]byte, n)} }
 	o.push(frame(1))
 	o.push(frame(2))
@@ -235,8 +232,8 @@ func TestOutboxDrainRecyclesArray(t *testing.T) {
 func TestOutboxGlobalCapShared(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	a := newOutbox(0, 1024, &global, &coalesced, false)
-	b := newOutbox(0, 1024, &global, &coalesced, false)
+	a := newOutbox(0, 1024, &global, &coalesced)
+	b := newOutbox(0, 1024, &global, &coalesced)
 	if !pushOK(a, [][]byte{make([]byte, 900)}) {
 		t.Fatal("first push rejected")
 	}
@@ -265,7 +262,7 @@ func TestOutboxGlobalCapShared(t *testing.T) {
 func TestOutboxGracefulCloseHandsOffBacklog(t *testing.T) {
 	var global metrics.Gauge
 	var coalesced metrics.Counter
-	o := newOutbox(0, 0, &global, &coalesced, false)
+	o := newOutbox(0, 0, &global, &coalesced)
 	pushOK(o, [][]byte{make([]byte, 10), make([]byte, 20)})
 	o.close(false)
 	raws, ok := o.drain(nil)
@@ -291,7 +288,7 @@ func TestSeverAccountingIdempotent(t *testing.T) {
 	defer cs.Close()
 	serveOne(t, srv, ss)
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello(docID); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := pc.Recv(); err != nil { // initial empty catch-up
@@ -344,7 +341,7 @@ func TestOutboxDepthPeriodicSampling(t *testing.T) {
 	defer cs.Close()
 	serveOne(t, srv, ss)
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello("idle-doc"); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: "idle-doc", Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := pc.Recv(); err != nil {
@@ -408,7 +405,7 @@ func TestFanoutThousandSubscribersBounded(t *testing.T) {
 		}
 		conns[i] = c
 		pc := netsync.NewPeerConn(c)
-		if err := pc.SendDocHello(docID); err != nil {
+		if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 			t.Fatal(err)
 		}
 		go func(i int) {
@@ -445,7 +442,7 @@ func TestFanoutThousandSubscribersBounded(t *testing.T) {
 	}
 	defer wc.Close()
 	wpc := netsync.NewPeerConn(wc)
-	if err := wpc.SendDocHello(docID); err != nil {
+	if err := wpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := wpc.Recv(); err != nil {
@@ -538,7 +535,7 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	serveOne(t, srv, slowSS)
 	slowDoc := egwalker.NewDoc("slow")
 	slowPC := netsync.NewPeerConn(slowCS)
-	if err := slowPC.SendDocHelloV2(docID, nil, false, true); err != nil {
+	if err := slowPC.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 1: drain slowly — one frame every 8ms against a writer
@@ -573,7 +570,7 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	serveOne(t, srv, wss)
 	wdoc := egwalker.NewDoc("w")
 	wpc := netsync.NewPeerConn(wcs)
-	if err := wpc.SendDocHello(docID); err != nil {
+	if err := wpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := wpc.Recv(); err != nil {
@@ -632,7 +629,7 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	defer rcs.Close()
 	serveOne(t, srv, rss)
 	rpc := netsync.NewPeerConn(rcs)
-	if err := rpc.SendDocHelloResume(docID, slowDoc.Version()); err != nil {
+	if err := rpc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: slowDoc.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvInto(t, rpc, slowDoc, sent)

@@ -14,25 +14,21 @@ import (
 	"egwalker/netsync"
 )
 
-// TestCompactUploadFansOutPerCapability (regression): a compact-encoded
-// upload used to be forwarded verbatim to every peer, including peers
-// that never advertised the compact encoding — a legacy subscriber
-// would receive frames it cannot decode. The relay must re-marshal for
-// legacy peers and keep the verbatim bytes for compact ones.
-func TestCompactUploadFansOutPerCapability(t *testing.T) {
+// TestFanoutForwardsCompact: every subscriber decodes the compact
+// encoding, so an upload is forwarded to each one verbatim, and a batch
+// appended through the API (which arrives decoded) is marshalled once,
+// compact, for all of them.
+func TestFanoutForwardsCompact(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond})
-	const docID = "fanout-caps"
+	const docID = "fanout-compact"
 
-	type sub struct {
-		pc   *netsync.PeerConn
-		conn net.Conn
-	}
-	dial := func(hello func(pc *netsync.PeerConn) error) sub {
+	dial := func() *netsync.PeerConn {
 		t.Helper()
 		cs, ss := net.Pipe()
+		t.Cleanup(func() { cs.Close() })
 		serveOne(t, srv, ss)
 		pc := netsync.NewPeerConn(cs)
-		if err := hello(pc); err != nil {
+		if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 			t.Fatal(err)
 		}
 		cs.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -40,52 +36,47 @@ func TestCompactUploadFansOutPerCapability(t *testing.T) {
 		if _, _, _, err := pc.Recv(); err != nil {
 			t.Fatal(err)
 		}
-		return sub{pc: pc, conn: cs}
+		return pc
 	}
-
-	legacy := dial(func(pc *netsync.PeerConn) error { return pc.SendDocHello(docID) })
-	defer legacy.conn.Close()
-	compact := dial(func(pc *netsync.PeerConn) error { return pc.SendDocHelloV2(docID, nil, false, true) })
-	defer compact.conn.Close()
-	uploader := dial(func(pc *netsync.PeerConn) error { return pc.SendDocHelloV2(docID, nil, false, true) })
-	defer uploader.conn.Close()
+	subs := []*netsync.PeerConn{dial(), dial()}
+	uploader := dial()
 
 	seed := egwalker.NewDoc("uploader")
 	if err := seed.Insert(0, "compact upload payload"); err != nil {
 		t.Fatal(err)
 	}
-	if err := uploader.pc.SendEventsCompact(seed.Events()); err != nil {
+	upload, err := egwalker.MarshalEventsCompact(seed.Events())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := uploader.SendRaw(upload); err != nil {
+		t.Fatal(err)
+	}
+	for i, pc := range subs {
+		_, raw, _, err := pc.Recv()
+		if err != nil {
+			t.Fatalf("subscriber %d: %v", i, err)
+		}
+		if string(raw) != string(upload) {
+			t.Fatalf("subscriber %d did not receive the uploader's bytes verbatim", i)
+		}
 	}
 
-	levs, lraw, _, err := legacy.pc.Recv()
-	if err != nil {
-		t.Fatalf("legacy subscriber: %v", err)
-	}
-	if colenc.Sniff(lraw) {
-		t.Fatal("legacy subscriber received a compact-encoded frame")
-	}
-	ldoc := egwalker.NewDoc("l")
-	if _, err := ldoc.Apply(levs); err != nil {
+	more := egwalker.NewDoc("api")
+	if err := more.Insert(0, "appended "); err != nil {
 		t.Fatal(err)
 	}
-	if ldoc.Text() != seed.Text() {
-		t.Fatalf("legacy subscriber text %q, want %q", ldoc.Text(), seed.Text())
-	}
-
-	cevs, craw, _, err := compact.pc.Recv()
-	if err != nil {
-		t.Fatalf("compact subscriber: %v", err)
-	}
-	if !colenc.Sniff(craw) {
-		t.Fatal("compact subscriber did not receive the uploader's bytes verbatim")
-	}
-	cdoc := egwalker.NewDoc("c")
-	if _, err := cdoc.Apply(cevs); err != nil {
+	if err := srv.Append(docID, more.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if cdoc.Text() != seed.Text() {
-		t.Fatalf("compact subscriber text %q, want %q", cdoc.Text(), seed.Text())
+	for i, pc := range append(subs, uploader) {
+		evs, raw, _, err := pc.Recv()
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+		if !colenc.Sniff(raw) || len(evs) != len(more.Events()) {
+			t.Fatalf("peer %d got an appended batch of %d events, compact=%v", i, len(evs), colenc.Sniff(raw))
+		}
 	}
 }
 
@@ -107,7 +98,7 @@ func TestCloseWaitsForPinnedWork(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.ServeConn(ss) }()
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello(docID); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	cs.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -202,7 +193,7 @@ func TestSaturatedCompactorReleasesAndEvicts(t *testing.T) {
 // is causally valid (no missing parents — it passes the journal's
 // structural validation) but semantically invalid (an insert at
 // position 5 of an empty document) journals cleanly yet fails to
-// replay, so EventsSinceKnown's materialization errors. The block
+// replay, so EventsSinceSummary's materialization errors. The block
 // serve path, which never replays, still works.
 func TestResumeFallbackSurfaced(t *testing.T) {
 	var mu sync.Mutex
@@ -238,8 +229,8 @@ func TestResumeFallbackSurfaced(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	// A compact resume presenting some non-empty version: the diff
-	// needs the materialized doc, which cannot be built.
+	// A resume presenting some non-empty summary: the diff needs the
+	// materialized doc, which cannot be built.
 	stranger := egwalker.NewDoc("stranger")
 	if err := stranger.Insert(0, "elsewhere"); err != nil {
 		t.Fatal(err)
@@ -248,7 +239,7 @@ func TestResumeFallbackSurfaced(t *testing.T) {
 	serveOne(t, srv, ss)
 	defer cs.Close()
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHelloV2(docID, stranger.Version(), true, true); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: stranger.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	cs.SetReadDeadline(time.Now().Add(10 * time.Second))

@@ -39,8 +39,9 @@ func recvInto(t *testing.T, pc *netsync.PeerConn, doc *egwalker.Doc, want int) i
 }
 
 // TestResumeReceivesOnlyNewEvents is the incremental-resume acceptance
-// test: a client that reconnects presenting version V receives exactly
-// the events after V — not the full history it already holds.
+// test: a client that reconnects presenting the summary of version V
+// receives exactly the events after V — not the full history it
+// already holds.
 func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
 	const docID = "resume-doc"
@@ -61,7 +62,7 @@ func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 	cs, ss := net.Pipe()
 	serveOne(t, srv, ss)
 	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHello(docID); err != nil {
+	if err := pc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := recvInto(t, pc, doc, 100); got != 100 {
@@ -90,13 +91,13 @@ func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reconnect presenting version V (the 100-event state): the
+	// Reconnect presenting the summary of V (the 100-event state): the
 	// catch-up must carry exactly the 20 events after V.
 	cs2, ss2 := net.Pipe()
 	defer cs2.Close()
 	serveOne(t, srv, ss2)
 	pc2 := netsync.NewPeerConn(cs2)
-	if err := pc2.SendDocHelloResume(docID, doc.Version()); err != nil {
+	if err := pc2.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: doc.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvInto(t, pc2, doc, 120)
@@ -115,14 +116,15 @@ func TestResumeReceivesOnlyNewEvents(t *testing.T) {
 	if m.Resumes != 1 || m.ResumeEvents != 20 {
 		t.Errorf("metrics: resumes=%d resume_events=%d, want 1/20", m.Resumes, m.ResumeEvents)
 	}
-	if m.FullSnapshots < 1 || m.SnapshotEvents < 100 {
-		t.Errorf("metrics: full_snapshots=%d snapshot_events=%d", m.FullSnapshots, m.SnapshotEvents)
+	if m.BlockServes < 1 || m.BlockServeEvents < 100 {
+		t.Errorf("metrics: block_serves=%d block_serve_events=%d", m.BlockServes, m.BlockServeEvents)
 	}
 }
 
-// TestResumeUnknownVersionFallsBack: a resume hello whose version
-// references events the server never saw still converges — the server
-// narrows to the known subset and sends a superset of what is missing.
+// TestResumeUnknownVersionFallsBack: a resume hello whose summary names
+// events the server never saw still converges — the server sends what
+// the client lacks (here nothing) without falling back to a full
+// catch-up, and takes the client's upload.
 func TestResumeUnknownVersionFallsBack(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
 	const docID = "resume-foreign"
@@ -136,7 +138,7 @@ func TestResumeUnknownVersionFallsBack(t *testing.T) {
 	}
 
 	// The client holds the server history plus local edits the server
-	// has never seen: its frontier references unknown events.
+	// has never seen: its version references unknown events.
 	doc := egwalker.NewDoc("wanderer")
 	if _, err := doc.Apply(seed.Events()); err != nil {
 		t.Fatal(err)
@@ -155,7 +157,7 @@ func TestResumeUnknownVersionFallsBack(t *testing.T) {
 	cs, ss := net.Pipe()
 	defer cs.Close()
 	serveOne(t, srv, ss)
-	c, err := netsync.NewResumingClientForDoc(doc, cs, docID)
+	c, err := netsync.Dial(doc, cs, docID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +188,8 @@ func TestResumeUnknownVersionFallsBack(t *testing.T) {
 			t.Fatalf("server never merged offline edits: %q", text)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	if m := srv.MetricsSnapshot(); m.ResumeFallbacks != 0 || m.SummaryResumes != 1 {
+		t.Fatalf("resume_fallbacks=%d summary_resumes=%d, want 0/1", m.ResumeFallbacks, m.SummaryResumes)
 	}
 }

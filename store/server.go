@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"egwalker"
-	"egwalker/internal/colenc"
 	"egwalker/netsync"
 )
 
@@ -147,14 +146,13 @@ func (o ServerOptions) withDefaults() ServerOptions {
 const closeDrainTimeout = 5 * time.Second
 
 // peerSub is one live subscriber of a document: its byte-budgeted
-// outbox of marshalled batches, the connection behind it (kept so the
-// sever path can close the transport immediately — a writer blocked
+// outbox of marshalled batches and the connection behind it (kept so
+// the sever path can close the transport immediately — a writer blocked
 // mid-send on a stalled peer would otherwise never observe its outbox
-// closing), and whether the peer advertised the compact encoding.
+// closing).
 type peerSub struct {
-	ob      *outbox
-	conn    io.ReadWriter
-	compact bool
+	ob   *outbox
+	conn io.ReadWriter
 }
 
 // entry is one open document plus its connected peers. ds is nil until
@@ -191,10 +189,10 @@ type entry struct {
 // Server hosts many durable documents behind string doc IDs: the
 // paper's relay server grown a database. One Server owns one store
 // root directory; connections multiplex by document via the netsync
-// doc-ID hello frame (ServeConn). Open documents are journal-only by
-// default — write-mostly documents are hosted without ever building
-// their egwalker.Doc — and an LRU keeps only the documents that needed
-// materializing (text queries, legacy catch-ups, resume diffs,
+// doc hello (ServeConn). Open documents are journal-only by default —
+// write-mostly documents are hosted without ever building their
+// egwalker.Doc — and an LRU keeps only the documents that needed
+// materializing (text queries, decoded catch-ups, resume diffs,
 // compaction) in memory.
 type Server struct {
 	mu      sync.Mutex
@@ -544,16 +542,12 @@ func (s *Server) DocIDs() ([]string, error) {
 }
 
 // ingest journals a batch and forwards it to every peer except the
-// sender, building per-capability payloads: a peer gets the uploader's
-// raw bytes verbatim only when it can decode them — compact-encoded
-// uploads are re-marshalled (lazily, once per batch) for peers that
-// never advertised the compact encoding. The batch travels encoded: its
-// events are decoded, once, only if the document is materialized, the
-// replication tap is set or such a peer is subscribed (b.raw is nil for
-// API appends, which arrive decoded). replica marks a batch arriving
-// over a server-to-server replication link: it still fans out to local
-// subscribers, but never fires the OnIngest tap — the origin node
-// already pushed it to every replica, and re-forwarding replicated
+// sender. The batch travels encoded: its events are decoded, once, only
+// if the document is materialized or the replication tap is set (b.raw
+// is nil for API appends, which arrive decoded). replica marks a batch
+// arriving over a server-to-server replication link: it still fans out
+// to local subscribers, but never fires the OnIngest tap — the origin
+// node already pushed it to every replica, and re-forwarding replicated
 // batches would echo them around the cluster forever.
 func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 	start := time.Now()
@@ -581,41 +575,23 @@ func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 
 // fanoutLocked forwards a batch to every subscriber except fromPeer
 // (-1: all). Called with e.mu held; also used by RepairDoc to push a
-// repair's fetched diff to live subscribers.
+// repair's fetched diff to live subscribers. Every subscriber decodes
+// both encodings, so an uploaded batch is forwarded verbatim; only a
+// batch that arrived decoded is marshalled, once, compact.
 func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
-	// Verbatim forwarding is the zero-copy default; only a compact
-	// payload headed for a legacy peer needs the re-marshal (a legacy
-	// payload is the common decodable-by-everyone denominator).
-	rawCompact := b.raw != nil && colenc.Sniff(b.raw)
-	var verbatim [][]byte
-	if b.raw != nil {
-		verbatim = [][]byte{b.raw}
-	}
-	var legacyChunks [][]byte
-	legacyPayloads := func() ([][]byte, error) {
-		if legacyChunks == nil {
-			events, err := b.Events()
-			if err != nil {
-				return nil, err
-			}
-			if legacyChunks, err = netsync.MarshalChunks(events); err != nil {
-				return nil, err
-			}
+	raws := [][]byte{b.raw}
+	if b.raw == nil {
+		events, err := b.Events()
+		if err != nil {
+			return err
 		}
-		return legacyChunks, nil
+		if raws, err = netsync.MarshalChunksCompact(events); err != nil {
+			return err
+		}
 	}
-
 	for pid, p := range e.peers {
 		if pid == fromPeer {
 			continue
-		}
-		raws := verbatim
-		if raws == nil || (rawCompact && !p.compact) {
-			var err error
-			raws, err = legacyPayloads()
-			if err != nil {
-				return err
-			}
 		}
 		depth, ok := p.ob.push(raws)
 		e.m.OutboxDepth.Observe(int64(depth))
@@ -623,7 +599,7 @@ func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 			// Slow peer: over its byte budget even after coalescing, so
 			// it would silently miss these events forever (the live
 			// protocol has no anti-entropy). Sever it instead; the
-			// client reconnects with a resume hello and catches up
+			// client reconnects with a summary hello and catches up
 			// incrementally.
 			e.severLocked(pid)
 		}
@@ -662,23 +638,19 @@ type subPlan struct {
 
 // subscribe registers a peer and plans its catch-up: nothing ingested
 // after the cut escapes the outbox, so the peer sees every event
-// exactly once. A summary hello gets the exact diff — correct even
-// when this server lacks some of the peer's events, so it never
-// resends history. A legacy resume hello presenting a non-empty
-// version gets the known-subset diff (materializing if needed); when
-// the version named events this server lacks, the answer re-sends
-// history the client already had, which is counted as a resume
-// fallback so operators see legacy clients paying the reconnect tax.
-// A failed diff degrades to a cold join. Cold joins by compact peers
-// stream the document's encoded blocks without materializing it;
-// everything else gets the decoded full history.
+// exactly once. A hello with a non-empty summary gets the exact diff —
+// correct even when this server lacks some of the peer's events, so it
+// never resends history; a diff that cannot be built degrades to a
+// full catch-up, counted as a resume fallback. A full catch-up streams
+// the document's encoded blocks without materializing it where the
+// store can cut them, and sends the decoded history otherwise.
 func (e *entry) subscribe(conn io.ReadWriter, h netsync.Hello) (*subPlan, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := e.nextPeer
 	e.nextPeer++
-	outbox := newOutbox(e.obPeer, e.obTotal, &e.m.OutboxBytes, &e.m.CoalescedFrames, h.Compact)
-	e.peers[id] = peerSub{ob: outbox, conn: conn, compact: h.Compact}
+	outbox := newOutbox(e.obPeer, e.obTotal, &e.m.OutboxBytes, &e.m.CoalescedFrames)
+	e.peers[id] = peerSub{ob: outbox, conn: conn}
 	e.m.Subscribers.Add(1)
 	if len(h.Summary) > 0 {
 		catchup, err := e.ds.EventsSinceSummary(h.Summary)
@@ -688,36 +660,16 @@ func (e *entry) subscribe(conn io.ReadWriter, h netsync.Hello) (*subPlan, error)
 			e.m.ResumeEvents.Add(int64(len(catchup)))
 			return &subPlan{id: id, outbox: outbox, events: catchup}, nil
 		}
+		// A full catch-up is always correct — but say so, because a
+		// fleet of clients silently re-downloading full histories is a
+		// resume regression an operator needs to see.
 		e.m.ResumeFallbacks.Inc()
 		e.logf("store: summary resume for %q degraded to full catch-up: %v", e.id, err)
-	} else if h.Resume && len(h.Version) > 0 {
-		catchup, dropped, err := e.ds.EventsSinceKnownLossy(h.Version)
-		if err == nil {
-			if dropped > 0 {
-				// The frontier named events we lack: the diff anchored
-				// below them and re-sends history the client already
-				// has. Correct but wasteful — the lost-information case
-				// the summary hello exists to eliminate.
-				e.m.ResumeFallbacks.Inc()
-				e.logf("store: legacy resume for %q dropped %d unknown heads, re-sending covered history", e.id, dropped)
-			}
-			e.m.Resumes.Inc()
-			e.m.ResumeEvents.Add(int64(len(catchup)))
-			return &subPlan{id: id, outbox: outbox, events: catchup}, nil
-		}
-		// An unresolvable version cannot anchor a diff; degrade to a
-		// full catch-up, which is always correct — but say so, because
-		// a fleet of clients silently re-downloading full histories is
-		// a resume regression an operator needs to see.
-		e.m.ResumeFallbacks.Inc()
-		e.logf("store: resume for %q degraded to full catch-up: %v", e.id, err)
 	}
-	if h.Compact {
-		if cut, ok := e.ds.CutForServe(); ok {
-			e.m.BlockServes.Inc()
-			e.m.BlockServeEvents.Add(int64(cut.NumEvents()))
-			return &subPlan{id: id, outbox: outbox, cut: cut}, nil
-		}
+	if cut, ok := e.ds.CutForServe(); ok {
+		e.m.BlockServes.Inc()
+		e.m.BlockServeEvents.Add(int64(cut.NumEvents()))
+		return &subPlan{id: id, outbox: outbox, cut: cut}, nil
 	}
 	snapshot, err := e.ds.EventsSince(nil)
 	if err != nil {
@@ -757,20 +709,19 @@ func (e *entry) unsubscribe(id int) {
 	}
 }
 
-// ServeConn handles one client connection: it reads the doc-ID hello
-// frame naming which hosted document the peer wants, sends the
-// catch-up history (everything, or — when the hello presents a resume
-// version — only the events the peer is missing), and thereafter
-// journals and fans out every batch the peer uploads —
-// netsync.Relay semantics, multiplexed over every document in the
-// store and durable across restarts.
+// ServeConn handles one client connection: it reads the doc hello
+// naming which hosted document the peer wants, sends the catch-up in
+// compact frames (everything, or — when the hello carries a version
+// summary — only the events the peer is missing), and thereafter
+// journals and fans out every batch the peer uploads — netsync.Relay
+// semantics, multiplexed over every document in the store and durable
+// across restarts. A hello of a retired generation is refused before
+// anything is written back.
 //
-// A v2 hello advertising the compact columnar encoding changes what a
-// cold join costs the server: the catch-up is streamed as the
-// document's encoded blocks (snapshot frame + WAL blocks) verbatim off
-// disk, without materializing the document at all. Legacy peers get
-// the decoded history. Run ServeConn in its own goroutine per
-// connection; it returns when the peer disconnects.
+// A cold join is streamed as the document's encoded blocks (snapshot
+// frame + WAL blocks) verbatim off disk, without materializing the
+// document at all. Run ServeConn in its own goroutine per connection;
+// it returns when the peer disconnects.
 func (s *Server) ServeConn(conn io.ReadWriter) error {
 	// A peer that connects and never speaks must not pin this goroutine
 	// forever: the hello read gets a deadline when the transport has
@@ -819,21 +770,14 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 		return err
 	}
 	defer e.unsubscribe(plan.id)
-	compact := h.Compact
 
-	switch {
-	case plan.cut != nil:
-		if err := e.streamCatchup(pc, plan.cut, compact); err != nil {
-			return err
-		}
-	case compact:
-		if err := pc.SendEventsCompact(plan.events); err != nil {
-			return err
-		}
-	default:
-		if err := pc.SendEvents(plan.events); err != nil {
-			return err
-		}
+	if plan.cut != nil {
+		err = e.streamCatchup(pc, plan.cut)
+	} else {
+		err = pc.SendEventsCompact(plan.events)
+	}
+	if err != nil {
+		return err
 	}
 
 	writeErr := make(chan error, 1)
@@ -897,11 +841,11 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 	}
 }
 
-// streamCatchup sends a block cut's frames to a joining compact peer,
-// falling back to the decoded full history if the stream breaks
-// (concurrent compaction can delete a cut's files mid-stream; the peer
-// deduplicates whatever blocks already arrived).
-func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut, compact bool) error {
+// streamCatchup sends a block cut's frames to a joining peer, falling
+// back to the decoded full history if the stream breaks (concurrent
+// compaction can delete a cut's files mid-stream; the peer deduplicates
+// whatever blocks already arrived).
+func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut) error {
 	sent, serr := e.ds.StreamBlocks(cut, pc.SendRaw)
 	if serr == nil {
 		if sent == 0 {
@@ -918,22 +862,18 @@ func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut, compact bool)
 	}
 	e.m.FullSnapshots.Inc()
 	e.m.SnapshotEvents.Add(int64(len(snapshot)))
-	if compact {
-		return pc.SendEventsCompact(snapshot)
-	}
-	return pc.SendEvents(snapshot)
+	return pc.SendEventsCompact(snapshot)
 }
 
 // serveReplica handles a server-to-server replication link: the peer
-// node presented its version (or, on summary-capable links, its
-// run-length version summary); we answer in kind, followed by the
-// events the peer is missing (so the link establishes a full
-// bidirectional anti-entropy round — the peer pushes back what we are
-// missing, netsync.Sync's exchange embedded in the relay protocol).
-// Thereafter the peer pushes batches its clients upload (journaled and
-// fanned out to our local subscribers, but never re-replicated — the
-// origin pushes to every replica itself) and may initiate fresh
-// version exchanges on a timer, which converge a lagging side from its
+// node presented its run-length version summary; we answer with ours,
+// followed by the events the peer is missing (so the link establishes
+// a full bidirectional anti-entropy round — the peer pushes back what
+// we are missing, netsync.Sync's exchange embedded in the relay
+// protocol). Thereafter the peer pushes batches its clients upload
+// (journaled and fanned out to our local subscribers, but never
+// re-replicated — the origin pushes to every replica itself) and sends
+// fresh summaries on a timer, which converge a lagging side from its
 // journal without full retransfer.
 func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 	pc := netsync.NewPeerConn(conn)
@@ -942,7 +882,7 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 		return err
 	}
 	defer s.release(e)
-	if err := e.replicaExchange(pc, h.Version, h.Summary, h.Compact); err != nil {
+	if err := e.replicaExchange(pc, h.Summary); err != nil {
 		return err
 	}
 	for {
@@ -958,12 +898,8 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 			if err := e.ingestReplica(&batch{raw: f.Raw}); err != nil {
 				return err
 			}
-		case netsync.FrameVersion:
-			if err := e.replicaExchange(pc, f.Version, nil, h.Compact); err != nil {
-				return err
-			}
 		case netsync.FrameSummary:
-			if err := e.replicaExchange(pc, nil, f.Summary, h.Compact); err != nil {
+			if err := e.replicaExchange(pc, f.Summary); err != nil {
 				return err
 			}
 		case netsync.FrameDone:
@@ -975,45 +911,26 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 }
 
 // replicaExchange answers one anti-entropy round on a replica link:
-// send our state (a summary when the peer sent one, its frontier
-// version otherwise), then the events the peer is missing. The
-// summary path is exact in both directions — the peer's event set is
-// fully described, so nothing it holds is re-sent, and it can compute
-// an exact push-back from our summary; when both sides are converged
-// a journal-only document answers without materializing at all. On
-// the legacy path our state is captured before the catch-up, so it
-// can only understate what the catch-up carries — the peer's
-// push-back is then a superset of what we lack, and ingest
-// deduplicates.
-func (e *entry) replicaExchange(pc *netsync.PeerConn, theirs egwalker.Version, theirSummary egwalker.VersionSummary, compact bool) error {
-	var catchup []egwalker.Event
-	if theirSummary != nil {
-		ours, err := e.ds.Summary()
-		if err != nil {
-			return err
-		}
-		if catchup, err = e.ds.EventsSinceSummary(theirSummary); err != nil {
-			return err
-		}
-		if err := pc.SendSummary(ours); err != nil {
-			return err
-		}
-	} else {
-		ours := e.ds.Version()
-		var err error
-		if catchup, err = e.ds.EventsSinceKnown(theirs); err != nil {
-			return err
-		}
-		if err := pc.SendVersion(ours); err != nil {
-			return err
-		}
+// send our summary, then the events the peer is missing. The exchange
+// is exact in both directions — the peer's event set is fully
+// described, so nothing it holds is re-sent, and it can compute an
+// exact push-back from our summary; when both sides are converged a
+// journal-only document answers without materializing at all.
+func (e *entry) replicaExchange(pc *netsync.PeerConn, theirs egwalker.VersionSummary) error {
+	ours, err := e.ds.Summary()
+	if err != nil {
+		return err
+	}
+	catchup, err := e.ds.EventsSinceSummary(theirs)
+	if err != nil {
+		return err
+	}
+	if err := pc.SendSummary(ours); err != nil {
+		return err
 	}
 	e.m.ReplicaExchanges.Inc()
 	e.m.ReplicaEventsOut.Add(int64(len(catchup)))
-	if compact {
-		return pc.SendEventsCompact(catchup)
-	}
-	return pc.SendEvents(catchup)
+	return pc.SendEventsCompact(catchup)
 }
 
 // Healthz reports whether this server can currently accept and persist

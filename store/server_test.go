@@ -123,7 +123,7 @@ func TestServeConnMultiplex(t *testing.T) {
 			t.Fatal(err)
 		}
 		doc := egwalker.NewDoc(agent)
-		c, err := netsync.NewClientForDoc(doc, conn, docID)
+		c, err := netsync.Dial(doc, conn, docID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestServeConnLateJoiner(t *testing.T) {
 		srv.ServeConn(ss)
 	}()
 	doc := egwalker.NewDoc("late")
-	c, err := netsync.NewClientForDoc(doc, cs, "late-doc")
+	c, err := netsync.Dial(doc, cs, "late-doc")
 	if err != nil {
 		t.Fatal(err)
 	}

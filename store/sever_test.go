@@ -16,12 +16,13 @@ import (
 // receiving every event — and the severed client reconverges by
 // reconnecting with an incremental resume instead of a full snapshot.
 func TestSlowSubscriberSeverAndResume(t *testing.T) {
-	// The per-peer outbox budget is sized around the legacy encoding's
-	// ~9-10 bytes per single-char insert: the 100 events B drains while
-	// alive can never overrun it even if they all queue at once
-	// (~1 KiB), while the 300-event backlog after B stalls (~2.7 KiB,
-	// and coalescing legacy frames barely compresses) reliably does.
-	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond, OutboxBytesPerPeer: 2048})
+	// The per-peer outbox budget is sized around what a coalesced
+	// backlog of single-char inserts costs in the compact encoding every
+	// subscriber gets: ~1 byte per event plus ~30 bytes of frame. The
+	// 100 events B drains while alive coalesce to ~130 bytes even if
+	// they all queue at once, while the 300-event backlog after B stalls
+	// passes the budget after ~220 events.
+	srv := newTestServer(t, ServerOptions{FlushInterval: time.Millisecond, OutboxBytesPerPeer: 256})
 	const docID = "sever-doc"
 	const totalEvents = 400
 	const stallAt = 100
@@ -33,7 +34,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	serveOne(t, srv, bss)
 	bdoc := egwalker.NewDoc("b")
 	bpc := netsync.NewPeerConn(bcs)
-	if err := bpc.SendDocHello(docID); err != nil {
+	if err := bpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +44,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	serveOne(t, srv, ass)
 	adoc := egwalker.NewDoc("a")
 	apc := netsync.NewPeerConn(acs)
-	if err := apc.SendDocHello(docID); err != nil {
+	if err := apc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	aDone := make(chan error, 1)
@@ -70,7 +71,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	serveOne(t, srv, css)
 	cdoc := egwalker.NewDoc("c")
 	cpc := netsync.NewPeerConn(ccs)
-	if err := cpc.SendDocHello(docID); err != nil {
+	if err := cpc.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := cpc.Recv(); err != nil {
@@ -162,7 +163,7 @@ func TestSlowSubscriberSeverAndResume(t *testing.T) {
 	defer rcs.Close()
 	serveOne(t, srv, rss)
 	rpc := netsync.NewPeerConn(rcs)
-	if err := rpc.SendDocHelloResume(docID, bdoc.Version()); err != nil {
+	if err := rpc.SendHello(netsync.Hello{DocID: docID, Compact: true, Summary: bdoc.Summary()}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvInto(t, rpc, bdoc, totalEvents)

@@ -793,17 +793,6 @@ func (s *DocStore) Fingerprint() (uint64, error) {
 	return s.doc.Fingerprint(), nil
 }
 
-// Version returns the document's current version, materializing if
-// needed (nil if materialization fails).
-func (s *DocStore) Version() egwalker.Version {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.materializeLocked() != nil {
-		return nil
-	}
-	return s.doc.Version()
-}
-
 // NumEvents returns the number of events in the document's history.
 // Journal-only stores answer from the known-ID set without
 // materializing.
@@ -836,35 +825,6 @@ func (s *DocStore) EventsSince(v egwalker.Version) ([]egwalker.Event, error) {
 		return nil, err
 	}
 	return s.doc.EventsSince(v)
-}
-
-// EventsSinceKnown is EventsSince with unknown IDs in v ignored: the
-// legacy incremental-resume path. A reconnecting client's version may
-// reference events this server never received (edits synced between
-// peers while offline); narrowing to the known subset still yields a
-// superset of what the client is missing, and its Apply deduplicates.
-// The superset can be arbitrarily large — dropping a head anchors the
-// diff below everything that head dominates — which is exactly what
-// the summary handshake (EventsSinceSummary) eliminates.
-func (s *DocStore) EventsSinceKnown(v egwalker.Version) ([]egwalker.Event, error) {
-	events, _, err := s.EventsSinceKnownLossy(v)
-	return events, err
-}
-
-// EventsSinceKnownLossy is EventsSinceKnown, additionally reporting
-// how many of v's IDs were unknown here and silently dropped. dropped
-// > 0 means the answer re-sends history the client already has — the
-// signal the server's resume_fallbacks metric counts for legacy
-// clients.
-func (s *DocStore) EventsSinceKnownLossy(v egwalker.Version) (events []egwalker.Event, dropped int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.materializeLocked(); err != nil {
-		return nil, 0, err
-	}
-	known := s.doc.KnownSubset(v)
-	events, err = s.doc.EventsSince(known)
-	return events, len(v) - len(known), err
 }
 
 // Summary returns the run-length version summary of everything the
@@ -975,8 +935,7 @@ func (s *DocStore) Apply(events []egwalker.Event) ([]egwalker.Patch, error) {
 // batch is an uploaded batch on its way through the store and the server:
 // the payload as it arrived, if it arrived encoded, and its events from
 // the moment something needs them — Doc.Apply on a materialized
-// document, the replication tap, a re-marshal for a legacy subscriber —
-// decoded once.
+// document, the replication tap — decoded once.
 type batch struct {
 	raw    []byte
 	events []egwalker.Event // nil until decoded, unless the batch arrived decoded

@@ -332,11 +332,11 @@ func TestHandAppendedBlockReplays(t *testing.T) {
 	if err := ds.Insert(0, "base"); err != nil {
 		t.Fatal(err)
 	}
-	base := ds.Version()
 	other := egwalker.NewDoc("other")
 	if _, err := other.Apply(ds.Events()); err != nil {
 		t.Fatal(err)
 	}
+	base := other.Version()
 	if err := other.Insert(other.Len(), " + sideline edits"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"encoding/binary"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"egwalker"
+	"egwalker/internal/bufconn"
 	"egwalker/netsync"
 )
 
@@ -32,7 +36,7 @@ func TestSummaryResumeExactDiff(t *testing.T) {
 
 	// The client holds the shared history plus offline edits the server
 	// never saw: its frontier references events unknown to the server,
-	// the case where the legacy known-subset diff collapses.
+	// the case a frontier version could not anchor a diff on.
 	doc := egwalker.NewDoc("wanderer")
 	if _, err := doc.Apply(seed.Events()); err != nil {
 		t.Fatal(err)
@@ -175,84 +179,61 @@ func TestSummaryResumeZeroWhenServerBehind(t *testing.T) {
 	}
 }
 
-// TestLegacyResumeUnknownFrontierCountsFallback pins the legacy
-// behaviour the summary hello exists to fix: a frontier hello naming
-// events the server lacks still converges, but only by re-sending
-// covered history — and the server counts it as a resume fallback so
-// operators can see legacy clients paying that tax.
-func TestLegacyResumeUnknownFrontierCountsFallback(t *testing.T) {
+// TestServeConnRefusesRetiredHellos: the hellos of the deleted
+// generations — the v1 hello alone and with a trailing frontier, a v2
+// hello with the frontier-resume flag, a v2 hello without the compact
+// bit — are refused by ServeConn with an error naming what was sent,
+// before a byte is written back or a subscriber registered.
+func TestServeConnRefusesRetiredHellos(t *testing.T) {
 	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
-	const docID = "legacy-fallback"
-
-	seed := egwalker.NewDoc("seed")
-	for i := 0; i < 40; i++ {
-		if err := seed.Insert(i, "y"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Append(docID, seed.Events()); err != nil {
+	seed := egwalker.NewDoc("a")
+	if err := seed.Insert(0, "hosted doc"); err != nil {
 		t.Fatal(err)
 	}
-
-	doc := egwalker.NewDoc("wanderer")
-	if _, err := doc.Apply(seed.Events()); err != nil {
+	if err := srv.Append("d", seed.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := doc.Insert(0, "hi "); err != nil {
-		t.Fatal(err)
+	frame := func(typ byte, payload ...byte) []byte {
+		hdr := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		return append(append(hdr, typ), payload...)
 	}
-	missing, err := doc.EventsSince(seed.Version())
-	if err != nil {
-		t.Fatal(err)
+	// One head, agent "a" seq 7, as the retired hellos carried it.
+	frontier := []byte{1, 1, 'a', 7}
+	cases := []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"v1", "v1 doc hello", frame(0x04, 1, 'd')},
+		{"v1 with version", "v1 doc hello", frame(0x04, append([]byte{1, 'd'}, frontier...)...)},
+		{"v2 resume with version", "frontier-resume", frame(0x05, append([]byte{0x03, 1, 'd'}, frontier...)...)},
+		{"v2 without compact", "without the compact bit", frame(0x05, 0x00, 1, 'd')},
 	}
-
-	cs, ss := net.Pipe()
-	defer cs.Close()
-	serveOne(t, srv, ss)
-	pc := netsync.NewPeerConn(cs)
-	if err := pc.SendDocHelloResume(docID, doc.Version()); err != nil {
-		t.Fatal(err)
-	}
-	// The server drops the unknown head, anchors on the empty known
-	// subset, and re-sends the 40 events the client already has.
-	received := 0
-	for received < 40 {
-		events, _, done, err := pc.Recv()
-		if err != nil || done {
-			t.Fatalf("recv: done=%v err=%v after %d events", done, err, received)
-		}
-		received += len(events)
-	}
-	go func() {
-		for {
-			if _, _, done, err := pc.Recv(); err != nil || done {
-				return
-			}
-		}
-	}()
-	if err := pc.SendEventsCompact(missing); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		text, err := srv.Text(docID)
+	ln := bufconn.Listen(1 << 10)
+	defer ln.Close()
+	for _, tc := range cases {
+		client, err := ln.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if text == "hi "+seed.Text() {
-			break
+		server, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never merged offline edits: %q", text)
+		if _, err := client.Write(tc.frame); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	m := srv.MetricsSnapshot()
-	if m.ResumeFallbacks != 1 {
-		t.Errorf("metrics: resume_fallbacks=%d, want 1 — dropped frontier heads must be surfaced", m.ResumeFallbacks)
-	}
-	if m.SummaryResumes != 0 {
-		t.Errorf("metrics: summary_resumes=%d, want 0 for a legacy hello", m.SummaryResumes)
+		err = srv.ServeConn(server)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: ServeConn err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		server.Close()
+		client.SetReadDeadline(time.Now().Add(time.Second))
+		if n, err := client.Read(make([]byte, 64)); n != 0 || err != io.EOF {
+			t.Fatalf("%s: refused peer read %d bytes, %v; want nothing and EOF", tc.name, n, err)
+		}
+		client.Close()
+		if n := srv.MetricsSnapshot().Subscribers; n != 0 {
+			t.Fatalf("%s: %d subscribers registered", tc.name, n)
+		}
 	}
 }

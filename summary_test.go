@@ -98,29 +98,16 @@ func TestIntersectSummaryBruteForce(t *testing.T) {
 	}
 }
 
-// TestEventsSinceSummaryExact is the heart of the handshake fix: when
-// the serving side is *behind* the peer (it lacks one of the peer's
-// frontier events), a frontier-anchored diff degrades to re-sending
-// history, but a summary-anchored diff sends exactly the difference —
-// here, nothing.
+// TestEventsSinceSummaryExact is the heart of the handshake: when the
+// serving side is *behind* the peer (it lacks one of the peer's
+// frontier events), a frontier cannot anchor a diff at all, but a
+// summary-anchored diff sends exactly the difference — here, nothing.
 func TestEventsSinceSummaryExact(t *testing.T) {
 	a, b := divergedPair(t)
 
-	// b serves a reconnecting a. The frontier path loses information:
-	// a's head is unknown to b, so the known-subset collapses and b
-	// re-sends its history.
-	legacy, err := b.EventsSince(b.KnownSubset(a.Version()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resent := 0
-	for _, ev := range legacy {
-		if a.Knows(ev.ID) {
-			resent++
-		}
-	}
-	if resent == 0 {
-		t.Fatal("scenario broken: expected the legacy path to re-send known events")
+	// b serves a reconnecting a, whose head b has never seen.
+	if _, err := b.EventsSince(a.Version()); err == nil {
+		t.Fatal("scenario broken: b resolved a frontier naming an event it lacks")
 	}
 
 	// The summary path sends exactly b's events that a lacks.
