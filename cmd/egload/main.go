@@ -78,6 +78,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -186,7 +187,7 @@ type runConfig struct {
 
 func main() {
 	if err := run(os.Args[1:], os.Stderr); err != nil {
-		if err == flag.ErrHelp {
+		if errors.Is(err, flag.ErrHelp) {
 			os.Exit(0)
 		}
 		fmt.Fprintln(os.Stderr, "egload:", err)
