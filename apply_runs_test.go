@@ -365,6 +365,11 @@ func FuzzApplyDelivery(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 1, 0, 9, 2, 7, 4, 0, 5, 2, 1, 2, 6, 2, 0, 3, 0, 7, 8, 1, 1, 1}, []byte{9, 0, 9, 4, 6, 2, 9, 1, 0, 50})
 	f.Add(bytes.Repeat([]byte{2, 0, 5, 0, 7, 1, 1, 2, 9, 2, 3, 0}, 8), []byte{1, 6, 8, 3, 2, 4, 8, 9, 9, 5, 7, 2, 0, 30})
 	f.Add(bytes.Repeat([]byte{1, 5, 2, 6, 0, 9, 3, 1, 7, 4}, 12), bytes.Repeat([]byte{8, 3, 9, 2, 6, 1, 0, 4, 3, 2}, 6))
+	// Runs of two-, three- and four-byte characters typed on, typed into
+	// by another replica, cut by deletes and backspaces, and delivered in
+	// stretches that start and end inside them.
+	f.Add(bytes.Repeat([]byte{0, 2, 255, 0, 3, 255, 1, 7, 0, 1, 2, 5, 1, 4, 9, 0, 5, 255, 1, 3, 3}, 10), []byte{0, 7, 1, 13, 0, 5, 2, 9, 6, 4, 3, 11, 0, 3, 4, 8, 0, 90})
+	f.Add(bytes.Repeat([]byte{2, 3, 255, 2, 2, 255, 2, 2, 255, 0, 7, 2, 0, 3, 30, 0, 6, 12}, 12), []byte{6, 2, 0, 11, 1, 17, 7, 5, 0, 3, 9, 2, 0, 200})
 	f.Fuzz(func(t *testing.T, session, delivery []byte) {
 		if len(session) > 600 {
 			session = session[:600]

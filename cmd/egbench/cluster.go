@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math/rand"
 	"net"
@@ -28,11 +27,11 @@ import (
 //	egbench cluster [-cluster-docs 4] [-cluster-writers 2] [-cluster-rate 200]
 //	                [-cluster-duration 4s] [-cluster-out BENCH_cluster.json]
 var (
-	clDocs     = flag.Int("cluster-docs", 4, "documents per run")
-	clWriters  = flag.Int("cluster-writers", 2, "writers per document")
-	clRate     = flag.Float64("cluster-rate", 200, "target events/second per writer")
-	clDuration = flag.Duration("cluster-duration", 4*time.Second, "write phase length per run")
-	clOut      = flag.String("cluster-out", "BENCH_cluster.json", "report path")
+	clDocs     = flags.Int("cluster-docs", 4, "documents per run")
+	clWriters  = flags.Int("cluster-writers", 2, "writers per document")
+	clRate     = flags.Float64("cluster-rate", 200, "target events/second per writer")
+	clDuration = flags.Duration("cluster-duration", 4*time.Second, "write phase length per run")
+	clOut      = flags.String("cluster-out", "BENCH_cluster.json", "report path")
 )
 
 // clusterReport is the BENCH_cluster.json schema.
@@ -641,24 +640,24 @@ func runClusterBench() error {
 		},
 	}
 	for _, n := range []int{1, 3} {
-		fmt.Printf("\n== cluster: %d node(s), %d docs x %d writers at %.0f ev/s for %v ==\n",
+		fmt.Fprintf(stdout, "\n== cluster: %d node(s), %d docs x %d writers at %.0f ev/s for %v ==\n",
 			n, *clDocs, *clWriters, *clRate, *clDuration)
 		res, err := runClusterThroughput(n, fmt.Sprintf("%s/run%d", root, n))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-34s %10d sent, %d delivered (%.0f ev/s), fanout p50=%s p99=%s\n",
+		fmt.Fprintf(stdout, "%-34s %10d sent, %d delivered (%.0f ev/s), fanout p50=%s p99=%s\n",
 			fmt.Sprintf("%d-node deliver", n), res.EventsSent, res.EventsDelivered, res.DeliverEPS,
 			time.Duration(res.FanoutNs.P50), time.Duration(res.FanoutNs.P99))
 		rep.Runs = append(rep.Runs, res)
 	}
 
-	fmt.Printf("\n== cluster: kill one of 3 nodes mid-run ==\n")
+	fmt.Fprintf(stdout, "\n== cluster: kill one of 3 nodes mid-run ==\n")
 	kill, err := runClusterKill(root + "/kill")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %10d sent, %d reconnects, survivors converged in %.2fs, rejoin in %.2fs (%d events)\n",
+	fmt.Fprintf(stdout, "%-34s %10d sent, %d reconnects, survivors converged in %.2fs, rejoin in %.2fs (%d events)\n",
 		"kill-one-node", kill.EventsSent, kill.WriterReconnects,
 		kill.SurvivorConvergeSec, kill.RejoinConvergeSec, kill.ConvergedEvents)
 	rep.KillOneNode = kill
@@ -676,22 +675,6 @@ func runClusterBench() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("\nwrote %s\n", *clOut)
+	fmt.Fprintf(stdout, "\nwrote %s\n", *clOut)
 	return nil
-}
-
-// maybeRunCluster intercepts the cluster subcommand before trace
-// generation, like maybeRunSim.
-func maybeRunCluster(cmd string) bool {
-	if cmd != "cluster" {
-		return false
-	}
-	if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-		os.Exit(2)
-	}
-	if err := runClusterBench(); err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
-	}
-	return true
 }

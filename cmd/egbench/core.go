@@ -13,7 +13,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -28,8 +27,8 @@ import (
 )
 
 var (
-	coreOut    = flag.String("core-out", "BENCH_core.json", "output JSON path for the core benchmark")
-	coreTraces = flag.String("core-traces", "", "comma-separated trace names to run (default: all)")
+	coreOut    = flags.String("core-out", "BENCH_core.json", "output JSON path for the core benchmark")
+	coreTraces = flags.String("core-traces", "", "comma-separated trace names to run (default: all)")
 )
 
 // coreConfigResult is one (trace, configuration) measurement.
@@ -74,8 +73,8 @@ func runCore() error {
 		Scale:       *scale,
 		Iters:       *iters,
 	}
-	fmt.Printf("\n== core: span-wise replay vs per-unit reference (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %10s %14s %14s %8s %12s %12s %10s\n",
+	fmt.Fprintf(stdout, "\n== core: span-wise replay vs per-unit reference (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %10s %14s %14s %8s %12s %12s %10s\n",
 		"", "events", "span ns/ev", "unit ns/ev", "speedup", "span peak", "unit peak", "heap ratio")
 	for _, spec := range trace.All() {
 		if len(want) > 0 && !want[spec.Name] {
@@ -111,7 +110,7 @@ func runCore() error {
 			return fmt.Errorf("%s: span and per-unit replays diverged", s.Name)
 		}
 		report.Traces = append(report.Traces, tr)
-		fmt.Printf("%-4s %10d %14.1f %14.1f %7.2fx %12s %12s %9.2fx\n",
+		fmt.Fprintf(stdout, "%-4s %10d %14.1f %14.1f %7.2fx %12s %12s %9.2fx\n",
 			tr.Name, tr.Events, tr.Span.NsPerEvent, tr.UnitRef.NsPerEvent, tr.Speedup,
 			bench.FmtBytes(tr.Span.PeakBytes), bench.FmtBytes(tr.UnitRef.PeakBytes), tr.PeakHeapRatio)
 	}
@@ -123,7 +122,7 @@ func runCore() error {
 	if err := os.WriteFile(*coreOut, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", *coreOut)
+	fmt.Fprintf(stdout, "wrote %s\n", *coreOut)
 	return nil
 }
 
@@ -177,17 +176,4 @@ func measureCoreConfig(l *oplog.Log, replay func(*oplog.Log) (*rope.Rope, error)
 		res.PeakBytes = peak - base
 	}
 	return res, text, nil
-}
-
-// maybeRunCore intercepts the core subcommand before the default trace
-// generation, like maybeRunSim.
-func maybeRunCore(cmd string) bool {
-	if cmd != "core" {
-		return false
-	}
-	if err := runCore(); err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
-	}
-	return true
 }

@@ -14,7 +14,8 @@
 //	egbench scale [-scale-conns LIST] [-scale-eps F] [-scale-ramp SPEC]
 //	              [-scale-ramp-docs N] [-scale-ramp-conns N] [-scale-out FILE]
 //
-// (Flags must precede the subcommand name.) The core subcommand compares
+// (Flags must precede the subcommand name, except for sim, store and
+// cluster, which take theirs after it too.) The core subcommand compares
 // span-wise replay against the per-unit reference and writes
 // BENCH_core.json; the committed baseline at the repo root records the
 // before/after numbers for the span-wise replay change. The size
@@ -28,8 +29,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -44,11 +47,18 @@ import (
 	"egwalker/internal/trace"
 )
 
+// flags are the command line's: run parses them; stdout and stderr are
+// where it writes its rows and its progress.
 var (
-	scale   = flag.Float64("scale", 0.05, "trace size scale factor (1.0 = paper sizes)")
-	iters   = flag.Int("iters", 3, "timing iterations per measurement")
-	otMax   = flag.Int("ot-max-events", 200_000, "skip OT merge for traces larger than this (quadratic)")
-	genOnly = flag.Bool("gen-only", false, "only generate traces and exit")
+	flags          = flag.NewFlagSet("egbench", flag.ContinueOnError)
+	stdout, stderr io.Writer
+)
+
+var (
+	scale   = flags.Float64("scale", 0.05, "trace size scale factor (1.0 = paper sizes)")
+	iters   = flags.Int("iters", 3, "timing iterations per measurement")
+	otMax   = flags.Int("ot-max-events", 200_000, "skip OT merge for traces larger than this (quadratic)")
+	genOnly = flags.Bool("gen-only", false, "only generate traces and exit")
 )
 
 type workload struct {
@@ -57,38 +67,53 @@ type workload struct {
 }
 
 func main() {
-	flag.Parse()
-	cmd := "all"
-	if flag.NArg() > 0 {
-		cmd = flag.Arg(0)
-	}
-	if maybeRunSim(cmd) {
-		return
-	}
-	if maybeRunStore(cmd) {
-		return
-	}
-	if maybeRunCore(cmd) {
-		return
-	}
-	if maybeRunSize(cmd) {
-		return
-	}
-	if maybeRunCluster(cmd) {
-		return
-	}
-	if maybeRunScale(cmd) {
-		return
-	}
-	ws, err := generate()
-	if err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(2)
+	case errors.As(err, &usage):
+		fmt.Fprintln(os.Stderr, "egbench:", err)
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "egbench:", err)
 		os.Exit(1)
 	}
-	if *genOnly {
-		return
+}
+
+// usageError is a command line run cannot act on: main exits 2 for it.
+type usageError struct{ error }
+
+func (u usageError) Unwrap() error { return u.error }
+
+// run is egbench with the command line args, writing its rows to out and
+// its progress to errOut.
+func run(args []string, out, errOut io.Writer) error {
+	stdout, stderr = out, errOut
+	flags.SetOutput(errOut)
+	if err := flags.Parse(args); err != nil {
+		return usageError{err}
 	}
-	run := map[string]func([]workload) error{
+	cmd := "all"
+	if flags.NArg() > 0 {
+		cmd = flags.Arg(0)
+	}
+	// These generate their own workloads, and take flags after their name
+	// too: Parse stops at the first positional argument, so the rest is
+	// parsed again.
+	sub := map[string]func() error{"sim": runSim, "store": runStore, "cluster": runClusterBench, "core": runCore, "size": runSize, "scale": runScale}
+	if fn, ok := sub[cmd]; ok {
+		if err := flags.Parse(flags.Args()[1:]); err != nil {
+			return usageError{err}
+		}
+		return fn()
+	}
+	ws, err := generate()
+	if err != nil || *genOnly {
+		return err
+	}
+	figures := map[string]func([]workload) error{
 		"table1":     table1,
 		"fig8":       fig8,
 		"fig9":       fig9,
@@ -99,22 +124,17 @@ func main() {
 	}
 	if cmd == "all" {
 		for _, name := range []string{"table1", "fig8", "fig9", "fig10", "fig11", "fig12", "complexity"} {
-			if err := run[name](ws); err != nil {
-				fmt.Fprintln(os.Stderr, "egbench:", err)
-				os.Exit(1)
+			if err := figures[name](ws); err != nil {
+				return err
 			}
 		}
-		return
+		return nil
 	}
-	fn, ok := run[cmd]
+	fn, ok := figures[cmd]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "egbench: unknown command %q\n", cmd)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown command %q", cmd)}
 	}
-	if err := fn(ws); err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
-	}
+	return fn(ws)
 }
 
 func generate() ([]workload, error) {
@@ -126,28 +146,28 @@ func generate() ([]workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("generate %s: %w", s.Name, err)
 		}
-		fmt.Fprintf(os.Stderr, "generated %s: %d events in %s\n", s.Name, l.Len(), bench.FmtDuration(time.Since(start)))
+		fmt.Fprintf(stderr, "generated %s: %d events in %s\n", s.Name, l.Len(), bench.FmtDuration(time.Since(start)))
 		ws = append(ws, workload{spec: s, log: l})
 	}
 	return ws, nil
 }
 
 func table1(ws []workload) error {
-	fmt.Printf("\n== Table 1: editing trace statistics (scale %.3f) ==\n", *scale)
-	fmt.Println(trace.Header())
+	fmt.Fprintf(stdout, "\n== Table 1: editing trace statistics (scale %.3f) ==\n", *scale)
+	fmt.Fprintln(stdout, trace.Header())
 	for _, w := range ws {
 		st, err := trace.Measure(w.spec.Name, w.log)
 		if err != nil {
 			return err
 		}
-		fmt.Println(st.Row())
+		fmt.Fprintln(stdout, st.Row())
 	}
 	return nil
 }
 
 func fig8(ws []workload) error {
-	fmt.Printf("\n== Figure 8: CPU time to merge all events / reload the document (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %14s %14s %14s %14s %14s\n",
+	fmt.Fprintf(stdout, "\n== Figure 8: CPU time to merge all events / reload the document (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %14s %14s %14s %14s %14s\n",
 		"", "eg-merge", "eg-load", "ot-merge", "ot-load", "crdt-merge=load")
 	for _, w := range ws {
 		// Eg-walker merge: replay the full trace as if received remotely.
@@ -198,17 +218,17 @@ func fig8(ws []workload) error {
 		if otMerge >= 0 {
 			otStr = bench.FmtDuration(otMerge)
 		}
-		fmt.Printf("%-4s %14s %14s %14s %14s %14s\n", w.spec.Name,
+		fmt.Fprintf(stdout, "%-4s %14s %14s %14s %14s %14s\n", w.spec.Name,
 			bench.FmtDuration(egMerge), bench.FmtDuration(egLoad),
 			otStr, bench.FmtDuration(egLoad), bench.FmtDuration(crdtMerge))
 	}
-	fmt.Println("(CRDT load time equals CRDT merge time: the state must be rebuilt in memory.)")
+	fmt.Fprintln(stdout, "(CRDT load time equals CRDT merge time: the state must be rebuilt in memory.)")
 	return nil
 }
 
 func fig9(ws []workload) error {
-	fmt.Printf("\n== Figure 9: Eg-walker merge with / without §3.5 optimisations (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %14s %14s %8s\n", "", "opt enabled", "opt disabled", "ratio")
+	fmt.Fprintf(stdout, "\n== Figure 9: Eg-walker merge with / without §3.5 optimisations (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %14s %14s %8s\n", "", "opt enabled", "opt disabled", "ratio")
 	for _, w := range ws {
 		on := bench.TimedN(*iters, func() {
 			if _, err := core.ReplayRope(w.log); err != nil {
@@ -220,15 +240,15 @@ func fig9(ws []workload) error {
 				panic(err)
 			}
 		})
-		fmt.Printf("%-4s %14s %14s %7.2fx\n", w.spec.Name,
+		fmt.Fprintf(stdout, "%-4s %14s %14s %7.2fx\n", w.spec.Name,
 			bench.FmtDuration(on), bench.FmtDuration(off), float64(off)/float64(on))
 	}
 	return nil
 }
 
 func fig10(ws []workload) error {
-	fmt.Printf("\n== Figure 10: RAM while merging a trace (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %12s %12s %12s %12s %12s\n",
+	fmt.Fprintf(stdout, "\n== Figure 10: RAM while merging a trace (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %12s %12s %12s %12s %12s\n",
 		"", "eg-peak", "eg-steady", "crdt-steady", "ot-peak", "ot-steady")
 	for _, w := range ws {
 		base := bench.HeapRetained()
@@ -281,17 +301,17 @@ func fig10(ws []workload) error {
 			otPeakStr = bench.FmtBytes(sub(otPeak, base))
 			otSteadyStr = bench.FmtBytes(otSteady)
 		}
-		fmt.Printf("%-4s %12s %12s %12s %12s %12s\n", w.spec.Name,
+		fmt.Fprintf(stdout, "%-4s %12s %12s %12s %12s %12s\n", w.spec.Name,
 			bench.FmtBytes(egPeakRel), bench.FmtBytes(egSteady),
 			bench.FmtBytes(crdtSteady), otPeakStr, otSteadyStr)
 	}
-	fmt.Println("(steady state for Eg-walker and OT is the document text; the event graph lives on disk.)")
+	fmt.Fprintln(stdout, "(steady state for Eg-walker and OT is the document text; the event graph lives on disk.)")
 	return nil
 }
 
 func fig11(ws []workload) error {
-	fmt.Printf("\n== Figure 11: file size, full history encoding (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %12s %12s %14s %12s\n", "", "egwalker", "+cached doc", "inserted text", "final doc")
+	fmt.Fprintf(stdout, "\n== Figure 11: file size, full history encoding (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %12s %12s %14s %12s\n", "", "egwalker", "+cached doc", "inserted text", "final doc")
 	for _, w := range ws {
 		text, err := core.ReplayText(w.log)
 		if err != nil {
@@ -299,18 +319,18 @@ func fig11(ws []workload) error {
 		}
 		plain := encodedSize(w.log, encoding.Options{}, text, nil)
 		cached := encodedSize(w.log, encoding.Options{CacheFinalDoc: true}, text, nil)
-		fmt.Printf("%-4s %12s %12s %14s %12s\n", w.spec.Name,
+		fmt.Fprintf(stdout, "%-4s %12s %12s %14s %12s\n", w.spec.Name,
 			bench.FmtBytes(uint64(plain)), bench.FmtBytes(uint64(cached)),
-			bench.FmtBytes(uint64(len(string(w.log.Content())))),
+			bench.FmtBytes(uint64(len(w.log.Content()))),
 			bench.FmtBytes(uint64(len(text))))
 	}
-	fmt.Println("(inserted text is the lower bound shown shaded in the paper's figure.)")
+	fmt.Fprintln(stdout, "(inserted text is the lower bound shown shaded in the paper's figure.)")
 	return nil
 }
 
 func fig12(ws []workload) error {
-	fmt.Printf("\n== Figure 12: file size with deleted content omitted (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %12s %12s\n", "", "egw-pruned", "final doc")
+	fmt.Fprintf(stdout, "\n== Figure 12: file size with deleted content omitted (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %12s %12s\n", "", "egw-pruned", "final doc")
 	for _, w := range ws {
 		text, err := core.ReplayText(w.log)
 		if err != nil {
@@ -321,10 +341,10 @@ func fig12(ws []workload) error {
 			return err
 		}
 		pruned := encodedSize(w.log, encoding.Options{OmitDeletedContent: true}, text, deleted)
-		fmt.Printf("%-4s %12s %12s\n", w.spec.Name,
+		fmt.Fprintf(stdout, "%-4s %12s %12s\n", w.spec.Name,
 			bench.FmtBytes(uint64(pruned)), bench.FmtBytes(uint64(len(text))))
 	}
-	fmt.Println("(final doc size is the lower bound; Yjs-style files store no deleted text.)")
+	fmt.Fprintln(stdout, "(final doc size is the lower bound; Yjs-style files store no deleted text.)")
 	return nil
 }
 
@@ -339,8 +359,8 @@ func encodedSize(l *oplog.Log, opts encoding.Options, text string, deleted map[c
 // complexity reproduces the §3.7 analysis: merging two branches of n
 // events each with Eg-walker (O(n log n)) vs OT (quadratic).
 func complexity() error {
-	fmt.Printf("\n== §3.7 complexity: merge two offline branches of n events each ==\n")
-	fmt.Printf("%8s %14s %14s\n", "n", "eg-walker", "ot")
+	fmt.Fprintf(stdout, "\n== §3.7 complexity: merge two offline branches of n events each ==\n")
+	fmt.Fprintf(stdout, "%8s %14s %14s\n", "n", "eg-walker", "ot")
 	for _, n := range []int{1000, 2000, 4000, 8000, 16000} {
 		l, err := twoBranchLog(n)
 		if err != nil {
@@ -356,7 +376,7 @@ func complexity() error {
 				panic(err)
 			}
 		})
-		fmt.Printf("%8d %14s %14s\n", n, bench.FmtDuration(eg), bench.FmtDuration(o))
+		fmt.Fprintf(stdout, "%8d %14s %14s\n", n, bench.FmtDuration(eg), bench.FmtDuration(o))
 	}
 	return nil
 }

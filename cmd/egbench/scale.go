@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -35,19 +34,19 @@ import (
 //	              [-scale-outbox-peer 1048576] [-scale-outbox-total 268435456]
 //	              [-scale-out BENCH_scale.json]
 var (
-	scConns       = flag.String("scale-conns", "100,1000,5000,10000", "connection counts for the sweep (comma-separated)")
-	scEPS         = flag.Float64("scale-eps", 1200, "aggregate offered events/second during the connection sweep")
-	scWriters     = flag.Int("scale-writers", 64, "writer fleet size")
-	scSlots       = flag.Int("scale-slots", 4, "measurement slots per connection-sweep point")
-	scRamp        = flag.String("scale-ramp", "ramp:300:3000:300", "offered-rate schedule for the Zipf-population ramp")
-	scRampDocs    = flag.Int("scale-ramp-docs", 5000, "document population for the ramp (writers Zipf-skewed)")
-	scRampConns   = flag.Int("scale-ramp-conns", 1000, "subscriber connections during the ramp")
-	scSlotDur     = flag.Duration("scale-slot", time.Second, "wall-clock length of one schedule slot")
-	scWarmup      = flag.Duration("scale-warmup", 2*time.Second, "unmeasured warm-up at the first slot's rate before each run")
-	scSLO         = flag.Duration("scale-slo", 250*time.Millisecond, "fan-out p99 SLO for knee detection")
-	scOutboxPeer  = flag.Int64("scale-outbox-peer", 1<<20, "per-peer outbox byte budget for the server under test")
-	scOutboxTotal = flag.Int64("scale-outbox-total", 256<<20, "server-wide outbox byte cap for the server under test")
-	scOut         = flag.String("scale-out", "BENCH_scale.json", "report path")
+	scConns       = flags.String("scale-conns", "100,1000,5000,10000", "connection counts for the sweep (comma-separated)")
+	scEPS         = flags.Float64("scale-eps", 1200, "aggregate offered events/second during the connection sweep")
+	scWriters     = flags.Int("scale-writers", 64, "writer fleet size")
+	scSlots       = flags.Int("scale-slots", 4, "measurement slots per connection-sweep point")
+	scRamp        = flags.String("scale-ramp", "ramp:300:3000:300", "offered-rate schedule for the Zipf-population ramp")
+	scRampDocs    = flags.Int("scale-ramp-docs", 5000, "document population for the ramp (writers Zipf-skewed)")
+	scRampConns   = flags.Int("scale-ramp-conns", 1000, "subscriber connections during the ramp")
+	scSlotDur     = flags.Duration("scale-slot", time.Second, "wall-clock length of one schedule slot")
+	scWarmup      = flags.Duration("scale-warmup", 2*time.Second, "unmeasured warm-up at the first slot's rate before each run")
+	scSLO         = flags.Duration("scale-slo", 250*time.Millisecond, "fan-out p99 SLO for knee detection")
+	scOutboxPeer  = flags.Int64("scale-outbox-peer", 1<<20, "per-peer outbox byte budget for the server under test")
+	scOutboxTotal = flags.Int64("scale-outbox-total", 256<<20, "server-wide outbox byte cap for the server under test")
+	scOut         = flags.String("scale-out", "BENCH_scale.json", "report path")
 )
 
 // scaleReport is the BENCH_scale.json schema.
@@ -189,10 +188,7 @@ func scaleServer(dir string) (*store.Server, *bufconn.Listener, func(), error) {
 	return srv, ln, teardown, nil
 }
 
-func maybeRunScale(cmd string) bool {
-	if cmd != "scale" {
-		return false
-	}
+func runScale() error {
 	rep := scaleReport{
 		Schema:      "egbench-scale/v1",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -214,22 +210,19 @@ func maybeRunScale(cmd string) bool {
 		}
 		n, err := strconv.Atoi(f)
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "egbench: bad -scale-conns entry %q\n", f)
-			os.Exit(2)
+			return fmt.Errorf("bad -scale-conns entry %q", f)
 		}
 		connCounts = append(connCounts, n)
 	}
 
 	steady, err := sched.Steady(*scEPS, *scSlots)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(2)
+		return err
 	}
 	for _, conns := range connCounts {
 		pt, err := runScalePoint(conns, steady)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "egbench:", err)
-			os.Exit(1)
+			return err
 		}
 		rep.ConnCurve = append(rep.ConnCurve, pt)
 	}
@@ -237,16 +230,14 @@ func maybeRunScale(cmd string) bool {
 	if *scRamp != "" {
 		ramp, err := runScaleRamp()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "egbench:", err)
-			os.Exit(1)
+			return err
 		}
 		rep.Ramp = ramp
 	}
 
 	f, err := os.Create(*scOut)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
+		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
@@ -254,11 +245,10 @@ func maybeRunScale(cmd string) bool {
 		err = f.Close()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "egbench: wrote %s (%d sweep points)\n", *scOut, len(rep.ConnCurve))
-	return true
+	fmt.Fprintf(stderr, "egbench: wrote %s (%d sweep points)\n", *scOut, len(rep.ConnCurve))
+	return nil
 }
 
 // runScalePoint measures one connection-sweep point on a fresh server:
@@ -284,7 +274,7 @@ func runScalePoint(conns int, steady *sched.Schedule) (scalePoint, error) {
 	defer teardown()
 	sm := startSampler(srv)
 
-	fmt.Fprintf(os.Stderr, "egbench: scale: %d conns over %d docs at %.0f ev/s...\n", conns, docs, *scEPS)
+	fmt.Fprintf(stderr, "egbench: scale: %d conns over %d docs at %.0f ev/s...\n", conns, docs, *scEPS)
 	spec, err := loadgen.MixByName("seq", 1, 1)
 	if err != nil {
 		return scalePoint{}, err
@@ -324,7 +314,7 @@ func runScalePoint(conns int, steady *sched.Schedule) (scalePoint, error) {
 	if res.ExpectedDeliveries > 0 {
 		pt.DeliverSendRatio = float64(res.EventsDelivered) / float64(res.ExpectedDeliveries)
 	}
-	fmt.Fprintf(os.Stderr, "egbench: scale: %d conns: deliver/send %.3f, p99 %s, peak outbox %d B\n",
+	fmt.Fprintf(stderr, "egbench: scale: %d conns: deliver/send %.3f, p99 %s, peak outbox %d B\n",
 		conns, pt.DeliverSendRatio, time.Duration(pt.FanoutP99Ns), pt.PeakOutboxBytes)
 	return pt, nil
 }
@@ -348,7 +338,7 @@ func runScaleRamp() (*scaleRamp, error) {
 	defer teardown()
 	sm := startSampler(srv)
 
-	fmt.Fprintf(os.Stderr, "egbench: scale: ramp %s over %d Zipf docs, %d conns...\n", schedule.Spec(), *scRampDocs, *scRampConns)
+	fmt.Fprintf(stderr, "egbench: scale: ramp %s over %d Zipf docs, %d conns...\n", schedule.Spec(), *scRampDocs, *scRampConns)
 	spec, err := loadgen.MixByName("hotdoc", 1, 1)
 	if err != nil {
 		return nil, err
@@ -366,7 +356,7 @@ func runScaleRamp() (*scaleRamp, error) {
 		SLO:          *scSLO,
 		Seed:         1,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "egbench: scale: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "egbench: scale: "+format+"\n", args...)
 		},
 	})
 	sm.halt()
@@ -387,10 +377,10 @@ func runScaleRamp() (*scaleRamp, error) {
 		Result:          res,
 	}
 	if res.Knee != nil && res.Knee.Found {
-		fmt.Fprintf(os.Stderr, "egbench: scale: knee at slot %d (target %.0f ev/s, %s)\n",
+		fmt.Fprintf(stderr, "egbench: scale: knee at slot %d (target %.0f ev/s, %s)\n",
 			res.Knee.Slot, res.Knee.TargetEPS, res.Knee.Reason)
 	} else {
-		fmt.Fprintln(os.Stderr, "egbench: scale: no knee within the schedule")
+		fmt.Fprintln(stderr, "egbench: scale: no knee within the schedule")
 	}
 	return ramp, nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -19,11 +18,11 @@ import (
 //	egbench sim [-sim-seed N] [-sim-replicas N] [-sim-events N] [-sim-faults all|none|latency,drop,dup,partition,crash]
 
 var (
-	simSeed     = flag.Int64("sim-seed", 1, "simulation seed")
-	simReplicas = flag.Int("sim-replicas", 8, "number of replicas")
-	simEvents   = flag.Int("sim-events", 2000, "total local edits to generate")
-	simFaults   = flag.String("sim-faults", "all", "fault modes: all, none, or comma list of latency,drop,dup,partition,crash")
-	simNoOracle = flag.Bool("sim-no-oracle", false, "skip the convergence oracle (time the network only)")
+	simSeed     = flags.Int64("sim-seed", 1, "simulation seed")
+	simReplicas = flags.Int("sim-replicas", 8, "number of replicas")
+	simEvents   = flags.Int("sim-events", 2000, "total local edits to generate")
+	simFaults   = flags.String("sim-faults", "all", "fault modes: all, none, or comma list of latency,drop,dup,partition,crash")
+	simNoOracle = flags.Bool("sim-no-oracle", false, "skip the convergence oracle (time the network only)")
 )
 
 func parseFaults(s string) (sim.Faults, error) {
@@ -74,7 +73,7 @@ func runSim() error {
 		defer os.RemoveAll(dir)
 		cfg.PersistDir = dir
 	}
-	fmt.Printf("\n== sim: %d replicas, %d events, seed %d, faults %s ==\n",
+	fmt.Fprintf(stdout, "\n== sim: %d replicas, %d events, seed %d, faults %s ==\n",
 		*simReplicas, *simEvents, *simSeed, *simFaults)
 	start := time.Now()
 	res, err := sim.Run(cfg)
@@ -83,41 +82,23 @@ func runSim() error {
 	}
 	elapsed := time.Since(start)
 	st := res.Stats
-	fmt.Printf("%-22s %s\n", "wall time", bench.FmtDuration(elapsed))
-	fmt.Printf("%-22s %d (%.0f events/s)\n", "events converged", res.Docs[0].NumEvents(),
+	fmt.Fprintf(stdout, "%-22s %s\n", "wall time", bench.FmtDuration(elapsed))
+	fmt.Fprintf(stdout, "%-22s %d (%.0f events/s)\n", "events converged", res.Docs[0].NumEvents(),
 		float64(res.Docs[0].NumEvents())/elapsed.Seconds())
-	fmt.Printf("%-22s %d\n", "virtual ticks", st.Ticks)
-	fmt.Printf("%-22s %d sent, %d delivered\n", "message batches", st.Messages, st.Delivered)
-	fmt.Printf("%-22s %d dropped, %d retransmitted, %d duplicated, %d parked\n",
+	fmt.Fprintf(stdout, "%-22s %d\n", "virtual ticks", st.Ticks)
+	fmt.Fprintf(stdout, "%-22s %d sent, %d delivered\n", "message batches", st.Messages, st.Delivered)
+	fmt.Fprintf(stdout, "%-22s %d dropped, %d retransmitted, %d duplicated, %d parked\n",
 		"fault injections", st.Dropped, st.Retransmits, st.Duplicates, st.Parked)
-	fmt.Printf("%-22s %d\n", "partition windows", st.Partitions)
+	fmt.Fprintf(stdout, "%-22s %d\n", "partition windows", st.Partitions)
 	if faults.CrashRestart {
-		fmt.Printf("%-22s %d (replayed %d events from disk)\n", "crash-restarts", st.Crashes, st.ReplayedEvents)
+		fmt.Fprintf(stdout, "%-22s %d (replayed %d events from disk)\n", "crash-restarts", st.Crashes, st.ReplayedEvents)
 	}
-	fmt.Printf("%-22s %d runes\n", "final document", len([]rune(res.Text)))
+	fmt.Fprintf(stdout, "%-22s %d runes\n", "final document", len([]rune(res.Text)))
 	if *simNoOracle {
-		fmt.Printf("%-22s skipped\n", "convergence oracle")
+		fmt.Fprintf(stdout, "%-22s skipped\n", "convergence oracle")
 	} else {
-		fmt.Printf("%-22s passed (%d replicas, reference replay, listcrdt, save/load, fork/merge)\n",
+		fmt.Fprintf(stdout, "%-22s passed (%d replicas, reference replay, listcrdt, save/load, fork/merge)\n",
 			"convergence oracle", len(res.Docs))
 	}
 	return nil
-}
-
-// maybeRunSim intercepts the sim subcommand before trace generation
-// (sim scenarios generate their own workloads). Flags may follow the
-// subcommand — flag.Parse stops at the first positional argument, so
-// re-parse what it left behind.
-func maybeRunSim(cmd string) bool {
-	if cmd != "sim" {
-		return false
-	}
-	if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-		os.Exit(2)
-	}
-	if err := runSim(); err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
-	}
-	return true
 }

@@ -18,7 +18,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"reflect"
@@ -33,8 +32,8 @@ import (
 )
 
 var (
-	sizeOut    = flag.String("size-out", "BENCH_size.json", "output JSON path for the size benchmark")
-	sizeTraces = flag.String("size-traces", "", "comma-separated trace names to run (default: all)")
+	sizeOut    = flags.String("size-out", "BENCH_size.json", "output JSON path for the size benchmark")
+	sizeTraces = flags.String("size-traces", "", "comma-separated trace names to run (default: all)")
 )
 
 type sizeTraceResult struct {
@@ -84,17 +83,6 @@ type sizeReport struct {
 	Handshake   []handshakeResult `json:"handshake"`
 }
 
-func maybeRunSize(cmd string) bool {
-	if cmd != "size" {
-		return false
-	}
-	if err := runSize(); err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
-	}
-	return true
-}
-
 func runSize() error {
 	want := map[string]bool{}
 	if *sizeTraces != "" {
@@ -107,8 +95,8 @@ func runSize() error {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Scale:       *scale,
 	}
-	fmt.Printf("\n== size: naive vs columnar event-graph encoding (scale %.3f) ==\n", *scale)
-	fmt.Printf("%-4s %10s %12s %6s %12s %6s %12s %6s\n",
+	fmt.Fprintf(stdout, "\n== size: naive vs columnar event-graph encoding (scale %.3f) ==\n", *scale)
+	fmt.Fprintf(stdout, "%-4s %10s %12s %6s %12s %6s %12s %6s\n",
 		"", "events", "naive", "B/ev", "columnar", "B/ev", "col+flate", "B/ev")
 	for _, spec := range trace.All() {
 		if len(want) > 0 && !want[spec.Name] {
@@ -177,14 +165,14 @@ func runSize() error {
 		report.TotalNaive += tr.NaiveBytes
 		report.TotalCol += tr.ColumnarBytes
 		report.TotalFlate += tr.ColumnarFlateBytes
-		fmt.Printf("%-4s %10d %12s %6.2f %12s %6.2f %12s %6.2f\n",
+		fmt.Fprintf(stdout, "%-4s %10d %12s %6.2f %12s %6.2f %12s %6.2f\n",
 			tr.Name, tr.Events,
 			bench.FmtBytes(uint64(tr.NaiveBytes)), tr.NaiveBytesPerEvent,
 			bench.FmtBytes(uint64(tr.ColumnarBytes)), tr.ColBytesPerEvent,
 			bench.FmtBytes(uint64(tr.ColumnarFlateBytes)), float64(tr.ColumnarFlateBytes)/float64(tr.Events))
 	}
 	if report.TotalNaive > 0 {
-		fmt.Printf("total: naive %s, columnar %s (%.1f%%), columnar+flate %s (%.1f%%)\n",
+		fmt.Fprintf(stdout, "total: naive %s, columnar %s (%.1f%%), columnar+flate %s (%.1f%%)\n",
 			bench.FmtBytes(uint64(report.TotalNaive)),
 			bench.FmtBytes(uint64(report.TotalCol)), 100*float64(report.TotalCol)/float64(report.TotalNaive),
 			bench.FmtBytes(uint64(report.TotalFlate)), 100*float64(report.TotalFlate)/float64(report.TotalNaive))
@@ -200,7 +188,7 @@ func runSize() error {
 	if err := os.WriteFile(*sizeOut, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", *sizeOut)
+	fmt.Fprintf(stdout, "wrote %s\n", *sizeOut)
 	return nil
 }
 
@@ -256,9 +244,9 @@ func wireBytes(send func(pc *netsync.PeerConn) error) (int, error) {
 
 func runHandshake(report *sizeReport) error {
 	const docID = "bench/handshake"
-	fmt.Printf("\n== handshake: post-failover summary reconnect (%d agents, %d-event offline tail) ==\n",
+	fmt.Fprintf(stdout, "\n== handshake: post-failover summary reconnect (%d agents, %d-event offline tail) ==\n",
 		handshakeAgents, handshakeTail)
-	fmt.Printf("%8s %12s %12s %10s\n", "events", "sum-hello", "sum-resend", "ae-sum")
+	fmt.Fprintf(stdout, "%8s %12s %12s %10s\n", "events", "sum-hello", "sum-resend", "ae-sum")
 	for _, n := range handshakeSizes {
 		server, err := buildHandshakeDoc(n, handshakeAgents)
 		if err != nil {
@@ -308,7 +296,7 @@ func runHandshake(report *sizeReport) error {
 			return err
 		}
 		report.Handshake = append(report.Handshake, hr)
-		fmt.Printf("%8d %12d %12d %10d\n",
+		fmt.Fprintf(stdout, "%8d %12d %12d %10d\n",
 			hr.Events, hr.SummaryHelloBytes, hr.SummaryResendBytes, hr.AntiEntropySummaryFrameBytes)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -19,9 +18,9 @@ import (
 //
 //	egbench store [-store-events N] [-store-batch N] [-store-dir D]
 var (
-	storeEvents = flag.Int("store-events", 20000, "events to append (>= 10k recommended)")
-	storeBatch  = flag.Int("store-batch", 16, "events per append batch (a typing burst)")
-	storeDir    = flag.String("store-dir", "", "store root (default: a fresh temp dir, removed afterwards)")
+	storeEvents = flags.Int("store-events", 20000, "events to append (>= 10k recommended)")
+	storeBatch  = flags.Int("store-batch", 16, "events per append batch (a typing burst)")
+	storeDir    = flags.String("store-dir", "", "store root (default: a fresh temp dir, removed afterwards)")
 )
 
 func runStore() error {
@@ -34,7 +33,7 @@ func runStore() error {
 		defer os.RemoveAll(tmp)
 		root = tmp
 	}
-	fmt.Printf("\n== store: append throughput and cold-open latency (%d events, batch %d) ==\n",
+	fmt.Fprintf(stdout, "\n== store: append throughput and cold-open latency (%d events, batch %d) ==\n",
 		*storeEvents, *storeBatch)
 
 	// Source material: a peer document generating realistic edit
@@ -97,7 +96,7 @@ func runStore() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %12s   %10.0f events/s\n", "append (batched fsync)",
+	fmt.Fprintf(stdout, "%-34s %12s   %10.0f events/s\n", "append (batched fsync)",
 		bench.FmtDuration(batched), float64(*storeEvents)/batched.Seconds())
 
 	// Append throughput, fsync every commit.
@@ -105,7 +104,7 @@ func runStore() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %12s   %10.0f events/s\n", "append (fsync per batch)",
+	fmt.Fprintf(stdout, "%-34s %12s   %10.0f events/s\n", "append (fsync per batch)",
 		bench.FmtDuration(synced), float64(*storeEvents)/synced.Seconds())
 
 	// Cold open from pure WAL (no snapshot was ever taken).
@@ -119,7 +118,7 @@ func runStore() error {
 		}
 		ds.Close()
 	})
-	fmt.Printf("%-34s %12s\n", "cold open (WAL replay only)", bench.FmtDuration(coldWAL))
+	fmt.Fprintf(stdout, "%-34s %12s\n", "cold open (WAL replay only)", bench.FmtDuration(coldWAL))
 
 	// Compact, then cold open from snapshot + empty tail.
 	ds, err := store.Open(root, "bench-batched", "bench", store.Options{})
@@ -144,25 +143,12 @@ func runStore() error {
 		}
 		ds.Close()
 	})
-	fmt.Printf("%-34s %12s   %6.1fx faster\n", "cold open (snapshot + tail)",
+	fmt.Fprintf(stdout, "%-34s %12s   %6.1fx faster\n", "cold open (snapshot + tail)",
 		bench.FmtDuration(coldSnap), float64(coldWAL)/float64(coldSnap))
-	fmt.Printf("%-34s %12s snapshot + %s WAL\n", "on-disk size after compaction",
+	fmt.Fprintf(stdout, "%-34s %12s snapshot + %s WAL\n", "on-disk size after compaction",
 		bench.FmtBytes(uint64(snapBytes)), bench.FmtBytes(uint64(walBytes)))
 	return nil
 }
 
 // maybeRunStore intercepts the store subcommand before trace
 // generation, like maybeRunSim.
-func maybeRunStore(cmd string) bool {
-	if cmd != "store" {
-		return false
-	}
-	if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-		os.Exit(2)
-	}
-	if err := runStore(); err != nil {
-		fmt.Fprintln(os.Stderr, "egbench:", err)
-		os.Exit(1)
-	}
-	return true
-}

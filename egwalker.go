@@ -113,17 +113,13 @@ func (d *Doc) Insert(pos int, text string) error {
 	if pos < 0 || pos > d.text.Len() {
 		return fmt.Errorf("egwalker: insert at %d out of range [0,%d]", pos, d.text.Len())
 	}
-	// The log and the rope copy the characters: a keystroke's stay on the
-	// stack.
-	var buf [64]rune
-	runes := buf[:0]
-	for _, c := range text {
-		runes = append(runes, c)
-	}
-	if _, err := d.log.AppendRun(d.localAgent(), oplog.Run{Kind: oplog.Insert, Pos: pos, Dir: 1, Len: len(runes), Content: runes}); err != nil {
+	// The log keeps the text's UTF-8 and the rope copies it from there.
+	from := len(d.log.Content())
+	sp, err := d.log.AppendText(d.localAgent(), pos, text)
+	if err != nil {
 		return err
 	}
-	return d.text.InsertRunes(pos, runes)
+	return d.text.InsertUTF8(pos, d.log.Content()[from:], sp.Len())
 }
 
 // localAgent returns the graph's number for the replica's agent, asking the
@@ -217,7 +213,7 @@ func (d *Doc) Version() Version {
 func eventsFromRuns(n int, runs iter.Seq[colenc.Run]) []Event {
 	w := newWireEvents(n)
 	for r := range runs {
-		w.run(r.ID.Agent, r.ID.Seq, r.Parents, r.Run)
+		w.run(r.ID.Agent, r.ID.Seq, r.Parents, r.Run, nil)
 	}
 	return w.events
 }
@@ -240,9 +236,11 @@ func newWireEvents(n int) wireEvents {
 }
 
 // run writes out the events of the run r, the first of them (agent, seq)
-// with the given parents: the one place the run-length history is expanded
-// for the per-event API. parents is read, not kept.
-func (w *wireEvents) run(agent string, seq int, parents []colenc.ID, r oplog.Run) {
+// with the given parents, and returns them: the one place the run-length
+// history is expanded for the per-event API. An insert run's characters
+// are r.Content, or if that is nil text, their UTF-8. parents is read, not
+// kept.
+func (w *wireEvents) run(agent string, seq int, parents []colenc.ID, r oplog.Run, text []byte) []Event {
 	i := len(w.events)
 	w.events = w.events[:i+r.Len]
 	var first []EventID
@@ -258,16 +256,24 @@ func (w *wireEvents) run(agent string, seq int, parents []colenc.ID, r oplog.Run
 	for j, p := range parents {
 		first[j] = EventID(p)
 	}
-	insert := r.Kind == oplog.Insert
+	insert, b := r.Kind == oplog.Insert, 0 // b: the next character's first byte in text
 	for k := range r.Len {
 		ev := &w.events[i+k]
 		ev.ID, ev.Insert, ev.Pos, ev.Parents = EventID{Agent: agent, Seq: seq + k}, insert, r.Pos+k*int(r.Dir), first
-		if insert {
+		switch {
+		case insert && r.Content != nil:
 			ev.Content = r.Content[k]
+		case insert:
+			c, n := rune(text[b]), 1
+			if c >= utf8.RuneSelf {
+				c, n = utf8.DecodeRune(text[b:])
+			}
+			ev.Content, b = c, b+n
 		}
 		w.ids[i+k] = ev.ID
 		first = w.ids[i+k : i+k+1 : i+k+1] // the next event's sole parent
 	}
+	return w.events[i:]
 }
 
 // eventsIn exports the events of spans (ascending, disjoint) in wire
@@ -296,12 +302,17 @@ func (d *Doc) eventsIn(spans []causal.Span) []Event {
 			for _, p := range ps {
 				parents = append(parents, colenc.ID(p))
 			}
-			d.log.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+			d.log.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 				seq := first.Seq + int(lvs.Start-entry.Start)
 				if lvs.Start > entry.Start {
 					parents = append(parents[:0], colenc.ID{Agent: first.Agent, Seq: seq - 1})
 				}
-				w.run(first.Agent, seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content})
+				evs := w.run(first.Agent, seq, parents, oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()}, text)
+				// The log holds U+FFFD for a character that is not a Unicode
+				// scalar value, and the value beside it.
+				for at, c, ok := d.log.Invalid(lvs.Start); ok && at < lvs.End; at, c, ok = d.log.Invalid(at + 1) {
+					evs[at-lvs.Start].Content = c
+				}
 				return true
 			})
 		}
@@ -368,9 +379,9 @@ func (d *Doc) Apply(events []Event) ([]Patch, error) { return d.merge(events, tr
 
 // merge is Apply, building the patches only if build is set.
 func (d *Doc) merge(events []Event, build bool) ([]Patch, error) {
-	emitFrom, chars := causal.LV(d.log.Len()), len(d.log.Content())
+	emitFrom, from := causal.LV(d.log.Len()), len(d.log.Content())
 	admitErr := d.admit(events)
-	patches, err := d.emit(emitFrom, chars, build)
+	patches, err := d.emit(emitFrom, from, build)
 	if admitErr != nil {
 		err = admitErr
 	}
@@ -388,17 +399,13 @@ type patches struct {
 	text strings.Builder
 }
 
-// open readies o for runs patches whose inserts' characters are chars (an
-// invalid rune becomes U+FFFD) and returns it, or nil if build is not set.
-func (o *patches) open(build bool, chars []rune, runs int) *patches {
+// open readies o for runs patches whose inserts' characters are text, in
+// UTF-8, and returns it, or nil if build is not set.
+func (o *patches) open(build bool, text []byte, runs int) *patches {
 	if !build {
 		return nil
 	}
-	n, b := 0, [utf8.UTFMax]byte{}
-	for _, c := range chars {
-		n += len(utf8.AppendRune(b[:0], c))
-	}
-	o.text.Grow(n)
+	o.text.Grow(len(text))
 	o.runs = runs
 	return o
 }
@@ -414,9 +421,7 @@ func (o *patches) apply(text *rope.Rope, op core.XOp) error {
 	p := Patch{Insert: op.Kind == oplog.Insert, Pos: op.Pos, N: op.N}
 	if p.Insert {
 		from := o.text.Len()
-		for _, c := range op.Content {
-			o.text.WriteRune(c)
-		}
+		o.text.Write(op.Text)
 		p.Content = o.text.String()[from:] // within the room open made: never moved or written again
 	}
 	o.list = append(o.list, p)
@@ -581,9 +586,10 @@ func (d *Doc) sweep(buf, waiting []Event) (_ []Event, progress bool, err error) 
 }
 
 // emit transforms the events admitted since emitFrom (their characters
-// the log's from chars on), applies them to the text and, if build is set,
-// returns the patches. If it fails part-way, they are the ones applied.
-func (d *Doc) emit(emitFrom causal.LV, chars int, build bool) ([]Patch, error) {
+// the log's UTF-8 from byte from on), applies them to the text and, if
+// build is set, returns the patches. If it fails part-way, they are the
+// ones applied.
+func (d *Doc) emit(emitFrom causal.LV, from int, build bool) ([]Patch, error) {
 	end := causal.LV(d.log.Len())
 	if emitFrom == end {
 		return nil, nil // nothing admitted
@@ -597,13 +603,13 @@ func (d *Doc) emit(emitFrom causal.LV, chars int, build bool) ([]Patch, error) {
 	if d.linearExtension(emitFrom) {
 		d.walker.Drop()
 		var sink patches
-		out := sink.open(build, d.log.Content()[chars:], d.log.RunsFrom(&d.emitted, emitFrom))
+		out := sink.open(build, d.log.Content()[from:], d.log.RunsFrom(&d.emitted, emitFrom))
 		d.log.EachRunFrom(&d.emitted, causal.Span{Start: emitFrom, End: end},
-			func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+			func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 				if dir < 0 {
 					pos -= lvs.Len() - 1 // backspace run: the range ends at pos
 				}
-				applyErr = out.apply(d.text, core.XOp{Kind: kind, Pos: pos, N: lvs.Len(), Content: content})
+				applyErr = out.apply(d.text, core.XOp{Kind: kind, Pos: pos, N: lvs.Len(), Text: text})
 				return applyErr == nil
 			})
 		return sink.list, applyErr
@@ -613,7 +619,7 @@ func (d *Doc) emit(emitFrom causal.LV, chars int, build bool) ([]Patch, error) {
 		d.walker = new(core.Walker)
 	}
 	var sink patches
-	out := sink.open(build, d.log.Content()[chars:], 0)
+	out := sink.open(build, d.log.Content()[from:], 0)
 	err := d.walker.TransformRange(d.log, emitFrom, func(_ causal.LV, op core.XOp) {
 		if applyErr == nil {
 			applyErr = out.apply(d.text, op)
@@ -674,6 +680,7 @@ func (d *Doc) TextAt(v Version) (string, error) {
 	sub := oplog.New()
 	var ids []causal.RawID
 	var parents []causal.LV
+	var content []rune
 	for _, sp := range inV {
 		// Copy run-at-a-time so the sub-log keeps the run-length encoding
 		// (and its replay stays on the span-wise path). Runs are clipped
@@ -695,8 +702,12 @@ func (d *Doc) TextAt(v Version) (string, error) {
 				parents = append(parents, lv)
 			}
 			var addErr error
-			d.log.EachRun(entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
-				r := oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content}
+			d.log.EachRun(entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
+				r := oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()}
+				if kind == oplog.Insert {
+					content = d.log.AppendRunes(content[:0], lvs.Start, text)
+					r.Content = content
+				}
 				nsp, err := sub.AddRun(id.Agent, id.Seq+int(lvs.Start-entry.Start), parents, r)
 				if err != nil {
 					addErr = err

@@ -148,6 +148,22 @@ func interleavedScript() []byte {
 	return script(steps...)
 }
 
+// multiByteScript: the first replica types a run of 80 characters of two,
+// three and four bytes — past a mark of the log's arena — the second,
+// having merged it, types inside it and deletes from it, and the first
+// goes on typing at its end.
+func multiByteScript() []byte {
+	var steps [][]byte
+	for k := range 80 {
+		steps = append(steps, ins(0, k, 37+k%4))
+	}
+	steps = append(steps, merge(1, 0), ins(1, 3, 39), ins(1, 4, 40), del(1, 10), del(1, 9), ins(1, 70, 0))
+	for k := range 6 {
+		steps = append(steps, ins(0, 80+k, 40-k%4))
+	}
+	return script(steps...)
+}
+
 // TestSaveSeedsReachTheirCases: each of saveSeeds builds the history it is
 // there for.
 func TestSaveSeedsReachTheirCases(t *testing.T) {
@@ -165,6 +181,7 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 	for _, s := range saveSeeds {
 		f.Add(s.script)
 	}
+	f.Add(multiByteScript())
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]

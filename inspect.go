@@ -43,6 +43,10 @@ type MemStats struct {
 	// indexes. LogBytes / Events is what an event costs a replica that
 	// has the document open.
 	LogBytes int
+	// ContentBytes is the part of LogBytes that holds the inserted
+	// characters: their UTF-8, a byte for an ASCII character, and a
+	// 4-byte offset for every 64th.
+	ContentBytes int
 	// TextBytes is the heap the current text holds.
 	TextBytes int
 	// RetainedItems is ReplayStats().RetainedItems: the records of
@@ -57,6 +61,7 @@ func (d *Doc) MemStats() MemStats {
 		OpSpans:       d.log.SpanCount(),
 		GraphEntries:  d.log.Graph.Entries(),
 		LogBytes:      d.log.Bytes(),
+		ContentBytes:  d.log.ContentBytes(),
 		TextBytes:     d.text.Bytes(),
 		RetainedItems: d.walker.Stats().RetainedItems,
 	}

@@ -13,12 +13,12 @@ import (
 // pattern changes. It is how a log leaves for the per-event API without a
 // stop at one struct per event; through EncodeRuns, it is the reference
 // SaveDocument's bytes are held to. A run's
-// Parents are valid until the next run is produced; its Content is the
-// log's own and must not be modified.
+// Parents and Content are valid until the next run is produced.
 func LogRuns(l *oplog.Log, spans ...causal.Span) iter.Seq[Run] {
 	return func(yield func(Run) bool) {
 		var ids []causal.RawID
 		var parents []ID
+		var content []rune
 		var at oplog.Cursor // entry follows entry: one search for the first run
 		more := true
 		for _, sp := range spans {
@@ -31,11 +31,15 @@ func LogRuns(l *oplog.Log, spans ...causal.Span) iter.Seq[Run] {
 				for _, p := range ps {
 					parents = append(parents, ID(p))
 				}
-				l.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+				l.EachRunFrom(&at, entry, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 					r := Run{
 						ID:      ID{Agent: first.Agent, Seq: first.Seq + int(lvs.Start-entry.Start)},
 						Parents: parents,
-						Run:     oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len(), Content: content},
+						Run:     oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()},
+					}
+					if kind == oplog.Insert {
+						content = l.AppendRunes(content[:0], lvs.Start, text)
+						r.Content = content
 					}
 					if lvs.Start > entry.Start {
 						parents = append(parents[:0], ID{Agent: first.Agent, Seq: r.ID.Seq - 1})

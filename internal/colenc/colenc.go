@@ -405,14 +405,15 @@ func encodeRuns(runs iter.Seq[Run], doc string, withDoc bool, opts Options) ([]b
 		}
 	}
 	if !withDoc {
-		return e.frame(opts, -1, nil)
+		return e.frame(opts, e.content, -1, nil)
 	}
-	return e.frame(opts, len(doc), func(out []byte) []byte { return append(out, doc...) })
+	return e.frame(opts, e.content, len(doc), func(out []byte) []byte { return append(out, doc...) })
 }
 
-// frame allocates the frame of the columns e holds and a doc column of doc
-// bytes (-1: none) that appendDoc writes, at its exact size, and writes it.
-func (e *encoder) frame(opts Options, doc int, appendDoc func([]byte) []byte) ([]byte, error) {
+// frame allocates the frame of the columns e holds, the content column
+// content and a doc column of doc bytes (-1: none) that appendDoc writes,
+// at its exact size, and writes it.
+func (e *encoder) frame(opts Options, content []byte, doc int, appendDoc func([]byte) []byte) ([]byte, error) {
 	e.flushOp()
 	agents := binary.AppendUvarint(e.agents, uint64(len(e.names)))
 	for _, name := range e.names {
@@ -424,7 +425,6 @@ func (e *encoder) frame(opts Options, doc int, appendDoc func([]byte) []byte) ([
 		agents = binary.AppendUvarint(agents, uint64(r.n))
 	}
 	e.agents = agents
-	content := e.content
 
 	flags := byte(0)
 	// The decoder bounds inflation at maxDecompressed (decompression-

@@ -9,6 +9,7 @@ import (
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
 	"egwalker/internal/rope"
+	"egwalker/internal/utf8x"
 )
 
 // Document is a whole-document frame, loaded.
@@ -26,7 +27,7 @@ type Document struct {
 // frame the events are the log in LV order, so nothing is looked up and
 // nothing is built on the way: event i is LV i and a back-reference is an
 // LV difference; the ops column's runs are the log's spans and the content
-// column its character arena, decoded in place; a stretch of one agent run
+// column, checked and copied, its character arena; a stretch of one agent run
 // that no parents entry cuts is a graph entry, and an (agent, seq) parent
 // is found through the graph's per-agent index under a number the agent
 // was given once.
@@ -66,7 +67,7 @@ func LoadDocument(data []byte) (Document, error) {
 		if !utf8.Valid(f.doc) {
 			return Document{}, fmt.Errorf("colenc: invalid UTF-8 in doc column")
 		}
-		if chars, deletes := utf8.RuneCount(f.doc), f.n-inserts; chars > inserts || chars < inserts-deletes {
+		if chars, deletes := utf8x.Count(f.doc), f.n-inserts; chars > inserts || chars < inserts-deletes {
 			return Document{}, fmt.Errorf("colenc: doc column holds %d characters, the history inserts %d and deletes %d", chars, inserts, deletes)
 		}
 		doc.Text = rope.NewFromUTF8(f.doc)
@@ -83,11 +84,8 @@ func loadOps(l *oplog.Log, f *frame) (inserts int, err error) {
 			return 0, err
 		}
 	}
-	// Grown, not made: what the allocator rounds the array up by is room
-	// the log can append into, and counts as held (oplog.Log.Bytes).
-	content, err := appendRunes(slices.Grow([]rune(nil), utf8.RuneCount(buf)), buf)
-	if err != nil {
-		return 0, err
+	if !utf8.Valid(buf) {
+		return 0, fmt.Errorf("colenc: invalid UTF-8 in content column")
 	}
 	// A run is three varints and a varint ends at its first byte under
 	// 0x80: the column's runs, counted without reading them.
@@ -97,11 +95,13 @@ func loadOps(l *oplog.Log, f *frame) (inserts int, err error) {
 			varints++
 		}
 	}
-	l.Adopt(content)
+	// Grown, not made: what the allocator rounds the array up by is room
+	// the log can append into, and counts as held (oplog.Log.Bytes).
+	chars := l.Adopt(append(slices.Grow([]byte(nil), len(buf)), buf...))
 	l.Reserve(varints/3, 0)
 	var op oplog.Run
 	for i := 0; i < f.n; i += op.Len {
-		if err := f.ops.opRun(&op, f.n-i, len(content)-inserts); err != nil {
+		if err := f.ops.opRun(&op, f.n-i, chars-inserts); err != nil {
 			return 0, err
 		}
 		l.PushRun(causal.LV(i), op, inserts)
@@ -112,7 +112,7 @@ func loadOps(l *oplog.Log, f *frame) (inserts int, err error) {
 	if !f.ops.done() {
 		return 0, fmt.Errorf("colenc: trailing bytes in ops column")
 	}
-	if inserts != len(content) {
+	if inserts != chars {
 		return 0, fmt.Errorf("colenc: trailing bytes in content column")
 	}
 	return inserts, nil

@@ -19,8 +19,9 @@ import (
 // walk of the graph's entries for the agents and parents columns, the name
 // table through a slice indexed by agent number and a parent's (agent,
 // seq) read off its entry; one of the log's spans, each an ops run, for
-// the ops and content columns. The frame is allocated once, at its exact
-// size, and the text goes from the rope's leaves straight into it.
+// the ops column, the content column being the log's UTF-8 as it is. The
+// frame is allocated once, at its exact size, and the characters go from
+// the log's arena and the text from the rope's leaves straight into it.
 func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
@@ -62,12 +63,12 @@ func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
 		e.pushAgent(table[aid], seq-sp.Len()+1, sp.Len())
 	}
 	var err error
-	l.EachRun(causal.Span{End: causal.LV(l.Len())}, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+	l.EachRun(causal.Span{End: causal.LV(l.Len())}, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 		r := oplog.Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()}
 		if k, ok := negativeAt(&r); ok {
 			err = fmt.Errorf("colenc: negative position in event %s", g.IDOf(lvs.Start+causal.LV(k)))
-		} else if k := e.pushContent(content); k >= 0 {
-			err = fmt.Errorf("colenc: invalid rune %#x in event %s", content[k], g.IDOf(lvs.Start+causal.LV(k)))
+		} else if at, c, ok := l.Invalid(lvs.Start); ok && at < lvs.End {
+			err = fmt.Errorf("colenc: invalid rune %#x in event %s", c, g.IDOf(at))
 		}
 		e.op = r // a span is a run the encoder would cut: PushRun cuts by Extend too
 		e.flushOp()
@@ -78,7 +79,7 @@ func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
 	}
 	e.n = l.Len()
 	if text == nil {
-		return e.frame(opts, -1, nil)
+		return e.frame(opts, l.Content(), -1, nil)
 	}
-	return e.frame(opts, text.UTF8Len(), text.AppendUTF8)
+	return e.frame(opts, l.Content(), text.UTF8Len(), text.AppendUTF8)
 }

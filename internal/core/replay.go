@@ -138,9 +138,9 @@ func (w *Walker) Drop() {
 // emitFastRuns emits the events of span untransformed, one span operation
 // per operation run.
 func emitFastRuns(l *oplog.Log, span causal.Span, emit func(lv causal.LV, op XOp)) {
-	l.EachRun(span, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+	l.EachRun(span, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 		if kind == oplog.Insert {
-			emit(lvs.Start, XOp{Kind: oplog.Insert, Pos: pos, N: lvs.Len(), Content: content})
+			emit(lvs.Start, XOp{Kind: oplog.Insert, Pos: pos, N: lvs.Len(), Text: text})
 			return true
 		}
 		// A backspace run deleting at pos, pos-1, ... removes the range
@@ -268,16 +268,34 @@ func (w *Walker) TransformRange(l *oplog.Log, emitFrom causal.LV, emit func(lv c
 }
 
 // TransformAll transforms every event in the graph; applying the emitted
-// operations in order to an empty document yields replay(G).
+// operations in order to an empty document yields replay(G). Its inserts,
+// and its variants', carry their characters as runes too (XOp.Content).
 func TransformAll(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
+	return transformAll(l, withRunes(l, emit))
+}
+
+// transformAll is TransformAll with the inserts' characters as UTF-8 only.
+func transformAll(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
 	return new(Walker).TransformRange(l, 0, emit)
+}
+
+// withRunes returns emit for inserts that carry their runes too, in one buffer.
+func withRunes(l *oplog.Log, emit func(lv causal.LV, op XOp)) func(lv causal.LV, op XOp) {
+	var buf []rune
+	return func(lv causal.LV, op XOp) {
+		if op.Kind == oplog.Insert && op.Content == nil {
+			buf = l.AppendRunes(buf[:0], lv, op.Text)
+			op.Content = buf
+		}
+		emit(lv, op)
+	}
 }
 
 // TransformAllUnitRef is TransformAll through the per-unit reference
 // state: one single-unit operation per event (the differential oracle
 // and the "before" configuration of the core benchmarks).
 func TransformAllUnitRef(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
-	return (&Walker{unitRef: true}).TransformRange(l, 0, emit)
+	return (&Walker{unitRef: true}).TransformRange(l, 0, withRunes(l, emit))
 }
 
 // TransformAllNoOpt replays the entire graph through a single tracker
@@ -286,14 +304,14 @@ func TransformAllUnitRef(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
 // TransformAll; only the cost differs.
 func TransformAllNoOpt(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
 	tr := NewTracker(l, causal.Root, 0)
-	return tr.ApplyRange(causal.Span{Start: 0, End: causal.LV(l.Len())}, 0, emit)
+	return tr.ApplyRange(causal.Span{Start: 0, End: causal.LV(l.Len())}, 0, withRunes(l, emit))
 }
 
 // TransformAllNoOptUnitRef is TransformAllNoOpt through the per-unit
 // reference state: both §3.5 and §3.8 optimisations disabled.
 func TransformAllNoOptUnitRef(l *oplog.Log, emit func(lv causal.LV, op XOp)) error {
 	tr := newUnitTracker(l, causal.Root, 0)
-	return tr.ApplyRange(causal.Span{Start: 0, End: causal.LV(l.Len())}, 0, emit)
+	return tr.ApplyRange(causal.Span{Start: 0, End: causal.LV(l.Len())}, 0, withRunes(l, emit))
 }
 
 // IDOp is an event's operation in ID space: what a classic list CRDT
@@ -333,6 +351,9 @@ func ToIDOps(l *oplog.Log, emit func(IDOp)) error {
 
 // ApplyXOp applies a transformed span operation to a rope document.
 func ApplyXOp(r *rope.Rope, op XOp) error {
+	if op.Kind == oplog.Insert && op.Text != nil {
+		return r.InsertUTF8(op.Pos, op.Text, op.N)
+	}
 	if op.Kind == oplog.Insert {
 		return r.InsertRunes(op.Pos, op.Content)
 	}
@@ -359,7 +380,7 @@ func replayRope(l *oplog.Log, transform func(*oplog.Log, func(causal.LV, XOp)) e
 
 // ReplayRope replays the entire event graph into a fresh document.
 func ReplayRope(l *oplog.Log) (*rope.Rope, error) {
-	return replayRope(l, TransformAll)
+	return replayRope(l, transformAll)
 }
 
 // ReplayText replays the entire event graph and returns the document

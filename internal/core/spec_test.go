@@ -292,7 +292,7 @@ func TestTrackerStateReuse(t *testing.T) {
 	var doc []rune
 	for _, op := range append(ops1, ops2...) {
 		if op.Kind == oplog.Insert {
-			doc = append(doc[:op.Pos], append(append([]rune(nil), op.Content...), doc[op.Pos:]...)...)
+			doc = append(doc[:op.Pos], append([]rune(string(op.Text)), doc[op.Pos:]...)...)
 		} else {
 			doc = append(doc[:op.Pos], doc[op.Pos+op.N:]...)
 		}

@@ -23,19 +23,23 @@ import (
 	"egwalker/internal/causal"
 	"egwalker/internal/itemtree"
 	"egwalker/internal/oplog"
+	"egwalker/internal/utf8x"
 )
 
 // XOp is a transformed span operation: a run of insertions or deletions
 // whose index is valid in the effect version (the document produced by
-// all previously emitted operations). An insert places Content at
-// [Pos, Pos+N); a delete removes the N units at [Pos, Pos+N). Runs of
+// all previously emitted operations). An insert places its N characters
+// at [Pos, Pos+N); a delete removes the N units at [Pos, Pos+N). Runs of
 // deletions targeting units already deleted by a concurrent operation
 // are dropped (not emitted) rather than emitted as no-ops.
 type XOp struct {
-	Kind    oplog.Kind
-	Pos     int
-	N       int    // units affected; == len(Content) for inserts
-	Content []rune // inserts only; may alias the oplog's storage
+	Kind oplog.Kind
+	Pos  int
+	N    int    // units affected; the characters of an insert
+	Text []byte // an insert's characters as UTF-8: a slice of the log's arena
+	// Content holds them as runes too (TransformAll and its variants), in
+	// a buffer that is the callee's until emit returns.
+	Content []rune
 	// Back marks a delete span derived from a backspace run: the span's
 	// events deleted the range top-down (positions Pos+N-1 down to Pos)
 	// rather than bottom-up (N deletes at Pos). The applied effect is
@@ -167,9 +171,9 @@ func (t *Tracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv 
 		if err = t.moveTo(parents); err != nil {
 			return err
 		}
-		t.log.EachRunFrom(&t.at, run, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+		t.log.EachRunFrom(&t.at, run, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 			if kind == oplog.Insert {
-				err = t.applyInsertRun(lvs, pos, content, emitFrom, emit)
+				err = t.applyInsertRun(lvs, pos, text, emitFrom, emit)
 			} else {
 				err = t.applyDeleteRun(lvs, pos, dir, emitFrom, emit)
 			}
@@ -212,9 +216,8 @@ func (t *Tracker) moveTo(parents []causal.Ref) error {
 // reverse is set (retreats) and ascending otherwise (advances).
 func (t *Tracker) shiftSpan(sp causal.Span, delta int32, reverse bool) error {
 	runs := t.runBuf[:0]
-	t.log.EachRunFrom(&t.moved, sp, func(lvs causal.Span, kind oplog.Kind, _ int, _ int8, _ []rune) bool {
+	t.log.EachKindFrom(&t.moved, sp, func(lvs causal.Span, kind oplog.Kind) {
 		runs = append(runs, moveRun{lvs: lvs, kind: kind})
-		return true
 	})
 	t.runBuf = runs
 	if reverse {
@@ -316,7 +319,7 @@ func (t *Tracker) shiftUnits(id itemtree.ID, n int, delta, minState int32, lv ca
 // equal the current prepare version as a single B-tree record (§3.3,
 // §3.8). The whole run shares one integration scan: units after the
 // first land immediately after their predecessor by construction.
-func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, content []rune, emitFrom causal.LV, emit func(causal.LV, XOp)) error {
+func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, text []byte, emitFrom causal.LV, emit func(causal.LV, XOp)) error {
 	c, oleft, oright, err := t.tree.FindInsert(pos)
 	if err != nil {
 		return fmt.Errorf("core: apply insert %d: %w", lvs.Start, err)
@@ -338,8 +341,8 @@ func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, content []rune, emitF
 	}
 	if t.onIDOp != nil {
 		ol := oleft
-		for i := 0; i < n; i++ {
-			t.onIDOp(lvs.Start+causal.LV(i), oplog.Op{Kind: oplog.Insert, Pos: pos + i, Content: content[i]}, ol, oright, 0)
+		for i, c := range t.log.AppendRunes(nil, lvs.Start, text) {
+			t.onIDOp(lvs.Start+causal.LV(i), oplog.Op{Kind: oplog.Insert, Pos: pos + i, Content: c}, ol, oright, 0)
 			ol = itemtree.ID(lvs.Start) + int64(i)
 		}
 	}
@@ -349,10 +352,10 @@ func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, content []rune, emitF
 			skip = int(emitFrom - lvs.Start)
 		}
 		emit(lvs.Start+causal.LV(skip), XOp{
-			Kind:    oplog.Insert,
-			Pos:     t.tree.CountEndBefore(ic) + skip,
-			N:       n - skip,
-			Content: content[skip:],
+			Kind: oplog.Insert,
+			Pos:  t.tree.CountEndBefore(ic) + skip,
+			N:    n - skip,
+			Text: text[utf8x.Skip(text, skip):],
 		})
 	}
 	return nil

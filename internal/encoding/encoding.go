@@ -96,7 +96,7 @@ func Encode(w io.Writer, l *oplog.Log, opts Options, finalDoc string, deleted ma
 	// Column 1: ops. Per run: kind+dir tag, run length, start position.
 	var ops []byte
 	var content []byte
-	l.EachRun(full, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, runes []rune) bool {
+	l.EachRun(full, func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, text []byte) bool {
 		tag := uint64(0)
 		if kind == oplog.Delete {
 			tag = 1 + uint64(dir+1) // 1: backspace(-1), 2: forward(0)
@@ -108,9 +108,9 @@ func Encode(w io.Writer, l *oplog.Log, opts Options, finalDoc string, deleted ma
 			if opts.OmitDeletedContent {
 				// Keep a per-character presence bitmap run: emit runs of
 				// kept/dropped lengths so decode stays aligned.
-				content = appendPrunedRun(content, lvs, runes, deleted)
+				content = appendPrunedRun(content, lvs, []rune(string(text)), deleted)
 			} else {
-				content = append(content, []byte(string(runes))...)
+				content = append(content, text...)
 			}
 		}
 		return true

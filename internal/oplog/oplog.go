@@ -7,14 +7,22 @@
 // consecutive insertions ("typing"), forward deletion runs (holding
 // delete), and backward deletion runs (holding backspace) each compress
 // into a single span.
+//
+// The inserted characters are one append-only arena of UTF-8, in LV
+// order, counted in characters: a span records where its characters start
+// in both counts, and the byte offset of every 64th character (a mark)
+// finds one inside a span with a scan of at most 64.
 package oplog
 
 import (
 	"fmt"
 	"slices"
+	"sort"
+	"unicode/utf8"
 	"unsafe"
 
 	"egwalker/internal/causal"
+	"egwalker/internal/utf8x"
 )
 
 // Kind discriminates the two text operations.
@@ -47,19 +55,21 @@ type Op struct {
 // one).
 //
 // For an insert span, op i has position pos+i and its character is
-// Log.content[content+i] (humans type forwards; a non-conforming insert
-// starts a new span). For a delete span, op i has position pos+i*dir
+// character content+i of the arena, its UTF-8 from byte text on up to the
+// next span's (humans type forwards; a non-conforming insert starts a new
+// span). For a delete span, op i has position pos+i*dir
 // where dir is +0 for forward deletes (repeatedly deleting at the same
 // index consumes a run)
 // ... see posAt for the exact rules.
 //
 // Positions arrive from peers and stay int. LVs and content offsets count
 // this replica's own events — a character is an event — and the graph
-// holds those to 32 bits.
+// holds those to 32 bits, as the arena's bytes are.
 type span struct {
 	pos     int
 	start   uint32 // LV of the first op
-	content uint32 // inserts only: where the span's characters start in Log.content
+	content uint32 // characters of the arena before the span's
+	text    uint32 // and bytes
 	kind    Kind
 	// dir is the per-op position delta: inserts +1; forward deletes 0;
 	// backspace deletes -1.
@@ -68,15 +78,25 @@ type span struct {
 
 func (s *span) posAt(i int) int { return s.pos + i*int(s.dir) }
 
+const markEvery = 64 // characters from one mark of the arena to the next
+
 // Log is an append-only operation log bound to a causal graph.
 type Log struct {
 	Graph *causal.Graph
 	spans []span
-	// content holds the characters of every insert span back to back, in
-	// LV order. It is append-only: a slice of it handed out stays valid,
-	// and unchanged, whatever is added later.
-	content  []rune
-	searches uint64 // binary searches for the span holding an LV
+	// text holds every insert span's characters, in LV order, as UTF-8:
+	// append-only, so a slice of it handed out stays valid and unchanged.
+	text     []byte
+	chars    int           // characters in text
+	marks    []uint32      // where character k*markEvery starts in text
+	invalid  []invalidRune // in LV order
+	searches uint64        // binary searches for the span holding an LV
+}
+
+// invalidRune is the character of the insert at lv: no Unicode scalar.
+type invalidRune struct {
+	lv causal.LV
+	c  rune
 }
 
 // New returns an empty log with a fresh graph.
@@ -197,6 +217,22 @@ func (l *Log) AppendRun(aid int, r Run) (causal.Span, error) {
 	return causal.Span{Start: start, End: start + causal.LV(r.Len)}, nil
 }
 
+// AppendText is AppendRun for the insertion of text at pos, typed: its
+// UTF-8 goes into the arena as it is, a byte that is not UTF-8 as U+FFFD.
+func (l *Log) AppendText(aid int, pos int, text string) (causal.Span, error) {
+	if !utf8.ValidString(text) {
+		text = string([]rune(text))
+	}
+	n := utf8.RuneCountInString(text)
+	start, err := l.Graph.Append(aid, n)
+	if err != nil {
+		return causal.Span{}, err
+	}
+	l.PushRun(start, Run{Kind: Insert, Pos: pos, Dir: 1, Len: n}, l.chars)
+	l.grow(append(l.text, text...), n)
+	return causal.Span{Start: start, End: start + causal.LV(n)}, nil
+}
+
 // check rejects a run that is empty or whose content is not its length.
 func (r *Run) check() error {
 	if r.Len < 1 || (r.Kind == Insert && len(r.Content) != r.Len) {
@@ -260,8 +296,71 @@ func (r Run) From(k int) Run {
 // The last span's characters end the arena, so an insert that extends it
 // appends to both.
 func (l *Log) appendRun(lv causal.LV, r Run) {
-	l.PushRun(lv, r, len(l.content))
-	l.content = append(l.content, r.Content...)
+	l.PushRun(lv, r, l.chars)
+	if r.Kind != Insert {
+		return
+	}
+	text := slices.Grow(l.text, len(r.Content))
+	for k, c := range r.Content {
+		if uint32(c) >= utf8.RuneSelf && !utf8.ValidRune(c) {
+			l.invalid = append(l.invalid, invalidRune{lv + causal.LV(k), c})
+		}
+		text = utf8.AppendRune(text, c) // U+FFFD if not valid
+	}
+	l.grow(text, len(r.Content))
+}
+
+// grow makes text, the arena and n more characters, the arena.
+func (l *Log) grow(text []byte, n int) {
+	c, at := l.chars, len(l.text)
+	l.text, l.chars = text, c+n
+	for next := (c + markEvery - 1) / markEvery * markEvery; next < l.chars; next += markEvery {
+		at += utf8x.Skip(l.text[at:], next-c)
+		c = next
+		l.marks = append(l.marks, uint32(at))
+	}
+}
+
+// byteAt returns where character c, one the arena holds, starts: its
+// block's mark, plus c's place in the block when the block is ASCII (as
+// many bytes as characters), else plus a scan of the block.
+func (l *Log) byteAt(c int) int {
+	k := c / markEvery
+	from, to, n := int(l.marks[k]), len(l.text), l.chars-k*markEvery
+	if k+1 < len(l.marks) {
+		to, n = int(l.marks[k+1]), markEvery
+	}
+	if to-from == n {
+		return from + c%markEvery
+	}
+	return from + utf8x.Skip(l.text[from:to], c%markEvery)
+}
+
+// textOf returns the UTF-8 of characters [from, to) of insert span i: from
+// its offsets, c, the marks, or back from its end for a burst typed on.
+func (l *Log) textOf(i, from, to int, c *Cursor) []byte {
+	s := &l.spans[i]
+	a, b := int(s.text), len(l.text)
+	if i+1 < len(l.spans) {
+		b = int(l.spans[i+1].text)
+	}
+	switch n := int(l.end(i)) - int(s.start); {
+	case b-a == n: // ASCII
+		a, b = a+from, a+to
+	case to == n && n-from <= 8:
+		a = utf8x.Back(l.text[:b], n-from)
+	default:
+		if from > 0 && c.char == int(s.content)+from {
+			a = c.byte
+		} else if from > 0 {
+			a = l.byteAt(int(s.content) + from)
+		}
+		if to < n {
+			b = l.byteAt(int(s.content) + to)
+		}
+	}
+	c.char, c.byte = int(s.content)+to, b
+	return l.text[a:b:b]
 }
 
 // PushRun appends the run r at lv, where the runs pushed so far end, as
@@ -283,7 +382,10 @@ func (l *Log) PushRun(lv causal.LV, r Run, at int) {
 			r = r.From(took) // a delete run: an insert is taken whole or not at all
 		}
 	}
-	s := span{pos: r.Pos, start: uint32(lv), content: uint32(at), kind: r.Kind}
+	s := span{pos: r.Pos, start: uint32(lv), content: uint32(at), text: uint32(len(l.text)), kind: r.Kind}
+	if at < l.chars { // a loader's: the arena is adopted whole
+		s.text = uint32(l.byteAt(at))
+	}
 	if r.Kind == Insert {
 		s.dir = 1
 	} else if r.Len > 1 {
@@ -292,29 +394,33 @@ func (l *Log) PushRun(lv causal.LV, r Run, at int) {
 	l.spans = append(l.spans, s)
 }
 
-// Adopt makes content — every character a saved history inserts, in LV
-// order — the arena of the empty log l, as it stands and without a copy.
-// The history's runs follow through PushRun and its events go into
-// l.Graph, both the caller's to do: the log is whole again once the two
-// cover the same LVs and the runs account for every character. It is how
-// a loader fills a log from a file's content column, decoded once.
-func (l *Log) Adopt(content []rune) {
-	if len(l.spans) > 0 || len(l.content) > 0 {
+// Adopt makes text — the valid UTF-8 of every character a saved history
+// inserts, in LV order — the arena of the empty log l, as it stands and
+// without a copy, and returns how many characters it holds. The history's
+// runs follow through PushRun and its events go into l.Graph, both the
+// caller's to do: the log is whole again once the two cover the same LVs
+// and the runs account for every character.
+func (l *Log) Adopt(text []byte) int {
+	if len(l.spans) > 0 || len(l.text) > 0 {
 		panic("oplog: Adopt on a log that is not empty")
 	}
-	l.content = content
+	n := utf8x.Count(text)
+	l.marks = make([]uint32, 0, (n+markEvery-1)/markEvery)
+	l.grow(text, n)
+	return n
 }
 
 // Reserve makes room for spans more spans and chars more inserted
-// characters, so that appending them allocates nothing (the graph's side
-// is causal.Graph.Reserve). A loader reserves the spans it has counted and
+// characters, so that appending them allocates nothing if they are ASCII
+// (the graph's side is causal.Graph.Reserve). A loader reserves the spans it has counted and
 // leaves no slack; a merge reserves the characters of the batch it was
 // handed, so that the arena moves at most once, where appending run by
 // run would move it at every step of its growth and leave each old copy
 // behind as garbage.
 func (l *Log) Reserve(spans, chars int) {
 	l.spans = slices.Grow(l.spans, spans)
-	l.content = slices.Grow(l.content, chars)
+	l.text = slices.Grow(l.text, chars)
+	l.marks = slices.Grow(l.marks, chars/markEvery+1)
 }
 
 // AddInsert appends an insertion of text at pos (a run of single-character
@@ -359,9 +465,9 @@ func (l *Log) spanIdxIn(lo, hi int, lv causal.LV) int {
 // runs: a walk finds its first span by looking outwards from where the
 // last walk with the same Cursor stopped, in steps that double, so that
 // what it costs grows with the logarithm of the distance between the two
-// and not of the log — nothing at all when it goes on where the last one
-// stopped. The zero Cursor is valid for any log; a Cursor serves one log.
-type Cursor struct{ span int }
+// and not of the log — nothing, span or byte (char and byte), when it goes
+// on where the last one stopped. The zero Cursor is valid for any log.
+type Cursor struct{ span, char, byte int }
 
 // Last returns a Cursor at the log's last span, where a walk of its newest
 // events starts.
@@ -389,19 +495,48 @@ func (l *Log) seek(c *Cursor, lv causal.LV) int {
 	return l.spanIdxIn(lo, hi, lv)
 }
 
-// opIn returns the operation i places into span s.
-func (l *Log) opIn(s *span, i int) Op {
+// opIn returns the operation i places into span idx.
+func (l *Log) opIn(idx, i int) Op {
+	s := &l.spans[idx]
 	op := Op{Kind: s.kind, Pos: s.posAt(i)}
 	if s.kind == Insert {
-		op.Content = l.content[int(s.content)+i]
+		var c [1]rune
+		op.Content = l.AppendRunes(c[:0], causal.LV(s.start)+causal.LV(i), l.textOf(idx, i, i+1, new(Cursor)))[0]
 	}
 	return op
 }
 
 // OpAt returns the operation attached to the event at lv.
 func (l *Log) OpAt(lv causal.LV) Op {
-	s := &l.spans[l.spanIdxFor(lv)]
-	return l.opIn(s, int(lv)-int(s.start))
+	idx := l.spanIdxFor(lv)
+	return l.opIn(idx, int(lv)-int(l.spans[idx].start))
+}
+
+// AppendRunes appends to dst the characters of text, the UTF-8 EachRunFrom
+// gave for the inserts from lv on, as the inserts carried them.
+func (l *Log) AppendRunes(dst []rune, lv causal.LV, text []byte) []rune {
+	from := len(dst)
+	for len(text) > 0 {
+		c, n := rune(text[0]), 1
+		if c >= utf8.RuneSelf {
+			c, n = utf8.DecodeRune(text)
+		}
+		dst, text = append(dst, c), text[n:]
+	}
+	for at, c, ok := l.Invalid(lv); ok && int(at-lv) < len(dst)-from; at, c, ok = l.Invalid(at + 1) {
+		dst[from+int(at-lv)] = c
+	}
+	return dst
+}
+
+// Invalid returns the first insert from lv on whose character, U+FFFD in
+// the arena, is no Unicode scalar value (-1, a surrogate, > MaxRune).
+func (l *Log) Invalid(lv causal.LV) (causal.LV, rune, bool) {
+	i := sort.Search(len(l.invalid), func(k int) bool { return l.invalid[k].lv >= lv })
+	if i == len(l.invalid) {
+		return 0, 0, false
+	}
+	return l.invalid[i].lv, l.invalid[i].c, true
 }
 
 // EachOp calls fn for every op in the LV range [sp.Start, sp.End) in
@@ -414,7 +549,7 @@ func (l *Log) EachOp(sp causal.Span, fn func(lv causal.LV, op Op) bool) {
 		s := &l.spans[idx]
 		end := min(l.end(idx), sp.End)
 		for lv := max(causal.LV(s.start), sp.Start); lv < end; lv++ {
-			if !fn(lv, l.opIn(s, int(lv)-int(s.start))) {
+			if !fn(lv, l.opIn(idx, int(lv)-int(s.start))) {
 				return
 			}
 		}
@@ -427,9 +562,9 @@ func (l *Log) EachOp(sp causal.Span, fn func(lv causal.LV, op Op) bool) {
 // EachRun calls fn for every maximal run of ops within [sp.Start, sp.End)
 // that share one storage span (same kind and position pattern). fn gets
 // the LV range, the kind, the position of the first op, the per-op
-// position delta, and (for inserts) the content runes, a slice of the
-// log's arena that must not be modified. Used by the encoder.
-func (l *Log) EachRun(sp causal.Span, fn func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool) {
+// position delta, and (for inserts) the characters' UTF-8, a slice of the
+// log's arena that must not be modified (AppendRunes decodes it).
+func (l *Log) EachRun(sp causal.Span, fn func(lvs causal.Span, kind Kind, pos int, dir int8, text []byte) bool) {
 	var c Cursor
 	if sp.Len() > 0 {
 		c.span = l.spanIdxFor(sp.Start)
@@ -440,7 +575,7 @@ func (l *Log) EachRun(sp causal.Span, fn func(lvs causal.Span, kind Kind, pos in
 // EachRunFrom is EachRun for a caller that walks the log forwards in
 // pieces: it looks for sp.Start where c points and leaves c at the span
 // it stopped in.
-func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool) {
+func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, kind Kind, pos int, dir int8, text []byte) bool) {
 	if sp.Len() <= 0 {
 		return
 	}
@@ -449,12 +584,28 @@ func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, ki
 		s := &l.spans[idx]
 		start, end := max(causal.LV(s.start), sp.Start), min(l.end(idx), sp.End)
 		off := int(start) - int(s.start)
-		var content []rune
+		var text []byte
 		if s.kind == Insert {
-			from, to := int(s.content)+off, int(s.content)+int(end)-int(s.start)
-			content = l.content[from:to:to]
+			text = l.textOf(idx, off, int(end)-int(s.start), c)
 		}
-		if !fn(causal.Span{Start: start, End: end}, s.kind, s.posAt(off), s.dir, content) || end == sp.End {
+		if !fn(causal.Span{Start: start, End: end}, s.kind, s.posAt(off), s.dir, text) || end == sp.End {
+			break
+		}
+	}
+	c.span = idx
+}
+
+// EachKindFrom is EachRunFrom for a walk that needs only each run's LVs
+// and kind, not its characters: the tracker moving runs of events.
+func (l *Log) EachKindFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, kind Kind)) {
+	if sp.Len() <= 0 {
+		return
+	}
+	idx := l.seek(c, sp.Start)
+	for ; idx < len(l.spans); idx++ {
+		end := min(l.end(idx), sp.End)
+		fn(causal.Span{Start: max(causal.LV(l.spans[idx].start), sp.Start), End: end}, l.spans[idx].kind)
+		if end == sp.End {
 			break
 		}
 	}
@@ -468,10 +619,10 @@ func (l *Log) RunsFrom(c *Cursor, lv causal.LV) int {
 }
 
 // Content returns the characters of every insert span back to back, in LV
-// order — the log's arena, capacity capped, which must not be written: the
-// content column of a saved file and the size benchmarks' "raw
-// concatenated text" lower bound (Fig 11).
-func (l *Log) Content() []rune { return l.content[:len(l.content):len(l.content)] }
+// order, as UTF-8 — the log's arena, capacity capped, which must not be
+// written: the content column of a saved file and the size benchmarks'
+// "raw concatenated text" lower bound (Fig 11).
+func (l *Log) Content() []byte { return l.text[:len(l.text):len(l.text)] }
 
 // SpanCount returns the number of run-length storage spans (for tests and
 // stats).
@@ -480,7 +631,13 @@ func (l *Log) SpanCount() int { return len(l.spans) }
 // Bytes returns the heap the log holds, the graph's included, from the
 // capacities of its arrays.
 func (l *Log) Bytes() int {
-	return cap(l.spans)*int(unsafe.Sizeof(span{})) + cap(l.content)*int(unsafe.Sizeof(rune(0))) + l.Graph.Bytes()
+	return cap(l.spans)*int(unsafe.Sizeof(span{})) + l.ContentBytes() + l.Graph.Bytes()
+}
+
+// ContentBytes returns the part of Bytes that holds the inserted
+// characters: the arena, its marks and the list of invalid characters.
+func (l *Log) ContentBytes() int {
+	return cap(l.text) + cap(l.marks)*4 + cap(l.invalid)*int(unsafe.Sizeof(invalidRune{}))
 }
 
 // Searches returns the number of binary searches the log has made for the

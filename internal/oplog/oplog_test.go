@@ -2,6 +2,7 @@ package oplog
 
 import (
 	"testing"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
 )
@@ -137,7 +138,7 @@ func TestEachRun(t *testing.T) {
 	}
 	var kinds []Kind
 	var lens []int
-	l.EachRun(causal.Span{Start: 0, End: 5}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool {
+	l.EachRun(causal.Span{Start: 0, End: 5}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool {
 		kinds = append(kinds, kind)
 		lens = append(lens, lvs.Len())
 		return true
@@ -146,7 +147,7 @@ func TestEachRun(t *testing.T) {
 		t.Fatalf("runs = %v %v", kinds, lens)
 	}
 	// Partial range within a run.
-	l.EachRun(causal.Span{Start: 1, End: 2}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool {
+	l.EachRun(causal.Span{Start: 1, End: 2}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool {
 		if lvs.Len() != 1 || pos != 1 || string(content) != "b" {
 			t.Fatalf("partial run: %v pos=%d content=%q", lvs, pos, string(content))
 		}
@@ -193,5 +194,42 @@ func TestAddRemoteSeq(t *testing.T) {
 	}
 	if _, err := l.Add("z", nil, nil); err == nil {
 		t.Error("empty batch accepted")
+	}
+}
+
+// TestInvalidCharacters: an insert whose character is not a Unicode scalar
+// value is U+FFFD in the arena, and OpAt, AppendRunes and Invalid give
+// back the value it carried, wherever it falls in a run.
+func TestInvalidCharacters(t *testing.T) {
+	l := New()
+	want := []rune{'a', 'é', -1, 'b', 0xD800, '日', utf8.MaxRune + 1, 'c'}
+	if _, err := l.AddRun("a", 0, nil, Run{Kind: Insert, Dir: 1, Len: len(want), Content: want}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AddRemote("b", 0, []causal.LV{7}, []Op{{Kind: Insert, Pos: 8, Content: -7}}); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, -7)
+	if got := string(l.Content()); got != string(want) || !utf8.ValidString(got) {
+		t.Fatalf("arena %q, want %q", got, string(want))
+	}
+	for lv, c := range want {
+		if op := l.OpAt(causal.LV(lv)); op.Content != c {
+			t.Errorf("OpAt(%d) = %q, want %q", lv, op.Content, c)
+		}
+	}
+	var got []rune
+	l.EachRun(causal.Span{Start: 1, End: 9}, func(lvs causal.Span, _ Kind, _ int, _ int8, text []byte) bool {
+		got = l.AppendRunes(got, lvs.Start, text)
+		return true
+	})
+	if string(got) != string(want[1:]) || got[1] != -1 || got[3] != 0xD800 || got[5] != utf8.MaxRune+1 || got[7] != -7 {
+		t.Fatalf("AppendRunes gave %v, want %v", got, want[1:])
+	}
+	if lv, c, ok := l.Invalid(3); !ok || lv != 4 || c != 0xD800 {
+		t.Fatalf("Invalid(3) = %d %q %v, want 4 0xD800", lv, c, ok)
+	}
+	if _, _, ok := l.Invalid(9); ok {
+		t.Fatal("Invalid past the last invalid character found one")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
 )
@@ -24,7 +25,7 @@ func TestQuickRLERoundTrip(t *testing.T) {
 			for i := 0; i < n; i++ {
 				if docLen == 0 || rng.Intn(3) > 0 {
 					pos := rng.Intn(docLen + 1)
-					ops = append(ops, Op{Kind: Insert, Pos: pos, Content: rune('a' + rng.Intn(26))})
+					ops = append(ops, Op{Kind: Insert, Pos: pos, Content: alphabet[rng.Intn(len(alphabet))]})
 					docLen++
 				} else {
 					pos := rng.Intn(docLen)
@@ -93,7 +94,7 @@ func TestQuickEachRunCoversAll(t *testing.T) {
 		next := causal.LV(lo)
 		okAll := true
 		l.EachRun(causal.Span{Start: causal.LV(lo), End: causal.LV(hi)},
-			func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool {
+			func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool {
 				if lvs.Start != next {
 					okAll = false
 					return false
@@ -104,7 +105,7 @@ func TestQuickEachRunCoversAll(t *testing.T) {
 						okAll = false
 						return false
 					}
-					if kind == Insert && want.Content != content[i] {
+					if kind == Insert && want.Content != l.AppendRunes(nil, lvs.Start, content)[i] {
 						okAll = false
 						return false
 					}
@@ -137,7 +138,7 @@ func TestQuickAddRunMatchesPerOp(t *testing.T) {
 					pos = rng.Intn(80)
 				}
 				for i := 0; i < n; i++ {
-					ops = append(ops, Op{Kind: Insert, Pos: pos, Content: rune('a' + rng.Intn(26))})
+					ops = append(ops, Op{Kind: Insert, Pos: pos, Content: alphabet[rng.Intn(len(alphabet))]})
 					pos++
 				}
 			case 1: // forward delete
@@ -282,7 +283,7 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 		filled.Reserve(grown.SpanCount(), 0)
 		used := 0
 		// The saved runs, some cut in two: the spans must not depend on it.
-		grown.EachRun(causal.Span{End: causal.LV(grown.Len())}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool {
+		grown.EachRun(causal.Span{End: causal.LV(grown.Len())}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool {
 			r := Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()}
 			if cut := rng.Intn(r.Len + 1); cut > 0 && cut < r.Len && kind == Delete {
 				head := r
@@ -295,7 +296,7 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 				r = r.From(cut)
 			}
 			filled.PushRun(lvs.Start, r, used)
-			used += len(content)
+			used += utf8.RuneCount(content)
 			return true
 		})
 		if _, err := filled.Graph.Add("a", 0, grown.Len(), nil); err != nil {

@@ -104,7 +104,7 @@ func sameSpans(l *Log, want []refSpan) error {
 		s := &l.spans[i]
 		got := refSpan{lvs: causal.Span{Start: causal.LV(s.start), End: l.end(i)}, kind: s.kind, pos: s.pos, dir: s.dir}
 		if s.kind == Insert {
-			got.content = l.content[s.content : int(s.content)+got.lvs.Len()]
+			got.content = []rune(string(l.textOf(i, 0, got.lvs.Len(), new(Cursor))))
 		}
 		if got.lvs != w.lvs || got.kind != w.kind || got.pos != w.pos || got.dir != w.dir || string(got.content) != string(w.content) {
 			return fmt.Errorf("span %d = %+v, want %+v", i, got, w)
@@ -114,14 +114,17 @@ func sameSpans(l *Log, want []refSpan) error {
 }
 
 // collectRuns gathers what each reports, content copied.
-func collectRuns(each func(fn func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool)) []refRun {
+func collectRuns(each func(fn func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool)) []refRun {
 	var out []refRun
-	each(func(lvs causal.Span, kind Kind, pos int, dir int8, content []rune) bool {
+	each(func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool {
 		out = append(out, refRun{lvs, kind, pos, dir, string(content)})
 		return true
 	})
 	return out
 }
+
+// alphabet has characters of every UTF-8 length.
+var alphabet = []rune("abcdefgh éü日本語𝄞😀")
 
 // randomOps returns n ops rich in runs that change direction, runs that
 // stop and resume where they stopped, and lone deletes.
@@ -136,7 +139,7 @@ func randomOps(rng *rand.Rand, n int) []Op {
 				pos = rng.Intn(80)
 			}
 			for i := 0; i < k; i++ {
-				ops = append(ops, Op{Kind: Insert, Pos: pos, Content: rune('a' + rng.Intn(26))})
+				ops = append(ops, Op{Kind: Insert, Pos: pos, Content: alphabet[rng.Intn(len(alphabet))]})
 				pos++
 			}
 		case 1: // forward delete
@@ -212,7 +215,7 @@ func TestFlatLogMatchesRef(t *testing.T) {
 			for lo := causal.LV(0); lo < n; lo++ {
 				for hi := lo + 1; hi <= n; hi++ {
 					sp := causal.Span{Start: lo, End: hi}
-					got := collectRuns(func(fn func(causal.Span, Kind, int, int8, []rune) bool) { l.EachRun(sp, fn) })
+					got := collectRuns(func(fn func(causal.Span, Kind, int, int8, []byte) bool) { l.EachRun(sp, fn) })
 					if w := refEachRun(want, sp); !slices.Equal(got, w) {
 						t.Fatalf("seed %d: EachRun(%v) = %+v, want %+v", seed, sp, got, w)
 					}
@@ -235,7 +238,7 @@ func TestFlatLogMatchesRef(t *testing.T) {
 			for lo := causal.LV(0); lo < n; {
 				hi := min(lo+1+causal.LV(rng.Intn(12)), n)
 				sp := causal.Span{Start: lo, End: hi}
-				got := collectRuns(func(fn func(causal.Span, Kind, int, int8, []rune) bool) { l.EachRunFrom(&c, sp, fn) })
+				got := collectRuns(func(fn func(causal.Span, Kind, int, int8, []byte) bool) { l.EachRunFrom(&c, sp, fn) })
 				if w := refEachRun(want, sp); !slices.Equal(got, w) {
 					t.Fatalf("seed %d: EachRunFrom(%v) = %+v, want %+v", seed, sp, got, w)
 				}
@@ -268,7 +271,7 @@ func TestCursorWalkMakesNoSearch(t *testing.T) {
 		}
 		return l.Searches() - before
 	}
-	nop := func(causal.Span, Kind, int, int8, []rune) bool { return true }
+	nop := func(causal.Span, Kind, int, int8, []byte) bool { return true }
 	var c Cursor
 	if n := walk(func(sp causal.Span) { l.EachRunFrom(&c, sp, nop) }); n > 1 {
 		t.Errorf("%d searches walking forwards through a Cursor, want at most 1", n)
@@ -286,19 +289,19 @@ func TestContentSliceSurvivesRegrowth(t *testing.T) {
 	if _, err := l.AddInsert("a", nil, 0, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	var held []rune
-	l.EachRun(causal.Span{Start: 1, End: 4}, func(_ causal.Span, _ Kind, _ int, _ int8, content []rune) bool {
+	var held []byte
+	l.EachRun(causal.Span{Start: 1, End: 4}, func(_ causal.Span, _ Kind, _ int, _ int8, content []byte) bool {
 		held = content
 		return true
 	})
-	base := unsafe.SliceData(l.content)
+	base := unsafe.SliceData(l.text)
 	for i := 0; i < 2000; i++ {
 		// Typing on: the first span itself grows, through every regrowth.
 		if _, err := l.AddInsert("a", []causal.LV{causal.LV(l.Len() - 1)}, l.Len(), "xyz"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if unsafe.SliceData(l.content) == base {
+	if unsafe.SliceData(l.text) == base {
 		t.Fatal("the arena never moved")
 	}
 	if l.SpanCount() != 1 {
@@ -333,8 +336,8 @@ func TestLimits(t *testing.T) {
 	if _, err := l.AppendRun(l.Graph.NumberAgent("b"), Run{Kind: Insert, Pos: 0, Dir: 1, Len: 11, Content: []rune("hello world")}); err == nil {
 		t.Fatal("a local run ending past 2^32 events was accepted")
 	}
-	if l.Len() != huge || l.SpanCount() != 1 || len(l.content) != 0 {
-		t.Fatalf("rejected runs left %d events, %d spans, %d characters", l.Len(), l.SpanCount(), len(l.content))
+	if l.Len() != huge || l.SpanCount() != 1 || len(l.text) != 0 {
+		t.Fatalf("rejected runs left %d events, %d spans, %d characters", l.Len(), l.SpanCount(), len(l.text))
 	}
 	// Up to the bound exactly, and then every accessor still answers.
 	sp, err := l.AddRun("b", 0, tip, Run{Kind: Insert, Pos: 3, Dir: 1, Len: 10, Content: []rune("0123456789")})
@@ -374,15 +377,15 @@ func TestReserveKeepsArraysInPlace(t *testing.T) {
 		if reserve {
 			l.Reserve(500, 5000)
 		}
-		spans, content := unsafe.SliceData(l.spans), unsafe.SliceData(l.content)
+		spans, content := unsafe.SliceData(l.spans), unsafe.SliceData(l.text)
 		for i := 0; i < 500; i++ {
 			tip := []causal.LV{causal.LV(l.Len() - 1)}
 			if _, err := l.AddRun("a", l.Len(), tip, Run{Kind: Insert, Pos: (i * 13) % l.Len(), Dir: 1, Len: 10, Content: []rune("0123456789")}); err != nil {
 				t.Fatal(err)
 			}
-			if unsafe.SliceData(l.spans) != spans || unsafe.SliceData(l.content) != content {
+			if unsafe.SliceData(l.spans) != spans || unsafe.SliceData(l.text) != content {
 				moves++
-				spans, content = unsafe.SliceData(l.spans), unsafe.SliceData(l.content)
+				spans, content = unsafe.SliceData(l.spans), unsafe.SliceData(l.text)
 			}
 		}
 		return moves

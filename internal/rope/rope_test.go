@@ -200,8 +200,10 @@ func TestQuickInsertDelete(t *testing.T) {
 
 // checkRope holds r to the text of model and to the tree's invariants:
 // every node's cached length is the sum below it, every leaf is non-empty
-// and holds at most maxLeaf runes in an array of at most maxLeaf, and an
-// empty rope has no tree.
+// and holds at most maxLeaf bytes in an array of at most maxLeaf, those
+// bytes are valid UTF-8 and encode as many characters as the leaf caches,
+// an empty rope has no tree, and where the last edit left off, if that is
+// a leaf of the tree, is where that character starts.
 func checkRope(t *testing.T, r *Rope, model []rune) {
 	t.Helper()
 	if got := r.String(); got != string(model) || r.Len() != len(model) || r.UTF8Len() != len(got) {
@@ -213,13 +215,19 @@ func checkRope(t *testing.T, r *Rope, model []rune) {
 	var walk func(n *node) int
 	walk = func(n *node) int {
 		if n.isLeaf() {
-			if len(n.runes) == 0 || len(n.runes) > maxLeaf || cap(n.runes) > maxLeaf || n.length != len(n.runes) {
-				t.Fatalf("leaf of %d runes (cap %d) caches length %d", len(n.runes), cap(n.runes), n.length)
+			if len(n.text) == 0 || len(n.text) > maxLeaf || cap(n.text) > maxLeaf {
+				t.Fatalf("leaf of %d bytes (cap %d)", len(n.text), cap(n.text))
+			}
+			if !utf8.Valid(n.text) || utf8.RuneCount(n.text) != n.length {
+				t.Fatalf("leaf %q (valid UTF-8: %v) caches length %d", n.text, utf8.Valid(n.text), n.length)
+			}
+			if at := r.at; at.leaf == n && (at.char > n.length || len(string([]rune(string(n.text))[:at.char])) != at.off) {
+				t.Fatalf("the last edit left off at character %d, byte %d of leaf %q", at.char, at.off, n.text)
 			}
 			return n.length
 		}
-		if len(n.children) == 0 || n.runes != nil {
-			t.Fatalf("internal node with %d children and %d runes", len(n.children), len(n.runes))
+		if len(n.children) == 0 || n.text != nil {
+			t.Fatalf("internal node with %d children and %d bytes", len(n.children), len(n.text))
 		}
 		sum := 0
 		for _, c := range n.children {
@@ -330,9 +338,9 @@ func runScript(t *testing.T, script []byte) {
 
 // TestRopeTypingAllocs: typing writes into the leaf the cursor is in, so
 // 2 000 keystrokes at a moving cursor in a 3 500-rune text allocate a new
-// leaf array every few dozen keystrokes, not one per keystroke. The
-// rope that copied its leaf on every insert allocated 835 872 B (2 247
-// objects) here.
+// leaf array every few dozen keystrokes, not one per keystroke: 15 168 B
+// in 45 objects (74 272 B with leaves of 128 runes). The rope that copied
+// its leaf on every insert allocated 835 872 B (2 247 objects) here.
 func TestRopeTypingAllocs(t *testing.T) {
 	r := NewFromString(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 78))
 	rng := rand.New(rand.NewSource(3))
@@ -361,8 +369,8 @@ func TestRopeTypingAllocs(t *testing.T) {
 // deletes in place, so 2 000 of them at a moving cursor in a 3 500-rune
 // text allocate only where a leaf they leave sparse is tidied — moved to a
 // smaller array, or merged into a neighbour that has no room — and never
-// a child list: 86 objects (28 912 B), the leaves the walk over every child
-// tidied too.
+// a child list: 18 objects (6 976 B); 86 with leaves of 128 runes, which
+// the bound stays at, the leaves the walk over every child tidied too.
 func TestRopeBackspaceAllocs(t *testing.T) {
 	r := NewFromString(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 78))
 	rng := rand.New(rand.NewSource(3))

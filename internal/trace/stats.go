@@ -43,7 +43,7 @@ func Measure(name string, l *oplog.Log) (Stats, error) {
 
 	inserted := 0
 	l.EachRun(causal.Span{Start: 0, End: causal.LV(l.Len())},
-		func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, content []rune) bool {
+		func(lvs causal.Span, kind oplog.Kind, pos int, dir int8, _ []byte) bool {
 			if kind == oplog.Insert {
 				inserted += lvs.Len()
 			}
