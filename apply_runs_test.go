@@ -370,6 +370,10 @@ func FuzzApplyDelivery(f *testing.F) {
 	// stretches that start and end inside them.
 	f.Add(bytes.Repeat([]byte{0, 2, 255, 0, 3, 255, 1, 7, 0, 1, 2, 5, 1, 4, 9, 0, 5, 255, 1, 3, 3}, 10), []byte{0, 7, 1, 13, 0, 5, 2, 9, 6, 4, 3, 11, 0, 3, 4, 8, 0, 90})
 	f.Add(bytes.Repeat([]byte{2, 3, 255, 2, 2, 255, 2, 2, 255, 0, 7, 2, 0, 3, 30, 0, 6, 12}, 12), []byte{6, 2, 0, 11, 1, 17, 7, 5, 0, 3, 9, 2, 0, 200})
+	// An event at each edge of what a file holds, sent part-way.
+	for k := range edgeEvents {
+		f.Add([]byte("typing a few words, then more"), []byte{0, 9, 1, 3, 2, 8, 0, 40, byte(k)})
+	}
 	f.Fuzz(func(t *testing.T, session, delivery []byte) {
 		if len(session) > 600 {
 			session = session[:600]
@@ -485,6 +489,11 @@ func FuzzApplyDelivery(f *testing.F) {
 			}
 			applyBoth(t, got, want, batch)
 		}
+		// The last byte of a delivery of odd length sends one of
+		// edgeEvents, concurrent with all the rest.
+		if len(delivery)%2 == 1 {
+			applyBoth(t, got, want, []Event{edgeEvents[int(delivery[len(delivery)-1])%len(edgeEvents)]})
+		}
 		applyBoth(t, got, want, all)
 		if err := docs[0].Merge(got); err != nil {
 			t.Fatal(err)
@@ -493,7 +502,25 @@ func FuzzApplyDelivery(f *testing.F) {
 			t.Fatalf("ended with %d events, %d pending, text %q; want %d, 0, %q",
 				got.NumEvents(), got.PendingEvents(), got.Text(), docs[0].NumEvents(), docs[0].Text())
 		}
+		// Whatever Apply admitted, Save writes and Load reads back.
+		var file bytes.Buffer
+		if err := got.Save(&file, SaveOptions{}); err != nil {
+			t.Fatalf("Save of what Apply admitted: %v", err)
+		}
+		if back, err := Load(&file, "back"); err != nil || back.Fingerprint() != got.Fingerprint() {
+			t.Fatalf("Load of what Save wrote: %v", err)
+		}
 	})
+}
+
+// edgeEvents stand at the edges of what a file holds: a seq of 2^31-2,
+// the last an agent may have, which Apply takes, and a seq of 2^31-1 and
+// inserts at 2^31-1 and 2^31, which it refuses.
+var edgeEvents = []Event{
+	{ID: EventID{Agent: "edge", Seq: 1<<31 - 2}, Insert: true, Content: 'e'},
+	{ID: EventID{Agent: "edge", Seq: 1<<31 - 1}, Insert: true, Content: 'e'},
+	{ID: EventID{Agent: "edge", Seq: 0}, Insert: true, Pos: 1<<31 - 1, Content: 'e'},
+	{ID: EventID{Agent: "edge", Seq: 0}, Insert: true, Pos: 1 << 31, Content: 'e'},
 }
 
 // TestApplyAfterRejectedEvent: a rejected event used to leave the log

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"egwalker/internal/causal"
+	"egwalker/internal/oplog"
 )
 
 // This file implements the legacy per-event encoding of event *batches*
@@ -141,7 +144,9 @@ func MarshalEvents(events []Event) ([]byte, error) {
 
 // UnmarshalEvents decodes a batch encoded by MarshalEvents. Decoded
 // sizes are validated against the payload length, so corrupt input
-// cannot trigger unbounded allocation.
+// cannot trigger unbounded allocation, and seqs and positions against
+// the limits the columnar format and a document hold them to
+// (causal.MaxSeq, oplog.MaxPos).
 func UnmarshalEvents(data []byte) ([]Event, error) {
 	r := &batchReader{buf: data}
 	nAgents, err := r.uvarint()
@@ -203,6 +208,9 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 			return nil, err
 		}
 		ev.ID.Seq = int(seq)
+		if err := causal.CheckSeqs(ev.ID.Seq, 1); err != nil {
+			return nil, fmt.Errorf("egwalker: event %v: %w", ev.ID, err)
+		}
 		nPar, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -238,6 +246,9 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 				if err != nil {
 					return nil, err
 				}
+				if pseq > causal.MaxSeq {
+					return nil, fmt.Errorf("egwalker: parent %s/%d of event %v passes the seq limit of %d", agent, pseq, ev.ID, causal.MaxSeq)
+				}
 				ev.Parents = append(ev.Parents, EventID{Agent: agent, Seq: int(pseq)})
 			default:
 				return nil, fmt.Errorf("egwalker: bad parent tag %d", tag)
@@ -252,6 +263,9 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 			return nil, err
 		}
 		ev.Pos = int(pos)
+		if err := oplog.Unit(kind == 0, ev.Pos).CheckPos(); err != nil {
+			return nil, fmt.Errorf("egwalker: event %v: %w", ev.ID, err)
+		}
 		switch kind {
 		case 0:
 			ev.Insert = true

@@ -780,10 +780,37 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 // future local edits. If the file embeds the final text, loading costs
 // no replay at all (the paper's "cached load").
 func Load(r io.Reader, agent string) (*Doc, error) {
+	// The bytes of a *bytes.Reader or a *bytes.Buffer, whose WriteTo hands
+	// all of them to one Write, are read where they lie, not copied.
+	switch r.(type) {
+	case *bytes.Reader, *bytes.Buffer:
+		if held := r.(interface {
+			io.WriterTo
+			Len() int
+		}); held.Len() > 0 {
+			var d *Doc
+			_, err := held.WriteTo(fileFunc(func(data []byte) (err error) {
+				d, err = load(data, agent)
+				return err
+			}))
+			return d, err
+		}
+	}
 	data, err := readFile(r)
 	if err != nil {
 		return nil, err
 	}
+	return load(data, agent)
+}
+
+// fileFunc is a function that reads a file, and does not keep it, as the
+// writer a WriteTo hands the file to.
+type fileFunc func([]byte) error
+
+func (f fileFunc) Write(p []byte) (int, error) { return len(p), f(p) }
+
+// load is Load of the file data, which it reads and does not keep.
+func load(data []byte, agent string) (*Doc, error) {
 	d := &Doc{agent: agent}
 	if colenc.Sniff(data) {
 		doc, err := colenc.LoadDocument(data)
@@ -804,6 +831,7 @@ func Load(r io.Reader, agent string) (*Doc, error) {
 	if d.text != nil {
 		return d, nil
 	}
+	var err error
 	if d.text, err = core.ReplayRope(d.log); err != nil {
 		return nil, err
 	}
@@ -811,11 +839,10 @@ func Load(r io.Reader, agent string) (*Doc, error) {
 }
 
 // readFile reads r to its end. A reader that reports what it holds —
-// interface{ Len() int }, as *bytes.Reader, *bytes.Buffer and
-// *strings.Reader do — is read into one buffer of that size and a byte
-// more, the byte that shows it ended there, instead of io.ReadAll's
-// doubling one; if it holds more after all, the rest is read as
-// io.ReadAll would.
+// interface{ Len() int }, as *strings.Reader does — is read into one
+// buffer of that size and a byte more, the byte that shows it ended there,
+// instead of io.ReadAll's doubling one; if it holds more after all, the
+// rest is read as io.ReadAll would.
 func readFile(r io.Reader) ([]byte, error) {
 	sized, ok := r.(interface{ Len() int })
 	if !ok {

@@ -57,26 +57,55 @@ type Ref struct {
 // entry is one run-length encoded chunk of the graph: a run of events by
 // one agent with consecutive seqs beginning at seqStart, every event but
 // the first the sole child of its predecessor. It is a fixed-size record
-// with no pointer in it: the run ends where the next entry starts (at
-// Graph.n for the last one), and the parents of its first event are a
-// stretch of Graph.parents that ends where the next entry's begins.
-// Sequence numbers arrive from peers and stay int; LVs, which count this
-// replica's own events, are held to 32 bits by Add.
+// of 16 bytes with no pointer in it: the run ends where the next entry
+// starts (at Graph.n for the last one), and the parents of its first event
+// are a stretch of Graph.parents that ends where the next entry's begins.
+// Sequence numbers are held below MaxSeq by Add, as the file format holds
+// them, and LVs, which count this replica's own events, to 32 bits.
 type entry struct {
-	seqStart int
-	start    uint32 // LV of the first event
-	agent    uint32 // index into Graph.agents
-	// heads is the size of the frontier of the graph's prefix that ends
-	// with this entry, recorded when the entry is added (extending the
-	// entry moves its head along and leaves the count as it is). A version
-	// inside the entry can be critical only if heads is 1 (critical.go).
-	heads   uint32
+	// seq is the sequence number of the first event, below 2^31, and in
+	// its top bit soleHead: whether the frontier of the graph's prefix
+	// that ends with this entry was one event when the entry was added
+	// (extending the entry moves its head along and leaves the bit as it
+	// is). A version inside the entry can be critical only if it is set
+	// (critical.go).
+	seq     uint32
+	start   uint32 // LV of the first event
+	agent   uint32 // index into Graph.agents
 	parents uint32 // index in Graph.parents of the first stored parent
 }
+
+const soleHead = 1 << 31
+
+// seqStart returns the sequence number of the entry's first event.
+func (e *entry) seqStart() int { return int(e.seq &^ soleHead) }
+
+// storedParent is a parent of an entry's first event, and the index of the
+// entry that holds it: 8 bytes.
+type storedParent struct{ lv, ent uint32 }
 
 // maxIndex is the largest value an entry's 32-bit fields hold: a graph
 // takes at most that many events and stored parents.
 const maxIndex = math.MaxUint32
+
+// MaxSeq bounds sequence numbers as the file format does (docs/FORMAT.md):
+// a run of one agent's events may end at MaxSeq, not past it, so every
+// seq a graph holds is below it. Decoders refuse a run past it, encoders
+// do not write one, and a graph does not take one.
+const MaxSeq = math.MaxInt32
+
+// errSeqs is CheckSeqs' error, one value so that the check costs no call;
+// a caller says which run.
+var errSeqs = fmt.Errorf("causal: seqs pass the limit of %d", MaxSeq)
+
+// CheckSeqs returns an error if the run of count events from seq on does
+// not fit below MaxSeq.
+func CheckSeqs(seq, count int) error {
+	if uint(seq) > MaxSeq || uint(count) > uint(MaxSeq-seq) {
+		return errSeqs
+	}
+	return nil
+}
 
 // room returns an error if the graph, holding have of what, cannot take
 // add more without passing maxIndex.
@@ -93,17 +122,15 @@ type Graph struct {
 	entries []entry
 	n       LV // number of events: where the last entry ends
 	// parents holds the stored parents of every entry back to back, each
-	// entry's sorted ascending, and parentEnts the index of the entry
-	// that holds each: a traversal hops from an entry to its parents'
-	// entries without a search. Both are append-only, so a slice of
-	// parents handed out stays valid whatever is added later.
-	parents    []LV
-	parentEnts []uint32
-	agents     []string
-	agentIdx   map[string]int
-	byAgent    [][]uint32 // per agent, the indexes of its entries sorted by seqStart
-	frontier   []LV       // events with no children, sorted ascending
-	searches   uint64     // binary searches for the entry holding an LV
+	// entry's sorted ascending, each beside the index of the entry that
+	// holds it: a traversal hops from an entry to its parents' entries
+	// without a search. It is append-only.
+	parents  []storedParent
+	agents   []string
+	agentIdx map[string]int
+	byAgent  [][]uint32 // per agent, the indexes of its entries sorted by seqStart
+	frontier []LV       // events with no children, sorted ascending
+	searches uint64     // binary searches for the entry holding an LV
 }
 
 // New returns an empty event graph.
@@ -153,26 +180,16 @@ func (g *Graph) end(i int) LV {
 // seqEnd returns the sequence number entry i ends before.
 func (g *Graph) seqEnd(i int) int {
 	e := &g.entries[i]
-	return e.seqStart + int(g.end(i)) - int(e.start)
+	return e.seqStart() + int(g.end(i)) - int(e.start)
 }
 
-// parentRange returns the stretch of g.parents (and g.parentEnts) that
-// holds the parents of entry i's first event.
+// parentRange returns the stretch of g.parents that holds the parents of
+// entry i's first event.
 func (g *Graph) parentRange(i int) (lo, hi int) {
 	if i+1 < len(g.entries) {
 		return int(g.entries[i].parents), int(g.entries[i+1].parents)
 	}
 	return int(g.entries[i].parents), len(g.parents)
-}
-
-// storedParents returns the parents of entry i's first event: nil for a
-// root event, else a slice of the arena capped at its own length.
-func (g *Graph) storedParents(i int) []LV {
-	lo, hi := g.parentRange(i)
-	if lo == hi {
-		return nil
-	}
-	return g.parents[lo:hi:hi]
 }
 
 // seqSlot returns the place, in agent aid's entries sorted by seq, of the
@@ -201,8 +218,8 @@ func (g *Graph) admits(seq, count int) error {
 	if count < 1 {
 		return fmt.Errorf("causal: Add count %d < 1", count)
 	}
-	if seq < 0 || seq > math.MaxInt-count {
-		return fmt.Errorf("causal: Add seq %d out of range", seq)
+	if err := CheckSeqs(seq, count); err != nil {
+		return fmt.Errorf("%w: %d events from seq %d", err, count, seq)
 	}
 	return room("events", int(g.n), count)
 }
@@ -213,7 +230,7 @@ func (g *Graph) admits(seq, count int) error {
 // topological order); overlap with events already present is not.
 func (g *Graph) slotFor(aid, seq, count int) (int, error) {
 	slot := g.seqSlot(aid, seq)
-	if idxs := g.byAgent[aid]; slot < len(idxs) && g.entries[idxs[slot]].seqStart < seq+count {
+	if idxs := g.byAgent[aid]; slot < len(idxs) && g.entries[idxs[slot]].seqStart() < seq+count {
 		return 0, fmt.Errorf("causal: duplicate events %s/%d..%d", g.agents[aid], seq, seq+count)
 	}
 	return slot, nil
@@ -237,8 +254,8 @@ func (g *Graph) inRange(parents []LV) error {
 // (AddNum takes them found).
 //
 // Add returns an error if count < 1, if any parent is out of range, if
-// (agent, seq) overlaps events already present, or if the graph would
-// outgrow its 32-bit indexes.
+// (agent, seq) overlaps events already present, if the run's seqs pass
+// MaxSeq, or if the graph would outgrow its 32-bit indexes.
 func (g *Graph) Add(agent string, seq, count int, parents []LV) (LV, error) {
 	if err := g.inRange(parents); err != nil {
 		return 0, err
@@ -322,25 +339,22 @@ func (g *Graph) push(aid, slot, seq, count int, red []Ref) LV {
 	// event takes. The entry's end and its seqs' are implied by g.n.
 	if n := len(g.entries); n > 0 && len(red) == 1 && red[0].LV == start-1 {
 		last := &g.entries[n-1]
-		if last.agent == uint32(aid) && last.seqStart+int(start)-int(last.start) == seq {
+		if last.agent == uint32(aid) && last.seqStart()+int(start)-int(last.start) == seq {
 			g.frontier[len(g.frontier)-1] = g.n - 1
 			return start
 		}
 	}
 	off := len(g.parents)
 	for _, p := range red {
-		g.parents = append(g.parents, p.LV)
-		g.parentEnts = append(g.parentEnts, p.Ent)
+		g.parents = append(g.parents, storedParent{uint32(p.LV), p.Ent})
 	}
-	g.advanceFrontier(g.n-1, g.parents[off:])
+	g.advanceFrontier(g.n-1, red)
+	e := entry{seq: uint32(seq), start: uint32(start), agent: uint32(aid), parents: uint32(off)}
+	if len(g.frontier) == 1 {
+		e.seq |= soleHead
+	}
 	g.byAgent[aid] = slices.Insert(g.byAgent[aid], slot, uint32(len(g.entries)))
-	g.entries = append(g.entries, entry{
-		seqStart: seq,
-		start:    uint32(start),
-		agent:    uint32(aid),
-		heads:    uint32(len(g.frontier)),
-		parents:  uint32(off),
-	})
+	g.entries = append(g.entries, e)
 	return start
 }
 
@@ -348,7 +362,7 @@ func (g *Graph) push(aid, slot, seq, count int, red []Ref) LV {
 // at last and whose first event has the given (reduced) parents. The
 // run's last event is the newest LV of the graph, so its place in the
 // ascending frontier is the end.
-func (g *Graph) advanceFrontier(last LV, parents []LV) {
+func (g *Graph) advanceFrontier(last LV, parents []Ref) {
 	out := g.frontier[:0]
 	for _, f := range g.frontier {
 		if !containsLV(parents, f) {
@@ -358,9 +372,9 @@ func (g *Graph) advanceFrontier(last LV, parents []LV) {
 	g.frontier = append(out, last)
 }
 
-func containsLV(s []LV, v LV) bool {
+func containsLV(s []Ref, v LV) bool {
 	for _, x := range s {
-		if x == v {
+		if x.LV == v {
 			return true
 		}
 	}
@@ -384,7 +398,6 @@ type AgentEntries struct {
 func (g *Graph) Reserve(entries, parents int, perAgent []AgentEntries) {
 	g.entries = slices.Grow(g.entries, entries)
 	g.parents = slices.Grow(g.parents, parents)
-	g.parentEnts = slices.Grow(g.parentEnts, parents)
 	g.agents = slices.Grow(g.agents, len(perAgent))
 	g.byAgent = slices.Grow(g.byAgent, len(perAgent))
 	for _, a := range perAgent {
@@ -398,12 +411,12 @@ func (g *Graph) Reserve(entries, parents int, perAgent []AgentEntries) {
 func (g *Graph) Entries() int { return len(g.entries) }
 
 // Bytes returns the heap the graph holds, from the capacities of its
-// arrays: the entries, the two parent arenas, the per-agent indexes, the
+// arrays: the entries, the parents arena, the per-agent indexes, the
 // agent names and an estimate of their map.
 func (g *Graph) Bytes() int {
 	const mapEntry = 48 // a string key, an int and their share of a bucket
 	b := cap(g.entries)*int(unsafe.Sizeof(entry{})) +
-		cap(g.parents)*int(unsafe.Sizeof(LV(0))) + cap(g.parentEnts)*4 +
+		cap(g.parents)*int(unsafe.Sizeof(storedParent{})) +
 		cap(g.frontier)*int(unsafe.Sizeof(LV(0))) +
 		cap(g.agents)*int(unsafe.Sizeof("")) + cap(g.byAgent)*int(unsafe.Sizeof([]uint32(nil))) +
 		len(g.agents)*mapEntry
@@ -479,21 +492,28 @@ func (g *Graph) Refs(lvs []LV, buf []Ref) []Ref {
 	return out
 }
 
-// ParentsOf returns the parents of the event at lv, sorted ascending.
-// The result aliases internal storage for entry starts; callers must not
-// modify it.
+// ParentsOf returns the parents of the event at lv, sorted ascending: nil
+// for a root event, else a slice of the caller's own.
 func (g *Graph) ParentsOf(lv LV) []LV {
 	i := g.entryOf(lv)
-	if lv == LV(g.entries[i].start) {
-		return g.storedParents(i)
+	if lv != LV(g.entries[i].start) {
+		return []LV{lv - 1}
 	}
-	return []LV{lv - 1}
+	lo, hi := g.parentRange(i)
+	if lo == hi {
+		return nil
+	}
+	out := make([]LV, 0, hi-lo)
+	for _, p := range g.parents[lo:hi] {
+		out = append(out, LV(p.lv))
+	}
+	return out
 }
 
 // idIn returns the wire ID of the event at lv, which entry i holds.
 func (g *Graph) idIn(i int, lv LV) RawID {
 	e := &g.entries[i]
-	return RawID{Agent: g.agents[e.agent], Seq: e.seqStart + int(lv) - int(e.start)}
+	return RawID{Agent: g.agents[e.agent], Seq: e.seqStart() + int(lv) - int(e.start)}
 }
 
 // IDOf returns the wire ID of the event at lv.
@@ -503,7 +523,7 @@ func (g *Graph) IDOf(lv LV) RawID { return g.idIn(g.entryOf(lv), lv) }
 // agent (AgentNum) and its sequence number. r must be an event of the graph.
 func (g *Graph) NumOf(r Ref) (aid, seq int) {
 	e := &g.entries[r.Ent]
-	return int(e.agent), e.seqStart + int(r.LV) - int(e.start)
+	return int(e.agent), e.seqStart() + int(r.LV) - int(e.start)
 }
 
 // LVOf maps a wire ID to its LV, reporting whether the event is known.
@@ -534,10 +554,11 @@ func (g *Graph) SeqRun(aid, seq, max int) (at Ref, known bool, n int) {
 		return Ref{}, false, max
 	}
 	i := int(idxs[slot])
-	if e := &g.entries[i]; e.seqStart <= seq {
-		return Ref{LV(e.start) + LV(seq-e.seqStart), uint32(i)}, true, min(max, g.seqEnd(i)-seq)
+	e := &g.entries[i]
+	if s := e.seqStart(); s <= seq {
+		return Ref{LV(e.start) + LV(seq-s), uint32(i)}, true, min(max, g.seqEnd(i)-seq)
 	}
-	return Ref{}, false, min(max, g.entries[i].seqStart-seq)
+	return Ref{}, false, min(max, e.seqStart()-seq)
 }
 
 // AgentNum returns the number the graph knows agent by, for AddNum and
@@ -614,7 +635,8 @@ func (w *Entries) NextIDs(buf []RawID) (span Span, id RawID, parents []RawID, ok
 		parents = append(parents, g.idIn(i, span.Start-1))
 	} else {
 		for k, hi := g.parentRange(i); k < hi; k++ {
-			parents = append(parents, g.idIn(int(g.parentEnts[k]), g.parents[k]))
+			p := g.parents[k]
+			parents = append(parents, g.idIn(int(p.ent), LV(p.lv)))
 		}
 	}
 	return span, g.idIn(i, span.Start), parents, true
@@ -635,7 +657,7 @@ func (w *Entries) NextRefs(buf []Ref) (span Span, last Ref, parents []Ref, ok bo
 		parents = append(parents, Ref{span.Start - 1, uint32(i)})
 	} else {
 		for k, hi := g.parentRange(i); k < hi; k++ {
-			parents = append(parents, Ref{g.parents[k], g.parentEnts[k]})
+			parents = append(parents, Ref{LV(g.parents[k].lv), g.parents[k].ent})
 		}
 	}
 	return span, Ref{span.End - 1, uint32(i)}, parents, true
@@ -652,9 +674,9 @@ func (w *Entries) NextRefs(buf []Ref) (span Span, last Ref, parents []Ref, ok bo
 func (g *Graph) EachAgentRun(fn func(agent string, seqStart, seqEnd int) bool) {
 	for aid, idxs := range g.byAgent {
 		for i := 0; i < len(idxs); {
-			start, end := g.entries[idxs[i]].seqStart, g.seqEnd(int(idxs[i]))
+			start, end := g.entries[idxs[i]].seqStart(), g.seqEnd(int(idxs[i]))
 			i++
-			for i < len(idxs) && g.entries[idxs[i]].seqStart == end {
+			for i < len(idxs) && g.entries[idxs[i]].seqStart() == end {
 				end = g.seqEnd(int(idxs[i]))
 				i++
 			}

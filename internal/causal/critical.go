@@ -13,8 +13,8 @@ import "slices"
 //  1. the frontier of the prefix [0, i] is exactly {i}, and
 //  2. no event j > i has a parent < i.
 //
-// (1) depends on the prefix alone, so Add records it once: entry.heads is
-// the size of that frontier, the same for every event of the entry. (2)
+// (1) depends on the prefix alone, so Add records it once, in the entry's
+// soleHead bit: the same for every event of the entry. (2)
 // is a running minimum over the entries after i. Inside an entry each
 // event's parent is its predecessor, so the critical versions of an entry
 // are a prefix of it: those not above the lowest parent of any later
@@ -38,17 +38,17 @@ func (g *Graph) criticalRunsDesc(from LV, fn func(Span) bool) (minAfter LV, visi
 		visited++
 		entStart := LV(e.start)
 		start, end := max(entStart, from), min(entEnd, minAfter+1)
-		if e.heads == 1 && end > start && !fn(Span{start, end}) {
+		if e.seq&soleHead != 0 && end > start && !fn(Span{start, end}) {
 			break
 		}
 		if entStart < from {
 			break // its parents belong to an event before from
 		}
-		parents := g.storedParents(i)
-		if len(parents) == 0 {
+		lo, hi := g.parentRange(i)
+		if lo == hi {
 			return -1, visited // a root event: concurrent with everything before it
 		}
-		minAfter = min(minAfter, parents[0])
+		minAfter = min(minAfter, LV(g.parents[lo].lv))
 		entEnd = entStart
 	}
 	return minAfter, visited

@@ -101,7 +101,7 @@ func (g *Graph) pushHeads(h lvHeap, heads []Ref, f flag) lvHeap {
 func (g *Graph) pushParents(h lvHeap, i uint32, f flag) (lvHeap, int) {
 	lo, hi := g.parentRange(int(i))
 	for k := lo; k < hi; k++ {
-		h = h.push(g.parents[k], g.parentEnts[k], f)
+		h = h.push(LV(g.parents[k].lv), g.parents[k].ent, f)
 	}
 	return h, hi - lo
 }
@@ -247,8 +247,8 @@ func (g *Graph) DominatorsInto(refs, buf []Ref) []Ref {
 		}
 		lo, hi := g.parentRange(int(ent))
 		for k := lo; k < hi; k++ {
-			if p := g.parents[k]; p >= minInput {
-				h = h.push(p, g.parentEnts[k], flagB)
+			if p := g.parents[k]; LV(p.lv) >= minInput {
+				h = h.push(LV(p.lv), p.ent, flagB)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -79,7 +80,7 @@ func (g *refGraph) add(agent string, seq, count int, parents []LV, reduce func([
 	advance := func() {
 		out := g.frontier[:0]
 		for _, f := range g.frontier {
-			if !containsLV(red, f) {
+			if !slices.Contains(red, f) {
 				out = append(out, f)
 			}
 		}
@@ -307,8 +308,11 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 		t.Fatalf("%s: frontier %v, model %v", at, g.Frontier(), ref.frontier)
 	}
 	for i, e := range ref.entries {
-		if got := int(g.entries[i].heads); got != e.heads {
-			t.Fatalf("%s: entry %d heads %d, model %d", at, i, got, e.heads)
+		if got := g.entries[i].seq&soleHead != 0; got != (e.heads == 1) {
+			t.Fatalf("%s: entry %d sole head %v, model %d heads", at, i, got, e.heads)
+		}
+		if got := g.entries[i].seqStart(); got != e.seqStart {
+			t.Fatalf("%s: entry %d seq %d, model %d", at, i, got, e.seqStart)
 		}
 	}
 	for lv := LV(0); lv < n; lv++ {
@@ -432,8 +436,8 @@ func compareWithRef(t *testing.T, at string, g *Graph, ref *refGraph, rng *rand.
 	for i := range g.entries {
 		lo, hi := g.parentRange(i)
 		for k := lo; k < hi; k++ {
-			pe := int(g.parentEnts[k])
-			if p := g.parents[k]; p < LV(g.entries[pe].start) || p >= g.end(pe) {
+			pe := int(g.parents[k].ent)
+			if p := LV(g.parents[k].lv); p < LV(g.entries[pe].start) || p >= g.end(pe) {
 				t.Fatalf("%s: entry %d parent %d linked to entry %d, which is [%d,%d)", at, i, p, pe, g.entries[pe].start, g.end(pe))
 			}
 		}
@@ -628,17 +632,19 @@ func TestParentsSliceSurvivesRegrowth(t *testing.T) {
 	}
 }
 
-// TestGraphLimits: entries count LVs and parents in 32 bits. A run of
-// 2^32 events is one entry, so the bound is one call away: past it Add
-// and Append return an error and leave the graph as it was, where an
-// unchecked narrowing would wrap an entry's start.
+// TestGraphLimits: entries count LVs and parents in 32 bits, and seqs
+// below MaxSeq, as the file format does. Runs of 2^31-1 events are one
+// entry each, so the LV bound is three calls away: past either bound Add
+// and Append return an error naming it and leave the graph as it was,
+// where an unchecked narrowing would wrap an entry's start or seq.
 func TestGraphLimits(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("an int cannot pass the limit")
 	}
 	var huge int = math.MaxUint32 - 5
 	g := New()
-	mustAdd(t, g, "a", 0, huge, nil)
+	mustAdd(t, g, "a", 0, MaxSeq, nil)
+	mustAdd(t, g, "a2", 0, huge-MaxSeq, []LV{MaxSeq - 1})
 	tip := []LV{LV(huge - 1)}
 	if _, err := g.Add("b", 0, 6, tip); err == nil {
 		t.Fatal("a run ending past 2^32 events was accepted")
@@ -649,21 +655,35 @@ func TestGraphLimits(t *testing.T) {
 	if _, err := g.Add("b", math.MaxInt-2, 5, tip); err == nil {
 		t.Fatal("a run whose seqs overflow was accepted")
 	}
-	if g.Len() != huge || g.Entries() != 1 {
+	for _, seq := range []int{MaxSeq - 1, MaxSeq, 1 << 40} {
+		if _, err := g.Add("b", seq, 2, tip); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Fatalf("a run of seqs %d+2: %v, want the seq limit", seq, err)
+		}
+	}
+	if err := CheckSeqs(MaxSeq-1, 1); err != nil {
+		t.Fatalf("seq 2^31-2: %v", err)
+	}
+	if CheckSeqs(MaxSeq, 1) == nil || CheckSeqs(-1, 1) == nil || CheckSeqs(0, MaxSeq+1) == nil {
+		t.Fatal("CheckSeqs is off by one")
+	}
+	if g.Len() != huge || g.Entries() != 2 {
 		t.Fatalf("rejected runs left %d events in %d entries", g.Len(), g.Entries())
 	}
-	lv := mustAdd(t, g, "b", 7, 5, tip)
+	lv := mustAdd(t, g, "b", MaxSeq-5, 5, tip)
 	if lv != LV(huge) || g.Len() != math.MaxUint32 {
 		t.Fatalf("run at %d, %d events", lv, g.Len())
 	}
-	if id := g.IDOf(LV(g.Len() - 1)); id != (RawID{"b", 11}) {
+	if id := g.IDOf(LV(g.Len() - 1)); id != (RawID{"b", MaxSeq - 1}) {
 		t.Fatalf("last event is %v", id)
 	}
-	if got, ok := g.LVOf(RawID{"a", huge - 1}); !ok || got != LV(huge-1) {
-		t.Fatalf("LVOf(a/%d) = %d, %v", huge-1, got, ok)
+	if got, ok := g.LVOf(RawID{"a2", huge - MaxSeq - 1}); !ok || got != LV(huge-1) {
+		t.Fatalf("LVOf(a2/%d) = %d, %v", huge-MaxSeq-1, got, ok)
+	}
+	if got, ok := g.LVOf(RawID{"a", MaxSeq - 1}); !ok || got != LV(MaxSeq-1) {
+		t.Fatalf("LVOf(a/%d) = %d, %v", MaxSeq-1, got, ok)
 	}
 	if before, after := g.Diff(Frontier{3}, Frontier{LV(g.Len() - 1)}); before != nil || len(after) == 0 || !reflect.DeepEqual(g.ParentsOf(lv), tip) {
-		t.Fatal("ancestry across the huge entry is wrong")
+		t.Fatal("ancestry across the huge entries is wrong")
 	}
 	if _, err := g.Add("c", 0, 1, nil); err == nil {
 		t.Fatal("event 2^32 was accepted")
@@ -677,10 +697,25 @@ func TestGraphLimits(t *testing.T) {
 
 // TestEntryRecordSize: a field added to the record shows here first.
 func TestEntryRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 24 && strconv.IntSize == 64 {
-		t.Fatalf("an entry record is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("an entry record is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(heapEnt{}); got != 16 && strconv.IntSize == 64 {
 		t.Fatalf("a pending visit is %d bytes, want 16", got)
+	}
+}
+
+// TestStoredParentBytes: a stored parent costs Graph.Bytes 8 bytes, its LV
+// and its entry in 32 bits each.
+func TestStoredParentBytes(t *testing.T) {
+	g := New()
+	for i := range 8 {
+		mustAdd(t, g, fmt.Sprint("r", i), 0, 1, nil)
+	}
+	mustAdd(t, g, "m", 0, 1, []LV{0, 1, 2, 3, 4, 5, 6, 7})
+	before, room := g.Bytes(), cap(g.parents)
+	g.Reserve(0, 1000, nil)
+	if grew := cap(g.parents) - room; grew < 1000 || g.Bytes()-before != 8*grew {
+		t.Fatalf("%d more stored parents of room cost %d bytes, want 8 each", grew, g.Bytes()-before)
 	}
 }

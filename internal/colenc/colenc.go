@@ -51,6 +51,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
 )
 
@@ -288,9 +289,15 @@ func (e *encoder) add(r Run) error {
 	if r.ID.Seq < 0 {
 		return fmt.Errorf("colenc: negative seq in event %s/%d", r.ID.Agent, r.ID.Seq)
 	}
+	if err := causal.CheckSeqs(r.ID.Seq, r.Len); err != nil {
+		return fmt.Errorf("colenc: event %s/%d: %w", r.ID.Agent, r.ID.Seq, err)
+	}
 	for _, p := range r.Parents {
 		if _, err := e.intern(p.Agent); err != nil {
 			return err
+		}
+		if p.Seq < 0 || p.Seq > causal.MaxSeq {
+			return fmt.Errorf("colenc: parent %s/%d passes the seq limit of %d", p.Agent, p.Seq, causal.MaxSeq)
 		}
 	}
 
@@ -319,6 +326,9 @@ func (e *encoder) add(r Run) error {
 	e.pushAgent(ai, r.ID.Seq, r.Len)
 	if k, ok := negativeAt(&r.Run); ok {
 		return fmt.Errorf("colenc: negative position in event %s/%d", r.ID.Agent, r.ID.Seq+k)
+	}
+	if err := r.Run.CheckPos(); err != nil {
+		return fmt.Errorf("colenc: event %s/%d: %w", r.ID.Agent, r.ID.Seq, err)
 	}
 	if k := e.pushContent(r.Content); k >= 0 {
 		return fmt.Errorf("colenc: invalid rune %#x in event %s/%d", r.Content[k], r.ID.Agent, r.ID.Seq+k)

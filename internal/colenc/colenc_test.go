@@ -227,10 +227,35 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		"negative pos": {{ID: ID{"a", 0}, Insert: true, Pos: -1, Content: 'x'}},
 		"invalid rune": {{ID: ID{"a", 0}, Insert: true, Content: 0xD800}},
 		"huge name":    {{ID: ID{strings.Repeat("n", maxAgentName+1), 0}, Insert: true, Content: 'x'}},
+		// Past what the decoder takes: seqs and positions beyond 2^31-1.
+		"seq 2^31-1":       {{ID: ID{"a", 1<<31 - 1}, Insert: true, Content: 'x'}},
+		"seq 2^40":         {{ID: ID{"a", 1 << 40}, Insert: true, Content: 'x'}},
+		"parent seq 2^31":  {{ID: ID{"a", 0}, Parents: []ID{{"b", 1 << 31}}, Insert: true, Content: 'x'}},
+		"insert at 2^31-1": {{ID: ID{"a", 0}, Insert: true, Pos: 1<<31 - 1, Content: 'x'}},
+		"delete at 2^31":   {{ID: ID{"a", 0}, Pos: 1 << 31}},
+		"run past seq 2^31-1": {
+			{ID: ID{"a", 1<<31 - 2}, Insert: true, Content: 'x'},
+			{ID: ID{"a", 1<<31 - 1}, Parents: []ID{{"a", 1<<31 - 2}}, Insert: true, Pos: 1, Content: 'y'},
+		},
 	}
 	for name, evs := range cases {
 		if _, err := Encode(evs, Options{}); err == nil {
 			t.Errorf("%s: encode accepted", name)
+		}
+	}
+	// At the limits exactly, and back through the decoder.
+	for _, evs := range [][]Event{
+		{{ID: ID{"a", 1<<31 - 2}, Insert: true, Content: 'x'}},
+		{{ID: ID{"a", 0}, Insert: true, Pos: 1<<31 - 2, Content: 'x'}},
+		{{ID: ID{"a", 0}, Pos: 1<<31 - 1}},
+		{{ID: ID{"a", 0}, Parents: []ID{{"b", 1<<31 - 1}}, Insert: true, Content: 'x'}},
+	} {
+		data, err := Encode(evs, Options{})
+		if err != nil {
+			t.Fatalf("%+v: %v", evs, err)
+		}
+		if dec, err := Decode(data); err != nil || !reflect.DeepEqual(dec.Events, evs) {
+			t.Fatalf("%+v: decoded %+v, %v", evs, dec, err)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
 )
 
@@ -325,7 +326,7 @@ func (c *agentsColumn) next() (agentRun, error) {
 	if ai >= c.names {
 		return agentRun{}, fmt.Errorf("colenc: agent index %d out of range (%d names)", ai, c.names)
 	}
-	seq, err := c.r.count(math.MaxInt32, "agent seq")
+	seq, err := c.r.count(causal.MaxSeq, "agent seq")
 	if err != nil {
 		return agentRun{}, err
 	}
@@ -336,7 +337,7 @@ func (c *agentsColumn) next() (agentRun, error) {
 	if ln == 0 {
 		return agentRun{}, fmt.Errorf("colenc: empty agent run")
 	}
-	if seq+ln > math.MaxInt32 {
+	if seq+ln > causal.MaxSeq {
 		return agentRun{}, fmt.Errorf("colenc: agent seq overflow")
 	}
 	run := agentRun{ai, seq, ln, c.at}
@@ -446,14 +447,14 @@ func (r *reader) opRun(op *oplog.Run, left, chars int) error {
 	if runLen == 0 {
 		return fmt.Errorf("colenc: empty op run")
 	}
-	pos, err := r.count(math.MaxInt32, "op position")
+	pos, err := r.count(oplog.MaxPos, "op position")
 	if err != nil {
 		return err
 	}
 	*op = oplog.Run{Kind: oplog.Delete, Pos: pos, Len: runLen}
 	switch tag {
 	case tagInsert:
-		if pos+runLen > math.MaxInt32 {
+		if pos+runLen > oplog.MaxPos {
 			return fmt.Errorf("colenc: insert run position overflow")
 		}
 		if runLen > chars {
@@ -531,7 +532,7 @@ func (c *parentsColumn) ref() (back, agent, seq int, err error) {
 	if ai >= uint64(c.names) {
 		return 0, 0, 0, fmt.Errorf("colenc: parent agent index %d out of range", ai)
 	}
-	seq, err = c.r.count(math.MaxInt32, "parent seq")
+	seq, err = c.r.count(causal.MaxSeq, "parent seq")
 	return 0, int(ai), seq, err
 }
 

@@ -28,6 +28,9 @@ func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
 	e.reset()
 	g := l.Graph
 	names := g.Agents()
+	if err := checkSeqs(g, names); err != nil {
+		return nil, err
+	}
 	table := make([]int, len(names)) // by agent number, its index in the name table
 	for i := range table {
 		table[i] = -1
@@ -82,4 +85,17 @@ func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
 		return e.frame(opts, l.Content(), -1, nil)
 	}
 	return e.frame(opts, l.Content(), text.UTF8Len(), text.AppendUTF8)
+}
+
+// checkSeqs returns an error if an agent of g, whose names are names, has
+// a seq past causal.MaxSeq. None has, the graph having refused them, but
+// no file may hold one: the check is an agent's, not an entry's. (Nor may
+// a file hold a position past oplog.MaxPos, which the log refuses too.)
+func checkSeqs(g *causal.Graph, names []string) error {
+	for _, name := range names {
+		if err := causal.CheckSeqs(0, g.SeqEnd(name)); err != nil {
+			return fmt.Errorf("colenc: agent %s: %w", name, err)
+		}
+	}
+	return nil
 }

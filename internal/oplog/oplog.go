@@ -16,6 +16,7 @@ package oplog
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"unicode/utf8"
@@ -50,9 +51,9 @@ type Op struct {
 }
 
 // span is a run-length encoded run of operations covering consecutive
-// LVs: a fixed-size record with no pointer in it. It covers the LVs from
-// start to where the next span starts (the end of the log for the last
-// one).
+// LVs: a fixed-size record of 20 bytes with no pointer in it. It covers
+// the LVs from start to where the next span starts (the end of the log
+// for the last one).
 //
 // For an insert span, op i has position pos+i and its character is
 // character content+i of the arena, its UTF-8 from byte text on up to the
@@ -62,11 +63,12 @@ type Op struct {
 // index consumes a run)
 // ... see posAt for the exact rules.
 //
-// Positions arrive from peers and stay int. LVs and content offsets count
-// this replica's own events — a character is an event — and the graph
-// holds those to 32 bits, as the arena's bytes are.
+// Positions arrive from peers and are held to 32 bits, signed, by
+// CheckPos. LVs and content offsets count this replica's own events — a
+// character is an event — and the graph holds those to 32 bits, as the
+// arena's bytes are.
 type span struct {
-	pos     int
+	pos     int32
 	start   uint32 // LV of the first op
 	content uint32 // characters of the arena before the span's
 	text    uint32 // and bytes
@@ -76,7 +78,7 @@ type span struct {
 	dir int8
 }
 
-func (s *span) posAt(i int) int { return s.pos + i*int(s.dir) }
+func (s *span) posAt(i int) int { return int(s.pos) + i*int(s.dir) }
 
 const markEvery = 64 // characters from one mark of the arena to the next
 
@@ -154,6 +156,11 @@ func (l *Log) AddRemote(agent string, seq int, parents []causal.LV, ops []Op) (c
 	if len(ops) == 0 {
 		return causal.Span{}, fmt.Errorf("oplog: empty op batch")
 	}
+	for _, op := range ops {
+		if err := Unit(op.Kind == Insert, op.Pos).CheckPos(); err != nil {
+			return causal.Span{}, err
+		}
+	}
 	start, err := l.Graph.Add(agent, seq, len(ops), parents)
 	if err != nil {
 		return causal.Span{}, err
@@ -224,6 +231,9 @@ func (l *Log) AppendText(aid int, pos int, text string) (causal.Span, error) {
 		text = string([]rune(text))
 	}
 	n := utf8.RuneCountInString(text)
+	if err := (Run{Kind: Insert, Pos: pos, Dir: 1, Len: n}).CheckPos(); err != nil {
+		return causal.Span{}, err
+	}
 	start, err := l.Graph.Append(aid, n)
 	if err != nil {
 		return causal.Span{}, err
@@ -233,10 +243,40 @@ func (l *Log) AppendText(aid int, pos int, text string) (causal.Span, error) {
 	return causal.Span{Start: start, End: start + causal.LV(n)}, nil
 }
 
-// check rejects a run that is empty or whose content is not its length.
+// check rejects a run that is empty, whose content is not its length or
+// whose positions the log cannot hold.
 func (r *Run) check() error {
 	if r.Len < 1 || (r.Kind == Insert && len(r.Content) != r.Len) {
 		return fmt.Errorf("oplog: run of %d ops with %d characters", r.Len, len(r.Content))
+	}
+	if err := r.CheckPos(); err != nil {
+		return fmt.Errorf("%w: %s run of %d at %d", err, r.Kind, r.Len, r.Pos)
+	}
+	return nil
+}
+
+// MaxPos bounds positions as the file format does (docs/FORMAT.md): an
+// insert run may end at MaxPos, a delete be at it, neither past it.
+const MaxPos = math.MaxInt32
+
+// errPos is CheckPos' error, one value so that the check costs no call; a
+// caller says which run.
+var errPos = fmt.Errorf("oplog: a position passes the limit of %d", MaxPos)
+
+// CheckPos returns an error if one of r's positions passes MaxPos, or an
+// insert run ends past it. A negative position, which no file holds
+// either, the log takes down to -MaxPos-1, for the text to refuse.
+func (r Run) CheckPos() error {
+	// The first position and the end (past an insert's last character, at
+	// a delete's last) must lie in [-MaxPos-1, MaxPos]: shifted up by
+	// MaxPos+1, in [0, 2*MaxPos+1] as a uint, outside which a position
+	// near the ends of int wraps too.
+	end := r.Pos + (r.Len-1)*int(r.Dir)
+	if r.Kind == Insert {
+		end = r.Pos + r.Len
+	}
+	if uint(r.Pos+MaxPos+1) > 2*MaxPos+1 || uint(end+MaxPos+1) > 2*MaxPos+1 {
+		return errPos
 	}
 	return nil
 }
@@ -372,7 +412,7 @@ func (l *Log) textOf(i, from, to int, c *Cursor) []byte {
 func (l *Log) PushRun(lv causal.LV, r Run, at int) {
 	if n := len(l.spans); n > 0 {
 		s := &l.spans[n-1]
-		head := Run{Kind: s.kind, Pos: s.pos, Dir: s.dir, Len: int(lv) - int(s.start)}
+		head := Run{Kind: s.kind, Pos: int(s.pos), Dir: s.dir, Len: int(lv) - int(s.start)}
 		if took := head.Extend(r); took > 0 {
 			s.dir = head.Dir
 			if took == r.Len {
@@ -382,7 +422,7 @@ func (l *Log) PushRun(lv causal.LV, r Run, at int) {
 			r = r.From(took) // a delete run: an insert is taken whole or not at all
 		}
 	}
-	s := span{pos: r.Pos, start: uint32(lv), content: uint32(at), text: uint32(len(l.text)), kind: r.Kind}
+	s := span{pos: int32(r.Pos), start: uint32(lv), content: uint32(at), text: uint32(len(l.text)), kind: r.Kind}
 	if at < l.chars { // a loader's: the arena is adopted whole
 		s.text = uint32(l.byteAt(at))
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -102,7 +103,7 @@ func sameSpans(l *Log, want []refSpan) error {
 	}
 	for i, w := range want {
 		s := &l.spans[i]
-		got := refSpan{lvs: causal.Span{Start: causal.LV(s.start), End: l.end(i)}, kind: s.kind, pos: s.pos, dir: s.dir}
+		got := refSpan{lvs: causal.Span{Start: causal.LV(s.start), End: l.end(i)}, kind: s.kind, pos: int(s.pos), dir: s.dir}
 		if s.kind == Insert {
 			got.content = []rune(string(l.textOf(i, 0, got.lvs.Len(), new(Cursor))))
 		}
@@ -316,17 +317,22 @@ func TestContentSliceSurvivesRegrowth(t *testing.T) {
 	}
 }
 
-// TestLimits: the log's records count LVs and characters in 32 bits. A
-// run of 2^32 events is one record, so the bound is a few calls away:
-// past it AddRun returns an error and leaves the log as it was, where an
-// unchecked narrowing would wrap a span's start.
+// TestLimits: the log's records count LVs and characters in 32 bits, and
+// hold positions in 32 bits as the file format does. Runs of 2^31-1 events
+// (the most seqs an agent has) are one record, so the LV bound is a few
+// calls away: past it, or past a position's bound, AddRun returns an
+// error and leaves the log as it was, where an unchecked narrowing would
+// wrap a span's start or position.
 func TestLimits(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("an int cannot pass the limit")
 	}
 	var huge int = math.MaxUint32 - 10
 	l := New()
-	if _, err := l.AddRun("a", 0, nil, Run{Kind: Delete, Pos: 7, Len: huge}); err != nil {
+	if _, err := l.AddRun("a", 0, nil, Run{Kind: Delete, Pos: 7, Len: causal.MaxSeq}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AddRun("a2", 0, []causal.LV{causal.MaxSeq - 1}, Run{Kind: Delete, Pos: 7, Len: huge - causal.MaxSeq}); err != nil {
 		t.Fatal(err)
 	}
 	tip := []causal.LV{causal.LV(huge - 1)}
@@ -336,18 +342,40 @@ func TestLimits(t *testing.T) {
 	if _, err := l.AppendRun(l.Graph.NumberAgent("b"), Run{Kind: Insert, Pos: 0, Dir: 1, Len: 11, Content: []rune("hello world")}); err == nil {
 		t.Fatal("a local run ending past 2^32 events was accepted")
 	}
+	for _, r := range []Run{
+		{Kind: Insert, Pos: MaxPos, Dir: 1, Len: 1, Content: []rune("x")},
+		{Kind: Insert, Pos: MaxPos - 1, Dir: 1, Len: 2, Content: []rune("xy")},
+		{Kind: Insert, Pos: 1 << 40, Dir: 1, Len: 1, Content: []rune("x")},
+		{Kind: Delete, Pos: MaxPos + 1, Len: 1},
+		{Kind: Delete, Pos: -MaxPos - 2, Len: 1},
+		{Kind: Delete, Pos: -MaxPos, Dir: -1, Len: 3},
+	} {
+		if _, err := l.AddRun("b", 0, tip, r); err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Fatalf("%+v: %v, want the position limit", r, err)
+		}
+		if r.Len > 1 {
+			continue
+		}
+		if _, err := l.AddRemote("b", 0, tip, []Op{{Kind: r.Kind, Pos: r.Pos, Content: 'x'}}); err == nil {
+			t.Fatalf("AddRemote took %+v", r)
+		}
+	}
+	if (Run{Kind: Insert, Pos: MaxPos - 1, Dir: 1, Len: 1}).CheckPos() != nil || (Run{Kind: Delete, Pos: MaxPos, Len: 1}).CheckPos() != nil ||
+		(Run{Kind: Delete, Pos: -MaxPos - 1, Len: 1}).CheckPos() != nil {
+		t.Fatal("CheckPos refuses a position at the limit")
+	}
 	if l.Len() != huge || l.SpanCount() != 1 || len(l.text) != 0 {
 		t.Fatalf("rejected runs left %d events, %d spans, %d characters", l.Len(), l.SpanCount(), len(l.text))
 	}
 	// Up to the bound exactly, and then every accessor still answers.
-	sp, err := l.AddRun("b", 0, tip, Run{Kind: Insert, Pos: 3, Dir: 1, Len: 10, Content: []rune("0123456789")})
+	sp, err := l.AddRun("b", 0, tip, Run{Kind: Insert, Pos: MaxPos - 10, Dir: 1, Len: 10, Content: []rune("0123456789")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.End != math.MaxUint32 || l.Len() != math.MaxUint32 {
 		t.Fatalf("span %v, %d events", sp, l.Len())
 	}
-	if op := l.OpAt(sp.End - 1); op != (Op{Kind: Insert, Pos: 12, Content: '9'}) {
+	if op := l.OpAt(sp.End - 1); op != (Op{Kind: Insert, Pos: MaxPos - 1, Content: '9'}) {
 		t.Fatalf("last op = %+v", op)
 	}
 	if op := l.OpAt(sp.Start - 1); op != (Op{Kind: Delete, Pos: 7}) {
@@ -360,8 +388,8 @@ func TestLimits(t *testing.T) {
 
 // TestSpanRecordSize: a field added to the record shows here first.
 func TestSpanRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(span{}); got != 24 && strconv.IntSize == 64 {
-		t.Fatalf("a span record is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(span{}); got != 20 {
+		t.Fatalf("a span record is %d bytes, want 20", got)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"sort"
 
 	"egwalker"
+	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
+	"egwalker/internal/oplog"
 )
 
 // idSet tracks which event IDs a journal-only DocStore holds, as
@@ -208,10 +210,19 @@ func (f *frameSeen) overlaps(agent string, seq, n int) bool {
 
 // admitEvents is the admission check an event at a time: the form for
 // batches that arrive decoded or in the legacy encoding, and the
-// reference admit is held to. Like admit it changes nothing.
+// reference admit is held to. It also refuses an event whose seq or
+// position passes what a document holds (causal.MaxSeq, oplog.MaxPos),
+// which no snapshot could save: a compact frame's decoder has refused
+// those already. Like admit it changes nothing.
 func (s *idSet) admitEvents(events []egwalker.Event) (fresh int, err error) {
 	var batch map[egwalker.EventID]bool
 	for _, ev := range events {
+		if err := causal.CheckSeqs(ev.ID.Seq, 1); err != nil {
+			return 0, fmt.Errorf("store: event %v: %w", ev.ID, err)
+		}
+		if err := oplog.Unit(ev.Insert, ev.Pos).CheckPos(); err != nil {
+			return 0, fmt.Errorf("store: event %v: %w", ev.ID, err)
+		}
 		if batch == nil {
 			batch = make(map[egwalker.EventID]bool, len(events))
 		}

@@ -269,23 +269,30 @@ func (s *DocStore) recoverMaterialized() error {
 	// mid-rename, or bit-rotted) are skipped in favour of older ones —
 	// the WAL segments they covered replay the difference.
 	start := time.Now()
+	var skipped error // why the last snapshot tried was passed over
 	for i := len(snaps) - 1; i >= 0; i-- {
 		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(snaps[i])))
-		if err != nil {
-			s.recovery.SkippedSnapshots++
-			continue
+		if err == nil {
+			var doc *egwalker.Doc
+			if doc, err = egwalker.Load(bytes.NewReader(data), s.agent); err == nil {
+				s.doc = doc
+				s.snapSeq = snaps[i]
+				s.recovery.SnapshotSeq = snaps[i]
+				break
+			}
 		}
-		doc, err := egwalker.Load(bytes.NewReader(data), s.agent)
-		if err != nil {
-			s.recovery.SkippedSnapshots++
-			continue
-		}
-		s.doc = doc
-		s.snapSeq = snaps[i]
-		s.recovery.SnapshotSeq = snaps[i]
-		break
+		s.recovery.SkippedSnapshots++
+		skipped = fmt.Errorf("store: snapshot %s unreadable: %w", snapName(snaps[i]), err)
 	}
 	if s.doc == nil {
+		// Snapshot n holds what segments 1 to n-1 did (a repair's, n = 1,
+		// what none does). With no snapshot left the WAL must still reach
+		// back to segment 1; after a compaction it does not, and the
+		// history the snapshots held is gone: damage, not an empty
+		// document.
+		if skipped != nil && (len(segs) == 0 || segs[0] > 1 || snaps[0] == 1) {
+			return fmt.Errorf("%w, and no older snapshot or WAL segment covers it", skipped)
+		}
 		s.doc = egwalker.NewDoc(s.agent)
 	}
 
