@@ -76,7 +76,8 @@ func (r *batchReader) bytes(n int) ([]byte, error) {
 // order — parents precede children within the batch, as Doc.Events and
 // Doc.EventsSince produce. Parents pointing at events in the batch are
 // encoded as relative batch indexes; external parents as (agent, seq)
-// IDs.
+// IDs. It refuses what UnmarshalEvents would: seqs past causal.MaxSeq or
+// negative, positions past oplog.MaxPos.
 func MarshalEvents(events []Event) ([]byte, error) {
 	var buf []byte
 	// Agent name table.
@@ -108,6 +109,12 @@ func MarshalEvents(events []Event) ([]byte, error) {
 	inBatch := make(map[EventID]int, len(events))
 	buf = appendUvarint(buf, uint64(len(events)))
 	for i, ev := range events {
+		if err := causal.CheckSeqs(ev.ID.Seq, 1); err != nil {
+			return nil, fmt.Errorf("egwalker: event %v: %w", ev.ID, err)
+		}
+		if err := oplog.Unit(ev.Insert, ev.Pos).CheckPos(); err != nil {
+			return nil, fmt.Errorf("egwalker: event %v: %w", ev.ID, err)
+		}
 		buf = appendUvarint(buf, uint64(agentIdx[ev.ID.Agent]))
 		buf = appendUvarint(buf, uint64(ev.ID.Seq))
 		if len(ev.Parents) > maxBatchParents {
@@ -121,6 +128,9 @@ func MarshalEvents(events []Event) ([]byte, error) {
 				buf = appendUvarint(buf, 0)
 				buf = appendUvarint(buf, uint64(i-j))
 			} else {
+				if err := causal.CheckSeqs(p.Seq, 0); err != nil {
+					return nil, fmt.Errorf("egwalker: parent %v of event %v: %w", p, ev.ID, err)
+				}
 				buf = appendUvarint(buf, 1)
 				buf = appendUvarint(buf, uint64(agentIdx[p.Agent]))
 				buf = appendUvarint(buf, uint64(p.Seq))

@@ -20,12 +20,11 @@ import (
 	"testing"
 
 	"egwalker/internal/causal"
+	"egwalker/internal/colenc"
 	"egwalker/internal/core"
-	"egwalker/internal/encoding"
 	"egwalker/internal/listcrdt"
 	"egwalker/internal/oplog"
 	"egwalker/internal/ot"
-	"egwalker/internal/rope"
 	"egwalker/internal/trace"
 )
 
@@ -131,25 +130,23 @@ func BenchmarkFig8MergeOT(b *testing.B) {
 // equals CRDT merge time (BenchmarkFig8MergeRefCRDT).
 func BenchmarkFig8LoadCached(b *testing.B) {
 	eachTrace(b, func(b *testing.B, _ string, l *oplog.Log) {
-		text, err := core.ReplayText(l)
+		text, err := core.ReplayRope(l)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := encoding.Encode(&buf, l, encoding.Options{CacheFinalDoc: true}, text, nil); err != nil {
+		data, err := colenc.SaveDocument(l, text, nil, colenc.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
-		data := buf.Bytes()
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dec, err := encoding.Decode(data)
+			doc, err := colenc.LoadDocument(data)
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := rope.NewFromString(dec.Doc)
-			if r.Len() == 0 && len(text) > 0 {
-				b.Fatal("empty load")
+			if doc.Text.Len() != text.Len() {
+				b.Fatal("the loaded text differs")
 			}
 		}
 	})
@@ -217,22 +214,21 @@ func BenchmarkUnitRefReplay(b *testing.B) {
 
 func BenchmarkFig11Encode(b *testing.B) {
 	eachTrace(b, func(b *testing.B, _ string, l *oplog.Log) {
-		text, err := core.ReplayText(l)
+		text, err := core.ReplayRope(l)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var size, cachedSize int
 		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := encoding.Encode(&buf, l, encoding.Options{}, text, nil); err != nil {
+			data, err := colenc.SaveDocument(l, nil, nil, colenc.Options{})
+			if err != nil {
 				b.Fatal(err)
 			}
-			size = buf.Len()
-			buf.Reset()
-			if err := encoding.Encode(&buf, l, encoding.Options{CacheFinalDoc: true}, text, nil); err != nil {
+			size = len(data)
+			if data, err = colenc.SaveDocument(l, text, nil, colenc.Options{}); err != nil {
 				b.Fatal(err)
 			}
-			cachedSize = buf.Len()
+			cachedSize = len(data)
 		}
 		b.ReportMetric(float64(size), "bytes")
 		b.ReportMetric(float64(cachedSize), "cached-bytes")
@@ -246,17 +242,17 @@ func BenchmarkFig12EncodePruned(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		deleted, err := encoding.DeletedSet(l)
+		deleted, err := core.Deleted(l)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var size int
 		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := encoding.Encode(&buf, l, encoding.Options{OmitDeletedContent: true}, text, deleted); err != nil {
+			data, err := colenc.SaveDocument(l, nil, deleted, colenc.Options{})
+			if err != nil {
 				b.Fatal(err)
 			}
-			size = buf.Len()
+			size = len(data)
 		}
 		b.ReportMetric(float64(size), "bytes")
 		b.ReportMetric(float64(len(text)), "doc-bytes")

@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,8 +37,8 @@ import (
 
 	"egwalker/internal/bench"
 	"egwalker/internal/causal"
+	"egwalker/internal/colenc"
 	"egwalker/internal/core"
-	"egwalker/internal/encoding"
 	"egwalker/internal/listcrdt"
 	"egwalker/internal/oplog"
 	"egwalker/internal/ot"
@@ -176,23 +175,20 @@ func fig8(ws []workload) error {
 				panic(err)
 			}
 		})
-		// Eg-walker / OT cached load: decode a file with the cached
-		// final document (no replay).
-		var buf bytes.Buffer
-		text, err := core.ReplayText(w.log)
+		// Eg-walker / OT cached load: load a file with the cached final
+		// document (no replay), as Load does.
+		text, err := core.ReplayRope(w.log)
 		if err != nil {
 			return err
 		}
-		if err := encoding.Encode(&buf, w.log, encoding.Options{CacheFinalDoc: true}, text, nil); err != nil {
+		data, err := colenc.SaveDocument(w.log, text, nil, colenc.Options{})
+		if err != nil {
 			return err
 		}
-		data := buf.Bytes()
 		egLoad := bench.TimedN(*iters, func() {
-			dec, err := encoding.Decode(data)
-			if err != nil {
+			if _, err := colenc.LoadDocument(data); err != nil {
 				panic(err)
 			}
-			_ = rope.NewFromString(dec.Doc)
 		})
 		// OT merge.
 		otMerge := time.Duration(-1)
@@ -313,16 +309,16 @@ func fig11(ws []workload) error {
 	fmt.Fprintf(stdout, "\n== Figure 11: file size, full history encoding (scale %.3f) ==\n", *scale)
 	fmt.Fprintf(stdout, "%-4s %12s %12s %14s %12s\n", "", "egwalker", "+cached doc", "inserted text", "final doc")
 	for _, w := range ws {
-		text, err := core.ReplayText(w.log)
+		text, err := core.ReplayRope(w.log)
 		if err != nil {
 			return err
 		}
-		plain := encodedSize(w.log, encoding.Options{}, text, nil)
-		cached := encodedSize(w.log, encoding.Options{CacheFinalDoc: true}, text, nil)
+		plain := savedSize(w.log, nil, nil)
+		cached := savedSize(w.log, text, nil)
 		fmt.Fprintf(stdout, "%-4s %12s %12s %14s %12s\n", w.spec.Name,
 			bench.FmtBytes(uint64(plain)), bench.FmtBytes(uint64(cached)),
 			bench.FmtBytes(uint64(len(w.log.Content()))),
-			bench.FmtBytes(uint64(len(text))))
+			bench.FmtBytes(uint64(text.UTF8Len())))
 	}
 	fmt.Fprintln(stdout, "(inserted text is the lower bound shown shaded in the paper's figure.)")
 	return nil
@@ -330,30 +326,34 @@ func fig11(ws []workload) error {
 
 func fig12(ws []workload) error {
 	fmt.Fprintf(stdout, "\n== Figure 12: file size with deleted content omitted (scale %.3f) ==\n", *scale)
-	fmt.Fprintf(stdout, "%-4s %12s %12s\n", "", "egw-pruned", "final doc")
+	fmt.Fprintf(stdout, "%-4s %12s %12s %11s %11s %7s %12s\n", "", "full", "pruned", "full B/ev", "pruned B/ev", "ratio", "final doc")
 	for _, w := range ws {
 		text, err := core.ReplayText(w.log)
 		if err != nil {
 			return err
 		}
-		deleted, err := encoding.DeletedSet(w.log)
+		deleted, err := core.Deleted(w.log)
 		if err != nil {
 			return err
 		}
-		pruned := encodedSize(w.log, encoding.Options{OmitDeletedContent: true}, text, deleted)
-		fmt.Fprintf(stdout, "%-4s %12s %12s\n", w.spec.Name,
-			bench.FmtBytes(uint64(pruned)), bench.FmtBytes(uint64(len(text))))
+		full, pruned := savedSize(w.log, nil, nil), savedSize(w.log, nil, deleted)
+		n := float64(w.log.Len())
+		fmt.Fprintf(stdout, "%-4s %12s %12s %11.3f %11.3f %7.3f %12s\n", w.spec.Name,
+			bench.FmtBytes(uint64(full)), bench.FmtBytes(uint64(pruned)), float64(full)/n, float64(pruned)/n,
+			float64(pruned)/float64(full), bench.FmtBytes(uint64(len(text))))
 	}
 	fmt.Fprintln(stdout, "(final doc size is the lower bound; Yjs-style files store no deleted text.)")
 	return nil
 }
 
-func encodedSize(l *oplog.Log, opts encoding.Options, text string, deleted map[causal.LV]bool) int {
-	var buf bytes.Buffer
-	if err := encoding.Encode(&buf, l, opts, text, deleted); err != nil {
+// savedSize is the size of l's file as Doc.Save writes it: with text as
+// its cached document unless text is nil, less the characters of dropped.
+func savedSize(l *oplog.Log, text *rope.Rope, dropped []causal.Span) int {
+	data, err := colenc.SaveDocument(l, text, dropped, colenc.Options{})
+	if err != nil {
 		panic(err)
 	}
-	return buf.Len()
+	return len(data)
 }
 
 // complexity reproduces the §3.7 analysis: merging two branches of n

@@ -74,7 +74,7 @@ func run(cmd string) error {
 			if err != nil {
 				return err
 			}
-			data, err := colenc.SaveDocument(l, text, colenc.Options{})
+			data, err := colenc.SaveDocument(l, text, nil, colenc.Options{})
 			if err != nil {
 				return err
 			}

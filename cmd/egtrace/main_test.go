@@ -8,7 +8,7 @@ import (
 )
 
 // TestLoadReadsSavedDocuments: -i takes what Doc.Save writes, in the
-// columnar format (with and without the cached text) and the legacy one,
+// columnar format (with and without the cached text, pruned) and the legacy one,
 // and what `-bin gen` writes from it reads back the same. The golden
 // files are one document: "golden" typed, the "n" deleted.
 func TestLoadReadsSavedDocuments(t *testing.T) {
@@ -30,7 +30,7 @@ func TestLoadReadsSavedDocuments(t *testing.T) {
 			t.Fatalf("%s: loaded as %q, %d events, text %q; want 7 events and \"golde\"", file, name, l.Len(), text)
 		}
 	}
-	for _, golden := range []string{"doc-cached.egc", "doc-plain.egc", "doc-legacy.egw"} {
+	for _, golden := range []string{"doc-cached.egc", "doc-plain.egc", "doc-pruned.egc", "doc-legacy.egw"} {
 		check(filepath.Join("..", "..", "testdata", "colenc", golden))
 		*output, *binary = filepath.Join(t.TempDir(), "out.egc"), true
 		if err := run("gen"); err != nil {

@@ -142,30 +142,30 @@ func TestDifferentialCodecTraces(t *testing.T) {
 				t.Fatal("columnar round-trip changed the events")
 			}
 
-			// Whole-document files: compact and legacy Saves of the same
+			// Whole-document files: full and pruned Saves of the same
 			// history must load to identical documents.
 			doc := egwalker.NewDoc("differential")
 			if _, err := doc.Apply(events); err != nil {
 				t.Fatal(err)
 			}
-			var compactFile, legacyFile bytes.Buffer
+			var compactFile, prunedFile bytes.Buffer
 			if err := doc.Save(&compactFile, egwalker.SaveOptions{CacheFinalDoc: true}); err != nil {
 				t.Fatal(err)
 			}
-			if err := doc.Save(&legacyFile, egwalker.SaveOptions{CacheFinalDoc: true, Legacy: true}); err != nil {
+			if err := doc.Save(&prunedFile, egwalker.SaveOptions{CacheFinalDoc: true, OmitDeletedContent: true}); err != nil {
 				t.Fatal(err)
 			}
 			fromCompactFile, err := egwalker.Load(&compactFile, "loader")
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromLegacyFile, err := egwalker.Load(&legacyFile, "loader")
+			fromPrunedFile, err := egwalker.Load(&prunedFile, "loader")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fromCompactFile.Text() != fromLegacyFile.Text() ||
-				fromCompactFile.Fingerprint() != fromLegacyFile.Fingerprint() {
-				t.Fatal("compact and legacy files load to different documents")
+			if fromCompactFile.Text() != fromPrunedFile.Text() ||
+				fromCompactFile.Fingerprint() != fromPrunedFile.Fingerprint() {
+				t.Fatal("full and pruned files load to different documents")
 			}
 			if fromCompactFile.Text() != doc.Text() {
 				t.Fatal("compact file load changed the text")

@@ -66,9 +66,17 @@
 // maps the packages involved. The same frame serves event batches
 // everywhere: MarshalEventsCompact/UnmarshalEventsAuto encode and
 // sniff-decode it, store snapshots and large WAL group commits use it
-// on disk, and netsync sends every catch-up in it. Legacy files
-// (SaveOptions.Legacy, or anything written before the columnar
-// format) still load via magic sniffing.
+// on disk, and netsync sends every catch-up in it. Files of the legacy
+// "EGW1" format, which nothing writes any more, still load via magic
+// sniffing.
+//
+// SaveOptions.OmitDeletedContent writes a pruned file, without the
+// characters of deleted inserts (the paper's Fig. 12): a document loaded
+// from one merges and edits as any other, but returns ErrPruned rather
+// than hand out a placeholder for a dropped character — from
+// EventsSince, EventsSinceSummary, Merge, an unpruned Save, or TextAt of
+// a version in which the character is not yet deleted. Events, which has
+// no error to return, hands out U+FFFD for them.
 //
 // Package store builds the durable layer on those primitives: each
 // document gets an append-only, segmented write-ahead log of

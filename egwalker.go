@@ -3,6 +3,7 @@ package egwalker
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -80,7 +81,20 @@ type Doc struct {
 	// emitted is where the last linear Apply stopped reading the log: the
 	// next one starts there without a search.
 	emitted oplog.Cursor
+	// pruned lists, ascending, the insert events whose characters the file
+	// the document was loaded from left out (SaveOptions.
+	// OmitDeletedContent): the log holds U+FFFD for each. held is how many
+	// events that file held, the LVs below it. ErrPruned guards both.
+	pruned []causal.Span
+	held   causal.LV
 }
+
+// ErrPruned reports that what was asked of a document loaded from a file
+// saved with SaveOptions.OmitDeletedContent needs characters that file
+// left out: events to send that hold one, an unpruned Save, or the text of
+// a version in which one is not deleted yet. A pruned file is trusted to
+// leave out only characters its own history deletes.
+var ErrPruned = errors.New("egwalker: the document was loaded without the deleted characters this needs")
 
 // NewDoc returns an empty document for a replica identified by agent.
 // Every replica editing the same document must use a distinct agent
@@ -151,14 +165,16 @@ func (d *Doc) Delete(pos, count int) error {
 // and can merge later. Fork is how a new device or user joins without a
 // network round-trip to every peer.
 func (d *Doc) Fork(agent string) (*Doc, error) {
-	var buf bytes.Buffer
-	if err := d.Save(&buf, SaveOptions{CacheFinalDoc: true}); err != nil {
-		return nil, err
-	}
-	nd, err := Load(&buf, agent)
+	// A document loaded from a pruned file forks as pruned as it is.
+	data, err := colenc.SaveDocument(d.log, d.text, d.pruned, colenc.Options{})
 	if err != nil {
 		return nil, err
 	}
+	nd, err := load(data, agent)
+	if err != nil {
+		return nil, err
+	}
+	nd.held = d.held
 	// Buffered events carry over: they are part of what this replica has
 	// heard, just not yet mergeable.
 	nd.pending = append([]Event(nil), d.pending...)
@@ -321,7 +337,9 @@ func (d *Doc) eventsIn(spans []causal.Span) []Event {
 }
 
 // Events returns the document's entire event history in a valid causal
-// order (parents before children).
+// order (parents before children). Of a document loaded from a pruned
+// file, the inserts of the characters the file left out carry U+FFFD:
+// unlike EventsSince, Events has no error to return.
 func (d *Doc) Events() []Event {
 	if d.log.Len() == 0 {
 		return []Event{}
@@ -331,7 +349,8 @@ func (d *Doc) Events() []Event {
 
 // EventsSince returns the events this replica has that are not within
 // the given version, in a valid causal order. Pass the other replica's
-// Version() to compute what to send it.
+// Version() to compute what to send it. It returns ErrPruned if they hold
+// an insert whose character the document's file left out.
 func (d *Doc) EventsSince(v Version) ([]Event, error) {
 	// A version is a head or two: what is not returned stays on the stack.
 	var refs, doms, heads [4]causal.Ref
@@ -341,7 +360,25 @@ func (d *Doc) EventsSince(v Version) ([]Event, error) {
 		return nil, err
 	}
 	spans, _ := d.log.Graph.DiffInto(d.log.Graph.Refs(d.log.Graph.Heads(), heads[:0]), f, only[:0], other[:0])
+	if d.holdsPruned(spans) {
+		return nil, ErrPruned
+	}
 	return d.eventsIn(spans), nil
+}
+
+// holdsPruned reports whether spans (ascending, disjoint) hold an insert
+// whose character the document's file left out.
+func (d *Doc) holdsPruned(spans []causal.Span) bool {
+	p := d.pruned
+	for _, sp := range spans {
+		for len(p) > 0 && p[0].End <= sp.Start {
+			p = p[1:]
+		}
+		if len(p) > 0 && p[0].Start < sp.End {
+			return true
+		}
+	}
+	return false
 }
 
 // resolveVersion looks wire IDs up, in refs, and reduces them to their
@@ -670,13 +707,19 @@ func (d *Doc) Merge(other *Doc) error {
 }
 
 // TextAt reconstructs the document text at a historical version by
-// replaying the subset of the event graph visible at that version.
+// replaying the subset of the event graph visible at that version. It
+// returns ErrPruned if the version holds an insert whose character the
+// document's file left out but not every event of that file, of which
+// the deletes of all such characters are.
 func (d *Doc) TextAt(v Version) (string, error) {
 	f, err := d.resolveVersion(v, nil, nil)
 	if err != nil {
 		return "", err
 	}
-	_, inV := d.log.Graph.DiffInto(nil, f, nil, nil)
+	_, inV := d.log.Graph.DiffInto(nil, f, nil, nil) // coalesced: the file's events are all in inV[0] or not
+	if d.holdsPruned(inV) && (inV[0].Start > 0 || inV[0].End < d.held) {
+		return "", ErrPruned
+	}
 	sub := oplog.New()
 	var ids []causal.RawID
 	var parents []causal.LV
@@ -731,42 +774,34 @@ type SaveOptions struct {
 	// CacheFinalDoc embeds the document text so Load is instant (no
 	// replay).
 	CacheFinalDoc bool
-	// OmitDeletedContent drops deleted characters' content (smaller
-	// files, like Yjs; historical versions become unreconstructable).
-	// Implies the legacy format, which is the only one carrying the
-	// pruning bitmap.
+	// OmitDeletedContent drops deleted characters' content, like Yjs
+	// (the paper's Fig. 12): a smaller file, which merges like any
+	// other, but whose document cannot send the dropped inserts, save
+	// them unpruned or show a version before their deletes (ErrPruned).
+	// Finding what is deleted costs a replay of the history.
 	OmitDeletedContent bool
 	// Compress DEFLATE-compresses inserted content.
 	Compress bool
-	// Legacy writes the original "EGW1" whole-document format instead
-	// of the compact columnar one. Load reads both transparently.
-	Legacy bool
 }
 
-// Save writes the document (event graph, optionally plus text) to w.
-// By default it emits the compact columnar format (docs/FORMAT.md);
-// opts.Legacy selects the original encoding. Load reads either.
+// Save writes the document (event graph, optionally plus text) to w in
+// the compact columnar format (docs/FORMAT.md). A document loaded from a
+// pruned file saves only pruned: unpruned, Save returns ErrPruned.
 func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
-	if opts.Legacy || opts.OmitDeletedContent {
-		var deleted map[causal.LV]bool
+	dropped := d.pruned
+	if opts.OmitDeletedContent {
 		var err error
-		if opts.OmitDeletedContent {
-			deleted, err = encoding.DeletedSet(d.log)
-			if err != nil {
-				return err
-			}
+		if dropped, err = core.Deleted(d.log); err != nil {
+			return err
 		}
-		return encoding.Encode(w, d.log, encoding.Options{
-			CacheFinalDoc:      opts.CacheFinalDoc,
-			OmitDeletedContent: opts.OmitDeletedContent,
-			Compress:           opts.Compress,
-		}, d.text.String(), deleted)
+	} else if len(d.pruned) > 0 {
+		return ErrPruned
 	}
 	var text *rope.Rope
 	if opts.CacheFinalDoc {
 		text = d.text
 	}
-	data, err := colenc.SaveDocument(d.log, text, colenc.Options{Compress: opts.Compress})
+	data, err := colenc.SaveDocument(d.log, text, dropped, colenc.Options{Compress: opts.Compress})
 	if err != nil {
 		return err
 	}
@@ -775,10 +810,10 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 }
 
 // Load reads a document saved with Save, sniffing the format from the
-// file's magic: both the compact columnar format and the legacy "EGW1"
-// format load transparently. The loading replica adopts agent for its
-// future local edits. If the file embeds the final text, loading costs
-// no replay at all (the paper's "cached load").
+// file's magic: the compact columnar format and files of the legacy,
+// read-only "EGW1" format load alike. The loading replica adopts agent
+// for its future local edits. If the file embeds the final text, loading
+// costs no replay at all (the paper's "cached load").
 func Load(r io.Reader, agent string) (*Doc, error) {
 	// The bytes of a *bytes.Reader or a *bytes.Buffer, whose WriteTo hands
 	// all of them to one Write, are read where they lie, not copied.
@@ -817,16 +852,19 @@ func load(data []byte, agent string) (*Doc, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.log, d.text = doc.Log, doc.Text
+		d.log, d.text, d.pruned = doc.Log, doc.Text, doc.Pruned
 	} else {
 		dec, err := encoding.Decode(data)
 		if err != nil {
 			return nil, err
 		}
-		d.log = dec.Log
+		d.log, d.pruned = dec.Log, dec.Pruned
 		if dec.HasDoc {
 			d.text = rope.NewFromString(dec.Doc)
 		}
+	}
+	if len(d.pruned) > 0 {
+		d.held = causal.LV(d.log.Len())
 	}
 	if d.text != nil {
 		return d, nil

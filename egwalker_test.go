@@ -152,8 +152,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		{},
 		{CacheFinalDoc: true},
 		{CacheFinalDoc: true, Compress: true},
-		{Legacy: true},
-		{Legacy: true, CacheFinalDoc: true, Compress: true},
+		{OmitDeletedContent: true},
+		{OmitDeletedContent: true, Compress: true},
 		{OmitDeletedContent: true, CacheFinalDoc: true},
 	} {
 		var buf bytes.Buffer

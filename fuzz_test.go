@@ -13,8 +13,8 @@ import (
 	"testing"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 	"egwalker/internal/core"
-	"egwalker/internal/encoding"
 )
 
 // runScript interprets script as edits/merges over three replicas.
@@ -198,18 +198,16 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 		for _, d := range docs {
 			egwalker.SaveMatchesReference(t, d)
 		}
-		// Round-trip through every persistence mode — both the compact
-		// columnar format (the default) and the legacy one.
+		// Round-trip through every persistence mode, pruned ones too.
 		for _, opts := range []egwalker.SaveOptions{
 			{},
 			{CacheFinalDoc: true},
 			{Compress: true},
 			{CacheFinalDoc: true, Compress: true},
-			{Legacy: true},
-			{Legacy: true, CacheFinalDoc: true},
-			{Legacy: true, Compress: true},
-			{Legacy: true, CacheFinalDoc: true, Compress: true},
+			{OmitDeletedContent: true},
 			{OmitDeletedContent: true, CacheFinalDoc: true},
+			{OmitDeletedContent: true, Compress: true},
+			{OmitDeletedContent: true, CacheFinalDoc: true, Compress: true},
 		} {
 			var buf bytes.Buffer
 			if err := a.Save(&buf, opts); err != nil {
@@ -281,10 +279,10 @@ func FuzzDocSaveLoadRoundTrip(f *testing.F) {
 		// must all agree, and the span stream must expand to exactly the
 		// per-unit stream.
 		var hist bytes.Buffer
-		if err := a.Save(&hist, egwalker.SaveOptions{Legacy: true}); err != nil {
+		if err := a.Save(&hist, egwalker.SaveOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		dec, err := encoding.Decode(hist.Bytes())
+		dec, err := colenc.LoadDocument(hist.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

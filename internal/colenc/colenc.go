@@ -2,13 +2,13 @@
 // batches — the repo's answer to the paper's "Smaller" claim (§3.8 and
 // the Table 2 / Fig 11 file-size experiments).
 //
-// Where internal/encoding serialises a whole *oplog.Log (it needs the
-// log's internal structure and is only usable for full documents),
 // colenc serialises the wire form: an arbitrary causally ordered batch
 // of events. The same frame therefore serves every byte path in the
 // system — full document files (Doc.Save), store snapshots, the
 // payloads of write-ahead-log blocks, and netsync snapshot/catch-up
-// frames.
+// frames. (internal/encoding reads the legacy whole-document format,
+// which nothing writes any more.) A whole document may be pruned — its
+// deleted characters left out — and then is never read as a batch.
 //
 // The format is column-oriented and run-length encoded, exploiting the
 // shape of real editing histories:
@@ -70,8 +70,14 @@ const (
 	FlagCachedDoc = 1 << 0
 	// FlagCompressed marks the content column as DEFLATE-compressed.
 	FlagCompressed = 1 << 1
+	// FlagPruned marks a whole document whose content column leaves out
+	// the characters of deleted inserts (docs/FORMAT.md, "Pruned
+	// documents"). Only LoadDocument reads such a frame: a batch
+	// decoder refuses it, so a pruned frame never travels as a batch.
+	FlagPruned = 1 << 2
 
-	knownFlags = FlagCachedDoc | FlagCompressed
+	batchFlags = FlagCachedDoc | FlagCompressed
+	docFlags   = batchFlags | FlagPruned
 )
 
 // Limits on decoded values, shared with the legacy batch codec so a
@@ -233,8 +239,10 @@ type encoder struct {
 	op       oplog.Run // ops-column run not yet written (Len 0: none)
 	excs     int       // parents-column entries
 	excAt    int       // event index of the latest
+	pruned   bool      // the content column is pruned (FlagPruned)
 
 	agents, ops, parents, content []byte
+	kept                          []byte // a pruned document's kept characters (SaveDocument)
 }
 
 // encoders keep SaveDocument's columns between documents.
@@ -244,7 +252,7 @@ var encoders = sync.Pool{New: func() any { return new(encoder) }}
 func (e *encoder) reset() {
 	clear(e.names)
 	*e = encoder{names: e.names[:0], aruns: e.aruns[:0], agents: e.agents[:0], ops: e.ops[:0],
-		parents: e.parents[:0], content: e.content[:0]}
+		parents: e.parents[:0], content: e.content[:0], kept: e.kept[:0]}
 }
 
 func (e *encoder) intern(a string) (int, error) {
@@ -437,6 +445,9 @@ func (e *encoder) frame(opts Options, content []byte, doc int, appendDoc func([]
 	e.agents = agents
 
 	flags := byte(0)
+	if e.pruned {
+		flags |= FlagPruned
+	}
 	// The decoder bounds inflation at maxDecompressed (decompression-
 	// bomb defense), so content at or past that size must be written
 	// uncompressed — otherwise Encode would produce a frame its own

@@ -82,9 +82,12 @@ func (r *reader) bytes(n int) ([]byte, error) {
 
 func (r *reader) done() bool { return r.off == len(r.buf) }
 
-// openFrame validates magic, flags, and checksum, returning a reader
-// over the body.
-func openFrame(data []byte) (reader, byte, error) {
+// errPrunedBatch refuses a pruned frame on a batch path.
+var errPrunedBatch = errors.New("colenc: a pruned frame is a whole document, not a batch")
+
+// openFrame validates magic, flags — known being those the caller reads —
+// and checksum, returning a reader over the body.
+func openFrame(data []byte, known byte) (reader, byte, error) {
 	if !Sniff(data) {
 		return reader{}, 0, ErrBadMagic
 	}
@@ -92,7 +95,10 @@ func openFrame(data []byte) (reader, byte, error) {
 		return reader{}, 0, fmt.Errorf("colenc: truncated header: %w", io.ErrUnexpectedEOF)
 	}
 	flags := data[4]
-	if flags&^byte(knownFlags) != 0 {
+	if flags&^known == FlagPruned {
+		return reader{}, 0, errPrunedBatch
+	}
+	if flags&^known != 0 {
 		return reader{}, 0, fmt.Errorf("colenc: unsupported flags %#x", flags)
 	}
 	wantCRC := binary.LittleEndian.Uint32(data[5:9])
@@ -119,10 +125,10 @@ type frame struct {
 	doc                           []byte // cached-document column, with FlagCachedDoc
 }
 
-// splitFrame is the preamble of every decode: magic, flags, checksum,
-// the event count against maxEvents, and the column framing.
-func splitFrame(data []byte, maxEvents int) (frame, error) {
-	r, flags, err := openFrame(data)
+// splitFrame is the preamble of every decode: magic, flags (known),
+// checksum, the event count against maxEvents, and the column framing.
+func splitFrame(data []byte, known byte, maxEvents int) (frame, error) {
+	r, flags, err := openFrame(data, known)
 	if err != nil {
 		return frame{}, err
 	}
@@ -224,7 +230,7 @@ func (d *Decoder) reset() {
 // DecodeRuns is the package-level DecodeRuns on this Decoder's memory.
 func (d *Decoder) DecodeRuns(data []byte, maxEvents int) (*DecodedRuns, error) {
 	d.reset()
-	f, err := splitFrame(data, maxEvents)
+	f, err := splitFrame(data, batchFlags, maxEvents)
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,7 @@ func Inspect(data []byte) (*BlockInfo, error) {
 // the BlockInfo is valid until the next call on d.
 func (d *Decoder) Inspect(data []byte) (*BlockInfo, error) {
 	d.reset()
-	f, err := splitFrame(data, math.MaxInt32)
+	f, err := splitFrame(data, batchFlags, math.MaxInt32)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,9 @@ type Document struct {
 	// UTF-8, of a length the history allows, decoded from the frame's
 	// bytes into the rope's leaves.
 	Text *rope.Rope
+	// Pruned lists, ascending, the insert events whose characters a
+	// pruned frame left out: the log holds U+FFFD for each.
+	Pruned []causal.Span
 }
 
 // LoadDocument decodes a whole-document frame — an entire history in
@@ -42,9 +45,12 @@ type Document struct {
 // rebuild accept loads, and the same log comes of it; the rest is an
 // error. A cached text must be valid UTF-8 and as long as some outcome of
 // the history: no longer than what it inserts, no shorter than that less
-// what it deletes (two concurrent deletes may be of one character).
+// what it deletes (two concurrent deletes may be of one character). Of a
+// pruned frame, the arena holds a placeholder for each dropped character
+// and Document.Pruned says which events those are; LoadDocument is the
+// only decoder that reads one.
 func LoadDocument(data []byte) (Document, error) {
-	f, err := splitFrame(data, math.MaxInt32)
+	f, err := splitFrame(data, docFlags, math.MaxInt32)
 	if err != nil {
 		return Document{}, err
 	}
@@ -55,14 +61,14 @@ func LoadDocument(data []byte) (Document, error) {
 		return Document{}, err
 	}
 	l := oplog.New()
-	inserts, err := loadOps(l, &f)
+	inserts, pruned, err := loadOps(l, &f)
 	if err != nil {
 		return Document{}, err
 	}
 	if err := loadGraph(l.Graph, d.table.names, &f); err != nil {
 		return Document{}, err
 	}
-	doc := Document{Log: l}
+	doc := Document{Log: l, Pruned: pruned}
 	if f.flags&FlagCachedDoc != 0 {
 		if !utf8.Valid(f.doc) {
 			return Document{}, fmt.Errorf("colenc: invalid UTF-8 in doc column")
@@ -76,16 +82,27 @@ func LoadDocument(data []byte) (Document, error) {
 }
 
 // loadOps fills l's spans and characters from the ops and content columns
-// of f and returns how many of the events are inserts.
-func loadOps(l *oplog.Log, f *frame) (inserts int, err error) {
+// of f and returns how many of the events are inserts and, for a pruned
+// frame, the inserts whose characters it left out.
+func loadOps(l *oplog.Log, f *frame) (inserts int, pruned []causal.Span, err error) {
 	buf := f.content.buf
 	if f.flags&FlagCompressed != 0 {
 		if buf, err = inflate(buf); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
-	if !utf8.Valid(buf) {
-		return 0, fmt.Errorf("colenc: invalid UTF-8 in content column")
+	var arena []byte
+	if f.flags&FlagPruned != 0 {
+		if arena, pruned, err = unprune(buf, f); err != nil {
+			return 0, nil, err
+		}
+	} else if !utf8.Valid(buf) {
+		return 0, nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
+	} else {
+		// Grown, not made: what the allocator rounds the array up by is
+		// room the log can append into, and counts as held
+		// (oplog.Log.Bytes).
+		arena = append(slices.Grow([]byte(nil), len(buf)), buf...)
 	}
 	// A run is three varints and a varint ends at its first byte under
 	// 0x80: the column's runs, counted without reading them.
@@ -95,14 +112,12 @@ func loadOps(l *oplog.Log, f *frame) (inserts int, err error) {
 			varints++
 		}
 	}
-	// Grown, not made: what the allocator rounds the array up by is room
-	// the log can append into, and counts as held (oplog.Log.Bytes).
-	chars := l.Adopt(append(slices.Grow([]byte(nil), len(buf)), buf...))
+	chars := l.Adopt(arena)
 	l.Reserve(varints/3, 0)
 	var op oplog.Run
 	for i := 0; i < f.n; i += op.Len {
 		if err := f.ops.opRun(&op, f.n-i, chars-inserts); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		l.PushRun(causal.LV(i), op, inserts)
 		if op.Kind == oplog.Insert {
@@ -110,12 +125,79 @@ func loadOps(l *oplog.Log, f *frame) (inserts int, err error) {
 		}
 	}
 	if !f.ops.done() {
-		return 0, fmt.Errorf("colenc: trailing bytes in ops column")
+		return 0, nil, fmt.Errorf("colenc: trailing bytes in ops column")
 	}
 	if inserts != chars {
-		return 0, fmt.Errorf("colenc: trailing bytes in content column")
+		return 0, nil, fmt.Errorf("colenc: trailing bytes in content column")
 	}
-	return inserts, nil
+	return inserts, pruned, nil
+}
+
+// placeholder is what the log holds for a character a pruned frame left
+// out.
+const placeholder = "\uFFFD"
+
+// unprune reads the pruned content column buf of f (docs/FORMAT.md, "Pruned
+// documents") and returns the log's arena — the kept characters, and a
+// placeholder for each dropped one — and the dropped events. The stretch
+// lengths are read against a walk of the ops column's insert runs: they
+// must end with its inserts, none but the first be empty, and the kept
+// characters be valid UTF-8, as many as the kept stretches hold.
+func unprune(buf []byte, f *frame) ([]byte, []causal.Span, error) {
+	r, ops := reader{buf: buf}, f.ops // a copy: the frame's reader stays where it is
+	var pruned []causal.Span
+	read, left, kept, chars := 0, 0, 0, 0 // stretches read, what is left of the last, characters kept and all
+	var op oplog.Run
+	for i := 0; i < f.n; i += op.Len {
+		if err := ops.opRun(&op, f.n-i, math.MaxInt); err != nil {
+			return nil, nil, err
+		}
+		for at := i; op.Kind == oplog.Insert && at < i+op.Len; {
+			for left == 0 {
+				n, err := r.count(f.n, "pruned stretch length")
+				if err != nil {
+					return nil, nil, err
+				}
+				if n == 0 && read > 0 {
+					return nil, nil, fmt.Errorf("colenc: empty pruned stretch")
+				}
+				read, left, chars = read+1, n, chars+n
+			}
+			k := min(left, i+op.Len-at)
+			if read%2 == 1 { // the first stretch is kept, the second dropped, …
+				kept += k
+			} else if p := len(pruned); p > 0 && pruned[p-1].End == causal.LV(at) {
+				pruned[p-1].End += causal.LV(k)
+			} else {
+				pruned = append(pruned, causal.Span{Start: causal.LV(at), End: causal.LV(at + k)})
+			}
+			left, at = left-k, at+k
+		}
+	}
+	if left > 0 {
+		return nil, nil, fmt.Errorf("colenc: pruned stretches overrun the inserts by %d", left)
+	}
+	text := buf[r.off:]
+	if !utf8.Valid(text) {
+		return nil, nil, fmt.Errorf("colenc: invalid UTF-8 in content column")
+	}
+	if c := utf8x.Count(text); c != kept {
+		return nil, nil, fmt.Errorf("colenc: pruned content column holds %d kept characters, its stretches %d", c, kept)
+	}
+	// The stretches again, now that they are known to be sound.
+	arena := slices.Grow([]byte(nil), len(text)+len(placeholder)*(chars-kept))
+	for s, keep := (reader{buf: buf[:r.off]}), true; !s.done(); keep = !keep {
+		n, _ := s.count(f.n, "")
+		if keep {
+			b := utf8x.Skip(text, n)
+			arena, text = append(arena, text[:b]...), text[b:]
+			continue
+		}
+		for range n {
+			arena = append(arena, placeholder...)
+		}
+	}
+	return arena, pruned, nil
 }
 
 // parentRef names a parent of an event: the event back events before it

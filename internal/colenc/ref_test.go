@@ -219,7 +219,7 @@ func refEncode(events []Event, doc string, withDoc bool, opts Options) ([]byte, 
 }
 
 func refDecodeLimit(data []byte, maxEvents int) (*Decoded, error) {
-	r, flags, err := openFrame(data)
+	r, flags, err := openFrame(data, batchFlags)
 	if err != nil {
 		return nil, err
 	}

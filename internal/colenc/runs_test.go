@@ -284,13 +284,13 @@ func TestSaveDocumentMatchesEncodeRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := SaveDocument(l, nil, opts); err != nil || !bytes.Equal(got, want) {
+			if got, err := SaveDocument(l, nil, nil, opts); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%+v: SaveDocument of %d events (%v) differs from EncodeRuns of its runs", opts, l.Len(), err)
 			}
 			if want, err = EncodeRunsDoc(LogRuns(l, full), text.String(), opts); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := SaveDocument(l, text, opts); err != nil || !bytes.Equal(got, want) {
+			if got, err := SaveDocument(l, text, nil, opts); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%+v: SaveDocument of %d events and a text (%v) differs from EncodeRunsDoc of its runs", opts, l.Len(), err)
 			}
 		}

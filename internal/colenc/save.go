@@ -7,6 +7,7 @@ import (
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
 	"egwalker/internal/rope"
+	"egwalker/internal/utf8x"
 )
 
 // SaveDocument writes the whole history of l as the frame LoadDocument
@@ -22,7 +23,12 @@ import (
 // the ops column, the content column being the log's UTF-8 as it is. The
 // frame is allocated once, at its exact size, and the characters go from
 // the log's arena and the text from the rope's leaves straight into it.
-func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
+//
+// dropped lists, ascending and disjoint, insert events whose characters
+// the file leaves out; if it lists any, the frame is pruned (FlagPruned)
+// and its content column is the stretches of kept and dropped characters
+// and the kept characters' UTF-8.
+func SaveDocument(l *oplog.Log, text *rope.Rope, dropped []causal.Span, opts Options) ([]byte, error) {
 	e := encoders.Get().(*encoder)
 	defer encoders.Put(e)
 	e.reset()
@@ -81,10 +87,51 @@ func SaveDocument(l *oplog.Log, text *rope.Rope, opts Options) ([]byte, error) {
 		return nil, err
 	}
 	e.n = l.Len()
-	if text == nil {
-		return e.frame(opts, l.Content(), -1, nil)
+	content := l.Content()
+	if len(dropped) > 0 {
+		e.pruned, content = true, e.pruneContent(l, dropped)
 	}
-	return e.frame(opts, l.Content(), text.UTF8Len(), text.AppendUTF8)
+	if text == nil {
+		return e.frame(opts, content, -1, nil)
+	}
+	return e.frame(opts, content, text.UTF8Len(), text.AppendUTF8)
+}
+
+// pruneContent returns the pruned content column of l less the characters
+// of dropped: the lengths of the stretches of kept and dropped characters
+// in LV order, alternating and starting with a kept one, which may be
+// empty, in e's content buffer, and after them the kept characters' UTF-8,
+// gathered in its kept buffer.
+func (e *encoder) pruneContent(l *oplog.Log, dropped []causal.Span) []byte {
+	keep, n := true, 0 // the stretch so far
+	l.EachRun(causal.Span{End: causal.LV(l.Len())}, func(lvs causal.Span, kind oplog.Kind, _ int, _ int8, text []byte) bool {
+		for at := lvs.Start; kind == oplog.Insert && at < lvs.End; {
+			for len(dropped) > 0 && dropped[0].End <= at {
+				dropped = dropped[1:]
+			}
+			kept, end := true, lvs.End // the part of the run up to the next edge of dropped
+			if len(dropped) > 0 && dropped[0].Start <= at {
+				kept, end = false, min(end, dropped[0].End)
+			} else if len(dropped) > 0 {
+				end = min(end, dropped[0].Start)
+			}
+			if kept != keep {
+				e.content = binary.AppendUvarint(e.content, uint64(n))
+				keep, n = kept, 0
+			}
+			b := utf8x.Skip(text, int(end-at))
+			if kept {
+				e.kept = append(e.kept, text[:b]...)
+			}
+			n, text, at = n+int(end-at), text[b:], end
+		}
+		return true
+	})
+	if n > 0 { // some character is inserted
+		e.content = binary.AppendUvarint(e.content, uint64(n))
+	}
+	e.content = append(e.content, e.kept...)
+	return e.content
 }
 
 // checkSeqs returns an error if an agent of g, whose names are names, has

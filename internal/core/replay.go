@@ -349,6 +349,34 @@ func ToIDOps(l *oplog.Log, emit func(IDOp)) error {
 	return tr.ApplyRange(causal.Span{Start: 0, End: causal.LV(l.Len())}, causal.LV(l.Len()), nil)
 }
 
+// Deleted returns, ascending and disjoint, the insert events of l whose
+// characters some delete of l removes: what a pruned file leaves out. It
+// replays l once (ToIDOps), marking the targets in a bitset of one bit an
+// event.
+func Deleted(l *oplog.Log) ([]causal.Span, error) {
+	set := make([]uint64, (l.Len()+63)/64)
+	err := ToIDOps(l, func(op IDOp) {
+		if op.Kind == oplog.Delete && op.Target >= 0 {
+			set[op.Target/64] |= 1 << (op.Target % 64)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	var spans []causal.Span
+	for lv := range causal.LV(l.Len()) {
+		if set[lv/64]&(1<<(lv%64)) == 0 {
+			continue
+		}
+		if k := len(spans); k > 0 && spans[k-1].End == lv {
+			spans[k-1].End++
+		} else {
+			spans = append(spans, causal.Span{Start: lv, End: lv + 1})
+		}
+	}
+	return spans, nil
+}
+
 // ApplyXOp applies a transformed span operation to a rope document.
 func ApplyXOp(r *rope.Rope, op XOp) error {
 	if op.Kind == oplog.Insert && op.Text != nil {

@@ -1,59 +1,59 @@
 package encoding
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math/rand"
-	"strings"
+	"os"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
+	"egwalker/internal/colenc"
 	"egwalker/internal/core"
 	"egwalker/internal/oplog"
 )
 
-func buildLog(t *testing.T) *oplog.Log {
+// The files under testdata/egw1 at the repo root were written by the EGW1
+// writer before it was removed (the root package's egw1_test.go says of
+// what): plain, with the cached text, compressed, pruned, and all three.
+// twin.egc is the same document as EGC2, with its text.
+const fixtures = "../../testdata/egw1/"
+
+// fixture reads the EGW1 file name.
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	l := oplog.New()
-	if _, err := l.AddInsert("alice", nil, 0, "hello world"); err != nil {
+	data, err := os.ReadFile(fixtures + name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddDelete("alice", []causal.LV{10}, 5, 6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AddInsert("bob", []causal.LV{10}, 11, "!!"); err != nil { // concurrent with the delete
-		t.Fatal(err)
-	}
-	if _, err := l.AddInsert("alice", []causal.LV{16, 18}, 0, "say: "); err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return data
 }
 
-func encodeTo(t *testing.T, l *oplog.Log, opts Options) []byte {
+// twin loads the EGC2 twin of the fixtures: their log, and its text.
+func twin(t testing.TB) (*oplog.Log, string) {
 	t.Helper()
-	var doc string
-	var deleted map[causal.LV]bool
-	var err error
-	if opts.CacheFinalDoc || opts.OmitDeletedContent {
-		doc, err = core.ReplayText(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if opts.OmitDeletedContent {
-		deleted, err = DeletedSet(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, l, opts, doc, deleted); err != nil {
+	doc, err := colenc.LoadDocument(fixture(t, "twin.egc"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return doc.Log, doc.Text.String()
 }
 
-func logsEqual(t *testing.T, a, b *oplog.Log) {
+// decode decodes the fixture name.
+func decode(t *testing.T, name string) *Decoded {
+	t.Helper()
+	dec, err := Decode(fixture(t, name))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return dec
+}
+
+// logsEqual fails the test unless a and b hold the same events, with the
+// same operations, IDs and parents, except that an insert of b in skip
+// may carry U+FFFD instead of its character.
+func logsEqual(t *testing.T, a, b *oplog.Log, skip []causal.Span) {
 	t.Helper()
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
@@ -63,6 +63,12 @@ func logsEqual(t *testing.T, a, b *oplog.Log) {
 	a.EachOp(full, func(_ causal.LV, op oplog.Op) bool { aOps = append(aOps, op); return true })
 	b.EachOp(full, func(_ causal.LV, op oplog.Op) bool { bOps = append(bOps, op); return true })
 	for i := range aOps {
+		if len(skip) > 0 && skip[0].End <= causal.LV(i) {
+			skip = skip[1:]
+		}
+		if len(skip) > 0 && skip[0].Contains(causal.LV(i)) && bOps[i].Content == utf8.RuneError {
+			bOps[i].Content = aOps[i].Content
+		}
 		if aOps[i] != bOps[i] {
 			t.Fatalf("op %d differs: %+v vs %+v", i, aOps[i], bOps[i])
 		}
@@ -71,123 +77,97 @@ func logsEqual(t *testing.T, a, b *oplog.Log) {
 		if a.Graph.IDOf(lv) != b.Graph.IDOf(lv) {
 			t.Fatalf("event %d ID differs: %v vs %v", lv, a.Graph.IDOf(lv), b.Graph.IDOf(lv))
 		}
-		pa, pb := a.Graph.ParentsOf(lv), b.Graph.ParentsOf(lv)
-		if len(pa) != len(pb) {
+		if pa, pb := a.Graph.ParentsOf(lv), b.Graph.ParentsOf(lv); !reflect.DeepEqual(pa, pb) {
 			t.Fatalf("event %d parents differ: %v vs %v", lv, pa, pb)
-		}
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("event %d parents differ: %v vs %v", lv, pa, pb)
-			}
 		}
 	}
 }
 
+// TestRoundTrip: a file the writer wrote decodes to the log it wrote,
+// which replays to its text.
 func TestRoundTrip(t *testing.T) {
-	l := buildLog(t)
-	data := encodeTo(t, l, Options{})
-	dec, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.HasDoc || dec.Pruned {
+	l, text := twin(t)
+	dec := decode(t, "plain.egw")
+	if dec.HasDoc || dec.Pruned != nil {
 		t.Fatalf("unexpected flags: %+v", dec)
 	}
-	logsEqual(t, l, dec.Log)
-	// The decoded log must replay to the same document.
-	want, _ := core.ReplayText(l)
+	logsEqual(t, l, dec.Log, nil)
 	got, err := core.ReplayText(dec.Log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("replay after round trip: %q vs %q", got, want)
+	if got != text {
+		t.Fatalf("replay after round trip: %q vs %q", got, text)
 	}
 }
 
 func TestRoundTripCachedDoc(t *testing.T) {
-	l := buildLog(t)
-	data := encodeTo(t, l, Options{CacheFinalDoc: true})
-	dec, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
+	l, text := twin(t)
+	dec := decode(t, "cached.egw")
+	if !dec.HasDoc || dec.Doc != text {
+		t.Fatalf("cached doc %q (has=%v), want %q", dec.Doc, dec.HasDoc, text)
 	}
-	want, _ := core.ReplayText(l)
-	if !dec.HasDoc || dec.Doc != want {
-		t.Fatalf("cached doc %q (has=%v), want %q", dec.Doc, dec.HasDoc, want)
-	}
-	logsEqual(t, l, dec.Log)
+	logsEqual(t, l, dec.Log, nil)
 }
 
 func TestRoundTripCompressed(t *testing.T) {
-	l := oplog.New()
-	if _, err := l.AddInsert("a", nil, 0, strings.Repeat("compressible text ", 200)); err != nil {
-		t.Fatal(err)
-	}
-	plain := encodeTo(t, l, Options{})
-	comp := encodeTo(t, l, Options{Compress: true})
-	if len(comp) >= len(plain) {
+	l, _ := twin(t)
+	if plain, comp := fixture(t, "plain.egw"), fixture(t, "compressed.egw"); len(comp) >= len(plain) {
 		t.Errorf("compression did not shrink: %d vs %d", len(comp), len(plain))
 	}
-	dec, err := Decode(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logsEqual(t, l, dec.Log)
+	logsEqual(t, l, decode(t, "compressed.egw").Log, nil)
 }
 
+// TestPrunedEncoding: a pruned file records the inserts it omitted — the
+// ones the history deletes — which carry U+FFFD, and replays to the
+// document all the same.
 func TestPrunedEncoding(t *testing.T) {
-	// A deletion-heavy log: type a large paragraph, delete most of it.
-	l := oplog.New()
-	if _, err := l.AddInsert("a", nil, 0, strings.Repeat("draft text ", 50)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AddDelete("a", []causal.LV{549}, 10, 500); err != nil {
-		t.Fatal(err)
-	}
-	full := encodeTo(t, l, Options{})
-	pruned := encodeTo(t, l, Options{OmitDeletedContent: true})
-	if len(pruned) >= len(full)-400 {
-		t.Errorf("pruned encoding saved too little: %d vs %d", len(pruned), len(full))
-	}
-	dec, err := Decode(pruned)
+	l, text := twin(t)
+	deleted, err := core.Deleted(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Pruned {
-		t.Fatal("pruned flag lost")
-	}
-	// The pruned log must still replay to the correct document (deleted
-	// characters never reach the output).
-	want, _ := core.ReplayText(l)
-	got, err := core.ReplayText(dec.Log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("pruned replay %q, want %q", got, want)
+	for _, name := range []string{"pruned.egw", "pruned-cached-compressed.egw"} {
+		dec := decode(t, name)
+		if !reflect.DeepEqual(dec.Pruned, deleted) {
+			t.Fatalf("%s: omitted %v; the history deletes %v", name, dec.Pruned, deleted)
+		}
+		logsEqual(t, l, dec.Log, deleted)
+		for _, sp := range dec.Pruned {
+			for lv := sp.Start; lv < sp.End; lv++ {
+				if op := dec.Log.OpAt(lv); op.Kind != oplog.Insert || op.Content != utf8.RuneError {
+					t.Fatalf("%s: omitted event %d is %+v", name, lv, op)
+				}
+			}
+		}
+		got, err := core.ReplayText(dec.Log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != text {
+			t.Fatalf("%s: pruned replay %q, want %q", name, got, text)
+		}
 	}
 }
 
+// TestUnicodeContent: the fixtures hold characters of every UTF-8 width,
+// which decode as they were written.
 func TestUnicodeContent(t *testing.T) {
-	l := oplog.New()
-	if _, err := l.AddInsert("a", nil, 0, "日本語 héllo 🌍"); err != nil {
-		t.Fatal(err)
+	l, _ := twin(t)
+	widths := map[int]bool{}
+	for _, c := range string(l.Content()) {
+		widths[utf8.RuneLen(c)] = true
 	}
-	dec, err := Decode(encodeTo(t, l, Options{}))
-	if err != nil {
-		t.Fatal(err)
+	if len(widths) != 4 {
+		t.Fatalf("the fixtures hold characters of %d widths", len(widths))
 	}
-	want, _ := core.ReplayText(l)
-	got, _ := core.ReplayText(dec.Log)
-	if got != want {
-		t.Fatalf("unicode round trip: %q vs %q", got, want)
+	if got := decode(t, "plain.egw").Log.Content(); string(got) != string(l.Content()) {
+		t.Fatalf("unicode round trip: %q vs %q", got, l.Content())
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	l := buildLog(t)
-	good := encodeTo(t, l, Options{})
+	good := fixture(t, "plain.egw")
 	cases := map[string][]byte{
 		"empty":        {},
 		"bad magic":    append([]byte("XXXX"), good[4:]...),
@@ -201,37 +181,31 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// Random corruption must never panic.
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		data := append([]byte(nil), good...)
-		for j := 0; j < 1+rng.Intn(4); j++ {
-			data[rng.Intn(len(data))] ^= byte(1 << rng.Intn(8))
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Decode panicked on corrupt input: %v", r)
-				}
+	for _, name := range []string{"plain.egw", "pruned-cached-compressed.egw"} {
+		good := fixture(t, name)
+		for i := 0; i < 200; i++ {
+			data := append([]byte(nil), good...)
+			for j := 0; j < 1+rng.Intn(4); j++ {
+				data[rng.Intn(len(data))] ^= byte(1 << rng.Intn(8))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Decode panicked on corrupt input: %v", r)
+					}
+				}()
+				Decode(data)
 			}()
-			d, err := Decode(data)
-			_ = d
-			_ = err
-		}()
+		}
 	}
 }
 
-func TestEncodePrunedRequiresSet(t *testing.T) {
-	l := buildLog(t)
-	var buf bytes.Buffer
-	if err := Encode(&buf, l, Options{OmitDeletedContent: true}, "", nil); err == nil {
-		t.Fatal("Encode accepted pruned mode without deleted set")
-	}
-}
-
+// TestVarintRoundTrip: the reader reads what binary.AppendUvarint writes.
 func TestVarintRoundTrip(t *testing.T) {
-	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 - 1}
+	vals := []uint64{0, 1, 127, 128, 300, 1 << 20, 1<<63 - 1, 1<<64 - 1}
 	var buf []byte
 	for _, v := range vals {
-		buf = putUvarint(buf, v)
+		buf = binary.AppendUvarint(buf, v)
 	}
 	r := &reader{buf: buf}
 	for _, v := range vals {
@@ -239,15 +213,7 @@ func TestVarintRoundTrip(t *testing.T) {
 			t.Fatalf("uvarint %d -> %d", v, got)
 		}
 	}
-	svals := []int64{0, -1, 1, -64, 63, -1 << 40, 1 << 40}
-	buf = nil
-	for _, v := range svals {
-		buf = putVarint(buf, v)
-	}
-	r = &reader{buf: buf}
-	for _, v := range svals {
-		if got := r.varint(); got != v {
-			t.Fatalf("varint %d -> %d", v, got)
-		}
+	if r.uvarint(); r.err == nil {
+		t.Fatal("read past the end")
 	}
 }

@@ -1,50 +1,19 @@
 package encoding
 
 import (
-	"bytes"
 	"testing"
 
-	"egwalker/internal/causal"
 	"egwalker/internal/core"
-	"egwalker/internal/oplog"
 )
 
 // FuzzDecode: Decode must never panic and, on inputs it accepts, must
 // produce a log that replays without crashing. Run with
 // `go test -fuzz FuzzDecode ./internal/encoding` for deep exploration;
-// plain `go test` exercises the seed corpus.
+// plain `go test` exercises the seed corpus: the EGW1 files the writer
+// left, in all its modes.
 func FuzzDecode(f *testing.F) {
-	// Seed with valid encodings of a small history in all option modes.
-	l := oplog.New()
-	if _, err := l.AddInsert("alice", nil, 0, "hello fuzz"); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := l.AddDelete("alice", []causal.LV{9}, 2, 3); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := l.AddInsert("bob", []causal.LV{9}, 5, "!"); err != nil {
-		f.Fatal(err)
-	}
-	text, err := core.ReplayText(l)
-	if err != nil {
-		f.Fatal(err)
-	}
-	deleted, err := DeletedSet(l)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, opts := range []Options{
-		{},
-		{CacheFinalDoc: true},
-		{Compress: true},
-		{OmitDeletedContent: true},
-		{CacheFinalDoc: true, OmitDeletedContent: true, Compress: true},
-	} {
-		var buf bytes.Buffer
-		if err := Encode(&buf, l, opts, text, deleted); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, name := range []string{"plain.egw", "cached.egw", "compressed.egw", "pruned.egw", "pruned-cached-compressed.egw"} {
+		f.Add(fixture(f, name))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("EGW1"))

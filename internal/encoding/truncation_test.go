@@ -1,28 +1,17 @@
 package encoding
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
-
-	"egwalker/internal/oplog"
 )
 
 // Truncated input must surface io.ErrUnexpectedEOF (so WAL/file reopen
 // paths can treat it as a torn tail and truncate), while structural
 // corruption must not masquerade as truncation.
 func TestDecodeTruncationVsCorruption(t *testing.T) {
-	l := oplog.New()
-	if _, err := l.AddInsert("agent", nil, 0, "hello truncation world"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Encode(&buf, l, Options{CacheFinalDoc: true}, "hello truncation world", nil); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-
+	whole := fixture(t, "cached.egw")
 	for cut := 5; cut < len(whole); cut++ {
 		_, err := Decode(whole[:cut])
 		if err == nil {
@@ -38,15 +27,16 @@ func TestDecodeTruncationVsCorruption(t *testing.T) {
 
 	// Structural corruption: a bad op tag inside an intact file must not
 	// read as truncation. The ops column starts right after the 5-byte
-	// head + event-count varint + its own length varint; its first byte
-	// is the run tag (0 = insert). 0x7f is not a valid tag.
-	mut := append([]byte(nil), whole...)
-	// head(5) + uvarint(n)=1 byte (22 events) + ops column length varint
-	// (1 byte) puts the tag at offset 7.
-	if mut[7] != 0 {
-		t.Fatalf("test layout assumption broken: ops tag byte is %#x, want 0", mut[7])
+	// head, the event-count varint and its own length varint; its first
+	// byte is the run tag (0 = insert). 0x7f is not a valid tag.
+	_, k := binary.Uvarint(whole[5:])
+	_, c := binary.Uvarint(whole[5+k:])
+	at := 5 + k + c
+	if whole[at] != 0 {
+		t.Fatalf("test layout assumption broken: ops tag byte is %#x, want 0", whole[at])
 	}
-	mut[7] = 0x7f
+	mut := append([]byte(nil), whole...)
+	mut[at] = 0x7f
 	_, err := Decode(mut)
 	if err == nil {
 		t.Fatal("corrupt op tag accepted")

@@ -5,24 +5,9 @@ import (
 	"io"
 )
 
-// Variable-length integer encoding (§3.8: "a variable-length binary
+// Variable-length integer decoding (§3.8: "a variable-length binary
 // encoding of integers, which represents small numbers in one byte,
-// larger numbers in two bytes, etc."). Unsigned LEB128, plus zigzag for
-// signed values.
-
-// putUvarint appends v to buf in LEB128.
-func putUvarint(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
-}
-
-// putVarint appends a zigzag-encoded signed value.
-func putVarint(buf []byte, v int64) []byte {
-	return putUvarint(buf, uint64(v<<1)^uint64(v>>63))
-}
+// larger numbers in two bytes, etc."): unsigned LEB128.
 
 // reader consumes varints from a byte slice with error tracking.
 type reader struct {
@@ -74,11 +59,6 @@ func (r *reader) uvarint() uint64 {
 	}
 }
 
-func (r *reader) varint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -93,14 +73,3 @@ func (r *reader) bytes(n int) []byte {
 }
 
 func (r *reader) remaining() int { return len(r.buf) - r.off }
-
-// writeColumn writes a length-prefixed column.
-func writeColumn(w io.Writer, col []byte) error {
-	var hdr []byte
-	hdr = putUvarint(hdr, uint64(len(col)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(col)
-	return err
-}

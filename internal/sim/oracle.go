@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 
@@ -220,8 +221,9 @@ func CheckColencRoundTrip(d *egwalker.Doc) error {
 }
 
 // CheckSaveLoad round-trips d through every persistence mode — the
-// compact columnar default, the legacy format, and the option
-// variants of each.
+// option variants of the columnar format, pruned ones too — and checks
+// that a pruned load still merges: with an edit of its own, it converges
+// with a peer that has one.
 func CheckSaveLoad(d *egwalker.Doc) error {
 	want := d.Text()
 	for _, opts := range []egwalker.SaveOptions{
@@ -229,8 +231,8 @@ func CheckSaveLoad(d *egwalker.Doc) error {
 		{CacheFinalDoc: true},
 		{Compress: true},
 		{CacheFinalDoc: true, Compress: true},
-		{Legacy: true},
-		{Legacy: true, CacheFinalDoc: true},
+		{OmitDeletedContent: true},
+		{OmitDeletedContent: true, Compress: true},
 		{OmitDeletedContent: true, CacheFinalDoc: true},
 	} {
 		var buf bytes.Buffer
@@ -247,6 +249,17 @@ func CheckSaveLoad(d *egwalker.Doc) error {
 		if loaded.NumEvents() != d.NumEvents() {
 			return fmt.Errorf("oracle: save/load %+v changed event count: %d != %d",
 				opts, loaded.NumEvents(), d.NumEvents())
+		}
+		if opts.OmitDeletedContent {
+			// A pruned load still merges: with an edit of its own, it
+			// converges with a peer that has one.
+			peer, err := d.Fork("oracle-peer")
+			if err == nil {
+				err = errors.Join(loaded.Insert(0, "pruned+"), peer.Insert(peer.Len(), "+peer"), peer.Merge(loaded), loaded.Merge(peer))
+			}
+			if err != nil || loaded.Fingerprint() != peer.Fingerprint() {
+				return fmt.Errorf("oracle: a pruned load %+v and a peer, both edited, do not converge (%v)", opts, err)
+			}
 		}
 	}
 	return nil

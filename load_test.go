@@ -2,6 +2,7 @@ package egwalker
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -27,6 +28,9 @@ import (
 // build the same document. The cached text is held to the same rule, from
 // counts made the long way round.
 func refLoad(data []byte, agent string) (*Doc, error) {
+	if colenc.Sniff(data) && len(data) > 4 && data[4]&colenc.FlagPruned != 0 {
+		return refLoadPruned(data, agent)
+	}
 	dec, err := colenc.DecodeRuns(data, math.MaxInt32)
 	if err != nil {
 		return nil, err
@@ -66,18 +70,147 @@ func refLoad(data []byte, agent string) (*Doc, error) {
 	return d, nil
 }
 
+// refLoadPruned is refLoad of a pruned frame: its content column read the
+// long way round — the ops column's inserts counted, the stretches read
+// and the kept characters decoded into runes, a placeholder for each
+// dropped one — and written back unpruned, the frame then loaded as an
+// unpruned one would be, and the dropped characters found among its
+// inserts.
+func refLoadPruned(data []byte, agent string) (*Doc, error) {
+	if len(data) < 9 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	n, k := binary.Uvarint(data[9:])
+	if k <= 0 {
+		return nil, fmt.Errorf("no event count")
+	}
+	var dropped []int // character indexes
+	var unpruneErr error
+	fail := func(err error) {
+		if unpruneErr == nil {
+			unpruneErr = err
+		}
+	}
+	unpruned, err := reframe(data, func(cols [][]byte) {
+		if len(cols) < 4 {
+			fail(fmt.Errorf("%d columns", len(cols)))
+			return
+		}
+		inserts := 0
+		for ops, events := cols[1], uint64(0); events < n; {
+			var run [3]uint64
+			for i := range run {
+				v, k := binary.Uvarint(ops)
+				if k <= 0 {
+					fail(fmt.Errorf("the ops column is cut short"))
+					return
+				}
+				run[i], ops = v, ops[k:]
+			}
+			if run[1] == 0 || run[1] > n-events {
+				fail(fmt.Errorf("an op run of %d", run[1]))
+				return
+			}
+			if run[0] == 0 {
+				inserts += int(run[1])
+			}
+			events += run[1]
+		}
+		col := cols[3]
+		if data[4]&colenc.FlagCompressed != 0 {
+			raw, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(col)), 16<<20))
+			if err != nil || len(raw) >= 16<<20 {
+				fail(fmt.Errorf("inflate: %v", err))
+				return
+			}
+			col = raw
+		}
+		var runes []rune
+		var stretches []int
+		for at := 0; at < inserts; {
+			v, k := binary.Uvarint(col)
+			if k <= 0 || v > uint64(inserts-at) || v == 0 && len(stretches) > 0 {
+				fail(fmt.Errorf("stretch %d of %d at %d", len(stretches), v, at))
+				return
+			}
+			stretches, col, at = append(stretches, int(v)), col[k:], at+int(v)
+		}
+		if !utf8.Valid(col) {
+			fail(fmt.Errorf("kept characters of invalid UTF-8"))
+			return
+		}
+		kept := []rune(string(col))
+		for i, m := range stretches {
+			if i%2 == 0 {
+				if m > len(kept) {
+					fail(fmt.Errorf("%d kept characters short", m-len(kept)))
+					return
+				}
+				runes, kept = append(runes, kept[:m]...), kept[m:]
+				continue
+			}
+			for range m {
+				dropped = append(dropped, len(runes))
+				runes = append(runes, utf8.RuneError)
+			}
+		}
+		if len(kept) > 0 {
+			fail(fmt.Errorf("%d kept characters over", len(kept)))
+		}
+		cols[3] = []byte(string(runes))
+	})
+	if err == nil {
+		err = unpruneErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	unpruned[4] &^= colenc.FlagPruned | colenc.FlagCompressed
+	d, err := refLoad(unpruned, agent)
+	if err != nil || len(dropped) == 0 {
+		return d, err
+	}
+	i := 0 // character index of the next insert
+	d.log.EachOp(causal.Span{End: causal.LV(d.log.Len())}, func(lv causal.LV, op oplog.Op) bool {
+		if op.Kind != oplog.Insert {
+			return true
+		}
+		if len(dropped) > 0 && dropped[0] == i {
+			if k := len(d.pruned); k > 0 && d.pruned[k-1].End == lv {
+				d.pruned[k-1].End++
+			} else {
+				d.pruned = append(d.pruned, causal.Span{Start: lv, End: lv + 1})
+			}
+			dropped = dropped[1:]
+		}
+		i++
+		return true
+	})
+	d.held = causal.LV(d.log.Len())
+	return d, nil
+}
+
 // reframed returns the columnar frame with edit applied to its columns
 // (agents, ops, parents, content and, if the frame has one, doc) and the
 // lengths and checksum redone.
 func reframed(t testing.TB, frame []byte, edit func(cols [][]byte)) []byte {
 	t.Helper()
+	out, err := reframe(frame, edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// reframe is reframed, with an error for a frame it cannot take apart.
+func reframe(frame []byte, edit func(cols [][]byte)) ([]byte, error) {
 	_, k := binary.Uvarint(frame[9:])
 	head, body := frame[:9+k], frame[9+k:]
 	var cols [][]byte
 	for len(body) > 0 {
 		ln, k := binary.Uvarint(body)
 		if k <= 0 || int(ln) > len(body)-k {
-			t.Fatalf("reframed: column %d of the frame is cut short", len(cols))
+			return nil, fmt.Errorf("reframe: column %d of the frame is cut short", len(cols))
 		}
 		cols = append(cols, bytes.Clone(body[k:k+int(ln)]))
 		body = body[k+int(ln):]
@@ -89,7 +222,7 @@ func reframed(t testing.TB, frame []byte, edit func(cols [][]byte)) []byte {
 		out = append(out, col...)
 	}
 	binary.LittleEndian.PutUint32(out[5:9], crc32.Checksum(out[9:], crc32.MakeTable(crc32.Castagnoli)))
-	return out
+	return out, nil
 }
 
 // shortLen is a reader that reports holding less than it does.
@@ -158,18 +291,20 @@ func TestLoadRejectsBadCachedText(t *testing.T) {
 	}
 	// The legacy format ends in its cached text and has no checksum; its
 	// reader checks the text for UTF-8 too (not for length).
-	var legacy bytes.Buffer
-	if err := d.Save(&legacy, SaveOptions{Legacy: true, CacheFinalDoc: true}); err != nil {
+	legacy, err := os.ReadFile("testdata/egw1/cached.egw")
+	if err != nil {
 		t.Fatal(err)
 	}
-	file, ok := bytes.CutSuffix(legacy.Bytes(), []byte("hello"))
-	if !ok {
-		t.Fatalf("the legacy file does not end in its text: %q", legacy.Bytes())
+	text := egw1Text(t)
+	file, ok := bytes.CutSuffix(legacy, []byte(text))
+	if !ok || text[len(text)-1] >= utf8.RuneSelf {
+		t.Fatalf("the legacy file does not end in its text, ASCII last: %q", legacy[max(len(legacy)-20, 0):])
 	}
-	if got, err := Load(bytes.NewReader(append(bytes.Clone(file), "hell\xc3"...)), "r"); err == nil {
+	cut, other := text[:len(text)-1]+"\xc3", text[:len(text)-1]+"\x00"
+	if got, err := Load(bytes.NewReader(append(bytes.Clone(file), cut...)), "r"); err == nil {
 		t.Errorf("a legacy file with a cached text cut inside a character loaded, as %q", got.Text())
 	}
-	if got, err := Load(bytes.NewReader(append(bytes.Clone(file), "jello"...)), "r"); err != nil || got.Text() != "jello" {
+	if got, err := Load(bytes.NewReader(append(bytes.Clone(file), other...)), "r"); err != nil || got.Text() != other {
 		t.Errorf("a legacy file with another cached text: %v, %v", got, err)
 	}
 }
@@ -236,10 +371,61 @@ func loadSeeds(t testing.TB) [][]byte {
 	for _, seed := range twiceNamedSeeds(t) {
 		seeds = append(seeds, seed.data)
 	}
+	seeds = append(seeds, prunedSeeds(t)...)
 	// Two inserts and a delete: texts the history can end in, and cannot.
 	del := colenc.Event{ID: id("a", 2), Parents: []colenc.ID{id("a", 1)}, Pos: 0}
 	for _, text := range []string{"", "b", "ab", "abc", "a\xffb"} {
 		encode(&text, typedBy("a", 0, 2), []colenc.Event{del})
+	}
+	return seeds
+}
+
+// prunedSeeds are pruned files: sound — plain, with the cached text,
+// compressed, and the EGW1 fixtures' history — and broken: cut short, a
+// byte of the stretches flipped, a stretch that overruns the inserts, a
+// kept character short.
+func prunedSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	d := NewDoc("a")
+	if err := d.Insert(0, "héllo wörld"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(6, "!"); err != nil {
+		t.Fatal(err)
+	}
+	save := func(d *Doc, opts SaveOptions) []byte {
+		var buf bytes.Buffer
+		if err := d.Save(&buf, opts); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plain := save(d, SaveOptions{OmitDeletedContent: true})
+	seeds := [][]byte{
+		plain,
+		save(d, SaveOptions{OmitDeletedContent: true, CacheFinalDoc: true}),
+		save(d, SaveOptions{OmitDeletedContent: true, Compress: true}),
+		save(egw1Twin(t), SaveOptions{OmitDeletedContent: true, CacheFinalDoc: true}),
+		plain[:len(plain)-3],
+	}
+	// The content column: stretches 0, 2, 6, 3, 1, then "llo wö!".
+	for _, edit := range []func(col []byte) []byte{
+		func(col []byte) []byte { col[1] ^= 0x04; return col },
+		func(col []byte) []byte { col[3]++; return col },
+		func(col []byte) []byte { return col[:len(col)-1] },
+	} {
+		seeds = append(seeds, reframed(t, plain, func(cols [][]byte) {
+			if string(cols[3]) != "\x00\x02\x06\x03\x01llo wö!" {
+				t.Fatalf("the pruned content column is %q", cols[3])
+			}
+			cols[3] = edit(cols[3])
+		}))
 	}
 	return seeds
 }
@@ -339,12 +525,17 @@ func sameLoaded(t *testing.T, got, want *Doc) {
 	if !reflect.DeepEqual(got.log.Graph.Agents(), want.log.Graph.Agents()) {
 		t.Fatalf("Load numbers the agents %v; reference: %v", got.log.Graph.Agents(), want.log.Graph.Agents())
 	}
-	var gb, wb bytes.Buffer
-	if err := got.Save(&gb, SaveOptions{CacheFinalDoc: true}); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.pruned, want.pruned) || got.held != want.held {
+		t.Fatalf("Load: pruned %v of %d events; reference: %v of %d", got.pruned, got.held, want.pruned, want.held)
 	}
-	if err := want.Save(&wb, SaveOptions{CacheFinalDoc: true}); err != nil {
-		t.Fatal(err)
+	// A pruned document saves only pruned, which replays its history: that
+	// may fail where the cached text spared Load a replay, and must fail
+	// alike.
+	opts := SaveOptions{CacheFinalDoc: true, OmitDeletedContent: len(got.pruned) > 0}
+	var gb, wb bytes.Buffer
+	gerr, werr := got.Save(&gb, opts), want.Save(&wb, opts)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || opts == (SaveOptions{CacheFinalDoc: true}) && gerr != nil {
+		t.Fatalf("Load's document saves with %v; the reference's with %v", gerr, werr)
 	}
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
 		t.Fatalf("Load's document saves as %x; the reference's as %x", gb.Bytes(), wb.Bytes())

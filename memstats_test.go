@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"unicode/utf8"
+
+	"egwalker/internal/causal"
 )
 
 // latticeDoc returns a document of about events events typed by two
@@ -219,11 +221,24 @@ func TestLoadLeavesNoSlack(t *testing.T) {
 	if g.Events != l.Events || g.OpSpans != l.OpSpans || g.GraphEntries != l.GraphEntries {
 		t.Fatalf("loaded %+v, saved %+v", l, g)
 	}
-	// Two parents to an entry at most here, twelve bytes each with the
-	// link; the agent table is small change.
-	need := 24*l.OpSpans + len(loaded.log.Content()) + (24+4)*l.GraphEntries
-	if l.LogBytes < need || l.LogBytes > need+24*l.GraphEntries+need/8 {
-		t.Errorf("loaded history holds %d B; its records need %d and at most %d with every entry storing two parents", l.LogBytes, need, need+24*l.GraphEntries)
+	// A span is 20 bytes, an entry 16 and its slot in its agent's index
+	// 4, a stored parent 8; the characters are the arena and its marks.
+	// The agent table and the frontier are small change: a sixteenth
+	// covers them and the allocator's size classes.
+	parents := 0
+	var buf [4]causal.Ref
+	for it := loaded.log.Graph.EntriesIn(causal.Span{End: causal.LV(l.Events)}); ; {
+		_, _, ps, ok := it.NextRefs(buf[:0])
+		if !ok {
+			break
+		}
+		parents += len(ps)
+	}
+	need := 20*l.OpSpans + l.ContentBytes + (16+4)*l.GraphEntries + 8*parents
+	t.Logf("loaded history holds %d B: %d spans, %d entries storing %d parents, %d B of characters; its records need %d",
+		l.LogBytes, l.OpSpans, l.GraphEntries, parents, l.ContentBytes, need)
+	if l.LogBytes < need || l.LogBytes > need+need/16 {
+		t.Errorf("loaded history holds %d B; its records need %d", l.LogBytes, need)
 	}
 	if l.LogBytes > g.LogBytes {
 		t.Errorf("loaded history holds %d B, more than the %d B of the document that grew by appends", l.LogBytes, g.LogBytes)

@@ -137,3 +137,25 @@ func TestSyncRefusesHelloWithoutSummary(t *testing.T) {
 		t.Fatalf("refused peer was sent a frame of type %#x", typ)
 	}
 }
+
+// TestRecvFrameRefusesPrunedFile: an events frame carrying a pruned file —
+// a whole document, never a batch — is refused, not applied.
+func TestRecvFrameRefusesPrunedFile(t *testing.T) {
+	d := egwalker.NewDoc("p")
+	if err := d.Insert(0, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	var file, wire bytes.Buffer
+	if err := d.Save(&file, egwalker.SaveOptions{OmitDeletedContent: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := frameConn(nil, &wire).SendRaw(file.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := frameConn(wire.Bytes(), nil).RecvFrame(); err == nil || !strings.Contains(err.Error(), "pruned") {
+		t.Fatalf("RecvFrame of a pruned file: %v, %d events", err, len(f.Events))
+	}
+}

@@ -2,40 +2,120 @@ package egwalker
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/colenc"
+	"egwalker/internal/core"
+	"egwalker/internal/oplog"
 )
 
 // RefSave is how Save wrote a columnar file before it had a writer of its
 // own (colenc.SaveDocument), kept as the reference Save must match byte for
 // byte: the log walked as runs, each with its agent and its parents as
 // strings (colenc.LogRuns), through the batch encoder, the text cached as
-// a string. It is exported for the fuzz tests outside the package.
+// a string. A pruned file is that frame with its content column rewritten
+// (refPrune) from a map of the deleted events, one entry each. It is
+// exported for the fuzz tests outside the package.
 func RefSave(d *Doc, opts SaveOptions) ([]byte, error) {
-	runs := colenc.LogRuns(d.log, causal.Span{End: causal.LV(d.log.Len())})
-	co := colenc.Options{Compress: opts.Compress}
-	if opts.CacheFinalDoc {
-		return colenc.EncodeRunsDoc(runs, d.text.String(), co)
+	if !opts.OmitDeletedContent && len(d.pruned) > 0 {
+		return nil, ErrPruned
 	}
-	return colenc.EncodeRuns(runs, co)
+	deleted := map[causal.LV]bool{}
+	if opts.OmitDeletedContent {
+		err := core.ToIDOps(d.log, func(op core.IDOp) {
+			if op.Kind == oplog.Delete && op.Target >= 0 {
+				deleted[causal.LV(op.Target)] = true
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	runs := colenc.LogRuns(d.log, causal.Span{End: causal.LV(d.log.Len())})
+	co := colenc.Options{Compress: opts.Compress && len(deleted) == 0}
+	var data []byte
+	var err error
+	if opts.CacheFinalDoc {
+		data, err = colenc.EncodeRunsDoc(runs, d.text.String(), co)
+	} else {
+		data, err = colenc.EncodeRuns(runs, co)
+	}
+	if err != nil || len(deleted) == 0 {
+		return data, err
+	}
+	return refPrune(d.log, data, deleted, opts.Compress)
 }
 
-// columnarOptions are the four ways Save writes a columnar file.
+// refPrune rewrites the content column of frame, l's whole history
+// unpruned and uncompressed, as the pruned column that leaves out the
+// characters of deleted, compressed if compress is set and the writer
+// would, and sets the flags to match.
+func refPrune(l *oplog.Log, frame []byte, deleted map[causal.LV]bool, compress bool) ([]byte, error) {
+	var lvs []causal.LV // of the inserts, in the order of the content column
+	l.EachOp(causal.Span{End: causal.LV(l.Len())}, func(lv causal.LV, op oplog.Op) bool {
+		if op.Kind == oplog.Insert {
+			lvs = append(lvs, lv)
+		}
+		return true
+	})
+	flags := frame[4] | colenc.FlagPruned
+	var zerr error
+	out, err := reframe(frame, func(cols [][]byte) {
+		chars := []rune(string(cols[3]))
+		var col, kept []byte
+		keep, n := true, 0
+		for i, c := range chars {
+			if k := !deleted[lvs[i]]; k != keep {
+				col = binary.AppendUvarint(col, uint64(n))
+				keep, n = k, 0
+			}
+			n++
+			if keep {
+				kept = utf8.AppendRune(kept, c)
+			}
+		}
+		if len(chars) > 0 {
+			col = binary.AppendUvarint(col, uint64(n))
+		}
+		col = append(col, kept...)
+		if compress && len(col) < 16<<20 {
+			var z bytes.Buffer
+			zw, _ := flate.NewWriter(&z, flate.BestSpeed)
+			zw.Write(col)
+			zerr = zw.Close()
+			col, flags = z.Bytes(), flags|colenc.FlagCompressed
+		}
+		cols[3] = col
+	})
+	if err == nil {
+		err = zerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	out[4] = flags // outside the checksum
+	return out, nil
+}
+
+// columnarOptions are the four ways Save writes an unpruned file.
 var columnarOptions = []SaveOptions{{}, {CacheFinalDoc: true}, {Compress: true}, {CacheFinalDoc: true, Compress: true}}
 
 // SaveMatchesReference fails the test unless Save writes what RefSave
 // writes, or refuses what it refuses, with its error, and writes nothing,
-// in each of the four ways of writing a columnar file. It returns whether
-// the reference refused.
+// in each of the four ways of writing an unpruned file and two of writing
+// a pruned one. It returns whether the reference refused any.
 func SaveMatchesReference(t testing.TB, d *Doc) (refused bool) {
 	t.Helper()
-	for _, opts := range columnarOptions {
+	for _, opts := range append(columnarOptions, SaveOptions{OmitDeletedContent: true},
+		SaveOptions{OmitDeletedContent: true, CacheFinalDoc: true, Compress: true}) {
 		want, wantErr := RefSave(d, opts)
 		var got bytes.Buffer
 		err := d.Save(&got, opts)
@@ -47,7 +127,7 @@ func SaveMatchesReference(t testing.TB, d *Doc) (refused bool) {
 		case !bytes.Equal(got.Bytes(), want):
 			t.Fatalf("%+v: Save wrote %d bytes that differ from the reference's %d", opts, got.Len(), len(want))
 		}
-		refused = wantErr != nil
+		refused = refused || wantErr != nil
 	}
 	return refused
 }

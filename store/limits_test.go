@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,10 +51,7 @@ func TestIngestRefusesWhatNoSnapshotHolds(t *testing.T) {
 			}
 			ds = open()
 			for _, ev := range bad {
-				raw, err := egwalker.MarshalEvents([]egwalker.Event{ev})
-				if err != nil {
-					t.Fatal(err)
-				}
+				raw := legacyBatch(ev)
 				if _, err := ds.IngestBatch(nil, raw); err == nil || !strings.Contains(err.Error(), "2147483647") {
 					t.Errorf("%v, legacy-encoded: %v, want the limit named", ev, err)
 				}
@@ -73,6 +72,38 @@ func TestIngestRefusesWhatNoSnapshotHolds(t *testing.T) {
 				t.Fatalf("reopened with %d events reading %q, quarantined %v (%v); want \"hello\"", re.NumEvents(), re.Text(), q, why)
 			}
 		})
+	}
+}
+
+// legacyBatch is the legacy per-event encoding (egwalker.MarshalEvents) of
+// the one event ev, which has no parents, written byte by byte:
+// MarshalEvents refuses the seqs and positions that the journal must be
+// seen to refuse.
+func legacyBatch(ev egwalker.Event) []byte {
+	b := binary.AppendUvarint(nil, 1) // the agent table: one name
+	b = append(binary.AppendUvarint(b, uint64(len(ev.ID.Agent))), ev.ID.Agent...)
+	b = binary.AppendUvarint(b, 1) // one event: agent index, seq, no parents
+	b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, 0), uint64(ev.ID.Seq)), 0)
+	if !ev.Insert {
+		return binary.AppendUvarint(binary.AppendUvarint(b, 1), uint64(ev.Pos))
+	}
+	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, 0), uint64(ev.Pos)), uint64(ev.Content))
+}
+
+// TestLegacyBatchIsMarshalEvents: for events MarshalEvents writes,
+// legacyBatch writes the same bytes.
+func TestLegacyBatchIsMarshalEvents(t *testing.T) {
+	for _, ev := range []egwalker.Event{
+		{ID: egwalker.EventID{Agent: "q", Seq: 1<<31 - 2}, Insert: true, Pos: 1<<31 - 2, Content: '語'},
+		{ID: egwalker.EventID{Agent: "agent", Seq: 300}, Pos: 1<<31 - 1},
+	} {
+		want, err := egwalker.MarshalEvents([]egwalker.Event{ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := legacyBatch(ev); !bytes.Equal(got, want) {
+			t.Fatalf("%v: % x, MarshalEvents % x", ev, got, want)
+		}
 	}
 }
 
@@ -135,5 +166,40 @@ func TestUnreadableSoleSnapshotIsDamage(t *testing.T) {
 			}
 			re.Close()
 		}
+	}
+}
+
+// TestPrunedFrameNeverEntersTheJournal: a pruned file is a whole document,
+// not a batch. An upload of one is refused before a byte is journaled,
+// and a segment block holding one does not replay.
+func TestPrunedFrameNeverEntersTheJournal(t *testing.T) {
+	d := egwalker.NewDoc("p")
+	if err := d.Insert(0, "hello"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := d.Save(&file, egwalker.SaveOptions{OmitDeletedContent: true}); err != nil {
+		t.Fatal(err)
+	}
+	pruned := file.Bytes()
+	ds := mustOpen(t, t.TempDir(), "doc", Options{})
+	defer ds.Close()
+	if _, err := ds.IngestBatch(nil, pruned); err == nil || !strings.Contains(err.Error(), "pruned") {
+		t.Fatalf("IngestBatch of a pruned file: %v", err)
+	}
+	if ds.NumEvents() != 0 {
+		t.Fatalf("the store took %d events", ds.NumEvents())
+	}
+	block, err := sealBlock(pruned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := append(append(segMagic[:], segVersion), block...)
+	res, err := replaySegmentData(seg)
+	if err != nil || len(res.batches) != 0 || res.tail == nil || !strings.Contains(res.tail.Error(), "pruned") {
+		t.Fatalf("replay of a pruned block: %v, %d batches, tail %v", err, len(res.batches), res.tail)
 	}
 }

@@ -142,7 +142,8 @@ func IntersectSummary(a, b VersionSummary) VersionSummary {
 // itself emitted is covered by the summary-intersected-with-us, which
 // for a well-formed (causally closed) peer summary means the peer has
 // it. A malformed summary can at worst make the receiver buffer
-// events, never corrupt it.
+// events, never corrupt it. Like EventsSince, it returns ErrPruned if the
+// events hold an insert whose character the document's file left out.
 func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -182,6 +183,9 @@ func (d *Doc) EventsSinceSummary(s VersionSummary) ([]Event, error) {
 			}
 			lo = uncEnd
 		}
+	}
+	if d.holdsPruned(missing) {
+		return nil, ErrPruned
 	}
 	return d.eventsIn(missing), nil
 }
