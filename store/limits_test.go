@@ -203,3 +203,38 @@ func TestPrunedFrameNeverEntersTheJournal(t *testing.T) {
 		t.Fatalf("replay of a pruned block: %v, %d batches, tail %v", err, len(res.batches), res.tail)
 	}
 }
+
+// TestSnapshotsKeepDeletedCharacters: a store's snapshots are never
+// pruned, whatever its Save options say: after a compaction and a reopen
+// it still serves every character it was sent. A pruned snapshot would
+// serve placeholders, or ErrPruned, instead.
+func TestSnapshotsKeepDeletedCharacters(t *testing.T) {
+	root := t.TempDir()
+	opts := Options{Save: egwalker.SaveOptions{OmitDeletedContent: true}}
+	ds := mustOpen(t, root, "doc", opts)
+	if err := ds.Insert(0, "hello world"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Delete(0, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ds.Close()
+	re := mustOpen(t, root, "doc", opts)
+	defer re.Close()
+	evs, err := re.EventsSince(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var typed []rune
+	for _, ev := range evs {
+		if ev.Insert {
+			typed = append(typed, ev.Content)
+		}
+	}
+	if string(typed) != "hello world" || re.Text() != "world" {
+		t.Fatalf("reopened, it serves %q typed and reads %q", string(typed), re.Text())
+	}
+}

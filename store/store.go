@@ -43,7 +43,9 @@ type Options struct {
 	// Server's group-commit flusher does).
 	SyncEveryCommit bool
 	// Save controls snapshot encoding. CacheFinalDoc is forced on so
-	// cold opens need no replay of the snapshot itself.
+	// cold opens need no replay of the snapshot itself, and
+	// OmitDeletedContent off: a store serves catch-ups of the whole
+	// history, every character of it.
 	Save egwalker.SaveOptions
 	// FS is the filesystem the document's data files go through (nil:
 	// the real one). Tests and the fault-injecting simulator substitute
@@ -89,7 +91,7 @@ func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	o.Save.CacheFinalDoc = true
+	o.Save.CacheFinalDoc, o.Save.OmitDeletedContent = true, false
 	return o
 }
 
