@@ -497,6 +497,9 @@ func TestEmptiedTrackerKeptBetweenApplies(t *testing.T) {
 	if allocs > 10 && !raceEnabled {
 		t.Errorf("an Apply of a closed bubble took %.2f objects; want at most 10 (the tracker built once)", allocs)
 	}
+	if b := srv.MemStats().RetainedBytes; b == 0 || b > 32<<10 {
+		t.Errorf("the replica keeps %d bytes of emptied tracker; want some, at most 32 KB", b)
+	}
 }
 
 // TestOpenBubbleApplyCostIsPerBlock: what the next 64-event block of an

@@ -92,9 +92,16 @@ type Doc struct {
 // ErrPruned reports that what was asked of a document loaded from a file
 // saved with SaveOptions.OmitDeletedContent needs characters that file
 // left out: events to send that hold one, an unpruned Save, or the text of
-// a version in which one is not deleted yet. A pruned file is trusted to
-// leave out only characters its own history deletes.
+// a version in which one is not deleted yet. Load takes a pruned file at
+// its word that it left out only characters its own history deletes (to
+// check costs a replay); a pruned Save, which replays the history anyway,
+// refuses one that left out a live character with an error of its own:
+// that file lied, nothing this asks for is missing.
 var ErrPruned = errors.New("egwalker: the document was loaded without the deleted characters this needs")
+
+// errLiveLeftOut is a pruned Save's error for a document whose file left
+// out characters no delete of its history removes.
+var errLiveLeftOut = errors.New("egwalker: the file the document was loaded from left out characters its history does not delete")
 
 // NewDoc returns an empty document for a replica identified by agent.
 // Every replica editing the same document must use a distinct agent
@@ -794,6 +801,9 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 		if dropped, err = core.Deleted(d.log); err != nil {
 			return err
 		}
+		if !covers(dropped, d.pruned) {
+			return errLiveLeftOut
+		}
 	} else if len(d.pruned) > 0 {
 		return ErrPruned
 	}
@@ -807,6 +817,20 @@ func (d *Doc) Save(w io.Writer, opts SaveOptions) error {
 	}
 	_, err = w.Write(data)
 	return err
+}
+
+// covers reports whether every LV of sub is in set, both ascending and
+// disjoint.
+func covers(set, sub []causal.Span) bool {
+	for _, sp := range sub {
+		for len(set) > 0 && set[0].End <= sp.Start {
+			set = set[1:]
+		}
+		if len(set) == 0 || set[0].Start > sp.Start || set[0].End < sp.End {
+			return false
+		}
+	}
+	return true
 }
 
 // Load reads a document saved with Save, sniffing the format from the

@@ -50,8 +50,13 @@ type MemStats struct {
 	// TextBytes is the heap the current text holds.
 	TextBytes int
 	// RetainedItems is ReplayStats().RetainedItems: the records of
-	// internal state kept for the next Apply, about 130 bytes each.
+	// internal state kept for the next Apply, about 85 bytes each.
 	RetainedItems int
+	// RetainedBytes is the heap of the internal state kept between Applies,
+	// from its arrays' capacities: the records of a section left open, or
+	// the storage of an emptied one kept for the next section (at most
+	// 32 KB); 0 when the document keeps none.
+	RetainedBytes int
 }
 
 // MemStats reports what the document holds in memory.
@@ -64,5 +69,6 @@ func (d *Doc) MemStats() MemStats {
 		ContentBytes:  d.log.ContentBytes(),
 		TextBytes:     d.text.Bytes(),
 		RetainedItems: d.walker.Stats().RetainedItems,
+		RetainedBytes: d.walker.RetainedBytes(),
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"egwalker/internal/causal"
 	"egwalker/internal/oplog"
@@ -524,5 +526,89 @@ func TestDeepBranchMerge(t *testing.T) {
 	want := strings.Repeat("a", 50) + "0123456789" + strings.Repeat("b", 50)
 	if got != want {
 		t.Fatalf("merge result:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRetainedBytesPerPiece: the state a merge of long offline branches
+// keeps for the next call costs at most 100 bytes a piece: a 32-byte item
+// in a leaf about half full, its 16-byte ID index entry and its share of
+// the 16-byte delete runs; 83.5 here. With 40-byte items, 32-byte delete
+// runs and a buffer of the runs a retreat moves, this history's was 106.
+func TestRetainedBytesPerPiece(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	l := oplog.New()
+	// typeOn adds events of words typed and characters deleted at random
+	// places to the branch at head, of the given length, and returns its
+	// new head and length.
+	typeOn := func(agent string, head causal.Frontier, length, events int) (causal.Frontier, int) {
+		for l0 := l.Len(); l.Len()-l0 < events; {
+			var sp causal.Span
+			if length == 0 || rng.Intn(4) > 0 {
+				sp = mustInsert(t, l, agent, head, rng.Intn(length+1), strings.Repeat("w", 1+rng.Intn(8)))
+				length += sp.Len()
+			} else {
+				pos := rng.Intn(length)
+				sp = mustDelete(t, l, agent, head, pos, 1+rng.Intn(min(3, length-pos)))
+				length -= sp.Len()
+			}
+			head = causal.Frontier{sp.End - 1}
+		}
+		return head, length
+	}
+	base, length := typeOn("base", nil, 0, 2400)
+	from := causal.LV(l.Len())
+	for _, agent := range []string{"a", "b", "c"} {
+		typeOn(agent, base, length, 1200)
+	}
+	var w Walker
+	if err := w.TransformRange(l, from, func(causal.LV, XOp) {}); err != nil {
+		t.Fatal(err)
+	}
+	pieces := w.Stats().RetainedItems
+	if pieces == 0 {
+		t.Fatal("the merge kept no section: three heads are no critical version")
+	}
+	perPiece := float64(w.RetainedBytes()) / float64(pieces)
+	t.Logf("%d pieces kept in %d bytes: %.1f bytes a piece", pieces, w.RetainedBytes(), perPiece)
+	if perPiece > 100 {
+		t.Fatalf("%.1f bytes a retained piece, want at most 100", perPiece)
+	}
+}
+
+// TestDelRunRecordSize: a field added to the record shows here first.
+func TestDelRunRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(delRun{}); got != 16 {
+		t.Fatalf("a delete run is %d bytes, want 16", got)
+	}
+}
+
+// TestConcurrentDeletesPastStateLimit: an item counts up to math.MaxInt16
+// concurrent deletes of its units. A merge that makes one more refuses
+// with an error, in both trackers, where the count would wrap.
+func TestConcurrentDeletesPastStateLimit(t *testing.T) {
+	l := oplog.New()
+	mustInsert(t, l, "base", nil, 0, "x")
+	// The deletes are merged 256 at a time, and the merges at the end, so
+	// that the graph never has more than a few hundred heads.
+	var merges []causal.LV
+	for i := 0; i < math.MaxInt16; i += 256 {
+		var dels []causal.LV
+		for j := i; j < min(i+256, math.MaxInt16); j++ {
+			dels = append(dels, mustDelete(t, l, fmt.Sprintf("d%d", j), []causal.LV{0}, 0, 1).Start)
+		}
+		merges = append(merges, mustInsert(t, l, "m", dels, 0, "y").Start)
+	}
+	merged := mustInsert(t, l, "m", merges, 0, "y").Start
+	for name, replay := range map[string]func(*oplog.Log) (string, error){"Tracker": ReplayText, "unitTracker": ReplayTextUnitRef} {
+		if text, err := replay(l); err != nil || text != strings.Repeat("y", len(merges)+1) {
+			t.Fatalf("%s: %d concurrent deletes of one character replay to %q, %v", name, math.MaxInt16, text, err)
+		}
+	}
+	last := mustDelete(t, l, "past", []causal.LV{0}, 0, 1).Start
+	mustInsert(t, l, "m", []causal.LV{merged, last}, 0, "z")
+	for name, replay := range map[string]func(*oplog.Log) (string, error){"Tracker": ReplayText, "unitTracker": ReplayTextUnitRef} {
+		if text, err := replay(l); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: %d concurrent deletes of one character replay to %q, %v", name, math.MaxInt16+1, text, err)
+		}
 	}
 }

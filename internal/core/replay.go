@@ -59,17 +59,19 @@ type sectionTracker interface {
 	clear() bool
 	ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error
 	items() int
+	bytes() int
 }
 
 // maxRetainedItems is the most pieces a tracker may hold and still be kept
-// for the next call. A piece costs about 130 bytes — a 48-byte item in a
-// leaf half full, its 16-byte index entry, its share of the delete index —
-// so what a document carries between merges stays under about 8 MB, and
-// about what the events of the bubble cost the document itself (typed
-// text makes a piece every five or six events). A bubble that outgrows
-// the budget, some hundred thousand events of typing, is planned from its
-// base on every call, as every bubble was when nothing was kept. It is a
-// constant because no caller knows better.
+// for the next call. A piece costs about 85 bytes — a 32-byte item in a
+// leaf about half full, its 16-byte ID index entry, its share of the
+// 16-byte delete runs (TestRetainedBytesPerPiece) — so what a document
+// carries between merges stays under about 5.5 MB, and about what the
+// events of the bubble cost the document itself (typed text makes a piece
+// every five or six events). A bubble that outgrows the budget, some
+// hundred thousand events of typing, is planned from its base on every
+// call, as every bubble was when nothing was kept. It is a constant
+// because no caller knows better.
 const maxRetainedItems = 1 << 16
 
 // maxKeptBytes is the most storage an emptied tracker may hold — the
@@ -121,6 +123,16 @@ func (w *Walker) Stats() WalkerStats {
 		st.RetainedItems = w.tr.items()
 	}
 	return st
+}
+
+// RetainedBytes returns the storage of the tracker kept for the next call,
+// holding a section or emptied, from its arrays' capacities: 0 when none
+// is kept.
+func (w *Walker) RetainedBytes() int {
+	if w == nil || w.tr == nil {
+		return 0
+	}
+	return w.tr.bytes()
 }
 
 // Drop lets go of the section kept for the next call, if there is one (a

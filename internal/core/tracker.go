@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"unsafe"
@@ -51,26 +52,30 @@ type XOp struct {
 // infinitePlaceholder stands for the unknown document length at a replay
 // base version (the paper's [0, ∞] placeholder). Valid operations never
 // reference indexes at or beyond the real document length, so the excess
-// units are never touched.
-const infinitePlaceholder = 1 << 40
+// units are never touched. It is the most units an item holds, which is
+// past every position (oplog.MaxPos).
+const infinitePlaceholder = math.MaxInt32
 
 // delRun is one entry of the run-length encoded delete-target index (the
-// paper's second B-tree): the delete event at lvs.Start+k deleted the
-// unit with ID target + k*step. step folds together the run's document
-// direction (forward or backspace) and the ID direction of the targeted
-// run (real-run unit IDs ascend in document order, placeholder unit IDs
-// descend).
+// paper's second B-tree): the delete event at start+k, for k below |n|,
+// deleted the unit with ID target + k*step, where step is n's sign. It
+// folds together the run's document direction (forward or backspace) and
+// the ID direction of the targeted run (real-run unit IDs ascend in
+// document order, placeholder unit IDs descend). LVs stay below 2³², and
+// a run is cut before its count passes math.MaxInt32: 16 bytes an entry.
 type delRun struct {
-	lvs    causal.Span
+	start  uint32
+	n      int32
 	target itemtree.ID
-	step   int8
 }
 
-// moveRun is a scratch record for span-wise retreat/advance.
-type moveRun struct {
-	lvs  causal.Span
-	kind oplog.Kind
+// lvs returns the delete events of the run.
+func (d *delRun) lvs() causal.Span {
+	return causal.Span{Start: causal.LV(d.start), End: causal.LV(d.start) + causal.LV(max(d.n, -d.n))}
 }
+
+// step returns the ID distance between the targets of two events in a row.
+func (d *delRun) step() int64 { return int64(d.n>>31 | 1) }
 
 // Tracker is Eg-walker's internal state, seeded at a base version.
 // All events applied to it must be at or after the base version (in the
@@ -79,8 +84,8 @@ type moveRun struct {
 type Tracker struct {
 	log  *oplog.Log
 	tree *itemtree.Tree
-	// delRuns records, run-length encoded and sorted by lvs.Start, the
-	// unit each applied delete event removed. Applies happen in ascending
+	// delRuns records, run-length encoded and sorted by start, the unit
+	// each applied delete event removed. Applies happen in ascending
 	// LV order, so the index grows by appends (often merging into the
 	// last entry).
 	delRuns []delRun
@@ -88,10 +93,8 @@ type Tracker struct {
 	// backing array is reused across moves to keep the hot loop
 	// allocation-free.
 	cur []causal.Ref
-	// parents is scratch for the parents of the entry being applied; runBuf
-	// for shiftSpan's run collection.
+	// parents is scratch for the parents of the entry being applied.
 	parents []causal.Ref
-	runBuf  []moveRun
 	// diffA and diffB are scratch for moveTo's two diff results.
 	diffA, diffB []causal.Span
 	// at is where ApplyRange's walk of the log's runs stopped: the next
@@ -138,11 +141,16 @@ func (t *Tracker) reset(base causal.Frontier, baseUnits int) {
 // is within maxKeptBytes.
 func (t *Tracker) clear() bool {
 	t.tree.Reset()
-	t.delRuns, t.cur, t.parents, t.runBuf = t.delRuns[:0], t.cur[:0], t.parents[:0], t.runBuf[:0]
+	t.delRuns, t.cur, t.parents = t.delRuns[:0], t.cur[:0], t.parents[:0]
 	t.diffA, t.diffB = t.diffA[:0], t.diffB[:0]
-	return t.tree.Bytes()+cap(t.delRuns)*int(unsafe.Sizeof(delRun{}))+cap(t.runBuf)*int(unsafe.Sizeof(moveRun{}))+
-		(cap(t.cur)+cap(t.parents))*int(unsafe.Sizeof(causal.Ref{}))+
-		(cap(t.diffA)+cap(t.diffB))*int(unsafe.Sizeof(causal.Span{})) <= maxKeptBytes
+	return t.bytes() <= maxKeptBytes
+}
+
+// bytes returns the heap the tracker holds, from its arrays' capacities.
+func (t *Tracker) bytes() int {
+	return t.tree.Bytes() + cap(t.delRuns)*int(unsafe.Sizeof(delRun{})) +
+		(cap(t.cur)+cap(t.parents))*int(unsafe.Sizeof(causal.Ref{})) +
+		(cap(t.diffA)+cap(t.diffB))*int(unsafe.Sizeof(causal.Span{}))
 }
 
 // items is the number of pieces the internal state is held in.
@@ -197,13 +205,13 @@ func (t *Tracker) moveTo(parents []causal.Ref) error {
 	// Retreat in reverse topological (descending LV) order so deletes of
 	// a unit retreat before the insertion that created it.
 	for i := len(onlyCur) - 1; i >= 0; i-- {
-		if err := t.shiftSpan(onlyCur[i], -1, true); err != nil {
+		if err := t.shiftSpan(onlyCur[i], -1); err != nil {
 			return fmt.Errorf("retreat %v: %w", onlyCur[i], err)
 		}
 	}
 	// Advance in topological (ascending LV) order.
 	for _, sp := range onlyNew {
-		if err := t.shiftSpan(sp, +1, false); err != nil {
+		if err := t.shiftSpan(sp, +1); err != nil {
 			return fmt.Errorf("advance %v: %w", sp, err)
 		}
 	}
@@ -212,59 +220,40 @@ func (t *Tracker) moveTo(parents []causal.Ref) error {
 }
 
 // shiftSpan retreats (delta = -1) or advances (delta = +1) every event in
-// sp, processing the span's operation runs in descending LV order when
-// reverse is set (retreats) and ascending otherwise (advances).
-func (t *Tracker) shiftSpan(sp causal.Span, delta int32, reverse bool) error {
-	runs := t.runBuf[:0]
-	t.log.EachKindFrom(&t.moved, sp, func(lvs causal.Span, kind oplog.Kind) {
-		runs = append(runs, moveRun{lvs: lvs, kind: kind})
+// sp, taking the span's operation runs in descending LV order for a
+// retreat and ascending for an advance.
+func (t *Tracker) shiftSpan(sp causal.Span, delta int16) (err error) {
+	t.log.EachKindFrom(&t.moved, sp, delta < 0, func(lvs causal.Span, kind oplog.Kind) bool {
+		err = t.shiftRun(lvs, kind, delta)
+		return err == nil
 	})
-	t.runBuf = runs
-	if reverse {
-		for i := len(runs) - 1; i >= 0; i-- {
-			if err := t.shiftRun(runs[i], delta); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, r := range runs {
-		if err := t.shiftRun(r, delta); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // shiftRun state-shifts the units touched by one operation run along the
 // Figure 5 state machine: NYI <-> Ins <-> Del 1 <-> Del 2 <-> ...
-func (t *Tracker) shiftRun(r moveRun, delta int32) error {
-	if r.kind == oplog.Insert {
+func (t *Tracker) shiftRun(lvs causal.Span, kind oplog.Kind, delta int16) error {
+	if kind == oplog.Insert {
 		// An insert run's units have IDs equal to their LVs, ascending in
 		// document order.
-		return t.shiftUnits(itemtree.ID(r.lvs.Start), r.lvs.Len(), delta, itemtree.StateNotInsertedYet, r.lvs.Start)
+		return t.shiftUnits(itemtree.ID(lvs.Start), lvs.Len(), delta, itemtree.StateNotInsertedYet, lvs.Start)
 	}
 	// Delete runs: resolve the targeted unit ranges from the RLE index.
-	i := sort.Search(len(t.delRuns), func(i int) bool { return t.delRuns[i].lvs.End > r.lvs.Start })
-	covered := r.lvs.Start
-	for ; i < len(t.delRuns) && t.delRuns[i].lvs.Start < r.lvs.End; i++ {
+	i := sort.Search(len(t.delRuns), func(i int) bool { return t.delRuns[i].lvs().End > lvs.Start })
+	covered := lvs.Start
+	for ; i < len(t.delRuns) && causal.LV(t.delRuns[i].start) < lvs.End; i++ {
 		dr := &t.delRuns[i]
-		if dr.lvs.Start > covered {
+		drs := dr.lvs()
+		if drs.Start > covered {
 			break // gap: events never applied
 		}
-		s, e := dr.lvs.Start, dr.lvs.End
-		if s < r.lvs.Start {
-			s = r.lvs.Start
-		}
-		if e > r.lvs.End {
-			e = r.lvs.End
-		}
+		s, e := max(drs.Start, lvs.Start), min(drs.End, lvs.End)
 		n := int(e - s)
 		// The chunk's targets form the contiguous ID range from the
-		// target of event s, n steps along dr.step. Convert to the
+		// target of event s, n steps along dr.step(). Convert to the
 		// chunk's first unit in document order.
-		first := dr.target + int64(s-dr.lvs.Start)*int64(dr.step)
-		last := first + int64(n-1)*int64(dr.step)
+		first := dr.target + int64(s-drs.Start)*dr.step()
+		last := first + int64(n-1)*dr.step()
 		lo, hi := first, last
 		if lo > hi {
 			lo, hi = hi, lo
@@ -278,8 +267,8 @@ func (t *Tracker) shiftRun(r moveRun, delta int32) error {
 		}
 		covered = e
 	}
-	if covered < r.lvs.End {
-		return fmt.Errorf("core: delete events [%d,%d) were never applied to this tracker", covered, r.lvs.End)
+	if covered < lvs.End {
+		return fmt.Errorf("core: delete events [%d,%d) were never applied to this tracker", covered, lvs.End)
 	}
 	return nil
 }
@@ -288,30 +277,33 @@ func (t *Tracker) shiftRun(r moveRun, delta int32) error {
 // document order) at the unit with ID id, splitting pieces on demand so
 // only those units are affected. minState guards the state machine; lv
 // names the originating events in error messages.
-func (t *Tracker) shiftUnits(id itemtree.ID, n int, delta, minState int32, lv causal.LV) error {
+func (t *Tracker) shiftUnits(id itemtree.ID, n int, delta, minState int16, lv causal.LV) error {
 	for k := 0; k < n; {
 		c, err := t.tree.CursorFor(itemtree.AdvanceID(id, k))
 		if err != nil {
 			return err
 		}
-		take := c.Item().Len - c.Offset()
-		if take > n-k {
-			take = n - k
-		}
+		take := min(int(c.Item().Len)-c.Offset(), n-k)
 		var stateErr error
 		t.tree.MutateRange(c, take, func(it *itemtree.Item) {
-			next := it.CurState + delta
-			if next < minState {
-				stateErr = fmt.Errorf("core: events at %d shift %d from state %d underflows", lv, delta, it.CurState)
-				return
-			}
-			it.CurState = next
+			stateErr = shiftState(it, delta, minState, lv)
 		})
 		if stateErr != nil {
 			return stateErr
 		}
 		k += take
 	}
+	return nil
+}
+
+// shiftState moves an item delta along the state machine. Below minState
+// is an underflow; past math.MaxInt16, a unit deleted by more concurrent
+// deletes than the record counts, an overflow.
+func shiftState(it *itemtree.Item, delta, minState int16, lv causal.LV) error {
+	if next := int32(it.CurState) + int32(delta); next < int32(minState) || next > math.MaxInt16 {
+		return fmt.Errorf("core: events at %d shift %d from state %d out of range", lv, delta, it.CurState)
+	}
+	it.CurState += delta
 	return nil
 }
 
@@ -333,7 +325,7 @@ func (t *Tracker) applyInsertRun(lvs causal.Span, pos int, text []byte, emitFrom
 		}
 		ic = t.tree.InsertAt(dest, itemtree.Item{
 			ID:          itemtree.ID(lvs.Start),
-			Len:         n,
+			Len:         int32(n),
 			CurState:    itemtree.StateInserted,
 			OriginLeft:  oleft,
 			OriginRight: oright,
@@ -378,7 +370,7 @@ func (t *Tracker) resumeInsertRun(lv causal.LV, oleft itemtree.ID, n int) (itemt
 	if err != nil {
 		return itemtree.Cursor{}, false
 	}
-	if it := c.Item(); c.Offset() != it.Len-1 || it.CurState != itemtree.StateInserted || it.EverDeleted {
+	if it := c.Item(); c.Offset() != int(it.Len)-1 || it.CurState != itemtree.StateInserted || it.EverDeleted {
 		return itemtree.Cursor{}, false
 	}
 	return t.tree.Extend(c, n), true
@@ -401,24 +393,18 @@ func (t *Tracker) applyDeleteRun(lvs causal.Span, pos int, dir int8, emitFrom ca
 		wasDeleted := it.EverDeleted
 		var take int
 		var first itemtree.Cursor // cursor at the chunk's first unit in document order
-		step := int8(1)
+		step := 1
 		if itemtree.IsPlaceholder(it.ID) {
 			step = -1 // placeholder unit IDs descend in document order
 		}
 		if dir < 0 {
 			// Backspace: the event at lv deletes the unit under the
 			// cursor; following events delete the units before it.
-			take = c.Offset() + 1
-			if take > n {
-				take = n
-			}
+			take = min(c.Offset()+1, n)
 			first = c.Rewind(take - 1)
 			step = -step
 		} else {
-			take = it.Len - c.Offset()
-			if take > n {
-				take = n
-			}
+			take = min(int(it.Len)-c.Offset(), n)
 			first = c
 		}
 		firstTarget := c.UnitID() // unit deleted by the event at lv
@@ -426,7 +412,7 @@ func (t *Tracker) applyDeleteRun(lvs causal.Span, pos int, dir int8, emitFrom ca
 			it.CurState++
 			it.EverDeleted = true
 		})
-		t.recordDelRun(causal.Span{Start: lv, End: lv + causal.LV(take)}, firstTarget, step)
+		t.recordDelRun(lv, take, firstTarget, step)
 		if t.onIDOp != nil {
 			id := firstTarget
 			for i := 0; i < take; i++ {
@@ -460,18 +446,19 @@ func (t *Tracker) applyDeleteRun(lvs causal.Span, pos int, dir int8, emitFrom ca
 	return nil
 }
 
-// recordDelRun appends a delete-target chunk to the RLE index, merging
-// with the previous entry when it continues the pattern.
-func (t *Tracker) recordDelRun(lvs causal.Span, target itemtree.ID, step int8) {
+// recordDelRun appends a delete-target chunk, the n events from lv on, to
+// the RLE index, merging with the previous entry when it continues the
+// pattern. A chunk is at most one item, so n fits an int32.
+func (t *Tracker) recordDelRun(lv causal.LV, n int, target itemtree.ID, step int) {
 	if k := len(t.delRuns); k > 0 {
 		last := &t.delRuns[k-1]
-		if last.lvs.End == lvs.Start && last.step == step &&
-			last.target+int64(last.lvs.Len())*int64(step) == target {
-			last.lvs.End = lvs.End
+		if l := last.lvs(); l.End == lv && last.step() == int64(step) &&
+			last.target+int64(l.Len())*int64(step) == target && l.Len()+n <= math.MaxInt32 {
+			last.n += int32(n * step)
 			return
 		}
 	}
-	t.delRuns = append(t.delRuns, delRun{lvs: lvs, target: target, step: step})
+	t.delRuns = append(t.delRuns, delRun{start: uint32(lv), n: int32(n * step), target: target})
 }
 
 // integrate decides where among concurrent insertions the new item goes,
@@ -540,7 +527,7 @@ func integrate(l *oplog.Log, tree *itemtree.Tree, newLV causal.LV, c itemtree.Cu
 				scanning = false
 			}
 		}
-		scanRaw += other.Len
+		scanRaw += int(other.Len)
 		scan.NextItem() // if this hits the end, the Valid check above exits
 	}
 done:

@@ -59,6 +59,9 @@ func (t *unitTracker) clear() bool { return false }
 
 func (t *unitTracker) items() int { return t.tree.Items() }
 
+// bytes counts the tree alone: a map's storage is not in sight.
+func (t *unitTracker) bytes() int { return t.tree.Bytes() }
+
 // ApplyRange replays the events in span (storage order), emitting one
 // transformed operation per event at lv >= emitFrom.
 func (t *unitTracker) ApplyRange(span causal.Span, emitFrom causal.LV, emit func(lv causal.LV, op XOp)) error {
@@ -122,7 +125,7 @@ func (t *unitTracker) moveTo(parents causal.Frontier) error {
 
 // shift applies a retreat (delta = -1) or advance (delta = +1) of the
 // event at lv to the prepare state, one unit at a time (Figure 5).
-func (t *unitTracker) shift(lv causal.LV, delta int32) error {
+func (t *unitTracker) shift(lv causal.LV, delta int16) error {
 	op := t.log.OpAt(lv)
 	var id itemtree.ID
 	if op.Kind == oplog.Insert {
@@ -138,21 +141,14 @@ func (t *unitTracker) shift(lv causal.LV, delta int32) error {
 	if err != nil {
 		return err
 	}
+	minState := itemtree.StateNotInsertedYet
+	if op.Kind == oplog.Delete {
+		// A delete moves between Ins (0) and Del k (>= 1); it can never
+		// make the record NYI.
+		minState = itemtree.StateInserted
+	}
 	var stateErr error
-	t.tree.MutateUnit(c, func(it *itemtree.Item) {
-		next := it.CurState + delta
-		minState := itemtree.StateNotInsertedYet
-		if op.Kind == oplog.Delete {
-			// A delete moves between Ins (0) and Del k (>= 1); it can
-			// never make the record NYI.
-			minState = itemtree.StateInserted
-		}
-		if next < minState {
-			stateErr = fmt.Errorf("core: event %d shift %d from state %d underflows", lv, delta, it.CurState)
-			return
-		}
-		it.CurState = next
-	})
+	t.tree.MutateUnit(c, func(it *itemtree.Item) { stateErr = shiftState(it, delta, minState, lv) })
 	return stateErr
 }
 

@@ -100,7 +100,7 @@ func TestCursorIterationCoversTree(t *testing.T) {
 	c := tr.Start()
 	total := 0
 	for c.Valid() {
-		total += c.Item().Len
+		total += int(c.Item().Len)
 		if !c.NextItem() {
 			break
 		}

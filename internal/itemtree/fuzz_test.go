@@ -53,14 +53,14 @@ func FuzzItemSplit(f *testing.F) {
 					pos = next(&i) % (len(model) + 1)
 				}
 				n := 1 + next(&i)%8
-				state := int32(next(&i)%3) - 1 // NYI, Ins, or Del 1
+				state := int16(next(&i)%3) - 1 // NYI, Ins, or Del 1
 				c, err := tr.FindRaw(pos)
 				if err != nil {
 					t.Fatalf("FindRaw(%d): %v", pos, err)
 				}
 				item := Item{
 					ID:          nextID,
-					Len:         n,
+					Len:         int32(n),
 					CurState:    state,
 					EverDeleted: state > 0,
 					OriginLeft:  OriginStart,
@@ -87,9 +87,9 @@ func FuzzItemSplit(f *testing.F) {
 				if err != nil {
 					t.Fatalf("FindRaw(%d): %v", pos, err)
 				}
-				maxN := c.Item().Len - c.Offset()
+				maxN := int(c.Item().Len) - c.Offset()
 				n := 1 + next(&i)%maxN
-				delta := int32(1)
+				delta := int16(1)
 				if next(&i)%2 == 0 && model[pos].curState > StateNotInsertedYet {
 					delta = -1
 				}
@@ -114,7 +114,7 @@ func FuzzItemSplit(f *testing.F) {
 					t.Fatalf("CursorFor(%d): %v", tail, err)
 				}
 				pos, n := tr.RawPos(c), 1+next(&i)%8
-				if c.Offset() != c.Item().Len-1 {
+				if c.Offset() != int(c.Item().Len)-1 {
 					t.Fatalf("unit %d, the newest, does not end its piece", tail)
 				}
 				if got := tr.Extend(c, n); got.UnitID() != nextID || tr.RawPos(got) != pos+1 {
@@ -166,7 +166,7 @@ func FuzzItemSplit(f *testing.F) {
 		}
 		at := 0
 		tr.Each(func(it Item) bool {
-			for k := 0; k < it.Len; k++ {
+			for k := 0; k < int(it.Len); k++ {
 				u := model[at]
 				if got := AdvanceID(it.ID, k); got != u.id {
 					t.Fatalf("unit %d: tree ID %d, model ID %d", at, got, u.id)

@@ -71,9 +71,9 @@ func AdvanceID(id ID, k int) ID {
 
 // Prepare-version states (s_p in the paper, Figure 5).
 const (
-	StateNotInsertedYet int32 = -1 // insertion retreated
-	StateInserted       int32 = 0  // visible
-	// k >= 1 means deleted by k concurrent deletes.
+	StateNotInsertedYet int16 = -1 // insertion retreated
+	StateInserted       int16 = 0  // visible
+	// k >= 1 means deleted by k concurrent deletes, up to math.MaxInt16.
 )
 
 // Item is one record of the internal state, covering Len >= 1
@@ -84,11 +84,12 @@ const (
 // across an item's units: operations touching part of a run split it
 // first. Only the first unit's CRDT origins are stored — unit u > 0 of a
 // run implicitly has origin-left = unit u-1 and the run's origin-right,
-// which is what splitting materialises.
+// which is what splitting materialises. The record is 32 bytes: a piece
+// is at most math.MaxInt32 units, the base placeholder's length.
 type Item struct {
 	ID          ID
-	Len         int
-	CurState    int32 // s_p: -1 NYI, 0 Ins, k>=1 Del k
+	Len         int32
+	CurState    int16 // s_p: -1 NYI, 0 Ins, k>=1 Del k
 	EverDeleted bool  // s_e: true = Del
 	OriginLeft  ID    // CRDT origin: unit immediately left at insert time
 	OriginRight ID    // CRDT origin: next non-NYI unit at insert time
@@ -107,14 +108,14 @@ func (it *Item) endVisible() bool { return !it.EverDeleted }
 
 func (it *Item) curUnits() int {
 	if it.curVisible() {
-		return it.Len
+		return int(it.Len)
 	}
 	return 0
 }
 
 func (it *Item) endUnits() int {
 	if it.endVisible() {
-		return it.Len
+		return int(it.Len)
 	}
 	return 0
 }
@@ -141,7 +142,7 @@ func (n *node) recompute() {
 	n.raw, n.cur, n.end = 0, 0, 0
 	for i := range n.items {
 		it := &n.items[i]
-		n.raw += it.Len
+		n.raw += int(it.Len)
 		n.cur += it.curUnits()
 		n.end += it.endUnits()
 	}
@@ -246,7 +247,7 @@ func (t *Tree) InitPlaceholder(units int) {
 	}
 	t.InsertAt(t.End(), Item{
 		ID:          PlaceholderID(0),
-		Len:         units,
+		Len:         int32(units),
 		CurState:    StateInserted,
 		OriginLeft:  OriginStart,
 		OriginRight: OriginEnd,
@@ -395,8 +396,8 @@ func (t *Tree) FindInsert(pos int) (Cursor, ID, ID, error) {
 // normalize moves a boundary cursor with off == item.Len to the start of
 // the next item (keeping past-the-end cursors intact).
 func (c *Cursor) normalize() {
-	for c.Valid() && c.off >= c.leaf.items[c.idx].Len {
-		off := c.off - c.leaf.items[c.idx].Len
+	for c.Valid() && c.off >= int(c.leaf.items[c.idx].Len) {
+		off := c.off - int(c.leaf.items[c.idx].Len)
 		if !c.NextItem() {
 			c.off = off
 			return
@@ -441,10 +442,10 @@ func (t *Tree) FindRaw(pos int) (Cursor, error) {
 		}
 	}
 	for i := range n.items {
-		if pos < n.items[i].Len {
+		if pos < int(n.items[i].Len) {
 			return Cursor{leaf: n, idx: i, off: pos}, nil
 		}
-		pos -= n.items[i].Len
+		pos -= int(n.items[i].Len)
 	}
 	panic("itemtree: aggregate/item mismatch in FindRaw")
 }
@@ -496,7 +497,7 @@ func (t *Tree) CursorFor(id ID) (Cursor, error) {
 	start := AdvanceID(id, -off)
 	for j := range e.leaf.items {
 		if it := &e.leaf.items[j]; it.ID == start {
-			if off >= it.Len {
+			if off >= int(it.Len) {
 				return Cursor{}, fmt.Errorf("itemtree: unknown unit ID %d (offset %d beyond piece of len %d)", id, off, it.Len)
 			}
 			return Cursor{leaf: e.leaf, idx: j, off: off}, nil
@@ -526,7 +527,7 @@ func (t *Tree) RawPosOf(id ID) (int, error) {
 func (t *Tree) RawPos(c Cursor) int {
 	pos := c.off
 	for i := 0; i < c.idx; i++ {
-		pos += c.leaf.items[i].Len
+		pos += int(c.leaf.items[i].Len)
 	}
 	raw, _ := prefixBefore(c.leaf)
 	return pos + raw
@@ -568,7 +569,7 @@ func prefixBefore(leaf *node) (raw, end int) {
 // fn must leave the item's ID and Len alone. It returns a cursor to the
 // (possibly new) item covering the range.
 func (t *Tree) MutateRange(c Cursor, n int, fn func(*Item)) Cursor {
-	if n < 1 || c.off+n > c.leaf.items[c.idx].Len {
+	if n < 1 || c.off+n > int(c.leaf.items[c.idx].Len) {
 		panic(fmt.Sprintf("itemtree: MutateRange of %d units at offset %d in piece of len %d",
 			n, c.off, c.leaf.items[c.idx].Len))
 	}
@@ -592,7 +593,7 @@ func (t *Tree) MutateUnit(c Cursor, fn func(*Item)) Cursor {
 func splitTail(it Item, off int) Item {
 	tail := it
 	tail.ID = it.unitID(off)
-	tail.Len = it.Len - off
+	tail.Len = it.Len - int32(off)
 	tail.OriginLeft = it.unitID(off - 1)
 	tail.OriginRight = it.OriginRight
 	return tail
@@ -603,17 +604,17 @@ func splitTail(it Item, off int) Item {
 func (t *Tree) isolate(c Cursor, n int) Cursor {
 	leaf, idx, off := c.leaf, c.idx, c.off
 	it := leaf.items[idx]
-	if off == 0 && n == it.Len {
+	if off == 0 && n == int(it.Len) {
 		return c
 	}
 	if off > 0 {
 		// A head stays behind; the range starts a piece of its own.
-		leaf.items[idx].Len = off
+		leaf.items[idx].Len = int32(off)
 		idx++
 		t.openSlot(leaf, idx, splitTail(it, off))
 	}
-	leaf.items[idx].Len = n
-	if off+n < it.Len {
+	leaf.items[idx].Len = int32(n)
+	if off+n < int(it.Len) {
 		t.openSlot(leaf, idx+1, splitTail(it, off+n))
 	}
 	leaf, idx = t.splitIfFull(leaf, idx)
@@ -645,12 +646,12 @@ func (t *Tree) InsertAt(c Cursor, item Item) Cursor {
 	case c.off > 0:
 		// Split the piece at off, then insert between the halves.
 		old := leaf.items[idx]
-		leaf.items[idx].Len = c.off
+		leaf.items[idx].Len = int32(c.off)
 		idx++
 		t.openSlot(leaf, idx, splitTail(old, c.off))
 	}
 	t.openSlot(leaf, idx, item)
-	leaf.addSizes(item.Len, item.curUnits(), item.endUnits())
+	leaf.addSizes(int(item.Len), item.curUnits(), item.endUnits())
 	leaf, idx = t.splitIfFull(leaf, idx)
 	return Cursor{leaf: leaf, idx: idx}
 }
@@ -660,9 +661,9 @@ func (t *Tree) InsertAt(c Cursor, item Item) Cursor {
 // exist yet. It returns a cursor to the first of them.
 func (t *Tree) Extend(c Cursor, n int) Cursor {
 	it := &c.leaf.items[c.idx]
-	c.off = it.Len
+	c.off = int(it.Len)
 	cur, end := it.curUnits(), it.endUnits()
-	it.Len += n
+	it.Len += int32(n)
 	c.leaf.addSizes(n, it.curUnits()-cur, it.endUnits()-end)
 	return c
 }
@@ -784,7 +785,7 @@ func (t *Tree) Check() error {
 				if it.Len < 1 {
 					return 0, 0, 0, fmt.Errorf("item %d has len %d", it.ID, it.Len)
 				}
-				raw += it.Len
+				raw += int(it.Len)
 				cur += it.curUnits()
 				end += it.endUnits()
 				pieces++

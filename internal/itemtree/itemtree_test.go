@@ -4,7 +4,16 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// TestItemRecordSize: a field added to the record shows here first. It is
+// three IDs, a 32-bit length, a 16-bit state and the effect flag.
+func TestItemRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Item{}); got != 32 {
+		t.Fatalf("an item record is %d bytes, want 32", got)
+	}
+}
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
@@ -169,7 +178,7 @@ func TestOriginRightSkipsNYI(t *testing.T) {
 // model is a flat reference implementation: one entry per unit.
 type modelUnit struct {
 	id          ID
-	curState    int32
+	curState    int16
 	everDeleted bool
 }
 
@@ -320,7 +329,7 @@ func TestDifferentialAgainstModel(t *testing.T) {
 					t.Fatalf("trial %d step %d: CursorFor(%d): %v", trial, step, id, err)
 				}
 				// Random retreat or advance within legal state bounds.
-				delta := int32(1)
+				delta := int16(1)
 				if rng.Intn(2) == 0 {
 					delta = -1
 				}
@@ -500,7 +509,7 @@ func BenchmarkTreeSplitHeavy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr.MutateRange(c, min(2, c.Item().Len-c.Offset()), fn)
+			tr.MutateRange(c, min(2, int(c.Item().Len)-c.Offset()), fn)
 		}
 	}
 }

@@ -190,8 +190,10 @@ func (d *Doc) ApplyRemote(op Op) (Patch, error) {
 			return Patch{}, fmt.Errorf("listcrdt: delete target %d unknown: %w", op.Target, err)
 		}
 		wasDeleted := c.Item().EverDeleted
+		// A replica never retreats, so a deleted record is Del 1 however
+		// many deletes reach it.
 		mc := d.tree.MutateUnit(c, func(it *itemtree.Item) {
-			it.CurState++
+			it.CurState = 1
 			it.EverDeleted = true
 		})
 		d.register(op)
@@ -255,7 +257,7 @@ func (d *Doc) integrate(op Op) (itemtree.Cursor, error) {
 				scanning = false
 			}
 		}
-		scanRaw += other.Len
+		scanRaw += int(other.Len)
 		scan.NextItem()
 	}
 	return dest, nil

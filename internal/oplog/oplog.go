@@ -636,16 +636,21 @@ func (l *Log) EachRunFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, ki
 }
 
 // EachKindFrom is EachRunFrom for a walk that needs only each run's LVs
-// and kind, not its characters: the tracker moving runs of events.
-func (l *Log) EachKindFrom(c *Cursor, sp causal.Span, fn func(lvs causal.Span, kind Kind)) {
+// and kind, not its characters: the tracker moving runs of events. With
+// desc set it yields the runs last first, as a retreat takes them.
+// Iteration stops early if fn returns false.
+func (l *Log) EachKindFrom(c *Cursor, sp causal.Span, desc bool, fn func(lvs causal.Span, kind Kind) bool) {
 	if sp.Len() <= 0 {
 		return
 	}
-	idx := l.seek(c, sp.Start)
-	for ; idx < len(l.spans); idx++ {
-		end := min(l.end(idx), sp.End)
-		fn(causal.Span{Start: max(causal.LV(l.spans[idx].start), sp.Start), End: end}, l.spans[idx].kind)
-		if end == sp.End {
+	first, step := sp.Start, 1
+	if desc {
+		first, step = sp.End-1, -1
+	}
+	idx := l.seek(c, first)
+	for ; idx < len(l.spans); idx += step {
+		lvs := causal.Span{Start: max(causal.LV(l.spans[idx].start), sp.Start), End: min(l.end(idx), sp.End)}
+		if !fn(lvs, l.spans[idx].kind) || desc && lvs.Start == sp.Start || !desc && lvs.End == sp.End {
 			break
 		}
 	}

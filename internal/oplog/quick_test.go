@@ -120,6 +120,64 @@ func TestQuickEachRunCoversAll(t *testing.T) {
 	}
 }
 
+// TestQuickEachKindFromBothWays: through one Cursor carried from walk to
+// walk, EachKindFrom yields EachRun's runs of a random span, first to last
+// or, with desc, last to first, and stops where fn says.
+func TestQuickEachKindFromBothWays(t *testing.T) {
+	type run struct {
+		lvs  causal.Span
+		kind Kind
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		l := New()
+		var frontier []causal.LV
+		for docLen := 0; l.Len() < 200; {
+			var sp causal.Span
+			var err error
+			if docLen == 0 || rng.Intn(3) > 0 {
+				sp, err = l.AddInsert("a", frontier, rng.Intn(docLen+1), "xyz"[:1+rng.Intn(3)])
+				docLen += sp.Len()
+			} else {
+				sp, err = l.AddDelete("a", frontier, rng.Intn(docLen), 1)
+				docLen--
+			}
+			if err != nil {
+				return false
+			}
+			frontier = []causal.LV{sp.End - 1}
+		}
+		var c Cursor
+		for range 20 {
+			lo := rng.Intn(l.Len())
+			sp := causal.Span{Start: causal.LV(lo), End: causal.LV(lo + 1 + rng.Intn(l.Len()-lo))}
+			var want []run
+			l.EachRun(sp, func(lvs causal.Span, kind Kind, _ int, _ int8, _ []byte) bool {
+				want = append(want, run{lvs, kind})
+				return true
+			})
+			desc := rng.Intn(2) == 0
+			if desc {
+				slices.Reverse(want)
+			}
+			stop := 1 + rng.Intn(len(want)+1)
+			var got []run
+			l.EachKindFrom(&c, sp, desc, func(lvs causal.Span, kind Kind) bool {
+				got = append(got, run{lvs, kind})
+				return len(got) < stop
+			})
+			if !slices.Equal(got, want[:min(stop, len(want))]) {
+				t.Logf("span %v, desc %v, stop %d: got %v, want %v", sp, desc, stop, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestQuickAddRunMatchesPerOp: a random op sequence, rich in runs that
 // change direction and runs that continue across an author change, cut
 // into runs at random and appended with AddRun or AddRunNum, builds

@@ -145,3 +145,51 @@ func mustFork(t *testing.T, d *Doc, agent string) *Doc {
 	}
 	return f
 }
+
+// TestPrunedSaveRefusesLiveCharactersLeftOut: a pruned file whose content
+// column marks a character that no delete removes as left out loads, as
+// every pruned file is taken at its word; a pruned Save of the document
+// finds the lie, since it works out again what is deleted, and refuses
+// with an error that is not ErrPruned, rather than write the placeholder
+// as the character.
+func TestPrunedSaveRefusesLiveCharactersLeftOut(t *testing.T) {
+	d := NewDoc("a")
+	for _, step := range []error{d.Insert(0, "héllo wörld"), d.Delete(8, 3), d.Delete(0, 2), d.Insert(6, "!")} {
+		if step != nil {
+			t.Fatal(step)
+		}
+	}
+	var file bytes.Buffer
+	if err := d.Save(&file, SaveOptions{OmitDeletedContent: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Kept 0, left out 2 ("hé"), kept 6, left out 3 ("rld"), kept 1: the
+	// lie leaves out the live "l" after "hé" as well.
+	lie := reframed(t, file.Bytes(), func(cols [][]byte) {
+		if string(cols[3]) != "\x00\x02\x06\x03\x01llo wö!" {
+			t.Fatalf("the pruned content column is %q", cols[3])
+		}
+		cols[3] = []byte("\x00\x03\x05\x03\x01lo wö!")
+	})
+	loaded, err := Load(bytes.NewReader(lie), "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "�lo wö!"; loaded.Text() != want {
+		t.Fatalf("the lying file loads as %q, want %q", loaded.Text(), want)
+	}
+	err = loaded.Save(new(bytes.Buffer), SaveOptions{OmitDeletedContent: true})
+	if err == nil || errors.Is(err, ErrPruned) {
+		t.Fatalf("a pruned Save of the lying file returned %v; want an error that is not ErrPruned", err)
+	}
+	SaveMatchesReference(t, loaded)
+	// The sound file saves pruned again, to the same bytes.
+	sound, err := Load(bytes.NewReader(file.Bytes()), "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := sound.Save(&again, SaveOptions{OmitDeletedContent: true}); err != nil || !bytes.Equal(again.Bytes(), file.Bytes()) {
+		t.Fatalf("a pruned Save of the sound file: %v, same bytes %v", err, bytes.Equal(again.Bytes(), file.Bytes()))
+	}
+}

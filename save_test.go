@@ -38,6 +38,13 @@ func RefSave(d *Doc, opts SaveOptions) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, sp := range d.pruned {
+			for lv := sp.Start; lv < sp.End; lv++ {
+				if !deleted[lv] {
+					return nil, errLiveLeftOut
+				}
+			}
+		}
 	}
 	runs := colenc.LogRuns(d.log, causal.Span{End: causal.LV(d.log.Len())})
 	co := colenc.Options{Compress: opts.Compress && len(deleted) == 0}
