@@ -122,13 +122,13 @@ func resealed(data []byte) []byte {
 	return out
 }
 
-// FuzzSegmentReplay: replaySegment must never panic on arbitrary
-// bytes, must accept what it reports as valid (applying the recovered
-// batches to a fresh doc), and truncating a segment at its reported
-// validLen must replay to the same state (the torn-tail repair is a
-// fixed point). With the checksums redone, every batch replay accepts
-// must encode again through encodeBlocks, in its block's encoding, into
-// blocks that replay as the same events.
+// FuzzSegmentReplay: replayBlocks must never panic on arbitrary bytes,
+// must accept what it reports as valid (applying each block's events to a
+// fresh doc as it walks), and truncating a segment at its reported
+// validLen must replay to the same state (the torn-tail repair is a fixed
+// point). With the checksums redone, every batch replay accepts must
+// encode again through encodeBlocks, in its block's encoding, into blocks
+// that replay as the same events.
 func FuzzSegmentReplay(f *testing.F) {
 	good := validSegment(f)
 	f.Add(good)
@@ -140,25 +140,29 @@ func FuzzSegmentReplay(f *testing.F) {
 		f.Add(seed)
 	}
 
-	replayTo := func(t *testing.T, path string) (string, int64, bool) {
-		res, err := replaySegment(OSFS{}, path)
+	replayTo := func(t *testing.T, path string) (string, *blockWalk, bool) {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return "", 0, false
+			t.Fatal(err)
 		}
 		doc := egwalker.NewDoc("fuzz")
-		for _, evs := range res.batches {
-			if _, err := doc.Apply(evs); err != nil {
-				// Checksummed but structurally hostile events (e.g.
-				// positions out of range) are rejected by Apply; that is
-				// the correct outcome, not a replay.
-				return "", 0, false
-			}
+		refused := false
+		w, err := replayBlocks(data, func(evs []egwalker.Event) error {
+			_, err := doc.Apply(evs)
+			refused = err != nil
+			return err
+		})
+		if err != nil || refused {
+			// Checksummed but structurally hostile events (e.g.
+			// positions out of range) are rejected by Apply; that is
+			// the correct outcome, not a replay.
+			return "", nil, false
 		}
-		return doc.Text(), res.validLen, true
+		return doc.Text(), w, true
 	}
 
 	reencodes := func(t *testing.T, data []byte) {
-		res, err := replaySegmentData(data)
+		batches, _, err := replayed(data)
 		if err != nil {
 			return
 		}
@@ -167,19 +171,19 @@ func FuzzSegmentReplay(f *testing.F) {
 			compact = append(compact, colenc.Sniff(payload))
 			return nil
 		})
-		for i, evs := range res.batches {
+		for i, evs := range batches {
 			blocks, err := encodeBlocks(evs, compact[i])
 			if err != nil {
 				t.Fatalf("replay accepted %d events the writer refuses: %v", len(evs), err)
 			}
-			again, err := replaySegmentData(slices.Concat(data[:segHeaderLen], bytes.Join(blocks, nil)))
+			again, w, err := replayed(slices.Concat(data[:segHeaderLen], bytes.Join(blocks, nil)))
 			if err != nil {
 				t.Fatalf("blocks written from accepted events are not a segment: %v", err)
 			}
-			if again.tail != nil {
-				t.Fatalf("blocks written from accepted events do not replay: %v", again.tail)
+			if w.tail != nil {
+				t.Fatalf("blocks written from accepted events do not replay: %v", w.tail)
 			}
-			back := slices.Concat(again.batches...)
+			back := slices.Concat(again...)
 			if len(back) != len(evs) || len(evs) > 0 && !reflect.DeepEqual(back, evs) {
 				t.Fatalf("%d events replay as %d different ones", len(evs), len(back))
 			}
@@ -193,38 +197,32 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Skip()
 		}
-		text, validLen, ok := replayTo(t, path)
+		text, w, ok := replayTo(t, path)
 		if !ok {
 			return
 		}
-		if validLen > int64(len(data)) {
-			t.Fatalf("validLen %d > file size %d", validLen, len(data))
+		if w.validLen > int64(len(data)) {
+			t.Fatalf("validLen %d > file size %d", w.validLen, len(data))
 		}
-		if validLen < segHeaderLen {
+		if w.validLen < segHeaderLen {
 			// Segment torn inside its header: recovery recreates it
 			// rather than truncating; nothing further to check here.
 			return
 		}
 		// Repair fixed point: truncating to validLen must replay to the
 		// identical state with no remaining tail error.
-		if err := os.Truncate(path, validLen); err != nil {
+		if err := os.Truncate(path, w.validLen); err != nil {
 			t.Fatal(err)
 		}
-		res2, err := replaySegment(OSFS{}, path)
-		if err != nil {
-			t.Fatalf("replay after truncation to validLen failed: %v", err)
+		again, w2, ok := replayTo(t, path)
+		if !ok {
+			t.Fatal("truncated replay rejected what the full replay accepted")
 		}
-		if res2.tail != nil {
-			t.Fatalf("tail error survived truncation to validLen: %v", res2.tail)
+		if w2.tail != nil {
+			t.Fatalf("tail error survived truncation to validLen: %v", w2.tail)
 		}
-		doc := egwalker.NewDoc("fuzz")
-		for _, evs := range res2.batches {
-			if _, err := doc.Apply(evs); err != nil {
-				t.Fatalf("truncated replay rejected events the full replay accepted: %v", err)
-			}
-		}
-		if doc.Text() != text {
-			t.Fatalf("truncated replay text %q != original %q", doc.Text(), text)
+		if again != text {
+			t.Fatalf("truncated replay text %q != original %q", again, text)
 		}
 	})
 }

@@ -198,9 +198,9 @@ func TestPrunedFrameNeverEntersTheJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := append(append(segMagic[:], segVersion), block...)
-	res, err := replaySegmentData(seg)
-	if err != nil || len(res.batches) != 0 || res.tail == nil || !strings.Contains(res.tail.Error(), "pruned") {
-		t.Fatalf("replay of a pruned block: %v, %d batches, tail %v", err, len(res.batches), res.tail)
+	batches, w, err := replayed(seg)
+	if err != nil || len(batches) != 0 || w.tail == nil || !strings.Contains(w.tail.Error(), "pruned") {
+		t.Fatalf("replay of a pruned block: %v, %d batches, tail %v", err, len(batches), w.tail)
 	}
 }
 

@@ -278,7 +278,7 @@ func (s *DocStore) quarantineLocked(reason error) {
 		if err != nil {
 			snaps, segs = nil, nil
 		}
-		doc, _, info := salvageDoc(s.fs, s.dir, s.agent, snaps, segs)
+		doc, _, info := s.salvageDoc(snaps, segs)
 		s.doc = doc
 		s.known = nil
 		s.persisted = doc.Version()
@@ -308,7 +308,7 @@ func (s *DocStore) recoverQuarantined(reason error) error {
 	if err != nil {
 		return err
 	}
-	doc, snapSeq, info := salvageDoc(s.fs, s.dir, s.agent, snaps, segs)
+	doc, snapSeq, info := s.salvageDoc(snaps, segs)
 	s.doc = doc
 	s.snapSeq = snapSeq
 	s.recovery.SnapshotSeq = snapSeq
@@ -336,48 +336,40 @@ func (s *DocStore) recoverQuarantined(reason error) error {
 // of stopping at it. Events whose causal parents fell in a damaged
 // region stay buffered as pending (a repair diff may admit them); the
 // returned document serves the longest causally-closed prefix.
-func salvageDoc(fsys FS, dir, agent string, snaps, segs []uint64) (*egwalker.Doc, uint64, SalvageInfo) {
+func (s *DocStore) salvageDoc(snaps, segs []uint64) (*egwalker.Doc, uint64, SalvageInfo) {
 	var info SalvageInfo
 	var doc *egwalker.Doc
-	snapSeq := uint64(0)
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := fsys.ReadFile(filepath.Join(dir, snapName(snaps[i])))
-		if err == nil {
-			d, lerr := egwalker.Load(bytes.NewReader(data), agent)
-			if lerr == nil {
-				doc, snapSeq = d, snaps[i]
-				break
-			}
-		}
-		info.SkippedSnapshots++
-	}
+	snapSeq, skipped, _ := s.chooseSnapshot(snaps, func(data []byte) (err error) {
+		doc, err = egwalker.Load(bytes.NewReader(data), s.agent)
+		return err
+	})
+	info.SkippedSnapshots = skipped
 	if doc == nil {
-		doc = egwalker.NewDoc(agent)
+		doc = egwalker.NewDoc(s.agent)
 	}
 	for _, seq := range segs {
 		if seq < snapSeq {
 			continue
 		}
-		data, err := fsys.ReadFile(filepath.Join(dir, segName(seq)))
+		data, err := s.fs.ReadFile(filepath.Join(s.dir, segName(seq)))
 		if err != nil {
 			info.CorruptBlocks++
 			continue
 		}
-		res, err := replaySegmentData(data)
-		if err != nil {
+		w, err := replayBlocks(data, func(evs []egwalker.Event) error {
+			if _, err := doc.Apply(evs); err != nil {
+				info.DroppedEvents += len(evs)
+			}
+			return nil
+		})
+		switch {
+		case err != nil:
 			// Not recognizably a segment (mangled header): skip it whole.
 			info.CorruptBlocks++
 			info.LostBytes += int64(len(data))
-			continue
-		}
-		for _, evs := range res.batches {
-			if _, aerr := doc.Apply(evs); aerr != nil {
-				info.DroppedEvents += len(evs)
-			}
-		}
-		if res.tail != nil {
+		case w.tail != nil:
 			info.CorruptBlocks++
-			info.LostBytes += int64(len(data)) - res.validLen
+			info.LostBytes += int64(len(data)) - w.validLen
 		}
 	}
 	info.DroppedEvents += doc.PendingEvents()
@@ -467,18 +459,7 @@ func (s *DocStore) rebuildLocked() error {
 		}
 	}()
 
-	snapPath := filepath.Join(tmpDir, snapName(1))
-	f, err := s.fs.OpenFile(snapPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	err = s.doc.Save(f, s.opts.Save)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	size, err := s.writeSnapshot(filepath.Join(tmpDir, snapName(1)))
 	if err != nil {
 		return err
 	}
@@ -533,6 +514,6 @@ func (s *DocStore) rebuildLocked() error {
 	s.recovery = RecoveryInfo{SnapshotSeq: 1}
 	s.werr = nil
 	s.qerr = nil
-	s.blockServable = snapshotServable(s.fs, filepath.Join(s.dir, snapName(1)))
+	s.blockServable = size <= maxBlockPayload
 	return nil
 }

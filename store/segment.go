@@ -14,11 +14,11 @@
 //     older snapshots are deleted.
 //
 // Crash recovery loads the newest loadable snapshot and replays every
-// surviving WAL segment at or after it. A torn tail — a partial frame
-// left by a crash mid-append — is detected (checksum mismatch or a
-// block cut short, surfacing io.ErrUnexpectedEOF) and truncated away;
-// replay is idempotent because Doc.Apply drops duplicate events, so a
-// snapshot taken mid-segment simply re-skips what it already contains.
+// WAL segment at or after it, each block as it is walked; a hole in
+// those segments' numbers is damage. A torn tail — a partial frame left
+// by a crash mid-append — is detected (checksum mismatch or a block cut
+// short, surfacing io.ErrUnexpectedEOF) and truncated away; replay is
+// idempotent because Doc.Apply drops duplicate events.
 //
 // DocStore is one durable document; Server (server.go) hosts many
 // behind string document IDs with an LRU of materialized docs, batched
@@ -133,74 +133,28 @@ func writeSegmentHeader(f File) error {
 	return err
 }
 
-// replayResult is what scanning one segment yields.
-type replayResult struct {
-	batches [][]egwalker.Event
-	// validLen is the byte offset after the last cleanly parsed block;
-	// everything beyond it failed to parse.
-	validLen int64
-	// tail is non-nil when parsing stopped before the end of the file:
-	// the reason the remaining bytes are unusable. A torn tail (crash
-	// mid-append) surfaces io.ErrUnexpectedEOF or errCorruptBlock here.
-	tail error
-}
-
-// replaySegment scans a segment file's blocks. It returns an error only
-// for damage that truncation cannot repair (unreadable file, bad magic);
-// per-block damage is reported via replayResult.tail so the caller can
-// decide whether truncating is appropriate.
-func replaySegment(fs FS, path string) (*replayResult, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return replaySegmentData(data)
-}
-
-// replaySegmentData is replaySegment over an already-read byte image. A
-// checksummed payload that does not decode ends the replay as envelope
-// damage does, through tail.
-func replaySegmentData(data []byte) (*replayResult, error) {
-	var batches [][]egwalker.Event
-	w, err := walkSegmentBlocks(data, func(payload []byte) error {
-		evs, err := egwalker.UnmarshalEventsAuto(payload)
-		if err != nil {
-			return fmt.Errorf("store: block does not decode: %w", err)
-		}
-		batches = append(batches, evs)
-		return nil
-	})
-	if w == nil {
-		return nil, err
-	}
-	res := &replayResult{batches: batches, validLen: w.validLen, tail: w.tail}
-	if err != nil {
-		res.tail = err
-	}
-	return res, nil
-}
-
-// blockWalk is what walking a segment's raw blocks yields — the
-// payload-level mirror of replayResult.
+// blockWalk is what walking a segment's blocks yields.
 type blockWalk struct {
 	// validLen is the byte offset after the last cleanly parsed block.
 	validLen int64
 	// tail is non-nil when the walk stopped before the end of the data:
-	// the reason the remaining bytes are unusable (same torn-tail
-	// classification as replaySegment).
+	// the reason the remaining bytes are unusable. A torn tail (crash
+	// mid-append) surfaces io.ErrUnexpectedEOF or errCorruptBlock here
+	// (tornTail).
 	tail error
 }
 
 // walkSegmentBlocks walks a segment byte image's block envelopes,
 // verifying each checksum and handing fn the raw payload — the exact
-// batch bytes a writer journaled, without decoding them. Replay decodes
-// each payload it is handed; block-serving and journal-only recovery
-// read WAL segments through it without materializing anything. The
-// payload slice aliases data and is only valid during the call. The
-// walk is nil only when data is not a segment at all. A non-nil error
-// from fn stops the walk and is returned verbatim, with validLen at the
-// start of the block fn refused; envelope damage is reported via
-// blockWalk.tail instead, so callers share replay's torn-tail policy.
+// batch bytes a writer journaled, without decoding them. Block-serving,
+// journal-only recovery and the scrubber read WAL segments through it
+// without materializing anything; replayBlocks decodes each payload it
+// is handed. The payload slice aliases data and is only valid during the
+// call. The walk is nil, with an error, only when data is not a segment
+// at all. Anything else that stops it — envelope damage, or a non-nil
+// error from fn, with validLen at the start of the block fn refused — is
+// reported through blockWalk.tail, so every reader shares one torn-tail
+// policy.
 func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, error) {
 	if len(data) < segHeaderLen {
 		// Crashing between file creation and header write leaves a short
@@ -252,7 +206,8 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 			return w, nil
 		}
 		if err := fn(payload); err != nil {
-			return w, err
+			w.tail = err
+			return w, nil
 		}
 		off = blockEnd
 		w.validLen = int64(off)
@@ -260,7 +215,21 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 	return w, nil
 }
 
-// tornTail reports whether a replay stopped for damage of the kind a
+// replayBlocks walks a segment image and hands apply each block's events
+// as the block is walked, so one block is decoded at a time. A block that
+// does not decode, or that apply refuses, ends the walk through its tail,
+// as envelope damage does.
+func replayBlocks(data []byte, apply func([]egwalker.Event) error) (*blockWalk, error) {
+	return walkSegmentBlocks(data, func(payload []byte) error {
+		evs, err := egwalker.UnmarshalEventsAuto(payload)
+		if err != nil {
+			return fmt.Errorf("store: block does not decode: %w", err)
+		}
+		return apply(evs)
+	})
+}
+
+// tornTail reports whether a walk stopped for damage of the kind a
 // crash mid-append (or tail bit rot) produces — a block cut short, a
 // checksum mismatch, a mangled length prefix — which is safe to repair
 // by truncating the *last* segment to validLen. A structurally

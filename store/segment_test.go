@@ -11,7 +11,18 @@ import (
 	"egwalker"
 )
 
-// TestReplayDamageVerdicts holds replaySegmentData to what the reader it
+// replayed walks a segment image through replayBlocks and returns the
+// batches it handed over, in order.
+func replayed(data []byte) ([][]egwalker.Event, *blockWalk, error) {
+	var batches [][]egwalker.Event
+	w, err := replayBlocks(data, func(evs []egwalker.Event) error {
+		batches = append(batches, evs)
+		return nil
+	})
+	return batches, w, err
+}
+
+// TestReplayDamageVerdicts holds replayBlocks to what the reader it
 // replaced (a stream reader of one block at a time, decoding as it went)
 // gave for each kind of damage: the same batches, the same validLen and
 // the same torn-tail verdict. The wants were recorded from that reader.
@@ -31,7 +42,7 @@ func TestReplayDamageVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := [][]egwalker.Event{first, second}
+	want := [][]egwalker.Event{first, second}
 	legacy, err := egwalker.MarshalEvents(first)
 	if err != nil {
 		t.Fatal(err)
@@ -88,26 +99,26 @@ func TestReplayDamageVerdicts(t *testing.T) {
 		{name: "columnar payload with a damaged frame", data: seg(b0, seal(damagedFrame), b1), batches: 1, validLen: 56, undecodable: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := replaySegmentData(c.data)
+			batches, w, err := replayed(c.data)
 			if c.notSegment {
 				if err == nil {
-					t.Fatalf("replayed a file that is not a segment: %+v", res)
+					t.Fatalf("replayed a file that is not a segment: %v", batches)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatalf("replay error %v, want the damage in tail", err)
 			}
-			if len(res.batches) != c.batches || c.batches > 0 && !reflect.DeepEqual(res.batches, batches[:c.batches]) {
-				t.Errorf("%d batches %v, want the first %d", len(res.batches), res.batches, c.batches)
+			if len(batches) != c.batches || c.batches > 0 && !reflect.DeepEqual(batches, want[:c.batches]) {
+				t.Errorf("%d batches %v, want the first %d", len(batches), batches, c.batches)
 			}
-			if res.validLen != c.validLen {
-				t.Errorf("validLen %d, want %d", res.validLen, c.validLen)
+			if w.validLen != c.validLen {
+				t.Errorf("validLen %d, want %d", w.validLen, c.validLen)
 			}
-			if tornTail(res.tail) != c.torn {
-				t.Errorf("tornTail(%v) = %v, want %v", res.tail, !c.torn, c.torn)
+			if tornTail(w.tail) != c.torn {
+				t.Errorf("tornTail(%v) = %v, want %v", w.tail, !c.torn, c.torn)
 			}
-			if c.undecodable && res.tail == nil {
+			if c.undecodable && w.tail == nil {
 				t.Error("an undecodable payload left no tail")
 			}
 		})
@@ -117,18 +128,18 @@ func TestReplayDamageVerdicts(t *testing.T) {
 	// anywhere in it is caught.
 	whole := seg(b0)
 	for cut := segHeaderLen + 1; cut < len(whole); cut++ {
-		res, err := replaySegmentData(whole[:cut])
-		if err != nil || len(res.batches) != 0 || res.validLen != segHeaderLen || !errors.Is(res.tail, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d: %v, %d batches, validLen %d, tail %v; want a torn block", cut, err, len(res.batches), res.validLen, res.tail)
+		batches, w, err := replayed(whole[:cut])
+		if err != nil || len(batches) != 0 || w.validLen != segHeaderLen || !errors.Is(w.tail, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d: %v, %d batches, validLen %d, tail %v; want a torn block", cut, err, len(batches), w.validLen, w.tail)
 		}
 	}
 	for at := segHeaderLen; at < len(whole); at++ {
 		for bit := range 8 {
 			flipped := slices.Clone(whole)
 			flipped[at] ^= 1 << bit
-			res, err := replaySegmentData(flipped)
-			if err == nil && res.tail == nil {
-				t.Fatalf("bit %d of byte %d flipped: replays as %v", bit, at, res.batches)
+			batches, w, err := replayed(flipped)
+			if err == nil && w.tail == nil {
+				t.Fatalf("bit %d of byte %d flipped: replays as %v", bit, at, batches)
 			}
 		}
 	}

@@ -95,7 +95,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// RecoveryInfo reports what Open had to do to bring a document back.
+// RecoveryInfo reports what opening a document had to do to bring it
+// back. Open and OpenLazy read the directory in the same pass, so they
+// report the same for the same directory.
 type RecoveryInfo struct {
 	// SnapshotSeq is the segment seq of the snapshot loaded (0: none,
 	// recovery started from an empty document).
@@ -103,7 +105,8 @@ type RecoveryInfo struct {
 	// SkippedSnapshots counts newer snapshots that were unreadable or
 	// corrupt and were passed over for an older one.
 	SkippedSnapshots int
-	// SegmentsReplayed and EventsReplayed measure the WAL tail replay.
+	// SegmentsReplayed and EventsReplayed measure the WAL tail replay:
+	// the live segments walked and the events new to the document in them.
 	SegmentsReplayed int
 	EventsReplayed   int
 	// TruncatedBytes is how much torn tail was cut from the final
@@ -184,13 +187,13 @@ func Open(root, docID, agent string, opts Options) (*DocStore, error) {
 	return open(root, docID, agent, opts, false)
 }
 
-// OpenLazy opens (or creates) the document journal-only when it can:
-// instead of decoding the history into an egwalker.Doc, recovery scans
-// the snapshot's and WAL blocks' ID runs and causal references — a
-// fraction of the work and near-zero resident memory per document.
-// Anything the scan cannot vouch for (a legacy-format snapshot, a
-// causal gap, damage beyond a torn tail) falls back to the
-// materialized recovery Open performs. The document materializes
+// OpenLazy opens (or creates) the document journal-only: instead of
+// decoding the history into an egwalker.Doc, recovery scans the
+// snapshot's and WAL blocks' ID runs and causal references — a fraction
+// of the work and near-zero resident memory per document. It is Open's
+// recovery pass, with the same fallback past unreadable snapshots and the
+// same verdict on damage; only a legacy EGW1 snapshot, which the scan
+// cannot read, makes it materialize. Otherwise the document materializes
 // lazily on first use of a method that needs it.
 func OpenLazy(root, docID, agent string, opts Options) (*DocStore, error) {
 	return open(root, docID, agent, opts, true)
@@ -206,36 +209,18 @@ func open(root, docID, agent string, opts Options, lazy bool) (*DocStore, error)
 	if err != nil {
 		return nil, err
 	}
-	opened := false
-	defer func() {
-		if !opened {
-			unlockDir(lock)
-		}
-	}()
 	s := &DocStore{root: root, dir: dir, docID: docID, agent: agent, opts: opts, fs: opts.FS, lock: lock}
-	if lazy {
-		if err := s.recoverJournal(); err == nil {
-			opened = true
-			return s, nil
-		}
-		// The scan hit something only the full decoder can judge; start
-		// over on the materialized path, which reports real errors
-		// precisely (and can fall past a corrupt newest snapshot).
-		*s = DocStore{root: root, dir: dir, docID: docID, agent: agent, opts: opts, fs: opts.FS, lock: lock}
-	}
-	if err := s.recoverMaterialized(); err != nil {
-		if !opts.Quarantine {
-			return nil, err
-		}
+	if err = s.recover(lazy); err != nil && opts.Quarantine {
 		// Sealed history is damaged. Come up quarantined instead of
 		// refusing: salvage what replays cleanly and serve it read-only
 		// until Repair rebuilds the document.
 		*s = DocStore{root: root, dir: dir, docID: docID, agent: agent, opts: opts, fs: opts.FS, lock: lock}
-		if qerr := s.recoverQuarantined(err); qerr != nil {
-			return nil, qerr
-		}
+		err = s.recoverQuarantined(err)
 	}
-	opened = true
+	if err != nil {
+		unlockDir(lock)
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -259,263 +244,177 @@ func (s *DocStore) scanDirSeqs() (snaps, segs []uint64, err error) {
 	return snaps, segs, nil
 }
 
-// recoverMaterialized is the classic recovery: load the newest
-// loadable snapshot and replay the WAL tail into an egwalker.Doc.
-func (s *DocStore) recoverMaterialized() error {
+// recover brings the document back from its directory, in one pass for
+// both open paths: the newest snapshot that reads (older ones when it
+// does not), then every live WAL segment after it, oldest first, each
+// block applied as it is walked, and a torn tail cut off the last one.
+// lazy selects what the snapshot and the blocks go into. Journal-only, it
+// is the known-ID set: the snapshot's ID runs ((*colenc.Decoder).Inspect),
+// and each block through the admission check it passed when it was
+// uploaded (scanBlockPayload), without ever constructing the document.
+// Otherwise, or when the snapshot is a legacy EGW1 file Inspect cannot
+// read, it is an egwalker.Doc the snapshot is loaded into and the blocks
+// are applied to. Damage is an error: a hole in the live segment numbers,
+// a snapshot no older snapshot or segment covers, and anything in a
+// segment other than a torn tail on the last one.
+func (s *DocStore) recover(lazy bool) error {
 	snaps, segs, err := s.scanDirSeqs()
 	if err != nil {
 		return err
 	}
-
-	// Newest loadable snapshot wins; unreadable ones (torn by a crash
-	// mid-rename, or bit-rotted) are skipped in favour of older ones —
-	// the WAL segments they covered replay the difference.
 	start := time.Now()
-	var skipped error // why the last snapshot tried was passed over
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(snaps[i])))
-		if err == nil {
-			var doc *egwalker.Doc
-			if doc, err = egwalker.Load(bytes.NewReader(data), s.agent); err == nil {
-				s.doc = doc
-				s.snapSeq = snaps[i]
-				s.recovery.SnapshotSeq = snaps[i]
-				break
-			}
-		}
-		s.recovery.SkippedSnapshots++
-		skipped = fmt.Errorf("store: snapshot %s unreadable: %w", snapName(snaps[i]), err)
-	}
-	if s.doc == nil {
-		// Snapshot n holds what segments 1 to n-1 did (a repair's, n = 1,
-		// what none does). With no snapshot left the WAL must still reach
-		// back to segment 1; after a compaction it does not, and the
-		// history the snapshots held is gone: damage, not an empty
-		// document.
-		if skipped != nil && (len(segs) == 0 || segs[0] > 1 || snaps[0] == 1) {
-			return fmt.Errorf("%w, and no older snapshot or WAL segment covers it", skipped)
-		}
-		s.doc = egwalker.NewDoc(s.agent)
-	}
-
-	// Replay WAL segments the snapshot does not cover, oldest first.
-	lastRemoved := false
-	for i, seq := range segs {
-		if seq < s.snapSeq {
-			continue
-		}
-		path := filepath.Join(s.dir, segName(seq))
-		res, err := replaySegment(s.fs, path)
-		if err != nil {
-			return err
-		}
-		last := i == len(segs)-1
-		if res.tail != nil {
-			if !last || !tornTail(res.tail) {
-				return fmt.Errorf("store: segment %s corrupt: %w", path, res.tail)
-			}
-			// Torn tail from a crash mid-append: cut it off. A segment
-			// torn inside its own header is recreated from scratch — a
-			// headerless file must never be appended to.
-			fi, err := s.fs.Stat(path)
-			if err != nil {
-				return err
-			}
-			s.recovery.TruncatedBytes = fi.Size() - res.validLen
-			if res.validLen < segHeaderLen {
-				if err := s.fs.Remove(path); err != nil {
-					return err
-				}
-				lastRemoved = true
-			} else if err := s.fs.Truncate(path, res.validLen); err != nil {
-				return err
-			}
-		}
-		for _, evs := range res.batches {
-			if _, err := s.doc.Apply(evs); err != nil {
-				return fmt.Errorf("store: replaying %s: %w", path, err)
-			}
-			s.recovery.EventsReplayed += len(evs)
-		}
-		s.recovery.SegmentsReplayed++
-	}
-	if p := s.doc.PendingEvents(); p > 0 {
-		return fmt.Errorf("store: recovery left %d events with missing parents (WAL gap: a segment the snapshot needed is gone)", p)
-	}
-
-	if err := s.openActive(segs, lastRemoved); err != nil {
-		return err
-	}
-	s.persisted = s.doc.Version()
-	s.eventsSinceSnap = s.recovery.EventsReplayed
-	s.sealedSinceSnap = s.recovery.SegmentsReplayed - 1
-	if s.sealedSinceSnap < 0 {
-		s.sealedSinceSnap = 0
-	}
-	s.blockServable = s.snapSeq == 0 || snapshotServable(s.fs, filepath.Join(s.dir, snapName(s.snapSeq)))
-	s.materializedLocked(start)
-	return nil
-}
-
-// openActive reopens (or creates) the active segment and records the
-// oldest live segment for block streaming. Shared tail of both
-// recovery paths.
-func (s *DocStore) openActive(segs []uint64, lastRemoved bool) error {
-	switch {
-	case len(segs) > 0 && !lastRemoved:
-		s.activeSeq = segs[len(segs)-1]
-		f, err := s.fs.OpenFile(filepath.Join(s.dir, segName(s.activeSeq)), os.O_RDWR, 0)
-		if err != nil {
-			return err
-		}
-		size, err := f.Seek(0, io.SeekEnd)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		s.active, s.activeSize = f, size
-	default:
-		s.activeSeq = s.snapSeq
-		if len(segs) > 0 {
-			s.activeSeq = segs[len(segs)-1]
-		}
-		if s.activeSeq == 0 {
-			s.activeSeq = 1
-		}
-		if err := s.createActive(); err != nil {
-			return err
-		}
-	}
-	s.syncedSize = s.activeSize
-	s.firstSeg = s.activeSeq
-	for _, seq := range segs {
-		if seq >= s.snapSeq && !(lastRemoved && seq == segs[len(segs)-1]) {
-			s.firstSeg = seq
-			break
-		}
-	}
-	return nil
-}
-
-// snapshotServable reports whether a snapshot file can be handed to a
-// compact peer verbatim as one catch-up frame: compact columnar format
-// and within the frame payload cap.
-func snapshotServable(fs FS, path string) bool {
-	fi, err := fs.Stat(path)
-	if err != nil || fi.Size() > maxBlockPayload {
-		return false
-	}
-	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return false
-	}
-	var magic [4]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	return rerr == nil && colenc.Sniff(magic[:])
-}
-
-// recoverJournal brings the store up journal-only: it reads the newest
-// snapshot's ID runs ((*colenc.Decoder).Inspect) and puts every later WAL
-// block through the admission check it passed when it was uploaded
-// (scanBlockPayload) — without ever constructing the document. Any
-// obstacle it cannot vouch for (a legacy-format snapshot, a causal gap,
-// damage beyond a torn tail) aborts with an error; the caller falls back
-// to materialized recovery.
-func (s *DocStore) recoverJournal() error {
-	snaps, segs, err := s.scanDirSeqs()
-	if err != nil {
-		return err
-	}
-	known := newIDSet()
-	s.blockServable = true
 	dec := colenc.GetDecoder()
 	defer dec.Put()
 
-	if len(snaps) > 0 {
-		seq := snaps[len(snaps)-1]
-		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(seq)))
-		if err != nil {
+	snapSeq, skipped, why := s.chooseSnapshot(snaps, func(data []byte) (err error) {
+		s.blockServable = colenc.Sniff(data) && len(data) <= maxBlockPayload
+		if !lazy || !colenc.Sniff(data) {
+			s.doc, err = egwalker.Load(bytes.NewReader(data), s.agent)
 			return err
-		}
-		if !colenc.Sniff(data) {
-			return fmt.Errorf("store: snapshot %s is not a compact frame", snapName(seq))
 		}
 		info, err := dec.Inspect(data)
 		if err != nil {
-			return fmt.Errorf("store: snapshot %s: %w", snapName(seq), err)
+			return err
 		}
+		known := newIDSet()
 		for _, r := range info.Runs {
 			known.addRun(r.Agent, r.Seq, r.Len)
 		}
 		for _, p := range info.ExternalParents {
 			if !known.has(p.Agent, p.Seq) {
-				return fmt.Errorf("store: snapshot %s references unknown parent %s/%d", snapName(seq), p.Agent, p.Seq)
+				return fmt.Errorf("references unknown parent %s/%d", p.Agent, p.Seq)
 			}
 		}
-		s.numEvents = info.NumEvents
-		s.snapSeq = seq
-		s.recovery.SnapshotSeq = seq
-		if len(data) > maxBlockPayload {
-			s.blockServable = false
+		s.known, s.numEvents = known, info.NumEvents
+		return nil
+	})
+	s.snapSeq, s.recovery.SnapshotSeq, s.recovery.SkippedSnapshots = snapSeq, snapSeq, skipped
+	if snapSeq == 0 {
+		// Snapshot n holds what segments 1 to n-1 did (a repair's, n = 1,
+		// what none does). With no snapshot left the WAL must still reach
+		// back to segment 1; after a compaction it does not, and the
+		// history the snapshots held is gone: damage, not an empty
+		// document.
+		if why != nil && (len(segs) == 0 || segs[0] > 1 || snaps[0] == 1) {
+			return fmt.Errorf("%w, and no older snapshot or WAL segment covers it", why)
+		}
+		s.blockServable = true
+		if lazy {
+			s.known = newIDSet()
+		} else {
+			s.doc = egwalker.NewDoc(s.agent)
 		}
 	}
 
-	// Scan WAL segments the snapshot does not cover, oldest first,
-	// with the same torn-tail repair policy as materialized recovery.
+	// The live segments run from the snapshot's seq (1 without one) to
+	// the newest, every one of them present: a hole is lost history.
+	live := segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= snapSeq }):]
 	lastRemoved := false
-	prevSeq := uint64(0)
-	for i, seq := range segs {
-		if seq < s.snapSeq {
-			continue
+	for i, seq := range live {
+		if want := max(snapSeq, 1) + uint64(i); seq != want {
+			return fmt.Errorf("store: segment %s is missing (%s follows it)", segName(want), segName(seq))
 		}
-		if prevSeq != 0 && seq != prevSeq+1 {
-			return fmt.Errorf("store: segment numbering gap %d -> %d", prevSeq, seq)
-		}
-		prevSeq = seq
 		path := filepath.Join(s.dir, segName(seq))
 		data, err := s.fs.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		segEvents := 0
-		w, err := walkSegmentBlocks(data, func(payload []byte) error {
-			fresh, err := scanBlockPayload(payload, known, dec)
-			segEvents += fresh
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("store: scanning %s: %w", path, err)
+		fresh := 0
+		var w *blockWalk
+		if s.doc != nil {
+			w, err = replayBlocks(data, func(evs []egwalker.Event) error {
+				n := s.doc.NumEvents()
+				_, err := s.doc.Apply(evs)
+				fresh += s.doc.NumEvents() - n
+				return err
+			})
+		} else {
+			w, err = walkSegmentBlocks(data, func(payload []byte) error {
+				n, err := scanBlockPayload(payload, s.known, dec)
+				fresh += n
+				return err
+			})
 		}
-		last := i == len(segs)-1
+		if err != nil {
+			return fmt.Errorf("store: segment %s: %w", path, err)
+		}
 		if w.tail != nil {
-			if !last || !tornTail(w.tail) {
+			if i < len(live)-1 || !tornTail(w.tail) {
 				return fmt.Errorf("store: segment %s corrupt: %w", path, w.tail)
 			}
+			// Torn tail from a crash mid-append: cut it off. A segment
+			// torn inside its own header is recreated from scratch — a
+			// headerless file must never be appended to.
 			s.recovery.TruncatedBytes = int64(len(data)) - w.validLen
-			if w.validLen < segHeaderLen {
-				if err := s.fs.Remove(path); err != nil {
-					return err
-				}
-				lastRemoved = true
-			} else if err := s.fs.Truncate(path, w.validLen); err != nil {
+			if lastRemoved = w.validLen < segHeaderLen; lastRemoved {
+				err = s.fs.Remove(path)
+			} else {
+				err = s.fs.Truncate(path, w.validLen)
+			}
+			if err != nil {
 				return err
 			}
 		}
-		s.recovery.EventsReplayed += segEvents
+		s.recovery.EventsReplayed += fresh
 		s.recovery.SegmentsReplayed++
-		s.numEvents += segEvents
-		s.eventsSinceSnap += segEvents
+	}
+	if s.doc != nil && s.doc.PendingEvents() > 0 {
+		return fmt.Errorf("store: recovery left %d events with missing parents", s.doc.PendingEvents())
 	}
 
-	if err := s.openActive(segs, lastRemoved); err != nil {
+	if err := s.openActive(live, lastRemoved); err != nil {
 		return err
 	}
-	s.known = known
-	s.sealedSinceSnap = s.recovery.SegmentsReplayed - 1
-	if s.sealedSinceSnap < 0 {
-		s.sealedSinceSnap = 0
+	s.eventsSinceSnap = s.recovery.EventsReplayed
+	s.sealedSinceSnap = max(s.recovery.SegmentsReplayed-1, 0)
+	if s.doc == nil {
+		s.numEvents += s.recovery.EventsReplayed
+		return nil
 	}
+	s.persisted = s.doc.Version()
+	s.materializedLocked(start)
+	return nil
+}
+
+// chooseSnapshot hands load the newest snapshot's bytes, and each older
+// one's in turn while a snapshot does not read or load refuses it. It
+// returns the seq of the one taken (0: none), how many were passed over,
+// and why the last of those was.
+func (s *DocStore) chooseSnapshot(snaps []uint64, load func(data []byte) error) (seq uint64, skipped int, why error) {
+	for i := len(snaps) - 1; i >= 0; i-- {
+		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(snaps[i])))
+		if err == nil {
+			if err = load(data); err == nil {
+				return snaps[i], skipped, why
+			}
+		}
+		skipped++
+		why = fmt.Errorf("store: snapshot %s unreadable: %w", snapName(snaps[i]), err)
+	}
+	return 0, skipped, why
+}
+
+// openActive reopens the newest live segment for appending — or creates
+// it, when there is none or recovery removed it — and records the oldest
+// live segment for block streaming.
+func (s *DocStore) openActive(live []uint64, lastRemoved bool) error {
+	s.activeSeq, s.firstSeg = max(s.snapSeq, 1), max(s.snapSeq, 1)
+	if len(live) > 0 {
+		s.activeSeq, s.firstSeg = live[len(live)-1], live[0]
+	}
+	if len(live) == 0 || lastRemoved {
+		return s.createActive()
+	}
+	f, err := s.fs.OpenFile(filepath.Join(s.dir, segName(s.activeSeq)), os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	s.active, s.activeSize, s.syncedSize = f, size, size
 	return nil
 }
 
@@ -570,8 +469,8 @@ func syncDir(dir string) {
 // DocID returns the hosted document's ID.
 func (s *DocStore) DocID() string { return s.docID }
 
-// Recovery reports what Open did (snapshot chosen, events replayed,
-// torn bytes truncated).
+// Recovery reports what opening the document did (snapshot chosen,
+// events replayed, torn bytes truncated).
 func (s *DocStore) Recovery() RecoveryInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,36 +508,35 @@ func (s *DocStore) materializeLocked() error {
 		return fmt.Errorf("store: %s is closed", s.docID)
 	}
 	start := time.Now()
-	var doc *egwalker.Doc
+	doc := egwalker.NewDoc(s.agent)
 	if s.snapSeq > 0 {
 		data, err := s.fs.ReadFile(filepath.Join(s.dir, snapName(s.snapSeq)))
+		if err == nil {
+			doc, err = egwalker.Load(bytes.NewReader(data), s.agent)
+		}
 		if err != nil {
 			return fmt.Errorf("store: materializing %s: %w", s.docID, err)
 		}
-		doc, err = egwalker.Load(bytes.NewReader(data), s.agent)
-		if err != nil {
-			return fmt.Errorf("store: materializing %s: %w", s.docID, err)
-		}
-	} else {
-		doc = egwalker.NewDoc(s.agent)
 	}
 	for seq := s.firstSeg; seq <= s.activeSeq; seq++ {
 		path := filepath.Join(s.dir, segName(seq))
-		res, err := replaySegment(s.fs, path)
-		if err != nil {
-			return fmt.Errorf("store: materializing %s: %w", s.docID, err)
-		}
-		// A torn tail on the active segment is tolerated only when the
-		// store already refuses writes for it (sticky werr after a
-		// partial append); anything else is damage that appeared while
-		// the store was live.
-		if res.tail != nil && !(seq == s.activeSeq && s.werr != nil && tornTail(res.tail)) {
-			return fmt.Errorf("store: materializing %s: segment %s: %w", s.docID, path, res.tail)
-		}
-		for _, evs := range res.batches {
-			if _, err := doc.Apply(evs); err != nil {
-				return fmt.Errorf("store: materializing %s: replaying %s: %w", s.docID, path, err)
+		data, err := s.fs.ReadFile(path)
+		if err == nil {
+			var w *blockWalk
+			w, err = replayBlocks(data, func(evs []egwalker.Event) error {
+				_, err := doc.Apply(evs)
+				return err
+			})
+			// A torn tail on the active segment is tolerated only when the
+			// store already refuses writes for it (sticky werr after a
+			// partial append); anything else is damage that appeared while
+			// the store was live.
+			if err == nil && w.tail != nil && !(seq == s.activeSeq && s.werr != nil && tornTail(w.tail)) {
+				err = w.tail
 			}
+		}
+		if err != nil {
+			return fmt.Errorf("store: materializing %s: segment %s: %w", s.docID, path, err)
 		}
 	}
 	if p := doc.PendingEvents(); p > 0 {
@@ -1214,17 +1112,7 @@ func (s *DocStore) snapshotLocked() error {
 	}
 	final := filepath.Join(s.dir, snapName(s.activeSeq))
 	tmp := final + ".tmp"
-	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	err = s.doc.Save(f, s.opts.Save)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	size, err := s.writeSnapshot(tmp)
 	if err != nil {
 		s.fs.Remove(tmp)
 		return err
@@ -1237,9 +1125,32 @@ func (s *DocStore) snapshotLocked() error {
 	s.firstSeg = s.activeSeq
 	s.eventsSinceSnap = 0
 	s.sealedSinceSnap = 0
-	s.blockServable = snapshotServable(s.fs, final)
+	s.blockServable = size <= maxBlockPayload
 	s.noteLogBytesLocked()
 	return nil
+}
+
+// writeSnapshot saves the document, fsynced, as the snapshot file path
+// and returns its size. A snapshot is always a compact frame (EGC2), so
+// whether a peer can take it verbatim as one catch-up frame comes down
+// to that size.
+func (s *DocStore) writeSnapshot(path string) (int64, error) {
+	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err != nil {
+		return 0, err
+	}
+	err = s.doc.Save(f, s.opts.Save)
+	size, serr := f.Seek(0, io.SeekCurrent)
+	if err == nil {
+		err = serr
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return size, err
 }
 
 // Compact folds the log down: ensures a snapshot covers all sealed

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +21,72 @@ func mustOpen(t *testing.T, root, docID string, opts Options) *DocStore {
 		t.Fatalf("Open(%q): %v", docID, err)
 	}
 	return ds
+}
+
+// openEachWay opens a copy of the document docID under root once per
+// open mode, and holds OpenLazy followed by Materialize to what Open
+// gives: the same text, event count, summary and RecoveryInfo, and the
+// same bytes left in the directory. It returns the stores in openModes
+// order, open, and whether OpenLazy came up materialized.
+func openEachWay(t *testing.T, root, docID string) ([]*DocStore, bool) {
+	t.Helper()
+	var stores []*DocStore
+	var dirs []map[string]string
+	lazyMaterialized := false
+	for _, mode := range openModes {
+		copied := t.TempDir()
+		if err := os.CopyFS(copied, os.DirFS(root)); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := mode.open(copied, docID, "tester", Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		if mode.name == "OpenLazy" {
+			lazyMaterialized = ds.Materialized()
+		}
+		if err := ds.Materialize(); err != nil {
+			t.Fatalf("%s, Materialize: %v", mode.name, err)
+		}
+		files := map[string]string{}
+		entries, err := os.ReadDir(ds.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() == "LOCK" {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(ds.dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		stores, dirs = append(stores, ds), append(dirs, files)
+	}
+	open := stores[0]
+	openSum, err := open.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ds := range stores[1:] {
+		name := openModes[i+1].name
+		sum, err := ds.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Text() != open.Text() || ds.NumEvents() != open.NumEvents() || !reflect.DeepEqual(sum, openSum) {
+			t.Errorf("%s: %d events reading %q, Open: %d reading %q", name, ds.NumEvents(), ds.Text(), open.NumEvents(), open.Text())
+		}
+		if ds.Recovery() != open.Recovery() {
+			t.Errorf("%s recovered %+v, Open %+v", name, ds.Recovery(), open.Recovery())
+		}
+		if !reflect.DeepEqual(dirs[i+1], dirs[0]) {
+			t.Errorf("%s left other bytes in the directory than Open", name)
+		}
+	}
+	return stores, lazyMaterialized
 }
 
 func TestBasicPersistence(t *testing.T) {
@@ -179,7 +247,8 @@ func randomEdits(t *testing.T, ds *DocStore, rng *rand.Rand, n int) (boundaries 
 // store mid-append at a randomized byte offset (simulated by truncating
 // the single WAL segment), reopen, and the recovered text must equal
 // the reference text at the last frame boundary at or below the kill
-// point — every committed-and-intact frame survives, nothing else.
+// point — every committed-and-intact frame survives, nothing else. Both
+// open paths recover the same document from the same damage.
 func TestKillPointRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 25; round++ {
@@ -206,25 +275,24 @@ func TestKillPointRecovery(t *testing.T) {
 			}
 		}
 
-		re, err := Open(root, "kill", "tester", Options{})
-		if err != nil {
-			t.Fatalf("round %d kill %d: reopen: %v", round, kill, err)
+		stores, _ := openEachWay(t, root, "kill")
+		for i, re := range stores {
+			if got := re.Text(); got != want {
+				t.Fatalf("round %d kill %d, %s: recovered %q, want %q", round, kill, openModes[i].name, got, want)
+			}
+			// Recovery must leave a writable store.
+			if err := re.Insert(0, "x"); err != nil {
+				t.Fatalf("round %d, %s: store dead after recovery: %v", round, openModes[i].name, err)
+			}
+			re.Close()
 		}
-		if got := re.Text(); got != want {
-			t.Fatalf("round %d kill %d: recovered %q, want %q", round, kill, got, want)
-		}
-		// Recovery must leave a writable store.
-		if err := re.Insert(0, "x"); err != nil {
-			t.Fatalf("round %d: store dead after recovery: %v", round, err)
-		}
-		re.Close()
 	}
 }
 
 // TestBitFlipRecovery: a single flipped byte anywhere past the segment
 // header must never produce silently wrong text — recovery yields some
 // sync-boundary prefix of the history (the checksum catches the damage
-// and the tail is dropped).
+// and the tail is dropped), the same one on both open paths.
 func TestBitFlipRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1337))
 	for round := 0; round < 25; round++ {
@@ -244,12 +312,11 @@ func TestBitFlipRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		re, err := Open(root, "flip", "tester", Options{})
-		if err != nil {
-			t.Fatalf("round %d flip@%d: reopen: %v", round, at, err)
+		stores, _ := openEachWay(t, root, "flip")
+		got := stores[0].Text()
+		for _, re := range stores {
+			re.Close()
 		}
-		got := re.Text()
-		re.Close()
 		valid := got == ""
 		for _, txt := range texts {
 			if got == txt {
@@ -266,7 +333,8 @@ func TestBitFlipRecovery(t *testing.T) {
 // TestTornSnapshotFallsBack: a snapshot that was cut short (crash
 // mid-write before the atomic rename would normally prevent this, but
 // bit rot can do it too) is skipped in favour of the older snapshot +
-// WAL replay.
+// WAL replay, on both open paths; the lazy one stays journal-only on the
+// older snapshot.
 func TestTornSnapshotFallsBack(t *testing.T) {
 	root := t.TempDir()
 	ds := mustOpen(t, root, "snapfall", Options{})
@@ -295,13 +363,19 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := mustOpen(t, root, "snapfall", Options{})
-	defer re.Close()
+	stores, lazyMaterialized := openEachWay(t, root, "snapfall")
+	for _, re := range stores {
+		defer re.Close()
+	}
+	re := stores[0]
 	if got := re.Text(); got != want {
 		t.Fatalf("recovered %q, want %q", got, want)
 	}
 	if re.Recovery().SkippedSnapshots != 1 {
 		t.Fatalf("SkippedSnapshots = %d, want 1", re.Recovery().SkippedSnapshots)
+	}
+	if lazyMaterialized {
+		t.Fatal("OpenLazy materialized past a torn snapshot; want it journal-only on the older one")
 	}
 }
 
@@ -442,5 +516,177 @@ func TestDocIDEscaping(t *testing.T) {
 			t.Fatalf("doc %q round trip failed", id)
 		}
 		re.Close()
+	}
+}
+
+// TestMissingSegmentIsDamage: a hole in the live segment numbers is lost
+// history on both open paths. Every commit here rotates, so each of the
+// ten appended "A"s has a segment of its own; the one holding the last of
+// them is removed, and nothing later depends on it. Open without
+// quarantine fails naming it; with quarantine the document comes up
+// quarantined on the rest, and a replica's diff repairs it whole. Both
+// paths used to open such a directory healthy, one event short.
+func TestMissingSegmentIsDamage(t *testing.T) {
+	for _, mode := range openModes {
+		t.Run(mode.name, func(t *testing.T) {
+			root := t.TempDir()
+			ds := mustOpen(t, root, "doc", Options{SegmentMaxBytes: 1})
+			if err := ds.Insert(0, "base text "); err != nil {
+				t.Fatal(err)
+			}
+			fork, err := ds.Doc().Fork("fork")
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := fork.Version()
+			if err := fork.Insert(0, "BBB"); err != nil {
+				t.Fatal(err)
+			}
+			var lost uint64
+			for range 10 {
+				lost = ds.activeSeq
+				if err := ds.Insert(ds.Len(), "A"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			branch, err := fork.EventsSince(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ds.Apply(branch); err != nil {
+				t.Fatal(err)
+			}
+			replica := egwalker.NewDoc("replica")
+			if _, err := replica.Apply(ds.Events()); err != nil {
+				t.Fatal(err)
+			}
+			ds.Close()
+			if err := os.Remove(filepath.Join(root, "doc", segName(lost))); err != nil {
+				t.Fatal(err)
+			}
+			want := "BBBbase text AAAAAAAAAA"
+			if replica.Text() != want || replica.NumEvents() != 23 {
+				t.Fatalf("built %q (%d events), want %q (23)", replica.Text(), replica.NumEvents(), want)
+			}
+
+			if re, err := mode.open(root, "doc", "tester", Options{}); err == nil {
+				n, text := re.NumEvents(), re.Text()
+				re.Close()
+				t.Fatalf("opened with %d events reading %q and no error", n, text)
+			} else if !strings.Contains(err.Error(), segName(lost)) {
+				t.Fatalf("%v, want %s named", err, segName(lost))
+			}
+
+			re, err := mode.open(root, "doc", "tester", Options{Quarantine: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if q, why := re.Quarantined(); !q || !strings.Contains(why.Error(), segName(lost)) {
+				t.Fatalf("quarantined %v (%v), want quarantined naming %s", q, why, segName(lost))
+			}
+			if re.NumEvents() != 22 || re.Text() != "BBBbase text AAAAAAAAA" {
+				t.Fatalf("salvaged %d events reading %q, want 22 and every A but the lost one", re.NumEvents(), re.Text())
+			}
+			sum, err := re.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff, err := replica.EventsSinceSummary(sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := re.Repair(diff); err != nil {
+				t.Fatal(err)
+			}
+			if q, _ := re.Quarantined(); q || re.Text() != want || re.NumEvents() != 23 {
+				t.Fatalf("repaired: %d events reading %q, quarantined %v; want %q", re.NumEvents(), re.Text(), q, want)
+			}
+		})
+	}
+}
+
+// TestLegacySnapshotOpens: a store directory whose snapshot is a legacy
+// EGW1 file, which nothing writes any more, plus a WAL segment with one
+// more edit. Both open paths read it — the lazy one by materializing,
+// since only the full decoder reads EGW1 — to the file's EGC2 twin plus
+// the edit. It is never block-served (a peer takes only compact frames
+// verbatim), so a cold join gets a decoded catch-up; once Compact has
+// written an EGC2 snapshot in its place, OpenLazy comes up journal-only
+// and block-serves it.
+func TestLegacySnapshotOpens(t *testing.T) {
+	twinFile, err := os.ReadFile("../testdata/egw1/twin.egc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := egwalker.Load(bytes.NewReader(twinFile), "editor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := twin.Version()
+	if err := twin.Insert(twin.Len(), "!"); err != nil {
+		t.Fatal(err)
+	}
+	edit, err := twin.EventsSince(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := encodeBlocks(edit, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := slices.Concat(append([][]byte{segMagic[:], {segVersion}}, blocks...)...)
+	for _, name := range []string{"plain", "cached", "compressed"} {
+		legacy, err := os.ReadFile(filepath.Join("../testdata/egw1", name+".egw"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range openModes {
+			t.Run(name+"/"+mode.name, func(t *testing.T) {
+				root := t.TempDir()
+				dir := filepath.Join(root, "doc")
+				if err := os.MkdirAll(dir, 0o777); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, snapName(1)), legacy, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				ds, err := mode.open(root, "doc", "tester", Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ds.Materialized() {
+					t.Error("came up journal-only on an EGW1 snapshot")
+				}
+				if ds.Text() != twin.Text() || ds.NumEvents() != twin.NumEvents() {
+					t.Fatalf("%d events reading %q, want %d reading %q", ds.NumEvents(), ds.Text(), twin.NumEvents(), twin.Text())
+				}
+				if _, ok := ds.CutForServe(); ok {
+					t.Error("offered an EGW1 snapshot for block serving")
+				}
+				if err := ds.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				ds.Close()
+
+				re, err := OpenLazy(root, "doc", "tester", Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if re.Materialized() {
+					t.Error("after Compact, OpenLazy materialized")
+				}
+				if _, ok := re.CutForServe(); !ok {
+					t.Error("after Compact, the snapshot is not block-servable")
+				}
+				if re.Text() != twin.Text() {
+					t.Fatalf("after Compact, reads %q, want %q", re.Text(), twin.Text())
+				}
+			})
+		}
 	}
 }
