@@ -11,14 +11,16 @@ import (
 )
 
 // This file implements the legacy per-event encoding of event *batches*
-// — arbitrary causally ordered subsets of an event graph. Whole-document
-// files (Save/Load) use the columnar format; batches are the complement:
-// the incremental unit that flows over the network (netsync frames) and
-// into the payloads of the durable write-ahead log (package store, which
-// alone writes and reads the log's block format). Following §3.8,
-// parents pointing at events inside the batch compress to relative
-// indexes and runs of events by one agent share one name-table entry;
-// external parents are encoded as full (agent, seq) IDs.
+// — arbitrary causally ordered subsets of an event graph — and
+// MarshalBatches, the one writer that picks between it and the columnar
+// codec (colenc.go). Whole-document files (Save/Load) use the columnar
+// format; batches are the complement: the incremental unit that flows
+// over the network (netsync frames) and into the payloads of the durable
+// write-ahead log (package store, which alone writes and reads the log's
+// block format). Following §3.8, parents pointing at events inside the
+// batch compress to relative indexes and runs of events by one agent
+// share one name-table entry; external parents are encoded as full
+// (agent, seq) IDs.
 
 // Limits on decoded batches, guarding against corrupt or hostile input
 // triggering unbounded allocation. The parent cap bounds only semantic
@@ -76,7 +78,7 @@ func (r *batchReader) bytes(n int) ([]byte, error) {
 // order — parents precede children within the batch, as Doc.Events and
 // Doc.EventsSince produce. Parents pointing at events in the batch are
 // encoded as relative batch indexes; external parents as (agent, seq)
-// IDs. It refuses what UnmarshalEvents would: seqs past causal.MaxSeq or
+// IDs. It refuses what unmarshalEvents would: seqs past causal.MaxSeq or
 // negative, positions past oplog.MaxPos.
 func MarshalEvents(events []Event) ([]byte, error) {
 	var buf []byte
@@ -152,12 +154,13 @@ func MarshalEvents(events []Event) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalEvents decodes a batch encoded by MarshalEvents. Decoded
+// unmarshalEvents decodes a batch encoded by MarshalEvents (readers call
+// UnmarshalEventsAuto, which sniffs the encoding). Decoded
 // sizes are validated against the payload length, so corrupt input
 // cannot trigger unbounded allocation, and seqs and positions against
 // the limits the columnar format and a document hold them to
 // (causal.MaxSeq, oplog.MaxPos).
-func UnmarshalEvents(data []byte) ([]Event, error) {
+func unmarshalEvents(data []byte) ([]Event, error) {
 	r := &batchReader{buf: data}
 	nAgents, err := r.uvarint()
 	if err != nil {
@@ -296,27 +299,64 @@ func UnmarshalEvents(data []byte) ([]Event, error) {
 	return events, nil
 }
 
-// MaxEventsPerBlock is the batch size writers split at so one WAL
-// block (or one network frame) stays far below the 16 MiB payload cap:
-// 64k single-character events encode to ~1 MiB.
-const MaxEventsPerBlock = 1 << 16
+// MaxBatchBytes caps one encoded batch: a netsync frame's payload and a
+// WAL block's. A journaled block can be forwarded as one frame and a
+// frame journaled as one block; MarshalBatches never writes past it.
+const MaxBatchBytes = 16 << 20
 
-// ChunkEvents splits a batch into MaxEventsPerBlock-sized sub-batches
-// (sharing the backing array). Causal order is preserved, so each
-// chunk is itself a valid batch: later chunks reference earlier
-// chunks' events as external parents, which Apply resolves because
-// they are admitted first.
-func ChunkEvents(events []Event) [][]Event {
-	if len(events) <= MaxEventsPerBlock {
-		return [][]Event{events}
-	}
-	chunks := make([][]Event, 0, len(events)/MaxEventsPerBlock+1)
-	for off := 0; off < len(events); off += MaxEventsPerBlock {
-		end := off + MaxEventsPerBlock
-		if end > len(events) {
-			end = len(events)
+// maxBatchEvents is the batch size MarshalBatches splits at before it
+// looks at bytes: 64k single-character events encode to ~1 MiB in the
+// legacy codec, far under MaxBatchBytes.
+const maxBatchEvents = 1 << 16
+
+// columnarFrom is the batch size from which MarshalBatches writes the
+// columnar codec rather than the legacy one: for typed single-agent runs
+// — inserts or deletes, from the root or after an external parent, agent
+// names of 1 to 64 bytes — legacy is the smaller up to 3 events and
+// columnar from 4 (docs/FORMAT.md has the table).
+const columnarFrom = 4
+
+// MarshalBatches encodes a causally ordered batch as the payloads that
+// netsync events frames and WAL blocks carry, and is the one place their
+// encoding is chosen. It splits the batch at 64k events, writes each
+// chunk in the legacy codec below columnarFrom events and columnar from
+// it, and halves a chunk until it fits MaxBatchBytes; a lone event over
+// the cap is an error. An empty batch is one payload. Applied in order,
+// the payloads rebuild the batch (UnmarshalEventsAuto reads each).
+func MarshalBatches(events []Event) ([][]byte, error) {
+	return marshalBatches(events, MaxBatchBytes)
+}
+
+// marshalBatches is MarshalBatches with the cap as a parameter, so tests
+// reach the halving and refusal paths without multi-mebibyte batches.
+func marshalBatches(events []Event, limit int) ([][]byte, error) {
+	out := make([][]byte, 0, len(events)/maxBatchEvents+1)
+	var emit func(evs []Event) error
+	emit = func(evs []Event) error {
+		marshal := MarshalEvents
+		if len(evs) >= columnarFrom {
+			marshal = MarshalEventsCompact
 		}
-		chunks = append(chunks, events[off:end])
+		payload, err := marshal(evs)
+		if err != nil {
+			return err
+		}
+		if len(payload) > limit {
+			if len(evs) <= 1 {
+				return fmt.Errorf("egwalker: a single event encodes to %d bytes, over the %d-byte batch cap", len(payload), limit)
+			}
+			if err := emit(evs[:len(evs)/2]); err != nil {
+				return err
+			}
+			return emit(evs[len(evs)/2:])
+		}
+		out = append(out, payload)
+		return nil
 	}
-	return chunks
+	for off := 0; off == 0 || off < len(events); off += maxBatchEvents {
+		if err := emit(events[off:min(off+maxBatchEvents, len(events))]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

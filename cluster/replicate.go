@@ -347,7 +347,7 @@ func (l *link) session(conn net.Conn, done <-chan struct{}) error {
 			if b.raw != nil {
 				err = pc.SendRaw(b.raw)
 			} else {
-				err = pc.SendEventsCompact(b.events)
+				err = pc.SendEvents(b.events)
 			}
 			if err != nil {
 				return fail(err)
@@ -389,7 +389,7 @@ func (l *link) readLoop(pc *netsync.PeerConn, conn net.Conn, armed bool) error {
 				return err
 			}
 			if len(diff) > 0 {
-				if err := pc.SendEventsCompact(diff); err != nil {
+				if err := pc.SendEvents(diff); err != nil {
 					return err
 				}
 			}

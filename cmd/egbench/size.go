@@ -280,7 +280,7 @@ func runHandshake(report *sizeReport) error {
 			return fmt.Errorf("handshake %d: summary diff re-sent %d events the client already holds", n, len(diff))
 		}
 		hr.SummaryResendBytes, err = wireBytes(func(pc *netsync.PeerConn) error {
-			return pc.SendEventsCompact(diff)
+			return pc.SendEvents(diff)
 		})
 		if err != nil {
 			return err

@@ -137,7 +137,7 @@ func populateCold(addr, docID string, events []egwalker.Event) error {
 	if _, _, _, err := pc.Recv(); err != nil {
 		return err
 	}
-	if err := pc.SendEventsCompact(events); err != nil {
+	if err := pc.SendEvents(events); err != nil {
 		return err
 	}
 	return pc.SendDone()

@@ -16,14 +16,15 @@ import (
 // (eventsFromRuns): one step each way, with no per-event copy in the
 // codec's own types in between. Two encodings of an event batch coexist:
 //
-//   - the legacy per-event codec (MarshalEvents/UnmarshalEvents in
-//     delta.go) — simple, byte-stable, and what every pre-colenc file,
-//     WAL segment, and peer speaks;
+//   - the legacy per-event codec (MarshalEvents in batch.go) — a 2-byte
+//     header, so the smaller of the two for a batch of up to 3 events,
+//     and what every pre-colenc file, WAL segment and peer speaks;
 //   - the columnar codec (MarshalEventsCompact) — run-length columns,
 //     typically 2-10x smaller on real editing histories.
 //
-// The two are distinguished by the columnar magic, so any reader that
-// may see either calls UnmarshalEventsAuto.
+// MarshalBatches (batch.go) is the one writer that picks between them.
+// The two are distinguished by the columnar magic, so every reader
+// calls UnmarshalEventsAuto.
 
 // MarshalEventsCompact encodes a batch of events in the compact
 // columnar format. The batch must be in causal order (parents precede
@@ -67,9 +68,9 @@ func runsOf(events []Event) iter.Seq[colenc.Run] {
 const maxAutoDecodeEvents = colenc.MaxBatchEvents
 
 // UnmarshalEventsAuto decodes an event batch in either encoding,
-// sniffing the columnar magic. Use it wherever the writer may be
-// either generation: WAL segments, delta files, and network frames all
-// interleave the two formats freely. It accepts any batch
+// sniffing the columnar magic. Every batch reader calls it:
+// MarshalBatches picks the encoding payload by payload, so WAL segments
+// and network frames interleave the two freely. It accepts any batch
 // MarshalEventsCompact produces, up to maxAutoDecodeEvents.
 //
 // A columnar payload is decoded through a pooled colenc.Decoder, so the
@@ -77,7 +78,7 @@ const maxAutoDecodeEvents = colenc.MaxBatchEvents
 // memory a small batch costs; nothing returned points into the decoder.
 func UnmarshalEventsAuto(data []byte) ([]Event, error) {
 	if !colenc.Sniff(data) {
-		return UnmarshalEvents(data)
+		return unmarshalEvents(data)
 	}
 	d := colenc.GetDecoder()
 	defer d.Put()

@@ -63,12 +63,12 @@
 // ~10x smaller than the per-event batch codec. docs/FORMAT.md is the
 // byte-level specification (complete enough to decode the golden
 // fixtures under testdata/colenc by hand), and docs/ARCHITECTURE.md
-// maps the packages involved. The same frame serves event batches
-// everywhere: MarshalEventsCompact/UnmarshalEventsAuto encode and
-// sniff-decode it, store snapshots and large WAL group commits use it
-// on disk, and netsync sends every catch-up in it. Files of the legacy
-// "EGW1" format, which nothing writes any more, still load via magic
-// sniffing.
+// maps the packages involved. The same frame serves event batches:
+// MarshalBatches, the one writer of every batch netsync sends and store
+// journals, writes it from 4 events (below that the legacy per-event
+// codec is the smaller, and it writes that), and UnmarshalEventsAuto
+// sniff-decodes either. Files of the legacy "EGW1" format, which
+// nothing writes any more, still load via magic sniffing.
 //
 // SaveOptions.OmitDeletedContent writes a pruned file, without the
 // characters of deleted inserts (the paper's Fig. 12): a document loaded

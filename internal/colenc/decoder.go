@@ -112,8 +112,8 @@ func openFrame(data []byte, known byte) (reader, byte, error) {
 // maxRunLen is the allocation-defense multiplier: one run (≥ 3 encoded
 // bytes) may legitimately cover many events, but letting the event
 // count exceed body-bytes × maxRunLen would allow a tiny frame to
-// declare an absurd count. 2^16 matches the largest batch bounded
-// writers produce (egwalker.MaxEventsPerBlock).
+// declare an absurd count. 2^16 matches the largest batch the bounded
+// writer produces (egwalker.MarshalBatches splits at 2^16 events).
 const maxRunLen = 1 << 16
 
 // frame is a frame taken apart: envelope checked, columns cut, nothing

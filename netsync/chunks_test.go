@@ -9,7 +9,8 @@ import (
 	"egwalker"
 )
 
-// buildBatchOfSize constructs an event batch whose Marshal encoding is
+// buildBatchOfSize constructs an event batch whose columnar encoding —
+// the one egwalker.MarshalBatches writes for a batch this long — is
 // exactly size bytes: events with distinct ~768-byte agent names get
 // the size near the target cheaply, then the last agent's name is
 // padded byte for byte. Name lengths stay in [128, 4096), so the
@@ -27,7 +28,7 @@ func buildBatchOfSize(t *testing.T, size int) []egwalker.Event {
 		}
 	}
 	measure := func(evs []egwalker.Event) int {
-		b, err := Marshal(evs)
+		b, err := egwalker.MarshalEventsCompact(evs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func buildBatchOfSize(t *testing.T, size int) []egwalker.Event {
 
 func roundTripChunks(t *testing.T, events []egwalker.Event) [][]byte {
 	t.Helper()
-	chunks, err := marshalChunksWith(events, maxFrame, Marshal)
+	chunks, err := egwalker.MarshalBatches(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func roundTripChunks(t *testing.T, events []egwalker.Event) [][]byte {
 		if err := writeFrame(&buf, msgEvents, c); err != nil {
 			t.Fatalf("chunk of %d bytes not frame-transportable: %v", len(c), err)
 		}
-		evs, err := Unmarshal(c)
+		evs, err := egwalker.UnmarshalEventsAuto(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,53 +105,27 @@ func roundTripChunks(t *testing.T, events []egwalker.Event) [][]byte {
 
 // TestMarshalChunksAtFrameCap: a batch encoding to exactly the 16 MiB
 // frame cap goes out as one frame; one byte over splits into two
-// frames, both under the cap, and reassembles losslessly.
+// frames, both under the cap, and reassembles losslessly. (A lone event
+// over the cap is refused: TestMarshalBatchesRefusesALoneEventOverTheCap
+// in the root package, where the cap is a parameter.)
 func TestMarshalChunksAtFrameCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds multi-MiB batches")
 	}
-	exact := buildBatchOfSize(t, maxFrame)
+	exact := buildBatchOfSize(t, egwalker.MaxBatchBytes)
 	chunks := roundTripChunks(t, exact)
-	if len(chunks) != 1 || len(chunks[0]) != maxFrame {
-		t.Fatalf("exactly-at-cap batch: %d chunks, first %d bytes; want 1 chunk of %d", len(chunks), len(chunks[0]), maxFrame)
+	if len(chunks) != 1 || len(chunks[0]) != egwalker.MaxBatchBytes {
+		t.Fatalf("exactly-at-cap batch: %d chunks, first %d bytes; want 1 chunk of %d", len(chunks), len(chunks[0]), egwalker.MaxBatchBytes)
 	}
 
-	over := buildBatchOfSize(t, maxFrame+1)
+	over := buildBatchOfSize(t, egwalker.MaxBatchBytes+1)
 	chunks = roundTripChunks(t, over)
 	if len(chunks) < 2 {
 		t.Fatalf("one-byte-over batch went out in %d chunk(s)", len(chunks))
 	}
 	for i, c := range chunks {
-		if len(c) > maxFrame {
+		if len(c) > egwalker.MaxBatchBytes {
 			t.Fatalf("chunk %d is %d bytes, over the cap", i, len(c))
 		}
-	}
-}
-
-// TestMarshalChunksOversizedSingleEvent: when a single event's encoding
-// exceeds the cap, splitting cannot help — the call must fail cleanly
-// (no infinite halving, no over-cap chunk handed to writeFrame). The
-// cap is parameterized because a legal event can never exceed the real
-// 16 MiB cap (agent names and parent counts are bounded); the logic is
-// what must hold.
-func TestMarshalChunksOversizedSingleEvent(t *testing.T) {
-	ev := egwalker.Event{
-		ID:      egwalker.EventID{Agent: "agent-with-a-fairly-long-name", Seq: 1},
-		Insert:  true,
-		Content: 'a',
-	}
-	if _, err := marshalChunksWith([]egwalker.Event{ev}, 16, Marshal); err == nil {
-		t.Fatal("oversized single event accepted")
-	}
-	// A batch of several such events fails the same way once split down
-	// to single events — cleanly, not looping.
-	batch := []egwalker.Event{ev, {ID: egwalker.EventID{Agent: ev.ID.Agent, Seq: 2}, Insert: true, Pos: 1, Content: 'b'}}
-	if _, err := marshalChunksWith(batch, 16, Marshal); err == nil {
-		t.Fatal("batch of oversized events accepted")
-	}
-	// Sanity: the same batch under a workable limit splits fine.
-	chunks, err := marshalChunksWith(batch, 1024, Marshal)
-	if err != nil || len(chunks) == 0 {
-		t.Fatalf("workable limit failed: %v", err)
 	}
 }

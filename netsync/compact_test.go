@@ -3,6 +3,7 @@ package netsync
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -53,31 +54,62 @@ func TestDocHelloV2UnknownFlagsRejected(t *testing.T) {
 	}
 }
 
-// TestCompactChunkedFramesAreColumnar: with compact on, every events
-// frame carries the columnar magic and still decodes via the sniffing
-// Unmarshal.
+// TestCompactChunkedFramesAreColumnar: SendEvents writes a batch in the
+// encoding egwalker.MarshalBatches picks — columnar from 4 events, the
+// legacy codec below that, an empty batch as one legacy frame — and
+// every frame decodes through the sniffing reader to the events sent.
 func TestCompactChunkedFramesAreColumnar(t *testing.T) {
 	src := egwalker.NewDoc("a")
 	if err := src.Insert(0, "compact framing test"); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeEventsChunked(&buf, src.Events(), true); err != nil {
-		t.Fatal(err)
+	all := src.Events()
+	for _, n := range []int{0, 1, 3, 4, 8, len(all)} {
+		var buf bytes.Buffer
+		if err := frameConn(nil, &buf).SendEvents(all[:n]); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(&buf)
+		if err != nil || typ != msgEvents || buf.Len() != 0 {
+			t.Fatalf("%d events: frame type %#x, %v, %d bytes after it; want one events frame", n, typ, err, buf.Len())
+		}
+		if colenc.Sniff(payload) != (n >= 4) {
+			t.Fatalf("%d events: columnar %v, want %v", n, colenc.Sniff(payload), n >= 4)
+		}
+		evs, err := egwalker.UnmarshalEventsAuto(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) != n || n > 0 && !reflect.DeepEqual(evs, all[:n]) {
+			t.Fatalf("%d events decoded as %d different ones", n, len(evs))
+		}
 	}
-	typ, payload, err := readFrame(&buf)
-	if err != nil || typ != msgEvents {
-		t.Fatalf("frame: typ=%#x err=%v", typ, err)
+}
+
+// TestPushOfTypedHistoryIsColumnar: a client uploading a long typed
+// history — a reconnecting client's offline branch — sends it in the
+// columnar codec, at under 3 bytes per event, not ~10 in the legacy one.
+func TestPushOfTypedHistoryIsColumnar(t *testing.T) {
+	doc := egwalker.NewDoc("offline-writer")
+	for i := range 5000 {
+		if err := doc.Insert(i, string(rune('a'+i%26))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !colenc.Sniff(payload) {
-		t.Fatalf("compact frame payload lacks columnar magic: % x", payload[:8])
-	}
-	evs, err := Unmarshal(payload)
+	var wire bytes.Buffer
+	c, err := Dial(egwalker.NewDoc("empty"), struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(nil), &wire}, "doc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(evs, src.Events()) {
-		t.Fatal("compact frame did not decode to the original events")
+	wire.Reset()
+	if err := c.Push(doc.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(wire.Len()) / 5000; per > 3 {
+		t.Fatalf("Push put %d bytes on the wire for 5000 typed events (%.2f B/event), want at most 3 B/event", wire.Len(), per)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestDocHelloRejectsBadIDs(t *testing.T) {
 // allocation — the 16 MiB cap.
 func TestFrameCapBoundsAllocation(t *testing.T) {
 	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
+	binary.BigEndian.PutUint32(hdr[:4], egwalker.MaxBatchBytes+1)
 	hdr[4] = msgEvents
 	_, _, err := readFrame(bytes.NewReader(hdr[:]))
 	if err == nil {
@@ -115,30 +115,32 @@ func TestFrameCapBoundsAllocation(t *testing.T) {
 	}
 	// Exactly at the cap with a truncated body: accepted by the header
 	// check, then fails on the short read — never a success.
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame)
+	binary.BigEndian.PutUint32(hdr[:4], egwalker.MaxBatchBytes)
 	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("truncated max-size frame accepted")
 	}
 	// The writer enforces the same cap.
-	if err := writeFrame(&bytes.Buffer{}, msgEvents, make([]byte, maxFrame+1)); err == nil {
+	if err := writeFrame(&bytes.Buffer{}, msgEvents, make([]byte, egwalker.MaxBatchBytes+1)); err == nil {
 		t.Fatal("writeFrame accepted an over-cap payload")
 	}
 }
 
-// TestChunkedEventsSend: batches beyond the per-frame chunk size split
-// into multiple frames and reassemble losslessly on the other side.
+// TestChunkedEventsSend: batches beyond the 64k-event chunk
+// egwalker.MarshalBatches splits at go out as several frames and
+// reassemble losslessly on the other side.
 func TestChunkedEventsSend(t *testing.T) {
+	const chunk = 1 << 16
 	src := egwalker.NewDoc("bulk")
-	text := strings.Repeat("0123456789abcdef", (egwalker.MaxEventsPerBlock+100)/16+1)
+	text := strings.Repeat("0123456789abcdef", (chunk+100)/16+1)
 	if err := src.Insert(0, text); err != nil {
 		t.Fatal(err)
 	}
 	events := src.Events()
-	if len(events) <= egwalker.MaxEventsPerBlock {
+	if len(events) <= chunk {
 		t.Fatalf("test batch too small: %d events", len(events))
 	}
 	var buf bytes.Buffer
-	if err := writeEventsChunked(&buf, events, false); err != nil {
+	if err := writeEventsChunked(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	dst := egwalker.NewDoc("recv")
@@ -151,7 +153,7 @@ func TestChunkedEventsSend(t *testing.T) {
 		if typ != msgEvents {
 			t.Fatalf("frame %d: type %#x", frames, typ)
 		}
-		evs, err := Unmarshal(payload)
+		evs, err := egwalker.UnmarshalEventsAuto(payload)
 		if err != nil {
 			t.Fatal(err)
 		}

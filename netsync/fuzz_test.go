@@ -121,7 +121,7 @@ func FuzzUnmarshal(f *testing.F) {
 	if err := d.Delete(2, 4); err != nil {
 		f.Fatal(err)
 	}
-	good, err := Marshal(d.Events())
+	good, err := egwalker.MarshalEvents(d.Events())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{1, 1, 'a', 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := Unmarshal(data)
+		events, err := egwalker.UnmarshalEventsAuto(data)
 		if err != nil {
 			return
 		}

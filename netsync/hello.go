@@ -240,7 +240,7 @@ type Frame struct {
 func (p *PeerConn) RecvFrame() (Frame, error) {
 	f, err := p.RecvFrameRaw()
 	if err == nil && f.Kind == FrameEvents {
-		f.Events, err = Unmarshal(f.Raw)
+		f.Events, err = egwalker.UnmarshalEventsAuto(f.Raw)
 	}
 	if err != nil {
 		return Frame{}, err

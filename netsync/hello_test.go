@@ -176,7 +176,7 @@ func TestReadHelloTruncated(t *testing.T) {
 // doc-ID length field is hostile is refused by the doc-ID cap.
 func TestReadHelloOversized(t *testing.T) {
 	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
+	binary.BigEndian.PutUint32(hdr[:4], egwalker.MaxBatchBytes+1)
 	hdr[4] = msgDocHello2
 	_, err := ReadHello(bytes.NewReader(hdr[:]))
 	if err == nil || !strings.Contains(err.Error(), "oversized") {

@@ -22,11 +22,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := d.Events()
-	data, err := Marshal(events)
+	data, err := egwalker.MarshalEvents(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	got, err := egwalker.UnmarshalEventsAuto(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestMarshalExternalParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Marshal(batch)
+	data, err := egwalker.MarshalEvents(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	got, err := egwalker.UnmarshalEventsAuto(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	if err := d.Insert(0, "abcdef"); err != nil {
 		t.Fatal(err)
 	}
-	good, err := Marshal(d.Events())
+	good, err := egwalker.MarshalEvents(d.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(nil); err == nil {
+	if _, err := egwalker.UnmarshalEventsAuto(nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -109,7 +109,7 @@ func TestUnmarshalCorrupt(t *testing.T) {
 					t.Fatalf("Unmarshal panicked: %v", r)
 				}
 			}()
-			_, _ = Unmarshal(data[:rng.Intn(len(data)+1)])
+			_, _ = egwalker.UnmarshalEventsAuto(data[:rng.Intn(len(data)+1)])
 		}()
 	}
 }

@@ -16,8 +16,7 @@ import (
 // symmetric protocol):
 //
 //  1. exchange summary frames carrying each side's version summary;
-//  2. send the events the peer is missing, in compact frames (empty
-//     batches allowed);
+//  2. send the events the peer is missing (empty batches allowed);
 //  3. exchange DONE frames.
 //
 // A summary names the peer's exact event set, so the diff is exact even
@@ -68,7 +67,7 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 	}
 	sendErr := make(chan error, 1)
 	go func() {
-		err := writeEventsChunked(bw, missing, true)
+		err := writeEventsChunked(bw, missing)
 		if err == nil {
 			err = writeFrame(bw, msgDone, nil)
 		}
@@ -87,7 +86,7 @@ func Sync(doc *egwalker.Doc, conn io.ReadWriter) error {
 		}
 		switch typ {
 		case msgEvents:
-			events, err := Unmarshal(payload)
+			events, err := egwalker.UnmarshalEventsAuto(payload)
 			if err != nil {
 				return err
 			}
@@ -131,7 +130,7 @@ func (r *Relay) Doc() *egwalker.Doc {
 // Serve handles one peer connection; it returns when the peer
 // disconnects. The peer opens with the doc hello (its document ID is
 // not checked: a relay holds one document), and Serve answers with the
-// events its summary lacks, in compact frames. Run it in its own
+// events its summary lacks. Run it in its own
 // goroutine per peer.
 func (r *Relay) Serve(conn io.ReadWriter) error {
 	bw := bufio.NewWriter(conn)
@@ -162,7 +161,7 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 	if err != nil {
 		return err
 	}
-	if err := writeEventsChunked(bw, catchup, true); err != nil {
+	if err := writeEventsChunked(bw, catchup); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -201,7 +200,7 @@ func (r *Relay) Serve(conn io.ReadWriter) error {
 		}
 		switch typ {
 		case msgEvents:
-			events, err := Unmarshal(payload)
+			events, err := egwalker.UnmarshalEventsAuto(payload)
 			if err != nil {
 				return err
 			}
@@ -248,23 +247,12 @@ func NewPeerConn(conn io.ReadWriter) *PeerConn {
 	return &PeerConn{bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}
 }
 
-// SendEvents uploads a batch, splitting it into multiple frames if it
-// exceeds the frame cap.
+// SendEvents sends a batch as the events frames of
+// egwalker.MarshalBatches' payloads — one frame for an empty batch.
 func (p *PeerConn) SendEvents(events []egwalker.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := writeEventsChunked(p.bw, events, false); err != nil {
-		return err
-	}
-	return p.bw.Flush()
-}
-
-// SendEventsCompact is SendEvents with the compact columnar encoding,
-// which every peer that sent or accepted the doc hello decodes.
-func (p *PeerConn) SendEventsCompact(events []egwalker.Event) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := writeEventsChunked(p.bw, events, true); err != nil {
+	if err := writeEventsChunked(p.bw, events); err != nil {
 		return err
 	}
 	return p.bw.Flush()

@@ -7,14 +7,15 @@
 // references to parent events outside the subset are encoded as
 // (agent, seq) event IDs; parents inside the subset compress to
 // relative indexes, and runs of events by one agent share one ID entry.
-// The batch codec itself lives in the root package (MarshalEvents /
-// MarshalEventsCompact / UnmarshalEventsAuto) so the durable store's
-// write-ahead log and the network share one encoding; Marshal/Unmarshal
-// here are aliases.
+// The batch codec lives in the root package so the durable store's
+// write-ahead log and the network share one encoding: every events frame
+// is one payload of egwalker.MarshalBatches, which picks the legacy or
+// the columnar codec by batch size, and every reader decodes it with
+// egwalker.UnmarshalEventsAuto.
 //
 // Every exchange starts with a version summary — each side's exact
 // event set as per-agent seq ranges — so the other side answers with
-// the true diff, in compact frames:
+// the true diff:
 //
 //   - Sync: one-shot anti-entropy — two replicas exchange summaries and
 //     the events the other is missing, then confirm convergence.
@@ -52,7 +53,8 @@ const (
 
 // Flag bits in a v2 doc hello (msgDocHello2). Every accepted hello sets
 // capCompact: the peer decodes the compact columnar event encoding
-// (docs/FORMAT.md), and the host answers catch-up frames in it.
+// (docs/FORMAT.md) as well as the legacy one, so the host writes each
+// frame in whichever egwalker.MarshalBatches picks.
 const (
 	capCompact  = 1 << 0
 	helloResume = 1 << 1 // retired: a frontier version followed the doc ID; refused
@@ -72,12 +74,6 @@ const (
 	knownHelloFlags = capCompact | helloRedirect | helloReplica | helloSummary
 )
 
-// maxFrame bounds a single frame's payload. The cap is checked before
-// any allocation, so a corrupt or hostile peer advertising a huge
-// length prefix cannot trigger an unbounded allocation. Event batches
-// larger than this are split (see writeEventsChunked).
-const maxFrame = 16 << 20
-
 // maxDocID bounds the document ID in a doc-hello frame.
 const maxDocID = 4096
 
@@ -94,10 +90,11 @@ const (
 	maxSeq       = 1 << 48
 )
 
-// writeFrame writes a length-prefixed, typed frame.
+// writeFrame writes a length-prefixed, typed frame. A payload is at most
+// egwalker.MaxBatchBytes, the cap MarshalBatches splits batches under.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
-	if len(payload) > maxFrame {
+	if len(payload) > egwalker.MaxBatchBytes {
 		return fmt.Errorf("netsync: frame too large (%d bytes)", len(payload))
 	}
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
@@ -109,16 +106,18 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, validating the advertised length before
-// allocating.
+// readFrame reads one frame, validating the advertised length against
+// egwalker.MaxBatchBytes before allocating, so a corrupt or hostile peer
+// advertising a huge length prefix cannot trigger an unbounded
+// allocation.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("netsync: oversized frame (%d bytes, cap %d)", n, maxFrame)
+	if n > egwalker.MaxBatchBytes {
+		return 0, nil, fmt.Errorf("netsync: oversized frame (%d bytes, cap %d)", n, egwalker.MaxBatchBytes)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -127,29 +126,15 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
-// writeEventsChunked writes a batch as one or more msgEvents frames,
-// splitting so no frame exceeds the cap. With compact set the frames
-// carry the columnar encoding (the peer must have advertised
-// capCompact). Receivers apply frames independently; within one batch
-// later chunks may reference earlier chunks' events as external
-// parents, which Apply resolves (they are already admitted by the time
-// the later chunk arrives).
-func writeEventsChunked(w io.Writer, events []egwalker.Event, compact bool) error {
-	marshal := Marshal
-	if compact {
-		marshal = egwalker.MarshalEventsCompact
-	}
-	if len(events) == 0 {
-		// Always emit at least one frame: receivers treat the first
-		// events frame as the snapshot/anti-entropy payload even when
-		// there is nothing to send.
-		batch, err := marshal(nil)
-		if err != nil {
-			return err
-		}
-		return writeFrame(w, msgEvents, batch)
-	}
-	batches, err := marshalChunksWith(events, maxFrame, marshal)
+// writeEventsChunked writes a batch as the msgEvents frames of
+// egwalker.MarshalBatches' payloads: an empty batch as one frame (a
+// receiver takes the first events frame for the catch-up even when
+// there is nothing in it). Receivers apply frames independently; later
+// frames may reference earlier frames' events as external parents,
+// which Apply resolves (they are already admitted by the time the later
+// frame arrives).
+func writeEventsChunked(w io.Writer, events []egwalker.Event) error {
+	batches, err := egwalker.MarshalBatches(events)
 	if err != nil {
 		return err
 	}
@@ -159,50 +144,6 @@ func writeEventsChunked(w io.Writer, events []egwalker.Event, compact bool) erro
 		}
 	}
 	return nil
-}
-
-// MarshalChunksCompact encodes a batch in the compact columnar encoding
-// (docs/FORMAT.md) as one or more frame-sized payloads: split by event
-// count first, then — for pathological event sizes (maximal agent
-// names, very wide frontiers) — by halving until each payload fits
-// under the frame cap. Multi-document hosts use it to build payloads
-// any subscriber decodes. A single event whose encoding alone exceeds
-// the cap is an error (nothing can carry it), never an over-cap chunk
-// or an unbounded split.
-func MarshalChunksCompact(events []egwalker.Event) ([][]byte, error) {
-	return marshalChunksWith(events, maxFrame, egwalker.MarshalEventsCompact)
-}
-
-// marshalChunksWith is the splitter behind MarshalChunksCompact and
-// writeEventsChunked; the frame cap is a parameter so tests can
-// exercise the splitting and failure paths without building
-// multi-mebibyte batches.
-func marshalChunksWith(events []egwalker.Event, limit int, marshal func([]egwalker.Event) ([]byte, error)) ([][]byte, error) {
-	var out [][]byte
-	var emit func(evs []egwalker.Event) error
-	emit = func(evs []egwalker.Event) error {
-		batch, err := marshal(evs)
-		if err != nil {
-			return err
-		}
-		if len(batch) > limit {
-			if len(evs) <= 1 {
-				return fmt.Errorf("netsync: single event encodes to %d bytes, over the %d-byte frame cap", len(batch), limit)
-			}
-			if err := emit(evs[:len(evs)/2]); err != nil {
-				return err
-			}
-			return emit(evs[len(evs)/2:])
-		}
-		out = append(out, batch)
-		return nil
-	}
-	for _, chunk := range egwalker.ChunkEvents(events) {
-		if err := emit(chunk); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // --- varint helpers -------------------------------------------------------
@@ -238,21 +179,4 @@ func (r *byteReader) bytes(n int) ([]byte, error) {
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b, nil
-}
-
-// --- event subset encoding (§3.8, network form) ---------------------------
-
-// Marshal encodes a batch of events for the network. The batch must be
-// in causal order (parents precede children within the batch, as
-// Doc.Events / Doc.EventsSince produce). It is egwalker.MarshalEvents;
-// the alias remains for compatibility and symmetry with Unmarshal.
-func Marshal(events []egwalker.Event) ([]byte, error) {
-	return egwalker.MarshalEvents(events)
-}
-
-// Unmarshal decodes a batch encoded by Marshal or MarshalChunksCompact
-// (the compact columnar magic is sniffed, so receivers need no advance
-// knowledge of which encoding a frame carries).
-func Unmarshal(data []byte) ([]egwalker.Event, error) {
-	return egwalker.UnmarshalEventsAuto(data)
 }

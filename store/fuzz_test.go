@@ -35,7 +35,7 @@ func validSegment(tb testing.TB) []byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		blocks, err := encodeBlocks(evs, false)
+		blocks, err := encodeBlocks(evs)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -72,16 +72,20 @@ func blockSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	block := func(evs []egwalker.Event, compact bool) []byte {
-		blocks, err := encodeBlocks(evs, compact)
-		if err != nil || len(blocks) != 1 {
-			tb.Fatalf("%d blocks: %v", len(blocks), err)
+	block := func(evs []egwalker.Event, marshal func([]egwalker.Event) ([]byte, error)) []byte {
+		payload, err := marshal(evs)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		return blocks[0]
+		block, err := sealBlock(payload)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return block
 	}
 	var bodies [][]byte
 	for _, evs := range [][]egwalker.Event{a.Events(), tail, nil} {
-		legacy, compact := block(evs, false), block(evs, true)
+		legacy, compact := block(evs, egwalker.MarshalEvents), block(evs, egwalker.MarshalEventsCompact)
 		bodies = append(bodies, legacy, compact, slices.Concat(legacy, compact))
 	}
 	header := []byte{'E', 'G', 'W', 'S', segVersion}
@@ -127,8 +131,9 @@ func resealed(data []byte) []byte {
 // fresh doc as it walks), and truncating a segment at its reported
 // validLen must replay to the same state (the torn-tail repair is a fixed
 // point). With the checksums redone, every batch replay accepts must
-// encode again through encodeBlocks, in its block's encoding, into blocks
-// that replay as the same events.
+// encode again through encodeBlocks — the one writer, which picks its
+// own encoding whatever the block's was — into blocks that replay as the
+// same events.
 func FuzzSegmentReplay(f *testing.F) {
 	good := validSegment(f)
 	f.Add(good)
@@ -166,13 +171,8 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var compact []bool
-		walkSegmentBlocks(data, func(payload []byte) error {
-			compact = append(compact, colenc.Sniff(payload))
-			return nil
-		})
-		for i, evs := range batches {
-			blocks, err := encodeBlocks(evs, compact[i])
+		for _, evs := range batches {
+			blocks, err := encodeBlocks(evs)
 			if err != nil {
 				t.Fatalf("replay accepted %d events the writer refuses: %v", len(evs), err)
 			}

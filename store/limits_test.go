@@ -205,13 +205,12 @@ func TestPrunedFrameNeverEntersTheJournal(t *testing.T) {
 }
 
 // TestSnapshotsKeepDeletedCharacters: a store's snapshots are never
-// pruned, whatever its Save options say: after a compaction and a reopen
-// it still serves every character it was sent. A pruned snapshot would
+// pruned: after a compaction and a reopen it still serves every
+// character it was sent, deleted ones included. A pruned snapshot would
 // serve placeholders, or ErrPruned, instead.
 func TestSnapshotsKeepDeletedCharacters(t *testing.T) {
 	root := t.TempDir()
-	opts := Options{Save: egwalker.SaveOptions{OmitDeletedContent: true}}
-	ds := mustOpen(t, root, "doc", opts)
+	ds := mustOpen(t, root, "doc", Options{})
 	if err := ds.Insert(0, "hello world"); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestSnapshotsKeepDeletedCharacters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Close()
-	re := mustOpen(t, root, "doc", opts)
+	re := mustOpen(t, root, "doc", Options{})
 	defer re.Close()
 	evs, err := re.EventsSince(nil)
 	if err != nil {

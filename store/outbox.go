@@ -5,7 +5,6 @@ import (
 
 	"egwalker"
 	"egwalker/internal/metrics"
-	"egwalker/netsync"
 )
 
 // outbox is one subscriber's queue of marshalled fan-out frames,
@@ -108,7 +107,7 @@ func (o *outbox) overLocked(add int64) bool {
 
 // coalesceLocked merges the queue into one batch: every frame is decoded
 // (here, under pressure, and nowhere else on the fan-out path), the
-// events are re-marshalled compact, and the merge is
+// events are re-marshalled by egwalker.MarshalBatches, and the merge is
 // kept only when it is actually smaller (a merge that grows — rare, but
 // possible across chunking boundaries — is discarded).
 func (o *outbox) coalesceLocked() {
@@ -123,7 +122,7 @@ func (o *outbox) coalesceLocked() {
 		}
 		evs = append(evs, batch...)
 	}
-	chunks, err := netsync.MarshalChunksCompact(evs)
+	chunks, err := egwalker.MarshalBatches(evs)
 	var newBytes int64
 	for _, c := range chunks {
 		newBytes += int64(len(c))

@@ -109,7 +109,7 @@ func TestOutboxCoalesceReprieve(t *testing.T) {
 	}
 	var decoded int
 	for _, raw := range drained {
-		evs, err := netsync.Unmarshal(raw)
+		evs, err := egwalker.UnmarshalEventsAuto(raw)
 		if err != nil {
 			t.Fatalf("coalesced frame does not decode: %v", err)
 		}

@@ -242,7 +242,8 @@ func (s *DocStore) Quarantined() (bool, error) {
 type SalvageInfo struct {
 	// Events the salvaged prefix holds (what the store now serves).
 	Events int
-	// CorruptBlocks counts unreadable files / blocks skipped over.
+	// CorruptBlocks counts unreadable files / blocks skipped over, and
+	// live WAL segments missing from the directory.
 	CorruptBlocks int
 	// LostBytes is how much of the WAL was unusable.
 	LostBytes int64
@@ -347,10 +348,20 @@ func (s *DocStore) salvageDoc(snaps, segs []uint64) (*egwalker.Doc, uint64, Salv
 	if doc == nil {
 		doc = egwalker.NewDoc(s.agent)
 	}
+	// The live segments run from the snapshot's seq (1 without one) to
+	// the newest, and each number missing among them is a lost block, as
+	// an unreadable file is. With every snapshot unreadable, what came
+	// before the oldest segment was theirs: SkippedSnapshots counts it.
+	next := max(snapSeq, 1)
+	if snapSeq == 0 && skipped > 0 && len(segs) > 0 {
+		next = segs[0]
+	}
 	for _, seq := range segs {
-		if seq < snapSeq {
+		if seq < next {
 			continue
 		}
+		info.CorruptBlocks += int(seq - next)
+		next = seq + 1
 		data, err := s.fs.ReadFile(filepath.Join(s.dir, segName(seq)))
 		if err != nil {
 			info.CorruptBlocks++
@@ -514,6 +525,6 @@ func (s *DocStore) rebuildLocked() error {
 	s.recovery = RecoveryInfo{SnapshotSeq: 1}
 	s.werr = nil
 	s.qerr = nil
-	s.blockServable = size <= maxBlockPayload
+	s.blockServable = size <= egwalker.MaxBatchBytes
 	return nil
 }

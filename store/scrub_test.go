@@ -476,3 +476,60 @@ func TestServerScrubberQuarantinesAndRepairs(t *testing.T) {
 		t.Fatalf("rebuilt doc re-quarantined: %d", n)
 	}
 }
+
+// TestSalvageCountsAMissingSegment: a live WAL segment gone from the
+// directory is a lost block in the salvage report, as an unreadable one
+// is. Every commit rotates, so "base ", "A" and "B" each have a segment;
+// the one of "A" is removed. When "B" was typed after "A" it is dropped
+// too; when "B" came from a replica that never saw "A", it applies, and
+// the missing segment is the only loss there is to report. Salvage used
+// to count the dropped event alone, and no loss at all in the second
+// case.
+func TestSalvageCountsAMissingSegment(t *testing.T) {
+	for _, needed := range []bool{true, false} {
+		for _, mode := range openModes {
+			t.Run(fmt.Sprintf("needed=%v/%s", needed, mode.name), func(t *testing.T) {
+				root := t.TempDir()
+				ds := mustOpen(t, root, "doc", Options{SegmentMaxBytes: 1})
+				if err := ds.Insert(0, "base "); err != nil {
+					t.Fatal(err)
+				}
+				other, err := ds.Doc().Fork("other")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lost := ds.activeSeq
+				if err := ds.Insert(ds.Len(), "A"); err != nil {
+					t.Fatal(err)
+				}
+				if needed {
+					err = ds.Insert(ds.Len(), "B")
+				} else if err = other.Insert(other.Len(), "B"); err == nil {
+					_, err = ds.Apply(other.Events()[5:])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds.Close()
+				if err := os.Remove(filepath.Join(root, "doc", segName(lost))); err != nil {
+					t.Fatal(err)
+				}
+				re, err := mode.open(root, "doc", "tester", Options{Quarantine: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if q, _ := re.Quarantined(); !q {
+					t.Fatal("not quarantined")
+				}
+				want := SalvageInfo{Events: 5, CorruptBlocks: 1, DroppedEvents: 1}
+				if !needed {
+					want = SalvageInfo{Events: 6, CorruptBlocks: 1}
+				}
+				if got := re.Salvage(); got != want {
+					t.Fatalf("salvage %+v, want %+v", got, want)
+				}
+			})
+		}
+	}
+}

@@ -3,13 +3,14 @@
 // document gets a directory holding
 //
 //   - an append-only, segmented write-ahead log: wal-<seq>.seg files of
-//     CRC-protected blocks, each one event batch in the §3.8 batch
-//     encoding used on the network, rotated at a size threshold. This
-//     package is the block format's only writer (sealBlock) and only
-//     reader (walkSegmentBlocks);
-//   - snapshots: snap-<seq>.egw files written with Doc.Save
-//     (CacheFinalDoc), where <seq> is the first WAL segment NOT covered
-//     by the snapshot;
+//     CRC-protected blocks, each one payload of egwalker.MarshalBatches —
+//     the batch encoding the network uses — rotated at a size
+//     threshold. This package is the block format's only writer
+//     (sealBlock) and only reader (walkSegmentBlocks);
+//   - snapshots: snap-<seq>.egw files, each a whole-document EGC2 frame
+//     from Doc.Save with the final text cached, every deleted character
+//     kept and no compression, where <seq> is the first WAL segment NOT
+//     covered by the snapshot;
 //   - compaction: once a snapshot covers them, sealed segments and
 //     older snapshots are deleted.
 //
@@ -42,9 +43,12 @@ import (
 //
 //	uvarint payload length | uint32le CRC32-C of payload | payload
 //
-// The payload is a batch in either encoding, egwalker.MarshalEvents or
-// egwalker.MarshalEventsCompact (colenc.Sniff tells them apart), so the
-// two interleave freely within a segment.
+// The payload is one of egwalker.MarshalBatches' payloads: the legacy
+// per-event codec for a batch of up to 3 events, the columnar one from 4
+// (colenc.Sniff tells them apart), so the two interleave freely within a
+// segment. Segments written before that rule hold legacy blocks of up
+// to 7 events and older ones legacy blocks of any size; the reader
+// takes them all.
 var segMagic = [4]byte{'E', 'G', 'W', 'S'}
 
 const (
@@ -62,23 +66,16 @@ var errBadSegment = errors.New("store: not a WAL segment")
 // damaged after being written.
 var errCorruptBlock = errors.New("store: corrupt WAL block")
 
-// errBlockTooLarge reports a batch that encodes past maxBlockPayload.
-var errBlockTooLarge = errors.New("store: WAL block too large")
-
-// maxBlockPayload bounds one block's payload: 16 MiB of encoded events
-// is ~1M events. It equals netsync's frame-payload cap, so a journaled
-// block can be forwarded as one frame and a frame journaled as one
-// block.
-const maxBlockPayload = 16 << 20
-
 var blockCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// sealBlock wraps an encoded batch payload in the block envelope. An
-// uploaded frame whose structure was validated is journaled through it
-// verbatim, without re-encoding.
+// sealBlock wraps an encoded batch payload in the block envelope. A
+// payload is at most egwalker.MaxBatchBytes, the netsync frame cap too,
+// so a journaled block can be forwarded as one frame and a frame
+// journaled as one block: an uploaded frame whose structure was
+// validated is journaled through it verbatim, without re-encoding.
 func sealBlock(payload []byte) ([]byte, error) {
-	if len(payload) > maxBlockPayload {
-		return nil, fmt.Errorf("%w (%d bytes, cap %d)", errBlockTooLarge, len(payload), maxBlockPayload)
+	if len(payload) > egwalker.MaxBatchBytes {
+		return nil, fmt.Errorf("store: WAL block too large (%d bytes, cap %d)", len(payload), egwalker.MaxBatchBytes)
 	}
 	block := make([]byte, 0, binary.MaxVarintLen64+4+len(payload))
 	block = binary.AppendUvarint(block, uint64(len(payload)))
@@ -86,40 +83,17 @@ func sealBlock(payload []byte) ([]byte, error) {
 	return append(block, payload...), nil
 }
 
-// encodeBlocks encodes a batch as one or more blocks, columnar when
-// compact. It splits first by egwalker.MaxEventsPerBlock and then — for
-// pathological batches whose events are individually huge (maximal
-// agent names, hundreds of external parents) — by halving until every
-// block fits maxBlockPayload, so a legal batch always encodes. Encoding
-// is pure: nothing has been written anywhere when it fails, which tells
-// a rejected batch apart from a torn write.
-func encodeBlocks(events []egwalker.Event, compact bool) ([][]byte, error) {
-	marshal := egwalker.MarshalEvents
-	if compact {
-		marshal = egwalker.MarshalEventsCompact
+// encodeBlocks seals each payload egwalker.MarshalBatches writes for a
+// batch as one block, so the WAL picks the encoding where the network
+// does. Encoding is pure: nothing has been written anywhere when it
+// fails, which tells a rejected batch apart from a torn write.
+func encodeBlocks(events []egwalker.Event) ([][]byte, error) {
+	blocks, err := egwalker.MarshalBatches(events)
+	if err != nil {
+		return nil, err
 	}
-	var blocks [][]byte
-	var emit func(evs []egwalker.Event) error
-	emit = func(evs []egwalker.Event) error {
-		payload, err := marshal(evs)
-		if err != nil {
-			return err
-		}
-		block, err := sealBlock(payload)
-		if errors.Is(err, errBlockTooLarge) && len(evs) > 1 {
-			if err := emit(evs[:len(evs)/2]); err != nil {
-				return err
-			}
-			return emit(evs[len(evs)/2:])
-		}
-		if err != nil {
-			return err
-		}
-		blocks = append(blocks, block)
-		return nil
-	}
-	for _, chunk := range egwalker.ChunkEvents(events) {
-		if err := emit(chunk); err != nil {
+	for i, payload := range blocks {
+		if blocks[i], err = sealBlock(payload); err != nil {
 			return nil, err
 		}
 	}
@@ -188,7 +162,7 @@ func walkSegmentBlocks(data []byte, fn func(payload []byte) error) (*blockWalk, 
 				break
 			}
 		}
-		if n > maxBlockPayload {
+		if n > egwalker.MaxBatchBytes {
 			// No writer produces blocks past the cap (sealBlock
 			// enforces it), so this is a damaged prefix.
 			w.tail = fmt.Errorf("store: block claims %d bytes: %w", n, errCorruptBlock)

@@ -4,11 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 )
 
 // replayed walks a segment image through replayBlocks and returns the
@@ -65,7 +69,7 @@ func TestReplayDamageVerdicts(t *testing.T) {
 	flipped[len(flipped)-3] ^= 0x20
 	damagedFrame := slices.Clone(compact)
 	damagedFrame[len(damagedFrame)/2] ^= 0x20
-	overLen := binary.AppendUvarint(nil, maxBlockPayload+1)
+	overLen := binary.AppendUvarint(nil, egwalker.MaxBatchBytes+1)
 	overLen = append(overLen, 0, 0, 0, 0)
 
 	for _, c := range []struct {
@@ -142,5 +146,41 @@ func TestReplayDamageVerdicts(t *testing.T) {
 				t.Fatalf("bit %d of byte %d flipped: replays as %v", bit, at, batches)
 			}
 		}
+	}
+}
+
+// TestCommitsJournalTheSmallerEncoding: a materialized document's commit
+// of n events is journaled as one block in the encoding
+// egwalker.MarshalBatches picks — the legacy codec for up to 3 events,
+// columnar from 4 — and the segment replays to the document.
+func TestCommitsJournalTheSmallerEncoding(t *testing.T) {
+	ds := mustOpen(t, t.TempDir(), "doc", Options{})
+	defer ds.Close()
+	for n := 1; n <= 7; n++ {
+		if err := ds.Insert(ds.Len(), strings.Repeat(string(rune('0'+n)), n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(ds.dir, segName(ds.activeSeq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var columnar []bool
+	if _, err := walkSegmentBlocks(data, func(payload []byte) error {
+		columnar = append(columnar, colenc.Sniff(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{false, false, false, true, true, true, true}
+	if !reflect.DeepEqual(columnar, want) {
+		t.Fatalf("commits of 1..7 events journaled columnar %v, want %v", columnar, want)
+	}
+	batches, w, err := replayed(data)
+	if err != nil || w.tail != nil {
+		t.Fatalf("replay: %v, tail %v", err, w.tail)
+	}
+	if back := slices.Concat(batches...); !reflect.DeepEqual(back, ds.Events()) {
+		t.Fatalf("the journal replays as %d events, the document holds %d", len(back), ds.NumEvents())
 	}
 }

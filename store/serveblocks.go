@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"egwalker"
 	"egwalker/internal/colenc"
 )
 
@@ -70,7 +71,7 @@ func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) 
 		if err != nil {
 			return sent, err
 		}
-		if !colenc.Sniff(data) || len(data) > maxBlockPayload {
+		if !colenc.Sniff(data) || len(data) > egwalker.MaxBatchBytes {
 			return sent, fmt.Errorf("store: snapshot %s not servable as a frame", snapName(cut.snapSeq))
 		}
 		if err := send(data); err != nil {

@@ -577,7 +577,8 @@ func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 // (-1: all). Called with e.mu held; also used by RepairDoc to push a
 // repair's fetched diff to live subscribers. Every subscriber decodes
 // both encodings, so an uploaded batch is forwarded verbatim; only a
-// batch that arrived decoded is marshalled, once, compact.
+// batch that arrived decoded is marshalled, once, by
+// egwalker.MarshalBatches.
 func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 	raws := [][]byte{b.raw}
 	if b.raw == nil {
@@ -585,7 +586,7 @@ func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 		if err != nil {
 			return err
 		}
-		if raws, err = netsync.MarshalChunksCompact(events); err != nil {
+		if raws, err = egwalker.MarshalBatches(events); err != nil {
 			return err
 		}
 	}
@@ -710,8 +711,8 @@ func (e *entry) unsubscribe(id int) {
 }
 
 // ServeConn handles one client connection: it reads the doc hello
-// naming which hosted document the peer wants, sends the catch-up in
-// compact frames (everything, or — when the hello carries a version
+// naming which hosted document the peer wants, sends the catch-up
+// (everything, or — when the hello carries a version
 // summary — only the events the peer is missing), and thereafter
 // journals and fans out every batch the peer uploads — netsync.Relay
 // semantics, multiplexed over every document in the store and durable
@@ -774,7 +775,7 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 	if plan.cut != nil {
 		err = e.streamCatchup(pc, plan.cut)
 	} else {
-		err = pc.SendEventsCompact(plan.events)
+		err = pc.SendEvents(plan.events)
 	}
 	if err != nil {
 		return err
@@ -851,7 +852,7 @@ func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut) error {
 		if sent == 0 {
 			// Empty document: the contract is that the first events
 			// frame is the snapshot, even when empty.
-			return pc.SendEventsCompact(nil)
+			return pc.SendEvents(nil)
 		}
 		return nil
 	}
@@ -862,7 +863,7 @@ func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut) error {
 	}
 	e.m.FullSnapshots.Inc()
 	e.m.SnapshotEvents.Add(int64(len(snapshot)))
-	return pc.SendEventsCompact(snapshot)
+	return pc.SendEvents(snapshot)
 }
 
 // serveReplica handles a server-to-server replication link: the peer
@@ -930,7 +931,7 @@ func (e *entry) replicaExchange(pc *netsync.PeerConn, theirs egwalker.VersionSum
 	}
 	e.m.ReplicaExchanges.Inc()
 	e.m.ReplicaEventsOut.Add(int64(len(catchup)))
-	return pc.SendEventsCompact(catchup)
+	return pc.SendEvents(catchup)
 }
 
 // Healthz reports whether this server can currently accept and persist
@@ -1159,17 +1160,7 @@ func (s *Server) flusher() {
 // sampleOutboxes records every live subscriber's outbox depth, so
 // queues that are deep but quiescent still show up in OutboxDepth.
 func (s *Server) sampleOutboxes() {
-	s.mu.Lock()
-	entries := make([]*entry, 0, len(s.open))
-	for _, e := range s.open {
-		if e.ds == nil {
-			continue // still opening
-		}
-		e.refs++
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-	for _, e := range entries {
+	for _, e := range s.pinOpen() {
 		e.mu.Lock()
 		for _, p := range e.peers {
 			s.metrics.OutboxDepth.Observe(int64(p.ob.depth()))
@@ -1179,18 +1170,23 @@ func (s *Server) sampleOutboxes() {
 	}
 }
 
-func (s *Server) flushOnce() {
+// pinOpen pins every opened document (one still opening is skipped):
+// the caller releases each entry when done with it.
+func (s *Server) pinOpen() []*entry {
 	s.mu.Lock()
-	var pinned []*entry
+	defer s.mu.Unlock()
+	pinned := make([]*entry, 0, len(s.open))
 	for _, e := range s.open {
-		if e.ds == nil {
-			continue // still opening
+		if e.ds != nil {
+			e.refs++
+			pinned = append(pinned, e)
 		}
-		e.refs++
-		pinned = append(pinned, e)
 	}
-	s.mu.Unlock()
-	for _, e := range pinned {
+	return pinned
+}
+
+func (s *Server) flushOnce() {
+	for _, e := range s.pinOpen() {
 		// A failed fsync turns the DocStore fail-stop (sticky write
 		// error); surface it here too so the operator learns before the
 		// next append bounces.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/colenc"
 	"egwalker/netsync"
 )
 
@@ -260,5 +262,52 @@ func TestServerBackgroundCompaction(t *testing.T) {
 			t.Fatal("background compaction never produced a snapshot")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAppendFansOutTheSmallerEncoding: a batch the server marshals for
+// its subscribers — here an API append — goes out in the encoding
+// egwalker.MarshalBatches picks: one event in the legacy codec, which is
+// the smaller for it (TestMarshalBatchesPicksTheSmallerEncoding), and a
+// longer typed run columnar.
+func TestAppendFansOutTheSmallerEncoding(t *testing.T) {
+	srv := newTestServer(t, ServerOptions{FlushInterval: -1})
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	go func() {
+		defer ss.Close()
+		srv.ServeConn(ss)
+	}()
+	pc := netsync.NewPeerConn(cs)
+	if err := pc.SendHello(netsync.Hello{DocID: "d", Compact: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.RecvFrameRaw(); err != nil { // the empty catch-up
+		t.Fatal(err)
+	}
+	src := egwalker.NewDoc("api")
+	for _, text := range []string{"x", "typed run"} {
+		v := src.Version()
+		if err := src.Insert(src.Len(), text); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := src.EventsSince(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Append("d", evs); err != nil {
+			t.Fatal(err)
+		}
+		f, err := pc.RecvFrameRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := egwalker.MarshalBatches(evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 1 || !bytes.Equal(f.Raw, want[0]) || colenc.Sniff(f.Raw) != (len(evs) > 1) {
+			t.Fatalf("append of %d events reached the subscriber as % x (columnar %v)", len(evs), f.Raw, colenc.Sniff(f.Raw))
+		}
 	}
 }

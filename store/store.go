@@ -22,11 +22,6 @@ import (
 // whose close has not finished).
 var ErrLocked = errors.New("store: document directory is locked by another store")
 
-// compactWALThreshold is the batch size from which journaled WAL
-// blocks switch to the compact columnar payload: below it the columnar
-// header outweighs its run-length savings, above it runs dominate.
-const compactWALThreshold = 8
-
 // Options tune one durable document.
 type Options struct {
 	// SegmentMaxBytes is the WAL rotation threshold (default 1 MiB): a
@@ -42,11 +37,6 @@ type Options struct {
 	// leave false to let the caller batch fsyncs via Sync (what
 	// Server's group-commit flusher does).
 	SyncEveryCommit bool
-	// Save controls snapshot encoding. CacheFinalDoc is forced on so
-	// cold opens need no replay of the snapshot itself, and
-	// OmitDeletedContent off: a store serves catch-ups of the whole
-	// history, every character of it.
-	Save egwalker.SaveOptions
 	// FS is the filesystem the document's data files go through (nil:
 	// the real one). Tests and the fault-injecting simulator substitute
 	// a FaultFS here.
@@ -91,7 +81,6 @@ func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	o.Save.CacheFinalDoc, o.Save.OmitDeletedContent = true, false
 	return o
 }
 
@@ -267,7 +256,7 @@ func (s *DocStore) recover(lazy bool) error {
 	defer dec.Put()
 
 	snapSeq, skipped, why := s.chooseSnapshot(snaps, func(data []byte) (err error) {
-		s.blockServable = colenc.Sniff(data) && len(data) <= maxBlockPayload
+		s.blockServable = colenc.Sniff(data) && len(data) <= egwalker.MaxBatchBytes
 		if !lazy || !colenc.Sniff(data) {
 			s.doc, err = egwalker.Load(bytes.NewReader(data), s.agent)
 			return err
@@ -934,7 +923,7 @@ func (s *DocStore) journalAppendLocked(b *batch) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		blocks, err = encodeBlocks(events, len(events) >= compactWALThreshold)
+		blocks, err = encodeBlocks(events)
 		if err != nil {
 			return 0, fmt.Errorf("store: encoding WAL batch: %w", err)
 		}
@@ -987,12 +976,8 @@ func (s *DocStore) commitLocked() error {
 		return nil
 	}
 	// Encode first: a batch the codec rejects writes no bytes and does
-	// not poison the store. Batches worth run-length-encoding go out as
-	// compact columnar blocks (replay sniffs each payload, so legacy and
-	// compact blocks interleave freely within a segment); tiny group
-	// commits stay on the legacy codec, whose fixed overhead is a few
-	// bytes rather than the columnar header's ~20.
-	blocks, err := encodeBlocks(evs, len(evs) >= compactWALThreshold)
+	// not poison the store.
+	blocks, err := encodeBlocks(evs)
 	if err != nil {
 		return fmt.Errorf("store: encoding WAL batch: %w", err)
 	}
@@ -1125,21 +1110,23 @@ func (s *DocStore) snapshotLocked() error {
 	s.firstSeg = s.activeSeq
 	s.eventsSinceSnap = 0
 	s.sealedSinceSnap = 0
-	s.blockServable = size <= maxBlockPayload
+	s.blockServable = size <= egwalker.MaxBatchBytes
 	s.noteLogBytesLocked()
 	return nil
 }
 
 // writeSnapshot saves the document, fsynced, as the snapshot file path
-// and returns its size. A snapshot is always a compact frame (EGC2), so
-// whether a peer can take it verbatim as one catch-up frame comes down
-// to that size.
+// and returns its size. A snapshot is always a compact frame (EGC2) with
+// the final text cached, so a cold open need not replay the snapshot
+// itself; unpruned, since a store serves catch-ups of the whole history;
+// and uncompressed. Whether a peer can take it verbatim as one catch-up
+// frame comes down to its size.
 func (s *DocStore) writeSnapshot(path string) (int64, error) {
 	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return 0, err
 	}
-	err = s.doc.Save(f, s.opts.Save)
+	err = s.doc.Save(f, egwalker.SaveOptions{CacheFinalDoc: true})
 	size, serr := f.Seek(0, io.SeekCurrent)
 	if err == nil {
 		err = serr

@@ -418,7 +418,7 @@ func TestHandAppendedBlockReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := encodeBlocks(evs, false)
+	blocks, err := encodeBlocks(evs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +631,7 @@ func TestLegacySnapshotOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := encodeBlocks(edit, false)
+	blocks, err := encodeBlocks(edit)
 	if err != nil {
 		t.Fatal(err)
 	}

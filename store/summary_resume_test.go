@@ -95,7 +95,7 @@ func TestSummaryResumeExactDiff(t *testing.T) {
 			}
 		}
 	}()
-	if err := pc.SendEventsCompact(missing); err != nil {
+	if err := pc.SendEvents(missing); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
