@@ -130,7 +130,10 @@ type Graph struct {
 	agentIdx map[string]int
 	byAgent  [][]uint32 // per agent, the indexes of its entries sorted by seqStart
 	frontier []LV       // events with no children, sorted ascending
-	searches uint64     // binary searches for the entry holding an LV
+	// Counts for cost tests, 32 bits each so that a graph is no larger
+	// for them (they wrap past 2^32): binary searches for the entry
+	// holding an LV, and the heads advanceFrontier has looked at.
+	searches, frontierSteps uint32
 }
 
 // New returns an empty event graph.
@@ -359,17 +362,74 @@ func (g *Graph) push(aid, slot, seq, count int, red []Ref) LV {
 }
 
 // advanceFrontier updates the graph frontier after adding a run that ends
-// at last and whose first event has the given (reduced) parents. The
-// run's last event is the newest LV of the graph, so its place in the
-// ascending frontier is the end.
+// at last and whose first event has the given (reduced, so ascending)
+// parents. The run's last event is the newest LV of the graph, so its
+// place in the ascending frontier is the end. Each parent is found among
+// the heads by binary search, from where the last one was found on: a run
+// concurrent with every head is appended, and the heads are compacted
+// only from the first one the run succeeds. k concurrent heads cost
+// O(k log k) steps to admit, not O(k²).
 func (g *Graph) advanceFrontier(last LV, parents []Ref) {
-	out := g.frontier[:0]
-	for _, f := range g.frontier {
-		if !containsLV(parents, f) {
-			out = append(out, f)
+	f := g.frontier
+	if len(f) <= 2 { // typing, or two authors at once: a scan is the search
+		out := f[:0]
+		for _, h := range f {
+			g.frontierSteps++
+			if !containsLV(parents, h) {
+				out = append(out, h)
+			}
+		}
+		g.frontier = append(out, last)
+		return
+	}
+	// first is the first head that is a parent, len(f) if none is; p is
+	// the first parent past it.
+	first, p, lo := len(f), 0, 0
+	for ; p < len(parents); p++ {
+		i := g.frontierFind(f, lo, parents[p].LV)
+		if i < len(f) && f[i] == parents[p].LV {
+			first = i
+			p++
+			break
+		}
+		lo = i
+	}
+	if first == len(f) {
+		g.frontier = append(f, last)
+		return
+	}
+	// Every head from first on that is a parent goes; the parents past p
+	// are walked beside the heads, both ascending.
+	out := first
+	for _, h := range f[first+1:] {
+		g.frontierSteps++
+		for p < len(parents) && parents[p].LV < h {
+			p++
+		}
+		if p < len(parents) && parents[p].LV == h {
+			p++
+			continue
+		}
+		f[out] = h
+		out++
+	}
+	g.frontier = append(f[:out], last)
+}
+
+// frontierFind returns the place of lv in f[lo:], ascending: the first
+// index from lo on whose head is at least lv.
+func (g *Graph) frontierFind(f []LV, lo int, lv LV) int {
+	hi := len(f)
+	for lo < hi {
+		g.frontierSteps++
+		mid := int(uint(lo+hi) >> 1)
+		if f[mid] < lv {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	g.frontier = append(out, last)
+	return lo
 }
 
 func containsLV(s []Ref, v LV) bool {
@@ -430,7 +490,12 @@ func (g *Graph) Bytes() int {
 // the entry holding an LV. A traversal searches once for each head it
 // starts from and follows the entries' parent links from there; tests
 // hold it to that.
-func (g *Graph) Searches() uint64 { return g.searches }
+func (g *Graph) Searches() uint64 { return uint64(g.searches) }
+
+// FrontierSteps returns the number of heads the graph has looked at to
+// keep its frontier as events were added: a probe of a binary search or a
+// head moved or scanned. Tests hold it to O(log k) an event for k heads.
+func (g *Graph) FrontierSteps() uint64 { return uint64(g.frontierSteps) }
 
 // entryIdx returns the index of the entry containing lv when
 // 0 <= lv < Len, len(entries) when lv >= Len.
@@ -475,10 +540,25 @@ func (g *Graph) holds(r Ref) bool {
 	return i < len(g.entries) && LV(g.entries[i].start) <= r.LV && r.LV < g.end(i)
 }
 
-// RefOf returns the Ref of lv, by search; false if lv is not an event.
+// lookBack is how many of the newest entries RefOf looks at before it
+// searches. A saved file's back-references reach 64 events back at most:
+// in a lattice of two authors, 16 entries hold every one of them, where 8
+// left 22 searches in a load of 2 055 entries.
+const lookBack = 16
+
+// RefOf returns the Ref of lv; false if lv is not an event. An event of
+// one of the newest few entries — what a loader's back-reference names,
+// a few dozen events back at most — is found by looking back from the
+// newest entry, any other by search.
 func (g *Graph) RefOf(lv LV) (Ref, bool) {
 	if lv < 0 || lv >= g.n {
 		return Ref{}, false
+	}
+	// The first entry starts at 0: the look stops there if not before.
+	for i := len(g.entries) - 1; i >= len(g.entries)-lookBack; i-- {
+		if LV(g.entries[i].start) <= lv {
+			return Ref{lv, uint32(i)}, true
+		}
 	}
 	return Ref{lv, uint32(g.entryIdx(lv))}, true
 }

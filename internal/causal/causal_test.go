@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -135,6 +137,40 @@ func TestFrontierTracking(t *testing.T) {
 	mustAdd(t, g, "a", 2, 1, []LV{2, 3})
 	if f := g.Frontier(); !f.Eq(Frontier{4}) {
 		t.Fatalf("frontier = %v, want [4]", f)
+	}
+}
+
+// TestConcurrentHeadsJoinTheFrontierInLogSteps: k events concurrent on
+// one root make k heads, and each finds its place among them by binary
+// search — O(k log k) steps in all, where a scan of the frontier per
+// event made them k²/2. A child of a middle head and a merge of every head
+// then compact the frontier once each.
+func TestConcurrentHeadsJoinTheFrontierInLogSteps(t *testing.T) {
+	for _, k := range []int{1_000, 32_000} {
+		g := New()
+		mustAdd(t, g, "root", 0, 1, nil)
+		for i := range k {
+			mustAdd(t, g, fmt.Sprint("h", i), 0, 1, []LV{0})
+		}
+		heads := g.Frontier()
+		if len(heads) != k || heads[0] != 1 || heads[k-1] != LV(k) {
+			t.Fatalf("k=%d: frontier of %d heads from %v", k, len(heads), heads[:min(len(heads), 3)])
+		}
+		mid := heads[k/2]
+		child := mustAdd(t, g, "child", 0, 1, []LV{mid})
+		want := append(slices.Delete(slices.Clone(heads), k/2, k/2+1), child)
+		if got := g.Frontier(); !got.Eq(want) {
+			t.Fatalf("k=%d: after a child of head %d the frontier has %d heads, want %d", k, mid, len(got), len(want))
+		}
+		merge := mustAdd(t, g, "merge", 0, 1, g.Frontier())
+		if got := g.Frontier(); !got.Eq(Frontier{merge}) {
+			t.Fatalf("k=%d: after the merge the frontier is %v", k, got[:min(len(got), 3)])
+		}
+		steps, bound := g.FrontierSteps(), uint64(2*k*bits.Len(uint(k)))
+		t.Logf("k=%d heads: %d frontier steps, %.1f a head (bound %d)", k, steps, float64(steps)/float64(k), bound)
+		if steps > bound {
+			t.Errorf("k=%d heads took %d frontier steps; want at most 2·k·log2(k) = %d", k, steps, bound)
+		}
 	}
 }
 

@@ -542,6 +542,17 @@ func (c *parentsColumn) ref() (back, agent, seq int, err error) {
 	return 0, int(ai), seq, err
 }
 
+// skip passes over one parent reference of the entry at c.at, read only
+// as far as its length: an (agent, seq) reference is two varints, a
+// back-reference one, and the first's low bit says which.
+func (c *parentsColumn) skip() error {
+	v, err := c.r.uvarint()
+	if err == nil && v&1 != 0 {
+		_, err = c.r.uvarint()
+	}
+	return err
+}
+
 // next moves from the entry at c.at, its references read, to the one
 // after it.
 func (c *parentsColumn) next() error {

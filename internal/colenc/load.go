@@ -37,18 +37,21 @@ type Document struct {
 //
 // The arrays are sized before they are filled and never grow: the spans
 // and the characters from a count of the ops and content columns, the
-// graph from a first walk of the agents and parents columns, which the
-// second walk fills. Every count is of bytes that are there, none is the
-// header's claim, and a file that Save wrote leaves no slack in them. The
-// checks are DecodeRuns' — the same column readers make them — and the
-// graph's own (causal.Graph.AddNum): what DecodeRuns and a run-by-run
-// rebuild accept loads, and the same log comes of it; the rest is an
-// error. A cached text must be valid UTF-8 and as long as some outcome of
-// the history: no longer than what it inserts, no shorter than that less
-// what it deletes (two concurrent deletes may be of one character). Of a
-// pruned frame, the arena holds a placeholder for each dropped character
-// and Document.Pruned says which events those are; LoadDocument is the
-// only decoder that reads one.
+// graph from a count of the agents and parents columns that reads a parent
+// reference only as far as its length. Each column is then decoded once,
+// in one checked walk: an op span takes its byte offset from a running
+// cursor through the characters, and a back-referenced parent is found
+// among the graph's newest entries, not searched for. Every count is of
+// bytes that are there, none is the header's claim, and a file that Save
+// wrote leaves no slack in them. The checks are DecodeRuns' — the same
+// column readers make them — and the graph's own (causal.Graph.AddNum):
+// what DecodeRuns and a run-by-run rebuild accept loads, and the same log
+// comes of it; the rest is an error. A cached text must be valid UTF-8 and
+// as long as some outcome of the history: no longer than what it inserts,
+// no shorter than that less what it deletes (two concurrent deletes may be
+// of one character). Of a pruned frame, the arena holds a placeholder for
+// each dropped character and Document.Pruned says which events those are;
+// LoadDocument is the only decoder that reads one.
 func LoadDocument(data []byte) (Document, error) {
 	f, err := splitFrame(data, docFlags, math.MaxInt32)
 	if err != nil {
@@ -73,10 +76,12 @@ func LoadDocument(data []byte) (Document, error) {
 		if !utf8.Valid(f.doc) {
 			return Document{}, fmt.Errorf("colenc: invalid UTF-8 in doc column")
 		}
-		if chars, deletes := utf8x.Count(f.doc), f.n-inserts; chars > inserts || chars < inserts-deletes {
+		// The rope counts the characters as it cuts its leaves.
+		text := rope.NewFromUTF8(f.doc)
+		if chars, deletes := text.Len(), f.n-inserts; chars > inserts || chars < inserts-deletes {
 			return Document{}, fmt.Errorf("colenc: doc column holds %d characters, the history inserts %d and deletes %d", chars, inserts, deletes)
 		}
-		doc.Text = rope.NewFromUTF8(f.doc)
+		doc.Text = text
 	}
 	return doc, nil
 }
@@ -114,14 +119,24 @@ func loadOps(l *oplog.Log, f *frame) (inserts int, pruned []causal.Span, err err
 	}
 	chars := l.Adopt(arena)
 	l.Reserve(varints/3, 0)
+	// The runs' characters follow one another through the arena: at is
+	// the byte where the next insert's characters start — character
+	// inserts, the same number in an ASCII arena, else found by skipping
+	// the last run's characters.
+	ascii, at := len(arena) == chars, 0
 	var op oplog.Run
 	for i := 0; i < f.n; i += op.Len {
 		if err := f.ops.opRun(&op, f.n-i, chars-inserts); err != nil {
 			return 0, nil, err
 		}
-		l.PushRun(causal.LV(i), op, inserts)
+		l.PushRun(causal.LV(i), op, inserts, at)
 		if op.Kind == oplog.Insert {
 			inserts += op.Len
+			if ascii {
+				at = inserts
+			} else {
+				at += utf8x.Skip(arena[at:], op.Len)
+			}
 		}
 	}
 	if !f.ops.done() {
@@ -218,8 +233,8 @@ type stretch struct {
 // stretches walks the agents and parents columns of a frame in step,
 // cutting the events wherever either does: at the end of an agent run and
 // before an event with a parents entry. It reads through readers of its
-// own, so that a walk leaves the frame's where they were and a second one
-// starts where the first did; it must not be copied once started.
+// own, so that it starts where graphSize did; it must not be copied once
+// started.
 type stretches struct {
 	agentsAt, parentsAt reader
 	agents              agentsColumn
@@ -280,46 +295,77 @@ func (w *stretches) next() (stretch, error) {
 	return s, nil
 }
 
-// end checks both columns once the walk has covered the frame's events.
-func (w *stretches) end() error {
-	if err := w.agents.end(); err != nil {
-		return err
+// graphSize walks the agents and parents columns of f, whose name table
+// is names, as stretches does, and returns what the graph will hold: its
+// entries, the parents they store and, in perAgent, each agent's entries,
+// the agents in the order their events first appear, with at each name's
+// place in it (-1 for a name no event goes under). Of a parent reference
+// it reads only the length — the first varint's low bit says whether a
+// second follows — and leaves the checks to the walk that fills the
+// graph: every count is of bytes that are there.
+func graphSize(f *frame, names []string, at []int) (entries, stored int, perAgent []causal.AgentEntries, err error) {
+	agentsAt, parentsAt := f.agents, f.parents // copies: the frame's readers stay where they are
+	agents, err := agentRuns(&agentsAt, len(names), f.n)
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	return w.parents.end()
+	parents, err := parentEntries(&parentsAt, len(names), f.n)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	for i := 0; i < f.n; {
+		if agents.left == 0 {
+			return 0, 0, nil, agents.end() // the runs fall short of the frame: an error
+		}
+		run, err := agents.next()
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		// A stretch starts at the run and at each parents entry inside it.
+		k, end := 0, run.start+run.n
+		for ; i < end; k++ {
+			if i != parents.at {
+				stored++
+			} else {
+				nPar, err := parents.count()
+				if err != nil {
+					return 0, 0, nil, err
+				}
+				for range nPar {
+					if err := parents.skip(); err != nil {
+						return 0, 0, nil, err
+					}
+				}
+				if err := parents.next(); err != nil {
+					return 0, 0, nil, err
+				}
+				stored += nPar
+			}
+			i = min(end, parents.at)
+		}
+		if at[run.agent] < 0 {
+			at[run.agent] = len(perAgent)
+			perAgent = append(perAgent, causal.AgentEntries{Agent: names[run.agent]})
+		}
+		perAgent[at[run.agent]].Entries += k
+		entries += k
+	}
+	if err := agents.end(); err != nil {
+		return 0, 0, nil, err
+	}
+	return entries, stored, perAgent, parents.end()
 }
 
 // loadGraph fills the empty graph g from the agents column of f — its name
-// table, names, already read — and the parents column. It walks the two
-// twice: to count what the graph will hold, then to fill what the count
-// has sized.
+// table, names, already read — and the parents column. It sizes the graph
+// from a count of the two (graphSize), then fills it in one checked walk.
 func loadGraph(g *causal.Graph, names []string, f *frame) error {
-	// perAgent lists the agents in the order their events first appear;
-	// at is an agent's place in it by index into the file's name table,
-	// -1 for a name no event of the frame goes under.
 	at := make([]int, len(names))
 	for i := range at {
 		at[i] = -1
 	}
-	var perAgent []causal.AgentEntries
-	entries, stored := 0, 0
-	var w stretches
-	if err := w.start(f, len(names)); err != nil {
-		return err
-	}
-	for w.i < f.n {
-		s, err := w.next()
-		if err != nil {
-			return err
-		}
-		if at[s.agent] < 0 {
-			at[s.agent] = len(perAgent)
-			perAgent = append(perAgent, causal.AgentEntries{Agent: names[s.agent]})
-		}
-		perAgent[at[s.agent]].Entries++
-		entries++
-		stored += len(s.parents)
-	}
-	if err := w.end(); err != nil {
+	entries, stored, perAgent, err := graphSize(f, names, at)
+	if err != nil {
 		return err
 	}
 	g.Reserve(entries, stored, perAgent)
@@ -333,9 +379,10 @@ func loadGraph(g *causal.Graph, names []string, f *frame) error {
 	}
 
 	// An (agent, seq) parent is looked up with its entry; a back-reference,
-	// an LV, is searched for.
+	// an LV a few events back, is found among the newest entries.
 	var buf [4]causal.Ref
 	refs := buf[:0]
+	var w stretches
 	if err := w.start(f, len(names)); err != nil {
 		return err
 	}
@@ -364,5 +411,5 @@ func loadGraph(g *causal.Graph, names []string, f *frame) error {
 			return fmt.Errorf("colenc: load: %w", err)
 		}
 	}
-	return nil
+	return nil // the count has checked the columns' ends
 }

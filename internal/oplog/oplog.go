@@ -238,7 +238,7 @@ func (l *Log) AppendText(aid int, pos int, text string) (causal.Span, error) {
 	if err != nil {
 		return causal.Span{}, err
 	}
-	l.PushRun(start, Run{Kind: Insert, Pos: pos, Dir: 1, Len: n}, l.chars)
+	l.PushRun(start, Run{Kind: Insert, Pos: pos, Dir: 1, Len: n}, l.chars, len(l.text))
 	l.grow(append(l.text, text...), n)
 	return causal.Span{Start: start, End: start + causal.LV(n)}, nil
 }
@@ -336,7 +336,7 @@ func (r Run) From(k int) Run {
 // The last span's characters end the arena, so an insert that extends it
 // appends to both.
 func (l *Log) appendRun(lv causal.LV, r Run) {
-	l.PushRun(lv, r, l.chars)
+	l.PushRun(lv, r, l.chars, len(l.text))
 	if r.Kind != Insert {
 		return
 	}
@@ -350,12 +350,19 @@ func (l *Log) appendRun(lv causal.LV, r Run) {
 	l.grow(text, len(r.Content))
 }
 
-// grow makes text, the arena and n more characters, the arena.
+// grow makes text, the arena and n more characters, the arena. Marks in
+// ASCII, as many bytes as characters, are where they fall; others are
+// found by a skip.
 func (l *Log) grow(text []byte, n int) {
 	c, at := l.chars, len(l.text)
+	ascii := len(text)-at == n
 	l.text, l.chars = text, c+n
 	for next := (c + markEvery - 1) / markEvery * markEvery; next < l.chars; next += markEvery {
-		at += utf8x.Skip(l.text[at:], next-c)
+		if ascii {
+			at += next - c
+		} else {
+			at += utf8x.Skip(l.text[at:], next-c)
+		}
 		c = next
 		l.marks = append(l.marks, uint32(at))
 	}
@@ -405,11 +412,13 @@ func (l *Log) textOf(i, from, to int, c *Cursor) []byte {
 
 // PushRun appends the run r at lv, where the runs pushed so far end, as
 // AddRun would less the graph's side and the characters: those of an
-// insert are the arena's from at on, or about to be (r.Content is not
-// read). It first extends the last span by as much of r as continues that
-// span's pattern: the spans are those that pushing the operations one at a
-// time would build.
-func (l *Log) PushRun(lv causal.LV, r Run, at int) {
+// insert are the arena's from character at, byte text, on, or about to be
+// (r.Content is not read). An appender passes the arena's end; a loader,
+// whose arena is adopted whole, the offsets it keeps as it walks the runs,
+// so that nothing is looked up. It first extends the last span by as much
+// of r as continues that span's pattern: the spans are those that pushing
+// the operations one at a time would build.
+func (l *Log) PushRun(lv causal.LV, r Run, at, text int) {
 	if n := len(l.spans); n > 0 {
 		s := &l.spans[n-1]
 		head := Run{Kind: s.kind, Pos: int(s.pos), Dir: s.dir, Len: int(lv) - int(s.start)}
@@ -422,10 +431,7 @@ func (l *Log) PushRun(lv causal.LV, r Run, at int) {
 			r = r.From(took) // a delete run: an insert is taken whole or not at all
 		}
 	}
-	s := span{pos: int32(r.Pos), start: uint32(lv), content: uint32(at), text: uint32(len(l.text)), kind: r.Kind}
-	if at < l.chars { // a loader's: the arena is adopted whole
-		s.text = uint32(l.byteAt(at))
-	}
+	s := span{pos: int32(r.Pos), start: uint32(lv), content: uint32(at), text: uint32(text), kind: r.Kind}
 	if r.Kind == Insert {
 		s.dir = 1
 	} else if r.Len > 1 {

@@ -308,9 +308,10 @@ func TestAddRunRejectsBadRuns(t *testing.T) {
 }
 
 // TestAdoptPushRunBuildsTheSameLog: a log filled the loader's way — the
-// characters adopted whole, the saved log's runs pushed however they were
-// cut, the events added to the graph apart — has the spans and the
-// operations of the log that grew by AddRun.
+// characters, of one to four bytes, adopted whole, the saved log's runs
+// pushed however they were cut at the character and byte offsets a walk
+// of them keeps, the events added to the graph apart — has the spans and
+// the operations of the log that grew by AddRun.
 func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
@@ -320,7 +321,7 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 			var r Run
 			switch n := 1 + rng.Intn(6); {
 			case docLen < 8 || rng.Intn(3) > 0:
-				r = Run{Kind: Insert, Pos: rng.Intn(docLen + 1), Dir: 1, Len: n, Content: []rune("abcdef")[:n]}
+				r = Run{Kind: Insert, Pos: rng.Intn(docLen + 1), Dir: 1, Len: n, Content: []rune("aé日𝄞cf")[:n]}
 				docLen += n
 			case rng.Intn(2) == 0:
 				r = Run{Kind: Delete, Pos: rng.Intn(docLen - n + 1), Len: n}
@@ -339,7 +340,7 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 		filled := New()
 		filled.Adopt(slices.Clone(grown.Content()))
 		filled.Reserve(grown.SpanCount(), 0)
-		used := 0
+		used, usedBytes := 0, 0
 		// The saved runs, some cut in two: the spans must not depend on it.
 		grown.EachRun(causal.Span{End: causal.LV(grown.Len())}, func(lvs causal.Span, kind Kind, pos int, dir int8, content []byte) bool {
 			r := Run{Kind: kind, Pos: pos, Dir: dir, Len: lvs.Len()}
@@ -349,12 +350,12 @@ func TestAdoptPushRunBuildsTheSameLog(t *testing.T) {
 				if cut == 1 {
 					head.Dir = 0
 				}
-				filled.PushRun(lvs.Start, head, used)
+				filled.PushRun(lvs.Start, head, used, usedBytes)
 				lvs.Start += causal.LV(cut)
 				r = r.From(cut)
 			}
-			filled.PushRun(lvs.Start, r, used)
-			used += utf8.RuneCount(content)
+			filled.PushRun(lvs.Start, r, used, usedBytes)
+			used, usedBytes = used+utf8.RuneCount(content), usedBytes+len(content)
 			return true
 		})
 		if _, err := filled.Graph.Add("a", 0, grown.Len(), nil); err != nil {

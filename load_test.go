@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -372,6 +374,9 @@ func loadSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, seed.data)
 	}
 	seeds = append(seeds, prunedSeeds(t)...)
+	for _, seed := range hostileGraphSeeds(t) {
+		seeds = append(seeds, seed.data)
+	}
 	// Two inserts and a delete: texts the history can end in, and cannot.
 	del := colenc.Event{ID: id("a", 2), Parents: []colenc.ID{id("a", 1)}, Pos: 0}
 	for _, text := range []string{"", "b", "ab", "abc", "a\xffb"} {
@@ -428,6 +433,88 @@ func prunedSeeds(t testing.TB) [][]byte {
 		}))
 	}
 	return seeds
+}
+
+// hostileGraphSeeds are frames whose agents or parents column is broken
+// where a count that reads a parent reference only as far as its length
+// could take it for sound: each must be refused by the walk that fills
+// the graph, if not by the count. They are edits of one sound frame: "abc"
+// by a, then two characters by b on top of a's first.
+func hostileGraphSeeds(t testing.TB) []struct {
+	what string
+	data []byte
+} {
+	t.Helper()
+	data, err := colenc.Encode(append(typedBy("a", 0, 3), typedBy("b", 0, 2, colenc.ID{Agent: "a", Seq: 0})...), colenc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The agents column: names a and b, then the runs (0, 0, 3) and
+	// (1, 0, 2). The parents column: two entries, event 0's with no parent
+	// and event 3's with one, a back-reference of 3 (written doubled).
+	const agents, parents = "\x02\x01a\x01b\x02\x00\x00\x03\x01\x00\x02", "\x02\x00\x00\x03\x01\x06"
+	with := func(col int, bytes string) []byte {
+		return reframed(t, data, func(cols [][]byte) {
+			if string(cols[0]) != agents || string(cols[2]) != parents {
+				t.Fatalf("the frame's agents column is % x, its parents column % x", cols[0], cols[2])
+			}
+			cols[col] = []byte(bytes)
+		})
+	}
+	tooMany := "\x02\x00\x00\x03\x81\x08" + strings.Repeat("\x02", 1025) // 1025 back-references of 1
+	return []struct {
+		what string
+		data []byte
+	}{
+		{"an (agent, seq) reference cut off before its seq", with(2, "\x02\x00\x00\x03\x01\x01")},
+		{"a parents entry at event n", with(2, "\x02\x00\x00\x05\x01\x06")},
+		{"a parents entry past event n", with(2, "\x02\x00\x00\x09\x01\x06")},
+		{"a zero-length agent run", with(0, "\x02\x01a\x01b\x03\x00\x00\x03\x01\x00\x00\x01\x00\x02")},
+		{"a parent count past maxParents", with(2, tooMany)},
+		{"a back-reference of 0", with(2, "\x02\x00\x00\x03\x01\x00")},
+	}
+}
+
+// TestLoadRefusesHostileGraphColumns: each hostile graph frame fails to
+// load, as it fails the reference, and fails cheaply: within
+// TestLoadHugeClaim's bound.
+func TestLoadRefusesHostileGraphColumns(t *testing.T) {
+	for _, seed := range hostileGraphSeeds(t) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := Load(bytes.NewReader(seed.data), "r")
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("%s: loaded", seed.what)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: refusing it allocated %d bytes; want under 64 KB", seed.what, got)
+		}
+		if _, refErr := refLoad(seed.data, "r"); refErr == nil {
+			t.Errorf("%s: the reference loads it", seed.what)
+		}
+		t.Logf("%s: %v", seed.what, err)
+	}
+}
+
+// TestLoadSearchesForNoBackReference: a back-reference names an event a
+// few dozen at most before the one whose parent it is, so Load finds it
+// among the newest entries of the graph it is filling. Searching for each
+// made 3 042 graph searches for the lattice's 2 055 entries.
+func TestLoadSearchesForNoBackReference(t *testing.T) {
+	var file bytes.Buffer
+	if err := latticeDoc(t, 20_000).Save(&file, SaveOptions{CacheFinalDoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Load(bytes.NewReader(file.Bytes()), "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, searches := d.MemStats().GraphEntries, d.log.Graph.Searches()
+	t.Logf("a load of %d events in %d graph entries made %d graph searches", d.NumEvents(), entries, searches)
+	if searches > uint64(entries/100) {
+		t.Errorf("a load of %d graph entries made %d graph searches; want at most %d", entries, searches, entries/100)
+	}
 }
 
 // typedBy is n characters typed by agent from seq on at the front of the
