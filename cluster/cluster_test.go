@@ -303,7 +303,7 @@ func TestRedirectAndLegacyProxy(t *testing.T) {
 	// must be a redirect naming the owner first; following it must
 	// yield the document.
 	dialer := &Dialer{Addrs: []string{nonOwner.addr}}
-	c, err := dialer.Connect(docID, nil)
+	c, err := dialer.connect(docID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,13 @@ import (
 // across its seed addresses (rotating the starting point per attempt)
 // and advertises the redirect capability, so a node that does not own
 // the requested document answers with a redirect frame instead of
-// proxying. The redirect surfaces through Recv/RecvFrame on the
-// returned Peer as *netsync.RedirectError; pass its Addrs back to
-// Connect as preferred addresses to land on the owner directly.
+// proxying; ConnectServing follows it to the owner.
 type Dialer struct {
 	// Addrs are the cluster's seed addresses (any subset of nodes).
 	Addrs []string
 	// Dial opens one connection. Defaults to TCP with a 5s timeout.
 	Dial func(addr string) (net.Conn, error)
-	// HandshakeTimeout bounds the hello write in Connect and, in
+	// HandshakeTimeout bounds the hello write in connect and, in
 	// ConnectServing, each hop's wait for the first frame — so a node
 	// that accepts the dial but never serves (wedged, half-partitioned)
 	// fails over to the next candidate instead of hanging the client.
@@ -50,12 +48,12 @@ type Conn struct {
 	Addr string
 }
 
-// Connect dials for docID and writes the doc hello (resuming at
+// connect dials for docID and writes the doc hello (resuming at
 // summary when it is non-empty), trying preferred addresses first —
 // typically a prior RedirectError's Addrs — then the seed list. It
 // returns as soon as a hello is written; whether the node serves,
 // redirects, or proxies shows up in the subsequent frames.
-func (d *Dialer) Connect(docID string, summary egwalker.VersionSummary, preferred ...string) (*Conn, error) {
+func (d *Dialer) connect(docID string, summary egwalker.VersionSummary, preferred ...string) (*Conn, error) {
 	dial := d.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) {
@@ -116,7 +114,7 @@ func (d *Dialer) ConnectServing(docID string, summary egwalker.VersionSummary) (
 	var preferred []string
 	var lastErr error
 	for hop := 0; hop < 8; hop++ {
-		c, err := d.Connect(docID, summary, preferred...)
+		c, err := d.connect(docID, summary, preferred...)
 		if err != nil {
 			if lastErr == nil {
 				lastErr = err

@@ -105,7 +105,7 @@ func NewNode(root string, srvOpts store.ServerOptions, opts Options) (*Node, err
 	if err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(opts.Peers, opts.VNodes, opts.Replication)
+	ring, err := newRing(opts.Peers, opts.VNodes, opts.Replication)
 	if err != nil {
 		return nil, err
 	}

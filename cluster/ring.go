@@ -64,11 +64,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// NewRing builds a ring over nodes (addresses; order-insensitive,
+// newRing builds a ring over nodes (addresses; order-insensitive,
 // duplicates rejected) with vnodes virtual points per node and a
 // replication factor of replicas. Zero values take defaults; a
 // replication factor above the node count is clamped to it.
-func NewRing(nodes []string, vnodes, replicas int) (*Ring, error) {
+func newRing(nodes []string, vnodes, replicas int) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
@@ -111,7 +111,7 @@ func NewRing(nodes []string, vnodes, replicas int) (*Ring, error) {
 }
 
 // Replicas returns the document's replica set, primary first: the
-// first ReplicationFactor distinct nodes clockwise from the
+// first replication-factor distinct nodes clockwise from the
 // document's hash.
 func (r *Ring) Replicas(docID string) []string {
 	h := hash64(docID)
@@ -133,6 +133,3 @@ func (r *Ring) Primary(docID string) string { return r.Replicas(docID)[0] }
 
 // Nodes returns the membership (sorted).
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// ReplicationFactor returns the effective replication factor.
-func (r *Ring) ReplicationFactor() int { return r.replicas }

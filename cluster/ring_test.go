@@ -7,11 +7,11 @@ import (
 )
 
 func TestRingDeterministicAcrossOrder(t *testing.T) {
-	a, err := NewRing([]string{"n1:1", "n2:1", "n3:1"}, 0, 2)
+	a, err := newRing([]string{"n1:1", "n2:1", "n3:1"}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing([]string{"n3:1", "n1:1", "n2:1"}, 0, 2)
+	b, err := newRing([]string{"n3:1", "n1:1", "n2:1"}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestRingDeterministicAcrossOrder(t *testing.T) {
 
 func TestRingReplicaSetDistinctPrimaryFirst(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
-	r, err := NewRing(nodes, 0, 3)
+	r, err := newRing(nodes, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRingReplicaSetDistinctPrimaryFirst(t *testing.T) {
 
 func TestRingSpreadsPrimaries(t *testing.T) {
 	nodes := []string{"a:1", "b:1", "c:1"}
-	r, err := NewRing(nodes, 0, 1)
+	r, err := newRing(nodes, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +69,21 @@ func TestRingSpreadsPrimaries(t *testing.T) {
 }
 
 func TestRingClampsAndRejects(t *testing.T) {
-	if _, err := NewRing(nil, 0, 1); err == nil {
+	if _, err := newRing(nil, 0, 1); err == nil {
 		t.Fatal("empty membership accepted")
 	}
-	if _, err := NewRing([]string{"a:1", "a:1"}, 0, 1); err == nil {
+	if _, err := newRing([]string{"a:1", "a:1"}, 0, 1); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
-	if _, err := NewRing([]string{"a:1", ""}, 0, 1); err == nil {
+	if _, err := newRing([]string{"a:1", ""}, 0, 1); err == nil {
 		t.Fatal("empty node address accepted")
 	}
-	r, err := NewRing([]string{"a:1", "b:1"}, 0, 5)
+	r, err := newRing([]string{"a:1", "b:1"}, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ReplicationFactor() != 2 {
-		t.Fatalf("replication factor %d, want clamped 2", r.ReplicationFactor())
+	if r.replicas != 2 {
+		t.Fatalf("replication factor %d, want clamped 2", r.replicas)
 	}
 	if got := len(r.Replicas("x")); got != 2 {
 		t.Fatalf("got %d replicas, want 2", got)

@@ -6,9 +6,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"egwalker"
@@ -17,48 +20,59 @@ import (
 const branchEvents = 20_000
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A shared starting point: a project README.
 	origin := egwalker.NewDoc("origin")
 	if err := origin.Insert(0, "# Project Notes\n\nIntroduction goes here.\n"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Both authors clone the document, then lose connectivity.
 	alice := egwalker.NewDoc("alice")
 	bob := egwalker.NewDoc("bob")
 	if _, err := alice.Apply(origin.Events()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := bob.Apply(origin.Events()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Alice writes at the top, Bob appends sections at the bottom; both
 	// also revise (delete) some of their own text.
-	typeAway(alice, 0, branchEvents, 1)
-	typeAway(bob, bob.Len(), branchEvents, 2)
-	fmt.Printf("alice: %d events, %d chars\n", alice.NumEvents(), alice.Len())
-	fmt.Printf("bob:   %d events, %d chars\n", bob.NumEvents(), bob.Len())
+	if err := typeAway(alice, 0, branchEvents, 1); err != nil {
+		return err
+	}
+	if err := typeAway(bob, bob.Len(), branchEvents, 2); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "alice: %d events, %d chars\n", alice.NumEvents(), alice.Len())
+	fmt.Fprintf(w, "bob:   %d events, %d chars\n", bob.NumEvents(), bob.Len())
 
 	// Back online: one merge each way.
 	start := time.Now()
 	if err := alice.Merge(bob); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := bob.Merge(alice); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("merged %d total events in %v\n", alice.NumEvents(), time.Since(start))
+	fmt.Fprintf(w, "merged %d total events in %v\n", alice.NumEvents(), time.Since(start))
 
 	if alice.Text() != bob.Text() {
-		log.Fatal("replicas diverged!")
+		return errors.New("replicas diverged")
 	}
-	fmt.Printf("converged document: %d chars\n", alice.Len())
+	fmt.Fprintf(w, "converged document: %d chars\n", alice.Len())
+	return nil
 }
 
 // typeAway simulates an author: bursts of typing at a drifting cursor,
 // with occasional revisions.
-func typeAway(d *egwalker.Doc, cursor, events int, seed int64) {
+func typeAway(d *egwalker.Doc, cursor, events int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	const letters = "abcdefghijklmnopqrstuvwxyz \n"
 	done := 0
@@ -70,7 +84,7 @@ func typeAway(d *egwalker.Doc, cursor, events int, seed int64) {
 			// Revise: delete a few characters before the cursor.
 			n := 1 + rng.Intn(5)
 			if err := d.Delete(cursor-n, n); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			cursor -= n
 			done += n
@@ -85,9 +99,10 @@ func typeAway(d *egwalker.Doc, cursor, events int, seed int64) {
 			b[i] = letters[rng.Intn(len(letters))]
 		}
 		if err := d.Insert(cursor, string(b)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cursor += n
 		done += n
 	}
+	return nil
 }

@@ -6,9 +6,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -50,12 +53,19 @@ func (n *network) send(from int, evs []egwalker.Event, rng *rand.Rand) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	var net network
 	for i := range net.inboxes {
 		net.inboxes[i] = make(chan []egwalker.Event, gossipBufSize)
 	}
 
 	var wg sync.WaitGroup
+	errs := make([]error, nPeers) // what each peer's edit returned
 	docs := make([]*egwalker.Doc, nPeers)
 	for i := range docs {
 		docs[i] = egwalker.NewDoc(fmt.Sprintf("peer%d", i))
@@ -65,44 +75,13 @@ func main() {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(me) + 7))
-			d := docs[me]
-			for edits := 0; edits < editsPerPeer; {
-				// Drain the inbox first.
-				for {
-					select {
-					case evs := <-net.inboxes[me]:
-						if _, err := d.Apply(evs); err != nil {
-							log.Fatal(err)
-						}
-						continue
-					default:
-					}
-					break
-				}
-				// Make a local edit and gossip it.
-				before := d.Version()
-				if d.Len() > 0 && rng.Intn(4) == 0 {
-					pos := rng.Intn(d.Len())
-					if err := d.Delete(pos, 1); err != nil {
-						log.Fatal(err)
-					}
-				} else {
-					pos := rng.Intn(d.Len() + 1)
-					if err := d.Insert(pos, string(rune('a'+me))+string(rune('0'+rng.Intn(10)))); err != nil {
-						log.Fatal(err)
-					}
-				}
-				edits++
-				evs, err := d.EventsSince(before)
-				if err != nil {
-					log.Fatal(err)
-				}
-				net.send(me, evs, rng)
-			}
+			errs[me] = edit(docs[me], me, &net)
 		}(i)
 	}
 	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 
 	// Let in-flight gossip settle, then drain all inboxes.
 	time.Sleep(50 * time.Millisecond)
@@ -111,7 +90,7 @@ func main() {
 			select {
 			case evs := <-net.inboxes[i]:
 				if _, err := d.Apply(evs); err != nil {
-					log.Fatal(err)
+					return err
 				}
 				continue
 			default:
@@ -127,7 +106,7 @@ func main() {
 			for j := range docs {
 				if i != j {
 					if err := docs[i].Merge(docs[j]); err != nil {
-						log.Fatal(err)
+						return err
 					}
 				}
 			}
@@ -135,12 +114,53 @@ func main() {
 	}
 
 	for i, d := range docs {
-		fmt.Printf("peer%d: %d events, %d chars, pending %d\n", i, d.NumEvents(), d.Len(), d.PendingEvents())
+		fmt.Fprintf(w, "peer%d: %d events, %d chars, pending %d\n", i, d.NumEvents(), d.Len(), d.PendingEvents())
 	}
 	for _, d := range docs[1:] {
 		if d.Text() != docs[0].Text() {
-			log.Fatal("peers diverged!")
+			return errors.New("peers diverged")
 		}
 	}
-	fmt.Printf("all %d peers converged on a %d-char document\n", nPeers, docs[0].Len())
+	fmt.Fprintf(w, "all %d peers converged on a %d-char document\n", nPeers, docs[0].Len())
+	return nil
+}
+
+// edit is one peer's session: it drains its inbox, makes a local edit
+// and gossips it, editsPerPeer times.
+func edit(d *egwalker.Doc, me int, net *network) error {
+	rng := rand.New(rand.NewSource(int64(me) + 7))
+	for edits := 0; edits < editsPerPeer; {
+		// Drain the inbox first.
+		for {
+			select {
+			case evs := <-net.inboxes[me]:
+				if _, err := d.Apply(evs); err != nil {
+					return err
+				}
+				continue
+			default:
+			}
+			break
+		}
+		// Make a local edit and gossip it.
+		before := d.Version()
+		if d.Len() > 0 && rng.Intn(4) == 0 {
+			pos := rng.Intn(d.Len())
+			if err := d.Delete(pos, 1); err != nil {
+				return err
+			}
+		} else {
+			pos := rng.Intn(d.Len() + 1)
+			if err := d.Insert(pos, string(rune('a'+me))+string(rune('0'+rng.Intn(10)))); err != nil {
+				return err
+			}
+		}
+		edits++
+		evs, err := d.EventsSince(before)
+		if err != nil {
+			return err
+		}
+		net.send(me, evs, rng)
+	}
+	return nil
 }

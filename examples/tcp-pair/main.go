@@ -6,9 +6,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"time"
 
 	"egwalker"
@@ -16,15 +19,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- the relay (could be any host) --------------------------------
 	relayDoc := egwalker.NewDoc("relay")
 	if err := relayDoc.Insert(0, "shopping list:\n"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	relay := netsync.NewRelay(relayDoc)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer ln.Close()
 	go func() {
@@ -42,65 +51,77 @@ func main() {
 		}
 	}()
 	addr := ln.Addr().String()
-	fmt.Println("relay listening on", addr)
+	fmt.Fprintln(w, "relay listening on", addr)
 
 	// --- two clients ---------------------------------------------------
 	type peer struct {
-		doc *egwalker.Doc
-		cli *netsync.Client
+		doc  *egwalker.Doc
+		cli  *netsync.Client
+		conn net.Conn
 	}
-	connect := func(agent string) peer {
+	connect := func(agent string) (peer, error) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
-			log.Fatal(err)
+			return peer{}, err
 		}
 		d := egwalker.NewDoc(agent)
 		c, err := netsync.Dial(d, conn, "shopping")
+		if err == nil {
+			_, err = c.Receive() // initial catch-up
+		}
 		if err != nil {
-			log.Fatal(err)
+			conn.Close()
+			return peer{}, err
 		}
-		if _, err := c.Receive(); err != nil { // initial catch-up
-			log.Fatal(err)
-		}
-		fmt.Printf("%s joined with %q\n", agent, d.Text())
-		return peer{d, c}
+		fmt.Fprintf(w, "%s joined with %q\n", agent, d.Text())
+		return peer{d, c, conn}, nil
 	}
-	alice := connect("alice")
-	bob := connect("bob")
+	alice, err := connect("alice")
+	if err != nil {
+		return err
+	}
+	defer alice.conn.Close()
+	bob, err := connect("bob")
+	if err != nil {
+		return err
+	}
+	defer bob.conn.Close()
 
-	edit := func(p peer, f func(*egwalker.Doc) error) {
+	edit := func(p peer, f func(*egwalker.Doc) error) error {
 		before := p.doc.Version()
 		if err := f(p.doc); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		evs, err := p.doc.EventsSince(before)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := p.cli.Push(evs); err != nil {
-			log.Fatal(err)
-		}
+		return p.cli.Push(evs)
 	}
 
 	// Concurrent edits: both type before seeing each other's changes.
-	edit(alice, func(d *egwalker.Doc) error { return d.Insert(d.Len(), "- milk\n") })
-	edit(bob, func(d *egwalker.Doc) error { return d.Insert(d.Len(), "- eggs\n") })
+	if err := edit(alice, func(d *egwalker.Doc) error { return d.Insert(d.Len(), "- milk\n") }); err != nil {
+		return err
+	}
+	if err := edit(bob, func(d *egwalker.Doc) error { return d.Insert(d.Len(), "- eggs\n") }); err != nil {
+		return err
+	}
 
 	// Each receives the other's batch via the relay.
 	if _, err := alice.cli.Receive(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if _, err := bob.cli.Receive(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	time.Sleep(10 * time.Millisecond) // let the relay settle
 
-	fmt.Printf("alice sees:\n%s", alice.doc.Text())
-	fmt.Printf("bob sees:\n%s", bob.doc.Text())
+	fmt.Fprintf(w, "alice sees:\n%s", alice.doc.Text())
+	fmt.Fprintf(w, "bob sees:\n%s", bob.doc.Text())
 	if alice.doc.Text() != bob.doc.Text() {
-		log.Fatal("replicas diverged!")
+		return errors.New("replicas diverged")
 	}
-	fmt.Println("converged over TCP ✓")
+	fmt.Fprintln(w, "converged over TCP ✓")
 
 	// Offline repair: a third replica that missed everything catches up
 	// with one anti-entropy round against alice, peer-to-peer, no relay.
@@ -109,10 +130,11 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- netsync.Sync(alice.doc, ca) }()
 	if err := netsync.Sync(carol, cb); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := <-done; err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("carol synced peer-to-peer: %v\n", carol.Text() == alice.doc.Text())
+	fmt.Fprintf(w, "carol synced peer-to-peer: %v\n", carol.Text() == alice.doc.Text())
+	return nil
 }

@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 
 	"egwalker"
+	"egwalker/internal/fsys"
 	"egwalker/store"
 )
 
@@ -260,7 +261,7 @@ type Sim struct {
 	// replica i's store goes through, so scenarios can flip bits and
 	// fail writes deterministically.
 	stores       []*store.DocStore
-	faults       []*store.FaultFS
+	faults       []*fsys.FaultFS
 	crashedUntil []int64
 
 	// Partition state: group[i] in {0,1}; healAt is when it ends.
@@ -298,7 +299,7 @@ func NewPersistent(cfg Config) (*Sim, error) {
 	for i := 0; i < cfg.Replicas; i++ {
 		agent := fmt.Sprintf("r%d", i)
 		if cfg.Faults.CrashRestart {
-			s.faults = append(s.faults, store.NewFaultFS(store.OSFS{}))
+			s.faults = append(s.faults, fsys.NewFaultFS(store.OSFS{}))
 			ds, err := store.Open(s.storeRoot(i), "doc", agent, s.storeOptions(i))
 			if err != nil {
 				return nil, fmt.Errorf("sim: opening store for replica %d: %w", i, err)
@@ -338,7 +339,7 @@ func (s *Sim) storeOptions(i int) store.Options {
 // FaultFS exposes replica i's injectable fault layer (crash-restart
 // mode only; nil otherwise) for scenarios that corrupt reads or fail
 // writes mid-run.
-func (s *Sim) FaultFS(i int) *store.FaultFS {
+func (s *Sim) FaultFS(i int) *fsys.FaultFS {
 	if i < len(s.faults) {
 		return s.faults[i]
 	}

@@ -13,8 +13,8 @@ import (
 func TestDocHelloRoundTrip(t *testing.T) {
 	for _, id := range []string{"a", "notes/alpha", strings.Repeat("x", maxDocID)} {
 		var buf bytes.Buffer
-		if err := WriteHello(&buf, Hello{DocID: id, Compact: true}); err != nil {
-			t.Fatalf("WriteHello(%q): %v", id, err)
+		if err := writeHello(&buf, Hello{DocID: id, Compact: true}); err != nil {
+			t.Fatalf("writeHello(%q): %v", id, err)
 		}
 		got, err := ReadHello(&buf)
 		if err != nil || got.DocID != id || got.Summary != nil {
@@ -79,10 +79,10 @@ func TestDocHelloResumeRejectsGarbageVersion(t *testing.T) {
 
 func TestDocHelloRejectsBadIDs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHello(&buf, Hello{DocID: "", Compact: true}); err == nil {
+	if err := writeHello(&buf, Hello{DocID: "", Compact: true}); err == nil {
 		t.Error("empty doc ID accepted")
 	}
-	if err := WriteHello(&buf, Hello{DocID: strings.Repeat("x", maxDocID+1), Compact: true}); err == nil {
+	if err := writeHello(&buf, Hello{DocID: strings.Repeat("x", maxDocID+1), Compact: true}); err == nil {
 		t.Error("oversized doc ID accepted")
 	}
 	// A hello frame whose uvarint claims a huge ID length must be

@@ -149,7 +149,7 @@ func FuzzUnmarshal(f *testing.F) {
 func FuzzReadHello(f *testing.F) {
 	seed := func(h Hello) []byte {
 		var buf bytes.Buffer
-		if err := WriteHello(&buf, h); err != nil {
+		if err := writeHello(&buf, h); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()

@@ -19,7 +19,7 @@ import (
 type Hello struct {
 	DocID string
 	// Compact: the peer decodes the compact columnar event encoding.
-	// Every hello a host accepts sets it; WriteHello refuses one that
+	// Every hello a host accepts sets it; writeHello refuses one that
 	// does not.
 	Compact bool
 	// Redirect: the peer understands redirect frames — a non-owner node
@@ -106,9 +106,9 @@ func parseHello(typ byte, payload []byte) (Hello, error) {
 	return h, nil
 }
 
-// WriteHello sends h as a v2 doc hello. h must advertise the compact
+// writeHello sends h as a v2 doc hello. h must advertise the compact
 // encoding: no host accepts a hello without it.
-func WriteHello(w io.Writer, h Hello) error {
+func writeHello(w io.Writer, h Hello) error {
 	if len(h.DocID) == 0 || len(h.DocID) > maxDocID {
 		return fmt.Errorf("netsync: bad doc ID length %d", len(h.DocID))
 	}
@@ -142,7 +142,7 @@ func WriteHello(w io.Writer, h Hello) error {
 func (h Hello) Forward(w io.Writer) error {
 	if h.typ == 0 {
 		// Hello was built locally, not parsed off the wire.
-		return WriteHello(w, h)
+		return writeHello(w, h)
 	}
 	return writeFrame(w, h.typ, h.payload)
 }
@@ -280,11 +280,11 @@ func (p *PeerConn) RecvFrameRaw() (Frame, error) {
 	}
 }
 
-// SendHello sends a doc hello in parsed form (see WriteHello).
+// SendHello sends a doc hello in parsed form (see writeHello).
 func (p *PeerConn) SendHello(h Hello) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := WriteHello(p.bw, h); err != nil {
+	if err := writeHello(p.bw, h); err != nil {
 		return err
 	}
 	return p.bw.Flush()

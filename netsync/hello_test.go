@@ -68,7 +68,7 @@ func refusedHellos() []refusedHello {
 }
 
 // TestReadHelloBothGenerations: ReadHello parses the v2 compact hello
-// into the same struct WriteHello wrote, for every capability
+// into the same struct writeHello wrote, for every capability
 // combination, and refuses the v1 generation — alone or carrying a
 // resume version — with an error naming it.
 func TestReadHelloBothGenerations(t *testing.T) {
@@ -83,8 +83,8 @@ func TestReadHelloBothGenerations(t *testing.T) {
 	}
 	for _, want := range cases {
 		var buf bytes.Buffer
-		if err := WriteHello(&buf, want); err != nil {
-			t.Fatalf("WriteHello(%+v): %v", want, err)
+		if err := writeHello(&buf, want); err != nil {
+			t.Fatalf("writeHello(%+v): %v", want, err)
 		}
 		got, err := ReadHello(&buf)
 		if err != nil {
@@ -104,12 +104,12 @@ func TestReadHelloBothGenerations(t *testing.T) {
 	}
 }
 
-// TestWriteHelloRequiresCompact: WriteHello writes only what ReadHello
+// TestWriteHelloRequiresCompact: writeHello writes only what ReadHello
 // accepts, so a hello without the compact bit never reaches the wire.
 func TestWriteHelloRequiresCompact(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHello(&buf, Hello{DocID: "d"}); err == nil {
-		t.Fatal("WriteHello wrote a hello without the compact bit")
+	if err := writeHello(&buf, Hello{DocID: "d"}); err == nil {
+		t.Fatal("writeHello wrote a hello without the compact bit")
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("refused hello left %d bytes on the wire", buf.Len())
@@ -125,7 +125,7 @@ func TestReadHelloForwardVerbatim(t *testing.T) {
 		{DocID: "v2", Compact: true, Redirect: true},
 	} {
 		var orig bytes.Buffer
-		if err := WriteHello(&orig, h); err != nil {
+		if err := writeHello(&orig, h); err != nil {
 			t.Fatal(err)
 		}
 		raw := append([]byte(nil), orig.Bytes()...)
@@ -153,7 +153,7 @@ func TestReadHelloTruncated(t *testing.T) {
 		Compact: true,
 		Summary: egwalker.VersionSummary{"alice": {{Start: 0, End: 42}}, "bob": {{Start: 0, End: 4}}},
 	}
-	if err := WriteHello(&full, h); err != nil {
+	if err := writeHello(&full, h); err != nil {
 		t.Fatal(err)
 	}
 	raw := full.Bytes()

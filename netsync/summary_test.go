@@ -129,7 +129,7 @@ func TestHelloSummaryRoundTrip(t *testing.T) {
 	}
 	for i, h := range cases {
 		var buf bytes.Buffer
-		if err := WriteHello(&buf, h); err != nil {
+		if err := writeHello(&buf, h); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		got, err := ReadHello(&buf)

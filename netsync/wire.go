@@ -22,7 +22,7 @@
 //   - Relay: a hub that fans events out to connected peers for live
 //     collaboration (examples/tcp-pair shows both).
 //
-// A connection to a host begins with the doc hello (Hello, WriteHello,
+// A connection to a host begins with the doc hello (Hello, writeHello,
 // ReadHello): the v2 frame with the compact bit set, naming the
 // document and carrying the client's summary when it resumes, so one
 // listener can multiplex many documents (see store.Server). Dial sends

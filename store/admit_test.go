@@ -266,7 +266,7 @@ func TestIngestFramesMatchReference(t *testing.T) {
 			model.addEvents(evs)
 			accepted++
 		}
-		if ds.Materialized() {
+		if ds.materialized() {
 			t.Fatalf("seed %d: the store materialized on uploads the reference admits", seed)
 		}
 		t.Logf("seed %d: %d accepted, %d gaps, %d with duplicates", seed, accepted, gaps, dups)
@@ -294,9 +294,9 @@ func TestIngestFramesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := lazy.Summary(); err != nil || lazy.Materialized() || !reflect.DeepEqual(got, want) || lazy.NumEvents() != model.numEvents() {
+		if got, err := lazy.Summary(); err != nil || lazy.materialized() || !reflect.DeepEqual(got, want) || lazy.NumEvents() != model.numEvents() {
 			t.Fatalf("seed %d: journal scan reads back %d events, summary %v (%v, materialized %v); reference %d, %v",
-				seed, lazy.NumEvents(), got, err, lazy.Materialized(), model.numEvents(), want)
+				seed, lazy.NumEvents(), got, err, lazy.materialized(), model.numEvents(), want)
 		}
 		lazy.Close()
 	}
@@ -407,7 +407,7 @@ func TestHostileUploadJournalOnly(t *testing.T) {
 				if err := srv.Append(docID, seed.Events()); err != nil {
 					t.Fatal(err)
 				}
-				if err := srv.With(docID, func(ds *DocStore) error { return ds.Dematerialize() }); err != nil {
+				if err := srv.With(docID, func(ds *DocStore) error { return ds.dematerialize() }); err != nil {
 					t.Fatal(err)
 				}
 				if materialized {
@@ -415,7 +415,7 @@ func TestHostileUploadJournalOnly(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := srv.OpenCount() == 1; got != materialized {
+				if got := srv.MetricsSnapshot().MaterializedDocs == 1; got != materialized {
 					t.Fatalf("materialized = %v, want %v", got, materialized)
 				}
 				wal := func() []byte {
@@ -578,8 +578,8 @@ func TestBurstIngestAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("journal-only IngestBatch of a burst frame: %.1f objects, want at most 2", allocs)
 	}
-	if ds.Materialized() || fresh != events || ds.NumEvents() != events {
-		t.Fatalf("ingested %d of %d events (store holds %d, materialized %v)", fresh, events, ds.NumEvents(), ds.Materialized())
+	if ds.materialized() || fresh != events || ds.NumEvents() != events {
+		t.Fatalf("ingested %d of %d events (store holds %d, materialized %v)", fresh, events, ds.NumEvents(), ds.materialized())
 	}
 }
 

@@ -115,7 +115,7 @@ func TestBlockServeAfterCompaction(t *testing.T) {
 		if err := ds.Compact(); err != nil {
 			return err
 		}
-		return ds.Dematerialize()
+		return ds.dematerialize()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +182,9 @@ func TestServerManyDocsBlockServe(t *testing.T) {
 	// The journal population cap is enforced asynchronously (pinned
 	// documents are skipped); after quiescing it must settle.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.JournalCount() > 64 {
+	for srv.MetricsSnapshot().OpenDocs > 64 {
 		if time.Now().After(deadline) {
-			t.Fatalf("journal population %d never settled under cap 64", srv.JournalCount())
+			t.Fatalf("journal population %d never settled under cap 64", srv.MetricsSnapshot().OpenDocs)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -97,9 +97,9 @@ func TestServerEvictionVsPinnedChurn(t *testing.T) {
 	// briefly each interval, and eviction skips pinned documents — so
 	// poll briefly rather than sampling one instant.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.OpenCount() > cap {
+	for srv.MetricsSnapshot().MaterializedDocs > cap {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d documents materialized after churn, cap %d", srv.OpenCount(), cap)
+			t.Fatalf("%d documents materialized after churn, cap %d", srv.MetricsSnapshot().MaterializedDocs, cap)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

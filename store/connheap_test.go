@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -52,19 +53,12 @@ func TestIdleConnHeapBytes(t *testing.T) {
 		}
 		keep = append(keep, pc)
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	join()
-	base := heap()
+	base := retainedHeap()
 	for i := 0; i < 1000; i++ {
 		join()
 	}
-	after := heap()
+	after := retainedHeap()
 	per := float64(after-base) / 1000
 	t.Logf("heap per idle connection: %.0f B", per)
 	if per > 19000 {
@@ -72,4 +66,63 @@ func TestIdleConnHeapBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(keep)
 	ln.Close()
+}
+
+// TestJournalDocHeapBytes: what one document held open journal-only under
+// a Server costs on the heap after a few uploads — its entry in the open
+// set and the LRU, the DocStore with its known-ID runs, the open WAL
+// segment. This is the figure -max-journal multiplies (README). 1.91 KB
+// when this was written (the benchmark's store.journal_doc_heap_bytes,
+// a lazily opened DocStore with no Server around it, reads about 1.2 KB);
+// the bound leaves a few hundred bytes, not room for a per-document
+// buffer or a materialized Doc kept by mistake.
+func TestJournalDocHeapBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes differ under the race detector")
+	}
+	const docs = 256
+	srv := newTestServer(t, ServerOptions{FlushInterval: -1, MaxJournalDocs: 2 * docs})
+	w := egwalker.NewDoc("writer")
+	var uploads [][]egwalker.Event
+	for _, word := range []string{"hello ", "journal ", "world"} {
+		v := w.Version()
+		if err := w.Insert(w.Len(), word); err != nil {
+			t.Fatal(err)
+		}
+		events, err := w.EventsSince(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uploads = append(uploads, events)
+	}
+	host := func(i int) {
+		for _, events := range uploads {
+			if err := srv.Append(fmt.Sprintf("doc-%04d", i), events); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	host(0)
+	base := retainedHeap()
+	for i := 1; i <= docs; i++ {
+		host(i)
+	}
+	after := retainedHeap()
+	if m := srv.MetricsSnapshot(); m.OpenDocs != docs+1 || m.MaterializedDocs != 0 {
+		t.Fatalf("%d documents open, %d materialized; want %d open, none materialized", m.OpenDocs, m.MaterializedDocs, docs+1)
+	}
+	per := float64(after-base) / docs
+	t.Logf("heap per journal-only document: %.0f B", per)
+	if per > 2200 {
+		t.Fatalf("a journal-only document holds %.0f B of heap, want at most 2200", per)
+	}
+}
+
+// retainedHeap is the live heap after two collections.
+func retainedHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

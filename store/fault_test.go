@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"egwalker/internal/fsys"
 )
 
 // segPaths lists a document's WAL segment files in sequence order.
@@ -26,7 +28,7 @@ func segPaths(t *testing.T, root, doc string) []string {
 // survives a restart.
 func TestWALAppendENOSPC(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	ds := mustOpen(t, root, "full", Options{FS: fs})
 	for i := 0; i < 20; i++ {
 		if err := ds.Insert(ds.Len(), fmt.Sprintf("line %d\n", i)); err != nil {
@@ -58,7 +60,7 @@ func TestWALAppendENOSPC(t *testing.T) {
 	if _, ok := ds.CutForServe(); ok {
 		t.Fatal("degraded store offered a block cut")
 	}
-	if rep, err := ds.Scrub(nil); err != nil || rep.Segments != 0 {
+	if rep, err := ds.scrub(nil); err != nil || rep.Segments != 0 {
 		t.Fatalf("scrub of degraded store ran anyway: %+v, %v", rep, err)
 	}
 
@@ -81,7 +83,7 @@ func TestWALAppendENOSPC(t *testing.T) {
 // hook, and keeps serving reads.
 func TestServerWALWriteErrorMetric(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	srv, err := NewServer(root, ServerOptions{DocOptions: Options{FS: fs}})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestServerWALWriteErrorMetric(t *testing.T) {
 // torn tail mid-file; the scrubber classifies it and quarantines.
 func TestFaultFSShortRead(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	ds := mustOpen(t, root, "short", Options{SegmentMaxBytes: 1 << 10, FS: fs})
 	defer ds.Close()
 	fillSegments(t, ds, 100)
@@ -128,11 +130,11 @@ func TestFaultFSShortRead(t *testing.T) {
 		t.Fatalf("want >= 2 segments, got %d", len(segs))
 	}
 	fs.ShortRead(segs[0], 64)
-	rep, err := ds.Scrub(nil)
+	rep, err := ds.scrub(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Damage) != 1 || rep.Damage[0].Kind != DamageMidSegment {
+	if len(rep.Damage) != 1 || rep.Damage[0].Kind != damageMidSegment {
 		t.Fatalf("damage = %+v, want one mid-segment finding", rep.Damage)
 	}
 	if q, _ := ds.Quarantined(); !q {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"egwalker"
+	"egwalker/internal/fsys"
 )
 
 // scrubFixture builds one canonical damaged-store fixture in memory: a
@@ -100,7 +101,7 @@ func FuzzScrubSalvage(f *testing.F) {
 			}
 		}
 		target := names[int(fileIdx)%len(names)]
-		fs := NewFaultFS(nil)
+		fs := fsys.NewFaultFS(nil)
 		size := uint64(len(files[target]))
 		if size > 0 {
 			fs.FlipBit(filepath.Join(dir, target), int64(off%size), mask)

@@ -98,7 +98,7 @@ func TestIDSetCountNew(t *testing.T) {
 // TestOpenLazyJournalRoundTrip: a document written eagerly reopens
 // journal-only — event count and block cut available without
 // materializing — and materializes to the identical text on demand;
-// Dematerialize drops back without losing anything.
+// dematerialize drops back without losing anything.
 func TestOpenLazyJournalRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	ds := mustOpen(t, root, "lazy", Options{})
@@ -117,33 +117,33 @@ func TestOpenLazyJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lz.Close()
-	if lz.Materialized() {
+	if lz.materialized() {
 		t.Fatal("OpenLazy materialized the document")
 	}
 	if n := lz.NumEvents(); n != len(text) {
 		t.Fatalf("journal-only NumEvents = %d, want %d", n, len(text))
 	}
-	if lz.Materialized() {
+	if lz.materialized() {
 		t.Fatal("NumEvents materialized the document")
 	}
 	cut, ok := lz.CutForServe()
 	if !ok {
 		t.Fatal("journal-only store not block-servable")
 	}
-	if cut.NumEvents() != len(text) {
-		t.Fatalf("cut covers %d events, want %d", cut.NumEvents(), len(text))
+	if cut.events != len(text) {
+		t.Fatalf("cut covers %d events, want %d", cut.events, len(text))
 	}
 	if got := lz.Text(); got != text {
 		t.Fatalf("materialized text = %q, want %q", got, text)
 	}
-	if !lz.Materialized() {
+	if !lz.materialized() {
 		t.Fatal("Text did not materialize")
 	}
-	if err := lz.Dematerialize(); err != nil {
+	if err := lz.dematerialize(); err != nil {
 		t.Fatal(err)
 	}
-	if lz.Materialized() {
-		t.Fatal("Dematerialize left the doc in memory")
+	if lz.materialized() {
+		t.Fatal("dematerialize left the doc in memory")
 	}
 	if n := lz.NumEvents(); n != len(text) {
 		t.Fatalf("post-demat NumEvents = %d, want %d", n, len(text))
@@ -181,7 +181,7 @@ func TestOpenLazyAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lz.Close()
-	if lz.Materialized() {
+	if lz.materialized() {
 		t.Fatal("OpenLazy materialized despite compact snapshot")
 	}
 	if n := lz.NumEvents(); n != 90 {
@@ -223,7 +223,7 @@ func TestIngestBatchJournalOnly(t *testing.T) {
 	if fresh != len(evs) {
 		t.Fatalf("fresh = %d, want %d", fresh, len(evs))
 	}
-	if ds.Materialized() {
+	if ds.materialized() {
 		t.Fatal("compact ingest materialized the document")
 	}
 	fresh, err = ds.IngestBatch(evs, raw)
@@ -249,7 +249,7 @@ func TestIngestBatchJournalOnly(t *testing.T) {
 	if _, err := ds.IngestBatch(gap, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !ds.Materialized() {
+	if !ds.materialized() {
 		t.Fatal("causal-gap ingest did not materialize")
 	}
 	if got, want := ds.Text(), seed.Text(); got != want {
@@ -257,7 +257,7 @@ func TestIngestBatchJournalOnly(t *testing.T) {
 	}
 }
 
-// TestDematerializeKnowsWhatTheDocHeld: the known-ID set Dematerialize
+// TestDematerializeKnowsWhatTheDocHeld: the known-ID set dematerialize
 // builds from the document's summary holds every event the document did,
 // from several agents in runs that interleave: a re-upload of them is a
 // duplicate, a batch past them is admitted, both without materializing,
@@ -290,14 +290,14 @@ func TestDematerializeKnowsWhatTheDocHeld(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ds.Doc().NumEvents()
-	if err := ds.Dematerialize(); err != nil {
+	if err := ds.dematerialize(); err != nil {
 		t.Fatal(err)
 	}
-	if ds.Materialized() {
-		t.Fatal("Dematerialize left the doc in memory")
+	if ds.materialized() {
+		t.Fatal("dematerialize left the doc in memory")
 	}
 	if n := ds.NumEvents(); n != want {
-		t.Fatalf("NumEvents after Dematerialize = %d, the document held %d", n, want)
+		t.Fatalf("NumEvents after dematerialize = %d, the document held %d", n, want)
 	}
 
 	raw, err := egwalker.MarshalEventsCompact(held)
@@ -321,8 +321,8 @@ func TestDematerializeKnowsWhatTheDocHeld(t *testing.T) {
 	if fresh, err := ds.IngestBatch(next, raw); err != nil || fresh != len(next) {
 		t.Fatalf("new batch: %d fresh, %v; want %d, nil", fresh, err, len(next))
 	}
-	if ds.Materialized() {
-		t.Fatal("ingesting after Dematerialize materialized the document")
+	if ds.materialized() {
+		t.Fatal("ingesting after dematerialize materialized the document")
 	}
 	if n := ds.NumEvents(); n != want+len(next) {
 		t.Fatalf("NumEvents = %d, want %d", n, want+len(next))

@@ -202,9 +202,9 @@ type MetricsSnapshot struct {
 	QuarantinedDocs      int64 `json:"quarantined_docs"`
 }
 
-// Snapshot captures all metrics. Concurrent updates may land on either
+// snapshot captures all metrics. Concurrent updates may land on either
 // side of the capture; each individual metric is consistent.
-func (m *Metrics) Snapshot() MetricsSnapshot {
+func (m *Metrics) snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		ApplyNs:       m.ApplyNs.Snapshot(),
 		FsyncNs:       m.FsyncNs.Snapshot(),
@@ -274,7 +274,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // including the uptime-derived sever_rate (severed peers per second
 // since the server started).
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
-	snap := s.metrics.Snapshot()
+	snap := s.metrics.snapshot()
 	if up := time.Since(s.started).Seconds(); up > 0 {
 		snap.UptimeSec = up
 		snap.SeverRate = float64(snap.PeersSevered) / up

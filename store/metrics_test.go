@@ -124,7 +124,7 @@ func TestServerMetricsCountReplaySections(t *testing.T) {
 	}
 	retained := m.RetainedTrackerItems
 	err = srv.With("bubble", func(ds *DocStore) error {
-		if err := ds.Dematerialize(); err != nil {
+		if err := ds.dematerialize(); err != nil {
 			return err
 		}
 		if got := srv.MetricsSnapshot().RetainedTrackerItems; got != 0 {
@@ -204,7 +204,7 @@ func TestDematerializeReleasesLogBytes(t *testing.T) {
 			t.Errorf("materialized_log_bytes = %d after the snapshot, the document's history holds %d", got, ms.LogBytes)
 		}
 		before := heap()
-		if err := ds.Dematerialize(); err != nil {
+		if err := ds.dematerialize(); err != nil {
 			return err
 		}
 		freed := before - heap()

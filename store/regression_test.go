@@ -171,14 +171,14 @@ func TestSaturatedCompactorReleasesAndEvicts(t *testing.T) {
 	}
 	// Two materialized docs, cap 1; a is idle but nothing has run
 	// eviction since it materialized. The saturated rollback must.
-	if got := s.OpenCount(); got != 2 {
+	if got := s.MetricsSnapshot().MaterializedDocs; got != 2 {
 		t.Fatalf("materialized = %d before schedule, want 2", got)
 	}
 	s.scheduleCompact(a)
 	if a.mat.Load() {
 		t.Fatal("saturated compactor rollback left the idle over-cap document materialized")
 	}
-	if got := s.OpenCount(); got != 1 {
+	if got := s.MetricsSnapshot().MaterializedDocs; got != 1 {
 		t.Fatalf("materialized = %d after saturated rollback, want 1", got)
 	}
 }
@@ -209,7 +209,7 @@ func TestResumeFallbackSurfaced(t *testing.T) {
 	if _, err := ds.IngestBatch(bad, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ds.Materialized() {
+	if ds.materialized() {
 		t.Fatal("semantically-invalid batch should journal without materializing")
 	}
 	if err := ds.Close(); err != nil {

@@ -18,43 +18,43 @@ import (
 // Repair rebuilds it (from a replica's diff, or from the salvage alone).
 var ErrQuarantined = errors.New("store: document is quarantined (on-disk corruption)")
 
-// DamageKind classifies what a scrub (or recovery) found wrong.
-type DamageKind int
+// damageKind classifies what a scrub (or recovery) found wrong.
+type damageKind int
 
 const (
-	// DamageTornTail is corruption inside the active segment's fsynced
+	// damageTornTail is corruption inside the active segment's fsynced
 	// prefix. Reopen-time recovery would silently truncate it away —
 	// losing acknowledged events — which is exactly why the scrubber
 	// quarantines it for repair instead.
-	DamageTornTail DamageKind = iota + 1
-	// DamageMidSegment is corruption in a sealed WAL segment: history
+	damageTornTail damageKind = iota + 1
+	// damageMidSegment is corruption in a sealed WAL segment: history
 	// strictly older than the write frontier rotted or was overwritten.
-	DamageMidSegment
-	// DamageSnapshot is a snapshot that no longer decodes.
-	DamageSnapshot
-	// DamageMissing is a layout file (segment or snapshot the store
+	damageMidSegment
+	// damageSnapshot is a snapshot that no longer decodes.
+	damageSnapshot
+	// damageMissing is a layout file (segment or snapshot the store
 	// still relies on) that has vanished from the directory.
-	DamageMissing
+	damageMissing
 )
 
-func (k DamageKind) String() string {
+func (k damageKind) String() string {
 	switch k {
-	case DamageTornTail:
+	case damageTornTail:
 		return "torn-tail"
-	case DamageMidSegment:
+	case damageMidSegment:
 		return "mid-segment"
-	case DamageSnapshot:
+	case damageSnapshot:
 		return "snapshot"
-	case DamageMissing:
+	case damageMissing:
 		return "missing-file"
 	default:
 		return fmt.Sprintf("damage(%d)", int(k))
 	}
 }
 
-// Damage is one thing the scrubber found wrong with one file.
-type Damage struct {
-	Kind DamageKind
+// damage is one thing the scrubber found wrong with one file.
+type damage struct {
+	Kind damageKind
 	File string // base name within the document directory
 	Off  int64  // first unusable byte (segments; 0 for snapshots)
 	Err  error
@@ -63,32 +63,32 @@ type Damage struct {
 	snap bool
 }
 
-// ScrubReport summarizes one scrub pass over one document.
-type ScrubReport struct {
+// scrubReport summarizes one scrub pass over one document.
+type scrubReport struct {
 	Segments  int   // segment files verified
 	Snapshots int   // snapshot files verified
 	Bytes     int64 // bytes read and checksummed
-	Damage    []Damage
+	Damage    []damage
 }
 
-// ScrubLimiter is a token-bucket byte budget shared by scrub reads so
+// scrubLimiter is a token-bucket byte budget shared by scrub reads so
 // a background pass never competes with the live path for disk
 // bandwidth. A nil limiter (or rate <= 0) is unlimited.
-type ScrubLimiter struct {
+type scrubLimiter struct {
 	mu     sync.Mutex
 	rate   float64 // bytes per second
 	budget float64 // may go negative: large reads pay their debt by sleeping
 	last   time.Time
 }
 
-// NewScrubLimiter returns a limiter admitting bytesPerSec on average
+// newScrubLimiter returns a limiter admitting bytesPerSec on average
 // (<= 0: unlimited).
-func NewScrubLimiter(bytesPerSec int64) *ScrubLimiter {
-	return &ScrubLimiter{rate: float64(bytesPerSec)}
+func newScrubLimiter(bytesPerSec int64) *scrubLimiter {
+	return &scrubLimiter{rate: float64(bytesPerSec)}
 }
 
-// Wait charges n bytes against the budget, sleeping off any debt.
-func (l *ScrubLimiter) Wait(n int) {
+// wait charges n bytes against the budget, sleeping off any debt.
+func (l *scrubLimiter) wait(n int) {
 	if l == nil || l.rate <= 0 || n <= 0 {
 		return
 	}
@@ -112,29 +112,29 @@ func (l *ScrubLimiter) Wait(n int) {
 	}
 }
 
-// Scrub re-verifies the document's on-disk integrity: every sealed WAL
+// scrub re-verifies the document's on-disk integrity: every sealed WAL
 // segment's CRC32-C block envelopes, the active segment's fsynced
 // prefix, and the current snapshot's decode. Reads happen outside the
 // store's lock, paced by lim. Damage that is still part of the live
 // layout when the pass ends (compaction may have deleted a file we
 // were reading) quarantines the document. An already-quarantined,
 // write-poisoned, or closed store scrubs nothing.
-func (s *DocStore) Scrub(lim *ScrubLimiter) (ScrubReport, error) {
+func (s *DocStore) scrub(lim *scrubLimiter) (scrubReport, error) {
 	s.mu.Lock()
 	if s.closed || s.qerr != nil || s.werr != nil {
 		s.mu.Unlock()
-		return ScrubReport{}, nil
+		return scrubReport{}, nil
 	}
 	snapSeq, firstSeg, activeSeq, synced := s.snapSeq, s.firstSeg, s.activeSeq, s.syncedSize
 	s.mu.Unlock()
 
-	var rep ScrubReport
+	var rep scrubReport
 	// read returns nil data (and no damage) when the file vanished AND
 	// the layout moved on — a compaction race, not corruption.
 	read := func(path string, seq uint64, snap bool) ([]byte, bool) {
 		data, err := s.fs.ReadFile(path)
 		if err == nil {
-			lim.Wait(len(data))
+			lim.wait(len(data))
 			return data, true
 		}
 		s.mu.Lock()
@@ -144,8 +144,8 @@ func (s *DocStore) Scrub(lim *ScrubLimiter) (ScrubReport, error) {
 		}
 		s.mu.Unlock()
 		if live {
-			rep.Damage = append(rep.Damage, Damage{
-				Kind: DamageMissing, File: filepath.Base(path), Err: err, seq: seq, snap: snap,
+			rep.Damage = append(rep.Damage, damage{
+				Kind: damageMissing, File: filepath.Base(path), Err: err, seq: seq, snap: snap,
 			})
 		}
 		return nil, false
@@ -165,8 +165,8 @@ func (s *DocStore) Scrub(lim *ScrubLimiter) (ScrubReport, error) {
 				_, err = egwalker.Load(bytes.NewReader(data), s.agent)
 			}
 			if err != nil {
-				rep.Damage = append(rep.Damage, Damage{
-					Kind: DamageSnapshot, File: snapName(snapSeq), Err: err, seq: snapSeq, snap: true,
+				rep.Damage = append(rep.Damage, damage{
+					Kind: damageSnapshot, File: snapName(snapSeq), Err: err, seq: snapSeq, snap: true,
 				})
 			}
 		}
@@ -191,15 +191,15 @@ func (s *DocStore) Scrub(lim *ScrubLimiter) (ScrubReport, error) {
 		rep.Bytes += int64(len(data))
 		switch {
 		case err != nil:
-			rep.Damage = append(rep.Damage, Damage{
-				Kind: DamageMidSegment, File: segName(seq), Err: err, seq: seq,
+			rep.Damage = append(rep.Damage, damage{
+				Kind: damageMidSegment, File: segName(seq), Err: err, seq: seq,
 			})
 		case w.tail != nil:
-			kind := DamageMidSegment
+			kind := damageMidSegment
 			if active {
-				kind = DamageTornTail
+				kind = damageTornTail
 			}
-			rep.Damage = append(rep.Damage, Damage{
+			rep.Damage = append(rep.Damage, damage{
 				Kind: kind, File: segName(seq), Off: w.validLen, Err: w.tail, seq: seq,
 			})
 		}

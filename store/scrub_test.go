@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/fsys"
 )
 
 // fillSegments writes enough small edits through ds to seal at least
@@ -32,7 +33,7 @@ func TestScrubCleanPass(t *testing.T) {
 	ds := mustOpen(t, root, "clean", Options{SegmentMaxBytes: 1 << 10})
 	defer ds.Close()
 	fillSegments(t, ds, 100)
-	rep, err := ds.Scrub(nil)
+	rep, err := ds.scrub(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestScrubCleanPass(t *testing.T) {
 // swaps in a rebuilt directory that survives a cold reopen.
 func TestScrubMidSegmentQuarantineAndRepair(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	ds := mustOpen(t, root, "victim", Options{SegmentMaxBytes: 1 << 10, FS: fs, Quarantine: true})
 	defer ds.Close()
 	want := fillSegments(t, ds, 100)
@@ -69,11 +70,11 @@ func TestScrubMidSegmentQuarantineAndRepair(t *testing.T) {
 	}
 	fs.FlipBit(segs[0], fi.Size()/2, 0x40)
 
-	rep, err := ds.Scrub(nil)
+	rep, err := ds.scrub(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Damage) != 1 || rep.Damage[0].Kind != DamageMidSegment {
+	if len(rep.Damage) != 1 || rep.Damage[0].Kind != damageMidSegment {
 		t.Fatalf("damage = %+v, want one mid-segment finding", rep.Damage)
 	}
 	q, reason := ds.Quarantined()
@@ -133,7 +134,7 @@ func TestScrubMidSegmentQuarantineAndRepair(t *testing.T) {
 // is reopened before repair.
 func TestServerOpenQuarantineCountsCorruptBlocks(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	srv, err := NewServer(root, ServerOptions{DocOptions: Options{SegmentMaxBytes: 1 << 10, FS: fs}})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +206,7 @@ func TestServerOpenQuarantineCountsCorruptBlocks(t *testing.T) {
 // the rest.
 func TestOpenQuarantineSalvageAndReplicaRepair(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	ds := mustOpen(t, root, "cold", Options{SegmentMaxBytes: 1 << 10, FS: fs})
 	want := fillSegments(t, ds, 100)
 	wantEvents := ds.NumEvents()
@@ -281,7 +282,7 @@ func TestOpenQuarantineSalvageAndReplicaRepair(t *testing.T) {
 func TestScrubClassifiesTornTailAndSnapshot(t *testing.T) {
 	t.Run("torn-tail", func(t *testing.T) {
 		root := t.TempDir()
-		fs := NewFaultFS(nil)
+		fs := fsys.NewFaultFS(nil)
 		ds := mustOpen(t, root, "tail", Options{FS: fs}) // big segments: all writes in the active one
 		defer ds.Close()
 		fillSegments(t, ds, 20)
@@ -291,11 +292,11 @@ func TestScrubClassifiesTornTailAndSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs.FlipBit(seg, fi.Size()/2, 0x20)
-		rep, err := ds.Scrub(nil)
+		rep, err := ds.scrub(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Damage) != 1 || rep.Damage[0].Kind != DamageTornTail {
+		if len(rep.Damage) != 1 || rep.Damage[0].Kind != damageTornTail {
 			t.Fatalf("damage = %+v, want one torn-tail finding", rep.Damage)
 		}
 		if q, _ := ds.Quarantined(); !q {
@@ -304,7 +305,7 @@ func TestScrubClassifiesTornTailAndSnapshot(t *testing.T) {
 	})
 	t.Run("snapshot", func(t *testing.T) {
 		root := t.TempDir()
-		fs := NewFaultFS(nil)
+		fs := fsys.NewFaultFS(nil)
 		ds := mustOpen(t, root, "snap", Options{FS: fs})
 		defer ds.Close()
 		fillSegments(t, ds, 20)
@@ -316,11 +317,11 @@ func TestScrubClassifiesTornTailAndSnapshot(t *testing.T) {
 			t.Fatalf("want one snapshot, got %v", snaps)
 		}
 		fs.FlipBit(snaps[0], 0, 0xff) // break the envelope, not just content
-		rep, err := ds.Scrub(nil)
+		rep, err := ds.scrub(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep.Damage) != 1 || rep.Damage[0].Kind != DamageSnapshot {
+		if len(rep.Damage) != 1 || rep.Damage[0].Kind != damageSnapshot {
 			t.Fatalf("damage = %+v, want one snapshot finding", rep.Damage)
 		}
 		if q, _ := ds.Quarantined(); !q {
@@ -334,7 +335,7 @@ func TestScrubClassifiesTornTailAndSnapshot(t *testing.T) {
 // race — the liveness recheck distinguishes the two.
 func TestScrubMissingFile(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	ds := mustOpen(t, root, "gone", Options{SegmentMaxBytes: 1 << 10, FS: fs})
 	defer ds.Close()
 	fillSegments(t, ds, 100)
@@ -343,11 +344,11 @@ func TestScrubMissingFile(t *testing.T) {
 		t.Fatalf("want >= 2 segments, got %d", len(segs))
 	}
 	fs.FailRead(segs[0], os.ErrNotExist)
-	rep, err := ds.Scrub(nil)
+	rep, err := ds.scrub(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Damage) != 1 || rep.Damage[0].Kind != DamageMissing {
+	if len(rep.Damage) != 1 || rep.Damage[0].Kind != damageMissing {
 		t.Fatalf("damage = %+v, want one missing-file finding", rep.Damage)
 	}
 	if q, _ := ds.Quarantined(); !q {
@@ -356,16 +357,16 @@ func TestScrubMissingFile(t *testing.T) {
 }
 
 func TestScrubLimiterPacesReads(t *testing.T) {
-	lim := NewScrubLimiter(1 << 20) // 1 MiB/s
+	lim := newScrubLimiter(1 << 20) // 1 MiB/s
 	start := time.Now()
-	lim.Wait(256 << 10) // 256 KiB of debt => ~250ms
+	lim.wait(256 << 10) // 256 KiB of debt => ~250ms
 	if d := time.Since(start); d < 100*time.Millisecond {
 		t.Fatalf("limiter admitted 256KiB at 1MiB/s in %v", d)
 	}
 	// nil limiter and zero rate are unlimited.
-	var nilLim *ScrubLimiter
-	nilLim.Wait(1 << 30)
-	NewScrubLimiter(0).Wait(1 << 30)
+	var nilLim *scrubLimiter
+	nilLim.wait(1 << 30)
+	newScrubLimiter(0).wait(1 << 30)
 }
 
 // TestServerScrubberQuarantinesAndRepairs drives the server-level
@@ -374,7 +375,7 @@ func TestScrubLimiterPacesReads(t *testing.T) {
 // standing in for the cluster's replica pull) re-admits it.
 func TestServerScrubberQuarantinesAndRepairs(t *testing.T) {
 	root := t.TempDir()
-	fs := NewFaultFS(nil)
+	fs := fsys.NewFaultFS(nil)
 	var qmu sync.Mutex
 	var quarantined []string
 	srv, err := NewServer(root, ServerOptions{

@@ -24,9 +24,6 @@ type BlockCut struct {
 	events   int   // events the cut covers
 }
 
-// NumEvents reports how many distinct events the cut covers.
-func (c *BlockCut) NumEvents() int { return c.events }
-
 // CutForServe captures a block cut, or reports false when this store
 // cannot block-serve: the snapshot is legacy-format or too large for
 // one frame, a sticky write error means the WAL tail is suspect, the

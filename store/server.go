@@ -419,7 +419,7 @@ func (s *Server) applyEvictions(demat []*entry, victims []*DocStore) {
 		ds.Close()
 	}
 	for _, e := range demat {
-		if err := e.ds.Dematerialize(); err != nil {
+		if err := e.ds.dematerialize(); err != nil {
 			s.mu.Lock()
 			if e.refs == 1 { // only our pin: safe to unlink and close
 				s.lru.Remove(e.elem)
@@ -437,21 +437,6 @@ func (s *Server) applyEvictions(demat []*entry, victims []*DocStore) {
 		}
 		s.release(e) // may demat/close the next-colder entry
 	}
-}
-
-// OpenCount reports how many documents currently hold a materialized
-// in-memory doc — the LRU cache's population. See JournalCount for
-// the full open population.
-func (s *Server) OpenCount() int {
-	return int(s.metrics.MaterializedDocs.Load())
-}
-
-// JournalCount reports how many documents are open at all, including
-// journal-only ones.
-func (s *Server) JournalCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.open)
 }
 
 // With runs fn against the (pinned) document, opening it if needed.
@@ -669,7 +654,7 @@ func (e *entry) subscribe(conn io.ReadWriter, h netsync.Hello) (*subPlan, error)
 	}
 	if cut, ok := e.ds.CutForServe(); ok {
 		e.m.BlockServes.Inc()
-		e.m.BlockServeEvents.Add(int64(cut.NumEvents()))
+		e.m.BlockServeEvents.Add(int64(cut.events))
 		return &subPlan{id: id, outbox: outbox, cut: cut}, nil
 	}
 	snapshot, err := e.ds.EventsSince(nil)
@@ -1077,7 +1062,7 @@ func (s *Server) RepairDoc(docID string, fetch func(egwalker.VersionSummary) ([]
 // DocStore's hook, which feeds OnQuarantine (the cluster repair path).
 func (s *Server) scrubber() {
 	defer s.wg.Done()
-	lim := NewScrubLimiter(s.opts.ScrubBytesPerSec)
+	lim := newScrubLimiter(s.opts.ScrubBytesPerSec)
 	t := time.NewTicker(s.opts.ScrubEvery)
 	defer t.Stop()
 	for {
@@ -1090,7 +1075,7 @@ func (s *Server) scrubber() {
 	}
 }
 
-func (s *Server) scrubPass(lim *ScrubLimiter) {
+func (s *Server) scrubPass(lim *scrubLimiter) {
 	ids, err := s.DocIDs()
 	if err != nil {
 		s.logf("store: scrub pass: %v", err)
@@ -1107,7 +1092,7 @@ func (s *Server) scrubPass(lim *ScrubLimiter) {
 			s.logf("store: scrub open %q: %v", id, err)
 			continue
 		}
-		rep, err := e.ds.Scrub(lim)
+		rep, err := e.ds.scrub(lim)
 		s.metrics.ScrubBytes.Add(rep.Bytes)
 		if len(rep.Damage) > 0 {
 			s.metrics.CorruptBlocks.Add(int64(len(rep.Damage)))
@@ -1193,7 +1178,7 @@ func (s *Server) flushOnce() {
 		// Drain the commit counter before the fsync so the batch size
 		// reflects what this fsync makes durable (events landing during
 		// the fsync are attributed to the next window).
-		batch := e.ds.TakeUnsyncedEvents()
+		batch := e.ds.takeUnsyncedEvents()
 		start := time.Now()
 		err := e.ds.Sync()
 		s.metrics.FsyncNs.Observe(time.Since(start).Nanoseconds())
@@ -1207,7 +1192,7 @@ func (s *Server) flushOnce() {
 			// the signal.
 			s.metrics.CommitBatchEvents.Observe(int64(batch))
 		}
-		if s.opts.SnapshotEvery > 0 && e.ds.UnsnapshottedEvents() >= s.opts.SnapshotEvery {
+		if s.opts.SnapshotEvery > 0 && e.ds.unsnapshottedEvents() >= s.opts.SnapshotEvery {
 			s.scheduleCompact(e) // takes its own pin
 		}
 		s.release(e)

@@ -45,7 +45,7 @@ func TestServerLRUEvictionReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[id] = text
-		if n := srv.OpenCount(); n > cap {
+		if n := srv.MetricsSnapshot().MaterializedDocs; n > cap {
 			t.Fatalf("after %d docs: %d materialized, cap %d", i+1, n, cap)
 		}
 	}

@@ -145,7 +145,7 @@ type DocStore struct {
 	persisted       egwalker.Version
 	eventsSinceSnap int
 	sealedSinceSnap int // sealed segments not yet covered by a snapshot
-	unsyncedEvents  int // events committed since TakeUnsyncedEvents
+	unsyncedEvents  int // events committed since takeUnsyncedEvents
 
 	recovery RecoveryInfo
 	werr     error // sticky write error; the store refuses further writes
@@ -455,9 +455,6 @@ func syncDir(dir string) {
 	}
 }
 
-// DocID returns the hosted document's ID.
-func (s *DocStore) DocID() string { return s.docID }
-
 // Recovery reports what opening the document did (snapshot chosen,
 // events replayed, torn bytes truncated).
 func (s *DocStore) Recovery() RecoveryInfo {
@@ -466,9 +463,9 @@ func (s *DocStore) Recovery() RecoveryInfo {
 	return s.recovery
 }
 
-// Materialized reports whether the document is currently in memory
+// materialized reports whether the document is currently in memory
 // (as opposed to journal-only).
-func (s *DocStore) Materialized() bool {
+func (s *DocStore) materialized() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.doc != nil
@@ -602,13 +599,13 @@ func (s *DocStore) noteReplayLocked() {
 		now.EventsReplayedSilently-prev.EventsReplayedSilently, now.RetainedItems-prev.RetainedItems)
 }
 
-// Dematerialize releases the in-memory document, dropping the store
+// dematerialize releases the in-memory document, dropping the store
 // back to journal-only mode: the known-ID set is rebuilt from the doc's
 // summary, a run per agent range, and the doc freed. It refuses
 // (keeping the doc) when in-memory state would be lost — events
 // buffered for missing parents live nowhere else — or when a sticky
 // write error means disk lags the doc.
-func (s *DocStore) Dematerialize() error {
+func (s *DocStore) dematerialize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -761,10 +758,10 @@ func (s *DocStore) EventsSinceSummary(sum egwalker.VersionSummary) ([]egwalker.E
 	return s.doc.EventsSinceSummary(sum)
 }
 
-// UnsnapshottedEvents reports how many events have been journaled
+// unsnapshottedEvents reports how many events have been journaled
 // since the last snapshot — the compaction-pressure signal Server's
 // flusher watches.
-func (s *DocStore) UnsnapshottedEvents() int {
+func (s *DocStore) unsnapshottedEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.eventsSinceSnap
@@ -1025,11 +1022,11 @@ func (s *DocStore) afterAppendLocked(newEvents int) error {
 	return nil
 }
 
-// TakeUnsyncedEvents returns how many events were committed since the
+// takeUnsyncedEvents returns how many events were committed since the
 // last call and resets the count: the group-commit batch-size signal a
 // flusher records after each fsync (how much work one fsync made
 // durable).
-func (s *DocStore) TakeUnsyncedEvents() int {
+func (s *DocStore) takeUnsyncedEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.unsyncedEvents

@@ -43,7 +43,7 @@ func openEachWay(t *testing.T, root, docID string) ([]*DocStore, bool) {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
 		if mode.name == "OpenLazy" {
-			lazyMaterialized = ds.Materialized()
+			lazyMaterialized = ds.materialized()
 		}
 		if err := ds.Materialize(); err != nil {
 			t.Fatalf("%s, Materialize: %v", mode.name, err)
@@ -165,8 +165,8 @@ func TestAutoSnapshotEvery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ds.UnsnapshottedEvents() >= 50 {
-		t.Fatalf("auto snapshot never fired: %d unsnapshotted", ds.UnsnapshottedEvents())
+	if ds.unsnapshottedEvents() >= 50 {
+		t.Fatalf("auto snapshot never fired: %d unsnapshotted", ds.unsnapshottedEvents())
 	}
 	snapBytes, _, _ := ds.DiskUsage()
 	if snapBytes == 0 {
@@ -658,7 +658,7 @@ func TestLegacySnapshotOpens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ds.Materialized() {
+				if !ds.materialized() {
 					t.Error("came up journal-only on an EGW1 snapshot")
 				}
 				if ds.Text() != twin.Text() || ds.NumEvents() != twin.NumEvents() {
@@ -677,7 +677,7 @@ func TestLegacySnapshotOpens(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer re.Close()
-				if re.Materialized() {
+				if re.materialized() {
 					t.Error("after Compact, OpenLazy materialized")
 				}
 				if _, ok := re.CutForServe(); !ok {
