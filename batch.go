@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"egwalker/internal/causal"
+	"egwalker/internal/colenc"
 	"egwalker/internal/oplog"
 )
 
@@ -309,20 +310,14 @@ const MaxBatchBytes = 16 << 20
 // legacy codec, far under MaxBatchBytes.
 const maxBatchEvents = 1 << 16
 
-// columnarFrom is the batch size from which MarshalBatches writes the
-// columnar codec rather than the legacy one: for typed single-agent runs
-// — inserts or deletes, from the root or after an external parent, agent
-// names of 1 to 64 bytes — legacy is the smaller up to 3 events and
-// columnar from 4 (docs/FORMAT.md has the table).
-const columnarFrom = 4
-
 // MarshalBatches encodes a causally ordered batch as the payloads that
 // netsync events frames and WAL blocks carry, and is the one place their
 // encoding is chosen. It splits the batch at 64k events, writes each
-// chunk in the legacy codec below columnarFrom events and columnar from
-// it, and halves a chunk until it fits MaxBatchBytes; a lone event over
-// the cap is an error. An empty batch is one payload. Applied in order,
-// the payloads rebuild the batch (UnmarshalEventsAuto reads each).
+// chunk in the legacy codec below colenc.ColumnarFrom events and
+// columnar from it, and halves a chunk until it fits MaxBatchBytes; a
+// lone event over the cap is an error. An empty batch is one payload.
+// Applied in order, the payloads rebuild the batch (UnmarshalEventsAuto
+// reads each).
 func MarshalBatches(events []Event) ([][]byte, error) {
 	return marshalBatches(events, MaxBatchBytes)
 }
@@ -334,7 +329,7 @@ func marshalBatches(events []Event, limit int) ([][]byte, error) {
 	var emit func(evs []Event) error
 	emit = func(evs []Event) error {
 		marshal := MarshalEvents
-		if len(evs) >= columnarFrom {
+		if len(evs) >= colenc.ColumnarFrom {
 			marshal = MarshalEventsCompact
 		}
 		payload, err := marshal(evs)

@@ -87,6 +87,15 @@ const (
 	maxParents   = 1024 // parents per event
 )
 
+// ColumnarFrom is the batch size from which a batch is written in this
+// codec rather than the root package's legacy one: for typed single-agent
+// runs — inserts or deletes, from the root or after an external parent,
+// agent names of 1 to 64 bytes — legacy is the smaller up to 3 events and
+// columnar from 4 (docs/FORMAT.md has the table). egwalker.MarshalBatches
+// writes by it, and package store journals an upload verbatim only when
+// its encoding agrees with it.
+const ColumnarFrom = 4
+
 // ErrBadMagic reports input that is not a colenc frame at all.
 var ErrBadMagic = errors.New("colenc: bad magic")
 

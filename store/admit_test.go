@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -235,12 +237,17 @@ func session(t testing.TB, rng *rand.Rand, uploads int) [][]egwalker.Event {
 // partial duplicates, gaps — ingested as bare frames by a journal-only
 // store admit what the per-event reference admits, count what it counts,
 // and leave a journal that a crash and a reopen read back as the same
-// set of events.
+// set of events. A materialized twin takes the same uploads, half of them
+// in the legacy encoding, and journals the same bytes, no event twice.
 func TestIngestFramesMatchReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		root := t.TempDir()
 		ds, err := OpenLazy(root, "doc", "server", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := Open(t.TempDir(), "doc", "server", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,13 +259,20 @@ func TestIngestFramesMatchReference(t *testing.T) {
 				gaps++
 				continue // the store would materialize; the model has no document to ask
 			}
-			raw, err := egwalker.MarshalEventsCompact(evs)
+			marshal := egwalker.MarshalEventsCompact
+			if i%2 == 1 {
+				marshal = egwalker.MarshalEvents
+			}
+			raw, err := marshal(evs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := ds.IngestBatch(nil, raw)
 			if err != nil || got != want {
 				t.Fatalf("seed %d upload %d: IngestBatch = %d, %v; reference admits %d", seed, i, got, err, want)
+			}
+			if got, err := twin.IngestBatch(nil, raw); err != nil || got != want {
+				t.Fatalf("seed %d upload %d: materialized IngestBatch = %d, %v; reference admits %d", seed, i, got, err, want)
 			}
 			if want < len(evs) {
 				dups++
@@ -276,6 +290,12 @@ func TestIngestFramesMatchReference(t *testing.T) {
 		want := model.summary()
 		if got, err := ds.Summary(); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: journal-only summary %v (%v), reference %v", seed, got, err, want)
+		}
+		if files, twinFiles := segmentFiles(t, ds.dir), segmentFiles(t, twin.dir); !reflect.DeepEqual(files, twinFiles) {
+			t.Fatalf("seed %d: the journal-only and the materialized store journaled different bytes", seed)
+		}
+		if err := twin.Close(); err != nil {
+			t.Fatal(err)
 		}
 		if err := ds.Sync(); err != nil {
 			t.Fatal(err)
@@ -299,6 +319,184 @@ func TestIngestFramesMatchReference(t *testing.T) {
 				seed, lazy.NumEvents(), got, err, lazy.materialized(), model.numEvents(), want)
 		}
 		lazy.Close()
+	}
+}
+
+// segmentFiles returns the bytes of a document directory's WAL segments
+// by name, and fails the test when their blocks journal an event twice.
+func segmentFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	journaled(t, dir, files)
+	return files
+}
+
+// journaled returns the payload of every block in a document directory's
+// WAL segments, oldest first, and fails the test when two blocks hold
+// the same event. files, when not nil, is given each segment's bytes.
+func journaled(t *testing.T, dir string, files map[string]string) [][]byte {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	seen := map[eid]bool{}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if files != nil {
+			files[filepath.Base(name)] = string(data)
+		}
+		w, err := walkSegmentBlocks(data, func(payload []byte) error {
+			evs, err := egwalker.UnmarshalEventsAuto(payload)
+			for _, ev := range evs {
+				if seen[ev.ID] {
+					return fmt.Errorf("%v journaled twice", ev.ID)
+				}
+				seen[ev.ID] = true
+			}
+			payloads = append(payloads, append([]byte(nil), payload...))
+			return err
+		})
+		if err == nil {
+			err = w.tail
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return payloads
+}
+
+// TestJournalHoldsWhatWasSent: an upload of new events in the encoding
+// the one writer picks for its size is journaled as it was sent; one in
+// the other encoding, or one that repeats held events, is journaled as
+// what egwalker.MarshalBatches writes for the events it added; one that
+// adds nothing journals nothing. Each case gives the same journal on a
+// journal-only store and on a materialized one.
+func TestJournalHoldsWhatWasSent(t *testing.T) {
+	w := egwalker.NewDoc("writer")
+	typed := func(text string) []egwalker.Event {
+		v := w.Version()
+		if err := w.Insert(w.Len(), text); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := w.EventsSince(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	encode := func(marshal func([]egwalker.Event) ([]byte, error), evs []egwalker.Event) []byte {
+		raw, err := marshal(evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	written := func(evs []egwalker.Event) [][]byte {
+		payloads, err := egwalker.MarshalBatches(evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payloads
+	}
+	held := typed("held ")
+	twenty, two, legacy, more := typed("twenty characters..."), typed("ab"), typed("cd"), typed("more")
+	overlap := append(append([]egwalker.Event(nil), held[2:]...), twenty[:4]...)
+	cases := []struct {
+		name    string
+		history [][]egwalker.Event // uploaded, in order, before the upload
+		raw     []byte
+		fresh   int
+		want    [][]byte // the blocks the upload journals
+	}{
+		{"20 events, columnar", nil, encode(egwalker.MarshalEventsCompact, twenty), 20, [][]byte{encode(egwalker.MarshalEventsCompact, twenty)}},
+		{"2 events, columnar", [][]egwalker.Event{twenty}, encode(egwalker.MarshalEventsCompact, two), 2, written(two)},
+		{"2 events, legacy", [][]egwalker.Event{twenty, two}, encode(egwalker.MarshalEvents, legacy), 2, [][]byte{encode(egwalker.MarshalEvents, legacy)}},
+		{"4 events, legacy", [][]egwalker.Event{twenty, two, legacy}, encode(egwalker.MarshalEvents, more), 4, written(more)},
+		{"overlapping", nil, encode(egwalker.MarshalEventsCompact, overlap), 4, written(twenty[:4])},
+		{"all duplicates", nil, encode(egwalker.MarshalEventsCompact, held), 0, nil},
+	}
+	for _, c := range cases {
+		for _, mode := range openModes {
+			t.Run(c.name+"/"+mode.name, func(t *testing.T) {
+				ds, err := mode.open(t.TempDir(), "doc", "server", Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ds.Close()
+				for _, evs := range append([][]egwalker.Event{held}, c.history...) {
+					if _, err := ds.IngestBatch(nil, encode(egwalker.MarshalEventsCompact, evs)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := len(journaled(t, ds.dir, nil))
+				if fresh, err := ds.IngestBatch(nil, c.raw); err != nil || fresh != c.fresh {
+					t.Fatalf("IngestBatch = %d, %v; want %d new events", fresh, err, c.fresh)
+				}
+				if got := journaled(t, ds.dir, nil)[before:]; !slices.EqualFunc(got, c.want, bytes.Equal) {
+					t.Fatalf("journaled %d blocks %x, want %d: %x", len(got), got, len(c.want), c.want)
+				}
+				if ds.materialized() != (mode.name == "Open") {
+					t.Fatalf("materialized = %v after an upload without a gap", ds.materialized())
+				}
+			})
+		}
+	}
+
+	// An upload whose parent has not arrived waits in memory; once the
+	// parent comes, both are journaled, and both are there after a crash
+	// and a reopen either way.
+	parent, child := typed("p"), typed("c")
+	for _, mode := range openModes {
+		t.Run("gap then parent/"+mode.name, func(t *testing.T) {
+			root := t.TempDir()
+			ds, err := mode.open(root, "doc", "server", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ds.IngestBatch(nil, encode(egwalker.MarshalEventsCompact, w.Events()[:len(w.Events())-2])); err != nil {
+				t.Fatal(err)
+			}
+			if fresh, err := ds.IngestBatch(nil, encode(egwalker.MarshalEvents, child)); err != nil || fresh != 0 {
+				t.Fatalf("gap upload: %d new events, %v; want 0, nil", fresh, err)
+			}
+			if fresh, err := ds.IngestBatch(nil, encode(egwalker.MarshalEvents, parent)); err != nil || fresh != 2 {
+				t.Fatalf("its parent: %d new events, %v; want 2, nil", fresh, err)
+			}
+			if err := ds.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			crashed, err := ds.Crash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := crashed.NumEvents(); n != w.NumEvents() {
+				t.Fatalf("after a crash the store holds %d events, want %d", n, w.NumEvents())
+			}
+			crashed.Close()
+			stores, _ := openEachWay(t, root, "doc")
+			for i, ds := range stores {
+				if n := ds.NumEvents(); n != w.NumEvents() || ds.Text() != w.Text() {
+					t.Errorf("%s: %d events reading %q, want %d reading %q", openModes[i].name, n, ds.Text(), w.NumEvents(), w.Text())
+				}
+				ds.Close()
+			}
+			ids := map[eid]bool{}
+			for _, payload := range journaled(t, filepath.Join(root, escapeDocID("doc")), nil) {
+				evs, _ := egwalker.UnmarshalEventsAuto(payload)
+				for _, ev := range evs {
+					ids[ev.ID] = true
+				}
+			}
+			if !ids[parent[0].ID] || !ids[child[0].ID] {
+				t.Fatalf("journal holds parent %v, child %v; want both", ids[parent[0].ID], ids[child[0].ID])
+			}
+		})
 	}
 }
 
@@ -545,9 +743,13 @@ func burstUploads(tb testing.TB, n int) (frames [][]byte, events int) {
 
 // TestBurstIngestAllocs: a journal-only store takes a keystroke-sized
 // upload — validates the frame in full, admits it, wraps it in a WAL
-// block, writes it — for at most 2 objects: the block, and now and then
-// the known set's slice for an author growing. No []Event, no map, no
-// decoder state.
+// block, writes it — for at most 2 objects on average. A frame of 4
+// events or more, in the encoding the one writer picks for its size,
+// takes 1: the block, and now and then the known set's slice for an
+// author growing; no []Event, no map, no decoder state. The columnar
+// frames of 1 to 3 events (about one in six here), which the journal
+// re-encodes in the legacy codec, take about 10 each: their events, the
+// IDs their parents are cut from, the legacy writer's maps and buffer.
 func TestBurstIngestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool does not pool under the race detector")

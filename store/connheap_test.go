@@ -71,8 +71,9 @@ func TestIdleConnHeapBytes(t *testing.T) {
 // TestJournalDocHeapBytes: what one document held open journal-only under
 // a Server costs on the heap after a few uploads — its entry in the open
 // set and the LRU, the DocStore with its known-ID runs, the open WAL
-// segment. This is the figure -max-journal multiplies (README). 1.91 KB
-// when this was written (the benchmark's store.journal_doc_heap_bytes,
+// segment. This is the figure -max-journal multiplies (README). 1.88 KB
+// since the entry builds its peers map at its first subscriber, 1.91
+// before (the benchmark's store.journal_doc_heap_bytes,
 // a lazily opened DocStore with no Server around it, reads about 1.2 KB);
 // the bound leaves a few hundred bytes, not room for a per-document
 // buffer or a materialized Doc kept by mistake.

@@ -108,6 +108,49 @@ func (s *idSet) addEvents(events []egwalker.Event) {
 	}
 }
 
+// freshEvents returns the events of an admitted batch the set does not
+// hold, in batch order as sent: rebuilt from the runs admitPayload
+// decoded, or picked from the batch's events when it returned none.
+func (s *idSet) freshEvents(b *batch, runs []colenc.Run) []egwalker.Event {
+	held := func(id egwalker.EventID) bool { return s.has(id.Agent, id.Seq) }
+	if runs == nil {
+		return unheld(b.events, held)
+	}
+	// Every parents slice is cut, capacity capped, from one array of IDs.
+	out, ids := make([]egwalker.Event, 0, b.n), make([]egwalker.EventID, 0, b.n+len(runs))
+	for _, r := range runs {
+		from := len(ids)
+		for _, p := range r.Parents {
+			ids = append(ids, egwalker.EventID(p))
+		}
+		for k := range r.Len {
+			ev := egwalker.Event{ID: egwalker.EventID{Agent: r.ID.Agent, Seq: r.ID.Seq + k}, Parents: ids[from:len(ids):len(ids)], Insert: r.Kind == oplog.Insert, Pos: r.Pos + k*int(r.Dir)}
+			if ev.Insert {
+				ev.Content = r.Content[k]
+			}
+			if !held(ev.ID) {
+				out = append(out, ev)
+			}
+			from, ids = len(ids), append(ids, ev.ID) // the next event's sole parent
+		}
+	}
+	return out
+}
+
+// unheld returns the events of a batch that held does not report, in
+// batch order and each once: what the batch adds to a history, as sent.
+func unheld(events []egwalker.Event, held func(egwalker.EventID) bool) []egwalker.Event {
+	out := make([]egwalker.Event, 0, len(events))
+	seen := make(map[egwalker.EventID]bool, len(events))
+	for _, ev := range events {
+		if !seen[ev.ID] && !held(ev.ID) {
+			out = append(out, ev)
+		}
+		seen[ev.ID] = true
+	}
+	return out
+}
+
 // errCausalGap reports a batch whose parents the set does not hold;
 // IngestBatch responds by materializing, since only Doc.Apply can buffer
 // a causal gap.

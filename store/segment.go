@@ -86,11 +86,12 @@ func sealBlock(payload []byte) ([]byte, error) {
 // encodeBlocks seals each payload egwalker.MarshalBatches writes for a
 // batch as one block, so the WAL picks the encoding where the network
 // does. Encoding is pure: nothing has been written anywhere when it
-// fails, which tells a rejected batch apart from a torn write.
+// fails, which tells a rejected batch apart from a torn write, and a
+// batch the codec rejects does not poison the store.
 func encodeBlocks(events []egwalker.Event) ([][]byte, error) {
 	blocks, err := egwalker.MarshalBatches(events)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: encoding WAL batch: %w", err)
 	}
 	for i, payload := range blocks {
 		if blocks[i], err = sealBlock(payload); err != nil {

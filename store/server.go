@@ -174,7 +174,7 @@ type entry struct {
 	// so a joining peer misses no events between its catch-up and its
 	// first forwarded batch.
 	mu       sync.Mutex
-	peers    map[int]peerSub
+	peers    map[int]peerSub // nil until the first subscriber
 	nextPeer int
 	// obPeer/obTotal are the outbox byte budgets, copied from the
 	// server's options at acquire so subscribe needs no back-pointer.
@@ -269,7 +269,7 @@ func (s *Server) acquire(docID string) (*entry, error) {
 		}
 		return e, nil
 	}
-	e := &entry{id: docID, ready: make(chan struct{}), peers: make(map[int]peerSub), m: s.metrics, logf: s.logf, onIngest: s.opts.OnIngest, obPeer: s.opts.OutboxBytesPerPeer, obTotal: s.opts.OutboxBytesTotal, refs: 1}
+	e := &entry{id: docID, ready: make(chan struct{}), m: s.metrics, logf: s.logf, onIngest: s.opts.OnIngest, obPeer: s.opts.OutboxBytesPerPeer, obTotal: s.opts.OutboxBytesTotal, refs: 1}
 	e.elem = s.lru.PushFront(e)
 	s.open[docID] = e
 	s.metrics.OpenDocs.Set(int64(len(s.open)))
@@ -443,23 +443,23 @@ func (s *Server) applyEvictions(demat []*entry, victims []*DocStore) {
 // The document may be journal-only; DocStore methods that need the
 // in-memory doc materialize it on demand.
 func (s *Server) With(docID string, fn func(*DocStore) error) error {
+	return s.pinned(docID, func(e *entry) error { return fn(e.ds) })
+}
+
+// pinned runs fn against the document's entry, pinned and opened.
+func (s *Server) pinned(docID string, fn func(*entry) error) error {
 	e, err := s.acquire(docID)
 	if err != nil {
 		return err
 	}
 	defer s.release(e)
-	return fn(e.ds)
+	return fn(e)
 }
 
 // Append merges events into the document, journals them, and fans them
 // out to any peers connected to it.
 func (s *Server) Append(docID string, events []egwalker.Event) error {
-	e, err := s.acquire(docID)
-	if err != nil {
-		return err
-	}
-	defer s.release(e)
-	return e.ingest(&batch{events: events}, -1, false)
+	return s.pinned(docID, func(e *entry) error { return e.ingest(&batch{events: events}, -1, false) })
 }
 
 // IngestReplica merges a batch received over a cluster replication
@@ -468,21 +468,7 @@ func (s *Server) Append(docID string, events []egwalker.Event) error {
 // fire — replicated data is never re-forwarded, which is what keeps
 // the cluster's origin-push topology loop-free.
 func (s *Server) IngestReplica(docID string, events []egwalker.Event, raw []byte) error {
-	e, err := s.acquire(docID)
-	if err != nil {
-		return err
-	}
-	defer s.release(e)
-	return e.ingestReplica(&batch{raw: raw, events: events})
-}
-
-func (e *entry) ingestReplica(b *batch) error {
-	if err := e.ingest(b, -1, true); err != nil {
-		return err
-	}
-	e.m.ReplicaBatchesIn.Inc()
-	e.m.ReplicaEventsIn.Add(int64(b.n))
-	return nil
+	return s.pinned(docID, func(e *entry) error { return e.ingest(&batch{raw: raw, events: events}, -1, true) })
 }
 
 // Text returns the document's current text, materializing it if
@@ -527,18 +513,18 @@ func (s *Server) DocIDs() ([]string, error) {
 }
 
 // ingest journals a batch and forwards it to every peer except the
-// sender. The batch travels encoded: its events are decoded, once, only
-// if the document is materialized or the replication tap is set (b.raw
-// is nil for API appends, which arrive decoded). replica marks a batch
-// arriving over a server-to-server replication link: it still fans out
-// to local subscribers, but never fires the OnIngest tap — the origin
-// node already pushed it to every replica, and re-forwarding replicated
-// batches would echo them around the cluster forever.
+// sender, unless it added no event and parked none: then every peer has
+// it. The batch travels encoded: its events are decoded, once, only if
+// the document is materialized or the replication tap is set (b.raw is
+// nil for API appends, which arrive decoded). replica marks a batch from
+// a server-to-server replication link: it fans out to local subscribers
+// but never fires the OnIngest tap, since the origin pushed it to every
+// replica and re-forwarding would echo it around the cluster forever.
 func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fresh, err := e.ds.ingestBatch(b)
+	fresh, parked, err := e.ds.ingestBatch(b)
 	if err != nil {
 		return err
 	}
@@ -555,15 +541,20 @@ func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 	e.m.EventsApplied.Add(int64(b.n))
 	e.m.BatchesApplied.Inc()
 	e.m.FanoutBatchEvents.Observe(int64(b.n))
+	if replica {
+		e.m.ReplicaBatchesIn.Inc()
+		e.m.ReplicaEventsIn.Add(int64(b.n))
+	}
+	if fresh == 0 && !parked {
+		return nil
+	}
 	return e.fanoutLocked(b, fromPeer)
 }
 
-// fanoutLocked forwards a batch to every subscriber except fromPeer
-// (-1: all). Called with e.mu held; also used by RepairDoc to push a
-// repair's fetched diff to live subscribers. Every subscriber decodes
-// both encodings, so an uploaded batch is forwarded verbatim; only a
-// batch that arrived decoded is marshalled, once, by
-// egwalker.MarshalBatches.
+// fanoutLocked forwards a batch to every subscriber except fromPeer (-1:
+// all), with e.mu held; RepairDoc pushes a repair's diff through it too.
+// An upload goes verbatim (every subscriber decodes both encodings); a
+// batch that arrived decoded is marshalled once, by MarshalBatches.
 func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 	raws := [][]byte{b.raw}
 	if b.raw == nil {
@@ -636,6 +627,9 @@ func (e *entry) subscribe(conn io.ReadWriter, h netsync.Hello) (*subPlan, error)
 	id := e.nextPeer
 	e.nextPeer++
 	outbox := newOutbox(e.obPeer, e.obTotal, &e.m.OutboxBytes, &e.m.CoalescedFrames)
+	if e.peers == nil {
+		e.peers = make(map[int]peerSub)
+	}
 	e.peers[id] = peerSub{ob: outbox, conn: conn}
 	e.m.Subscribers.Add(1)
 	if len(h.Summary) > 0 {
@@ -881,7 +875,7 @@ func (s *Server) serveReplica(conn io.ReadWriter, h netsync.Hello) error {
 		}
 		switch f.Kind {
 		case netsync.FrameEvents:
-			if err := e.ingestReplica(&batch{raw: f.Raw}); err != nil {
+			if err := e.ingest(&batch{raw: f.Raw}, -1, true); err != nil {
 				return err
 			}
 		case netsync.FrameSummary:

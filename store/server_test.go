@@ -311,3 +311,67 @@ func TestAppendFansOutTheSmallerEncoding(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedUploadRelayedOnce: a batch whose every event the document
+// holds already reaches no subscriber, whichever state the document is
+// in: three appends of the same events relay them once.
+func TestRepeatedUploadRelayedOnce(t *testing.T) {
+	for _, materialized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("materialized=%v", materialized), func(t *testing.T) {
+			srv := newTestServer(t, ServerOptions{FlushInterval: -1})
+			if materialized {
+				if err := srv.With("d", func(ds *DocStore) error { return ds.Materialize() }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cs, ss := net.Pipe()
+			defer cs.Close()
+			serveOne(t, srv, ss)
+			pc := netsync.NewPeerConn(cs)
+			if err := pc.SendHello(netsync.Hello{DocID: "d", Compact: true}); err != nil {
+				t.Fatal(err)
+			}
+			cs.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := pc.RecvFrameRaw(); err != nil { // the empty catch-up
+				t.Fatal(err)
+			}
+			w := egwalker.NewDoc("writer")
+			if err := w.Insert(0, "hello world"); err != nil {
+				t.Fatal(err)
+			}
+			events := w.Events()
+			for range 3 {
+				if err := srv.Append("d", events); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One more event marks the end of what the repeats could send.
+			v := w.Version()
+			if err := w.Insert(w.Len(), "!"); err != nil {
+				t.Fatal(err)
+			}
+			last, err := w.EventsSince(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Append("d", last); err != nil {
+				t.Fatal(err)
+			}
+			frames, got := 0, 0
+			for end := false; !end; {
+				evs, _, _, err := pc.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames, got = frames+1, got+len(evs)
+				end = len(evs) > 0 && evs[len(evs)-1].ID == last[0].ID
+			}
+			if got != len(events)+1 || frames > 2 {
+				t.Fatalf("the subscriber got %d events in %d frames, want %d in at most 2", got, frames, len(events)+1)
+			}
+			if m := srv.MetricsSnapshot(); (m.MaterializedDocs == 1) != materialized {
+				t.Fatalf("%d documents materialized, want materialized=%v", m.MaterializedDocs, materialized)
+			}
+		})
+	}
+}

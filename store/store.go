@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -407,11 +408,9 @@ func (s *DocStore) openActive(live []uint64, lastRemoved bool) error {
 	return nil
 }
 
-// scanBlockPayload folds one WAL block's IDs into known once the
-// admission check a live upload goes through (admitPayload) has passed
-// it: every causal reference lands on an already-known event or an
-// earlier event of the same block. Returns how many of the block's
-// events were not already known.
+// scanBlockPayload folds one WAL block's IDs into known once it passes the
+// admission check a live upload goes through (admitPayload), and returns
+// how many of its events were not already known.
 func scanBlockPayload(payload []byte, known *idSet, dec *colenc.Decoder) (int, error) {
 	b := batch{raw: payload}
 	fresh, runs, err := known.admitPayload(&b, dec)
@@ -770,35 +769,13 @@ func (s *DocStore) unsnapshottedEvents() int {
 // Insert applies a local insert and journals it, materializing first
 // if needed.
 func (s *DocStore) Insert(pos int, text string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if err := s.materializeLocked(); err != nil {
-		return err
-	}
-	if err := s.doc.Insert(pos, text); err != nil {
-		return err
-	}
-	return s.commitLocked()
+	return s.edit(func(d *egwalker.Doc) error { return d.Insert(pos, text) })
 }
 
 // Delete applies a local delete and journals it, materializing first
 // if needed.
 func (s *DocStore) Delete(pos, count int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if err := s.materializeLocked(); err != nil {
-		return err
-	}
-	if err := s.doc.Delete(pos, count); err != nil {
-		return err
-	}
-	return s.commitLocked()
+	return s.edit(func(d *egwalker.Doc) error { return d.Delete(pos, count) })
 }
 
 // Apply merges remote events (as Doc.Apply) and journals whatever was
@@ -807,22 +784,27 @@ func (s *DocStore) Delete(pos, count int) error {
 // crash is recovered the same way a message lost on the network is: by
 // anti-entropy with peers.
 func (s *DocStore) Apply(events []egwalker.Event) ([]egwalker.Patch, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writable(); err != nil {
-		return nil, err
-	}
-	if err := s.materializeLocked(); err != nil {
-		return nil, err
-	}
-	patches, err := s.doc.Apply(events)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.commitLocked(); err != nil {
+	var patches []egwalker.Patch
+	if err := s.edit(func(d *egwalker.Doc) (err error) { patches, err = d.Apply(events); return err }); err != nil {
 		return nil, err
 	}
 	return patches, nil
+}
+
+// edit makes a change to the document, materialized first, and journals it.
+func (s *DocStore) edit(change func(*egwalker.Doc) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writable(); err != nil {
+		return err
+	}
+	if err := s.materializeLocked(); err != nil {
+		return err
+	}
+	if err := change(s.doc); err != nil {
+		return err
+	}
+	return s.commitLocked()
 }
 
 // batch is an uploaded batch on its way through the store and the server:
@@ -849,92 +831,76 @@ func (b *batch) Events() ([]egwalker.Event, error) {
 	return b.events, nil
 }
 
-// IngestBatch merges an uploaded batch and journals it — the hosted
-// server's upload path. When the store is journal-only and the batch's
-// causal references check out against the known-ID set, the uploader's
-// raw encoded payload (if provided) is appended to the WAL verbatim:
-// no document, no []Event, no re-encode — a compact payload is validated
-// in full and admitted a run at a time straight off its columns, and
-// events may then be nil. Otherwise it behaves exactly like Apply (raw
-// is decoded if events is nil). Returns how many of the batch's events
-// were new to this store.
-//
-// The journal-only path validates causal structure but not positions;
-// a structurally valid but semantically impossible event surfaces as
-// an error at materialization time instead of at upload time — the
-// price of never building the document on the hot path.
+// IngestBatch merges an uploaded batch and journals it, for a document
+// in either state; it returns how many of its events were new. raw is the
+// batch as sent (nil if it arrived decoded); events, given beside it, must
+// be raw's own decoding. When every event is new and raw is in the
+// encoding egwalker.MarshalBatches picks for that many events, raw is
+// journaled verbatim; otherwise the events the batch added are, in batch
+// order, through MarshalBatches — unless events that wait for a parent
+// went in or out, when the journal gets what the document holds past it.
+// Journal-only, the batch is admitted against the known-ID set, which
+// checks causal structure, not positions: an impossible position surfaces
+// at materialization, not at upload. A causal gap materializes the
+// document, which alone can hold events until their parents arrive.
 func (s *DocStore) IngestBatch(events []egwalker.Event, raw []byte) (int, error) {
-	return s.ingestBatch(&batch{raw: raw, events: events})
+	fresh, _, err := s.ingestBatch(&batch{raw: raw, events: events})
+	return fresh, err
 }
 
-func (s *DocStore) ingestBatch(b *batch) (int, error) {
+// ingestBatch is IngestBatch, also reporting whether the batch left events
+// waiting for their parents (parked), which a host relays like new ones.
+func (s *DocStore) ingestBatch(b *batch) (fresh int, parked bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writable(); err != nil {
-		return 0, err
+		return 0, false, err
 	}
+	var runs []colenc.Run
 	if s.doc == nil {
-		n, err := s.journalAppendLocked(b)
-		if err == nil || !errors.Is(err, errCausalGap) {
-			return n, err
+		dec := colenc.GetDecoder()
+		defer dec.Put()
+		if fresh, runs, err = s.known.admitPayload(b, dec); errors.Is(err, errCausalGap) {
+			err = s.materializeLocked()
 		}
-		if err := s.materializeLocked(); err != nil {
-			return 0, err
-		}
-	}
-	events, err := b.Events()
-	if err != nil {
-		return 0, err
-	}
-	before := s.doc.NumEvents()
-	if _, err := s.doc.Apply(events); err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(); err != nil {
-		return 0, err
-	}
-	return s.doc.NumEvents() - before, nil
-}
-
-// journalAppendLocked admits a batch in journal-only mode: every event
-// must be a duplicate or have all parents in the known set (or earlier
-// in the batch — uploads arrive in causal order). Fully duplicate
-// batches journal nothing. The raw payload is preferred verbatim; a
-// nil or uncappable raw is re-encoded from the decoded events. The known
-// set learns the batch only after the append succeeded.
-func (s *DocStore) journalAppendLocked(b *batch) (int, error) {
-	dec := colenc.GetDecoder()
-	defer dec.Put()
-	fresh, runs, err := s.known.admitPayload(b, dec)
-	if err != nil || fresh == 0 {
-		return 0, err
-	}
-	var blocks [][]byte
-	if b.raw != nil {
-		if block, err := sealBlock(b.raw); err == nil {
-			blocks = [][]byte{block}
+		if err != nil {
+			return 0, false, err
 		}
 	}
-	if blocks == nil {
+	var news []egwalker.Event // the batch's new events, as sent
+	if s.doc != nil {
 		events, err := b.Events()
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
-		blocks, err = encodeBlocks(events)
-		if err != nil {
-			return 0, fmt.Errorf("store: encoding WAL batch: %w", err)
+		news = unheld(events, s.doc.Knows)
+		// current: the journal holds all of it (a refused local edit does not)
+		before, pending, current := s.doc.NumEvents(), s.doc.PendingEvents(), slices.Equal(s.persisted, s.doc.Version())
+		if _, err := s.doc.Apply(events); err != nil {
+			return 0, false, err
 		}
+		fresh, parked = s.doc.NumEvents()-before, s.doc.PendingEvents() > pending
+		if !current || pending > 0 || parked {
+			return fresh, parked, s.commitLocked()
+		}
+		s.noteReplayLocked()
 	}
-	if err := s.appendBlocksLocked(blocks); err != nil {
-		return 0, err
+	if fresh == 0 {
+		return 0, false, nil
 	}
-	if runs != nil {
-		s.known.addRuns(runs)
+	blocks := [][]byte{nil}
+	if fresh == b.n && b.raw != nil && len(b.raw) <= egwalker.MaxBatchBytes && colenc.Sniff(b.raw) == (fresh >= colenc.ColumnarFrom) {
+		blocks[0], err = sealBlock(b.raw) // all of it new, in the encoding MarshalBatches picks for its size
 	} else {
-		s.known.addEvents(b.events)
+		if news == nil {
+			news = s.known.freshEvents(b, runs)
+		}
+		blocks, err = encodeBlocks(news)
 	}
-	s.numEvents += fresh
-	return fresh, s.afterAppendLocked(fresh)
+	if err != nil {
+		return 0, false, err
+	}
+	return fresh, false, s.journalLocked(blocks, fresh, b, runs)
 }
 
 func (s *DocStore) writable() error {
@@ -960,37 +926,30 @@ func (s *DocStore) setWerrLocked(err error) {
 }
 
 // commitLocked journals everything the doc knows beyond the persisted
-// version as blocks on the active segment, then rotates and
-// snapshots per policy. Called with s.mu held after every mutation, so
-// the WAL is always a complete journal of the admitted history.
+// version: a local edit, or an upload that released or parked events
+// waiting for a parent. Called with s.mu held after every mutation, so the
+// WAL is always a complete journal of the admitted history.
 func (s *DocStore) commitLocked() error {
 	s.noteReplayLocked()
 	evs, err := s.doc.EventsSince(s.persisted)
-	if err != nil {
+	if err != nil || len(evs) == 0 {
 		return err
 	}
-	if len(evs) == 0 {
-		return nil
-	}
-	// Encode first: a batch the codec rejects writes no bytes and does
-	// not poison the store.
 	blocks, err := encodeBlocks(evs)
 	if err != nil {
-		return fmt.Errorf("store: encoding WAL batch: %w", err)
-	}
-	if err := s.appendBlocksLocked(blocks); err != nil {
 		return err
 	}
-	s.persisted = s.doc.Version()
-	return s.afterAppendLocked(len(evs))
+	return s.journalLocked(blocks, len(evs), nil, nil)
 }
 
-// appendBlocksLocked writes encoded blocks to the active
-// segment, poisoning the store on a partial write.
-func (s *DocStore) appendBlocksLocked(blocks [][]byte) error {
+// journalLocked is the one way events reach the WAL: it appends the blocks
+// holding n new events, poisoning the store on a partial write, records
+// them (persisted, or the known set from the admitted runs or b's events)
+// and syncs, rotates and snapshots per options.
+func (s *DocStore) journalLocked(blocks [][]byte, n int, b *batch, runs []colenc.Run) error {
 	for _, block := range blocks {
-		n, err := s.active.Write(block)
-		s.activeSize += int64(n)
+		w, err := s.active.Write(block)
+		s.activeSize += int64(w)
 		if err != nil {
 			// A partial write leaves a torn tail exactly like a crash;
 			// refuse further writes so it stays at the tail.
@@ -998,14 +957,17 @@ func (s *DocStore) appendBlocksLocked(blocks [][]byte) error {
 			return s.werr
 		}
 	}
-	return nil
-}
-
-// afterAppendLocked applies the post-append policy shared by both
-// commit paths: sync, rotate, and snapshot per options.
-func (s *DocStore) afterAppendLocked(newEvents int) error {
-	s.eventsSinceSnap += newEvents
-	s.unsyncedEvents += newEvents
+	switch {
+	case s.doc != nil:
+		s.persisted = s.doc.Version()
+	case runs != nil:
+		s.known.addRuns(runs)
+	default:
+		s.known.addEvents(b.events)
+	}
+	s.numEvents += n // journal-only's count: NumEvents asks a document in memory
+	s.eventsSinceSnap += n
+	s.unsyncedEvents += n
 	if s.opts.SyncEveryCommit {
 		if err := s.syncLocked(); err != nil {
 			return err
