@@ -108,47 +108,30 @@ func (s *idSet) addEvents(events []egwalker.Event) {
 	}
 }
 
-// freshEvents returns the events of an admitted batch the set does not
-// hold, in batch order as sent: rebuilt from the runs admitPayload
-// decoded, or picked from the batch's events when it returned none.
-func (s *idSet) freshEvents(b *batch, runs []colenc.Run) []egwalker.Event {
-	held := func(id egwalker.EventID) bool { return s.has(id.Agent, id.Seq) }
-	if runs == nil {
-		return unheld(b.events, held)
-	}
-	// Every parents slice is cut, capacity capped, from one array of IDs.
-	out, ids := make([]egwalker.Event, 0, b.n), make([]egwalker.EventID, 0, b.n+len(runs))
-	for _, r := range runs {
-		from := len(ids)
-		for _, p := range r.Parents {
-			ids = append(ids, egwalker.EventID(p))
-		}
-		for k := range r.Len {
-			ev := egwalker.Event{ID: egwalker.EventID{Agent: r.ID.Agent, Seq: r.ID.Seq + k}, Parents: ids[from:len(ids):len(ids)], Insert: r.Kind == oplog.Insert, Pos: r.Pos + k*int(r.Dir)}
-			if ev.Insert {
-				ev.Content = r.Content[k]
+// newInOrder returns the events of a batch that held does not report, in
+// batch order and each once (events itself when that is all of them), and
+// whether each comes after its parents: held, or earlier in the batch, the
+// order admit asks of a journal-only upload.
+func newInOrder(events []egwalker.Event, held func(egwalker.EventID) bool) (news []egwalker.Event, ordered bool) {
+	var seen frameSeen
+	news, ordered = events, true
+	picked := false // news is a copy, past the first event it leaves out
+	for i, ev := range events {
+		if held(ev.ID) || seen.overlaps(ev.ID.Agent, ev.ID.Seq, 1) {
+			if !picked {
+				news, picked = events[:i:i], true // the first append copies
 			}
-			if !held(ev.ID) {
-				out = append(out, ev)
-			}
-			from, ids = len(ids), append(ids, ev.ID) // the next event's sole parent
+			continue
+		}
+		for _, p := range ev.Parents {
+			ordered = ordered && (held(p) || seen.overlaps(p.Agent, p.Seq, 1))
+		}
+		seen.add(ev.ID.Agent, ev.ID.Seq, 1)
+		if picked {
+			news = append(news, ev)
 		}
 	}
-	return out
-}
-
-// unheld returns the events of a batch that held does not report, in
-// batch order and each once: what the batch adds to a history, as sent.
-func unheld(events []egwalker.Event, held func(egwalker.EventID) bool) []egwalker.Event {
-	out := make([]egwalker.Event, 0, len(events))
-	seen := make(map[egwalker.EventID]bool, len(events))
-	for _, ev := range events {
-		if !seen[ev.ID] && !held(ev.ID) {
-			out = append(out, ev)
-		}
-		seen[ev.ID] = true
-	}
-	return out
+	return news, ordered
 }
 
 // errCausalGap reports a batch whose parents the set does not hold;
@@ -220,9 +203,9 @@ func (s *idSet) admit(runs []colenc.Run) (fresh int, err error) {
 	return fresh, nil
 }
 
-// frameSeen is the runs of the frame admit is part-way through that
-// brought new events. A frame is a run or two, so they sit in a fixed
-// array; a frame of more spills into a set.
+// frameSeen is the runs of the frame admit (or newInOrder) is part-way
+// through that brought new events. A frame is a run or two, so they sit
+// in a fixed array; a frame of more spills into a set.
 type frameSeen struct {
 	n     int
 	first [8]colenc.IDRun
@@ -230,6 +213,10 @@ type frameSeen struct {
 }
 
 func (f *frameSeen) add(agent string, seq, n int) {
+	if k := f.n - 1; k >= 0 && f.first[k].Agent == agent && f.first[k].Seq+f.first[k].Len == seq {
+		f.first[k].Len += n // the run before goes on
+		return
+	}
 	if f.n < len(f.first) {
 		f.first[f.n] = colenc.IDRun{Agent: agent, Seq: seq, Len: n}
 		f.n++

@@ -837,8 +837,9 @@ func (b *batch) Events() ([]egwalker.Event, error) {
 // be raw's own decoding. When every event is new and raw is in the
 // encoding egwalker.MarshalBatches picks for that many events, raw is
 // journaled verbatim; otherwise the events the batch added are, in batch
-// order, through MarshalBatches — unless events that wait for a parent
-// went in or out, when the journal gets what the document holds past it.
+// order, through MarshalBatches — unless an event came before its parent
+// in the batch, or events that wait for a parent went in or out: then the
+// journal gets what the document holds past it, in causal order.
 // Journal-only, the batch is admitted against the known-ID set, which
 // checks causal structure, not positions: an impossible position surfaces
 // at materialization, not at upload. A causal gap materializes the
@@ -873,14 +874,17 @@ func (s *DocStore) ingestBatch(b *batch) (fresh int, parked bool, err error) {
 		if err != nil {
 			return 0, false, err
 		}
-		news = unheld(events, s.doc.Knows)
+		var ordered bool
+		news, ordered = newInOrder(events, s.doc.Knows)
 		// current: the journal holds all of it (a refused local edit does not)
 		before, pending, current := s.doc.NumEvents(), s.doc.PendingEvents(), slices.Equal(s.persisted, s.doc.Version())
 		if _, err := s.doc.Apply(events); err != nil {
 			return 0, false, err
 		}
 		fresh, parked = s.doc.NumEvents()-before, s.doc.PendingEvents() > pending
-		if !current || pending > 0 || parked {
+		// An event sent before its parent (as on every causal gap that
+		// materialized the document) went in in causal order, not as sent.
+		if !ordered || !current || pending > 0 || parked {
 			return fresh, parked, s.commitLocked()
 		}
 		s.noteReplayLocked()
@@ -893,7 +897,11 @@ func (s *DocStore) ingestBatch(b *batch) (fresh int, parked bool, err error) {
 		blocks[0], err = sealBlock(b.raw) // all of it new, in the encoding MarshalBatches picks for its size
 	} else {
 		if news == nil {
-			news = s.known.freshEvents(b, runs)
+			events, err := b.Events()
+			if err != nil {
+				return 0, false, err
+			}
+			news, _ = newInOrder(events, func(id egwalker.EventID) bool { return s.known.has(id.Agent, id.Seq) })
 		}
 		blocks, err = encodeBlocks(news)
 	}
@@ -926,9 +934,10 @@ func (s *DocStore) setWerrLocked(err error) {
 }
 
 // commitLocked journals everything the doc knows beyond the persisted
-// version: a local edit, or an upload that released or parked events
-// waiting for a parent. Called with s.mu held after every mutation, so the
-// WAL is always a complete journal of the admitted history.
+// version, in causal order: a local edit, or an upload that sent an event
+// before its parent or released or parked events waiting for one. Called
+// with s.mu held after every mutation, so the WAL is always a complete
+// journal of the admitted history.
 func (s *DocStore) commitLocked() error {
 	s.noteReplayLocked()
 	evs, err := s.doc.EventsSince(s.persisted)
