@@ -203,8 +203,8 @@ func (s *idSet) admit(runs []colenc.Run) (fresh int, err error) {
 	return fresh, nil
 }
 
-// frameSeen is the runs of the frame admit (or newInOrder) is part-way
-// through that brought new events. A frame is a run or two, so they sit
+// frameSeen is the runs of the frame admit (or admitEvents, or
+// newInOrder) is part-way through that brought new events. A frame is a run or two, so they sit
 // in a fixed array; a frame of more spills into a set.
 type frameSeen struct {
 	n     int
@@ -245,7 +245,7 @@ func (f *frameSeen) overlaps(agent string, seq, n int) bool {
 // which no snapshot could save: a compact frame's decoder has refused
 // those already. Like admit it changes nothing.
 func (s *idSet) admitEvents(events []egwalker.Event) (fresh int, err error) {
-	var batch map[egwalker.EventID]bool
+	var seen frameSeen
 	for _, ev := range events {
 		if err := causal.CheckSeqs(ev.ID.Seq, 1); err != nil {
 			return 0, fmt.Errorf("store: event %v: %w", ev.ID, err)
@@ -253,18 +253,16 @@ func (s *idSet) admitEvents(events []egwalker.Event) (fresh int, err error) {
 		if err := oplog.Unit(ev.Insert, ev.Pos).CheckPos(); err != nil {
 			return 0, fmt.Errorf("store: event %v: %w", ev.ID, err)
 		}
-		if batch == nil {
-			batch = make(map[egwalker.EventID]bool, len(events))
+		if s.has(ev.ID.Agent, ev.ID.Seq) || seen.overlaps(ev.ID.Agent, ev.ID.Seq, 1) {
+			continue
 		}
-		if !s.has(ev.ID.Agent, ev.ID.Seq) && !batch[ev.ID] {
-			for _, p := range ev.Parents {
-				if !s.has(p.Agent, p.Seq) && !batch[p] {
-					return 0, fmt.Errorf("%w: %s/%d needs %s/%d", errCausalGap, ev.ID.Agent, ev.ID.Seq, p.Agent, p.Seq)
-				}
+		for _, p := range ev.Parents {
+			if !s.has(p.Agent, p.Seq) && !seen.overlaps(p.Agent, p.Seq, 1) {
+				return 0, fmt.Errorf("%w: %s/%d needs %s/%d", errCausalGap, ev.ID.Agent, ev.ID.Seq, p.Agent, p.Seq)
 			}
-			fresh++
 		}
-		batch[ev.ID] = true
+		fresh++
+		seen.add(ev.ID.Agent, ev.ID.Seq, 1)
 	}
 	return fresh, nil
 }
