@@ -79,8 +79,8 @@ func TestWALAppendENOSPC(t *testing.T) {
 }
 
 // TestServerWALWriteErrorMetric: the server surfaces degraded
-// documents through the wal_write_errors counter via the onDegrade
-// hook, and keeps serving reads.
+// documents through the wal_write_errors counter, which the store counts
+// through the server's metrics, and keeps serving reads.
 func TestServerWALWriteErrorMetric(t *testing.T) {
 	root := t.TempDir()
 	fs := fsys.NewFaultFS(nil)

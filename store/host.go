@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -14,82 +13,43 @@ const closeDrainTimeout = 5 * time.Second
 // acquire pins the document's entry, opening it (journal-only when
 // possible) if it is not open. The disk work happens outside the
 // server lock — a cold open of one large document must not stall
-// appends to every other document — with an opening latch so
-// concurrent acquires of the same document share one open. Callers
-// must release.
+// appends to every other document. An entry found opening or closing is
+// waited for, then looked up again: concurrent acquires share one open,
+// and an acquire never opens a document whose evicted store has not yet
+// closed (and released its directory lock). Callers must release.
 func (s *Server) acquire(docID string) (*entry, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("store: server closed")
-	}
-	if e, ok := s.open[docID]; ok {
-		e.refs++
-		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		if e.openErr != nil {
-			s.release(e)
-			return nil, e.openErr
+	for {
+		if s.closed {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("store: server closed")
 		}
-		return e, nil
-	}
-	e := &entry{id: docID, ready: make(chan struct{}), m: s.metrics, logf: s.logf, onIngest: s.opts.OnIngest, obPeer: s.opts.OutboxBytesPerPeer, obTotal: s.opts.OutboxBytesTotal, refs: 1}
-	e.elem = s.lru.PushFront(e)
-	s.open[docID] = e
-	s.metrics.OpenDocs.Set(int64(len(s.open)))
-	s.mu.Unlock()
-
-	// The materialization hooks keep the entry's mat flag and the
-	// server's materialized-population metrics exact, whether the doc
-	// materializes during open (journal scan fell back), on demand, or
-	// is shed by eviction or close. They fire under the DocStore's
-	// mutex and touch only atomics.
-	docOpts := s.opts.DocOptions
-	docOpts.onMaterialize = func(d time.Duration) {
-		e.mat.Store(true)
-		s.metrics.MaterializedDocs.Add(1)
-		s.metrics.LazyMaterializations.Inc()
-		s.metrics.MaterializeNs.Observe(d.Nanoseconds())
-	}
-	docOpts.onDematerialize = func() {
-		e.mat.Store(false)
-		s.metrics.MaterializedDocs.Add(-1)
-	}
-	docOpts.onReplay = func(continued, rebuilt, silent uint64, retained int) {
-		s.metrics.SectionsContinued.Add(int64(continued))
-		s.metrics.SectionsRebuilt.Add(int64(rebuilt))
-		s.metrics.SilentReplayEvents.Add(int64(silent))
-		s.metrics.RetainedTrackerItems.Add(int64(retained))
-	}
-	docOpts.onLogBytes = func(delta int) {
-		s.metrics.MaterializedLogBytes.Add(int64(delta))
-	}
-	// Both hooks fire under the DocStore's mutex; quarantine
-	// bookkeeping needs the server lock, so it hops to a goroutine
-	// (Close holds s.mu while closing stores — taking s.mu here would
-	// invert that order).
-	docOpts.onQuarantine = func(reason error) {
-		go s.noteQuarantine(docID, reason)
-	}
-	docOpts.onDegrade = func(err error) {
-		s.metrics.WALWriteErrors.Inc()
-	}
-
-	// A just-evicted store for this document may still be fsync-closing
-	// (eviction closes outside the server lock); its directory flock
-	// clears momentarily, so retry briefly rather than failing.
-	wasQuarantined := s.IsQuarantined(docID)
-	start := time.Now()
-	var ds *DocStore
-	var err error
-	for attempt := 0; ; attempt++ {
-		ds, err = OpenLazy(s.root, docID, s.opts.Agent, docOpts)
-		if err == nil || !errors.Is(err, ErrLocked) || attempt >= 100 {
+		e, ok := s.open[docID]
+		if !ok {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		if e.life == entryOpen {
+			e.refs++
+			s.lru.MoveToFront(e.elem)
+			s.mu.Unlock()
+			return e, nil
+		}
+		moved := e.moved
+		s.mu.Unlock()
+		<-moved
+		s.mu.Lock()
 	}
+	e := &entry{id: docID, moved: make(chan struct{}), m: s.metrics, logf: s.logf, onIngest: s.opts.OnIngest, obPeer: s.opts.OutboxBytesPerPeer, obTotal: s.opts.OutboxBytesTotal, refs: 1}
+	e.elem = s.lru.PushFront(e)
+	s.open[docID] = e
+	s.metrics.OpenDocs.Set(int64(s.lru.Len()))
+	s.mu.Unlock()
+
+	wasQuarantined := s.IsQuarantined(docID)
+	start := time.Now()
+	opts := s.opts.DocOptions
+	opts.metrics = s.metrics
+	ds, err := OpenLazy(s.root, docID, s.opts.Agent, opts)
 	// Open-time salvage damage counts toward corrupt_blocks exactly
 	// once — a reopen of a document already in the quarantine set
 	// re-salvages the same damage and must not count it again.
@@ -107,20 +67,20 @@ func (s *Server) acquire(docID string) (*entry, error) {
 		ds, err = nil, fmt.Errorf("store: server closed")
 	}
 	if err != nil {
-		e.openErr = err
 		delete(s.open, docID)
 		s.lru.Remove(e.elem)
-		s.metrics.OpenDocs.Set(int64(len(s.open)))
+		s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 		s.mu.Unlock()
-		close(e.ready)
+		close(e.moved)
 		return nil, err
 	}
-	e.ds = ds
+	e.ds, e.life = ds, entryOpen
 	s.metrics.ColdOpens.Inc()
 	s.metrics.OpenNs.Observe(time.Since(start).Nanoseconds())
 	demat, victims := s.evictLocked()
 	s.mu.Unlock()
-	close(e.ready)
+	close(e.moved)
+	s.noteQuarantine(e)
 	s.applyEvictions(demat, victims)
 	return e, nil
 }
@@ -136,16 +96,16 @@ func (s *Server) release(e *entry) {
 // evictLocked picks eviction work and returns it for the caller to
 // perform after dropping s.mu (dematerializing syncs, closing fsyncs —
 // disk work must not stall the whole server). Two tiers: documents
-// holding a materialized doc beyond MaxOpenDocs are dematerialized
+// holding a document in memory beyond MaxOpenDocs are dematerialized
 // (LRU-idle first; each is pinned so it cannot be closed underneath
-// the demat); documents open beyond MaxJournalDocs are fully closed
-// and unlinked. Pinned documents are skipped, so both populations may
-// transiently exceed their caps.
-func (s *Server) evictLocked() (demat []*entry, victims []*DocStore) {
+// the demat); documents open beyond MaxJournalDocs are set closing.
+// Pinned documents are skipped, so both populations may transiently
+// exceed their caps.
+func (s *Server) evictLocked() (demat, victims []*entry) {
 	over := s.metrics.MaterializedDocs.Load() - int64(s.opts.MaxOpenDocs)
 	if over > 0 {
 		for el := s.lru.Back(); el != nil && over > 0; el = el.Prev() {
-			if e := el.Value.(*entry); e.refs == 0 && e.ds != nil && e.mat.Load() {
+			if e := el.Value.(*entry); e.refs == 0 && e.life == entryOpen && e.ds.loadState().inMemory() {
 				e.refs++ // released by applyEvictions
 				demat = append(demat, e)
 				over--
@@ -155,7 +115,7 @@ func (s *Server) evictLocked() (demat []*entry, victims []*DocStore) {
 	for s.lru.Len() > s.opts.MaxJournalDocs {
 		var victim *entry
 		for el := s.lru.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*entry); e.refs == 0 && e.ds != nil {
+			if e := el.Value.(*entry); e.refs == 0 && e.life == entryOpen {
 				victim = e
 				break
 			}
@@ -163,41 +123,56 @@ func (s *Server) evictLocked() (demat []*entry, victims []*DocStore) {
 		if victim == nil {
 			break
 		}
-		s.lru.Remove(victim.elem)
-		delete(s.open, victim.id)
-		victims = append(victims, victim.ds)
+		s.closingLocked(victim)
+		victims = append(victims, victim)
 	}
 	if n := len(demat) + len(victims); n > 0 {
 		s.metrics.Evictions.Add(int64(n))
-		s.metrics.OpenDocs.Set(int64(len(s.open)))
+		s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 	}
 	return demat, victims
+}
+
+// closingLocked sets an idle open entry closing: out of the LRU, but in
+// the open set until closeEntry has closed its store.
+func (s *Server) closingLocked(e *entry) {
+	e.life, e.moved = entryClosing, make(chan struct{})
+	s.lru.Remove(e.elem)
+}
+
+// closeEntry closes a closing entry's store, then drops the entry from
+// the open set and wakes the acquires waiting for it.
+func (s *Server) closeEntry(e *entry) {
+	e.ds.Close()
+	s.mu.Lock()
+	if s.open[e.id] == e {
+		delete(s.open, e.id)
+	}
+	s.mu.Unlock()
+	close(e.moved)
 }
 
 // applyEvictions performs eviction work outside s.mu: closes fully
 // evicted stores and dematerializes cache-evicted ones. A document
 // that refuses to dematerialize (buffered causal gap, sticky write
-// error) is fully closed instead — exactly what the old
-// whole-document eviction did to it.
-func (s *Server) applyEvictions(demat []*entry, victims []*DocStore) {
-	for _, ds := range victims {
-		ds.Close()
+// error, quarantine) is fully closed instead, unless someone
+// re-acquired it meanwhile.
+func (s *Server) applyEvictions(demat, victims []*entry) {
+	for _, e := range victims {
+		s.closeEntry(e)
 	}
 	for _, e := range demat {
 		if err := e.ds.dematerialize(); err != nil {
 			s.mu.Lock()
-			if e.refs == 1 { // only our pin: safe to unlink and close
-				s.lru.Remove(e.elem)
-				delete(s.open, e.id)
-				s.metrics.OpenDocs.Set(int64(len(s.open)))
-				e.refs--
+			e.refs--
+			if e.refs > 0 || s.closed {
 				s.mu.Unlock()
-				e.ds.Close()
 				continue
 			}
-			// Someone re-acquired meanwhile; leave it materialized.
-			e.refs--
+			s.closingLocked(e)
+			s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 			s.mu.Unlock()
+			s.closeEntry(e)
 			continue
 		}
 		s.release(e) // may demat/close the next-colder entry
@@ -251,14 +226,14 @@ func (s *Server) sampleOutboxes() {
 	}
 }
 
-// pinOpen pins every opened document (one still opening is skipped):
-// the caller releases each entry when done with it.
+// pinOpen pins every open document (one still opening or already
+// closing is skipped): the caller releases each entry when done with it.
 func (s *Server) pinOpen() []*entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pinned := make([]*entry, 0, len(s.open))
 	for _, e := range s.open {
-		if e.ds != nil {
+		if e.life == entryOpen {
 			e.refs++
 			pinned = append(pinned, e)
 		}
@@ -398,7 +373,7 @@ drain:
 	defer s.mu.Unlock()
 	var err error
 	for _, e := range s.open {
-		if e.ds == nil {
+		if e.life == entryOpening {
 			continue // in-flight opener observes s.closed and cleans up
 		}
 		if e.refs > 0 {

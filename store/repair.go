@@ -8,24 +8,28 @@ import (
 	"egwalker"
 )
 
-// noteQuarantine records a document's transition into quarantine and
-// notifies the OnQuarantine listener. Runs on its own goroutine (the
-// DocStore hook fires under the store mutex).
-func (s *Server) noteQuarantine(docID string, reason error) {
+// noteQuarantine adds e's document to the quarantine set if its store is
+// quarantined, and notifies the OnQuarantine listener. acquire calls it
+// after an open, scrubPass after a scrub that quarantined, both with no
+// lock held. The store's state is read under s.mu, where RepairDoc lifts
+// a quarantine from the set after its repair, so a repair that lands
+// first is never undone.
+func (s *Server) noteQuarantine(e *entry) {
 	s.mu.Lock()
-	if s.closed {
+	q, reason := e.ds.Quarantined()
+	if !q || s.closed {
 		s.mu.Unlock()
 		return
 	}
-	_, known := s.quarantined[docID]
-	s.quarantined[docID] = reason
+	_, known := s.quarantined[e.id]
+	s.quarantined[e.id] = reason
 	s.metrics.QuarantinedDocs.Set(int64(len(s.quarantined)))
 	s.mu.Unlock()
 	if !known {
-		s.logf("store: quarantined %q: %v", docID, reason)
+		s.logf("store: quarantined %q: %v", e.id, reason)
 	}
 	if s.opts.OnQuarantine != nil {
-		s.opts.OnQuarantine(docID, reason)
+		s.opts.OnQuarantine(e.id, reason)
 	}
 }
 
@@ -119,8 +123,8 @@ func (s *Server) RepairDoc(docID string, fetch func(egwalker.VersionSummary) ([]
 
 // scrubber is the background integrity loop: every ScrubEvery it walks
 // all hosted documents and re-verifies their on-disk state, paced by a
-// shared byte budget. Damage quarantines the document via the
-// DocStore's hook, which feeds OnQuarantine (the cluster repair path).
+// shared byte budget. Damage quarantines the document, and scrubPass
+// tells OnQuarantine (the cluster repair path).
 func (s *Server) scrubber() {
 	defer s.wg.Done()
 	lim := newScrubLimiter(s.opts.ScrubBytesPerSec)
@@ -163,6 +167,9 @@ func (s *Server) scrubPass(lim *scrubLimiter) {
 		}
 		if err != nil {
 			s.logf("store: scrub %q: %v", id, err)
+		}
+		if rep.Quarantined != nil {
+			s.noteQuarantine(e)
 		}
 		s.release(e)
 	}

@@ -69,6 +69,8 @@ type scrubReport struct {
 	Snapshots int   // snapshot files verified
 	Bytes     int64 // bytes read and checksummed
 	Damage    []damage
+	// Quarantined is the reason, when this pass quarantined the document.
+	Quarantined error
 }
 
 // scrubLimiter is a token-bucket byte budget shared by scrub reads so
@@ -121,7 +123,7 @@ func (l *scrubLimiter) wait(n int) {
 // write-poisoned, or closed store scrubs nothing.
 func (s *DocStore) scrub(lim *scrubLimiter) (scrubReport, error) {
 	s.mu.Lock()
-	if s.closed || s.qerr != nil || s.werr != nil {
+	if st := s.loadState(); st == stateClosed || st == stateQuarantined || s.werr != nil {
 		s.mu.Unlock()
 		return scrubReport{}, nil
 	}
@@ -224,9 +226,10 @@ func (s *DocStore) scrub(lim *scrubLimiter) (scrubReport, error) {
 		}
 	}
 	rep.Damage = live
-	if len(live) > 0 && s.qerr == nil && !s.closed {
+	if st := s.loadState(); len(live) > 0 && (st == stateJournal || st == stateMaterialized) {
 		d := live[0]
-		s.quarantineLocked(fmt.Errorf("scrub: %s damage in %s at %d: %w", d.Kind, d.File, d.Off, d.Err))
+		rep.Quarantined = fmt.Errorf("scrub: %s damage in %s at %d: %w", d.Kind, d.File, d.Off, d.Err)
+		s.quarantineLocked(rep.Quarantined)
 	}
 	return rep, nil
 }
@@ -235,7 +238,10 @@ func (s *DocStore) scrub(lim *scrubLimiter) (scrubReport, error) {
 func (s *DocStore) Quarantined() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.qerr != nil, s.qerr
+	if s.loadState() != stateQuarantined {
+		return false, nil
+	}
+	return true, s.qerr
 }
 
 // SalvageInfo reports what quarantine-time salvage kept and lost.
@@ -263,18 +269,15 @@ func (s *DocStore) Salvage() SalvageInfo {
 	return s.salvage
 }
 
-// quarantineLocked transitions the store to quarantine: writes refuse,
-// block serving stops, compaction pressure is cleared, and the best
-// salvageable document is materialized for read-only serving. Fires
-// the onQuarantine hook once per transition.
+// quarantineLocked moves a journal-only or materialized store to
+// quarantine: writes refuse, block serving stops, compaction pressure is
+// cleared, and the best salvageable document is materialized for
+// read-only serving.
 func (s *DocStore) quarantineLocked(reason error) {
-	if s.qerr != nil || s.closed {
-		return
-	}
+	start := time.Now()
 	if s.doc == nil {
 		// Journal-only: the history lives nowhere but the damaged disk.
 		// Salvage what replays cleanly.
-		start := time.Now()
 		snaps, segs, err := s.scanDirSeqs()
 		if err != nil {
 			snaps, segs = nil, nil
@@ -284,7 +287,6 @@ func (s *DocStore) quarantineLocked(reason error) {
 		s.known = nil
 		s.persisted = doc.Version()
 		s.salvage = info
-		s.materializedLocked(start)
 	} else {
 		// Materialized: memory still holds everything the store
 		// admitted; only the disk under it is lying. Nothing is lost
@@ -294,9 +296,7 @@ func (s *DocStore) quarantineLocked(reason error) {
 	s.qerr = reason
 	s.blockServable = false
 	s.eventsSinceSnap = 0 // keep the compactor away
-	if s.opts.onQuarantine != nil {
-		s.opts.onQuarantine(reason)
-	}
+	s.installedLocked(stateQuarantined, start)
 }
 
 // recoverQuarantined is the open-time quarantine path: materialized
@@ -325,10 +325,7 @@ func (s *DocStore) recoverQuarantined(reason error) error {
 	s.salvage = info
 	s.qerr = reason
 	s.blockServable = false
-	s.materializedLocked(start)
-	if s.opts.onQuarantine != nil {
-		s.opts.onQuarantine(reason)
-	}
+	s.installedLocked(stateQuarantined, start)
 	return nil
 }
 
@@ -413,10 +410,10 @@ type RepairInfo struct {
 func (s *DocStore) Repair(extra []egwalker.Event) (RepairInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch s.loadState() {
+	case stateClosed:
 		return RepairInfo{}, fmt.Errorf("store: %s is closed", s.docID)
-	}
-	if s.qerr == nil {
+	case stateJournal, stateMaterialized:
 		return RepairInfo{}, fmt.Errorf("store: %s is not quarantined", s.docID)
 	}
 	doc := s.doc
@@ -486,7 +483,7 @@ func (s *DocStore) rebuildLocked() error {
 		seg.Close()
 		return err
 	}
-	syncDir(tmpDir)
+	syncDir(s.fs, tmpDir)
 
 	aside := filepath.Join(root, ".corrupt-"+base)
 	if err := s.fs.RemoveAll(aside); err != nil {
@@ -508,7 +505,7 @@ func (s *DocStore) rebuildLocked() error {
 		seg.Close()
 		return err
 	}
-	syncDir(root)
+	syncDir(s.fs, root)
 	committed = true
 
 	// The open fd follows the rename; so does the flock on the new
@@ -526,5 +523,6 @@ func (s *DocStore) rebuildLocked() error {
 	s.werr = nil
 	s.qerr = nil
 	s.blockServable = size <= egwalker.MaxBatchBytes
+	s.setStateLocked(stateMaterialized)
 	return nil
 }

@@ -168,12 +168,8 @@ func TestServerOpenQuarantineCountsCorruptBlocks(t *testing.T) {
 	if err := re.With("doc-o", func(ds *DocStore) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !re.IsQuarantined("doc-o") {
-		if time.Now().After(deadline) {
-			t.Fatal("open onto damaged disk did not quarantine")
-		}
-		time.Sleep(time.Millisecond)
+	if !re.IsQuarantined("doc-o") || re.MetricsSnapshot().QuarantinedDocs != 1 {
+		t.Fatal("open onto damaged disk did not quarantine")
 	}
 	first := re.MetricsSnapshot().CorruptBlocks
 	if first < 1 {
@@ -183,15 +179,14 @@ func TestServerOpenQuarantineCountsCorruptBlocks(t *testing.T) {
 	// damage is re-salvaged but must not be re-counted.
 	re.mu.Lock()
 	e, ok := re.open["doc-o"]
+	if ok {
+		re.closingLocked(e)
+	}
 	re.mu.Unlock()
 	if !ok {
 		t.Fatal("doc-o not open")
 	}
-	re.applyEvictions(nil, []*DocStore{e.ds})
-	re.mu.Lock()
-	delete(re.open, "doc-o")
-	re.lru.Remove(e.elem)
-	re.mu.Unlock()
+	re.applyEvictions(nil, []*entry{e})
 	if err := re.With("doc-o", func(ds *DocStore) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -425,14 +420,8 @@ func TestServerScrubberQuarantinesAndRepairs(t *testing.T) {
 	fs.FlipBit(segs[0], fi.Size()/2, 0x40)
 
 	srv.scrubPass(nil)
-	// The quarantine bookkeeping hops through a goroutine (the DocStore
-	// hook fires under its mutex); wait for it to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.IsQuarantined("doc-a") {
-		if time.Now().After(deadline) {
-			t.Fatal("scrubPass did not quarantine doc-a")
-		}
-		time.Sleep(time.Millisecond)
+	if !srv.IsQuarantined("doc-a") {
+		t.Fatal("scrubPass did not quarantine doc-a")
 	}
 	m := srv.MetricsSnapshot()
 	if m.ScrubPasses != 1 || m.CorruptBlocks == 0 || m.QuarantinedDocs != 1 {

@@ -32,7 +32,7 @@ type BlockCut struct {
 func (s *DocStore) CutForServe() (*BlockCut, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.werr != nil || s.qerr != nil || !s.blockServable {
+	if st := s.loadState(); st == stateClosed || st == stateQuarantined || s.werr != nil || !s.blockServable {
 		return nil, false
 	}
 	n := s.numEvents

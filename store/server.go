@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"egwalker"
@@ -69,9 +68,10 @@ type ServerOptions struct {
 	// ScrubBytesPerSec paces scrub reads (default 8 MiB/s; < 0
 	// unlimited) so a scrub pass never competes with the live path.
 	ScrubBytesPerSec int64
-	// OnQuarantine, when set, is notified (on its own goroutine) each
-	// time a document transitions into quarantine — the cluster node's
-	// repair trigger.
+	// OnQuarantine, when set, is notified each time a document is found
+	// quarantined — opened so, or quarantined by a scrub — the cluster
+	// node's repair trigger. The call is synchronous, on the goroutine
+	// that found it, with no store lock held, so it must not block.
 	OnQuarantine func(docID string, reason error)
 	// HandshakeTimeout bounds how long ServeConn waits for a client's
 	// hello frame (default 10s; < 0 disables): an accepted connection
@@ -137,21 +137,22 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// entry is one open document plus its connected peers. ds is nil until
-// ready is closed (the document is still being opened by the goroutine
-// that created the entry); openErr records a failed open. The document
-// behind ds is usually journal-only; mat mirrors whether it currently
-// holds a materialized doc (maintained by the DocStore's
-// materialization hooks, readable without any lock).
+// entry is one hosted document plus its connected peers. It is in the
+// server's open set from the moment an acquire starts opening it until
+// its store has closed, and its life — opening, open, closing — moves
+// under the server lock. moved is closed when the entry leaves opening,
+// and made anew when it starts closing and closed when the store has
+// closed, so an acquire that finds it opening or closing waits on moved
+// and looks again. ds is set while open; what state the document itself
+// is in — journal-only, materialized, quarantined — is ds's state word.
 type entry struct {
 	id       string
-	ready    chan struct{}
-	openErr  error
+	life     entryLife
+	moved    chan struct{}
 	ds       *DocStore
 	m        *Metrics
 	logf     func(format string, args ...any)
 	onIngest func(docID string, events []egwalker.Event, raw []byte)
-	mat      atomic.Bool
 	// mu serializes ingest+fanout against catch-up cuts and subscribe,
 	// so a joining peer misses no events between its catch-up and its
 	// first forwarded batch.
@@ -164,9 +165,18 @@ type entry struct {
 	obTotal int64
 
 	refs       int
-	elem       *list.Element
+	elem       *list.Element // in the LRU while opening or open
 	compacting bool
 }
+
+// entryLife is where an entry is in its life in the open set.
+type entryLife uint8
+
+const (
+	entryOpening entryLife = iota
+	entryOpen
+	entryClosing
+)
 
 // Server hosts many durable documents behind string doc IDs: the
 // paper's relay server grown a database. One Server owns one store
@@ -185,8 +195,8 @@ type Server struct {
 	open    map[string]*entry
 	lru     *list.List // front = most recently used; values are *entry
 	// quarantined tracks which documents are currently quarantined, by
-	// reason. Maintained across evictions and reopens (the DocStore's
-	// onQuarantine hook re-adds on reopen; RepairDoc removes).
+	// reason, across evictions and reopens: acquire and scrubPass add a
+	// document they find quarantined, RepairDoc removes it.
 	quarantined map[string]error
 
 	compactCh chan *entry

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"egwalker"
@@ -49,30 +50,11 @@ type Options struct {
 	// Off by default: bare DocStore users keep the fail-stop contract.
 	Quarantine bool
 
-	// onMaterialize and onDematerialize are package-internal hooks the
-	// Server uses to track its materialized-document population. All
-	// these hooks fire under the store's mutex, so they must not call
-	// back into the DocStore and should touch only atomics (or hand
-	// off to a goroutine). onMaterialize receives the time the
-	// materialization took; Close fires onDematerialize when it
-	// releases a materialized document. onQuarantine fires once per
-	// healthy->quarantined transition; onDegrade fires once when a
-	// write error first poisons the store read-only. onReplay receives
-	// how the in-memory document's replay counters
-	// (egwalker.ReplayStats) moved since it last fired: the sections its
-	// merges continued and rebuilt, the events they replayed without
-	// emitting, and the change in the number of items it keeps for its
-	// next merge (negative when a kept section, or the document, goes).
-	// onLogBytes receives the change in the bytes of history the
-	// in-memory document holds (egwalker.MemStats.LogBytes) since it last
-	// fired: all of them when the document is installed, what it grew by
-	// when a snapshot is written, all of them back when it is let go.
-	onMaterialize   func(d time.Duration)
-	onDematerialize func()
-	onQuarantine    func(reason error)
-	onDegrade       func(err error)
-	onReplay        func(continued, rebuilt, silent uint64, retained int)
-	onLogBytes      func(delta int)
+	// metrics, when set, is the hosting Server's: the store keeps its
+	// gauges of materialized documents and what they hold as it moves
+	// between states (setStateLocked), and counts a write error that
+	// poisons it. Nil for a bare DocStore.
+	metrics *Metrics
 }
 
 func (o Options) withDefaults() Options {
@@ -108,14 +90,18 @@ type RecoveryInfo struct {
 // is appended to a segmented write-ahead log, checkpointed by
 // snapshots. All methods are safe for concurrent use.
 //
-// A DocStore has two modes. Materialized (doc != nil) is the classic
-// one: the full egwalker.Doc lives in memory and every method works.
-// Journal-only (doc == nil, known != nil) holds just the known-ID set
-// scanned from disk: uploads validate and journal without decoding
-// beyond their causal structure, and cold catch-ups stream encoded
-// blocks straight off disk (CutForServe/StreamBlocks). Methods that
-// need the document — Text, Version, EventsSince, Snapshot —
-// materialize it on demand by replaying snapshot + WAL from disk.
+// A DocStore is in one of four states, held in its state word
+// (docState), which only setStateLocked writes. Journal-only, it holds
+// just the known-ID set scanned from disk: uploads validate and journal
+// without decoding beyond their causal structure, and cold catch-ups
+// stream encoded blocks straight off disk (CutForServe/StreamBlocks).
+// Materialized, the full egwalker.Doc lives in memory and every method
+// works; methods that need the document — Text, Version, EventsSince,
+// Snapshot — materialize a journal-only store on demand by replaying
+// snapshot + WAL from disk, and a host dematerializes it when memory is
+// short. Quarantined, it serves a salvaged Doc read-only until Repair
+// rebuilds the directory. Closed is the end. A write error (werr) is not
+// a state: it poisons the store read-only in whichever state it is in.
 type DocStore struct {
 	mu    sync.Mutex
 	root  string // store root; this doc lives in root/<escaped docID>/
@@ -126,11 +112,14 @@ type DocStore struct {
 
 	fs FS // opts.FS; every data-file access goes through it
 
+	// state is the state word, a docState: written only by
+	// setStateLocked, with mu held, and read without it by a host's LRU.
+	state     atomic.Uint32
 	doc       *egwalker.Doc
-	known     *idSet // journal-only mode: the IDs the WAL+snapshot hold
-	numEvents int    // journal-only mode: distinct events on disk
-	// replay is what the onReplay hook has been told of doc's counters,
-	// logBytes what the onLogBytes hook has been told doc's history holds.
+	known     *idSet // journal-only: the IDs the WAL+snapshot hold
+	numEvents int    // journal-only: distinct events on disk
+	// replay and logBytes are doc's replay counters and history bytes as
+	// the metrics were last told of them.
 	replay   egwalker.ReplayStats
 	logBytes int
 
@@ -150,9 +139,8 @@ type DocStore struct {
 
 	recovery RecoveryInfo
 	werr     error // sticky write error; the store refuses further writes
-	qerr     error // quarantine reason; non-nil means damaged, read-only
+	qerr     error // why the store is quarantined
 	salvage  SalvageInfo
-	closed   bool
 }
 
 func segName(seq uint64) string  { return fmt.Sprintf("wal-%08d.seg", seq) }
@@ -362,7 +350,7 @@ func (s *DocStore) recover(lazy bool) error {
 		return nil
 	}
 	s.persisted = s.doc.Version()
-	s.materializedLocked(start)
+	s.installedLocked(stateMaterialized, start)
 	return nil
 }
 
@@ -440,16 +428,19 @@ func (s *DocStore) createActive() error {
 		f.Close()
 		return err
 	}
-	syncDir(s.dir)
+	syncDir(s.fs, s.dir)
 	s.active = f
 	s.activeSize = segHeaderLen
 	s.syncedSize = segHeaderLen
 	return nil
 }
 
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best effort: not all filesystems support directory fsync
+// syncDir fsyncs a directory through fs, so a file created or renamed in
+// it survives a crash. Best effort: not every filesystem opens or syncs a
+// directory.
+func syncDir(fs FS, dir string) {
+	if d, err := fs.OpenFile(dir, os.O_RDONLY, 0); err == nil {
+		d.Sync()
 		d.Close()
 	}
 }
@@ -464,11 +455,7 @@ func (s *DocStore) Recovery() RecoveryInfo {
 
 // materialized reports whether the document is currently in memory
 // (as opposed to journal-only).
-func (s *DocStore) materialized() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.doc != nil
-}
+func (s *DocStore) materialized() bool { return s.loadState().inMemory() }
 
 // Materialize brings the document into memory if it is journal-only,
 // replaying snapshot + WAL from disk. Most callers never need it —
@@ -489,7 +476,7 @@ func (s *DocStore) materializeLocked() error {
 	if s.doc != nil {
 		return nil
 	}
-	if s.closed {
+	if s.loadState() == stateClosed {
 		return fmt.Errorf("store: %s is closed", s.docID)
 	}
 	start := time.Now()
@@ -530,60 +517,113 @@ func (s *DocStore) materializeLocked() error {
 	s.doc = doc
 	s.persisted = doc.Version()
 	s.known = nil
-	s.materializedLocked(start)
+	s.installedLocked(stateMaterialized, start)
 	return nil
 }
 
-// materializedLocked fires the hooks for a document just installed in
-// s.doc, which took since start to build.
-func (s *DocStore) materializedLocked(start time.Time) {
-	if s.opts.onMaterialize != nil {
-		s.opts.onMaterialize(time.Since(start))
+// docState is a DocStore's state word.
+type docState uint32
+
+const (
+	stateJournal      docState = iota // the known-ID set; no document in memory
+	stateMaterialized                 // the egwalker.Doc in memory
+	stateQuarantined                  // a salvaged egwalker.Doc, read-only
+	stateClosed                       // released
+)
+
+func (st docState) String() string {
+	return [...]string{"journal", "materialized", "quarantined", "closed"}[st]
+}
+
+// inMemory reports whether a store in state st holds an egwalker.Doc.
+func (st docState) inMemory() bool { return st == stateMaterialized || st == stateQuarantined }
+
+// legalSteps is the state machine, legalSteps[from][to]: a journal-only
+// store materializes and is dematerialized, either is quarantined, a
+// repair brings a quarantined one back materialized, and any closes.
+var legalSteps = [...][4]bool{
+	stateJournal:      {stateMaterialized: true, stateQuarantined: true, stateClosed: true},
+	stateMaterialized: {stateJournal: true, stateQuarantined: true, stateClosed: true},
+	stateQuarantined:  {stateMaterialized: true, stateClosed: true},
+	stateClosed:       {},
+}
+
+// legalStep reports whether a store may move from one state to another.
+func legalStep(from, to docState) bool {
+	return int(from) < len(legalSteps) && int(to) < len(legalSteps) && legalSteps[from][to]
+}
+
+func (s *DocStore) loadState() docState { return docState(s.state.Load()) }
+
+// setStateLocked is the one writer of the state word. It refuses a move
+// legalStep does not allow (a bug in the store, so it panics), publishes
+// the word for readers that hold no lock, and keeps the host's gauges: a
+// document that comes into memory counts as a materialization, and one
+// that leaves it takes its history bytes and kept merge state back.
+func (s *DocStore) setStateLocked(to docState) {
+	from := s.loadState()
+	if !legalStep(from, to) {
+		panic(fmt.Sprintf("store: %s: no move from %v to %v", s.docID, from, to))
+	}
+	s.state.Store(uint32(to))
+	if from.inMemory() == to.inMemory() {
+		return
+	}
+	if m := s.opts.metrics; m != nil {
+		if to.inMemory() {
+			m.MaterializedDocs.Add(1)
+			m.LazyMaterializations.Inc()
+		} else {
+			m.MaterializedDocs.Add(-1)
+		}
 	}
 	s.noteReplayLocked()
 	s.noteLogBytesLocked()
 }
 
-// dematerializedLocked fires the hooks for the in-memory document having
-// been let go: s.doc is nil, or the store closed.
-func (s *DocStore) dematerializedLocked() {
-	if s.opts.onDematerialize != nil {
-		s.opts.onDematerialize()
+// installedLocked moves the store to state to, materialized or
+// quarantined, for the document in s.doc; one that was not in memory
+// before took since start to build.
+func (s *DocStore) installedLocked(to docState, start time.Time) {
+	if m := s.opts.metrics; m != nil && !s.loadState().inMemory() {
+		m.MaterializeNs.Observe(time.Since(start).Nanoseconds())
 	}
-	s.noteReplayLocked()
-	s.noteLogBytesLocked()
+	s.setStateLocked(to)
 }
 
-// noteLogBytesLocked tells the onLogBytes hook how the bytes of history
-// held by the document in memory have moved since it was last told: when
-// a document is installed or let go, and when a snapshot is written (the
-// one other moment the store walks the whole document anyway — sizing it
-// walks the text — so between snapshots the hook lags the document's
-// growth).
+// noteLogBytesLocked tells the metrics how the bytes of history held by
+// the document in memory have moved since they were last told: when a
+// document comes into memory or leaves it, and when a snapshot is written
+// (the one other moment the store walks the whole document anyway —
+// sizing it walks the text — so between snapshots the gauge lags the
+// document's growth).
 func (s *DocStore) noteLogBytesLocked() {
-	if s.opts.onLogBytes == nil {
+	m := s.opts.metrics
+	if m == nil {
 		return
 	}
 	now := 0
-	if s.doc != nil && !s.closed {
+	if s.loadState().inMemory() {
 		now = s.doc.MemStats().LogBytes
 	}
 	if now != s.logBytes {
-		s.opts.onLogBytes(now - s.logBytes)
+		m.MaterializedLogBytes.Add(int64(now - s.logBytes))
 		s.logBytes = now
 	}
 }
 
-// noteReplayLocked tells the onReplay hook how the replay counters of the
-// document in memory have moved since it was last told: after every merge,
-// and when a document is installed or let go.
+// noteReplayLocked tells the metrics how the replay counters of the
+// document in memory (egwalker.ReplayStats) have moved since they were
+// last told: after every merge, and when a document comes into memory or
+// leaves it.
 func (s *DocStore) noteReplayLocked() {
-	if s.opts.onReplay == nil {
+	m := s.opts.metrics
+	if m == nil {
 		return
 	}
 	prev := s.replay
 	var now egwalker.ReplayStats
-	if s.doc != nil && !s.closed {
+	if s.loadState().inMemory() {
 		now = s.doc.ReplayStats()
 	} else {
 		// The document is gone, its counters with it (the next one starts
@@ -594,8 +634,10 @@ func (s *DocStore) noteReplayLocked() {
 	if now == prev {
 		return
 	}
-	s.opts.onReplay(now.SectionsContinued-prev.SectionsContinued, now.SectionsRebuilt-prev.SectionsRebuilt,
-		now.EventsReplayedSilently-prev.EventsReplayedSilently, now.RetainedItems-prev.RetainedItems)
+	m.SectionsContinued.Add(int64(now.SectionsContinued - prev.SectionsContinued))
+	m.SectionsRebuilt.Add(int64(now.SectionsRebuilt - prev.SectionsRebuilt))
+	m.SilentReplayEvents.Add(int64(now.EventsReplayedSilently - prev.EventsReplayedSilently))
+	m.RetainedTrackerItems.Add(int64(now.RetainedItems - prev.RetainedItems))
 }
 
 // dematerialize releases the in-memory document, dropping the store
@@ -607,19 +649,18 @@ func (s *DocStore) noteReplayLocked() {
 func (s *DocStore) dematerialize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	switch s.loadState() {
+	case stateClosed:
 		return fmt.Errorf("store: %s is closed", s.docID)
-	}
-	if s.doc == nil {
+	case stateJournal:
 		return nil
-	}
-	if s.werr != nil {
-		return s.werr
-	}
-	if s.qerr != nil {
+	case stateQuarantined:
 		// The salvaged document exists only in memory; the disk under it
 		// is damaged, so letting it go would lose the salvage.
 		return fmt.Errorf("%w: %v", ErrQuarantined, s.qerr)
+	}
+	if s.werr != nil {
+		return s.werr
 	}
 	if p := s.doc.PendingEvents(); p > 0 {
 		return fmt.Errorf("store: %s holds %d events buffered for missing parents", s.docID, p)
@@ -637,7 +678,7 @@ func (s *DocStore) dematerialize() error {
 	s.numEvents = s.doc.NumEvents()
 	s.doc = nil
 	s.persisted = nil
-	s.dematerializedLocked()
+	s.setStateLocked(stateJournal)
 	return nil
 }
 
@@ -912,24 +953,24 @@ func (s *DocStore) ingestBatch(b *batch) (fresh int, parked bool, err error) {
 }
 
 func (s *DocStore) writable() error {
-	if s.closed {
+	switch s.loadState() {
+	case stateClosed:
 		return fmt.Errorf("store: %s is closed", s.docID)
-	}
-	if s.qerr != nil {
+	case stateQuarantined:
 		return fmt.Errorf("%w: %v", ErrQuarantined, s.qerr)
 	}
 	return s.werr
 }
 
 // setWerrLocked records the first write error, poisoning the store
-// read-only, and fires the degradation hook exactly once.
+// read-only, and counts it once.
 func (s *DocStore) setWerrLocked(err error) {
 	if s.werr != nil {
 		return
 	}
 	s.werr = err
-	if s.opts.onDegrade != nil {
-		s.opts.onDegrade(err)
+	if m := s.opts.metrics; m != nil {
+		m.WALWriteErrors.Inc()
 	}
 }
 
@@ -1011,7 +1052,7 @@ func (s *DocStore) takeUnsyncedEvents() int {
 func (s *DocStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.loadState() == stateClosed {
 		return fmt.Errorf("store: %s is closed", s.docID)
 	}
 	return s.syncLocked()
@@ -1073,7 +1114,7 @@ func (s *DocStore) snapshotLocked() error {
 	if err := s.fs.Rename(tmp, final); err != nil {
 		return err
 	}
-	syncDir(s.dir)
+	syncDir(s.fs, s.dir)
 	s.snapSeq = s.activeSeq
 	s.firstSeg = s.activeSeq
 	s.eventsSinceSnap = 0
@@ -1139,7 +1180,7 @@ func (s *DocStore) compactLocked() error {
 			s.fs.Remove(filepath.Join(s.dir, e.Name()))
 		}
 	}
-	syncDir(s.dir)
+	syncDir(s.fs, s.dir)
 	return nil
 }
 
@@ -1174,10 +1215,10 @@ func (s *DocStore) DiskUsage() (snapBytes, walBytes int64, files int) {
 func (s *DocStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.loadState() == stateClosed {
 		return nil
 	}
-	s.closed = true
+	s.setStateLocked(stateClosed)
 	var err error
 	if s.active != nil {
 		err = s.syncLocked()
@@ -1186,11 +1227,6 @@ func (s *DocStore) Close() error {
 		}
 	}
 	unlockDir(s.lock)
-	if s.doc != nil {
-		// Closing a materialized store releases its document; keep the
-		// server's materialized-population accounting exact.
-		s.dematerializedLocked()
-	}
 	return err
 }
 
@@ -1202,7 +1238,9 @@ func (s *DocStore) Close() error {
 // afterwards; use the returned store.
 func (s *DocStore) Crash() (*DocStore, error) {
 	s.mu.Lock()
-	s.closed = true
+	if s.loadState() != stateClosed {
+		s.setStateLocked(stateClosed)
+	}
 	path := filepath.Join(s.dir, segName(s.activeSeq))
 	synced := s.syncedSize
 	if s.active != nil {
