@@ -281,7 +281,7 @@ func TestIngestFramesMatchReference(t *testing.T) {
 			model.addEvents(evs)
 			accepted++
 		}
-		if ds.materialized() {
+		if ds.loadState().inMemory() {
 			t.Fatalf("seed %d: the store materialized on uploads the reference admits", seed)
 		}
 		t.Logf("seed %d: %d accepted, %d gaps, %d with duplicates", seed, accepted, gaps, dups)
@@ -315,9 +315,9 @@ func TestIngestFramesMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := lazy.Summary(); err != nil || lazy.materialized() || !reflect.DeepEqual(got, want) || lazy.NumEvents() != model.numEvents() {
+		if got, err := lazy.Summary(); err != nil || lazy.loadState().inMemory() || !reflect.DeepEqual(got, want) || lazy.NumEvents() != model.numEvents() {
 			t.Fatalf("seed %d: journal scan reads back %d events, summary %v (%v, materialized %v); reference %d, %v",
-				seed, lazy.NumEvents(), got, err, lazy.materialized(), model.numEvents(), want)
+				seed, lazy.NumEvents(), got, err, lazy.loadState().inMemory(), model.numEvents(), want)
 		}
 		lazy.Close()
 	}
@@ -442,8 +442,8 @@ func TestJournalHoldsWhatWasSent(t *testing.T) {
 				if got := journaled(t, ds.dir, nil)[before:]; !slices.EqualFunc(got, c.want, bytes.Equal) {
 					t.Fatalf("journaled %d blocks %x, want %d: %x", len(got), got, len(c.want), c.want)
 				}
-				if ds.materialized() != (mode.name == "Open") {
-					t.Fatalf("materialized = %v after an upload without a gap", ds.materialized())
+				if ds.loadState().inMemory() != (mode.name == "Open") {
+					t.Fatalf("materialized = %v after an upload without a gap", ds.loadState().inMemory())
 				}
 			})
 		}
@@ -827,8 +827,8 @@ func TestBurstIngestAllocs(t *testing.T) {
 			objects[k] += ms.Mallocs - before
 			uploads[k]++
 		}
-		if ds.materialized() || fresh != events || ds.NumEvents() != events {
-			t.Fatalf("ingested %d of %d events (store holds %d, materialized %v)", fresh, events, ds.NumEvents(), ds.materialized())
+		if ds.loadState().inMemory() || fresh != events || ds.NumEvents() != events {
+			t.Fatalf("ingested %d of %d events (store holds %d, materialized %v)", fresh, events, ds.NumEvents(), ds.loadState().inMemory())
 		}
 	}
 	for k, bound := range []float64{2, 11, 9} {

@@ -39,28 +39,16 @@ func (s *Server) acquire(docID string) (*entry, error) {
 		<-moved
 		s.mu.Lock()
 	}
-	e := &entry{id: docID, moved: make(chan struct{}), m: s.metrics, logf: s.logf, onIngest: s.opts.OnIngest, obPeer: s.opts.OutboxBytesPerPeer, obTotal: s.opts.OutboxBytesTotal, refs: 1}
+	e := &entry{id: docID, moved: make(chan struct{}), srv: s, refs: 1}
 	e.elem = s.lru.PushFront(e)
 	s.open[docID] = e
 	s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 	s.mu.Unlock()
 
-	wasQuarantined := s.IsQuarantined(docID)
 	start := time.Now()
 	opts := s.opts.DocOptions
 	opts.metrics = s.metrics
 	ds, err := OpenLazy(s.root, docID, s.opts.Agent, opts)
-	// Open-time salvage damage counts toward corrupt_blocks exactly
-	// once — a reopen of a document already in the quarantine set
-	// re-salvages the same damage and must not count it again.
-	if err == nil && !wasQuarantined {
-		if q, _ := ds.Quarantined(); q {
-			if n := ds.Salvage().CorruptBlocks; n > 0 {
-				s.metrics.CorruptBlocks.Add(int64(n))
-			}
-		}
-	}
-
 	s.mu.Lock()
 	if err == nil && s.closed {
 		ds.Close()
@@ -80,7 +68,7 @@ func (s *Server) acquire(docID string) (*entry, error) {
 	demat, victims := s.evictLocked()
 	s.mu.Unlock()
 	close(e.moved)
-	s.noteQuarantine(e)
+	s.noteQuarantine(e, true)
 	s.applyEvictions(demat, victims)
 	return e, nil
 }
@@ -128,7 +116,6 @@ func (s *Server) evictLocked() (demat, victims []*entry) {
 	}
 	if n := len(demat) + len(victims); n > 0 {
 		s.metrics.Evictions.Add(int64(n))
-		s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 	}
 	return demat, victims
 }
@@ -138,6 +125,7 @@ func (s *Server) evictLocked() (demat, victims []*entry) {
 func (s *Server) closingLocked(e *entry) {
 	e.life, e.moved = entryClosing, make(chan struct{})
 	s.lru.Remove(e.elem)
+	s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 }
 
 // closeEntry closes a closing entry's store, then drops the entry from
@@ -145,9 +133,7 @@ func (s *Server) closingLocked(e *entry) {
 func (s *Server) closeEntry(e *entry) {
 	e.ds.Close()
 	s.mu.Lock()
-	if s.open[e.id] == e {
-		delete(s.open, e.id)
-	}
+	delete(s.open, e.id) // no other entry for the id: acquire waits for this one
 	s.mu.Unlock()
 	close(e.moved)
 }
@@ -170,7 +156,6 @@ func (s *Server) applyEvictions(demat, victims []*entry) {
 				continue
 			}
 			s.closingLocked(e)
-			s.metrics.OpenDocs.Set(int64(s.lru.Len()))
 			s.mu.Unlock()
 			s.closeEntry(e)
 			continue

@@ -117,13 +117,13 @@ func TestOpenLazyJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lz.Close()
-	if lz.materialized() {
+	if lz.loadState().inMemory() {
 		t.Fatal("OpenLazy materialized the document")
 	}
 	if n := lz.NumEvents(); n != len(text) {
 		t.Fatalf("journal-only NumEvents = %d, want %d", n, len(text))
 	}
-	if lz.materialized() {
+	if lz.loadState().inMemory() {
 		t.Fatal("NumEvents materialized the document")
 	}
 	cut, ok := lz.CutForServe()
@@ -136,13 +136,13 @@ func TestOpenLazyJournalRoundTrip(t *testing.T) {
 	if got := lz.Text(); got != text {
 		t.Fatalf("materialized text = %q, want %q", got, text)
 	}
-	if !lz.materialized() {
+	if !lz.loadState().inMemory() {
 		t.Fatal("Text did not materialize")
 	}
 	if err := lz.dematerialize(); err != nil {
 		t.Fatal(err)
 	}
-	if lz.materialized() {
+	if lz.loadState().inMemory() {
 		t.Fatal("dematerialize left the doc in memory")
 	}
 	if n := lz.NumEvents(); n != len(text) {
@@ -181,7 +181,7 @@ func TestOpenLazyAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lz.Close()
-	if lz.materialized() {
+	if lz.loadState().inMemory() {
 		t.Fatal("OpenLazy materialized despite compact snapshot")
 	}
 	if n := lz.NumEvents(); n != 90 {
@@ -223,7 +223,7 @@ func TestIngestBatchJournalOnly(t *testing.T) {
 	if fresh != len(evs) {
 		t.Fatalf("fresh = %d, want %d", fresh, len(evs))
 	}
-	if ds.materialized() {
+	if ds.loadState().inMemory() {
 		t.Fatal("compact ingest materialized the document")
 	}
 	fresh, err = ds.IngestBatch(evs, raw)
@@ -249,7 +249,7 @@ func TestIngestBatchJournalOnly(t *testing.T) {
 	if _, err := ds.IngestBatch(gap, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !ds.materialized() {
+	if !ds.loadState().inMemory() {
 		t.Fatal("causal-gap ingest did not materialize")
 	}
 	if got, want := ds.Text(), seed.Text(); got != want {
@@ -293,7 +293,7 @@ func TestDematerializeKnowsWhatTheDocHeld(t *testing.T) {
 	if err := ds.dematerialize(); err != nil {
 		t.Fatal(err)
 	}
-	if ds.materialized() {
+	if ds.loadState().inMemory() {
 		t.Fatal("dematerialize left the doc in memory")
 	}
 	if n := ds.NumEvents(); n != want {
@@ -321,7 +321,7 @@ func TestDematerializeKnowsWhatTheDocHeld(t *testing.T) {
 	if fresh, err := ds.IngestBatch(next, raw); err != nil || fresh != len(next) {
 		t.Fatalf("new batch: %d fresh, %v; want %d, nil", fresh, err, len(next))
 	}
-	if ds.materialized() {
+	if ds.loadState().inMemory() {
 		t.Fatal("ingesting after dematerialize materialized the document")
 	}
 	if n := ds.NumEvents(); n != want+len(next) {

@@ -209,7 +209,7 @@ func TestResumeFallbackSurfaced(t *testing.T) {
 	if _, err := ds.IngestBatch(bad, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ds.materialized() {
+	if ds.loadState().inMemory() {
 		t.Fatal("semantically-invalid batch should journal without materializing")
 	}
 	if err := ds.Close(); err != nil {

@@ -35,22 +35,22 @@ func (e *entry) ingest(b *batch, fromPeer int, replica bool) error {
 	if err != nil {
 		return err
 	}
-	if fresh > 0 && !replica && e.onIngest != nil {
+	if fresh > 0 && !replica && e.srv.opts.OnIngest != nil {
 		events, err := b.Events()
 		if err != nil {
 			return err
 		}
-		e.onIngest(e.id, events, b.raw)
+		e.srv.opts.OnIngest(e.id, events, b.raw)
 	}
 	// ApplyNs from call entry, so per-document lock contention (many
 	// writers on one hot document) shows up in the latency it causes.
-	e.m.ApplyNs.Observe(time.Since(start).Nanoseconds())
-	e.m.EventsApplied.Add(int64(b.n))
-	e.m.BatchesApplied.Inc()
-	e.m.FanoutBatchEvents.Observe(int64(b.n))
+	e.srv.metrics.ApplyNs.Observe(time.Since(start).Nanoseconds())
+	e.srv.metrics.EventsApplied.Add(int64(b.n))
+	e.srv.metrics.BatchesApplied.Inc()
+	e.srv.metrics.FanoutBatchEvents.Observe(int64(b.n))
 	if replica {
-		e.m.ReplicaBatchesIn.Inc()
-		e.m.ReplicaEventsIn.Add(int64(b.n))
+		e.srv.metrics.ReplicaBatchesIn.Inc()
+		e.srv.metrics.ReplicaEventsIn.Add(int64(b.n))
 	}
 	if fresh == 0 && !parked {
 		return nil
@@ -78,7 +78,7 @@ func (e *entry) fanoutLocked(b *batch, fromPeer int) error {
 			continue
 		}
 		depth, ok := p.ob.push(raws)
-		e.m.OutboxDepth.Observe(int64(depth))
+		e.srv.metrics.OutboxDepth.Observe(int64(depth))
 		if !ok {
 			// Slow peer: over its byte budget even after coalescing, so
 			// it would silently miss these events forever (the live
@@ -105,8 +105,8 @@ func (e *entry) severLocked(pid int) {
 	delete(e.peers, pid)
 	p.ob.close(true)
 	severConn(p.conn)
-	e.m.PeersSevered.Inc()
-	e.m.Subscribers.Add(-1)
+	e.srv.metrics.PeersSevered.Inc()
+	e.srv.metrics.Subscribers.Add(-1)
 }
 
 // subPlan is what subscribe hands ServeConn: the peer's registration
@@ -133,29 +133,29 @@ func (e *entry) subscribe(conn io.ReadWriter, h netsync.Hello) (*subPlan, error)
 	defer e.mu.Unlock()
 	id := e.nextPeer
 	e.nextPeer++
-	outbox := newOutbox(e.obPeer, e.obTotal, &e.m.OutboxBytes, &e.m.CoalescedFrames)
+	outbox := newOutbox(e.srv.opts.OutboxBytesPerPeer, e.srv.opts.OutboxBytesTotal, &e.srv.metrics.OutboxBytes, &e.srv.metrics.CoalescedFrames)
 	if e.peers == nil {
 		e.peers = make(map[int]peerSub)
 	}
 	e.peers[id] = peerSub{ob: outbox, conn: conn}
-	e.m.Subscribers.Add(1)
+	e.srv.metrics.Subscribers.Add(1)
 	if len(h.Summary) > 0 {
 		catchup, err := e.ds.EventsSinceSummary(h.Summary)
 		if err == nil {
-			e.m.SummaryResumes.Inc()
-			e.m.Resumes.Inc()
-			e.m.ResumeEvents.Add(int64(len(catchup)))
+			e.srv.metrics.SummaryResumes.Inc()
+			e.srv.metrics.Resumes.Inc()
+			e.srv.metrics.ResumeEvents.Add(int64(len(catchup)))
 			return &subPlan{id: id, outbox: outbox, events: catchup}, nil
 		}
 		// A full catch-up is always correct — but say so, because a
 		// fleet of clients silently re-downloading full histories is a
 		// resume regression an operator needs to see.
-		e.m.ResumeFallbacks.Inc()
-		e.logf("store: summary resume for %q degraded to full catch-up: %v", e.id, err)
+		e.srv.metrics.ResumeFallbacks.Inc()
+		e.srv.logf("store: summary resume for %q degraded to full catch-up: %v", e.id, err)
 	}
 	if cut, ok := e.ds.CutForServe(); ok {
-		e.m.BlockServes.Inc()
-		e.m.BlockServeEvents.Add(int64(cut.events))
+		e.srv.metrics.BlockServes.Inc()
+		e.srv.metrics.BlockServeEvents.Add(int64(cut.events))
 		return &subPlan{id: id, outbox: outbox, cut: cut}, nil
 	}
 	snapshot, err := e.ds.EventsSince(nil)
@@ -164,11 +164,11 @@ func (e *entry) subscribe(conn io.ReadWriter, h netsync.Hello) (*subPlan, error)
 		// registration — this connection is unusable.
 		delete(e.peers, id)
 		outbox.close(true)
-		e.m.Subscribers.Add(-1)
+		e.srv.metrics.Subscribers.Add(-1)
 		return nil, err
 	}
-	e.m.FullSnapshots.Inc()
-	e.m.SnapshotEvents.Add(int64(len(snapshot)))
+	e.srv.metrics.FullSnapshots.Inc()
+	e.srv.metrics.SnapshotEvents.Add(int64(len(snapshot)))
 	return &subPlan{id: id, outbox: outbox, events: snapshot}, nil
 }
 
@@ -185,7 +185,7 @@ func (e *entry) unsubscribe(id int) {
 	p, ok := e.peers[id]
 	delete(e.peers, id)
 	if ok {
-		e.m.Subscribers.Add(-1)
+		e.srv.metrics.Subscribers.Add(-1)
 	}
 	e.mu.Unlock()
 	if ok {
@@ -342,13 +342,13 @@ func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut) error {
 		}
 		return nil
 	}
-	e.logf("store: block catch-up for %q fell back to decoded events after %d frames: %v", e.id, sent, serr)
+	e.srv.logf("store: block catch-up for %q fell back to decoded events after %d frames: %v", e.id, sent, serr)
 	snapshot, err := e.ds.EventsSince(nil)
 	if err != nil {
 		return serr
 	}
-	e.m.FullSnapshots.Inc()
-	e.m.SnapshotEvents.Add(int64(len(snapshot)))
+	e.srv.metrics.FullSnapshots.Inc()
+	e.srv.metrics.SnapshotEvents.Add(int64(len(snapshot)))
 	return pc.SendEvents(snapshot)
 }
 
@@ -415,7 +415,7 @@ func (e *entry) replicaExchange(pc *netsync.PeerConn, theirs egwalker.VersionSum
 	if err := pc.SendSummary(ours); err != nil {
 		return err
 	}
-	e.m.ReplicaExchanges.Inc()
-	e.m.ReplicaEventsOut.Add(int64(len(catchup)))
+	e.srv.metrics.ReplicaExchanges.Inc()
+	e.srv.metrics.ReplicaEventsOut.Add(int64(len(catchup)))
 	return pc.SendEvents(catchup)
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // noteQuarantine adds e's document to the quarantine set if its store is
-// quarantined, and notifies the OnQuarantine listener. acquire calls it
-// after an open, scrubPass after a scrub that quarantined, both with no
-// lock held. The store's state is read under s.mu, where RepairDoc lifts
-// a quarantine from the set after its repair, so a repair that lands
-// first is never undone.
-func (s *Server) noteQuarantine(e *entry) {
+// quarantined, and tells OnQuarantine: acquire calls it after an open,
+// scrubPass after a scrub quarantined, with no lock held. It reads the
+// store's state under s.mu, where RepairDoc lifts a quarantine after its
+// repair, so a repair that lands first stands. The damage an open
+// salvaged counts toward corrupt_blocks once, not again on a reopen.
+func (s *Server) noteQuarantine(e *entry, opened bool) {
 	s.mu.Lock()
 	q, reason := e.ds.Quarantined()
 	if !q || s.closed {
@@ -26,18 +26,14 @@ func (s *Server) noteQuarantine(e *entry) {
 	s.metrics.QuarantinedDocs.Set(int64(len(s.quarantined)))
 	s.mu.Unlock()
 	if !known {
+		if opened {
+			s.metrics.CorruptBlocks.Add(int64(e.ds.Salvage().CorruptBlocks))
+		}
 		s.logf("store: quarantined %q: %v", e.id, reason)
 	}
 	if s.opts.OnQuarantine != nil {
 		s.opts.OnQuarantine(e.id, reason)
 	}
-}
-
-func (s *Server) noteRepaired(docID string) {
-	s.mu.Lock()
-	delete(s.quarantined, docID)
-	s.metrics.QuarantinedDocs.Set(int64(len(s.quarantined)))
-	s.mu.Unlock()
 }
 
 // IsQuarantined reports whether the document is currently quarantined.
@@ -115,7 +111,10 @@ func (s *Server) RepairDoc(docID string, fetch func(egwalker.VersionSummary) ([]
 	e.mu.Unlock()
 	s.metrics.Repairs.Inc()
 	s.metrics.RepairEvents.Add(int64(info.Fetched))
-	s.noteRepaired(docID)
+	s.mu.Lock()
+	delete(s.quarantined, docID)
+	s.metrics.QuarantinedDocs.Set(int64(len(s.quarantined)))
+	s.mu.Unlock()
 	s.logf("store: repaired %q: %d salvaged + %d fetched events (lost: %d blocks, %d bytes)",
 		docID, info.Salvaged, info.Fetched, info.Salvage.CorruptBlocks, info.Salvage.LostBytes)
 	return info, nil
@@ -169,7 +168,7 @@ func (s *Server) scrubPass(lim *scrubLimiter) {
 			s.logf("store: scrub %q: %v", id, err)
 		}
 		if rep.Quarantined != nil {
-			s.noteQuarantine(e)
+			s.noteQuarantine(e, false)
 		}
 		s.release(e)
 	}

@@ -272,21 +272,17 @@ func (s *DocStore) Salvage() SalvageInfo {
 // quarantineLocked moves a journal-only or materialized store to
 // quarantine: writes refuse, block serving stops, compaction pressure is
 // cleared, and the best salvageable document is materialized for
-// read-only serving.
-func (s *DocStore) quarantineLocked(reason error) {
+// read-only serving. Journal-only, it returns the snapshot the salvage
+// started from and the segments it read.
+func (s *DocStore) quarantineLocked(reason error) (snapSeq uint64, segs []uint64) {
 	start := time.Now()
 	if s.doc == nil {
 		// Journal-only: the history lives nowhere but the damaged disk.
 		// Salvage what replays cleanly.
-		snaps, segs, err := s.scanDirSeqs()
-		if err != nil {
-			snaps, segs = nil, nil
-		}
-		doc, _, info := s.salvageDoc(snaps, segs)
-		s.doc = doc
+		snaps, segs, _ := s.scanDirSeqs()
+		s.doc, snapSeq, s.salvage = s.salvageDoc(snaps, segs)
 		s.known = nil
-		s.persisted = doc.Version()
-		s.salvage = info
+		s.persisted = s.doc.Version()
 	} else {
 		// Materialized: memory still holds everything the store
 		// admitted; only the disk under it is lying. Nothing is lost
@@ -297,35 +293,25 @@ func (s *DocStore) quarantineLocked(reason error) {
 	s.blockServable = false
 	s.eventsSinceSnap = 0 // keep the compactor away
 	s.installedLocked(stateQuarantined, start)
+	return snapSeq, segs
 }
 
-// recoverQuarantined is the open-time quarantine path: materialized
-// recovery found damage truncation cannot repair, and Options.
-// Quarantine asked for a salvaged read-only store instead of an error.
-// No active segment is opened — a quarantined store journals nothing.
+// recoverQuarantined is the open-time quarantine path: recovery found
+// damage truncation cannot repair, and Options.Quarantine asked for a
+// salvaged read-only store instead of an error. No active segment is
+// opened — a quarantined store journals nothing.
 func (s *DocStore) recoverQuarantined(reason error) error {
-	start := time.Now()
-	snaps, segs, err := s.scanDirSeqs()
-	if err != nil {
+	if _, _, err := s.scanDirSeqs(); err != nil {
 		return err
 	}
-	doc, snapSeq, info := s.salvageDoc(snaps, segs)
-	s.doc = doc
-	s.snapSeq = snapSeq
-	s.recovery.SnapshotSeq = snapSeq
-	s.firstSeg = snapSeq
+	snapSeq, segs := s.quarantineLocked(reason)
+	s.snapSeq, s.recovery.SnapshotSeq, s.firstSeg = snapSeq, snapSeq, snapSeq
 	if s.firstSeg == 0 && len(segs) > 0 {
 		s.firstSeg = segs[0]
 	}
 	if len(segs) > 0 {
 		s.activeSeq = segs[len(segs)-1]
 	}
-	s.persisted = doc.Version()
-	s.numEvents = doc.NumEvents()
-	s.salvage = info
-	s.qerr = reason
-	s.blockServable = false
-	s.installedLocked(stateQuarantined, start)
 	return nil
 }
 
@@ -516,7 +502,6 @@ func (s *DocStore) rebuildLocked() error {
 	s.activeSeq, s.snapSeq, s.firstSeg = 1, 1, 1
 	s.activeSize, s.syncedSize = segHeaderLen, segHeaderLen
 	s.known = nil
-	s.numEvents = s.doc.NumEvents()
 	s.persisted = s.doc.Version()
 	s.eventsSinceSnap, s.sealedSinceSnap, s.unsyncedEvents = 0, 0, 0
 	s.recovery = RecoveryInfo{SnapshotSeq: 1}

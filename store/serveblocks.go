@@ -35,10 +35,6 @@ func (s *DocStore) CutForServe() (*BlockCut, bool) {
 	if st := s.loadState(); st == stateClosed || st == stateQuarantined || s.werr != nil || !s.blockServable {
 		return nil, false
 	}
-	n := s.numEvents
-	if s.doc != nil {
-		n = s.doc.NumEvents()
-	}
 	return &BlockCut{
 		fs:       s.fs,
 		dir:      s.dir,
@@ -46,7 +42,7 @@ func (s *DocStore) CutForServe() (*BlockCut, bool) {
 		firstSeg: s.firstSeg,
 		lastSeg:  s.activeSeq,
 		lastLen:  s.activeSize,
-		events:   n,
+		events:   s.numEventsLocked(),
 	}, true
 }
 

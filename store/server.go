@@ -137,32 +137,23 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// entry is one hosted document plus its connected peers. It is in the
-// server's open set from the moment an acquire starts opening it until
-// its store has closed, and its life — opening, open, closing — moves
-// under the server lock. moved is closed when the entry leaves opening,
-// and made anew when it starts closing and closed when the store has
-// closed, so an acquire that finds it opening or closing waits on moved
-// and looks again. ds is set while open; what state the document itself
-// is in — journal-only, materialized, quarantined — is ds's state word.
+// entry is one hosted document plus its connected peers, in the open
+// set from the start of its open until its store has closed. Its life
+// (opening, open, closing) moves under the server lock; an acquire that
+// finds it opening or closing waits for moved to close and looks again.
+// What state the document itself is in is ds's state word.
 type entry struct {
-	id       string
-	life     entryLife
-	moved    chan struct{}
-	ds       *DocStore
-	m        *Metrics
-	logf     func(format string, args ...any)
-	onIngest func(docID string, events []egwalker.Event, raw []byte)
+	id    string
+	life  entryLife
+	moved chan struct{}
+	ds    *DocStore
+	srv   *Server
 	// mu serializes ingest+fanout against catch-up cuts and subscribe,
 	// so a joining peer misses no events between its catch-up and its
 	// first forwarded batch.
 	mu       sync.Mutex
 	peers    map[int]peerSub // nil until the first subscriber
 	nextPeer int
-	// obPeer/obTotal are the outbox byte budgets, copied from the
-	// server's options at acquire so subscribe needs no back-pointer.
-	obPeer  int64
-	obTotal int64
 
 	refs       int
 	elem       *list.Element // in the LRU while opening or open

@@ -114,10 +114,9 @@ type DocStore struct {
 
 	// state is the state word, a docState: written only by
 	// setStateLocked, with mu held, and read without it by a host's LRU.
-	state     atomic.Uint32
-	doc       *egwalker.Doc
-	known     *idSet // journal-only: the IDs the WAL+snapshot hold
-	numEvents int    // journal-only: distinct events on disk
+	state atomic.Uint32
+	doc   *egwalker.Doc
+	known *idSet // journal-only: the IDs the WAL+snapshot hold
 	// replay and logBytes are doc's replay counters and history bytes as
 	// the metrics were last told of them.
 	replay   egwalker.ReplayStats
@@ -263,7 +262,7 @@ func (s *DocStore) recover(lazy bool) error {
 				return fmt.Errorf("references unknown parent %s/%d", p.Agent, p.Seq)
 			}
 		}
-		s.known, s.numEvents = known, info.NumEvents
+		s.known = known
 		return nil
 	})
 	s.snapSeq, s.recovery.SnapshotSeq, s.recovery.SkippedSnapshots = snapSeq, snapSeq, skipped
@@ -346,7 +345,6 @@ func (s *DocStore) recover(lazy bool) error {
 	s.eventsSinceSnap = s.recovery.EventsReplayed
 	s.sealedSinceSnap = max(s.recovery.SegmentsReplayed-1, 0)
 	if s.doc == nil {
-		s.numEvents += s.recovery.EventsReplayed
 		return nil
 	}
 	s.persisted = s.doc.Version()
@@ -453,10 +451,6 @@ func (s *DocStore) Recovery() RecoveryInfo {
 	return s.recovery
 }
 
-// materialized reports whether the document is currently in memory
-// (as opposed to journal-only).
-func (s *DocStore) materialized() bool { return s.loadState().inMemory() }
-
 // Materialize brings the document into memory if it is journal-only,
 // replaying snapshot + WAL from disk. Most callers never need it —
 // every method that requires the document materializes on demand —
@@ -531,9 +525,9 @@ const (
 	stateClosed                       // released
 )
 
-func (st docState) String() string {
-	return [...]string{"journal", "materialized", "quarantined", "closed"}[st]
-}
+var stateNames = [...]string{"journal", "materialized", "quarantined", "closed"}
+
+func (st docState) String() string { return stateNames[st] }
 
 // inMemory reports whether a store in state st holds an egwalker.Doc.
 func (st docState) inMemory() bool { return st == stateMaterialized || st == stateQuarantined }
@@ -541,16 +535,15 @@ func (st docState) inMemory() bool { return st == stateMaterialized || st == sta
 // legalSteps is the state machine, legalSteps[from][to]: a journal-only
 // store materializes and is dematerialized, either is quarantined, a
 // repair brings a quarantined one back materialized, and any closes.
-var legalSteps = [...][4]bool{
+var legalSteps = [4][4]bool{
 	stateJournal:      {stateMaterialized: true, stateQuarantined: true, stateClosed: true},
 	stateMaterialized: {stateJournal: true, stateQuarantined: true, stateClosed: true},
 	stateQuarantined:  {stateMaterialized: true, stateClosed: true},
-	stateClosed:       {},
 }
 
 // legalStep reports whether a store may move from one state to another.
 func legalStep(from, to docState) bool {
-	return int(from) < len(legalSteps) && int(to) < len(legalSteps) && legalSteps[from][to]
+	return from <= stateClosed && to <= stateClosed && legalSteps[from][to]
 }
 
 func (s *DocStore) loadState() docState { return docState(s.state.Load()) }
@@ -581,9 +574,8 @@ func (s *DocStore) setStateLocked(to docState) {
 	s.noteLogBytesLocked()
 }
 
-// installedLocked moves the store to state to, materialized or
-// quarantined, for the document in s.doc; one that was not in memory
-// before took since start to build.
+// installedLocked moves the store to state to, materialized or quarantined,
+// for the document in s.doc, which took since start to build if it is new.
 func (s *DocStore) installedLocked(to docState, start time.Time) {
 	if m := s.opts.metrics; m != nil && !s.loadState().inMemory() {
 		m.MaterializeNs.Observe(time.Since(start).Nanoseconds())
@@ -675,7 +667,6 @@ func (s *DocStore) dematerialize() error {
 		}
 	}
 	s.known = known
-	s.numEvents = s.doc.NumEvents()
 	s.doc = nil
 	s.persisted = nil
 	s.setStateLocked(stateJournal)
@@ -732,8 +723,12 @@ func (s *DocStore) Fingerprint() (uint64, error) {
 func (s *DocStore) NumEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.numEventsLocked()
+}
+
+func (s *DocStore) numEventsLocked() int {
 	if s.doc == nil {
-		return s.numEvents
+		return s.known.numEvents()
 	}
 	return s.doc.NumEvents()
 }
@@ -1015,7 +1010,6 @@ func (s *DocStore) journalLocked(blocks [][]byte, n int, b *batch, runs []colenc
 	default:
 		s.known.addEvents(b.events)
 	}
-	s.numEvents += n // journal-only's count: NumEvents asks a document in memory
 	s.eventsSinceSnap += n
 	s.unsyncedEvents += n
 	if s.opts.SyncEveryCommit {

@@ -43,7 +43,7 @@ func openEachWay(t *testing.T, root, docID string) ([]*DocStore, bool) {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
 		if mode.name == "OpenLazy" {
-			lazyMaterialized = ds.materialized()
+			lazyMaterialized = ds.loadState().inMemory()
 		}
 		if err := ds.Materialize(); err != nil {
 			t.Fatalf("%s, Materialize: %v", mode.name, err)
@@ -658,7 +658,7 @@ func TestLegacySnapshotOpens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ds.materialized() {
+				if !ds.loadState().inMemory() {
 					t.Error("came up journal-only on an EGW1 snapshot")
 				}
 				if ds.Text() != twin.Text() || ds.NumEvents() != twin.NumEvents() {
@@ -677,7 +677,7 @@ func TestLegacySnapshotOpens(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer re.Close()
-				if re.materialized() {
+				if re.loadState().inMemory() {
 					t.Error("after Compact, OpenLazy materialized")
 				}
 				if _, ok := re.CutForServe(); !ok {
