@@ -175,7 +175,7 @@ func TestSaturatedCompactorReleasesAndEvicts(t *testing.T) {
 		t.Fatalf("materialized = %d before schedule, want 2", got)
 	}
 	s.scheduleCompact(a)
-	if a.ds.loadState() == stateMaterialized {
+	if a.ds.loadState().inMemory() {
 		t.Fatal("saturated compactor rollback left the idle over-cap document materialized")
 	}
 	if got := s.MetricsSnapshot().MaterializedDocs; got != 1 {
