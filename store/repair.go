@@ -167,7 +167,7 @@ func (s *Server) scrubPass(lim *scrubLimiter) {
 		if err != nil {
 			s.logf("store: scrub %q: %v", id, err)
 		}
-		if rep.Quarantined != nil {
+		if len(rep.Damage) > 0 {
 			s.noteQuarantine(e, false)
 		}
 		s.release(e)

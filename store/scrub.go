@@ -65,12 +65,10 @@ type damage struct {
 
 // scrubReport summarizes one scrub pass over one document.
 type scrubReport struct {
-	Segments  int   // segment files verified
-	Snapshots int   // snapshot files verified
-	Bytes     int64 // bytes read and checksummed
-	Damage    []damage
-	// Quarantined is the reason, when this pass quarantined the document.
-	Quarantined error
+	Segments  int      // segment files verified
+	Snapshots int      // snapshot files verified
+	Bytes     int64    // bytes read and checksummed
+	Damage    []damage // damage still in the live layout, which quarantines the document
 }
 
 // scrubLimiter is a token-bucket byte budget shared by scrub reads so
@@ -228,8 +226,7 @@ func (s *DocStore) scrub(lim *scrubLimiter) (scrubReport, error) {
 	rep.Damage = live
 	if st := s.loadState(); len(live) > 0 && (st == stateJournal || st == stateMaterialized) {
 		d := live[0]
-		rep.Quarantined = fmt.Errorf("scrub: %s damage in %s at %d: %w", d.Kind, d.File, d.Off, d.Err)
-		s.quarantineLocked(rep.Quarantined)
+		s.quarantineLocked(fmt.Errorf("scrub: %s damage in %s at %d: %w", d.Kind, d.File, d.Off, d.Err))
 	}
 	return rep, nil
 }
