@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,6 +15,14 @@ import (
 // reads until the joiner holds want events, returning the joined doc.
 func coldCompactJoin(t *testing.T, srv *Server, docID string, want int) *egwalker.Doc {
 	t.Helper()
+	doc, _ := coldCompactJoinFrames(t, srv, docID, want)
+	return doc
+}
+
+// coldCompactJoinFrames is coldCompactJoin, also returning the frames the
+// joiner read.
+func coldCompactJoinFrames(t *testing.T, srv *Server, docID string, want int) (*egwalker.Doc, [][]byte) {
+	t.Helper()
 	cs, ss := net.Pipe()
 	serveOne(t, srv, ss)
 	defer cs.Close()
@@ -22,15 +31,17 @@ func coldCompactJoin(t *testing.T, srv *Server, docID string, want int) *egwalke
 		t.Fatal(err)
 	}
 	doc := egwalker.NewDoc("cold-joiner")
+	var frames [][]byte
 	cs.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for doc.NumEvents() < want {
-		evs, _, done, err := pc.Recv()
+		evs, raw, done, err := pc.Recv()
 		if err != nil {
 			t.Fatalf("cold join with %d/%d events: %v", doc.NumEvents(), want, err)
 		}
 		if done {
 			break
 		}
+		frames = append(frames, slices.Clone(raw))
 		if _, err := doc.Apply(evs); err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +49,7 @@ func coldCompactJoin(t *testing.T, srv *Server, docID string, want int) *egwalke
 	if doc.NumEvents() != want {
 		t.Fatalf("cold join delivered %d events, want %d", doc.NumEvents(), want)
 	}
-	return doc
+	return doc, frames
 }
 
 // TestBlockServeNoMaterialization: a cold compact join against a
@@ -62,7 +73,7 @@ func TestBlockServeNoMaterialization(t *testing.T) {
 		t.Fatalf("append materialized the document (%d materializations)", got)
 	}
 
-	doc := coldCompactJoin(t, srv, docID, 200)
+	doc, frames := coldCompactJoinFrames(t, srv, docID, 200)
 	if doc.Text() != seed.Text() {
 		t.Fatalf("joined text %q, want %q", doc.Text(), seed.Text())
 	}
@@ -72,6 +83,10 @@ func TestBlockServeNoMaterialization(t *testing.T) {
 	}
 	if m.BlockServeEvents != 200 {
 		t.Fatalf("block_serve_events = %d, want 200", m.BlockServeEvents)
+	}
+	if m.BlockServeFrames != 1 || m.BlockServeBytes != int64(len(frames[0])) {
+		t.Fatalf("block_serve_frames = %d, block_serve_bytes = %d; want the one %d-byte frame the joiner read",
+			m.BlockServeFrames, m.BlockServeBytes, len(frames[0]))
 	}
 	if m.LazyMaterializations != 0 {
 		t.Fatalf("cold compact join materialized the document (%d materializations)", m.LazyMaterializations)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -434,8 +435,14 @@ func (l *lifecycle) check() {
 	if got := l.srv.metrics.MaterializedDocs.Load(); got != int64(inMemory) {
 		l.t.Fatalf("materialized_docs = %d, %d open documents in memory", got, inMemory)
 	}
-	if got, ids := l.srv.metrics.QuarantinedDocs.Load(), l.srv.QuarantinedDocIDs(); got != int64(len(ids)) {
+	ids := l.srv.QuarantinedDocIDs()
+	if got := l.srv.metrics.QuarantinedDocs.Load(); got != int64(len(ids)) {
 		l.t.Fatalf("quarantined_docs = %d, quarantine set %v", got, ids)
+	}
+	for id, ds := range open {
+		if q := ds.loadState() == stateQuarantined; q != slices.Contains(ids, id) {
+			l.t.Fatalf("%s is %v, and the quarantine set is %v", id, ds.loadState(), ids)
+		}
 	}
 	for _, id := range lifecycleDocs {
 		old, now := l.stores[id], open[id]
@@ -491,6 +498,9 @@ var lifecycleSeeds = [][]byte{
 	// The same for d1, materialized when the scrub quarantines it, and
 	// closed still quarantined.
 	{opAppend, 1, opAppend, 4, opAppend, 7, opAppend, 10, opAppend, 13, opText, 1, opScrub, 1, opAppend, 1, opRestart, 0},
+	// d0 quarantined by a scrub, then evicted by reads of the other two:
+	// it opens quarantined again, and the repair finds it so.
+	{opAppend, 0, opAppend, 3, opAppend, 6, opAppend, 9, opAppend, 12, opScrub, 0, opText, 1, opText, 2, opAppend, 0, opRepair, 0, opText, 0},
 	// Subscribers, a flush, a compaction, and a subscriber that keeps
 	// its document open past the cap.
 	{opAppend, 2, opSubscribe, 2, opAppend, 5, opFlush, 0, opCompact, 2, opAppend, 0, opSubscribe, 0, opAppend, 1, opUnsubscribe, 0, opText, 2, opUnsubscribe, 0, opFlush, 0},
@@ -502,8 +512,9 @@ var lifecycleSeeds = [][]byte{
 // After each operation every open document is in one of the states the
 // state machine allows, holding what that state holds; materialized_docs
 // counts the open documents in memory; quarantined_docs counts the
-// quarantine set; and every healthy document reads as the reference fed
-// the same appends.
+// quarantine set, and of the open documents the set holds exactly the
+// quarantined ones; and every healthy document reads as the reference
+// fed the same appends.
 func FuzzHostedDocLifecycle(f *testing.F) {
 	for _, seed := range lifecycleSeeds {
 		f.Add(seed)

@@ -3,7 +3,6 @@ package store
 import (
 	"sync"
 
-	"egwalker"
 	"egwalker/internal/metrics"
 )
 
@@ -19,7 +18,8 @@ import (
 //
 // When a push would overrun either budget, the queue first coalesces:
 // the queued frames — encoded batches, as they were uploaded — are
-// decoded, merged and re-marshalled as one batch. For a slow-but-alive
+// decoded, merged and encoded again as a few large batches (the
+// coalescer that also merges a cold join's WAL blocks). For a slow-but-alive
 // peer this is a real reprieve, not just bookkeeping — merging N small
 // batches amortizes per-frame headers, and run-length encoding
 // compresses adjacent edits from the same agents (a compact-encoded merge of hundreds of
@@ -105,36 +105,36 @@ func (o *outbox) overLocked(add int64) bool {
 	return false
 }
 
-// coalesceLocked merges the queue into one batch: every frame is decoded
-// (here, under pressure, and nowhere else on the fan-out path), the
-// events are re-marshalled by egwalker.MarshalBatches, and the merge is
-// kept only when it is actually smaller (a merge that grows — rare, but
-// possible across chunking boundaries — is discarded).
+// coalesceLocked merges the queue through a coalescer: every frame is
+// decoded (here, under pressure, and nowhere else on the fan-out path),
+// and consecutive frames are merged into as few as egwalker.MarshalBatches
+// writes for their events; a group whose merge would not be smaller
+// stays as it was.
 func (o *outbox) coalesceLocked() {
 	if len(o.frames) < 2 {
 		return
 	}
-	var evs []egwalker.Event
+	var out [][]byte
+	var newBytes int64
+	c := newCoalescer(func(payload []byte) error {
+		out = append(out, payload)
+		newBytes += int64(len(payload))
+		return nil
+	})
+	defer c.release()
 	for _, raw := range o.frames {
-		batch, err := egwalker.UnmarshalEventsAuto(raw)
-		if err != nil {
+		if err := c.add(raw); err != nil {
 			return // not a frame this server validated; leave the queue be
 		}
-		evs = append(evs, batch...)
 	}
-	chunks, err := egwalker.MarshalBatches(evs)
-	var newBytes int64
-	for _, c := range chunks {
-		newBytes += int64(len(c))
-	}
-	if err != nil || newBytes >= o.bytes {
+	if err := c.flush(); err != nil || len(out) == len(o.frames) {
 		return
 	}
-	o.coalesced.Add(int64(len(o.frames) - len(chunks)))
+	o.coalesced.Add(int64(len(o.frames) - len(out)))
 	o.global.Add(newBytes - o.bytes)
 	o.bytes = newBytes
 	clear(o.frames)
-	o.frames = append(o.frames[:0], chunks...)
+	o.frames = append(o.frames[:0], out...)
 }
 
 // maxKeptQueue is the longest queue array drain recycles; a longer one

@@ -538,16 +538,25 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	if err := slowPC.SendHello(netsync.Hello{DocID: docID, Compact: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Phase 1: drain slowly — one frame every 8ms against a writer
-	// pacing 40x faster, so each read gap queues ~40 events (~400
-	// bytes, well past the budget and therefore coalesced) — for the
-	// first 20 frames, counting how many arrive as multi-event
-	// (coalesced) batches. Phase 2: dead-stop.
+	// The initial (empty) catch-up comes first, and once it is read the
+	// reader is subscribed.
+	if _, _, _, err := slowPC.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	// Phase 1: the reader waits while the writer's events pile up in its
+	// outbox until the server coalesces them; the writer then pauses,
+	// and the reader reads until it has taken a coalesced (multi-event)
+	// frame. Phase 2: the reader dead-stops and the writer resumes until
+	// the server severs it.
+	coalesced := make(chan struct{}) // closed by the writer
+	gotMulti := make(chan struct{})  // closed by the reader
 	var coalescedSeen atomic.Int64
 	slowStopped := make(chan struct{})
 	go func() {
 		defer close(slowStopped)
-		for i := 0; i < 20; i++ {
+		defer close(gotMulti)
+		<-coalesced
+		for coalescedSeen.Load() == 0 {
 			evs, _, done, err := slowPC.Recv()
 			if err != nil || done {
 				return
@@ -558,13 +567,13 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 			if _, err := slowDoc.Apply(evs); err != nil {
 				return
 			}
-			time.Sleep(8 * time.Millisecond)
 		}
 	}()
 
 	// The writer keeps single-event batches coming until the server
 	// severs the slow reader — severing happens on push, so the load
-	// must stay on until the backlog overflows.
+	// must stay on until the backlog overflows. Each upload is pushed
+	// before the server reads the next, so a pause stops the backlog.
 	wcs, wss := net.Pipe()
 	defer wcs.Close()
 	serveOne(t, srv, wss)
@@ -578,9 +587,15 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 	}
 	const maxEvents = 5000
 	sent := 0
+	paused := false
 	for srv.Metrics().PeersSevered.Load() == 0 {
 		if sent >= maxEvents {
 			t.Fatalf("slow reader not severed after %d events", sent)
+		}
+		if !paused && srv.Metrics().CoalescedFrames.Load() > 0 {
+			paused = true
+			close(coalesced)
+			<-gotMulti
 		}
 		pre := wdoc.Version()
 		if err := wdoc.Insert(wdoc.Len(), "z"); err != nil {
@@ -594,7 +609,9 @@ func TestSlowReaderCoalesceThenResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		sent++
-		time.Sleep(200 * time.Microsecond)
+	}
+	if !paused {
+		close(coalesced)
 	}
 	<-slowStopped
 

@@ -276,7 +276,7 @@ func (s *DocStore) quarantineLocked(reason error) (snapSeq uint64, segs []uint64
 	if s.doc == nil {
 		// Journal-only: the history lives nowhere but the damaged disk.
 		// Salvage what replays cleanly.
-		snaps, segs, _ := s.scanDirSeqs()
+		snaps, segs, _, _ := s.scanDirSeqs()
 		s.doc, snapSeq, s.salvage = s.salvageDoc(snaps, segs)
 		s.known = nil
 		s.persisted = s.doc.Version()
@@ -287,10 +287,40 @@ func (s *DocStore) quarantineLocked(reason error) (snapSeq uint64, segs []uint64
 		s.salvage = SalvageInfo{Events: s.doc.NumEvents()}
 	}
 	s.qerr = reason
+	if err := s.markQuarantined(reason); err != nil {
+		s.qerr = fmt.Errorf("%w (quarantine marker not written: %v)", reason, err)
+	}
 	s.blockServable = false
 	s.eventsSinceSnap = 0 // keep the compactor away
 	s.installedLocked(stateQuarantined, start)
 	return snapSeq, segs
+}
+
+// quarantineMarker is the file a quarantine leaves in the document's
+// directory, holding its reason, so that the next open — after a close,
+// an eviction or a crash — comes up quarantined too instead of taking
+// the damage for a torn tail and cutting synced events off. Repair
+// rebuilds the directory without it.
+const quarantineMarker = "QUARANTINED"
+
+// markQuarantined writes the quarantine marker and makes it durable:
+// the file and then the directory are synced.
+func (s *DocStore) markQuarantined(reason error) error {
+	f, err := s.fs.OpenFile(filepath.Join(s.dir, quarantineMarker), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write([]byte(reason.Error()))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		syncDir(s.fs, s.dir)
+	}
+	return err
 }
 
 // recoverQuarantined is the open-time quarantine path: recovery found
@@ -298,7 +328,7 @@ func (s *DocStore) quarantineLocked(reason error) (snapSeq uint64, segs []uint64
 // salvaged read-only store instead of an error. No active segment is
 // opened — a quarantined store journals nothing.
 func (s *DocStore) recoverQuarantined(reason error) error {
-	if _, _, err := s.scanDirSeqs(); err != nil {
+	if _, _, _, err := s.scanDirSeqs(); err != nil {
 		return err
 	}
 	snapSeq, segs := s.quarantineLocked(reason)

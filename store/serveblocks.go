@@ -47,18 +47,28 @@ func (s *DocStore) CutForServe() (*BlockCut, bool) {
 }
 
 // StreamBlocks reads the cut's snapshot and WAL blocks off disk and
-// hands each encoded payload to send, verbatim — the zero-
-// materialization catch-up. Every payload is a complete batch frame a
-// compact-capable peer decodes like any other events frame (the
-// snapshot is one payload; each WAL block is one payload, either
-// encoding). Returns the number of payloads sent; on error the stream
-// may be partial, and the caller should fall back to a decoded
-// catch-up — receivers deduplicate, so a partial stream followed by a
-// full snapshot still converges. Concurrent compaction may delete a
-// cut's files mid-stream; that surfaces here as an error, not
-// corruption.
+// hands them to send as batch frames — the zero-materialization
+// catch-up. The snapshot goes verbatim, as one frame; the WAL blocks
+// after it go through a coalescer, which decodes (and so checks) each
+// one and merges consecutive blocks into as few frames as
+// egwalker.MarshalBatches writes for their events, at most
+// maxCoalescedEvents a frame. Every frame is one a compact-capable peer
+// decodes like any other events frame. Returns the number of frames
+// sent; on error the stream may be partial, and the caller should fall
+// back to a decoded catch-up — receivers deduplicate, so a partial
+// stream followed by a full snapshot still converges. A block that does
+// not decode ends the stream before anything of its group is sent.
+// Concurrent compaction may delete a cut's files mid-stream; that
+// surfaces here as an error, not corruption.
 func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) (int, error) {
 	sent := 0
+	emit := func(payload []byte) error {
+		if err := send(payload); err != nil {
+			return err
+		}
+		sent++
+		return nil
+	}
 	if cut.snapSeq > 0 {
 		data, err := cut.fs.ReadFile(filepath.Join(cut.dir, snapName(cut.snapSeq)))
 		if err != nil {
@@ -67,12 +77,15 @@ func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) 
 		if !colenc.Sniff(data) || len(data) > egwalker.MaxBatchBytes {
 			return sent, fmt.Errorf("store: snapshot %s not servable as a frame", snapName(cut.snapSeq))
 		}
-		if err := send(data); err != nil {
+		if err := emit(data); err != nil {
 			return sent, err
 		}
-		sent++
 	}
+	c := newCoalescer(emit)
+	defer c.release()
 	for seq := cut.firstSeg; seq <= cut.lastSeg; seq++ {
+		// Each segment is read into a buffer of its own, so the blocks
+		// of a group that spans a rotation stay valid until it is sent.
 		path := filepath.Join(cut.dir, segName(seq))
 		data, err := cut.fs.ReadFile(path)
 		if err != nil {
@@ -83,13 +96,7 @@ func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) 
 			// the peer through live fan-out instead.
 			data = data[:cut.lastLen]
 		}
-		w, err := walkSegmentBlocks(data, func(payload []byte) error {
-			if err := send(payload); err != nil {
-				return err
-			}
-			sent++
-			return nil
-		})
+		w, err := walkSegmentBlocks(data, c.add)
 		if err != nil {
 			return sent, err
 		}
@@ -97,5 +104,5 @@ func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) 
 			return sent, fmt.Errorf("store: segment %s: %w", path, w.tail)
 		}
 	}
-	return sent, nil
+	return sent, c.flush()
 }

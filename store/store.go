@@ -202,11 +202,12 @@ func open(root, docID, agent string, opts Options, lazy bool) (*DocStore, error)
 }
 
 // scanDirSeqs lists the document directory's snapshot and segment
-// sequence numbers, each sorted ascending.
-func (s *DocStore) scanDirSeqs() (snaps, segs []uint64, err error) {
+// sequence numbers, each sorted ascending, and reports whether the
+// directory holds a quarantine marker.
+func (s *DocStore) scanDirSeqs() (snaps, segs []uint64, marked bool, err error) {
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	for _, e := range entries {
 		if seq, ok := parseSeq(e.Name(), "snap-", ".egw"); ok {
@@ -215,10 +216,11 @@ func (s *DocStore) scanDirSeqs() (snaps, segs []uint64, err error) {
 		if seq, ok := parseSeq(e.Name(), "wal-", ".seg"); ok {
 			segs = append(segs, seq)
 		}
+		marked = marked || e.Name() == quarantineMarker
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return snaps, segs, nil
+	return snaps, segs, marked, nil
 }
 
 // recover brings the document back from its directory, in one pass for
@@ -233,11 +235,22 @@ func (s *DocStore) scanDirSeqs() (snaps, segs []uint64, err error) {
 // read, it is an egwalker.Doc the snapshot is loaded into and the blocks
 // are applied to. Damage is an error: a hole in the live segment numbers,
 // a snapshot no older snapshot or segment covers, and anything in a
-// segment other than a torn tail on the last one.
+// segment other than a torn tail on the last one. So is a quarantine
+// marker, found in the listing before anything is read or cut.
 func (s *DocStore) recover(lazy bool) error {
-	snaps, segs, err := s.scanDirSeqs()
+	snaps, segs, marked, err := s.scanDirSeqs()
 	if err != nil {
 		return err
+	}
+	if marked {
+		// Quarantined before it was closed: the damage may sit where a
+		// torn tail would, and cutting it off would lose synced events.
+		// Touch nothing; the reason is the marker's.
+		reason, err := s.fs.ReadFile(filepath.Join(s.dir, quarantineMarker))
+		if err != nil || len(reason) == 0 {
+			return fmt.Errorf("store: %s holds a quarantine marker", s.docID)
+		}
+		return errors.New(string(reason))
 	}
 	start := time.Now()
 	dec := colenc.GetDecoder()
