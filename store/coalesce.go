@@ -15,20 +15,23 @@ import (
 const maxCoalescedEvents = 4096
 
 // coalescer merges consecutive event batches — the WAL blocks a cold join
-// streams, the frames queued for a slow reader — into as few frames as
-// egwalker.MarshalBatches writes for their events. Consecutive payloads
-// are grouped up to maxCoalescedEvents events, and a group goes out as
-// the one payload MarshalBatches writes for its events: legacy below
-// colenc.ColumnarFrom events, columnar from it. A lone payload, and a
-// group whose merge would not be smaller or would pass MaxBatchBytes,
-// goes out verbatim.
+// streams, the frames queued for a slow reader — into few frames.
+// Consecutive payloads are grouped up to maxCoalescedEvents events, and a
+// group of colenc.ColumnarFrom events or more goes out as the one
+// columnar payload egwalker.MarshalBatches writes for its events. A lone
+// payload goes out verbatim, and so does a group of fewer events (a few
+// keystrokes: the batch writer's legacy codec would need them decoded
+// again, into events) and a group whose merge would not be smaller or
+// would pass MaxBatchBytes.
 //
 // Every payload is decoded, and so checked, as it is added: one that does
 // not decode is an error, and nothing of its group has gone out. A
 // columnar payload's runs are copied out of the pooled decoder and
 // encoded again without becoming events (colenc.EncodeRuns writes what
 // MarshalBatches does for the same events, wherever the runs break); a
-// legacy payload's events join the group as one-event runs.
+// legacy payload's events join the group as one-event runs. Going
+// through []Event and MarshalBatches instead made a cold join slower
+// than sending every block as it lay; going through runs does not.
 type coalescer struct {
 	emit func(payload []byte) error
 	dec  *colenc.Decoder
@@ -102,12 +105,18 @@ func (c *coalescer) add(payload []byte) error {
 // flush writes the open group out and empties it.
 func (c *coalescer) flush() error {
 	group := c.group
-	merged, err := c.merge()
+	var merged []byte
+	if len(group) > 1 && c.n >= colenc.ColumnarFrom {
+		var err error
+		if merged, err = colenc.EncodeRuns(slices.Values(c.runs), colenc.Options{}); err != nil {
+			return err
+		}
+		if len(merged) >= c.bytes || len(merged) > egwalker.MaxBatchBytes {
+			merged = nil
+		}
+	}
 	c.group, c.runs, c.parents, c.content = c.group[:0], c.runs[:0], c.parents[:0], c.content[:0]
 	c.bytes, c.n = 0, 0
-	if err != nil {
-		return err
-	}
 	if merged != nil {
 		return c.emit(merged)
 	}
@@ -118,38 +127,4 @@ func (c *coalescer) flush() error {
 		}
 	}
 	return nil
-}
-
-// merge encodes the open group as one payload, or returns nil when it
-// goes out verbatim.
-func (c *coalescer) merge() ([]byte, error) {
-	if len(c.group) < 2 {
-		return nil, nil
-	}
-	var merged []byte
-	if c.n >= colenc.ColumnarFrom {
-		var err error
-		if merged, err = colenc.EncodeRuns(slices.Values(c.runs), colenc.Options{}); err != nil {
-			return nil, err
-		}
-	} else {
-		// A few events in the writer's legacy codec: decode them again.
-		var events []egwalker.Event
-		for _, payload := range c.group {
-			evs, err := egwalker.UnmarshalEventsAuto(payload)
-			if err != nil {
-				return nil, err
-			}
-			events = append(events, evs...)
-		}
-		payloads, err := egwalker.MarshalBatches(events)
-		if err != nil {
-			return nil, err
-		}
-		merged = payloads[0]
-	}
-	if len(merged) >= c.bytes || len(merged) > egwalker.MaxBatchBytes {
-		return nil, nil
-	}
-	return merged, nil
 }

@@ -74,10 +74,7 @@ type Metrics struct {
 	SnapshotEvents metrics.Counter
 
 	// Zero-materialization serve path: BlockServes counts catch-ups
-	// streamed from the stored snapshot and WAL blocks (no document
-	// built), BlockServeEvents the events they covered, and
-	// BlockServeFrames and BlockServeBytes the frames and payload bytes
-	// they sent (the snapshot verbatim, the blocks coalesced);
+	// streamed as verbatim encoded blocks (no document built);
 	// LazyMaterializations counts documents that had to be built on
 	// demand (a Text query, a decoded catch-up, a resume diff, a
 	// compaction); ResumeFallbacks counts summary hellos whose diff
@@ -86,8 +83,6 @@ type Metrics struct {
 	// summary diff.
 	BlockServes          metrics.Counter
 	BlockServeEvents     metrics.Counter
-	BlockServeFrames     metrics.Counter
-	BlockServeBytes      metrics.Counter
 	LazyMaterializations metrics.Counter
 	ResumeFallbacks      metrics.Counter
 	SummaryResumes       metrics.Counter
@@ -178,8 +173,6 @@ type MetricsSnapshot struct {
 
 	BlockServes          int64 `json:"block_serves"`
 	BlockServeEvents     int64 `json:"block_serve_events"`
-	BlockServeFrames     int64 `json:"block_serve_frames"`
-	BlockServeBytes      int64 `json:"block_serve_bytes"`
 	LazyMaterializations int64 `json:"lazy_materializations"`
 	ResumeFallbacks      int64 `json:"resume_fallbacks"`
 	SummaryResumes       int64 `json:"summary_resumes"`
@@ -242,8 +235,6 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 
 		BlockServes:          m.BlockServes.Load(),
 		BlockServeEvents:     m.BlockServeEvents.Load(),
-		BlockServeFrames:     m.BlockServeFrames.Load(),
-		BlockServeBytes:      m.BlockServeBytes.Load(),
 		LazyMaterializations: m.LazyMaterializations.Load(),
 		ResumeFallbacks:      m.ResumeFallbacks.Load(),
 		SummaryResumes:       m.SummaryResumes.Load(),

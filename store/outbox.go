@@ -107,9 +107,8 @@ func (o *outbox) overLocked(add int64) bool {
 
 // coalesceLocked merges the queue through a coalescer: every frame is
 // decoded (here, under pressure, and nowhere else on the fan-out path),
-// and consecutive frames are merged into as few as egwalker.MarshalBatches
-// writes for their events; a group whose merge would not be smaller
-// stays as it was.
+// and consecutive frames are merged as the coalescer merges a cold
+// join's WAL blocks; a group it sends verbatim stays as it was.
 func (o *outbox) coalesceLocked() {
 	if len(o.frames) < 2 {
 		return

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"egwalker"
+	"egwalker/internal/fsys"
 )
 
 // flipSyncedTail flips a bit on disk 8 bytes before the end of the synced
@@ -170,5 +171,79 @@ func TestQuarantineSurvivesEviction(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, quarantineMarker)); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("the rebuilt directory carries a quarantine marker: %v", err)
+	}
+}
+
+// TestIOErrorQuarantineEndsWithTheStore: an open that fails on an I/O
+// error, not on damage — a segment header that cannot be written, a
+// segment that cannot be read — comes up quarantined but leaves no
+// marker, so once the fault is gone the next open is healthy and holds
+// everything it held before.
+func TestIOErrorQuarantineEndsWithTheStore(t *testing.T) {
+	errIO := errors.New("injected I/O error")
+	for _, c := range []struct {
+		name   string
+		events int
+		arm    func(f *fsys.FaultFS, dir string)
+	}{
+		{"create active segment", 0, func(f *fsys.FaultFS, _ string) { f.FailWrites(0, errIO) }},
+		{"read segment", 40, func(f *fsys.FaultFS, dir string) { f.FailRead(filepath.Join(dir, segName(1)), errIO) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			faults := fsys.NewFaultFS(nil)
+			opts := Options{FS: faults, Quarantine: true}
+			ds, err := OpenLazy(root, "q", "srv", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := ds.dir
+			w := egwalker.NewDoc("w")
+			for i := 0; i < c.events/10; i++ {
+				if _, err := ds.IngestBatch(typeInto(t, w, 10), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c.events == 0 {
+				// A fresh directory: the open must create its first segment.
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			c.arm(faults, dir)
+			ds, err = OpenLazy(root, "q", "srv", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q, _ := ds.Quarantined(); !q {
+				t.Fatal("the open met the fault and is not quarantined")
+			}
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, quarantineMarker)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("an I/O error left a quarantine marker: %v", err)
+			}
+
+			faults.Clear()
+			ds, err = OpenLazy(root, "q", "srv", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if q, why := ds.Quarantined(); q {
+				t.Fatalf("reopened without the fault, still quarantined: %v", why)
+			}
+			if n := ds.NumEvents(); n != c.events {
+				t.Fatalf("reopened with %d events, want %d", n, c.events)
+			}
+			if _, err := ds.IngestBatch(typeInto(t, w, 10), nil); err != nil {
+				t.Fatalf("the reopened store refuses an upload: %v", err)
+			}
+		})
 	}
 }

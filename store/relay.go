@@ -333,11 +333,7 @@ func (s *Server) ServeHello(conn io.ReadWriter, h netsync.Hello) error {
 // compaction can delete a cut's files mid-stream; the peer deduplicates
 // whatever blocks already arrived).
 func (e *entry) streamCatchup(pc *netsync.PeerConn, cut *BlockCut) error {
-	sent, serr := e.ds.StreamBlocks(cut, func(payload []byte) error {
-		e.srv.metrics.BlockServeFrames.Inc()
-		e.srv.metrics.BlockServeBytes.Add(int64(len(payload)))
-		return pc.SendRaw(payload)
-	})
+	sent, serr := e.ds.StreamBlocks(cut, pc.SendRaw)
 	if serr == nil {
 		if sent == 0 {
 			// Empty document: the contract is that the first events

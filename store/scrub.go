@@ -226,7 +226,7 @@ func (s *DocStore) scrub(lim *scrubLimiter) (scrubReport, error) {
 	rep.Damage = live
 	if st := s.loadState(); len(live) > 0 && (st == stateJournal || st == stateMaterialized) {
 		d := live[0]
-		s.quarantineLocked(fmt.Errorf("scrub: %s damage in %s at %d: %w", d.Kind, d.File, d.Off, d.Err))
+		s.quarantineLocked(damaged(fmt.Errorf("scrub: %s damage in %s at %d: %w", d.Kind, d.File, d.Off, d.Err)))
 	}
 	return rep, nil
 }
@@ -270,7 +270,10 @@ func (s *DocStore) Salvage() SalvageInfo {
 // quarantine: writes refuse, block serving stops, compaction pressure is
 // cleared, and the best salvageable document is materialized for
 // read-only serving. Journal-only, it returns the snapshot the salvage
-// started from and the segments it read.
+// started from and the segments it read. A quarantine whose reason is
+// damage on disk (a diskDamage) is marked there (markQuarantined), so
+// that it outlasts the store; one over an I/O error lasts until the
+// store is closed.
 func (s *DocStore) quarantineLocked(reason error) (snapSeq uint64, segs []uint64) {
 	start := time.Now()
 	if s.doc == nil {
@@ -287,8 +290,10 @@ func (s *DocStore) quarantineLocked(reason error) (snapSeq uint64, segs []uint64
 		s.salvage = SalvageInfo{Events: s.doc.NumEvents()}
 	}
 	s.qerr = reason
-	if err := s.markQuarantined(reason); err != nil {
-		s.qerr = fmt.Errorf("%w (quarantine marker not written: %v)", reason, err)
+	if d := (diskDamage{}); errors.As(reason, &d) {
+		if err := s.markQuarantined(reason); err != nil {
+			s.qerr = fmt.Errorf("%w (quarantine marker not written: %v)", reason, err)
+		}
 	}
 	s.blockServable = false
 	s.eventsSinceSnap = 0 // keep the compactor away
@@ -323,9 +328,10 @@ func (s *DocStore) markQuarantined(reason error) error {
 	return err
 }
 
-// recoverQuarantined is the open-time quarantine path: recovery found
-// damage truncation cannot repair, and Options.Quarantine asked for a
-// salvaged read-only store instead of an error. No active segment is
+// recoverQuarantined is the open-time quarantine path: recovery failed —
+// on damage truncation cannot repair, or on an I/O error — and
+// Options.Quarantine asked for a salvaged read-only store instead of an
+// error. Only damage is marked on disk. No active segment is
 // opened — a quarantined store journals nothing.
 func (s *DocStore) recoverQuarantined(reason error) error {
 	if _, _, _, err := s.scanDirSeqs(); err != nil {

@@ -50,14 +50,14 @@ func (s *DocStore) CutForServe() (*BlockCut, bool) {
 // hands them to send as batch frames — the zero-materialization
 // catch-up. The snapshot goes verbatim, as one frame; the WAL blocks
 // after it go through a coalescer, which decodes (and so checks) each
-// one and merges consecutive blocks into as few frames as
-// egwalker.MarshalBatches writes for their events, at most
-// maxCoalescedEvents a frame. Every frame is one a compact-capable peer
-// decodes like any other events frame. Returns the number of frames
-// sent; on error the stream may be partial, and the caller should fall
-// back to a decoded catch-up — receivers deduplicate, so a partial
-// stream followed by a full snapshot still converges. A block that does
-// not decode ends the stream before anything of its group is sent.
+// one and merges consecutive blocks into columnar frames of at most
+// maxCoalescedEvents events, as egwalker.MarshalBatches writes them.
+// Every frame is one a compact-capable peer decodes like any other
+// events frame. Returns the number of frames sent; on error the stream
+// may be partial, and the caller should fall back to a decoded catch-up
+// — receivers deduplicate, so a partial stream followed by a full
+// snapshot still converges. A block that does not decode ends the
+// stream before anything of its group is sent.
 // Concurrent compaction may delete a cut's files mid-stream; that
 // surfaces here as an error, not corruption.
 func (s *DocStore) StreamBlocks(cut *BlockCut, send func(payload []byte) error) (int, error) {

@@ -245,7 +245,8 @@ func (s *DocStore) recover(lazy bool) error {
 	if marked {
 		// Quarantined before it was closed: the damage may sit where a
 		// torn tail would, and cutting it off would lose synced events.
-		// Touch nothing; the reason is the marker's.
+		// Touch nothing; the reason is the marker's, and the marker is
+		// already on disk, so the error is not marked as damage again.
 		reason, err := s.fs.ReadFile(filepath.Join(s.dir, quarantineMarker))
 		if err != nil || len(reason) == 0 {
 			return fmt.Errorf("store: %s holds a quarantine marker", s.docID)
@@ -286,7 +287,7 @@ func (s *DocStore) recover(lazy bool) error {
 		// history the snapshots held is gone: damage, not an empty
 		// document.
 		if why != nil && (len(segs) == 0 || segs[0] > 1 || snaps[0] == 1) {
-			return fmt.Errorf("%w, and no older snapshot or WAL segment covers it", why)
+			return damaged(fmt.Errorf("%w, and no older snapshot or WAL segment covers it", why))
 		}
 		s.blockServable = true
 		if lazy {
@@ -302,7 +303,7 @@ func (s *DocStore) recover(lazy bool) error {
 	lastRemoved := false
 	for i, seq := range live {
 		if want := max(snapSeq, 1) + uint64(i); seq != want {
-			return fmt.Errorf("store: segment %s is missing (%s follows it)", segName(want), segName(seq))
+			return damaged(fmt.Errorf("store: segment %s is missing (%s follows it)", segName(want), segName(seq)))
 		}
 		path := filepath.Join(s.dir, segName(seq))
 		data, err := s.fs.ReadFile(path)
@@ -326,11 +327,11 @@ func (s *DocStore) recover(lazy bool) error {
 			})
 		}
 		if err != nil {
-			return fmt.Errorf("store: segment %s: %w", path, err)
+			return damaged(fmt.Errorf("store: segment %s: %w", path, err))
 		}
 		if w.tail != nil {
 			if i < len(live)-1 || !tornTail(w.tail) {
-				return fmt.Errorf("store: segment %s corrupt: %w", path, w.tail)
+				return damaged(fmt.Errorf("store: segment %s corrupt: %w", path, w.tail))
 			}
 			// Torn tail from a crash mid-append: cut it off. A segment
 			// torn inside its own header is recreated from scratch — a
@@ -349,7 +350,7 @@ func (s *DocStore) recover(lazy bool) error {
 		s.recovery.SegmentsReplayed++
 	}
 	if s.doc != nil && s.doc.PendingEvents() > 0 {
-		return fmt.Errorf("store: recovery left %d events with missing parents", s.doc.PendingEvents())
+		return damaged(fmt.Errorf("store: recovery left %d events with missing parents", s.doc.PendingEvents()))
 	}
 
 	if err := s.openActive(live, lastRemoved); err != nil {
@@ -364,6 +365,17 @@ func (s *DocStore) recover(lazy bool) error {
 	s.installedLocked(stateMaterialized, start)
 	return nil
 }
+
+// diskDamage marks an error as damage found on disk — a block that
+// fails its checksum or does not decode, a missing segment, a sole
+// snapshot that does not load — as opposed to an I/O error met on the
+// way (a full disk, no file descriptor left), which the next open may
+// well not meet. Only a quarantine over damage leaves a marker behind.
+type diskDamage struct{ error }
+
+func (d diskDamage) Unwrap() error { return d.error }
+
+func damaged(err error) error { return diskDamage{err} }
 
 // chooseSnapshot hands load the newest snapshot's bytes, and each older
 // one's in turn while a snapshot does not read or load refuses it. It
